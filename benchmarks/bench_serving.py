@@ -122,8 +122,7 @@ def _run_serving_suite(
 
         config = ServeConfig(
             threshold=THRESHOLD, top_k=None, workers=2, max_batch=64,
-            batch_linger_s=0.0005, max_queue_depth=1024,
-            default_tenant_quota=None,
+            max_queue_depth=1024, default_tenant_quota=None,
         )
         server = MatchServer(corpus, "id", "v", tokenizer=tokenizer, config=config)
         warm_started = time.perf_counter()

@@ -21,7 +21,7 @@ keyed by the digests of what it was built from::
               -> prefix postings index              "prefix"
               -> verification bitmasks              "masks"
               -> CSR token-incidence matrices       "arrays"
-                  -> transposed probe-ready corpus  "arrayindex"
+                  -> probe-ready corpus + prefix^T  "arrayindex"
       -> q-gram bags / count-filter index           "grambags"/"gramindex"
       -> hashed n-gram count vectors                "vectors"
           -> joint (IDF-weighted) vector space      "vecpair"
@@ -458,7 +458,7 @@ class IndexStore:
         use_prefix_filter: bool = True,
         side: str = "right",
     ):
-        """Probe-ready transposed CSR corpus for the batched array kernel.
+        """Probe-ready CSR corpus for the batched array kernel.
 
         The columnar twin of :meth:`prefix_index` (same parameters, same
         candidate semantics); returns a
@@ -467,8 +467,13 @@ class IndexStore:
         from repro.perf import arrays
 
         arrays.require_arrays()
+        # "rows2" names the ArrayIndex layout (row-major corpus matrix +
+        # transposed prefix slice).  Change it whenever the class's
+        # fields change, so a cached pickle of another layout is never
+        # read back.
         digest = combine(
-            "arrayindex", encoding.key, side, measure, threshold, use_prefix_filter
+            "arrayindex", "rows2", encoding.key, side, measure, threshold,
+            use_prefix_filter,
         )
 
         def build():

@@ -11,9 +11,13 @@ instead of millions of interpreter steps:
   ``indices`` postings, int64 counts as data), registered in
   :class:`repro.index.IndexStore` as fingerprinted artifacts beside the
   dict/tuple chain;
-* overlap counts for a whole probe batch are one sparse matmul
-  (``probe @ corpus.T``) producing **exact ints**, so the scalar score
-  formulas reproduce bit-identical floats;
+* candidates for a whole probe batch are one sparse matmul
+  (``probe prefixes @ corpus prefixes.T``), and overlap counts are
+  computed **only at the candidate pairs that pass the size window and
+  the tombstone mask** — a sorted-row merge of the two CSR rows per
+  pair, never a product over every pair sharing some (possibly hot)
+  token — producing **exact ints**, so the scalar score formulas
+  reproduce bit-identical floats;
 * size-window and prefix bounds are vectorized replicas of
   :mod:`repro.simjoin.filters` — same operations, in the same order, on
   the same values, so every bound decision matches the scalar kernel
@@ -28,9 +32,10 @@ the same float scores in the same order as the dict backend
 (property-tested in ``tests/test_kernel_arrays.py``).  Two deliberate
 consequences: vector data stays ``float64`` (a ``float32`` CSR would
 save half the memory but break identity with the scalar ``float``
-kernels), and sparse products are re-sorted (``sort_indices``) before
-ordered emission because scipy does not guarantee sorted indices on
-matmul results.
+kernels), and survivors are ordered by (probe row, corpus position)
+before emission because scipy does not guarantee sorted indices on
+matmul results — only survivors: filtering and verification are
+order-free.
 
 The backend is optional at runtime: without ``numpy``/``scipy`` the
 module imports cleanly, ``HAVE_ARRAYS`` is ``False``, ``kernel="auto"``
@@ -70,10 +75,11 @@ except ImportError:  # pragma: no cover - the container bakes both in
 #: The concrete backends a kernel request can resolve to.
 ARRAY_BACKENDS = ("dict", "array")
 
-#: Upper bound on sparse-product entries materialized per probe chunk.
-#: Chunking the probe side bounds the worst case where many rows share
-#: hot tokens and the overlap matmul densifies.
-CHUNK_TARGET_NNZ = 1 << 22
+#: Upper bound on candidate-product entries materialized per probe
+#: chunk (and so on the pairs verified at once, ~300 bytes each at the
+#: peak).  Cache-sized chunks are also the fastest: on the spine's dense
+#: join 1<<16 runs ~15 % quicker than 1<<18 at 50 MB less peak RSS.
+CHUNK_TARGET_NNZ = 1 << 16
 
 
 def require_arrays() -> None:
@@ -94,11 +100,13 @@ class KernelPolicy:
 
     Batching has fixed costs (CSR construction or slicing, one pass of
     chunk bookkeeping) that a single point probe against a small corpus
-    never amortizes; the thresholds are the measured break-even
-    neighbourhood on this substrate (see ``docs/PERFORMANCE.md``).
+    never amortizes.  ``min_probe_rows`` is the smallest batch at which
+    ``LiveIndex.search_batch`` beats the same number of scalar
+    ``search`` calls on the spine's 50k-row sparse corpus — the table
+    under "When array wins" in ``docs/PERFORMANCE.md``.
     """
 
-    min_probe_rows: int = 8
+    min_probe_rows: int = 16
     min_index_rows: int = 64
 
 
@@ -288,23 +296,29 @@ class ArrayRecords:
 class ArrayIndex:
     """The corpus (right) side prepared for batched probing.
 
-    Pre-transposed full and prefix incidence matrices (``dim x n_rows``)
-    so a probe batch hits scipy's ``csr @ csr`` fast path, plus the
-    per-record sizes the size filter windows over.  Keyed like the dict
-    :class:`~repro.index.store.PrefixIndex` by (encoding, measure,
-    threshold, use_prefix_filter).
+    The row-major incidence ``matrix`` (``n_rows x dim``, sorted rows:
+    exact overlaps are merged out of it at candidate pairs only) and the
+    pre-transposed prefix incidence ``prefix_t`` (``dim x n_rows``, so a
+    probe batch hits scipy's ``csr @ csr`` fast path), plus the
+    per-record sizes the size filter windows over — a row's nnz, so
+    derived on construction and on unpickling rather than persisted.
+    Keyed like the dict :class:`~repro.index.store.PrefixIndex` by
+    (encoding, measure, threshold, use_prefix_filter).
     """
 
-    __slots__ = ("key", "keys", "sizes", "full_t", "prefix_t", "n_rows", "dim")
+    __slots__ = ("key", "keys", "sizes", "matrix", "prefix_t", "n_rows", "dim")
 
-    def __init__(self, key: str, keys: list, sizes, full_t, prefix_t, dim: int):
+    def __init__(self, key: str, keys: list, matrix, prefix_t, dim: int):
         self.key = key
         self.keys = keys
-        self.sizes = sizes
-        self.full_t = full_t
+        self.sizes = np.diff(matrix.indptr).astype(np.int64)
+        self.matrix = matrix
         self.prefix_t = prefix_t
         self.n_rows = len(keys)
         self.dim = dim
+
+    def __reduce__(self):
+        return ArrayIndex, (self.key, self.keys, self.matrix, self.prefix_t, self.dim)
 
 
 def build_array_records(
@@ -359,15 +373,11 @@ def build_array_index(
 ) -> ArrayIndex:
     """Prepare one side's :class:`ArrayRecords` as the probed corpus."""
     require_arrays()
-    full_t = arrays.matrix.T.tocsr()
-    full_t.sort_indices()
+    prefix = arrays.matrix
     if use_prefix_filter:
         lengths = prefix_lengths_arrays(measure, threshold, arrays.sizes)
-        prefix_t = csr_prefix_slice(arrays.matrix, lengths).T.tocsr()
-        prefix_t.sort_indices()
-    else:
-        prefix_t = full_t
-    return ArrayIndex(key, arrays.keys, arrays.sizes, full_t, prefix_t, arrays.dim)
+        prefix = csr_prefix_slice(prefix, lengths)
+    return ArrayIndex(key, arrays.keys, arrays.matrix, prefix.T.tocsr(), arrays.dim)
 
 
 def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
@@ -440,73 +450,59 @@ def batch_set_sim_probe(
         prefix_matrix = csr_prefix_slice(probe_matrix, lengths)
     else:
         prefix_matrix = probe_matrix
-    # Prefix == full on both sides means the candidate product already
-    # holds exact overlaps; skip the second matmul.
+    # With nothing sliced off either side the candidate product already
+    # holds exact overlaps; otherwise they are computed at kept pairs.
     counts_from_candidates = (
-        prefix_matrix is probe_matrix and index.prefix_t is index.full_t
+        prefix_matrix.nnz == probe_matrix.nnz and index.prefix_t.nnz == index.matrix.nnz
     )
+    # A probe row's product entries number at most the summed posting
+    # lengths of its prefix tokens; chunks are cut on that running bound,
+    # so the working set tracks candidates however hot a shared token is.
+    postings = np.diff(index.prefix_t.indptr)
+    bound = np.zeros(prefix_matrix.nnz + 1, dtype=np.int64)
+    np.cumsum(postings[prefix_matrix.indices], out=bound[1:])
+    bound = bound[prefix_matrix.indptr]
 
-    out_rows: list = []
-    out_cols: list = []
-    out_scores: list = []
+    out_rows = [np.zeros(0, dtype=np.int64)]
+    out_cols = [np.zeros(0, dtype=np.int64)]
+    out_scores = [np.zeros(0, dtype=np.float64)]
     candidate_counts = np.zeros(n_probe, dtype=np.int64)
-
-    # Chunk the probe side so a hot shared token cannot densify the
-    # sparse products beyond a bounded working set.
-    chunk = max(16, min(4096, CHUNK_TARGET_NNZ // max(n_rows, 1)))
-    for start in range(0, n_probe, chunk):
-        stop = min(start + chunk, n_probe)
-        span = stop - start
+    cuts = [0]
+    while cuts[-1] < n_probe:
+        fits = np.searchsorted(bound, bound[cuts[-1]] + CHUNK_TARGET_NNZ, side="right")
+        cuts.append(max(cuts[-1] + 1, int(fits) - 1))
+    for start, stop in zip(cuts[:-1], cuts[1:]):
         cand = prefix_matrix[start:stop] @ index.prefix_t
-        cand.sort_indices()
-        rows = np.repeat(
-            np.arange(span, dtype=np.int64), np.diff(cand.indptr)
-        )
-        cols = cand.indices.astype(np.int64)
+        # Product rows are grouped but their columns unsorted: filter the
+        # raw entries, and order only the survivors at the end.
+        rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(cand.indptr))
+        cols = cand.indices
         right_sizes = index.sizes[cols]
-        keep = (right_sizes >= lower[start:stop][rows]) & (
-            right_sizes <= upper[start:stop][rows]
-        )
+        keep = (right_sizes >= lower[rows]) & (right_sizes <= upper[rows])
         if skip is not None:
             keep &= ~skip[cols]
-        if counts_from_candidates:
-            overlap_all = cand.data.astype(np.int64)
-        rows = rows[keep]
-        cols = cols[keep]
+        rows, cols, right_sizes = rows[keep], cols[keep], right_sizes[keep]
         if len(rows) == 0:
             continue
-        candidate_counts[start:stop] = np.bincount(rows, minlength=span)
+        candidate_counts[start:stop] = np.bincount(rows - start, minlength=stop - start)
         if counts_from_candidates:
-            overlap = overlap_all[keep]
+            overlap = cand.data[keep]
         else:
-            counts = probe_matrix[start:stop] @ index.full_t
-            counts.sort_indices()
-            count_rows = np.repeat(
-                np.arange(span, dtype=np.int64), np.diff(counts.indptr)
-            )
-            count_keys = count_rows * n_rows + counts.indices.astype(np.int64)
-            # Every candidate shares a prefix token, hence at least one
-            # full token: its (row, col) is guaranteed present.
-            at = np.searchsorted(count_keys, rows * n_rows + cols)
-            overlap = counts.data[at].astype(np.int64)
-        left_sizes = true_sizes[start:stop][rows]
-        scores = scores_arrays(measure, overlap, left_sizes, index.sizes[cols])
+            # Sampled product: one sorted-row merge per kept pair.
+            shared = probe_matrix[rows].multiply(index.matrix[cols])
+            overlap = np.asarray(shared.sum(axis=1)).ravel()
+        scores = scores_arrays(measure, overlap, true_sizes[rows], right_sizes)
         survived = scores >= threshold
-        out_rows.append(rows[survived] + start)
+        out_rows.append(rows[survived])
         out_cols.append(cols[survived])
         out_scores.append(scores[survived])
 
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        positions = np.concatenate(out_cols)
-        scores = np.concatenate(out_scores)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        positions = np.zeros(0, dtype=np.int64)
-        scores = np.zeros(0, dtype=np.float64)
+    rows = np.concatenate(out_rows)
+    positions = np.concatenate(out_cols)  # int64: promoted by the seed array
+    order = np.argsort(rows * n_rows + positions)
     result_indptr = np.zeros(n_probe + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_probe), out=result_indptr[1:])
-    return result_indptr, positions, scores, candidate_counts
+    return result_indptr, positions[order], np.concatenate(out_scores)[order], candidate_counts
 
 
 def emit_matches(

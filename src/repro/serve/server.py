@@ -29,9 +29,10 @@ time:
   is at ``max_queue_depth`` (:class:`BackpressureError`) or its tenant
   is at its in-flight quota (:class:`QuotaExceededError`); rejections
   are counted in ``serve_rejections_total{reason,tenant}``;
-* **micro-batching** — worker threads drain the queue in batches of up
-  to ``max_batch``, optionally lingering ``batch_linger_s`` so
-  concurrent callers coalesce onto one pass over the shared index;
+* **micro-batching** — a worker takes whatever is queued, up to
+  ``max_batch``, the moment it is free: batches form while the worker
+  is busy with the previous one, so concurrent callers coalesce onto
+  one pass over the shared index and a lone caller never waits;
 * **observability** — ``serve_request_seconds`` (queue wait + service)
   and ``serve_batch_size`` histograms, the ``serve_queue_depth`` gauge,
   and per-tenant request/rejection counters, all on the process
@@ -83,7 +84,6 @@ class ServeConfig:
     kernel: str = "auto"
     top_k: int | None = 10
     max_batch: int = 64
-    batch_linger_s: float = 0.0005
     max_queue_depth: int = 256
     default_tenant_quota: int | None = 64
     tenant_quotas: dict[str, int] = field(default_factory=dict)
@@ -332,23 +332,14 @@ class MatchServer:
             self._process_batch(batch)
 
     def _take_batch(self) -> list[_Request] | None:
-        config = self.config
         with self._not_empty:
             while not self._queue and not self._stopping:
                 self._not_empty.wait()
             if not self._queue:
                 return None  # stopping and drained
-            if (
-                config.batch_linger_s > 0
-                and len(self._queue) < config.max_batch
-                and not self._stopping
-            ):
-                # Linger briefly so a burst of concurrent callers lands
-                # in one batch instead of one batch per request.
-                self._not_empty.wait(config.batch_linger_s)
             batch = [
                 self._queue.popleft()
-                for _ in range(min(len(self._queue), config.max_batch))
+                for _ in range(min(len(self._queue), self.config.max_batch))
             ]
             get_registry().gauge("serve_queue_depth").set(len(self._queue))
         return batch
@@ -381,15 +372,18 @@ class MatchServer:
             # the payoff of the batching queue — the base segment is
             # probed once, columnar, for every request in the batch.
             # Per-request error isolation is preserved by falling back
-            # to the scalar per-request path if the batched call fails.
+            # to the scalar per-request path if the batched call fails;
+            # every such fallback is counted by exception class.
             searched = None
             if len(batch) > 1:
                 try:
                     searched = self._live.search_batch(
                         [request.value for request in batch]
                     )
-                except Exception:
-                    searched = None
+                except Exception as exc:
+                    registry.counter(
+                        "serve_batch_fallbacks_total", error=type(exc).__name__
+                    ).inc()
             for position, request in enumerate(batch):
                 try:
                     if searched is not None:

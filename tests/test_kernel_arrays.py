@@ -11,6 +11,7 @@ results with plain ``==`` — which, on floats, is the bit-identity check.
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ import repro.perf.arrays as arrays_module
 from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import get_index_store
+from repro.obs import use_registry
 from repro.perf.arrays import (
     HAVE_ARRAYS,
     batch_cosine,
@@ -29,7 +31,12 @@ from repro.perf.arrays import (
 )
 from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
 from repro.perf.kernels import make_overlap_bound, make_scorer
-from repro.simjoin import probe_encoded, probe_encoded_batch, set_sim_join
+from repro.simjoin import (
+    naive_set_sim_join,
+    probe_encoded,
+    probe_encoded_batch,
+    set_sim_join,
+)
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 from repro.text.vectorize import cosine, l2_normalize
@@ -165,6 +172,156 @@ class TestProbeBatchEquivalence:
             queries, array_index, measure, threshold, skip=skip
         )
         assert got == expected
+
+
+class TestHotTokenRegime:
+    """One token in most rows: candidates << token-sharing pairs.
+
+    The hot token ranks last in the frequency ordering, so it sits in
+    almost no prefix — the regime where exact overlaps must come from
+    the candidate pairs alone, never from a product over every pair
+    sharing a token.  ``CHUNK_TARGET_NNZ`` is shrunk so every probe
+    spans several chunks.
+    """
+
+    MEASURES = [("jaccard", 0.5), ("cosine", 0.6), ("dice", 0.6), ("overlap", 2)]
+
+    @staticmethod
+    def _values(n: int, seed: int) -> list[str]:
+        rng = random.Random(seed)
+        rare = [f"w{i}" for i in range(40)]
+        return [
+            " ".join((["hot"] if i % 5 < 4 else []) + rng.sample(rare, rng.randint(1, 4)))
+            for i in range(n)
+        ]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        self.chunks = 0
+        scores_arrays = arrays_module.scores_arrays
+
+        def counting(*args):
+            self.chunks += 1
+            return scores_arrays(*args)
+
+        monkeypatch.setattr(arrays_module, "CHUNK_TARGET_NNZ", 200)
+        monkeypatch.setattr(arrays_module, "scores_arrays", counting)
+
+    @pytest.mark.parametrize("measure,threshold", MEASURES)
+    @pytest.mark.parametrize("use_prefix_filter", [True, False])
+    def test_join_matches_dict_and_naive(self, measure, threshold, use_prefix_filter):
+        ltable = _table("l", self._values(150, seed=1))
+        rtable = _table("r", self._values(180, seed=2))
+        with use_registry() as registry:
+            got = _join_rows(
+                ltable, rtable, measure, threshold, "array",
+                use_prefix_filter=use_prefix_filter,
+            )
+            candidates = sum(
+                value
+                for (name, _), value in registry.counters().items()
+                if name == "simjoin_candidates_total"
+            )
+        assert self.chunks > 1
+        assert got == _join_rows(
+            ltable, rtable, measure, threshold, "dict",
+            use_prefix_filter=use_prefix_filter,
+        )
+        naive = naive_set_sim_join(
+            ltable, rtable, "id", "id", "v", "v",
+            WhitespaceTokenizer(return_set=True), measure, threshold,
+        )
+        assert got == list(
+            zip(naive.column("l_id"), naive.column("r_id"), naive.column("score"))
+        )
+        hot_pairs = sum("hot" in v for v in ltable.column("v")) * sum(
+            "hot" in v for v in rtable.column("v")
+        )
+        if use_prefix_filter and measure != "overlap":
+            assert candidates < hot_pairs / 2
+
+    @pytest.mark.parametrize("measure,threshold", MEASURES)
+    @pytest.mark.parametrize("use_prefix_filter", [True, False])
+    def test_probe_batch_with_tombstones_and_foreign_tokens(
+        self, measure, threshold, use_prefix_filter
+    ):
+        store = get_index_store()
+        rtable = _table("r", self._values(180, seed=3))
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        column = store.tokenized_column(rtable, "id", "v", tokenizer)
+        encoding = store.pair_encoding(column, column)
+        dict_index = store.prefix_index(
+            encoding, measure, threshold, use_prefix_filter
+        ).index
+        array_index = store.array_index(encoding, measure, threshold, use_prefix_filter)
+        dim = array_index.dim
+        # Each corpus record probed back with two live-index extension
+        # ids (>= dim, sorted to the tail) and one out-of-universe token
+        # that only inflates the true size.
+        queries = [
+            (ids + (dim + 3, dim + 7), len(ids) + 3) for _, ids in encoding.right
+        ]
+        skip = set(range(0, len(encoding.right), 7))
+        scorer = make_scorer(measure)
+        bound = make_overlap_bound(measure, threshold)
+        expected = [
+            probe_encoded(
+                ids, size, dict_index, encoding.right, None, scorer, bound,
+                measure, threshold, use_prefix_filter, skip,
+            )
+            for ids, size in queries
+        ]
+        got = probe_encoded_batch(
+            queries, array_index, measure, threshold, use_prefix_filter, skip
+        )
+        assert self.chunks > 1
+        assert got == expected
+        assert any(matches for matches, _ in got)
+
+
+class TestArrayIndexLayoutVersion:
+    """A cached ``arrayindex`` of the old layout is rebuilt, never loaded."""
+
+    def test_old_layout_pickle_in_cache_dir_is_ignored(self, tmp_path):
+        import copyreg
+        import pickle
+
+        from repro.index.fingerprints import combine
+        from repro.index.store import IndexStore
+        from repro.perf.arrays import ArrayIndex
+
+        class OldLayout:
+            """Pickles as an ArrayIndex with a slot the class no longer
+            has, like the pre-"rows2" transposed full matrix."""
+
+            def __reduce__(self):
+                state = {"key": "k", "keys": [], "sizes": None, "transposed_full": None,
+                         "prefix_t": None, "n_rows": 0, "dim": 1}
+                return copyreg._reconstructor, (ArrayIndex, object, None), (None, state)
+
+        stale = pickle.dumps(OldLayout())
+        with pytest.raises(AttributeError):
+            pickle.loads(stale)
+
+        rtable = _table("r", ["alpha beta", "alpha gamma", "beta gamma delta"])
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        with use_registry() as registry:
+            store = IndexStore(cache_dir=tmp_path)
+            column = store.tokenized_column(rtable, "id", "v", tokenizer)
+            encoding = store.pair_encoding(column, column)
+            old_digest = combine("arrayindex", encoding.key, "right", "jaccard", 0.5, True)
+            old_path = tmp_path / f"arrayindex-{old_digest}.pkl"
+            old_path.write_bytes(stale)
+            index = store.array_index(encoding, "jaccard", 0.5)
+            assert index.matrix.shape[0] == index.n_rows == 3
+            assert registry.get("index_builds_total", kind="arrayindex").value == 1
+            assert registry.get("index_disk_errors_total", kind="arrayindex") is None
+            assert old_path.read_bytes() == stale
+            # The rebuilt artifact is what a fresh store warm-loads.
+            warm = IndexStore(cache_dir=tmp_path).array_index(encoding, "jaccard", 0.5)
+            assert registry.get("index_builds_total", kind="arrayindex").value == 1
+            assert (warm.matrix != index.matrix).nnz == 0
+            assert warm.sizes.tolist() == index.sizes.tolist() == [2, 2, 3]
 
 
 sparse_vector = st.dictionaries(

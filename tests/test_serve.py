@@ -128,7 +128,7 @@ class TestServedEqualsBatch:
             expected = batch_reference(corpus, queries, tokenizer, "jaccard", 0.4)
             config = ServeConfig(
                 threshold=0.4, top_k=None, workers=2, max_batch=8,
-                batch_linger_s=0.001, default_tenant_quota=None,
+                default_tenant_quota=None,
             )
             server = MatchServer(corpus, "id", "v", tokenizer=tokenizer, config=config)
             with server:
@@ -249,6 +249,30 @@ class TestScheduler:
             assert stats["requests_total"] == 5
             assert stats["corpus_rows"] == 50
             assert 0 <= stats["latency_p50_s"] <= stats["latency_p99_s"]
+
+    def test_failed_batched_probe_falls_back_and_is_counted(self, monkeypatch):
+        corpus = make_corpus(80)
+        queries = make_queries(6)
+        tokenizer = WhitespaceTokenizer(return_set=True)
+
+        def broken(self, values):
+            raise RuntimeError("batched probe broke")
+
+        with use_registry() as registry, use_index_store():
+            expected = batch_reference(corpus, queries, tokenizer, "jaccard", 0.4)
+            monkeypatch.setattr(LiveIndex, "search_batch", broken)
+            config = ServeConfig(threshold=0.4, top_k=None, workers=0)
+            with MatchServer(corpus, "id", "v", config=config) as server:
+                pending = [server.submit(query) for query in queries]
+                assert server.process_pending() == len(queries)
+                for i, handle in enumerate(pending):
+                    result = handle.result(1)
+                    assert result.batch_size == len(queries)
+                    assert result.candidates == expected[i]
+            fallbacks = registry.get(
+                "serve_batch_fallbacks_total", error="RuntimeError"
+            )
+            assert fallbacks is not None and fallbacks.value == 1
 
 
 class TestWarmStart:
