@@ -138,7 +138,9 @@ def _sample_pairs(
                     counts[position] += 1
         if not counts:
             continue
-        best = sorted(counts, key=lambda p: -counts[p])[:2]
+        # Ties go to the lower position: ``tokens`` is a set, so the order
+        # ``counts`` filled in moves with the string hash seed.
+        best = sorted(counts, key=lambda p: (-counts[p], p))[:2]
         for position in best:
             pairs.add((l_ids[position], r_ids[int(j)]))
 

@@ -9,16 +9,27 @@ sim joins instead of evaluating them pairwise.
 
 Feature values are floats; missing attribute values yield NaN, which the
 feature-vector extractor leaves for the imputer to fill.
+
+A feature may also carry a *batch form*: ``batch(lefts, rights)`` over
+parallel value sequences returns a float64 array equal, element for
+element, to ``function``.  The extractor calls it once over the distinct
+value pairs; the makers below attach one where the measure has a kernel.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
+from repro.perf import arrays
 from repro.table.schema import is_missing
 from repro.table.table import Row
+from repro.text.sim.edit_based import number_items
+from repro.text.sim.token_based import Cosine, Dice, Jaccard, OverlapCoefficient
 from repro.text.tokenizers import Tokenizer
 
 NAN = float("nan")
@@ -43,6 +54,7 @@ class Feature:
     measure_name: str
     function: Callable[[Any, Any], float]
     tokenizer: Tokenizer | None = None
+    batch: Callable[[Sequence[Any], Sequence[Any]], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.sim_kind not in SIM_KINDS:
@@ -129,6 +141,65 @@ class FeatureTable:
         return f"FeatureTable({len(self)} features)"
 
 
+def _present(lefts: Sequence[Any], rights: Sequence[Any]):
+    """Positions where neither value is missing, and those values as
+    lower-cased text: what the string and token features compare."""
+    keep = [
+        i for i, (l, r) in enumerate(zip(lefts, rights)) if not (is_missing(l) or is_missing(r))
+    ]
+    return keep, [str(lefts[i]).lower() for i in keep], [str(rights[i]).lower() for i in keep]
+
+
+#: Set measures with a :func:`repro.perf.arrays.scores_arrays` twin.
+_ARRAY_MEASURES = {
+    Jaccard: "jaccard",
+    Cosine: "cosine",
+    Dice: "dice",
+    OverlapCoefficient: "overlap_coefficient",
+}
+
+
+class TokenSetBatch:
+    """Batch form of a token-set feature.  :meth:`overlaps` is the costly
+    half and depends only on the tokenizer, so the extractor computes it
+    once per attribute pair and tokenizer for every feature's :meth:`scores`."""
+
+    def __init__(self, tokenizer: Tokenizer, measure: str):
+        self.tokenizer = tokenizer
+        self.measure = measure
+
+    def overlaps(self, lefts: Sequence[Any], rights: Sequence[Any]):
+        """``(n, keep, overlap, left_sizes, right_sizes)``, the last three
+        over the kept (non-missing) pairs.  Each distinct text is tokenized
+        once and the tokens dropped at return (no ``tokenize_cached``)."""
+        keep, l_text, r_text = _present(lefts, rights)
+        texts, l_rows, r_rows = number_items(l_text, r_text)
+        ids: dict[str, int] = {}
+        token_sets = [
+            sorted({ids.setdefault(token, len(ids)) for token in self.tokenizer.tokenize(text)})
+            for text in texts
+        ]
+        matrix = arrays.build_probe_matrix(token_sets, len(ids))
+        sizes = np.diff(matrix.indptr).astype(np.int64)
+        l_sizes, r_sizes = sizes[l_rows], sizes[r_rows]
+        overlap = np.empty(len(keep), np.int64)
+        step = max(1, arrays.CHUNK_TARGET_NNZ // int((l_sizes + r_sizes).max(initial=1)))
+        for start in range(0, len(keep), step):
+            at = slice(start, start + step)
+            # Sampled product, as in the join kernel: one sorted-row merge per pair.
+            shared = matrix[l_rows[at]].multiply(matrix[r_rows[at]])
+            overlap[at] = np.asarray(shared.sum(axis=1)).ravel()
+        return len(lefts), keep, overlap, l_sizes, r_sizes
+
+    def scores(self, n: int, keep, overlap, left_sizes, right_sizes) -> np.ndarray:
+        out = np.full(n, NAN)
+        out[keep] = arrays.scores_arrays(self.measure, overlap, left_sizes, right_sizes)
+        return out
+
+    def __call__(self, lefts: Sequence[Any], rights: Sequence[Any]) -> np.ndarray:
+        return self.scores(*self.overlaps(lefts, rights))
+
+
 def make_token_feature(
     name: str,
     l_attr: str,
@@ -146,20 +217,31 @@ def make_token_feature(
         r_tokens = tokenizer.tokenize_cached(str(r_value).lower())
         return float(measure.get_raw_score(l_tokens, r_tokens))
 
-    return Feature(name, l_attr, r_attr, "token", measure_name, function, tokenizer)
+    array_measure = _ARRAY_MEASURES.get(type(measure))
+    batch = TokenSetBatch(tokenizer, array_measure) if array_measure else None
+    return Feature(name, l_attr, r_attr, "token", measure_name, function, tokenizer, batch)
 
 
 def make_string_feature(
     name: str, l_attr: str, r_attr: str, measure, measure_name: str
 ) -> Feature:
-    """Build a character-level (edit-based) similarity feature."""
+    """Build a character-level (edit-based) similarity feature; a measure's
+    ``batch_sim_score(lefts, rights)`` twin gives it its batch form."""
 
     def function(l_value: Any, r_value: Any) -> float:
         if is_missing(l_value) or is_missing(r_value):
             return NAN
         return float(measure.get_sim_score(str(l_value).lower(), str(r_value).lower()))
 
-    return Feature(name, l_attr, r_attr, "edit", measure_name, function)
+    def batch(lefts: Sequence[Any], rights: Sequence[Any]) -> np.ndarray:
+        keep, l_text, r_text = _present(lefts, rights)
+        scores = np.full(len(lefts), NAN)
+        scores[keep] = measure.batch_sim_score(l_text, r_text)
+        return scores
+
+    if not hasattr(measure, "batch_sim_score"):
+        batch = None
+    return Feature(name, l_attr, r_attr, "edit", measure_name, function, batch=batch)
 
 
 def make_exact_feature(name: str, l_attr: str, r_attr: str) -> Feature:

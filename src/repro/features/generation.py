@@ -109,30 +109,19 @@ def _features_for_pair(l_attr: str, r_attr: str, merged: ColumnType) -> list[Fea
 
 
 class _MongeElkanOnWords:
-    """Adapter: Monge-Elkan consumes token lists; expose a string API.
-
-    The secondary Jaro-Winkler scores are memoized per token pair —
-    feature extraction evaluates the same word pairs constantly.
-    """
+    """Adapter: Monge-Elkan consumes token lists; expose a string API."""
 
     def __init__(self) -> None:
-        self._jaro_winkler = JaroWinkler()
-        self._token_scores: dict[tuple[str, str], float] = {}
-        self._measure = MongeElkan(sim_func=self._cached_score)
-        self._tokenizer = WhitespaceTokenizer()
-
-    def _cached_score(self, left: str, right: str) -> float:
-        key = (left, right)
-        score = self._token_scores.get(key)
-        if score is None:
-            score = self._token_scores[key] = self._jaro_winkler.get_raw_score(
-                left, right
-            )
-        return score
+        self._measure = MongeElkan()
+        self._tokenize = WhitespaceTokenizer().tokenize
 
     def get_sim_score(self, left: str, right: str) -> float:
-        return self._measure.get_raw_score(
-            self._tokenizer.tokenize_cached(left), self._tokenizer.tokenize_cached(right)
+        return self._measure.get_raw_score(self._tokenize(left), self._tokenize(right))
+
+    def batch_sim_score(self, lefts: list[str], rights: list[str]):
+        tokens = {text: tuple(self._tokenize(text)) for text in dict.fromkeys(lefts + rights)}
+        return self._measure.batch_raw_score(
+            [tokens[text] for text in lefts], [tokens[text] for text in rights]
         )
 
 

@@ -257,19 +257,33 @@ def prefix_lengths_arrays(measure: str, threshold: float, sizes):
 
 
 def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
-    """Vector twin of :func:`repro.perf.kernels.make_scorer`.
+    """Vector twin of :func:`repro.perf.kernels.make_scorer` and of the
+    :mod:`repro.text.sim.token_based` set measures.
 
     All inputs are exact int64; int64 true division, ``np.sqrt``, and
     float64 elementwise products are IEEE-correctly-rounded, so each
-    element equals the scalar formula's float bit-for-bit.
+    element equals the scalar formula's float bit-for-bit.  For the
+    normalized measures an empty side scores 0.0 and two empty sides 1.0.
     """
+    if measure == "overlap":
+        return overlap.astype(np.float64)
+    if len(overlap) and min(left_sizes.min(), right_sizes.min()) == 0:
+        # The formulas divide by the sizes: score the empty sides apart.
+        empty = (left_sizes == 0) | (right_sizes == 0)
+        scores = (left_sizes == right_sizes).astype(np.float64)
+        scores[~empty] = scores_arrays(
+            measure, overlap[~empty], left_sizes[~empty], right_sizes[~empty]
+        )
+        return scores
     if measure == "jaccard":
         return overlap / (left_sizes + right_sizes - overlap)
     if measure == "cosine":
         return overlap / np.sqrt((left_sizes * right_sizes).astype(np.float64))
     if measure == "dice":
         return (2.0 * overlap) / (left_sizes + right_sizes)
-    return overlap.astype(np.float64)
+    if measure == "overlap_coefficient":
+        return overlap / np.minimum(left_sizes, right_sizes)
+    raise ConfigurationError(f"no array scorer for measure {measure!r}")
 
 
 # ----------------------------------------------------------------------

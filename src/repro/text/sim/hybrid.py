@@ -7,16 +7,21 @@ reordering and per-word typos — the sweet spot for names and addresses.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
-from repro.text.sim.edit_based import JaroWinkler
+import numpy as np
+
+from repro.exceptions import ConfigurationError
+from repro.text.sim.edit_based import JaroWinkler, chunks, encode, number_items
 
 
 class MongeElkan:
     """Average best-match score of each left token against right tokens."""
 
     def __init__(self, sim_func=None):
-        self.sim_func = sim_func or JaroWinkler().get_raw_score
+        self._secondary = JaroWinkler()
+        self.sim_func = sim_func or self._secondary.get_raw_score
 
     def get_raw_score(self, left: Iterable[str], right: Iterable[str]) -> float:
         left, right = list(left), list(right)
@@ -28,6 +33,48 @@ class MongeElkan:
         for token_left in left:
             total += max(self.sim_func(token_left, token_right) for token_right in right)
         return total / len(left)
+
+    def batch_raw_score(
+        self, lefts: Sequence[Sequence[str]], rights: Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        """:meth:`get_raw_score` over ``zip(lefts, rights)``, same floats,
+        for the default ``sim_func``: each chunk scores its *distinct* token
+        pairs once with batched Jaro-Winkler."""
+        if self.sim_func != self._secondary.get_raw_score:
+            raise ConfigurationError("a custom sim_func has no batched twin")
+        # Number the distinct token lists, then the tokens of each once.
+        lists, l_list, r_list = number_items(map(tuple, lefts), map(tuple, rights))
+        tokens, flat, _ = number_items(chain.from_iterable(lists), ())
+        counts = np.fromiter(map(len, lists), np.int64, len(lists))
+        starts = np.cumsum(counts) - counts
+        l_counts, r_counts = counts[l_list], counts[r_list]
+        vocabulary = encode(tokens)
+        out = np.where((l_counts == 0) & (r_counts == 0), 1.0, 0.0)
+        both = np.flatnonzero((l_counts > 0) & (r_counts > 0))
+        for at in chunks((l_counts * r_counts)[both]):
+            pairs = both[at]
+            n_left, n_right = l_counts[pairs], r_counts[pairs]
+            # The chunk's token cross product, left token major.
+            sizes = n_left * n_right
+            pair_of = np.repeat(np.arange(len(pairs)), sizes)
+            offset = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            l_at, r_at = np.divmod(offset, n_right[pair_of])
+            keys = (
+                flat[starts[l_list[pairs]][pair_of] + l_at] * len(tokens)
+                + flat[starts[r_list[pairs]][pair_of] + r_at]
+            )
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            scores = self._secondary.score_encoded(vocabulary, *np.divmod(distinct, len(tokens)))
+            best = np.maximum.reduceat(scores[inverse], np.flatnonzero(r_at == 0))
+            # Left-to-right like the scalar loop: np.sum's pairwise order
+            # rounds differently.
+            first = np.cumsum(n_left) - n_left
+            total = np.zeros(len(pairs))
+            for k in range(int(n_left.max())):
+                has = n_left > k
+                total[has] += best[first[has] + k]
+            out[pairs] = total / n_left
+        return out
 
 
 class GeneralizedJaccard:

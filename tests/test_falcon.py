@@ -179,6 +179,46 @@ class TestFalconEndToEnd:
         assert result.questions <= 500
         assert result.candset.num_rows < ds.ltable.num_rows * ds.rtable.num_rows / 10
 
+    def test_outputs_do_not_move_with_the_hash_seed(self):
+        """The same seeded job under three string-hash seeds: one candset
+        size, one question count, one match digest.  (The likely-match
+        sampler used to break count ties in set-iteration order: 147
+        candidates under ``PYTHONHASHSEED=0``, 10,717 under ``=5``.)"""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import hashlib\n"
+            "from repro.datasets import DirtinessConfig, make_em_dataset\n"
+            "from repro.datasets.entities import restaurant\n"
+            "from repro.falcon import FalconConfig, run_falcon\n"
+            "from repro.labeling import LabelingSession, OracleLabeler\n"
+            "ds = make_em_dataset(restaurant, 250, 250, match_fraction=0.5,\n"
+            "    dirtiness=DirtinessConfig.light(), seed=10, name='falcon-test')\n"
+            "session = LabelingSession(OracleLabeler(ds.gold_pairs), budget=500)\n"
+            "result = run_falcon(ds, session, FalconConfig(sample_size=700,\n"
+            "    blocking_budget=120, matching_budget=220, random_state=0))\n"
+            "digest = hashlib.sha256(repr(sorted(result.match_pairs)).encode()).hexdigest()\n"
+            "print(result.candset.num_rows, result.questions, digest)\n"
+        )
+        outputs = {}
+        for hash_seed in ("0", "3", "5"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[hash_seed] = done.stdout
+        assert len(set(outputs.values())) == 1, outputs
+        candidates = int(outputs["0"].split()[0])
+        assert 0 < candidates < 250 * 250 / 10
+
     def test_rules_are_executable_and_named(self):
         ds = make_em_dataset(
             restaurant, 200, 200, dirtiness=DirtinessConfig.light(), seed=11,

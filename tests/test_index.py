@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from decimal import Decimal
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,7 +288,73 @@ class TestDefaultStore:
             set_index_store(previous)
 
 
-VALUE_POOL = ["dave smith", "dan smith", "joe wilson", "", None, "madison wi"]
+# Strings, every missing marker, values that are ``==`` and hash alike
+# yet read differently (1 / 1.0 / True, 0.0 / -0.0, two Decimals, two
+# tuples), cells no dict can key (a list, a tuple holding one), and one
+# string wider than a Levenshtein lane.
+VALUE_POOL = [
+    "dave smith", "dan smith", "joe wilson", "", None, "madison wi", "   ", float("nan"),
+    1, 1.0, True, "1", 0.0, -0.0, 3.5, "\u0130stanbul", ["x", "y"], ("x",), (1,), (1.0,),
+    "a" * 70, Decimal("1.0"), Decimal("1.00"), (["x"],), "dave,smith",
+]
+
+
+def every_generated_feature():
+    """Each feature kind ``get_features_for_matching`` generates, over
+    attribute ``v``, plus blackboxes with no batch form."""
+    from repro.features import FeatureTable, make_blackbox_feature, make_token_feature
+    from repro.text.sim import Cosine, Dice, Jaccard, OverlapCoefficient
+    from repro.text.tokenizers import DelimiterTokenizer
+
+    templates = [
+        ["WI", "CA", "MN"],  # short string
+        ["dave smith", "joe wilson", "dan jones"],  # medium string
+        [" ".join(f"w{i}" for i in range(12))] * 3,  # long string
+        [1.5, 2.5, 3.5],  # numeric
+    ]
+    features = {}
+    for values in templates:
+        table = Table({"id": [0, 1, 2], "v": values})
+        for feature in get_features_for_matching(table, table):
+            features.setdefault(feature.name, feature)
+    assert {f.measure_name for f in features.values()} >= {
+        "jaccard", "cosine", "dice", "overlap_coeff", "lev_sim", "jaro_winkler",
+        "monge_elkan", "exact_match", "abs_norm", "rel_diff",
+    }
+    # A catalogue tokenizer whose ``spec()`` holds a list (unhashable).
+    delimiters = DelimiterTokenizer({",", " "})
+    for measure in (Jaccard(), Cosine(), Dice(), OverlapCoefficient()):
+        name = f"delim_{type(measure).__name__.lower()}"
+        features[name] = make_token_feature(name, "v", "v", delimiters, measure, name)
+    features["none"] = make_blackbox_feature("none", "v", "v", lambda a, b: None)
+    features["types"] = make_blackbox_feature(
+        "types", "v", "v", lambda a, b: f"{type(a).__name__}/{type(b).__name__}"
+    )
+    return FeatureTable(list(features.values()))
+
+
+def assert_equals_per_pair(fv, features, ltable, rtable, pairs):
+    """The oracle: per-pair ``feature(l_value, r_value)``, nothing else."""
+    l_index = ltable.index_by("id")
+    r_index = rtable.index_by("id")
+    for feature in features:
+        expected = [
+            feature(l_index[l_id][feature.l_attr], r_index[r_id][feature.r_attr])
+            for l_id, r_id in pairs
+        ]
+        # NaN != NaN, so compare via repr — which also tells 1.0 from
+        # np.float64(1.0), nan from None, and 0.0 from -0.0.
+        assert [repr(v) for v in fv.column(feature.name)] == [repr(v) for v in expected]
+
+
+def pool_tables(l_choices, r_choices):
+    ltable = Table(
+        {"id": [f"a{i}" for i in range(len(l_choices))], "v": [VALUE_POOL[i] for i in l_choices]}
+    )
+    rtable = Table(
+        {"id": [f"b{i}" for i in range(len(r_choices))], "v": [VALUE_POOL[i] for i in r_choices]}
+    )
+    return ltable, rtable
 
 
 class TestExtractionDedupProperty:
@@ -296,20 +363,11 @@ class TestExtractionDedupProperty:
         r_choices=st.lists(st.integers(0, len(VALUE_POOL) - 1), min_size=1, max_size=8),
         pair_seed=st.integers(0, 1000),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_global_dedup_equals_naive(self, l_choices, r_choices, pair_seed):
-        ltable = Table(
-            {
-                "id": [f"a{i}" for i in range(len(l_choices))],
-                "v": [VALUE_POOL[i] for i in l_choices],
-            }
-        )
-        rtable = Table(
-            {
-                "id": [f"b{i}" for i in range(len(r_choices))],
-                "v": [VALUE_POOL[i] for i in r_choices],
-            }
-        )
+        from repro.catalog import Catalog
+
+        ltable, rtable = pool_tables(l_choices, r_choices)
         rng = random.Random(pair_seed)
         pairs = [
             (l_id, r_id)
@@ -317,44 +375,183 @@ class TestExtractionDedupProperty:
             for r_id in rtable.column("id")
             if rng.random() < 0.7
         ]
-        from repro.catalog import Catalog
-
+        pairs += pairs[: rng.randrange(3)]  # duplicate candset rows
         catalog = Catalog()
         candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
-        features = get_features_for_matching(ltable, rtable, "id", "id")
+        features = every_generated_feature()
         fv = extract_feature_vecs(candset, features, catalog=catalog)
+        assert fv.num_rows == len(pairs)
+        assert_equals_per_pair(fv, features, ltable, rtable, pairs)
 
-        l_index = ltable.index_by("id")
-        r_index = rtable.index_by("id")
+    def test_every_generated_feature_on_a_blocked_dataset(self):
+        """The guide path's shape: a dirty product dataset, overlap
+        blocking, the generated feature table; every feature, every row."""
+        from repro.datasets import DirtinessConfig, make_em_dataset
+        from repro.datasets.entities import product
+
+        ds = make_em_dataset(product, 150, 150, dirtiness=DirtinessConfig.heavy(), seed=3)
+        candset = OverlapBlocker("title", overlap_size=1).block_tables(
+            ds.ltable, ds.rtable, ds.l_key, ds.r_key
+        )
+        assert candset.num_rows > 1000
+        features = get_features_for_matching(ds.ltable, ds.rtable, ds.l_key, ds.r_key)
+        fv = extract_feature_vecs(candset, features)
+        l_index, r_index = ds.ltable.index_by(ds.l_key), ds.rtable.index_by(ds.r_key)
+        # Missing cells are part of the shape (NaN is the one float != itself).
+        assert any(value != value for name in features.names() for value in fv.column(name))
         for feature in features:
-            expected = [
-                feature(l_index[l_id][feature.l_attr], r_index[r_id][feature.r_attr])
-                for l_id, r_id in pairs
-            ]
-            got = fv.column(feature.name)
-            assert len(got) == len(expected)
-            for got_value, expected_value in zip(got, expected):
-                # NaN != NaN, so compare via repr (distinguishes nan/None/floats).
-                assert repr(got_value) == repr(expected_value)
+            column = fv.column(feature.name)
+            for l_id, r_id, value in zip(candset["ltable_id"], candset["rtable_id"], column):
+                expected = feature(l_index[l_id][feature.l_attr], r_index[r_id][feature.r_attr])
+                assert repr(value) == repr(expected)
+
+    def test_n_jobs_two_equals_serial(self):
+        """Enough distinct pairs to fork: same table, same counters."""
+        from repro.catalog import Catalog
+
+        rng = random.Random(7)
+        ltable, rtable = pool_tables(
+            [rng.randrange(len(VALUE_POOL)) for _ in range(40)],
+            [rng.randrange(len(VALUE_POOL)) for _ in range(40)],
+        )
+        pairs = [(l_id, r_id) for l_id in ltable.column("id") for r_id in rtable.column("id")]
+        catalog = Catalog()
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        features = every_generated_feature()
+        tables, counts = [], []
+        for n_jobs in (1, 2):
+            with use_registry() as registry:
+                tables.append(
+                    extract_feature_vecs(candset, features, catalog=catalog, n_jobs=n_jobs)
+                )
+                counts.append(
+                    {
+                        key: value
+                        for key, value in registry.counters().items()
+                        if key[0].startswith("feature_")
+                    }
+                )
+        assert_equals_per_pair(tables[0], features, ltable, rtable, pairs)
+        assert [[repr(v) for v in column] for column in columns_of(tables[0])] == [
+            [repr(v) for v in column] for column in columns_of(tables[1])
+        ]
+        assert counts[0] == counts[1]
+        assert counter_total(registry, "feature_scalar_fallback_pairs_total") > 0
+
+    def test_equal_values_of_different_types_are_not_merged(self):
+        """``1``, ``1.0`` and ``True`` are equal and hash alike; ``str``
+        tells them apart, and so must the dedup (it did not)."""
+        from repro.catalog import Catalog
+
+        ltable = Table({"id": ["a1", "a2", "a3", "a4", "a5"], "v": [1, 1.0, True, 0.0, -0.0]})
+        rtable = Table({"id": ["b1", "b2"], "v": ["1", "0.0"]})
+        pairs = [("a1", "b1"), ("a2", "b1"), ("a3", "b1"), ("a4", "b2"), ("a5", "b2")]
+        catalog = Catalog()
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        features = every_generated_feature().subset(["v_lev_sim"])
+        fv = extract_feature_vecs(candset, features, catalog=catalog)
+        assert fv.column("v_lev_sim") == [1.0, 1.0 - 2 / 3, 0.0, 1.0, 0.75]
+
+    def test_empty_candset(self):
+        from repro.catalog import Catalog
+
+        ltable, rtable = pool_tables([0, 1], [2])
+        catalog = Catalog()
+        candset = make_candset([], ltable, rtable, "id", "id", catalog=catalog)
+        features = every_generated_feature()
+        fv = extract_feature_vecs(candset, features, catalog=catalog)
+        assert fv.num_rows == 0
+        assert fv.columns == ["_id", "ltable_id", "rtable_id", *features.names()]
 
     def test_unhashable_values_fall_back_to_per_occurrence(self):
         from repro.catalog import Catalog
-        from repro.features import make_blackbox_feature
+        from repro.features import FeatureTable, make_blackbox_feature
 
         ltable = Table({"id": ["a1", "a2"], "v": [["x", "y"], ["x", "y"]]})
         rtable = Table({"id": ["b1"], "v": [["x"]]})
         catalog = Catalog()
-        pairs = [("a1", "b1"), ("a2", "b1")]
+        pairs = [("a1", "b1"), ("a2", "b1"), ("a1", "b1")]
         candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
-        feature = make_blackbox_feature(
-            "overlap", "v", "v", lambda a, b: float(len(set(a) & set(b)))
-        )
-        from repro.features import FeatureTable
+        calls = []
 
-        table = FeatureTable()
-        table.add(feature)
-        fv = extract_feature_vecs(candset, table, catalog=catalog)
-        assert fv.column("overlap") == [1.0, 1.0]
+        def overlap(left, right):
+            calls.append((left, right))
+            return float(len(set(left) & set(right)))
+
+        table = FeatureTable([make_blackbox_feature("overlap", "v", "v", overlap)])
+        fallbacks = "feature_scalar_fallback_pairs_total"
+        with use_registry() as registry:
+            fv = extract_feature_vecs(candset, table, catalog=catalog)
+            # Each scalar evaluation counts once, under its reason.
+            assert counter_total(registry, fallbacks, reason="unhashable") == 2
+            assert counter_total(registry, fallbacks) == 2
+        assert fv.column("overlap") == [1.0, 1.0, 1.0]
+        # Equal lists in different base rows are not merged; the repeated
+        # candset row is.
+        assert len(calls) == 2
+
+    def test_hashable_cells_of_any_type_merge_by_value(self):
+        """Equal tuples in different base rows are one evaluation, counted
+        as ``no_batch_form``; ``Decimal("1.0") == Decimal("1.00")`` print
+        differently and stay apart."""
+        from repro.catalog import Catalog
+        from repro.features import FeatureTable, make_blackbox_feature
+
+        ltable = Table(
+            {"id": ["a1", "a2", "a3", "a4"], "v": [("x",), ("x",), Decimal("1.0"), Decimal("1.00")]}
+        )
+        rtable = Table({"id": ["b1"], "v": ["x"]})
+        catalog = Catalog()
+        pairs = [(l_id, "b1") for l_id in ltable.column("id")]
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        calls = []
+
+        def shown(left, right):
+            calls.append(left)
+            return float(len(str(left)))
+
+        table = FeatureTable([make_blackbox_feature("shown", "v", "v", shown)])
+        fallbacks = "feature_scalar_fallback_pairs_total"
+        with use_registry() as registry:
+            fv = extract_feature_vecs(candset, table, catalog=catalog)
+            assert counter_total(registry, fallbacks, reason="no_batch_form") == 3
+            assert counter_total(registry, fallbacks, reason="unhashable") == 0
+        assert fv.column("shown") == [6.0, 6.0, 3.0, 4.0]
+        assert [str(value) for value in calls] == ["('x',)", "1.0", "1.00"]
+
+    def test_long_string_fallbacks_are_counted_once_per_pair(self):
+        from repro.catalog import Catalog
+
+        ltable = Table({"id": ["a1", "a2"], "v": ["a" * 70, "short"]})
+        rtable = Table({"id": ["b1", "b2"], "v": ["b" + "a" * 69, "a" * 64]})
+        catalog = Catalog()
+        pairs = [(l_id, r_id) for l_id in ("a1", "a2") for r_id in ("b1", "b2")]
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        features = every_generated_feature().subset(["v_lev_sim", "v_jaro_winkler"])
+        fallbacks = "feature_scalar_fallback_pairs_total"
+        with use_registry() as registry:
+            extract_feature_vecs(candset, features, catalog=catalog)
+            # Only (a1, b1) has a shorter side past 64 characters.
+            assert counter_total(registry, fallbacks, reason="long_string") == 1
+            assert counter_total(registry, fallbacks) == 1
+            assert counter_total(registry, "feature_batch_pairs_total") == 8
+
+    def test_batch_form_of_the_wrong_length_is_rejected(self):
+        import numpy as np
+        import pytest
+
+        from repro.catalog import Catalog
+        from repro.exceptions import ConfigurationError
+        from repro.features import FeatureTable, make_blackbox_feature
+
+        ltable, rtable = pool_tables([0, 1], [2])
+        catalog = Catalog()
+        pairs = [("a0", "b0"), ("a1", "b0")]
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        feature = make_blackbox_feature("f", "v", "v", lambda a, b: 0.0)
+        feature.batch = lambda lefts, rights: np.zeros(len(lefts) + 1)
+        with pytest.raises(ConfigurationError, match="batch form"):
+            extract_feature_vecs(candset, FeatureTable([feature]), catalog=catalog)
 
     def test_dedup_counters(self):
         from repro.catalog import Catalog

@@ -1,0 +1,257 @@
+"""Differential suite for the batched similarity kernels.
+
+Every ``batch_*`` twin must return, element for element, the float (or
+int) its scalar method returns: comparisons are ``==`` on the values,
+never ``approx``.  For Levenshtein both forms are also held to the
+two-row dynamic program they replaced, which survives only here.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.text.sim.edit_based as edit_based
+from repro.exceptions import ConfigurationError
+from repro.features import make_token_feature
+from repro.perf.arrays import scores_arrays
+from repro.text.sim import (
+    Cosine,
+    Dice,
+    Jaccard,
+    Jaro,
+    JaroWinkler,
+    Levenshtein,
+    MongeElkan,
+    OverlapCoefficient,
+)
+from repro.text.tokenizers import (
+    AlphabeticTokenizer,
+    DelimiterTokenizer,
+    QgramTokenizer,
+    WhitespaceTokenizer,
+)
+
+
+def two_row_levenshtein(left: str, right: str) -> int:
+    """The textbook dynamic program: the oracle for both Myers forms."""
+    previous = list(range(len(right) + 1))
+    for i, ch_left in enumerate(left, start=1):
+        current = [i]
+        for j, ch_right in enumerate(right, start=1):
+            current.append(
+                min(previous[j - 1] + (ch_left != ch_right), previous[j] + 1, current[j - 1] + 1)
+            )
+        previous = current
+    return previous[-1]
+
+
+# Small alphabet (so matches, repeats and transpositions are common) plus
+# an astral code point, a combining mark, NUL and the one character whose
+# ``lower()`` is two code points.
+ALPHABET = "aab \x00\u0301\U0001d518" + "\u0130".lower()
+texts = st.text(alphabet=ALPHABET, max_size=12)
+EDGE_STRINGS = [
+    "",
+    " ",
+    "a",
+    "aaaa",
+    "abab",
+    "a" * 63,
+    "a" * 64,
+    "a" * 65,
+    "b" + "a" * 63,
+    "ab" * 40,
+    "\u0130".lower() * 3,
+    "\u00e9",
+    "e\u0301",
+    "\U0001d518\U0001d519",
+]
+EDGE_PAIRS = [(left, right) for left in EDGE_STRINGS for right in EDGE_STRINGS]
+
+
+@pytest.fixture(params=[1 << 16, 7])
+def chunk_budget(request, monkeypatch):
+    """The shipped chunk budget, and one so small every batch spans many
+    chunks (and single wide rows overflow it)."""
+    monkeypatch.setattr(edit_based, "CHUNK_CELLS", request.param)
+    return request.param
+
+
+def assert_same(batched: np.ndarray, scalar: list) -> None:
+    assert batched.tolist() == scalar
+    assert all(type(value) is type(expected) for value, expected in zip(batched.tolist(), scalar))
+
+
+class TestLevenshtein:
+    def test_edge_pairs(self, chunk_budget):
+        lefts, rights = zip(*EDGE_PAIRS)
+        measure = Levenshtein()
+        scalar = [measure.get_raw_score(l, r) for l, r in EDGE_PAIRS]
+        assert scalar == [two_row_levenshtein(l, r) for l, r in EDGE_PAIRS]
+        assert_same(measure.batch_raw_score(lefts, rights), scalar)
+        assert_same(
+            measure.batch_sim_score(lefts, rights),
+            [measure.get_sim_score(l, r) for l, r in EDGE_PAIRS],
+        )
+
+    @given(pairs=st.lists(st.tuples(texts, texts), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_equals_scalar_equals_dp(self, pairs):
+        lefts, rights = [l for l, _ in pairs], [r for _, r in pairs]
+        measure = Levenshtein()
+        scalar = [measure.get_raw_score(l, r) for l, r in pairs]
+        assert scalar == [two_row_levenshtein(l, r) for l, r in pairs]
+        assert_same(measure.batch_raw_score(lefts, rights), scalar)
+
+    @given(
+        left=st.text(alphabet="abc", min_size=60, max_size=140),
+        right=st.text(alphabet="abc", min_size=60, max_size=140),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_long_pair_inside_a_short_batch(self, left, right):
+        """Past 64 characters on the shorter side the lane kernel hands
+        the pair to the scalar recurrence; its neighbours stay batched."""
+        lefts, rights = ["kitten", left, "", "flaw"], ["sitting", right, "abc", "lawn"]
+        expected = [two_row_levenshtein(l, r) for l, r in zip(lefts, rights)]
+        assert expected[0] == 3 and expected[3] == 2
+        measure = Levenshtein()
+        assert [measure.get_raw_score(l, r) for l, r in zip(lefts, rights)] == expected
+        assert_same(measure.batch_raw_score(lefts, rights), expected)
+
+    def test_empty_batch(self):
+        assert Levenshtein().batch_raw_score([], []).tolist() == []
+        assert Levenshtein().batch_sim_score([], []).tolist() == []
+
+
+@pytest.mark.parametrize("measure", [Jaro(), JaroWinkler(), JaroWinkler(prefix_weight=0.25)])
+class TestJaroFamily:
+    def test_edge_pairs(self, measure, chunk_budget):
+        lefts, rights = zip(*EDGE_PAIRS)
+        assert_same(
+            measure.batch_raw_score(lefts, rights),
+            [measure.get_raw_score(l, r) for l, r in EDGE_PAIRS],
+        )
+
+    @given(pairs=st.lists(st.tuples(texts, texts), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_equals_scalar(self, measure, pairs):
+        lefts, rights = [l for l, _ in pairs], [r for _, r in pairs]
+        assert_same(
+            measure.batch_sim_score(lefts, rights),
+            [measure.get_sim_score(l, r) for l, r in pairs],
+        )
+
+    def test_empty_batch(self, measure):
+        assert measure.batch_raw_score([], []).tolist() == []
+
+
+tokens = st.lists(st.text(alphabet="ab\u0301" + "\u0130".lower(), max_size=5), max_size=5)
+
+
+class TestMongeElkan:
+    def test_edge_token_lists(self, chunk_budget):
+        sides = [[], [""], ["a"], ["a", "a"], ["ab", "ba", "abab"], ["a" * 70, "b"], ["x"] * 9]
+        pairs = [(left, right) for left in sides for right in sides]
+        measure = MongeElkan()
+        assert_same(
+            measure.batch_raw_score([l for l, _ in pairs], [r for _, r in pairs]),
+            [measure.get_raw_score(l, r) for l, r in pairs],
+        )
+
+    @given(pairs=st.lists(st.tuples(tokens, tokens), max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_equals_scalar(self, pairs):
+        measure = MongeElkan()
+        assert_same(
+            measure.batch_raw_score([l for l, _ in pairs], [r for _, r in pairs]),
+            [measure.get_raw_score(l, r) for l, r in pairs],
+        )
+
+    def test_many_chunks(self, monkeypatch):
+        """A batch wide enough to cut the token cross product many times,
+        with the left-to-right sum exposed: thirds do not add exactly."""
+        monkeypatch.setattr(edit_based, "CHUNK_CELLS", 64)
+        words = ["brand", "brnad", "type", "typo", "blue", "bleu", "x", "grande", "garden"]
+        rng = np.random.default_rng(0)
+        sides = [
+            [words[i] for i in rng.integers(0, len(words), rng.integers(1, 8))] for _ in range(400)
+        ]
+        lefts, rights = sides[:200], sides[200:]
+        measure = MongeElkan()
+        assert_same(
+            measure.batch_raw_score(lefts, rights),
+            [measure.get_raw_score(l, r) for l, r in zip(lefts, rights)],
+        )
+
+    def test_custom_secondary_has_no_batched_twin(self):
+        measure = MongeElkan(sim_func=lambda a, b: float(a == b))
+        assert measure.get_raw_score(["a", "b"], ["b"]) == 0.5
+        with pytest.raises(ConfigurationError, match="sim_func"):
+            measure.batch_raw_score([["a", "b"]], [["b"]])
+
+
+TOKEN_MEASURES = [
+    (Jaccard(), "jaccard"),
+    (Cosine(), "cosine"),
+    (Dice(), "dice"),
+    (OverlapCoefficient(), "overlap_coefficient"),
+]
+cells = st.one_of(
+    st.none(), st.just(""), st.just("  "), st.just(float("nan")), st.integers(0, 3),
+    st.text(alphabet="ab 1\u0130", max_size=8),
+)
+
+
+class TestTokenMeasures:
+    @pytest.mark.parametrize("measure,name", TOKEN_MEASURES)
+    @given(
+        sizes=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+                lambda lr: st.tuples(st.just(lr[0]), st.just(lr[1]), st.integers(0, min(lr)))
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scores_arrays_equals_scalar(self, measure, name, sizes):
+        """Every (|L|, |R|, |L & R|) combination, both-empty and
+        one-empty included, through the one array definition."""
+        scalar = [
+            measure.get_raw_score(
+                {f"s{k}" for k in range(shared)} | {f"l{k}" for k in range(left - shared)},
+                {f"s{k}" for k in range(shared)} | {f"r{k}" for k in range(right - shared)},
+            )
+            for left, right, shared in sizes
+        ]
+        left, right, shared = (np.array(column, np.int64) for column in zip(*sizes))
+        assert_same(scores_arrays(name, shared, left, right), [float(v) for v in scalar])
+
+    @pytest.mark.parametrize("measure,_name", TOKEN_MEASURES)
+    @pytest.mark.parametrize(
+        "tokenizer",
+        [
+            WhitespaceTokenizer(return_set=True),
+            WhitespaceTokenizer(),
+            QgramTokenizer(q=3, return_set=True),
+            AlphabeticTokenizer(),
+            DelimiterTokenizer({",", " "}),  # its spec() holds a list
+        ],
+    )
+    @given(pairs=st.lists(st.tuples(cells, cells), max_size=20))
+    @settings(max_examples=25, deadline=None)
+    def test_feature_batch_equals_scalar(self, measure, _name, tokenizer, pairs):
+        feature = make_token_feature("f", "v", "v", tokenizer, measure, "m")
+        lefts, rights = [l for l, _ in pairs], [r for _, r in pairs]
+        batched = feature.batch(lefts, rights).tolist()
+        scalar = [feature(l, r) for l, r in pairs]
+        assert [repr(v) for v in batched] == [repr(v) for v in scalar]
+
+    def test_unknown_measure_has_no_batch_form(self):
+        from repro.text.sim import TverskyIndex
+
+        feature = make_token_feature("f", "v", "v", WhitespaceTokenizer(), TverskyIndex(), "m")
+        assert feature.batch is None
