@@ -6,11 +6,13 @@ invalidates the whole chain, so absorbing even one new record meant a
 full rebuild.  A :class:`LiveIndex` refactors that substrate into the
 classic two-layer design of long-running search systems:
 
-* the **base segment** is exactly today's read-only artifact chain —
-  records → token sets → a corpus :class:`~repro.perf.tokens.TokenUniverse`
-  → prefix postings → verification masks — built *through* the store
-  (fingerprinted, disk-persistable, shared with every batch join over
-  the same content) and never mutated;
+* the **base segment** holds records → a corpus
+  :class:`~repro.perf.tokens.TokenUniverse` → encoded id tuples → prefix
+  postings → verification masks, and is never mutated.  The constructor
+  (and :meth:`LiveIndex.load`) builds it *through* the store — the
+  fingerprinted, disk-persistable chain every batch join over the same
+  content shares; compaction replaces it with a privately held segment
+  folded from the old base and the delta;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
   unseen tokens, their prefix tokens are insertion-sorted into per-token
@@ -21,11 +23,12 @@ Reads probe both segments with the same
 :func:`repro.simjoin.joins.probe_encoded` kernel the batch joins and the
 serving path run — identical size/prefix bounds math, with tombstoned
 positions filtered out of the candidate set — so the correctness
-contract is exact: after any interleaving of upserts, deletes, and
-compactions, a live index returns the *same survivors with the same
-scores* as an index rebuilt from scratch over its current records
-(property-tested in ``tests/test_live_index.py``, mirroring the
-warm==cold contract of the store).
+contract is exact and is about *answers*: after any interleaving of
+upserts, deletes, and compactions, a live index returns the same
+matches with the same scores in the same order as an index rebuilt from
+scratch over its current records (property-tested in
+``tests/test_live_index.py``).  Artifact bytes, store fingerprints and
+pre-verification candidate counts are not part of it.
 
 Soundness of the shared prefix filter rests on one invariant: the live
 token ordering *extends* the base ordering (new tokens get ids past the
@@ -33,22 +36,31 @@ end of the base universe), so base-segment prefixes computed at build
 time remain prefixes under the live ordering, and probe-side prefixes
 are taken under the same total order as both segments' postings.
 
-``compact()`` folds the delta into a new base: it snapshots the live
-records, rebuilds the artifact chain (outside the lock — readers keep
-probing the old segments), then swaps in the new base and replays any
-operations that arrived during the build onto a fresh delta.  Writers
-and readers are serialized by one ``RLock``; the expensive part of
-compaction never holds it.
+``compact()`` costs what the delta costs.  Under the lock it takes an
+O(delta) snapshot; outside it (readers keep probing the old segments,
+writers keep appending) it **folds**: the extension tokens join the
+universe at the ids they already hold — so every encoded tuple and every
+base and delta prefix stays valid as it is — tombstoned rows drop out
+through one old→new position remap, the live delta rows' postings merge
+in, and the fold yields the interpreter between slices so a reader
+never waits a whole GIL switch interval for it.  Then it swaps and
+replays whatever raced.  The frequency ranking drifts as rows fold in,
+which costs selectivity, never exactness; once the rows folded since the
+last full build exceed the rows that build covered, ``compact()`` takes
+the constructor's full build instead and **re-ranks** — a geometric
+schedule, so re-ranking stays amortised O(1) per row.
 
 Observability: ``index_delta_ops_total{op}``, the ``index_tombstones``
-gauge, ``index_compactions_total``, and the ``index_delta_probe_seconds``
-histogram.
+and ``index_folded_rows`` gauges, ``index_compactions_total{mode}``, the
+``index_delta_probe_seconds`` histogram, and the ``live_compact`` span
+(``mode``, ``delta_rows``, ``tombstones``).
 
 Persistence: :meth:`LiveIndex.save` writes ``live-<name>.pkl`` (base
 records + the operation log since the last compaction) and a JSON
 manifest ``live-<name>.json`` next to the store's fingerprinted
 artifacts; :meth:`LiveIndex.load` rebuilds the base through the store
-(warm from the disk tier when present) and replays the log.
+and replays the log — warm from the disk tier while the saved base is
+the one the constructor built, cold (and freshly ranked) after a fold.
 """
 
 from __future__ import annotations
@@ -58,6 +70,7 @@ import pickle
 import threading
 import time
 from bisect import bisect_right
+from itertools import accumulate, compress
 from pathlib import Path
 from typing import Any, Callable
 
@@ -86,11 +99,15 @@ LIVE_FORMAT_VERSION = 1
 
 
 class _BaseSegment:
-    """The immutable artifact chain for one frozen snapshot of records.
+    """The immutable index over one frozen snapshot of records.
 
-    Everything here is a shared, read-only :class:`IndexStore` artifact
-    (or derived from one); deletes against base records live *outside*
-    this object, as a tombstone set held by the :class:`LiveIndex`.
+    A *built* base (constructor, ``load``, re-rank) is the store's
+    shared, fingerprinted artifact chain and keeps its ``encoding``; a
+    *folded* base is private to its :class:`LiveIndex`, shares the
+    unchanged tuples and lists of the base it was folded from, and has
+    ``encoding=None``.  Either way nothing here is mutated once built:
+    deletes against base records live *outside* this object, as a
+    tombstone set held by the :class:`LiveIndex`.
     """
 
     __slots__ = (
@@ -105,8 +122,19 @@ class _BaseSegment:
         self.index = index          # token id -> (sizes, positions)
         self.masks = masks          # [int] | None (mask kernel)
         self.positions = positions  # key -> base position
-        self.encoding = encoding    # the PairEncoding artifact (array builds)
+        self.encoding = encoding    # the PairEncoding artifact | None (folded)
         self.array_index = None     # lazy ArrayIndex (batched probes)
+
+
+def _merge_postings(entry, new_pairs) -> tuple[list[int], list[int]]:
+    """``entry``'s ``(sizes, positions)`` with ``new_pairs`` merged in, as new lists.
+
+    Postings stay sorted by (size, position).  Every new position is
+    past every old one, so old entries go first on ties — exactly the
+    (size, insertion order) ordering sequential upserts produce.
+    """
+    pairs = sorted([*zip(*entry), *new_pairs])
+    return [size for size, _ in pairs], [position for _, position in pairs]
 
 
 class _DeltaSegment:
@@ -122,6 +150,10 @@ class _DeltaSegment:
         self.tombstones: set[int] = set()
         self.positions: dict[Any, int] = {}
         self.ext_ids: dict[str, int] = {}
+
+    def live(self) -> list[int]:
+        """The positions not tombstoned, in insertion order."""
+        return [p for p in range(len(self.enc)) if p not in self.tombstones]
 
 
 class LiveIndex:
@@ -140,9 +172,8 @@ class LiveIndex:
 
     ``normalize`` (e.g. ``str.lower`` for :class:`OverlapBlocker`
     semantics) is applied to every indexed value and every query.  All
-    public methods are thread-safe; ``compact()`` runs its expensive
-    rebuild outside the lock so concurrent readers are never blocked on
-    it.
+    public methods are thread-safe; ``compact()`` does its work outside
+    the lock so concurrent readers are never blocked on it.
     """
 
     def __init__(
@@ -186,7 +217,7 @@ class LiveIndex:
         self._overlap_bound = make_overlap_bound(measure, threshold)
 
         # One RLock serializes every segment access; compaction holds it
-        # only for its snapshot and swap phases, never for the rebuild.
+        # only for its snapshot and swap phases, never for the fold.
         self._lock = threading.RLock()
         self._generation = 0
         self._compactions = 0
@@ -198,6 +229,11 @@ class LiveIndex:
         if base_table is None:
             base_table = Table({key: [], column: []})
         self._base = self._build_base(base_table)
+        # Rows the last full (frequency-ranked) build covered, and rows
+        # folded into the base since: compact() re-ranks when the second
+        # passes the first.
+        self._built_rows = len(self._base.records)
+        self._folded_rows = 0
         self._base_tombstones: set[int] = set()
         self._delta = _DeltaSegment(with_masks=self._base.masks is not None)
 
@@ -246,11 +282,11 @@ class LiveIndex:
         tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
         encoding = store.pair_encoding(tc, tc)
         index = store.prefix_index(encoding, self.measure, self.threshold).index
-        use_masks = self.kernel == "mask" or (
-            self.kernel in ("auto", "dict")
-            and len(encoding.universe) <= MASK_UNIVERSE_MAX
+        masks = (
+            store.right_masks(encoding)
+            if self._wants_masks(len(encoding.universe))
+            else None
         )
-        masks = store.right_masks(encoding) if use_masks else None
         positions: dict[Any, int] = {}
         for position, (row_key, _) in enumerate(records):
             if row_key in positions:
@@ -262,19 +298,37 @@ class LiveIndex:
             records, encoding.universe, encoding.right, index, masks, positions, encoding
         )
 
+    def _wants_masks(self, universe_size: int) -> bool:
+        """Whether a base over this many tokens verifies by bitmask."""
+        return self.kernel == "mask" or (
+            self.kernel in ("auto", "dict") and universe_size <= MASK_UNIVERSE_MAX
+        )
+
+    def _array_index(self, base: _BaseSegment):
+        """An :class:`~repro.perf.arrays.ArrayIndex` over ``base``: the
+        store's shared artifact for a built base, made straight from
+        ``enc`` for a folded one (which has no fingerprint to file it
+        under)."""
+        from repro.perf import arrays
+
+        if base.encoding is not None:
+            return self._store.array_index(base.encoding, self.measure, self.threshold)
+        key = f"live-{self.name}"
+        records = arrays.build_array_records(key, base.enc, len(base.universe))
+        return arrays.build_array_index(key, records, self.measure, self.threshold)
+
     def _base_array_index_locked(self):
         """The base segment's lazy :class:`~repro.perf.arrays.ArrayIndex`.
 
-        Built through the store on first batched probe (``None`` when
-        the array stack is unavailable or the base is empty).
+        Built on the first batched probe (``None`` when the array stack
+        is unavailable or the base is empty); compaction hands it on, so
+        only the constructor's base ever pays for it under the lock.
         """
         from repro.perf.arrays import HAVE_ARRAYS
 
         base = self._base
         if base.array_index is None and HAVE_ARRAYS and base.enc:
-            base.array_index = self._store.array_index(
-                base.encoding, self.measure, self.threshold
-            )
+            base.array_index = self._array_index(base)
         return base.array_index
 
     # ------------------------------------------------------------------
@@ -323,7 +377,7 @@ class LiveIndex:
         if prepared is None:
             return False
         delta = self._delta
-        ids = self._encode_indexed(set(self.tokenizer.tokenize_cached(prepared)))
+        ids = self._encode_indexed(set(self.tokenizer.tokenize(prepared)))
         position = len(delta.enc)
         delta.enc.append((row_key, ids))
         delta.values.append(prepared)
@@ -354,43 +408,13 @@ class LiveIndex:
     def _merge_staged_postings_locked(self, staged: dict) -> None:
         """Fold a batch's staged ``(size, position)`` pairs into the delta.
 
-        Equivalent to the per-record ``bisect_right`` insertions: within
-        a token, existing postings all hold smaller positions than the
-        batch's, so an old-first-on-ties two-pointer merge reproduces
-        exactly the (size, insertion order) ordering sequential upserts
-        would have produced — one sort + one merge per touched token
-        instead of one list insertion per (record, prefix token).
+        Equivalent to the per-record ``bisect_right`` insertions — one
+        merge per touched token instead of one list insertion per
+        (record, prefix token); see :func:`_merge_postings`.
         """
         postings = self._delta.postings
         for token, new_pairs in staged.items():
-            # Equal sizes sort by position, which is insertion order.
-            new_pairs.sort()
-            entry = postings.get(token)
-            if entry is None:
-                postings[token] = (
-                    [size for size, _ in new_pairs],
-                    [position for _, position in new_pairs],
-                )
-                continue
-            sizes, positions = entry
-            merged_sizes: list[int] = []
-            merged_positions: list[int] = []
-            i = j = 0
-            while i < len(sizes) and j < len(new_pairs):
-                if sizes[i] <= new_pairs[j][0]:
-                    merged_sizes.append(sizes[i])
-                    merged_positions.append(positions[i])
-                    i += 1
-                else:
-                    merged_sizes.append(new_pairs[j][0])
-                    merged_positions.append(new_pairs[j][1])
-                    j += 1
-            merged_sizes.extend(sizes[i:])
-            merged_positions.extend(positions[i:])
-            merged_sizes.extend(size for size, _ in new_pairs[j:])
-            merged_positions.extend(position for _, position in new_pairs[j:])
-            sizes[:] = merged_sizes
-            positions[:] = merged_positions
+            postings[token] = _merge_postings(postings.get(token, ((), ())), new_pairs)
 
     def upsert_many(self, items) -> int:
         """Bulk :meth:`upsert`: one lock acquisition, one postings merge.
@@ -506,7 +530,7 @@ class LiveIndex:
         prepared = self._prepare(value)
         if prepared is None:
             return [], 0
-        token_set = set(self.tokenizer.tokenize_cached(prepared))
+        token_set = set(self.tokenizer.tokenize(prepared))
         with self._lock:
             return self._search_locked(token_set)
 
@@ -581,7 +605,7 @@ class LiveIndex:
             token_sets.append(
                 None
                 if prepared is None
-                else set(self.tokenizer.tokenize_cached(prepared))
+                else set(self.tokenizer.tokenize(prepared))
             )
         live_queries = [ts for ts in token_sets if ts is not None]
         with self._lock:
@@ -659,80 +683,162 @@ class LiveIndex:
     # Compaction
     # ------------------------------------------------------------------
     def compact(self) -> dict[str, Any]:
-        """Fold the delta into a fresh base segment; returns stats.
+        """Fold the delta into the base segment; returns stats.
 
-        Three phases: snapshot the live records under the lock, rebuild
-        the artifact chain *outside* it (readers keep probing the old
-        segments, writers keep appending), then swap — replaying any
-        operations that raced the rebuild onto the new, empty delta.
+        Three phases: an O(delta) snapshot under the lock, the fold
+        *outside* it (readers keep probing the old segments, writers
+        keep appending), then the swap — replaying any operations that
+        raced the fold onto the new, empty delta.  When the rows folded
+        since the last full build would exceed the rows that build
+        covered, the middle phase is that full build over the live
+        records instead, which re-ranks the token order.
         """
         with self._lock:
             if self._compacting:
                 raise ServiceError(f"live index {self.name!r} is already compacting")
             self._compacting = True
-            records = self._records_locked()
+            base, delta = self._base, self._delta
+            base_dead = set(self._base_tombstones)
+            delta_live = delta.live()
+            n_tombstones = len(base_dead) + len(delta.tombstones)
+            ext_tokens = list(delta.ext_ids)  # insertion order is id order
             ops_mark = len(self._ops)
+            folded_rows = self._folded_rows + len(delta_live)
+            rerank = folded_rows > self._built_rows
+        mode = "rebuild" if rerank else "fold"
         try:
-            table = Table(
-                {
-                    self.key: [row_key for row_key, _ in records],
-                    self.column: [value for _, value in records],
-                }
-            )
-            with trace_span("live_compact", index=self.name, rows=len(records)):
-                base = self._build_base(table)
+            with trace_span(
+                "live_compact",
+                index=self.name,
+                rows=len(base.records) - len(base_dead) + len(delta_live),
+                mode=mode,
+                delta_rows=len(delta_live),
+                tombstones=n_tombstones,
+            ):
+                if rerank:
+                    new_base = self._build_base(
+                        self._table(_live_records(base, base_dead, delta, delta_live))
+                    )
+                else:
+                    new_base = self._fold_base(
+                        base, base_dead, delta, delta_live, ext_tokens
+                    )
+                if base.array_index is not None and new_base.enc:
+                    # Here, not under the lock on the next batched probe.
+                    new_base.array_index = self._array_index(new_base)
         except BaseException:
             with self._lock:
                 self._compacting = False
             raise
         with self._lock:
             raced = self._ops[ops_mark:]
-            self._base = base
+            self._base = new_base
             self._base_tombstones = set()
-            self._delta = _DeltaSegment(with_masks=base.masks is not None)
+            self._delta = _DeltaSegment(with_masks=new_base.masks is not None)
             self._ops = list(raced)
             for op in raced:
                 self._apply_locked(op)
+            if rerank:
+                self._built_rows, folded_rows = len(new_base.records), 0
+            self._folded_rows = folded_rows
             self._compacting = False
             self._compactions += 1
             self._generation += 1
             stats = self._stats_locked()
         registry = get_registry()
-        registry.counter("index_compactions_total", index=self.name).inc()
+        registry.counter("index_compactions_total", index=self.name, mode=mode).inc()
         registry.gauge("index_tombstones", index=self.name).set(stats["tombstones"])
-        return stats
+        registry.gauge("index_folded_rows", index=self.name).set(folded_rows)
+        return _sized(stats, raced)
+
+    def _fold_base(
+        self,
+        base: _BaseSegment,
+        base_dead: set[int],
+        delta: _DeltaSegment,
+        delta_live: list[int],
+        ext_tokens: list[str],
+    ) -> _BaseSegment:
+        """``base`` minus its dead rows plus the delta's live rows.
+
+        Runs outside the lock on a snapshot: ``base`` is immutable, and
+        of the (append-only) delta only rows ``delta_live`` names are
+        read.  The extension tokens join the universe at the ids they
+        already hold, so no tuple is re-encoded and no prefix recomputed;
+        rows keep their canonical order (base survivors, then delta
+        arrivals), which is the order a rebuild would give them.
+        """
+        measure, threshold = self.measure, self.threshold
+        universe = base.universe.extended(ext_tokens) if ext_tokens else base.universe
+        with_masks = base.masks is not None and self._wants_masks(len(universe))
+        alive = [True] * len(base.records)
+        for position in base_dead:
+            alive[position] = False
+        records = list(compress(base.records, alive))
+        enc = list(compress(base.enc, alive))
+        masks = list(compress(base.masks, alive)) if with_masks else None
+
+        staged: dict[int, list[tuple[int, int]]] = {}
+        for position in delta_live:
+            row_key, ids = delta.enc[position]
+            size = len(ids)
+            for token in ids[: prefix_length(measure, threshold, size)]:
+                staged.setdefault(token, []).append((size, len(records)))
+            records.append((row_key, delta.values[position]))
+            enc.append((row_key, ids))
+            if with_masks:
+                masks.append(delta.masks[position])
+
+        if base_dead:
+            # Survivors shift down by the dead rows before them.
+            new_position = list(accumulate(alive, initial=0)).__getitem__
+            bereft: set[int] = set()  # tokens a dead row was posted under
+            for position in base_dead:
+                ids = base.enc[position][1]
+                bereft.update(ids[: prefix_length(measure, threshold, len(ids))])
+            index = {}
+            for n, (token, (sizes, positions)) in enumerate(base.index.items()):
+                if token in bereft:
+                    keep = [alive[p] for p in positions]
+                    if not any(keep):
+                        continue
+                    sizes = list(compress(sizes, keep))
+                    positions = compress(positions, keep)
+                index[token] = (sizes, list(map(new_position, positions)))
+                if not n % 256:
+                    # A CPU-bound thread keeps the GIL for whole switch
+                    # intervals; hand it over so readers get in between.
+                    time.sleep(0)
+        else:
+            index = dict(base.index)
+        for token, new_pairs in staged.items():
+            index[token] = _merge_postings(index.get(token, ((), ())), new_pairs)
+        positions = {row_key: position for position, (row_key, _) in enumerate(records)}
+        return _BaseSegment(records, universe, enc, index, masks, positions, None)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def _records_locked(self) -> list[tuple[Any, str]]:
-        records = [
-            (row_key, value)
-            for position, (row_key, value) in enumerate(self._base.records)
-            if position not in self._base_tombstones
-        ]
         delta = self._delta
-        records.extend(
-            (row_key, delta.values[position])
-            for position, (row_key, _) in enumerate(delta.enc)
-            if position not in delta.tombstones
-        )
-        return records
+        return _live_records(self._base, self._base_tombstones, delta, delta.live())
 
     def records(self) -> list[tuple[Any, str]]:
         """The live ``(key, value)`` records in canonical order."""
         with self._lock:
             return self._records_locked()
 
-    def to_table(self) -> Table:
-        """The live records as a fresh table (the rebuild reference)."""
-        records = self.records()
+    def _table(self, records: list[tuple[Any, str]]) -> Table:
         return Table(
             {
                 self.key: [row_key for row_key, _ in records],
                 self.column: [value for _, value in records],
             }
         )
+
+    def to_table(self) -> Table:
+        """The live records as a fresh table (the rebuild reference)."""
+        return self._table(self.records())
 
     def __contains__(self, row_key: Any) -> bool:
         with self._lock:
@@ -753,6 +859,8 @@ class LiveIndex:
             return self._generation
 
     def _stats_locked(self) -> dict[str, Any]:
+        """Everything in :meth:`stats` but ``delta_bytes``, which
+        :func:`_sized` adds from an op-log snapshot outside the lock."""
         delta = self._delta
         return {
             "name": self.name,
@@ -765,7 +873,7 @@ class LiveIndex:
             - len(self._base_tombstones)
             + len(delta.positions),
             "universe_size": len(self._base.universe) + len(delta.ext_ids),
-            "delta_bytes": len(pickle.dumps(self._ops, protocol=pickle.HIGHEST_PROTOCOL)),
+            "folded_rows": self._folded_rows,
             "measure": self.measure,
             "threshold": self.threshold,
         }
@@ -773,7 +881,9 @@ class LiveIndex:
     def stats(self) -> dict[str, Any]:
         """Point-in-time segment stats (generation, rows, tombstones...)."""
         with self._lock:
-            return self._stats_locked()
+            stats = self._stats_locked()
+            ops = list(self._ops)
+        return _sized(stats, ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         stats = self.stats()
@@ -800,8 +910,9 @@ class LiveIndex:
 
         The state is the *replayable* form — the base snapshot's records
         and the op log since the last compaction — so loading rebuilds
-        the base through the store (warm from its disk tier when the
-        artifacts are persisted) and replays the log.
+        the base through the store (warm from its disk tier while the
+        base is still the one the constructor built and persisted; cold
+        after a fold) and replays the log.
         """
         directory = self._directory(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -816,12 +927,13 @@ class LiveIndex:
                 "measure": self.measure,
                 "threshold": self.threshold,
                 "kernel": self.kernel,
-                "base_records": list(self._base.records),
+                "base_records": self._base.records,  # immutable: no copy
                 "ops": list(self._ops),
                 "generation": self._generation,
                 "compactions": self._compactions,
             }
             manifest = self._stats_locked()
+        manifest = _sized(manifest, state["ops"])
         path = directory / f"live-{self.name}.pkl"
         atomic_write_bytes(path, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
         atomic_write_bytes(
@@ -882,6 +994,27 @@ class LiveIndex:
             live._generation = state["generation"]
             live._compactions = state["compactions"]
         return live
+
+
+def _live_records(
+    base: _BaseSegment, base_dead: set[int], delta: _DeltaSegment, delta_live: list[int]
+) -> list[tuple[Any, str]]:
+    """The ``(key, value)`` records in canonical order: base survivors,
+    then the delta's live rows."""
+    records = [
+        record
+        for position, record in enumerate(base.records)
+        if position not in base_dead
+    ]
+    records.extend((delta.enc[p][0], delta.values[p]) for p in delta_live)
+    return records
+
+
+def _sized(stats: dict[str, Any], ops: list[tuple]) -> dict[str, Any]:
+    """``stats`` plus ``delta_bytes``, the pickled size of an op-log
+    snapshot — computed by callers after they release the index lock."""
+    stats["delta_bytes"] = len(pickle.dumps(ops, protocol=pickle.HIGHEST_PROTOCOL))
+    return stats
 
 
 def list_live_indexes(directory: str | Path) -> list[dict[str, Any]]:

@@ -34,6 +34,22 @@ class TokenUniverse:
         self._tokens = [token for token, _ in ranked]
         self._ids = {token: i for i, token in enumerate(self._tokens)}
 
+    def extended(self, tokens: Iterable[str]) -> "TokenUniverse":
+        """A copy with ``tokens`` (all unseen) appended past the last id.
+
+        Every id this universe assigned stays what it was, so records
+        and prefixes encoded under it remain valid under the copy: any
+        fixed total order keeps the prefix filter exact, the frequency
+        ranking only makes it selective.
+        """
+        grown = TokenUniverse()
+        grown._tokens = list(self._tokens)
+        grown._ids = dict(self._ids)
+        for token in tokens:
+            grown._ids[token] = len(grown._tokens)
+            grown._tokens.append(token)
+        return grown
+
     def __len__(self) -> int:
         return len(self._ids)
 

@@ -202,7 +202,7 @@ class StreamingDeduper:
             token_sets.append(
                 None
                 if prepared is None
-                else set(index.tokenizer.tokenize_cached(prepared))
+                else set(index.tokenizer.tokenize(prepared))
             )
         searched = index.search_batch([value for _, value in items])
         index.upsert_many(items)

@@ -491,9 +491,10 @@ class MatchServer:
     def compact(self) -> dict[str, Any]:
         """Fold the live index's delta into a new base segment.
 
-        The expensive rebuild runs outside the index lock, so queries
-        (and further upserts) proceed concurrently; only the final swap
-        synchronizes.  Returns the post-compaction index stats.
+        The fold runs outside the index lock and costs what the delta
+        costs, so queries (and further upserts) proceed concurrently;
+        only the final swap synchronizes.  Returns the post-compaction
+        index stats.
         """
         if self._live is None:
             raise ServiceError("MatchServer has not been started")

@@ -11,7 +11,9 @@ mirror of the store's warm==cold test.
 
 import pickle
 import random
+import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from repro.blocking import OverlapBlocker
 from repro.exceptions import ConfigurationError, KeyConstraintError, ServiceError
 from repro.index import IndexStore, LiveIndex, list_live_indexes, use_index_store
-from repro.obs import use_registry
+from repro.obs import use_registry, use_tracer
+from repro.perf.arrays import HAVE_ARRAYS
 from repro.simjoin import set_sim_join
 from repro.table import Table
 from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
@@ -73,6 +76,62 @@ def apply_op(live: LiveIndex, model: dict, op: tuple) -> None:
         live.delete(op[1])
     else:
         live.compact()
+
+
+def assert_answers_like_rebuild(live: LiveIndex, values=VALUES) -> None:
+    """The compaction contract, folds and re-ranks alike: matches,
+    scores and order equal a ``LiveIndex`` rebuilt from ``to_table()``
+    and the batch join over it; ``search_batch`` equals ``search``."""
+    table = live.to_table()
+    rebuilt = LiveIndex.from_table(
+        table, live.key, live.column, tokenizer=live.tokenizer,
+        measure=live.measure, threshold=live.threshold, kernel=live.kernel,
+        store=IndexStore(),
+    )
+    assert live.records() == rebuilt.records()
+    singles = [live.search(value) for value in values]
+    assert [matches for matches, _ in singles] == [
+        rebuilt.search(value)[0] for value in values
+    ]
+    assert live.search_batch(values) == singles
+    probe = Table(
+        {"qid": [f"q{i}" for i in range(len(values))], "txt": list(values)}
+    )
+    joined = live.join_table(probe, "qid", "txt")
+    batch = set_sim_join(
+        probe, table, "qid", live.key, "txt", live.column,
+        live.tokenizer, live.measure, live.threshold,
+    )
+    assert [joined.column(c) for c in joined.columns] == [
+        batch.column(c) for c in batch.columns
+    ]
+
+
+@contextmanager
+def parked_fold(live: LiveIndex):
+    """``live.compact()`` on a second thread, held between its fold and
+    its swap for the body of the ``with`` block."""
+    folded = threading.Event()
+    release = threading.Event()
+    original = LiveIndex._fold_base
+
+    def slow_fold(self, *snapshot):
+        segment = original(self, *snapshot)
+        folded.set()
+        release.wait(5)
+        return segment
+
+    LiveIndex._fold_base = slow_fold
+    worker = threading.Thread(target=live.compact)
+    try:
+        worker.start()
+        assert folded.wait(5)
+        yield
+    finally:
+        release.set()
+        worker.join(10)
+        LiveIndex._fold_base = original
+    assert not worker.is_alive()
 
 
 # One op: upsert (key, value), delete (key), or compact.
@@ -272,37 +331,18 @@ class TestCompaction:
             assert live.search("dave smith") == before
 
     def test_compact_does_not_block_readers(self):
-        """Queries succeed while the compaction rebuild is in flight."""
+        """Queries succeed while the compaction's fold is in flight."""
         with use_registry(), use_index_store():
             live = LiveIndex.from_table(make_table(30), "id", "v", threshold=0.4)
             live.upsert("n1", "dave smith")
             expected = live.search("dave smith")
-            in_build = threading.Event()
-            release = threading.Event()
-            original = LiveIndex._build_base
-
-            def slow_build(self, table):
-                segment = original(self, table)
-                if in_build.is_set() or not release.is_set():
-                    in_build.set()
-                    release.wait(5)
-                return segment
-
-            LiveIndex._build_base = slow_build
-            try:
-                worker = threading.Thread(target=live.compact)
-                worker.start()
-                assert in_build.wait(5)
-                # Rebuild is parked mid-compaction: reads still answer
+            with parked_fold(live):
+                # The fold is parked mid-compaction: reads still answer
                 # from the old segments, writes still land.
                 assert live.search("dave smith") == expected
                 live.upsert("n2", "dave smith")
                 assert len(live.search("dave smith")[0]) == len(expected[0]) + 1
-            finally:
-                release.set()
-                worker.join(10)
-                LiveIndex._build_base = original
-            # The op that raced the rebuild survived the swap.
+            # The op that raced the fold survived the swap.
             assert "n2" in live
             assert len(live.search("dave smith")[0]) == len(expected[0]) + 1
             assert live.stats()["compactions"] == 1
@@ -314,6 +354,416 @@ class TestCompaction:
                 live._compacting = True
             with pytest.raises(ServiceError):
                 live.compact()
+
+
+# Values holding tokens no seeded base below knows: upserting them grows
+# the delta's extension ids, which a fold appends to the universe.
+FRESH = [
+    "zelda zimmerman",
+    "zelda smith",
+    "quentin xu",
+    "dave quentin smith",
+    "ann xu chen",
+]
+PROBES = VALUES + FRESH
+MANY_KEYS = [f"k{i}" for i in range(16)]
+
+# Long enough, over enough keys, for the rows folded since the last full
+# build to pass the rows that build covered — several times over from
+# ``LiveIndex.empty``, at least once from the seeded bases.
+LONG_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("upsert"),
+            st.sampled_from(MANY_KEYS),
+            st.sampled_from(VALUES + FRESH),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(MANY_KEYS)),
+        st.tuples(st.just("compact")),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+def compaction_modes(registry, name: str) -> dict[str, float]:
+    from tests.test_index import counter_total
+
+    return {
+        mode: counter_total(registry, "index_compactions_total", index=name, mode=mode)
+        for mode in ("fold", "rebuild")
+    }
+
+
+class TestFold:
+    """``compact()`` folds the delta into the base (and re-ranks on a
+    geometric schedule); either way it answers like a rebuild."""
+
+    @given(
+        ops=LONG_OPS,
+        base_size=st.sampled_from([0, 3, 8]),
+        threshold=st.sampled_from([0.3, 0.6]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_long_interleavings_match_rebuild(self, ops, base_size, threshold):
+        base = Table(
+            {"id": [f"base{i}" for i in range(base_size)], "v": VALUES[:base_size]}
+        )
+        model = dict(zip(base.column("id"), base.column("v")))
+        with use_registry(), use_index_store():
+            if base_size:
+                live = LiveIndex.from_table(
+                    base, "id", "v", threshold=threshold, store=IndexStore()
+                )
+            else:
+                live = LiveIndex.empty(
+                    "id", "v", threshold=threshold, store=IndexStore()
+                )
+            for op in ops:
+                apply_op(live, model, op)
+                if op[0] == "compact":
+                    assert_answers_like_rebuild(live, PROBES)
+            assert_answers_like_rebuild(live, PROBES)
+            # ... and like a rebuild of what the ops say the records are
+            # (to_table() itself is under test here).
+            rebuilt = LiveIndex.from_table(
+                reference_table(model), "id", "v", threshold=threshold,
+                store=IndexStore(),
+            )
+            assert live.records() == rebuilt.records()
+            for value in PROBES:
+                assert live.search(value)[0] == rebuilt.search(value)[0]
+
+    def test_rerank_schedule_from_empty(self):
+        """From an empty, unranked universe the first compaction is a
+        full build; after that a re-rank comes only once the rows folded
+        since the last one pass the rows it covered."""
+        with use_registry() as registry, use_index_store():
+            live = LiveIndex.empty("id", "v", threshold=0.4, name="geo")
+            folded, modes = [], []
+            for batch in range(8):
+                for i in range(4):
+                    live.upsert(f"r{batch}-{i}", PROBES[(3 * batch + i) % 8])
+                before = compaction_modes(registry, "geo")
+                folded.append(live.compact()["folded_rows"])
+                after = compaction_modes(registry, "geo")
+                modes += [mode for mode in after if after[mode] > before[mode]]
+                assert_answers_like_rebuild(live, PROBES)
+            assert modes == [
+                "rebuild", "fold", "rebuild", "fold", "fold", "fold", "rebuild", "fold",
+            ]
+            assert folded == [0, 4, 0, 4, 8, 12, 0, 4]
+            assert live.stats()["folded_rows"] == 4
+
+    def test_rerank_schedule_from_seeded_base(self):
+        with use_registry() as registry, use_index_store():
+            live = LiveIndex.from_table(
+                make_table(6), "id", "v", threshold=0.4, name="seeded"
+            )
+            for batch, expected_mode in enumerate(["fold", "rebuild", "fold"]):
+                for i in range(4):
+                    live.upsert(f"r{batch}-{i}", FRESH[(batch + i) % len(FRESH)])
+                live.delete(f"b{batch}")
+                before = compaction_modes(registry, "seeded")[expected_mode]
+                live.compact()
+                assert compaction_modes(registry, "seeded")[expected_mode] == before + 1
+                assert_answers_like_rebuild(live, PROBES)
+            # Replacements of folded rows count as folded rows again: the
+            # ranking drifts with every row it did not see.
+            assert live.stats()["folded_rows"] == 4
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [("delete", "b0"), ("delete", "b5"), ("delete", "b11")],
+            [("upsert", "n1", "dave smith"), ("upsert", "n2", "zelda zimmerman")],
+            [],
+            [("delete", f"b{i}") for i in range(12)],
+            [
+                ("upsert", "n1", "zelda smith"), ("delete", "n1"),
+                ("upsert", "n1", "quentin xu"), ("delete", "n1"),
+                ("delete", "b3"), ("upsert", "b3", "zelda smith"), ("delete", "b3"),
+            ],
+            [("upsert", "b2", None), ("upsert", "n1", ""), ("upsert", "b4", "ann xu chen")],
+        ],
+        ids=[
+            "only-tombstones", "only-delta-rows", "empty-delta",
+            "every-base-row-deleted", "delete-reupsert-delete", "missing-and-empty",
+        ],
+    )
+    def test_fold_edge_cases(self, ops):
+        table = make_table(12)
+        model = dict(zip(table.column("id"), table.column("v")))
+        with use_registry() as registry, use_index_store():
+            live = LiveIndex.from_table(table, "id", "v", threshold=0.4, name="edge")
+            for op in ops:
+                apply_op(live, model, op)
+            model = {key: value for key, value in model.items() if value}  # not missing
+            for _ in range(2):
+                stats = live.compact()
+                assert stats["delta_rows"] == 0 and stats["tombstones"] == 0
+                assert stats["base_rows"] == len(model)
+                assert live.records() == list(model.items())
+                assert_answers_like_rebuild(live, PROBES)
+                # The folded base keeps absorbing writes.
+                apply_op(live, model, ("upsert", "after", "dave smith"))
+                apply_op(live, model, ("delete", "b7"))
+                assert_answers_like_rebuild(live, PROBES)
+            assert compaction_modes(registry, "edge") == {"fold": 2, "rebuild": 0}
+
+    def test_ops_racing_a_fold_bring_unseen_tokens(self):
+        """Writes that land between the fold's snapshot and its swap —
+        with tokens neither the base nor the snapshot's extension holds —
+        replay onto the folded base."""
+        table = make_table(20)
+        model = dict(zip(table.column("id"), table.column("v")))
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(table, "id", "v", threshold=0.4)
+            apply_op(live, model, ("upsert", "n1", "zelda smith"))
+            apply_op(live, model, ("delete", "b2"))
+            with parked_fold(live):
+                apply_op(live, model, ("upsert", "r1", "quentin xu"))
+                apply_op(live, model, ("upsert", "b4", "quentin zimmerman"))
+                apply_op(live, model, ("delete", "n1"))  # a row the fold kept
+                apply_op(live, model, ("delete", "b9"))
+                assert live.search("quentin xu")[0] == [("r1", 1.0)]
+            assert live.stats()["compactions"] == 1
+            assert live.stats()["delta_rows"] == 2
+            assert live.records() == list(model.items())
+            assert live.search("quentin xu")[0] == [("r1", 1.0)]
+            assert_answers_like_rebuild(live, PROBES)
+            live.compact()
+            assert_answers_like_rebuild(live, PROBES)
+
+    @pytest.mark.skipif(not HAVE_ARRAYS, reason="numpy/scipy not available")
+    def test_array_index_carried_across_folds(self):
+        """A base whose ArrayIndex was built hands its successor one,
+        built during the fold — not under the lock on the next batch."""
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                make_table(40), "id", "v", threshold=0.4, kernel="array"
+            )
+            assert live._base.array_index is None  # lazy until a batched probe
+            live.search_batch(PROBES)
+            assert live._base.array_index is not None
+            for batch in range(2):
+                live.upsert(f"n{batch}", FRESH[batch])
+                live.upsert(f"b{batch + 10}", "dave quentin smith")
+                live.delete(f"b{batch}")
+                live.compact()
+                folded = live._base
+                assert folded.encoding is None
+                assert folded.array_index is not None
+                assert folded.array_index.dim == len(folded.universe)
+                assert_answers_like_rebuild(live, PROBES)
+                assert live._base is folded and live._base.array_index is not None
+
+    @pytest.mark.parametrize("kernel", ["mask", "merge", "dict", "auto"])
+    def test_kernels_answer_alike_across_folds(self, kernel):
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                make_table(20), "id", "v", threshold=0.4, kernel=kernel
+            )
+            for batch in range(2):
+                live.upsert(f"n{batch}", FRESH[batch])
+                live.delete(f"b{batch}")
+                live.compact()
+                live.upsert(f"m{batch}", "dave smith")
+                assert (live._base.masks is None) == (kernel == "merge")
+                assert (live._delta.masks is None) == (kernel == "merge")
+                assert_answers_like_rebuild(live, PROBES)
+
+    @pytest.mark.parametrize("kernel,keeps_masks", [("auto", False), ("mask", True)])
+    def test_fold_past_mask_universe_max(self, kernel, keeps_masks, monkeypatch):
+        """A fold that grows the universe past ``MASK_UNIVERSE_MAX``
+        leaves bitmask verification behind, as a build that size would."""
+        import repro.index.delta as delta_module
+
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                make_table(20), "id", "v", threshold=0.4, kernel=kernel
+            )
+            assert live._base.masks is not None
+            monkeypatch.setattr(
+                delta_module, "MASK_UNIVERSE_MAX", len(live._base.universe) + 1
+            )
+            live.upsert("z1", "zelda zimmerman quentin xu")
+            live.delete("b3")
+            assert live.compact()["universe_size"] > delta_module.MASK_UNIVERSE_MAX
+            assert (live._base.masks is not None) == keeps_masks
+            live.upsert("z2", "zelda xu")
+            assert (live._delta.masks is not None) == keeps_masks
+            assert_answers_like_rebuild(live, PROBES)
+            live.compact()
+            assert_answers_like_rebuild(live, PROBES)
+
+    # ``overlap`` thresholds are absolute token counts, so 1 and 2 stand
+    # in for 0.3 and 0.6 there.
+    @pytest.mark.parametrize(
+        "measure,threshold",
+        [
+            ("jaccard", 0.3), ("jaccard", 0.6), ("cosine", 0.3), ("cosine", 0.6),
+            ("dice", 0.3), ("dice", 0.6), ("overlap", 1), ("overlap", 2),
+        ],
+    )
+    def test_measures_and_thresholds(self, measure, threshold):
+        with use_registry() as registry, use_index_store():
+            live = LiveIndex.from_table(
+                make_table(30), "id", "v", measure=measure, threshold=threshold,
+                name="mt",
+            )
+            for batch in range(3):
+                for i in range(5):
+                    live.upsert(f"n{batch}-{i}", PROBES[(batch + 2 * i) % 8] + " xu")
+                live.upsert(f"b{batch + 20}", FRESH[batch])
+                live.delete(f"b{batch}")
+                live.delete(f"n{batch}-0")
+                live.compact()
+                assert_answers_like_rebuild(live, PROBES)
+            assert compaction_modes(registry, "mt") == {"fold": 3, "rebuild": 0}
+            # ... and across the boundary into a re-rank.
+            live.upsert_many((f"x{i}", PROBES[i % 8] + " quentin") for i in range(20))
+            live.compact()
+            assert compaction_modes(registry, "mt") == {"fold": 3, "rebuild": 1}
+            assert_answers_like_rebuild(live, PROBES)
+
+    def test_folds_add_no_files_to_the_cache_dir(self, tmp_path):
+        """A folded base is private: only full builds go through the
+        store, so a resident index that compacts often fills no disk."""
+        with use_registry() as registry:
+            store = IndexStore(cache_dir=tmp_path)
+            live = LiveIndex.from_table(
+                make_table(40), "id", "v", threshold=0.4, store=store, name="nf"
+            )
+            before = sorted(path.name for path in tmp_path.iterdir())
+            assert before
+            for batch in range(5):
+                live.upsert(f"n{batch}", FRESH[batch])
+                live.upsert(f"b{batch + 10}", "dave smith")
+                live.delete(f"b{batch}")
+                live.compact()
+            assert compaction_modes(registry, "nf") == {"fold": 5, "rebuild": 0}
+            assert sorted(path.name for path in tmp_path.iterdir()) == before
+            assert_answers_like_rebuild(live, PROBES)
+
+    def test_writers_racing_folds_converge_to_rebuild(self):
+        """More threads than cores, a short switch interval, writers on
+        disjoint keys that keep writing until a second thread has
+        compacted eight times: a lost or doubled replay would leave a
+        key the writers' own models do not have (or miss one they do)."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with use_registry() as registry, use_index_store():
+                live = LiveIndex.from_table(
+                    make_table(60), "id", "v", threshold=0.4, name="race"
+                )
+                models: list[dict] = [{} for _ in range(5)]
+                errors: list[BaseException] = []
+                done = threading.Event()
+
+                def mutate(seed: int) -> None:
+                    rng = random.Random(seed)
+                    model = models[seed]
+                    try:
+                        for i in range(20000):
+                            if i >= 150 and done.is_set():
+                                break
+                            key = f"w{seed}-{rng.randint(0, 11)}"
+                            if rng.random() < 0.3:
+                                live.delete(key)
+                                model.pop(key, None)
+                            else:
+                                value = rng.choice(PROBES[:8] + FRESH)
+                                live.upsert(key, value)
+                                model[key] = value
+                            if rng.random() < 0.1:
+                                live.search_batch(["dave smith", "zelda xu"])
+                    except BaseException as exc:  # pragma: no cover
+                        errors.append(exc)
+
+                def compact_eight_times() -> None:
+                    try:
+                        for _ in range(8):
+                            live.compact()
+                    except BaseException as exc:  # pragma: no cover
+                        errors.append(exc)
+                    finally:
+                        done.set()
+
+                writers = [
+                    threading.Thread(target=mutate, args=(seed,)) for seed in range(5)
+                ]
+                compactor = threading.Thread(target=compact_eight_times)
+                for thread in [*writers, compactor]:
+                    thread.start()
+                for thread in [*writers, compactor]:
+                    thread.join(60)
+                assert not any(t.is_alive() for t in [*writers, compactor])
+                assert not errors, errors
+                assert sum(compaction_modes(registry, "race").values()) == 8
+                written = {k: v for model in models for k, v in model.items()}
+                records = dict(live.records())
+                assert {k: v for k, v in records.items() if k.startswith("w")} == written
+                assert len(records) == 60 + len(written) == len(live)
+                assert_answers_like_rebuild(live, PROBES)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_nothing_heavy_under_the_index_lock(self, monkeypatch, tmp_path):
+        """``compact()`` never scans the base's records under the lock,
+        and ``delta_bytes`` is pickled from a snapshot after it is
+        released — by ``compact()``, ``stats()`` and ``save()`` alike."""
+        import repro.index.delta as delta_module
+
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
+            live.upsert("n1", "dave smith")
+            live.delete("b1")
+            held: list[bool] = []
+
+            class UnlockedPickle:
+                HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+                @staticmethod
+                def dumps(*args, **kwargs):
+                    held.append(live._lock._is_owned())
+                    return pickle.dumps(*args, **kwargs)
+
+            def no_scan():
+                raise AssertionError("compact() scanned the records under the lock")
+
+            monkeypatch.setattr(delta_module, "pickle", UnlockedPickle)
+            assert live.stats()["delta_bytes"] > 0
+            live.save(tmp_path)  # the manifest's delta_bytes + the state
+            monkeypatch.setattr(live, "_records_locked", no_scan)
+            assert live.compact()["delta_bytes"] == len(pickle.dumps([], protocol=-1))
+            assert held == [False] * 4
+
+
+class TestBoundedMemory:
+    def test_read_and_write_paths_keep_no_tokenizer_memo(self):
+        """Distinct queries and upserted values must not pile up in the
+        tokenizer's ``tokenize_cached`` memo (only the store's batch
+        ``tokenized_column`` build uses it)."""
+        from repro.pipeline import StreamingDeduper
+
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                make_table(20), "id", "v", tokenizer=tokenizer, threshold=0.4,
+                store=IndexStore(),
+            )
+            memo = len(tokenizer.__dict__.get("_cache", ()))
+            for i in range(5000):
+                live.search(f"dave query{i}")
+            live.search_batch([f"smith batch{i}" for i in range(5000)])
+            for i in range(500):
+                live.upsert(f"u{i}", f"dave upsert{i}")
+            live.upsert_many((f"m{i}", f"smith many{i}") for i in range(500))
+            deduper = StreamingDeduper(tokenizer=tokenizer, threshold=0.4)
+            deduper.add_many([(f"s{i}", f"joe stream{i}") for i in range(200)])
+            assert len(tokenizer.__dict__.get("_cache", ())) == memo
 
 
 class TestPersistence:
@@ -333,8 +783,9 @@ class TestPersistence:
                 assert loaded.search(value) == live.search(value)
 
     def test_round_trip_of_compacted_base(self, tmp_path):
-        # Compaction persists a fresh fingerprinted base through the
-        # store; a reload must find it on disk and replay zero ops.
+        # A folded base is private to its LiveIndex (no fingerprinted
+        # chain on disk): a reload rebuilds it cold from the saved
+        # records, replays zero ops, and answers the same.
         with use_registry():
             store = IndexStore(cache_dir=tmp_path)
             live = LiveIndex.from_table(
@@ -350,15 +801,11 @@ class TestPersistence:
             assert manifest["delta_rows"] == 0
             assert manifest["tombstones"] == 0
             assert manifest["compactions"] == 1
-            with use_registry() as registry:
-                loaded = LiveIndex.load("ct", store=IndexStore(cache_dir=tmp_path))
-                from tests.test_index import counter_total
-
-                # The compacted base came straight off the disk tier.
-                assert counter_total(registry, "index_builds_total") == 0
-                assert counter_total(registry, "index_reuses_total", tier="disk") > 0
+            loaded = LiveIndex.load("ct", store=IndexStore(cache_dir=tmp_path))
+            assert loaded.stats()["delta_rows"] == 0
             assert loaded.records() == live.records()
-            assert loaded.search("dave smith") == live.search("dave smith")
+            for value in VALUES:
+                assert loaded.search(value)[0] == live.search(value)[0]
 
     def test_corrupt_live_file_rejected(self, tmp_path):
         (tmp_path / "live-bad.pkl").write_bytes(b"\x80\x04 not a pickle")
@@ -458,6 +905,32 @@ class TestObservability:
             assert registry.histogram("index_delta_probe_seconds").count >= 1
             gauge = registry.get("index_tombstones", index="obs")
             assert gauge is not None and gauge.value == 0  # reset by compaction
+
+    def test_compaction_says_what_it_did(self):
+        """The ``live_compact`` span, the compaction counter's ``mode``
+        label, the ``index_folded_rows`` gauge and ``stats()`` tell a
+        fold from a re-rank and how much drift has built up."""
+        with use_registry() as registry, use_tracer() as tracer, use_index_store():
+            live = LiveIndex.from_table(
+                make_table(4), "id", "v", threshold=0.4, name="obs"
+            )
+            live.upsert_many([("n1", "dave smith"), ("n2", "ann chen"), ("n3", "x y")])
+            live.delete("n3")
+            live.delete("b0")
+            assert live.compact()["folded_rows"] == 2
+            assert registry.get("index_folded_rows", index="obs").value == 2
+            live.upsert_many((f"m{i}", "joe wilson") for i in range(3))
+            assert live.compact()["folded_rows"] == 0  # 2 + 3 > 4: re-ranked
+            assert registry.get("index_folded_rows", index="obs").value == 0
+            assert live.stats()["folded_rows"] == 0
+            assert compaction_modes(registry, "obs") == {"fold": 1, "rebuild": 1}
+            spans = [span for span in tracer.spans if span.name == "live_compact"]
+            assert [span.labels for span in spans] == [
+                {"index": "obs", "rows": "5", "mode": "fold",
+                 "delta_rows": "2", "tombstones": "2"},
+                {"index": "obs", "rows": "8", "mode": "rebuild",
+                 "delta_rows": "3", "tombstones": "0"},
+            ]
 
     def test_mask_and_merge_kernels_agree_with_delta(self):
         results = {}

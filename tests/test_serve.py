@@ -413,8 +413,8 @@ class TestLiveMutation:
                 assert stats["tombstones"] == 0
 
     def test_queries_served_during_compaction(self):
-        """Compaction's rebuild must not block the serving path: queries
-        issued while the rebuild is parked return correct, current
+        """Compaction's fold must not block the serving path: queries
+        issued while the fold is parked return correct, current
         results, and an upsert racing the compaction survives the swap."""
         corpus = make_corpus(60)
         with use_registry(), use_index_store():
@@ -424,15 +424,15 @@ class TestLiveMutation:
                 expected = server.match("zelda zimmerman").candidates
                 in_build = threading.Event()
                 release = threading.Event()
-                original = LiveIndex._build_base
+                original = LiveIndex._fold_base
 
-                def slow_build(self, table):
-                    segment = original(self, table)
+                def slow_fold(self, *snapshot):
+                    segment = original(self, *snapshot)
                     in_build.set()
                     release.wait(5)
                     return segment
 
-                LiveIndex._build_base = slow_build
+                LiveIndex._fold_base = slow_fold
                 try:
                     compactor = threading.Thread(target=server.compact)
                     compactor.start()
@@ -446,7 +446,7 @@ class TestLiveMutation:
                 finally:
                     release.set()
                     compactor.join(10)
-                    LiveIndex._build_base = original
+                    LiveIndex._fold_base = original
                 # After the swap: both records present, compaction counted.
                 after = server.match("zelda zimmerman").candidates
                 assert [key for key, _ in after] == [key for key, _ in mid]
