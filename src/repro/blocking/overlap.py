@@ -35,9 +35,7 @@ class OverlapBlocker(Blocker):
     """Keep pairs with token overlap >= ``overlap_size`` on an attribute.
 
     ``word_level=True`` uses whitespace tokens of the lowercased value;
-    otherwise character q-grams of size ``q``.  ``kernel`` is forwarded
-    to the underlying :func:`~repro.simjoin.joins.set_sim_join` (the
-    candidate sets are identical for every backend).
+    otherwise character q-grams of size ``q``.
     """
 
     def __init__(
@@ -47,14 +45,7 @@ class OverlapBlocker(Blocker):
         overlap_size: int = 1,
         word_level: bool = True,
         q: int = 3,
-        kernel: str = "auto",
     ):
-        from repro.simjoin.joins import KERNELS
-
-        if kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
         if overlap_size < 1:
             raise ConfigurationError(f"overlap_size must be >= 1, got {overlap_size}")
         self.l_block_attr = l_block_attr
@@ -62,7 +53,6 @@ class OverlapBlocker(Blocker):
         self.overlap_size = overlap_size
         self.word_level = word_level
         self.q = q
-        self.kernel = kernel
 
     def _tokenizer(self) -> Tokenizer:
         if self.word_level:
@@ -123,7 +113,6 @@ class OverlapBlocker(Blocker):
             measure="overlap",
             threshold=self.overlap_size,
             n_jobs=n_jobs,
-            kernel=self.kernel,
         )
         pairs = list(zip(joined.column("l_id"), joined.column("r_id")))
         observe_blocking(self, len(pairs))
@@ -154,7 +143,6 @@ class OverlapBlocker(Blocker):
             tokenizer=self._tokenizer(),
             measure="overlap",
             threshold=self.overlap_size,
-            kernel=self.kernel,
             normalize=str.lower,
             store=store,
             name=name,

@@ -66,15 +66,6 @@ class VectorBlocker(Blocker):
         The LSH dial: candidates collide in at least one of ``n_bands``
         bands of ``band_bits`` sign bits.  More bands -> higher recall
         and larger candidate sets; more bits -> sharper bands.
-    kernel:
-        Scoring backend: ``"dict"`` probes and verifies one record at a
-        time with scalar sparse dots; ``"array"`` batches signature
-        computation and runs verification as columnar cosine
-        accumulations (:mod:`repro.perf.arrays`), byte-identical scores;
-        ``"auto"`` (default) picks by corpus size.  ``"mask"``/``"merge"``
-        are accepted for interface symmetry with
-        :func:`~repro.simjoin.joins.set_sim_join` and behave as
-        ``"dict"`` here.
 
     Commutativity: with ``top_k=None`` the pair decision (cosine in the
     joint space of the two *base tables* >= threshold) is independent of
@@ -102,14 +93,7 @@ class VectorBlocker(Blocker):
         n_bands: int = 16,
         band_bits: int = 6,
         seed: int = 0,
-        kernel: str = "auto",
     ):
-        from repro.simjoin.joins import KERNELS
-
-        if kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
         if not 0.0 < threshold <= 1.0:
             raise ConfigurationError(
                 f"threshold must be in (0, 1], got {threshold}"
@@ -131,7 +115,6 @@ class VectorBlocker(Blocker):
         self.n_bands = n_bands
         self.band_bits = band_bits
         self.seed = seed
-        self.kernel = kernel
         # A top-k budget ranks a record's partners against each other:
         # not a pair-local decision, so the plan optimizer must not
         # reorder it (see Blocker.commutative).
@@ -204,13 +187,13 @@ class VectorBlocker(Blocker):
             band_bits=self.band_bits,
             seed=self.seed,
         )
-        from repro.perf.arrays import choose_backend, observe_kernel_batch
+        from repro.perf.arrays import batched_probe_pays, observe_kernel_batch
 
         registry = get_registry()
         pairs: list[tuple[Any, Any]] = []
         candidates_total = 0
         probe_started = time.perf_counter()
-        if choose_backend(self.kernel, len(pair.left), len(ann)) == "array":
+        if batched_probe_pays(len(pair.left), len(ann)):
             searched = ann.search_batch(
                 [vector for _, vector in pair.left],
                 threshold=self.threshold,
@@ -254,7 +237,7 @@ class VectorBlocker(Blocker):
         once; each candidate row then just gathers its score.  The
         accumulation walks shared buckets in the same ascending order as
         the scalar :func:`~repro.text.vectorize.cosine`, so the floats
-        (and hence the survivor set) are bit-identical to the dict path.
+        (and hence the survivor set) are bit-identical to the scalar path.
         """
         from repro.perf.arrays import SparseColumns, batch_cosine, observe_kernel_batch
 
@@ -305,7 +288,7 @@ class VectorBlocker(Blocker):
         pair = self._space(meta.ltable, meta.rtable, l_key, r_key, get_index_store())
         l_vectors = dict(pair.left)
 
-        from repro.perf.arrays import choose_backend
+        from repro.perf.arrays import batched_probe_pays
 
         empty: dict = {}
         scored: list[tuple[int, Any, float]] = []  # (row index, l_id, score)
@@ -316,7 +299,7 @@ class VectorBlocker(Blocker):
         by_left: dict[Any, list[int]] = {}
         for i, l_id in enumerate(l_ids):
             by_left.setdefault(l_id, []).append(i)
-        if choose_backend(self.kernel, len(by_left), len(pair.right)) == "array":
+        if batched_probe_pays(len(by_left), len(pair.right)):
             scored = self._score_candset_arrays(pair, l_vectors, by_left, r_ids)
         else:
             r_vectors = dict(pair.right)

@@ -383,7 +383,6 @@ def cmd_serve(args) -> int:
         threshold=args.threshold,
         top_k=args.top_k,
         max_batch=args.max_batch,
-        kernel=args.kernel,
     )
     server = MatchServer(corpus, args.key, column, tokenizer=tokenizer, config=config)
     if args.queries:
@@ -635,12 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=3, help="q-gram size (qgram tokenizer)")
     p.add_argument("--top-k", type=int, default=10, help="candidates per query")
     p.add_argument("--max-batch", type=int, default=64, help="micro-batch size cap")
-    p.add_argument(
-        "--kernel",
-        choices=["auto", "dict", "array", "mask", "merge"],
-        default="auto",
-        help="probe backend: columnar batched kernels (array) vs scalar (dict)",
-    )
     p.add_argument(
         "--queries", default=None, metavar="FILE",
         help="query file, one per line ('tenant<TAB>value' or 'value'); default stdin",

@@ -28,6 +28,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.text.vectorize import SparseVector, cosine
 
@@ -134,13 +136,8 @@ class AnnIndex:
         Per vector the ``n_planes`` accumulators update with one numpy
         multiply-add per bucket instead of a Python loop over planes —
         same buckets, same ascending order, same float64 operations, so
-        the band keys equal :meth:`signature`'s exactly.  Falls back to
-        the scalar path without numpy.
+        the band keys equal :meth:`signature`'s exactly.
         """
-        from repro.perf.arrays import HAVE_ARRAYS, np
-
-        if not HAVE_ARRAYS:
-            return [self.signature(vector) for vector in vectors]
         n_planes = self.n_planes
         cache = self._np_signs
         signatures: list[list[tuple[int, int]]] = []
@@ -213,10 +210,8 @@ class AnnIndex:
 
     def _corpus_columns(self):
         """Lazy bucket-major view of the corpus for batched cosine."""
-        from repro.perf.arrays import HAVE_ARRAYS, SparseColumns
+        from repro.perf.arrays import SparseColumns
 
-        if not HAVE_ARRAYS:
-            return None
         if self._columns is None:
             self._columns = SparseColumns(self.vectors)
         return self._columns
@@ -236,10 +231,9 @@ class AnnIndex:
         the same threshold/ranking/``top_k``.  Each per-query result
         equals :meth:`search` on that query exactly.
         """
-        columns = self._corpus_columns()
-        if columns is None:
-            return [self.search(vector, threshold, top_k) for vector in vectors]
         from repro.perf.arrays import batch_cosine
+
+        columns = self._corpus_columns()
 
         results: list[list[tuple[int, float]]] = []
         for vector, candidates in zip(vectors, self.probe_batch(vectors)):

@@ -19,10 +19,10 @@ classic two-layer design of long-running search systems:
   delta postings, and deletes *tombstone* positions (base or delta)
   instead of touching any posting list.
 
-Reads probe both segments with the same
-:func:`repro.simjoin.joins.probe_encoded` kernel the batch joins and the
-serving path run — identical size/prefix bounds math, with tombstoned
-positions filtered out of the candidate set — so the correctness
+Reads probe both segments with :func:`repro.simjoin.joins.probe_encoded`
+(or, for a batch big enough to pay for it, the base segment with the
+batched kernel the batch joins run) — identical size/prefix bounds math,
+with tombstoned positions filtered out of the candidate set — so the correctness
 contract is exact and is about *answers*: after any interleaving of
 upserts, deletes, and compactions, a live index returns the same
 matches with the same scores in the same order as an index rebuilt from
@@ -52,8 +52,9 @@ schedule, so re-ranking stays amortised O(1) per row.
 
 Observability: ``index_delta_ops_total{op}``, the ``index_tombstones``
 and ``index_folded_rows`` gauges, ``index_compactions_total{mode}``, the
-``index_delta_probe_seconds`` histogram, and the ``live_compact`` span
-(``mode``, ``delta_rows``, ``tombstones``).
+``index_delta_probe_seconds`` histogram, ``index_search_batches_total{index,
+path}`` (which of the two probe paths a ``search_batch`` took), and the
+``live_compact`` span (``mode``, ``delta_rows``, ``tombstones``).
 
 Persistence: :meth:`LiveIndex.save` writes ``live-<name>.pkl`` (base
 records + the operation log since the last compaction) and a JSON
@@ -88,7 +89,7 @@ from repro.perf.kernels import (
     token_mask,
 )
 from repro.runtime.checkpoint import atomic_write_bytes
-from repro.simjoin.filters import prefix_length, validate_measure
+from repro.simjoin.filters import prefix_length, validate_measure, validate_threshold
 from repro.table.schema import is_missing
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
@@ -120,7 +121,7 @@ class _BaseSegment:
         self.universe = universe    # TokenUniverse over the snapshot
         self.enc = enc              # [(key, ids)] in record order
         self.index = index          # token id -> (sizes, positions)
-        self.masks = masks          # [int] | None (mask kernel)
+        self.masks = masks          # [int] | None (None: merge-scan verification)
         self.positions = positions  # key -> base position
         self.encoding = encoding    # the PairEncoding artifact | None (folded)
         self.array_index = None     # lazy ArrayIndex (batched probes)
@@ -183,25 +184,13 @@ class LiveIndex:
         tokenizer: Tokenizer | None = None,
         measure: str = "jaccard",
         threshold: float = 0.7,
-        kernel: str = "auto",
         normalize: Callable[[str], str] | None = None,
         store: IndexStore | None = None,
         name: str = "default",
         base_table: Table | None = None,
     ):
-        # Imported here (not at module top): repro.simjoin.joins imports
-        # repro.index.store, so a top-level import would be circular.
-        from repro.simjoin.joins import KERNELS
-
         measure = validate_measure(measure)
-        if measure != "overlap" and not 0.0 < threshold <= 1.0:
-            raise ConfigurationError(
-                f"threshold for {measure} must be in (0, 1], got {threshold}"
-            )
-        if measure == "overlap" and threshold < 1:
-            raise ConfigurationError(f"overlap threshold must be >= 1, got {threshold}")
-        if kernel not in KERNELS:
-            raise ConfigurationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+        validate_threshold(measure, threshold)
         self.key = key
         self.column = column
         self.name = name
@@ -210,7 +199,6 @@ class LiveIndex:
         )
         self.measure = measure
         self.threshold = threshold
-        self.kernel = kernel
         self._normalize = normalize
         self._store = store if store is not None else get_index_store()
         self._scorer = make_scorer(measure)
@@ -284,7 +272,7 @@ class LiveIndex:
         index = store.prefix_index(encoding, self.measure, self.threshold).index
         masks = (
             store.right_masks(encoding)
-            if self._wants_masks(len(encoding.universe))
+            if len(encoding.universe) <= MASK_UNIVERSE_MAX
             else None
         )
         positions: dict[Any, int] = {}
@@ -296,12 +284,6 @@ class LiveIndex:
             positions[row_key] = position
         return _BaseSegment(
             records, encoding.universe, encoding.right, index, masks, positions, encoding
-        )
-
-    def _wants_masks(self, universe_size: int) -> bool:
-        """Whether a base over this many tokens verifies by bitmask."""
-        return self.kernel == "mask" or (
-            self.kernel in ("auto", "dict") and universe_size <= MASK_UNIVERSE_MAX
         )
 
     def _array_index(self, base: _BaseSegment):
@@ -316,20 +298,6 @@ class LiveIndex:
         key = f"live-{self.name}"
         records = arrays.build_array_records(key, base.enc, len(base.universe))
         return arrays.build_array_index(key, records, self.measure, self.threshold)
-
-    def _base_array_index_locked(self):
-        """The base segment's lazy :class:`~repro.perf.arrays.ArrayIndex`.
-
-        Built on the first batched probe (``None`` when the array stack
-        is unavailable or the base is empty); compaction hands it on, so
-        only the constructor's base ever pays for it under the lock.
-        """
-        from repro.perf.arrays import HAVE_ARRAYS
-
-        base = self._base
-        if base.array_index is None and HAVE_ARRAYS and base.enc:
-            base.array_index = self._array_index(base)
-        return base.array_index
 
     # ------------------------------------------------------------------
     # Mutation
@@ -588,15 +556,18 @@ class LiveIndex:
         """Probe many values in one call; one batched base-segment kernel.
 
         Returns one ``(matches, n_candidates)`` pair per value, each
-        byte-identical to :meth:`search` on that value.  When the array
-        backend is available (and the index's ``kernel`` setting allows
-        it) the base segment is probed with one columnar
-        :func:`~repro.simjoin.joins.probe_encoded_batch` call for the
-        whole batch — the amortization :class:`repro.serve.MatchServer`'s
-        micro-batching exists for; the (small, mutable) delta segment is
-        probed per query under the same lock snapshot.
+        byte-identical to :meth:`search` on that value.  A batch big
+        enough to pay for it (:func:`repro.perf.arrays.batched_probe_pays`)
+        probes the base segment with one columnar
+        :func:`~repro.simjoin.joins.probe_encoded_batch` call — the
+        amortization :class:`repro.serve.MatchServer`'s micro-batching
+        exists for; a smaller one runs :meth:`search`'s scalar probe per
+        value.  The (small, mutable) delta segment is probed per query
+        under the same lock snapshot either way.  The path taken is
+        counted in ``index_search_batches_total{index, path}``.
         """
-        from repro.perf.arrays import choose_backend, observe_kernel_batch
+        from repro.perf.arrays import batched_probe_pays, observe_kernel_batch
+        from repro.simjoin.joins import probe_encoded_batch
 
         started = time.perf_counter()
         token_sets = []
@@ -609,25 +580,28 @@ class LiveIndex:
             )
         live_queries = [ts for ts in token_sets if ts is not None]
         with self._lock:
-            backend = choose_backend(
-                self.kernel, len(live_queries), len(self._base.enc)
-            )
-            array_index = (
-                self._base_array_index_locked() if backend == "array" else None
-            )
-            if array_index is None:
+            batched = batched_probe_pays(len(live_queries), len(self._base.enc))
+            get_registry().counter(
+                "index_search_batches_total",
+                index=self.name,
+                path="batched" if batched else "scalar",
+            ).inc()
+            if not batched:
                 return [
                     ([], 0) if ts is None else self._search_locked(ts)
                     for ts in token_sets
                 ]
-            from repro.simjoin.joins import probe_encoded_batch
-
+            base = self._base
+            if base.array_index is None:
+                # Compaction hands it on, so only the constructor's base
+                # ever pays for it under the lock.
+                base.array_index = self._array_index(base)
             encoded = [
                 (self._encode_query(ts), len(ts)) for ts in live_queries
             ]
             base_results = probe_encoded_batch(
                 encoded,
-                array_index,
+                base.array_index,
                 self.measure,
                 self.threshold,
                 skip=self._base_tombstones or None,
@@ -770,7 +744,7 @@ class LiveIndex:
         """
         measure, threshold = self.measure, self.threshold
         universe = base.universe.extended(ext_tokens) if ext_tokens else base.universe
-        with_masks = base.masks is not None and self._wants_masks(len(universe))
+        with_masks = base.masks is not None and len(universe) <= MASK_UNIVERSE_MAX
         alive = [True] * len(base.records)
         for position in base_dead:
             alive[position] = False
@@ -926,7 +900,6 @@ class LiveIndex:
                 "normalize": self._normalize,
                 "measure": self.measure,
                 "threshold": self.threshold,
-                "kernel": self.kernel,
                 "base_records": self._base.records,  # immutable: no copy
                 "ops": list(self._ops),
                 "generation": self._generation,
@@ -981,7 +954,6 @@ class LiveIndex:
             tokenizer=state["tokenizer"],
             measure=state["measure"],
             threshold=state["threshold"],
-            kernel=state["kernel"],
             normalize=state["normalize"],
             store=store,
             name=state["name"],

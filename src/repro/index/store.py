@@ -27,11 +27,11 @@ keyed by the digests of what it was built from::
           -> joint (IDF-weighted) vector space      "vecpair"
               -> banded-LSH approximate-NN index    "ann"
 
-The ``arrays``/``arrayindex`` pair is the columnar ("array") kernel
-backend of :mod:`repro.perf.arrays`: the same encoded records as
-contiguous CSR matrices, built lazily only when a caller resolves
-``kernel="array"`` (or ``"auto"`` picks it), and byte-identical in
-output to the dict chain it sits beside.
+The ``arrays``/``arrayindex`` pair is what every batch join and every
+batched live-index probe runs on (:mod:`repro.perf.arrays`): the encoded
+records as contiguous CSR matrices.  ``prefix``/``masks`` are the dict
+postings and bitmasks a :class:`~repro.index.delta.LiveIndex` point
+probe reads; only a live index builds them.
 
 The vector branch backs :class:`repro.blocking.vector.VectorBlocker`:
 embeddings from :mod:`repro.text.vectorize` and the
@@ -420,7 +420,7 @@ class IndexStore:
         return self._get("prefix", digest, build)
 
     def right_masks(self, encoding: PairEncoding) -> list[int]:
-        """Verification bitmasks for the right side (mask kernel)."""
+        """Verification bitmasks for the right side."""
         return self._get(
             "masks",
             combine("masks", encoding.key),
@@ -430,16 +430,12 @@ class IndexStore:
     def pair_arrays(self, encoding: PairEncoding, side: str = "left"):
         """One side of a pair encoding as a CSR token-incidence matrix.
 
-        Returns a :class:`repro.perf.arrays.ArrayRecords`; requires the
-        array stack (numpy + scipy) and raises
-        :class:`~repro.exceptions.ConfigurationError` without it, so the
-        dict chain never pays the import.
+        Returns a :class:`repro.perf.arrays.ArrayRecords`.
         """
         from repro.perf import arrays
 
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        arrays.require_arrays()
         digest = combine("arrays", encoding.key, side)
 
         def build():
@@ -458,7 +454,7 @@ class IndexStore:
         use_prefix_filter: bool = True,
         side: str = "right",
     ):
-        """Probe-ready CSR corpus for the batched array kernel.
+        """Probe-ready CSR corpus for the batched kernel.
 
         The columnar twin of :meth:`prefix_index` (same parameters, same
         candidate semantics); returns a
@@ -466,7 +462,6 @@ class IndexStore:
         """
         from repro.perf import arrays
 
-        arrays.require_arrays()
         # "rows2" names the ArrayIndex layout (row-major corpus matrix +
         # transposed prefix slice).  Change it whenever the class's
         # fields change, so a cached pickle of another layout is never

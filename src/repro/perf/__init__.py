@@ -12,24 +12,19 @@ mechanisms every hot path shares:
   per-measure scorers that avoid per-pair validation;
 * :mod:`repro.perf.parallel` — one process-pool executor shared by the
   sim joins, the blockers, feature extraction, and the production stage;
-* :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernel backend:
-  batched filter-verify probes, batched cosine, and the ``kernel=``
-  resolution policy, byte-identical to the dict kernels above.
+* :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: batched
+  filter-verify probes (the body of every batch join) and batched
+  cosine, byte-identical to the scalar kernels above, plus the one rule
+  for when a small probe batch stays scalar.
 """
 
 from repro.perf.arrays import (
-    HAVE_ARRAYS,
     ArrayIndex,
     ArrayRecords,
-    KernelPolicy,
     SparseColumns,
     batch_cosine,
     batch_set_sim_probe,
-    choose_backend,
-    kernel_override,
     observe_kernel_batch,
-    set_kernel_override,
-    use_kernel,
 )
 from repro.perf.kernels import (
     MASK_UNIVERSE_MAX,
@@ -50,20 +45,16 @@ from repro.perf.parallel import (
 from repro.perf.tokens import TokenUniverse
 
 __all__ = [
-    "HAVE_ARRAYS",
     "MASK_UNIVERSE_MAX",
     "ArrayIndex",
     "ArrayRecords",
-    "KernelPolicy",
     "SparseColumns",
     "TokenUniverse",
     "batch_cosine",
     "batch_set_sim_probe",
     "bounded_overlap",
-    "choose_backend",
     "concat_tables",
     "effective_n_jobs",
-    "kernel_override",
     "make_overlap_bound",
     "make_scorer",
     "mask_overlap",
@@ -71,8 +62,6 @@ __all__ = [
     "parallel_map_partitions",
     "partition_table",
     "run_sharded",
-    "set_kernel_override",
     "split_evenly",
     "token_mask",
-    "use_kernel",
 ]

@@ -1,16 +1,15 @@
-"""Columnar CSR kernels: the batched "array" backend of the hot paths.
+"""Columnar CSR kernels: the batched body of the hot paths.
 
-Every per-pair loop in the substrate — :func:`probe_encoded`'s
-candidate collection and verification, the sparse-dict cosine in
+Every per-pair loop in the substrate — filter-verify candidate
+collection and verification, the sparse-dict cosine in
 :mod:`repro.text.vectorize`, banded-LSH signatures in
-:mod:`repro.index.ann` — has a columnar twin here that processes a
-*batch* of probes as a handful of ``numpy``/``scipy`` matrix operations
-instead of millions of interpreter steps:
+:mod:`repro.index.ann` — is done here for a *batch* of probes as a
+handful of ``numpy``/``scipy`` matrix operations instead of millions of
+interpreter steps:
 
 * encoded corpora become CSR token-incidence matrices (``indptr``/
   ``indices`` postings, int64 counts as data), registered in
-  :class:`repro.index.IndexStore` as fingerprinted artifacts beside the
-  dict/tuple chain;
+  :class:`repro.index.IndexStore` as fingerprinted artifacts;
 * candidates for a whole probe batch are one sparse matmul
   (``probe prefixes @ corpus prefixes.T``), and overlap counts are
   computed **only at the candidate pairs that pass the size window and
@@ -27,20 +26,21 @@ instead of millions of interpreter steps:
   :func:`repro.text.vectorize.sparse_dot`.
 
 **Byte-identity is the contract**, not an aspiration: for any corpus
-and any probe batch, the array backend emits the same survivors with
-the same float scores in the same order as the dict backend
-(property-tested in ``tests/test_kernel_arrays.py``).  Two deliberate
-consequences: vector data stays ``float64`` (a ``float32`` CSR would
-save half the memory but break identity with the scalar ``float``
-kernels), and survivors are ordered by (probe row, corpus position)
-before emission because scipy does not guarantee sorted indices on
-matmul results — only survivors: filtering and verification are
-order-free.
+and any probe batch, :func:`batch_set_sim_probe` emits the same
+survivors with the same float scores in the same order as the scalar
+:func:`repro.simjoin.joins.probe_encoded` per probe and as the
+brute-force ``naive_set_sim_join`` (property-tested in
+``tests/test_kernel_arrays.py``).  Two deliberate consequences: vector
+data stays ``float64`` (a ``float32`` CSR would save half the memory
+but break identity with the scalar ``float`` kernels), and survivors
+are ordered by (probe row, corpus position) before emission because
+scipy does not guarantee sorted indices on matmul results — only
+survivors: filtering and verification are order-free.
 
-The backend is optional at runtime: without ``numpy``/``scipy`` the
-module imports cleanly, ``HAVE_ARRAYS`` is ``False``, ``kernel="auto"``
-always resolves to the dict backend, and ``kernel="array"`` raises
-:class:`~repro.exceptions.ConfigurationError`.
+Which path a caller takes is not configurable.  Batch joins always run
+batched; the callers that also hold a scalar path (``LiveIndex.search_batch``,
+``VectorBlocker``) ask :func:`batched_probe_pays`, one rule over the two
+sizes they can observe.
 
 Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
@@ -54,26 +54,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
+
+import numpy as np
+from scipy import sparse as _sparse
 
 from repro.exceptions import ConfigurationError
 from repro.obs import get_registry
 from repro.perf.kernels import BOUND_EPS, ceil_bound
-
-try:  # pragma: no cover - exercised implicitly by every array test
-    import numpy as np
-    from scipy import sparse as _sparse
-
-    HAVE_ARRAYS = True
-except ImportError:  # pragma: no cover - the container bakes both in
-    np = None
-    _sparse = None
-    HAVE_ARRAYS = False
-
-#: The concrete backends a kernel request can resolve to.
-ARRAY_BACKENDS = ("dict", "array")
 
 #: Upper bound on candidate-product entries materialized per probe
 #: chunk (and so on the pairs verified at once, ~300 bytes each at the
@@ -81,106 +69,20 @@ ARRAY_BACKENDS = ("dict", "array")
 #: join 1<<16 runs ~15 % quicker than 1<<18 at 50 MB less peak RSS.
 CHUNK_TARGET_NNZ = 1 << 16
 
-
-def require_arrays() -> None:
-    """Raise when the array backend was requested but cannot run."""
-    if not HAVE_ARRAYS:
-        raise ConfigurationError(
-            "kernel='array' requires numpy and scipy; neither is importable "
-            "in this environment (use kernel='dict' or kernel='auto')"
-        )
-
-
-# ----------------------------------------------------------------------
-# Kernel selection: policy, plan override, resolution
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelPolicy:
-    """When ``kernel="auto"`` picks the array backend.
-
-    Batching has fixed costs (CSR construction or slicing, one pass of
-    chunk bookkeeping) that a single point probe against a small corpus
-    never amortizes.  ``min_probe_rows`` is the smallest batch at which
-    ``LiveIndex.search_batch`` beats the same number of scalar
-    ``search`` calls on the spine's 50k-row sparse corpus — the table
-    under "When array wins" in ``docs/PERFORMANCE.md``.
-    """
-
-    min_probe_rows: int = 16
-    min_index_rows: int = 64
+#: Batching has fixed costs (CSR construction or slicing, one pass of
+#: chunk bookkeeping) that a point probe never amortizes.  16 is the
+#: smallest batch at which ``LiveIndex.search_batch`` beats the same
+#: number of scalar ``search`` calls on the spine's 50k-row sparse
+#: corpus — the fitted table under "When batching wins" in
+#: ``docs/PERFORMANCE.md``; under 64 corpus rows no batch size wins.
+BATCH_MIN_PROBE_ROWS = 16
+BATCH_MIN_INDEX_ROWS = 64
 
 
-DEFAULT_KERNEL_POLICY = KernelPolicy()
-
-# Process-global kernel override, set by the plan executor around nodes
-# whose observed stats favour one backend.  Both backends are
-# byte-identical, so the override is a pure performance hint: reading a
-# racy value can never change a result, only its speed.
-_KERNEL_OVERRIDE: str | None = None
-
-
-def kernel_override() -> str | None:
-    """The active process-global backend override (``None`` when unset)."""
-    return _KERNEL_OVERRIDE
-
-
-def set_kernel_override(backend: str | None) -> str | None:
-    """Force ``kernel="auto"`` call sites onto one backend; returns previous.
-
-    ``None`` restores policy-based resolution.  This is the hook
-    :mod:`repro.plan` uses to apply per-node kernel decisions without
-    threading a parameter through every operator closure.
-    """
-    global _KERNEL_OVERRIDE
-    if backend is not None and backend not in ARRAY_BACKENDS:
-        raise ConfigurationError(
-            f"kernel override must be one of {ARRAY_BACKENDS} or None, got {backend!r}"
-        )
-    previous = _KERNEL_OVERRIDE
-    _KERNEL_OVERRIDE = backend
-    return previous
-
-
-@contextmanager
-def use_kernel(backend: str | None) -> Iterator[None]:
-    """Scope a kernel override (see :func:`set_kernel_override`)."""
-    previous = set_kernel_override(backend)
-    try:
-        yield
-    finally:
-        set_kernel_override(previous)
-
-
-def choose_backend(
-    kernel: str,
-    n_probe_rows: int,
-    n_index_rows: int,
-    policy: KernelPolicy = DEFAULT_KERNEL_POLICY,
-) -> str:
-    """Resolve a public ``kernel=`` knob to ``"dict"`` or ``"array"``.
-
-    ``"mask"``/``"merge"`` (the legacy dict-kernel variants) and
-    ``"dict"`` pin the dict backend; ``"array"`` requires the array
-    stack; ``"auto"`` follows the plan override when set, otherwise the
-    policy thresholds.
-    """
-    if kernel in ("dict", "mask", "merge"):
-        return "dict"
-    if kernel == "array":
-        require_arrays()
-        return "array"
-    override = _KERNEL_OVERRIDE
-    if override == "dict":
-        return "dict"
-    if override == "array" and HAVE_ARRAYS:
-        return "array"
-    if (
-        HAVE_ARRAYS
-        and n_probe_rows >= policy.min_probe_rows
-        and n_index_rows >= policy.min_index_rows
-    ):
-        return "array"
-    return "dict"
+def batched_probe_pays(n_probe_rows: int, n_index_rows: int) -> bool:
+    """Whether a probe batch this size against a corpus this size runs
+    faster through the batched kernels than one scalar probe per row."""
+    return n_probe_rows >= BATCH_MIN_PROBE_ROWS and n_index_rows >= BATCH_MIN_INDEX_ROWS
 
 
 def observe_kernel_batch(op: str, rows: int, candidates: int, seconds: float) -> None:
@@ -210,7 +112,7 @@ def size_bounds_arrays(measure: str, threshold: float, sizes):
 
     Mirrors :func:`repro.simjoin.filters.size_bounds` with the caller's
     ``upper += BOUND_EPS`` widening already applied, matching the
-    comparison the dict probe performs.
+    comparison the scalar probe performs.
     """
     sizes_f = sizes.astype(np.float64)
     if measure == "jaccard":
@@ -316,7 +218,7 @@ class ArrayIndex:
     probe batch hits scipy's ``csr @ csr`` fast path), plus the
     per-record sizes the size filter windows over — a row's nnz, so
     derived on construction and on unpickling rather than persisted.
-    Keyed like the dict :class:`~repro.index.store.PrefixIndex` by
+    Keyed like :class:`~repro.index.store.PrefixIndex` by
     (encoding, measure, threshold, use_prefix_filter).
     """
 
@@ -339,7 +241,6 @@ def build_array_records(
     key: str, records: Sequence[tuple[Any, tuple[int, ...]]], dim: int
 ) -> ArrayRecords:
     """Materialize ``[(row_key, sorted ids)]`` as an :class:`ArrayRecords`."""
-    require_arrays()
     n_rows = len(records)
     width = max(dim, 1)
     keys = [row_key for row_key, _ in records]
@@ -362,8 +263,8 @@ def csr_prefix_slice(matrix, lengths):
     """Per-row head slice of a CSR matrix (row *i* keeps ``lengths[i]``).
 
     Token ids are stored sorted, so the head of a row *is* its prefix
-    under the global frequency ordering — the same slice the dict
-    backend takes of the encoded tuple.
+    under the global frequency ordering — the same slice the scalar
+    probe takes of the encoded tuple.
     """
     indptr = matrix.indptr.astype(np.int64)
     counts = np.minimum(np.asarray(lengths, dtype=np.int64), np.diff(indptr))
@@ -386,7 +287,6 @@ def build_array_index(
     use_prefix_filter: bool = True,
 ) -> ArrayIndex:
     """Prepare one side's :class:`ArrayRecords` as the probed corpus."""
-    require_arrays()
     prefix = arrays.matrix
     if use_prefix_filter:
         lengths = prefix_lengths_arrays(measure, threshold, arrays.sizes)
@@ -400,10 +300,9 @@ def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
     Token ids at or past ``dim`` — a live index's extension ids, which
     cannot occur in the base corpus — are dropped; they are sorted to
     the tail of each row, so the surviving head is exactly the ids the
-    dict probe could match, and prefix slicing over it matches the dict
-    prefix minus its no-op tail.
+    scalar probe could match, and prefix slicing over it matches the
+    scalar prefix minus its no-op tail.
     """
-    require_arrays()
     width = max(dim, 1)
     kept = [ids[: bisect_left(ids, width)] for ids in rows]
     counts = np.fromiter((len(ids) for ids in kept), dtype=np.int64, count=len(kept))
@@ -557,7 +456,6 @@ class SparseColumns:
     __slots__ = ("n_rows", "columns")
 
     def __init__(self, vectors: Sequence[dict]):
-        require_arrays()
         self.n_rows = len(vectors)
         staged: dict[int, tuple[list, list]] = {}
         for position, vector in enumerate(vectors):

@@ -172,7 +172,7 @@ class StreamingDeduper:
 
         The batch is probed against the pre-batch corpus with one
         :meth:`LiveIndex.search_batch` call (one columnar kernel pass
-        when the array backend is on), indexed with one
+        when the batch is big enough to pay for it), indexed with one
         :meth:`LiveIndex.upsert_many`, and intra-batch pairs — record
         ``i`` matching an earlier batch record ``j < i``, which
         sequential adds would have found through the delta — are scored

@@ -102,40 +102,17 @@ def execute_plan(
     executor = (
         PlanExecutor(plan, n_jobs=n_jobs) if plan.optimized else SerialExecutor()
     )
-    # Per-node kernel hints: swap the process-global override in front of
-    # each node so kernel="auto" call sites inside its operator resolve
-    # to the planner's choice.  Both backends are byte-identical, so this
-    # is pure scheduling — and it composes with (runs before) any caller
-    # before_node hook.
-    kernel_hints = (
-        {name: d.kernel for name, d in plan.decisions.items() if d.kernel}
-        if plan.optimized
-        else {}
+    result = run_graph(
+        plan.graph,
+        store,
+        executor=executor,
+        events=events,
+        memo=memo,
+        checkpoint=checkpoint,
+        on_error=on_error,
+        sim_at=sim_at,
+        before_node=before_node,
     )
-    caller_before_node = before_node
-    if kernel_hints:
-        from repro.perf.arrays import set_kernel_override
-
-        def before_node(name: str) -> None:  # noqa: F811 - deliberate wrap
-            set_kernel_override(kernel_hints.get(name))
-            if caller_before_node is not None:
-                caller_before_node(name)
-
-    try:
-        result = run_graph(
-            plan.graph,
-            store,
-            executor=executor,
-            events=events,
-            memo=memo,
-            checkpoint=checkpoint,
-            on_error=on_error,
-            sim_at=sim_at,
-            before_node=before_node,
-        )
-    finally:
-        if kernel_hints:
-            set_kernel_override(None)
     if plan.optimized:
         registry = get_registry()
         for name, decision in plan.decisions.items():

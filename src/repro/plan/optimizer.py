@@ -44,13 +44,6 @@ from repro.plan.stats import NodeStats, StatsStore, identity_fingerprints
 # it saves (fork + pickle round-trip is ~10-30ms on this substrate).
 FORK_THRESHOLD_SECONDS = 0.05
 
-# Observed mean input rows per run at which a node's kernel="auto" call
-# sites are hinted onto the columnar array backend.  Mirrors the static
-# KernelPolicy default in repro.perf.arrays but acts on *measured* node
-# input sizes rather than per-call corpus sizes; both backends produce
-# byte-identical output, so the hint is pure scheduling.
-KERNEL_ARRAY_ROWS = 64
-
 MODE_INLINE = "inline"
 MODE_FORK = "fork"
 
@@ -65,7 +58,6 @@ class NodePlan:
     est_selectivity: float | None = None
     warm: bool = False
     moved_from: int | None = None  # original topo position, when reordered
-    kernel: str | None = None  # "dict"/"array" hint for kernel="auto" call sites
 
 
 @dataclass
@@ -100,8 +92,7 @@ class Plan:
                 if self.optimized
                 else "no statistics yet - safe default schedule"
             ),
-            f"{'#':>3} {'node':<28} {'est s':>9} {'select':>7} {'mode':<7} "
-            f"{'kernel':<7} warm",
+            f"{'#':>3} {'node':<28} {'est s':>9} {'select':>7} {'mode':<7} warm",
         ]
         for position, name in enumerate(self.graph.topological_order()):
             d = self.decisions.get(name, NodePlan(name))
@@ -114,7 +105,7 @@ class Plan:
             )
             lines.append(
                 f"{position:>3} {name:<28} {est:>9} {sel:>7} {d.mode:<7} "
-                f"{d.kernel or '-':<7} {'yes' if d.warm else 'no'}{moved}"
+                f"{'yes' if d.warm else 'no'}{moved}"
             )
         total = self.estimated_seconds()
         if self.optimized and total:
@@ -291,10 +282,6 @@ def plan_graph(
             stats_entry.mean_seconds() if stats_entry and stats_entry.runs else None
         )
         est_selectivity = stats_entry.selectivity() if stats_entry else None
-        kernel = None
-        if stats_entry is not None and stats_entry.runs and stats_entry.rows_in > 0:
-            mean_rows = stats_entry.rows_in / stats_entry.runs
-            kernel = "array" if mean_rows >= KERNEL_ARRAY_ROWS else "dict"
         if _can_fork(operator):
             # Fork-safe nodes fork by default (today's behaviour); only a
             # measured-cheap node is pulled back in-parent.
@@ -325,7 +312,6 @@ def plan_graph(
             est_selectivity=est_selectivity,
             warm=warm,
             moved_from=original_position[name],
-            kernel=kernel,
         )
     registry.counter("plan_runs_total", graph=graph.name, optimized="true").inc()
     if pruned:

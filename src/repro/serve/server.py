@@ -5,14 +5,16 @@ startup it builds a :class:`repro.index.LiveIndex` over one corpus
 column — the base segment is the :class:`repro.index.IndexStore`
 artifact chain (records → token sets → a corpus
 :class:`~repro.perf.tokens.TokenUniverse` → prefix postings and
-verification masks), built exactly once and shared by fingerprint with
-any batch join over the same content — then answers ``match(entity)``
+verification masks), built exactly once, its records/token/encoding
+links shared by fingerprint with any batch join over the same content —
+then answers ``match(entity)``
 point queries for as long as the process lives.  Queries are tokenized,
 encoded against the live token ordering (out-of-vocabulary tokens are
 dropped losslessly), and probed through
-:func:`repro.simjoin.probe_encoded` — the same filter-verify kernel the
-batch join runs — so a served result is byte-identical to the matching
-rows of ``set_sim_join(queries, corpus, ...)``.
+:func:`repro.simjoin.probe_encoded` (a lone request) or the batched
+kernel the batch join runs (a micro-batch big enough to pay for it) —
+the two answer alike, so a served result is byte-identical to the
+matching rows of ``set_sim_join(queries, corpus, ...)``.
 
 Because the index is live, the corpus is no longer frozen at startup:
 :meth:`MatchServer.upsert` and :meth:`MatchServer.delete` mutate the
@@ -54,15 +56,13 @@ from typing import Any
 
 from repro.exceptions import (
     BackpressureError,
-    ConfigurationError,
     QuotaExceededError,
     ServiceError,
 )
 from repro.index.delta import LiveIndex
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry, trace_span
-from repro.simjoin.filters import validate_measure
-from repro.simjoin.joins import KERNELS
+from repro.simjoin.filters import validate_measure, validate_threshold
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
 
@@ -81,7 +81,6 @@ class ServeConfig:
 
     measure: str = "jaccard"
     threshold: float = 0.7
-    kernel: str = "auto"
     top_k: int | None = 10
     max_batch: int = 64
     max_queue_depth: int = 256
@@ -171,17 +170,7 @@ class MatchServer:
     ):
         self.config = config if config is not None else ServeConfig()
         measure = validate_measure(self.config.measure)
-        threshold = self.config.threshold
-        if measure != "overlap" and not 0.0 < threshold <= 1.0:
-            raise ConfigurationError(
-                f"threshold for {measure} must be in (0, 1], got {threshold}"
-            )
-        if measure == "overlap" and threshold < 1:
-            raise ConfigurationError(f"overlap threshold must be >= 1, got {threshold}")
-        if self.config.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.config.kernel!r}"
-            )
+        validate_threshold(measure, self.config.threshold)
         corpus.require_columns([key, column])
         self.corpus = corpus
         self.key = key
@@ -228,8 +217,9 @@ class MatchServer:
         The base artifacts come from the shared :class:`IndexStore`
         chain (the corpus self-paired through ``pair_encoding(tc, tc)``,
         which preserves the frequency-then-lexical ranking), so a batch
-        self-join over the same corpus content shares them
-        byte-for-byte.
+        self-join over the same corpus content shares its records,
+        token sets and encoding; the dict postings and masks point
+        probes read are the server's own.
         """
         self._live = LiveIndex.from_table(
             self.corpus,
@@ -238,7 +228,6 @@ class MatchServer:
             tokenizer=self.tokenizer,
             measure=self._measure,
             threshold=self.config.threshold,
-            kernel=self.config.kernel,
             store=self._store,
             name=f"serve-{self.column}",
         )

@@ -9,7 +9,6 @@ from repro.simjoin.filters import (
     size_bounds,
 )
 from repro.simjoin.joins import (
-    KERNELS,
     edit_distance_join,
     naive_set_sim_join,
     probe_encoded,
@@ -18,7 +17,6 @@ from repro.simjoin.joins import (
 )
 
 __all__ = [
-    "KERNELS",
     "SET_MEASURES",
     "TokenOrder",
     "edit_distance_join",

@@ -33,6 +33,23 @@ def validate_measure(measure: str) -> str:
     return measure
 
 
+def validate_threshold(measure: str, threshold: float) -> None:
+    """Reject a threshold outside a (validated) measure's domain.
+
+    ``overlap`` takes an absolute token count, the others a similarity in
+    ``(0, 1]``; a non-finite value has no bound to compute either way.
+    """
+    if not math.isfinite(threshold):
+        raise ConfigurationError(f"threshold must be finite, got {threshold}")
+    if measure == "overlap":
+        if threshold < 1:
+            raise ConfigurationError(f"overlap threshold must be >= 1, got {threshold}")
+    elif not 0.0 < threshold <= 1.0:
+        raise ConfigurationError(
+            f"threshold for {measure} must be in (0, 1], got {threshold}"
+        )
+
+
 def size_bounds(measure: str, threshold: float, size: int) -> tuple[int, float]:
     """Inclusive (lower, upper) bounds on partner-set size.
 

@@ -8,17 +8,22 @@ motivates this package (py_stringsimjoin in the paper).
 
 The filtered join runs on the integer kernels of :mod:`repro.perf`: every
 distinct string is tokenized once (``tokenize_cached``) and encoded once
-into a sorted tuple of dense token ids ranked by global frequency, so the
-prefix filter is a slice, the size filter is a ``bisect`` over postings
-sorted by size, and verification is a C-level bitmask intersection (small
-universes) or a merge scan with ppjoin-style early exit (large ones).
-Both joins accept ``n_jobs`` and fan the probe side out over a process
-pool; shards are contiguous and merged in order, so parallel output is
-byte-identical to serial.
+into a sorted tuple of dense token ids ranked by global frequency.
+:func:`set_sim_join` has one probe body, the batched CSR kernel of
+:mod:`repro.perf.arrays`: candidates for a whole span of probe rows are
+one sparse product of prefix incidences, the size window is a vector
+comparison, and exact overlaps are computed only at the surviving pairs.
+:func:`probe_encoded` is the same filter-verify step for *one* record
+against dict postings (a ``bisect`` size window, then a bitmask
+intersection or a merge scan with ppjoin-style early exit); only
+:class:`repro.index.delta.LiveIndex` calls it, for point probes and its
+mutable delta segment.  Both joins accept ``n_jobs`` and fan the probe
+side out over a process pool; shards are contiguous and merged in
+order, so parallel output is byte-identical to serial.
 
 All of the build-side intermediates — string records, token sets, the
-``TokenUniverse`` encodings, the prefix-filter postings, verification
-masks, and the edit join's q-gram index — come from the process-default
+``TokenUniverse`` encodings, the CSR corpus matrices, and the edit
+join's q-gram index — come from the process-default
 :class:`repro.index.IndexStore`, so a join over content the store has
 already seen (a repeated blocker run, another rule over the same
 attribute, a Smurf threshold-sweep iteration) skips straight to the
@@ -34,33 +39,21 @@ from bisect import bisect_left, bisect_right
 from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.obs import get_registry
-from repro.perf.kernels import (
-    BOUND_EPS,
-    MASK_UNIVERSE_MAX,
-    bounded_overlap,
-    make_overlap_bound,
-    make_scorer,
-    token_mask,
-)
+from repro.perf import arrays
+from repro.perf.kernels import BOUND_EPS, bounded_overlap, token_mask
 from repro.perf.parallel import effective_n_jobs, run_sharded, split_evenly
 from repro.simjoin.filters import (
     prefix_length,
     similarity,
     size_bounds,
     validate_measure,
+    validate_threshold,
 )
 from repro.table.table import Table
 from repro.text.sim.edit_based import Levenshtein
 from repro.text.tokenizers import Tokenizer
 
 _OUTPUT_COLUMNS = ("_id", "l_id", "r_id", "score")
-#: Public ``kernel=`` knob values.  ``"dict"`` pins the scalar backend
-#: (heuristic mask/merge verification); ``"mask"``/``"merge"`` pin the
-#: scalar backend *and* its verification kernel; ``"array"`` pins the
-#: columnar CSR backend of :mod:`repro.perf.arrays`; ``"auto"`` lets the
-#: kernel policy (and any :mod:`repro.plan` override) decide.  All
-#: choices produce byte-identical results.
-KERNELS = ("auto", "dict", "array", "mask", "merge")
 
 
 def _string_records(table: Table, key: str, column: str) -> list[tuple]:
@@ -124,12 +117,10 @@ def probe_encoded(
 ) -> tuple[list[tuple], int]:
     """Filter-verify one encoded probe record against a prefix index.
 
-    The single-record core of :func:`set_sim_join`, shared with the
-    online serving path (:mod:`repro.serve`), which probes one query at a
-    time against a resident corpus index — sharing the code is what makes
-    served results byte-identical to the batch join — and with the
-    live-index read path (:mod:`repro.index.delta`), which probes a base
-    and a delta segment through the same bounds math.
+    The scalar twin of :func:`probe_encoded_batch`, same bounds math and
+    same answers: the live-index read path (:mod:`repro.index.delta`, and
+    through it :mod:`repro.serve`) runs it for point probes, for batches
+    too small to amortize a CSR probe, and for the delta segment.
 
     ``left_ids`` is the record's sorted token ids; ``left_size`` is its
     *true* distinct-token count, which can exceed ``len(left_ids)`` when
@@ -195,7 +186,7 @@ def probe_encoded_batch(
     use_prefix_filter: bool = True,
     skip: set[int] | None = None,
 ) -> list[tuple[list[tuple], int]]:
-    """Filter-verify a *batch* of encoded probes with the array backend.
+    """Filter-verify a *batch* of encoded probes with the CSR kernel.
 
     The batched twin of :func:`probe_encoded`: ``queries`` holds
     ``(left_ids, left_size)`` per probe (same contract as the scalar
@@ -209,9 +200,6 @@ def probe_encoded_batch(
     :meth:`repro.index.delta.LiveIndex.search_batch` amortize their
     batches through.
     """
-    from repro.perf import arrays
-
-    arrays.require_arrays()
     probe_matrix = arrays.build_probe_matrix(
         [ids for ids, _ in queries], array_index.dim
     )
@@ -244,25 +232,53 @@ def _result_table(rows: list[tuple]) -> Table:
     return table
 
 
-def _set_sim_join_arrays(
-    store,
-    encoding,
-    measure: str,
-    threshold: float,
-    use_prefix_filter: bool,
-    n_jobs: int,
-) -> tuple[list[tuple], int, float]:
-    """The columnar probe phase of :func:`set_sim_join`.
+def set_sim_join(
+    ltable: Table,
+    rtable: Table,
+    l_key: str,
+    r_key: str,
+    l_column: str,
+    r_column: str,
+    tokenizer: Tokenizer,
+    measure: str = "jaccard",
+    threshold: float = 0.7,
+    use_prefix_filter: bool = True,
+    n_jobs: int = 1,
+    kernel: str = "auto",
+) -> Table:
+    """Join two tables on set similarity of a tokenized string column.
 
-    Shards the probe side into contiguous row spans (CSR row slicing is
-    a view-cheap operation) and runs one batched kernel call per shard;
-    spans are contiguous and ascending, so serial and forked output
-    orders are identical — and identical to the dict backend's.  Returns
-    ``(rows, candidate count, kernel seconds)``; metrics are emitted by
-    the caller in the parent process.
+    Returns a table with columns ``(_id, l_id, r_id, score)`` holding every
+    pair whose similarity is at least ``threshold``.
+
+    Parameters mirror py_stringsimjoin: the key columns identify rows, the
+    join columns are tokenized with ``tokenizer``, and ``measure`` is one of
+    ``jaccard``, ``cosine``, ``dice``, or ``overlap`` (absolute threshold).
+    ``n_jobs`` fans the probe side out over a process pool: the probe rows
+    are cut into contiguous ascending spans (CSR row slicing is view-cheap)
+    with one batched kernel call per span, so forked output is
+    byte-identical to serial.  ``kernel`` selects nothing: there is one
+    probe path, and the parameter accepts only ``"auto"``.  It survives
+    because ``benchmarks/spine/join_batch.py`` passes it and that file may
+    only change in a benchmark PR; remove it when that file stops.
     """
-    from repro.perf import arrays
+    measure = validate_measure(measure)
+    validate_threshold(measure, threshold)
+    if kernel != "auto":
+        raise ConfigurationError(f"kernel= accepts only 'auto', got {kernel!r}")
 
+    join_started = time.perf_counter()
+
+    # Every build-side artifact — tokenization, universe encodings, the
+    # CSR corpus — comes from the index store: built once per content
+    # fingerprint, served to every later call.
+    store = get_index_store()
+    ltable.require_columns([l_key, l_column])
+    rtable.require_columns([r_key, r_column])
+    encoding = store.pair_encoding(
+        store.tokenized_column(ltable, l_key, l_column, tokenizer),
+        store.tokenized_column(rtable, r_key, r_column, tokenizer),
+    )
     array_index = store.array_index(encoding, measure, threshold, use_prefix_filter)
     left_arrays = store.pair_arrays(encoding, side="left")
     left_keys = left_arrays.keys
@@ -299,119 +315,18 @@ def _set_sim_join_arrays(
     shard_outputs = run_sharded(spans, join_shard, n_jobs)
     rows = [row for results, _, _ in shard_outputs for row in results]
     n_candidates = sum(count for _, count, _ in shard_outputs)
-    kernel_seconds = sum(seconds for _, _, seconds in shard_outputs)
-    return rows, n_candidates, kernel_seconds
-
-
-def set_sim_join(
-    ltable: Table,
-    rtable: Table,
-    l_key: str,
-    r_key: str,
-    l_column: str,
-    r_column: str,
-    tokenizer: Tokenizer,
-    measure: str = "jaccard",
-    threshold: float = 0.7,
-    use_prefix_filter: bool = True,
-    n_jobs: int = 1,
-    kernel: str = "auto",
-) -> Table:
-    """Join two tables on set similarity of a tokenized string column.
-
-    Returns a table with columns ``(_id, l_id, r_id, score)`` holding every
-    pair whose similarity is at least ``threshold``.
-
-    Parameters mirror py_stringsimjoin: the key columns identify rows, the
-    join columns are tokenized with ``tokenizer``, and ``measure`` is one of
-    ``jaccard``, ``cosine``, ``dice``, or ``overlap`` (absolute threshold).
-    ``n_jobs`` fans the probe side out over a process pool (output is
-    byte-identical to serial).  ``kernel`` selects the probe backend and
-    verification strategy: ``"dict"`` (scalar backend, heuristic
-    verification), ``"mask"`` (scalar, bitmask popcount), ``"merge"``
-    (scalar, merge scan with early exit), ``"array"`` (batched columnar
-    CSR kernels), or ``"auto"`` (policy choice between dict and array;
-    every backend emits byte-identical results).
-    """
-    measure = validate_measure(measure)
-    if measure != "overlap" and not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(
-            f"threshold for {measure} must be in (0, 1], got {threshold}"
-        )
-    if measure == "overlap" and threshold < 1:
-        raise ConfigurationError(f"overlap threshold must be >= 1, got {threshold}")
-    if kernel not in KERNELS:
-        raise ConfigurationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-
-    join_started = time.perf_counter()
-
-    # Every build-side artifact — tokenization, universe encodings,
-    # prefix postings, verification masks — comes from the index store:
-    # built once per content fingerprint, served to every later call.
-    store = get_index_store()
-    ltable.require_columns([l_key, l_column])
-    rtable.require_columns([r_key, r_column])
-    encoding = store.pair_encoding(
-        store.tokenized_column(ltable, l_key, l_column, tokenizer),
-        store.tokenized_column(rtable, r_key, r_column, tokenizer),
+    arrays.observe_kernel_batch(
+        "set_sim_join",
+        n_probe,
+        n_candidates,
+        sum(seconds for _, _, seconds in shard_outputs),
     )
-    left_enc, right_enc = encoding.left, encoding.right
-
-    from repro.perf.arrays import choose_backend, observe_kernel_batch
-
-    if choose_backend(kernel, len(left_enc), len(right_enc)) == "array":
-        rows, n_candidates, kernel_seconds = _set_sim_join_arrays(
-            store, encoding, measure, threshold, use_prefix_filter, n_jobs
-        )
-        observe_kernel_batch(
-            "set_sim_join", len(left_enc), n_candidates, kernel_seconds
-        )
-        _observe_join(
-            "set_sim",
-            measure,
-            time.perf_counter() - join_started,
-            probes=len(left_enc),
-            candidates=n_candidates,
-            survivors=len(rows),
-        )
-        return _result_table(rows)
-
-    # Token id -> postings sorted by set size, held as parallel
-    # (sizes, positions) lists so the probe's size filter is a bisect
-    # window and candidate collection is a bulk set.update.
-    index = store.prefix_index(encoding, measure, threshold, use_prefix_filter).index
-
-    use_masks = kernel == "mask" or (
-        kernel in ("auto", "dict")
-        and len(encoding.universe) <= MASK_UNIVERSE_MAX
-    )
-    right_masks = store.right_masks(encoding) if use_masks else None
-    scorer = make_scorer(measure)
-    overlap_bound = make_overlap_bound(measure, threshold)
-
-    def join_shard(shard: list[tuple]) -> tuple[list[tuple], int]:
-        results: list[tuple] = []
-        n_candidates = 0
-        for l_id, left in shard:
-            matches, count = probe_encoded(
-                left, len(left), index, right_enc,
-                right_masks if use_masks else None,
-                scorer, overlap_bound, measure, threshold, use_prefix_filter,
-            )
-            n_candidates += count
-            for r_id, score in matches:
-                results.append((l_id, r_id, score))
-        return results, n_candidates
-
-    shards = split_evenly(left_enc, effective_n_jobs(n_jobs))
-    shard_outputs = run_sharded(shards, join_shard, n_jobs)
-    rows = [row for results, _ in shard_outputs for row in results]
     _observe_join(
         "set_sim",
         measure,
         time.perf_counter() - join_started,
-        probes=len(left_enc),
-        candidates=sum(count for _, count in shard_outputs),
+        probes=n_probe,
+        candidates=n_candidates,
         survivors=len(rows),
     )
     return _result_table(rows)

@@ -1,11 +1,12 @@
-"""Equivalence suite: the columnar array kernels == the dict kernels.
+"""Equivalence suite: the batched CSR kernels against their oracles.
 
-The array backend's acceptance bar is *byte identity*: for every public
-entry point that grew a ``kernel=`` knob, the ``"array"`` path must
-produce exactly the rows, scores (same float bits), survivor sets, and
-output ordering of the scalar ``"dict"`` path.  The hypothesis suites
-below drive randomized corpora through both backends and compare the
-results with plain ``==`` — which, on floats, is the bit-identity check.
+The acceptance bar is *byte identity*.  A batch join is compared with the
+brute-force ``naive_set_sim_join`` — rows, scores (same float bits) and
+output order — and the batched probe with the scalar ``probe_encoded``
+per query, the contract between the two paths a live index chooses
+between.  The hypothesis suites below drive randomized corpora through
+both sides and compare with plain ``==`` — which, on floats, is the
+bit-identity check.
 """
 
 from __future__ import annotations
@@ -17,17 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.delta as delta_module
 import repro.perf.arrays as arrays_module
-from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import get_index_store
 from repro.obs import use_registry
 from repro.perf.arrays import (
-    HAVE_ARRAYS,
+    BATCH_MIN_INDEX_ROWS,
+    BATCH_MIN_PROBE_ROWS,
     batch_cosine,
-    choose_backend,
-    kernel_override,
-    use_kernel,
 )
 from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
 from repro.perf.kernels import make_overlap_bound, make_scorer
@@ -41,21 +40,24 @@ from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 from repro.text.vectorize import cosine, l2_normalize
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_ARRAYS, reason="numpy/scipy not available"
-)
-
 # Small shared alphabet so random tables actually collide.
 WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
 
-values_strategy = st.lists(
-    st.one_of(
-        st.just(None),
-        st.just(""),
-        st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join),
-    ),
-    min_size=1,
-    max_size=25,
+value_strategy = st.one_of(
+    st.just(None),
+    st.just(""),
+    st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join),
+)
+values_strategy = st.lists(value_strategy, min_size=1, max_size=25)
+
+# One side of a join: the usual mix, plus the shapes a kernel gets wrong
+# first — no rows, one row, nothing but missing cells, nothing but blanks.
+side_strategy = st.one_of(
+    values_strategy,
+    st.just([]),
+    st.lists(value_strategy, min_size=1, max_size=1),
+    st.lists(st.just(None), min_size=1, max_size=4),
+    st.lists(st.just(""), min_size=1, max_size=4),
 )
 
 measure_threshold = st.one_of(
@@ -72,58 +74,80 @@ def _table(prefix: str, values: list) -> Table:
     )
 
 
-def _join_rows(ltable, rtable, measure, threshold, kernel, **kwargs):
-    result = set_sim_join(
-        ltable,
-        rtable,
-        "id",
-        "id",
-        "v",
-        "v",
-        WhitespaceTokenizer(return_set=True),
-        measure=measure,
-        threshold=threshold,
-        kernel=kernel,
-        **kwargs,
-    )
+def _rows(result: Table) -> list[tuple]:
     return list(zip(result.column("l_id"), result.column("r_id"), result.column("score")))
 
 
-class TestJoinEquivalence:
-    """set_sim_join: array backend == dict backend, bit for bit."""
+def _join_rows(ltable, rtable, measure, threshold, **kwargs):
+    return _rows(
+        set_sim_join(
+            ltable,
+            rtable,
+            "id",
+            "id",
+            "v",
+            "v",
+            WhitespaceTokenizer(return_set=True),
+            measure=measure,
+            threshold=threshold,
+            **kwargs,
+        )
+    )
 
-    @given(values_strategy, values_strategy, measure_threshold)
-    @settings(max_examples=40, deadline=None)
+
+def _naive_rows(ltable, rtable, measure, threshold):
+    return _rows(
+        naive_set_sim_join(
+            ltable, rtable, "id", "id", "v", "v",
+            WhitespaceTokenizer(return_set=True), measure, threshold,
+        )
+    )
+
+
+def _live_join_rows(ltable, rtable, measure, threshold):
+    live = LiveIndex.from_table(
+        rtable, "id", "v", measure=measure, threshold=threshold, name="oracle"
+    )
+    return _rows(live.join_table(ltable, "id", "v"))
+
+
+class TestJoinEquivalence:
+    """set_sim_join == the brute-force oracle, bit for bit."""
+
+    @given(side_strategy, side_strategy, measure_threshold)
+    @settings(max_examples=60, deadline=None)
     def test_rows_scores_and_order_match(self, left, right, mt):
         measure, threshold = mt
         ltable, rtable = _table("l", left), _table("r", right)
-        expected = _join_rows(ltable, rtable, measure, threshold, "dict")
-        assert _join_rows(ltable, rtable, measure, threshold, "array") == expected
+        expected = _naive_rows(ltable, rtable, measure, threshold)
+        assert _join_rows(ltable, rtable, measure, threshold) == expected
+        assert _join_rows(ltable, rtable, measure, threshold, n_jobs=2) == expected
 
-    @given(values_strategy, values_strategy, measure_threshold)
-    @settings(max_examples=15, deadline=None)
+    @given(side_strategy, side_strategy, measure_threshold)
+    @settings(max_examples=25, deadline=None)
     def test_without_prefix_filter(self, left, right, mt):
         measure, threshold = mt
         ltable, rtable = _table("l", left), _table("r", right)
-        expected = _join_rows(
-            ltable, rtable, measure, threshold, "dict", use_prefix_filter=False
-        )
-        got = _join_rows(
-            ltable, rtable, measure, threshold, "array", use_prefix_filter=False
-        )
-        assert got == expected
+        got = _join_rows(ltable, rtable, measure, threshold, use_prefix_filter=False)
+        assert got == _naive_rows(ltable, rtable, measure, threshold)
 
     def test_forked_equals_serial_equals_dict(self):
         # Big enough to clear the MIN_FORK_ITEMS gate, so n_jobs=2
-        # genuinely forks the array probe shards.
+        # genuinely forks the probe shards.  "dict" is the scalar probe
+        # over dict postings, reached through LiveIndex.join_table.
         left = [" ".join(WORDS[i % 3 : i % 3 + 3]) for i in range(120)]
         right = [" ".join(WORDS[i % 5 : i % 5 + 2]) for i in range(150)]
         ltable, rtable = _table("l", left), _table("r", right)
-        expected = _join_rows(ltable, rtable, "jaccard", 0.4, "dict")
-        serial = _join_rows(ltable, rtable, "jaccard", 0.4, "array")
-        forked = _join_rows(ltable, rtable, "jaccard", 0.4, "array", n_jobs=2)
-        assert serial == expected
-        assert forked == expected
+        for measure, threshold in [("jaccard", 0.4), ("cosine", 0.6), ("dice", 0.5), ("overlap", 2)]:
+            expected = _naive_rows(ltable, rtable, measure, threshold)
+            assert expected
+            assert _live_join_rows(ltable, rtable, measure, threshold) == expected
+            for use_prefix_filter in (True, False):
+                for n_jobs in (1, 2):
+                    assert expected == _join_rows(
+                        ltable, rtable, measure, threshold,
+                        use_prefix_filter=use_prefix_filter, n_jobs=n_jobs,
+                    )
 
 
 class TestProbeBatchEquivalence:
@@ -214,7 +238,7 @@ class TestHotTokenRegime:
         rtable = _table("r", self._values(180, seed=2))
         with use_registry() as registry:
             got = _join_rows(
-                ltable, rtable, measure, threshold, "array",
+                ltable, rtable, measure, threshold,
                 use_prefix_filter=use_prefix_filter,
             )
             candidates = sum(
@@ -223,16 +247,12 @@ class TestHotTokenRegime:
                 if name == "simjoin_candidates_total"
             )
         assert self.chunks > 1
+        assert got == _naive_rows(ltable, rtable, measure, threshold)
+        # The scalar probe over dict postings, and the forked batched one.
+        assert got == _live_join_rows(ltable, rtable, measure, threshold)
         assert got == _join_rows(
-            ltable, rtable, measure, threshold, "dict",
-            use_prefix_filter=use_prefix_filter,
-        )
-        naive = naive_set_sim_join(
-            ltable, rtable, "id", "id", "v", "v",
-            WhitespaceTokenizer(return_set=True), measure, threshold,
-        )
-        assert got == list(
-            zip(naive.column("l_id"), naive.column("r_id"), naive.column("score"))
+            ltable, rtable, measure, threshold,
+            use_prefix_filter=use_prefix_filter, n_jobs=2,
         )
         hot_pairs = sum("hot" in v for v in ltable.column("v")) * sum(
             "hot" in v for v in rtable.column("v")
@@ -380,12 +400,16 @@ class TestLiveIndexEquivalence:
     @given(values_strategy)
     @settings(max_examples=15, deadline=None)
     def test_search_batch(self, queries):
-        live = LiveIndex.from_table(
-            self._base(), "id", "v", threshold=0.4, kernel="array"
-        )
-        live.upsert("x1", "alpha beta newtoken")
-        live.delete("b3")
-        assert live.search_batch(queries) == [live.search(q) for q in queries]
+        # Hypothesis batches are up to 25 values: both sides of the
+        # 16-row line, against a bitmask base and a merge-scan base.
+        for universe_max in (delta_module.MASK_UNIVERSE_MAX, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(delta_module, "MASK_UNIVERSE_MAX", universe_max)
+                live = LiveIndex.from_table(self._base(), "id", "v", threshold=0.4)
+                live.upsert("x1", "alpha beta newtoken")
+                live.delete("b3")
+                assert (live._base.masks is None) == (universe_max == 0)
+                assert live.search_batch(queries) == [live.search(q) for q in queries]
 
     def test_upsert_many_and_delete_many_match_sequential(self):
         items = [
@@ -416,19 +440,36 @@ class TestServerEquivalence:
             }
         )
         queries = [" ".join(WORDS[i % 7 : i % 7 + 2]) for i in range(30)] + ["", "qqq"]
-        results = {}
-        for kernel, max_batch in (("dict", 1), ("array", 16)):
-            config = ServeConfig(
-                threshold=0.4, kernel=kernel, max_batch=max_batch, workers=0
+        batch = _rows(
+            set_sim_join(
+                _table("q", queries), corpus, "id", "id", "v", "v",
+                WhitespaceTokenizer(return_set=True), threshold=0.4,
             )
-            with MatchServer(corpus, "id", "v", config=config) as server:
+        )
+        results = {}
+        for max_batch in (1, 64):
+            config = ServeConfig(
+                threshold=0.4, max_batch=max_batch, top_k=None, workers=0
+            )
+            with use_registry() as registry, MatchServer(
+                corpus, "id", "v", config=config
+            ) as server:
                 pending = [server.submit(q) for q in queries]
                 server.process_pending()
-                results[kernel] = [
+                results[max_batch] = [
                     (p.result().candidates, p.result().n_candidates)
                     for p in pending
                 ]
-        assert results["array"] == results["dict"]
+                batched = registry.get("kernel_batch_calls_total", op="live_search")
+                assert (batched is not None) == (max_batch == 64)
+            # Served answers are the batch join's rows, per query.
+            served = [
+                (f"q{i}", r_id, score)
+                for i, (candidates, _) in enumerate(results[max_batch])
+                for r_id, score in candidates
+            ]
+            assert sorted(served) == sorted(batch)
+        assert results[64] == results[1]
 
     def test_server_bulk_upsert_delete(self):
         from repro.serve import MatchServer, ServeConfig
@@ -443,40 +484,49 @@ class TestServerEquivalence:
             assert [key for key, _ in pending.result().candidates] == ["u1"]
 
 
-class TestKernelResolution:
-    """The kernel= knob, the auto policy, and the plan override hook."""
+class TestBatchingRule:
+    """The one path choice left, seen through what the code counts."""
 
-    def test_explicit_backends(self):
-        assert choose_backend("dict", 10**6, 10**6) == "dict"
-        assert choose_backend("mask", 10**6, 10**6) == "dict"
-        assert choose_backend("merge", 10**6, 10**6) == "dict"
-        assert choose_backend("array", 1, 1) == "array"
+    def test_boundary_rows_through_live_search_counter(self):
+        def corpus(n):
+            return Table({"id": [f"b{i}" for i in range(n)], "v": ["alpha beta"] * n})
 
-    def test_auto_policy_thresholds(self):
-        assert choose_backend("auto", 1000, 1000) == "array"
-        assert choose_backend("auto", 1, 1000) == "dict"  # tiny probe side
-        assert choose_backend("auto", 1000, 8) == "dict"  # tiny corpus
+        lo_q, hi_q = BATCH_MIN_PROBE_ROWS - 1, BATCH_MIN_PROBE_ROWS
+        lo_c, hi_c = BATCH_MIN_INDEX_ROWS - 1, BATCH_MIN_INDEX_ROWS
+        assert (hi_q, hi_c) == (16, 64)
+        for n_queries, n_corpus, batched in [
+            (lo_q, hi_c, False),
+            (hi_q, lo_c, False),
+            (hi_q, hi_c, True),
+        ]:
+            live = LiveIndex.from_table(corpus(n_corpus), "id", "v", name="edge")
+            with use_registry() as registry:
+                # Missing values are not probes: they never count toward the line.
+                answers = live.search_batch(["alpha beta"] * n_queries + [None])
+                calls = registry.get("kernel_batch_calls_total", op="live_search")
+                paths = {
+                    path: registry.get("index_search_batches_total", index="edge", path=path)
+                    for path in ("scalar", "batched")
+                }
+            assert (calls is not None) == batched
+            assert paths["batched" if batched else "scalar"].value == 1
+            assert paths["scalar" if batched else "batched"] is None
+            assert answers == [live.search("alpha beta")] * n_queries + [([], 0)]
 
-    def test_use_kernel_override(self):
-        assert kernel_override() is None
-        with use_kernel("dict"):
-            assert choose_backend("auto", 10**6, 10**6) == "dict"
-            with use_kernel("array"):
-                assert choose_backend("auto", 1, 1) == "array"
-            assert kernel_override() == "dict"
-        assert kernel_override() is None
+    def test_kernel_is_nowhere_to_set(self):
+        import inspect
+        from dataclasses import fields
 
-    def test_array_requires_array_stack(self, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_ARRAYS", False)
-        with pytest.raises(ConfigurationError):
-            choose_backend("array", 100, 100)
-        # "auto" degrades to dict instead of raising.
-        assert choose_backend("auto", 10**6, 10**6) == "dict"
-
-    def test_plan_assigns_kernel_hints(self):
+        from repro.blocking import OverlapBlocker, VectorBlocker
+        from repro.cli import build_parser
         from repro.plan.optimizer import NodePlan
+        from repro.serve import ServeConfig
 
-        assert NodePlan("n").kernel is None  # default: no override
+        for configurable in (OverlapBlocker, VectorBlocker, LiveIndex, ServeConfig):
+            assert "kernel" not in inspect.signature(configurable).parameters
+        assert "kernel" not in {f.name for f in fields(NodePlan)}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "corpus.csv", "--kernel", "auto"])
 
 
 class TestShardingGate:

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.delta as delta_module
 from repro.blocking import OverlapBlocker
 from repro.exceptions import ConfigurationError, KeyConstraintError, ServiceError
 from repro.index import IndexStore, LiveIndex, list_live_indexes, use_index_store
 from repro.obs import use_registry, use_tracer
-from repro.perf.arrays import HAVE_ARRAYS
 from repro.simjoin import set_sim_join
 from repro.table import Table
 from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
@@ -85,8 +85,7 @@ def assert_answers_like_rebuild(live: LiveIndex, values=VALUES) -> None:
     table = live.to_table()
     rebuilt = LiveIndex.from_table(
         table, live.key, live.column, tokenizer=live.tokenizer,
-        measure=live.measure, threshold=live.threshold, kernel=live.kernel,
-        store=IndexStore(),
+        measure=live.measure, threshold=live.threshold, store=IndexStore(),
     )
     assert live.records() == rebuilt.records()
     singles = [live.search(value) for value in values]
@@ -304,7 +303,10 @@ class TestLiveSemantics:
         with pytest.raises(ConfigurationError):
             LiveIndex.empty(measure="nope")
         with pytest.raises(ConfigurationError):
-            LiveIndex.empty(kernel="simd")
+            LiveIndex.empty(measure="overlap", threshold=0)
+        for not_finite in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                LiveIndex.empty(measure="overlap", threshold=not_finite)
 
     def test_generation_counts_every_mutation(self):
         with use_registry(), use_index_store():
@@ -535,16 +537,16 @@ class TestFold:
             live.compact()
             assert_answers_like_rebuild(live, PROBES)
 
-    @pytest.mark.skipif(not HAVE_ARRAYS, reason="numpy/scipy not available")
     def test_array_index_carried_across_folds(self):
         """A base whose ArrayIndex was built hands its successor one,
         built during the fold — not under the lock on the next batch."""
+        probes = PROBES * 2  # enough rows, on both sides, to probe batched
         with use_registry(), use_index_store():
-            live = LiveIndex.from_table(
-                make_table(40), "id", "v", threshold=0.4, kernel="array"
-            )
+            live = LiveIndex.from_table(make_table(80), "id", "v", threshold=0.4)
             assert live._base.array_index is None  # lazy until a batched probe
             live.search_batch(PROBES)
+            assert live._base.array_index is None  # a small batch stays scalar
+            live.search_batch(probes)
             assert live._base.array_index is not None
             for batch in range(2):
                 live.upsert(f"n{batch}", FRESH[batch])
@@ -555,34 +557,29 @@ class TestFold:
                 assert folded.encoding is None
                 assert folded.array_index is not None
                 assert folded.array_index.dim == len(folded.universe)
-                assert_answers_like_rebuild(live, PROBES)
+                assert_answers_like_rebuild(live, probes)
                 assert live._base is folded and live._base.array_index is not None
 
-    @pytest.mark.parametrize("kernel", ["mask", "merge", "dict", "auto"])
-    def test_kernels_answer_alike_across_folds(self, kernel):
+    @pytest.mark.parametrize("verification", ["mask", "merge"])
+    def test_kernels_answer_alike_across_folds(self, verification, monkeypatch):
+        if verification == "merge":  # what a universe past the line gets
+            monkeypatch.setattr(delta_module, "MASK_UNIVERSE_MAX", 0)
         with use_registry(), use_index_store():
-            live = LiveIndex.from_table(
-                make_table(20), "id", "v", threshold=0.4, kernel=kernel
-            )
+            live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
             for batch in range(2):
                 live.upsert(f"n{batch}", FRESH[batch])
                 live.delete(f"b{batch}")
                 live.compact()
                 live.upsert(f"m{batch}", "dave smith")
-                assert (live._base.masks is None) == (kernel == "merge")
-                assert (live._delta.masks is None) == (kernel == "merge")
+                assert (live._base.masks is None) == (verification == "merge")
+                assert (live._delta.masks is None) == (verification == "merge")
                 assert_answers_like_rebuild(live, PROBES)
 
-    @pytest.mark.parametrize("kernel,keeps_masks", [("auto", False), ("mask", True)])
-    def test_fold_past_mask_universe_max(self, kernel, keeps_masks, monkeypatch):
+    def test_fold_past_mask_universe_max(self, monkeypatch):
         """A fold that grows the universe past ``MASK_UNIVERSE_MAX``
         leaves bitmask verification behind, as a build that size would."""
-        import repro.index.delta as delta_module
-
         with use_registry(), use_index_store():
-            live = LiveIndex.from_table(
-                make_table(20), "id", "v", threshold=0.4, kernel=kernel
-            )
+            live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
             assert live._base.masks is not None
             monkeypatch.setattr(
                 delta_module, "MASK_UNIVERSE_MAX", len(live._base.universe) + 1
@@ -590,9 +587,9 @@ class TestFold:
             live.upsert("z1", "zelda zimmerman quentin xu")
             live.delete("b3")
             assert live.compact()["universe_size"] > delta_module.MASK_UNIVERSE_MAX
-            assert (live._base.masks is not None) == keeps_masks
+            assert live._base.masks is None
             live.upsert("z2", "zelda xu")
-            assert (live._delta.masks is not None) == keeps_masks
+            assert live._delta.masks is None
             assert_answers_like_rebuild(live, PROBES)
             live.compact()
             assert_answers_like_rebuild(live, PROBES)
@@ -781,6 +778,35 @@ class TestPersistence:
             assert loaded.generation == live.generation
             for value in ("dave smith", "ann chen", ""):
                 assert loaded.search(value) == live.search(value)
+            assert "kernel" not in pickle.loads((tmp_path / "live-rt.pkl").read_bytes())
+            assert_answers_like_rebuild(loaded)
+
+    def test_state_saved_with_a_kernel_key_still_loads(self, tmp_path):
+        # What LiveIndex.save wrote while ``kernel=`` existed: the same
+        # format version, one more key.  load() ignores it.
+        base = make_table(20)
+        state = {
+            "format": delta_module.LIVE_FORMAT_VERSION,
+            "name": "old",
+            "key": "id",
+            "column": "v",
+            "tokenizer": WhitespaceTokenizer(return_set=True),
+            "normalize": None,
+            "measure": "jaccard",
+            "threshold": 0.4,
+            "kernel": "merge",
+            "base_records": list(zip(base.column("id"), base.column("v"))),
+            "ops": [("u", "n1", "dave smith"), ("d", "b1")],
+            "generation": 2,
+            "compactions": 0,
+        }
+        (tmp_path / "live-old.pkl").write_bytes(pickle.dumps(state))
+        with use_registry():
+            loaded = LiveIndex.load("old", store=IndexStore(cache_dir=tmp_path))
+            assert loaded.generation == 2
+            assert "n1" in loaded and "b1" not in loaded
+            assert loaded._base.masks is not None  # "merge" is not honoured
+            assert_answers_like_rebuild(loaded)
 
     def test_round_trip_of_compacted_base(self, tmp_path):
         # A folded base is private to its LiveIndex (no fingerprinted
@@ -934,14 +960,14 @@ class TestObservability:
 
     def test_mask_and_merge_kernels_agree_with_delta(self):
         results = {}
-        for kernel in ("mask", "merge"):
-            with use_registry(), use_index_store():
-                live = LiveIndex.from_table(
-                    make_table(20), "id", "v", threshold=0.4, kernel=kernel
-                )
+        for verification, universe_max in (("mask", delta_module.MASK_UNIVERSE_MAX), ("merge", 0)):
+            with use_registry(), use_index_store(), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(delta_module, "MASK_UNIVERSE_MAX", universe_max)
+                live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
                 live.upsert("n1", "dave smith")
                 live.delete("b0")
-                results[kernel] = [live.search(v) for v in VALUES]
+                assert (live._delta.masks is None) == (verification == "merge")
+                results[verification] = [live.search(v) for v in VALUES]
         assert results["mask"] == results["merge"]
 
     def test_qgram_tokenizer_round_trip(self):

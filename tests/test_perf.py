@@ -2,8 +2,9 @@
 
 Two guarantees are enforced here:
 
-* the integer-kernel filtered join equals the brute-force reference
-  across every measure, threshold, prefix-filter setting, and kernel;
+* the integer-kernel filtered join — the batched one and the scalar
+  probe under either verification — equals the brute-force reference
+  across every measure, threshold and prefix-filter setting;
 * every ``n_jobs``-parallelized entry point produces output
   byte-identical to its serial run (``Table.__eq__`` compares the full
   column data, so equality means same columns, same values, same order).
@@ -22,6 +23,7 @@ from repro.blocking import (
     RuleBasedBlocker,
     make_candset,
 )
+import repro.index.delta as delta_module
 from repro.exceptions import ConfigurationError, SchemaError
 from repro.features import (
     FeatureTable,
@@ -71,6 +73,18 @@ def _random_tables(seed: int, n: int = 60):
 
 def _pairs(result):
     return set(zip(result.column("l_id"), result.column("r_id")))
+
+
+def _scalar_join(ltable, rtable, tokenizer, measure, threshold, verification, monkeypatch):
+    """The join through the scalar probe: bitmask verification, or the
+    merge scan a universe past ``MASK_UNIVERSE_MAX`` gets."""
+    if verification == "merge":
+        monkeypatch.setattr(delta_module, "MASK_UNIVERSE_MAX", 0)
+    live = delta_module.LiveIndex.from_table(
+        rtable, "id", "v", tokenizer=tokenizer, measure=measure, threshold=threshold
+    )
+    assert (live._base.masks is None) == (verification == "merge")
+    return live.join_table(ltable, "id", "v")
 
 
 class TestTokenUniverse:
@@ -233,14 +247,16 @@ class TestSetSimJoinEquivalence:
         ("overlap", 2),
     ])
     @pytest.mark.parametrize("use_prefix_filter", [True, False])
-    @pytest.mark.parametrize("kernel", ["mask", "merge"])
-    def test_matches_naive(self, measure, threshold, use_prefix_filter, kernel):
-        seed = hash((measure, threshold, use_prefix_filter, kernel)) % 1000
+    @pytest.mark.parametrize("verification", ["mask", "merge"])
+    def test_matches_naive(
+        self, measure, threshold, use_prefix_filter, verification, monkeypatch
+    ):
+        seed = hash((measure, threshold, use_prefix_filter, verification)) % 1000
         ltable, rtable = _random_tables(seed=seed)
         tokenizer = WhitespaceTokenizer(return_set=True)
         fast = set_sim_join(
             ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold,
-            use_prefix_filter=use_prefix_filter, kernel=kernel,
+            use_prefix_filter=use_prefix_filter,
         )
         slow = naive_set_sim_join(
             ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
@@ -249,6 +265,10 @@ class TestSetSimJoinEquivalence:
         fast_scores = {(l, r): s for l, r, s in zip(fast["l_id"], fast["r_id"], fast["score"])}
         slow_scores = {(l, r): s for l, r, s in zip(slow["l_id"], slow["r_id"], slow["score"])}
         assert fast_scores == slow_scores  # identical floats, not just pairs
+        scalar = _scalar_join(
+            ltable, rtable, tokenizer, measure, threshold, verification, monkeypatch
+        )
+        assert scalar == fast == slow  # rows, scores and order
 
     def test_qgram_tokens_match_naive(self):
         ltable, rtable = _random_tables(seed=77, n=40)
@@ -260,13 +280,11 @@ class TestSetSimJoinEquivalence:
     def test_kernels_agree_byte_identical(self):
         ltable, rtable = _random_tables(seed=13)
         tokenizer = WhitespaceTokenizer(return_set=True)
-        mask = set_sim_join(
-            ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5, kernel="mask"
-        )
-        merge = set_sim_join(
-            ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5, kernel="merge"
-        )
-        assert mask == merge
+        with pytest.MonkeyPatch.context() as patch:
+            merge = _scalar_join(ltable, rtable, tokenizer, "jaccard", 0.5, "merge", patch)
+        with pytest.MonkeyPatch.context() as patch:
+            mask = _scalar_join(ltable, rtable, tokenizer, "jaccard", 0.5, "mask", patch)
+        assert mask.num_rows and mask == merge
 
     def test_bad_kernel_rejected(self):
         ltable, rtable = _random_tables(seed=1, n=5)

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.index.delta as delta_module
 from repro.exceptions import (
     BackpressureError,
     ConfigurationError,
@@ -102,11 +103,13 @@ class TestServedEqualsBatch:
         queries = make_queries(20)
         tokenizer = WhitespaceTokenizer(return_set=True)
         results = {}
-        for kernel in ("mask", "merge"):
-            with use_index_store():
-                config = ServeConfig(threshold=0.4, kernel=kernel, top_k=None)
+        for verification, universe_max in (("mask", delta_module.MASK_UNIVERSE_MAX), ("merge", 0)):
+            with use_index_store(), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(delta_module, "MASK_UNIVERSE_MAX", universe_max)
+                config = ServeConfig(threshold=0.4, top_k=None)
                 with MatchServer(corpus, "id", "v", tokenizer=tokenizer, config=config) as s:
-                    results[kernel] = [s.match(q).candidates for q in queries]
+                    assert (s._live._base.masks is None) == (verification == "merge")
+                    results[verification] = [s.match(q).candidates for q in queries]
         assert results["mask"] == results["merge"]
 
     def test_top_k_truncates_ranking(self):
@@ -234,7 +237,14 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             MatchServer(corpus, "id", "v", config=ServeConfig(measure="nope"))
         with pytest.raises(ConfigurationError):
-            MatchServer(corpus, "id", "v", config=ServeConfig(kernel="simd"))
+            MatchServer(
+                corpus, "id", "v", config=ServeConfig(measure="overlap", threshold=0.5)
+            )
+        # `repro serve --measure overlap --threshold nan` lands here.
+        for not_finite in (float("nan"), float("inf")):
+            config = ServeConfig(measure="overlap", threshold=not_finite)
+            with pytest.raises(ConfigurationError):
+                MatchServer(corpus, "id", "v", config=config)
 
     def test_stats_reports_latency_quantiles(self):
         corpus = make_corpus(50)
@@ -303,33 +313,32 @@ class TestWarmStart:
         corpus = make_corpus(100)
         tokenizer = WhitespaceTokenizer(return_set=True)
         with use_registry() as registry, use_index_store():
-            # kernel="dict" pins the scalar artifact chain — the one the
-            # server's warmup (and its scalar probe path) consumes; an
-            # "auto" join may build the columnar arrays/arrayindex
-            # artifacts instead, which the warmup legitimately doesn't
-            # need until its first batched probe.
+            def builds() -> dict[str, int]:
+                return {
+                    dict(labels)["kind"]: value
+                    for (name, labels), value in registry.counters().items()
+                    if name == "index_builds_total"
+                }
+
             set_sim_join(
-                corpus, corpus, "id", "id", "v", "v", tokenizer, "jaccard", 0.4,
-                kernel="dict",
+                corpus, corpus, "id", "id", "v", "v", tokenizer, "jaccard", 0.4
             )
-            builds_before = sum(
-                value
-                for (name, _), value in registry.counters().items()
-                if name == "index_builds_total"
-            )
+            builds_before = builds()
             with MatchServer(
                 corpus, "id", "v", tokenizer=tokenizer,
                 config=ServeConfig(threshold=0.4),
             ) as server:
                 server.match("dave smith")
-            builds_after = sum(
-                value
-                for (name, _), value in registry.counters().items()
-                if name == "index_builds_total"
-            )
-        # Warmup found every artifact (records/tokens/encoding/prefix/
-        # masks) already in the store: the batch join built them.
-        assert builds_after == builds_before
+            built_by_warmup = {
+                kind: count - builds_before.get(kind, 0)
+                for kind, count in builds().items()
+                if count != builds_before.get(kind, 0)
+            }
+        # Warmup found records/tokens/encoding in the store — the batch
+        # join built them — and built the two artifacts only point probes
+        # read: the dict postings and the verification masks.
+        assert {"records", "tokens", "encoding"} <= set(builds_before)
+        assert built_by_warmup == {"prefix": 1, "masks": 1}
 
 
 class TestLiveMutation:

@@ -155,6 +155,14 @@ class TestSetSimJoin:
                 ltable, rtable, "id", "id", "v", "v",
                 WhitespaceTokenizer(return_set=True), "overlap", 0.5,
             )
+        # No bound can be computed from a non-finite threshold.
+        for measure in ("overlap", "jaccard"):
+            for not_finite in (float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError):
+                    set_sim_join(
+                        ltable, rtable, "id", "id", "v", "v",
+                        WhitespaceTokenizer(return_set=True), measure, not_finite,
+                    )
 
     def test_qgram_join(self):
         ltable = Table({"id": [1], "v": ["wisconsin"]})
