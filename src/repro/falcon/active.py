@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.exceptions import BudgetExhaustedError, ConfigurationError
 from repro.labeling.session import LabelingSession
+from repro.ml.base import ml_span
 from repro.ml.forest import RandomForestClassifier
 
 Pair = tuple[Any, Any]
@@ -93,9 +94,11 @@ def active_learn_forest(
         return (session.questions_asked - questions_before) + n <= stage_budget
 
     labeled: dict[int, int] = {}
+    is_labeled = np.zeros(X.shape[0], dtype=bool)
 
     def ask(index: int) -> None:
         labeled[index] = session.ask(pool_pairs[index])
+        is_labeled[index] = True
 
     # ---- seeding ----
     for index in _seed_indices(X, seed_size, rng):
@@ -105,8 +108,8 @@ def active_learn_forest(
     # Ensure both classes are present if at all possible.
     attempts = 0
     while len(set(labeled.values())) < 2 and attempts < 50 and can_ask(1):
-        candidates = [i for i in range(X.shape[0]) if i not in labeled]
-        if not candidates:
+        candidates = np.nonzero(~is_labeled)[0]
+        if candidates.size == 0:
             break
         ask(int(rng.choice(candidates)))
         attempts += 1
@@ -127,8 +130,10 @@ def active_learn_forest(
         y = np.array([labeled[i] for i in indices])
         if len(set(labeled.values())) < 2:
             break  # a one-class forest cannot drive uncertainty sampling
-        forest.fit(X[indices], y, feature_names=feature_names)
-        unlabeled = np.array([i for i in range(X.shape[0]) if i not in labeled])
+        X_labeled = X[indices]
+        with ml_span("ml_fit", forest, X_labeled):
+            forest.fit(X_labeled, y, feature_names=feature_names)
+        unlabeled = np.nonzero(~is_labeled)[0]
         if unlabeled.size == 0 or not can_ask(1):
             break
         # Uncertainty = closeness of the forest's soft match probability
@@ -137,7 +142,9 @@ def active_learn_forest(
         # certainty — early in training the forest is confidently wrong
         # about exactly the borderline pairs that matter.
         positive = int(np.searchsorted(forest.classes_, 1))
-        proba = forest.predict_proba(X[unlabeled])[:, positive]
+        pool = X[unlabeled]
+        with ml_span("ml_predict", forest, pool):
+            proba = forest.predict_proba(pool)[:, positive]
         uncertainty = 1.0 - np.abs(2.0 * proba - 1.0)
         # Ties (e.g. a sea of zero-uncertainty pairs) are broken toward
         # higher match probability so follow-up rounds still explore the
@@ -155,7 +162,9 @@ def active_learn_forest(
     indices = sorted(labeled)
     y = np.array([labeled[i] for i in indices])
     if len(set(y.tolist())) >= 1:
-        forest.fit(X[indices], y, feature_names=feature_names)
+        X_labeled = X[indices]
+        with ml_span("ml_fit", forest, X_labeled):
+            forest.fit(X_labeled, y, feature_names=feature_names)
     return ActiveLearningResult(
         forest=forest,
         labeled_indices=indices,

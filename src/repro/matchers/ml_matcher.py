@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.exceptions import NotFittedError
 from repro.features.extraction import feature_matrix, label_vector
+from repro.ml.base import ml_span
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.impute import SimpleImputer
@@ -50,19 +51,15 @@ class MLMatcher:
         self._imputer = SimpleImputer(strategy="mean")
         X = feature_matrix(fv_table, self._feature_names, imputer=self._imputer)
         y = label_vector(fv_table, label_column)
-        try:
+        with ml_span("ml_fit", self.estimator, X):
             self.estimator.fit(X, y, feature_names=self._feature_names)
-        except TypeError:
-            self.estimator.fit(X, y)
         return self
 
     def fit_matrix(self, X: np.ndarray, y: np.ndarray, feature_names: list[str] | None = None) -> "MLMatcher":
         """Train directly on arrays (used by active learning loops)."""
         self._feature_names = feature_names
-        try:
+        with ml_span("ml_fit", self.estimator, X):
             self.estimator.fit(X, y, feature_names=feature_names)
-        except TypeError:
-            self.estimator.fit(X, y)
         return self
 
     def _check_fitted(self) -> None:
@@ -83,21 +80,24 @@ class MLMatcher:
         """
         self._check_fitted()
         X = feature_matrix(fv_table, self._feature_names, imputer=self._imputer)
-        predictions = self.estimator.predict(X)
+        with ml_span("ml_predict", self.estimator, X):
+            predictions = self.estimator.predict(X)
         target = fv_table if append else fv_table.copy()
-        target.add_column(output_column, [int(p) for p in predictions])
+        target.add_column(output_column, predictions.astype(np.int64).tolist())
         return target
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Predict over a raw matrix."""
         self._check_fitted()
-        return self.estimator.predict(X)
+        with ml_span("ml_predict", self.estimator, X):
+            return self.estimator.predict(X)
 
     def predict_proba(self, fv_table: Table) -> np.ndarray:
         """Match probabilities (column for class 1) for each pair."""
         self._check_fitted()
         X = feature_matrix(fv_table, self._feature_names, imputer=self._imputer)
-        proba = self.estimator.predict_proba(X)
+        with ml_span("ml_predict", self.estimator, X):
+            proba = self.estimator.predict_proba(X)
         positive = int(np.searchsorted(self.estimator.classes_, 1))
         return proba[:, positive]
 

@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import NotFittedError
+from repro.obs import trace_span
 
 
 def as_float_array(X: Any) -> np.ndarray:
@@ -40,6 +41,13 @@ def check_consistent(X: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} labels")
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
+
+
+def ml_span(name: str, estimator: Any, X: np.ndarray):
+    """A ``repro.obs`` span around one estimator call on the matrix ``X``."""
+    return trace_span(
+        name, estimator=type(estimator).__name__, rows=X.shape[0], features=X.shape[1]
+    )
 
 
 class Estimator:

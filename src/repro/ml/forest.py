@@ -95,11 +95,9 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
         X = as_float_array(X)
         total = np.zeros((X.shape[0], len(self.classes_)))
         for tree in self.trees_:
-            proba = tree.predict_proba(X)
             # Trees may have seen a subset of classes; align columns.
-            for column, cls in enumerate(tree.classes_):
-                target = int(np.searchsorted(self.classes_, cls))
-                total[:, target] += proba[:, column]
+            columns = np.searchsorted(self.classes_, tree.classes_)
+            total[:, columns] += tree.predict_proba(X)
         return total / len(self.trees_)
 
     def vote_fraction(self, X, positive: int = 1) -> np.ndarray:

@@ -13,8 +13,9 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.ml.base import as_float_array, as_label_array
+from repro.ml.base import as_float_array, as_label_array, ml_span
 from repro.ml.metrics import precision_recall_f1
+from repro.obs import trace_span
 
 
 def train_test_split(
@@ -104,13 +105,14 @@ def cross_validate(
     y = as_label_array(y)
     scores: dict[str, list[float]] = {"precision": [], "recall": [], "f1": []}
     splitter = StratifiedKFold(n_splits=n_splits, random_state=random_state)
-    for train_idx, test_idx in splitter.split(y):
+    for fold, (train_idx, test_idx) in enumerate(splitter.split(y)):
         model = estimator.clone()
-        try:
-            model.fit(X[train_idx], y[train_idx], feature_names=feature_names)
-        except TypeError:
-            model.fit(X[train_idx], y[train_idx])
-        predictions = model.predict(X[test_idx])
+        X_train, X_test = X[train_idx], X[test_idx]
+        with trace_span("cv_fold", estimator=type(model).__name__, fold=fold):
+            with ml_span("ml_fit", model, X_train):
+                model.fit(X_train, y[train_idx], feature_names=feature_names)
+            with ml_span("ml_predict", model, X_test):
+                predictions = model.predict(X_test)
         precision, recall, f1 = precision_recall_f1(y[test_idx], predictions)
         scores["precision"].append(precision)
         scores["recall"].append(recall)

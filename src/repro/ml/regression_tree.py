@@ -2,38 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.ml.base import Estimator, as_float_array
-
-
-@dataclass
-class RegressionNode:
-    """A node of a fitted regression tree."""
-
-    n_samples: int
-    value: float  # mean target of the training rows that reached here
-    node_id: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "RegressionNode | None" = None
-    right: "RegressionNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+from repro.ml.tree import descend
+from repro.obs import get_registry
 
 
 class DecisionTreeRegressor(Estimator):
     """Least-squares CART regressor.
 
     Splits minimize the children's total squared error, computed with
-    cumulative sums over each feature's sort order.  ``apply`` returns
-    per-row leaf ids so a boosting layer can re-estimate leaf values
-    (Newton steps) without retraining.
+    cumulative sums over each feature's sort order.  The fitted tree is
+    four flat pre-order arrays (the layout of :func:`repro.ml.tree.descend`);
+    a node's value is the mean target of the training rows that reached
+    it.  ``apply`` returns per-row leaf ids so a boosting layer can
+    re-estimate leaf values (Newton steps) without retraining.
     """
 
     def __init__(
@@ -49,7 +34,6 @@ class DecisionTreeRegressor(Estimator):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.root_: RegressionNode | None = None
         self.n_features_ = 0
         self.n_leaves_ = 0
 
@@ -62,39 +46,36 @@ class DecisionTreeRegressor(Estimator):
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
         self.n_features_ = X.shape[1]
-        self._next_id = 0
-        self.root_ = self._build(X, y, depth=0)
-        self.n_leaves_ = self._next_id  # leaf ids are dense in [0, n_leaves)
+        nodes: list[list] = []  # [feature, threshold, right, value], in pre-order
+        self._build(X, y, 0, nodes)
+        feature, threshold, right, value = zip(*nodes)
+        self._flat = (np.array(feature), np.array(threshold), np.array(right))
+        self._value = np.array(value)
+        # Leaf ids are dense in [0, n_leaves), in pre-order.
+        self._leaves = np.nonzero(self._flat[0] < 0)[0]
+        self.n_leaves_ = len(self._leaves)
+        get_registry().counter("ml_trees_fit_total").inc()
         self._mark_fitted()
         return self
 
-    def _new_leaf_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> RegressionNode:
-        node = RegressionNode(
-            n_samples=len(y), value=float(y.mean()), node_id=-1
-        )
+    def _build(self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list[list]) -> None:
+        node = [-1, np.nan, -1, float(y.mean())]
+        nodes.append(node)
         if (
             len(y) < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
             or float(y.var()) == 0.0
         ):
-            node.node_id = self._new_leaf_id()
-            return node
+            return
         split = self._best_split(X, y)
         if split is None:
-            node.node_id = self._new_leaf_id()
-            return node
+            return
         feature, threshold = split
+        node[:2] = split
         mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
+        self._build(X[mask], y[mask], depth + 1, nodes)
+        node[2] = len(nodes)
+        self._build(X[~mask], y[~mask], depth + 1, nodes)
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
         n_samples = len(y)
@@ -137,34 +118,19 @@ class DecisionTreeRegressor(Estimator):
         return best[1], best[2]
 
     # ------------------------------------------------------------------
-    def _leaf_for(self, row: np.ndarray) -> RegressionNode:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
-
     def predict(self, X) -> np.ndarray:
         """Leaf value of each row."""
         self.check_fitted()
-        X = as_float_array(X)
-        return np.array([self._leaf_for(row).value for row in X])
+        return self._value.take(descend(*self._flat, as_float_array(X)))
 
     def apply(self, X) -> np.ndarray:
         """Leaf id of each row (ids dense in [0, n_leaves_))."""
         self.check_fitted()
-        X = as_float_array(X)
-        return np.array([self._leaf_for(row).node_id for row in X], dtype=np.int64)
+        return np.searchsorted(self._leaves, descend(*self._flat, as_float_array(X)))
 
     def set_leaf_values(self, values: dict[int, float]) -> None:
         """Overwrite leaf predictions (the boosting Newton step)."""
         self.check_fitted()
-
-        def walk(node: RegressionNode) -> None:
-            if node.is_leaf:
-                if node.node_id in values:
-                    node.value = values[node.node_id]
-                return
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root_)
+        for leaf, value in values.items():
+            if 0 <= leaf < self.n_leaves_:
+                self._value[self._leaves[leaf]] = value

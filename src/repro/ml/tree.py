@@ -26,6 +26,7 @@ from repro.ml.base import (
     as_label_array,
     check_consistent,
 )
+from repro.obs import get_registry
 
 
 @dataclass
@@ -62,23 +63,40 @@ class TreeNode:
         return self.class_counts / total
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts / total
-    return float(1.0 - np.sum(proportions * proportions))
+_CRITERIA = ("gini", "entropy")
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts[counts > 0] / total
-    return float(-np.sum(proportions * np.log2(proportions)))
+def _impurity(criterion: str, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Impurity of each row of class counts; a row with no samples scores 0."""
+    proportions = counts / np.maximum(totals, 1)[:, None]
+    if criterion == "gini":
+        scores = 1.0 - (proportions * proportions).sum(axis=1)
+    else:
+        logs = np.log2(np.where(proportions > 0, proportions, 1.0))
+        scores = -(proportions * logs).sum(axis=1)
+    return np.where(totals > 0, scores, 0.0)
 
 
-_CRITERIA = {"gini": _gini, "entropy": _entropy}
+def descend(
+    feature: np.ndarray, threshold: np.ndarray, right: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Position of the leaf each row of ``X`` reaches in a flat tree.
+
+    The tree is in pre-order: node ``i`` tests ``X[:, feature[i]] <=
+    threshold[i]`` and continues at ``i + 1`` (left) or ``right[i]``;
+    ``feature[i] < 0`` marks a leaf.  All rows still at an internal node
+    take one step together, so the cost is one vector step per depth.  A
+    NaN cell fails ``<=`` and goes right.
+    """
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.nonzero(feature[node] >= 0)[0]
+    while active.size:
+        at = node[active]
+        goes_left = X[active, feature[at]] <= threshold[at]
+        at = np.where(goes_left, at + 1, right[at])
+        node[active] = at
+        active = active[feature[at] >= 0]
+    return node
 
 
 class DecisionTreeClassifier(Estimator, ClassifierMixin):
@@ -148,6 +166,8 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
             )
         rng = np.random.default_rng(self.random_state)
         self.root_ = self._build(X, y_indices, depth=0, rng=rng)
+        self._flatten()
+        get_registry().counter("ml_trees_fit_total").inc()
         self._mark_fitted()
         return self
 
@@ -164,12 +184,12 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
     ) -> TreeNode:
         counts = np.bincount(y, minlength=len(self.classes_)).astype(np.float64)
-        impurity_fn = _CRITERIA[self.criterion]
+        impurity = _impurity(self.criterion, counts[None, :], np.array([len(y)]))
         node = TreeNode(
             n_samples=len(y),
             class_counts=counts,
             depth=depth,
-            impurity=impurity_fn(counts),
+            impurity=float(impurity[0]),
         )
         if (
             node.impurity == 0.0
@@ -196,9 +216,9 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
     ) -> tuple[int, float, np.ndarray] | None:
         n_samples, n_features = X.shape
         n_classes = len(self.classes_)
-        impurity_fn = _CRITERIA[self.criterion]
         candidates = rng.permutation(n_features)[: self._n_split_features()]
-        best: tuple[float, int, float] | None = None
+        best: tuple[int, float] | None = None
+        bar = np.inf  # a position must score below this to become the new best
         one_hot = np.zeros((n_samples, n_classes))
         one_hot[np.arange(n_samples), y] = 1.0
         for feature in candidates:
@@ -217,35 +237,52 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
             ]
             if positions.size == 0:
                 continue
-            for position in positions:
-                left_counts = cumulative[position]
-                right_counts = parent_counts - left_counts
-                n_left = position + 1
-                n_right = n_samples - n_left
-                weighted = (
-                    n_left * impurity_fn(left_counts)
-                    + n_right * impurity_fn(right_counts)
-                ) / n_samples
-                if best is None or weighted < best[0] - 1e-12:
-                    threshold = (
-                        sorted_values[position] + sorted_values[position + 1]
-                    ) / 2.0
-                    best = (weighted, int(feature), float(threshold))
+            left_counts = cumulative[positions]
+            n_left = positions + 1
+            n_right = n_samples - n_left
+            weighted = (
+                n_left * _impurity(self.criterion, left_counts, n_left)
+                + n_right * _impurity(self.criterion, parent_counts - left_counts, n_right)
+            ) / n_samples
+            # First wins: scanning positions in order, one replaces the
+            # best so far only by beating it by more than 1e-12.  Each
+            # pass of this loop jumps to the next such record (an argmin
+            # would pick a later position that is lower by less).
+            start = 0
+            while (hits := np.nonzero(weighted[start:] < bar)[0]).size:
+                start += int(hits[0]) + 1
+                bar = weighted[start - 1] - 1e-12
+            if start:
+                position = positions[start - 1]
+                threshold = (sorted_values[position] + sorted_values[position + 1]) / 2.0
+                best = (int(feature), float(threshold))
         if best is None:
             return None
         # Note: a zero-gain split is still taken (children are strictly
         # smaller, so recursion terminates); refusing it would make the
         # greedy tree blind to XOR-like interactions.
-        _, feature, threshold = best
+        feature, threshold = best
         return feature, threshold, X[:, feature] <= threshold
 
     # ------------------------------------------------------------------
-    def _leaf_for(self, row: np.ndarray) -> TreeNode:
-        node = self.root_
-        assert node is not None
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
+    def _flatten(self) -> None:
+        """Store the fitted tree as flat pre-order arrays for :func:`descend`."""
+        feature, threshold, right, value = [], [], [], []
+
+        def walk(node: TreeNode) -> None:
+            at = len(feature)
+            feature.append(-1 if node.is_leaf else node.feature)
+            threshold.append(np.nan if node.is_leaf else node.threshold)
+            right.append(-1)
+            value.append(node.proba())
+            if not node.is_leaf:
+                walk(node.left)
+                right[at] = len(feature)
+                walk(node.right)
+
+        walk(self.root_)
+        self._flat = (np.array(feature), np.array(threshold), np.array(right))
+        self._value = np.vstack(value)
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-distribution predictions, one row per sample."""
@@ -255,7 +292,7 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fit on {self.n_features_}"
             )
-        return np.vstack([self._leaf_for(row).proba() for row in X])
+        return self._value.take(descend(*self._flat, X), axis=0)
 
     # ------------------------------------------------------------------
     # Introspection

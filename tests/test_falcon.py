@@ -181,9 +181,10 @@ class TestFalconEndToEnd:
 
     def test_outputs_do_not_move_with_the_hash_seed(self):
         """The same seeded job under three string-hash seeds: one candset
-        size, one question count, one match digest.  (The likely-match
-        sampler used to break count ties in set-iteration order: 147
-        candidates under ``PYTHONHASHSEED=0``, 10,717 under ``=5``.)"""
+        size, one question count, one match digest, each at its pinned
+        value.  (The likely-match sampler used to break count ties in
+        set-iteration order: 147 candidates under ``PYTHONHASHSEED=0``,
+        10,717 under ``=5``.)"""
         import os
         import subprocess
         import sys
@@ -216,8 +217,11 @@ class TestFalconEndToEnd:
             assert done.returncode == 0, done.stderr
             outputs[hash_seed] = done.stdout
         assert len(set(outputs.values())) == 1, outputs
-        candidates = int(outputs["0"].split()[0])
-        assert 0 < candidates < 250 * 250 / 10
+        # Pinned, not just stable: the forest behind these is rebuilt tree
+        # for tree from its seed, so a learner change that moves a split
+        # moves these.
+        candidates, questions, digest = outputs["0"].split()
+        assert (candidates, questions, digest[:16]) == ("629", "250", "abcc8eb6b5369c71")
 
     def test_rules_are_executable_and_named(self):
         ds = make_em_dataset(

@@ -21,6 +21,8 @@ from repro.matchers import (
     feature_separation_report,
     select_matcher,
 )
+from repro.ml import cross_validate
+from repro.obs import use_registry, use_tracer
 from repro.table import Table
 
 ALL_MATCHERS = [DTMatcher, RFMatcher, LogRegMatcher, SVMMatcher, NBMatcher]
@@ -77,6 +79,32 @@ class TestMLMatchers:
         with pytest.raises(NotFittedError):
             clone.predict(fv)
 
+    def test_type_error_inside_fit_is_raised_once(self, labeled_fv):
+        """``fit`` used to be retried without ``feature_names`` on any
+        ``TypeError``, so a failure inside it ran the fit twice."""
+        fv, names = labeled_fv
+        calls = []
+
+        class Broken(DTMatcher.estimator_factory):
+            def fit(self, X, y, feature_names=None):
+                calls.append(feature_names)
+                raise TypeError("raised inside fit")
+
+        matcher = DTMatcher()
+        matcher.estimator = Broken()
+        with pytest.raises(TypeError, match="raised inside fit"):
+            matcher.fit(fv, names)
+        with pytest.raises(TypeError, match="raised inside fit"):
+            matcher.fit_matrix(np.zeros((2, 1)), np.array([0, 1]), feature_names=["f"])
+        with pytest.raises(TypeError, match="raised inside fit"):
+            cross_validate(Broken(), np.zeros((6, 1)), np.array([0, 1] * 3), n_splits=2)
+        assert calls == [names, ["f"], None]
+
+    def test_predicted_column_holds_python_ints(self, labeled_fv):
+        fv, names = labeled_fv
+        predicted = DTMatcher().fit(fv, names).predict(fv, append=False)["predicted"]
+        assert {type(value) for value in predicted} == {int}
+
     def test_abstract_base_unusable(self):
         from repro.matchers.ml_matcher import MLMatcher
 
@@ -101,6 +129,35 @@ class TestSelection:
         assert result.scores.num_rows == 2
         prediction = result.best_matcher.predict(fv, append=False)
         assert "predicted" in prediction.columns
+
+    def test_cv_scores_and_winner_are_pinned(self, labeled_fv):
+        """The identical-trees contract: for a fixed seed the learners
+        repeat digit for digit, so the CV table does too."""
+        fv, names = labeled_fv
+        matchers = [
+            DTMatcher(random_state=0),
+            RFMatcher(n_estimators=8, random_state=0),
+            LogRegMatcher(),
+        ]
+        with use_tracer() as tracer, use_registry() as registry:
+            result = select_matcher(matchers, fv, names, n_splits=5, random_state=0)
+        assert (fv.num_rows, sum(fv["label"])) == (740, 60)
+        assert result.scores["matcher"] == ["DTMatcher", "RFMatcher", "LogRegMatcher"]
+        assert result.scores["f1"] == pytest.approx(
+            [0.9746086956521738, 0.9826086956521738, 0.9753333333333334], rel=1e-12
+        )
+        assert result.best_matcher.name == "RFMatcher"
+        # 3 matchers x 5 folds, each a fit and a predict; then the refit.
+        names_seen = [span.name for span in tracer.spans]
+        assert names_seen.count("cv_fold") == 15
+        assert names_seen.count("ml_fit") == 16
+        assert names_seen.count("ml_predict") == 15
+        refit = tracer.spans[-1]
+        assert refit.labels == {
+            "estimator": "RandomForestClassifier", "rows": "740", "features": str(len(names)),
+        }
+        # DT: 5 trees; RF: 5 folds x 8 trees, and 8 more for the refit.
+        assert registry.get("ml_trees_fit_total").value == 5 + 40 + 8
 
     def test_metric_validation(self, labeled_fv):
         fv, names = labeled_fv

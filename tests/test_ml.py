@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ml import (
     BernoulliNB,
     DecisionTreeClassifier,
+    DecisionTreeRegressor,
     GaussianNB,
+    GradientBoostingClassifier,
     KFold,
     LinearSVM,
     LogisticRegression,
@@ -197,6 +201,220 @@ class TestRandomForest:
     def test_invalid_n_estimators(self):
         with pytest.raises(ConfigurationError):
             RandomForestClassifier(n_estimators=0)
+
+
+# ----------------------------------------------------------------------
+# Differential suite: the array-native trees against the interpreted ones
+# ----------------------------------------------------------------------
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    proportions = counts / total
+    return float(1.0 - np.sum(proportions * proportions))
+
+
+def _entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    proportions = counts[counts > 0] / total
+    return float(-np.sum(proportions * np.log2(proportions)))
+
+
+_SCALAR_IMPURITY = {"gini": _gini, "entropy": _entropy}
+
+
+class OracleTree(DecisionTreeClassifier):
+    """The learner as it was before vectorisation: one Python step per
+    split position, one Python walk per predicted row."""
+
+    def _best_split(self, X, y, parent_counts, rng):
+        n_samples, n_features = X.shape
+        impurity_fn = _SCALAR_IMPURITY[self.criterion]
+        candidates = rng.permutation(n_features)[: self._n_split_features()]
+        best = None
+        one_hot = np.zeros((n_samples, len(self.classes_)))
+        one_hot[np.arange(n_samples), y] = 1.0
+        for feature in candidates:
+            values = X[:, feature]
+            order = np.argsort(values, kind="stable")
+            sorted_values = values[order]
+            cumulative = np.cumsum(one_hot[order], axis=0)
+            positions = np.nonzero(sorted_values[:-1] < sorted_values[1:])[0]
+            positions = positions[
+                (positions + 1 >= self.min_samples_leaf)
+                & (n_samples - positions - 1 >= self.min_samples_leaf)
+            ]
+            for position in positions:
+                left_counts = cumulative[position]
+                n_left = position + 1
+                n_right = n_samples - n_left
+                weighted = (
+                    n_left * impurity_fn(left_counts)
+                    + n_right * impurity_fn(parent_counts - left_counts)
+                ) / n_samples
+                if best is None or weighted < best[0] - 1e-12:
+                    threshold = (sorted_values[position] + sorted_values[position + 1]) / 2.0
+                    best = (weighted, int(feature), float(threshold))
+        if best is None:
+            return None
+        _, feature, threshold = best
+        return feature, threshold, X[:, feature] <= threshold
+
+    def _leaf_for(self, row):
+        node = self.root_
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        return node
+
+    def predict_proba(self, X):
+        return np.vstack([self._leaf_for(row).proba() for row in np.asarray(X, dtype=float)])
+
+
+class OracleRegressor(DecisionTreeRegressor):
+    """Per-row walk of the regressor's flat arrays."""
+
+    def _leaf_for(self, row):
+        feature, threshold, right = self._flat
+        at = 0
+        while feature[at] >= 0:
+            at = at + 1 if row[feature[at]] <= threshold[at] else int(right[at])
+        return at
+
+    def predict(self, X):
+        return np.array([self._value[self._leaf_for(row)] for row in X])
+
+    def apply(self, X):
+        leaves = self._leaves.tolist()
+        return np.array([leaves.index(self._leaf_for(row)) for row in X], dtype=np.int64)
+
+
+def _nodes(node):
+    yield node
+    if not node.is_leaf:
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+
+
+@st.composite
+def tree_cases(draw, classes=(2, 3)):
+    """(X, y, P): training data with tied values, a duplicated and a
+    constant column; a prediction matrix with NaN cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(2, 70))
+    cols = draw(st.integers(1, 6))
+    X = np.round(rng.normal(size=(rows, cols)), draw(st.integers(0, 2)))
+    if cols > 1:
+        X[:, 1] = X[:, 0]
+    if cols > 2:
+        X[:, 2] = 0.5
+    n_classes = draw(st.sampled_from(classes))
+    labels = draw(st.sampled_from(["noise", "signal", "rare", "one_class"]))
+    if labels == "noise":
+        y = rng.integers(0, n_classes, size=rows)
+    elif labels == "signal":
+        y = (X[:, 0] + rng.normal(scale=0.5, size=rows) > 0) * (n_classes - 1)
+    elif labels == "rare":  # bootstraps of this often miss a class
+        y = np.zeros(rows, dtype=int)
+        y[: n_classes - 1] = np.arange(1, n_classes)
+    else:
+        y = np.full(rows, 4)
+    P = rng.normal(size=(30, cols))
+    P[rng.random(P.shape) < 0.15] = np.nan
+    return X, np.asarray(y, dtype=int), np.vstack([P, X])
+
+
+tree_params = st.fixed_dictionaries(
+    {
+        "criterion": st.sampled_from(["gini", "entropy"]),
+        "max_features": st.sampled_from([None, "sqrt", 1, 2]),
+        "min_samples_leaf": st.integers(1, 3),
+        "max_depth": st.sampled_from([None, 1, 4]),
+        "random_state": st.integers(0, 1000),
+    }
+)
+
+
+class TestArrayNativeTreesMatchTheOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_cases(), params=tree_params)
+    def test_classifier(self, case, params):
+        X, y, P = case
+        new = DecisionTreeClassifier(**params).fit(X, y)
+        old = OracleTree(**params).fit(X, y)
+        assert new.export_text() == old.export_text()
+        for a, b in zip(_nodes(new.root_), _nodes(old.root_), strict=True):
+            assert a.threshold == b.threshold
+            assert a.impurity == _SCALAR_IMPURITY[params["criterion"]](a.class_counts)
+        assert np.array_equal(new.predict_proba(P), old.predict_proba(P))
+        assert (new.depth(), new.n_leaves()) == (old.depth(), old.n_leaves())
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=tree_cases(), params=tree_params, bootstrap=st.booleans())
+    def test_forest(self, case, params, bootstrap):
+        X, y, P = case
+        new = RandomForestClassifier(n_estimators=4, bootstrap=bootstrap, **params).fit(X, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.ml.forest.DecisionTreeClassifier", OracleTree)
+            old = RandomForestClassifier(n_estimators=4, bootstrap=bootstrap, **params).fit(X, y)
+        assert all(isinstance(tree, OracleTree) for tree in old.trees_)
+        for a, b in zip(new.trees_, old.trees_, strict=True):
+            assert a.export_text() == b.export_text()
+        assert np.array_equal(new.predict_proba(P), old.predict_proba(P))
+        positive = int(y.max())
+        assert np.array_equal(new.vote_fraction(P, positive), old.vote_fraction(P, positive))
+        assert np.array_equal(new.vote_entropy(P, positive), old.vote_entropy(P, positive))
+        assert np.array_equal(
+            new.predict_with_alpha(P, 0.6, positive), old.predict_with_alpha(P, 0.6, positive)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=tree_cases(classes=(2,)), depth=st.integers(1, 5), leaf=st.integers(1, 3))
+    def test_regressor_and_boosting(self, case, depth, leaf):
+        X, y, P = case
+        target = X[:, 0] * 2.0 + y
+        new = DecisionTreeRegressor(max_depth=depth, min_samples_leaf=leaf).fit(X, target)
+        old = OracleRegressor(max_depth=depth, min_samples_leaf=leaf).fit(X, target)
+        assert np.array_equal(new.predict(P), old.predict(P))
+        leaves = new.apply(P)
+        assert np.array_equal(leaves, old.apply(P))
+        assert leaves.dtype == np.int64 and leaves.max() < new.n_leaves_
+        # Independent of the layout: a leaf predicts the mean of its rows.
+        on_train = new.apply(X)
+        for leaf_id in np.unique(on_train):
+            rows = on_train == leaf_id
+            assert np.all(new.predict(X[rows]) == float(target[rows].mean()))
+        kwargs = dict(n_estimators=5, max_depth=depth, subsample=0.8, random_state=depth)
+        boosted = GradientBoostingClassifier(**kwargs).fit(X, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.ml.boosting.DecisionTreeRegressor", OracleRegressor)
+            reference = GradientBoostingClassifier(**kwargs).fit(X, y)
+            assert np.array_equal(boosted.predict_proba(P), reference.predict_proba(P))
+
+    def test_first_position_wins_within_1e_12(self):
+        """Two valid positions whose weighted gini differs by 5.6e-17,
+        the later one lower: the scan keeps the first (an ``argmin``
+        would take the second)."""
+        X = np.array([0, 1, 1, 1, 1, 1, 2, 2, 2], dtype=float).reshape(-1, 1)
+        y = np.array([1, 0, 1, 1, 1, 1, 0, 1, 1])
+        scores = []
+        for n_left, left in ((1, np.array([0.0, 1.0])), (6, np.array([1.0, 5.0]))):
+            right = np.array([2.0, 7.0]) - left
+            scores.append((n_left * _gini(left) + (9 - n_left) * _gini(right)) / 9)
+        assert 0 < scores[0] - scores[1] < 1e-12
+        for cls in (DecisionTreeClassifier, OracleTree):
+            assert cls(max_depth=1).fit(X, y).root_.threshold == 0.5
+
+    def test_single_leaf_and_nan_cells(self):
+        X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+        leaf = DecisionTreeClassifier().fit(X, [7, 7, 7, 7])
+        assert leaf.n_leaves() == 1
+        assert np.array_equal(leaf.predict_proba([[np.nan, np.nan]]), [[1.0]])
+        assert leaf.predict_proba(np.empty((0, 2))).shape == (0, 1)
+        stump = DecisionTreeClassifier(max_depth=1).fit(X, [0, 0, 1, 1])
+        # NaN fails ``<=`` and goes right, like a value above the threshold.
+        assert list(stump.predict([[np.nan, 0.0], [1.0, np.nan], [9.0, 0.0]])) == [1, 0, 1]
 
 
 class TestLinearModels:
