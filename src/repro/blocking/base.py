@@ -104,19 +104,7 @@ class Blocker:
     ``n_jobs`` fans the scan over the left table out on a process pool;
     shards are contiguous and merged in order, so parallel output is
     byte-identical to serial.
-
-    ``commutative`` declares whether :meth:`block_candset` is a *pair-local
-    filter*: it keeps an order-preserving subset of its input decided per
-    pair, independent of which other pairs are present.  Pair-local
-    filters compose as set intersection, so a chain of them produces the
-    same candidate set in any order — the property the
-    :mod:`repro.plan` optimizer relies on to reorder blocker chains
-    most-selective-first.  Blockers whose decision depends on the whole
-    table (sorted-neighborhood windows, canopies) must override this to
-    ``False`` and are never reordered.
     """
-
-    commutative = True
 
     def block_tuples(self, l_row: Row, r_row: Row) -> bool:
         """Return ``True`` when the pair should be *dropped* (blocked)."""
@@ -167,6 +155,17 @@ class Blocker:
         Validates the candidate set's metadata first (self-containment),
         then keeps only the surviving pairs; the result is re-registered in
         the catalog against the same base tables.
+
+        For most blockers this is a *pair-local* filter: each pair is kept
+        or dropped on its own two rows, whatever other pairs are present,
+        so a chain of such filters yields the same pairs in the same order
+        however it is arranged (only the cost differs: put the cheapest
+        per pair first).  Three are *not* pair-local:
+        ``SortedNeighborhoodBlocker`` and ``CanopyBlocker`` decide over
+        whole tables (their ``block_tuples`` raises, so this method does
+        too), and ``VectorBlocker(top_k=...)`` ranks each left record's
+        surviving partners against each other, so its position in a chain
+        changes the result.
         """
         cat = catalog if catalog is not None else get_catalog()
         meta = validate_candset(candset, cat)
@@ -192,35 +191,3 @@ class Blocker:
             result, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
         )
         return result
-
-    def as_filter_operator(
-        self,
-        name: str | None = None,
-        deps: tuple[str, ...] = (),
-        slot: str = "candset",
-        n_jobs: int = 1,
-        description: str = "",
-    ):
-        """Compile this blocker into a runtime candidate-set-filter operator.
-
-        The operator reads the candidate set from ``store[slot]``, applies
-        :meth:`block_candset`, and writes the filtered set back to the
-        same slot.  When the blocker declares itself :attr:`commutative`,
-        the operator carries the ``candset-filter:<slot>`` commutativity
-        group, which lets the :mod:`repro.plan` optimizer reorder a chain
-        of such filters most-selective-first; non-commutative blockers
-        compile to plain (never reordered) operators.
-        """
-        from repro.runtime.graph import Operator
-
-        def apply_filter(store) -> None:
-            store[slot] = self.block_candset(store[slot], n_jobs=n_jobs)
-
-        return Operator(
-            name=name or f"filter_{type(self).__name__}",
-            fn=apply_filter,
-            deps=tuple(deps),
-            outputs=(slot,),
-            description=description or f"filter {slot!r} with {type(self).__name__}",
-            commutes=f"candset-filter:{slot}" if self.commutative else "",
-        )

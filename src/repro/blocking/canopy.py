@@ -44,10 +44,6 @@ class CanopyBlocker(Blocker):
     tables; per-pair ``block_tuples`` raises.
     """
 
-    # Canopy membership depends on every record present, not on the pair
-    # alone — never reorder this blocker in a filter chain.
-    commutative = False
-
     def __init__(
         self,
         attrs: Sequence[str] | None = None,

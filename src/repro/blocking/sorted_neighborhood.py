@@ -34,10 +34,6 @@ class SortedNeighborhoodBlocker(Blocker):
     per-pair ``block_tuples`` is undefined and raises.
     """
 
-    # Whether a pair survives depends on the whole sorted order, not on
-    # the pair alone — never reorder this blocker in a filter chain.
-    commutative = False
-
     def __init__(
         self,
         l_block_attr: str,

@@ -67,13 +67,12 @@ class VectorBlocker(Blocker):
         bands of ``band_bits`` sign bits.  More bands -> higher recall
         and larger candidate sets; more bits -> sharper bands.
 
-    Commutativity: with ``top_k=None`` the pair decision (cosine in the
+    Filter chains: with ``top_k=None`` the pair decision (cosine in the
     joint space of the two *base tables* >= threshold) is independent of
-    which other pairs are present, so chained filters commute and
-    :mod:`repro.plan` may reorder them.  A ``top_k`` budget ranks each
-    left record's surviving partners against each other, which is not
-    pair-local — those instances declare ``commutative = False`` and are
-    never reordered.
+    which other pairs are present, so :meth:`block_candset` gives the
+    same result at any position in a chain of filters.  A ``top_k``
+    budget ranks each left record's surviving partners against each
+    other, which is not pair-local — there its position matters.
 
     Note: per-pair :meth:`block_tuples` embeds the pair in isolation and
     therefore cannot apply corpus-level IDF weights; it raises under
@@ -115,10 +114,6 @@ class VectorBlocker(Blocker):
         self.n_bands = n_bands
         self.band_bits = band_bits
         self.seed = seed
-        # A top-k budget ranks a record's partners against each other:
-        # not a pair-local decision, so the plan optimizer must not
-        # reorder it (see Blocker.commutative).
-        self.commutative = top_k is None
         # One vectorizer per blocker (its tokenize memo is the hot-path
         # cache); never constructed per row or per call.
         self._vectorizer = HashedNgramVectorizer(q=q, dim=dim, lowercase=True)

@@ -29,15 +29,6 @@ Subcommands
     Resident match server: load the corpus index once, then answer
     point queries from stdin (or ``--queries FILE``) as JSON lines,
     with a qps/p50/p99 summary on exit.
-``repro plan explain A.csv B.csv --key id [--execute]``
-    Show the cost-based plan for the multi-blocker pipeline over the two
-    tables: node order (with any most-selective-first reorders), each
-    node's estimated cost and observed selectivity from the stats store,
-    and the chosen execution mode.  ``--execute`` runs the plan, prints
-    estimated vs. actual seconds, and records fresh statistics.
-``repro plan clear``
-    Drop the persisted planner statistics (after data or code changes
-    that make the recorded costs stale).
 
 The workflow subcommands take ``--index-cache DIR``: the process-default
 :class:`repro.index.IndexStore` then persists every index artifact it
@@ -430,88 +421,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _resolve_stats_path(args):
-    from repro.plan import default_stats_path
-
-    if getattr(args, "stats", None):
-        from pathlib import Path
-
-        return Path(args.stats)
-    return default_stats_path()
-
-
-def cmd_plan_explain(args) -> int:
-    """Plan (and optionally run) the multi-blocker pipeline over two tables."""
-    from repro.blocking import AttrEquivalenceBlocker
-    from repro.plan import StatsStore, execute_plan, multi_blocker_graph, plan_graph
-
-    ltable = read_csv(args.ltable)
-    rtable = read_csv(args.rtable)
-    block_on = args.block_on or _first_string_column(ltable, args.key)
-    shared = set(ltable.columns) & set(rtable.columns)
-    filter_columns = [
-        c for c in _string_columns(ltable, args.key) if c != block_on and c in shared
-    ]
-    filters = [
-        (f"filter_eq_{column}", AttrEquivalenceBlocker(column))
-        for column in filter_columns
-    ]
-    graph = multi_blocker_graph(
-        "plan_cli",
-        ltable,
-        rtable,
-        OverlapBlocker(block_on, overlap_size=args.overlap),
-        filters,
-        l_key=args.key,
-        r_key=args.key,
-        key_salt=f"{args.ltable}|{args.rtable}|{block_on}|{args.overlap}",
-    )
-    stats_path = _resolve_stats_path(args)
-    stats = StatsStore(path=stats_path)
-    if stats_path is None:
-        print(
-            "note: no stats location configured (use --stats, --index-cache, "
-            "or REPRO_PLAN_STATS); planning from this process's runs only"
-        )
-    plan = plan_graph(graph, stats=stats)
-    print(plan.explain())
-    if not args.execute:
-        if not plan.optimized:
-            print("run with --execute to record statistics for future plans")
-        return 0
-    result = execute_plan(plan, stats=stats, record=True)
-    print(f"\n{'node':<28} {'est s':>9} {'actual s':>9}")
-    for name in plan.graph.topological_order():
-        decision = plan.decisions.get(name)
-        record = result.records.get(name)
-        est = (
-            f"{decision.est_seconds:.4f}"
-            if decision is not None and decision.est_seconds is not None
-            else "-"
-        )
-        actual = f"{record.seconds:.4f}" if record is not None else "-"
-        print(f"{name:<28} {est:>9} {actual:>9}")
-    candset = result.store["candset"]
-    print(f"\nsurviving candidate pairs: {candset.num_rows}")
-    print(f"total wall seconds: {result.total_seconds():.4f}")
-    if stats_path is not None:
-        print(f"statistics recorded in {stats_path}")
-    return 0
-
-
-def cmd_plan_clear(args) -> int:
-    """Delete the persisted planner statistics."""
-    from repro.plan import StatsStore
-
-    stats_path = _resolve_stats_path(args)
-    if stats_path is None or not stats_path.exists():
-        print("no persisted planner statistics found")
-        return 1
-    StatsStore(path=stats_path).clear(disk=True)
-    print(f"cleared planner statistics at {stats_path}")
-    return 0
-
-
 def cmd_schema_match(args) -> int:
     """Propose attribute correspondences between two CSV tables."""
     from repro.schema_matching import match_schemas
@@ -647,44 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist/reuse index artifacts under DIR across runs",
     )
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("plan", help="explain or reset the cost-based plan optimizer")
-    plan_sub = p.add_subparsers(dest="plan_command", required=True)
-    p = plan_sub.add_parser(
-        "explain", help="show (and optionally run) the optimized blocking plan"
-    )
-    p.add_argument("ltable")
-    p.add_argument("rtable")
-    p.add_argument("--key", default="id", help="key column in both tables")
-    p.add_argument("--block-on", default=None, help="base blocking attribute")
-    p.add_argument("--overlap", type=int, default=1, help="token overlap size")
-    p.add_argument(
-        "--stats", default=None, metavar="PATH",
-        help="planner statistics file (default: <index cache>/plan-stats.json)",
-    )
-    p.add_argument(
-        "--execute", action="store_true",
-        help="run the plan, print est vs. actual seconds, record statistics",
-    )
-    p.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write the metrics registry here (JSONL + PATH.prom)",
-    )
-    p.add_argument(
-        "--index-cache", default=None, metavar="DIR",
-        help="persist/reuse index artifacts (and plan stats) under DIR",
-    )
-    p.set_defaults(fn=cmd_plan_explain)
-    p = plan_sub.add_parser("clear", help="drop the persisted planner statistics")
-    p.add_argument(
-        "--stats", default=None, metavar="PATH",
-        help="planner statistics file (default: <index cache>/plan-stats.json)",
-    )
-    p.add_argument(
-        "--index-cache", default=None, metavar="DIR",
-        help="cache directory whose plan stats to clear",
-    )
-    p.set_defaults(fn=cmd_plan_clear)
 
     p = sub.add_parser("schema-match", help="propose attribute correspondences")
     p.add_argument("ltable")

@@ -56,17 +56,11 @@ class ExecutionEngine:
     node of every fragment it executes is emitted there.
     """
 
-    def __init__(
-        self,
-        kind: ServiceKind,
-        events: EventStream | None = None,
-        optimize: bool = False,
-    ):
+    def __init__(self, kind: ServiceKind, events: EventStream | None = None):
         self.kind = kind
         self.busy_until = 0.0
         self.executions: list[FragmentExecution] = []
         self.events = events
-        self.optimize = optimize
 
     def execute(
         self, fragment: Fragment, context: WorkflowContext, now: float
@@ -85,25 +79,13 @@ class ExecutionEngine:
         start = max(now, self.busy_until)
         graph = fragment.to_runtime_graph(context)
         wall_start = time.perf_counter()
-        if self.optimize:
-            # Fragment costs of prior workflow runs feed the plan; a
-            # fragment the stats have never seen runs exactly as before.
-            from repro.plan import run_planned
-
-            result = run_planned(
-                graph,
-                context.artifacts,
-                events=self.events,
-                sim_at=start,
-            )
-        else:
-            result = run_graph(
-                graph,
-                context.artifacts,
-                executor=SerialExecutor(),
-                events=self.events,
-                sim_at=start,
-            )
+        result = run_graph(
+            graph,
+            context.artifacts,
+            executor=SerialExecutor(),
+            events=self.events,
+            sim_at=start,
+        )
         machine_seconds = time.perf_counter() - wall_start
         human_seconds = result.sim_seconds()
         end = start + machine_seconds + human_seconds
@@ -198,22 +180,16 @@ class MetaManager:
     events of every workflow land there in dispatch order.
     """
 
-    def __init__(
-        self,
-        interleave: bool = True,
-        events: EventStream | None = None,
-        optimize: bool = False,
-    ):
+    def __init__(self, interleave: bool = True, events: EventStream | None = None):
         self.interleave = interleave
         self.events = events if events is not None else EventStream()
-        self.optimize = optimize
         # The batch cluster and the crowd are shared infrastructure; user
         # interaction is not — each submitted task has its own owner
         # answering its questions, so every run gets a private
         # user-interaction engine.
         self.engines = {
-            ServiceKind.BATCH: ExecutionEngine(ServiceKind.BATCH, self.events, optimize),
-            ServiceKind.CROWD: ExecutionEngine(ServiceKind.CROWD, self.events, optimize),
+            ServiceKind.BATCH: ExecutionEngine(ServiceKind.BATCH, self.events),
+            ServiceKind.CROWD: ExecutionEngine(ServiceKind.CROWD, self.events),
         }
         self._user_engines: dict[int, ExecutionEngine] = {}
         self.runs: list[WorkflowRun] = []
@@ -223,9 +199,7 @@ class MetaManager:
         if kind is ServiceKind.USER_INTERACTION:
             engine = self._user_engines.get(id(run))
             if engine is None:
-                engine = self._user_engines[id(run)] = ExecutionEngine(
-                    kind, self.events, self.optimize
-                )
+                engine = self._user_engines[id(run)] = ExecutionEngine(kind, self.events)
             return engine
         return self.engines[kind]
 

@@ -377,17 +377,12 @@ def run_falcon(
     config: FalconConfig | None = None,
     catalog: Catalog | None = None,
     events: EventStream | None = None,
-    optimize: bool = False,
 ) -> FalconResult:
     """Run the end-to-end Falcon workflow on an EM dataset.
 
     The stages execute as a :class:`repro.runtime.OperatorGraph`; pass an
     ``events`` stream to observe per-stage structured events with wall
-    timings (or export them as JSONL afterwards).  ``optimize=True``
-    routes the graph through the :mod:`repro.plan` cost-based optimizer:
-    per-stage costs of prior runs (persisted alongside the index
-    artifacts) drive the schedule, and with no stats yet the plan is a
-    no-op.
+    timings (or export them as JSONL afterwards).
     """
     config = config or FalconConfig()
     cat = catalog if catalog is not None else get_catalog()
@@ -395,12 +390,7 @@ def run_falcon(
     started = time.perf_counter()
 
     graph = build_falcon_graph(dataset, session, config, cat)
-    if optimize:
-        from repro.plan import run_planned
-
-        store = run_planned(graph, events=events).store
-    else:
-        store = run_graph(graph, events=events).store
+    store = run_graph(graph, events=events).store
 
     return FalconResult(
         candset=store["candset"],

@@ -45,19 +45,11 @@ class StepRecord:
 
 @dataclass
 class WorkflowStep:
-    """One step: ``fn(artifacts)`` reads/writes the shared artifact dict.
-
-    ``commutes`` is the optional commutativity-group label forwarded to
-    the compiled :class:`repro.runtime.Operator` — adjacent steps sharing
-    a non-empty label declare themselves order-independent (the
-    candidate-set-filter contract), which lets the :mod:`repro.plan`
-    optimizer reorder them most-selective-first under ``optimize=True``.
-    """
+    """One step: ``fn(artifacts)`` reads/writes the shared artifact dict."""
 
     name: str
     fn: Callable[[dict[str, Any]], None]
     description: str = ""
-    commutes: str = ""
 
 
 def _log_sink(workflow_name: str) -> Callable[[RunEvent], None]:
@@ -95,30 +87,19 @@ class MagellanWorkflow:
         name: str,
         fn: Callable[[dict[str, Any]], None],
         description: str = "",
-        commutes: str = "",
     ) -> "MagellanWorkflow":
         """Append a step; returns self for chaining."""
         if any(step.name == name for step in self.steps):
             raise WorkflowError(f"duplicate step name {name!r}")
-        self.steps.append(WorkflowStep(name, fn, description, commutes))
+        self.steps.append(WorkflowStep(name, fn, description))
         return self
 
     def to_runtime_graph(self) -> OperatorGraph:
         """Compile the step list to a chain-shaped runtime graph."""
-        if not any(step.commutes for step in self.steps):
-            return chain_graph(self.name, [(step.name, step.fn) for step in self.steps])
-        graph = OperatorGraph(self.name)
-        previous: tuple[str, ...] = ()
-        for step in self.steps:
-            graph.add(
-                step.name,
-                step.fn,
-                deps=previous,
-                description=step.description,
-                commutes=step.commutes,
-            )
-            previous = (step.name,)
-        return graph
+        return chain_graph(
+            self.name,
+            [(step.name, step.fn, step.description) for step in self.steps],
+        )
 
     def run(
         self,
@@ -126,7 +107,6 @@ class MagellanWorkflow:
         events: EventStream | None = None,
         memo: NodeMemo | None = None,
         checkpoint: GraphCheckpoint | None = None,
-        optimize: bool = False,
     ) -> dict[str, Any]:
         """Execute all steps in order; returns the artifact store.
 
@@ -141,37 +121,19 @@ class MagellanWorkflow:
         step (steps must declare no out-of-store effects for that to be
         sound), or an :class:`repro.runtime.EventStream` to share one
         stream across many workflow runs.
-
-        ``optimize=True`` runs the compiled graph through the
-        :mod:`repro.plan` cost-based optimizer: statistics of prior runs
-        are recorded into the process stats store and used to reorder
-        commuting steps and pick per-step execution; with no stats yet
-        the plan is a no-op and behaviour is unchanged.
         """
         self.events = events if events is not None else EventStream()
         sink = self.events.subscribe(_log_sink(self.name))
         self.records = []
         try:
-            if optimize:
-                from repro.plan import run_planned
-
-                result = run_planned(
-                    self.to_runtime_graph(),
-                    self.artifacts,
-                    events=self.events,
-                    memo=memo,
-                    checkpoint=checkpoint,
-                    on_error="halt" if stop_on_error else "continue",
-                )
-            else:
-                result = run_graph(
-                    self.to_runtime_graph(),
-                    self.artifacts,
-                    events=self.events,
-                    memo=memo,
-                    checkpoint=checkpoint,
-                    on_error="halt" if stop_on_error else "continue",
-                )
+            result = run_graph(
+                self.to_runtime_graph(),
+                self.artifacts,
+                events=self.events,
+                memo=memo,
+                checkpoint=checkpoint,
+                on_error="halt" if stop_on_error else "continue",
+            )
         finally:
             self.events.unsubscribe(sink)
         self.records = [

@@ -76,10 +76,6 @@ class NodeMemo:
     def put(self, fp: str, outputs: dict[str, Any]) -> None:
         self._entries[fp] = dict(outputs)
 
-    def __contains__(self, fp: str) -> bool:
-        """Peek without touching the hit/miss counters (planner probes)."""
-        return fp in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 

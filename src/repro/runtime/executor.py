@@ -267,9 +267,8 @@ class _RunState:
     def _slot_rows(self, slots: tuple[str, ...]) -> int:
         """Total sized rows across store slots (0 for unsized artifacts).
 
-        Row counts feed the :mod:`repro.plan` selectivity estimates, so
-        they are measured on whatever the operators actually exchange:
-        tables by ``num_rows``, sized containers by ``len``, scalars as 0.
+        Measured on whatever the operators actually exchange: tables by
+        ``num_rows``, sized containers by ``len``, scalars as 0.
         """
         return sum(count_rows(self.store.get(slot)) for slot in slots)
 
@@ -341,23 +340,15 @@ class ParallelExecutor:
             raise ConfigurationError("n_jobs must be a non-zero int (got 0)")
         self.n_jobs = n_jobs
 
-    def should_fork(self, state: "_RunState", name: str) -> bool:
-        """Per-node executor selection: fork this node, or run in-parent?
-
-        The base policy forks everything fork-safe.  The cost-based
-        :class:`repro.plan.PlanExecutor` overrides this to keep
-        measured-cheap nodes in-parent, where the fork round-trip would
-        cost more than the node itself.
-        """
-        operator = state.graph.nodes[name]
-        return operator.isolated and bool(operator.outputs)
-
     def drive(self, state: _RunState) -> None:
         while state.pending and not state.halted:
             wave = [n for n in state.ready_nodes() if not state.try_cache(n)]
             if not wave:
                 continue  # the whole wave was cache hits
-            forked = [n for n in wave if self.should_fork(state, n)]
+            forked = [
+                n for n in wave
+                if state.graph.nodes[n].isolated and state.graph.nodes[n].outputs
+            ]
             for name in wave:
                 if name not in forked:
                     state.execute_in_parent(name)

@@ -44,15 +44,6 @@ class Operator:
     checkpointable (``checkpoint=True`` and non-empty ``outputs``) or
     fork-safe (``isolated=True`` and non-empty ``outputs``) only when its
     effects are fully captured by those slots.
-
-    ``commutes`` is a commutativity-group label: a *linear chain* of
-    operators that all carry the same non-empty label declares that any
-    ordering of the chain produces byte-identical final artifacts (the
-    candidate-set-filter contract — each node keeps an order-preserving
-    subset of the same slot, so composition is intersection and
-    intersections commute).  The :mod:`repro.plan` optimizer may reorder
-    such chains most-selective-first; an empty label (the default) opts
-    out and is never reordered.
     """
 
     name: str
@@ -64,7 +55,6 @@ class Operator:
     checkpoint: bool = True
     isolated: bool = False  # safe to execute in a forked worker process
     key: str = ""  # extra salt for the node fingerprint (versioning)
-    commutes: str = ""  # commutativity group (see class docstring)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -93,7 +83,6 @@ class OperatorGraph:
         checkpoint: bool = True,
         isolated: bool = False,
         key: str = "",
-        commutes: str = "",
     ) -> Operator:
         """Add an operator; ``deps`` must name already-added operators.
 
@@ -117,7 +106,6 @@ class OperatorGraph:
             checkpoint=checkpoint,
             isolated=isolated,
             key=key,
-            commutes=commutes,
         )
         self.nodes[name] = operator
         self._successors[name] = []
@@ -137,7 +125,6 @@ class OperatorGraph:
             checkpoint=operator.checkpoint,
             isolated=operator.isolated,
             key=operator.key,
-            commutes=operator.commutes,
         )
 
     # ------------------------------------------------------------------
@@ -202,8 +189,7 @@ class OperatorGraph:
                 checkpoint=operator.checkpoint,
                 isolated=operator.isolated,
                 key=operator.key,
-                commutes=operator.commutes,
-            )
+                )
         return sub
 
     # ------------------------------------------------------------------
@@ -219,17 +205,24 @@ class OperatorGraph:
 
 def chain_graph(
     name: str,
-    steps: list[tuple[str, Callable[[ArtifactStore], Any]]],
+    steps: list[
+        tuple[str, Callable[[ArtifactStore], Any]]
+        | tuple[str, Callable[[ArtifactStore], Any], str]
+    ],
     checkpoint: bool = True,
 ) -> OperatorGraph:
     """A linear graph: each step depends on the previous one.
 
-    The compilation target of :class:`repro.pipeline.MagellanWorkflow`.
+    A step is ``(name, fn)`` or ``(name, fn, description)``.  The
+    compilation target of :class:`repro.pipeline.MagellanWorkflow`.
     """
     graph = OperatorGraph(name)
     previous: tuple[str, ...] = ()
-    for step_name, fn in steps:
-        graph.add(step_name, fn, deps=previous, checkpoint=checkpoint)
+    for step_name, fn, *rest in steps:
+        graph.add(
+            step_name, fn, deps=previous,
+            description=rest[0] if rest else "", checkpoint=checkpoint,
+        )
         previous = (step_name,)
     return graph
 

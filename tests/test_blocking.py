@@ -1,13 +1,18 @@
 """Tests for blockers, candidate sets, set operations, and the debugger."""
 
+import itertools
+
 import pytest
 
 from repro.blocking import (
     AttrEquivalenceBlocker,
     BlackBoxBlocker,
+    CanopyBlocker,
     HashBlocker,
     OverlapBlocker,
+    RuleBasedBlocker,
     SortedNeighborhoodBlocker,
+    VectorBlocker,
     blocking_recall,
     candset_difference,
     candset_intersection,
@@ -18,6 +23,8 @@ from repro.blocking import (
 )
 from repro.catalog import get_catalog
 from repro.exceptions import SchemaError
+from repro.features import get_features_for_blocking
+from repro.index import use_index_store
 from repro.table import Table
 
 
@@ -185,6 +192,83 @@ class TestBlackBox:
         blocker = BlackBoxBlocker(lambda l, r: l["city"] != r["city"])
         result = pairs_of(blocker.block_tables(table_a, table_b, "id", "id"))
         assert result == {("a1", "b1"), ("a3", "b2")}
+
+
+class TestCandsetFilterChains:
+    """``block_candset`` of a pair-local blocker decides each pair on its
+    own two rows, so a chain of them is an intersection: any order gives
+    the same pairs in the same order.  (What order changes is the cost.)"""
+
+    @pytest.fixture
+    def chain_tables(self):
+        names = ["red widget", "blue widget", "green gadget", "red gadget",
+                 "blue gizmo deluxe", "red widget deluxe"]
+        ltable = Table({
+            "id": [f"a{i}" for i in range(6)],
+            "name": names,
+            "cat": ["x", "y", "x", "y", "x", "y"],
+            "price": [10, 20, 30, 40, 50, 60],
+        })
+        rtable = Table({
+            "id": [f"b{i}" for i in range(6)],
+            "name": names[::-1],
+            "cat": ["x", "y", "x", "x", "y", "y"],
+            "price": [15, 25, 35, 45, 55, 65],
+        })
+        every_pair = BlackBoxBlocker(lambda l, r: False).block_tables(ltable, rtable, "id", "id")
+        assert every_pair.num_rows == 36
+        return ltable, rtable, every_pair
+
+    @staticmethod
+    def _run_chain(base, chain):
+        candset = base
+        for blocker in chain:
+            candset = blocker.block_candset(candset)
+        return candset
+
+    def test_every_order_of_pair_local_filters_gives_the_same_candset(self, chain_tables):
+        ltable, rtable, base = chain_tables
+        rules = RuleBasedBlocker()
+        rules.add_rule("name_jaccard_ws <= 0.2", get_features_for_blocking(ltable, rtable))
+        filters = [
+            OverlapBlocker("name", overlap_size=1),
+            AttrEquivalenceBlocker("cat"),
+            rules,
+            BlackBoxBlocker(lambda l, r: abs(l["price"] - r["price"]) > 40),
+            VectorBlocker("name", threshold=0.05),
+        ]
+        with use_index_store():
+            results = [
+                self._run_chain(base, chain) for chain in itertools.permutations(filters)
+            ]
+            # Each filter drops something, so the chain is a real intersection.
+            assert all(f.block_candset(base).num_rows < base.num_rows for f in filters)
+        written = results[0]
+        assert 0 < written.num_rows < base.num_rows
+        expected = [written.column(c) for c in written.columns]
+        for result in results:
+            assert result.columns == written.columns
+            assert [result.column(c) for c in result.columns] == expected
+            meta = get_catalog().get_candset_metadata(result)
+            assert meta.is_candset()
+            assert meta.ltable is ltable and meta.rtable is rtable
+
+    def test_top_k_vector_filter_depends_on_its_position(self, chain_tables):
+        """A ``top_k`` budget ranks a left record's partners against each
+        other: filtering before it changes who is left to rank."""
+        _, _, base = chain_tables
+        top1 = VectorBlocker("name", threshold=0.05, top_k=1)
+        by_cat = AttrEquivalenceBlocker("cat")
+        with use_index_store():
+            top1_first = self._run_chain(base, [top1, by_cat])
+            top1_last = self._run_chain(base, [by_cat, top1])
+        assert pairs_of(top1_first) < pairs_of(top1_last)
+
+    def test_table_level_blockers_cannot_filter_a_candset(self, chain_tables):
+        _, _, base = chain_tables
+        for blocker in (SortedNeighborhoodBlocker("name"), CanopyBlocker(["name"])):
+            with pytest.raises(NotImplementedError):
+                blocker.block_candset(base)
 
 
 class TestCandsetOps:

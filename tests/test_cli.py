@@ -280,3 +280,48 @@ class TestIndexCli:
         matches, _ = loaded.search("dave smith")
         assert [key for key, _ in matches] == ["b1", "b2", "b4"]
         assert "b3" not in loaded
+
+
+class TestPlannerRemoved:
+    """The cost-based planner is gone: every front end runs the graph it
+    compiled through ``run_graph``, and there is nothing left to switch."""
+
+    def test_package_and_its_knobs_are_gone(self):
+        import importlib
+        import inspect
+        from dataclasses import fields
+
+        from repro.cloud.engines import ExecutionEngine, MetaManager
+        from repro.falcon import run_falcon
+        from repro.pipeline import MagellanWorkflow
+        from repro.runtime import Operator
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.plan")
+        for front_end in (MagellanWorkflow.run, run_falcon, ExecutionEngine, MetaManager):
+            assert "optimize" not in inspect.signature(front_end).parameters
+        assert "commutes" not in {f.name for f in fields(Operator)}
+        assert "commutes" not in inspect.signature(MagellanWorkflow.add_step).parameters
+
+    def test_plan_verb_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", "explain", "A.csv", "B.csv", "--key", "id"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'plan'" in capsys.readouterr().err
+
+    def test_workflow_runs_leave_no_stats_file(self, csv_pair, monkeypatch, capsys):
+        from repro.index import use_index_store
+
+        _, l_path, r_path, gold_path, tmp = csv_pair
+        env_stats = tmp / "env-plan-stats.json"
+        monkeypatch.setenv("REPRO_PLAN_STATS", str(env_stats))
+        cache = tmp / "cache"
+        with use_index_store():  # main() swaps the process store; restore it
+            for verb in ("match", "falcon"):
+                assert main([
+                    verb, l_path, r_path, "--gold", gold_path, "--budget", "300",
+                    "--output", str(tmp / f"{verb}.csv"), "--index-cache", str(cache),
+                ]) == 0
+        assert any(cache.iterdir())  # the cache was used ...
+        assert not list(cache.rglob("plan-stats.json"))  # ... but not for this
+        assert not env_stats.exists()

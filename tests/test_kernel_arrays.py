@@ -515,16 +515,13 @@ class TestBatchingRule:
 
     def test_kernel_is_nowhere_to_set(self):
         import inspect
-        from dataclasses import fields
 
         from repro.blocking import OverlapBlocker, VectorBlocker
         from repro.cli import build_parser
-        from repro.plan.optimizer import NodePlan
         from repro.serve import ServeConfig
 
         for configurable in (OverlapBlocker, VectorBlocker, LiveIndex, ServeConfig):
             assert "kernel" not in inspect.signature(configurable).parameters
-        assert "kernel" not in {f.name for f in fields(NodePlan)}
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "corpus.csv", "--kernel", "auto"])
 

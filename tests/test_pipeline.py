@@ -32,9 +32,10 @@ class TestWorkflowCapture:
     def test_runs_steps_in_order(self):
         workflow = MagellanWorkflow("w")
         workflow.add_step("one", lambda art: art.setdefault("trace", []).append(1))
-        workflow.add_step("two", lambda art: art["trace"].append(2))
+        workflow.add_step("two", lambda art: art["trace"].append(2), "append 2")
         artifacts = workflow.run()
         assert artifacts["trace"] == [1, 2]
+        assert workflow.to_runtime_graph().nodes["two"].description == "append 2"
         assert all(record.ok for record in workflow.records)
         assert workflow.total_seconds() >= 0
 

@@ -153,14 +153,6 @@ class TestVectorBlockerConfig:
         with pytest.raises(ConfigurationError):
             VectorBlocker("name", n_bands=0)
 
-    def test_commutative_iff_no_top_k(self):
-        assert VectorBlocker("name").commutative is True
-        assert VectorBlocker("name", top_k=5).commutative is False
-
-    def test_filter_operator_honours_instance_commutativity(self):
-        assert VectorBlocker("name").as_filter_operator().commutes
-        assert not VectorBlocker("name", top_k=5).as_filter_operator().commutes
-
 
 class TestVectorBlockerBlocking:
     def test_finds_typo_matches(self, dirty_tables):
