@@ -14,6 +14,7 @@ from __future__ import annotations
 from _report import format_table, report
 from conftest import once
 
+from repro.blocking import candset_pairs
 from repro.cloud import (
     DEFAULT_REGISTRY,
     CloudMatcher20,
@@ -38,9 +39,7 @@ def _context(dataset):
 
 
 def match_pairs_of(matches):
-    l_col = next(c for c in matches.columns if c.startswith("ltable_"))
-    r_col = next(c for c in matches.columns if c.startswith("rtable_"))
-    return set(zip(matches[l_col], matches[r_col]))
+    return set(candset_pairs(matches))
 
 
 def run():

@@ -6,7 +6,6 @@ from repro.cloud.cloudmatcher import (
     CloudMatcher20,
     TaskResult,
 )
-from repro.cloud.context import WorkflowContext
 from repro.cloud.cost import CostModel, TaskCostReport
 from repro.cloud.dag import (
     EMWorkflow,
@@ -23,6 +22,7 @@ from repro.cloud.services import (
     ServiceRegistry,
     build_default_registry,
 )
+from repro.falcon.falcon import WorkflowContext
 
 __all__ = [
     "CloudMatcher01",

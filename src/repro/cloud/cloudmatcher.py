@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cloud.context import WorkflowContext
 from repro.cloud.cost import CostModel, TaskCostReport
 from repro.cloud.dag import EMWorkflow, build_falcon_workflow
 from repro.cloud.engines import MetaManager
 from repro.cloud.services import DEFAULT_REGISTRY, Service, ServiceRegistry
 from repro.datasets.generator import EMDataset
 from repro.exceptions import ServiceError
-from repro.falcon.falcon import FalconConfig
+from repro.falcon.falcon import FalconConfig, WorkflowContext
 from repro.labeling.session import LabelingSession
 
 

@@ -6,22 +6,22 @@ one kind of task, e.g., interaction with the user, batch processing of
 data, crowdsourcing ... then execute each fragment on an appropriate
 execution engine".  This module builds the workflow DAG (networkx) and
 computes the same-kind fragment decomposition plus the fragment-level DAG
-that the metamanager schedules.
+that the metamanager schedules.  The stock Falcon workflow is not listed
+here: :func:`build_falcon_workflow` adds the rows of
+:func:`repro.cloud.services.falcon_calls`, which derives them from
+:data:`repro.falcon.FALCON_STAGES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
 
 import networkx as nx
 
-from repro.cloud.services import Service, ServiceKind, ServiceRegistry
+from repro.cloud.services import Service, ServiceKind, ServiceRegistry, falcon_calls
 from repro.exceptions import WorkflowError
+from repro.falcon.falcon import WorkflowContext
 from repro.runtime import OperatorGraph
-
-if TYPE_CHECKING:
-    from repro.cloud.context import WorkflowContext
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class EMWorkflow:
         """All calls in a valid execution order."""
         return [self._calls[node] for node in nx.topological_sort(self.graph)]
 
-    def to_runtime_graph(self, context: "WorkflowContext") -> OperatorGraph:
+    def to_runtime_graph(self, context: WorkflowContext) -> OperatorGraph:
         """Compile the whole workflow to a runtime operator graph.
 
         Each service call becomes one operator over the context's artifact
@@ -80,7 +80,7 @@ class EMWorkflow:
         for call in self.topological_calls():
             graph.add(
                 call.node_id,
-                _service_operator(call, context),
+                lambda _store, call=call: call.service.run(context),
                 deps=tuple(sorted(self.graph.predecessors(call.node_id))),
                 description=call.service.description,
                 checkpoint=False,  # services write undeclared context slots
@@ -89,19 +89,6 @@ class EMWorkflow:
 
     def __len__(self) -> int:
         return len(self._calls)
-
-
-def _service_operator(call: ServiceCall, context: "WorkflowContext"):
-    """Wrap a service call as a runtime operator body.
-
-    The store handed to the operator is ``context.artifacts`` itself, so
-    services keep communicating through ``ctx.put``/``ctx.get`` unchanged.
-    """
-
-    def operator(store) -> float:
-        return call.service.run(context)
-
-    return operator
 
 
 @dataclass
@@ -113,30 +100,16 @@ class Fragment:
     kind: ServiceKind
     calls: list[ServiceCall] = field(default_factory=list)
 
-    def to_runtime_graph(self, context: "WorkflowContext") -> OperatorGraph:
+    def to_runtime_graph(self, context: WorkflowContext) -> OperatorGraph:
         """This fragment as a runtime subgraph of its workflow's graph.
 
         Dependencies are restricted to intra-fragment edges — by the
         fragment contract, every external predecessor has already run
         when the metamanager dispatches the fragment.
         """
-        graph = OperatorGraph(self.workflow.name)
-        members = {call.node_id for call in self.calls}
-        for call in self.calls:  # already in workflow topological order
-            graph.add(
-                call.node_id,
-                _service_operator(call, context),
-                deps=tuple(
-                    sorted(
-                        p
-                        for p in self.workflow.graph.predecessors(call.node_id)
-                        if p in members
-                    )
-                ),
-                description=call.service.description,
-                checkpoint=False,
-            )
-        return graph
+        return self.workflow.to_runtime_graph(context).subgraph(
+            [call.node_id for call in self.calls], name=self.workflow.name
+        )
 
     def __repr__(self) -> str:
         return (
@@ -215,36 +188,9 @@ def build_falcon_workflow(
     crowd engine (labels then come from the session's CrowdLabeler).
     """
     workflow = EMWorkflow(name)
-
-    def service(service_name: str) -> Service:
-        base = registry.get(service_name)
-        if use_crowd and service_name in (
-            "active_learn_blocking",
-            "active_learn_matching",
-        ):
-            return Service(
-                base.name, ServiceKind.CROWD, base.description, base.run, base.composite
-            )
-        return base
-
-    workflow.add_call("upload", service("upload_tables"))
-    workflow.add_call("metadata", service("edit_metadata"), after=["upload"])
-    workflow.add_call("profile", service("profile_dataset"), after=["upload"])
-    workflow.add_call("sample", service("sample_pairs"), after=["profile", "metadata"])
-    workflow.add_call("blk_features", service("generate_blocking_features"), after=["profile"])
-    workflow.add_call("sample_vectors", service("extract_sample_vectors"), after=["sample", "blk_features"])
-    workflow.add_call("learn_blocking", service("active_learn_blocking"), after=["sample_vectors"])
-    workflow.add_call("extract_rules", service("extract_blocking_rules"), after=["learn_blocking"])
-    workflow.add_call("evaluate_rules", service("evaluate_blocking_rules"), after=["extract_rules"])
-    workflow.add_call("execute_rules", service("execute_blocking_rules"), after=["evaluate_rules"])
-    workflow.add_call("match_features", service("generate_matching_features"), after=["profile"])
-    workflow.add_call(
-        "candidate_vectors",
-        service("extract_candidate_vectors"),
-        after=["execute_rules", "match_features"],
-    )
-    workflow.add_call("learn_matching", service("active_learn_matching"), after=["candidate_vectors"])
-    workflow.add_call("train", service("train_classifier"), after=["learn_matching"])
-    workflow.add_call("apply", service("apply_classifier"), after=["train"])
-    workflow.add_call("export", service("export_results"), after=["apply"])
+    for node_id, service_name, after in falcon_calls():
+        service = registry.get(service_name)
+        if use_crowd and service_name in ("active_learn_blocking", "active_learn_matching"):
+            service = replace(service, kind=ServiceKind.CROWD)
+        workflow.add_call(node_id, service, after=after)
     return workflow

@@ -30,10 +30,10 @@ from pathlib import Path
 
 import networkx as nx
 
-from repro.cloud.context import WorkflowContext
 from repro.cloud.dag import EMWorkflow, Fragment, decompose_fragments
 from repro.cloud.services import ServiceKind
 from repro.exceptions import WorkflowError
+from repro.falcon.falcon import WorkflowContext
 from repro.obs import get_registry
 from repro.runtime import EventStream, SerialExecutor, run_graph
 

@@ -4,8 +4,16 @@ CloudMatcher 2.0 "extracts a set of basic services from the Falcon EM
 workflow ... then allows users to flexibly combine them"; Appendix D
 counts 18 basic services and 2 composite services.  Each service here is
 atomic, interoperable (they communicate only through the
-:class:`~repro.cloud.context.WorkflowContext`), and tagged with the
+:class:`~repro.falcon.falcon.WorkflowContext`), and tagged with the
 execution-engine kind that runs it: user interaction, crowd, or batch.
+
+The Falcon services are wrappers: their bodies are the rows of
+:data:`repro.falcon.FALCON_STAGES`, and this module only puts Table 4's
+name, kind, description and human seconds on them
+(:data:`FALCON_SERVICES`).  The stock workflow (:func:`falcon_calls`) and
+the two composites are derived from the same table.  What is written here
+is what is not Falcon: upload, profile, metadata, down-sampling, labeling,
+undo, crowd cost, report, monitor, accuracy and export.
 
 A service's ``run(ctx)`` returns the simulated human/crowd seconds it
 consumed; machine seconds are measured by the engine around the call.
@@ -17,28 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
-from repro.blocking.base import make_candset
-from repro.blocking.overlap import OverlapBlocker
-from repro.blocking.rules import execute_rules
-from repro.catalog.catalog import get_catalog
-from repro.cloud.context import WorkflowContext
+from repro.blocking.base import candset_pairs
 from repro.exceptions import ServiceError
-from repro.falcon.active import active_learn_forest
-from repro.falcon.falcon import _sample_pairs
-from repro.falcon.rules import (
-    evaluate_rules,
-    extract_rules_from_forest,
-    select_precise_rules,
-)
-from repro.features.extraction import extract_feature_vecs, feature_matrix
-from repro.features.generation import (
-    get_features_for_blocking,
-    get_features_for_matching,
-)
+from repro.falcon.falcon import FALCON_STAGES, WorkflowContext
 from repro.table.schema import infer_schema
-from repro.table.table import Table
 
 
 class ServiceKind(Enum):
@@ -106,7 +96,7 @@ class ServiceRegistry:
 # Basic service implementations
 # ----------------------------------------------------------------------
 def _svc_upload_tables(ctx: WorkflowContext) -> float:
-    ctx.dataset.register()
+    ctx.dataset.register(ctx.catalog)
     ctx.put("ltable", ctx.dataset.ltable)
     ctx.put("rtable", ctx.dataset.rtable)
     # Uploading two tables through the web UI: a fixed human cost.
@@ -125,9 +115,8 @@ def _svc_profile_dataset(ctx: WorkflowContext) -> float:
 
 
 def _svc_edit_metadata(ctx: WorkflowContext) -> float:
-    catalog = get_catalog()
-    catalog.set_key(ctx.dataset.ltable, ctx.dataset.l_key)
-    catalog.set_key(ctx.dataset.rtable, ctx.dataset.r_key)
+    ctx.catalog.set_key(ctx.dataset.ltable, ctx.dataset.l_key)
+    ctx.catalog.set_key(ctx.dataset.rtable, ctx.dataset.r_key)
     # Confirming keys in the UI.
     return 20.0
 
@@ -153,49 +142,6 @@ def _svc_down_sample(ctx: WorkflowContext) -> float:
     return 0.0
 
 
-def _svc_sample_pairs(ctx: WorkflowContext) -> float:
-    sample = _sample_pairs(
-        ctx.dataset, ctx.config.sample_size, ctx.config.random_state, get_catalog()
-    )
-    ctx.put("sample", sample)
-    return 0.0
-
-
-def _svc_generate_blocking_features(ctx: WorkflowContext) -> float:
-    ctx.put(
-        "blocking_features",
-        get_features_for_blocking(
-            ctx.dataset.ltable, ctx.dataset.rtable, ctx.dataset.l_key, ctx.dataset.r_key
-        ),
-    )
-    return 0.0
-
-
-def _svc_generate_matching_features(ctx: WorkflowContext) -> float:
-    ctx.put(
-        "matching_features",
-        get_features_for_matching(
-            ctx.dataset.ltable, ctx.dataset.rtable, ctx.dataset.l_key, ctx.dataset.r_key
-        ),
-    )
-    return 0.0
-
-
-def _svc_extract_sample_vectors(ctx: WorkflowContext) -> float:
-    features = ctx.get("blocking_features")
-    sample = ctx.get("sample")
-    fv = extract_feature_vecs(sample, features)
-    names = features.names()
-    ctx.put("sample_fv", fv)
-    ctx.put("sample_X", feature_matrix(fv, names, impute=False))
-    meta = get_catalog().get_candset_metadata(sample)
-    ctx.put(
-        "sample_pairs",
-        list(zip(sample.column(meta.fk_ltable), sample.column(meta.fk_rtable))),
-    )
-    return 0.0
-
-
 def _svc_label_pairs(ctx: WorkflowContext) -> float:
     """Label an explicit list of pairs (slot 'pairs_to_label')."""
     pairs = ctx.get("pairs_to_label")
@@ -204,140 +150,9 @@ def _svc_label_pairs(ctx: WorkflowContext) -> float:
     return ctx.session.labeler.labeling_seconds - before
 
 
-def _active_learn(ctx: WorkflowContext, stage: str) -> float:
-    config = ctx.config
-    before = ctx.session.labeler.labeling_seconds
-    if stage == "blocking":
-        pairs, X = ctx.get("sample_pairs"), ctx.get("sample_X")
-        names = ctx.get("blocking_features").names()
-        seed = config.random_state
-        budget = config.blocking_budget
-    else:
-        pairs, X = ctx.get("candidate_pairs"), ctx.get("candidate_X")
-        names = ctx.get("matching_features").names()
-        seed = config.random_state + 1
-        budget = config.matching_budget
-    result = active_learn_forest(
-        pairs,
-        X,
-        ctx.session,
-        feature_names=names,
-        n_trees=config.n_trees,
-        seed_size=config.seed_size,
-        batch_size=config.batch_size,
-        max_iterations=config.max_iterations,
-        max_questions=budget,
-        random_state=seed,
-    )
-    ctx.put(f"{stage}_stage", result)
-    return ctx.session.labeler.labeling_seconds - before
-
-
-def _svc_active_learn_blocking(ctx: WorkflowContext) -> float:
-    return _active_learn(ctx, "blocking")
-
-
-def _svc_active_learn_matching(ctx: WorkflowContext) -> float:
-    return _active_learn(ctx, "matching")
-
-
-def _svc_extract_blocking_rules(ctx: WorkflowContext) -> float:
-    stage = ctx.get("blocking_stage")
-    features = ctx.get("blocking_features")
-    ctx.put("candidate_rules", extract_rules_from_forest(stage.forest, features))
-    return 0.0
-
-
-def _svc_evaluate_blocking_rules(ctx: WorkflowContext) -> float:
-    stage = ctx.get("blocking_stage")
-    features = ctx.get("blocking_features")
-    X = ctx.get("sample_X")[stage.labeled_indices]
-    X = np.where(np.isnan(X), 0.0, X)
-    y = np.array(stage.labels)
-    evaluations = evaluate_rules(
-        ctx.get("candidate_rules"), X, y, features.names()
-    )
-    rules = select_precise_rules(
-        evaluations,
-        min_precision=ctx.config.min_rule_precision,
-        min_coverage=ctx.config.min_rule_coverage,
-        max_rules=ctx.config.max_rules,
-    )
-    ctx.put("rule_evaluations", evaluations)
-    ctx.put("rules", rules)
-    # The lay user reviews each retained rule (~15s per rule).
-    return 15.0 * len(rules)
-
-
-def _svc_execute_blocking_rules(ctx: WorkflowContext) -> float:
-    rules = ctx.get("rules")
-    dataset = ctx.dataset
-    catalog = get_catalog()
-    if rules:
-        pairs = sorted(
-            execute_rules(rules, dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key)
-        )
-        candset = make_candset(
-            pairs, dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key,
-            catalog=catalog,
-        )
-        ctx.put("used_fallback", False)
-    else:
-        attr = ctx.config.fallback_overlap_attr or next(
-            name for name in dataset.ltable.columns if name != dataset.l_key
-        )
-        candset = OverlapBlocker(attr, overlap_size=1).block_tables(
-            dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key, catalog=catalog
-        )
-        ctx.put("used_fallback", True)
-    ctx.put("candset", candset)
-    return 0.0
-
-
-def _svc_extract_candidate_vectors(ctx: WorkflowContext) -> float:
-    features = ctx.get("matching_features")
-    candset = ctx.get("candset")
-    fv = extract_feature_vecs(candset, features)
-    ctx.put("candidate_fv", fv)
-    ctx.put("candidate_X", feature_matrix(fv, features.names(), impute=False))
-    meta = get_catalog().get_candset_metadata(candset)
-    ctx.put(
-        "candidate_pairs",
-        list(zip(candset.column(meta.fk_ltable), candset.column(meta.fk_rtable))),
-    )
-    return 0.0
-
-
-def _svc_train_classifier(ctx: WorkflowContext) -> float:
-    """(Re)train the matching forest on everything labeled so far."""
-    stage = ctx.get("matching_stage")
-    ctx.put("matcher", stage.forest)
-    return 0.0
-
-
-def _svc_apply_classifier(ctx: WorkflowContext) -> float:
-    forest = ctx.get("matcher")
-    X = np.where(np.isnan(ctx.get("candidate_X")), 0.0, ctx.get("candidate_X"))
-    predictions = forest.predict_with_alpha(X, alpha=ctx.config.alpha)
-    ctx.put("predictions", [int(p) for p in predictions])
-    candset = ctx.get("candset")
-    match_rows = [i for i, p in enumerate(predictions) if p == 1]
-    matches = candset.take(match_rows)
-    catalog = get_catalog()
-    meta = catalog.get_candset_metadata(candset)
-    catalog.set_candset_metadata(
-        matches, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
-    )
-    ctx.put("matches", matches)
-    return 0.0
-
-
 def _svc_compute_accuracy(ctx: WorkflowContext) -> float:
     """Accuracy against the dataset's gold pairs (benchmark-only service)."""
-    matches: Table = ctx.get("matches")
-    l_col = next(c for c in matches.columns if c.startswith("ltable_"))
-    r_col = next(c for c in matches.columns if c.startswith("rtable_"))
-    predicted = set(zip(matches.column(l_col), matches.column(r_col)))
+    predicted = set(candset_pairs(ctx.get("matches"), ctx.catalog))
     gold = ctx.dataset.gold_pairs
     tp = len(predicted & gold)
     precision = tp / len(predicted) if predicted else 0.0
@@ -413,83 +228,133 @@ def _svc_monitor_workflow(ctx: WorkflowContext) -> float:
 
 
 # ----------------------------------------------------------------------
-# Composite services
+# Falcon as services
 # ----------------------------------------------------------------------
-def _svc_get_blocking_rules(ctx: WorkflowContext) -> float:
-    """Composite: everything up to (and including) rule selection."""
-    human = 0.0
-    for name in (
-        "upload_tables",
-        "profile_dataset",
-        "edit_metadata",
-        "sample_pairs",
-        "generate_blocking_features",
-        "extract_sample_vectors",
-        "active_learn_blocking",
-        "extract_blocking_rules",
-        "evaluate_blocking_rules",
-    ):
-        human += DEFAULT_REGISTRY.get(name).run(ctx)
-    return human
+#: Table 4's names for Falcon: stage of ``FALCON_STAGES`` -> (workflow
+#: node, service).  Rule evaluation and selection are one service, because
+#: what the user reviews is the set of retained rules.
+FALCON_SERVICES: dict[str, tuple[str, str]] = {
+    "sample": ("sample", "sample_pairs"),
+    "blocking_features": ("blk_features", "generate_blocking_features"),
+    "sample_vectors": ("sample_vectors", "extract_sample_vectors"),
+    "learn_blocking": ("learn_blocking", "active_learn_blocking"),
+    "extract_rules": ("extract_rules", "extract_blocking_rules"),
+    "evaluate_rules": ("evaluate_rules", "evaluate_blocking_rules"),
+    "select_rules": ("evaluate_rules", "evaluate_blocking_rules"),
+    "execute_blocking": ("execute_rules", "execute_blocking_rules"),
+    "matching_features": ("match_features", "generate_matching_features"),
+    "candidate_vectors": ("candidate_vectors", "extract_candidate_vectors"),
+    "learn_matching": ("learn_matching", "active_learn_matching"),
+    "predict": ("apply", "apply_classifier"),
+}
 
 
-def _svc_falcon(ctx: WorkflowContext) -> float:
-    """Composite: the full Falcon workflow, as one service."""
-    human = _svc_get_blocking_rules(ctx)
-    for name in (
-        "execute_blocking_rules",
-        "generate_matching_features",
-        "extract_candidate_vectors",
-        "active_learn_matching",
-        "train_classifier",
-        "apply_classifier",
-        "export_results",
-    ):
-        human += DEFAULT_REGISTRY.get(name).run(ctx)
-    return human
+def _falcon(service: str) -> Callable[[WorkflowContext], float]:
+    """The Falcon stage(s) served under a Table 4 name, as one ``run``."""
+    bodies = [
+        body
+        for stage, body, _deps, _description in FALCON_STAGES
+        if FALCON_SERVICES[stage][1] == service
+    ]
+    return lambda ctx: sum(body(ctx) for body in bodies)
+
+
+def _svc_evaluate_blocking_rules(ctx: WorkflowContext) -> float:
+    human = _falcon("evaluate_blocking_rules")(ctx)
+    # The lay user reviews each retained rule (~15s per rule).
+    return human + 15.0 * len(ctx.get("rules"))
+
+
+def _svc_train_classifier(ctx: WorkflowContext) -> float:
+    """Publish the forest the matching stage learned as the task's matcher."""
+    ctx.put("matcher", ctx.get("matching_stage").forest)
+    return 0.0
+
+
+def falcon_calls() -> list[tuple[str, str, list[str]]]:
+    """The stock Falcon workflow: ``(node, service, predecessors)`` in run order.
+
+    ``FALCON_STAGES`` under Table 4's names, inside what only the cloud
+    has: upload, key review and profiling in front (a candidate set needs
+    the keys, feature generation the schemas), the learned matcher
+    published before it is applied, and the export at the end.
+    """
+    calls = [
+        ("upload", "upload_tables", []),
+        ("metadata", "edit_metadata", ["upload"]),
+        ("profile", "profile_dataset", ["upload"]),
+    ]
+    node_of: dict[str, str] = {}
+    for stage, _body, deps, _description in FALCON_STAGES:
+        node_of[stage], service = FALCON_SERVICES[stage]
+        if node_of[stage] == calls[-1][0]:
+            continue  # the second stage of one service
+        after = [node_of[dep] for dep in deps] or ["profile"]
+        if stage == "sample":
+            after.append("metadata")
+        if stage == "predict":
+            calls.append(("train", "train_classifier", after))
+            after = ["train"]
+        calls.append((node_of[stage], service, after))
+    calls.append(("export", "export_results", [calls[-1][0]]))
+    return calls
+
+
+def _composite(registry: ServiceRegistry, last_node: str) -> Callable[[WorkflowContext], float]:
+    """The stock workflow's services, run in order up to ``last_node``."""
+
+    def run(ctx: WorkflowContext) -> float:
+        human = 0.0
+        for node, service, _after in falcon_calls():
+            human += registry.get(service).run(ctx)
+            if node == last_node:
+                break
+        return human
+
+    return run
 
 
 def build_default_registry() -> ServiceRegistry:
     """The stock CloudMatcher registry: 18 basic + 2 composite services."""
     registry = ServiceRegistry()
     U, C, B = ServiceKind.USER_INTERACTION, ServiceKind.CROWD, ServiceKind.BATCH
-    basic = [
+    basic = [  # ``None``: the service is the Falcon stage FALCON_SERVICES names
         ("upload_tables", U, "Upload tables A and B", _svc_upload_tables),
         ("profile_dataset", B, "Profile schemas and sizes", _svc_profile_dataset),
         ("edit_metadata", U, "Review/edit key metadata", _svc_edit_metadata),
         ("down_sample", B, "Intelligently down-sample large tables", _svc_down_sample),
-        ("sample_pairs", B, "Sample tuple pairs from A x B", _svc_sample_pairs),
-        ("generate_blocking_features", B, "Auto-generate blocking features", _svc_generate_blocking_features),
-        ("generate_matching_features", B, "Auto-generate matching features", _svc_generate_matching_features),
-        ("extract_sample_vectors", B, "Feature vectors for the sample", _svc_extract_sample_vectors),
-        ("extract_candidate_vectors", B, "Feature vectors for the candidate set", _svc_extract_candidate_vectors),
+        ("sample_pairs", B, "Sample tuple pairs from A x B", None),
+        ("generate_blocking_features", B, "Auto-generate blocking features", None),
+        ("generate_matching_features", B, "Auto-generate matching features", None),
+        ("extract_sample_vectors", B, "Feature vectors for the sample", None),
+        ("extract_candidate_vectors", B, "Feature vectors for the candidate set", None),
         ("label_pairs", U, "Label a given list of pairs", _svc_label_pairs),
         ("crowdsource_labels", C, "Route labeling to crowd workers", _svc_crowdsource_labels),
-        ("active_learn_blocking", U, "Active learning for blocking (forest F)", _svc_active_learn_blocking),
-        ("active_learn_matching", U, "Active learning for matching (forest G)", _svc_active_learn_matching),
-        ("extract_blocking_rules", B, "Extract candidate rules from forest F", _svc_extract_blocking_rules),
+        ("active_learn_blocking", U, "Active learning for blocking (forest F)", None),
+        ("active_learn_matching", U, "Active learning for matching (forest G)", None),
+        ("extract_blocking_rules", B, "Extract candidate rules from forest F", None),
         ("evaluate_blocking_rules", U, "Review/retain precise rules", _svc_evaluate_blocking_rules),
-        ("execute_blocking_rules", B, "Execute rules as similarity joins", _svc_execute_blocking_rules),
+        ("execute_blocking_rules", B, "Execute rules as similarity joins", None),
         ("train_classifier", B, "Train the matcher on labeled pairs", _svc_train_classifier),
-        ("apply_classifier", B, "Apply the matcher to the candidate set", _svc_apply_classifier),
+        ("apply_classifier", B, "Apply the matcher to the candidate set", None),
     ]
     for name, kind, description, fn in basic:
-        registry.register(Service(name, kind, description, fn))
+        registry.register(Service(name, kind, description, fn or _falcon(name)))
     registry.register(
         Service(
             "get_blocking_rules",
-            ServiceKind.USER_INTERACTION,
+            U,
             "Composite: learn + review blocking rules",
-            _svc_get_blocking_rules,
+            _composite(registry, "evaluate_rules"),
             composite=True,
         )
     )
     registry.register(
         Service(
             "falcon",
-            ServiceKind.USER_INTERACTION,
+            U,
             "Composite: the end-to-end Falcon workflow",
-            _svc_falcon,
+            _composite(registry, "export"),
             composite=True,
         )
     )

@@ -1,7 +1,13 @@
 """Falcon: self-service EM via active learning and learned blocking rules."""
 
 from repro.falcon.active import ActiveLearningResult, active_learn_forest
-from repro.falcon.falcon import FalconConfig, FalconResult, run_falcon
+from repro.falcon.falcon import (
+    FALCON_STAGES,
+    FalconConfig,
+    FalconResult,
+    WorkflowContext,
+    run_falcon,
+)
 from repro.falcon.rules import (
     RuleEvaluation,
     evaluate_rules,
@@ -13,9 +19,11 @@ from repro.falcon.rules import (
 
 __all__ = [
     "ActiveLearningResult",
+    "FALCON_STAGES",
     "FalconConfig",
     "FalconResult",
     "RuleEvaluation",
+    "WorkflowContext",
     "active_learn_forest",
     "evaluate_rules",
     "extract_rules_from_forest",

@@ -11,6 +11,14 @@ The lay user's only job is answering match/no-match questions.  Falcon:
 5. actively learns a second forest G on C, and
 6. applies G to C with the alpha-voting rule to predict matches.
 
+This module is the one place those stages are written.  Each stage is a
+function over a :class:`WorkflowContext` that returns the simulated human
+seconds it consumed, and :data:`FALCON_STAGES` is the one table of
+``(stage, body, deps)``: :func:`run_falcon` runs it as a runtime graph,
+``repro.cloud`` serves the same rows as CloudMatcher's Table 4 services
+(basic, composite and the stock workflow DAG), and Smurf calls the same
+:func:`learn_forest` / :func:`predict_matches` with its own seed and budget.
+
 Note on execution semantics: rule execution via joins drops pairs whose
 blocking attributes are missing (they cannot appear in a join output),
 whereas per-pair rule evaluation lets such pairs survive.  This mirrors
@@ -21,16 +29,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.blocking.base import make_candset
+from repro.blocking.base import candset_pairs, make_candset
 from repro.blocking.overlap import OverlapBlocker
 from repro.blocking.rules import BlockingRule, execute_rules
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.datasets.generator import EMDataset
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.falcon.active import ActiveLearningResult, active_learn_forest
 from repro.falcon.rules import (
     RuleEvaluation,
@@ -71,6 +79,42 @@ class FalconConfig:
 
 
 @dataclass
+class WorkflowContext:
+    """Mutable state of one Falcon run, on-prem or as CloudMatcher services.
+
+    It carries the dataset, the labeling session (single user or crowd),
+    the configuration, the catalog the run registers its tables in, and
+    every intermediate artifact (sample, forests, rules, candidate set,
+    predictions).  Stages read and write named slots; a stage that needs a
+    slot another has not produced yet fails with a precise error — the
+    edges of :data:`FALCON_STAGES` exist to prevent exactly that.
+    """
+
+    dataset: EMDataset
+    session: LabelingSession
+    config: FalconConfig = field(default_factory=FalconConfig)
+    task_name: str = "em-task"
+    artifacts: dict[str, Any] = field(default_factory=dict)
+    catalog: Catalog = field(default_factory=get_catalog)
+
+    def put(self, slot: str, value: Any) -> None:
+        """Store an artifact under a named slot."""
+        self.artifacts[slot] = value
+
+    def get(self, slot: str) -> Any:
+        """Fetch an artifact; raise ServiceError when absent."""
+        if slot not in self.artifacts:
+            raise ServiceError(
+                f"workflow artifact {slot!r} not available; "
+                f"have {sorted(self.artifacts)}"
+            )
+        return self.artifacts[slot]
+
+    def has(self, slot: str) -> bool:
+        return slot in self.artifacts
+
+
+@dataclass
 class FalconResult:
     """Everything Falcon produced, with the cost accounting of Table 2."""
 
@@ -85,14 +129,12 @@ class FalconResult:
     machine_seconds: float
     used_fallback_blocker: bool = False
     notes: dict[str, Any] = field(default_factory=dict)
+    catalog: Catalog = field(default_factory=get_catalog, repr=False)  # holds the tables' metadata
 
     @property
     def match_pairs(self) -> set[Pair]:
         """The predicted matching (l_id, r_id) pairs."""
-        fk_columns = [c for c in self.matches.columns if c.startswith(("ltable_", "rtable_"))]
-        l_col = next(c for c in fk_columns if c.startswith("ltable_"))
-        r_col = next(c for c in fk_columns if c.startswith("rtable_"))
-        return set(zip(self.matches.column(l_col), self.matches.column(r_col)))
+        return set(candset_pairs(self.matches, self.catalog))
 
 
 def _sample_pairs(
@@ -160,215 +202,214 @@ def _sample_pairs(
     )
 
 
-def build_falcon_graph(
-    dataset: EMDataset,
+def _tables(ctx: WorkflowContext) -> tuple[Table, Table, str, str]:
+    dataset = ctx.dataset
+    return dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
+
+
+def learn_forest(
+    pairs: list[Pair],
+    X: np.ndarray,
+    feature_names: list[str],
     session: LabelingSession,
-    config: FalconConfig,
-    cat: Catalog,
-) -> OperatorGraph:
-    """Falcon's stages as a runtime operator graph (Figure 3 as a DAG).
+    config: Any,
+    budget: int,
+    seed: int,
+) -> ActiveLearningResult:
+    """One active-learning stage under ``config``'s forest knobs — Falcon's
+    two stages and Smurf's one, each with its own budget and seed."""
+    return active_learn_forest(
+        pairs,
+        X,
+        session,
+        feature_names=feature_names,
+        n_trees=config.n_trees,
+        seed_size=config.seed_size,
+        batch_size=config.batch_size,
+        max_iterations=config.max_iterations,
+        max_questions=budget,
+        random_state=seed,
+    )
 
-    Every node reads and writes the shared artifact store; branches that
-    are independent in the figure (sampling vs. feature generation) are
-    independent in the graph.  Nodes are not ``isolated`` — the labeling
-    session and catalog mutate in-process state that must stay in the
-    parent.
-    """
-    graph = OperatorGraph(f"falcon/{dataset.name}")
 
-    # The fallback blocker is constructed once per run, outside the
-    # node bodies: its (attr, overlap) configuration is fixed by the
-    # config/dataset, and its underlying tokenization + prefix index are
-    # IndexStore artifacts, so re-running the blocking stage (retries,
-    # checkpoint resumes, repeated Falcon runs over the same tables)
-    # reuses the same index instead of rebuilding it each round.
-    fallback_attr = config.fallback_overlap_attr
-    if fallback_attr is None:
-        fallback_attr = next(
-            name for name in dataset.ltable.columns if name != dataset.l_key
-        )
-    fallback_blocker = OverlapBlocker(fallback_attr, overlap_size=1)
+def predict_matches(
+    forest: Any, X: np.ndarray, candset: Table, alpha: float, catalog: Catalog
+) -> tuple[list[int], Table]:
+    """Alpha-vote ``forest`` over the candidate set: the per-row 0/1
+    predictions and the matching rows as a catalog-registered candset."""
+    votes = forest.predict_with_alpha(np.where(np.isnan(X), 0.0, X), alpha=alpha)
+    predictions = [int(vote) for vote in votes]
+    matches = candset.take([i for i, vote in enumerate(predictions) if vote == 1])
+    catalog.copy_metadata(candset, matches)
+    return predictions, matches
 
-    def observe_stage(stage: str, result: ActiveLearningResult) -> None:
-        registry = get_registry()
-        registry.counter("falcon_iterations_total", stage=stage).inc(result.iterations)
-        registry.counter("falcon_questions_total", stage=stage).inc(result.questions)
-        registry.counter("falcon_labels_total", stage=stage).inc(len(result.labels))
 
-    def sample(store) -> None:
-        store["sample"] = _sample_pairs(
-            dataset, config.sample_size, config.random_state, cat
-        )
+# -- the stages: slots in, slots out, simulated human seconds returned ----
+def _sample(ctx: WorkflowContext) -> float:
+    size, seed = ctx.config.sample_size, ctx.config.random_state
+    ctx.put("sample", _sample_pairs(ctx.dataset, size, seed, ctx.catalog))
+    return 0.0
 
-    def blocking_features(store) -> None:
-        store["blocking_features"] = get_features_for_blocking(
-            dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
-        )
 
-    def sample_vectors(store) -> None:
-        features = store["blocking_features"]
-        sample_fv = extract_feature_vecs(store["sample"], features, cat)
-        store["feature_names"] = features.names()
-        store["X_sample"] = feature_matrix(
-            sample_fv, store["feature_names"], impute=False
-        )
-        meta = cat.get_candset_metadata(store["sample"])
-        store["sample_pairs"] = list(
-            zip(
-                store["sample"].column(meta.fk_ltable),
-                store["sample"].column(meta.fk_rtable),
-            )
-        )
+def _blocking_features(ctx: WorkflowContext) -> float:
+    ctx.put("blocking_features", get_features_for_blocking(*_tables(ctx)))
+    return 0.0
 
-    def learn_blocking(store) -> None:
-        store["blocking_stage"] = active_learn_forest(
-            store["sample_pairs"],
-            store["X_sample"],
-            session,
-            feature_names=store["feature_names"],
-            n_trees=config.n_trees,
-            seed_size=config.seed_size,
-            batch_size=config.batch_size,
-            max_iterations=config.max_iterations,
-            max_questions=config.blocking_budget,
-            random_state=config.random_state,
-        )
-        observe_stage("blocking", store["blocking_stage"])
 
-    def extract_rules(store) -> None:
-        store["rule_candidates"] = extract_rules_from_forest(
-            store["blocking_stage"].forest, store["blocking_features"]
-        )
+def _matching_features(ctx: WorkflowContext) -> float:
+    ctx.put("matching_features", get_features_for_matching(*_tables(ctx)))
+    return 0.0
 
-    def evaluate(store) -> None:
-        stage = store["blocking_stage"]
-        X_labeled = np.where(
-            np.isnan(store["X_sample"][stage.labeled_indices]),
-            0.0,
-            store["X_sample"][stage.labeled_indices],
-        )
-        store["rule_evaluations"] = evaluate_rules(
-            store["rule_candidates"],
-            X_labeled,
+
+def _vectorize(ctx: WorkflowContext, candset_slot: str, features_slot: str, pool: str) -> float:
+    candset, features = ctx.get(candset_slot), ctx.get(features_slot)
+    vectors = extract_feature_vecs(candset, features, ctx.catalog)
+    ctx.put(f"{pool}_X", feature_matrix(vectors, features.names(), impute=False))
+    ctx.put(f"{pool}_pairs", candset_pairs(candset, ctx.catalog))
+    return 0.0
+
+
+def _sample_vectors(ctx: WorkflowContext) -> float:
+    return _vectorize(ctx, "sample", "blocking_features", "sample")
+
+
+def _candidate_vectors(ctx: WorkflowContext) -> float:
+    if not ctx.get("candset").num_rows:
+        raise ConfigurationError("blocking produced an empty candidate set")
+    return _vectorize(ctx, "candset", "matching_features", "candidate")
+
+
+def _learn(
+    ctx: WorkflowContext, stage: str, pool: str, budget: int, seed: int
+) -> float:
+    labeler = ctx.session.labeler
+    before = labeler.labeling_seconds
+    result = learn_forest(
+        ctx.get(f"{pool}_pairs"),
+        ctx.get(f"{pool}_X"),
+        ctx.get(f"{stage}_features").names(),
+        ctx.session,
+        ctx.config,
+        budget,
+        seed,
+    )
+    ctx.put(f"{stage}_stage", result)
+    registry = get_registry()
+    registry.counter("falcon_iterations_total", stage=stage).inc(result.iterations)
+    registry.counter("falcon_questions_total", stage=stage).inc(result.questions)
+    registry.counter("falcon_labels_total", stage=stage).inc(len(result.labels))
+    return labeler.labeling_seconds - before
+
+
+def _learn_blocking(ctx: WorkflowContext) -> float:
+    config = ctx.config
+    return _learn(ctx, "blocking", "sample", config.blocking_budget, config.random_state)
+
+
+def _learn_matching(ctx: WorkflowContext) -> float:
+    config = ctx.config
+    return _learn(
+        ctx, "matching", "candidate", config.matching_budget, config.random_state + 1
+    )
+
+
+def _extract_rules(ctx: WorkflowContext) -> float:
+    ctx.put(
+        "candidate_rules",
+        extract_rules_from_forest(
+            ctx.get("blocking_stage").forest, ctx.get("blocking_features")
+        ),
+    )
+    return 0.0
+
+
+def _evaluate_rules(ctx: WorkflowContext) -> float:
+    stage = ctx.get("blocking_stage")
+    X_labeled = ctx.get("sample_X")[stage.labeled_indices]
+    ctx.put(
+        "rule_evaluations",
+        evaluate_rules(
+            ctx.get("candidate_rules"),
+            np.where(np.isnan(X_labeled), 0.0, X_labeled),
             np.array(stage.labels),
-            store["feature_names"],
-        )
+            ctx.get("blocking_features").names(),
+        ),
+    )
+    return 0.0
 
-    def select(store) -> None:
-        store["rules"] = select_precise_rules(
-            store["rule_evaluations"],
-            min_precision=config.min_rule_precision,
-            min_coverage=config.min_rule_coverage,
-            max_rules=config.max_rules,
-        )
-        get_registry().gauge("falcon_rules_retained").set(len(store["rules"]))
 
-    def execute_blocking(store) -> None:
-        rules = store["rules"]
-        if rules:
-            survivor_pairs = execute_rules(
-                rules, dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
-            )
-            store["candset"] = make_candset(
-                sorted(survivor_pairs),
-                dataset.ltable,
-                dataset.rtable,
-                dataset.l_key,
-                dataset.r_key,
-                catalog=cat,
-            )
-            store["used_fallback"] = False
-        else:
-            # No precise executable rule: fall back to the conservative
-            # overlap blocker on the designated (or first string)
-            # attribute, constructed once at graph build time.
-            store["candset"] = fallback_blocker.block_tables(
-                dataset.ltable,
-                dataset.rtable,
-                dataset.l_key,
-                dataset.r_key,
-                catalog=cat,
-            )
-            store["used_fallback"] = True
-        registry = get_registry()
-        registry.counter("falcon_candidates_total").inc(store["candset"].num_rows)
-        if store["used_fallback"]:
-            registry.counter("falcon_fallback_total").inc()
+def _select_rules(ctx: WorkflowContext) -> float:
+    config = ctx.config
+    rules = select_precise_rules(
+        ctx.get("rule_evaluations"),
+        min_precision=config.min_rule_precision,
+        min_coverage=config.min_rule_coverage,
+        max_rules=config.max_rules,
+    )
+    ctx.put("rules", rules)
+    get_registry().gauge("falcon_rules_retained").set(len(rules))
+    return 0.0
 
-    def matching_features(store) -> None:
-        store["matching_features"] = get_features_for_matching(
-            dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
-        )
 
-    def candidate_vectors(store) -> None:
-        candset = store["candset"]
-        features = store["matching_features"]
-        candset_fv = extract_feature_vecs(candset, features, cat)
-        store["match_feature_names"] = features.names()
-        store["X_cand"] = feature_matrix(
-            candset_fv, store["match_feature_names"], impute=False
+def _execute_blocking(ctx: WorkflowContext) -> float:
+    rules, tables = ctx.get("rules"), _tables(ctx)
+    if rules:
+        candset = make_candset(
+            sorted(execute_rules(rules, *tables)), *tables, catalog=ctx.catalog
         )
-        cand_meta = cat.get_candset_metadata(candset)
-        store["cand_pairs"] = list(
-            zip(candset.column(cand_meta.fk_ltable), candset.column(cand_meta.fk_rtable))
+    else:
+        # No precise executable rule: fall back to the conservative overlap
+        # blocker on the designated (or first non-key) attribute.  Its
+        # tokenization and prefix index are IndexStore artifacts, so a
+        # re-run over the same tables reuses them.
+        attr = ctx.config.fallback_overlap_attr or next(
+            name for name in tables[0].columns if name != tables[2]
         )
-        if not store["cand_pairs"]:
-            raise ConfigurationError("blocking produced an empty candidate set")
+        candset = OverlapBlocker(attr, overlap_size=1).block_tables(
+            *tables, catalog=ctx.catalog
+        )
+        get_registry().counter("falcon_fallback_total").inc()
+    ctx.put("candset", candset)
+    ctx.put("used_fallback", not rules)
+    get_registry().counter("falcon_candidates_total").inc(candset.num_rows)
+    return 0.0
 
-    def learn_matching(store) -> None:
-        store["matching_stage"] = active_learn_forest(
-            store["cand_pairs"],
-            store["X_cand"],
-            session,
-            feature_names=store["match_feature_names"],
-            n_trees=config.n_trees,
-            seed_size=config.seed_size,
-            batch_size=config.batch_size,
-            max_iterations=config.max_iterations,
-            max_questions=config.matching_budget,
-            random_state=config.random_state + 1,
-        )
-        observe_stage("matching", store["matching_stage"])
 
-    def predict(store) -> None:
-        candset = store["candset"]
-        predictions = store["matching_stage"].forest.predict_with_alpha(
-            np.where(np.isnan(store["X_cand"]), 0.0, store["X_cand"]),
-            alpha=config.alpha,
-        )
-        store["predictions"] = [int(p) for p in predictions]
-        match_rows = [i for i, p in enumerate(predictions) if p == 1]
-        matches = candset.take(match_rows)
-        cand_meta = cat.get_candset_metadata(candset)
-        cat.set_candset_metadata(
-            matches,
-            cand_meta.key,
-            cand_meta.fk_ltable,
-            cand_meta.fk_rtable,
-            cand_meta.ltable,
-            cand_meta.rtable,
-        )
-        store["matches"] = matches
-        get_registry().counter("falcon_matches_total").inc(len(match_rows))
+def _predict(ctx: WorkflowContext) -> float:
+    predictions, matches = predict_matches(
+        ctx.get("matching_stage").forest,
+        ctx.get("candidate_X"),
+        ctx.get("candset"),
+        ctx.config.alpha,
+        ctx.catalog,
+    )
+    ctx.put("predictions", predictions)
+    ctx.put("matches", matches)
+    get_registry().counter("falcon_matches_total").inc(matches.num_rows)
+    return 0.0
 
-    graph.add("sample", sample, description="sample pairs from A x B")
-    graph.add("blocking_features", blocking_features, description="generate blocking features")
-    graph.add("sample_vectors", sample_vectors, deps=("sample", "blocking_features"))
-    graph.add("learn_blocking", learn_blocking, deps=("sample_vectors",),
-              description="actively learn the blocking forest")
-    graph.add("extract_rules", extract_rules, deps=("learn_blocking",))
-    graph.add("evaluate_rules", evaluate, deps=("extract_rules",))
-    graph.add("select_rules", select, deps=("evaluate_rules",))
-    graph.add("execute_blocking", execute_blocking, deps=("select_rules",),
-              description="execute rules as similarity joins (or fallback blocker)")
-    graph.add("matching_features", matching_features, description="generate matching features")
-    graph.add("candidate_vectors", candidate_vectors,
-              deps=("execute_blocking", "matching_features"))
-    graph.add("learn_matching", learn_matching, deps=("candidate_vectors",),
-              description="actively learn the matching forest")
-    graph.add("predict", predict, deps=("learn_matching",),
-              description="alpha-vote the matching forest over the candset")
-    return graph
+
+#: Falcon, once: ``(stage, body, stages it needs, description)`` in run
+#: order — Figure 3 as a DAG, with sampling and the two feature generators
+#: as independent roots.
+FALCON_STAGES: tuple[tuple[str, Callable[[WorkflowContext], float], tuple[str, ...], str], ...] = (
+    ("sample", _sample, (), "sample pairs from A x B"),
+    ("blocking_features", _blocking_features, (), "generate blocking features"),
+    ("sample_vectors", _sample_vectors, ("sample", "blocking_features"), ""),
+    ("learn_blocking", _learn_blocking, ("sample_vectors",),
+     "actively learn the blocking forest"),
+    ("extract_rules", _extract_rules, ("learn_blocking",), ""),
+    ("evaluate_rules", _evaluate_rules, ("extract_rules",), ""),
+    ("select_rules", _select_rules, ("evaluate_rules",), ""),
+    ("execute_blocking", _execute_blocking, ("select_rules",),
+     "execute rules as similarity joins (or fallback blocker)"),
+    ("matching_features", _matching_features, (), "generate matching features"),
+    ("candidate_vectors", _candidate_vectors, ("execute_blocking", "matching_features"), ""),
+    ("learn_matching", _learn_matching, ("candidate_vectors",),
+     "actively learn the matching forest"),
+    ("predict", _predict, ("learn_matching",),
+     "alpha-vote the matching forest over the candset"),
+)
 
 
 def run_falcon(
@@ -382,25 +423,37 @@ def run_falcon(
 
     The stages execute as a :class:`repro.runtime.OperatorGraph`; pass an
     ``events`` stream to observe per-stage structured events with wall
-    timings (or export them as JSONL afterwards).
+    timings (or export them as JSONL afterwards).  Nodes are not
+    ``isolated`` — the labeling session and catalog mutate in-process
+    state that must stay in the parent.
     """
-    config = config or FalconConfig()
-    cat = catalog if catalog is not None else get_catalog()
-    dataset.register(cat)
+    ctx = WorkflowContext(
+        dataset,
+        session,
+        config or FalconConfig(),
+        task_name=dataset.name,
+        catalog=catalog if catalog is not None else get_catalog(),
+    )
+    dataset.register(ctx.catalog)
     started = time.perf_counter()
 
-    graph = build_falcon_graph(dataset, session, config, cat)
-    store = run_graph(graph, events=events).store
+    graph = OperatorGraph(f"falcon/{dataset.name}")
+    for stage, body, deps, description in FALCON_STAGES:
+        graph.add(
+            stage, lambda _store, body=body: body(ctx), deps=deps, description=description
+        )
+    run_graph(graph, ctx.artifacts, events=events)
 
     return FalconResult(
-        candset=store["candset"],
-        matches=store["matches"],
-        predictions=store["predictions"],
-        rules=store["rules"],
-        rule_evaluations=store["rule_evaluations"],
-        blocking_stage=store["blocking_stage"],
-        matching_stage=store["matching_stage"],
+        candset=ctx.get("candset"),
+        matches=ctx.get("matches"),
+        predictions=ctx.get("predictions"),
+        rules=ctx.get("rules"),
+        rule_evaluations=ctx.get("rule_evaluations"),
+        blocking_stage=ctx.get("blocking_stage"),
+        matching_stage=ctx.get("matching_stage"),
         questions=session.questions_asked,
         machine_seconds=time.perf_counter() - started,
-        used_fallback_blocker=store["used_fallback"],
+        used_fallback_blocker=ctx.get("used_fallback"),
+        catalog=ctx.catalog,
     )

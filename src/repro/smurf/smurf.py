@@ -4,9 +4,11 @@ Smurf matches two *sets of strings* and "removes the need to label to
 learn blocking rules": instead of Falcon's labeled blocking stage, Smurf
 generates candidates directly with an unsupervised similarity join whose
 threshold is auto-tuned, then spends labels only on actively learning the
-random-forest matcher.  The paper reports this cuts labeling effort by
-43-76% at the same accuracy; ``benchmarks/bench_smurf_reduction.py``
-measures our version of that claim against Falcon on the same tasks.
+random-forest matcher — Falcon's matching half, called as the same two
+functions (``learn_forest`` / ``predict_matches``).  The paper reports
+this cuts labeling effort by 43-76% at the same accuracy;
+``benchmarks/bench_smurf_reduction.py`` measures our version of that
+claim against Falcon on the same tasks.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from repro.blocking.base import make_candset
+from repro.blocking.base import candset_pairs, make_candset
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.datasets.generator import EMDataset
 from repro.exceptions import ConfigurationError
-from repro.falcon.active import ActiveLearningResult, active_learn_forest
+from repro.falcon.active import ActiveLearningResult
+from repro.falcon.falcon import learn_forest, predict_matches
 from repro.features.extraction import extract_feature_vecs, feature_matrix
 from repro.features.feature import FeatureTable, make_string_feature, make_token_feature
 from repro.labeling.session import LabelingSession
@@ -62,12 +63,11 @@ class SmurfResult:
     questions: int  # labels spent — all in the matching stage
     machine_seconds: float
     notes: dict[str, Any] = field(default_factory=dict)
+    catalog: Catalog = field(default_factory=get_catalog, repr=False)  # holds the tables' metadata
 
     @property
     def match_pairs(self) -> set[Pair]:
-        l_col = next(c for c in self.matches.columns if c.startswith("ltable_"))
-        r_col = next(c for c in self.matches.columns if c.startswith("rtable_"))
-        return set(zip(self.matches.column(l_col), self.matches.column(r_col)))
+        return set(candset_pairs(self.matches, self.catalog))
 
 
 def _string_feature_table(column: str) -> FeatureTable:
@@ -172,33 +172,15 @@ def build_smurf_graph(
         store["X"] = feature_matrix(fv, store["feature_names"], impute=False)
 
     def learn_matching(store) -> None:
-        store["matching_stage"] = active_learn_forest(
-            store["pairs"],
-            store["X"],
-            session,
-            feature_names=store["feature_names"],
-            n_trees=config.n_trees,
-            seed_size=config.seed_size,
-            batch_size=config.batch_size,
-            max_iterations=config.max_iterations,
-            max_questions=config.matching_budget,
-            random_state=config.random_state,
+        store["matching_stage"] = learn_forest(
+            store["pairs"], store["X"], store["feature_names"], session, config,
+            config.matching_budget, config.random_state,
         )
 
     def predict(store) -> None:
-        X = store["X"]
-        candset = store["candset"]
-        predictions = store["matching_stage"].forest.predict_with_alpha(
-            np.where(np.isnan(X), 0.0, X), alpha=config.alpha
+        store["predictions"], store["matches"] = predict_matches(
+            store["matching_stage"].forest, store["X"], store["candset"], config.alpha, cat
         )
-        store["predictions"] = [int(p) for p in predictions]
-        match_rows = [i for i, p in enumerate(predictions) if p == 1]
-        matches = candset.take(match_rows)
-        meta = cat.get_candset_metadata(candset)
-        cat.set_candset_metadata(
-            matches, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
-        )
-        store["matches"] = matches
 
     graph.add("auto_join", auto_join,
               description="auto-tune the q-gram Jaccard join threshold")
@@ -242,4 +224,5 @@ def run_smurf(
         matching_stage=store["matching_stage"],
         questions=store["matching_stage"].questions,
         machine_seconds=time.perf_counter() - started,
+        catalog=cat,
     )

@@ -268,3 +268,123 @@ class TestCloudMatcherFacade:
         assert row["Compute"] == "-"
         assert row["User/Crowd"] == "2.0h"
         assert row["Machine"] == "2m"
+
+
+class TestFalconWrittenOnce:
+    """``run_falcon``, the composite service, the stock workflow and a
+    hand-assembled one are the same stage bodies: same answer, same
+    ``falcon_*`` counters, same failure."""
+
+    CONFIG = dict(sample_size=700, random_state=0)
+
+    @staticmethod
+    def _dataset():
+        return make_em_dataset(
+            restaurant, 250, 250, match_fraction=0.5,
+            dirtiness=DirtinessConfig.light(), seed=3, name="written-once",
+        )
+
+    @staticmethod
+    def _assembled(registry):
+        """The stock Falcon DAG, wired by hand from basic services."""
+        workflow = EMWorkflow("assembled")
+        for node, service, after in [
+            ("upload", "upload_tables", []),
+            ("sample", "sample_pairs", ["upload"]),
+            ("blk", "generate_blocking_features", ["upload"]),
+            ("vec", "extract_sample_vectors", ["sample", "blk"]),
+            ("learn", "active_learn_blocking", ["vec"]),
+            ("rules", "extract_blocking_rules", ["learn"]),
+            ("review", "evaluate_blocking_rules", ["rules"]),
+            ("block", "execute_blocking_rules", ["review"]),
+            ("mat", "generate_matching_features", ["upload"]),
+            ("cand", "extract_candidate_vectors", ["block", "mat"]),
+            ("learn2", "active_learn_matching", ["cand"]),
+            ("train", "train_classifier", ["learn2"]),
+            ("apply", "apply_classifier", ["train"]),
+        ]:
+            workflow.add_call(node, registry.get(service), after=after)
+        return workflow
+
+    def _run(self, entry, **config):
+        """(candset size, questions, rules, match digest, falcon_* counters)."""
+        import hashlib
+
+        from repro.blocking import candset_pairs
+        from repro.falcon import run_falcon
+        from repro.obs import use_registry
+
+        dataset = self._dataset()
+        session = LabelingSession(OracleLabeler(dataset.gold_pairs))
+        config = FalconConfig(**{**self.CONFIG, **config})
+        with use_registry() as metrics:
+            if entry == "on_prem":
+                result = run_falcon(dataset, session, config)
+                candset, rules, matches = result.candset, result.rules, result.match_pairs
+            else:
+                if entry == "cm01":
+                    context = CloudMatcher01().match(dataset, session, config).context
+                else:
+                    matcher = CloudMatcher20()
+                    if entry == "cm10":
+                        context = matcher.submit(dataset, session, config)
+                    else:
+                        context = WorkflowContext(dataset, session, config)
+                        matcher.submit_custom(self._assembled(matcher.registry), context)
+                    matcher.run()
+                candset, rules = context.get("candset"), context.get("rules")
+                matches = set(candset_pairs(context.get("matches")))
+            counters = {
+                key: value for key, value in metrics.counters().items()
+                if key[0].startswith("falcon_")
+            }
+        digest = hashlib.sha256(repr(sorted(matches)).encode()).hexdigest()[:16]
+        return (candset.num_rows, session.questions_asked,
+                [str(rule) for rule in rules], digest, counters)
+
+    def test_four_entry_points_one_answer(self):
+        on_prem = self._run("on_prem")
+        candidates, questions, rules, digest, counters = on_prem
+        assert (candidates, questions, len(rules), digest) == (
+            579, 271, 4, "12a3ad2f1797a875"
+        )
+        names = {name for name, _labels in counters}
+        assert names >= {
+            "falcon_candidates_total", "falcon_matches_total",
+            "falcon_iterations_total", "falcon_questions_total", "falcon_labels_total",
+        }
+        assert counters[("falcon_candidates_total", ())] == candidates
+        for entry in ("cm01", "cm10", "assembled"):
+            assert self._run(entry) == on_prem, entry
+
+    def test_empty_candidate_set_fails_alike(self):
+        """No rule qualifies and the fallback attribute shares no token:
+        every entry point stops in ``candidate_vectors`` with one message."""
+        from repro.exceptions import ConfigurationError
+        from repro.falcon import run_falcon
+        from repro.runtime import NODE_FAIL, EventStream
+
+        def disjoint():
+            dataset = small_dataset(seed=11, n=80)
+            dataset.ltable.add_column("side", ["left"] * 80)
+            dataset.rtable.add_column("side", ["right"] * 80)
+            session = LabelingSession(OracleLabeler(dataset.gold_pairs))
+            config = FalconConfig(sample_size=200, min_rule_precision=2.0,
+                                  fallback_overlap_attr="side", random_state=0)
+            return dataset, session, config
+
+        message = "blocking produced an empty candidate set"
+        events = EventStream()
+        with pytest.raises(ConfigurationError, match=message):
+            run_falcon(*disjoint(), events=events)
+        assert [e.node for e in events.of(NODE_FAIL)] == ["candidate_vectors"]
+
+        with pytest.raises(ConfigurationError, match=message):
+            CloudMatcher01().match(*disjoint())
+
+        matcher = CloudMatcher10()
+        matcher.submit(*disjoint())
+        with pytest.raises(ConfigurationError, match=message):
+            matcher.run()
+        failed = matcher.metamanager.events.of(NODE_FAIL)
+        assert [e.node for e in failed] == ["candidate_vectors"]

@@ -100,6 +100,17 @@ class TestCompositeServices:
         assert context.has("export")
 
 
+    def test_services_work_in_the_context_catalog(self, context):
+        """Every service registers and reads metadata in ``ctx.catalog``,
+        the catalog ``run_falcon(catalog=...)`` carries on the same context."""
+        from repro.catalog import Catalog
+
+        context.catalog = Catalog()
+        run_service("falcon", context)
+        run_service("compute_accuracy", context)
+        assert context.get("accuracy")["precision"] > 0.8
+        assert not get_catalog().has_metadata(context.get("candset"))
+
 class TestSamplePairs:
     def test_pool_has_both_classes(self):
         dataset = make_em_dataset(

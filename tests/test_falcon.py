@@ -21,11 +21,7 @@ from repro.falcon import (
     run_falcon,
     select_precise_rules,
 )
-from repro.features import (
-    extract_feature_vecs,
-    feature_matrix,
-    get_features_for_blocking,
-)
+from repro.features import get_features_for_blocking
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 
@@ -256,6 +252,24 @@ class TestFalconEndToEnd:
             return run_falcon(ds, session, config).matches.num_rows
 
         assert falcon_with_alpha(0.9) <= falcon_with_alpha(0.3)
+
+    def test_private_catalog_result_still_answers_match_pairs(self):
+        """The FK names come from the catalog the run used, not from a
+        column-name prefix and not from the process default."""
+        from repro.catalog import Catalog, get_catalog
+
+        ds = make_em_dataset(
+            restaurant, 120, 120, dirtiness=DirtinessConfig.light(), seed=14,
+        )
+        session = LabelingSession(OracleLabeler(ds.gold_pairs), budget=300)
+        result = run_falcon(
+            ds, session, FalconConfig(sample_size=300, random_state=0), catalog=Catalog()
+        )
+        assert not get_catalog().has_metadata(result.matches)
+        assert result.match_pairs == set(
+            zip(result.matches["ltable_id"], result.matches["rtable_id"])
+        )
+        assert result.match_pairs & ds.gold_pairs
 
     def test_scenario_vehicles_worse_than_clean(self):
         """The dirty-data story: Vehicles accuracy < a comparable clean task."""

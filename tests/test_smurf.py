@@ -62,6 +62,19 @@ class TestSmurf:
             or result.join_threshold == config.thresholds[0]
         )
 
+    def test_private_catalog_result_still_answers_match_pairs(self):
+        from repro.catalog import Catalog
+
+        ds = string_dataset(seed=7, n=150)
+        session = LabelingSession(OracleLabeler(ds.gold_pairs))
+        result = run_smurf(
+            ds, session, config=SmurfConfig(random_state=0), catalog=Catalog()
+        )
+        assert result.match_pairs == set(
+            zip(result.matches["ltable_id"], result.matches["rtable_id"])
+        )
+        assert result.match_pairs & ds.gold_pairs
+
     def test_missing_column_rejected(self):
         ds = string_dataset(seed=5)
         session = LabelingSession(OracleLabeler(ds.gold_pairs))
