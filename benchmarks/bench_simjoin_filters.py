@@ -23,6 +23,7 @@ from collections import defaultdict
 from _report import format_table, report
 
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
+from repro.obs import use_registry
 from repro.perf.kernels import BOUND_EPS
 from repro.simjoin import naive_set_sim_join, set_sim_join
 from repro.simjoin.filters import (
@@ -33,7 +34,7 @@ from repro.simjoin.filters import (
     size_bounds,
 )
 from repro.table import Table
-from repro.text.tokenizers import QgramTokenizer, Tokenizer
+from repro.text.tokenizers import QgramTokenizer, Tokenizer, WhitespaceTokenizer
 
 TOKENIZER = QgramTokenizer(q=3, return_set=True)
 N_JOBS = 4
@@ -248,3 +249,52 @@ def test_simjoin_kernels_smoke():
         n_jobs=N_JOBS,
     )
     assert parallel == serial
+
+
+def make_dense_tables(n: int, seed: int = 0):
+    """Closed 40-token vocabulary, 6-10 tokens a record: nearly every
+    pair shares a prefix token, so candidates dwarf the output."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(40)]
+
+    def side(prefix: str) -> Table:
+        values = [" ".join(rng.sample(vocab, rng.randint(6, 10))) for _ in range(n)]
+        return Table({"id": [f"{prefix}{i}" for i in range(n)], "v": values})
+
+    return side("a"), side("b")
+
+
+def test_dense_positional_bound_smoke():
+    """Fast CI check: on a dense pair the join equals the brute-force one
+    while the positional bound sends only a minority of its candidates
+    to exact verification."""
+    ltable, rtable = make_dense_tables(400)
+    tokenizer = WhitespaceTokenizer(return_set=True)
+    rows = []
+    with use_registry() as registry:
+        for measure, threshold in (("jaccard", 0.6), ("cosine", 0.7), ("dice", 0.8)):
+            joined = set_sim_join(
+                ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
+            )
+            naive = naive_set_sim_join(
+                ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
+            )
+            assert joined == naive
+            labels = {"join": "set_sim", "measure": measure}
+            candidates = registry.get("simjoin_candidates_total", **labels).value
+            verified = registry.get("simjoin_verified_total", **labels).value
+            rows.append(
+                {
+                    "measure": f"{measure} {threshold}",
+                    "candidates": int(candidates),
+                    "verified": int(verified),
+                    "verified share": f"{verified / candidates:.2f}",
+                    "output pairs": joined.num_rows,
+                }
+            )
+            assert verified <= 0.5 * candidates
+        report(
+            "simjoin_positional_smoke",
+            "Dense closed-vocabulary join: candidates vs pairs verified",
+            format_table(rows),
+        )

@@ -599,7 +599,7 @@ class LiveIndex:
             encoded = [
                 (self._encode_query(ts), len(ts)) for ts in live_queries
             ]
-            base_results = probe_encoded_batch(
+            base_results, verified = probe_encoded_batch(
                 encoded,
                 base.array_index,
                 self.measure,
@@ -629,6 +629,7 @@ class LiveIndex:
             len(token_sets),
             n_candidates_total,
             time.perf_counter() - started,
+            verified=verified,
         )
         return results
 

@@ -463,9 +463,9 @@ class IndexStore:
         from repro.perf import arrays
 
         # "rows2" names the ArrayIndex layout (row-major corpus matrix +
-        # transposed prefix slice).  Change it whenever the class's
-        # fields change, so a cached pickle of another layout is never
-        # read back.
+        # transposed prefix slice).  Change it whenever what the class
+        # pickles changes, so a cached pickle of another layout is never
+        # read back; fields derived on load (sizes, prefix heads) don't.
         digest = combine(
             "arrayindex", "rows2", encoding.key, side, measure, threshold,
             use_prefix_filter,

@@ -12,11 +12,16 @@ interpreter steps:
   :class:`repro.index.IndexStore` as fingerprinted artifacts;
 * candidates for a whole probe batch are one sparse matmul
   (``probe prefixes @ corpus prefixes.T``), and overlap counts are
-  computed **only at the candidate pairs that pass the size window and
-  the tombstone mask** — a sorted-row merge of the two CSR rows per
-  pair, never a product over every pair sharing some (possibly hot)
-  token — producing **exact ints**, so the scalar score formulas
-  reproduce bit-identical floats;
+  computed **only at the candidate pairs that pass the size window, the
+  tombstone mask and the positional bound** — a sorted-row merge of the
+  two CSR rows per pair, never a product over every pair sharing some
+  (possibly hot) token — producing **exact ints**, so the scalar score
+  formulas reproduce bit-identical floats;
+* the positional bound (ppjoin's) needs both prefixes to be heads of
+  rows sorted by *one* id order, any order (a live index's appended ids
+  too): shared ids up to the smaller last prefix id are all in the
+  product value, past it the owner of that id has only its unsliced
+  tail.  Candidates are counted before it, as the scalar kernel counts;
 * size-window and prefix bounds are vectorized replicas of
   :mod:`repro.simjoin.filters` — same operations, in the same order, on
   the same values, so every bound decision matches the scalar kernel
@@ -45,9 +50,9 @@ sizes they can observe.
 Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
 ``kernel_batch_rows_total{op}``, ``kernel_batch_candidates_total{op}``,
-``kernel_batch_seconds{op}``).  Forked join shards return their stats
-to the parent, which emits — a counter bumped inside a forked worker
-would die with the fork.
+``kernel_batch_verified_total{op}``, ``kernel_batch_seconds{op}``).
+Forked join shards return their stats to the parent, which emits — a
+counter bumped inside a forked worker would die with the fork.
 """
 
 from __future__ import annotations
@@ -85,12 +90,16 @@ def batched_probe_pays(n_probe_rows: int, n_index_rows: int) -> bool:
     return n_probe_rows >= BATCH_MIN_PROBE_ROWS and n_index_rows >= BATCH_MIN_INDEX_ROWS
 
 
-def observe_kernel_batch(op: str, rows: int, candidates: int, seconds: float) -> None:
+def observe_kernel_batch(
+    op: str, rows: int, candidates: int, seconds: float, verified: int = 0
+) -> None:
     """Account one batched kernel call on the process registry."""
     registry = get_registry()
     registry.counter("kernel_batch_calls_total", op=op).inc()
     registry.counter("kernel_batch_rows_total", op=op).inc(rows)
     registry.counter("kernel_batch_candidates_total", op=op).inc(candidates)
+    if verified:
+        registry.counter("kernel_batch_verified_total", op=op).inc(verified)
     registry.histogram("kernel_batch_seconds", op=op).observe(seconds)
 
 
@@ -215,19 +224,22 @@ class ArrayIndex:
     The row-major incidence ``matrix`` (``n_rows x dim``, sorted rows:
     exact overlaps are merged out of it at candidate pairs only) and the
     pre-transposed prefix incidence ``prefix_t`` (``dim x n_rows``, so a
-    probe batch hits scipy's ``csr @ csr`` fast path), plus the
-    per-record sizes the size filter windows over — a row's nnz, so
-    derived on construction and on unpickling rather than persisted.
+    probe batch hits scipy's ``csr @ csr`` fast path), plus the sizes,
+    prefix lengths and last prefix ids the filters read — all derived on
+    construction and on unpickling rather than persisted.
     Keyed like :class:`~repro.index.store.PrefixIndex` by
     (encoding, measure, threshold, use_prefix_filter).
     """
 
-    __slots__ = ("key", "keys", "sizes", "matrix", "prefix_t", "n_rows", "dim")
+    __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "matrix", "prefix_t",
+                 "n_rows", "dim")
 
     def __init__(self, key: str, keys: list, matrix, prefix_t, dim: int):
         self.key = key
         self.keys = keys
         self.sizes = np.diff(matrix.indptr).astype(np.int64)
+        self.prefix_sizes = np.bincount(prefix_t.indices, minlength=len(keys))
+        self.prefix_last = _head_last(matrix.indptr, matrix.indices, self.prefix_sizes)
         self.matrix = matrix
         self.prefix_t = prefix_t
         self.n_rows = len(keys)
@@ -257,6 +269,13 @@ def build_array_records(
         (np.ones(total, dtype=np.int64), indices, indptr), shape=(n_rows, width)
     )
     return ArrayRecords(key, keys, sizes, matrix, width)
+
+
+def _head_last(indptr, indices, lengths):
+    """The last id of each CSR row's ``lengths``-long head (arbitrary
+    for an empty head, which no product entry ever reads)."""
+    ends = np.maximum(indptr[:-1] + lengths - 1, 0)
+    return indices[ends] if len(indices) else ends
 
 
 def csr_prefix_slice(matrix, lengths):
@@ -350,10 +369,12 @@ def batch_set_sim_probe(
     exceed row nnz when queries carry out-of-universe tokens).  ``skip``
     is an optional boolean mask over corpus positions (tombstones).
 
-    Returns ``(result_indptr, positions, scores, candidate_counts)``:
-    flat survivor arrays sorted by (probe row, corpus position), sliced
-    per probe row by ``result_indptr``, plus the per-row post-window
-    post-skip candidate counts.
+    Each product entry meets the size window, the tombstone mask, the
+    positional bound, then exact verification.  Returns ``(result_indptr,
+    positions, scores, candidate_counts, verified)``: flat survivor arrays
+    sorted by (probe row, corpus position), sliced per probe row by
+    ``result_indptr``; per-row candidate counts taken before the
+    positional bound (post-window, post-skip); the number verified.
     """
     n_probe = probe_matrix.shape[0]
     n_rows = index.n_rows
@@ -368,6 +389,9 @@ def batch_set_sim_probe(
     counts_from_candidates = (
         prefix_matrix.nnz == probe_matrix.nnz and index.prefix_t.nnz == index.matrix.nnz
     )
+    probe_prefix = np.diff(prefix_matrix.indptr)
+    probe_last = _head_last(prefix_matrix.indptr, prefix_matrix.indices, probe_prefix)
+    probe_rest = np.diff(probe_matrix.indptr) - probe_prefix
     # A probe row's product entries number at most the summed posting
     # lengths of its prefix tokens; chunks are cut on that running bound,
     # so the working set tracks candidates however hot a shared token is.
@@ -380,6 +404,7 @@ def batch_set_sim_probe(
     out_cols = [np.zeros(0, dtype=np.int64)]
     out_scores = [np.zeros(0, dtype=np.float64)]
     candidate_counts = np.zeros(n_probe, dtype=np.int64)
+    verified = 0
     cuts = [0]
     while cuts[-1] < n_probe:
         fits = np.searchsorted(bound, bound[cuts[-1]] + CHUNK_TARGET_NNZ, side="right")
@@ -394,10 +419,17 @@ def batch_set_sim_probe(
         keep = (right_sizes >= lower[rows]) & (right_sizes <= upper[rows])
         if skip is not None:
             keep &= ~skip[cols]
+        candidate_counts[start:stop] = np.bincount(rows - start, keep, stop - start)
+        if not counts_from_candidates:
+            # Positional bound: the owner of the smaller last prefix id has its tail left.
+            owner = probe_last[rows] <= index.prefix_last[cols]
+            rest = np.where(owner, probe_rest[rows], right_sizes - index.prefix_sizes[cols])
+            needed = overlap_bounds_arrays(measure, threshold, true_sizes[rows], right_sizes)
+            keep &= cand.data + rest >= needed
         rows, cols, right_sizes = rows[keep], cols[keep], right_sizes[keep]
         if len(rows) == 0:
             continue
-        candidate_counts[start:stop] = np.bincount(rows - start, minlength=stop - start)
+        verified += len(rows)
         if counts_from_candidates:
             overlap = cand.data[keep]
         else:
@@ -415,7 +447,8 @@ def batch_set_sim_probe(
     order = np.argsort(rows * n_rows + positions)
     result_indptr = np.zeros(n_probe + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_probe), out=result_indptr[1:])
-    return result_indptr, positions[order], np.concatenate(out_scores)[order], candidate_counts
+    scores = np.concatenate(out_scores)[order]
+    return result_indptr, positions[order], scores, candidate_counts, verified
 
 
 def emit_matches(

@@ -83,6 +83,7 @@ def _observe_join(
     probes: int,
     candidates: int,
     survivors: int,
+    verified: int | None = None,
 ) -> None:
     """Record one join's filter-verify funnel in the metrics registry.
 
@@ -95,6 +96,8 @@ def _observe_join(
     reg.counter("simjoin_calls_total", **labels).inc()
     reg.counter("simjoin_probes_total", **labels).inc(probes)
     reg.counter("simjoin_candidates_total", **labels).inc(candidates)
+    if verified is not None:
+        reg.counter("simjoin_verified_total", **labels).inc(verified)
     reg.counter("simjoin_survivors_total", **labels).inc(survivors)
     reg.gauge("simjoin_survival_ratio", **labels).set(
         survivors / candidates if candidates else 0.0
@@ -185,7 +188,7 @@ def probe_encoded_batch(
     threshold: float,
     use_prefix_filter: bool = True,
     skip: set[int] | None = None,
-) -> list[tuple[list[tuple], int]]:
+) -> tuple[list[tuple[list[tuple], int]], int]:
     """Filter-verify a *batch* of encoded probes with the CSR kernel.
 
     The batched twin of :func:`probe_encoded`: ``queries`` holds
@@ -195,9 +198,9 @@ def probe_encoded_batch(
     ``array_index`` is a :class:`repro.perf.arrays.ArrayIndex` over the
     corpus, and ``skip`` excludes right positions (tombstones).  Returns
     one ``(matches, n_candidates)`` pair per query, each byte-identical
-    to :func:`probe_encoded` on that query — this is the kernel
-    :class:`repro.serve.MatchServer`'s micro-batching queue and
-    :meth:`repro.index.delta.LiveIndex.search_batch` amortize their
+    to :func:`probe_encoded` on that query, and the verified-pair count:
+    the kernel :class:`repro.serve.MatchServer`'s micro-batching queue
+    and :meth:`repro.index.delta.LiveIndex.search_batch` amortize their
     batches through.
     """
     probe_matrix = arrays.build_probe_matrix(
@@ -206,7 +209,7 @@ def probe_encoded_batch(
     true_sizes = arrays.np.fromiter(
         (size for _, size in queries), dtype=arrays.np.int64, count=len(queries)
     )
-    indptr, positions, scores, counts = arrays.batch_set_sim_probe(
+    indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
         probe_matrix,
         true_sizes,
         array_index,
@@ -216,7 +219,7 @@ def probe_encoded_batch(
         arrays.skip_mask(skip, array_index.n_rows),
     )
     matches = arrays.emit_matches(indptr, positions, scores, array_index.keys)
-    return list(zip(matches, counts.tolist()))
+    return list(zip(matches, counts.tolist())), verified
 
 
 def _result_table(rows: list[tuple]) -> Table:
@@ -290,10 +293,10 @@ def set_sim_join(
     # small-work gate sees the true row count) but cheap to pickle.
     spans = [range(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
 
-    def join_shard(span: range) -> tuple[list[tuple], int, float]:
+    def join_shard(span: range) -> tuple[list[tuple], int, int, float]:
         start, stop = span.start, span.stop
         shard_started = time.perf_counter()
-        indptr, positions, scores, counts = arrays.batch_set_sim_probe(
+        indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
             left_arrays.matrix[start:stop],
             left_arrays.sizes[start:stop],
             array_index,
@@ -310,16 +313,18 @@ def set_sim_join(
             for row in range(len(boundaries) - 1)
             for i in range(boundaries[row], boundaries[row + 1])
         ]
-        return results, int(counts.sum()), seconds
+        return results, int(counts.sum()), verified, seconds
 
     shard_outputs = run_sharded(spans, join_shard, n_jobs)
-    rows = [row for results, _, _ in shard_outputs for row in results]
-    n_candidates = sum(count for _, count, _ in shard_outputs)
+    rows = [row for results, _, _, _ in shard_outputs for row in results]
+    n_candidates = sum(count for _, count, _, _ in shard_outputs)
+    n_verified = sum(verified for _, _, verified, _ in shard_outputs)
     arrays.observe_kernel_batch(
         "set_sim_join",
         n_probe,
         n_candidates,
-        sum(seconds for _, _, seconds in shard_outputs),
+        sum(seconds for _, _, _, seconds in shard_outputs),
+        verified=n_verified,
     )
     _observe_join(
         "set_sim",
@@ -328,6 +333,7 @@ def set_sim_join(
         probes=n_probe,
         candidates=n_candidates,
         survivors=len(rows),
+        verified=n_verified,
     )
     return _result_table(rows)
 

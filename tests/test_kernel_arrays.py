@@ -192,10 +192,104 @@ class TestProbeBatchEquivalence:
             )
             for ids, size in queries
         ]
-        got = probe_encoded_batch(
+        got, verified = probe_encoded_batch(
             queries, array_index, measure, threshold, skip=skip
         )
         assert got == expected
+        assert verified <= sum(count for _, count in got)
+
+
+CLOSED_VOCAB = [f"t{i}" for i in range(30)]
+closed_record = st.lists(
+    st.sampled_from(CLOSED_VOCAB), min_size=3, max_size=8, unique=True
+).map(" ".join)
+closed_side = st.lists(closed_record, min_size=1, max_size=30)
+
+# (measure, threshold, whole prefix): at the low thresholds every token of
+# a 3-8-token record is a prefix token, so nothing is sliced off either
+# side and the candidate product already holds exact overlaps.
+BOUND_CASES = [
+    ("jaccard", 0.1, True), ("jaccard", 0.5, False), ("jaccard", 0.8, False),
+    ("cosine", 0.2, True), ("cosine", 0.7, False),
+    ("dice", 0.15, True), ("dice", 0.8, False),
+    ("overlap", 1, True), ("overlap", 3, False),
+]
+
+
+def _funnel(registry, measure: str) -> tuple[int, int]:
+    """(candidates, verified) of the set-sim joins run under ``registry``."""
+    return tuple(
+        registry.get(name, join="set_sim", measure=measure).value
+        for name in ("simjoin_candidates_total", "simjoin_verified_total")
+    )
+
+
+class TestPositionalBound:
+    """The positional bound prunes before verification, never an answer.
+
+    A closed vocabulary makes most pairs share a prefix token, so the
+    bound has candidates to drop; the oracles are the brute-force join
+    and, per probe row, the scalar ``probe_encoded`` (whose candidate
+    counts the batched kernel must keep).
+    """
+
+    @given(closed_side, closed_side, st.sampled_from(BOUND_CASES))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_vocabulary_matches_oracles(self, left, right, case):
+        from repro.simjoin.filters import prefix_length
+
+        measure, threshold, whole = case
+        assert whole == all(
+            prefix_length(measure, threshold, size) == size for size in range(3, 9)
+        )
+        ltable, rtable = _table("l", left), _table("r", right)
+        with use_registry() as registry:
+            got = _join_rows(ltable, rtable, measure, threshold)
+            candidates, verified = _funnel(registry, measure)
+        assert got == _naive_rows(ltable, rtable, measure, threshold)
+        # Whole records: the product already holds exact overlaps, no bound.
+        assert (verified == candidates) if whole else (verified <= candidates)
+
+        store = get_index_store()
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        encoding = store.pair_encoding(
+            store.tokenized_column(ltable, "id", "v", tokenizer),
+            store.tokenized_column(rtable, "id", "v", tokenizer),
+        )
+        dict_index = store.prefix_index(encoding, measure, threshold).index
+        array_index = store.array_index(encoding, measure, threshold)
+        queries = [(ids, len(ids)) for _, ids in encoding.left]
+        scorer = make_scorer(measure)
+        bound = make_overlap_bound(measure, threshold)
+        batched, _ = probe_encoded_batch(queries, array_index, measure, threshold)
+        assert batched == [
+            probe_encoded(
+                ids, size, dict_index, encoding.right, None,
+                scorer, bound, measure, threshold,
+            )
+            for ids, size in queries
+        ]
+
+    def test_dense_join_verifies_a_minority_of_candidates(self):
+        # 400 x 400 records of 6-10 tokens from 40: nearly every pair
+        # shares a prefix token, few reach jaccard 0.6.
+        rng = random.Random(29)
+        vocab = [f"w{i}" for i in range(40)]
+
+        def side(prefix):
+            return _table(
+                prefix, [" ".join(rng.sample(vocab, rng.randint(6, 10))) for _ in range(400)]
+            )
+
+        ltable, rtable = side("l"), side("r")
+        with use_registry() as registry:
+            got = _join_rows(ltable, rtable, "jaccard", 0.6)
+            candidates, verified = _funnel(registry, "jaccard")
+        assert got == _naive_rows(ltable, rtable, "jaccard", 0.6)
+        # Candidates keep their meaning (post-window, post-tombstone); the
+        # bound shows only in how few of them pay for an exact overlap.
+        assert candidates == 76770
+        assert verified <= 0.35 * candidates
 
 
 class TestHotTokenRegime:
@@ -291,7 +385,7 @@ class TestHotTokenRegime:
             )
             for ids, size in queries
         ]
-        got = probe_encoded_batch(
+        got, _ = probe_encoded_batch(
             queries, array_index, measure, threshold, use_prefix_filter, skip
         )
         assert self.chunks > 1

@@ -560,6 +560,37 @@ class TestFold:
                 assert_answers_like_rebuild(live, probes)
                 assert live._base is folded and live._base.array_index is not None
 
+    def test_positional_bound_after_fold_tombstones_and_foreign_tokens(self):
+        """The batched probe's positional bound over a folded base: new
+        tokens hold ids appended after the kept order, some base rows are
+        tombstoned, and queries carry tokens outside the universe (true
+        size > probe nnz).  Every answer and candidate count equals the
+        scalar ``search``, and the bound prunes verification."""
+        rng = random.Random(11)
+        vocab = [f"w{i}" for i in range(25)]
+
+        def record() -> str:
+            return " ".join(rng.sample(vocab, rng.randint(4, 8)))
+
+        base = Table({"id": [f"b{i}" for i in range(120)], "v": [record() for _ in range(120)]})
+        with use_registry() as registry, use_index_store():
+            live = LiveIndex.from_table(base, "id", "v", threshold=0.5, name="pos")
+            dim = len(live._base.universe)
+            live.upsert_many((f"n{i}", f"{record()} fresh{i % 6}") for i in range(30))
+            live.compact()
+            assert compaction_modes(registry, "pos") == {"fold": 1, "rebuild": 0}
+            assert live._base.universe.token_id("fresh0") >= dim
+            live.delete_many(f"b{i}" for i in range(0, 120, 9))
+            queries = [f"{record()} fresh{i % 6} foreign{i}" for i in range(40)]
+            queries += [value for _, value in live.records()[::7]]
+            answers = live.search_batch(queries)
+            candidates = registry.get("kernel_batch_candidates_total", op="live_search")
+            verified = registry.get("kernel_batch_verified_total", op="live_search")
+            assert answers == [live.search(query) for query in queries]
+            assert sum(bool(matches) for matches, _ in answers) > 10
+            assert live.stats()["delta_rows"] == 0  # every candidate is a base row
+            assert 0 < verified.value < candidates.value
+
     @pytest.mark.parametrize("verification", ["mask", "merge"])
     def test_kernels_answer_alike_across_folds(self, verification, monkeypatch):
         if verification == "merge":  # what a universe past the line gets

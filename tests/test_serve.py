@@ -284,6 +284,42 @@ class TestScheduler:
             )
             assert fallbacks is not None and fallbacks.value == 1
 
+    def test_poison_request_is_isolated_inside_a_good_batch(self):
+        """One request that cannot be probed fails the batched call; the
+        fallback answers every other request as it is answered alone and
+        hands the poison request its own error."""
+
+        class Poison:
+            def __str__(self):
+                raise ValueError("unprintable query")
+
+        corpus = make_corpus(80)
+        queries = make_queries(20)
+        poison_at = 7
+        with use_registry() as registry, use_index_store():
+            config = ServeConfig(threshold=0.4, top_k=None, workers=0, max_batch=64)
+            with MatchServer(corpus, "id", "v", config=config) as server:
+                pending = [server.submit(query) for query in queries]
+                pending.insert(poison_at, server.submit(Poison()))
+                assert server.process_pending() == len(queries) + 1
+                alone = []
+                for query in queries:
+                    handle = server.submit(query)
+                    server.process_pending()
+                    alone.append(handle.result(1))
+            poisoned = pending.pop(poison_at)
+            with pytest.raises(ValueError, match="unprintable query"):
+                poisoned.result(1)
+            for handle, expected in zip(pending, alone):
+                result = handle.result(1)
+                assert result.batch_size == len(queries) + 1
+                assert (result.candidates, result.n_candidates) == (
+                    expected.candidates, expected.n_candidates,
+                )
+            fallbacks = registry.get("serve_batch_fallbacks_total", error="ValueError")
+            assert fallbacks is not None and fallbacks.value == 1
+            assert registry.counter("serve_batches_total").value == len(queries) + 1
+
 
 class TestWarmStart:
     def test_two_servers_share_store_artifacts(self):

@@ -234,6 +234,28 @@ class TestVectorBlockerBlocking:
             counts[l_id] = counts.get(l_id, 0) + 1
         assert all(count <= 1 for count in counts.values())
 
+    def test_seeded_scenario_candidates_and_recall_pinned(self):
+        """The approximate path's output, pinned on the smoke scenario of
+        ``benchmarks/bench_vector_blocking.py``: a drift in either number
+        (hashing, banding, top-k ties) fails here instead of going
+        unnoticed in an archived benchmark file."""
+        from repro.blocking import blocking_recall
+        from repro.datasets import DirtinessConfig, make_em_dataset
+        from repro.datasets.entities import restaurant
+
+        dataset = make_em_dataset(
+            restaurant, 150, 150, match_fraction=0.5,
+            dirtiness=DirtinessConfig.heavy(), seed=13, name="vector-smoke",
+        )
+        blocker = VectorBlocker("name", threshold=0.2, top_k=20, n_bands=32)
+        with use_index_store():
+            candset = blocker.block_tables(
+                dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
+            )
+        assert candset.num_rows == 2768
+        assert len(dataset.gold_pairs) == 75
+        assert blocking_recall(candset, dataset.gold_pairs) == 57 / 75
+
     def test_output_attrs_copied(self, dirty_tables):
         ltable, rtable = dirty_tables
         with use_index_store():
