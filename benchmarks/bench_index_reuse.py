@@ -11,6 +11,9 @@ buys:
   output serial and parallel;
 * a warm-from-disk run (fresh process-equivalent: fresh store pointed at
   a persisted cache directory);
+* the cold ``pair_encoding`` (``encode_s``), asserted equal to the scalar
+  chain it replaced: ``TokenUniverse`` over both sides, ``encode`` per
+  record;
 * feature extraction with global (l_value, r_value) dedup against naive
   per-pair evaluation;
 * a repeated Falcon run, asserting ``index_reuses_total`` grows.
@@ -37,6 +40,8 @@ from repro.features import extract_feature_vecs, get_features_for_matching
 from repro.index import IndexStore, use_index_store
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.obs import get_registry
+from repro.perf.arrays import record_tuples
+from repro.perf.tokens import TokenUniverse
 from repro.simjoin import set_sim_join
 from repro.table import Table
 from repro.text.tokenizers import QgramTokenizer
@@ -130,6 +135,31 @@ def _run_reuse_suite(n: int, falcon_size: int, falcon_budget: int) -> list[dict]
             "warm": f"{disk_seconds * 1000:.0f}ms",
             "speedup": f"{build_seconds / disk_seconds:.1f}x",
             "output": disk_warm.num_rows,
+        }
+    )
+
+    # -- encoding: the array build against the scalar chain ------------
+    store = IndexStore()
+    tokenizer = QgramTokenizer(q=3, return_set=True)
+    columns = [store.tokenized_column(t, "id", "v", tokenizer) for t in (ltable, rtable)]
+    encoding, encode_seconds = _timed(lambda: store.pair_encoding(*columns))
+    oracle = TokenUniverse(
+        column.token_sets[value] for column in columns for _, value in column.records
+    )
+    n_tokens = len(oracle)
+    assert encoding.universe.decode(range(n_tokens)) == oracle.decode(range(n_tokens))
+    for side, column in zip((encoding.left, encoding.right), columns):
+        assert record_tuples(side) == [
+            (row_key, oracle.encode(column.token_sets[value]))
+            for row_key, value in column.records
+        ], "array encoding differs from the scalar chain"
+    rows.append(
+        {
+            "workload": f"  pair_encoding, encode_s ({n_tokens} tokens)",
+            "cold": f"{encode_seconds * 1000:.0f}ms",
+            "warm": "-",
+            "speedup": "-",
+            "output": len(encoding.left.keys) + len(encoding.right.keys),
         }
     )
 

@@ -11,8 +11,10 @@ classic two-layer design of long-running search systems:
   postings → verification masks, and is never mutated.  The constructor
   (and :meth:`LiveIndex.load`) builds it *through* the store — the
   fingerprinted, disk-persistable chain every batch join over the same
-  content shares; compaction replaces it with a privately held segment
-  folded from the old base and the delta;
+  content shares, whose encoding is CSR rows; the id tuples and masks
+  the point probe reads are derived from those rows here.  Compaction
+  replaces it with a privately held segment folded from the old base
+  and the delta;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
   unseen tokens, their prefix tokens are insertion-sorted into per-token
@@ -82,6 +84,7 @@ from repro.exceptions import (
 )
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry, trace_span
+from repro.perf import arrays
 from repro.perf.kernels import (
     MASK_UNIVERSE_MAX,
     make_overlap_bound,
@@ -263,27 +266,28 @@ class LiveIndex:
         )
 
     def _build_base(self, table: Table) -> _BaseSegment:
-        """Run the store's artifact chain over a snapshot table."""
+        """Run the store's artifact chain over a snapshot table, then
+        derive the point probe's id tuples (and masks) from its CSR rows."""
         store = self._store
         view = self._view(table, self.key, self.column)
-        records = store.string_records(view, self.key, self.column)
         tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
         encoding = store.pair_encoding(tc, tc)
         index = store.prefix_index(encoding, self.measure, self.threshold).index
+        enc = arrays.record_tuples(encoding.right)
         masks = (
-            store.right_masks(encoding)
+            [token_mask(ids) for _, ids in enc]
             if len(encoding.universe) <= MASK_UNIVERSE_MAX
             else None
         )
         positions: dict[Any, int] = {}
-        for position, (row_key, _) in enumerate(records):
+        for position, (row_key, _) in enumerate(tc.records):
             if row_key in positions:
                 raise KeyConstraintError(
                     f"live index requires unique keys; {row_key!r} appears twice"
                 )
             positions[row_key] = position
         return _BaseSegment(
-            records, encoding.universe, encoding.right, index, masks, positions, encoding
+            tc.records, encoding.universe, enc, index, masks, positions, encoding
         )
 
     def _array_index(self, base: _BaseSegment):
@@ -291,8 +295,6 @@ class LiveIndex:
         store's shared artifact for a built base, made straight from
         ``enc`` for a folded one (which has no fingerprint to file it
         under)."""
-        from repro.perf import arrays
-
         if base.encoding is not None:
             return self._store.array_index(base.encoding, self.measure, self.threshold)
         key = f"live-{self.name}"
@@ -566,7 +568,6 @@ class LiveIndex:
         under the same lock snapshot either way.  The path taken is
         counted in ``index_search_batches_total{index, path}``.
         """
-        from repro.perf.arrays import batched_probe_pays, observe_kernel_batch
         from repro.simjoin.joins import probe_encoded_batch
 
         started = time.perf_counter()
@@ -580,7 +581,7 @@ class LiveIndex:
             )
         live_queries = [ts for ts in token_sets if ts is not None]
         with self._lock:
-            batched = batched_probe_pays(len(live_queries), len(self._base.enc))
+            batched = arrays.batched_probe_pays(len(live_queries), len(self._base.enc))
             get_registry().counter(
                 "index_search_batches_total",
                 index=self.name,
@@ -624,7 +625,7 @@ class LiveIndex:
                     n_candidates += delta_candidates
                 n_candidates_total += n_candidates
                 results.append((matches, n_candidates))
-        observe_kernel_batch(
+        arrays.observe_kernel_batch(
             "live_search",
             len(token_sets),
             n_candidates_total,

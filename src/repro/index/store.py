@@ -3,8 +3,8 @@
 Every ``set_sim_join``, ``OverlapBlocker`` run, blocking-rule execution,
 and Falcon/Smurf iteration needs the same expensive intermediates:
 string records, per-value token sets, a :class:`TokenUniverse` with
-token-id encodings, size-sorted prefix-filter postings, verification
-bitmasks, and q-gram count indexes.  Before this module each call
+token-id encodings, size-sorted prefix-filter postings, and q-gram
+count indexes.  Before this module each call
 rebuilt them from scratch; the :class:`IndexStore` materializes each
 artifact once under a *content fingerprint* and serves every later call
 — the same table content probed again (even through a freshly projected
@@ -17,21 +17,22 @@ keyed by the digests of what it was built from::
 
     records(table, key, column)                     "records"
       -> tokenized column (token sets per value)    "tokens"
-          -> pair encoding (universe + id tuples)   "encoding"
+          -> pair encoding (universe + CSR rows)    "encoding"
               -> prefix postings index              "prefix"
-              -> verification bitmasks              "masks"
-              -> CSR token-incidence matrices       "arrays"
-                  -> probe-ready corpus + prefix^T  "arrayindex"
+              -> probe-ready corpus + prefix^T      "arrayindex"
       -> q-gram bags / count-filter index           "grambags"/"gramindex"
       -> hashed n-gram count vectors                "vectors"
           -> joint (IDF-weighted) vector space      "vecpair"
               -> banded-LSH approximate-NN index    "ann"
 
-The ``arrays``/``arrayindex`` pair is what every batch join and every
-batched live-index probe runs on (:mod:`repro.perf.arrays`): the encoded
-records as contiguous CSR matrices.  ``prefix``/``masks`` are the dict
-postings and bitmasks a :class:`~repro.index.delta.LiveIndex` point
-probe reads; only a live index builds them.
+The encoding is built in arrays: the universe is ranked with one stable
+sort over per-token record counts, each distinct value becomes one row
+of a CSR block, and each side's records gather their value's row into
+a :class:`repro.perf.arrays.ArrayRecords` — what every batch join and
+``arrayindex`` (every batched live-index probe) run on.  ``prefix`` is
+the dict postings a :class:`~repro.index.delta.LiveIndex` point probe
+reads, cut out of the right side's CSR rows; only a live index builds
+it, and only a live index turns rows into id tuples.
 
 The vector branch backs :class:`repro.blocking.vector.VectorBlocker`:
 embeddings from :mod:`repro.text.vectorize` and the
@@ -48,8 +49,10 @@ file is treated as a miss and rebuilt, never trusted.
 
 Observability: ``index_builds_total``/``index_reuses_total`` counters
 (labelled by artifact ``kind``; reuses also carry ``tier="memory"`` or
-``"disk"``), the ``index_build_seconds`` histogram, and
-``index_disk_errors_total`` for corrupt-file fallbacks.
+``"disk"``), the ``index_build_seconds`` histogram,
+``index_disk_errors_total`` for corrupt-file fallbacks, and one
+``index_get`` span per artifact request, labelled with its ``kind`` and
+the ``tier`` (``memory``, ``disk`` or ``build``) that served it.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.index.ann import AnnIndex
 from repro.index.fingerprints import (
     column_fingerprint,
@@ -70,8 +75,8 @@ from repro.index.fingerprints import (
     tokenizer_fingerprint,
     vectorizer_fingerprint,
 )
-from repro.obs import get_registry
-from repro.perf.kernels import token_mask
+from repro.obs import get_registry, trace_span
+from repro.perf import arrays
 from repro.perf.tokens import TokenUniverse
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.table.schema import is_missing
@@ -86,7 +91,7 @@ from repro.text.vectorize import (
 )
 
 ARTIFACT_KINDS = (
-    "records", "tokens", "encoding", "prefix", "masks", "arrays", "arrayindex",
+    "records", "tokens", "encoding", "prefix", "arrayindex",
     "grambags", "gramindex", "vectors", "vecpair", "ann",
 )
 
@@ -126,27 +131,32 @@ class TokenizedColumn:
 
 
 class PairEncoding:
-    """A join pair's shared universe and per-record token-id tuples.
+    """A join pair's shared universe and both sides' encoded records.
 
-    ``left``/``right`` hold ``(row_key, ids)`` in record order; ids are
-    sorted rarest-first, so a prefix is a slice.  The universe ranks by
+    ``left``/``right`` are :class:`~repro.perf.arrays.ArrayRecords` in
+    record order (one object for a self-pair); each row's ids are sorted
+    rarest-first, so a prefix is a row head.  The universe ranks by
     combined corpus frequency with one contribution per *record* (not
-    per distinct value), byte-identical to what the join built inline.
+    per distinct value), ties broken lexically: ``TokenUniverse(corpus)``'s
+    order over both sides' records.
     """
 
     __slots__ = ("key", "universe", "left", "right")
 
-    def __init__(
-        self,
-        key: str,
-        universe: TokenUniverse,
-        left: list[tuple[Any, tuple[int, ...]]],
-        right: list[tuple[Any, tuple[int, ...]]],
-    ):
+    def __init__(self, key: str, universe: TokenUniverse, left, right):
         self.key = key
         self.universe = universe
         self.left = left
         self.right = right
+
+    def __setstate__(self, state):
+        # A pickle of the tuple layout (sides as lists of id tuples) is a
+        # cache-read failure: counted and rebuilt, never served.
+        _, slots = state
+        if not isinstance(slots.get("right"), arrays.ArrayRecords):
+            raise ValueError("PairEncoding pickle of another layout")
+        for name, value in slots.items():
+            setattr(self, name, value)
 
 
 class PrefixIndex:
@@ -266,10 +276,16 @@ class IndexStore:
         return artifact
 
     def _get(self, kind: str, digest: str, build, persist: bool = True) -> Any:
+        with trace_span("index_get", kind=kind) as span:
+            artifact, span.labels["tier"] = self._fetch(kind, digest, build, persist)
+            return artifact
+
+    def _fetch(self, kind: str, digest: str, build, persist: bool) -> tuple[Any, str]:
+        """The artifact and the tier that served it."""
         registry = get_registry()
         artifact = self._lookup_memory(kind, digest)
         if artifact is not None:
-            return artifact
+            return artifact, "memory"
         # Per-digest build lock: the first thread to miss becomes the
         # builder; later threads block here, then find the artifact in
         # the memory tier.  Each digest is built (and counted) once.
@@ -281,7 +297,7 @@ class IndexStore:
             with build_lock:
                 artifact = self._lookup_memory(kind, digest)
                 if artifact is not None:
-                    return artifact
+                    return artifact, "memory"
                 if persist and self.cache_dir is not None:
                     path = self._path(kind, digest)
                     if path.exists():
@@ -304,7 +320,7 @@ class IndexStore:
                             registry.counter(
                                 "index_reuses_total", kind=kind, tier="disk"
                             ).inc()
-                            return artifact
+                            return artifact, "disk"
                 started = time.perf_counter()
                 artifact = build()
                 registry.counter("index_builds_total", kind=kind).inc()
@@ -318,7 +334,7 @@ class IndexStore:
                         self._path(kind, digest),
                         pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL),
                     )
-                return artifact
+                return artifact, "build"
         finally:
             with self._lock:
                 self._building.pop(digest, None)
@@ -351,40 +367,18 @@ class IndexStore:
 
         def build() -> TokenizedColumn:
             records = self._records(col_fp, table, key, column)
-            token_sets: dict[str, set[str]] = {}
-            for _, value in records:
-                if value not in token_sets:
-                    token_sets[value] = set(tokenizer.tokenize_cached(value))
+            values = dict.fromkeys(value for _, value in records)
+            token_sets = {value: set(tokenizer.tokenize(value)) for value in values}
             return TokenizedColumn(digest, records, token_sets)
 
         return self._get("tokens", digest, build)
 
     def pair_encoding(self, left: TokenizedColumn, right: TokenizedColumn) -> PairEncoding:
         """Shared :class:`TokenUniverse` and encoded records for a join pair."""
-        digest = combine("encoding", left.key, right.key)
-
-        def build() -> PairEncoding:
-            universe = TokenUniverse(
-                side.token_sets[value]
-                for side in (left, right)
-                for _, value in side.records
-            )
-            encoded: dict[str, tuple[int, ...]] = {}
-
-            def encode(side: TokenizedColumn, value: str) -> tuple[int, ...]:
-                ids = encoded.get(value)
-                if ids is None:
-                    ids = encoded[value] = universe.encode(side.token_sets[value])
-                return ids
-
-            return PairEncoding(
-                digest,
-                universe,
-                [(row_key, encode(left, value)) for row_key, value in left.records],
-                [(row_key, encode(right, value)) for row_key, value in right.records],
-            )
-
-        return self._get("encoding", digest, build)
+        # "csr1" names the PairEncoding layout (universe + two ArrayRecords),
+        # as "rows2" does ArrayIndex's: another layout's pickle is never read.
+        digest = combine("encoding", "csr1", left.key, right.key)
+        return self._get("encoding", digest, lambda: _encode_pair(digest, left, right))
 
     def prefix_index(
         self,
@@ -394,57 +388,37 @@ class IndexStore:
         use_prefix_filter: bool = True,
     ) -> PrefixIndex:
         """Size-sorted postings over the right side's (prefix) tokens."""
-        from repro.simjoin.filters import prefix_length
-
         digest = combine("prefix", encoding.key, measure, threshold, use_prefix_filter)
 
         def build() -> PrefixIndex:
-            postings_by_token: dict[int, list[tuple[int, int]]] = {}
-            for position, (_, tokens) in enumerate(encoding.right):
-                size = len(tokens)
-                if not size:
-                    continue
-                prefix = (
-                    tokens[: prefix_length(measure, threshold, size)]
-                    if use_prefix_filter
-                    else tokens
-                )
-                for token in prefix:
-                    postings_by_token.setdefault(token, []).append((size, position))
-            index: dict[int, tuple[list[int], list[int]]] = {}
-            for token, postings in postings_by_token.items():
-                postings.sort()
-                index[token] = ([s for s, _ in postings], [p for _, p in postings])
+            right = encoding.right
+            matrix = right.matrix
+            if use_prefix_filter:
+                lengths = arrays.prefix_lengths_arrays(measure, threshold, right.sizes)
+                matrix = arrays.csr_prefix_slice(matrix, lengths)
+            positions = np.repeat(np.arange(len(right.keys)), np.diff(matrix.indptr))
+            sizes = right.sizes[positions]
+            order = np.lexsort((positions, sizes, matrix.indices))
+            tokens = matrix.indices[order]
+            starts = np.flatnonzero(np.diff(tokens, prepend=-1))
+            # One int object per row position, shared by its postings.
+            rows = list(range(len(right.keys)))
+            positions = list(map(rows.__getitem__, memoryview(positions[order])))
+            sizes = sizes[order].tolist()
+            bounds = [*starts.tolist(), len(tokens)]
+            index = {
+                token: (sizes[start:stop], positions[start:stop])
+                for token, start, stop in zip(tokens[starts].tolist(), bounds, bounds[1:])
+            }
             return PrefixIndex(digest, index)
 
         return self._get("prefix", digest, build)
 
-    def right_masks(self, encoding: PairEncoding) -> list[int]:
-        """Verification bitmasks for the right side."""
-        return self._get(
-            "masks",
-            combine("masks", encoding.key),
-            lambda: [token_mask(tokens) for _, tokens in encoding.right],
-        )
-
     def pair_arrays(self, encoding: PairEncoding, side: str = "left"):
-        """One side of a pair encoding as a CSR token-incidence matrix.
-
-        Returns a :class:`repro.perf.arrays.ArrayRecords`.
-        """
-        from repro.perf import arrays
-
+        """One side of a pair encoding, as its CSR token-incidence matrix."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        digest = combine("arrays", encoding.key, side)
-
-        def build():
-            records = encoding.right if side == "right" else encoding.left
-            return arrays.build_array_records(
-                digest, records, len(encoding.universe)
-            )
-
-        return self._get("arrays", digest, build)
+        return encoding.right if side == "right" else encoding.left
 
     def array_index(
         self,
@@ -460,8 +434,6 @@ class IndexStore:
         candidate semantics); returns a
         :class:`repro.perf.arrays.ArrayIndex`.
         """
-        from repro.perf import arrays
-
         # "rows2" names the ArrayIndex layout (row-major corpus matrix +
         # transposed prefix slice).  Change it whenever what the class
         # pickles changes, so a cached pickle of another layout is never
@@ -494,7 +466,7 @@ class IndexStore:
             bags: dict[str, Counter] = {}
             for _, value in records:
                 if value not in bags:
-                    bags[value] = Counter(tokenizer.tokenize_cached(value))
+                    bags[value] = Counter(tokenizer.tokenize(value))
             return bags
 
         return self._get("grambags", digest, build)
@@ -659,6 +631,45 @@ class IndexStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f", cache_dir={str(self.cache_dir)!r}" if self.cache_dir else ""
         return f"<IndexStore {len(self._memory)} artifacts in memory{where}>"
+
+
+def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> PairEncoding:
+    """Rank the pair's universe and encode both sides, in arrays.
+
+    Each distinct value of either side (its token set is the same on
+    both) is one row of a CSR block, which its records gather.  Tokens
+    are numbered lexically by Python's ``sorted`` (a numpy string array
+    would drop trailing NULs, merging ``"a\\x00"`` into ``"a"``), so a
+    stable sort of their record counts is ``TokenUniverse``'s order.
+    """
+    token_sets = {**right.token_sets, **left.token_sets}
+    value_ids = dict(zip(token_sets, range(len(token_sets))))
+    sides = (left,) if left is right else (left, right)
+    rows = [np.array([value_ids[v] for _, v in side.records], dtype=np.int64) for side in sides]
+    flat = [token for tokens in token_sets.values() for token in tokens]
+    lexical = sorted(set(flat))
+    token_ids = dict(zip(lexical, range(len(lexical))))
+    tokens = np.fromiter(map(token_ids.__getitem__, flat), dtype=np.int64, count=len(flat))
+    lengths = np.fromiter(map(len, token_sets.values()), dtype=np.int64, count=len(token_sets))
+    value_of_token = np.repeat(np.arange(len(token_sets)), lengths)
+    records_per_value = np.bincount(np.concatenate(rows), minlength=len(token_sets))
+    counts = np.bincount(tokens, records_per_value[value_of_token], minlength=len(lexical))
+    order = np.argsort(counts, kind="stable")
+    universe = TokenUniverse.from_ranked(map(lexical.__getitem__, order.tolist()))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # Sorts each value's ids: value-major keys keep every row in place.
+    offsets = value_of_token * len(lexical)
+    ids = rank[tokens] + offsets
+    ids.sort()
+    ids -= offsets
+    encoded = [
+        arrays.take_rows(
+            digest, [key for key, _ in side.records], lengths, ids, side_rows, len(universe)
+        )
+        for side, side_rows in zip(sides, rows)
+    ]
+    return PairEncoding(digest, universe, encoded[0], encoded[-1])
 
 
 # ----------------------------------------------------------------------

@@ -205,7 +205,7 @@ class ArrayRecords:
 
     Row *i* holds record *i*'s sorted token ids as CSR indices with
     int64 ones as data; ``sizes[i]`` is the record's distinct-token
-    count.  A picklable :class:`~repro.index.IndexStore` artifact.
+    count.  Each side of a :class:`~repro.index.store.PairEncoding`.
     """
 
     __slots__ = ("key", "keys", "sizes", "matrix", "dim")
@@ -249,26 +249,68 @@ class ArrayIndex:
         return ArrayIndex, (self.key, self.keys, self.matrix, self.prefix_t, self.dim)
 
 
+def _indptr(counts):
+    """CSR row pointers for rows of ``counts`` entries (int64)."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _ragged_take(starts, counts):
+    """The row pointers and flat source positions of rows that take
+    ``counts[i]`` consecutive entries from ``starts[i]`` on."""
+    indptr = _indptr(counts)
+    offsets = np.arange(int(indptr[-1]), dtype=np.int64)
+    return indptr, np.repeat(starts - indptr[:-1], counts) + offsets
+
+
+def _array_records(key: str, keys: list, indptr, indices, dim: int) -> ArrayRecords:
+    width = max(dim, 1)
+    matrix = _sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int64), indices, indptr),
+        shape=(len(keys), width),
+    )
+    return ArrayRecords(key, keys, np.diff(indptr), matrix, width)
+
+
 def build_array_records(
     key: str, records: Sequence[tuple[Any, tuple[int, ...]]], dim: int
 ) -> ArrayRecords:
     """Materialize ``[(row_key, sorted ids)]`` as an :class:`ArrayRecords`."""
-    n_rows = len(records)
-    width = max(dim, 1)
-    keys = [row_key for row_key, _ in records]
-    sizes = np.fromiter(
-        (len(ids) for _, ids in records), dtype=np.int64, count=n_rows
+    indptr = _indptr(
+        np.fromiter((len(ids) for _, ids in records), dtype=np.int64, count=len(records))
     )
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    total = int(indptr[-1])
     indices = np.fromiter(
-        (token for _, ids in records for token in ids), dtype=np.int64, count=total
+        (token for _, ids in records for token in ids),
+        dtype=np.int64,
+        count=int(indptr[-1]),
     )
-    matrix = _sparse.csr_matrix(
-        (np.ones(total, dtype=np.int64), indices, indptr), shape=(n_rows, width)
-    )
-    return ArrayRecords(key, keys, sizes, matrix, width)
+    return _array_records(key, [row_key for row_key, _ in records], indptr, indices, dim)
+
+
+def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRecords:
+    """Row ``rows[i]`` of a block of rows laid end to end in ``indices``
+    (row *j* is ``lengths[j]`` long) as row *i* of an :class:`ArrayRecords`
+    keyed by ``keys``."""
+    starts = np.cumsum(lengths) - lengths
+    new_indptr, take = _ragged_take(starts[rows], lengths[rows])
+    return _array_records(key, keys, new_indptr, indices[take], dim)
+
+
+def record_tuples(records: ArrayRecords) -> list[tuple[Any, tuple[int, ...]]]:
+    """``[(row_key, sorted ids)]``, the inverse of :func:`build_array_records`:
+    the scalar view a :class:`~repro.index.delta.LiveIndex` point probe reads.
+
+    Ids go through one list of int objects, so the tuples share them
+    rather than holding an int object per entry.
+    """
+    ints = list(range(records.dim))
+    ids = list(map(ints.__getitem__, memoryview(records.matrix.indices)))
+    bounds = records.matrix.indptr.tolist()
+    return [
+        (row_key, tuple(ids[start:stop]))
+        for row_key, start, stop in zip(records.keys, bounds, bounds[1:])
+    ]
 
 
 def _head_last(indptr, indices, lengths):
@@ -287,13 +329,9 @@ def csr_prefix_slice(matrix, lengths):
     """
     indptr = matrix.indptr.astype(np.int64)
     counts = np.minimum(np.asarray(lengths, dtype=np.int64), np.diff(indptr))
-    new_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_indptr[1:])
-    total = int(new_indptr[-1])
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(new_indptr[:-1], counts)
-    take = np.repeat(indptr[:-1], counts) + offsets
+    new_indptr, take = _ragged_take(indptr[:-1], counts)
     return _sparse.csr_matrix(
-        (np.ones(total, dtype=matrix.data.dtype), matrix.indices[take], new_indptr),
+        (np.ones(len(take), dtype=matrix.data.dtype), matrix.indices[take], new_indptr),
         shape=matrix.shape,
     )
 
@@ -325,8 +363,7 @@ def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
     width = max(dim, 1)
     kept = [ids[: bisect_left(ids, width)] for ids in rows]
     counts = np.fromiter((len(ids) for ids in kept), dtype=np.int64, count=len(kept))
-    indptr = np.zeros(len(kept) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = _indptr(counts)
     total = int(indptr[-1])
     indices = np.fromiter(
         (token for ids in kept for token in ids), dtype=np.int64, count=total
@@ -396,9 +433,7 @@ def batch_set_sim_probe(
     # lengths of its prefix tokens; chunks are cut on that running bound,
     # so the working set tracks candidates however hot a shared token is.
     postings = np.diff(index.prefix_t.indptr)
-    bound = np.zeros(prefix_matrix.nnz + 1, dtype=np.int64)
-    np.cumsum(postings[prefix_matrix.indices], out=bound[1:])
-    bound = bound[prefix_matrix.indptr]
+    bound = _indptr(postings[prefix_matrix.indices])[prefix_matrix.indptr]
 
     out_rows = [np.zeros(0, dtype=np.int64)]
     out_cols = [np.zeros(0, dtype=np.int64)]
@@ -445,8 +480,7 @@ def batch_set_sim_probe(
     rows = np.concatenate(out_rows)
     positions = np.concatenate(out_cols)  # int64: promoted by the seed array
     order = np.argsort(rows * n_rows + positions)
-    result_indptr = np.zeros(n_probe + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_probe), out=result_indptr[1:])
+    result_indptr = _indptr(np.bincount(rows, minlength=n_probe))
     scores = np.concatenate(out_scores)[order]
     return result_indptr, positions[order], scores, candidate_counts, verified
 

@@ -34,6 +34,15 @@ class TokenUniverse:
         self._tokens = [token for token, _ in ranked]
         self._ids = {token: i for i, token in enumerate(self._tokens)}
 
+    @classmethod
+    def from_ranked(cls, tokens: Iterable[str]) -> "TokenUniverse":
+        """The universe whose ids are the positions of ``tokens``, which
+        are distinct and already in rank order."""
+        universe = cls()
+        universe._tokens = list(tokens)
+        universe._ids = dict(zip(universe._tokens, range(len(universe._tokens))))
+        return universe
+
     def extended(self, tokens: Iterable[str]) -> "TokenUniverse":
         """A copy with ``tokens`` (all unseen) appended past the last id.
 
@@ -42,13 +51,7 @@ class TokenUniverse:
         fixed total order keeps the prefix filter exact, the frequency
         ranking only makes it selective.
         """
-        grown = TokenUniverse()
-        grown._tokens = list(self._tokens)
-        grown._ids = dict(self._ids)
-        for token in tokens:
-            grown._ids[token] = len(grown._tokens)
-            grown._tokens.append(token)
-        return grown
+        return TokenUniverse.from_ranked([*self._tokens, *tokens])
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -218,8 +218,8 @@ class MatchServer:
         chain (the corpus self-paired through ``pair_encoding(tc, tc)``,
         which preserves the frequency-then-lexical ranking), so a batch
         self-join over the same corpus content shares its records,
-        token sets and encoding; the dict postings and masks point
-        probes read are the server's own.
+        token sets and encoding; the dict postings point probes read
+        are built for the server, and the id tuples and masks by it.
         """
         self._live = LiveIndex.from_table(
             self.corpus,

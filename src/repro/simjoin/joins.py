@@ -7,9 +7,9 @@ the same result by brute force and exists as the benchmark baseline that
 motivates this package (py_stringsimjoin in the paper).
 
 The filtered join runs on the integer kernels of :mod:`repro.perf`: every
-distinct string is tokenized once (``tokenize_cached``) and encoded once
-into a sorted tuple of dense token ids ranked by global frequency.
-:func:`set_sim_join` has one probe body, the batched CSR kernel of
+distinct string is tokenized once and encoded once, as a CSR row of
+dense token ids ranked by global frequency that each of its records
+shares.  :func:`set_sim_join` has one probe body, the batched CSR kernel of
 :mod:`repro.perf.arrays`: candidates for a whole span of probe rows are
 one sparse product of prefix incidences, the size window is a vector
 comparison, and exact overlaps are computed only at the surviving pairs.

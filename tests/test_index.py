@@ -271,6 +271,53 @@ class TestPersistence:
         assert store.disk_artifacts() == []
 
 
+class TestStoreSpans:
+    def test_each_artifact_request_is_a_span_labelled_with_its_tier(self):
+        from repro.index import LiveIndex
+        from repro.obs import trace_span, use_tracer
+
+        table = Table({"id": [1, 2, 3], "v": ["dave smith", "joe wilson", "dave jones"]})
+        store = IndexStore()
+
+        def gets(tracer, parent: str) -> dict[str, str]:
+            [outer] = [span for span in tracer.spans if span.name == parent]
+            requests = [span for span in tracer.spans if span.name == "index_get"]
+            by_id = {span.span_id: span for span in requests}
+            # A nested build's request parents on the request that needed it.
+            assert all(
+                span.parent_id == outer.span_id or span.parent_id in by_id
+                for span in requests
+            )
+            return {span.labels["kind"]: span.labels["tier"] for span in requests}
+
+        with use_registry() as registry, use_tracer() as tracer:
+            with trace_span("cold"):
+                LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
+            assert gets(tracer, "cold") == {
+                "records": "build", "tokens": "build", "encoding": "build", "prefix": "build",
+            }
+            for kind in ("records", "tokens", "encoding", "prefix"):
+                assert counter_total(registry, "index_builds_total", kind=kind) == 1
+        with use_registry() as registry, use_tracer() as tracer:
+            with trace_span("warm"):
+                LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
+            assert gets(tracer, "warm") == {
+                "tokens": "memory", "encoding": "memory", "prefix": "memory",
+            }
+            assert counter_total(registry, "index_builds_total") == 0
+            assert counter_total(registry, "index_reuses_total", tier="memory") == 3
+
+    def test_a_disk_hit_is_labelled_disk(self, tmp_path):
+        from repro.obs import use_tracer
+
+        table = Table({"id": [1, 2], "v": ["dave smith", "joe wilson"]})
+        IndexStore(cache_dir=tmp_path).string_records(table, "id", "v")
+        with use_registry(), use_tracer() as tracer:
+            IndexStore(cache_dir=tmp_path).string_records(table, "id", "v")
+        [span] = tracer.spans
+        assert span.labels == {"kind": "records", "tier": "disk"}
+
+
 class TestDefaultStore:
     def test_use_index_store_scopes_the_default(self):
         outer = get_index_store()

@@ -27,9 +27,11 @@ from repro.perf.arrays import (
     BATCH_MIN_INDEX_ROWS,
     BATCH_MIN_PROBE_ROWS,
     batch_cosine,
+    record_tuples,
 )
 from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
 from repro.perf.kernels import make_overlap_bound, make_scorer
+from repro.perf.tokens import TokenUniverse
 from repro.simjoin import (
     naive_set_sim_join,
     probe_encoded,
@@ -163,7 +165,7 @@ class TestProbeBatchEquivalence:
         )
         dict_index = store.prefix_index(encoding, measure, threshold).index
         array_index = store.array_index(encoding, measure, threshold)
-        return encoding, dict_index, array_index
+        return record_tuples(encoding.right), dict_index, array_index
 
     @given(
         values_strategy,
@@ -173,7 +175,7 @@ class TestProbeBatchEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_scalar(self, right, mt, oov):
         measure, threshold = mt
-        encoding, dict_index, array_index = self._index_parts(
+        right_enc, dict_index, array_index = self._index_parts(
             right, measure, threshold
         )
         scorer = make_scorer(measure)
@@ -182,12 +184,12 @@ class TestProbeBatchEquivalence:
         # phantom tokens inflating the true size (the serving contract
         # for query tokens outside the corpus universe) — plus the empty
         # query and an all-OOV query.
-        queries = [(ids, len(ids) + oov) for _, ids in encoding.right]
+        queries = [(ids, len(ids) + oov) for _, ids in right_enc]
         queries += [((), 0), ((), 2)]
-        skip = {0, 2} if len(encoding.right) > 2 else None
+        skip = {0, 2} if len(right_enc) > 2 else None
         expected = [
             probe_encoded(
-                ids, size, dict_index, encoding.right, None,
+                ids, size, dict_index, right_enc, None,
                 scorer, bound, measure, threshold, skip=skip,
             )
             for ids, size in queries
@@ -258,13 +260,14 @@ class TestPositionalBound:
         )
         dict_index = store.prefix_index(encoding, measure, threshold).index
         array_index = store.array_index(encoding, measure, threshold)
-        queries = [(ids, len(ids)) for _, ids in encoding.left]
+        queries = [(ids, len(ids)) for _, ids in record_tuples(encoding.left)]
         scorer = make_scorer(measure)
         bound = make_overlap_bound(measure, threshold)
         batched, _ = probe_encoded_batch(queries, array_index, measure, threshold)
+        right_enc = record_tuples(encoding.right)
         assert batched == [
             probe_encoded(
-                ids, size, dict_index, encoding.right, None,
+                ids, size, dict_index, right_enc, None,
                 scorer, bound, measure, threshold,
             )
             for ids, size in queries
@@ -372,15 +375,14 @@ class TestHotTokenRegime:
         # Each corpus record probed back with two live-index extension
         # ids (>= dim, sorted to the tail) and one out-of-universe token
         # that only inflates the true size.
-        queries = [
-            (ids + (dim + 3, dim + 7), len(ids) + 3) for _, ids in encoding.right
-        ]
-        skip = set(range(0, len(encoding.right), 7))
+        right_enc = record_tuples(encoding.right)
+        queries = [(ids + (dim + 3, dim + 7), len(ids) + 3) for _, ids in right_enc]
+        skip = set(range(0, len(right_enc), 7))
         scorer = make_scorer(measure)
         bound = make_overlap_bound(measure, threshold)
         expected = [
             probe_encoded(
-                ids, size, dict_index, encoding.right, None, scorer, bound,
+                ids, size, dict_index, right_enc, None, scorer, bound,
                 measure, threshold, use_prefix_filter, skip,
             )
             for ids, size in queries
@@ -436,6 +438,218 @@ class TestArrayIndexLayoutVersion:
             assert registry.get("index_builds_total", kind="arrayindex").value == 1
             assert (warm.matrix != index.matrix).nnz == 0
             assert warm.sizes.tolist() == index.sizes.tolist() == [2, 2, 3]
+
+    def test_tuple_layout_encoding_in_cache_dir_is_rebuilt(self, tmp_path):
+        import copyreg
+        import pickle
+
+        from repro.index.store import IndexStore, PairEncoding
+        from repro.perf.arrays import ArrayRecords
+        from repro.perf.tokens import TokenUniverse
+
+        rtable = _table("r", ["alpha beta", "alpha gamma", "beta gamma delta"])
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        scratch = IndexStore()
+        column = scratch.tokenized_column(rtable, "id", "v", tokenizer)
+        digest = scratch.pair_encoding(column, column).key
+
+        class TupleLayout:
+            """Pickles as a PairEncoding whose sides are lists of
+            ``(row_key, ids)`` tuples, the layout before the CSR one."""
+
+            def __reduce__(self):
+                rows = [("r0", (0, 1)), ("r1", (0, 2)), ("r2", (1, 2, 3))]
+                slots = {"key": digest, "universe": TokenUniverse([]), "left": rows,
+                         "right": rows}
+                return copyreg._reconstructor, (PairEncoding, object, None), (None, slots)
+
+        stale = pickle.dumps(TupleLayout())
+        path = tmp_path / f"encoding-{digest}.pkl"
+        path.write_bytes(stale)
+        with use_registry() as registry:
+            store = IndexStore(cache_dir=tmp_path)
+            column = store.tokenized_column(rtable, "id", "v", tokenizer)
+            encoding = store.pair_encoding(column, column)
+            assert isinstance(encoding.right, ArrayRecords)
+            # delta is the rarest token; alpha, beta, gamma tie and go lexically.
+            assert record_tuples(encoding.right) == [
+                ("r0", (1, 2)), ("r1", (1, 3)), ("r2", (0, 2, 3))
+            ]
+            assert registry.get("index_disk_errors_total", kind="encoding").value == 1
+            assert registry.get("index_builds_total", kind="encoding").value == 1
+            assert path.read_bytes() != stale
+            # The rebuilt artifact replaced the stale file: a fresh store
+            # warm-loads it and builds nothing.
+            warm = IndexStore(cache_dir=tmp_path)
+            warm_column = warm.tokenized_column(rtable, "id", "v", tokenizer)
+            assert record_tuples(warm.pair_encoding(warm_column, warm_column).right) == (
+                record_tuples(encoding.right)
+            )
+            assert registry.get("index_builds_total", kind="encoding").value == 1
+            assert registry.get("index_reuses_total", kind="encoding", tier="disk").value == 1
+
+
+# Tokens a string-keyed encoder gets wrong first: a trailing NUL (numpy
+# "U" arrays strip it), a lone surrogate, a combining mark beside its
+# precomposed twin, and "İ" beside what it lowercases to.
+ODD_TOKENS = ["a", "a\x00", "\x00", "\ud800", "\u00e9", "e\u0301", "\u0130", "i\u0307", "b", "zz"]
+odd_value = st.one_of(
+    st.just(None),
+    st.just(""),
+    st.just("   "),
+    st.lists(st.sampled_from(ODD_TOKENS), max_size=5).map(" ".join),
+)
+odd_side = st.lists(odd_value, max_size=12)
+encoder_case = st.tuples(
+    st.sampled_from(
+        [("jaccard", 0.5), ("cosine", 0.7), ("dice", 0.6), ("overlap", 1), ("overlap", 2)]
+    ),
+    st.booleans(),  # use_prefix_filter
+)
+
+
+def scalar_chain(left, right, measure, threshold, use_prefix_filter):
+    """The tuple-building chain the array encoder replaced: the oracle.
+
+    ``TokenUniverse`` over both sides' records, ``encode`` per record,
+    and dict postings built one ``setdefault`` at a time.
+    """
+    from repro.simjoin.filters import prefix_length
+
+    universe = TokenUniverse(
+        side.token_sets[value] for side in (left, right) for _, value in side.records
+    )
+    encoded = [
+        [(row_key, universe.encode(side.token_sets[value])) for row_key, value in side.records]
+        for side in (left, right)
+    ]
+    postings: dict[int, list[tuple[int, int]]] = {}
+    for position, (_, ids) in enumerate(encoded[1]):
+        size = len(ids)
+        if not size:
+            continue
+        prefix = ids[: prefix_length(measure, threshold, size)] if use_prefix_filter else ids
+        for token in prefix:
+            postings.setdefault(token, []).append((size, position))
+    index = {}
+    for token, pairs in postings.items():
+        pairs.sort()
+        index[token] = ([size for size, _ in pairs], [position for _, position in pairs])
+    return universe, encoded[0], encoded[1], index
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), field
+
+
+class TestArrayEncodingMatchesTheScalarChain:
+    """The array-built universe, rows, postings, masks and ``ArrayIndex``
+    equal what the tuple-building chain gives, element for element."""
+
+    @given(odd_side, odd_side, st.booleans(), encoder_case)
+    @settings(max_examples=80, deadline=None)
+    def test_encoding_postings_and_array_index(self, left, right, self_pair, case):
+        from repro.index.store import IndexStore
+        from repro.perf.arrays import build_array_index, build_array_records
+
+        (measure, threshold), use_prefix_filter = case
+        store = IndexStore()
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        left_tc = store.tokenized_column(_table("l", left), "id", "v", tokenizer)
+        right_tc = (
+            left_tc if self_pair
+            else store.tokenized_column(_table("r", right), "id", "v", tokenizer)
+        )
+        encoding = store.pair_encoding(left_tc, right_tc)
+        universe, left_enc, right_enc, index = scalar_chain(
+            left_tc, right_tc, measure, threshold, use_prefix_filter
+        )
+        n = len(universe)
+        assert len(encoding.universe) == n
+        assert encoding.universe.decode(range(n)) == universe.decode(range(n))
+        assert record_tuples(encoding.left) == left_enc
+        assert record_tuples(encoding.right) == right_enc
+        for side, enc in ((encoding.left, left_enc), (encoding.right, right_enc)):
+            expected = build_array_records("oracle", enc, n)
+            assert_same_csr(side.matrix, expected.matrix)
+            assert side.keys == expected.keys and side.dim == expected.dim
+            assert side.sizes.dtype == expected.sizes.dtype
+            assert side.sizes.tolist() == expected.sizes.tolist()
+        assert store.prefix_index(encoding, measure, threshold, use_prefix_filter).index == index
+        got = store.array_index(encoding, measure, threshold, use_prefix_filter)
+        expected = build_array_index(
+            "oracle", build_array_records("oracle", right_enc, n), measure, threshold,
+            use_prefix_filter,
+        )
+        assert_same_csr(got.matrix, expected.matrix)
+        assert_same_csr(got.prefix_t, expected.prefix_t)
+        assert got.keys == expected.keys and got.dim == expected.dim
+
+    @given(odd_side, encoder_case)
+    @settings(max_examples=40, deadline=None)
+    def test_live_index_tuples_postings_and_masks(self, values, case):
+        from repro.index.store import IndexStore
+        from repro.perf.kernels import token_mask
+
+        (measure, threshold), _ = case
+        keys = [f"r{i}" for i in range(len(values))]
+        with use_registry():
+            store = IndexStore()
+            live = LiveIndex.from_table(
+                Table({"id": keys, "v": values}), "id", "v", measure=measure,
+                threshold=threshold, store=store,
+            )
+        column = store.tokenized_column(
+            Table({"id": keys, "v": values}), "id", "v", live.tokenizer
+        )
+        universe, _, right_enc, index = scalar_chain(column, column, measure, threshold, True)
+        base = live._base
+        assert base.universe.decode(range(len(universe))) == universe.decode(range(len(universe)))
+        assert base.enc == right_enc
+        assert base.index == index
+        assert base.masks == [token_mask(ids) for _, ids in right_enc]
+
+    def test_tuples_share_one_int_object_per_id(self):
+        from repro.perf.arrays import build_array_records
+
+        records = build_array_records("k", [("a", (300, 400)), ("b", (300, 500))], 600)
+        (_, first), (_, second) = record_tuples(records)
+        assert first[0] == second[0] == 300
+        assert first[0] is second[0]
+
+    def test_only_the_live_index_turns_rows_into_tuples(self, monkeypatch):
+        from pathlib import Path
+
+        import repro
+        from repro.blocking import OverlapBlocker
+        from repro.index.store import IndexStore, use_index_store
+
+        calls = []
+
+        def counting(records):
+            calls.append(records)
+            return record_tuples(records)
+
+        monkeypatch.setattr(arrays_module, "record_tuples", counting)
+        left = _table("l", [" ".join(WORDS[i % 4 : i % 4 + 3]) for i in range(40)])
+        right = _table("r", [" ".join(WORDS[i % 5 : i % 5 + 2]) for i in range(50)])
+        with use_registry(), use_index_store():
+            for n_jobs in (1, 2):
+                assert _join_rows(left, right, "jaccard", 0.4, n_jobs=n_jobs)
+            OverlapBlocker("v", overlap_size=1).block_tables(left, right, "id", "id")
+            assert calls == []
+            LiveIndex.from_table(right, "id", "v", threshold=0.4, store=IndexStore())
+            assert len(calls) == 1
+        src = Path(repro.__file__).parent
+        callers = {
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if "record_tuples(" in path.read_text(encoding="utf-8")
+        }
+        assert callers == {"perf/arrays.py", "index/delta.py"}
 
 
 sparse_vector = st.dictionaries(

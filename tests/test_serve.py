@@ -371,10 +371,10 @@ class TestWarmStart:
                 if count != builds_before.get(kind, 0)
             }
         # Warmup found records/tokens/encoding in the store — the batch
-        # join built them — and built the two artifacts only point probes
-        # read: the dict postings and the verification masks.
+        # join built them — and built the one artifact only point probes
+        # read: the dict postings (its tuples and masks are its own).
         assert {"records", "tokens", "encoding"} <= set(builds_before)
-        assert built_by_warmup == {"prefix": 1, "masks": 1}
+        assert built_by_warmup == {"prefix": 1}
 
 
 class TestLiveMutation:
