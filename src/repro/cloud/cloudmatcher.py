@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,6 +51,16 @@ def _cost_report(
     )
 
 
+def _gold_accuracy(
+    registry: ServiceRegistry, context: WorkflowContext, score_against_gold: bool
+) -> dict[str, float] | None:
+    """Run the ``compute_accuracy`` service when asked and gold exists."""
+    if not (score_against_gold and context.dataset.gold_pairs):
+        return None
+    registry.get("compute_accuracy").run(context)
+    return context.get("accuracy")
+
+
 class CloudMatcher01:
     """Version 0.1: serial, Falcon-only self-service EM."""
 
@@ -71,26 +82,20 @@ class CloudMatcher01:
         score_against_gold: bool = True,
     ) -> TaskResult:
         """Run the end-to-end Falcon service for one task."""
-        import time as _time
-
         context = WorkflowContext(
             dataset=dataset,
             session=session,
             config=config or FalconConfig(),
             task_name=dataset.name,
         )
-        started = _time.perf_counter()
+        started = time.perf_counter()
         self.registry.get("falcon").run(context)
-        machine_seconds = _time.perf_counter() - started
-        accuracy = None
-        if score_against_gold and dataset.gold_pairs:
-            self.registry.get("compute_accuracy").run(context)
-            accuracy = context.get("accuracy")
+        machine_seconds = time.perf_counter() - started
         return TaskResult(
             task_name=dataset.name,
             context=context,
             cost=_cost_report(context, self.on_cloud, self.cost_model, machine_seconds),
-            accuracy=accuracy,
+            accuracy=_gold_accuracy(self.registry, context, score_against_gold),
         )
 
 
@@ -140,16 +145,12 @@ class CloudMatcher10:
                 for record in engine.executions
                 if record.fragment.workflow is workflow
             )
-            accuracy = None
-            if score_against_gold and context.dataset.gold_pairs:
-                self.registry.get("compute_accuracy").run(context)
-                accuracy = context.get("accuracy")
             results.append(
                 TaskResult(
                     task_name=context.task_name,
                     context=context,
                     cost=_cost_report(context, self.on_cloud, self.cost_model, machine),
-                    accuracy=accuracy,
+                    accuracy=_gold_accuracy(self.registry, context, score_against_gold),
                     extras={"finish_time": run.finish_time},
                 )
             )

@@ -91,9 +91,13 @@ class EMWorkflow:
         return len(self._calls)
 
 
-@dataclass
+@dataclass(eq=False)
 class Fragment:
-    """A maximal same-kind group of workflow nodes, scheduled as a unit."""
+    """A maximal same-kind group of workflow nodes, scheduled as a unit.
+
+    Compared and hashed by identity: a fragment is one schedulable unit
+    of one admitted run, so two workflows with equal names never alias.
+    """
 
     fragment_id: str
     workflow: EMWorkflow

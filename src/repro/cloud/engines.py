@@ -16,9 +16,9 @@ runtime core, so every service invocation lands on the metamanager's
 structured :class:`repro.runtime.EventStream` (exportable as JSONL via
 :meth:`MetaManager.write_event_log`) with wall and simulated time.
 
-Readiness tracking is incremental: each run keeps remaining-predecessor
-counts per fragment, decremented on completion — O(F + E) over a whole
-workflow instead of the previous per-dispatch O(F^2) rescan.
+Readiness is the runtime's own :class:`repro.runtime.ReadySet` over each
+run's fragment DAG; what this module adds is the dispatch policy — the
+simulated-time heap and the serial-vs-interleaved choice of Figure 5.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import networkx as nx
-
 from repro.cloud.dag import EMWorkflow, Fragment, decompose_fragments
 from repro.cloud.services import ServiceKind
 from repro.exceptions import WorkflowError
 from repro.falcon.falcon import WorkflowContext
 from repro.obs import get_registry
-from repro.runtime import EventStream, SerialExecutor, run_graph
+from repro.runtime import EventStream, ReadySet, SerialExecutor, run_graph
 
 
 @dataclass
@@ -108,63 +106,23 @@ class ExecutionEngine:
 class WorkflowRun:
     """One workflow admitted to the metamanager.
 
-    Fragment readiness is tracked incrementally: ``_remaining`` holds each
-    fragment's count of unfinished predecessors and ``_ready`` the ids
-    whose count reached zero, updated by :meth:`complete` — no rescans.
+    Its fragments are computed at admission; ``ready`` is the runtime's
+    :class:`~repro.runtime.ReadySet` over the fragment DAG, keyed by the
+    fragments themselves.
     """
 
     workflow: EMWorkflow
     context: WorkflowContext
-    fragments: list[Fragment] = field(default_factory=list)
-    fragment_dag: "nx.DiGraph | None" = None
-    completed: set[str] = field(default_factory=set)
+    ready: ReadySet = field(init=False, repr=False)
     finish_time: float = 0.0
-    _by_id: dict[str, Fragment] = field(default_factory=dict, repr=False)
-    _position: dict[str, int] = field(default_factory=dict, repr=False)
-    _remaining: dict[str, int] = field(default_factory=dict, repr=False)
-    _ready: list[str] = field(default_factory=list, repr=False)
 
-    def index_fragments(self) -> None:
-        """(Re)build the incremental readiness state from the fragment DAG."""
-        self._by_id = {fragment.fragment_id: fragment for fragment in self.fragments}
-        self._position = {
-            fragment.fragment_id: i for i, fragment in enumerate(self.fragments)
-        }
-        self._remaining = {
-            fragment_id: self.fragment_dag.in_degree(fragment_id)
-            for fragment_id in self._by_id
-        }
-        self._ready = [
-            fragment.fragment_id
-            for fragment in self.fragments  # already topologically ordered
-            if self._remaining[fragment.fragment_id] == 0
-            and fragment.fragment_id not in self.completed
-        ]
-
-    def ready_fragments(self) -> list[Fragment]:
-        """Fragments whose predecessors have all completed, in DAG order."""
-        return [self._by_id[fragment_id] for fragment_id in self._ready]
-
-    def complete(self, fragment_id: str) -> None:
-        """Mark a fragment done; newly unblocked successors become ready."""
-        if fragment_id in self.completed:
-            return
-        self.completed.add(fragment_id)
-        if fragment_id in self._ready:
-            self._ready.remove(fragment_id)
-        newly_ready = []
-        for successor in self.fragment_dag.successors(fragment_id):
-            self._remaining[successor] -= 1
-            if self._remaining[successor] == 0 and successor not in self.completed:
-                newly_ready.append(successor)
-        if newly_ready:
-            self._ready = sorted(
-                self._ready + newly_ready, key=self._position.__getitem__
-            )
-
-    @property
-    def done(self) -> bool:
-        return len(self.completed) == len(self.fragments)
+    def __post_init__(self) -> None:
+        fragments, fragment_dag = decompose_fragments(self.workflow)
+        by_id = {fragment.fragment_id: fragment for fragment in fragments}
+        self.ready = ReadySet({
+            fragment: [by_id[p] for p in fragment_dag.predecessors(fragment.fragment_id)]
+            for fragment in fragments  # already topologically ordered
+        })
 
 
 class MetaManager:
@@ -210,8 +168,6 @@ class MetaManager:
     def submit(self, workflow: EMWorkflow, context: WorkflowContext) -> WorkflowRun:
         """Admit a workflow; fragments are computed at admission."""
         run = WorkflowRun(workflow, context)
-        run.fragments, run.fragment_dag = decompose_fragments(workflow)
-        run.index_fragments()
         self.runs.append(run)
         return run
 
@@ -233,15 +189,12 @@ class MetaManager:
         return self._run_interleaved()
 
     def _run_serial(self, run: WorkflowRun, clock: float) -> float:
-        while not run.done:
-            ready = run.ready_fragments()
-            if not ready:
-                raise WorkflowError("workflow deadlocked: no ready fragments")
-            for fragment in ready:
+        while run.ready.pending:
+            for fragment in list(run.ready.ready):
                 engine = self.engine_for(run, fragment.kind)
                 record = engine.execute(fragment, run.context, clock)
                 clock = max(clock, record.end)
-                run.complete(fragment.fragment_id)
+                run.ready.complete(fragment)
         return clock
 
     def _run_interleaved(self) -> float:
@@ -257,9 +210,9 @@ class MetaManager:
 
         def push_ready(run: "WorkflowRun", order: int, now: float) -> None:
             nonlocal sequence
-            dispatched = {entry[4].fragment_id for entry in heap}
-            for fragment in run.ready_fragments():
-                if fragment.fragment_id in dispatched:
+            dispatched = {entry[4] for entry in heap}
+            for fragment in run.ready.ready:
+                if fragment in dispatched:
                     continue
                 engine = self.engine_for(run, fragment.kind)
                 at = max(now, engine.busy_until)
@@ -273,15 +226,12 @@ class MetaManager:
         registry = get_registry()
         while heap:
             at, order, _, run, fragment, ready_at = heapq.heappop(heap)
-            if fragment.fragment_id in run.completed:
-                continue
             # Queue depth per engine kind at dispatch time: fragments
             # still waiting in the heap, plus the one being dispatched.
             waiting: dict[str, int] = {kind.value: 0 for kind in ServiceKind}
             waiting[fragment.kind.value] += 1
             for entry in heap:
-                if entry[4].fragment_id not in entry[3].completed:
-                    waiting[entry[4].kind.value] += 1
+                waiting[entry[4].kind.value] += 1
             for kind_value, depth in waiting.items():
                 registry.gauge("cloud_queue_depth", engine=kind_value).set(depth)
             engine = self.engine_for(run, fragment.kind)
@@ -289,9 +239,9 @@ class MetaManager:
             registry.histogram(
                 "cloud_queue_wait_seconds", engine=fragment.kind.value
             ).observe(record.start - ready_at)
-            run.complete(fragment.fragment_id)
+            run.ready.complete(fragment)
             makespan = max(makespan, record.end)
-            if run.done:
+            if not run.ready.pending:
                 run.finish_time = record.end
                 pending.pop(id(run), None)
             push_ready(run, order_of[id(run)], record.end)

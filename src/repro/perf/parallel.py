@@ -1,10 +1,9 @@
 """One multicore executor for every candidate-generation hot path.
 
 PyMatcher's production story (Section 4.1) is partition parallelism on a
-multi-core machine.  The seed repo had that capability buried in
-``pipeline/production.py``; this module generalizes it so the sim joins,
-the blockers, and feature extraction all fan out through the same
-primitives:
+multi-core machine.  The sim joins, the blockers, feature extraction and
+the runtime's :class:`~repro.runtime.ParallelExecutor` (and so
+``CheckpointedRun``) all fan out through the same primitives:
 
 * :func:`split_evenly` / :func:`partition_table` — contiguous, ordered
   partitioning of work lists and tables;
@@ -94,9 +93,16 @@ def _fork_context() -> multiprocessing.context.BaseContext | None:
 
 
 def _total_items(shards: Sequence[Any]) -> int | None:
-    """Sum of shard lengths, or ``None`` when any shard is unsized."""
+    """Sum of shard lengths, or ``None`` when any shard is unsized.
+
+    A ``str``/``bytes`` shard counts as unsized: it names a unit of work
+    (the runtime ships node names), so its length says nothing about the
+    work behind it.
+    """
     total = 0
     for shard in shards:
+        if isinstance(shard, (str, bytes)):
+            return None
         try:
             total += len(shard)
         except TypeError:

@@ -1,5 +1,6 @@
 """PyMatcher pipelines: workflow capture, production execution, guides."""
 
+from repro.perf.parallel import parallel_map_partitions, partition_table
 from repro.pipeline.guide import (
     DEVELOPMENT_GUIDE,
     PRODUCTION_GUIDE,
@@ -10,11 +11,7 @@ from repro.pipeline.guide import (
     resolve_command,
 )
 from repro.pipeline.incremental import BatchResult, IncrementalMatcher
-from repro.pipeline.production import (
-    CheckpointedRun,
-    parallel_map_partitions,
-    partition_table,
-)
+from repro.pipeline.production import CheckpointedRun
 from repro.pipeline.streaming import StreamingDeduper, StreamMatch, UnionFind
 from repro.pipeline.workflow import MagellanWorkflow, StepRecord, WorkflowStep
 

@@ -2,73 +2,60 @@
 
 PyMatcher's production story (Section 4.1): execute the captured workflow
 "on a multi-core single machine, using customized code or Dask".  Dask is
-unavailable here, so this module provides the same capability directly:
+unavailable here; :func:`repro.perf.parallel.partition_table` and
+:func:`repro.perf.parallel.parallel_map_partitions` are the partition
+map, and :class:`CheckpointedRun` makes it resumable — the paper's
+"scaling, logging, crash recovery, monitoring" list.
 
-* :func:`partition_table` / :func:`parallel_map_partitions` — split a
-  table into partitions and map a function over them on a process pool
-  (the Dask substitute); both now live in :mod:`repro.perf.parallel`,
-  the executor shared with the sim joins, the blockers, and feature
-  extraction, and are re-exported here for compatibility;
-* :class:`CheckpointedRun` — persist each finished partition to disk so a
-  crashed production run resumes where it left off instead of restarting
-  (the paper's "scaling, logging, crash recovery, monitoring" list).
-
-Workers inherit the mapped function through ``fork``, so it does not
-need to be picklable.
+A :class:`CheckpointedRun` is a client of :mod:`repro.runtime`: every
+partition is one isolated operator, checkpointed by a
+:class:`~repro.runtime.GraphCheckpoint` and fanned out by the runtime's
+executors, and its node events are logged like a captured workflow's
+steps.  Workers inherit the mapped function through ``fork``, so it
+does not need to be picklable; its outputs are pickled into the
+checkpoint, so a resumed run returns exactly what an uninterrupted one
+does.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from repro.exceptions import WorkflowError
-from repro.perf.parallel import (  # noqa: F401  (compatibility re-exports)
-    concat_tables as _concat_all,
-    parallel_map_partitions,
-    partition_table,
-    run_sharded,
+from repro.perf.parallel import concat_tables, partition_table
+from repro.pipeline.workflow import _log_sink
+from repro.runtime import (
+    EventStream,
+    GraphCheckpoint,
+    OperatorGraph,
+    ParallelExecutor,
+    SerialExecutor,
+    node_fingerprints,
+    run_graph,
 )
-from repro.runtime import atomic_write_text
-from repro.table.io import read_csv, write_csv
 from repro.table.table import Table
-
-logger = logging.getLogger("repro.pipeline.production")
 
 
 class CheckpointedRun:
     """A resumable partitioned run with on-disk progress.
 
-    Every completed partition's output is written under
-    ``directory/<run_id>/part_<i>.csv`` plus a manifest; ``execute`` skips
-    partitions whose output already exists, so re-running after a crash
-    completes only the remaining work.
+    Partition ``i`` is the runtime node ``part_<i>``; its output table is
+    checkpointed under ``directory/<run_id>/`` as soon as it finishes, so
+    re-running after a crash computes only the partitions that never did.
     """
 
     def __init__(self, run_id: str, directory: str | Path):
         self.run_id = run_id
-        self.directory = Path(directory) / run_id
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._manifest_path = self.directory / "manifest.json"
-
-    # ------------------------------------------------------------------
-    def _manifest(self) -> dict[str, Any]:
-        if self._manifest_path.exists():
-            return json.loads(self._manifest_path.read_text(encoding="utf-8"))
-        return {"run_id": self.run_id, "n_partitions": None, "completed": []}
-
-    def _save_manifest(self, manifest: dict[str, Any]) -> None:
-        # Atomic (temp file + rename): a crash mid-write must not leave a
-        # truncated manifest that would poison the resume.
-        atomic_write_text(self._manifest_path, json.dumps(manifest, indent=2))
+        self.checkpoint = GraphCheckpoint(run_id, directory)
+        self.directory = self.checkpoint.directory
 
     def completed_partitions(self) -> set[int]:
         """Indices of partitions already finished in a previous run."""
-        return set(self._manifest()["completed"])
+        return {
+            int(name.removeprefix("part_")) for name in self.checkpoint.completed_nodes()
+        }
 
-    # ------------------------------------------------------------------
     def execute(
         self,
         table: Table,
@@ -79,58 +66,35 @@ class CheckpointedRun:
         """Run ``fn`` over each partition, checkpointing each result.
 
         Deterministic partitioning means a resumed run sees the same
-        partitions; already-checkpointed partitions are loaded from disk
-        and not recomputed.
-
-        With ``n_jobs`` > 1 the pending partitions are computed on a
-        forked process pool; checkpoint files, the manifest, and the
-        concatenated output are written by the parent in partition-index
-        order, so they are byte-identical to a serial run.
+        partitions; already-checkpointed partitions are restored, not
+        recomputed.  With ``n_jobs`` > 1 the pending partitions run on a
+        forked process pool; a partition that fails there does not stop
+        the others of its wave from being checkpointed.  Outputs are
+        concatenated in partition order either way.
         """
-        manifest = self._manifest()
-        if manifest["n_partitions"] not in (None, n_partitions):
+        graph = OperatorGraph(self.run_id)
+        for index, partition in enumerate(partition_table(table, n_partitions)):
+            name = f"part_{index}"
+            graph.add(
+                name,
+                lambda _store, name=name, partition=partition: {name: fn(partition)},
+                outputs=(name,),
+                isolated=True,
+                key=f"n_partitions={n_partitions}",
+            )
+        fingerprints = node_fingerprints(graph)
+        if any(
+            not self.checkpoint.has(name, fingerprints.get(name, ""))
+            for name in self.checkpoint.completed_nodes()
+        ):
             raise WorkflowError(
-                f"run {self.run_id!r} was started with "
-                f"{manifest['n_partitions']} partitions; cannot resume with "
-                f"{n_partitions}"
+                f"run {self.run_id!r} holds checkpoints that do not match "
+                f"{n_partitions} partitions; cannot resume with them"
             )
-        manifest["n_partitions"] = n_partitions
-        partitions = partition_table(table, n_partitions)
-        completed = set(manifest["completed"])
-        pending = [
-            index
-            for index in range(len(partitions))
-            if not (index in completed and (self.directory / f"part_{index}.csv").exists())
-        ]
-
-        computed: dict[int, Table] = {}
-        if n_jobs != 1 and len(pending) > 1:
-            logger.info(
-                "run %s: computing %d pending partitions on %d jobs",
-                self.run_id, len(pending), n_jobs,
-            )
-            results = run_sharded(
-                [partitions[index] for index in pending],
-                fn,
-                n_jobs=n_jobs,
-            )
-            computed = dict(zip(pending, results))
-
-        outputs: list[Table] = []
-        for index, partition in enumerate(partitions):
-            part_path = self.directory / f"part_{index}.csv"
-            if index not in pending:
-                logger.info("run %s: partition %d restored from checkpoint", self.run_id, index)
-                outputs.append(read_csv(part_path))
-                continue
-            if index in computed:
-                result = computed[index]
-            else:
-                logger.info("run %s: partition %d computing", self.run_id, index)
-                result = fn(partition)
-            write_csv(result, part_path)
-            completed.add(index)
-            manifest["completed"] = sorted(completed)
-            self._save_manifest(manifest)
-            outputs.append(result)
-        return _concat_all(outputs)
+        executor = SerialExecutor() if n_jobs == 1 else ParallelExecutor(n_jobs)
+        events = EventStream()
+        events.subscribe(_log_sink(self.run_id))
+        result = run_graph(
+            graph, executor=executor, events=events, checkpoint=self.checkpoint
+        )
+        return concat_tables([result.store[name] for name in graph.nodes])

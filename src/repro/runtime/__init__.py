@@ -52,6 +52,7 @@ from repro.runtime.graph import (
     NodeRecord,
     Operator,
     OperatorGraph,
+    ReadySet,
     chain_graph,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
     "ParallelExecutor",
     "RUN_FINISH",
     "RUN_START",
+    "ReadySet",
     "RunEvent",
     "RunResult",
     "SerialExecutor",

@@ -1,18 +1,19 @@
 """Fingerprint-keyed memoization and DAG-level checkpointing.
 
-This generalizes :class:`repro.pipeline.CheckpointedRun` from "partitions
-of one table" to "any node's declared artifacts": each checkpointable
-operator's outputs are persisted under a structural fingerprint, so a
-crashed run restarted against the same store resumes at the first
-non-checkpointed node, and an unchanged node re-run in-process is served
-from the in-memory memo without recomputing.
+Each checkpointable operator's declared outputs are persisted under a
+structural fingerprint, so a crashed run restarted against the same
+store resumes at the first non-checkpointed node, and an unchanged node
+re-run in-process is served from the in-memory memo without recomputing.
+:class:`repro.pipeline.CheckpointedRun` is this with one node per table
+partition.
 
 Fingerprints are *structural*: a node's fingerprint hashes its graph name,
 node name, explicit ``key`` salt, and its dependencies' fingerprints —
 not artifact contents (artifacts can be multi-gigabyte tables; hashing
 them would cost more than many operators).  Callers that need
 content-sensitivity salt the node ``key`` (e.g. with a dataset name or
-config repr), exactly as ``CheckpointedRun`` keys on its ``run_id``.
+config repr), as ``CheckpointedRun`` salts its partitions with their
+count.
 """
 
 from __future__ import annotations
@@ -126,9 +127,15 @@ class GraphCheckpoint:
 
     # ------------------------------------------------------------------
     def _manifest(self) -> dict[str, Any]:
-        if self._manifest_path.exists():
-            return json.loads(self._manifest_path.read_text(encoding="utf-8"))
-        return {"run_id": self.run_id, "nodes": {}}
+        if not self._manifest_path.exists():
+            return {"run_id": self.run_id, "nodes": {}}
+        manifest = json.loads(self._manifest_path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("nodes"), dict):
+            raise WorkflowError(
+                f"{self._manifest_path} is not a graph checkpoint manifest "
+                f"(no 'nodes' table); move the directory aside or pick another run id"
+            )
+        return manifest
 
     def _save_manifest(self, manifest: dict[str, Any]) -> None:
         atomic_write_text(self._manifest_path, json.dumps(manifest, indent=2))

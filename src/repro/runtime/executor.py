@@ -16,8 +16,9 @@ Both execute nodes exactly once, emit the same per-node event multiset,
 and produce identical stores for deterministic operators — parallelism
 changes wall-clock time, never results.
 
-Ready-set tracking is incremental (remaining-predecessor counts
-decremented on completion), not a rescan — O(V + E) over a whole run.
+Both drive the graph's :class:`~repro.runtime.graph.ReadySet`
+(remaining-predecessor counts decremented on completion, not a rescan —
+O(V + E) over a whole run).
 """
 
 from __future__ import annotations
@@ -98,46 +99,13 @@ class _RunState:
         self.before_node = before_node
         self.fingerprints = node_fingerprints(graph)
         self.records: dict[str, NodeRecord] = {}
-        self._position = {name: i for i, name in enumerate(graph.nodes)}
-        self._remaining = {name: len(op.deps) for name, op in graph.nodes.items()}
-        self._ready = sorted(
-            (n for n, count in self._remaining.items() if count == 0),
-            key=self._position.__getitem__,
-        )
-        self._done: set[str] = set()
+        self.ready = graph.ready_set()
         # rows_in must be sized *before* a node runs: filter-style
         # operators overwrite the very slot they read, so measuring after
         # the fact would always see selectivity 1.0.
         self._rows_in: dict[str, int] = {}
         self.first_error: BaseException | None = None
         self.halted = False
-
-    # -- scheduling ----------------------------------------------------
-    @property
-    def pending(self) -> bool:
-        return len(self._done) < len(self.graph.nodes)
-
-    def ready_nodes(self) -> list[str]:
-        if not self._ready and self.pending:
-            raise WorkflowError(
-                f"graph {self.graph.name!r} deadlocked: no ready operators "
-                f"among {sorted(set(self.graph.nodes) - self._done)}"
-            )
-        return list(self._ready)
-
-    def complete(self, name: str) -> None:
-        """Mark a node done; decrement successors' remaining-dep counts."""
-        self._done.add(name)
-        self._ready.remove(name)
-        newly_ready = []
-        for successor in self.graph.successors(name):
-            self._remaining[successor] -= 1
-            if self._remaining[successor] == 0:
-                newly_ready.append(successor)
-        if newly_ready:
-            self._ready = sorted(
-                self._ready + newly_ready, key=self._position.__getitem__
-            )
 
     # -- caching -------------------------------------------------------
     def try_cache(self, name: str) -> bool:
@@ -182,7 +150,7 @@ class _RunState:
             name, seconds, True, cached=True,
             outputs=self.graph.nodes[name].outputs,
         )
-        self.complete(name)
+        self.ready.complete(name)
 
     # -- execution (in-parent) -----------------------------------------
     def execute_in_parent(self, name: str) -> None:
@@ -242,7 +210,7 @@ class _RunState:
         # With on_error="continue" a failed node still unblocks its
         # dependents — they depend on it for *ordering* (the captured-
         # script semantics of MagellanWorkflow.run(stop_on_error=False)).
-        self.complete(name)
+        self.ready.complete(name)
         if outcome.error is not None:
             if self.on_error == "halt":
                 self.halted = True
@@ -318,8 +286,8 @@ class SerialExecutor:
     """Execute ready nodes one at a time, deterministically ordered."""
 
     def drive(self, state: _RunState) -> None:
-        while state.pending and not state.halted:
-            name = state.ready_nodes()[0]
+        while state.ready.pending and not state.halted:
+            name = state.ready.ready[0]
             if state.try_cache(name):
                 continue
             state.execute_in_parent(name)
@@ -341,8 +309,8 @@ class ParallelExecutor:
         self.n_jobs = n_jobs
 
     def drive(self, state: _RunState) -> None:
-        while state.pending and not state.halted:
-            wave = [n for n in state.ready_nodes() if not state.try_cache(n)]
+        while state.ready.pending and not state.halted:
+            wave = [n for n in list(state.ready.ready) if not state.try_cache(n)]
             if not wave:
                 continue  # the whole wave was cache hits
             forked = [

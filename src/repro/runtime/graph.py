@@ -13,17 +13,59 @@ all compile to this IR and execute through :mod:`repro.runtime.executor`.
 Dependencies must name already-added operators, so a graph is acyclic by
 construction; topological order is deterministic (Kahn's algorithm with
 insertion-order tie-breaking), which keeps serial runs, parallel runs, and
-resumed runs byte-identical.
+resumed runs byte-identical.  :class:`ReadySet` is that algorithm run
+incrementally, and the one ready-set tracker in the package: topological
+order, both executors and the cloud metamanager's fragment dispatch all
+drive it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, MutableMapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Hashable, Iterable, Mapping, MutableMapping
 
 from repro.exceptions import WorkflowError
 
 ArtifactStore = MutableMapping[str, Any]
+
+
+class ReadySet:
+    """Kahn's algorithm, one completion at a time.
+
+    ``deps`` maps every node to its predecessors; its iteration order is
+    the tie order.  ``ready`` lists the nodes whose predecessors have all
+    completed, in that order; :meth:`complete` decrements the successors'
+    remaining-predecessor counts, so a whole run costs O(V + E).
+    """
+
+    def __init__(self, deps: Mapping[Hashable, Iterable[Hashable]]):
+        self._position = {node: i for i, node in enumerate(deps)}
+        self._successors: dict[Hashable, list[Hashable]] = {node: [] for node in deps}
+        self._remaining: dict[Hashable, int] = {}
+        for node, predecessors in deps.items():
+            predecessors = tuple(predecessors)
+            self._remaining[node] = len(predecessors)
+            for predecessor in predecessors:
+                self._successors[predecessor].append(node)
+        self.ready = [node for node in deps if self._remaining[node] == 0]
+        self.done: set[Hashable] = set()
+
+    @property
+    def pending(self) -> bool:
+        return len(self.done) < len(self._position)
+
+    def complete(self, node: Hashable) -> None:
+        """Mark a ready node done; successors left with no pending
+        predecessor join ``ready`` in tie order."""
+        self.done.add(node)
+        self.ready.remove(node)
+        newly_ready = []
+        for successor in self._successors[node]:
+            self._remaining[successor] -= 1
+            if self._remaining[successor] == 0:
+                newly_ready.append(successor)
+        if newly_ready:
+            self.ready = sorted(self.ready + newly_ready, key=self._position.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -69,7 +111,6 @@ class OperatorGraph:
     def __init__(self, name: str):
         self.name = name
         self.nodes: dict[str, Operator] = {}  # insertion-ordered
-        self._successors: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------------
     def add(
@@ -89,43 +130,24 @@ class OperatorGraph:
         Because every edge points backward to an existing node, the graph
         stays acyclic by construction.  Returns the new operator.
         """
-        if name in self.nodes:
-            raise WorkflowError(f"duplicate operator name {name!r} in graph {self.name!r}")
-        for dep in deps:
-            if dep not in self.nodes:
-                raise WorkflowError(
-                    f"operator {name!r} depends on unknown operator {dep!r}"
-                )
-        operator = Operator(
-            name=name,
-            fn=fn,
-            deps=tuple(deps),
-            outputs=tuple(outputs),
-            description=description,
-            retries=retries,
-            checkpoint=checkpoint,
-            isolated=isolated,
-            key=key,
-        )
-        self.nodes[name] = operator
-        self._successors[name] = []
-        for dep in operator.deps:
-            self._successors[dep].append(name)
-        return operator
+        return self.add_operator(Operator(
+            name, fn, tuple(deps), tuple(outputs), description, retries,
+            checkpoint, isolated, key,
+        ))
 
     def add_operator(self, operator: Operator) -> Operator:
         """Add a prebuilt :class:`Operator` (same validation as :meth:`add`)."""
-        return self.add(
-            operator.name,
-            operator.fn,
-            deps=operator.deps,
-            outputs=operator.outputs,
-            description=operator.description,
-            retries=operator.retries,
-            checkpoint=operator.checkpoint,
-            isolated=operator.isolated,
-            key=operator.key,
-        )
+        if operator.name in self.nodes:
+            raise WorkflowError(
+                f"duplicate operator name {operator.name!r} in graph {self.name!r}"
+            )
+        for dep in operator.deps:
+            if dep not in self.nodes:
+                raise WorkflowError(
+                    f"operator {operator.name!r} depends on unknown operator {dep!r}"
+                )
+        self.nodes[operator.name] = operator
+        return operator
 
     # ------------------------------------------------------------------
     def predecessors(self, name: str) -> tuple[str, ...]:
@@ -133,7 +155,7 @@ class OperatorGraph:
 
     def successors(self, name: str) -> list[str]:
         self.node(name)
-        return list(self._successors[name])
+        return [other for other, op in self.nodes.items() if name in op.deps]
 
     def node(self, name: str) -> Operator:
         try:
@@ -144,22 +166,17 @@ class OperatorGraph:
                 f"have {sorted(self.nodes)}"
             ) from None
 
+    def ready_set(self) -> ReadySet:
+        """A fresh :class:`ReadySet` over this graph's operators."""
+        return ReadySet({name: op.deps for name, op in self.nodes.items()})
+
     def topological_order(self) -> list[str]:
         """Deterministic topological order (insertion order breaks ties)."""
-        remaining = {name: len(op.deps) for name, op in self.nodes.items()}
+        ready = self.ready_set()
         order: list[str] = []
-        ready = [name for name in self.nodes if remaining[name] == 0]
-        while ready:
-            name = ready.pop(0)
-            order.append(name)
-            newly_ready = []
-            for successor in self._successors[name]:
-                remaining[successor] -= 1
-                if remaining[successor] == 0:
-                    newly_ready.append(successor)
-            # Keep insertion order among the newly ready.
-            position = {n: i for i, n in enumerate(self.nodes)}
-            ready = sorted(ready + newly_ready, key=position.__getitem__)
+        while ready.ready:
+            order.append(ready.ready[0])
+            ready.complete(order[-1])
         if len(order) != len(self.nodes):
             raise WorkflowError(f"graph {self.name!r} contains a cycle")
         return order
@@ -179,17 +196,9 @@ class OperatorGraph:
             if node_name not in selected:
                 continue
             operator = self.nodes[node_name]
-            sub.add(
-                operator.name,
-                operator.fn,
-                deps=tuple(d for d in operator.deps if d in selected),
-                outputs=operator.outputs,
-                description=operator.description,
-                retries=operator.retries,
-                checkpoint=operator.checkpoint,
-                isolated=operator.isolated,
-                key=operator.key,
-                )
+            sub.add_operator(
+                replace(operator, deps=tuple(d for d in operator.deps if d in selected))
+            )
         return sub
 
     # ------------------------------------------------------------------

@@ -10,8 +10,9 @@ kernel the batch joins run (:func:`repro.simjoin.probe_encoded`), with
 per-tenant in-flight quotas, queue-depth backpressure, and p50/p99
 latency histograms from :mod:`repro.obs`.
 
-See ``benchmarks/bench_serving.py`` for the sustained-qps benchmark and
-the ``repro serve`` CLI subcommand for the stdin/file query loop.
+The measurement spine's ``serve_read`` and ``serve_churn`` workloads
+(``benchmarks/spine/``) measure it; the ``repro serve`` CLI subcommand
+is the stdin/file query loop.
 """
 
 from repro.serve.server import (

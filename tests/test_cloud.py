@@ -172,6 +172,31 @@ class TestEngines:
         interleaved = run(True)
         assert interleaved < serial
 
+    def test_serial_dispatch_order_is_pinned(self):
+        """``interleave=False`` runs one workflow's fragments to the end,
+        wave by wave in fragment-DAG order, before the next workflow's."""
+        from repro.runtime import NODE_START
+
+        manager = MetaManager(interleave=False)
+        names = []
+        for seed in (1, 2):
+            dataset = small_dataset(seed=seed)
+            names.append(dataset.name)
+            manager.submit(
+                build_falcon_workflow(dataset.name, DEFAULT_REGISTRY),
+                make_context(dataset),
+            )
+        manager.run_all()
+        order = [
+            "upload", "metadata", "profile", "sample", "blk_features",
+            "match_features", "sample_vectors", "learn_blocking", "extract_rules",
+            "evaluate_rules", "execute_rules", "candidate_vectors",
+            "learn_matching", "train", "apply", "export",
+        ]
+        assert [(e.graph, e.node) for e in manager.events.of(NODE_START)] == [
+            (name, node) for name in names for node in order
+        ]
+
     def test_empty_manager(self):
         assert MetaManager().run_all() == 0.0
 

@@ -184,6 +184,32 @@ class TestWarmColdEquivalence:
             OverlapBlocker("v", overlap_size=1).block_tables(ltable, rtable, "id", "id")
             assert counter_total(registry, "index_reuses_total", kind="tokens") > 0
 
+    def test_a_repeated_falcon_run_reuses_index_artifacts(self):
+        from repro.datasets import DirtinessConfig, make_em_dataset
+        from repro.datasets.entities import restaurant
+        from repro.falcon import FalconConfig, run_falcon
+        from repro.labeling import LabelingSession, OracleLabeler
+
+        dataset = make_em_dataset(
+            restaurant, 100, 100, match_fraction=0.5,
+            dirtiness=DirtinessConfig.light(), seed=7, name="index-reuse",
+        )
+        config = FalconConfig(
+            sample_size=400, blocking_budget=40, matching_budget=120, random_state=0
+        )
+        with use_index_store(), use_registry() as registry:
+            totals = []
+            for _ in range(2):
+                session = LabelingSession(OracleLabeler(dataset.gold_pairs), budget=120)
+                run_falcon(dataset, session, config)
+                totals.append((
+                    counter_total(registry, "index_builds_total"),
+                    counter_total(registry, "index_reuses_total"),
+                ))
+        (builds, reuses), (builds_after, reuses_after) = totals
+        assert builds > 0 and builds_after == builds  # run 2 builds nothing
+        assert reuses_after > reuses
+
 
 class TestPersistence:
     def test_round_trip_from_disk(self, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for workflow capture, production execution, and the guide."""
 
+import json
 import logging
+import multiprocessing
 
 import pytest
 
@@ -97,7 +99,8 @@ class TestCheckpointing:
         result = run.execute(numbers_table(12), double_v, n_partitions=3)
         assert result.column("v") == [i * 4 for i in range(12)]
         assert run.completed_partitions() == {0, 1, 2}
-        assert (tmp_path / "job1" / "part_0.csv").exists()
+        manifest = json.loads((tmp_path / "job1" / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["nodes"]) == {"part_0", "part_1", "part_2"}
 
     def test_crash_recovery_skips_done_partitions(self, tmp_path):
         calls = []
@@ -125,6 +128,58 @@ class TestCheckpointing:
         run.execute(numbers_table(8), double_v, n_partitions=2)
         with pytest.raises(WorkflowError):
             run.execute(numbers_table(8), double_v, n_partitions=4)
+
+    def test_resumed_output_equals_fresh_output(self, tmp_path):
+        """Checkpoints keep every value as it was: no string turns into a
+        number or a None, no bool into a string."""
+        table = Table({"id": list(range(6)), "v": ["42", "", "007", True, False, None]})
+
+        def crash_on_last(part: Table) -> Table:
+            if part.column("id")[0] == 4:
+                raise RuntimeError("simulated crash")
+            return part.copy()
+
+        fresh = CheckpointedRun("fresh", tmp_path).execute(table, Table.copy, n_partitions=3)
+        run = CheckpointedRun("resumed", tmp_path)
+        with pytest.raises(RuntimeError):
+            run.execute(table, crash_on_last, n_partitions=3)
+        assert run.completed_partitions() == {0, 1}
+        resumed = run.execute(table, Table.copy, n_partitions=3)
+        assert resumed == fresh == table
+        assert list(map(type, resumed.column("v"))) == list(map(type, table.column("v")))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_crash_in_a_forked_partition_keeps_the_rest_of_its_wave(self, tmp_path):
+        def fn(part: Table) -> Table:
+            if part.column("id")[0] == 8 and not getattr(fn, "healed", False):
+                raise RuntimeError("simulated crash")
+            return double_v(part)
+
+        run = CheckpointedRun("job4", tmp_path)
+        with pytest.raises(WorkflowError, match="forked worker"):
+            run.execute(numbers_table(16), fn, n_partitions=4, n_jobs=2)
+        assert run.completed_partitions() == {0, 1, 3}
+        fn.healed = True
+        result = run.execute(numbers_table(16), fn, n_partitions=4, n_jobs=2)
+        assert result.column("v") == [i * 4 for i in range(16)]
+
+    def test_directory_in_the_csv_layout_is_rejected(self, tmp_path):
+        """A run directory written before checkpoints were runtime nodes
+        (a manifest listing ``completed`` partitions beside CSV parts)."""
+        old = tmp_path / "job5"
+        old.mkdir()
+        (old / "manifest.json").write_text(
+            json.dumps({"run_id": "job5", "n_partitions": 2, "completed": [0]}),
+            encoding="utf-8",
+        )
+        (old / "part_0.csv").write_text("id,v\n0,0\n", encoding="utf-8")
+        run = CheckpointedRun("job5", tmp_path)
+        with pytest.raises(WorkflowError, match="not a graph checkpoint manifest"):
+            run.execute(numbers_table(8), double_v, n_partitions=2)
+        with pytest.raises(WorkflowError, match="not a graph checkpoint manifest"):
+            run.completed_partitions()
 
 
 class TestGuide:

@@ -8,6 +8,8 @@ metamanager schedules.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -15,7 +17,6 @@ from repro.exceptions import ConfigurationError, WorkflowError
 from repro.runtime import (
     CACHE_HIT,
     CHECKPOINT_SAVED,
-    NODE_FAIL,
     NODE_FINISH,
     NODE_RETRY,
     NODE_START,
@@ -316,6 +317,39 @@ class TestRunGraph:
         graph.add("liar", lambda s: None, outputs=("never_written",))
         with pytest.raises(WorkflowError, match="did not write"):
             run_graph(graph)
+
+
+class TestParallelExecutorForks:
+    """Whether isolated nodes fork depends on the wave, not on their names."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_two_short_named_nodes_run_in_two_children_at_once(self):
+        barrier = multiprocessing.get_context("fork").Barrier(2)
+
+        def node(name):
+            def fn(store):
+                barrier.wait(timeout=10)  # passes only if both run at once
+                return {name: os.getpid()}
+            return fn
+
+        graph = OperatorGraph("pids")
+        for name in ("a", "b"):
+            graph.add(name, node(name), outputs=(name,), isolated=True)
+        result = run_graph(graph, executor=ParallelExecutor(n_jobs=2))
+        pids = {result.store["a"], result.store["b"]}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_a_chain_never_forks(self):
+        """Each wave of a chain is one node, so nothing is fanned out."""
+        graph = OperatorGraph("chain")
+        graph.add("a", lambda s: {"a": os.getpid()}, outputs=("a",), isolated=True)
+        graph.add(
+            "b", lambda s: {"b": os.getpid()}, deps=("a",), outputs=("b",), isolated=True
+        )
+        result = run_graph(graph, executor=ParallelExecutor(n_jobs=2))
+        assert result.store["a"] == result.store["b"] == os.getpid()
 
 
 class TestEvents:
