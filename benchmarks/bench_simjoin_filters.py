@@ -22,10 +22,12 @@ from collections import defaultdict
 
 from _report import format_table, report
 
+from repro.datasets import DirtinessConfig, make_em_dataset
+from repro.datasets.entities import restaurant
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
 from repro.obs import use_registry
 from repro.perf.kernels import BOUND_EPS
-from repro.simjoin import naive_set_sim_join, set_sim_join
+from repro.simjoin import edit_distance_join, naive_set_sim_join, set_sim_join
 from repro.simjoin.filters import (
     TokenOrder,
     overlap_lower_bound,
@@ -34,6 +36,8 @@ from repro.simjoin.filters import (
     size_bounds,
 )
 from repro.table import Table
+from repro.table.schema import is_missing
+from repro.text.sim import Levenshtein
 from repro.text.tokenizers import QgramTokenizer, Tokenizer, WhitespaceTokenizer
 
 TOKENIZER = QgramTokenizer(q=3, return_set=True)
@@ -298,3 +302,46 @@ def test_dense_positional_bound_smoke():
             "Dense closed-vocabulary join: candidates vs pairs verified",
             format_table(rows),
         )
+
+
+def test_edit_distance_join_smoke():
+    """Fast CI check: on a small restaurant pair the edit-distance join
+    equals brute-force Levenshtein over A x B, and the count and length
+    filters send fewer pairs to verification than the kernel admits."""
+    dataset = make_em_dataset(restaurant, 150, 150, dirtiness=DirtinessConfig.light(), seed=10)
+    levenshtein = Levenshtein()
+    labels = {"join": "edit_distance", "measure": "levenshtein"}
+    rows = []
+    for column in ("name", "street"):
+        with use_registry() as registry:
+            joined = edit_distance_join(
+                dataset.ltable, dataset.rtable, "id", "id", column, column, threshold=2, q=2
+            )
+            candidates = registry.get("simjoin_candidates_total", **labels).value
+            verified = registry.get("simjoin_verified_total", **labels).value
+        left, right = (
+            [(key, value) for key, value in zip(t["id"], t[column]) if not is_missing(value)]
+            for t in (dataset.ltable, dataset.rtable)
+        )
+        pairs = [
+            (l_id, r_id, distance)
+            for l_id, l_value in left
+            for r_id, r_value in right
+            if (distance := levenshtein.get_raw_score(l_value, r_value)) <= 2
+        ]
+        assert joined["_id"] == list(range(len(pairs)))
+        assert list(zip(joined["l_id"], joined["r_id"], joined["score"])) == pairs
+        assert joined.num_rows <= verified < candidates
+        rows.append(
+            {
+                "column": column,
+                "candidates": int(candidates),
+                "verified": int(verified),
+                "output pairs": joined.num_rows,
+            }
+        )
+    report(
+        "simjoin_edit_distance_smoke",
+        "Edit-distance join (q=2, d=2): candidates vs pairs verified",
+        format_table(rows),
+    )

@@ -238,7 +238,7 @@ def cmd_index_build(args) -> int:
 
     from repro.index import IndexStore
     from repro.table.schema import is_missing
-    from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
+    from repro.text.tokenizers import QgramBagTokenizer, QgramTokenizer, WhitespaceTokenizer
     from repro.text.vectorize import HashedNgramVectorizer
 
     table = read_csv(args.table)
@@ -249,6 +249,7 @@ def cmd_index_build(args) -> int:
     tokenizers = [
         WhitespaceTokenizer(return_set=True),
         QgramTokenizer(q=args.q, return_set=True),
+        QgramBagTokenizer(q=args.q),  # the edit-distance join's q-gram bags
     ]
     vectorizer = (
         HashedNgramVectorizer(q=args.q, dim=args.vector_dim)
@@ -273,7 +274,6 @@ def cmd_index_build(args) -> int:
         for view in (table, lowered):
             for tokenizer in tokenizers:
                 store.tokenized_column(view, args.key, column, tokenizer)
-            store.gram_bags(view, args.key, column, args.q)
         if vectorizer is not None:
             # The vector blocker embeds the raw column (its vectorizer
             # lowercases internally), so only the raw view needs vectors.

@@ -2,7 +2,7 @@
 
 The platform-service answer to "every command rebuilds its own index":
 a :class:`IndexStore` materializes tokenizations, token-id encodings,
-prefix-filter postings, verification masks, and q-gram indexes once per
+prefix-filter postings and probe-ready CSR corpora once per
 *content fingerprint* and serves them to every sim join, blocker,
 blocking-rule execution, and Falcon/Smurf iteration that asks again —
 in memory within a process, and from an atomic on-disk cache across
@@ -32,7 +32,6 @@ from repro.index.fingerprints import (
 from repro.index.store import (
     ARTIFACT_KINDS,
     CACHE_READ_ERRORS,
-    GramIndex,
     HashedColumn,
     IndexStore,
     PairEncoding,
@@ -49,7 +48,6 @@ __all__ = [
     "AnnIndex",
     "CACHE_READ_ERRORS",
     "FORMAT_VERSION",
-    "GramIndex",
     "HashedColumn",
     "IndexStore",
     "LIVE_FORMAT_VERSION",

@@ -647,13 +647,14 @@ class LiveIndex:
         table.require_columns([l_key, l_column])
         view = self._view(table, l_key, l_column)
         tc = self._store.tokenized_column(view, l_key, l_column, self.tokenizer)
-        rows: list[tuple] = []
+        l_ids, r_ids, scores = [], [], []
         with self._lock:
             for row_key, value in tc.records:
                 matches, _ = self._search_locked(tc.token_sets[value])
-                for r_id, score in matches:
-                    rows.append((row_key, r_id, score))
-        return _result_table(rows)
+                l_ids += [row_key] * len(matches)
+                r_ids += [r_id for r_id, _ in matches]
+                scores += [score for _, score in matches]
+        return _result_table(l_ids, r_ids, scores)
 
     # ------------------------------------------------------------------
     # Compaction

@@ -3,8 +3,8 @@
 Every ``set_sim_join``, ``OverlapBlocker`` run, blocking-rule execution,
 and Falcon/Smurf iteration needs the same expensive intermediates:
 string records, per-value token sets, a :class:`TokenUniverse` with
-token-id encodings, size-sorted prefix-filter postings, and q-gram
-count indexes.  Before this module each call
+token-id encodings, and the probe-ready corpus or prefix-filter
+postings.  Before this module each call
 rebuilt them from scratch; the :class:`IndexStore` materializes each
 artifact once under a *content fingerprint* and serves every later call
 — the same table content probed again (even through a freshly projected
@@ -20,10 +20,14 @@ keyed by the digests of what it was built from::
           -> pair encoding (universe + CSR rows)    "encoding"
               -> prefix postings index              "prefix"
               -> probe-ready corpus + prefix^T      "arrayindex"
-      -> q-gram bags / count-filter index           "grambags"/"gramindex"
       -> hashed n-gram count vectors                "vectors"
           -> joint (IDF-weighted) vector space      "vecpair"
               -> banded-LSH approximate-NN index    "ann"
+
+The edit-distance join rides the token chain with
+:class:`~repro.text.tokenizers.QgramBagTokenizer` (q-gram bags as
+sets).  Pickles of retired kinds in a cache directory are listed and
+swept like any artifact, and never read: no accessor asks for them.
 
 The encoding is built in arrays: the universe is ranked with one stable
 sort over per-token record counts, each distinct value becomes one row
@@ -61,7 +65,7 @@ import os
 import pickle
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
@@ -81,7 +85,7 @@ from repro.perf.tokens import TokenUniverse
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.table.schema import is_missing
 from repro.table.table import Table
-from repro.text.tokenizers import QgramTokenizer, Tokenizer
+from repro.text.tokenizers import Tokenizer
 from repro.text.vectorize import (
     HashedNgramVectorizer,
     SparseVector,
@@ -91,8 +95,7 @@ from repro.text.vectorize import (
 )
 
 ARTIFACT_KINDS = (
-    "records", "tokens", "encoding", "prefix", "arrayindex",
-    "grambags", "gramindex", "vectors", "vecpair", "ann",
+    "records", "tokens", "encoding", "prefix", "arrayindex", "vectors", "vecpair", "ann",
 )
 
 #: Disk-tier read failures that mean "treat as a cache miss and rebuild":
@@ -169,16 +172,6 @@ class PrefixIndex:
         self.index = index
 
 
-class GramIndex:
-    """q-gram -> [(right position, gram count)] for the edit-join filter."""
-
-    __slots__ = ("key", "index")
-
-    def __init__(self, key: str, index: dict[str, list[tuple[int, int]]]):
-        self.key = key
-        self.index = index
-
-
 class HashedColumn:
     """One column's records as hashed n-gram count vectors.
 
@@ -235,18 +228,17 @@ class IndexStore:
     result from the memory tier — each digest builds exactly once (one
     ``index_builds_total`` increment; the loser counts a memory reuse),
     while builds of *unrelated* artifacts never serialize behind one
-    another.  Nested builds (``gram_index`` -> ``gram_bags``,
-    ``tokenized_column`` -> ``_records``) take distinct digest locks and
-    the dependency graph is acyclic, so the per-digest locks cannot
-    deadlock.
+    another.  A nested build (``tokenized_column`` -> ``_records``)
+    takes a distinct digest lock and the dependency graph is acyclic, so
+    the per-digest locks cannot deadlock.
     """
 
     def __init__(self, cache_dir: str | Path | None = None, max_entries: int = 256):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_entries = max(1, int(max_entries))
         self._memory: OrderedDict[str, Any] = OrderedDict()
-        # RLock: accessor builds nest (`gram_index` -> `gram_bags`,
-        # `tokenized_column` -> `_records`), so a thread can re-enter.
+        # RLock: accessor builds nest (`tokenized_column` -> `_records`),
+        # so a thread can re-enter.
         self._lock = threading.RLock()
         # digest -> plain Lock serializing concurrent builds of that one
         # artifact; entries are created and discarded under `self._lock`.
@@ -414,12 +406,6 @@ class IndexStore:
 
         return self._get("prefix", digest, build)
 
-    def pair_arrays(self, encoding: PairEncoding, side: str = "left"):
-        """One side of a pair encoding, as its CSR token-incidence matrix."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return encoding.right if side == "right" else encoding.left
-
     def array_index(
         self,
         encoding: PairEncoding,
@@ -434,6 +420,8 @@ class IndexStore:
         candidate semantics); returns a
         :class:`repro.perf.arrays.ArrayIndex`.
         """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         # "rows2" names the ArrayIndex layout (row-major corpus matrix +
         # transposed prefix slice).  Change it whenever what the class
         # pickles changes, so a cached pickle of another layout is never
@@ -444,49 +432,10 @@ class IndexStore:
         )
 
         def build():
-            return arrays.build_array_index(
-                digest,
-                self.pair_arrays(encoding, side=side),
-                measure,
-                threshold,
-                use_prefix_filter,
-            )
+            records = getattr(encoding, side)
+            return arrays.build_array_index(digest, records, measure, threshold, use_prefix_filter)
 
         return self._get("arrayindex", digest, build)
-
-    def gram_bags(self, table: Table, key: str, column: str, q: int) -> dict[str, Counter]:
-        """Unpadded q-gram multiset per distinct value of the column."""
-        table.require_columns([key, column])
-        col_fp = column_fingerprint(table, key, column)
-        digest = combine("grambags", col_fp, q)
-
-        def build() -> dict[str, Counter]:
-            tokenizer = QgramTokenizer(q=q, padding=False)
-            records = self._records(col_fp, table, key, column)
-            bags: dict[str, Counter] = {}
-            for _, value in records:
-                if value not in bags:
-                    bags[value] = Counter(tokenizer.tokenize(value))
-            return bags
-
-        return self._get("grambags", digest, build)
-
-    def gram_index(self, table: Table, key: str, column: str, q: int) -> GramIndex:
-        """Inverted q-gram count index over the column (edit-join filter)."""
-        table.require_columns([key, column])
-        col_fp = column_fingerprint(table, key, column)
-        digest = combine("gramindex", col_fp, q)
-
-        def build() -> GramIndex:
-            records = self._records(col_fp, table, key, column)
-            bags = self.gram_bags(table, key, column, q)
-            index: dict[str, list[tuple[int, int]]] = {}
-            for position, (_, value) in enumerate(records):
-                for gram, count in bags[value].items():
-                    index.setdefault(gram, []).append((position, count))
-            return GramIndex(digest, index)
-
-        return self._get("gramindex", digest, build)
 
     # ------------------------------------------------------------------
     # Vector-branch accessors (the ANN blocking building blocks)

@@ -110,6 +110,12 @@ def observe_kernel_batch(
 # order* as its scalar twin (coefficients precomputed in Python floats,
 # int sums before float conversion, np.sqrt == math.sqrt, np.ceil ==
 # math.ceil), so the int bounds are equal element-for-element.
+#
+# A fifth measure has no scalar twin: "qgram_count", the edit-distance
+# join's count filter (Ed-Join) over occurrence-tagged q-gram sets.  Its
+# threshold is -q*d and a pair's score is overlap - max(sizes), so it
+# keeps the pairs sharing at least max(sizes) - q*d tokens, sizes within
+# q*d of each other; the generic prefix formula gives q*d + 1.
 # ----------------------------------------------------------------------
 def _ceil_bound(values):
     """Vector twin of :func:`repro.perf.kernels.ceil_bound`."""
@@ -134,6 +140,9 @@ def size_bounds_arrays(measure: str, threshold: float, sizes):
     elif measure == "dice":
         lower = _ceil_bound(threshold / (2.0 - threshold) * sizes_f)
         upper = (2.0 - threshold) / threshold * sizes_f
+    elif measure == "qgram_count":
+        lower = sizes + threshold
+        upper = sizes_f - threshold
     else:  # overlap
         lower = np.full(len(sizes), ceil_bound(threshold), dtype=np.int64)
         upper = np.full(len(sizes), math.inf, dtype=np.float64)
@@ -152,6 +161,8 @@ def overlap_bounds_arrays(measure: str, threshold: float, left_sizes, right_size
     if measure == "dice":
         coefficient = threshold / 2.0
         return _ceil_bound(coefficient * (left_sizes + right_sizes).astype(np.float64))
+    if measure == "qgram_count":
+        return np.maximum(left_sizes, right_sizes) + threshold
     return np.full(len(left_sizes), ceil_bound(threshold), dtype=np.int64)
 
 
@@ -178,6 +189,8 @@ def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
     """
     if measure == "overlap":
         return overlap.astype(np.float64)
+    if measure == "qgram_count":
+        return (overlap - np.maximum(left_sizes, right_sizes)).astype(np.float64)
     if len(overlap) and min(left_sizes.min(), right_sizes.min()) == 0:
         # The formulas divide by the sizes: score the empty sides apart.
         empty = (left_sizes == 0) | (right_sizes == 0)

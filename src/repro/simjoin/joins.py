@@ -6,42 +6,50 @@ index, and verify each candidate exactly.  ``naive_set_sim_join`` computes
 the same result by brute force and exists as the benchmark baseline that
 motivates this package (py_stringsimjoin in the paper).
 
-The filtered join runs on the integer kernels of :mod:`repro.perf`: every
-distinct string is tokenized once and encoded once, as a CSR row of
-dense token ids ranked by global frequency that each of its records
-shares.  :func:`set_sim_join` has one probe body, the batched CSR kernel of
+Both filtered joins run on the integer kernels of :mod:`repro.perf`:
+every distinct string is tokenized once and encoded once, as a CSR row
+of dense token ids ranked by global frequency that each of its records
+shares.  They have one probe body, the batched CSR kernel of
 :mod:`repro.perf.arrays`: candidates for a whole span of probe rows are
 one sparse product of prefix incidences, the size window is a vector
 comparison, and exact overlaps are computed only at the surviving pairs.
+:func:`edit_distance_join` encodes each string's q-gram bag as a set of
+occurrence-tagged grams and runs the kernel's ``"qgram_count"`` bound
+(the q-gram count filter), then verifies with batched Levenshtein.
 :func:`probe_encoded` is the same filter-verify step for *one* record
 against dict postings (a ``bisect`` size window, then a bitmask
 intersection or a merge scan with ppjoin-style early exit); only
 :class:`repro.index.delta.LiveIndex` calls it, for point probes and its
 mutable delta segment.  Both joins accept ``n_jobs`` and fan the probe
-side out over a process pool; shards are contiguous and merged in
-order, so parallel output is byte-identical to serial.
+rows out over a process pool in contiguous spans whose survivor arrays
+are concatenated in order, so parallel output is byte-identical to
+serial.  Every join hands its output over as columns: one
+``(_id, l_id, r_id, score)`` table built from key and score lists.
 
 All of the build-side intermediates — string records, token sets, the
-``TokenUniverse`` encodings, the CSR corpus matrices, and the edit
-join's q-gram index — come from the process-default
-:class:`repro.index.IndexStore`, so a join over content the store has
-already seen (a repeated blocker run, another rule over the same
-attribute, a Smurf threshold-sweep iteration) skips straight to the
-probe/verify phase.  Content fingerprints guarantee a mutated table or a
-different tokenizer rebuilds rather than reusing.
+``TokenUniverse`` encodings and the CSR corpus matrices — come from the
+process-default :class:`repro.index.IndexStore`, so a join over content
+the store has already seen (a repeated blocker run, another rule over
+the same attribute, a Smurf threshold-sweep iteration) skips straight to
+the probe/verify phase.  Content fingerprints guarantee a mutated table
+or a different tokenizer rebuilds rather than reusing.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left, bisect_right
+from functools import partial
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
 from repro.perf.kernels import BOUND_EPS, bounded_overlap, token_mask
-from repro.perf.parallel import effective_n_jobs, run_sharded, split_evenly
+from repro.perf.parallel import effective_n_jobs, run_sharded
 from repro.simjoin.filters import (
     prefix_length,
     similarity,
@@ -50,30 +58,8 @@ from repro.simjoin.filters import (
     validate_threshold,
 )
 from repro.table.table import Table
-from repro.text.sim.edit_based import Levenshtein
-from repro.text.tokenizers import Tokenizer
-
-_OUTPUT_COLUMNS = ("_id", "l_id", "r_id", "score")
-
-
-def _string_records(table: Table, key: str, column: str) -> list[tuple]:
-    """(key, str value) for each row with a non-missing value.
-
-    Served from the index store; the returned list is the shared cached
-    artifact and must not be mutated.
-    """
-    return get_index_store().string_records(table, key, column)
-
-
-def _tokenize_column(table: Table, key: str, column: str, tokenizer: Tokenizer):
-    """Yield (key, token_set); token sets come from the index store.
-
-    The sets are the store's shared per-distinct-value artifacts —
-    callers must treat them as read-only.
-    """
-    tokenized = get_index_store().tokenized_column(table, key, column, tokenizer)
-    for row_key, value in tokenized.records:
-        yield row_key, tokenized.token_sets[value]
+from repro.text.sim.edit_based import Levenshtein, number_items
+from repro.text.tokenizers import QgramBagTokenizer, Tokenizer
 
 
 def _observe_join(
@@ -83,7 +69,7 @@ def _observe_join(
     probes: int,
     candidates: int,
     survivors: int,
-    verified: int | None = None,
+    verified: int,
 ) -> None:
     """Record one join's filter-verify funnel in the metrics registry.
 
@@ -96,8 +82,7 @@ def _observe_join(
     reg.counter("simjoin_calls_total", **labels).inc()
     reg.counter("simjoin_probes_total", **labels).inc(probes)
     reg.counter("simjoin_candidates_total", **labels).inc(candidates)
-    if verified is not None:
-        reg.counter("simjoin_verified_total", **labels).inc(verified)
+    reg.counter("simjoin_verified_total", **labels).inc(verified)
     reg.counter("simjoin_survivors_total", **labels).inc(survivors)
     reg.gauge("simjoin_survival_ratio", **labels).set(
         survivors / candidates if candidates else 0.0
@@ -222,17 +207,46 @@ def probe_encoded_batch(
     return list(zip(matches, counts.tolist())), verified
 
 
-def _result_table(rows: list[tuple]) -> Table:
-    table = Table.from_rows(
-        (
-            {"_id": i, "l_id": l_id, "r_id": r_id, "score": score}
-            for i, (l_id, r_id, score) in enumerate(rows)
-        ),
-        columns=list(_OUTPUT_COLUMNS),
+def _result_table(l_ids: list, r_ids: list, scores: list) -> Table:
+    """The ``(_id, l_id, r_id, score)`` table every join returns."""
+    return Table({"_id": range(len(scores)), "l_id": l_ids, "r_id": r_ids, "score": scores})
+
+
+def _take(keys: list, positions) -> list:
+    """``keys`` at an int array of positions, as a list."""
+    return list(map(keys.__getitem__, positions.tolist()))
+
+
+def _probe_span(left, index, measure: str, threshold: float, use_prefix_filter: bool, span: range):
+    """The batched kernel over one span of ``left``'s rows: survivor rows,
+    positions and scores in (row, position) order, the candidate and
+    verified counts, and the kernel's seconds."""
+    started = time.perf_counter()
+    indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
+        left.matrix[span.start : span.stop],
+        left.sizes[span.start : span.stop],
+        index,
+        measure,
+        threshold,
+        use_prefix_filter,
     )
-    if table.num_rows == 0:
-        table = Table({name: [] for name in _OUTPUT_COLUMNS})
-    return table
+    seconds = time.perf_counter() - started
+    rows = np.repeat(np.arange(span.start, span.stop), np.diff(indptr))
+    return rows, positions, scores, int(counts.sum()), verified, seconds
+
+
+def _over_spans(n_rows: int, n_jobs: int, shard) -> tuple:
+    """Run ``shard`` over contiguous ascending spans of ``range(n_rows)``,
+    forked over ``n_jobs``.  Each span returns ``(rows, positions, values,
+    *counts)``; the arrays are concatenated in span order, so forked output
+    is byte-identical to serial, and the counts are summed."""
+    n_shards = max(1, min(effective_n_jobs(n_jobs), n_rows))
+    cuts = [n_rows * i // n_shards for i in range(n_shards + 1)]
+    # Spans are ranges, not index lists: sized (so run_sharded's
+    # small-work gate sees the true row count) but cheap to pickle.
+    spans = [range(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
+    parts = list(zip(*run_sharded(spans, shard, n_jobs)))
+    return (*map(np.concatenate, parts[:3]), *map(sum, parts[3:]))
 
 
 def set_sim_join(
@@ -276,55 +290,20 @@ def set_sim_join(
     # CSR corpus — comes from the index store: built once per content
     # fingerprint, served to every later call.
     store = get_index_store()
-    ltable.require_columns([l_key, l_column])
-    rtable.require_columns([r_key, r_column])
     encoding = store.pair_encoding(
         store.tokenized_column(ltable, l_key, l_column, tokenizer),
         store.tokenized_column(rtable, r_key, r_column, tokenizer),
     )
     array_index = store.array_index(encoding, measure, threshold, use_prefix_filter)
-    left_arrays = store.pair_arrays(encoding, side="left")
-    left_keys = left_arrays.keys
-    right_keys = array_index.keys
-    n_probe = len(left_keys)
-    n_shards = max(1, min(effective_n_jobs(n_jobs), n_probe))
-    cuts = [n_probe * i // n_shards for i in range(n_shards + 1)]
-    # Spans are ranges, not index lists: sized (so run_sharded's
-    # small-work gate sees the true row count) but cheap to pickle.
-    spans = [range(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
-
-    def join_shard(span: range) -> tuple[list[tuple], int, int, float]:
-        start, stop = span.start, span.stop
-        shard_started = time.perf_counter()
-        indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
-            left_arrays.matrix[start:stop],
-            left_arrays.sizes[start:stop],
-            array_index,
-            measure,
-            threshold,
-            use_prefix_filter,
-        )
-        seconds = time.perf_counter() - shard_started
-        position_list = positions.tolist()
-        score_list = scores.tolist()
-        boundaries = indptr.tolist()
-        results = [
-            (left_keys[start + row], right_keys[position_list[i]], score_list[i])
-            for row in range(len(boundaries) - 1)
-            for i in range(boundaries[row], boundaries[row + 1])
-        ]
-        return results, int(counts.sum()), verified, seconds
-
-    shard_outputs = run_sharded(spans, join_shard, n_jobs)
-    rows = [row for results, _, _, _ in shard_outputs for row in results]
-    n_candidates = sum(count for _, count, _, _ in shard_outputs)
-    n_verified = sum(verified for _, _, verified, _ in shard_outputs)
-    arrays.observe_kernel_batch(
-        "set_sim_join",
+    left = encoding.left
+    n_probe = len(left.keys)
+    rows, positions, scores, n_candidates, n_verified, seconds = _over_spans(
         n_probe,
-        n_candidates,
-        sum(seconds for _, _, _, seconds in shard_outputs),
-        verified=n_verified,
+        n_jobs,
+        partial(_probe_span, left, array_index, measure, threshold, use_prefix_filter),
+    )
+    arrays.observe_kernel_batch(
+        "set_sim_join", n_probe, n_candidates, seconds, verified=n_verified
     )
     _observe_join(
         "set_sim",
@@ -335,7 +314,9 @@ def set_sim_join(
         survivors=len(rows),
         verified=n_verified,
     )
-    return _result_table(rows)
+    return _result_table(
+        _take(left.keys, rows), _take(array_index.keys, positions), scores.tolist()
+    )
 
 
 def naive_set_sim_join(
@@ -351,15 +332,18 @@ def naive_set_sim_join(
 ) -> Table:
     """Brute-force O(n*m) reference implementation of :func:`set_sim_join`."""
     measure = validate_measure(measure)
-    left_records = list(_tokenize_column(ltable, l_key, l_column, tokenizer))
-    right_records = list(_tokenize_column(rtable, r_key, r_column, tokenizer))
-    results = []
-    for l_id, left_tokens in left_records:
-        for r_id, right_tokens in right_records:
-            score = similarity(measure, left_tokens, right_tokens)
+    store = get_index_store()
+    left = store.tokenized_column(ltable, l_key, l_column, tokenizer)
+    right = store.tokenized_column(rtable, r_key, r_column, tokenizer)
+    l_ids, r_ids, scores = [], [], []
+    for l_id, l_value in left.records:
+        for r_id, r_value in right.records:
+            score = similarity(measure, left.token_sets[l_value], right.token_sets[r_value])
             if score >= threshold:
-                results.append((l_id, r_id, score))
-    return _result_table(results)
+                l_ids.append(l_id)
+                r_ids.append(r_id)
+                scores.append(score)
+    return _result_table(l_ids, r_ids, scores)
 
 
 def edit_distance_join(
@@ -369,83 +353,90 @@ def edit_distance_join(
     r_key: str,
     l_column: str,
     r_column: str,
-    threshold: int = 2,
+    threshold: float = 2,
     q: int = 2,
     n_jobs: int = 1,
 ) -> Table:
     """Join rows whose string values are within edit distance ``threshold``.
 
-    Candidate generation uses the classic q-gram count filter: strings
-    within edit distance d share at least
-    ``max(|x|, |y|) - q + 1 - q * d`` (positional-free) q-grams, plus the
-    length filter ``||x| - |y|| <= d``.  Survivors are verified with exact
-    Levenshtein distance; the output ``score`` column holds the distance.
-    Q-gram bags are computed once per distinct string, and ``n_jobs``
-    fans the probe side out over a process pool.
+    Strings within edit distance d share at least
+    ``max(|x|, |y|) - q + 1 - q * d`` of their unpadded q-grams, counted
+    as bags (the count filter).  Each value's bag is encoded as a *set*
+    of occurrence-tagged grams
+    (:class:`~repro.text.tokenizers.QgramBagTokenizer`), so the filter is
+    the batched set kernel's ``"qgram_count"`` bound, probed over the
+    same spans as :func:`set_sim_join`.  Two strings of at most
+    ``q - 1 + q * d`` characters need no shared gram; those pairs come
+    from a cross product of length buckets instead.  Every pair then
+    meets the length filter ``||x| - |y|| <= d``, and each distinct pair
+    of values is verified once by :meth:`Levenshtein.batch_raw_score`.
+    The ``score`` column holds the distance as an ``int``; a float
+    threshold keeps its meaning (distance <= threshold).
     """
-    if threshold < 0:
-        raise ConfigurationError(f"edit-distance threshold must be >= 0, got {threshold}")
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ConfigurationError(
+            f"edit-distance threshold must be finite and >= 0, got {threshold}"
+        )
     join_started = time.perf_counter()
+    d = math.floor(threshold)
+    measure, bound = "qgram_count", -q * d
+    store = get_index_store()
+    tokenizer = QgramBagTokenizer(q)
+    left = store.tokenized_column(ltable, l_key, l_column, tokenizer)
+    right = store.tokenized_column(rtable, r_key, r_column, tokenizer)
+    encoding = store.pair_encoding(left, right)
+    index = store.array_index(encoding, measure, bound)
+    strings, l_values, r_values = number_items(
+        [value for _, value in left.records], [value for _, value in right.records]
+    )
+    n_strings = len(strings)
+    lengths = np.fromiter(map(len, strings), np.int64, n_strings)
+    l_len, r_len = lengths[l_values], lengths[r_values]
+    vacuous = q - 1 + q * d
+    short_right = np.flatnonzero(r_len <= vacuous)
+    short_right = short_right[np.argsort(r_len[short_right], kind="stable")]
+    short_len = r_len[short_right]
     levenshtein = Levenshtein()
 
-    store = get_index_store()
-    left_records = store.string_records(ltable, l_key, l_column)
-    right_records = store.string_records(rtable, r_key, r_column)
+    def join_span(span: range) -> tuple:
+        rows, cols, _, n_candidates, _, _ = _probe_span(
+            encoding.left, index, measure, bound, True, span
+        )
+        # The kernel found some pairs of two short strings too.
+        both_short = (l_len[rows] <= vacuous) & (r_len[cols] <= vacuous)
+        rows, cols = rows[~both_short], cols[~both_short]
+        short = np.arange(span.start, span.stop)[l_len[span.start : span.stop] <= vacuous]
+        lo = np.searchsorted(short_len, l_len[short] - d)
+        hi = np.searchsorted(short_len, l_len[short] + d, side="right")
+        _, take = arrays._ragged_take(lo, hi - lo)
+        n_candidates += len(take) - int(both_short.sum())
+        rows = np.concatenate([rows, np.repeat(short, hi - lo)])
+        cols = np.concatenate([cols, short_right[take]])
+        close = np.abs(l_len[rows] - r_len[cols]) <= d
+        rows, cols = rows[close], cols[close]
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        pairs, inverse = np.unique(
+            l_values[rows] * n_strings + r_values[cols], return_inverse=True
+        )
+        distances = levenshtein.batch_raw_score(
+            _take(strings, pairs // n_strings), _take(strings, pairs % n_strings)
+        )[inverse]
+        match = distances <= d
+        return rows[match], cols[match], distances[match], n_candidates, len(rows)
 
-    # Repeated attribute values (cities, states) share one gram-count
-    # bag; bags and the inverted index below are store artifacts, reused
-    # across calls over the same content.
-    left_bags = store.gram_bags(ltable, l_key, l_column, q)
-
-    # The classic count filter bounds the *bag* overlap of q-grams, so the
-    # index records per-record gram multiplicities and probing accumulates
-    # min(left count, right count) per gram.
-    index = store.gram_index(rtable, r_key, r_column, q).index
-    # When max(|x|, |y|) <= q - 1 + q*d the count filter requires zero
-    # shared q-grams, so short pairs are candidates even with no shared
-    # gram and cannot be reached through the inverted index.
-    vacuous_bound = q - 1 + q * threshold
-    short_right = [
-        position
-        for position, (_, value) in enumerate(right_records)
-        if len(value) <= vacuous_bound
-    ]
-
-    def join_shard(shard: list[tuple]) -> tuple[list[tuple], int]:
-        results: list[tuple] = []
-        n_candidates = 0
-        for l_id, left_value in shard:
-            counts: dict[int, int] = {}
-            for gram, left_count in left_bags[left_value].items():
-                for position, right_count in index.get(gram, ()):
-                    counts[position] = counts.get(position, 0) + min(
-                        left_count, right_count
-                    )
-            candidates = set(counts)
-            if len(left_value) <= vacuous_bound:
-                candidates.update(short_right)
-            n_candidates += len(candidates)
-            for position in sorted(candidates):
-                r_id, right_value = right_records[position]
-                if abs(len(left_value) - len(right_value)) > threshold:
-                    continue
-                required = max(len(left_value), len(right_value)) - q + 1 - q * threshold
-                if required > 0 and counts.get(position, 0) < required:
-                    continue
-                distance = levenshtein.get_raw_score(left_value, right_value)
-                if distance <= threshold:
-                    results.append((l_id, r_id, distance))
-        return results, n_candidates
-
-    shards = split_evenly(left_records, effective_n_jobs(n_jobs))
-    shard_outputs = run_sharded(shards, join_shard, n_jobs)
-    rows = [row for results, _ in shard_outputs for row in results]
+    rows, cols, distances, n_candidates, n_verified = _over_spans(
+        len(left.records), n_jobs, join_span
+    )
     _observe_join(
         "edit_distance",
         "levenshtein",
         time.perf_counter() - join_started,
-        probes=len(left_records),
-        candidates=sum(count for _, count in shard_outputs),
+        probes=len(left.records),
+        candidates=n_candidates,
         survivors=len(rows),
+        verified=n_verified,
     )
-    return _result_table(rows)
+    return _result_table(
+        _take(encoding.left.keys, rows), _take(encoding.right.keys, cols), distances.tolist()
+    )

@@ -157,6 +157,33 @@ class QgramTokenizer(Tokenizer):
         return [text[i : i + self.q] for i in range(len(text) - self.q + 1)]
 
 
+class QgramBagTokenizer(QgramTokenizer):
+    """Unpadded q-grams, the *k*-th repeat of a gram tagged with ``k``.
+
+    Grams are exactly ``q`` characters long, so a tag is never gram text
+    and one string's tokens are distinct: two strings' token-*set*
+    overlap is their q-gram *bag* overlap (the edit-distance join's
+    count filter).
+
+    >>> QgramBagTokenizer(q=2).tokenize("aaab")
+    ['aa', 'aa1', 'ab']
+    """
+
+    def __init__(self, q: int = 2):
+        super().__init__(q=q, padding=False, return_set=True)
+
+    def name(self) -> str:
+        return f"qbag_{self.q}"
+
+    def _split(self, text: str) -> list[str]:
+        seen: dict[str, int] = {}
+        tokens = []
+        for gram in super()._split(text):
+            seen[gram] = k = seen.get(gram, -1) + 1
+            tokens.append(f"{gram}{k}" if k else gram)
+        return tokens
+
+
 class AlphabeticTokenizer(Tokenizer):
     """Maximal runs of alphabetic characters.
 

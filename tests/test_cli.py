@@ -270,6 +270,62 @@ class TestIndexCli:
         assert main(["index", "compact", "--cache-dir", str(tmp_path)]) == 1
         assert "no live indexes" in capsys.readouterr().out
 
+    def test_build_warms_the_edit_distance_join(self, tmp_path, capsys):
+        from repro.index import IndexStore, use_index_store
+        from repro.obs import use_registry
+        from repro.simjoin import edit_distance_join
+
+        path = tmp_path / "A.csv"
+        write_csv(Table({"id": [1, 2, 3], "name": ["kitten", "sitting", "mitten"]}), path)
+        cache = str(tmp_path / "cache")
+        assert main(["index", "build", str(path), "--column", "name", "--q", "2",
+                     "--cache-dir", cache]) == 0
+        table = read_csv(path)
+        with use_registry() as registry, use_index_store(IndexStore(cache_dir=cache)):
+            joined = edit_distance_join(table, table, "id", "id", "name", "name", threshold=3)
+            counters = registry.counters()
+        tiers = {dict(labels)["tier"] for (name, labels), _ in counters.items()
+                 if name == "index_reuses_total" and dict(labels)["kind"] == "tokens"}
+        assert tiers == {"disk", "memory"}  # one side from disk, the other from memory
+        assert not any(name == "index_builds_total" and dict(labels)["kind"] == "tokens"
+                       for name, labels in counters)
+        assert joined.column("score") == [0, 3, 1, 3, 0, 3, 1, 3, 0]
+
+    def test_retired_artifact_kinds_are_listed_swept_and_never_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import pickle
+        from pathlib import Path
+
+        import repro.index.store as store_module
+        from repro.index import IndexStore, use_index_store
+        from repro.simjoin import edit_distance_join
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name in ("grambags-0123abcd.pkl", "gramindex-4567ef01.pkl"):
+            (cache / name).write_bytes(pickle.dumps({"q-gram dict": name}))
+        read = []
+        load = pickle.load
+        monkeypatch.setattr(
+            store_module.pickle, "load",
+            lambda handle: read.append(Path(handle.name).name) or load(handle),
+        )
+        path = tmp_path / "A.csv"
+        write_csv(Table({"id": [1, 2], "name": ["kitten", "sitting"]}), path)
+        assert main(["index", "build", str(path), "--cache-dir", str(cache)]) == 0
+        table = read_csv(path)
+        for _ in range(2):  # cold, then disk-warm
+            with use_index_store(IndexStore(cache_dir=cache)):
+                edit_distance_join(table, table, "id", "id", "name", "name", threshold=3)
+        assert read and not [name for name in read if name.startswith("gram")]
+        capsys.readouterr()
+        assert main(["index", "inspect", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "grambags" in out and "gramindex" in out
+        IndexStore(cache_dir=cache).clear(disk=True)
+        assert list(cache.glob("*.pkl")) == []
+
     def test_compacted_index_still_answers(self, live_cache):
         from repro.index import IndexStore, LiveIndex
 

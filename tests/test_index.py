@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.blocking import OverlapBlocker, make_candset
 from repro.features import extract_feature_vecs, get_features_for_matching
 from repro.index import (
+    ARTIFACT_KINDS,
     IndexStore,
     column_fingerprint,
     combine,
@@ -154,12 +155,24 @@ class TestWarmColdEquivalence:
 
     def test_edit_distance_join_warm_identical(self):
         ltable, rtable = make_tables(40)
-        with use_index_store():
+        with use_index_store(), use_registry() as registry:
             cold = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=2)
+            built = {
+                kind: counter_total(registry, "index_builds_total", kind=kind)
+                for kind in ARTIFACT_KINDS
+            }
             warm = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=2)
             warm_parallel = edit_distance_join(
                 ltable, rtable, "id", "id", "v", "v", threshold=2, n_jobs=2
             )
+            # The edit join rides the token chain; warm runs build nothing.
+            assert built == {
+                "records": 2, "tokens": 2, "encoding": 1, "prefix": 0, "arrayindex": 1,
+                "vectors": 0, "vecpair": 0, "ann": 0,
+            }
+            assert counter_total(registry, "index_builds_total") == 6
+            for kind in ("tokens", "encoding", "arrayindex"):
+                assert counter_total(registry, "index_reuses_total", kind=kind) >= 2
         assert cold.num_rows > 0
         assert columns_of(warm) == columns_of(cold)
         assert columns_of(warm_parallel) == columns_of(cold)

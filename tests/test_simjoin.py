@@ -3,10 +3,15 @@ the brute-force reference implementation."""
 
 import math
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.index import IndexStore, use_index_store
+from repro.obs import use_registry
 from repro.simjoin import (
     TokenOrder,
     edit_distance_join,
@@ -210,3 +215,105 @@ class TestEditDistanceJoin:
         ltable = Table({"id": [1], "v": ["a"]})
         with pytest.raises(ConfigurationError):
             edit_distance_join(ltable, ltable, "id", "id", "v", "v", threshold=-1)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold(self, threshold):
+        # NaN used to pass `threshold < 0` and return nothing; inf, a
+        # Levenshtein scan of every pair.
+        ltable = Table({"id": [1], "v": ["a"]})
+        with pytest.raises(ConfigurationError, match="finite"):
+            edit_distance_join(ltable, ltable, "id", "id", "v", "v", threshold=threshold)
+
+    def test_float_threshold_means_distance_at_most(self):
+        ltable = Table({"id": [1], "v": ["kitten"]})
+        rtable = Table({"id": [2, 3, 4], "v": ["kitten", "mitten", "sitting"]})
+        result = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=1.5)
+        assert result == edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=1)
+        assert result.column("score") == [0, 1]
+
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """Textbook dynamic-programming edit distance: the oracle."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        current = [i]
+        for j, cb in enumerate(b, 1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+def brute_force_edit_join(ltable: Table, rtable: Table, threshold: float) -> Table:
+    """Every non-missing pair of A x B within ``threshold``, in row order."""
+    from repro.table.schema import is_missing
+
+    def present(table):
+        return [(k, v) for k, v in zip(table.column("id"), table.column("v")) if not is_missing(v)]
+
+    rows = [
+        (l_id, r_id, distance)
+        for l_id, l_value in present(ltable)
+        for r_id, r_value in present(rtable)
+        if (distance := dp_levenshtein(l_value, r_value)) <= threshold
+    ]
+    return Table({
+        "_id": list(range(len(rows))),
+        "l_id": [row[0] for row in rows],
+        "r_id": [row[1] for row in rows],
+        "score": [row[2] for row in rows],
+    })
+
+
+# Astral, combining and NUL code points; "İ".lower() is two code points.
+_PIECES = ["a", "b", "c", " ", "\x00", "\U0001d518", "é", "İ".lower()]
+# Strings past a 64-bit Levenshtein lane, one edit apart, plus odd singles.
+_POOL = ["a" * 70, "a" * 69 + "b", "b" + "a" * 69, "", None, "x", "\x00", "ab" * 3]
+
+
+@st.composite
+def _edit_join_case(draw):
+    q = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
+    vacuous = q - 1 + q * d
+    text = st.lists(st.sampled_from(_PIECES), max_size=vacuous + 2).map("".join)
+    # Exactly at the bound where the count filter stops asking for a shared gram.
+    at_bound = st.lists(st.sampled_from(_PIECES), min_size=vacuous, max_size=vacuous).map(
+        lambda pieces: "".join(pieces)[:vacuous]
+    )
+    values = st.lists(st.one_of(text, at_bound, st.sampled_from(_POOL)), max_size=9)
+    left, right = draw(values), draw(values)
+    if draw(st.booleans()):
+        # Enough probe rows for n_jobs=2 to fork, and duplicate values.
+        left = (left * 64)[: max(64, len(left))] if left else left
+    threshold = d + draw(st.sampled_from([0, 0.5]))
+    return q, threshold, left, right
+
+
+def _values_table(prefix: str, values: list) -> Table:
+    return Table({"id": [f"{prefix}{i}" for i in range(len(values))], "v": values})
+
+
+class TestEditDistanceJoinEqualsBruteForce:
+    @given(_edit_join_case())
+    @settings(max_examples=60, deadline=None)
+    def test_serial_parallel_cold_and_disk_warm(self, case):
+        q, threshold, left, right = case
+        ltable, rtable = _values_table("a", left), _values_table("b", right)
+        expected = brute_force_edit_join(ltable, rtable, threshold)
+
+        def join(**kwargs):
+            return edit_distance_join(
+                ltable, rtable, "id", "id", "v", "v", threshold=threshold, q=q, **kwargs
+            )
+
+        with use_index_store():
+            assert join() == expected
+            assert join(n_jobs=2) == expected
+        with tempfile.TemporaryDirectory() as cache:
+            with use_index_store(IndexStore(cache_dir=cache)):
+                cold = join()
+            with use_registry() as registry, use_index_store(IndexStore(cache_dir=cache)):
+                warm = join()
+                assert not any(name == "index_builds_total" for name, _ in registry.counters())
+        assert cold == warm == expected
+        assert all(type(score) is int for score in cold.column("score"))
