@@ -114,12 +114,13 @@ def dominations(rows: list[dict]) -> list[dict]:
 
 
 def ann_roundtrip_identical(tmp_dir: str) -> bool:
-    """Cold ANN build vs disk-tier warm reload: identical probe results.
+    """Cold ANN build vs disk-tier warm reload: identical search results.
 
     Builds the vector artifact chain against a persistent cache, then
-    re-probes through a *fresh* store (memory tier empty, disk tier
-    warm) and compares the candidate sets pair-for-pair, plus every
-    probe's raw candidate positions on the reloaded AnnIndex object.
+    re-searches through a *fresh* store (memory tier empty, disk tier
+    warm) and compares the candidate sets pair-for-pair, plus the
+    reloaded AnnIndex's ``search`` arrays (rows, positions, scores)
+    over every left record at a near-zero threshold.
     """
     dataset = make_em_dataset(
         restaurant, 120, 120, match_fraction=0.5,
@@ -141,18 +142,18 @@ def ann_roundtrip_identical(tmp_dir: str) -> bool:
             )
             pair = store.vector_pair(left, right, idf=True)
             ann = store.ann_index(pair, side="right", n_bands=32, band_bits=6)
-            probes = [ann.probe(vector) for _, vector in pair.left]
-            return candset_pairs(candset), probes
+            found = [array.tolist() for array in ann.search(pair.left.matrix, 1e-9)]
+            return candset_pairs(candset), found
         finally:
             set_index_store(previous)
 
-    cold_pairs, cold_probes = run(IndexStore(cache_dir=tmp_dir))
+    cold_pairs, cold_found = run(IndexStore(cache_dir=tmp_dir))
     warm_store = IndexStore(cache_dir=tmp_dir)
-    warm_pairs, warm_probes = run(warm_store)
+    warm_pairs, warm_found = run(warm_store)
     reused = any(
         row["kind"] == "ann" for row in warm_store.disk_artifacts()
     )
-    return reused and cold_pairs == warm_pairs and cold_probes == warm_probes
+    return reused and cold_pairs == warm_pairs and cold_found == warm_found
 
 
 def _run(scenarios, tmp_dir: str) -> dict:

@@ -15,7 +15,10 @@ neighbours under cosine similarity at a controllable candidate budget
 Everything expensive is an :class:`repro.index.IndexStore` artifact
 (kinds ``vectors`` -> ``vecpair`` -> ``ann``), so embeddings and the ANN
 index are built once per content fingerprint, shared across calls, and
-warm-reloaded from the disk tier with byte-identical probe results.
+warm-reloaded from the disk tier with byte-identical search results.
+Both entry points run on the pair's CSR sides: ``block_tables`` is one
+:meth:`~repro.index.ann.AnnIndex.search`, ``block_candset`` one
+:func:`~repro.index.ann.pair_cosines` over the candidate pairs.
 
 Approximation contract: retrieval is *approximate* — ``block_tables``
 returns a subset of the exact cosine-threshold join (LSH can miss
@@ -27,16 +30,19 @@ input pair is scored with the true cosine.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from typing import Any
+
+import numpy as np
 
 from repro.blocking.base import CANDSET_ID, Blocker, make_candset, observe_blocking
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError
+from repro.index.ann import pair_cosines, rank_cut, validate_lsh
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry
+from repro.perf.arrays import observe_kernel_batch
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 from repro.text.vectorize import HashedNgramVectorizer, cosine
@@ -65,7 +71,8 @@ class VectorBlocker(Blocker):
     n_bands, band_bits, seed:
         The LSH dial: candidates collide in at least one of ``n_bands``
         bands of ``band_bits`` sign bits.  More bands -> higher recall
-        and larger candidate sets; more bits -> sharper bands.
+        and larger candidate sets; more bits -> sharper bands.  At most
+        512 planes (``n_bands * band_bits``) and 63 bits a band.
 
     Filter chains: with ``top_k=None`` the pair decision (cosine in the
     joint space of the two *base tables* >= threshold) is independent of
@@ -97,13 +104,7 @@ class VectorBlocker(Blocker):
             raise ConfigurationError(
                 f"threshold must be in (0, 1], got {threshold}"
             )
-        if top_k is not None and top_k < 1:
-            raise ConfigurationError(f"top_k must be >= 1, got {top_k}")
-        if n_bands < 1 or band_bits < 1:
-            raise ConfigurationError(
-                f"need n_bands >= 1 and band_bits >= 1, "
-                f"got n_bands={n_bands} band_bits={band_bits}"
-            )
+        validate_lsh(n_bands, band_bits, top_k)
         self.l_block_attr = l_block_attr
         self.r_block_attr = r_block_attr if r_block_attr is not None else l_block_attr
         self.threshold = threshold
@@ -114,8 +115,8 @@ class VectorBlocker(Blocker):
         self.n_bands = n_bands
         self.band_bits = band_bits
         self.seed = seed
-        # One vectorizer per blocker (its tokenize memo is the hot-path
-        # cache); never constructed per row or per call.
+        # One vectorizer per blocker, never one per row or per call: its
+        # spec is the fingerprint of the embedding artifacts.
         self._vectorizer = HashedNgramVectorizer(q=q, dim=dim, lowercase=True)
 
     # ------------------------------------------------------------------
@@ -164,101 +165,41 @@ class VectorBlocker(Blocker):
         catalog: Catalog | None = None,
         n_jobs: int = 1,
     ) -> Table:
-        """ANN retrieval: probe each left record against the right index.
+        """ANN retrieval: one search of the right index with every left record.
 
-        ``n_jobs`` is accepted for interface compatibility; probes are
-        index lookups plus sparse dot products, far below the cost where
-        fork-sharding pays for itself.
+        ``n_jobs`` is accepted for interface compatibility; the search is
+        a few array passes per chunk of probe rows, far below the cost
+        where fork-sharding pays for itself.
         """
-        started = time.perf_counter()
-        ltable.require_columns([l_key, self.l_block_attr])
-        rtable.require_columns([r_key, self.r_block_attr])
-        store = get_index_store()
-        pair = self._space(ltable, rtable, l_key, r_key, store)
-        ann = store.ann_index(
-            pair,
-            side="right",
-            n_bands=self.n_bands,
-            band_bits=self.band_bits,
-            seed=self.seed,
-        )
-        from repro.perf.arrays import batched_probe_pays, observe_kernel_batch
-
         registry = get_registry()
-        pairs: list[tuple[Any, Any]] = []
-        candidates_total = 0
-        probe_started = time.perf_counter()
-        if batched_probe_pays(len(pair.left), len(ann)):
-            searched = ann.search_batch(
-                [vector for _, vector in pair.left],
-                threshold=self.threshold,
-                top_k=self.top_k,
+        with registry.timer("blocking_seconds", blocker=type(self).__name__):
+            ltable.require_columns([l_key, self.l_block_attr])
+            rtable.require_columns([r_key, self.r_block_attr])
+            store = get_index_store()
+            pair = self._space(ltable, rtable, l_key, r_key, store)
+            ann = store.ann_index(
+                pair,
+                side="right",
+                n_bands=self.n_bands,
+                band_bits=self.band_bits,
+                seed=self.seed,
             )
-            for (row_key, _), matches in zip(pair.left, searched):
-                candidates_total += len(matches)
-                pairs.extend((row_key, ann.keys[position]) for position, _ in matches)
-            observe_kernel_batch(
-                "ann_search",
-                len(pair.left),
-                candidates_total,
-                time.perf_counter() - probe_started,
-            )
-        else:
-            for row_key, vector in pair.left:
-                matches = ann.search(vector, threshold=self.threshold, top_k=self.top_k)
-                candidates_total += len(matches)
-                pairs.extend((row_key, ann.keys[position]) for position, _ in matches)
-        registry.counter("index_ann_probes_total").inc(len(pair.left))
-        registry.counter("index_ann_candidates_total").inc(candidates_total)
-        registry.histogram("index_ann_probe_seconds").observe(
-            time.perf_counter() - probe_started
+            with registry.timer("index_ann_probe_seconds"), registry.timer(
+                "kernel_batch_seconds", op="ann_search"
+            ):
+                rows, positions, _ = ann.search(pair.left.matrix, self.threshold, self.top_k)
+        n_probes = len(pair.left.keys)
+        registry.counter("index_ann_probes_total").inc(n_probes)
+        registry.counter("index_ann_candidates_total").inc(len(rows))
+        observe_kernel_batch("ann_search", n_probes, len(rows))
+        observe_blocking(self, len(rows))
+        pairs = zip(
+            map(pair.left.keys.__getitem__, rows.tolist()),
+            map(ann.keys.__getitem__, positions.tolist()),
         )
-        observe_blocking(self, len(pairs), time.perf_counter() - started)
         return make_candset(
             pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )
-
-    def _score_candset_arrays(
-        self,
-        pair,
-        l_vectors: dict,
-        by_left: dict[Any, list[int]],
-        r_ids: Sequence[Any],
-    ) -> list[tuple[int, Any, float]]:
-        """Columnar scoring for :meth:`block_candset`, byte-identical.
-
-        One :func:`~repro.perf.arrays.batch_cosine` accumulation per
-        distinct left record scores it against every right vector at
-        once; each candidate row then just gathers its score.  The
-        accumulation walks shared buckets in the same ascending order as
-        the scalar :func:`~repro.text.vectorize.cosine`, so the floats
-        (and hence the survivor set) are bit-identical to the scalar path.
-        """
-        from repro.perf.arrays import SparseColumns, batch_cosine, observe_kernel_batch
-
-        started = time.perf_counter()
-        r_position = {row_key: i for i, (row_key, _) in enumerate(pair.right)}
-        columns = SparseColumns([vector for _, vector in pair.right])
-        # Keyed by candset row index so emission below restores the
-        # scalar path's ascending-row order.
-        by_row: dict[int, tuple[Any, float]] = {}
-        for l_id, rows in by_left.items():
-            l_vector = l_vectors.get(l_id)
-            if not l_vector:
-                continue  # empty/missing left: scalar cosine is 0, below threshold
-            scores = batch_cosine(l_vector, columns)
-            for i in rows:
-                position = r_position.get(r_ids[i])
-                if position is None:
-                    continue
-                score = float(scores[position])
-                if score >= self.threshold:
-                    by_row[i] = (l_id, score)
-        scored = [(i, l_id, score) for i, (l_id, score) in sorted(by_row.items())]
-        observe_kernel_batch(
-            "vector_candset", len(by_left), len(scored), time.perf_counter() - started
-        )
-        return scored
 
     def block_candset(
         self,
@@ -272,7 +213,7 @@ class VectorBlocker(Blocker):
         input pair is scored with the true cosine in the joint
         (IDF-weighted) space of the candidate set's base tables.  With
         ``top_k`` set, each left record additionally keeps only its
-        ``top_k`` best surviving partners.
+        ``top_k`` best surviving partners (ties: the earlier row).
         """
         cat = catalog if catalog is not None else get_catalog()
         meta = validate_candset(candset, cat)
@@ -281,45 +222,31 @@ class VectorBlocker(Blocker):
         meta.ltable.require_columns([self.l_block_attr])
         meta.rtable.require_columns([self.r_block_attr])
         pair = self._space(meta.ltable, meta.rtable, l_key, r_key, get_index_store())
-        l_vectors = dict(pair.left)
-
-        from repro.perf.arrays import batched_probe_pays
-
-        empty: dict = {}
-        scored: list[tuple[int, Any, float]] = []  # (row index, l_id, score)
         l_ids = candset.column(meta.fk_ltable)
-        r_ids = candset.column(meta.fk_rtable)
-        # Group rows by left record: the columnar path scores each
-        # distinct left against the whole right corpus in one pass.
-        by_left: dict[Any, list[int]] = {}
-        for i, l_id in enumerate(l_ids):
-            by_left.setdefault(l_id, []).append(i)
-        if batched_probe_pays(len(by_left), len(pair.right)):
-            scored = self._score_candset_arrays(pair, l_vectors, by_left, r_ids)
-        else:
-            r_vectors = dict(pair.right)
-            for i in range(candset.num_rows):
-                score = cosine(
-                    l_vectors.get(l_ids[i], empty),
-                    r_vectors.get(r_ids[i], empty),
-                )
-                if score >= self.threshold:
-                    scored.append((i, l_ids[i], score))
-        if self.top_k is not None:
-            per_left: dict[Any, list[tuple[int, float]]] = {}
-            for i, l_id, score in scored:
-                per_left.setdefault(l_id, []).append((i, score))
-            keep = []
-            for rows in per_left.values():
-                rows.sort(key=lambda item: (-item[1], item[0]))
-                keep.extend(i for i, _ in rows[: self.top_k])
-            keep.sort()
-        else:
-            keep = [i for i, _, _ in scored]
+        registry = get_registry()
+        with registry.timer("kernel_batch_seconds", op="vector_candset"):
+            l_at = _positions(pair.left.keys, l_ids)
+            r_at = _positions(pair.right.keys, candset.column(meta.fk_rtable))
+            # A key without a vector (missing value) scores 0: dropped.
+            rows = np.flatnonzero((l_at >= 0) & (r_at >= 0))
+            rows = rows[np.argsort(l_at[rows], kind="stable")]
+            right_t = pair.right.matrix.T.tocsr()
+            scores = pair_cosines(pair.left.matrix, right_t, l_at[rows], r_at[rows])
+            survived = scores >= self.threshold
+            rows, scores = rows[survived], scores[survived]
+            keep = np.sort(rows[rank_cut(l_at[rows], scores, self.top_k)])
+        observe_kernel_batch("vector_candset", len(set(l_ids)), len(rows))
         observe_blocking(self, len(keep))
-        result = candset.take(keep)
+        result = candset.take(keep.tolist())
         result.add_column(CANDSET_ID, list(range(len(keep))))
         cat.set_candset_metadata(
             result, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
         )
         return result
+
+
+def _positions(keys: list, ids: Sequence[Any]):
+    """Each id's record position among ``keys`` (the last on a repeat),
+    ``-1`` where it has none."""
+    position = dict(zip(keys, range(len(keys))))
+    return np.fromiter((position.get(i, -1) for i in ids), dtype=np.int64, count=len(ids))

@@ -10,272 +10,197 @@ raising ``n_bands`` adds more chances to collide (higher recall, larger
 candidate sets) — together they are the recall-vs-budget dial measured
 in ``benchmarks/bench_vector_blocking.py``.
 
-The hyperplanes are never materialized.  Each (bucket, plane) entry is a
-Rademacher ±1 sign derived from ``blake2b(seed : bucket)`` — a valid
-random-projection family, and deterministic across processes, which is
-what lets the whole index live in :class:`repro.index.IndexStore` as a
-content-fingerprinted artifact: a disk-tier reload probes byte-
-identically to the build that wrote it.
+Each (bucket, plane) entry of the hyperplanes is a Rademacher ±1 sign
+derived from ``blake2b(seed : bucket)`` — a valid random-projection
+family, and deterministic across processes, which is what lets the
+whole index live in :class:`repro.index.IndexStore` as a
+content-fingerprinted artifact: a disk-tier reload searches
+byte-identically to the build that wrote it.
 
-:class:`AnnIndex` is a plain picklable artifact like
-:class:`~repro.index.store.PrefixIndex`; the :class:`IndexStore`
-accessor (``ann_index``) gives it the LRU + disk tiers, per-digest build
-locks, and build/reuse metrics for free.
+A side is a CSR matrix of L2-normalized weights (rows are records,
+columns are buckets, indices sorted), and everything runs on arrays:
+
+* signatures are one product with the ±1 rows of the buckets a side
+  uses, which accumulates each plane over ascending buckets from 0.0;
+  a band's bits are one int64 code, and each band keeps its rows
+  sorted by code, so a probe's collisions are one ``searchsorted``
+  range per band;
+* candidates are deduplicated per chunk of probe rows with a bitmap;
+* scores are exact cosines (:func:`pair_cosines`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from repro.exceptions import ConfigurationError
-from repro.text.vectorize import SparseVector, cosine
+from repro.perf.arrays import CHUNK_TARGET_NNZ, _ragged_take
 
 
-def _plane_signs(bucket: int, seed: int, n_planes: int) -> tuple[float, ...]:
-    """Deterministic ±1 hyperplane entries for one embedding bucket."""
-    digest = hashlib.blake2b(
-        f"{seed}:{bucket}".encode("utf-8"), digest_size=(n_planes + 7) // 8
-    ).digest()
-    bits = int.from_bytes(digest, "big")
-    return tuple(1.0 if (bits >> p) & 1 else -1.0 for p in range(n_planes))
+def validate_lsh(n_bands: int, band_bits: int, top_k: int | None = None) -> None:
+    """Reject a banding (or ``top_k``) the index cannot represent.
+
+    Each plane takes one bit of a bucket's ``blake2b`` digest, which
+    holds at most 64 bytes (512 planes), and a band's bits are one int64
+    code (at most 63 bits).
+    """
+    if n_bands < 1 or band_bits < 1:
+        raise ConfigurationError(
+            f"need n_bands >= 1 and band_bits >= 1, "
+            f"got n_bands={n_bands} band_bits={band_bits}"
+        )
+    if n_bands * band_bits > 512:
+        raise ConfigurationError(
+            f"n_bands * band_bits must be <= 512, got {n_bands} * {band_bits}"
+        )
+    if band_bits > 63:
+        raise ConfigurationError(f"band_bits must be <= 63, got {band_bits}")
+    if top_k is not None and (isinstance(top_k, bool) or top_k < 1):
+        raise ConfigurationError(f"top_k must be an int >= 1, got {top_k!r}")
+
+
+def _plane_signs(buckets, seed: int, n_planes: int):
+    """The ±1 hyperplane entries of each bucket, ``(buckets, n_planes)``:
+    plane *p* is bit *p* of ``blake2b(f"{seed}:{bucket}")`` read as a
+    big-endian integer."""
+    size = (n_planes + 7) // 8
+    digests = b"".join(
+        hashlib.blake2b(f"{seed}:{bucket}".encode("utf-8"), digest_size=size).digest()
+        for bucket in buckets.tolist()
+    )
+    # Last byte first, so the little-endian unpack yields bit 0 first.
+    raw = np.frombuffer(digests, dtype=np.uint8).reshape(len(buckets), size)[:, ::-1]
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :n_planes]
+    return np.where(bits, 1.0, -1.0)
+
+
+def pair_cosines(left, right_t, rows, positions):
+    """Exact cosine of each ``(left row, right row)`` pair, ``rows`` ascending.
+
+    Both sides are CSR matrices of L2-normalized weights with sorted
+    indices; the right one comes transposed (``right.T.tocsr()``).  Per
+    block of left rows the scores are read off one sparse product
+    ``left[block] @ right_t``, whose entries scipy sums over the shared
+    buckets in ascending order from zero — the order of the scalar
+    :func:`repro.text.vectorize.sparse_dot`, so each float is the scalar
+    one.  A block holds at most ``CHUNK_TARGET_NNZ`` pairs.
+    """
+    step = max(1, CHUNK_TARGET_NNZ // max(right_t.shape[1], 1))
+    scores = np.zeros(len(rows), dtype=np.float64)
+    block = rows // step
+    cuts = [*np.flatnonzero(np.diff(block, prepend=-1)).tolist(), len(rows)]
+    for start, stop in zip(cuts, cuts[1:]):
+        first = int(block[start]) * step
+        product = (left[first : first + step] @ right_t).toarray()
+        scores[start:stop] = product[rows[start:stop] - first, positions[start:stop]]
+    return scores
+
+
+def rank_cut(groups, scores, top_k: int | None):
+    """Indices ordering pairs by group, then descending score, with each
+    group cut to its ``top_k`` best (all of them for ``None``).  The sort
+    is stable, so pairs listed in tie order within each group (positions
+    or candset rows ascending) stay in it."""
+    order = np.lexsort((-scores, groups))
+    if top_k is not None:
+        grouped = groups[order]
+        order = order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < top_k]
+    return order
 
 
 class AnnIndex:
-    """Banded LSH over signed random projections of a record corpus.
+    """Banded LSH over signed random projections of one side's vectors.
 
-    ``keys``/``vectors`` hold the indexed side in record order (vectors
-    L2-normalized, so probe scoring is a sparse dot product); ``buckets``
-    maps ``(band, band_bits_value)`` to the positions hashed there.
-    Records with empty vectors (missing/empty values) are kept in the
-    record list for positional alignment but never enter a bucket, and
-    an empty probe vector returns no candidates.
+    ``keys``/``matrix`` are the indexed side in record order (a CSR of
+    L2-normalized weights).  ``band_codes[b]`` holds band *b*'s code of
+    every row with a non-empty vector, ascending (a stable sort, so
+    equal codes keep row order), and ``band_rows[b]`` the rows they
+    belong to: an empty vector (missing or blank value) is never a
+    candidate, and an empty probe row finds none.
 
     Read-only once built, like every :class:`IndexStore` artifact.
     """
 
-    __slots__ = ("key", "n_bands", "band_bits", "seed", "keys", "vectors",
-                 "buckets", "_sign_cache", "_np_signs", "_columns")
+    __slots__ = ("key", "n_bands", "band_bits", "seed", "keys", "matrix",
+                 "band_codes", "band_rows")
 
-    def __init__(
-        self,
-        key: str,
-        records: list[tuple[Any, SparseVector]],
-        n_bands: int = 16,
-        band_bits: int = 6,
-        seed: int = 0,
-    ):
-        if n_bands < 1 or band_bits < 1:
-            raise ConfigurationError(
-                f"need n_bands >= 1 and band_bits >= 1, "
-                f"got n_bands={n_bands} band_bits={band_bits}"
-            )
+    def __init__(self, key: str, keys: list, matrix, n_bands: int = 16,
+                 band_bits: int = 6, seed: int = 0):
+        validate_lsh(n_bands, band_bits)
         self.key = key
         self.n_bands = n_bands
         self.band_bits = band_bits
         self.seed = seed
-        self.keys = [row_key for row_key, _ in records]
-        self.vectors = [vector for _, vector in records]
-        self._sign_cache: dict[int, tuple[float, ...]] = {}
-        self._np_signs: dict[int, Any] = {}
-        self._columns = None
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for position, band_keys in enumerate(self.signature_batch(self.vectors)):
-            for band_key in band_keys:
-                buckets.setdefault(band_key, []).append(position)
-        self.buckets = {
-            band_key: tuple(positions) for band_key, positions in buckets.items()
-        }
+        self.keys = keys
+        self.matrix = matrix
+        live = np.flatnonzero(np.diff(matrix.indptr))
+        codes = self.codes(matrix[live]).T
+        order = np.argsort(codes, axis=1, kind="stable")
+        self.band_codes = np.take_along_axis(codes, order, axis=1)
+        self.band_rows = live[order]
 
-    # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
     @property
     def n_planes(self) -> int:
         return self.n_bands * self.band_bits
 
-    def signature(self, vector: SparseVector) -> list[tuple[int, int]]:
-        """The ``(band, bits)`` bucket keys of one vector (empty: none).
+    def codes(self, matrix):
+        """Each row's band codes, ``(rows, n_bands)`` int64: the sign bit
+        of plane *p* (projection >= 0.0) is bit ``p % band_bits`` of band
+        ``p // band_bits``."""
+        n_rows, width = matrix.shape
+        used = np.flatnonzero(np.bincount(matrix.indices, minlength=width))
+        compact = _sparse.csr_matrix(
+            (matrix.data, np.searchsorted(used, matrix.indices), matrix.indptr),
+            shape=(n_rows, len(used)),
+        )
+        signs = _plane_signs(used, self.seed, self.n_planes)
+        bits = (compact @ signs >= 0.0).reshape(n_rows, self.n_bands, self.band_bits)
+        return bits @ (np.int64(1) << np.arange(self.band_bits, dtype=np.int64))
 
-        Buckets accumulate in ascending order: float addition is not
-        associative, so pinning the order keeps this scalar path
-        bit-identical to :meth:`signature_batch` (which vectorizes the
-        per-plane accumulation but walks buckets in the same order) —
-        and therefore bucket assignments identical between them.
+    def search(self, matrix, threshold: float, top_k: int | None = None):
+        """Every probe row's colliding rows with cosine >= ``threshold``.
+
+        ``matrix`` is the probe side in this index's vector space.
+        Returns ``(rows, positions, scores)`` arrays ordered by probe
+        row, then descending score, then position, each row cut to its
+        ``top_k`` best.
         """
-        if not vector:
-            return []
-        n_planes = self.n_planes
-        accumulator = [0.0] * n_planes
-        cache = self._sign_cache
-        for bucket in sorted(vector):
-            weight = vector[bucket]
-            signs = cache.get(bucket)
-            if signs is None:
-                signs = cache[bucket] = _plane_signs(bucket, self.seed, n_planes)
-            for plane in range(n_planes):
-                accumulator[plane] += weight * signs[plane]
-        bits = 0
-        for plane in range(n_planes):
-            if accumulator[plane] >= 0.0:
-                bits |= 1 << plane
-        return self._band_keys(bits)
-
-    def _band_keys(self, bits: int) -> list[tuple[int, int]]:
-        mask = (1 << self.band_bits) - 1
-        return [
-            (band, (bits >> (band * self.band_bits)) & mask)
-            for band in range(self.n_bands)
-        ]
-
-    def signature_batch(self, vectors) -> list[list[tuple[int, int]]]:
-        """Signatures for many vectors; one vectorized accumulator each.
-
-        Per vector the ``n_planes`` accumulators update with one numpy
-        multiply-add per bucket instead of a Python loop over planes —
-        same buckets, same ascending order, same float64 operations, so
-        the band keys equal :meth:`signature`'s exactly.
-        """
-        n_planes = self.n_planes
-        cache = self._np_signs
-        signatures: list[list[tuple[int, int]]] = []
-        for vector in vectors:
-            if not vector:
-                signatures.append([])
-                continue
-            accumulator = np.zeros(n_planes, dtype=np.float64)
-            for bucket in sorted(vector):
-                signs = cache.get(bucket)
-                if signs is None:
-                    signs = cache[bucket] = np.array(
-                        _plane_signs(bucket, self.seed, n_planes), dtype=np.float64
-                    )
-                accumulator += vector[bucket] * signs
-            bits = 0
-            for plane in np.nonzero(accumulator >= 0.0)[0].tolist():
-                bits |= 1 << plane
-            signatures.append(self._band_keys(bits))
-        return signatures
-
-    # ------------------------------------------------------------------
-    # Probing
-    # ------------------------------------------------------------------
-    def probe(self, vector: SparseVector) -> list[int]:
-        """Positions colliding with the query in at least one band."""
-        candidates: set[int] = set()
-        buckets = self.buckets
-        for band_key in self.signature(vector):
-            positions = buckets.get(band_key)
-            if positions:
-                candidates.update(positions)
-        return sorted(candidates)
-
-    def search(
-        self,
-        vector: SparseVector,
-        threshold: float = 0.0,
-        top_k: int | None = None,
-    ) -> list[tuple[int, float]]:
-        """Scored probe: ``(position, cosine)`` sorted by descending score.
-
-        Candidates come from :meth:`probe`; each is verified with the
-        exact cosine against the stored normalized vector, filtered by
-        ``threshold``, and truncated to the ``top_k`` best (ties broken
-        by position for determinism).
-        """
-        scored = []
-        for position in self.probe(vector):
-            score = cosine(vector, self.vectors[position])
-            if score >= threshold:
-                scored.append((position, score))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return scored
-
-    def probe_batch(self, vectors) -> list[list[int]]:
-        """:meth:`probe` for many vectors (batched signature computation)."""
-        buckets = self.buckets
-        probed: list[list[int]] = []
-        for band_keys in self.signature_batch(vectors):
-            candidates: set[int] = set()
-            for band_key in band_keys:
-                positions = buckets.get(band_key)
-                if positions:
-                    candidates.update(positions)
-            probed.append(sorted(candidates))
-        return probed
-
-    def _corpus_columns(self):
-        """Lazy bucket-major view of the corpus for batched cosine."""
-        from repro.perf.arrays import SparseColumns
-
-        if self._columns is None:
-            self._columns = SparseColumns(self.vectors)
-        return self._columns
-
-    def search_batch(
-        self,
-        vectors,
-        threshold: float = 0.0,
-        top_k: int | None = None,
-    ) -> list[list[tuple[int, float]]]:
-        """:meth:`search` for many vectors in one batched pass.
-
-        Candidates come from :meth:`probe_batch`; verification scores
-        each query against the whole corpus with one columnar cosine
-        accumulation (ascending shared buckets — bit-identical floats to
-        the scalar :func:`~repro.text.vectorize.cosine`), then applies
-        the same threshold/ranking/``top_k``.  Each per-query result
-        equals :meth:`search` on that query exactly.
-        """
-        from repro.perf.arrays import batch_cosine
-
-        columns = self._corpus_columns()
-
-        results: list[list[tuple[int, float]]] = []
-        for vector, candidates in zip(vectors, self.probe_batch(vectors)):
-            if not candidates:
-                results.append([])
-                continue
-            scores = batch_cosine(vector, columns)
-            scored = []
-            for position in candidates:
-                score = float(scores[position])
-                if score >= threshold:
-                    scored.append((position, score))
-            scored.sort(key=lambda item: (-item[1], item[0]))
-            if top_k is not None:
-                scored = scored[:top_k]
-            results.append(scored)
-        return results
-
-    # ------------------------------------------------------------------
-    # Pickling (the sign caches and corpus columns are derived state)
-    # ------------------------------------------------------------------
-    _DERIVED_SLOTS = ("_sign_cache", "_np_signs", "_columns")
-
-    def __getstate__(self):
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in self._DERIVED_SLOTS
-        }
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-        object.__setattr__(self, "_sign_cache", {})
-        object.__setattr__(self, "_np_signs", {})
-        object.__setattr__(self, "_columns", None)
-
-    def __len__(self) -> int:
-        return len(self.keys)
+        n_rows = len(self.keys)
+        live = np.flatnonzero(np.diff(matrix.indptr))
+        codes = self.codes(matrix[live])
+        starts = np.empty_like(codes)
+        counts = np.empty_like(codes)
+        for band, band_codes in enumerate(self.band_codes):
+            lo = np.searchsorted(band_codes, codes[:, band], side="left")
+            starts[:, band] = lo + band * band_codes.shape[0]
+            counts[:, band] = np.searchsorted(band_codes, codes[:, band], side="right") - lo
+        flat_rows = self.band_rows.ravel()
+        right_t = self.matrix.T.tocsr()
+        # Per chunk of probe rows: one (probe rows x index rows) bitmap
+        # dedups the bands' ranges and leaves the pairs sorted by (row,
+        # position); only the chunk's survivors outlive it.
+        step = max(1, CHUNK_TARGET_NNZ // max(n_rows, 1))
+        found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+        for first in range(0, len(live), step):
+            chunk = slice(first, first + step)
+            _, take = _ragged_take(starts[chunk].ravel(), counts[chunk].ravel())
+            local = np.repeat(np.arange(len(live[chunk])), counts[chunk].sum(axis=1))
+            seen = np.zeros(len(live[chunk]) * n_rows, dtype=bool)
+            seen[local * n_rows + flat_rows[take]] = True
+            pairs = np.flatnonzero(seen)
+            rows, positions = live[chunk][pairs // n_rows], pairs % n_rows
+            scores = pair_cosines(matrix, right_t, rows, positions)
+            keep = scores >= threshold
+            rows, positions, scores = rows[keep], positions[keep], scores[keep]
+            order = rank_cut(rows, scores, top_k)
+            found.append((rows[order], positions[order], scores[order]))
+        return tuple(map(np.concatenate, zip(*found)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<AnnIndex {len(self.keys)} records, {self.n_bands}x"
-            f"{self.band_bits} bands, {len(self.buckets)} buckets>"
+            f"{self.band_bits} bands>"
         )

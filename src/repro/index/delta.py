@@ -8,13 +8,12 @@ classic two-layer design of long-running search systems:
 
 * the **base segment** holds records → a corpus
   :class:`~repro.perf.tokens.TokenUniverse` → encoded id tuples → prefix
-  postings → verification masks, and is never mutated.  The constructor
-  (and :meth:`LiveIndex.load`) builds it *through* the store — the
+  postings, and is never mutated.  The constructor (and
+  :meth:`LiveIndex.load`) builds it *through* the store — the
   fingerprinted, disk-persistable chain every batch join over the same
-  content shares, whose encoding is CSR rows; the id tuples and masks
-  the point probe reads are derived from those rows here.  Compaction
-  replaces it with a privately held segment folded from the old base
-  and the delta;
+  content shares, whose encoding is CSR rows; the id tuples the point
+  probe reads are derived from those rows here.  Compaction replaces it
+  with a privately held segment folded from the old base and the delta;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
   unseen tokens, their prefix tokens are insertion-sorted into per-token
@@ -85,12 +84,7 @@ from repro.exceptions import (
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry, trace_span
 from repro.perf import arrays
-from repro.perf.kernels import (
-    MASK_UNIVERSE_MAX,
-    make_overlap_bound,
-    make_scorer,
-    token_mask,
-)
+from repro.perf.kernels import make_overlap_bound, make_scorer
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.simjoin.filters import prefix_length, validate_measure, validate_threshold
 from repro.table.schema import is_missing
@@ -115,16 +109,14 @@ class _BaseSegment:
     """
 
     __slots__ = (
-        "records", "universe", "enc", "index", "masks", "positions",
-        "encoding", "array_index",
+        "records", "universe", "enc", "index", "positions", "encoding", "array_index",
     )
 
-    def __init__(self, records, universe, enc, index, masks, positions, encoding):
+    def __init__(self, records, universe, enc, index, positions, encoding):
         self.records = records      # [(key, value)] — the frozen snapshot
         self.universe = universe    # TokenUniverse over the snapshot
         self.enc = enc              # [(key, ids)] in record order
         self.index = index          # token id -> (sizes, positions)
-        self.masks = masks          # [int] | None (None: merge-scan verification)
         self.positions = positions  # key -> base position
         self.encoding = encoding    # the PairEncoding artifact | None (folded)
         self.array_index = None     # lazy ArrayIndex (batched probes)
@@ -144,13 +136,12 @@ def _merge_postings(entry, new_pairs) -> tuple[list[int], list[int]]:
 class _DeltaSegment:
     """The mutable segment: append-only records, postings, tombstones."""
 
-    __slots__ = ("enc", "values", "postings", "masks", "tombstones", "positions", "ext_ids")
+    __slots__ = ("enc", "values", "postings", "tombstones", "positions", "ext_ids")
 
-    def __init__(self, with_masks: bool):
+    def __init__(self):
         self.enc: list[tuple[Any, tuple[int, ...]]] = []
         self.values: list[str] = []
         self.postings: dict[int, tuple[list[int], list[int]]] = {}
-        self.masks: list[int] | None = [] if with_masks else None
         self.tombstones: set[int] = set()
         self.positions: dict[Any, int] = {}
         self.ext_ids: dict[str, int] = {}
@@ -226,7 +217,7 @@ class LiveIndex:
         self._built_rows = len(self._base.records)
         self._folded_rows = 0
         self._base_tombstones: set[int] = set()
-        self._delta = _DeltaSegment(with_masks=self._base.masks is not None)
+        self._delta = _DeltaSegment()
 
     # ------------------------------------------------------------------
     # Construction
@@ -267,18 +258,13 @@ class LiveIndex:
 
     def _build_base(self, table: Table) -> _BaseSegment:
         """Run the store's artifact chain over a snapshot table, then
-        derive the point probe's id tuples (and masks) from its CSR rows."""
+        derive the point probe's id tuples from its CSR rows."""
         store = self._store
         view = self._view(table, self.key, self.column)
         tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
         encoding = store.pair_encoding(tc, tc)
         index = store.prefix_index(encoding, self.measure, self.threshold).index
         enc = arrays.record_tuples(encoding.right)
-        masks = (
-            [token_mask(ids) for _, ids in enc]
-            if len(encoding.universe) <= MASK_UNIVERSE_MAX
-            else None
-        )
         positions: dict[Any, int] = {}
         for position, (row_key, _) in enumerate(tc.records):
             if row_key in positions:
@@ -287,7 +273,7 @@ class LiveIndex:
                 )
             positions[row_key] = position
         return _BaseSegment(
-            tc.records, encoding.universe, enc, index, masks, positions, encoding
+            tc.records, encoding.universe, enc, index, positions, encoding
         )
 
     def _array_index(self, base: _BaseSegment):
@@ -351,8 +337,6 @@ class LiveIndex:
         position = len(delta.enc)
         delta.enc.append((row_key, ids))
         delta.values.append(prepared)
-        if delta.masks is not None:
-            delta.masks.append(token_mask(ids))
         size = len(ids)
         if size:
             prefix = ids[: prefix_length(self.measure, self.threshold, size)]
@@ -515,7 +499,6 @@ class LiveIndex:
             left_size,
             base.index,
             base.enc,
-            base.masks,
             self._scorer,
             self._overlap_bound,
             self.measure,
@@ -542,7 +525,6 @@ class LiveIndex:
             left_size,
             delta.postings,
             delta.enc,
-            delta.masks,
             self._scorer,
             self._overlap_bound,
             self.measure,
@@ -711,7 +693,7 @@ class LiveIndex:
             raced = self._ops[ops_mark:]
             self._base = new_base
             self._base_tombstones = set()
-            self._delta = _DeltaSegment(with_masks=new_base.masks is not None)
+            self._delta = _DeltaSegment()
             self._ops = list(raced)
             for op in raced:
                 self._apply_locked(op)
@@ -747,13 +729,11 @@ class LiveIndex:
         """
         measure, threshold = self.measure, self.threshold
         universe = base.universe.extended(ext_tokens) if ext_tokens else base.universe
-        with_masks = base.masks is not None and len(universe) <= MASK_UNIVERSE_MAX
         alive = [True] * len(base.records)
         for position in base_dead:
             alive[position] = False
         records = list(compress(base.records, alive))
         enc = list(compress(base.enc, alive))
-        masks = list(compress(base.masks, alive)) if with_masks else None
 
         staged: dict[int, list[tuple[int, int]]] = {}
         for position in delta_live:
@@ -763,8 +743,6 @@ class LiveIndex:
                 staged.setdefault(token, []).append((size, len(records)))
             records.append((row_key, delta.values[position]))
             enc.append((row_key, ids))
-            if with_masks:
-                masks.append(delta.masks[position])
 
         if base_dead:
             # Survivors shift down by the dead rows before them.
@@ -791,7 +769,7 @@ class LiveIndex:
         for token, new_pairs in staged.items():
             index[token] = _merge_postings(index.get(token, ((), ())), new_pairs)
         positions = {row_key: position for position, (row_key, _) in enumerate(records)}
-        return _BaseSegment(records, universe, enc, index, masks, positions, None)
+        return _BaseSegment(records, universe, enc, index, positions, None)
 
     # ------------------------------------------------------------------
     # Introspection

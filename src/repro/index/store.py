@@ -39,10 +39,12 @@ reads, cut out of the right side's CSR rows; only a live index builds
 it, and only a live index turns rows into id tuples.
 
 The vector branch backs :class:`repro.blocking.vector.VectorBlocker`:
-embeddings from :mod:`repro.text.vectorize` and the
-:class:`repro.index.ann.AnnIndex` ride the same LRU + disk tiers,
-per-digest build locks, and warm-reload semantics as the token-side
-artifacts.
+embeddings from :mod:`repro.text.vectorize` (one count vector per
+distinct value) are weighted and normalized into one CSR block per
+``vecpair``, whose rows each side's records gather, and the
+:class:`repro.index.ann.AnnIndex` over one side rides the same LRU +
+disk tiers, per-digest build locks, and warm-reload semantics as the
+token-side artifacts.
 
 Two tiers: an in-process LRU (shared by default across all callers via
 :func:`get_index_store`), and an optional on-disk cache (``cache_dir``,
@@ -67,10 +69,12 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from repro.index.ann import AnnIndex
 from repro.index.fingerprints import (
@@ -190,22 +194,19 @@ class HashedColumn:
 class VectorPair:
     """A join pair's records in one shared, similarity-ready vector space.
 
-    Both sides' raw count vectors, IDF-weighted over the *combined*
-    corpus (when ``idf`` was requested) and L2-normalized — the form
-    :func:`repro.text.vectorize.cosine` and the ANN index consume.
+    ``left``/``right`` are :class:`~repro.perf.arrays.ArrayRecords` in
+    record order whose CSR rows hold each record's raw counts,
+    IDF-weighted over the *combined* corpus (when ``idf`` was requested)
+    and L2-normalized — bit for bit ``l2_normalize(apply_idf(embed(value),
+    idf))`` — under sorted bucket columns: what
+    :func:`repro.index.ann.pair_cosines` and the ANN index consume.
     ``idf`` is the fitted bucket -> weight table (``None`` without IDF),
     kept so ad-hoc probe vectors can be projected into the same space.
     """
 
     __slots__ = ("key", "left", "right", "idf")
 
-    def __init__(
-        self,
-        key: str,
-        left: list[tuple[Any, SparseVector]],
-        right: list[tuple[Any, SparseVector]],
-        idf: dict[int, float] | None,
-    ):
+    def __init__(self, key: str, left, right, idf: dict[int, float] | None):
         self.key = key
         self.left = left
         self.right = right
@@ -469,39 +470,10 @@ class IndexStore:
         self, left: HashedColumn, right: HashedColumn, idf: bool = True
     ) -> VectorPair:
         """Both sides projected into one (optionally IDF-weighted) space."""
-        digest = combine("vecpair", left.key, right.key, idf)
-
-        def build() -> VectorPair:
-            weights = (
-                idf_weights(
-                    vector
-                    for side in (left, right)
-                    for _, vector in side.records
-                )
-                if idf
-                else None
-            )
-            # Records sharing a raw vector object share the normalized
-            # one too (id-keyed memo; valid within this build).
-            memo: dict[int, SparseVector] = {}
-
-            def project(side: HashedColumn) -> list[tuple[Any, SparseVector]]:
-                projected = []
-                for row_key, vector in side.records:
-                    normalized = memo.get(id(vector))
-                    if normalized is None:
-                        weighted = (
-                            apply_idf(vector, weights)
-                            if weights is not None
-                            else vector
-                        )
-                        normalized = memo[id(vector)] = l2_normalize(weighted)
-                    projected.append((row_key, normalized))
-                return projected
-
-            return VectorPair(digest, project(left), project(right), weights)
-
-        return self._get("vecpair", digest, build)
+        # "csr1" names the VectorPair layout (two ArrayRecords of weights),
+        # so a pickle of the dict-vector layout is never read.
+        digest = combine("vecpair", "csr1", left.key, right.key, idf)
+        return self._get("vecpair", digest, lambda: _project_pair(digest, left, right, idf))
 
     def ann_index(
         self,
@@ -514,17 +486,15 @@ class IndexStore:
         """Banded-LSH index over one side of a :class:`VectorPair`."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        # "sig2" is the signature-computation version: signatures now
-        # accumulate buckets in ascending order (so scalar and batched
-        # computation agree bit-for-bit), which can flip near-zero band
-        # bits relative to v1 — salting the digest retires any persisted
-        # v1 index instead of trusting it.
-        digest = combine("ann", "sig2", pair.key, side, n_bands, band_bits, seed)
+        # "bands1" names the AnnIndex layout (CSR side + per-band sorted
+        # codes), so a pickle of the bucket-dict layout is never read.
+        digest = combine("ann", "bands1", pair.key, side, n_bands, band_bits, seed)
 
         def build() -> AnnIndex:
-            records = pair.right if side == "right" else pair.left
+            records = getattr(pair, side)
             return AnnIndex(
-                digest, records, n_bands=n_bands, band_bits=band_bits, seed=seed
+                digest, records.keys, records.matrix, n_bands=n_bands,
+                band_bits=band_bits, seed=seed,
             )
 
         return self._get("ann", digest, build)
@@ -619,6 +589,46 @@ def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> 
         for side, side_rows in zip(sides, rows)
     ]
     return PairEncoding(digest, universe, encoded[0], encoded[-1])
+
+
+def _project_pair(digest: str, left: HashedColumn, right: HashedColumn, idf: bool) -> VectorPair:
+    """Weight and normalize each distinct raw vector once with the scalar
+    dict functions (so every weight is theirs, bit for bit), then pack
+    them as one CSR block that both sides' records gather their rows
+    from."""
+    sides = (left, right)
+    weights = idf_weights(vector for side in sides for _, vector in side.records) if idf else None
+    # Records sharing a raw vector object share its row (id-keyed; the
+    # records keep every vector alive for the whole build).
+    row_of: dict[int, int] = {}
+    normalized: list[SparseVector] = []
+    side_rows = []
+    for side in sides:
+        rows = []
+        for _, vector in side.records:
+            row = row_of.get(id(vector))
+            if row is None:
+                row = row_of[id(vector)] = len(normalized)
+                weighted = apply_idf(vector, weights) if weights is not None else vector
+                normalized.append(l2_normalize(weighted))
+            rows.append(row)
+        side_rows.append(np.array(rows, dtype=np.int64))
+    lengths = np.fromiter(map(len, normalized), dtype=np.int64, count=len(normalized))
+    total = int(lengths.sum())
+    buckets = np.fromiter(chain.from_iterable(normalized), dtype=np.int64, count=total)
+    values = chain.from_iterable(vector.values() for vector in normalized)
+    width = int(buckets.max()) + 1 if total else 1
+    block = _sparse.csr_matrix(
+        (np.fromiter(values, dtype=np.float64, count=total), buckets, arrays._indptr(lengths)),
+        shape=(len(normalized), width),
+    )
+    block.sort_indices()
+    projected = []
+    for side, rows in zip(sides, side_rows):
+        matrix = block[rows]
+        keys = [row_key for row_key, _ in side.records]
+        projected.append(arrays.ArrayRecords(digest, keys, np.diff(matrix.indptr), matrix, width))
+    return VectorPair(digest, *projected, weights)
 
 
 # ----------------------------------------------------------------------

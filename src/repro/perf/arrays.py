@@ -1,11 +1,10 @@
 """Columnar CSR kernels: the batched body of the hot paths.
 
-Every per-pair loop in the substrate — filter-verify candidate
-collection and verification, the sparse-dict cosine in
-:mod:`repro.text.vectorize`, banded-LSH signatures in
-:mod:`repro.index.ann` — is done here for a *batch* of probes as a
-handful of ``numpy``/``scipy`` matrix operations instead of millions of
-interpreter steps:
+Every per-pair loop of the set-similarity joins — filter-verify
+candidate collection and verification — is done here for a *batch* of
+probes as a handful of ``numpy``/``scipy`` matrix operations instead of
+millions of interpreter steps (the vector branch's kernels, on the same
+CSR layout, are in :mod:`repro.index.ann`):
 
 * encoded corpora become CSR token-incidence matrices (``indptr``/
   ``indices`` postings, int64 counts as data), registered in
@@ -25,27 +24,22 @@ interpreter steps:
 * size-window and prefix bounds are vectorized replicas of
   :mod:`repro.simjoin.filters` — same operations, in the same order, on
   the same values, so every bound decision matches the scalar kernel
-  decision-for-decision;
-* cosine scoring against a vector corpus accumulates shared buckets in
-  ascending bucket order, matching the canonicalized scalar
-  :func:`repro.text.vectorize.sparse_dot`.
+  decision-for-decision.
 
 **Byte-identity is the contract**, not an aspiration: for any corpus
 and any probe batch, :func:`batch_set_sim_probe` emits the same
 survivors with the same float scores in the same order as the scalar
 :func:`repro.simjoin.joins.probe_encoded` per probe and as the
 brute-force ``naive_set_sim_join`` (property-tested in
-``tests/test_kernel_arrays.py``).  Two deliberate consequences: vector
-data stays ``float64`` (a ``float32`` CSR would save half the memory
-but break identity with the scalar ``float`` kernels), and survivors
+``tests/test_kernel_arrays.py``).  A deliberate consequence: survivors
 are ordered by (probe row, corpus position) before emission because
 scipy does not guarantee sorted indices on matmul results — only
 survivors: filtering and verification are order-free.
 
 Which path a caller takes is not configurable.  Batch joins always run
-batched; the callers that also hold a scalar path (``LiveIndex.search_batch``,
-``VectorBlocker``) ask :func:`batched_probe_pays`, one rule over the two
-sizes they can observe.
+batched; the one caller that also holds a scalar path,
+``LiveIndex.search_batch``, asks :func:`batched_probe_pays`, one rule
+over the two sizes it can observe.
 
 Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
@@ -91,16 +85,19 @@ def batched_probe_pays(n_probe_rows: int, n_index_rows: int) -> bool:
 
 
 def observe_kernel_batch(
-    op: str, rows: int, candidates: int, seconds: float, verified: int = 0
+    op: str, rows: int, candidates: int, seconds: float | None = None, verified: int = 0
 ) -> None:
-    """Account one batched kernel call on the process registry."""
+    """Account one batched kernel call on the process registry (a caller
+    that times the call with ``registry.timer("kernel_batch_seconds",
+    op=op)`` passes no ``seconds``)."""
     registry = get_registry()
     registry.counter("kernel_batch_calls_total", op=op).inc()
     registry.counter("kernel_batch_rows_total", op=op).inc(rows)
     registry.counter("kernel_batch_candidates_total", op=op).inc(candidates)
     if verified:
         registry.counter("kernel_batch_verified_total", op=op).inc(verified)
-    registry.histogram("kernel_batch_seconds", op=op).observe(seconds)
+    if seconds is not None:
+        registry.histogram("kernel_batch_seconds", op=op).observe(seconds)
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +211,13 @@ def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
 # CSR corpus structures
 # ----------------------------------------------------------------------
 class ArrayRecords:
-    """One side's encoded records as a CSR token-incidence matrix.
+    """One side's records as a CSR matrix with sorted indices per row.
 
-    Row *i* holds record *i*'s sorted token ids as CSR indices with
-    int64 ones as data; ``sizes[i]`` is the record's distinct-token
-    count.  Each side of a :class:`~repro.index.store.PairEncoding`.
+    Each side of a :class:`~repro.index.store.PairEncoding` is a token
+    incidence: row *i* holds record *i*'s token ids with int64 ones as
+    data, and ``sizes[i]`` is its distinct-token count.  Each side of a
+    :class:`~repro.index.store.VectorPair` holds bucket weights instead
+    (float64 data; ``sizes[i]`` its bucket count).
     """
 
     __slots__ = ("key", "keys", "sizes", "matrix", "dim")
@@ -516,54 +515,3 @@ def emit_matches(
         ]
         for row in range(len(boundaries) - 1)
     ]
-
-
-# ----------------------------------------------------------------------
-# Batched cosine over sparse-dict vector corpora
-# ----------------------------------------------------------------------
-class SparseColumns:
-    """A vector corpus flipped to bucket-major (CSC-style) numpy columns.
-
-    ``columns[bucket] = (positions, weights)``; scoring one query
-    against many corpus rows walks the query's buckets in ascending
-    order and accumulates each column with one vectorized add —
-    bit-identical to the canonical scalar :func:`sparse_dot` per pair
-    (shared buckets accumulate in the same ascending order; absent
-    buckets add exact zeros, which cannot perturb a sum of nonnegative
-    products).
-    """
-
-    __slots__ = ("n_rows", "columns")
-
-    def __init__(self, vectors: Sequence[dict]):
-        self.n_rows = len(vectors)
-        staged: dict[int, tuple[list, list]] = {}
-        for position, vector in enumerate(vectors):
-            for bucket, weight in vector.items():
-                entry = staged.get(bucket)
-                if entry is None:
-                    entry = staged[bucket] = ([], [])
-                entry[0].append(position)
-                entry[1].append(weight)
-        self.columns = {
-            bucket: (
-                np.asarray(positions, dtype=np.int64),
-                np.asarray(weights, dtype=np.float64),
-            )
-            for bucket, (positions, weights) in staged.items()
-        }
-
-
-def batch_cosine(query: dict, corpus: SparseColumns):
-    """Cosine of one query vector against every corpus row (dense out).
-
-    Rows sharing no bucket with the query score exactly ``0.0``.
-    """
-    scores = np.zeros(corpus.n_rows, dtype=np.float64)
-    columns = corpus.columns
-    for bucket in sorted(query):
-        entry = columns.get(bucket)
-        if entry is not None:
-            positions, weights = entry
-            scores[positions] += query[bucket] * weights
-    return scores

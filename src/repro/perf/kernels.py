@@ -1,18 +1,11 @@
-"""Integer-set overlap kernels and per-measure scorers.
+"""Integer-set overlap kernel and per-measure scorers.
 
 Records are encoded by :class:`repro.perf.tokens.TokenUniverse` as sorted
-tuples of int ids.  Overlap between two records is computed by one of two
-kernels:
-
-* :func:`bounded_overlap` — a merge scan over the two sorted arrays with
-  ppjoin-style early exit: as soon as the overlap accumulated so far plus
-  the remaining length of the advanced side cannot reach the required
-  bound, the pair is abandoned;
-* :func:`mask_overlap` — each record is also materialized as an int
-  bitmask (bit *i* set iff token id *i* is present), so overlap is a
-  single C-level ``&`` plus ``int.bit_count``.  This is the fastest path
-  in CPython but costs ``len(universe)`` bits per record, so callers only
-  use it while the universe is small (:data:`MASK_UNIVERSE_MAX`).
+tuples of int ids.  :func:`bounded_overlap` computes the overlap of two
+records with a merge scan over the two sorted arrays with ppjoin-style
+early exit: as soon as the overlap accumulated so far plus the remaining
+length of the advanced side cannot reach the required bound, the pair
+is abandoned.
 
 The scorers avoid the per-pair ``validate_measure`` + ``math.ceil`` calls
 of :mod:`repro.simjoin.filters` by binding the measure once; the formulas
@@ -26,10 +19,6 @@ import math
 from collections.abc import Callable, Sequence
 
 from repro.exceptions import ConfigurationError
-
-# Above this universe size the bitmask kernel's per-record masks get wide
-# enough (> 1 KiB) that the merge-scan kernel wins; chosen empirically.
-MASK_UNIVERSE_MAX = 8192
 
 # Float-rounding guard for filter bounds.  The bound formulas are exact in
 # real arithmetic but float products can land epsilon *above* an integer
@@ -70,19 +59,6 @@ def bounded_overlap(a: Sequence[int], b: Sequence[int], needed: int) -> int:
             if overlap + (lb - j) < needed:
                 return -1
     return overlap
-
-
-def token_mask(encoded: Sequence[int]) -> int:
-    """Bitmask of an encoded record (bit ``i`` set iff id ``i`` present)."""
-    mask = 0
-    for token_id in encoded:
-        mask |= 1 << token_id
-    return mask
-
-
-def mask_overlap(left_mask: int, right_mask: int) -> int:
-    """Exact overlap of two records from their bitmasks."""
-    return (left_mask & right_mask).bit_count()
 
 
 def make_scorer(measure: str) -> Callable[[int, int, int], float]:

@@ -4,11 +4,10 @@ A :class:`MatchServer` is the online half of the batch substrate.  At
 startup it builds a :class:`repro.index.LiveIndex` over one corpus
 column — the base segment is the :class:`repro.index.IndexStore`
 artifact chain (records → token sets → a corpus
-:class:`~repro.perf.tokens.TokenUniverse` → prefix postings and
-verification masks), built exactly once, its records/token/encoding
-links shared by fingerprint with any batch join over the same content —
-then answers ``match(entity)``
-point queries for as long as the process lives.  Queries are tokenized,
+:class:`~repro.perf.tokens.TokenUniverse` → prefix postings), built
+exactly once, its records/token/encoding links shared by fingerprint
+with any batch join over the same content — then answers
+``match(entity)`` point queries for as long as the process lives.  Queries are tokenized,
 encoded against the live token ordering (out-of-vocabulary tokens are
 dropped losslessly), and probed through
 :func:`repro.simjoin.probe_encoded` (a lone request) or the batched
@@ -219,7 +218,7 @@ class MatchServer:
         which preserves the frequency-then-lexical ranking), so a batch
         self-join over the same corpus content shares its records,
         token sets and encoding; the dict postings point probes read
-        are built for the server, and the id tuples and masks by it.
+        are built for the server, and the id tuples by it.
         """
         self._live = LiveIndex.from_table(
             self.corpus,

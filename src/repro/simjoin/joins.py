@@ -17,8 +17,8 @@ comparison, and exact overlaps are computed only at the surviving pairs.
 occurrence-tagged grams and runs the kernel's ``"qgram_count"`` bound
 (the q-gram count filter), then verifies with batched Levenshtein.
 :func:`probe_encoded` is the same filter-verify step for *one* record
-against dict postings (a ``bisect`` size window, then a bitmask
-intersection or a merge scan with ppjoin-style early exit); only
+against dict postings (a ``bisect`` size window, then a merge scan
+with ppjoin-style early exit); only
 :class:`repro.index.delta.LiveIndex` calls it, for point probes and its
 mutable delta segment.  Both joins accept ``n_jobs`` and fan the probe
 rows out over a process pool in contiguous spans whose survivor arrays
@@ -48,7 +48,7 @@ from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
-from repro.perf.kernels import BOUND_EPS, bounded_overlap, token_mask
+from repro.perf.kernels import BOUND_EPS, bounded_overlap
 from repro.perf.parallel import effective_n_jobs, run_sharded
 from repro.simjoin.filters import (
     prefix_length,
@@ -95,7 +95,6 @@ def probe_encoded(
     left_size: int,
     index: dict,
     right_enc: list,
-    right_masks: list | None,
     scorer,
     overlap_bound,
     measure: str,
@@ -117,9 +116,8 @@ def probe_encoded(
     is lossless while the size still enters every bound and score).
     ``skip`` is an optional set of right *positions* to exclude — the
     live index's tombstones; excluded positions are dropped before
-    verification and never counted as candidates.  Verification uses the
-    bitmask kernel when ``right_masks`` is given, the bounded merge scan
-    otherwise.  Returns the ``(r_id, score)`` survivors in
+    verification and never counted as candidates.  Verification is the
+    bounded merge scan.  Returns the ``(r_id, score)`` survivors in
     right-position order plus the candidate count.
     """
     if not left_size:
@@ -145,24 +143,15 @@ def probe_encoded(
     if not candidates:
         return [], 0
     results: list[tuple] = []
-    if right_masks is not None:
-        left_mask = token_mask(left_ids)
-        for position in sorted(candidates):
-            r_id, right = right_enc[position]
-            overlap = (left_mask & right_masks[position]).bit_count()
-            score = scorer(overlap, left_size, len(right))
-            if score >= threshold:
-                results.append((r_id, score))
-    else:
-        for position in sorted(candidates):
-            r_id, right = right_enc[position]
-            needed = overlap_bound(left_size, len(right))
-            overlap = bounded_overlap(left_ids, right, needed)
-            if overlap < needed:
-                continue
-            score = scorer(overlap, left_size, len(right))
-            if score >= threshold:
-                results.append((r_id, score))
+    for position in sorted(candidates):
+        r_id, right = right_enc[position]
+        needed = overlap_bound(left_size, len(right))
+        overlap = bounded_overlap(left_ids, right, needed)
+        if overlap < needed:
+            continue
+        score = scorer(overlap, left_size, len(right))
+        if score >= threshold:
+            results.append((r_id, score))
     return results, len(candidates)
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.index.delta as delta_module
 import repro.perf.arrays as arrays_module
 from repro.index.delta import LiveIndex
 from repro.index.store import get_index_store
@@ -26,7 +26,6 @@ from repro.obs import use_registry
 from repro.perf.arrays import (
     BATCH_MIN_INDEX_ROWS,
     BATCH_MIN_PROBE_ROWS,
-    batch_cosine,
     record_tuples,
 )
 from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
@@ -189,7 +188,7 @@ class TestProbeBatchEquivalence:
         skip = {0, 2} if len(right_enc) > 2 else None
         expected = [
             probe_encoded(
-                ids, size, dict_index, right_enc, None,
+                ids, size, dict_index, right_enc,
                 scorer, bound, measure, threshold, skip=skip,
             )
             for ids, size in queries
@@ -267,7 +266,7 @@ class TestPositionalBound:
         right_enc = record_tuples(encoding.right)
         assert batched == [
             probe_encoded(
-                ids, size, dict_index, right_enc, None,
+                ids, size, dict_index, right_enc,
                 scorer, bound, measure, threshold,
             )
             for ids, size in queries
@@ -382,7 +381,7 @@ class TestHotTokenRegime:
         bound = make_overlap_bound(measure, threshold)
         expected = [
             probe_encoded(
-                ids, size, dict_index, right_enc, None, scorer, bound,
+                ids, size, dict_index, right_enc, scorer, bound,
                 measure, threshold, use_prefix_filter, skip,
             )
             for ids, size in queries
@@ -546,8 +545,8 @@ def assert_same_csr(got, expected):
 
 
 class TestArrayEncodingMatchesTheScalarChain:
-    """The array-built universe, rows, postings, masks and ``ArrayIndex``
-    equal what the tuple-building chain gives, element for element."""
+    """The array-built universe, rows, postings and ``ArrayIndex`` equal
+    what the tuple-building chain gives, element for element."""
 
     @given(odd_side, odd_side, st.booleans(), encoder_case)
     @settings(max_examples=80, deadline=None)
@@ -590,9 +589,8 @@ class TestArrayEncodingMatchesTheScalarChain:
 
     @given(odd_side, encoder_case)
     @settings(max_examples=40, deadline=None)
-    def test_live_index_tuples_postings_and_masks(self, values, case):
+    def test_live_index_tuples_postings_and_universe(self, values, case):
         from repro.index.store import IndexStore
-        from repro.perf.kernels import token_mask
 
         (measure, threshold), _ = case
         keys = [f"r{i}" for i in range(len(values))]
@@ -610,7 +608,6 @@ class TestArrayEncodingMatchesTheScalarChain:
         assert base.universe.decode(range(len(universe))) == universe.decode(range(len(universe)))
         assert base.enc == right_enc
         assert base.index == index
-        assert base.masks == [token_mask(ids) for _, ids in right_enc]
 
     def test_tuples_share_one_int_object_per_id(self):
         from repro.perf.arrays import build_array_records
@@ -659,43 +656,71 @@ sparse_vector = st.dictionaries(
 ).map(l2_normalize)
 
 
+def vector_rows(vectors):
+    """Dict vectors as CSR rows with sorted bucket columns (the layout of
+    a ``VectorPair`` side)."""
+    from scipy import sparse
+
+    entries = [sorted(vector.items()) for vector in vectors]
+    indptr = np.cumsum([0, *map(len, entries)])
+    buckets = np.array([bucket for row in entries for bucket, _ in row], dtype=np.int64)
+    weights = np.array([weight for row in entries for _, weight in row], dtype=np.float64)
+    return sparse.csr_matrix((weights, buckets, indptr), shape=(len(vectors), 41))
+
+
 class TestCosineEquivalence:
-    """batch_cosine accumulates the exact floats of the scalar cosine."""
+    """pair_cosines reads the exact floats of the scalar cosine."""
 
-    @given(sparse_vector, st.lists(sparse_vector, min_size=1, max_size=12))
+    @given(st.lists(sparse_vector, max_size=12), st.lists(sparse_vector, min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
-    def test_batch_equals_scalar(self, query, corpus):
-        from repro.perf.arrays import SparseColumns
+    def test_batch_equals_scalar(self, left, right):
+        import repro.index.ann as ann_module
 
-        scores = batch_cosine(query, SparseColumns(corpus))
-        for position, vector in enumerate(corpus):
-            assert float(scores[position]) == cosine(query, vector)
+        pairs = [(row, position) for row in range(len(left)) for position in range(len(right))]
+        rows = np.array([row for row, _ in pairs], dtype=np.int64)
+        positions = np.array([position for _, position in pairs], dtype=np.int64)
+        expected = [cosine(left[row], right[position]) for row, position in pairs]
+        for chunk in (ann_module.CHUNK_TARGET_NNZ, 2 * len(right)):  # one block, or many
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ann_module, "CHUNK_TARGET_NNZ", chunk)
+                scores = ann_module.pair_cosines(
+                    vector_rows(left), vector_rows(right).T.tocsr(), rows, positions
+                )
+            assert scores.tolist() == expected
 
 
 class TestAnnEquivalence:
-    """AnnIndex batch paths == scalar paths, including after pickling."""
+    """AnnIndex codes, search and pickle round trip, against brute force."""
 
-    @given(st.lists(sparse_vector, min_size=1, max_size=15))
-    @settings(max_examples=25, deadline=None)
-    def test_signature_probe_search(self, vectors):
+    @given(st.lists(sparse_vector, min_size=1, max_size=15), st.sampled_from([None, 1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_signature_probe_search(self, vectors, top_k):
         import pickle
 
         from repro.index.ann import AnnIndex
 
-        records = [(f"r{i}", v) for i, v in enumerate(vectors)]
-        index = AnnIndex("k", records, n_bands=4, band_bits=3)
-        queries = vectors + [{}]
-        assert index.signature_batch(queries) == [
-            index.signature(v) for v in queries
-        ]
-        assert index.probe_batch(queries) == [index.probe(v) for v in queries]
-        assert index.search_batch(queries, threshold=0.2, top_k=3) == [
-            index.search(v, threshold=0.2, top_k=3) for v in queries
-        ]
+        matrix = vector_rows(vectors + [{}])
+        keys = [f"r{i}" for i in range(len(vectors) + 1)]
+        index = AnnIndex("k", keys, matrix, n_bands=4, band_bits=3)
+        codes = index.codes(matrix).tolist()
+        # A row's signature does not depend on the rows signed with it.
+        assert [index.codes(matrix[[i]]).tolist()[0] for i in range(len(codes))] == codes
+        expected = []
+        for row, vector in enumerate(vectors):  # the empty last row finds nothing
+            scored = sorted(
+                (-score, position)
+                for position, other in enumerate(vectors)
+                if any(map(int.__eq__, codes[row], codes[position]))
+                and (score := cosine(vector, other)) >= 0.2
+            )
+            expected += [(row, position, -score) for score, position in scored[:top_k]]
+        rows, positions, scores = index.search(matrix, threshold=0.2, top_k=top_k)
+        found = list(zip(rows.tolist(), positions.tolist(), scores.tolist()))
+        assert found == expected
         clone = pickle.loads(pickle.dumps(index))
-        assert clone.search_batch(queries, threshold=0.2, top_k=3) == (
-            index.search_batch(queries, threshold=0.2, top_k=3)
-        )
+        assert [array.tolist() for array in clone.search(matrix, 0.2, top_k)] == [
+            rows.tolist(), positions.tolist(), scores.tolist()
+        ]
 
 
 class TestLiveIndexEquivalence:
@@ -709,15 +734,11 @@ class TestLiveIndexEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_search_batch(self, queries):
         # Hypothesis batches are up to 25 values: both sides of the
-        # 16-row line, against a bitmask base and a merge-scan base.
-        for universe_max in (delta_module.MASK_UNIVERSE_MAX, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(delta_module, "MASK_UNIVERSE_MAX", universe_max)
-                live = LiveIndex.from_table(self._base(), "id", "v", threshold=0.4)
-                live.upsert("x1", "alpha beta newtoken")
-                live.delete("b3")
-                assert (live._base.masks is None) == (universe_max == 0)
-                assert live.search_batch(queries) == [live.search(q) for q in queries]
+        # 16-row line.
+        live = LiveIndex.from_table(self._base(), "id", "v", threshold=0.4)
+        live.upsert("x1", "alpha beta newtoken")
+        live.delete("b3")
+        assert live.search_batch(queries) == [live.search(q) for q in queries]
 
     def test_upsert_many_and_delete_many_match_sequential(self):
         items = [

@@ -591,10 +591,9 @@ class TestFold:
             assert live.stats()["delta_rows"] == 0  # every candidate is a base row
             assert 0 < verified.value < candidates.value
 
-    @pytest.mark.parametrize("verification", ["mask", "merge"])
-    def test_kernels_answer_alike_across_folds(self, verification, monkeypatch):
-        if verification == "merge":  # what a universe past the line gets
-            monkeypatch.setattr(delta_module, "MASK_UNIVERSE_MAX", 0)
+    # The scalar probe's one verification kernel is the merge scan.
+    @pytest.mark.parametrize("verification", ["merge"])
+    def test_kernels_answer_alike_across_folds(self, verification):
         with use_registry(), use_index_store():
             live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
             for batch in range(2):
@@ -602,28 +601,7 @@ class TestFold:
                 live.delete(f"b{batch}")
                 live.compact()
                 live.upsert(f"m{batch}", "dave smith")
-                assert (live._base.masks is None) == (verification == "merge")
-                assert (live._delta.masks is None) == (verification == "merge")
                 assert_answers_like_rebuild(live, PROBES)
-
-    def test_fold_past_mask_universe_max(self, monkeypatch):
-        """A fold that grows the universe past ``MASK_UNIVERSE_MAX``
-        leaves bitmask verification behind, as a build that size would."""
-        with use_registry(), use_index_store():
-            live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
-            assert live._base.masks is not None
-            monkeypatch.setattr(
-                delta_module, "MASK_UNIVERSE_MAX", len(live._base.universe) + 1
-            )
-            live.upsert("z1", "zelda zimmerman quentin xu")
-            live.delete("b3")
-            assert live.compact()["universe_size"] > delta_module.MASK_UNIVERSE_MAX
-            assert live._base.masks is None
-            live.upsert("z2", "zelda xu")
-            assert live._delta.masks is None
-            assert_answers_like_rebuild(live, PROBES)
-            live.compact()
-            assert_answers_like_rebuild(live, PROBES)
 
     # ``overlap`` thresholds are absolute token counts, so 1 and 2 stand
     # in for 0.3 and 0.6 there.
@@ -837,7 +815,6 @@ class TestPersistence:
             loaded = LiveIndex.load("old", store=IndexStore(cache_dir=tmp_path))
             assert loaded.generation == 2
             assert "n1" in loaded and "b1" not in loaded
-            assert loaded._base.masks is not None  # "merge" is not honoured
             assert_answers_like_rebuild(loaded)
 
     def test_round_trip_of_compacted_base(self, tmp_path):
@@ -900,7 +877,7 @@ class TestPersistence:
             live.save()
             kinds = {row["kind"] for row in store.disk_artifacts()}
             assert "live" not in kinds
-            # The masks, like the id tuples, are the live index's own.
+            # The id tuples are the live index's own.
             assert kinds == {"records", "tokens", "encoding", "prefix"}
 
 
@@ -990,18 +967,6 @@ class TestObservability:
                 {"index": "obs", "rows": "8", "mode": "rebuild",
                  "delta_rows": "3", "tombstones": "0"},
             ]
-
-    def test_mask_and_merge_kernels_agree_with_delta(self):
-        results = {}
-        for verification, universe_max in (("mask", delta_module.MASK_UNIVERSE_MAX), ("merge", 0)):
-            with use_registry(), use_index_store(), pytest.MonkeyPatch.context() as patch:
-                patch.setattr(delta_module, "MASK_UNIVERSE_MAX", universe_max)
-                live = LiveIndex.from_table(make_table(20), "id", "v", threshold=0.4)
-                live.upsert("n1", "dave smith")
-                live.delete("b0")
-                assert (live._delta.masks is None) == (verification == "merge")
-                results[verification] = [live.search(v) for v in VALUES]
-        assert results["mask"] == results["merge"]
 
     def test_qgram_tokenizer_round_trip(self):
         with use_registry(), use_index_store():

@@ -3,7 +3,7 @@
 Two guarantees are enforced here:
 
 * the integer-kernel filtered join — the batched one and the scalar
-  probe under either verification — equals the brute-force reference
+  probe (merge-scan verification) — equals the brute-force reference
   across every measure, threshold and prefix-filter setting;
 * every ``n_jobs``-parallelized entry point produces output
   byte-identical to its serial run (``Table.__eq__`` compares the full
@@ -38,11 +38,9 @@ from repro.perf import (
     effective_n_jobs,
     make_overlap_bound,
     make_scorer,
-    mask_overlap,
     parallel_map_partitions,
     partition_table,
     split_evenly,
-    token_mask,
 )
 from repro.simjoin import (
     edit_distance_join,
@@ -75,15 +73,11 @@ def _pairs(result):
     return set(zip(result.column("l_id"), result.column("r_id")))
 
 
-def _scalar_join(ltable, rtable, tokenizer, measure, threshold, verification, monkeypatch):
-    """The join through the scalar probe: bitmask verification, or the
-    merge scan a universe past ``MASK_UNIVERSE_MAX`` gets."""
-    if verification == "merge":
-        monkeypatch.setattr(delta_module, "MASK_UNIVERSE_MAX", 0)
+def _scalar_join(ltable, rtable, tokenizer, measure, threshold):
+    """The join through the scalar probe (one point probe per record)."""
     live = delta_module.LiveIndex.from_table(
         rtable, "id", "v", tokenizer=tokenizer, measure=measure, threshold=threshold
     )
-    assert (live._base.masks is None) == (verification == "merge")
     return live.join_table(ltable, "id", "v")
 
 
@@ -135,13 +129,6 @@ class TestKernels:
             else:
                 # Early exit may return -1 or the exact (insufficient) count.
                 assert got < needed
-
-    def test_mask_overlap_exact(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            a = tuple(sorted(rng.sample(range(200), rng.randrange(0, 30))))
-            b = tuple(sorted(rng.sample(range(200), rng.randrange(0, 30))))
-            assert mask_overlap(token_mask(a), token_mask(b)) == len(set(a) & set(b))
 
     def test_scorers_match_similarity(self):
         rng = random.Random(2)
@@ -247,10 +234,9 @@ class TestSetSimJoinEquivalence:
         ("overlap", 2),
     ])
     @pytest.mark.parametrize("use_prefix_filter", [True, False])
-    @pytest.mark.parametrize("verification", ["mask", "merge"])
-    def test_matches_naive(
-        self, measure, threshold, use_prefix_filter, verification, monkeypatch
-    ):
+    # The scalar probe's one verification kernel is the merge scan.
+    @pytest.mark.parametrize("verification", ["merge"])
+    def test_matches_naive(self, measure, threshold, use_prefix_filter, verification):
         seed = hash((measure, threshold, use_prefix_filter, verification)) % 1000
         ltable, rtable = _random_tables(seed=seed)
         tokenizer = WhitespaceTokenizer(return_set=True)
@@ -265,9 +251,7 @@ class TestSetSimJoinEquivalence:
         fast_scores = {(l, r): s for l, r, s in zip(fast["l_id"], fast["r_id"], fast["score"])}
         slow_scores = {(l, r): s for l, r, s in zip(slow["l_id"], slow["r_id"], slow["score"])}
         assert fast_scores == slow_scores  # identical floats, not just pairs
-        scalar = _scalar_join(
-            ltable, rtable, tokenizer, measure, threshold, verification, monkeypatch
-        )
+        scalar = _scalar_join(ltable, rtable, tokenizer, measure, threshold)
         assert scalar == fast == slow  # rows, scores and order
 
     def test_qgram_tokens_match_naive(self):
@@ -280,11 +264,9 @@ class TestSetSimJoinEquivalence:
     def test_kernels_agree_byte_identical(self):
         ltable, rtable = _random_tables(seed=13)
         tokenizer = WhitespaceTokenizer(return_set=True)
-        with pytest.MonkeyPatch.context() as patch:
-            merge = _scalar_join(ltable, rtable, tokenizer, "jaccard", 0.5, "merge", patch)
-        with pytest.MonkeyPatch.context() as patch:
-            mask = _scalar_join(ltable, rtable, tokenizer, "jaccard", 0.5, "mask", patch)
-        assert mask.num_rows and mask == merge
+        scalar = _scalar_join(ltable, rtable, tokenizer, "jaccard", 0.5)
+        batched = set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5)
+        assert scalar.num_rows and scalar == batched
 
     def test_bad_kernel_rejected(self):
         ltable, rtable = _random_tables(seed=1, n=5)

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import repro.index.delta as delta_module
 from repro.exceptions import (
     BackpressureError,
     ConfigurationError,
@@ -97,20 +96,6 @@ class TestServedEqualsBatch:
                 served = [server.match(q).candidates for q in queries]
             expected = batch_reference(corpus, queries, tokenizer, measure, threshold)
         assert served == expected
-
-    def test_merge_kernel_matches_mask_kernel(self):
-        corpus = make_corpus()
-        queries = make_queries(20)
-        tokenizer = WhitespaceTokenizer(return_set=True)
-        results = {}
-        for verification, universe_max in (("mask", delta_module.MASK_UNIVERSE_MAX), ("merge", 0)):
-            with use_index_store(), pytest.MonkeyPatch.context() as patch:
-                patch.setattr(delta_module, "MASK_UNIVERSE_MAX", universe_max)
-                config = ServeConfig(threshold=0.4, top_k=None)
-                with MatchServer(corpus, "id", "v", tokenizer=tokenizer, config=config) as s:
-                    assert (s._live._base.masks is None) == (verification == "merge")
-                    results[verification] = [s.match(q).candidates for q in queries]
-        assert results["mask"] == results["merge"]
 
     def test_top_k_truncates_ranking(self):
         corpus = make_corpus()
@@ -372,7 +357,7 @@ class TestWarmStart:
             }
         # Warmup found records/tokens/encoding in the store — the batch
         # join built them — and built the one artifact only point probes
-        # read: the dict postings (its tuples and masks are its own).
+        # read: the dict postings (its tuples are its own).
         assert {"records", "tokens", "encoding"} <= set(builds_before)
         assert built_by_warmup == {"prefix": 1}
 
