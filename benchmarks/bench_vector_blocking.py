@@ -141,7 +141,7 @@ def ann_roundtrip_identical(tmp_dir: str) -> bool:
                 dataset.rtable, dataset.r_key, "name", blocker._vectorizer
             )
             pair = store.vector_pair(left, right, idf=True)
-            ann = store.ann_index(pair, side="right", n_bands=32, band_bits=6)
+            ann = store.ann_index(pair, n_bands=32, band_bits=6)
             found = [array.tolist() for array in ann.search(pair.left.matrix, 1e-9)]
             return candset_pairs(candset), found
         finally:

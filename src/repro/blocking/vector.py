@@ -178,11 +178,7 @@ class VectorBlocker(Blocker):
             store = get_index_store()
             pair = self._space(ltable, rtable, l_key, r_key, store)
             ann = store.ann_index(
-                pair,
-                side="right",
-                n_bands=self.n_bands,
-                band_bits=self.band_bits,
-                seed=self.seed,
+                pair, n_bands=self.n_bands, band_bits=self.band_bits, seed=self.seed
             )
             with registry.timer("index_ann_probe_seconds"), registry.timer(
                 "kernel_batch_seconds", op="ann_search"

@@ -1,8 +1,8 @@
 """repro.index — reusable, persistent index artifacts for the hot paths.
 
 The platform-service answer to "every command rebuilds its own index":
-a :class:`IndexStore` materializes tokenizations, token-id encodings,
-prefix-filter postings and probe-ready CSR corpora once per
+a :class:`IndexStore` materializes tokenizations, token-id encodings
+and probe-ready CSR corpora once per
 *content fingerprint* and serves them to every sim join, blocker,
 blocking-rule execution, and Falcon/Smurf iteration that asks again —
 in memory within a process, and from an atomic on-disk cache across
@@ -35,7 +35,6 @@ from repro.index.store import (
     HashedColumn,
     IndexStore,
     PairEncoding,
-    PrefixIndex,
     TokenizedColumn,
     VectorPair,
     get_index_store,
@@ -53,7 +52,6 @@ __all__ = [
     "LIVE_FORMAT_VERSION",
     "LiveIndex",
     "PairEncoding",
-    "PrefixIndex",
     "TokenizedColumn",
     "VectorPair",
     "column_fingerprint",

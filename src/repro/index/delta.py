@@ -9,25 +9,30 @@ classic two-layer design of long-running search systems:
 * the **base segment** holds records → a corpus
   :class:`~repro.perf.tokens.TokenUniverse` → encoded id tuples → prefix
   postings, and is never mutated.  The constructor (and
-  :meth:`LiveIndex.load`) builds it *through* the store — the
-  fingerprinted, disk-persistable chain every batch join over the same
-  content shares, whose encoding is CSR rows; the id tuples the point
-  probe reads are derived from those rows here.  Compaction replaces it
-  with a privately held segment folded from the old base and the delta;
+  :meth:`LiveIndex.load`) runs the store's records → tokens → encoding
+  chain — fingerprinted, disk-persistable, shared with every batch join
+  over the same content, its encoding CSR rows — and derives the id
+  tuples and dict postings the point probe reads from those rows here.
+  Compaction replaces it with a privately held segment folded from the
+  old base and the delta;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
   unseen tokens, their prefix tokens are insertion-sorted into per-token
   delta postings, and deletes *tombstone* positions (base or delta)
-  instead of touching any posting list.
+  instead of touching any posting list.  A single ``upsert``/``delete``
+  is a one-record ``upsert_many``/``delete_many``: one write path.
 
-Reads probe both segments with :func:`repro.simjoin.joins.probe_encoded`
-(or, for a batch big enough to pay for it, the base segment with the
-batched kernel the batch joins run) — identical size/prefix bounds math,
-with tombstoned positions filtered out of the candidate set — so the correctness
-contract is exact and is about *answers*: after any interleaving of
-upserts, deletes, and compactions, a live index returns the same
-matches with the same scores in the same order as an index rebuilt from
-scratch over its current records (property-tested in
+This module is the only home of that scalar chain (id tuples, dict
+postings, :func:`probe_encoded` and its merge-scan verifier): batch joins
+never build it.  Reads probe both segments with :func:`probe_encoded`
+(or, for a batch big enough to pay for it, the base segment with
+:func:`probe_encoded_batch`, the batched kernel the batch joins run) —
+identical size/prefix bounds math, with tombstoned positions filtered
+out of the candidate set — so the correctness contract is exact and is
+about *answers*: after any interleaving of upserts, deletes, and
+compactions, a live index returns the same matches with the same scores
+in the same order as an index rebuilt from scratch over its current
+records (property-tested in
 ``tests/test_live_index.py``).  Artifact bytes, store fingerprints and
 pre-verification candidate counts are not part of it.
 
@@ -68,13 +73,17 @@ the one the constructor built, cold (and freshly ranked) after a fold.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.exceptions import (
     ConfigurationError,
@@ -84,9 +93,14 @@ from repro.exceptions import (
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry, trace_span
 from repro.perf import arrays
-from repro.perf.kernels import make_overlap_bound, make_scorer
+from repro.perf.kernels import BOUND_EPS, ceil_bound
 from repro.runtime.checkpoint import atomic_write_bytes
-from repro.simjoin.filters import prefix_length, validate_measure, validate_threshold
+from repro.simjoin.filters import (
+    prefix_length,
+    size_bounds,
+    validate_measure,
+    validate_threshold,
+)
 from repro.table.schema import is_missing
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
@@ -94,6 +108,225 @@ from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
 # Bump when the live-index persistence layout changes: stale files must
 # be rejected, never unpickled into the wrong shape.
 LIVE_FORMAT_VERSION = 1
+
+
+# ----------------------------------------------------------------------
+# The scalar probe chain: id tuples, dict postings, merge-scan verify
+# ----------------------------------------------------------------------
+def bounded_overlap(a: Sequence[int], b: Sequence[int], needed: int) -> int:
+    """Overlap of two sorted int arrays, or ``-1`` on early exit.
+
+    A merge scan with ppjoin-style early exit: returns the exact
+    intersection size when it is at least ``needed``; returns ``-1`` as
+    soon as the remaining elements of either array can no longer lift
+    the overlap to ``needed``.
+    """
+    la, lb = len(a), len(b)
+    i = j = overlap = 0
+    while i < la and j < lb:
+        ai = a[i]
+        bj = b[j]
+        if ai == bj:
+            overlap += 1
+            i += 1
+            j += 1
+        elif ai < bj:
+            i += 1
+            if overlap + (la - i) < needed:
+                return -1
+        else:
+            j += 1
+            if overlap + (lb - j) < needed:
+                return -1
+    return overlap
+
+
+def make_scorer(measure: str) -> Callable[[int, int, int], float]:
+    """A ``(overlap, left_size, right_size) -> score`` function.
+
+    The formulas mirror :func:`repro.simjoin.filters.similarity` exactly
+    (same operations on the same ints) so scores are identical floats.
+    Callers guarantee both sizes are positive.
+    """
+    if measure == "jaccard":
+        return lambda overlap, la, lb: overlap / (la + lb - overlap)
+    if measure == "cosine":
+        return lambda overlap, la, lb: overlap / math.sqrt(la * lb)
+    if measure == "dice":
+        return lambda overlap, la, lb: 2.0 * overlap / (la + lb)
+    if measure == "overlap":
+        return lambda overlap, la, lb: float(overlap)
+    raise ConfigurationError(f"no scorer for measure {measure!r}")
+
+
+def make_overlap_bound(measure: str, threshold: float) -> Callable[[int, int], int]:
+    """A ``(left_size, right_size) -> minimum required overlap`` function.
+
+    Same bounds as :func:`repro.simjoin.filters.overlap_lower_bound`, with
+    the measure and threshold bound once instead of validated per pair.
+    """
+    ceil = math.ceil
+    eps = BOUND_EPS
+    if measure == "jaccard":
+        coefficient = threshold / (1.0 + threshold)
+        return lambda la, lb: ceil(coefficient * (la + lb) - eps)
+    if measure == "cosine":
+        sqrt = math.sqrt
+        return lambda la, lb: ceil(threshold * sqrt(la * lb) - eps)
+    if measure == "dice":
+        coefficient = threshold / 2.0
+        return lambda la, lb: ceil(coefficient * (la + lb) - eps)
+    if measure == "overlap":
+        required = ceil_bound(threshold)
+        return lambda la, lb: required
+    raise ConfigurationError(f"no overlap bound for measure {measure!r}")
+
+
+def build_array_records(
+    key: str, records: Sequence[tuple[Any, tuple[int, ...]]], dim: int
+) -> arrays.ArrayRecords:
+    """Materialize ``[(row_key, sorted ids)]`` as an
+    :class:`~repro.perf.arrays.ArrayRecords` (a folded base's batched
+    probe corpus)."""
+    indptr = arrays._indptr(
+        np.fromiter((len(ids) for _, ids in records), dtype=np.int64, count=len(records))
+    )
+    indices = np.fromiter(
+        (token for _, ids in records for token in ids),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return arrays._array_records(key, [row_key for row_key, _ in records], indptr, indices, dim)
+
+
+def record_tuples(records: arrays.ArrayRecords) -> list[tuple[Any, tuple[int, ...]]]:
+    """``[(row_key, sorted ids)]``, the inverse of :func:`build_array_records`:
+    the scalar view a point probe reads.
+
+    Ids go through one list of int objects, so the tuples share them
+    rather than holding an int object per entry.
+    """
+    ints = list(range(records.dim))
+    ids = list(map(ints.__getitem__, memoryview(records.matrix.indices)))
+    bounds = records.matrix.indptr.tolist()
+    return [
+        (row_key, tuple(ids[start:stop]))
+        for row_key, start, stop in zip(records.keys, bounds, bounds[1:])
+    ]
+
+
+def prefix_postings(
+    records: arrays.ArrayRecords, measure: str, threshold: float
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Token id -> ``(sizes, positions)`` over each row's prefix tokens,
+    sorted by (size, position): the dict postings a point probe reads,
+    cut out of CSR rows with one ``lexsort``."""
+    lengths = arrays.prefix_lengths_arrays(measure, threshold, records.sizes)
+    matrix = arrays.csr_prefix_slice(records.matrix, lengths)
+    positions = np.repeat(np.arange(len(records.keys)), np.diff(matrix.indptr))
+    sizes = records.sizes[positions]
+    order = np.lexsort((positions, sizes, matrix.indices))
+    tokens = matrix.indices[order]
+    starts = np.flatnonzero(np.diff(tokens, prepend=-1))
+    # One int object per row position, shared by its postings.
+    rows = list(range(len(records.keys)))
+    positions = list(map(rows.__getitem__, memoryview(positions[order])))
+    sizes = sizes[order].tolist()
+    bounds = [*starts.tolist(), len(tokens)]
+    return {
+        token: (sizes[start:stop], positions[start:stop])
+        for token, start, stop in zip(tokens[starts].tolist(), bounds, bounds[1:])
+    }
+
+
+def probe_encoded(
+    left_ids,
+    left_size: int,
+    index: dict,
+    right_enc: list,
+    scorer,
+    overlap_bound,
+    measure: str,
+    threshold: float,
+    skip: set[int] | None = None,
+) -> tuple[list[tuple], int]:
+    """Filter-verify one encoded probe record against dict postings.
+
+    The scalar twin of :func:`probe_encoded_batch`, same bounds math and
+    same answers: a live index runs it for point probes, for batches too
+    small to amortize a CSR probe, and for the delta segment.
+
+    ``left_ids`` is the record's sorted token ids; ``left_size`` is its
+    *true* distinct-token count, which can exceed ``len(left_ids)`` when
+    a serving query holds tokens outside the corpus universe (those
+    tokens can never overlap the corpus, so dropping them from the probe
+    is lossless while the size still enters every bound and score).
+    ``skip`` is an optional set of right *positions* to exclude — the
+    live index's tombstones; excluded positions are dropped before
+    verification and never counted as candidates.  Verification is the
+    bounded merge scan.  Returns the ``(r_id, score)`` survivors in
+    right-position order plus the candidate count.
+    """
+    if not left_size:
+        return [], 0
+    lower, upper = size_bounds(measure, threshold, left_size)
+    # The float upper bound can round epsilon low; admit the edge.
+    upper += BOUND_EPS
+    candidates: set[int] = set()
+    collect = candidates.update
+    for token in left_ids[: prefix_length(measure, threshold, left_size)]:
+        entry = index.get(token)
+        if entry is None:
+            continue
+        sizes, positions = entry
+        collect(positions[bisect_left(sizes, lower) : bisect_right(sizes, upper)])
+    if skip:
+        candidates.difference_update(skip)
+    if not candidates:
+        return [], 0
+    results: list[tuple] = []
+    for position in sorted(candidates):
+        r_id, right = right_enc[position]
+        needed = overlap_bound(left_size, len(right))
+        overlap = bounded_overlap(left_ids, right, needed)
+        if overlap < needed:
+            continue
+        score = scorer(overlap, left_size, len(right))
+        if score >= threshold:
+            results.append((r_id, score))
+    return results, len(candidates)
+
+
+def probe_encoded_batch(
+    queries: list[tuple],
+    array_index,
+    measure: str,
+    threshold: float,
+    skip: set[int] | None = None,
+) -> tuple[list[tuple[list[tuple], int]], int]:
+    """Filter-verify a *batch* of encoded probes with the CSR kernel.
+
+    The batched twin of :func:`probe_encoded`: ``queries`` holds
+    ``(left_ids, left_size)`` per probe (same contract as the scalar
+    kernel, including true sizes exceeding ``len(left_ids)`` for
+    out-of-universe query tokens, which the CSR probe drops losslessly),
+    ``array_index`` is a :class:`repro.perf.arrays.ArrayIndex` over the
+    corpus, and ``skip`` excludes right positions (tombstones).  Returns
+    one ``(matches, n_candidates)`` pair per query, each byte-identical
+    to :func:`probe_encoded` on that query, and the verified-pair count.
+    """
+    probe_matrix = arrays.build_probe_matrix([ids for ids, _ in queries], array_index.dim)
+    true_sizes = np.fromiter((size for _, size in queries), dtype=np.int64, count=len(queries))
+    indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
+        probe_matrix,
+        true_sizes,
+        array_index,
+        measure,
+        threshold,
+        arrays.skip_mask(skip, array_index.n_rows),
+    )
+    matches = arrays.emit_matches(indptr, positions, scores, array_index.keys)
+    return list(zip(matches, counts.tolist())), verified
 
 
 class _BaseSegment:
@@ -258,13 +491,13 @@ class LiveIndex:
 
     def _build_base(self, table: Table) -> _BaseSegment:
         """Run the store's artifact chain over a snapshot table, then
-        derive the point probe's id tuples from its CSR rows."""
+        derive the point probe's id tuples and postings from its CSR rows."""
         store = self._store
         view = self._view(table, self.key, self.column)
         tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
         encoding = store.pair_encoding(tc, tc)
-        index = store.prefix_index(encoding, self.measure, self.threshold).index
-        enc = arrays.record_tuples(encoding.right)
+        index = prefix_postings(encoding.right, self.measure, self.threshold)
+        enc = record_tuples(encoding.right)
         positions: dict[Any, int] = {}
         for position, (row_key, _) in enumerate(tc.records):
             if row_key in positions:
@@ -284,7 +517,7 @@ class LiveIndex:
         if base.encoding is not None:
             return self._store.array_index(base.encoding, self.measure, self.threshold)
         key = f"live-{self.name}"
-        records = arrays.build_array_records(key, base.enc, len(base.universe))
+        records = build_array_records(key, base.enc, len(base.universe))
         return arrays.build_array_index(key, records, self.measure, self.threshold)
 
     # ------------------------------------------------------------------
@@ -298,27 +531,11 @@ class LiveIndex:
         the current records would produce).  Returns ``True`` when the
         record was indexed, ``False`` when it degenerated to a delete.
         """
-        with self._lock:
-            self._ops.append(("u", row_key, value))
-            live = self._upsert_locked(row_key, value)
-            self._generation += 1
-            tombstones = len(self._base_tombstones) + len(self._delta.tombstones)
-        registry = get_registry()
-        registry.counter("index_delta_ops_total", op="upsert").inc()
-        registry.gauge("index_tombstones", index=self.name).set(tombstones)
-        return live
+        return self.upsert_many([(row_key, value)]) == 1
 
     def delete(self, row_key: Any) -> bool:
         """Tombstone one record; returns whether it was present."""
-        with self._lock:
-            self._ops.append(("d", row_key))
-            removed = self._tombstone_locked(row_key)
-            self._generation += 1
-            tombstones = len(self._base_tombstones) + len(self._delta.tombstones)
-        registry = get_registry()
-        registry.counter("index_delta_ops_total", op="delete").inc()
-        registry.gauge("index_tombstones", index=self.name).set(tombstones)
-        return removed
+        return self.delete_many([row_key]) == 1
 
     def _apply_locked(self, op: tuple) -> None:
         """Replay one logged operation (compaction swap / load)."""
@@ -327,7 +544,7 @@ class LiveIndex:
         else:
             self._tombstone_locked(op[1])
 
-    def _upsert_locked(self, row_key: Any, value: Any, staged: dict | None = None) -> bool:
+    def _upsert_locked(self, row_key: Any, value: Any) -> bool:
         self._tombstone_locked(row_key)
         prepared = self._prepare(value)
         if prepared is None:
@@ -338,58 +555,34 @@ class LiveIndex:
         delta.enc.append((row_key, ids))
         delta.values.append(prepared)
         size = len(ids)
-        if size:
-            prefix = ids[: prefix_length(self.measure, self.threshold, size)]
-            if staged is not None:
-                # Bulk path: collect (size, position) per token; the
-                # caller merges each token's postings once per batch.
-                for token in prefix:
-                    staged.setdefault(token, []).append((size, position))
-            else:
-                for token in prefix:
-                    entry = delta.postings.get(token)
-                    if entry is None:
-                        entry = delta.postings[token] = ([], [])
-                    sizes, positions = entry
-                    # Postings stay sorted by (size, position): equal sizes
-                    # keep insertion order, and positions only ever grow.
-                    at = bisect_right(sizes, size)
-                    sizes.insert(at, size)
-                    positions.insert(at, position)
+        for token in ids[: prefix_length(self.measure, self.threshold, size)]:
+            entry = delta.postings.get(token)
+            if entry is None:
+                entry = delta.postings[token] = ([], [])
+            sizes, positions = entry
+            # Postings stay sorted by (size, position): equal sizes keep
+            # insertion order, and positions only ever grow.
+            at = bisect_right(sizes, size)
+            sizes.insert(at, size)
+            positions.insert(at, position)
         delta.positions[row_key] = position
         return True
 
-    def _merge_staged_postings_locked(self, staged: dict) -> None:
-        """Fold a batch's staged ``(size, position)`` pairs into the delta.
-
-        Equivalent to the per-record ``bisect_right`` insertions — one
-        merge per touched token instead of one list insertion per
-        (record, prefix token); see :func:`_merge_postings`.
-        """
-        postings = self._delta.postings
-        for token, new_pairs in staged.items():
-            postings[token] = _merge_postings(postings.get(token, ((), ())), new_pairs)
-
     def upsert_many(self, items) -> int:
-        """Bulk :meth:`upsert`: one lock acquisition, one postings merge.
+        """Insert or replace records under one lock acquisition.
 
         ``items`` is an iterable of ``(row_key, value)``, applied in
         order with sequential semantics (later duplicates win, missing
-        values tombstone) — the index state afterwards is identical to
-        looping :meth:`upsert`, but delta postings are sorted and merged
-        once per batch instead of insertion-sorted once per record.
-        Returns the number of records indexed (rest degenerated to
-        deletes).
+        values tombstone).  Returns the number of records indexed (the
+        rest degenerated to deletes).
         """
         items = list(items)
         with self._lock:
-            staged: dict[int, list[tuple[int, int]]] = {}
             indexed = 0
             for row_key, value in items:
                 self._ops.append(("u", row_key, value))
-                indexed += self._upsert_locked(row_key, value, staged)
+                indexed += self._upsert_locked(row_key, value)
                 self._generation += 1
-            self._merge_staged_postings_locked(staged)
             tombstones = len(self._base_tombstones) + len(self._delta.tombstones)
         registry = get_registry()
         registry.counter("index_delta_ops_total", op="upsert").inc(len(items))
@@ -397,7 +590,7 @@ class LiveIndex:
         return indexed
 
     def delete_many(self, row_keys) -> int:
-        """Bulk :meth:`delete` under one lock; returns how many existed."""
+        """Tombstone records under one lock; returns how many existed."""
         row_keys = list(row_keys)
         with self._lock:
             removed = 0
@@ -489,8 +682,6 @@ class LiveIndex:
             return self._search_locked(token_set)
 
     def _search_locked(self, token_set: set[str]) -> tuple[list[tuple[Any, float]], int]:
-        from repro.simjoin.joins import probe_encoded
-
         left_ids = self._encode_query(token_set)
         left_size = len(token_set)
         base = self._base
@@ -514,8 +705,6 @@ class LiveIndex:
         self, left_ids: tuple[int, ...], left_size: int
     ) -> tuple[list[tuple[Any, float]], int]:
         """Probe the delta segment alone (``([], 0)`` when it is empty)."""
-        from repro.simjoin.joins import probe_encoded
-
         delta = self._delta
         if not delta.enc:
             return [], 0
@@ -543,15 +732,13 @@ class LiveIndex:
         byte-identical to :meth:`search` on that value.  A batch big
         enough to pay for it (:func:`repro.perf.arrays.batched_probe_pays`)
         probes the base segment with one columnar
-        :func:`~repro.simjoin.joins.probe_encoded_batch` call — the
+        :func:`probe_encoded_batch` call — the
         amortization :class:`repro.serve.MatchServer`'s micro-batching
         exists for; a smaller one runs :meth:`search`'s scalar probe per
         value.  The (small, mutable) delta segment is probed per query
         under the same lock snapshot either way.  The path taken is
         counted in ``index_search_batches_total{index, path}``.
         """
-        from repro.simjoin.joins import probe_encoded_batch
-
         started = time.perf_counter()
         token_sets = []
         for value in values:

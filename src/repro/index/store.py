@@ -3,8 +3,8 @@
 Every ``set_sim_join``, ``OverlapBlocker`` run, blocking-rule execution,
 and Falcon/Smurf iteration needs the same expensive intermediates:
 string records, per-value token sets, a :class:`TokenUniverse` with
-token-id encodings, and the probe-ready corpus or prefix-filter
-postings.  Before this module each call
+token-id encodings, and the probe-ready CSR corpus.  Before this module
+each call
 rebuilt them from scratch; the :class:`IndexStore` materializes each
 artifact once under a *content fingerprint* and serves every later call
 — the same table content probed again (even through a freshly projected
@@ -18,7 +18,6 @@ keyed by the digests of what it was built from::
     records(table, key, column)                     "records"
       -> tokenized column (token sets per value)    "tokens"
           -> pair encoding (universe + CSR rows)    "encoding"
-              -> prefix postings index              "prefix"
               -> probe-ready corpus + prefix^T      "arrayindex"
       -> hashed n-gram count vectors                "vectors"
           -> joint (IDF-weighted) vector space      "vecpair"
@@ -33,10 +32,9 @@ The encoding is built in arrays: the universe is ranked with one stable
 sort over per-token record counts, each distinct value becomes one row
 of a CSR block, and each side's records gather their value's row into
 a :class:`repro.perf.arrays.ArrayRecords` — what every batch join and
-``arrayindex`` (every batched live-index probe) run on.  ``prefix`` is
-the dict postings a :class:`~repro.index.delta.LiveIndex` point probe
-reads, cut out of the right side's CSR rows; only a live index builds
-it, and only a live index turns rows into id tuples.
+``arrayindex`` (every batched live-index probe) run on.  The store holds
+no dict postings or id tuples: a :class:`~repro.index.delta.LiveIndex`
+derives the ones its point probe reads from the encoding's CSR rows.
 
 The vector branch backs :class:`repro.blocking.vector.VectorBlocker`:
 embeddings from :mod:`repro.text.vectorize` (one count vector per
@@ -98,9 +96,7 @@ from repro.text.vectorize import (
     l2_normalize,
 )
 
-ARTIFACT_KINDS = (
-    "records", "tokens", "encoding", "prefix", "arrayindex", "vectors", "vecpair", "ann",
-)
+ARTIFACT_KINDS = ("records", "tokens", "encoding", "arrayindex", "vectors", "vecpair", "ann")
 
 #: Disk-tier read failures that mean "treat as a cache miss and rebuild":
 #: unreadable files (``OSError``) and the unpickling failure modes the
@@ -164,16 +160,6 @@ class PairEncoding:
             raise ValueError("PairEncoding pickle of another layout")
         for name, value in slots.items():
             setattr(self, name, value)
-
-
-class PrefixIndex:
-    """Token id -> (sizes, positions) postings sorted by right-set size."""
-
-    __slots__ = ("key", "index")
-
-    def __init__(self, key: str, index: dict[int, tuple[list[int], list[int]]]):
-        self.key = key
-        self.index = index
 
 
 class HashedColumn:
@@ -373,68 +359,17 @@ class IndexStore:
         digest = combine("encoding", "csr1", left.key, right.key)
         return self._get("encoding", digest, lambda: _encode_pair(digest, left, right))
 
-    def prefix_index(
-        self,
-        encoding: PairEncoding,
-        measure: str,
-        threshold: float,
-        use_prefix_filter: bool = True,
-    ) -> PrefixIndex:
-        """Size-sorted postings over the right side's (prefix) tokens."""
-        digest = combine("prefix", encoding.key, measure, threshold, use_prefix_filter)
-
-        def build() -> PrefixIndex:
-            right = encoding.right
-            matrix = right.matrix
-            if use_prefix_filter:
-                lengths = arrays.prefix_lengths_arrays(measure, threshold, right.sizes)
-                matrix = arrays.csr_prefix_slice(matrix, lengths)
-            positions = np.repeat(np.arange(len(right.keys)), np.diff(matrix.indptr))
-            sizes = right.sizes[positions]
-            order = np.lexsort((positions, sizes, matrix.indices))
-            tokens = matrix.indices[order]
-            starts = np.flatnonzero(np.diff(tokens, prepend=-1))
-            # One int object per row position, shared by its postings.
-            rows = list(range(len(right.keys)))
-            positions = list(map(rows.__getitem__, memoryview(positions[order])))
-            sizes = sizes[order].tolist()
-            bounds = [*starts.tolist(), len(tokens)]
-            index = {
-                token: (sizes[start:stop], positions[start:stop])
-                for token, start, stop in zip(tokens[starts].tolist(), bounds, bounds[1:])
-            }
-            return PrefixIndex(digest, index)
-
-        return self._get("prefix", digest, build)
-
-    def array_index(
-        self,
-        encoding: PairEncoding,
-        measure: str,
-        threshold: float,
-        use_prefix_filter: bool = True,
-        side: str = "right",
-    ):
-        """Probe-ready CSR corpus for the batched kernel.
-
-        The columnar twin of :meth:`prefix_index` (same parameters, same
-        candidate semantics); returns a
-        :class:`repro.perf.arrays.ArrayIndex`.
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def array_index(self, encoding: PairEncoding, measure: str, threshold: float):
+        """The encoding's right side as the batched kernel's probe-ready
+        CSR corpus, a :class:`repro.perf.arrays.ArrayIndex`."""
         # "rows2" names the ArrayIndex layout (row-major corpus matrix +
         # transposed prefix slice).  Change it whenever what the class
         # pickles changes, so a cached pickle of another layout is never
         # read back; fields derived on load (sizes, prefix heads) don't.
-        digest = combine(
-            "arrayindex", "rows2", encoding.key, side, measure, threshold,
-            use_prefix_filter,
-        )
+        digest = combine("arrayindex", "rows2", encoding.key, measure, threshold)
 
         def build():
-            records = getattr(encoding, side)
-            return arrays.build_array_index(digest, records, measure, threshold, use_prefix_filter)
+            return arrays.build_array_index(digest, encoding.right, measure, threshold)
 
         return self._get("arrayindex", digest, build)
 
@@ -476,22 +411,15 @@ class IndexStore:
         return self._get("vecpair", digest, lambda: _project_pair(digest, left, right, idf))
 
     def ann_index(
-        self,
-        pair: VectorPair,
-        side: str = "right",
-        n_bands: int = 16,
-        band_bits: int = 6,
-        seed: int = 0,
+        self, pair: VectorPair, n_bands: int = 16, band_bits: int = 6, seed: int = 0
     ) -> AnnIndex:
-        """Banded-LSH index over one side of a :class:`VectorPair`."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        """Banded-LSH index over the right side of a :class:`VectorPair`."""
         # "bands1" names the AnnIndex layout (CSR side + per-band sorted
         # codes), so a pickle of the bucket-dict layout is never read.
-        digest = combine("ann", "bands1", pair.key, side, n_bands, band_bits, seed)
+        digest = combine("ann", "bands1", pair.key, n_bands, band_bits, seed)
 
         def build() -> AnnIndex:
-            records = getattr(pair, side)
+            records = pair.right
             return AnnIndex(
                 digest, records.keys, records.matrix, n_bands=n_bands,
                 band_bits=band_bits, seed=seed,

@@ -29,7 +29,7 @@ CSR layout, are in :mod:`repro.index.ann`):
 **Byte-identity is the contract**, not an aspiration: for any corpus
 and any probe batch, :func:`batch_set_sim_probe` emits the same
 survivors with the same float scores in the same order as the scalar
-:func:`repro.simjoin.joins.probe_encoded` per probe and as the
+:func:`repro.index.delta.probe_encoded` per probe and as the
 brute-force ``naive_set_sim_join`` (property-tested in
 ``tests/test_kernel_arrays.py``).  A deliberate consequence: survivors
 are ordered by (probe row, corpus position) before emission because
@@ -176,7 +176,7 @@ def prefix_lengths_arrays(measure: str, threshold: float, sizes):
 
 
 def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
-    """Vector twin of :func:`repro.perf.kernels.make_scorer` and of the
+    """Vector twin of :func:`repro.index.delta.make_scorer` and of the
     :mod:`repro.text.sim.token_based` set measures.
 
     All inputs are exact int64; int64 true division, ``np.sqrt``, and
@@ -239,8 +239,7 @@ class ArrayIndex:
     probe batch hits scipy's ``csr @ csr`` fast path), plus the sizes,
     prefix lengths and last prefix ids the filters read — all derived on
     construction and on unpickling rather than persisted.
-    Keyed like :class:`~repro.index.store.PrefixIndex` by
-    (encoding, measure, threshold, use_prefix_filter).
+    Keyed by (encoding, measure, threshold).
     """
 
     __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "matrix", "prefix_t",
@@ -285,21 +284,6 @@ def _array_records(key: str, keys: list, indptr, indices, dim: int) -> ArrayReco
     return ArrayRecords(key, keys, np.diff(indptr), matrix, width)
 
 
-def build_array_records(
-    key: str, records: Sequence[tuple[Any, tuple[int, ...]]], dim: int
-) -> ArrayRecords:
-    """Materialize ``[(row_key, sorted ids)]`` as an :class:`ArrayRecords`."""
-    indptr = _indptr(
-        np.fromiter((len(ids) for _, ids in records), dtype=np.int64, count=len(records))
-    )
-    indices = np.fromiter(
-        (token for _, ids in records for token in ids),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    return _array_records(key, [row_key for row_key, _ in records], indptr, indices, dim)
-
-
 def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRecords:
     """Row ``rows[i]`` of a block of rows laid end to end in ``indices``
     (row *j* is ``lengths[j]`` long) as row *i* of an :class:`ArrayRecords`
@@ -307,22 +291,6 @@ def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRe
     starts = np.cumsum(lengths) - lengths
     new_indptr, take = _ragged_take(starts[rows], lengths[rows])
     return _array_records(key, keys, new_indptr, indices[take], dim)
-
-
-def record_tuples(records: ArrayRecords) -> list[tuple[Any, tuple[int, ...]]]:
-    """``[(row_key, sorted ids)]``, the inverse of :func:`build_array_records`:
-    the scalar view a :class:`~repro.index.delta.LiveIndex` point probe reads.
-
-    Ids go through one list of int objects, so the tuples share them
-    rather than holding an int object per entry.
-    """
-    ints = list(range(records.dim))
-    ids = list(map(ints.__getitem__, memoryview(records.matrix.indices)))
-    bounds = records.matrix.indptr.tolist()
-    return [
-        (row_key, tuple(ids[start:stop]))
-        for row_key, start, stop in zip(records.keys, bounds, bounds[1:])
-    ]
 
 
 def _head_last(indptr, indices, lengths):
@@ -348,18 +316,10 @@ def csr_prefix_slice(matrix, lengths):
     )
 
 
-def build_array_index(
-    key: str,
-    arrays: ArrayRecords,
-    measure: str,
-    threshold: float,
-    use_prefix_filter: bool = True,
-) -> ArrayIndex:
+def build_array_index(key: str, arrays: ArrayRecords, measure: str, threshold: float) -> ArrayIndex:
     """Prepare one side's :class:`ArrayRecords` as the probed corpus."""
-    prefix = arrays.matrix
-    if use_prefix_filter:
-        lengths = prefix_lengths_arrays(measure, threshold, arrays.sizes)
-        prefix = csr_prefix_slice(prefix, lengths)
+    lengths = prefix_lengths_arrays(measure, threshold, arrays.sizes)
+    prefix = csr_prefix_slice(arrays.matrix, lengths)
     return ArrayIndex(key, arrays.keys, arrays.matrix, prefix.T.tocsr(), arrays.dim)
 
 
@@ -403,12 +363,11 @@ def batch_set_sim_probe(
     index: ArrayIndex,
     measure: str,
     threshold: float,
-    use_prefix_filter: bool = True,
     skip=None,
 ):
     """Filter-verify a probe batch against an :class:`ArrayIndex`.
 
-    The columnar twin of :func:`repro.simjoin.joins.probe_encoded`, row
+    The columnar twin of :func:`repro.index.delta.probe_encoded`, row
     for row: per probe row the candidate set (size window over rows
     sharing a prefix token, minus tombstones), candidate count, survivor
     set, scores, and right-position emission order all equal the scalar
@@ -428,11 +387,8 @@ def batch_set_sim_probe(
     n_probe = probe_matrix.shape[0]
     n_rows = index.n_rows
     lower, upper = size_bounds_arrays(measure, threshold, true_sizes)
-    if use_prefix_filter:
-        lengths = prefix_lengths_arrays(measure, threshold, true_sizes)
-        prefix_matrix = csr_prefix_slice(probe_matrix, lengths)
-    else:
-        prefix_matrix = probe_matrix
+    lengths = prefix_lengths_arrays(measure, threshold, true_sizes)
+    prefix_matrix = csr_prefix_slice(probe_matrix, lengths)
     # With nothing sliced off either side the candidate product already
     # holds exact overlaps; otherwise they are computed at kept pairs.
     counts_from_candidates = (

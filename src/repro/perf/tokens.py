@@ -7,7 +7,10 @@ ids is already in the canonical prefix-filter order: its most selective
 tokens come first, and taking a prefix is a slice instead of a keyed sort.
 
 This subsumes ``TokenOrder`` in :mod:`repro.simjoin.filters`, which is now
-a thin wrapper kept for its public string-level API.
+a thin wrapper kept for its public string-level API.  Encoding an ad-hoc
+query, whose unknown tokens are dropped, is the live index's job
+(:class:`repro.index.delta.LiveIndex`), since only it also knows the ids
+its upserts appended past the universe.
 """
 
 from __future__ import annotations
@@ -76,18 +79,6 @@ class TokenUniverse:
         """
         ids = self._ids
         return tuple(sorted({ids[token] for token in tokens}))
-
-    def encode_known(self, tokens: Iterable[str]) -> tuple[int, ...]:
-        """Like :meth:`encode`, but silently drops unknown tokens.
-
-        The online serving path encodes ad-hoc queries against a corpus
-        universe built before the query existed; out-of-vocabulary tokens
-        can never overlap a corpus record, so dropping them from the
-        probe is lossless — callers must still score with the query's
-        *true* token count (see ``probe_encoded``'s ``left_size``).
-        """
-        ids = self._ids
-        return tuple(sorted({ids[token] for token in tokens if token in ids}))
 
     # ------------------------------------------------------------------
     # String-level ordering API (TokenOrder compatibility)

@@ -167,92 +167,6 @@ class StreamingDeduper:
                 self._since_compaction = 0
         return StreamMatch(key=row_key, matches=matches, merged=merged, indexed=indexed)
 
-    def add_many(self, items: list[tuple[Any, Any]]) -> list[StreamMatch]:
-        """Absorb a batch of records; equal results to looping :meth:`add`.
-
-        The batch is probed against the pre-batch corpus with one
-        :meth:`LiveIndex.search_batch` call (one columnar kernel pass
-        when the batch is big enough to pay for it), indexed with one
-        :meth:`LiveIndex.upsert_many`, and intra-batch pairs — record
-        ``i`` matching an earlier batch record ``j < i``, which
-        sequential adds would have found through the delta — are scored
-        directly from the token sets with the index's scorer, so every
-        :class:`StreamMatch` (scores, match order, merge counts) is
-        identical to what one-at-a-time :meth:`add` calls would return.
-
-        The batched path needs probe-before-upsert to be well defined
-        per batch: if any batch key already exists in the index or
-        repeats within the batch, the whole batch falls back to
-        sequential :meth:`add` calls (same results, no batching).  With
-        ``compact_every`` set, compaction runs at most once per batch,
-        at the end — a coarser cadence than sequential adds, with
-        byte-identical search results either way.
-        """
-        items = list(items)
-        if not items:
-            return []
-        keys = [row_key for row_key, _ in items]
-        if len(set(keys)) != len(keys) or any(row_key in self.index for row_key in keys):
-            return [self.add(row_key, value) for row_key, value in items]
-
-        index = self.index
-        token_sets: list[set[str] | None] = []
-        for _, value in items:
-            prepared = index._prepare(value)
-            token_sets.append(
-                None
-                if prepared is None
-                else set(index.tokenizer.tokenize(prepared))
-            )
-        searched = index.search_batch([value for _, value in items])
-        index.upsert_many(items)
-
-        scorer = index._scorer
-        threshold = index.threshold
-        results: list[StreamMatch] = []
-        total_matches = 0
-        for i, (row_key, _) in enumerate(items):
-            matches = list(searched[i][0])
-            tokens = token_sets[i]
-            if tokens:
-                # Matches against earlier batch records, in the delta
-                # insertion order sequential adds would have seen them.
-                for j in range(i):
-                    other = token_sets[j]
-                    if not other:
-                        continue
-                    overlap = len(tokens & other)
-                    if not overlap:
-                        continue
-                    score = scorer(overlap, len(tokens), len(other))
-                    if score >= threshold:
-                        matches.append((keys[j], score))
-            self._uf.add(row_key)
-            merged = 0
-            for match_key, score in matches:
-                self._pairs.append((match_key, row_key, score))
-                self._uf.add(match_key)
-                if self._uf.union(match_key, row_key):
-                    merged += 1
-            total_matches += len(matches)
-            results.append(
-                StreamMatch(
-                    key=row_key,
-                    matches=matches,
-                    merged=merged,
-                    indexed=tokens is not None,
-                )
-            )
-        registry = get_registry()
-        registry.counter("stream_records_total").inc(len(items))
-        registry.counter("stream_matches_total").inc(total_matches)
-        if self._compact_every is not None:
-            self._since_compaction += len(items)
-            if self._since_compaction >= self._compact_every:
-                self.index.compact()
-                self._since_compaction %= self._compact_every
-        return results
-
     def clusters(self, min_size: int = 1) -> list[set[Any]]:
         """Current entity clusters, largest first (ties by member repr)."""
         groups = [g for g in self._uf.groups() if len(g) >= min_size]

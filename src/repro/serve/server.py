@@ -2,15 +2,15 @@
 
 A :class:`MatchServer` is the online half of the batch substrate.  At
 startup it builds a :class:`repro.index.LiveIndex` over one corpus
-column — the base segment is the :class:`repro.index.IndexStore`
-artifact chain (records → token sets → a corpus
-:class:`~repro.perf.tokens.TokenUniverse` → prefix postings), built
-exactly once, its records/token/encoding links shared by fingerprint
-with any batch join over the same content — then answers
+column — its base segment runs the :class:`repro.index.IndexStore`
+chain (records → token sets → a corpus
+:class:`~repro.perf.tokens.TokenUniverse` and CSR encoding), shared by
+fingerprint with any batch join over the same content, and the live
+index derives its point-probe postings from that encoding — then answers
 ``match(entity)`` point queries for as long as the process lives.  Queries are tokenized,
 encoded against the live token ordering (out-of-vocabulary tokens are
 dropped losslessly), and probed through
-:func:`repro.simjoin.probe_encoded` (a lone request) or the batched
+:func:`repro.index.delta.probe_encoded` (a lone request) or the batched
 kernel the batch join runs (a micro-batch big enough to pay for it) —
 the two answer alike, so a served result is byte-identical to the
 matching rows of ``set_sim_join(queries, corpus, ...)``.
@@ -55,6 +55,7 @@ from typing import Any
 
 from repro.exceptions import (
     BackpressureError,
+    ConfigurationError,
     QuotaExceededError,
     ServiceError,
 )
@@ -66,6 +67,16 @@ from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
 
 
+def _require_at_least(name: str, value: Any, least: int, optional: bool = False) -> None:
+    """Raise :class:`ConfigurationError` unless ``value >= least`` (or
+    ``value`` is ``None``, where ``optional``)."""
+    if value is None and optional:
+        return
+    if value is None or value < least:
+        allowed = f"None or >= {least}" if optional else f">= {least}"
+        raise ConfigurationError(f"{name} must be {allowed}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tuning knobs for a :class:`MatchServer`.
@@ -75,7 +86,9 @@ class ServeConfig:
     — the deterministic mode used by tests and single-threaded
     embeddings.  ``tenant_quotas`` maps tenant name to its max in-flight
     requests; tenants not listed get ``default_tenant_quota`` (``None``
-    means unlimited).
+    means unlimited).  Construction raises :class:`ConfigurationError`
+    unless ``max_batch`` and ``max_queue_depth`` are >= 1, ``workers`` is
+    >= 0, ``top_k`` is ``None`` or >= 0 and every quota ``None`` or >= 1.
     """
 
     measure: str = "jaccard"
@@ -86,6 +99,14 @@ class ServeConfig:
     default_tenant_quota: int | None = 64
     tenant_quotas: dict[str, int] = field(default_factory=dict)
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        for name, least in (("max_batch", 1), ("max_queue_depth", 1), ("workers", 0)):
+            _require_at_least(name, getattr(self, name), least)
+        _require_at_least("top_k", self.top_k, 0, optional=True)
+        _require_at_least("default_tenant_quota", self.default_tenant_quota, 1, optional=True)
+        for tenant, quota in self.tenant_quotas.items():
+            _require_at_least(f"quota of tenant {tenant!r}", quota, 1, optional=True)
 
     def quota(self, tenant: str) -> int | None:
         return self.tenant_quotas.get(tenant, self.default_tenant_quota)
@@ -217,8 +238,8 @@ class MatchServer:
         chain (the corpus self-paired through ``pair_encoding(tc, tc)``,
         which preserves the frequency-then-lexical ranking), so a batch
         self-join over the same corpus content shares its records,
-        token sets and encoding; the dict postings point probes read
-        are built for the server, and the id tuples by it.
+        token sets and encoding; the live index derives the id tuples
+        and dict postings point probes read.
         """
         self._live = LiveIndex.from_table(
             self.corpus,
@@ -270,8 +291,10 @@ class MatchServer:
 
         Raises :class:`BackpressureError` (queue full) or
         :class:`QuotaExceededError` (tenant at its in-flight quota)
-        *before* queuing — a rejected request did no work.
+        *before* queuing — a rejected request did no work; a negative
+        ``top_k`` raises :class:`ConfigurationError`.
         """
+        _require_at_least("top_k", top_k, 0, optional=True)
         registry = get_registry()
         request = _Request(value, tenant, top_k if top_k is not None else self.config.top_k)
         with self._lock:
@@ -434,21 +457,11 @@ class MatchServer:
         record — no restart, no rebuild.  Returns whether the record was
         indexed (a missing value degenerates to a delete).
         """
-        registry = get_registry()
-        with self._lock:
-            if not self._running or self._stopping:
-                raise ServiceError("MatchServer is not running")
-        registry.counter("serve_upserts_total", tenant=tenant).inc()
-        return self._live.upsert(row_key, value)
+        return self.upsert_many([(row_key, value)], tenant) == 1
 
     def upsert_many(self, items, tenant: str = "default") -> int:
-        """Bulk :meth:`upsert` through the live index's batched path.
-
-        ``items`` is an iterable of ``(row_key, value)``; the index
-        state afterwards is identical to upserting them one at a time
-        (sequential semantics), but delta postings merge once per batch.
-        Returns the number of records indexed.
-        """
+        """Insert or replace ``(row_key, value)`` records in order, under
+        one index lock; returns the number indexed."""
         registry = get_registry()
         with self._lock:
             if not self._running or self._stopping:
@@ -459,15 +472,10 @@ class MatchServer:
 
     def delete(self, row_key: Any, tenant: str = "default") -> bool:
         """Tombstone one corpus record; returns whether it was present."""
-        registry = get_registry()
-        with self._lock:
-            if not self._running or self._stopping:
-                raise ServiceError("MatchServer is not running")
-        registry.counter("serve_deletes_total", tenant=tenant).inc()
-        return self._live.delete(row_key)
+        return self.delete_many([row_key], tenant) == 1
 
     def delete_many(self, row_keys, tenant: str = "default") -> int:
-        """Bulk :meth:`delete` under one index lock; returns how many existed."""
+        """Tombstone records under one index lock; returns how many existed."""
         registry = get_registry()
         with self._lock:
             if not self._running or self._stopping:

@@ -11,8 +11,6 @@ from repro.simjoin.filters import (
 from repro.simjoin.joins import (
     edit_distance_join,
     naive_set_sim_join,
-    probe_encoded,
-    probe_encoded_batch,
     set_sim_join,
 )
 
@@ -23,8 +21,6 @@ __all__ = [
     "naive_set_sim_join",
     "overlap_lower_bound",
     "prefix_length",
-    "probe_encoded",
-    "probe_encoded_batch",
     "set_sim_join",
     "similarity",
     "size_bounds",

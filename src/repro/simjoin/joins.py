@@ -16,11 +16,9 @@ comparison, and exact overlaps are computed only at the surviving pairs.
 :func:`edit_distance_join` encodes each string's q-gram bag as a set of
 occurrence-tagged grams and runs the kernel's ``"qgram_count"`` bound
 (the q-gram count filter), then verifies with batched Levenshtein.
-:func:`probe_encoded` is the same filter-verify step for *one* record
-against dict postings (a ``bisect`` size window, then a merge scan
-with ppjoin-style early exit); only
-:class:`repro.index.delta.LiveIndex` calls it, for point probes and its
-mutable delta segment.  Both joins accept ``n_jobs`` and fan the probe
+The scalar form of the same filter-verify step (dict postings, a
+merge scan) serves only :class:`repro.index.delta.LiveIndex` point
+probes and lives there.  Both joins accept ``n_jobs`` and fan the probe
 rows out over a process pool in contiguous spans whose survivor arrays
 are concatenated in order, so parallel output is byte-identical to
 serial.  Every join hands its output over as columns: one
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
 from functools import partial
 
 import numpy as np
@@ -48,15 +45,8 @@ from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
-from repro.perf.kernels import BOUND_EPS, bounded_overlap
 from repro.perf.parallel import effective_n_jobs, run_sharded
-from repro.simjoin.filters import (
-    prefix_length,
-    similarity,
-    size_bounds,
-    validate_measure,
-    validate_threshold,
-)
+from repro.simjoin.filters import similarity, validate_measure, validate_threshold
 from repro.table.table import Table
 from repro.text.sim.edit_based import Levenshtein, number_items
 from repro.text.tokenizers import QgramBagTokenizer, Tokenizer
@@ -90,112 +80,6 @@ def _observe_join(
     reg.histogram("simjoin_seconds", **labels).observe(seconds)
 
 
-def probe_encoded(
-    left_ids,
-    left_size: int,
-    index: dict,
-    right_enc: list,
-    scorer,
-    overlap_bound,
-    measure: str,
-    threshold: float,
-    use_prefix_filter: bool = True,
-    skip: set[int] | None = None,
-) -> tuple[list[tuple], int]:
-    """Filter-verify one encoded probe record against a prefix index.
-
-    The scalar twin of :func:`probe_encoded_batch`, same bounds math and
-    same answers: the live-index read path (:mod:`repro.index.delta`, and
-    through it :mod:`repro.serve`) runs it for point probes, for batches
-    too small to amortize a CSR probe, and for the delta segment.
-
-    ``left_ids`` is the record's sorted token ids; ``left_size`` is its
-    *true* distinct-token count, which can exceed ``len(left_ids)`` when
-    a serving query holds tokens outside the corpus universe (those
-    tokens can never overlap the corpus, so dropping them from the probe
-    is lossless while the size still enters every bound and score).
-    ``skip`` is an optional set of right *positions* to exclude — the
-    live index's tombstones; excluded positions are dropped before
-    verification and never counted as candidates.  Verification is the
-    bounded merge scan.  Returns the ``(r_id, score)`` survivors in
-    right-position order plus the candidate count.
-    """
-    if not left_size:
-        return [], 0
-    lower, upper = size_bounds(measure, threshold, left_size)
-    # The float upper bound can round epsilon low; admit the edge.
-    upper += BOUND_EPS
-    probe = (
-        left_ids[: prefix_length(measure, threshold, left_size)]
-        if use_prefix_filter
-        else left_ids
-    )
-    candidates: set[int] = set()
-    collect = candidates.update
-    for token in probe:
-        entry = index.get(token)
-        if entry is None:
-            continue
-        sizes, positions = entry
-        collect(positions[bisect_left(sizes, lower) : bisect_right(sizes, upper)])
-    if skip:
-        candidates.difference_update(skip)
-    if not candidates:
-        return [], 0
-    results: list[tuple] = []
-    for position in sorted(candidates):
-        r_id, right = right_enc[position]
-        needed = overlap_bound(left_size, len(right))
-        overlap = bounded_overlap(left_ids, right, needed)
-        if overlap < needed:
-            continue
-        score = scorer(overlap, left_size, len(right))
-        if score >= threshold:
-            results.append((r_id, score))
-    return results, len(candidates)
-
-
-def probe_encoded_batch(
-    queries: list[tuple],
-    array_index,
-    measure: str,
-    threshold: float,
-    use_prefix_filter: bool = True,
-    skip: set[int] | None = None,
-) -> tuple[list[tuple[list[tuple], int]], int]:
-    """Filter-verify a *batch* of encoded probes with the CSR kernel.
-
-    The batched twin of :func:`probe_encoded`: ``queries`` holds
-    ``(left_ids, left_size)`` per probe (same contract as the scalar
-    kernel, including true sizes exceeding ``len(left_ids)`` for
-    out-of-universe query tokens, which the CSR probe drops losslessly),
-    ``array_index`` is a :class:`repro.perf.arrays.ArrayIndex` over the
-    corpus, and ``skip`` excludes right positions (tombstones).  Returns
-    one ``(matches, n_candidates)`` pair per query, each byte-identical
-    to :func:`probe_encoded` on that query, and the verified-pair count:
-    the kernel :class:`repro.serve.MatchServer`'s micro-batching queue
-    and :meth:`repro.index.delta.LiveIndex.search_batch` amortize their
-    batches through.
-    """
-    probe_matrix = arrays.build_probe_matrix(
-        [ids for ids, _ in queries], array_index.dim
-    )
-    true_sizes = arrays.np.fromiter(
-        (size for _, size in queries), dtype=arrays.np.int64, count=len(queries)
-    )
-    indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
-        probe_matrix,
-        true_sizes,
-        array_index,
-        measure,
-        threshold,
-        use_prefix_filter,
-        arrays.skip_mask(skip, array_index.n_rows),
-    )
-    matches = arrays.emit_matches(indptr, positions, scores, array_index.keys)
-    return list(zip(matches, counts.tolist())), verified
-
-
 def _result_table(l_ids: list, r_ids: list, scores: list) -> Table:
     """The ``(_id, l_id, r_id, score)`` table every join returns."""
     return Table({"_id": range(len(scores)), "l_id": l_ids, "r_id": r_ids, "score": scores})
@@ -206,7 +90,7 @@ def _take(keys: list, positions) -> list:
     return list(map(keys.__getitem__, positions.tolist()))
 
 
-def _probe_span(left, index, measure: str, threshold: float, use_prefix_filter: bool, span: range):
+def _probe_span(left, index, measure: str, threshold: float, span: range):
     """The batched kernel over one span of ``left``'s rows: survivor rows,
     positions and scores in (row, position) order, the candidate and
     verified counts, and the kernel's seconds."""
@@ -217,7 +101,6 @@ def _probe_span(left, index, measure: str, threshold: float, use_prefix_filter: 
         index,
         measure,
         threshold,
-        use_prefix_filter,
     )
     seconds = time.perf_counter() - started
     rows = np.repeat(np.arange(span.start, span.stop), np.diff(indptr))
@@ -248,7 +131,6 @@ def set_sim_join(
     tokenizer: Tokenizer,
     measure: str = "jaccard",
     threshold: float = 0.7,
-    use_prefix_filter: bool = True,
     n_jobs: int = 1,
     kernel: str = "auto",
 ) -> Table:
@@ -283,13 +165,13 @@ def set_sim_join(
         store.tokenized_column(ltable, l_key, l_column, tokenizer),
         store.tokenized_column(rtable, r_key, r_column, tokenizer),
     )
-    array_index = store.array_index(encoding, measure, threshold, use_prefix_filter)
+    array_index = store.array_index(encoding, measure, threshold)
     left = encoding.left
     n_probe = len(left.keys)
     rows, positions, scores, n_candidates, n_verified, seconds = _over_spans(
         n_probe,
         n_jobs,
-        partial(_probe_span, left, array_index, measure, threshold, use_prefix_filter),
+        partial(_probe_span, left, array_index, measure, threshold),
     )
     arrays.observe_kernel_batch(
         "set_sim_join", n_probe, n_candidates, seconds, verified=n_verified
@@ -389,7 +271,7 @@ def edit_distance_join(
 
     def join_span(span: range) -> tuple:
         rows, cols, _, n_candidates, _, _ = _probe_span(
-            encoding.left, index, measure, bound, True, span
+            encoding.left, index, measure, bound, span
         )
         # The kernel found some pairs of two short strings too.
         both_short = (l_len[rows] <= vacuous) & (r_len[cols] <= vacuous)

@@ -223,6 +223,21 @@ class TestServe:
         assert "serve_requests_total" in names
         assert "serve_request_seconds" in names
 
+    @pytest.mark.parametrize("flag,value", [("--max-batch", "0"), ("--top-k", "-1")])
+    def test_bad_scheduler_value_exits_before_serving(self, tmp_path, capsys, flag, value):
+        from repro.exceptions import ConfigurationError
+
+        corpus_path = tmp_path / "corpus.csv"
+        write_csv(Table({"id": ["b1"], "name": ["dave smith"]}), corpus_path)
+        queries_path = tmp_path / "queries.txt"
+        queries_path.write_text("dave smith\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=flag[2:].replace("-", "_")):
+            main([
+                "serve", str(corpus_path), "--column", "name",
+                "--queries", str(queries_path), flag, value,
+            ])
+        assert not [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+
 
 class TestIndexCli:
     @pytest.fixture
@@ -252,7 +267,7 @@ class TestIndexCli:
         assert "corpus-name" in out
         assert "tombstones" in out
         # Fingerprinted base artifacts are listed too.
-        assert "records" in out and "prefix" in out
+        assert "records" in out and "encoding" in out
 
     def test_compact_folds_and_resaves(self, live_cache, capsys):
         from repro.index import list_live_indexes
@@ -298,12 +313,12 @@ class TestIndexCli:
         from pathlib import Path
 
         import repro.index.store as store_module
-        from repro.index import IndexStore, use_index_store
+        from repro.index import IndexStore, LiveIndex, use_index_store
         from repro.simjoin import edit_distance_join
 
         cache = tmp_path / "cache"
         cache.mkdir()
-        for name in ("grambags-0123abcd.pkl", "gramindex-4567ef01.pkl"):
+        for name in ("grambags-0123abcd.pkl", "gramindex-4567ef01.pkl", "prefix-89abcdef.pkl"):
             (cache / name).write_bytes(pickle.dumps({"q-gram dict": name}))
         read = []
         load = pickle.load
@@ -318,11 +333,15 @@ class TestIndexCli:
         for _ in range(2):  # cold, then disk-warm
             with use_index_store(IndexStore(cache_dir=cache)):
                 edit_distance_join(table, table, "id", "id", "name", "name", threshold=3)
-        assert read and not [name for name in read if name.startswith("gram")]
+        # A live index over the same column is the one that used to read
+        # ``prefix`` pickles.
+        with use_index_store(IndexStore(cache_dir=cache)) as store:
+            LiveIndex.from_table(table, "id", "name", store=store)
+        assert read and not [name for name in read if name.startswith(("gram", "prefix"))]
         capsys.readouterr()
         assert main(["index", "inspect", "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
-        assert "grambags" in out and "gramindex" in out
+        assert "grambags" in out and "gramindex" in out and "prefix" in out
         IndexStore(cache_dir=cache).clear(disk=True)
         assert list(cache.glob("*.pkl")) == []
 

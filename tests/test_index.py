@@ -167,7 +167,7 @@ class TestWarmColdEquivalence:
             )
             # The edit join rides the token chain; warm runs build nothing.
             assert built == {
-                "records": 2, "tokens": 2, "encoding": 1, "prefix": 0, "arrayindex": 1,
+                "records": 2, "tokens": 2, "encoding": 1, "arrayindex": 1,
                 "vectors": 0, "vecpair": 0, "ann": 0,
             }
             assert counter_total(registry, "index_builds_total") == 6
@@ -332,19 +332,19 @@ class TestStoreSpans:
         with use_registry() as registry, use_tracer() as tracer:
             with trace_span("cold"):
                 LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
+            # Records, tokens and encoding only: the live index derives
+            # its id tuples and dict postings itself.
             assert gets(tracer, "cold") == {
-                "records": "build", "tokens": "build", "encoding": "build", "prefix": "build",
+                "records": "build", "tokens": "build", "encoding": "build",
             }
-            for kind in ("records", "tokens", "encoding", "prefix"):
+            for kind in ("records", "tokens", "encoding"):
                 assert counter_total(registry, "index_builds_total", kind=kind) == 1
         with use_registry() as registry, use_tracer() as tracer:
             with trace_span("warm"):
                 LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
-            assert gets(tracer, "warm") == {
-                "tokens": "memory", "encoding": "memory", "prefix": "memory",
-            }
+            assert gets(tracer, "warm") == {"tokens": "memory", "encoding": "memory"}
             assert counter_total(registry, "index_builds_total") == 0
-            assert counter_total(registry, "index_reuses_total", tier="memory") == 3
+            assert counter_total(registry, "index_reuses_total", tier="memory") == 2
 
     def test_a_disk_hit_is_labelled_disk(self, tmp_path):
         from repro.obs import use_tracer

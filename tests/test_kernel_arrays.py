@@ -2,8 +2,8 @@
 
 The acceptance bar is *byte identity*.  A batch join is compared with the
 brute-force ``naive_set_sim_join`` — rows, scores (same float bits) and
-output order — and the batched probe with the scalar ``probe_encoded``
-per query, the contract between the two paths a live index chooses
+output order — and the batched probe with the live index's scalar
+``probe_encoded`` per query, the contract between the two paths a live index chooses
 between.  The hypothesis suites below drive randomized corpora through
 both sides and compare with plain ``==`` — which, on floats, is the
 bit-identity check.
@@ -19,24 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.delta as delta_module
 import repro.perf.arrays as arrays_module
-from repro.index.delta import LiveIndex
-from repro.index.store import get_index_store
-from repro.obs import use_registry
-from repro.perf.arrays import (
-    BATCH_MIN_INDEX_ROWS,
-    BATCH_MIN_PROBE_ROWS,
-    record_tuples,
-)
-from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
-from repro.perf.kernels import make_overlap_bound, make_scorer
-from repro.perf.tokens import TokenUniverse
-from repro.simjoin import (
-    naive_set_sim_join,
+from repro.index.delta import (
+    LiveIndex,
+    build_array_records,
+    make_overlap_bound,
+    make_scorer,
+    prefix_postings,
     probe_encoded,
     probe_encoded_batch,
-    set_sim_join,
+    record_tuples,
 )
+from repro.index.store import get_index_store
+from repro.obs import use_registry
+from repro.perf.arrays import BATCH_MIN_INDEX_ROWS, BATCH_MIN_PROBE_ROWS
+from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
+from repro.perf.tokens import TokenUniverse
+from repro.simjoin import naive_set_sim_join, set_sim_join
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 from repro.text.vectorize import cosine, l2_normalize
@@ -67,6 +67,8 @@ measure_threshold = st.one_of(
     st.tuples(st.just("dice"), st.sampled_from([0.5, 0.9])),
     st.tuples(st.just("overlap"), st.sampled_from([1, 2, 3])),
 )
+# Every record of up to 5 tokens is its own prefix at these thresholds.
+WHOLE_PREFIX_CASES = [("jaccard", 0.1), ("cosine", 0.2), ("dice", 0.15), ("overlap", 1)]
 
 
 def _table(prefix: str, values: list) -> Table:
@@ -124,13 +126,20 @@ class TestJoinEquivalence:
         assert _join_rows(ltable, rtable, measure, threshold) == expected
         assert _join_rows(ltable, rtable, measure, threshold, n_jobs=2) == expected
 
-    @given(side_strategy, side_strategy, measure_threshold)
+    @given(side_strategy, side_strategy, st.sampled_from(WHOLE_PREFIX_CASES))
     @settings(max_examples=25, deadline=None)
     def test_without_prefix_filter(self, left, right, mt):
+        # Thresholds low enough that every record of up to 5 tokens is its
+        # own prefix: nothing is filtered, and the candidate product
+        # already holds the exact overlaps the kernel scores.
+        from repro.simjoin.filters import prefix_length
+
         measure, threshold = mt
+        assert all(prefix_length(measure, threshold, n) == n for n in range(6))
         ltable, rtable = _table("l", left), _table("r", right)
-        got = _join_rows(ltable, rtable, measure, threshold, use_prefix_filter=False)
+        got = _join_rows(ltable, rtable, measure, threshold)
         assert got == _naive_rows(ltable, rtable, measure, threshold)
+        assert got == _live_join_rows(ltable, rtable, measure, threshold)
 
     def test_forked_equals_serial_equals_dict(self):
         # Big enough to clear the MIN_FORK_ITEMS gate, so n_jobs=2
@@ -143,12 +152,8 @@ class TestJoinEquivalence:
             expected = _naive_rows(ltable, rtable, measure, threshold)
             assert expected
             assert _live_join_rows(ltable, rtable, measure, threshold) == expected
-            for use_prefix_filter in (True, False):
-                for n_jobs in (1, 2):
-                    assert expected == _join_rows(
-                        ltable, rtable, measure, threshold,
-                        use_prefix_filter=use_prefix_filter, n_jobs=n_jobs,
-                    )
+            for n_jobs in (1, 2):
+                assert expected == _join_rows(ltable, rtable, measure, threshold, n_jobs=n_jobs)
 
 
 class TestProbeBatchEquivalence:
@@ -162,7 +167,7 @@ class TestProbeBatchEquivalence:
             store.tokenized_column(rtable, "id", "v", tokenizer),
             store.tokenized_column(rtable, "id", "v", tokenizer),
         )
-        dict_index = store.prefix_index(encoding, measure, threshold).index
+        dict_index = prefix_postings(encoding.right, measure, threshold)
         array_index = store.array_index(encoding, measure, threshold)
         return record_tuples(encoding.right), dict_index, array_index
 
@@ -257,7 +262,7 @@ class TestPositionalBound:
             store.tokenized_column(ltable, "id", "v", tokenizer),
             store.tokenized_column(rtable, "id", "v", tokenizer),
         )
-        dict_index = store.prefix_index(encoding, measure, threshold).index
+        dict_index = prefix_postings(encoding.right, measure, threshold)
         array_index = store.array_index(encoding, measure, threshold)
         queries = [(ids, len(ids)) for _, ids in record_tuples(encoding.left)]
         scorer = make_scorer(measure)
@@ -301,10 +306,12 @@ class TestHotTokenRegime:
     almost no prefix — the regime where exact overlaps must come from
     the candidate pairs alone, never from a product over every pair
     sharing a token.  ``CHUNK_TARGET_NNZ`` is shrunk so every probe
-    spans several chunks.
+    spans several chunks.  At ``("overlap", 1)`` every prefix is the
+    whole row, so the kernel reads exact overlaps off the candidate
+    product instead.
     """
 
-    MEASURES = [("jaccard", 0.5), ("cosine", 0.6), ("dice", 0.6), ("overlap", 2)]
+    MEASURES = [("jaccard", 0.5), ("cosine", 0.6), ("dice", 0.6), ("overlap", 2), ("overlap", 1)]
 
     @staticmethod
     def _values(n: int, seed: int) -> list[str]:
@@ -328,15 +335,13 @@ class TestHotTokenRegime:
         monkeypatch.setattr(arrays_module, "scores_arrays", counting)
 
     @pytest.mark.parametrize("measure,threshold", MEASURES)
-    @pytest.mark.parametrize("use_prefix_filter", [True, False])
-    def test_join_matches_dict_and_naive(self, measure, threshold, use_prefix_filter):
-        ltable = _table("l", self._values(150, seed=1))
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_join_matches_dict_and_naive(self, measure, threshold, self_join):
+        # A self-join encodes one side (``pair_encoding(tc, tc)``).
         rtable = _table("r", self._values(180, seed=2))
+        ltable = rtable if self_join else _table("l", self._values(150, seed=1))
         with use_registry() as registry:
-            got = _join_rows(
-                ltable, rtable, measure, threshold,
-                use_prefix_filter=use_prefix_filter,
-            )
+            got = _join_rows(ltable, rtable, measure, threshold)
             candidates = sum(
                 value
                 for (name, _), value in registry.counters().items()
@@ -346,49 +351,42 @@ class TestHotTokenRegime:
         assert got == _naive_rows(ltable, rtable, measure, threshold)
         # The scalar probe over dict postings, and the forked batched one.
         assert got == _live_join_rows(ltable, rtable, measure, threshold)
-        assert got == _join_rows(
-            ltable, rtable, measure, threshold,
-            use_prefix_filter=use_prefix_filter, n_jobs=2,
-        )
+        assert got == _join_rows(ltable, rtable, measure, threshold, n_jobs=2)
         hot_pairs = sum("hot" in v for v in ltable.column("v")) * sum(
             "hot" in v for v in rtable.column("v")
         )
-        if use_prefix_filter and measure != "overlap":
+        if measure != "overlap":
             assert candidates < hot_pairs / 2
 
     @pytest.mark.parametrize("measure,threshold", MEASURES)
-    @pytest.mark.parametrize("use_prefix_filter", [True, False])
+    @pytest.mark.parametrize("tombstones", [True, False])
     def test_probe_batch_with_tombstones_and_foreign_tokens(
-        self, measure, threshold, use_prefix_filter
+        self, measure, threshold, tombstones
     ):
         store = get_index_store()
         rtable = _table("r", self._values(180, seed=3))
         tokenizer = WhitespaceTokenizer(return_set=True)
         column = store.tokenized_column(rtable, "id", "v", tokenizer)
         encoding = store.pair_encoding(column, column)
-        dict_index = store.prefix_index(
-            encoding, measure, threshold, use_prefix_filter
-        ).index
-        array_index = store.array_index(encoding, measure, threshold, use_prefix_filter)
+        dict_index = prefix_postings(encoding.right, measure, threshold)
+        array_index = store.array_index(encoding, measure, threshold)
         dim = array_index.dim
         # Each corpus record probed back with two live-index extension
         # ids (>= dim, sorted to the tail) and one out-of-universe token
         # that only inflates the true size.
         right_enc = record_tuples(encoding.right)
         queries = [(ids + (dim + 3, dim + 7), len(ids) + 3) for _, ids in right_enc]
-        skip = set(range(0, len(right_enc), 7))
+        skip = set(range(0, len(right_enc), 7)) if tombstones else None
         scorer = make_scorer(measure)
         bound = make_overlap_bound(measure, threshold)
         expected = [
             probe_encoded(
                 ids, size, dict_index, right_enc, scorer, bound,
-                measure, threshold, use_prefix_filter, skip,
+                measure, threshold, skip,
             )
             for ids, size in queries
         ]
-        got, _ = probe_encoded_batch(
-            queries, array_index, measure, threshold, use_prefix_filter, skip
-        )
+        got, _ = probe_encoded_batch(queries, array_index, measure, threshold, skip)
         assert self.chunks > 1
         assert got == expected
         assert any(matches for matches, _ in got)
@@ -499,15 +497,12 @@ odd_value = st.one_of(
     st.lists(st.sampled_from(ODD_TOKENS), max_size=5).map(" ".join),
 )
 odd_side = st.lists(odd_value, max_size=12)
-encoder_case = st.tuples(
-    st.sampled_from(
-        [("jaccard", 0.5), ("cosine", 0.7), ("dice", 0.6), ("overlap", 1), ("overlap", 2)]
-    ),
-    st.booleans(),  # use_prefix_filter
+encoder_case = st.sampled_from(
+    [("jaccard", 0.5), ("cosine", 0.7), ("dice", 0.6), ("overlap", 1), ("overlap", 2)]
 )
 
 
-def scalar_chain(left, right, measure, threshold, use_prefix_filter):
+def scalar_chain(left, right, measure, threshold):
     """The tuple-building chain the array encoder replaced: the oracle.
 
     ``TokenUniverse`` over both sides' records, ``encode`` per record,
@@ -527,8 +522,7 @@ def scalar_chain(left, right, measure, threshold, use_prefix_filter):
         size = len(ids)
         if not size:
             continue
-        prefix = ids[: prefix_length(measure, threshold, size)] if use_prefix_filter else ids
-        for token in prefix:
+        for token in ids[: prefix_length(measure, threshold, size)]:
             postings.setdefault(token, []).append((size, position))
     index = {}
     for token, pairs in postings.items():
@@ -552,9 +546,9 @@ class TestArrayEncodingMatchesTheScalarChain:
     @settings(max_examples=80, deadline=None)
     def test_encoding_postings_and_array_index(self, left, right, self_pair, case):
         from repro.index.store import IndexStore
-        from repro.perf.arrays import build_array_index, build_array_records
+        from repro.perf.arrays import build_array_index
 
-        (measure, threshold), use_prefix_filter = case
+        measure, threshold = case
         store = IndexStore()
         tokenizer = WhitespaceTokenizer(return_set=True)
         left_tc = store.tokenized_column(_table("l", left), "id", "v", tokenizer)
@@ -564,7 +558,7 @@ class TestArrayEncodingMatchesTheScalarChain:
         )
         encoding = store.pair_encoding(left_tc, right_tc)
         universe, left_enc, right_enc, index = scalar_chain(
-            left_tc, right_tc, measure, threshold, use_prefix_filter
+            left_tc, right_tc, measure, threshold
         )
         n = len(universe)
         assert len(encoding.universe) == n
@@ -577,11 +571,10 @@ class TestArrayEncodingMatchesTheScalarChain:
             assert side.keys == expected.keys and side.dim == expected.dim
             assert side.sizes.dtype == expected.sizes.dtype
             assert side.sizes.tolist() == expected.sizes.tolist()
-        assert store.prefix_index(encoding, measure, threshold, use_prefix_filter).index == index
-        got = store.array_index(encoding, measure, threshold, use_prefix_filter)
+        assert prefix_postings(encoding.right, measure, threshold) == index
+        got = store.array_index(encoding, measure, threshold)
         expected = build_array_index(
-            "oracle", build_array_records("oracle", right_enc, n), measure, threshold,
-            use_prefix_filter,
+            "oracle", build_array_records("oracle", right_enc, n), measure, threshold
         )
         assert_same_csr(got.matrix, expected.matrix)
         assert_same_csr(got.prefix_t, expected.prefix_t)
@@ -592,7 +585,7 @@ class TestArrayEncodingMatchesTheScalarChain:
     def test_live_index_tuples_postings_and_universe(self, values, case):
         from repro.index.store import IndexStore
 
-        (measure, threshold), _ = case
+        measure, threshold = case
         keys = [f"r{i}" for i in range(len(values))]
         with use_registry():
             store = IndexStore()
@@ -603,15 +596,13 @@ class TestArrayEncodingMatchesTheScalarChain:
         column = store.tokenized_column(
             Table({"id": keys, "v": values}), "id", "v", live.tokenizer
         )
-        universe, _, right_enc, index = scalar_chain(column, column, measure, threshold, True)
+        universe, _, right_enc, index = scalar_chain(column, column, measure, threshold)
         base = live._base
         assert base.universe.decode(range(len(universe))) == universe.decode(range(len(universe)))
         assert base.enc == right_enc
         assert base.index == index
 
     def test_tuples_share_one_int_object_per_id(self):
-        from repro.perf.arrays import build_array_records
-
         records = build_array_records("k", [("a", (300, 400)), ("b", (300, 500))], 600)
         (_, first), (_, second) = record_tuples(records)
         assert first[0] == second[0] == 300
@@ -630,7 +621,7 @@ class TestArrayEncodingMatchesTheScalarChain:
             calls.append(records)
             return record_tuples(records)
 
-        monkeypatch.setattr(arrays_module, "record_tuples", counting)
+        monkeypatch.setattr(delta_module, "record_tuples", counting)
         left = _table("l", [" ".join(WORDS[i % 4 : i % 4 + 3]) for i in range(40)])
         right = _table("r", [" ".join(WORDS[i % 5 : i % 5 + 2]) for i in range(50)])
         with use_registry(), use_index_store():
@@ -646,7 +637,7 @@ class TestArrayEncodingMatchesTheScalarChain:
             for path in src.rglob("*.py")
             if "record_tuples(" in path.read_text(encoding="utf-8")
         }
-        assert callers == {"perf/arrays.py", "index/delta.py"}
+        assert callers == {"index/delta.py"}
 
 
 sparse_vector = st.dictionaries(

@@ -769,7 +769,8 @@ class TestBoundedMemory:
                 live.upsert(f"u{i}", f"dave upsert{i}")
             live.upsert_many((f"m{i}", f"smith many{i}") for i in range(500))
             deduper = StreamingDeduper(tokenizer=tokenizer, threshold=0.4)
-            deduper.add_many([(f"s{i}", f"joe stream{i}") for i in range(200)])
+            for i in range(200):
+                deduper.add(f"s{i}", f"joe stream{i}")
             assert len(tokenizer.__dict__.get("_cache", ())) == memo
 
 
@@ -877,8 +878,8 @@ class TestPersistence:
             live.save()
             kinds = {row["kind"] for row in store.disk_artifacts()}
             assert "live" not in kinds
-            # The id tuples are the live index's own.
-            assert kinds == {"records", "tokens", "encoding", "prefix"}
+            # The id tuples and dict postings are the live index's own.
+            assert kinds == {"records", "tokens", "encoding"}
 
 
 class TestBlockerIntegration:

@@ -4,7 +4,7 @@ Two guarantees are enforced here:
 
 * the integer-kernel filtered join — the batched one and the scalar
   probe (merge-scan verification) — equals the brute-force reference
-  across every measure, threshold and prefix-filter setting;
+  across every measure and threshold, for self-joins and two-table joins;
 * every ``n_jobs``-parallelized entry point produces output
   byte-identical to its serial run (``Table.__eq__`` compares the full
   column data, so equality means same columns, same values, same order).
@@ -25,6 +25,7 @@ from repro.blocking import (
 )
 import repro.index.delta as delta_module
 from repro.exceptions import ConfigurationError, SchemaError
+from repro.index.delta import bounded_overlap, make_overlap_bound, make_scorer
 from repro.features import (
     FeatureTable,
     extract_feature_vecs,
@@ -33,11 +34,8 @@ from repro.features import (
 )
 from repro.perf import (
     TokenUniverse,
-    bounded_overlap,
     concat_tables,
     effective_n_jobs,
-    make_overlap_bound,
-    make_scorer,
     parallel_map_partitions,
     partition_table,
     split_evenly,
@@ -233,16 +231,18 @@ class TestSetSimJoinEquivalence:
         ("dice", 0.7),
         ("overlap", 2),
     ])
-    @pytest.mark.parametrize("use_prefix_filter", [True, False])
+    # A self-join encodes one side (``pair_encoding(tc, tc)``).
+    @pytest.mark.parametrize("self_join", [True, False])
     # The scalar probe's one verification kernel is the merge scan.
     @pytest.mark.parametrize("verification", ["merge"])
-    def test_matches_naive(self, measure, threshold, use_prefix_filter, verification):
-        seed = hash((measure, threshold, use_prefix_filter, verification)) % 1000
+    def test_matches_naive(self, measure, threshold, self_join, verification):
+        seed = hash((measure, threshold, self_join, verification)) % 1000
         ltable, rtable = _random_tables(seed=seed)
+        if self_join:
+            ltable = rtable
         tokenizer = WhitespaceTokenizer(return_set=True)
         fast = set_sim_join(
-            ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold,
-            use_prefix_filter=use_prefix_filter,
+            ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
         )
         slow = naive_set_sim_join(
             ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold

@@ -231,6 +231,59 @@ class TestScheduler:
             with pytest.raises(ConfigurationError):
                 MatchServer(corpus, "id", "v", config=config)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_batch", 0),
+            ("max_batch", -1),
+            ("max_queue_depth", 0),
+            ("workers", -1),
+            ("top_k", -1),
+            ("default_tenant_quota", 0),
+        ],
+    )
+    def test_bad_scheduler_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_bad_tenant_quota_rejected(self):
+        with pytest.raises(ConfigurationError, match="alice"):
+            ServeConfig(tenant_quotas={"alice": 0})
+
+    def test_edge_values_accepted(self):
+        config = ServeConfig(
+            max_batch=1, max_queue_depth=1, workers=0, top_k=0,
+            default_tenant_quota=None, tenant_quotas={"alice": None, "bob": 1},
+        )
+        assert config.quota("alice") is None and config.quota("bob") == 1
+        assert ServeConfig(top_k=None).top_k is None
+
+    def test_negative_top_k_on_submit_rejected_before_queuing(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(threshold=0.4, workers=0, default_tenant_quota=1)
+            with MatchServer(make_corpus(20), "id", "v", config=config) as server:
+                with pytest.raises(ConfigurationError, match="top_k"):
+                    server.submit("dave smith", top_k=-1)
+                assert server.stats()["queue_depth"] == 0
+                # No quota slot leaked: the tenant's one slot still admits.
+                pending = server.submit("dave smith", top_k=0)
+                assert server.process_pending() == 1
+                assert pending.result(1).candidates == []
+
+    def test_workers_zero_drain_terminates(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(
+                threshold=0.4, workers=0, max_batch=1, default_tenant_quota=None
+            )
+            server = MatchServer(make_corpus(20), "id", "v", config=config).start()
+            pending = [server.submit(f"dave smith {i}") for i in range(5)]
+            drain = threading.Thread(target=server.process_pending)
+            drain.start()
+            drain.join(10)
+            assert not drain.is_alive()
+            assert all(handle.result(0).batch_size == 1 for handle in pending)
+            server.stop()
+
     def test_stats_reports_latency_quantiles(self):
         corpus = make_corpus(50)
         with use_registry(), use_index_store():
@@ -356,10 +409,10 @@ class TestWarmStart:
                 if count != builds_before.get(kind, 0)
             }
         # Warmup found records/tokens/encoding in the store — the batch
-        # join built them — and built the one artifact only point probes
-        # read: the dict postings (its tuples are its own).
+        # join built them — and built nothing there: the id tuples and
+        # dict postings point probes read are the live index's own.
         assert {"records", "tokens", "encoding"} <= set(builds_before)
-        assert built_by_warmup == {"prefix": 1}
+        assert built_by_warmup == {}
 
 
 class TestLiveMutation:

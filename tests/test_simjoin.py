@@ -112,14 +112,13 @@ class TestSetSimJoin:
         assert _pairs(fast) == _pairs(slow)
 
     def test_no_prefix_filter_same_result(self):
+        # At overlap >= 1 every record is its own prefix: nothing is
+        # filtered, and the kernel reads overlaps off the candidate product.
         ltable, rtable = _random_tables(seed=5)
         tokenizer = WhitespaceTokenizer(return_set=True)
-        with_filter = set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.6)
-        without = set_sim_join(
-            ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.6,
-            use_prefix_filter=False,
-        )
-        assert _pairs(with_filter) == _pairs(without)
+        without = set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, "overlap", 1)
+        naive = naive_set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, "overlap", 1)
+        assert without.num_rows and without == naive
 
     def test_scores_meet_threshold(self):
         ltable, rtable = _random_tables(seed=9)
