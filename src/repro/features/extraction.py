@@ -9,8 +9,10 @@ be traced back to the original tuples.
 The pass is columnar: FK columns become base-row positions once; per
 ``(l_attr, r_attr)`` group the referenced cells are numbered,
 ``np.unique(l_id * n_r + r_id)`` is both the dedup and the scatter index,
-and each feature runs once over the distinct value pairs — through its
-batch form when it has one, its scalar function otherwise.
+one :class:`~repro.features.feature.ValueView` prepares each cell's text,
+float or exact key once, and each feature runs once over the distinct
+value pairs — through its batch form when it has one, its scalar
+function otherwise.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ from repro.blocking.base import CANDSET_ID
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError
-from repro.features.feature import Feature, FeatureTable, TokenSetBatch
+from repro.features.feature import SCALAR_FALLBACK, Feature, FeatureTable, ValueView, number_values
 from repro.ml.impute import SimpleImputer
 from repro.obs import get_registry, trace_span, use_registry
 from repro.perf.parallel import effective_n_jobs, run_sharded
 from repro.table.table import Table
-
-#: Counter of value pairs scored by scalar code, by ``reason``; the kernel
-#: that hands a pair to its scalar form counts ``long_string`` itself.
-SCALAR_FALLBACK = "feature_scalar_fallback_pairs_total"
-
 
 def _base_positions(table: Table, key: str, fk_values: list[Any]) -> np.ndarray:
     """Row position in ``table`` of each FK value."""
@@ -43,51 +40,22 @@ def _base_positions(table: Table, key: str, fk_values: list[Any]) -> np.ndarray:
     return np.fromiter((position[value] for value in fk_values), np.int64, len(fk_values))
 
 
-def _number_values(column: list[Any], positions: np.ndarray):
-    """``(id per position, value per id, unhashable flag per id)`` for the
-    cells ``positions`` reference; equal ids mean interchangeable cells.
-
-    Cells merge when they are equal, of one type and print alike: type and
-    ``repr`` split what ``==`` and ``hash`` conflate — ``1`` / ``1.0`` /
-    ``True``, ``0.0`` / ``-0.0``, ``Decimal("1.0")`` / ``Decimal("1.00")``.
-    An unhashable cell is never merged: one id per base row.
-    """
-    referenced, where = np.unique(positions, return_inverse=True)
-    values = [column[position] for position in referenced.tolist()]
-    numbers = np.arange(len(values), dtype=np.int64)
-    unhashable = np.zeros(len(values), bool)
-    first: dict[Any, int] = {}
-    for number, value in enumerate(values):
-        kind = type(value)
-        key = (kind, value) if kind is str else (kind, value, repr(value))
-        try:
-            numbers[number] = first.setdefault(key, number)
-        except TypeError:
-            unhashable[number] = True
-    return numbers[where], values, unhashable
-
-
-def _evaluate(features: list[Feature], lefts: list[Any], rights: list[Any]) -> list[Any]:
-    """Each feature over the value pairs: a float64 array from a batch
+def _evaluate(features: list[Feature], view: ValueView) -> list[Any]:
+    """Each feature over the view's pairs: a float64 array from a batch
     form, a plain list from the scalar function."""
-    overlaps: dict[int, tuple] = {}  # id(tokenizer) -> TokenSetBatch.overlaps(...)
     columns: list[Any] = []
     for feature in features:
         batch = feature.batch
         if batch is None:
-            values = [feature(l_value, r_value) for l_value, r_value in zip(lefts, rights)]
-        elif isinstance(batch, TokenSetBatch):
-            # One instance tokenizes one way: its features share the overlaps.
-            shared = id(batch.tokenizer)
-            if shared not in overlaps:
-                overlaps[shared] = batch.overlaps(lefts, rights)
-            values = batch.scores(*overlaps[shared])
-        else:
-            values = np.asarray(batch(lefts, rights), np.float64)
-            if values.shape != (len(lefts),):
+            values = [feature(l_value, r_value) for l_value, r_value in zip(*view.cells())]
+        elif hasattr(batch, "scores"):
+            values = batch.scores(view)
+        else:  # a plain ``batch(lefts, rights)`` callable
+            values = np.asarray(batch(*view.cells()), np.float64)
+            if values.shape != (len(view.left),):
                 raise ConfigurationError(
                     f"batch form of {feature.name!r} returned shape {values.shape}, "
-                    f"not ({len(lefts)},)"
+                    f"not ({len(view.left)},)"
                 )
         columns.append(values)
     return columns
@@ -121,13 +89,13 @@ def extract_feature_vecs(
     for feature in feature_table:
         by_attrs.setdefault((feature.l_attr, feature.r_attr), []).append(feature)
     registry = get_registry()
-    # Per attribute pair: label, features, distinct value pairs (two parallel
-    # lists), each candset row's position among them.
-    groups: list[tuple[str, list[Feature], list[Any], list[Any], np.ndarray]] = []
+    # Per attribute pair: label, features, the value view over its distinct
+    # value pairs, each candset row's position among those pairs.
+    groups: list[tuple[str, list[Feature], ValueView, np.ndarray]] = []
     misses = 0
     for (l_attr, r_attr), features in by_attrs.items():
-        l_ids, l_values, l_loose = _number_values(meta.ltable.column(l_attr), l_rows)
-        r_ids, r_values, r_loose = _number_values(meta.rtable.column(r_attr), r_rows)
+        l_ids, l_values, l_loose = number_values(meta.ltable.column(l_attr), l_rows)
+        r_ids, r_values, r_loose = number_values(meta.rtable.column(r_attr), r_rows)
         n_r = max(len(r_values), 1)
         distinct, inverse = np.unique(l_ids * n_r + r_ids, return_inverse=True)
         l_at, r_at = np.divmod(distinct, n_r)
@@ -143,9 +111,16 @@ def extract_feature_vecs(
                 registry.counter("feature_batch_pairs_total", measure=feature.measure_name).inc(
                     len(distinct)
                 )
-        lefts = [l_values[i] for i in l_at.tolist()]
-        rights = [r_values[i] for i in r_at.tolist()]
-        groups.append((f"{l_attr}|{r_attr}", features, lefts, rights, inverse))
+        label = f"{l_attr}|{r_attr}"
+        with trace_span(
+            "feature_values", group=label, left_values=len(l_values), right_values=len(r_values)
+        ):
+            view = ValueView(
+                l_values + r_values, np.concatenate([l_loose, r_loose]), l_at, r_at + len(l_values)
+            )
+            for column in {getattr(f.batch, "column", None) for f in features} - {None}:
+                getattr(view, column)
+        groups.append((label, features, view, inverse))
     parent = os.getpid()
 
     def evaluate(shard: range):
@@ -155,12 +130,11 @@ def extract_feature_vecs(
         forked = os.getpid() != parent
         columns = []
         with use_registry() if forked else nullcontext() as counted:
-            for label, features, lefts, rights, _ in groups:
-                lefts, rights = lefts[shard.start :: shard.step], rights[shard.start :: shard.step]
-                with trace_span(
-                    "feature_group", group=label, distinct_pairs=len(lefts), features=len(features)
-                ):
-                    columns.append(_evaluate(features, lefts, rights))
+            for label, features, view, _ in groups:
+                view = view.take(slice(shard.start, None, shard.step))
+                n = len(view.left)
+                with trace_span("feature_group", group=label, distinct_pairs=n, features=len(features)):
+                    columns.append(_evaluate(features, view))
         return columns, counted.counters() if forked else {}
 
     # One pool per call; ranges, so ``run_sharded`` can size them (in evaluations).
@@ -168,15 +142,17 @@ def extract_feature_vecs(
     shards = [range(j, misses, jobs) for j in range(jobs)]
     parts = run_sharded(shards, evaluate, n_jobs)
     by_name: dict[str, list[Any]] = {}
-    for g, (_, features, lefts, _, inverse) in enumerate(groups):
+    for g, (_, features, view, inverse) in enumerate(groups):
+        n = len(view.left)
         for k, feature in enumerate(features):
-            values: Any = [None] * len(lefts) if feature.batch is None else np.empty(len(lefts))
+            values: Any = [None] * n if feature.batch is None else np.empty(n)
             for shard, (columns, _) in zip(shards, parts):
                 values[shard.start :: shard.step] = columns[g][k]
             if feature.batch is None:
                 by_name[feature.name] = [values[row] for row in inverse.tolist()]
-            else:
-                by_name[feature.name] = values[inverse].tolist()
+            else:  # one float object per bit pattern, shared by its rows: -0.0 stays -0.0
+                bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+                by_name[feature.name] = bits.view(np.float64).astype(object)[codes[inverse]].tolist()
     for _, counted in parts:
         for (name, labels), amount in counted.items():
             registry.counter(name, **dict(labels)).inc(amount)

@@ -10,25 +10,31 @@ sim joins instead of evaluating them pairwise.
 Feature values are floats; missing attribute values yield NaN, which the
 feature-vector extractor leaves for the imputer to fill.
 
-A feature may also carry a *batch form*: ``batch(lefts, rights)`` over
-parallel value sequences returns a float64 array equal, element for
-element, to ``function``.  The extractor calls it once over the distinct
-value pairs; the makers below attach one where the measure has a kernel.
+A feature may also carry a *batch form*, a :class:`ViewBatch` whose
+``scores(view)`` gives each value pair of a :class:`ValueView` the float
+``function`` gives it, or a plain ``batch(lefts, rights)`` callable over
+parallel value lists.  The extractor calls it once over each attribute
+pair's distinct value pairs; the makers below attach one where they can.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.obs import get_registry
 from repro.perf import arrays
 from repro.table.schema import is_missing
 from repro.table.table import Row
 from repro.text.sim.edit_based import number_items
+from repro.text.sim.generic import abs_norm, abs_norm_arrays, exact_match, rel_diff
+from repro.text.sim.generic import rel_diff_arrays, to_float
 from repro.text.sim.token_based import Cosine, Dice, Jaccard, OverlapCoefficient
 from repro.text.tokenizers import Tokenizer
 
@@ -141,13 +147,109 @@ class FeatureTable:
         return f"FeatureTable({len(self)} features)"
 
 
-def _present(lefts: Sequence[Any], rights: Sequence[Any]):
-    """Positions where neither value is missing, and those values as
-    lower-cased text: what the string and token features compare."""
-    keep = [
-        i for i, (l, r) in enumerate(zip(lefts, rights)) if not (is_missing(l) or is_missing(r))
-    ]
-    return keep, [str(lefts[i]).lower() for i in keep], [str(rights[i]).lower() for i in keep]
+#: Counter of value pairs scored by scalar code, by ``reason``.
+SCALAR_FALLBACK = "feature_scalar_fallback_pairs_total"
+
+
+def number_values(column: list[Any], positions: np.ndarray):
+    """``(id per position, value per id, unhashable flag per id)`` for the
+    cells ``positions`` reference; equal ids mean interchangeable cells.
+
+    Cells merge when they are equal, of one type and print alike: type and
+    ``repr`` split what ``==`` and ``hash`` conflate — ``1`` / ``1.0`` /
+    ``True``, ``0.0`` / ``-0.0``, ``Decimal("1.0")`` / ``Decimal("1.00")``.
+    An unhashable cell is never merged: one id per base row.
+    """
+    referenced, where = np.unique(positions, return_inverse=True)
+    values = [column[position] for position in referenced.tolist()]
+    numbers = np.arange(len(values), dtype=np.int64)
+    unhashable = np.zeros(len(values), bool)
+    first: dict[Any, int] = {}
+    for number, value in enumerate(values):
+        kind = type(value)
+        key = (kind, value) if kind is str else (kind, value, repr(value))
+        try:
+            numbers[number] = first.setdefault(key, number)
+        except TypeError:
+            unhashable[number] = True
+    return numbers[where], values, unhashable
+
+
+class ValueView:
+    """One attribute pair's numbered cells (both sides in one list, with
+    :func:`number_values`'s unhashable flags) and the value pairs to score,
+    as ``left`` / ``right`` id arrays into them.  A column is computed once
+    per cell on first use and shared by every feature scoring the pairs."""
+
+    def __init__(self, values: list[Any], loose: np.ndarray, left, right):
+        self.values, self.loose, self.left, self.right = values, loose, left, right
+        self.shared: dict[Any, Any] = {}  # per-pair work batch forms share
+
+    def take(self, at) -> ValueView:
+        """The same cells and columns, scoring only the pairs at ``at``."""
+        view = copy.copy(self)
+        view.left, view.right, view.shared = self.left[at], self.right[at], {}
+        return view
+
+    def cells(self) -> tuple[list[Any], list[Any]]:
+        """The pairs' cells, as two parallel lists."""
+        values = self.values
+        return [values[i] for i in self.left.tolist()], [values[i] for i in self.right.tolist()]
+
+    @cached_property
+    def missing(self) -> np.ndarray:
+        """:func:`is_missing` per cell."""
+        return np.fromiter(map(is_missing, self.values), bool, len(self.values))
+
+    @cached_property
+    def text(self) -> tuple[list[str], np.ndarray]:
+        """The distinct lower-cased texts, numbered across both sides, and
+        each cell's id among them."""
+        texts, ids, _ = number_items((str(value).lower() for value in self.values), ())
+        return texts, ids
+
+    @cached_property
+    def floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`to_float` per cell (NaN for ``None``) and where it is not ``None``."""
+        floats = [to_float(value) for value in self.values]
+        ok = np.fromiter((value is not None for value in floats), bool, len(floats))
+        return np.array([NAN if value is None else value for value in floats], np.float64), ok
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Exact-match key id per present hashable cell, equal ids meaning
+        ``==``: a ``str`` compares lower-cased, a cell unequal to itself
+        gets its own id."""
+        ids: dict[Any, int] = {}
+        keys = np.zeros(len(self.values), np.int64)
+        for i in np.flatnonzero(~(self.missing | self.loose)).tolist():
+            key = self.values[i].lower() if isinstance(self.values[i], str) else self.values[i]
+            keys[i] = ids.setdefault(key if key == key else object(), len(ids))
+        return keys
+
+    def over_text(self, kernel) -> np.ndarray:
+        """NaN where either cell is missing, else ``kernel(texts, left_ids,
+        right_ids)`` over the text ids of the other pairs."""
+        keep = np.flatnonzero(~(self.missing[self.left] | self.missing[self.right]))
+        texts, ids = self.text
+        out = np.full(len(self.left), NAN)
+        out[keep] = kernel(texts, ids[self.left[keep]], ids[self.right[keep]])
+        return out
+
+
+class ViewBatch:
+    """A feature's batch form: ``scores(view)`` gives one float64 per pair
+    of a :class:`ValueView`, equal to the scalar function's.  ``column``
+    names the view column it reads, which the extractor builds first."""
+
+    def __init__(self, column: str, scores: Callable[[ValueView], np.ndarray]):
+        self.column, self.scores = column, scores
+
+    def __call__(self, lefts: Sequence[Any], rights: Sequence[Any]) -> np.ndarray:
+        """Scores over parallel value sequences."""
+        n = len(lefts)
+        _, values, loose = number_values([*lefts, *rights], np.arange(2 * n))
+        return self.scores(ValueView(values, loose, np.arange(n), np.arange(n, 2 * n)))
 
 
 #: Set measures with a :func:`repro.perf.arrays.scores_arrays` twin.
@@ -159,45 +261,25 @@ _ARRAY_MEASURES = {
 }
 
 
-class TokenSetBatch:
-    """Batch form of a token-set feature.  :meth:`overlaps` is the costly
-    half and depends only on the tokenizer, so the extractor computes it
-    once per attribute pair and tokenizer for every feature's :meth:`scores`."""
-
-    def __init__(self, tokenizer: Tokenizer, measure: str):
-        self.tokenizer = tokenizer
-        self.measure = measure
-
-    def overlaps(self, lefts: Sequence[Any], rights: Sequence[Any]):
-        """``(n, keep, overlap, left_sizes, right_sizes)``, the last three
-        over the kept (non-missing) pairs.  Each distinct text is tokenized
-        once and the tokens dropped at return (no ``tokenize_cached``)."""
-        keep, l_text, r_text = _present(lefts, rights)
-        texts, l_rows, r_rows = number_items(l_text, r_text)
-        ids: dict[str, int] = {}
-        token_sets = [
-            sorted({ids.setdefault(token, len(ids)) for token in self.tokenizer.tokenize(text)})
-            for text in texts
-        ]
-        matrix = arrays.build_probe_matrix(token_sets, len(ids))
-        sizes = np.diff(matrix.indptr).astype(np.int64)
-        l_sizes, r_sizes = sizes[l_rows], sizes[r_rows]
-        overlap = np.empty(len(keep), np.int64)
-        step = max(1, arrays.CHUNK_TARGET_NNZ // int((l_sizes + r_sizes).max(initial=1)))
-        for start in range(0, len(keep), step):
-            at = slice(start, start + step)
-            # Sampled product, as in the join kernel: one sorted-row merge per pair.
-            shared = matrix[l_rows[at]].multiply(matrix[r_rows[at]])
-            overlap[at] = np.asarray(shared.sum(axis=1)).ravel()
-        return len(lefts), keep, overlap, l_sizes, r_sizes
-
-    def scores(self, n: int, keep, overlap, left_sizes, right_sizes) -> np.ndarray:
-        out = np.full(n, NAN)
-        out[keep] = arrays.scores_arrays(self.measure, overlap, left_sizes, right_sizes)
-        return out
-
-    def __call__(self, lefts: Sequence[Any], rights: Sequence[Any]) -> np.ndarray:
-        return self.scores(*self.overlaps(lefts, rights))
+def _token_overlaps(tokenizer: Tokenizer, texts: list[str], l_rows, r_rows):
+    """``(overlap, left_sizes, right_sizes)`` of the token sets at each row
+    pair; each text is tokenized once and the tokens dropped at return."""
+    ids: dict[str, int] = {}
+    token_sets = [
+        sorted({ids.setdefault(token, len(ids)) for token in tokenizer.tokenize(text)})
+        for text in texts
+    ]
+    matrix = arrays.build_probe_matrix(token_sets, len(ids))
+    sizes = np.diff(matrix.indptr).astype(np.int64)
+    l_sizes, r_sizes = sizes[l_rows], sizes[r_rows]
+    overlap = np.empty(len(l_rows), np.int64)
+    step = max(1, arrays.CHUNK_TARGET_NNZ // int((l_sizes + r_sizes).max(initial=1)))
+    for start in range(0, len(l_rows), step):
+        at = slice(start, start + step)
+        # Sampled product, as in the join kernel: one sorted-row merge per pair.
+        shared = matrix[l_rows[at]].multiply(matrix[r_rows[at]])
+        overlap[at] = np.asarray(shared.sum(axis=1)).ravel()
+    return overlap, l_sizes, r_sizes
 
 
 def make_token_feature(
@@ -217,8 +299,17 @@ def make_token_feature(
         r_tokens = tokenizer.tokenize_cached(str(r_value).lower())
         return float(measure.get_raw_score(l_tokens, r_tokens))
 
+    def scores(view: ValueView) -> np.ndarray:
+        # One tokenizer instance tokenizes one way: its features share the overlaps.
+        def kernel(texts, l_rows, r_rows):
+            if id(tokenizer) not in view.shared:
+                view.shared[id(tokenizer)] = _token_overlaps(tokenizer, texts, l_rows, r_rows)
+            return arrays.scores_arrays(array_measure, *view.shared[id(tokenizer)])
+
+        return view.over_text(kernel)
+
     array_measure = _ARRAY_MEASURES.get(type(measure))
-    batch = TokenSetBatch(tokenizer, array_measure) if array_measure else None
+    batch = ViewBatch("text", scores) if array_measure else None
     return Feature(name, l_attr, r_attr, "token", measure_name, function, tokenizer, batch)
 
 
@@ -226,27 +317,21 @@ def make_string_feature(
     name: str, l_attr: str, r_attr: str, measure, measure_name: str
 ) -> Feature:
     """Build a character-level (edit-based) similarity feature; a measure's
-    ``batch_sim_score(lefts, rights)`` twin gives it its batch form."""
+    ``sim_score_ids(strings, left_ids, right_ids)`` twin gives it its batch
+    form."""
 
     def function(l_value: Any, r_value: Any) -> float:
         if is_missing(l_value) or is_missing(r_value):
             return NAN
         return float(measure.get_sim_score(str(l_value).lower(), str(r_value).lower()))
 
-    def batch(lefts: Sequence[Any], rights: Sequence[Any]) -> np.ndarray:
-        keep, l_text, r_text = _present(lefts, rights)
-        scores = np.full(len(lefts), NAN)
-        scores[keep] = measure.batch_sim_score(l_text, r_text)
-        return scores
-
-    if not hasattr(measure, "batch_sim_score"):
-        batch = None
+    kernel = getattr(measure, "sim_score_ids", None)
+    batch = ViewBatch("text", lambda view: view.over_text(kernel)) if kernel else None
     return Feature(name, l_attr, r_attr, "edit", measure_name, function, batch=batch)
 
 
 def make_exact_feature(name: str, l_attr: str, r_attr: str) -> Feature:
     """Build an exact-equality feature (join-executable)."""
-    from repro.text.sim.generic import exact_match
 
     def function(l_value: Any, r_value: Any) -> float:
         if isinstance(l_value, str):
@@ -255,14 +340,32 @@ def make_exact_feature(name: str, l_attr: str, r_attr: str) -> Feature:
             r_value = r_value.lower()
         return exact_match(l_value, r_value)
 
-    return Feature(name, l_attr, r_attr, "exact", "exact_match", function)
+    def scores(view: ValueView) -> np.ndarray:
+        keys, l, r = view.keys, view.left, view.right
+        out = np.where(view.missing[l] | view.missing[r], NAN, keys[l] == keys[r])
+        loose = np.flatnonzero(view.loose[l] | view.loose[r]).tolist()
+        get_registry().counter(SCALAR_FALLBACK, reason="unhashable").inc(len(loose))
+        for i in loose:
+            out[i] = function(view.values[l[i]], view.values[r[i]])
+        return out
+
+    batch = ViewBatch("keys", scores)
+    return Feature(name, l_attr, r_attr, "exact", "exact_match", function, batch=batch)
 
 
 def make_numeric_feature(
     name: str, l_attr: str, r_attr: str, measure, measure_name: str
 ) -> Feature:
-    """Build a numeric-comparison feature."""
-    return Feature(name, l_attr, r_attr, "numeric", measure_name, measure)
+    """Build a numeric-comparison feature; :func:`abs_norm` and
+    :func:`rel_diff` have array twins and so a batch form."""
+    arrays_form = {abs_norm: abs_norm_arrays, rel_diff: rel_diff_arrays}.get(measure)
+
+    def scores(view: ValueView) -> np.ndarray:
+        (floats, ok), l, r = view.floats, view.left, view.right
+        return np.where(ok[l] & ok[r], arrays_form(floats[l], floats[r]), NAN)
+
+    batch = ViewBatch("floats", scores) if arrays_form else None
+    return Feature(name, l_attr, r_attr, "numeric", measure_name, measure, batch=batch)
 
 
 def make_blackbox_feature(name: str, l_attr: str, r_attr: str, function) -> Feature:

@@ -118,11 +118,9 @@ class _MongeElkanOnWords:
     def get_sim_score(self, left: str, right: str) -> float:
         return self._measure.get_raw_score(self._tokenize(left), self._tokenize(right))
 
-    def batch_sim_score(self, lefts: list[str], rights: list[str]):
-        tokens = {text: tuple(self._tokenize(text)) for text in dict.fromkeys(lefts + rights)}
-        return self._measure.batch_raw_score(
-            [tokens[text] for text in lefts], [tokens[text] for text in rights]
-        )
+    def sim_score_ids(self, strings: list[str], left_ids, right_ids):
+        lists = [tuple(self._tokenize(text)) for text in strings]
+        return self._measure.raw_score_ids(lists, left_ids, right_ids)
 
 
 def get_features_for_matching(

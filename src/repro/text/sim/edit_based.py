@@ -7,7 +7,8 @@ similar.
 
 Levenshtein, Jaro and Jaro-Winkler also have ``batch_*`` twins that score
 many pairs per numpy step and return, element for element, the scalar
-method's value (``tests/test_sim_batch.py`` compares with ``==``).
+method's value (``tests/test_sim_batch.py`` compares with ``==``): each is
+:func:`number_items` and then ``sim_score_ids``, the body over pre-numbered ids.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ class Levenshtein:
             return 1.0
         return 1.0 - self.get_raw_score(left, right) / max_len
 
-    def _distances(self, lefts: Sequence[str], rights: Sequence[str]):
-        """Per pair: the edit distance and the longer side's length."""
-        strings, left_ids, right_ids = number_items(lefts, rights)
+    def _distances(self, strings: Sequence[str], left_ids, right_ids):
+        """Per id pair into ``strings``: the edit distance and the longer
+        side's length."""
         vocabulary = encode(strings)
         lengths = vocabulary[2]
         swap = lengths[left_ids] > lengths[right_ids]
@@ -134,10 +135,10 @@ class Levenshtein:
         if wide.any():
             from repro.obs import get_registry  # lazily: obs imports half the package
 
-            name = "feature_scalar_fallback_pairs_total"  # features.extraction's other reasons
+            name = "feature_scalar_fallback_pairs_total"  # features.feature.SCALAR_FALLBACK
             get_registry().counter(name, reason="long_string").inc(int(wide.sum()))
         for i in np.flatnonzero(wide).tolist():
-            out[i] = self.get_raw_score(lefts[i], rights[i])
+            out[i] = self.get_raw_score(strings[left_ids[i]], strings[right_ids[i]])
         short_ids, long_ids = short_ids[~wide], long_ids[~wide]
         out[~wide] = _score_chunks(
             _myers_lanes, vocabulary, short_ids, long_ids, lengths[long_ids], np.int64
@@ -146,11 +147,15 @@ class Levenshtein:
 
     def batch_raw_score(self, lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
         """:meth:`get_raw_score` over ``zip(lefts, rights)``, as int64."""
-        return self._distances(lefts, rights)[0]
+        return self._distances(*number_items(lefts, rights))[0]
 
     def batch_sim_score(self, lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
         """:meth:`get_sim_score` over ``zip(lefts, rights)``, as float64."""
-        distance, longest = self._distances(lefts, rights)
+        return self.sim_score_ids(*number_items(lefts, rights))
+
+    def sim_score_ids(self, strings: Sequence[str], left_ids, right_ids) -> np.ndarray:
+        """:meth:`get_sim_score` at id pairs into ``strings``, as float64."""
+        distance, longest = self._distances(strings, left_ids, right_ids)
         return np.where(longest == 0, 1.0, 1.0 - distance / np.maximum(longest, 1))
 
 
@@ -203,10 +208,13 @@ class _PairKernel:
 
     def batch_raw_score(self, lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
         """``get_raw_score`` over ``zip(lefts, rights)``, as float64."""
-        strings, left_ids, right_ids = number_items(lefts, rights)
-        return self.score_encoded(encode(strings), left_ids, right_ids)
+        return self.sim_score_ids(*number_items(lefts, rights))
 
     batch_sim_score = batch_raw_score
+
+    def sim_score_ids(self, strings: Sequence[str], left_ids, right_ids) -> np.ndarray:
+        """Scores at id pairs into ``strings``."""
+        return self.score_encoded(encode(strings), left_ids, right_ids)
 
     def score_encoded(self, vocabulary, left_ids, right_ids) -> np.ndarray:
         """Scores at id pairs into an :func:`encode`-d vocabulary."""

@@ -8,8 +8,9 @@ extraction later imputes; downstream learners never see NaN.
 
 from __future__ import annotations
 
-import math
 from typing import Any
+
+import numpy as np
 
 from repro.table.schema import is_missing
 
@@ -23,14 +24,20 @@ def exact_match(left: Any, right: Any) -> float:
     return 1.0 if left == right else 0.0
 
 
+def to_float(value: Any) -> float | None:
+    """``float(value)``, or None when it is missing or does not convert."""
+    if is_missing(value):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def abs_norm(left: Any, right: Any) -> float:
     """1 - |l - r| / max(|l|, |r|) for numeric values, in [0, 1]."""
-    if is_missing(left) or is_missing(right):
-        return NAN
-    try:
-        left_value = float(left)
-        right_value = float(right)
-    except (TypeError, ValueError):
+    left_value, right_value = to_float(left), to_float(right)
+    if left_value is None or right_value is None:
         return NAN
     scale = max(abs(left_value), abs(right_value))
     if scale == 0.0:
@@ -41,12 +48,8 @@ def abs_norm(left: Any, right: Any) -> float:
 
 def rel_diff(left: Any, right: Any) -> float:
     """Relative difference |l - r| / ((|l| + |r|) / 2); 0 means equal."""
-    if is_missing(left) or is_missing(right):
-        return NAN
-    try:
-        left_value = float(left)
-        right_value = float(right)
-    except (TypeError, ValueError):
+    left_value, right_value = to_float(left), to_float(right)
+    if left_value is None or right_value is None:
         return NAN
     scale = (abs(left_value) + abs(right_value)) / 2.0
     if scale == 0.0:
@@ -54,6 +57,18 @@ def rel_diff(left: Any, right: Any) -> float:
     return abs(left_value - right_value) / scale
 
 
-def is_nan(value: float) -> bool:
-    """True if ``value`` is a float NaN."""
-    return isinstance(value, float) and math.isnan(value)
+def abs_norm_arrays(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """:func:`abs_norm` past the conversion, one pair per element."""
+    l_abs, r_abs = np.abs(left), np.abs(right)
+    # Python's max(a, b) keeps a unless b > a, so a NaN lands where it does.
+    scale = np.where(r_abs > l_abs, r_abs, l_abs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = 1.0 - np.abs(left - right) / scale
+    return np.where(scale == 0.0, 1.0, np.where(0.0 > score, 0.0, score))
+
+
+def rel_diff_arrays(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """:func:`rel_diff` past the conversion, one pair per element."""
+    scale = (np.abs(left) + np.abs(right)) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(scale == 0.0, 0.0, np.abs(left - right) / scale)

@@ -40,10 +40,12 @@ class MongeElkan:
         """:meth:`get_raw_score` over ``zip(lefts, rights)``, same floats,
         for the default ``sim_func``: each chunk scores its *distinct* token
         pairs once with batched Jaro-Winkler."""
+        return self.raw_score_ids(*number_items(map(tuple, lefts), map(tuple, rights)))
+
+    def raw_score_ids(self, lists: Sequence[Sequence[str]], l_list, r_list) -> np.ndarray:
+        """:meth:`get_raw_score` at id pairs into the token ``lists``."""
         if self.sim_func != self._secondary.get_raw_score:
             raise ConfigurationError("a custom sim_func has no batched twin")
-        # Number the distinct token lists, then the tokens of each once.
-        lists, l_list, r_list = number_items(map(tuple, lefts), map(tuple, rights))
         tokens, flat, _ = number_items(chain.from_iterable(lists), ())
         counts = np.fromiter(map(len, lists), np.int64, len(lists))
         starts = np.cumsum(counts) - counts

@@ -376,12 +376,15 @@ class TestDefaultStore:
 
 # Strings, every missing marker, values that are ``==`` and hash alike
 # yet read differently (1 / 1.0 / True, 0.0 / -0.0, two Decimals, two
-# tuples), cells no dict can key (a list, a tuple holding one), and one
-# string wider than a Levenshtein lane.
+# tuples), cells no dict can key (a list, a tuple holding one), one
+# string wider than a Levenshtein lane, strings ``float()`` reads as
+# NaN / inf, an int too large for a float, a value unequal to itself, a
+# case-only variant, and a number beside its text.
 VALUE_POOL = [
     "dave smith", "dan smith", "joe wilson", "", None, "madison wi", "   ", float("nan"),
     1, 1.0, True, "1", 0.0, -0.0, 3.5, "\u0130stanbul", ["x", "y"], ("x",), (1,), (1.0,),
     "a" * 70, Decimal("1.0"), Decimal("1.00"), (["x"],), "dave,smith",
+    "nan", "inf", "-inf", 10**400, Decimal("NaN"), "DAVE SMITH", "1.5", 1.5,
 ]
 
 
@@ -621,6 +624,61 @@ class TestExtractionDedupProperty:
             assert counter_total(registry, fallbacks, reason="long_string") == 1
             assert counter_total(registry, fallbacks) == 1
             assert counter_total(registry, "feature_batch_pairs_total") == 8
+
+    def test_exact_and_numeric_features_score_in_batch_over_a_traced_value_view(self):
+        """Each attribute pair's view build is its own ``feature_values``
+        span beside its ``feature_group``; exact and numeric features have
+        batch forms, and only an exact pair with an unhashable cell runs
+        the scalar function."""
+        from repro.catalog import Catalog
+        from repro.features import FeatureTable, make_exact_feature, make_numeric_feature
+        from repro.obs import use_tracer
+        from repro.text.sim import abs_norm, rel_diff
+
+        ltable = Table(
+            {"id": ["a1", "a2", "a3"], "name": ["Dave", "dave", None], "price": [1.5, "1.5", 10**400]}
+        )
+        rtable = Table({"id": ["b1", "b2"], "name": ["dave", ["x"]], "price": [1.5, "nan"]})
+        catalog = Catalog()
+        pairs = [(l_id, r_id) for l_id in ("a1", "a2", "a3") for r_id in ("b1", "b2")]
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        features = FeatureTable(
+            [
+                make_exact_feature("name_exact", "name", "name"),
+                make_exact_feature("price_exact", "price", "price"),
+                make_numeric_feature("price_abs_norm", "price", "price", abs_norm, "abs_norm"),
+                make_numeric_feature("price_rel_diff", "price", "price", rel_diff, "rel_diff"),
+            ]
+        )
+        fallbacks = "feature_scalar_fallback_pairs_total"
+        with use_registry() as registry, use_tracer() as tracer:
+            fv = extract_feature_vecs(candset, features, catalog=catalog)
+            assert counter_total(registry, fallbacks, reason="no_batch_form") == 0
+            assert counter_total(registry, fallbacks, reason="unhashable") == 3
+            assert counter_total(registry, "feature_batch_pairs_total", measure="exact_match") == 12
+            assert counter_total(registry, "feature_batch_pairs_total", measure="abs_norm") == 6
+        assert_equals_per_pair(fv, features, ltable, rtable, pairs)
+        assert fv.column("name_exact")[:2] == [1.0, 0.0]
+        spans = {(span.name, span.labels["group"]): span.labels for span in tracer.spans}
+        for group in ("name|name", "price|price"):
+            assert spans["feature_values", group]["left_values"] == "3"
+            assert spans["feature_values", group]["right_values"] == "2"
+            assert spans["feature_group", group]["distinct_pairs"] == "6"
+
+    def test_one_object_unequal_to_itself_on_both_sides(self):
+        from repro.catalog import Catalog
+
+        nan = Decimal("NaN")
+        ltable = Table({"id": ["a1", "a2"], "v": [nan, "nan"]})
+        rtable = Table({"id": ["b1"], "v": [nan]})
+        catalog = Catalog()
+        pairs = [("a1", "b1"), ("a2", "b1")]
+        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        features = every_generated_feature()
+        fv = extract_feature_vecs(candset, features, catalog=catalog)
+        assert_equals_per_pair(fv, features, ltable, rtable, pairs)
+        assert fv.column("v_exact") == [0.0, 0.0]
+        assert fv.column("v_lev_sim") == [1.0, 1.0]
 
     def test_batch_form_of_the_wrong_length_is_rejected(self):
         import numpy as np

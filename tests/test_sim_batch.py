@@ -8,6 +8,8 @@ two-row dynamic program they replaced, which survives only here.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 import repro.text.sim.edit_based as edit_based
 from repro.exceptions import ConfigurationError
-from repro.features import make_token_feature
+from repro.features import make_exact_feature, make_numeric_feature, make_token_feature
+from repro.features.generation import _MongeElkanOnWords
+from repro.obs import use_registry
 from repro.perf.arrays import scores_arrays
 from repro.text.sim import (
     Cosine,
@@ -26,6 +30,8 @@ from repro.text.sim import (
     Levenshtein,
     MongeElkan,
     OverlapCoefficient,
+    abs_norm,
+    rel_diff,
 )
 from repro.text.tokenizers import (
     AlphabeticTokenizer,
@@ -254,4 +260,121 @@ class TestTokenMeasures:
         from repro.text.sim import TverskyIndex
 
         feature = make_token_feature("f", "v", "v", WhitespaceTokenizer(), TverskyIndex(), "m")
+        assert feature.batch is None
+
+
+def prenumbered(pairs, extra=()):
+    """A caller's own numbering of ``pairs``: a string list holding ``extra``
+    (never referenced) and then every pair's two sides, repeats kept, and
+    the ids of each pair's sides in it."""
+    strings = [*extra, *(side for pair in pairs for side in pair)]
+    left = np.arange(len(extra), len(strings), 2, dtype=np.int64)
+    return strings, left, left + 1
+
+
+class TestPreNumberedEntryPoints:
+    """``sim_score_ids`` / ``raw_score_ids`` take strings the caller already
+    numbered; each returns ``==`` the ``batch_*`` twin and the scalar form."""
+
+    @pytest.mark.parametrize("measure", [Levenshtein(), Jaro(), JaroWinkler()])
+    def test_edge_pairs(self, measure, chunk_budget):
+        strings, left, right = prenumbered(EDGE_PAIRS, extra=["zz", "a" * 80])
+        scalar = [measure.get_sim_score(l, r) for l, r in EDGE_PAIRS]
+        assert_same(measure.sim_score_ids(strings, left, right), scalar)
+        assert_same(measure.batch_sim_score(*zip(*EDGE_PAIRS)), scalar)
+
+    @pytest.mark.parametrize("measure", [Levenshtein(), JaroWinkler()])
+    @given(pairs=st.lists(st.tuples(texts, texts), max_size=30), extra=st.lists(texts, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_any_numbering(self, measure, pairs, extra):
+        strings, left, right = prenumbered(pairs, extra)
+        scalar = [measure.get_sim_score(l, r) for l, r in pairs]
+        assert_same(measure.sim_score_ids(strings, left, right), scalar)
+        assert_same(measure.batch_sim_score([l for l, _ in pairs], [r for _, r in pairs]), scalar)
+
+    def test_levenshtein_lane_fallback_by_id(self):
+        """Past 64 characters on the shorter side the pair is looked up by
+        id and scored by the scalar recurrence, counted once per pair."""
+        pairs = [("a" * 70, "b" + "a" * 69), ("kitten", "sitting"), ("x" * 65, "x" * 66)]
+        strings, left, right = prenumbered(pairs, extra=["a" * 100])
+        measure = Levenshtein()
+        with use_registry() as registry:
+            scores = measure.sim_score_ids(strings, left, right)
+            counted = registry.counters()
+        assert_same(scores, [measure.get_sim_score(l, r) for l, r in pairs])
+        assert sum(
+            value for (name, labels), value in counted.items()
+            if name == "feature_scalar_fallback_pairs_total" and ("reason", "long_string") in labels
+        ) == 2
+
+    def test_monge_elkan(self, chunk_budget):
+        sides = [(), ("",), ("a",), ("a", "a"), ("ab", "ba", "abab"), ("a" * 70, "b"), ("x",) * 9]
+        pairs = [(left, right) for left in sides for right in sides]
+        lists, left, right = prenumbered(pairs, extra=[("unused",)])
+        measure = MongeElkan()
+        scalar = [measure.get_raw_score(l, r) for l, r in pairs]
+        assert_same(measure.raw_score_ids(lists, left, right), scalar)
+        assert_same(measure.batch_raw_score([l for l, _ in pairs], [r for _, r in pairs]), scalar)
+
+    @given(pairs=st.lists(st.tuples(texts, texts), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_monge_elkan_on_words(self, pairs):
+        """The generated ``monge_elkan`` feature's measure: whitespace words."""
+        strings, left, right = prenumbered(pairs)
+        measure = _MongeElkanOnWords()
+        assert_same(
+            measure.sim_score_ids(strings, left, right),
+            [measure.get_sim_score(l, r) for l, r in pairs],
+        )
+
+
+# Cells the exact and numeric features must read as the scalars do:
+# strings float() takes as NaN / inf, an int past the float range, a
+# Decimal unequal to itself (one object, so also paired with itself),
+# case variants, a number beside its text, unhashable cells.
+ODD_CELLS = [
+    None, "", "  ", float("nan"), "nan", "inf", "-inf", "1e400", 10**400, Decimal("NaN"),
+    Decimal("1.5"), "1.5", 1.5, " 1.5 ", 1, 1.0, True, 0.0, -0.0, "Dave", "dave", "x",
+    ["x"], (["x"],), ("x",),
+]
+odd_cells = st.one_of(
+    st.sampled_from(ODD_CELLS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+)
+
+
+class TestExactAndNumericBatchForms:
+    @given(pairs=st.lists(st.tuples(odd_cells, odd_cells), max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_scalar(self, pairs):
+        lefts, rights = [l for l, _ in pairs], [r for _, r in pairs]
+        for feature in (
+            make_exact_feature("f", "v", "v"),
+            make_numeric_feature("f", "v", "v", abs_norm, "abs_norm"),
+            make_numeric_feature("f", "v", "v", rel_diff, "rel_diff"),
+        ):
+            batched = feature.batch(lefts, rights).tolist()
+            assert [repr(v) for v in batched] == [repr(feature(l, r)) for l, r in pairs]
+
+    def test_a_cell_unequal_to_itself_gets_its_own_key(self):
+        """``Decimal("NaN") != Decimal("NaN")`` even as one object, which a
+        dict would merge by identity."""
+        nan = Decimal("NaN")
+        feature = make_exact_feature("f", "v", "v")
+        assert feature(nan, nan) == 0.0
+        assert feature.batch([nan, nan, "nan"], [nan, "NaN", "NaN"]).tolist() == [0.0, 0.0, 1.0]
+
+    def test_exact_counts_unhashable_pairs_as_scalar(self):
+        feature = make_exact_feature("f", "v", "v")
+        with use_registry() as registry:
+            scores = feature.batch([["x"], "a", ["x"]], [["x"], "A", None]).tolist()
+            counted = registry.counters()
+        assert [repr(v) for v in scores] == ["1.0", "1.0", "nan"]
+        assert counted == {
+            ("feature_scalar_fallback_pairs_total", (("reason", "unhashable"),)): 2
+        }
+
+    def test_a_custom_numeric_measure_has_no_batch_form(self):
+        feature = make_numeric_feature("f", "v", "v", lambda a, b: 0.0, "custom")
         assert feature.batch is None

@@ -160,3 +160,13 @@ class TestGeneric:
         assert rel_diff(0, 0) == 0.0
         assert rel_diff(10, 5) == pytest.approx(5 / 7.5)
         assert math.isnan(rel_diff(None, 5))
+
+    def test_int_too_large_for_a_float_reads_as_not_a_number(self):
+        """``float(10**400)`` raises ``OverflowError``: NaN, like any other
+        value that does not convert, rather than an exception."""
+        for measure in (abs_norm, rel_diff):
+            assert math.isnan(measure(10**400, 1))
+            assert math.isnan(measure(1, -(10**400)))
+        # A string past the float range converts, to inf: NaN by arithmetic.
+        assert math.isnan(abs_norm("1e400", 1))
+        assert math.isnan(rel_diff("1e400", 1))
