@@ -6,35 +6,38 @@ invalidates the whole chain, so absorbing even one new record meant a
 full rebuild.  A :class:`LiveIndex` refactors that substrate into the
 classic two-layer design of long-running search systems:
 
-* the **base segment** holds records → a corpus
-  :class:`~repro.perf.tokens.TokenUniverse` → encoded id tuples → prefix
-  postings, and is never mutated.  The constructor (and
-  :meth:`LiveIndex.load`) runs the store's records → tokens → encoding
-  chain — fingerprinted, disk-persistable, shared with every batch join
-  over the same content, its encoding CSR rows — and derives the id
-  tuples and dict postings the point probe reads from those rows here.
-  Compaction replaces it with a privately held segment folded from the
-  old base and the delta;
+* the **base segment** is the store's own chain over a frozen snapshot
+  of records — records → tokens → a corpus
+  :class:`~repro.perf.tokens.TokenUniverse` and CSR encoding → the
+  probe-ready :class:`~repro.perf.arrays.ArrayIndex` — fingerprinted,
+  disk-persistable and shared with every batch self-join over the same
+  content.  The constructor (and :meth:`LiveIndex.load`) builds it;
+  compaction replaces it with a privately held ``ArrayIndex`` folded
+  from the old base and the delta;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
-  unseen tokens, their prefix tokens are insertion-sorted into per-token
-  delta postings, and deletes *tombstone* positions (base or delta)
-  instead of touching any posting list.  A single ``upsert``/``delete``
-  is a one-record ``upsert_many``/``delete_many``: one write path.
+  unseen tokens, their rows are appended to growable CSR buffers (flat
+  ids, ``indptr``, sizes), each prefix token appends the row's position
+  to its posting list, and deletes set the position in the segment's
+  tombstone mask (base or delta) instead of touching any posting.  A
+  single ``upsert``/``delete`` is a one-record ``upsert_many``/
+  ``delete_many``: one write path.
 
-This module is the only home of that scalar chain (id tuples, dict
-postings, :func:`probe_encoded` and its merge-scan verifier): batch joins
-never build it.  Reads probe both segments with :func:`probe_encoded`
-(or, for a batch big enough to pay for it, the base segment with
-:func:`probe_encoded_batch`, the batched kernel the batch joins run) —
-identical size/prefix bounds math, with tombstoned positions filtered
-out of the candidate set — so the correctness contract is exact and is
-about *answers*: after any interleaving of upserts, deletes, and
-compactions, a live index returns the same matches with the same scores
-in the same order as an index rebuilt from scratch over its current
-records (property-tested in
-``tests/test_live_index.py``).  Artifact bytes, store fingerprints and
-pre-verification candidate counts are not part of it.
+Reads run one filter-verify routine, :func:`_probe`, over both segments
+for a batch of any size — :meth:`LiveIndex.search` is a batch of one,
+:meth:`LiveIndex.join_table` a batch of every distinct probe value: the
+posting slices of each query's prefix tokens, one sort to deduplicate
+them, the size window and the tombstone mask, then exact overlaps from
+one ragged gather of the candidate rows and a ``searchsorted``
+membership test, scored by :func:`repro.perf.arrays.scores_arrays`.
+The bounds are :mod:`repro.simjoin.filters`' own, so the correctness
+contract is exact and is about *answers*: after any interleaving of
+upserts, deletes, and compactions, a live index returns the same matches
+with the same scores in the same order as an index rebuilt from scratch
+over its current records and as ``naive_set_sim_join`` over them
+(property-tested in ``tests/test_live_index.py``).  Artifact bytes,
+store fingerprints and candidate counts are not part of it: a rebuild
+ranks tokens afresh, which moves prefixes.
 
 Soundness of the shared prefix filter rests on one invariant: the live
 token ordering *extends* the base ordering (new tokens get ids past the
@@ -42,25 +45,29 @@ end of the base universe), so base-segment prefixes computed at build
 time remain prefixes under the live ordering, and probe-side prefixes
 are taken under the same total order as both segments' postings.
 
-``compact()`` costs what the delta costs.  Under the lock it takes an
-O(delta) snapshot; outside it (readers keep probing the old segments,
-writers keep appending) it **folds**: the extension tokens join the
-universe at the ids they already hold — so every encoded tuple and every
-base and delta prefix stays valid as it is — tombstoned rows drop out
-through one old→new position remap, the live delta rows' postings merge
-in, and the fold yields the interpreter between slices so a reader
-never waits a whole GIL switch interval for it.  Then it swaps and
-replays whatever raced.  The frequency ranking drifts as rows fold in,
-which costs selectivity, never exactness; once the rows folded since the
-last full build exceed the rows that build covered, ``compact()`` takes
-the constructor's full build instead and **re-ranks** — a geometric
-schedule, so re-ranking stays amortised O(1) per row.
+``compact()`` never blocks readers.  Under the lock it takes a snapshot
+— views of the delta's append-only buffers and copies of both tombstone
+masks; outside it (readers keep probing the old segments, writers keep
+appending) it **folds**: the extension tokens join the universe at the
+ids they already hold, so every row and prefix stays valid as it is;
+one mask keeps the live rows of both segments, gathered into one CSR
+block in canonical order, and
+:func:`~repro.perf.arrays.build_array_index` derives the transposed
+prefix incidence over it.  Then it swaps and replays whatever raced.
+The frequency ranking drifts as rows fold in, which costs selectivity,
+never exactness; once the rows folded since the last full build exceed
+the rows that build covered, ``compact()`` takes the constructor's full
+build instead and **re-ranks** — a geometric schedule, so re-ranking
+stays amortised O(1) per row.
 
 Observability: ``index_delta_ops_total{op}``, the ``index_tombstones``
 and ``index_folded_rows`` gauges, ``index_compactions_total{mode}``, the
-``index_delta_probe_seconds`` histogram, ``index_search_batches_total{index,
-path}`` (which of the two probe paths a ``search_batch`` took), and the
-``live_compact`` span (``mode``, ``delta_rows``, ``tombstones``).
+``index_delta_probe_seconds`` histogram (the delta half of a probe),
+``kernel_batch_*{op="live_search"}`` (one call per ``search``,
+``search_batch`` or ``join_table``: values probed, candidates over both
+segments, verified — every window-passing candidate, so equal to the
+candidates — and seconds), and the ``live_compact`` span (``mode``,
+``delta_rows``, ``tombstones``).
 
 Persistence: :meth:`LiveIndex.save` writes ``live-<name>.pkl`` (base
 records + the operation log since the last compaction) and a JSON
@@ -73,13 +80,11 @@ the one the constructor built, cold (and freshly ranked) after a fold.
 from __future__ import annotations
 
 import json
-import math
 import pickle
 import threading
 import time
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
-from itertools import accumulate, compress
+from functools import lru_cache
+from itertools import chain, compress
 from pathlib import Path
 from typing import Any, Callable
 
@@ -93,7 +98,7 @@ from repro.exceptions import (
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry, trace_span
 from repro.perf import arrays
-from repro.perf.kernels import BOUND_EPS, ceil_bound
+from repro.perf.kernels import BOUND_EPS
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.simjoin.filters import (
     prefix_length,
@@ -110,278 +115,223 @@ from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
 LIVE_FORMAT_VERSION = 1
 
 
-# ----------------------------------------------------------------------
-# The scalar probe chain: id tuples, dict postings, merge-scan verify
-# ----------------------------------------------------------------------
-def bounded_overlap(a: Sequence[int], b: Sequence[int], needed: int) -> int:
-    """Overlap of two sorted int arrays, or ``-1`` on early exit.
-
-    A merge scan with ppjoin-style early exit: returns the exact
-    intersection size when it is at least ``needed``; returns ``-1`` as
-    soon as the remaining elements of either array can no longer lift
-    the overlap to ``needed``.
-    """
-    la, lb = len(a), len(b)
-    i = j = overlap = 0
-    while i < la and j < lb:
-        ai = a[i]
-        bj = b[j]
-        if ai == bj:
-            overlap += 1
-            i += 1
-            j += 1
-        elif ai < bj:
-            i += 1
-            if overlap + (la - i) < needed:
-                return -1
-        else:
-            j += 1
-            if overlap + (lb - j) < needed:
-                return -1
-    return overlap
-
-
-def make_scorer(measure: str) -> Callable[[int, int, int], float]:
-    """A ``(overlap, left_size, right_size) -> score`` function.
-
-    The formulas mirror :func:`repro.simjoin.filters.similarity` exactly
-    (same operations on the same ints) so scores are identical floats.
-    Callers guarantee both sizes are positive.
-    """
-    if measure == "jaccard":
-        return lambda overlap, la, lb: overlap / (la + lb - overlap)
-    if measure == "cosine":
-        return lambda overlap, la, lb: overlap / math.sqrt(la * lb)
-    if measure == "dice":
-        return lambda overlap, la, lb: 2.0 * overlap / (la + lb)
-    if measure == "overlap":
-        return lambda overlap, la, lb: float(overlap)
-    raise ConfigurationError(f"no scorer for measure {measure!r}")
-
-
-def make_overlap_bound(measure: str, threshold: float) -> Callable[[int, int], int]:
-    """A ``(left_size, right_size) -> minimum required overlap`` function.
-
-    Same bounds as :func:`repro.simjoin.filters.overlap_lower_bound`, with
-    the measure and threshold bound once instead of validated per pair.
-    """
-    ceil = math.ceil
-    eps = BOUND_EPS
-    if measure == "jaccard":
-        coefficient = threshold / (1.0 + threshold)
-        return lambda la, lb: ceil(coefficient * (la + lb) - eps)
-    if measure == "cosine":
-        sqrt = math.sqrt
-        return lambda la, lb: ceil(threshold * sqrt(la * lb) - eps)
-    if measure == "dice":
-        coefficient = threshold / 2.0
-        return lambda la, lb: ceil(coefficient * (la + lb) - eps)
-    if measure == "overlap":
-        required = ceil_bound(threshold)
-        return lambda la, lb: required
-    raise ConfigurationError(f"no overlap bound for measure {measure!r}")
-
-
-def build_array_records(
-    key: str, records: Sequence[tuple[Any, tuple[int, ...]]], dim: int
-) -> arrays.ArrayRecords:
-    """Materialize ``[(row_key, sorted ids)]`` as an
-    :class:`~repro.perf.arrays.ArrayRecords` (a folded base's batched
-    probe corpus)."""
-    indptr = arrays._indptr(
-        np.fromiter((len(ids) for _, ids in records), dtype=np.int64, count=len(records))
-    )
-    indices = np.fromiter(
-        (token for _, ids in records for token in ids),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    return arrays._array_records(key, [row_key for row_key, _ in records], indptr, indices, dim)
-
-
-def record_tuples(records: arrays.ArrayRecords) -> list[tuple[Any, tuple[int, ...]]]:
-    """``[(row_key, sorted ids)]``, the inverse of :func:`build_array_records`:
-    the scalar view a point probe reads.
-
-    Ids go through one list of int objects, so the tuples share them
-    rather than holding an int object per entry.
-    """
-    ints = list(range(records.dim))
-    ids = list(map(ints.__getitem__, memoryview(records.matrix.indices)))
-    bounds = records.matrix.indptr.tolist()
-    return [
-        (row_key, tuple(ids[start:stop]))
-        for row_key, start, stop in zip(records.keys, bounds, bounds[1:])
-    ]
-
-
-def prefix_postings(
-    records: arrays.ArrayRecords, measure: str, threshold: float
-) -> dict[int, tuple[list[int], list[int]]]:
-    """Token id -> ``(sizes, positions)`` over each row's prefix tokens,
-    sorted by (size, position): the dict postings a point probe reads,
-    cut out of CSR rows with one ``lexsort``."""
-    lengths = arrays.prefix_lengths_arrays(measure, threshold, records.sizes)
-    matrix = arrays.csr_prefix_slice(records.matrix, lengths)
-    positions = np.repeat(np.arange(len(records.keys)), np.diff(matrix.indptr))
-    sizes = records.sizes[positions]
-    order = np.lexsort((positions, sizes, matrix.indices))
-    tokens = matrix.indices[order]
-    starts = np.flatnonzero(np.diff(tokens, prepend=-1))
-    # One int object per row position, shared by its postings.
-    rows = list(range(len(records.keys)))
-    positions = list(map(rows.__getitem__, memoryview(positions[order])))
-    sizes = sizes[order].tolist()
-    bounds = [*starts.tolist(), len(tokens)]
-    return {
-        token: (sizes[start:stop], positions[start:stop])
-        for token, start, stop in zip(tokens[starts].tolist(), bounds, bounds[1:])
-    }
-
-
-def probe_encoded(
-    left_ids,
-    left_size: int,
-    index: dict,
-    right_enc: list,
-    scorer,
-    overlap_bound,
-    measure: str,
-    threshold: float,
-    skip: set[int] | None = None,
-) -> tuple[list[tuple], int]:
-    """Filter-verify one encoded probe record against dict postings.
-
-    The scalar twin of :func:`probe_encoded_batch`, same bounds math and
-    same answers: a live index runs it for point probes, for batches too
-    small to amortize a CSR probe, and for the delta segment.
-
-    ``left_ids`` is the record's sorted token ids; ``left_size`` is its
-    *true* distinct-token count, which can exceed ``len(left_ids)`` when
-    a serving query holds tokens outside the corpus universe (those
-    tokens can never overlap the corpus, so dropping them from the probe
-    is lossless while the size still enters every bound and score).
-    ``skip`` is an optional set of right *positions* to exclude — the
-    live index's tombstones; excluded positions are dropped before
-    verification and never counted as candidates.  Verification is the
-    bounded merge scan.  Returns the ``(r_id, score)`` survivors in
-    right-position order plus the candidate count.
-    """
-    if not left_size:
-        return [], 0
-    lower, upper = size_bounds(measure, threshold, left_size)
-    # The float upper bound can round epsilon low; admit the edge.
-    upper += BOUND_EPS
-    candidates: set[int] = set()
-    collect = candidates.update
-    for token in left_ids[: prefix_length(measure, threshold, left_size)]:
-        entry = index.get(token)
-        if entry is None:
-            continue
-        sizes, positions = entry
-        collect(positions[bisect_left(sizes, lower) : bisect_right(sizes, upper)])
-    if skip:
-        candidates.difference_update(skip)
-    if not candidates:
-        return [], 0
-    results: list[tuple] = []
-    for position in sorted(candidates):
-        r_id, right = right_enc[position]
-        needed = overlap_bound(left_size, len(right))
-        overlap = bounded_overlap(left_ids, right, needed)
-        if overlap < needed:
-            continue
-        score = scorer(overlap, left_size, len(right))
-        if score >= threshold:
-            results.append((r_id, score))
-    return results, len(candidates)
-
-
-def probe_encoded_batch(
-    queries: list[tuple],
-    array_index,
-    measure: str,
-    threshold: float,
-    skip: set[int] | None = None,
-) -> tuple[list[tuple[list[tuple], int]], int]:
-    """Filter-verify a *batch* of encoded probes with the CSR kernel.
-
-    The batched twin of :func:`probe_encoded`: ``queries`` holds
-    ``(left_ids, left_size)`` per probe (same contract as the scalar
-    kernel, including true sizes exceeding ``len(left_ids)`` for
-    out-of-universe query tokens, which the CSR probe drops losslessly),
-    ``array_index`` is a :class:`repro.perf.arrays.ArrayIndex` over the
-    corpus, and ``skip`` excludes right positions (tombstones).  Returns
-    one ``(matches, n_candidates)`` pair per query, each byte-identical
-    to :func:`probe_encoded` on that query, and the verified-pair count.
-    """
-    probe_matrix = arrays.build_probe_matrix([ids for ids, _ in queries], array_index.dim)
-    true_sizes = np.fromiter((size for _, size in queries), dtype=np.int64, count=len(queries))
-    indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
-        probe_matrix,
-        true_sizes,
-        array_index,
-        measure,
-        threshold,
-        arrays.skip_mask(skip, array_index.n_rows),
-    )
-    matches = arrays.emit_matches(indptr, positions, scores, array_index.keys)
-    return list(zip(matches, counts.tolist())), verified
-
-
 class _BaseSegment:
     """The immutable index over one frozen snapshot of records.
 
-    A *built* base (constructor, ``load``, re-rank) is the store's
-    shared, fingerprinted artifact chain and keeps its ``encoding``; a
-    *folded* base is private to its :class:`LiveIndex`, shares the
-    unchanged tuples and lists of the base it was folded from, and has
-    ``encoding=None``.  Either way nothing here is mutated once built:
-    deletes against base records live *outside* this object, as a
-    tombstone set held by the :class:`LiveIndex`.
+    ``index`` is the :class:`~repro.perf.arrays.ArrayIndex` the probe
+    reads: the store's shared artifact for a built base, a private one
+    for a folded base.  Nothing in it is mutated once built; deletes set
+    positions in ``dead``, the segment's tombstone mask.
     """
 
     __slots__ = (
-        "records", "universe", "enc", "index", "positions", "encoding", "array_index",
+        "records", "universe", "index", "keys", "sizes", "indptr", "indices",
+        "heads", "postings_flat", "positions", "dead", "n_dead", "n_rows",
     )
 
-    def __init__(self, records, universe, enc, index, positions, encoding):
+    def __init__(self, records, universe, index: arrays.ArrayIndex):
         self.records = records      # [(key, value)] — the frozen snapshot
         self.universe = universe    # TokenUniverse over the snapshot
-        self.enc = enc              # [(key, ids)] in record order
-        self.index = index          # token id -> (sizes, positions)
-        self.positions = positions  # key -> base position
-        self.encoding = encoding    # the PairEncoding artifact | None (folded)
-        self.array_index = None     # lazy ArrayIndex (batched probes)
+        self.index = index
+        self.keys = index.keys
+        self.sizes = index.sizes
+        self.indptr = index.matrix.indptr.astype(np.int64)  # scipy may keep int32
+        self.indices = index.matrix.indices
+        # Token t's prefix postings are postings_flat[heads[t]:heads[t + 1]].
+        self.heads = index.prefix_t.indptr.tolist()
+        self.postings_flat = index.prefix_t.indices
+        self.positions = dict(zip(index.keys, range(index.n_rows)))
+        self.dead = np.zeros(index.n_rows, dtype=bool)
+        self.n_dead = 0
+        self.n_rows = index.n_rows
+
+    def postings(self, prefix) -> list:
+        """The non-empty posting slices of a query's prefix ids."""
+        heads, flat = self.heads, self.postings_flat
+        dim = len(heads) - 1
+        found = []
+        for token in prefix:
+            if token >= dim:  # extension ids sort last and are not posted here
+                break
+            start, stop = heads[token], heads[token + 1]
+            if start != stop:
+                found.append(flat[start:stop])
+        return found
 
 
-def _merge_postings(entry, new_pairs) -> tuple[list[int], list[int]]:
-    """``entry``'s ``(sizes, positions)`` with ``new_pairs`` merged in, as new lists.
-
-    Postings stay sorted by (size, position).  Every new position is
-    past every old one, so old entries go first on ties — exactly the
-    (size, insertion order) ordering sequential upserts produce.
-    """
-    pairs = sorted([*zip(*entry), *new_pairs])
-    return [size for size, _ in pairs], [position for _, position in pairs]
+def _grown(buffer, need: int):
+    """``buffer`` copied into one at least twice as long (and ``need``)."""
+    grown = np.zeros(max(need, 2 * len(buffer)), dtype=buffer.dtype)
+    grown[: len(buffer)] = buffer
+    return grown
 
 
 class _DeltaSegment:
-    """The mutable segment: append-only records, postings, tombstones."""
+    """The mutable segment: append-only CSR rows, postings, tombstones.
 
-    __slots__ = ("enc", "values", "postings", "tombstones", "positions", "ext_ids")
+    Row ``p`` holds ``indices[indptr[p]:indptr[p + 1]]``.  The buffers
+    only grow (by reallocation when full), so a view taken of them under
+    the lock stays valid after it is released.
+    """
+
+    __slots__ = (
+        "keys", "values", "indptr", "indices", "sizes", "dead", "n_dead",
+        "n_rows", "nnz", "posting_lists", "positions", "ext_ids",
+    )
 
     def __init__(self):
-        self.enc: list[tuple[Any, tuple[int, ...]]] = []
+        self.keys: list = []
         self.values: list[str] = []
-        self.postings: dict[int, tuple[list[int], list[int]]] = {}
-        self.tombstones: set[int] = set()
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.indices = np.zeros(0, dtype=np.int64)
+        self.sizes = np.zeros(0, dtype=np.int64)
+        self.dead = np.zeros(0, dtype=bool)
+        self.n_dead = 0
+        self.n_rows = 0
+        self.nnz = 0
+        self.posting_lists: dict[int, list[int]] = {}  # prefix token id -> positions
         self.positions: dict[Any, int] = {}
         self.ext_ids: dict[str, int] = {}
 
-    def live(self) -> list[int]:
-        """The positions not tombstoned, in insertion order."""
-        return [p for p in range(len(self.enc)) if p not in self.tombstones]
+    def append(self, row_key: Any, value: str, ids: tuple[int, ...], n_prefix: int) -> None:
+        n, start = self.n_rows, self.nnz
+        stop = start + len(ids)
+        if n == len(self.sizes):
+            self.sizes = _grown(self.sizes, n + 1)
+            self.dead = _grown(self.dead, n + 1)
+            self.indptr = _grown(self.indptr, n + 2)
+        if stop > len(self.indices):
+            self.indices = _grown(self.indices, stop)
+        self.indices[start:stop] = ids
+        self.indptr[n + 1] = stop
+        self.sizes[n] = len(ids)
+        lists = self.posting_lists
+        for token in ids[:n_prefix]:
+            posting = lists.get(token)
+            if posting is None:
+                lists[token] = [n]
+            else:
+                posting.append(n)
+        self.keys.append(row_key)
+        self.values.append(value)
+        self.positions[row_key] = n
+        self.n_rows, self.nnz = n + 1, stop
+
+    def postings(self, prefix) -> list:
+        """The non-empty posting lists of a query's prefix ids."""
+        return [found for found in map(self.posting_lists.get, prefix) if found]
+
+    def frozen(self) -> tuple:
+        """``(keys, values, sizes, indices, dead)`` as of now, safe to read
+        outside the lock: copies of the lists and the mask, views of the
+        append-only buffers."""
+        n = self.n_rows
+        return (
+            self.keys[:n], self.values[:n], self.sizes[:n], self.indices[: self.nnz],
+            self.dead[:n].copy(),
+        )
+
+
+@lru_cache(maxsize=None)
+def _bounds(measure: str, threshold: float, size: int) -> tuple[int, float, int]:
+    """A ``size``-token record's partner-size window (upper bound widened
+    by ``BOUND_EPS``: the float can round epsilon low) and prefix length."""
+    lower, upper = size_bounds(measure, threshold, size)
+    return lower, upper + BOUND_EPS, prefix_length(measure, threshold, size)
+
+
+def _probe(segment, queries: list[tuple], width: int, measure: str, threshold: float,
+           matches: list[list], counts: list[int]) -> int:
+    """Filter-verify ``queries`` against one segment; returns pairs verified.
+
+    Each query is ``(ids, size, lower, upper, n_prefix)``: its sorted
+    token ids, its true distinct-token count (tokens unknown to both
+    segments are dropped from ``ids`` but still count), its partner-size
+    window, and its prefix length.  Row and query ids are all below
+    ``width``.  Survivors are appended to ``matches[q]`` in segment
+    position order and candidates added to ``counts[q]``.
+
+    A candidate is a row posted under a prefix token of the query, in
+    its size window and not tombstoned.  Queries whose postings are all
+    empty cost no array work; the rest go in chunks whose summed posting
+    lengths stay near ``CHUNK_TARGET_NNZ``, the batch join's rule.  A
+    point probe's cost is its count of numpy calls, so a chunk of one
+    query skips the per-query offsets a batch needs.
+    """
+    hits = []
+    for q, (ids, _, _, _, n_prefix) in enumerate(queries):
+        found = segment.postings(ids[:n_prefix])
+        if found:
+            hits.append((q, found, sum(map(len, found))))
+    n_rows, verified, start = segment.n_rows, 0, 0
+    while start < len(hits):
+        stop, total = start + 1, hits[start][2]
+        while stop < len(hits) and total + hits[stop][2] <= arrays.CHUNK_TARGET_NNZ:
+            total += hits[stop][2]
+            stop += 1
+        chunk, start = hits[start:stop], stop
+        many = len(chunk) > 1
+        rows = np.concatenate([part for _, found, _ in chunk for part in found])
+        if many:
+            # One sort orders the (query, row) pairs as row + query * n_rows.
+            local = np.arange(len(chunk), dtype=np.int64)
+            rows = rows + (local * n_rows).repeat([n for _, _, n in chunk])
+        rows.sort()
+        first = rows[1:] != rows[:-1]
+        if many:
+            owner = rows // n_rows
+            rows -= owner * n_rows
+            lower = np.array([queries[q][2] for q, _, _ in chunk])[owner]
+            upper = np.array([queries[q][3] for q, _, _ in chunk])[owner]
+        else:
+            _, _, lower, upper, _ = queries[chunk[0][0]]
+        # One mask: size window, first of each run of equal pairs, alive.
+        sizes = segment.sizes[rows]
+        keep = (sizes >= lower) & (sizes <= upper)
+        keep[1:] &= first
+        if segment.n_dead:
+            keep[segment.dead[rows]] = False
+        rows, sizes = rows[keep], sizes[keep]
+        if many:
+            owner = owner[keep]
+            found = np.bincount(owner, minlength=len(chunk)).tolist()
+        else:
+            found = [len(rows)]
+        for (q, _, _), n in zip(chunk, found):
+            counts[q] += n
+        if not len(rows):
+            continue
+        verified += len(rows)
+        # Verify: gather the candidate rows end to end, test each id for
+        # membership in its query's sorted ids, sum per row.
+        offsets = sizes.cumsum() - sizes
+        take = (segment.indptr[rows] - offsets).repeat(sizes)
+        take += np.arange(len(take))
+        tokens = segment.indices[take]
+        if many:
+            # Query q's ids become q * width + id: still one sorted array.
+            query_ids = [queries[q][0] for q, _, _ in chunk]
+            probe = np.fromiter(chain.from_iterable(query_ids), dtype=np.int64)
+            probe += (local * width).repeat([len(ids) for ids in query_ids])
+            tokens = tokens + (owner * width).repeat(sizes)
+            left = np.array([queries[q][1] for q, _, _ in chunk])[owner]
+        else:
+            ids, size = queries[chunk[0][0]][:2]
+            probe = np.array(ids)
+            left = np.int64(size)
+        shared = probe.take(probe.searchsorted(tokens), mode="clip") == tokens
+        overlap = np.add.reduceat(shared, offsets)
+        scores = arrays.scores_arrays(measure, overlap, left, sizes)
+        survived = scores >= threshold
+        keys = segment.keys
+        rows, scores = rows[survived].tolist(), scores[survived].tolist()
+        if many:
+            bounds = owner[survived].searchsorted(np.arange(len(chunk) + 1)).tolist()
+            for (q, _, _), lo, hi in zip(chunk, bounds, bounds[1:]):
+                matches[q] += zip(map(keys.__getitem__, rows[lo:hi]), scores[lo:hi])
+        else:
+            matches[chunk[0][0]] += zip(map(keys.__getitem__, rows), scores)
+    return verified
 
 
 class LiveIndex:
@@ -428,8 +378,6 @@ class LiveIndex:
         self.threshold = threshold
         self._normalize = normalize
         self._store = store if store is not None else get_index_store()
-        self._scorer = make_scorer(measure)
-        self._overlap_bound = make_overlap_bound(measure, threshold)
 
         # One RLock serializes every segment access; compaction holds it
         # only for its snapshot and swap phases, never for the fold.
@@ -449,7 +397,6 @@ class LiveIndex:
         # passes the first.
         self._built_rows = len(self._base.records)
         self._folded_rows = 0
-        self._base_tombstones: set[int] = set()
         self._delta = _DeltaSegment()
 
     # ------------------------------------------------------------------
@@ -459,6 +406,8 @@ class LiveIndex:
     def from_table(cls, table: Table, key: str, column: str, **kwargs: Any) -> "LiveIndex":
         """Build a live index whose base segment covers ``table``."""
         table.require_columns([key, column])
+        for row_key in table.column(key):
+            _require_key(row_key)
         return cls(key, column, base_table=table, **kwargs)
 
     @classmethod
@@ -490,35 +439,23 @@ class LiveIndex:
         )
 
     def _build_base(self, table: Table) -> _BaseSegment:
-        """Run the store's artifact chain over a snapshot table, then
-        derive the point probe's id tuples and postings from its CSR rows."""
+        """Run the store's artifact chain over a snapshot table, through
+        the ``ArrayIndex`` the probe reads."""
         store = self._store
         view = self._view(table, self.key, self.column)
         tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
         encoding = store.pair_encoding(tc, tc)
-        index = prefix_postings(encoding.right, self.measure, self.threshold)
-        enc = record_tuples(encoding.right)
-        positions: dict[Any, int] = {}
-        for position, (row_key, _) in enumerate(tc.records):
-            if row_key in positions:
-                raise KeyConstraintError(
-                    f"live index requires unique keys; {row_key!r} appears twice"
-                )
-            positions[row_key] = position
-        return _BaseSegment(
-            tc.records, encoding.universe, enc, index, positions, encoding
-        )
-
-    def _array_index(self, base: _BaseSegment):
-        """An :class:`~repro.perf.arrays.ArrayIndex` over ``base``: the
-        store's shared artifact for a built base, made straight from
-        ``enc`` for a folded one (which has no fingerprint to file it
-        under)."""
-        if base.encoding is not None:
-            return self._store.array_index(base.encoding, self.measure, self.threshold)
-        key = f"live-{self.name}"
-        records = build_array_records(key, base.enc, len(base.universe))
-        return arrays.build_array_index(key, records, self.measure, self.threshold)
+        index = store.array_index(encoding, self.measure, self.threshold)
+        base = _BaseSegment(tc.records, encoding.universe, index)
+        if len(base.positions) < base.n_rows:
+            seen: set = set()
+            for row_key in base.keys:
+                if row_key in seen:
+                    raise KeyConstraintError(
+                        f"live index requires unique keys; {row_key!r} appears twice"
+                    )
+                seen.add(row_key)
+        return base
 
     # ------------------------------------------------------------------
     # Mutation
@@ -549,23 +486,9 @@ class LiveIndex:
         prepared = self._prepare(value)
         if prepared is None:
             return False
-        delta = self._delta
         ids = self._encode_indexed(set(self.tokenizer.tokenize(prepared)))
-        position = len(delta.enc)
-        delta.enc.append((row_key, ids))
-        delta.values.append(prepared)
-        size = len(ids)
-        for token in ids[: prefix_length(self.measure, self.threshold, size)]:
-            entry = delta.postings.get(token)
-            if entry is None:
-                entry = delta.postings[token] = ([], [])
-            sizes, positions = entry
-            # Postings stay sorted by (size, position): equal sizes keep
-            # insertion order, and positions only ever grow.
-            at = bisect_right(sizes, size)
-            sizes.insert(at, size)
-            positions.insert(at, position)
-        delta.positions[row_key] = position
+        n_prefix = _bounds(self.measure, self.threshold, len(ids))[2]
+        self._delta.append(row_key, prepared, ids, n_prefix)
         return True
 
     def upsert_many(self, items) -> int:
@@ -574,16 +497,20 @@ class LiveIndex:
         ``items`` is an iterable of ``(row_key, value)``, applied in
         order with sequential semantics (later duplicates win, missing
         values tombstone).  Returns the number of records indexed (the
-        rest degenerated to deletes).
+        rest degenerated to deletes).  A missing key (``None``, NaN,
+        blank) raises :class:`KeyConstraintError` before any item is
+        applied.
         """
         items = list(items)
+        for row_key, _ in items:
+            _require_key(row_key)
         with self._lock:
             indexed = 0
             for row_key, value in items:
                 self._ops.append(("u", row_key, value))
                 indexed += self._upsert_locked(row_key, value)
                 self._generation += 1
-            tombstones = len(self._base_tombstones) + len(self._delta.tombstones)
+            tombstones = self._base.n_dead + self._delta.n_dead
         registry = get_registry()
         registry.counter("index_delta_ops_total", op="upsert").inc(len(items))
         registry.gauge("index_tombstones", index=self.name).set(tombstones)
@@ -598,22 +525,23 @@ class LiveIndex:
                 self._ops.append(("d", row_key))
                 removed += self._tombstone_locked(row_key)
                 self._generation += 1
-            tombstones = len(self._base_tombstones) + len(self._delta.tombstones)
+            tombstones = self._base.n_dead + self._delta.n_dead
         registry = get_registry()
         registry.counter("index_delta_ops_total", op="delete").inc(len(row_keys))
         registry.gauge("index_tombstones", index=self.name).set(tombstones)
         return removed
 
     def _tombstone_locked(self, row_key: Any) -> bool:
-        position = self._delta.positions.pop(row_key, None)
-        if position is not None:
-            self._delta.tombstones.add(position)
-            return True
-        position = self._base.positions.get(row_key)
-        if position is not None and position not in self._base_tombstones:
-            self._base_tombstones.add(position)
-            return True
-        return False
+        segment = self._delta
+        position = segment.positions.pop(row_key, None)
+        if position is None:
+            segment = self._base
+            position = segment.positions.get(row_key)
+            if position is None or segment.dead[position]:
+                return False
+        segment.dead[position] = True
+        segment.n_dead += 1
+        return True
 
     def _encode_indexed(self, tokens: set[str]) -> tuple[int, ...]:
         """Ids for an *indexed* record: unseen tokens extend the universe.
@@ -648,19 +576,12 @@ class LiveIndex:
         """Ids for a probe: tokens unknown to both segments are dropped.
 
         Dropping is lossless (they cannot overlap any indexed record)
-        as long as scoring uses the query's true token count — the same
-        ``left_size`` contract as :func:`probe_encoded`.
+        as long as bounds and scores use the query's true token count.
         """
-        universe = self._base.universe
+        ids = self._base.universe.known_ids(tokens)
         ext = self._delta.ext_ids
-        ids = []
-        for token in tokens:
-            if token in universe:
-                ids.append(universe.token_id(token))
-            else:
-                known = ext.get(token)
-                if known is not None:
-                    ids.append(known)
+        if ext and len(ids) < len(tokens):
+            ids += [ext[token] for token in tokens if token in ext]
         return tuple(sorted(ids))
 
     # ------------------------------------------------------------------
@@ -674,155 +595,68 @@ class LiveIndex:
         order) — the same order a from-scratch rebuild would emit — and
         scores are bit-identical to the batch join's.
         """
-        prepared = self._prepare(value)
-        if prepared is None:
-            return [], 0
-        token_set = set(self.tokenizer.tokenize(prepared))
+        token_set = self._token_set(value)
         with self._lock:
-            return self._search_locked(token_set)
-
-    def _search_locked(self, token_set: set[str]) -> tuple[list[tuple[Any, float]], int]:
-        left_ids = self._encode_query(token_set)
-        left_size = len(token_set)
-        base = self._base
-        matches, n_candidates = probe_encoded(
-            left_ids,
-            left_size,
-            base.index,
-            base.enc,
-            self._scorer,
-            self._overlap_bound,
-            self.measure,
-            self.threshold,
-            skip=self._base_tombstones or None,
-        )
-        delta_matches, delta_candidates = self._probe_delta_locked(left_ids, left_size)
-        if delta_candidates or delta_matches:
-            matches = matches + delta_matches
-        return matches, n_candidates + delta_candidates
-
-    def _probe_delta_locked(
-        self, left_ids: tuple[int, ...], left_size: int
-    ) -> tuple[list[tuple[Any, float]], int]:
-        """Probe the delta segment alone (``([], 0)`` when it is empty)."""
-        delta = self._delta
-        if not delta.enc:
-            return [], 0
-        started = time.perf_counter()
-        delta_matches, delta_candidates = probe_encoded(
-            left_ids,
-            left_size,
-            delta.postings,
-            delta.enc,
-            self._scorer,
-            self._overlap_bound,
-            self.measure,
-            self.threshold,
-            skip=delta.tombstones or None,
-        )
-        get_registry().histogram("index_delta_probe_seconds").observe(
-            time.perf_counter() - started
-        )
-        return delta_matches, delta_candidates
+            return self._search_locked([token_set])[0]
 
     def search_batch(self, values) -> list[tuple[list[tuple[Any, float]], int]]:
-        """Probe many values in one call; one batched base-segment kernel.
+        """Probe many values in one call: one :func:`_probe` per segment.
 
-        Returns one ``(matches, n_candidates)`` pair per value, each
-        byte-identical to :meth:`search` on that value.  A batch big
-        enough to pay for it (:func:`repro.perf.arrays.batched_probe_pays`)
-        probes the base segment with one columnar
-        :func:`probe_encoded_batch` call — the
-        amortization :class:`repro.serve.MatchServer`'s micro-batching
-        exists for; a smaller one runs :meth:`search`'s scalar probe per
-        value.  The (small, mutable) delta segment is probed per query
-        under the same lock snapshot either way.  The path taken is
-        counted in ``index_search_batches_total{index, path}``.
+        Returns one ``(matches, n_candidates)`` pair per value, each equal
+        to :meth:`search` on that value — the amortization
+        :class:`repro.serve.MatchServer`'s micro-batching exists for.
         """
-        started = time.perf_counter()
-        token_sets = []
-        for value in values:
-            prepared = self._prepare(value)
-            token_sets.append(
-                None
-                if prepared is None
-                else set(self.tokenizer.tokenize(prepared))
-            )
-        live_queries = [ts for ts in token_sets if ts is not None]
+        token_sets = [self._token_set(value) for value in values]
         with self._lock:
-            batched = arrays.batched_probe_pays(len(live_queries), len(self._base.enc))
-            get_registry().counter(
-                "index_search_batches_total",
-                index=self.name,
-                path="batched" if batched else "scalar",
-            ).inc()
-            if not batched:
-                return [
-                    ([], 0) if ts is None else self._search_locked(ts)
-                    for ts in token_sets
-                ]
-            base = self._base
-            if base.array_index is None:
-                # Compaction hands it on, so only the constructor's base
-                # ever pays for it under the lock.
-                base.array_index = self._array_index(base)
-            encoded = [
-                (self._encode_query(ts), len(ts)) for ts in live_queries
+            return self._search_locked(token_sets)
+
+    def _token_set(self, value: Any) -> set[str] | None:
+        prepared = self._prepare(value)
+        return None if prepared is None else set(self.tokenizer.tokenize(prepared))
+
+    def _search_locked(self, token_sets: list) -> list[tuple[list[tuple[Any, float]], int]]:
+        measure, threshold = self.measure, self.threshold
+        base, delta = self._base, self._delta
+        width = max(len(base.universe) + len(delta.ext_ids), 1)
+        matches: list[list] = [[] for _ in token_sets]
+        counts = [0] * len(token_sets)
+        registry = get_registry()
+        with registry.timer("kernel_batch_seconds", op="live_search"):
+            queries = [
+                (self._encode_query(token_set), len(token_set),
+                 *_bounds(measure, threshold, len(token_set)))
+                if token_set else ((), 0, 0, 0.0, 0)
+                for token_set in token_sets
             ]
-            base_results, verified = probe_encoded_batch(
-                encoded,
-                base.array_index,
-                self.measure,
-                self.threshold,
-                skip=self._base_tombstones or None,
-            )
-            results: list[tuple[list[tuple[Any, float]], int]] = []
-            at = 0
-            n_candidates_total = 0
-            for ts in token_sets:
-                if ts is None:
-                    results.append(([], 0))
-                    continue
-                left_ids, left_size = encoded[at]
-                matches, n_candidates = base_results[at]
-                at += 1
-                delta_matches, delta_candidates = self._probe_delta_locked(
-                    left_ids, left_size
-                )
-                if delta_matches or delta_candidates:
-                    matches = matches + delta_matches
-                    n_candidates += delta_candidates
-                n_candidates_total += n_candidates
-                results.append((matches, n_candidates))
-        arrays.observe_kernel_batch(
-            "live_search",
-            len(token_sets),
-            n_candidates_total,
-            time.perf_counter() - started,
-            verified=verified,
-        )
-        return results
+            verified = _probe(base, queries, width, measure, threshold, matches, counts)
+            if delta.n_rows:
+                with registry.timer("index_delta_probe_seconds"):
+                    verified += _probe(delta, queries, width, measure, threshold, matches, counts)
+        arrays.observe_kernel_batch("live_search", len(token_sets), verified, verified=verified)
+        return list(zip(matches, counts))
 
     def join_table(self, table: Table, l_key: str, l_column: str) -> Table:
         """Join a probe table against the live corpus.
 
         Returns the same ``(_id, l_id, r_id, score)`` table — same rows,
         same order, same floats — as ``set_sim_join(table, self.to_table(),
-        ...)`` under this index's configuration.  The whole scan runs
-        under the lock, so it sees one consistent snapshot.
+        ...)`` under this index's configuration.  Each distinct probe
+        value is one query of one :func:`_probe` per segment, under the
+        lock, so the join sees one consistent snapshot.
         """
         from repro.simjoin.joins import _result_table
 
         table.require_columns([l_key, l_column])
         view = self._view(table, l_key, l_column)
         tc = self._store.tokenized_column(view, l_key, l_column, self.tokenizer)
-        l_ids, r_ids, scores = [], [], []
         with self._lock:
-            for row_key, value in tc.records:
-                matches, _ = self._search_locked(tc.token_sets[value])
-                l_ids += [row_key] * len(matches)
-                r_ids += [r_id for r_id, _ in matches]
-                scores += [score for _, score in matches]
+            found = dict(zip(tc.token_sets, self._search_locked(list(tc.token_sets.values()))))
+        l_ids, r_ids, scores = [], [], []
+        for row_key, value in tc.records:
+            matches, _ = found[value]
+            l_ids += [row_key] * len(matches)
+            r_ids += [r_id for r_id, _ in matches]
+            scores += [score for _, score in matches]
         return _result_table(l_ids, r_ids, scores)
 
     # ------------------------------------------------------------------
@@ -831,47 +665,44 @@ class LiveIndex:
     def compact(self) -> dict[str, Any]:
         """Fold the delta into the base segment; returns stats.
 
-        Three phases: an O(delta) snapshot under the lock, the fold
-        *outside* it (readers keep probing the old segments, writers
-        keep appending), then the swap — replaying any operations that
-        raced the fold onto the new, empty delta.  When the rows folded
-        since the last full build would exceed the rows that build
-        covered, the middle phase is that full build over the live
-        records instead, which re-ranks the token order.
+        Three phases: a snapshot under the lock, the fold *outside* it
+        (readers keep probing the old segments, writers keep appending),
+        then the swap — replaying any operations that raced the fold
+        onto the new, empty delta.  When the rows folded since the last
+        full build would exceed the rows that build covered, the middle
+        phase is that full build over the live records instead, which
+        re-ranks the token order.
         """
         with self._lock:
             if self._compacting:
                 raise ServiceError(f"live index {self.name!r} is already compacting")
             self._compacting = True
             base, delta = self._base, self._delta
-            base_dead = set(self._base_tombstones)
-            delta_live = delta.live()
-            n_tombstones = len(base_dead) + len(delta.tombstones)
+            base_dead = base.dead.copy()
+            frozen = delta.frozen()
+            base_rows = base.n_rows - base.n_dead
+            n_tombstones = base.n_dead + delta.n_dead
+            delta_rows = len(delta.positions)
             ext_tokens = list(delta.ext_ids)  # insertion order is id order
             ops_mark = len(self._ops)
-            folded_rows = self._folded_rows + len(delta_live)
+            folded_rows = self._folded_rows + delta_rows
             rerank = folded_rows > self._built_rows
         mode = "rebuild" if rerank else "fold"
         try:
             with trace_span(
                 "live_compact",
                 index=self.name,
-                rows=len(base.records) - len(base_dead) + len(delta_live),
+                rows=base_rows + delta_rows,
                 mode=mode,
-                delta_rows=len(delta_live),
+                delta_rows=delta_rows,
                 tombstones=n_tombstones,
             ):
                 if rerank:
                     new_base = self._build_base(
-                        self._table(_live_records(base, base_dead, delta, delta_live))
+                        self._table(_live_records(base, base_dead, frozen))
                     )
                 else:
-                    new_base = self._fold_base(
-                        base, base_dead, delta, delta_live, ext_tokens
-                    )
-                if base.array_index is not None and new_base.enc:
-                    # Here, not under the lock on the next batched probe.
-                    new_base.array_index = self._array_index(new_base)
+                    new_base = self._fold_base(base, base_dead, frozen, ext_tokens)
         except BaseException:
             with self._lock:
                 self._compacting = False
@@ -879,7 +710,6 @@ class LiveIndex:
         with self._lock:
             raced = self._ops[ops_mark:]
             self._base = new_base
-            self._base_tombstones = set()
             self._delta = _DeltaSegment()
             self._ops = list(raced)
             for op in raced:
@@ -898,72 +728,45 @@ class LiveIndex:
         return _sized(stats, raced)
 
     def _fold_base(
-        self,
-        base: _BaseSegment,
-        base_dead: set[int],
-        delta: _DeltaSegment,
-        delta_live: list[int],
-        ext_tokens: list[str],
+        self, base: _BaseSegment, base_dead, delta: tuple, ext_tokens: list[str]
     ) -> _BaseSegment:
         """``base`` minus its dead rows plus the delta's live rows.
 
-        Runs outside the lock on a snapshot: ``base`` is immutable, and
-        of the (append-only) delta only rows ``delta_live`` names are
-        read.  The extension tokens join the universe at the ids they
-        already hold, so no tuple is re-encoded and no prefix recomputed;
+        Runs outside the lock on a snapshot (``delta`` is
+        :meth:`_DeltaSegment.frozen`).  The extension tokens join the
+        universe at the ids they already hold, so no row is re-encoded;
         rows keep their canonical order (base survivors, then delta
         arrivals), which is the order a rebuild would give them.
+
+        Readers probe beside it, so it hands the interpreter over between
+        its steps (``time.sleep(0)``): a CPU-bound thread otherwise keeps
+        it for whole 5 ms switch intervals, and a fold shorter than one
+        would hold every reader until it ends.
         """
-        measure, threshold = self.measure, self.threshold
+        keys, values, sizes, indices, dead = delta
         universe = base.universe.extended(ext_tokens) if ext_tokens else base.universe
-        alive = [True] * len(base.records)
-        for position in base_dead:
-            alive[position] = False
-        records = list(compress(base.records, alive))
-        enc = list(compress(base.enc, alive))
-
-        staged: dict[int, list[tuple[int, int]]] = {}
-        for position in delta_live:
-            row_key, ids = delta.enc[position]
-            size = len(ids)
-            for token in ids[: prefix_length(measure, threshold, size)]:
-                staged.setdefault(token, []).append((size, len(records)))
-            records.append((row_key, delta.values[position]))
-            enc.append((row_key, ids))
-
-        if base_dead:
-            # Survivors shift down by the dead rows before them.
-            new_position = list(accumulate(alive, initial=0)).__getitem__
-            bereft: set[int] = set()  # tokens a dead row was posted under
-            for position in base_dead:
-                ids = base.enc[position][1]
-                bereft.update(ids[: prefix_length(measure, threshold, len(ids))])
-            index = {}
-            for n, (token, (sizes, positions)) in enumerate(base.index.items()):
-                if token in bereft:
-                    keep = [alive[p] for p in positions]
-                    if not any(keep):
-                        continue
-                    sizes = list(compress(sizes, keep))
-                    positions = compress(positions, keep)
-                index[token] = (sizes, list(map(new_position, positions)))
-                if not n % 256:
-                    # A CPU-bound thread keeps the GIL for whole switch
-                    # intervals; hand it over so readers get in between.
-                    time.sleep(0)
-        else:
-            index = dict(base.index)
-        for token, new_pairs in staged.items():
-            index[token] = _merge_postings(index.get(token, ((), ())), new_pairs)
-        positions = {row_key: position for position, (row_key, _) in enumerate(records)}
-        return _BaseSegment(records, universe, enc, index, positions, None)
+        live = np.concatenate([~base_dead, ~dead])
+        records = list(compress(chain(base.records, zip(keys, values)), live.tolist()))
+        time.sleep(0)
+        name = f"live-{self.name}"
+        rows = arrays.take_rows(
+            name,
+            [row_key for row_key, _ in records],
+            np.concatenate([base.sizes, sizes]),
+            np.concatenate([base.indices, indices]),
+            np.flatnonzero(live),
+            len(universe),
+        )
+        time.sleep(0)
+        index = arrays.build_array_index(name, rows, self.measure, self.threshold)
+        time.sleep(0)
+        return _BaseSegment(records, universe, index)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def _records_locked(self) -> list[tuple[Any, str]]:
-        delta = self._delta
-        return _live_records(self._base, self._base_tombstones, delta, delta.live())
+        return _live_records(self._base, self._base.dead, self._delta.frozen())
 
     def records(self) -> list[tuple[Any, str]]:
         """The live ``(key, value)`` records in canonical order."""
@@ -987,12 +790,11 @@ class LiveIndex:
             if row_key in self._delta.positions:
                 return True
             position = self._base.positions.get(row_key)
-            return position is not None and position not in self._base_tombstones
+            return position is not None and not self._base.dead[position]
 
     def __len__(self) -> int:
         with self._lock:
-            live_base = len(self._base.records) - len(self._base_tombstones)
-            return live_base + len(self._delta.positions)
+            return self._base.n_rows - self._base.n_dead + len(self._delta.positions)
 
     @property
     def generation(self) -> int:
@@ -1003,18 +805,16 @@ class LiveIndex:
     def _stats_locked(self) -> dict[str, Any]:
         """Everything in :meth:`stats` but ``delta_bytes``, which
         :func:`_sized` adds from an op-log snapshot outside the lock."""
-        delta = self._delta
+        base, delta = self._base, self._delta
         return {
             "name": self.name,
             "generation": self._generation,
             "compactions": self._compactions,
-            "base_rows": len(self._base.records),
+            "base_rows": base.n_rows,
             "delta_rows": len(delta.positions),
-            "tombstones": len(self._base_tombstones) + len(delta.tombstones),
-            "live_rows": len(self._base.records)
-            - len(self._base_tombstones)
-            + len(delta.positions),
-            "universe_size": len(self._base.universe) + len(delta.ext_ids),
+            "tombstones": base.n_dead + delta.n_dead,
+            "live_rows": base.n_rows - base.n_dead + len(delta.positions),
+            "universe_size": len(base.universe) + len(delta.ext_ids),
             "folded_rows": self._folded_rows,
             "measure": self.measure,
             "threshold": self.threshold,
@@ -1136,18 +936,20 @@ class LiveIndex:
         return live
 
 
-def _live_records(
-    base: _BaseSegment, base_dead: set[int], delta: _DeltaSegment, delta_live: list[int]
-) -> list[tuple[Any, str]]:
+def _live_records(base: _BaseSegment, base_dead, delta: tuple) -> list[tuple[Any, str]]:
     """The ``(key, value)`` records in canonical order: base survivors,
-    then the delta's live rows."""
-    records = [
-        record
-        for position, record in enumerate(base.records)
-        if position not in base_dead
-    ]
-    records.extend((delta.enc[p][0], delta.values[p]) for p in delta_live)
+    then the delta's live rows (``delta`` is :meth:`_DeltaSegment.frozen`)."""
+    keys, values, _, _, dead = delta
+    records = list(compress(base.records, (~base_dead).tolist()))
+    records += compress(zip(keys, values), (~dead).tolist())
     return records
+
+
+def _require_key(row_key: Any) -> None:
+    """Reject a missing key: ``None`` or NaN would be a record no delete
+    could reach (NaN is unequal to itself)."""
+    if is_missing(row_key):
+        raise KeyConstraintError(f"live index keys must not be missing, got {row_key!r}")
 
 
 def _sized(stats: dict[str, Any], ops: list[tuple]) -> dict[str, Any]:

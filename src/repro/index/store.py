@@ -32,9 +32,10 @@ The encoding is built in arrays: the universe is ranked with one stable
 sort over per-token record counts, each distinct value becomes one row
 of a CSR block, and each side's records gather their value's row into
 a :class:`repro.perf.arrays.ArrayRecords` — what every batch join and
-``arrayindex`` (every batched live-index probe) run on.  The store holds
-no dict postings or id tuples: a :class:`~repro.index.delta.LiveIndex`
-derives the ones its point probe reads from the encoding's CSR rows.
+``arrayindex`` run on.  ``arrayindex`` is also the base segment of a
+:class:`~repro.index.delta.LiveIndex`, whose probe reads its prefix
+postings and rows directly: the store holds no dict postings or id
+tuples, and neither does anything else.
 
 The vector branch backs :class:`repro.blocking.vector.VectorBlocker`:
 embeddings from :mod:`repro.text.vectorize` (one count vector per

@@ -54,6 +54,9 @@ DEFAULT_BUCKETS = (
 
 
 def _labelset(labels: dict[str, Any]) -> LabelSet:
+    if len(labels) == 1:  # the common case on hot paths: nothing to sort
+        [(key, value)] = labels.items()
+        return ((str(key), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -166,14 +169,9 @@ class Histogram(_Instrument):
             self.count += 1
             self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
+    def time(self) -> "_Timer":
         """Observe the wall seconds spent inside the ``with`` block."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - started)
+        return _Timer(self)
 
     def cumulative(self) -> list[tuple[float, int]]:
         """Prometheus-style ``(le, cumulative_count)`` pairs, ending at +Inf."""
@@ -222,6 +220,22 @@ class Histogram(_Instrument):
             }
 
 
+class _Timer:
+    """The context manager of :meth:`Histogram.time` (a class, not a
+    generator: hot paths time every call)."""
+
+    __slots__ = ("histogram", "started")
+
+    def __init__(self, histogram: Histogram):
+        self.histogram = histogram
+
+    def __enter__(self) -> None:
+        self.started = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self.histogram.observe(time.perf_counter() - self.started)
+
+
 class MetricsRegistry:
     """Interns and owns every instrument created through it.
 
@@ -239,6 +253,10 @@ class MetricsRegistry:
     # -- get-or-create -------------------------------------------------
     def _intern(self, cls, name: str, labels: dict, **kwargs) -> _Instrument:
         key = (name, _labelset(labels))
+        instrument = self._instruments.get(key)
+        if instrument is not None and instrument.kind == cls.kind:
+            # Instruments are never removed, so a hit needs no lock.
+            return instrument
         # Interning must be atomic: two threads racing the get/create for
         # one key would each hold a different instrument, and increments
         # on the loser would vanish from every later lookup and export.

@@ -11,12 +11,13 @@ mechanisms every hot path shares:
   bound ceils with;
 * :mod:`repro.perf.parallel` — one process-pool executor shared by the
   sim joins, the blockers, feature extraction, and the production stage;
-* :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: batched
-  filter-verify probes (the body of every batch join), plus the one rule
-  for when a small probe batch stays scalar.
+* :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: the
+  batched filter-verify probe (the body of every batch join), the
+  probe-ready ``ArrayIndex`` and the vector bound and score formulas.
 
-The scalar probe (id tuples, dict postings, a merge scan) serves only
-live-index point probes and lives with them, in :mod:`repro.index.delta`.
+The live index probes the same ``ArrayIndex`` with its own numpy
+filter-verify routine, in :mod:`repro.index.delta`; no module holds a
+scalar (dict-posting) probe.
 """
 
 from repro.perf.arrays import (

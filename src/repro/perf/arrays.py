@@ -11,35 +11,34 @@ CSR layout, are in :mod:`repro.index.ann`):
   :class:`repro.index.IndexStore` as fingerprinted artifacts;
 * candidates for a whole probe batch are one sparse matmul
   (``probe prefixes @ corpus prefixes.T``), and overlap counts are
-  computed **only at the candidate pairs that pass the size window, the
-  tombstone mask and the positional bound** — a sorted-row merge of the
-  two CSR rows per pair, never a product over every pair sharing some
-  (possibly hot) token — producing **exact ints**, so the scalar score
-  formulas reproduce bit-identical floats;
+  computed **only at the candidate pairs that pass the size window and
+  the positional bound** — a sorted-row merge of the two CSR rows per
+  pair, never a product over every pair sharing some (possibly hot)
+  token — producing **exact ints**, so the scalar score formulas
+  reproduce bit-identical floats;
 * the positional bound (ppjoin's) needs both prefixes to be heads of
-  rows sorted by *one* id order, any order (a live index's appended ids
-  too): shared ids up to the smaller last prefix id are all in the
-  product value, past it the owner of that id has only its unsliced
-  tail.  Candidates are counted before it, as the scalar kernel counts;
+  rows sorted by *one* id order, any order: shared ids up to the
+  smaller last prefix id are all in the product value, past it the
+  owner of that id has only its unsliced tail.  Candidates are counted
+  before it;
 * size-window and prefix bounds are vectorized replicas of
   :mod:`repro.simjoin.filters` — same operations, in the same order, on
-  the same values, so every bound decision matches the scalar kernel
+  the same values, so every bound decision matches the scalar formula
   decision-for-decision.
 
 **Byte-identity is the contract**, not an aspiration: for any corpus
 and any probe batch, :func:`batch_set_sim_probe` emits the same
-survivors with the same float scores in the same order as the scalar
-:func:`repro.index.delta.probe_encoded` per probe and as the
+survivors with the same float scores in the same order as the
 brute-force ``naive_set_sim_join`` (property-tested in
 ``tests/test_kernel_arrays.py``).  A deliberate consequence: survivors
 are ordered by (probe row, corpus position) before emission because
 scipy does not guarantee sorted indices on matmul results — only
 survivors: filtering and verification are order-free.
 
-Which path a caller takes is not configurable.  Batch joins always run
-batched; the one caller that also holds a scalar path,
-``LiveIndex.search_batch``, asks :func:`batched_probe_pays`, one rule
-over the two sizes it can observe.
+The live index (:mod:`repro.index.delta`) probes the same
+:class:`ArrayIndex` with its own numpy filter-verify routine, which
+reads the prefix postings straight out of ``prefix_t`` and scores with
+:func:`scores_arrays`; nothing here chooses between paths.
 
 Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -67,22 +66,6 @@ from repro.perf.kernels import BOUND_EPS, ceil_bound
 #: peak).  Cache-sized chunks are also the fastest: on the spine's dense
 #: join 1<<16 runs ~15 % quicker than 1<<18 at 50 MB less peak RSS.
 CHUNK_TARGET_NNZ = 1 << 16
-
-#: Batching has fixed costs (CSR construction or slicing, one pass of
-#: chunk bookkeeping) that a point probe never amortizes.  16 is the
-#: smallest batch at which ``LiveIndex.search_batch`` beats the same
-#: number of scalar ``search`` calls on the spine's 50k-row sparse
-#: corpus — the fitted table under "When batching wins" in
-#: ``docs/PERFORMANCE.md``; under 64 corpus rows no batch size wins.
-BATCH_MIN_PROBE_ROWS = 16
-BATCH_MIN_INDEX_ROWS = 64
-
-
-def batched_probe_pays(n_probe_rows: int, n_index_rows: int) -> bool:
-    """Whether a probe batch this size against a corpus this size runs
-    faster through the batched kernels than one scalar probe per row."""
-    return n_probe_rows >= BATCH_MIN_PROBE_ROWS and n_index_rows >= BATCH_MIN_INDEX_ROWS
-
 
 def observe_kernel_batch(
     op: str, rows: int, candidates: int, seconds: float | None = None, verified: int = 0
@@ -122,9 +105,8 @@ def _ceil_bound(values):
 def size_bounds_arrays(measure: str, threshold: float, sizes):
     """Per-row (lower, widened upper) partner-size window.
 
-    Mirrors :func:`repro.simjoin.filters.size_bounds` with the caller's
-    ``upper += BOUND_EPS`` widening already applied, matching the
-    comparison the scalar probe performs.
+    Mirrors :func:`repro.simjoin.filters.size_bounds` with the callers'
+    ``upper += BOUND_EPS`` widening already applied.
     """
     sizes_f = sizes.astype(np.float64)
     if measure == "jaccard":
@@ -176,7 +158,7 @@ def prefix_lengths_arrays(measure: str, threshold: float, sizes):
 
 
 def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
-    """Vector twin of :func:`repro.index.delta.make_scorer` and of the
+    """Vector twin of :func:`repro.simjoin.filters.similarity` and of the
     :mod:`repro.text.sim.token_based` set measures.
 
     All inputs are exact int64; int64 true division, ``np.sqrt``, and
@@ -188,7 +170,7 @@ def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
         return overlap.astype(np.float64)
     if measure == "qgram_count":
         return (overlap - np.maximum(left_sizes, right_sizes)).astype(np.float64)
-    if len(overlap) and min(left_sizes.min(), right_sizes.min()) == 0:
+    if len(overlap) and np.count_nonzero(left_sizes * right_sizes) < len(overlap):
         # The formulas divide by the sizes: score the empty sides apart.
         empty = (left_sizes == 0) | (right_sizes == 0)
         scores = (left_sizes == right_sizes).astype(np.float64)
@@ -304,8 +286,7 @@ def csr_prefix_slice(matrix, lengths):
     """Per-row head slice of a CSR matrix (row *i* keeps ``lengths[i]``).
 
     Token ids are stored sorted, so the head of a row *is* its prefix
-    under the global frequency ordering — the same slice the scalar
-    probe takes of the encoded tuple.
+    under the global frequency ordering.
     """
     indptr = matrix.indptr.astype(np.int64)
     counts = np.minimum(np.asarray(lengths, dtype=np.int64), np.diff(indptr))
@@ -324,13 +305,10 @@ def build_array_index(key: str, arrays: ArrayRecords, measure: str, threshold: f
 
 
 def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
-    """A CSR probe matrix from encoded query rows (serving batches).
+    """A CSR matrix from sorted encoded rows, ``dim`` columns wide.
 
-    Token ids at or past ``dim`` — a live index's extension ids, which
-    cannot occur in the base corpus — are dropped; they are sorted to
-    the tail of each row, so the surviving head is exactly the ids the
-    scalar probe could match, and prefix slicing over it matches the
-    scalar prefix minus its no-op tail.
+    Token ids at or past ``dim`` are dropped; sorted ids put them at the
+    tail of each row, so the surviving head is a prefix of the row.
     """
     width = max(dim, 1)
     kept = [ids[: bisect_left(ids, width)] for ids in rows]
@@ -345,15 +323,6 @@ def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
     )
 
 
-def skip_mask(skip, n_rows: int):
-    """A boolean tombstone mask over corpus positions (``None`` passthrough)."""
-    if not skip:
-        return None
-    mask = np.zeros(n_rows, dtype=bool)
-    mask[list(skip)] = True
-    return mask
-
-
 # ----------------------------------------------------------------------
 # The batched filter-verify probe
 # ----------------------------------------------------------------------
@@ -363,26 +332,22 @@ def batch_set_sim_probe(
     index: ArrayIndex,
     measure: str,
     threshold: float,
-    skip=None,
 ):
     """Filter-verify a probe batch against an :class:`ArrayIndex`.
 
-    The columnar twin of :func:`repro.index.delta.probe_encoded`, row
-    for row: per probe row the candidate set (size window over rows
-    sharing a prefix token, minus tombstones), candidate count, survivor
-    set, scores, and right-position emission order all equal the scalar
-    kernel's exactly.
+    Per probe row the candidates are the corpus rows sharing a prefix
+    token inside the size window; survivors, scores and their
+    right-position order equal the brute-force join's exactly.
 
     ``true_sizes`` are the probes' true distinct-token counts (which can
-    exceed row nnz when queries carry out-of-universe tokens).  ``skip``
-    is an optional boolean mask over corpus positions (tombstones).
+    exceed row nnz when queries carry out-of-universe tokens).
 
-    Each product entry meets the size window, the tombstone mask, the
-    positional bound, then exact verification.  Returns ``(result_indptr,
-    positions, scores, candidate_counts, verified)``: flat survivor arrays
-    sorted by (probe row, corpus position), sliced per probe row by
+    Each product entry meets the size window, the positional bound,
+    then exact verification.  Returns ``(result_indptr, positions,
+    scores, candidate_counts, verified)``: flat survivor arrays sorted by
+    (probe row, corpus position), sliced per probe row by
     ``result_indptr``; per-row candidate counts taken before the
-    positional bound (post-window, post-skip); the number verified.
+    positional bound (post-window); the number verified.
     """
     n_probe = probe_matrix.shape[0]
     n_rows = index.n_rows
@@ -420,8 +385,6 @@ def batch_set_sim_probe(
         cols = cand.indices
         right_sizes = index.sizes[cols]
         keep = (right_sizes >= lower[rows]) & (right_sizes <= upper[rows])
-        if skip is not None:
-            keep &= ~skip[cols]
         candidate_counts[start:stop] = np.bincount(rows - start, keep, stop - start)
         if not counts_from_candidates:
             # Positional bound: the owner of the smaller last prefix id has its tail left.
@@ -452,22 +415,3 @@ def batch_set_sim_probe(
     scores = np.concatenate(out_scores)[order]
     return result_indptr, positions[order], scores, candidate_counts, verified
 
-
-def emit_matches(
-    result_indptr, positions, scores, keys: Sequence[Any]
-) -> list[list[tuple[Any, float]]]:
-    """Per-probe-row ``[(corpus key, score)]`` lists from flat survivor arrays.
-
-    ``.tolist()`` converts ``float64`` to the identical Python float, so
-    emitted scores match the scalar kernel's bit-for-bit.
-    """
-    position_list = positions.tolist()
-    score_list = scores.tolist()
-    boundaries = result_indptr.tolist()
-    return [
-        [
-            (keys[position_list[i]], score_list[i])
-            for i in range(boundaries[row], boundaries[row + 1])
-        ]
-        for row in range(len(boundaries) - 1)
-    ]

@@ -1,9 +1,11 @@
 """The float-rounding guard every filter bound shares.
 
-The size, overlap and prefix bounds of :mod:`repro.simjoin.filters`, their
-vector twins in :mod:`repro.perf.arrays` and the live index's scalar probe
-(:mod:`repro.index.delta`) all ceil float products; this module holds the
-one epsilon they ceil with.
+The size, overlap and prefix bounds of :mod:`repro.simjoin.filters` (which
+the live index in :mod:`repro.index.delta` reads) and their vector twins in
+:mod:`repro.perf.arrays` all ceil float products; this module holds the one
+epsilon they ceil with.  It stays apart from :mod:`repro.simjoin.filters`
+because :mod:`repro.perf.arrays` needs it and ``repro.simjoin`` imports the
+index store, which imports :mod:`repro.perf.arrays`.
 """
 
 from __future__ import annotations

@@ -66,6 +66,12 @@ class TokenUniverse:
         """The dense id of a known token (raises ``KeyError`` if unknown)."""
         return self._ids[token]
 
+    def known_ids(self, tokens: Iterable[str]) -> list[int]:
+        """The ids of the tokens this universe knows, unknown ones dropped
+        (unsorted)."""
+        ids = self._ids
+        return [ids[token] for token in tokens if token in ids]
+
     def decode(self, ids: Iterable[int]) -> list[str]:
         """Map ids back to tokens (debugging / explain output)."""
         return [self._tokens[i] for i in ids]

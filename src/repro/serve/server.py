@@ -4,16 +4,15 @@ A :class:`MatchServer` is the online half of the batch substrate.  At
 startup it builds a :class:`repro.index.LiveIndex` over one corpus
 column — its base segment runs the :class:`repro.index.IndexStore`
 chain (records → token sets → a corpus
-:class:`~repro.perf.tokens.TokenUniverse` and CSR encoding), shared by
-fingerprint with any batch join over the same content, and the live
-index derives its point-probe postings from that encoding — then answers
-``match(entity)`` point queries for as long as the process lives.  Queries are tokenized,
+:class:`~repro.perf.tokens.TokenUniverse` and CSR encoding → the
+probe-ready ``ArrayIndex``), shared by fingerprint with any batch
+self-join over the same content — then answers ``match(entity)`` point
+queries for as long as the process lives.  Queries are tokenized,
 encoded against the live token ordering (out-of-vocabulary tokens are
-dropped losslessly), and probed through
-:func:`repro.index.delta.probe_encoded` (a lone request) or the batched
-kernel the batch join runs (a micro-batch big enough to pay for it) —
-the two answer alike, so a served result is byte-identical to the
-matching rows of ``set_sim_join(queries, corpus, ...)``.
+dropped losslessly), and probed by the live index's one filter-verify
+routine, a lone request as a batch of one and a micro-batch in one
+call, so a served result is byte-identical to the matching rows of
+``set_sim_join(queries, corpus, ...)``.
 
 Because the index is live, the corpus is no longer frozen at startup:
 :meth:`MatchServer.upsert` and :meth:`MatchServer.delete` mutate the
@@ -238,8 +237,8 @@ class MatchServer:
         chain (the corpus self-paired through ``pair_encoding(tc, tc)``,
         which preserves the frequency-then-lexical ranking), so a batch
         self-join over the same corpus content shares its records,
-        token sets and encoding; the live index derives the id tuples
-        and dict postings point probes read.
+        token sets, encoding and ``arrayindex``: warm-up after one
+        builds nothing.
         """
         self._live = LiveIndex.from_table(
             self.corpus,
@@ -379,12 +378,12 @@ class MatchServer:
         )
         registry.counter("serve_batches_total").inc()
         with trace_span("serve_batch", size=len(batch)):
-            # One batched kernel call for the whole micro-batch: this is
-            # the payoff of the batching queue — the base segment is
-            # probed once, columnar, for every request in the batch.
+            # One probe call for the whole micro-batch: this is the
+            # payoff of the batching queue — each segment is probed
+            # once, columnar, for every request in the batch.
             # Per-request error isolation is preserved by falling back
-            # to the scalar per-request path if the batched call fails;
-            # every such fallback is counted by exception class.
+            # to one probe per request if the batched call fails; every
+            # such fallback is counted by exception class.
             searched = None
             if len(batch) > 1:
                 try:
@@ -428,7 +427,7 @@ class MatchServer:
     def _match_one(
         self, value: Any, top_k: int | None
     ) -> tuple[list[tuple[Any, float]], int]:
-        """One point query through the shared filter-verify kernel."""
+        """One point query through the live index's filter-verify routine."""
         matches, n_candidates = self._live.search(value)
         return self._rank(matches, n_candidates, top_k)
 

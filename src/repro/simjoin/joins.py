@@ -16,9 +16,9 @@ comparison, and exact overlaps are computed only at the surviving pairs.
 :func:`edit_distance_join` encodes each string's q-gram bag as a set of
 occurrence-tagged grams and runs the kernel's ``"qgram_count"`` bound
 (the q-gram count filter), then verifies with batched Levenshtein.
-The scalar form of the same filter-verify step (dict postings, a
-merge scan) serves only :class:`repro.index.delta.LiveIndex` point
-probes and lives there.  Both joins accept ``n_jobs`` and fan the probe
+:class:`repro.index.delta.LiveIndex` probes the same ``ArrayIndex``
+with its own numpy filter-verify routine, for batches of any size
+including one.  Both joins accept ``n_jobs`` and fan the probe
 rows out over a process pool in contiguous spans whose survivor arrays
 are concatenated in order, so parallel output is byte-identical to
 serial.  Every join hands its output over as columns: one

@@ -332,19 +332,21 @@ class TestStoreSpans:
         with use_registry() as registry, use_tracer() as tracer:
             with trace_span("cold"):
                 LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
-            # Records, tokens and encoding only: the live index derives
-            # its id tuples and dict postings itself.
+            # The store's chain through the arrayindex the live probe reads.
             assert gets(tracer, "cold") == {
                 "records": "build", "tokens": "build", "encoding": "build",
+                "arrayindex": "build",
             }
-            for kind in ("records", "tokens", "encoding"):
+            for kind in ("records", "tokens", "encoding", "arrayindex"):
                 assert counter_total(registry, "index_builds_total", kind=kind) == 1
         with use_registry() as registry, use_tracer() as tracer:
             with trace_span("warm"):
                 LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
-            assert gets(tracer, "warm") == {"tokens": "memory", "encoding": "memory"}
+            assert gets(tracer, "warm") == {
+                "tokens": "memory", "encoding": "memory", "arrayindex": "memory",
+            }
             assert counter_total(registry, "index_builds_total") == 0
-            assert counter_total(registry, "index_reuses_total", tier="memory") == 2
+            assert counter_total(registry, "index_reuses_total", tier="memory") == 3
 
     def test_a_disk_hit_is_labelled_disk(self, tmp_path):
         from repro.obs import use_tracer

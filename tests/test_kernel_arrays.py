@@ -1,12 +1,12 @@
-"""Equivalence suite: the batched CSR kernels against their oracles.
+"""Equivalence suite: the CSR kernels against their oracles.
 
-The acceptance bar is *byte identity*.  A batch join is compared with the
-brute-force ``naive_set_sim_join`` — rows, scores (same float bits) and
-output order — and the batched probe with the live index's scalar
-``probe_encoded`` per query, the contract between the two paths a live index chooses
-between.  The hypothesis suites below drive randomized corpora through
-both sides and compare with plain ``==`` — which, on floats, is the
-bit-identity check.
+The acceptance bar is *byte identity*.  A batch join, and the live
+index's probe at any batch size, are compared with the brute-force
+``naive_set_sim_join`` — rows, scores (same float bits) and output
+order — and the live probe's candidate counts with a brute-force
+counter (``tests.test_live_index.brute_candidates``).  The hypothesis
+suites below drive randomized corpora through both sides and compare
+with plain ``==`` — which, on floats, is the bit-identity check.
 """
 
 from __future__ import annotations
@@ -19,27 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.index.delta as delta_module
 import repro.perf.arrays as arrays_module
-from repro.index.delta import (
-    LiveIndex,
-    build_array_records,
-    make_overlap_bound,
-    make_scorer,
-    prefix_postings,
-    probe_encoded,
-    probe_encoded_batch,
-    record_tuples,
-)
-from repro.index.store import get_index_store
+from repro.index.delta import LiveIndex
+from repro.index.store import use_index_store
 from repro.obs import use_registry
-from repro.perf.arrays import BATCH_MIN_INDEX_ROWS, BATCH_MIN_PROBE_ROWS
 from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
 from repro.perf.tokens import TokenUniverse
 from repro.simjoin import naive_set_sim_join, set_sim_join
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 from repro.text.vectorize import cosine, l2_normalize
+from tests.test_live_index import brute_candidates
 
 # Small shared alphabet so random tables actually collide.
 WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
@@ -114,6 +104,20 @@ def _live_join_rows(ltable, rtable, measure, threshold):
     return _rows(live.join_table(ltable, "id", "v"))
 
 
+def assert_live_probe_like_naive(live: LiveIndex, values: list) -> None:
+    """``search_batch(values)`` and ``search`` per value: the naive join's
+    matches over the live records, and brute-force candidate counts."""
+    probe = _table("q", values)
+    naive = _naive_rows(probe, live.to_table(), live.measure, live.threshold)
+    expected = [
+        [(key, score) for qid, key, score in naive if qid == f"q{i}"]
+        for i in range(len(values))
+    ]
+    counts = [brute_candidates(live, value) for value in values]
+    assert live.search_batch(values) == list(zip(expected, counts))
+    assert [live.search(value) for value in values] == list(zip(expected, counts))
+
+
 class TestJoinEquivalence:
     """set_sim_join == the brute-force oracle, bit for bit."""
 
@@ -143,8 +147,8 @@ class TestJoinEquivalence:
 
     def test_forked_equals_serial_equals_dict(self):
         # Big enough to clear the MIN_FORK_ITEMS gate, so n_jobs=2
-        # genuinely forks the probe shards.  "dict" is the scalar probe
-        # over dict postings, reached through LiveIndex.join_table.
+        # genuinely forks the probe shards.  "dict" in the name is the
+        # live index's probe, reached through LiveIndex.join_table.
         left = [" ".join(WORDS[i % 3 : i % 3 + 3]) for i in range(120)]
         right = [" ".join(WORDS[i % 5 : i % 5 + 2]) for i in range(150)]
         ltable, rtable = _table("l", left), _table("r", right)
@@ -157,19 +161,7 @@ class TestJoinEquivalence:
 
 
 class TestProbeBatchEquivalence:
-    """probe_encoded_batch == per-query probe_encoded, counts included."""
-
-    def _index_parts(self, right, measure, threshold):
-        store = get_index_store()
-        rtable = _table("r", right)
-        tokenizer = WhitespaceTokenizer(return_set=True)
-        encoding = store.pair_encoding(
-            store.tokenized_column(rtable, "id", "v", tokenizer),
-            store.tokenized_column(rtable, "id", "v", tokenizer),
-        )
-        dict_index = prefix_postings(encoding.right, measure, threshold)
-        array_index = store.array_index(encoding, measure, threshold)
-        return record_tuples(encoding.right), dict_index, array_index
+    """The live probe == the naive join, counts == brute force."""
 
     @given(
         values_strategy,
@@ -179,30 +171,19 @@ class TestProbeBatchEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_scalar(self, right, mt, oov):
         measure, threshold = mt
-        right_enc, dict_index, array_index = self._index_parts(
-            right, measure, threshold
-        )
-        scorer = make_scorer(measure)
-        bound = make_overlap_bound(measure, threshold)
-        # Queries: each corpus record probed back at itself, with `oov`
-        # phantom tokens inflating the true size (the serving contract
-        # for query tokens outside the corpus universe) — plus the empty
-        # query and an all-OOV query.
-        queries = [(ids, len(ids) + oov) for _, ids in right_enc]
-        queries += [((), 0), ((), 2)]
-        skip = {0, 2} if len(right_enc) > 2 else None
-        expected = [
-            probe_encoded(
-                ids, size, dict_index, right_enc,
-                scorer, bound, measure, threshold, skip=skip,
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                _table("r", right), "id", "v", measure=measure, threshold=threshold
             )
-            for ids, size in queries
-        ]
-        got, verified = probe_encoded_batch(
-            queries, array_index, measure, threshold, skip=skip
-        )
-        assert got == expected
-        assert verified <= sum(count for _, count in got)
+            # Queries: each corpus value probed back with `oov` phantom
+            # tokens inflating the true size (query tokens outside the
+            # corpus universe), plus the empty query and an all-OOV query.
+            phantoms = " ".join(f"oov{i}" for i in range(oov))
+            queries = [f"{value or ''} {phantoms}" for value in right]
+            queries += ["", "oov0 oov1"]
+            if len(right) > 2:
+                live.delete_many(["r0", "r2"])
+            assert_live_probe_like_naive(live, queries)
 
 
 CLOSED_VOCAB = [f"t{i}" for i in range(30)]
@@ -234,9 +215,9 @@ class TestPositionalBound:
     """The positional bound prunes before verification, never an answer.
 
     A closed vocabulary makes most pairs share a prefix token, so the
-    bound has candidates to drop; the oracles are the brute-force join
-    and, per probe row, the scalar ``probe_encoded`` (whose candidate
-    counts the batched kernel must keep).
+    bound has candidates to drop; the oracle is the brute-force join,
+    which the live probe (no positional bound) must match too, its
+    candidate counts equal to the brute-force counter's.
     """
 
     @given(closed_side, closed_side, st.sampled_from(BOUND_CASES))
@@ -256,26 +237,11 @@ class TestPositionalBound:
         # Whole records: the product already holds exact overlaps, no bound.
         assert (verified == candidates) if whole else (verified <= candidates)
 
-        store = get_index_store()
-        tokenizer = WhitespaceTokenizer(return_set=True)
-        encoding = store.pair_encoding(
-            store.tokenized_column(ltable, "id", "v", tokenizer),
-            store.tokenized_column(rtable, "id", "v", tokenizer),
-        )
-        dict_index = prefix_postings(encoding.right, measure, threshold)
-        array_index = store.array_index(encoding, measure, threshold)
-        queries = [(ids, len(ids)) for _, ids in record_tuples(encoding.left)]
-        scorer = make_scorer(measure)
-        bound = make_overlap_bound(measure, threshold)
-        batched, _ = probe_encoded_batch(queries, array_index, measure, threshold)
-        right_enc = record_tuples(encoding.right)
-        assert batched == [
-            probe_encoded(
-                ids, size, dict_index, right_enc,
-                scorer, bound, measure, threshold,
+        with use_index_store():
+            live = LiveIndex.from_table(
+                rtable, "id", "v", measure=measure, threshold=threshold
             )
-            for ids, size in queries
-        ]
+            assert_live_probe_like_naive(live, left)
 
     def test_dense_join_verifies_a_minority_of_candidates(self):
         # 400 x 400 records of 6-10 tokens from 40: nearly every pair
@@ -349,7 +315,7 @@ class TestHotTokenRegime:
             )
         assert self.chunks > 1
         assert got == _naive_rows(ltable, rtable, measure, threshold)
-        # The scalar probe over dict postings, and the forked batched one.
+        # The live probe, chunked on the same rule, and the forked join.
         assert got == _live_join_rows(ltable, rtable, measure, threshold)
         assert got == _join_rows(ltable, rtable, measure, threshold, n_jobs=2)
         hot_pairs = sum("hot" in v for v in ltable.column("v")) * sum(
@@ -363,33 +329,22 @@ class TestHotTokenRegime:
     def test_probe_batch_with_tombstones_and_foreign_tokens(
         self, measure, threshold, tombstones
     ):
-        store = get_index_store()
         rtable = _table("r", self._values(180, seed=3))
-        tokenizer = WhitespaceTokenizer(return_set=True)
-        column = store.tokenized_column(rtable, "id", "v", tokenizer)
-        encoding = store.pair_encoding(column, column)
-        dict_index = prefix_postings(encoding.right, measure, threshold)
-        array_index = store.array_index(encoding, measure, threshold)
-        dim = array_index.dim
-        # Each corpus record probed back with two live-index extension
-        # ids (>= dim, sorted to the tail) and one out-of-universe token
-        # that only inflates the true size.
-        right_enc = record_tuples(encoding.right)
-        queries = [(ids + (dim + 3, dim + 7), len(ids) + 3) for _, ids in right_enc]
-        skip = set(range(0, len(right_enc), 7)) if tombstones else None
-        scorer = make_scorer(measure)
-        bound = make_overlap_bound(measure, threshold)
-        expected = [
-            probe_encoded(
-                ids, size, dict_index, right_enc, scorer, bound,
-                measure, threshold, skip,
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                rtable, "id", "v", measure=measure, threshold=threshold
             )
-            for ids, size in queries
-        ]
-        got, _ = probe_encoded_batch(queries, array_index, measure, threshold, skip)
+            # Two tokens the index learns through upserts (extension ids,
+            # sorted to the tail of every row) and one it never sees,
+            # which only inflates the true size.
+            live.upsert_many([("x1", "w1 fresh1 fresh2"), ("x2", "hot fresh2")])
+            if tombstones:
+                live.delete_many(f"r{i}" for i in range(0, 180, 7))
+            queries = [f"{value} fresh1 fresh2 foreign" for value in rtable.column("v")]
+            self.chunks = 0
+            assert_live_probe_like_naive(live, queries)
         assert self.chunks > 1
-        assert got == expected
-        assert any(matches for matches, _ in got)
+        assert any(matches for matches, _ in live.search_batch(queries))
 
 
 class TestArrayIndexLayoutVersion:
@@ -469,7 +424,7 @@ class TestArrayIndexLayoutVersion:
             encoding = store.pair_encoding(column, column)
             assert isinstance(encoding.right, ArrayRecords)
             # delta is the rarest token; alpha, beta, gamma tie and go lexically.
-            assert record_tuples(encoding.right) == [
+            assert csr_rows(encoding.right) == [
                 ("r0", (1, 2)), ("r1", (1, 3)), ("r2", (0, 2, 3))
             ]
             assert registry.get("index_disk_errors_total", kind="encoding").value == 1
@@ -479,8 +434,8 @@ class TestArrayIndexLayoutVersion:
             # warm-loads it and builds nothing.
             warm = IndexStore(cache_dir=tmp_path)
             warm_column = warm.tokenized_column(rtable, "id", "v", tokenizer)
-            assert record_tuples(warm.pair_encoding(warm_column, warm_column).right) == (
-                record_tuples(encoding.right)
+            assert csr_rows(warm.pair_encoding(warm_column, warm_column).right) == (
+                csr_rows(encoding.right)
             )
             assert registry.get("index_builds_total", kind="encoding").value == 1
             assert registry.get("index_reuses_total", kind="encoding", tier="disk").value == 1
@@ -506,7 +461,8 @@ def scalar_chain(left, right, measure, threshold):
     """The tuple-building chain the array encoder replaced: the oracle.
 
     ``TokenUniverse`` over both sides' records, ``encode`` per record,
-    and dict postings built one ``setdefault`` at a time.
+    and dict postings built one ``setdefault`` at a time, as token ->
+    sorted row positions.
     """
     from repro.simjoin.filters import prefix_length
 
@@ -528,7 +484,38 @@ def scalar_chain(left, right, measure, threshold):
     for token, pairs in postings.items():
         pairs.sort()
         index[token] = ([size for size, _ in pairs], [position for _, position in pairs])
-    return universe, encoded[0], encoded[1], index
+    return universe, encoded[0], encoded[1], {
+        token: sorted(positions) for token, (_, positions) in index.items()
+    }
+
+
+def csr_rows(records) -> list[tuple]:
+    """``[(key, ids)]`` of an ``ArrayRecords``/``ArrayIndex``'s rows."""
+    matrix = records.matrix
+    bounds = matrix.indptr.tolist()
+    return [
+        (key, tuple(matrix.indices[start:stop].tolist()))
+        for key, start, stop in zip(records.keys, bounds, bounds[1:])
+    ]
+
+
+def oracle_records(enc: list[tuple], dim: int):
+    """``[(key, ids)]`` rows as an ``ArrayRecords`` (dim columns)."""
+    from repro.perf.arrays import take_rows
+
+    lengths = np.array([len(ids) for _, ids in enc], dtype=np.int64)
+    indices = np.array([token for _, ids in enc for token in ids], dtype=np.int64)
+    return take_rows("oracle", [key for key, _ in enc], lengths, indices, np.arange(len(enc)), dim)
+
+
+def prefix_postings_of(index) -> dict[int, list[int]]:
+    """Token -> row positions of an ``ArrayIndex``'s prefix incidence."""
+    heads = index.prefix_t.indptr.tolist()
+    return {
+        token: index.prefix_t.indices[start:stop].tolist()
+        for token, (start, stop) in enumerate(zip(heads, heads[1:]))
+        if stop > start
+    }
 
 
 def assert_same_csr(got, expected):
@@ -563,19 +550,17 @@ class TestArrayEncodingMatchesTheScalarChain:
         n = len(universe)
         assert len(encoding.universe) == n
         assert encoding.universe.decode(range(n)) == universe.decode(range(n))
-        assert record_tuples(encoding.left) == left_enc
-        assert record_tuples(encoding.right) == right_enc
+        assert csr_rows(encoding.left) == left_enc
+        assert csr_rows(encoding.right) == right_enc
         for side, enc in ((encoding.left, left_enc), (encoding.right, right_enc)):
-            expected = build_array_records("oracle", enc, n)
+            expected = oracle_records(enc, n)
             assert_same_csr(side.matrix, expected.matrix)
             assert side.keys == expected.keys and side.dim == expected.dim
             assert side.sizes.dtype == expected.sizes.dtype
             assert side.sizes.tolist() == expected.sizes.tolist()
-        assert prefix_postings(encoding.right, measure, threshold) == index
         got = store.array_index(encoding, measure, threshold)
-        expected = build_array_index(
-            "oracle", build_array_records("oracle", right_enc, n), measure, threshold
-        )
+        assert prefix_postings_of(got) == index
+        expected = build_array_index("oracle", oracle_records(right_enc, n), measure, threshold)
         assert_same_csr(got.matrix, expected.matrix)
         assert_same_csr(got.prefix_t, expected.prefix_t)
         assert got.keys == expected.keys and got.dim == expected.dim
@@ -599,45 +584,8 @@ class TestArrayEncodingMatchesTheScalarChain:
         universe, _, right_enc, index = scalar_chain(column, column, measure, threshold)
         base = live._base
         assert base.universe.decode(range(len(universe))) == universe.decode(range(len(universe)))
-        assert base.enc == right_enc
-        assert base.index == index
-
-    def test_tuples_share_one_int_object_per_id(self):
-        records = build_array_records("k", [("a", (300, 400)), ("b", (300, 500))], 600)
-        (_, first), (_, second) = record_tuples(records)
-        assert first[0] == second[0] == 300
-        assert first[0] is second[0]
-
-    def test_only_the_live_index_turns_rows_into_tuples(self, monkeypatch):
-        from pathlib import Path
-
-        import repro
-        from repro.blocking import OverlapBlocker
-        from repro.index.store import IndexStore, use_index_store
-
-        calls = []
-
-        def counting(records):
-            calls.append(records)
-            return record_tuples(records)
-
-        monkeypatch.setattr(delta_module, "record_tuples", counting)
-        left = _table("l", [" ".join(WORDS[i % 4 : i % 4 + 3]) for i in range(40)])
-        right = _table("r", [" ".join(WORDS[i % 5 : i % 5 + 2]) for i in range(50)])
-        with use_registry(), use_index_store():
-            for n_jobs in (1, 2):
-                assert _join_rows(left, right, "jaccard", 0.4, n_jobs=n_jobs)
-            OverlapBlocker("v", overlap_size=1).block_tables(left, right, "id", "id")
-            assert calls == []
-            LiveIndex.from_table(right, "id", "v", threshold=0.4, store=IndexStore())
-            assert len(calls) == 1
-        src = Path(repro.__file__).parent
-        callers = {
-            path.relative_to(src).as_posix()
-            for path in src.rglob("*.py")
-            if "record_tuples(" in path.read_text(encoding="utf-8")
-        }
-        assert callers == {"index/delta.py"}
+        assert csr_rows(base.index) == right_enc
+        assert prefix_postings_of(base.index) == index
 
 
 sparse_vector = st.dictionaries(
@@ -715,7 +663,7 @@ class TestAnnEquivalence:
 
 
 class TestLiveIndexEquivalence:
-    """LiveIndex batched mutation/probe == scalar, per record."""
+    """LiveIndex batched mutation/probe == one record at a time."""
 
     def _base(self):
         values = [" ".join(WORDS[i % 4 : i % 4 + 3]) for i in range(80)]
@@ -724,8 +672,8 @@ class TestLiveIndexEquivalence:
     @given(values_strategy)
     @settings(max_examples=15, deadline=None)
     def test_search_batch(self, queries):
-        # Hypothesis batches are up to 25 values: both sides of the
-        # 16-row line.
+        # Hypothesis batches are up to 25 values, with duplicates and
+        # missing values among them.
         live = LiveIndex.from_table(self._base(), "id", "v", threshold=0.4)
         live.upsert("x1", "alpha beta newtoken")
         live.delete("b3")
@@ -740,7 +688,10 @@ class TestLiveIndexEquivalence:
         many = LiveIndex.from_table(self._base(), "id", "v", threshold=0.4, name="b")
         indexed = sum(one.upsert(k, v) for k, v in items)
         assert many.upsert_many(items) == indexed
-        assert one._delta.postings == many._delta.postings
+        assert one._delta.posting_lists == many._delta.posting_lists
+        assert one._delta.indices[: one._delta.nnz].tolist() == (
+            many._delta.indices[: many._delta.nnz].tolist()
+        )
         removed = sum(one.delete(k) for k in ["n1", "n2", "missing", "b0"])
         assert many.delete_many(["n1", "n2", "missing", "b0"]) == removed
         probes = ["alpha beta", "gamma delta eps", "", None, "zeta"]
@@ -748,7 +699,7 @@ class TestLiveIndexEquivalence:
 
 
 class TestServerEquivalence:
-    """A micro-batched MatchServer answers exactly like a scalar one."""
+    """A micro-batched MatchServer answers exactly like a one-by-one one."""
 
     def test_batched_results_equal_scalar(self):
         from repro.serve import MatchServer, ServeConfig
@@ -780,8 +731,9 @@ class TestServerEquivalence:
                     (p.result().candidates, p.result().n_candidates)
                     for p in pending
                 ]
-                batched = registry.get("kernel_batch_calls_total", op="live_search")
-                assert (batched is not None) == (max_batch == 64)
+                # Every probe is counted: one per request, or one per batch.
+                probes = registry.get("kernel_batch_calls_total", op="live_search")
+                assert probes.value == (len(queries) if max_batch == 1 else 1)
             # Served answers are the batch join's rows, per query.
             served = [
                 (f"q{i}", r_id, score)
@@ -804,34 +756,8 @@ class TestServerEquivalence:
             assert [key for key, _ in pending.result().candidates] == ["u1"]
 
 
-class TestBatchingRule:
-    """The one path choice left, seen through what the code counts."""
-
-    def test_boundary_rows_through_live_search_counter(self):
-        def corpus(n):
-            return Table({"id": [f"b{i}" for i in range(n)], "v": ["alpha beta"] * n})
-
-        lo_q, hi_q = BATCH_MIN_PROBE_ROWS - 1, BATCH_MIN_PROBE_ROWS
-        lo_c, hi_c = BATCH_MIN_INDEX_ROWS - 1, BATCH_MIN_INDEX_ROWS
-        assert (hi_q, hi_c) == (16, 64)
-        for n_queries, n_corpus, batched in [
-            (lo_q, hi_c, False),
-            (hi_q, lo_c, False),
-            (hi_q, hi_c, True),
-        ]:
-            live = LiveIndex.from_table(corpus(n_corpus), "id", "v", name="edge")
-            with use_registry() as registry:
-                # Missing values are not probes: they never count toward the line.
-                answers = live.search_batch(["alpha beta"] * n_queries + [None])
-                calls = registry.get("kernel_batch_calls_total", op="live_search")
-                paths = {
-                    path: registry.get("index_search_batches_total", index="edge", path=path)
-                    for path in ("scalar", "batched")
-                }
-            assert (calls is not None) == batched
-            assert paths["batched" if batched else "scalar"].value == 1
-            assert paths["scalar" if batched else "batched"] is None
-            assert answers == [live.search("alpha beta")] * n_queries + [([], 0)]
+class TestNoKernelKnob:
+    """One probe path per caller, so there is nothing to choose."""
 
     def test_kernel_is_nowhere_to_set(self):
         import inspect

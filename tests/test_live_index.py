@@ -24,7 +24,9 @@ from repro.blocking import OverlapBlocker
 from repro.exceptions import ConfigurationError, KeyConstraintError, ServiceError
 from repro.index import IndexStore, LiveIndex, list_live_indexes, use_index_store
 from repro.obs import use_registry, use_tracer
-from repro.simjoin import set_sim_join
+from repro.perf.kernels import BOUND_EPS
+from repro.simjoin import naive_set_sim_join, set_sim_join
+from repro.simjoin.filters import prefix_length, size_bounds
 from repro.table import Table
 from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
 
@@ -147,6 +149,72 @@ OPS = st.lists(
     min_size=0,
     max_size=20,
 )
+
+
+def brute_candidates(live: LiveIndex, value) -> int:
+    """The live probe's candidate count for ``value``, by brute force.
+
+    A candidate is a live record in the query's size window that shares
+    a prefix token with it, both prefixes taken under the live token
+    order: base universe ids, then the delta's extension ids.
+    """
+    prepared = live._prepare(value)
+    if prepared is None:
+        return 0
+    query = set(live.tokenizer.tokenize(prepared))
+    universe, ext = live._base.universe, live._delta.ext_ids
+
+    def prefix(tokens: set) -> set:
+        ids = sorted(
+            universe.token_id(token) if token in universe else ext[token]
+            for token in tokens
+            if token in universe or token in ext
+        )
+        return set(ids[: prefix_length(live.measure, live.threshold, len(tokens))])
+
+    if not query:
+        return 0
+    lower, upper = size_bounds(live.measure, live.threshold, len(query))
+    shared = prefix(query)
+    count = 0
+    for _, row_value in live.records():
+        row = set(live.tokenizer.tokenize(row_value))
+        if lower <= len(row) <= upper + BOUND_EPS and shared & prefix(row):
+            count += 1
+    return count
+
+
+def assert_read_paths_agree(live: LiveIndex, values) -> None:
+    """Every read path answers like brute force, for every value.
+
+    ``search`` == ``search_batch`` at batch sizes 1, 2, 17 and all ==
+    ``join_table`` == ``naive_set_sim_join`` over ``to_table()`` (keys,
+    order and floats), and each candidate count equals
+    :func:`brute_candidates`.
+    """
+    values = list(values)
+    singles = [live.search(value) for value in values]
+    for size in (1, 2, 17, len(values)):
+        batched = [
+            answer
+            for start in range(0, len(values), size)
+            for answer in live.search_batch(values[start : start + size])
+        ]
+        assert batched == singles
+    probe = Table({"qid": list(range(len(values))), "txt": values})
+    naive = naive_set_sim_join(
+        probe, live.to_table(), "qid", live.key, "txt", live.column,
+        live.tokenizer, live.measure, live.threshold,
+    )
+    joined = live.join_table(probe, "qid", "txt")
+    assert [joined.column(c) for c in joined.columns] == [
+        naive.column(c) for c in naive.columns
+    ]
+    expected: list[list] = [[] for _ in values]
+    for qid, key, score in zip(naive["l_id"], naive["r_id"], naive["score"]):
+        expected[qid].append((key, score))
+    assert [matches for matches, _ in singles] == expected
+    assert [count for _, count in singles] == [brute_candidates(live, v) for v in values]
 
 
 class TestIncrementalEqualsRebuilt:
@@ -296,6 +364,36 @@ class TestLiveSemantics:
                     Table({"id": ["a", "a"], "v": ["x y", "y z"]}),
                     "id", "v", threshold=0.4,
                 )
+
+    @pytest.mark.parametrize("key", [None, float("nan")], ids=["none", "nan"])
+    def test_missing_key_rejected_at_every_entry_point(self, key):
+        """A ``None`` or NaN key would index a record no delete can reach
+        (NaN is unequal to itself): every way in refuses it, and a batch
+        holding one applies nothing."""
+        from repro.pipeline import StreamingDeduper
+        from repro.serve import MatchServer, ServeConfig
+
+        with use_registry(), use_index_store():
+            with pytest.raises(KeyConstraintError):
+                LiveIndex.from_table(
+                    Table({"id": ["a", key], "v": ["x y", "y z"]}), "id", "v", threshold=0.4
+                )
+            live = LiveIndex.from_table(make_table(5), "id", "v", threshold=0.4)
+            before = (live.records(), live.stats())
+            with pytest.raises(KeyConstraintError):
+                live.upsert_many([("n1", "dave smith"), (key, "dave smith")])
+            with pytest.raises(KeyConstraintError):
+                live.upsert(key, "dave smith")
+            assert (live.records(), live.stats()) == before
+            config = ServeConfig(threshold=0.4, workers=0)
+            with MatchServer(make_table(5), "id", "v", config=config) as server:
+                with pytest.raises(KeyConstraintError):
+                    server.upsert(key, "dave smith")
+                assert server.stats()["delta_rows"] == 0
+            deduper = StreamingDeduper(threshold=0.4)
+            with pytest.raises(KeyConstraintError):
+                deduper.add(key, "dave smith")
+            assert deduper.stats()["records"] == 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -538,34 +636,34 @@ class TestFold:
             assert_answers_like_rebuild(live, PROBES)
 
     def test_array_index_carried_across_folds(self):
-        """A base whose ArrayIndex was built hands its successor one,
-        built during the fold — not under the lock on the next batch."""
-        probes = PROBES * 2  # enough rows, on both sides, to probe batched
-        with use_registry(), use_index_store():
-            live = LiveIndex.from_table(make_table(80), "id", "v", threshold=0.4)
-            assert live._base.array_index is None  # lazy until a batched probe
-            live.search_batch(PROBES)
-            assert live._base.array_index is None  # a small batch stays scalar
-            live.search_batch(probes)
-            assert live._base.array_index is not None
+        """The constructor's base probes the store's shared ArrayIndex,
+        built with the base; each fold hands its successor a private
+        one, built during the fold, never under the lock on a probe."""
+        probes = PROBES * 2
+        table = make_table(80)
+        with use_registry(), use_index_store() as store:
+            live = LiveIndex.from_table(table, "id", "v", threshold=0.4)
+            column = store.tokenized_column(table, "id", "v", live.tokenizer)
+            encoding = store.pair_encoding(column, column)
+            assert live._base.index is store.array_index(encoding, "jaccard", 0.4)
             for batch in range(2):
                 live.upsert(f"n{batch}", FRESH[batch])
                 live.upsert(f"b{batch + 10}", "dave quentin smith")
                 live.delete(f"b{batch}")
                 live.compact()
                 folded = live._base
-                assert folded.encoding is None
-                assert folded.array_index is not None
-                assert folded.array_index.dim == len(folded.universe)
+                assert folded.index.dim == len(folded.universe)
+                assert folded.index.n_rows == len(folded.records)
                 assert_answers_like_rebuild(live, probes)
-                assert live._base is folded and live._base.array_index is not None
+                assert live._base is folded
 
     def test_positional_bound_after_fold_tombstones_and_foreign_tokens(self):
-        """The batched probe's positional bound over a folded base: new
-        tokens hold ids appended after the kept order, some base rows are
-        tombstoned, and queries carry tokens outside the universe (true
-        size > probe nnz).  Every answer and candidate count equals the
-        scalar ``search``, and the bound prunes verification."""
+        """The live probe over a folded base: new tokens hold ids
+        appended after the kept order, some base rows are tombstoned,
+        and queries carry tokens outside the universe (true size > probe
+        nnz).  Every answer and candidate count equals ``search``'s, and
+        the live probe has no positional bound: every window-passing
+        candidate is verified."""
         rng = random.Random(11)
         vocab = [f"w{i}" for i in range(25)]
 
@@ -589,7 +687,7 @@ class TestFold:
             assert answers == [live.search(query) for query in queries]
             assert sum(bool(matches) for matches, _ in answers) > 10
             assert live.stats()["delta_rows"] == 0  # every candidate is a base row
-            assert 0 < verified.value < candidates.value
+            assert 0 < verified.value == candidates.value
 
     # The scalar probe's one verification kernel is the merge scan.
     @pytest.mark.parametrize("verification", ["merge"])
@@ -878,8 +976,8 @@ class TestPersistence:
             live.save()
             kinds = {row["kind"] for row in store.disk_artifacts()}
             assert "live" not in kinds
-            # The id tuples and dict postings are the live index's own.
-            assert kinds == {"records", "tokens", "encoding"}
+            # The base is the store's chain, through the probe-ready index.
+            assert kinds == {"records", "tokens", "encoding", "arrayindex"}
 
 
 class TestBlockerIntegration:
@@ -983,3 +1081,80 @@ class TestObservability:
             )
             for value in VALUES:
                 assert live.search(value)[0] == rebuilt.search(value)[0]
+
+
+# Base rows draw on the first words only: the rest reach the index
+# through upserts (extension ids), and "yolanda" never does.
+HARNESS_WORDS = ["dave", "dan", "smith", "joe", "wilson", "mary", "quentin", "xu"]
+harness_value = st.one_of(
+    st.just(None),
+    st.just(""),
+    st.just("   "),
+    st.lists(st.sampled_from(HARNESS_WORDS), min_size=1, max_size=4).map(" ".join),
+)
+HARNESS_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("upsert"),
+            st.sampled_from([f"b{i}" for i in range(6)] + KEYS[:5]),
+            harness_value,
+        ),
+        st.tuples(st.just("delete"), st.sampled_from([f"b{i}" for i in range(6)] + KEYS[:5])),
+        st.tuples(st.just("compact")),
+    ),
+    max_size=25,
+)
+HARNESS_PROBES = [
+    None, "", "  ", "dave smith", "dave smith", "dan smith joe", "quentin xu",
+    "xu", "mary wilson dave", "yolanda", "yolanda dave smith", "joe wilson mary dan",
+]
+
+
+class TestReadPathDifferential:
+    """One differential harness for the live read path: after any
+    sequence of upserts, deletes, folds and re-ranks, under all four
+    measures, every read path equals brute force (see
+    :func:`assert_read_paths_agree`)."""
+
+    @given(
+        base=st.lists(
+            st.one_of(
+                st.just(None),
+                st.lists(st.sampled_from(HARNESS_WORDS[:6]), min_size=1, max_size=4).map(
+                    " ".join
+                ),
+            ),
+            max_size=6,
+        ),
+        ops=HARNESS_OPS,
+        mt=st.sampled_from([("jaccard", 0.5), ("cosine", 0.6), ("dice", 0.5), ("overlap", 2)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_read_path_equals_brute_force(self, base, ops, mt):
+        measure, threshold = mt
+        table = Table({"id": [f"b{i}" for i in range(len(base))], "v": base})
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                table, "id", "v", measure=measure, threshold=threshold, store=IndexStore()
+            )
+            for op in ops:
+                apply_op(live, {}, op)
+                if op[0] == "compact":
+                    assert_read_paths_agree(live, HARNESS_PROBES)
+            assert_read_paths_agree(live, HARNESS_PROBES)
+
+    def test_folds_and_reranks_both_checked(self):
+        with use_registry() as registry, use_index_store():
+            live = LiveIndex.from_table(make_table(8), "id", "v", threshold=0.5, name="h")
+            live.upsert_many([("n1", "quentin xu"), ("b1", "dave xu"), ("n2", None)])
+            live.delete("b2")
+            assert_read_paths_agree(live, HARNESS_PROBES)
+            live.compact()
+            assert compaction_modes(registry, "h") == {"fold": 1, "rebuild": 0}
+            assert_read_paths_agree(live, HARNESS_PROBES)
+            live.upsert_many((f"m{i}", "dave quentin") for i in range(8))
+            live.delete("n1")
+            assert_read_paths_agree(live, HARNESS_PROBES)
+            live.compact()
+            assert compaction_modes(registry, "h") == {"fold": 1, "rebuild": 1}
+            assert_read_paths_agree(live, HARNESS_PROBES)

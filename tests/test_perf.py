@@ -2,9 +2,9 @@
 
 Two guarantees are enforced here:
 
-* the integer-kernel filtered join — the batched one and the scalar
-  probe (merge-scan verification) — equals the brute-force reference
-  across every measure and threshold, for self-joins and two-table joins;
+* the integer-kernel filtered join — the batched one and the live
+  index's probe — equals the brute-force reference across every measure
+  and threshold, for self-joins and two-table joins;
 * every ``n_jobs``-parallelized entry point produces output
   byte-identical to its serial run (``Table.__eq__`` compares the full
   column data, so equality means same columns, same values, same order).
@@ -13,6 +13,7 @@ Two guarantees are enforced here:
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.blocking import (
@@ -25,7 +26,7 @@ from repro.blocking import (
 )
 import repro.index.delta as delta_module
 from repro.exceptions import ConfigurationError, SchemaError
-from repro.index.delta import bounded_overlap, make_overlap_bound, make_scorer
+from repro.perf.arrays import overlap_bounds_arrays, scores_arrays
 from repro.features import (
     FeatureTable,
     extract_feature_vecs,
@@ -114,34 +115,26 @@ class TestTokenUniverse:
 
 
 class TestKernels:
-    def test_bounded_overlap_matches_set_intersection(self):
-        rng = random.Random(0)
-        for _ in range(300):
-            a = tuple(sorted(rng.sample(range(40), rng.randrange(0, 15))))
-            b = tuple(sorted(rng.sample(range(40), rng.randrange(0, 15))))
-            true_overlap = len(set(a) & set(b))
-            needed = rng.randrange(0, 12)
-            got = bounded_overlap(a, b, needed)
-            if true_overlap >= needed:
-                assert got == true_overlap
-            else:
-                # Early exit may return -1 or the exact (insufficient) count.
-                assert got < needed
-
     def test_scorers_match_similarity(self):
         rng = random.Random(2)
         for measure in ("jaccard", "cosine", "dice", "overlap"):
-            scorer = make_scorer(measure)
             for _ in range(50):
                 left = set(rng.sample(range(30), rng.randrange(1, 12)))
                 right = set(rng.sample(range(30), rng.randrange(1, 12)))
                 left_str = {str(x) for x in left}
                 right_str = {str(x) for x in right}
                 expected = similarity(measure, left_str, right_str)
-                got = scorer(len(left_str & right_str), len(left_str), len(right_str))
-                assert got == expected
+                got = scores_arrays(
+                    measure,
+                    np.array([len(left_str & right_str)]),
+                    np.array([len(left_str)]),
+                    np.array([len(right_str)]),
+                )
+                assert got.tolist() == [expected]
 
     def test_overlap_bound_matches_filters(self):
+        sizes = np.arange(1, 15)
+        left, right = np.repeat(sizes, len(sizes)), np.tile(sizes, len(sizes))
         for measure, threshold in [
             ("jaccard", 0.5),
             ("jaccard", 0.8),
@@ -149,18 +142,15 @@ class TestKernels:
             ("dice", 0.7),
             ("overlap", 3),
         ]:
-            bound = make_overlap_bound(measure, threshold)
-            for la in range(1, 15):
-                for lb in range(1, 15):
-                    assert bound(la, lb) == overlap_lower_bound(
-                        measure, threshold, la, lb
-                    )
+            got = overlap_bounds_arrays(measure, threshold, left, right)
+            assert got.tolist() == [
+                overlap_lower_bound(measure, threshold, la, lb)
+                for la, lb in zip(left.tolist(), right.tolist())
+            ]
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_scorer("euclid")
-        with pytest.raises(ConfigurationError):
-            make_overlap_bound("euclid", 0.5)
+            scores_arrays("euclid", np.array([1]), np.array([2]), np.array([2]))
 
 
 class TestParallelPrimitives:

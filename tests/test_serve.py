@@ -408,10 +408,10 @@ class TestWarmStart:
                 for kind, count in builds().items()
                 if count != builds_before.get(kind, 0)
             }
-        # Warmup found records/tokens/encoding in the store — the batch
-        # join built them — and built nothing there: the id tuples and
-        # dict postings point probes read are the live index's own.
-        assert {"records", "tokens", "encoding"} <= set(builds_before)
+        # Warmup found records/tokens/encoding and the arrayindex the
+        # probe reads in the store — the batch self-join built them — and
+        # built nothing.
+        assert {"records", "tokens", "encoding", "arrayindex"} <= set(builds_before)
         assert built_by_warmup == {}
 
 
