@@ -268,40 +268,75 @@ def make_dense_tables(n: int, seed: int = 0):
     return side("a"), side("b")
 
 
-def test_dense_positional_bound_smoke():
-    """Fast CI check: on a dense pair the join equals the brute-force one
-    while the positional bound sends only a minority of its candidates
-    to exact verification."""
+def make_long_row_tables(n: int, seed: int = 10):
+    """Restaurant name + street + city as one value: about 36 distinct
+    3-grams a row set about half the bits of a 64-bit row word, so the
+    bitmap filter keeps a fifth of the candidates and the positional
+    bound prunes most of those."""
+    dataset = make_em_dataset(restaurant, n, n, dirtiness=DirtinessConfig.light(), seed=seed)
+
+    def concat(table: Table) -> Table:
+        values = [
+            " ".join(str(v) for v in cells if not is_missing(v))
+            for cells in zip(table["name"], table["street"], table["city"])
+        ]
+        return Table({"id": list(table["id"]), "v": values})
+
+    return concat(dataset.ltable), concat(dataset.rtable)
+
+
+def _funnel_row(registry, case: str, measure: str, joined: Table) -> dict:
+    labels = {"join": "set_sim", "measure": measure}
+    candidates, kept, verified = (
+        int(registry.get(name, **labels).value)
+        for name in (
+            "simjoin_candidates_total", "simjoin_bitmap_kept_total", "simjoin_verified_total"
+        )
+    )
+    return {
+        "case": case,
+        "candidates": candidates,
+        "bitmap kept": kept,
+        "verified": verified,
+        "output pairs": joined.num_rows,
+    }
+
+
+def test_dense_filter_funnel_smoke():
+    """Fast CI check: the filter funnel candidates -> bitmap kept ->
+    verified -> output, with each join equal to the brute-force one.  On
+    the dense closed-vocabulary pair the bitmap filter sends only a
+    sliver of the candidates to verification; on long q-gram rows the
+    row words fill up and the positional bound still prunes."""
+    rows = []
     ltable, rtable = make_dense_tables(400)
     tokenizer = WhitespaceTokenizer(return_set=True)
-    rows = []
-    with use_registry() as registry:
-        for measure, threshold in (("jaccard", 0.6), ("cosine", 0.7), ("dice", 0.8)):
+    for measure, threshold in (("jaccard", 0.6), ("cosine", 0.7), ("dice", 0.8)):
+        with use_registry() as registry:
             joined = set_sim_join(
                 ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
             )
-            naive = naive_set_sim_join(
-                ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
-            )
-            assert joined == naive
-            labels = {"join": "set_sim", "measure": measure}
-            candidates = registry.get("simjoin_candidates_total", **labels).value
-            verified = registry.get("simjoin_verified_total", **labels).value
-            rows.append(
-                {
-                    "measure": f"{measure} {threshold}",
-                    "candidates": int(candidates),
-                    "verified": int(verified),
-                    "verified share": f"{verified / candidates:.2f}",
-                    "output pairs": joined.num_rows,
-                }
-            )
-            assert verified <= 0.5 * candidates
-        report(
-            "simjoin_positional_smoke",
-            "Dense closed-vocabulary join: candidates vs pairs verified",
-            format_table(rows),
+            row = _funnel_row(registry, f"dense 400², {measure} {threshold}", measure, joined)
+        assert joined == naive_set_sim_join(
+            ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
         )
+        assert row["verified"] <= row["bitmap kept"] <= 0.1 * row["candidates"]
+        rows.append(row)
+
+    ltable, rtable = make_long_row_tables(1000)
+    with use_registry() as registry:
+        joined = set_sim_join(ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.5)
+        row = _funnel_row(registry, "long rows 1k², q3 jaccard 0.5", "jaccard", joined)
+    assert joined == naive_set_sim_join(
+        ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.5
+    )
+    assert joined.num_rows <= row["verified"] < row["bitmap kept"] <= row["candidates"]
+    rows.append(row)
+    report(
+        "simjoin_funnel_smoke",
+        "Filter funnel: candidates -> bitmap kept -> verified -> output",
+        format_table(rows),
+    )
 
 
 def test_edit_distance_join_smoke():

@@ -11,11 +11,18 @@ CSR layout, are in :mod:`repro.index.ann`):
   :class:`repro.index.IndexStore` as fingerprinted artifacts;
 * candidates for a whole probe batch are one sparse matmul
   (``probe prefixes @ corpus prefixes.T``), and overlap counts are
-  computed **only at the candidate pairs that pass the size window and
-  the positional bound** — a sorted-row merge of the two CSR rows per
-  pair, never a product over every pair sharing some (possibly hot)
-  token — producing **exact ints**, so the scalar score formulas
-  reproduce bit-identical floats;
+  computed **only at the candidate pairs that pass the size window,
+  the bitmap filter and the positional bound** — a sorted-row merge of
+  the two CSR rows per pair, never a product over every pair sharing
+  some (possibly hot) token — producing **exact ints**, so the scalar
+  score formulas reproduce bit-identical floats;
+* the bitmap filter (Sandes, Teodoro & Melo's) gives every row one
+  ``uint64`` word with bit ``id & 63`` set per id.  Each bit set in
+  just one of two words stands for an id of that row the other lacks,
+  so ``overlap <= (nnz_l + |r| - popcount(b_l ^ b_r)) // 2``: one XOR
+  and one popcount a pair, exact while ids stay under 64, loose once
+  rows are long enough to set most bits — so it runs in front of the
+  positional bound, not instead of it;
 * the positional bound (ppjoin's) needs both prefixes to be heads of
   rows sorted by *one* id order, any order: shared ids up to the
   smaller last prefix id are all in the product value, past it the
@@ -224,8 +231,8 @@ class ArrayIndex:
     Keyed by (encoding, measure, threshold).
     """
 
-    __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "matrix", "prefix_t",
-                 "n_rows", "dim")
+    __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "bitmaps", "matrix",
+                 "prefix_t", "n_rows", "dim")
 
     def __init__(self, key: str, keys: list, matrix, prefix_t, dim: int):
         self.key = key
@@ -233,6 +240,7 @@ class ArrayIndex:
         self.sizes = np.diff(matrix.indptr).astype(np.int64)
         self.prefix_sizes = np.bincount(prefix_t.indices, minlength=len(keys))
         self.prefix_last = _head_last(matrix.indptr, matrix.indices, self.prefix_sizes)
+        self.bitmaps = row_bitmaps(matrix.indptr, matrix.indices)
         self.matrix = matrix
         self.prefix_t = prefix_t
         self.n_rows = len(keys)
@@ -282,6 +290,17 @@ def _head_last(indptr, indices, lengths):
     return indices[ends] if len(indices) else ends
 
 
+def row_bitmaps(indptr, indices):
+    """One ``uint64`` word per CSR row with bit ``id & 63`` set for each
+    of its ids (0 for an empty row)."""
+    bits = np.left_shift(np.uint64(1), (indices[: indptr[-1]] & 63).astype(np.uint64))
+    words = np.zeros(len(indptr) - 1, dtype=np.uint64)
+    # reduceat gives an empty segment its start's bit: skip empty rows.
+    filled = indptr[:-1] < indptr[1:]
+    words[filled] = np.bitwise_or.reduceat(bits, indptr[:-1][filled])
+    return words
+
+
 def csr_prefix_slice(matrix, lengths):
     """Per-row head slice of a CSR matrix (row *i* keeps ``lengths[i]``).
 
@@ -326,6 +345,13 @@ def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
 # ----------------------------------------------------------------------
 # The batched filter-verify probe
 # ----------------------------------------------------------------------
+def _compress(mask, *columns):
+    """Each column at ``mask``: one ``flatnonzero`` and a take per column,
+    a few times quicker than a boolean index per column."""
+    at = np.flatnonzero(mask)
+    return tuple(column[at] for column in columns)
+
+
 def batch_set_sim_probe(
     probe_matrix,
     true_sizes,
@@ -342,12 +368,13 @@ def batch_set_sim_probe(
     ``true_sizes`` are the probes' true distinct-token counts (which can
     exceed row nnz when queries carry out-of-universe tokens).
 
-    Each product entry meets the size window, the positional bound,
-    then exact verification.  Returns ``(result_indptr, positions,
-    scores, candidate_counts, verified)``: flat survivor arrays sorted by
-    (probe row, corpus position), sliced per probe row by
-    ``result_indptr``; per-row candidate counts taken before the
-    positional bound (post-window); the number verified.
+    Each product entry meets the size window, the bitmap filter, the
+    positional bound, then exact verification.  Returns
+    ``(result_indptr, positions, scores, candidate_counts, bitmap_kept,
+    verified)``: flat survivor arrays sorted by (probe row, corpus
+    position), sliced per probe row by ``result_indptr``; per-row
+    candidate counts taken after the size window, before the other
+    filters; the numbers of pairs kept by the bitmap filter and verified.
     """
     n_probe = probe_matrix.shape[0]
     n_rows = index.n_rows
@@ -359,9 +386,11 @@ def batch_set_sim_probe(
     counts_from_candidates = (
         prefix_matrix.nnz == probe_matrix.nnz and index.prefix_t.nnz == index.matrix.nnz
     )
+    probe_nnz = np.diff(probe_matrix.indptr)
+    probe_bitmaps = row_bitmaps(probe_matrix.indptr, probe_matrix.indices)
     probe_prefix = np.diff(prefix_matrix.indptr)
     probe_last = _head_last(prefix_matrix.indptr, prefix_matrix.indices, probe_prefix)
-    probe_rest = np.diff(probe_matrix.indptr) - probe_prefix
+    probe_rest = probe_nnz - probe_prefix
     # A probe row's product entries number at most the summed posting
     # lengths of its prefix tokens; chunks are cut on that running bound,
     # so the working set tracks candidates however hot a shared token is.
@@ -372,7 +401,7 @@ def batch_set_sim_probe(
     out_cols = [np.zeros(0, dtype=np.int64)]
     out_scores = [np.zeros(0, dtype=np.float64)]
     candidate_counts = np.zeros(n_probe, dtype=np.int64)
-    verified = 0
+    bitmap_kept = verified = 0
     cuts = [0]
     while cuts[-1] < n_probe:
         fits = np.searchsorted(bound, bound[cuts[-1]] + CHUNK_TARGET_NNZ, side="right")
@@ -382,22 +411,37 @@ def batch_set_sim_probe(
         # Product rows are grouped but their columns unsorted: filter the
         # raw entries, and order only the survivors at the end.
         rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(cand.indptr))
-        cols = cand.indices
+        cols, shared = cand.indices, cand.data
         right_sizes = index.sizes[cols]
         keep = (right_sizes >= lower[rows]) & (right_sizes <= upper[rows])
         candidate_counts[start:stop] = np.bincount(rows - start, keep, stop - start)
         if not counts_from_candidates:
+            needed = overlap_bounds_arrays(measure, threshold, true_sizes[rows], right_sizes)
+            # Bitmap filter, overlap <= (nnz_l + |r| - popcount(b_l ^ b_r)) // 2
+            # (compared doubled): a bit set in one word only stands for an id
+            # of that row the other lacks.  Out-of-universe probe tokens are
+            # in no corpus row, so the probe side counts nnz, not true size.
+            # It runs on the raw entries beside the window: one compress for both.
+            differ = np.bitwise_count(probe_bitmaps[rows] ^ index.bitmaps[cols])
+            keep &= probe_nnz[rows] + right_sizes - differ >= 2 * needed
+            rows, cols, right_sizes, shared, needed = _compress(
+                keep, rows, cols, right_sizes, shared, needed
+            )
+            bitmap_kept += len(rows)
             # Positional bound: the owner of the smaller last prefix id has its tail left.
             owner = probe_last[rows] <= index.prefix_last[cols]
             rest = np.where(owner, probe_rest[rows], right_sizes - index.prefix_sizes[cols])
-            needed = overlap_bounds_arrays(measure, threshold, true_sizes[rows], right_sizes)
-            keep &= cand.data + rest >= needed
-        rows, cols, right_sizes = rows[keep], cols[keep], right_sizes[keep]
+            rows, cols, right_sizes = _compress(
+                shared + rest >= needed, rows, cols, right_sizes
+            )
+        else:
+            rows, cols, right_sizes, shared = _compress(keep, rows, cols, right_sizes, shared)
+            bitmap_kept += len(rows)
         if len(rows) == 0:
             continue
         verified += len(rows)
         if counts_from_candidates:
-            overlap = cand.data[keep]
+            overlap = shared
         else:
             # Sampled product: one sorted-row merge per kept pair.
             shared = probe_matrix[rows].multiply(index.matrix[cols])
@@ -413,5 +457,4 @@ def batch_set_sim_probe(
     order = np.argsort(rows * n_rows + positions)
     result_indptr = _indptr(np.bincount(rows, minlength=n_probe))
     scores = np.concatenate(out_scores)[order]
-    return result_indptr, positions[order], scores, candidate_counts, verified
-
+    return result_indptr, positions[order], scores, candidate_counts, bitmap_kept, verified

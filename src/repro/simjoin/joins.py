@@ -58,6 +58,7 @@ def _observe_join(
     seconds: float,
     probes: int,
     candidates: int,
+    bitmap_kept: int,
     survivors: int,
     verified: int,
 ) -> None:
@@ -72,6 +73,7 @@ def _observe_join(
     reg.counter("simjoin_calls_total", **labels).inc()
     reg.counter("simjoin_probes_total", **labels).inc(probes)
     reg.counter("simjoin_candidates_total", **labels).inc(candidates)
+    reg.counter("simjoin_bitmap_kept_total", **labels).inc(bitmap_kept)
     reg.counter("simjoin_verified_total", **labels).inc(verified)
     reg.counter("simjoin_survivors_total", **labels).inc(survivors)
     reg.gauge("simjoin_survival_ratio", **labels).set(
@@ -92,10 +94,10 @@ def _take(keys: list, positions) -> list:
 
 def _probe_span(left, index, measure: str, threshold: float, span: range):
     """The batched kernel over one span of ``left``'s rows: survivor rows,
-    positions and scores in (row, position) order, the candidate and
-    verified counts, and the kernel's seconds."""
+    positions and scores in (row, position) order, the candidate,
+    bitmap-kept and verified counts, and the kernel's seconds."""
     started = time.perf_counter()
-    indptr, positions, scores, counts, verified = arrays.batch_set_sim_probe(
+    indptr, positions, scores, counts, bitmap_kept, verified = arrays.batch_set_sim_probe(
         left.matrix[span.start : span.stop],
         left.sizes[span.start : span.stop],
         index,
@@ -104,7 +106,7 @@ def _probe_span(left, index, measure: str, threshold: float, span: range):
     )
     seconds = time.perf_counter() - started
     rows = np.repeat(np.arange(span.start, span.stop), np.diff(indptr))
-    return rows, positions, scores, int(counts.sum()), verified, seconds
+    return rows, positions, scores, int(counts.sum()), bitmap_kept, verified, seconds
 
 
 def _over_spans(n_rows: int, n_jobs: int, shard) -> tuple:
@@ -168,7 +170,7 @@ def set_sim_join(
     array_index = store.array_index(encoding, measure, threshold)
     left = encoding.left
     n_probe = len(left.keys)
-    rows, positions, scores, n_candidates, n_verified, seconds = _over_spans(
+    rows, positions, scores, n_candidates, n_kept, n_verified, seconds = _over_spans(
         n_probe,
         n_jobs,
         partial(_probe_span, left, array_index, measure, threshold),
@@ -182,6 +184,7 @@ def set_sim_join(
         time.perf_counter() - join_started,
         probes=n_probe,
         candidates=n_candidates,
+        bitmap_kept=n_kept,
         survivors=len(rows),
         verified=n_verified,
     )
@@ -270,7 +273,7 @@ def edit_distance_join(
     levenshtein = Levenshtein()
 
     def join_span(span: range) -> tuple:
-        rows, cols, _, n_candidates, _, _ = _probe_span(
+        rows, cols, _, n_candidates, n_kept, _, _ = _probe_span(
             encoding.left, index, measure, bound, span
         )
         # The kernel found some pairs of two short strings too.
@@ -280,7 +283,10 @@ def edit_distance_join(
         lo = np.searchsorted(short_len, l_len[short] - d)
         hi = np.searchsorted(short_len, l_len[short] + d, side="right")
         _, take = arrays._ragged_take(lo, hi - lo)
-        n_candidates += len(take) - int(both_short.sum())
+        # Pairs of two short strings bypass the kernel's filters.
+        bypassed = len(take) - int(both_short.sum())
+        n_candidates += bypassed
+        n_kept += bypassed
         rows = np.concatenate([rows, np.repeat(short, hi - lo)])
         cols = np.concatenate([cols, short_right[take]])
         close = np.abs(l_len[rows] - r_len[cols]) <= d
@@ -294,9 +300,9 @@ def edit_distance_join(
             _take(strings, pairs // n_strings), _take(strings, pairs % n_strings)
         )[inverse]
         match = distances <= d
-        return rows[match], cols[match], distances[match], n_candidates, len(rows)
+        return rows[match], cols[match], distances[match], n_candidates, n_kept, len(rows)
 
-    rows, cols, distances, n_candidates, n_verified = _over_spans(
+    rows, cols, distances, n_candidates, n_kept, n_verified = _over_spans(
         len(left.records), n_jobs, join_span
     )
     _observe_join(
@@ -305,6 +311,7 @@ def edit_distance_join(
         time.perf_counter() - join_started,
         probes=len(left.records),
         candidates=n_candidates,
+        bitmap_kept=n_kept,
         survivors=len(rows),
         verified=n_verified,
     )

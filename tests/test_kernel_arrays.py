@@ -264,6 +264,74 @@ class TestPositionalBound:
         assert candidates == 76770
         assert verified <= 0.35 * candidates
 
+    @pytest.mark.parametrize("measure,threshold", [("jaccard", 0.7), ("cosine", 0.8)])
+    def test_bound_prunes_where_the_bitmap_saturates(self, measure, threshold):
+        # 200 x 200 records of 70-100 tokens from 128: every row sets
+        # nearly all 64 bits of its word, so the bitmap filter keeps
+        # (nearly) every candidate and the pruning left is the bound's.
+        rng = random.Random(31)
+        vocab = [f"w{i}" for i in range(128)]
+        left = [rng.sample(vocab, rng.randint(70, 100)) for _ in range(200)]
+        right = [rng.sample(vocab, rng.randint(70, 100)) for _ in range(200)]
+        for j in range(0, 200, 4):  # near-copies of every fourth left row
+            row = left[j][:]
+            outside = [word for word in vocab if word not in row]
+            for k in rng.sample(range(len(row)), 6):
+                row[k] = outside.pop(rng.randrange(len(outside)))
+            right[j] = row
+        ltable = _table("l", [" ".join(row) for row in left])
+        rtable = _table("r", [" ".join(row) for row in right])
+        with use_registry() as registry:
+            got = _join_rows(ltable, rtable, measure, threshold)
+            candidates, verified = _funnel(registry, measure)
+            kept = registry.get("simjoin_bitmap_kept_total", join="set_sim", measure=measure).value
+        assert got and got == _naive_rows(ltable, rtable, measure, threshold)
+        assert kept >= 0.99 * candidates
+        assert verified < kept
+        assert verified < candidates
+
+
+def _bitmap_oracle(ids) -> int:
+    word = 0
+    for token in ids:
+        word |= 1 << (token & 63)
+    return word
+
+
+# Id sets that stress a 64-bit row word: ids colliding mod 64, empty
+# rows, rows of more than 64 ids, and the mix of all three.
+colliding_ids = st.builds(lambda word, bit: 64 * word + bit, st.integers(0, 3), st.integers(0, 3))
+id_set = st.one_of(
+    st.just(frozenset()),
+    st.frozensets(colliding_ids, max_size=16),
+    st.frozensets(st.integers(0, 400), min_size=65, max_size=120),
+    st.frozensets(st.one_of(colliding_ids, st.integers(0, 200)), max_size=80),
+)
+
+
+class TestBitmapBound:
+    """The row bitmap bound never cuts below the true overlap."""
+
+    @staticmethod
+    def _words(rows):
+        indptr = np.cumsum([0] + [len(ids) for ids in rows])
+        indices = np.array([t for ids in rows for t in sorted(ids)], dtype=np.int32)
+        return arrays_module.row_bitmaps(indptr, indices)
+
+    @given(st.lists(id_set, min_size=1, max_size=6), st.lists(id_set, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_covers_the_overlap(self, left, right):
+        left_words, right_words = self._words(left), self._words(right)
+        assert [int(w) for w in left_words] == [_bitmap_oracle(ids) for ids in left]
+        assert [int(w) for w in right_words] == [_bitmap_oracle(ids) for ids in right]
+        for l_ids, l_word in zip(left, left_words):
+            for r_ids, r_word in zip(right, right_words):
+                differ = int(np.bitwise_count(l_word ^ r_word))
+                bound = (len(l_ids) + len(r_ids) - differ) // 2
+                assert bound >= len(l_ids & r_ids)
+                if max(l_ids | r_ids, default=0) < 64:  # one id per bit: exact
+                    assert bound == len(l_ids & r_ids)
+
 
 class TestHotTokenRegime:
     """One token in most rows: candidates << token-sharing pairs.
