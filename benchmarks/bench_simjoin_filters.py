@@ -15,16 +15,19 @@ implementation (``_seed_set_sim_join`` below), serial and with
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import time
 from collections import defaultdict
+from pathlib import Path
 
 from _report import format_table, report
 
 from repro.datasets import DirtinessConfig, make_em_dataset
 from repro.datasets.entities import restaurant
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
+from repro.index import IndexStore, LiveIndex, use_index_store
 from repro.obs import use_registry
 from repro.perf.kernels import BOUND_EPS
 from repro.simjoin import edit_distance_join, naive_set_sim_join, set_sim_join
@@ -378,5 +381,68 @@ def test_edit_distance_join_smoke():
     report(
         "simjoin_edit_distance_smoke",
         "Edit-distance join (q=2, d=2): candidates vs pairs verified",
+        format_table(rows),
+    )
+
+
+def _spine_join_inputs(seed: int, rows: int) -> dict:
+    """The spine's ``join_batch`` table pairs (sparse and dense), ``rows``
+    a side, from its stdlib-only generator."""
+    path = Path(__file__).parent / "spine" / "gen.py"
+    spec = importlib.util.spec_from_file_location("spine_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.join_inputs(seed, rows, rows)
+
+
+def _best_of(runs: int, fn, *args):
+    """``fn(*args)`` and the fastest of ``runs`` timed calls."""
+    seconds = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = fn(*args)
+        seconds.append(time.perf_counter() - started)
+    return result, min(seconds)
+
+
+def test_live_join_table_smoke():
+    """Fast CI check: on both spine join regimes (about 600 rows a side)
+    ``LiveIndex.join_table`` equals a warm ``set_sim_join``, and over the
+    same content (a self-join, so one token order) both count the same
+    candidates; the time ratio is archived."""
+    tokenizer = WhitespaceTokenizer(return_set=True)
+    rows = []
+    for regime, pair in _spine_join_inputs(1, 600).items():
+        left = Table({"id": pair["l_id"], "v": pair["l_value"]})
+        values = list(dict.fromkeys(pair["r_value"]))  # one probe per value either way
+        right = Table({"id": [f"r{i}" for i in range(len(values))], "v": values})
+        with use_index_store(IndexStore()), use_registry() as registry:
+            live = LiveIndex.from_table(right, "id", "v", threshold=0.6)
+            joined, join_s = _best_of(3, set_sim_join, left, right, "id", "id", "v", "v",
+                                      tokenizer, "jaccard", 0.6)
+            served, live_s = _best_of(3, live.join_table, left, "id", "v")
+            assert served == joined
+            labels = {"join": "set_sim", "measure": "jaccard"}
+            before = (registry.get("simjoin_candidates_total", **labels).value,
+                      registry.get("kernel_batch_candidates_total", op="live_search").value)
+            assert live.join_table(right, "id", "v") == set_sim_join(
+                right, right, "id", "id", "v", "v", tokenizer, "jaccard", 0.6
+            )
+            candidates = (
+                registry.get("simjoin_candidates_total", **labels).value - before[0],
+                registry.get("kernel_batch_candidates_total", op="live_search").value - before[1],
+            )
+        assert candidates[0] == candidates[1] > 0
+        rows.append({
+            "regime": regime,
+            "rows out": joined.num_rows,
+            "self-join candidates": int(candidates[0]),
+            "set_sim_join s": f"{join_s:.4f}",
+            "join_table s": f"{live_s:.4f}",
+            "ratio": f"{live_s / join_s:.2f}",
+        })
+    report(
+        "simjoin_live_join_smoke",
+        "LiveIndex.join_table vs warm set_sim_join (spine regimes, 600 rows a side)",
         format_table(rows),
     )

@@ -16,28 +16,24 @@ classic two-layer design of long-running search systems:
   from the old base and the delta;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
-  unseen tokens, their rows are appended to growable CSR buffers (flat
-  ids, ``indptr``, sizes), each prefix token appends the row's position
-  to its posting list, and deletes set the position in the segment's
-  tombstone mask (base or delta) instead of touching any posting.  A
-  single ``upsert``/``delete`` is a one-record ``upsert_many``/
-  ``delete_many``: one write path.
+  unseen tokens; each row is appended to growable CSR buffers with the
+  size, bitmap word, prefix length and last prefix id the filters read,
+  each prefix token appends the row's position to its posting list, and
+  deletes set the position in the segment's tombstone mask (base or
+  delta) instead of touching any posting.  A single ``upsert``/
+  ``delete`` is a one-record ``upsert_many``/``delete_many``.
 
-Reads run one filter-verify routine, :func:`_probe`, over both segments
-for a batch of any size — :meth:`LiveIndex.search` is a batch of one,
-:meth:`LiveIndex.join_table` a batch of every distinct probe value: the
-posting slices of each query's prefix tokens, one sort to deduplicate
-them, the size window and the tombstone mask, then exact overlaps from
-one ragged gather of the candidate rows and a ``searchsorted``
-membership test, scored by :func:`repro.perf.arrays.scores_arrays`.
-The bounds are :mod:`repro.simjoin.filters`' own, so the correctness
-contract is exact and is about *answers*: after any interleaving of
-upserts, deletes, and compactions, a live index returns the same matches
-with the same scores in the same order as an index rebuilt from scratch
-over its current records and as ``naive_set_sim_join`` over them
-(property-tested in ``tests/test_live_index.py``).  Artifact bytes,
-store fingerprints and candidate counts are not part of it: a rebuild
-ranks tokens afresh, which moves prefixes.
+Reads run the batch join's own routine,
+:func:`repro.perf.arrays.filter_verify`, once per segment for a batch of
+any size — :meth:`LiveIndex.search` is a batch of one,
+:meth:`LiveIndex.join_table` a batch of every distinct probe value —
+with the tombstones as its row mask.  The correctness contract is about
+*answers*: after any interleaving of upserts, deletes, and compactions,
+a live index returns the same matches with the same scores in the same
+order as an index rebuilt from scratch over its current records and as
+``naive_set_sim_join`` over them (``tests/test_live_index.py``).
+Artifact bytes, fingerprints and candidate counts are not part of it: a
+rebuild ranks tokens afresh, which moves prefixes.
 
 Soundness of the shared prefix filter rests on one invariant: the live
 token ordering *extends* the base ordering (new tokens get ids past the
@@ -64,10 +60,9 @@ Observability: ``index_delta_ops_total{op}``, the ``index_tombstones``
 and ``index_folded_rows`` gauges, ``index_compactions_total{mode}``, the
 ``index_delta_probe_seconds`` histogram (the delta half of a probe),
 ``kernel_batch_*{op="live_search"}`` (one call per ``search``,
-``search_batch`` or ``join_table``: values probed, candidates over both
-segments, verified — every window-passing candidate, so equal to the
-candidates — and seconds), and the ``live_compact`` span (``mode``,
-``delta_rows``, ``tombstones``).
+``search_batch`` or ``join_table``: values probed, candidates after the
+window and tombstones and pairs verified over both segments, seconds),
+and the ``live_compact`` span (``mode``, ``delta_rows``, ``tombstones``).
 
 Persistence: :meth:`LiveIndex.save` writes ``live-<name>.pkl`` (base
 records + the operation log since the last compaction) and a JSON
@@ -83,8 +78,8 @@ import json
 import pickle
 import threading
 import time
-from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, islice
+from operator import add
 from pathlib import Path
 from typing import Any, Callable
 
@@ -98,14 +93,8 @@ from repro.exceptions import (
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry, trace_span
 from repro.perf import arrays
-from repro.perf.kernels import BOUND_EPS
 from repro.runtime.checkpoint import atomic_write_bytes
-from repro.simjoin.filters import (
-    prefix_length,
-    size_bounds,
-    validate_measure,
-    validate_threshold,
-)
+from repro.simjoin.filters import validate_measure, validate_threshold
 from repro.table.schema import is_missing
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
@@ -116,47 +105,22 @@ LIVE_FORMAT_VERSION = 1
 
 
 class _BaseSegment:
-    """The immutable index over one frozen snapshot of records.
+    """The immutable index over one frozen snapshot of records: ``index``
+    is the store's shared :class:`~repro.perf.arrays.ArrayIndex` for a
+    built base, a private one for a folded base.  Deletes set positions in
+    ``dead``, the segment's tombstone mask."""
 
-    ``index`` is the :class:`~repro.perf.arrays.ArrayIndex` the probe
-    reads: the store's shared artifact for a built base, a private one
-    for a folded base.  Nothing in it is mutated once built; deletes set
-    positions in ``dead``, the segment's tombstone mask.
-    """
-
-    __slots__ = (
-        "records", "universe", "index", "keys", "sizes", "indptr", "indices",
-        "heads", "postings_flat", "positions", "dead", "n_dead", "n_rows",
-    )
+    __slots__ = ("records", "universe", "index", "keys", "positions", "dead", "n_dead", "n_rows")
 
     def __init__(self, records, universe, index: arrays.ArrayIndex):
         self.records = records      # [(key, value)] — the frozen snapshot
         self.universe = universe    # TokenUniverse over the snapshot
         self.index = index
         self.keys = index.keys
-        self.sizes = index.sizes
-        self.indptr = index.matrix.indptr.astype(np.int64)  # scipy may keep int32
-        self.indices = index.matrix.indices
-        # Token t's prefix postings are postings_flat[heads[t]:heads[t + 1]].
-        self.heads = index.prefix_t.indptr.tolist()
-        self.postings_flat = index.prefix_t.indices
         self.positions = dict(zip(index.keys, range(index.n_rows)))
         self.dead = np.zeros(index.n_rows, dtype=bool)
         self.n_dead = 0
         self.n_rows = index.n_rows
-
-    def postings(self, prefix) -> list:
-        """The non-empty posting slices of a query's prefix ids."""
-        heads, flat = self.heads, self.postings_flat
-        dim = len(heads) - 1
-        found = []
-        for token in prefix:
-            if token >= dim:  # extension ids sort last and are not posted here
-                break
-            start, stop = heads[token], heads[token + 1]
-            if start != stop:
-                found.append(flat[start:stop])
-        return found
 
 
 def _grown(buffer, need: int):
@@ -169,26 +133,30 @@ def _grown(buffer, need: int):
 class _DeltaSegment:
     """The mutable segment: append-only CSR rows, postings, tombstones.
 
-    Row ``p`` holds ``indices[indptr[p]:indptr[p + 1]]``.  The buffers
-    only grow (by reallocation when full), so a view taken of them under
-    the lock stays valid after it is released.
+    Row ``p`` holds ``indices[indptr[p]:indptr[p + 1]]``; beside its size
+    go its bitmap word, prefix length and last prefix id, which the probe
+    reads as it reads an ``ArrayIndex``'s (no row is taken for a whole
+    prefix: ``whole`` is false).  The buffers only grow (by reallocation
+    when full), so a view taken of them under the lock stays valid after
+    it is released.
     """
 
     __slots__ = (
-        "keys", "values", "indptr", "indices", "sizes", "dead", "n_dead",
-        "n_rows", "nnz", "posting_lists", "positions", "ext_ids",
+        "keys", "values", "indptr", "indices", "sizes", "bitmaps", "prefix_sizes",
+        "prefix_last", "dead", "n_dead", "n_rows", "nnz", "posting_lists", "positions",
+        "ext_ids",
     )
+    whole = False
 
     def __init__(self):
         self.keys: list = []
         self.values: list[str] = []
         self.indptr = np.zeros(1, dtype=np.int64)
-        self.indices = np.zeros(0, dtype=np.int64)
-        self.sizes = np.zeros(0, dtype=np.int64)
-        self.dead = np.zeros(0, dtype=bool)
-        self.n_dead = 0
-        self.n_rows = 0
-        self.nnz = 0
+        self.indices, self.sizes, self.prefix_sizes, self.prefix_last = (
+            np.zeros(0, dtype=np.int64) for _ in range(4)
+        )
+        self.bitmaps, self.dead = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
+        self.n_dead = self.n_rows = self.nnz = 0
         self.posting_lists: dict[int, list[int]] = {}  # prefix token id -> positions
         self.positions: dict[Any, int] = {}
         self.ext_ids: dict[str, int] = {}
@@ -197,29 +165,36 @@ class _DeltaSegment:
         n, start = self.n_rows, self.nnz
         stop = start + len(ids)
         if n == len(self.sizes):
-            self.sizes = _grown(self.sizes, n + 1)
-            self.dead = _grown(self.dead, n + 1)
+            for name in ("sizes", "bitmaps", "prefix_sizes", "prefix_last", "dead"):
+                setattr(self, name, _grown(getattr(self, name), n + 1))
             self.indptr = _grown(self.indptr, n + 2)
         if stop > len(self.indices):
             self.indices = _grown(self.indices, stop)
         self.indices[start:stop] = ids
         self.indptr[n + 1] = stop
         self.sizes[n] = len(ids)
-        lists = self.posting_lists
+        word = 0
+        for token in ids:
+            word |= 1 << (token & 63)
+        self.bitmaps[n] = word
+        self.prefix_sizes[n] = n_prefix
+        self.prefix_last[n] = ids[n_prefix - 1] if n_prefix else 0
         for token in ids[:n_prefix]:
-            posting = lists.get(token)
-            if posting is None:
-                lists[token] = [n]
-            else:
-                posting.append(n)
+            self.posting_lists.setdefault(token, []).append(n)
         self.keys.append(row_key)
         self.values.append(value)
         self.positions[row_key] = n
         self.n_rows, self.nnz = n + 1, stop
 
-    def postings(self, prefix) -> list:
-        """The non-empty posting lists of a query's prefix ids."""
-        return [found for found in map(self.posting_lists.get, prefix) if found]
+    def posting_lengths(self, ids):
+        """The posting length of each prefix id."""
+        get = self.posting_lists.get
+        return np.array([len(get(token, ())) for token in ids.tolist()], dtype=np.int64)
+
+    def posting_rows(self, ids, lengths):
+        """The rows posted under ``ids`` (``lengths`` long), end to end."""
+        get = self.posting_lists.get
+        return np.fromiter(chain.from_iterable(get(token, ()) for token in ids.tolist()), np.int32)
 
     def frozen(self) -> tuple:
         """``(keys, values, sizes, indices, dead)`` as of now, safe to read
@@ -230,108 +205,6 @@ class _DeltaSegment:
             self.keys[:n], self.values[:n], self.sizes[:n], self.indices[: self.nnz],
             self.dead[:n].copy(),
         )
-
-
-@lru_cache(maxsize=None)
-def _bounds(measure: str, threshold: float, size: int) -> tuple[int, float, int]:
-    """A ``size``-token record's partner-size window (upper bound widened
-    by ``BOUND_EPS``: the float can round epsilon low) and prefix length."""
-    lower, upper = size_bounds(measure, threshold, size)
-    return lower, upper + BOUND_EPS, prefix_length(measure, threshold, size)
-
-
-def _probe(segment, queries: list[tuple], width: int, measure: str, threshold: float,
-           matches: list[list], counts: list[int]) -> int:
-    """Filter-verify ``queries`` against one segment; returns pairs verified.
-
-    Each query is ``(ids, size, lower, upper, n_prefix)``: its sorted
-    token ids, its true distinct-token count (tokens unknown to both
-    segments are dropped from ``ids`` but still count), its partner-size
-    window, and its prefix length.  Row and query ids are all below
-    ``width``.  Survivors are appended to ``matches[q]`` in segment
-    position order and candidates added to ``counts[q]``.
-
-    A candidate is a row posted under a prefix token of the query, in
-    its size window and not tombstoned.  Queries whose postings are all
-    empty cost no array work; the rest go in chunks whose summed posting
-    lengths stay near ``CHUNK_TARGET_NNZ``, the batch join's rule.  A
-    point probe's cost is its count of numpy calls, so a chunk of one
-    query skips the per-query offsets a batch needs.
-    """
-    hits = []
-    for q, (ids, _, _, _, n_prefix) in enumerate(queries):
-        found = segment.postings(ids[:n_prefix])
-        if found:
-            hits.append((q, found, sum(map(len, found))))
-    n_rows, verified, start = segment.n_rows, 0, 0
-    while start < len(hits):
-        stop, total = start + 1, hits[start][2]
-        while stop < len(hits) and total + hits[stop][2] <= arrays.CHUNK_TARGET_NNZ:
-            total += hits[stop][2]
-            stop += 1
-        chunk, start = hits[start:stop], stop
-        many = len(chunk) > 1
-        rows = np.concatenate([part for _, found, _ in chunk for part in found])
-        if many:
-            # One sort orders the (query, row) pairs as row + query * n_rows.
-            local = np.arange(len(chunk), dtype=np.int64)
-            rows = rows + (local * n_rows).repeat([n for _, _, n in chunk])
-        rows.sort()
-        first = rows[1:] != rows[:-1]
-        if many:
-            owner = rows // n_rows
-            rows -= owner * n_rows
-            lower = np.array([queries[q][2] for q, _, _ in chunk])[owner]
-            upper = np.array([queries[q][3] for q, _, _ in chunk])[owner]
-        else:
-            _, _, lower, upper, _ = queries[chunk[0][0]]
-        # One mask: size window, first of each run of equal pairs, alive.
-        sizes = segment.sizes[rows]
-        keep = (sizes >= lower) & (sizes <= upper)
-        keep[1:] &= first
-        if segment.n_dead:
-            keep[segment.dead[rows]] = False
-        rows, sizes = rows[keep], sizes[keep]
-        if many:
-            owner = owner[keep]
-            found = np.bincount(owner, minlength=len(chunk)).tolist()
-        else:
-            found = [len(rows)]
-        for (q, _, _), n in zip(chunk, found):
-            counts[q] += n
-        if not len(rows):
-            continue
-        verified += len(rows)
-        # Verify: gather the candidate rows end to end, test each id for
-        # membership in its query's sorted ids, sum per row.
-        offsets = sizes.cumsum() - sizes
-        take = (segment.indptr[rows] - offsets).repeat(sizes)
-        take += np.arange(len(take))
-        tokens = segment.indices[take]
-        if many:
-            # Query q's ids become q * width + id: still one sorted array.
-            query_ids = [queries[q][0] for q, _, _ in chunk]
-            probe = np.fromiter(chain.from_iterable(query_ids), dtype=np.int64)
-            probe += (local * width).repeat([len(ids) for ids in query_ids])
-            tokens = tokens + (owner * width).repeat(sizes)
-            left = np.array([queries[q][1] for q, _, _ in chunk])[owner]
-        else:
-            ids, size = queries[chunk[0][0]][:2]
-            probe = np.array(ids)
-            left = np.int64(size)
-        shared = probe.take(probe.searchsorted(tokens), mode="clip") == tokens
-        overlap = np.add.reduceat(shared, offsets)
-        scores = arrays.scores_arrays(measure, overlap, left, sizes)
-        survived = scores >= threshold
-        keys = segment.keys
-        rows, scores = rows[survived].tolist(), scores[survived].tolist()
-        if many:
-            bounds = owner[survived].searchsorted(np.arange(len(chunk) + 1)).tolist()
-            for (q, _, _), lo, hi in zip(chunk, bounds, bounds[1:]):
-                matches[q] += zip(map(keys.__getitem__, rows[lo:hi]), scores[lo:hi])
-        else:
-            matches[chunk[0][0]] += zip(map(keys.__getitem__, rows), scores)
-    return verified
 
 
 class LiveIndex:
@@ -487,7 +360,8 @@ class LiveIndex:
         if prepared is None:
             return False
         ids = self._encode_indexed(set(self.tokenizer.tokenize(prepared)))
-        n_prefix = _bounds(self.measure, self.threshold, len(ids))[2]
+        size = len(ids)
+        n_prefix = int(arrays.size_table(self.measure, self.threshold, size)[2][size])
         self._delta.append(row_key, prepared, ids, n_prefix)
         return True
 
@@ -600,7 +474,8 @@ class LiveIndex:
             return self._search_locked([token_set])[0]
 
     def search_batch(self, values) -> list[tuple[list[tuple[Any, float]], int]]:
-        """Probe many values in one call: one :func:`_probe` per segment.
+        """Probe many values in one call: one
+        :func:`~repro.perf.arrays.filter_verify` per segment.
 
         Returns one ``(matches, n_candidates)`` pair per value, each equal
         to :meth:`search` on that value — the amortization
@@ -615,24 +490,31 @@ class LiveIndex:
         return None if prepared is None else set(self.tokenizer.tokenize(prepared))
 
     def _search_locked(self, token_sets: list) -> list[tuple[list[tuple[Any, float]], int]]:
-        measure, threshold = self.measure, self.threshold
         base, delta = self._base, self._delta
-        width = max(len(base.universe) + len(delta.ext_ids), 1)
-        matches: list[list] = [[] for _ in token_sets]
-        counts = [0] * len(token_sets)
         registry = get_registry()
         with registry.timer("kernel_batch_seconds", op="live_search"):
-            queries = [
-                (self._encode_query(token_set), len(token_set),
-                 *_bounds(measure, threshold, len(token_set)))
-                if token_set else ((), 0, 0, 0.0, 0)
-                for token_set in token_sets
-            ]
-            verified = _probe(base, queries, width, measure, threshold, matches, counts)
+            batch = arrays.ProbeBatch.from_rows(
+                [self._encode_query(token_set) if token_set else () for token_set in token_sets],
+                [len(token_set) if token_set else 0 for token_set in token_sets],
+                self.measure, self.threshold, max(len(base.universe) + len(delta.ext_ids), 1),
+            )
+            dead = base.dead if base.n_dead else None
+            found = [(base.keys, arrays.filter_verify(batch, base.index, dead))]
             if delta.n_rows:
                 with registry.timer("index_delta_probe_seconds"):
-                    verified += _probe(delta, queries, width, measure, threshold, matches, counts)
-        arrays.observe_kernel_batch("live_search", len(token_sets), verified, verified=verified)
+                    dead = delta.dead if delta.n_dead else None
+                    found.append((delta.keys, arrays.filter_verify(batch, delta, dead)))
+        matches: list[list] = [[] for _ in token_sets]
+        counts = [0] * len(token_sets)
+        verified = 0
+        for keys, (hits, positions, scores, candidates, _, n_verified) in found:
+            keyed = zip(map(keys.__getitem__, positions.tolist()), scores.tolist())
+            for answer, n in zip(matches, hits.tolist()):
+                if n:
+                    answer += islice(keyed, n)
+            counts = list(map(add, counts, candidates.tolist()))
+            verified += n_verified
+        arrays.observe_kernel_batch("live_search", len(token_sets), sum(counts), verified=verified)
         return list(zip(matches, counts))
 
     def join_table(self, table: Table, l_key: str, l_column: str) -> Table:
@@ -641,7 +523,8 @@ class LiveIndex:
         Returns the same ``(_id, l_id, r_id, score)`` table — same rows,
         same order, same floats — as ``set_sim_join(table, self.to_table(),
         ...)`` under this index's configuration.  Each distinct probe
-        value is one query of one :func:`_probe` per segment, under the
+        value is one query of one
+        :func:`~repro.perf.arrays.filter_verify` per segment, under the
         lock, so the join sees one consistent snapshot.
         """
         from repro.simjoin.joins import _result_table
@@ -654,9 +537,10 @@ class LiveIndex:
         l_ids, r_ids, scores = [], [], []
         for row_key, value in tc.records:
             matches, _ = found[value]
-            l_ids += [row_key] * len(matches)
-            r_ids += [r_id for r_id, _ in matches]
-            scores += [score for _, score in matches]
+            if matches:
+                l_ids += [row_key] * len(matches)
+                r_ids += [r_id for r_id, _ in matches]
+                scores += [score for _, score in matches]
         return _result_table(l_ids, r_ids, scores)
 
     # ------------------------------------------------------------------
@@ -752,8 +636,8 @@ class LiveIndex:
         rows = arrays.take_rows(
             name,
             [row_key for row_key, _ in records],
-            np.concatenate([base.sizes, sizes]),
-            np.concatenate([base.indices, indices]),
+            np.concatenate([base.index.sizes, sizes]),
+            np.concatenate([base.index.indices, indices]),
             np.flatnonzero(live),
             len(universe),
         )

@@ -11,19 +11,16 @@ mechanisms every hot path shares:
   bound ceils with;
 * :mod:`repro.perf.parallel` — one process-pool executor shared by the
   sim joins, the blockers, feature extraction, and the production stage;
-* :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: the
-  batched filter-verify probe (the body of every batch join), the
+* :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: the one
+  filter-verify routine under every batch join and live-index read, the
   probe-ready ``ArrayIndex`` and the vector bound and score formulas.
-
-The live index probes the same ``ArrayIndex`` with its own numpy
-filter-verify routine, in :mod:`repro.index.delta`; no module holds a
-scalar (dict-posting) probe.
 """
 
 from repro.perf.arrays import (
     ArrayIndex,
     ArrayRecords,
-    batch_set_sim_probe,
+    ProbeBatch,
+    filter_verify,
     observe_kernel_batch,
 )
 from repro.perf.parallel import (
@@ -39,10 +36,11 @@ from repro.perf.tokens import TokenUniverse
 __all__ = [
     "ArrayIndex",
     "ArrayRecords",
+    "ProbeBatch",
     "TokenUniverse",
-    "batch_set_sim_probe",
     "concat_tables",
     "effective_n_jobs",
+    "filter_verify",
     "observe_kernel_batch",
     "parallel_map_partitions",
     "partition_table",

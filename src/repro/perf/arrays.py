@@ -1,51 +1,35 @@
 """Columnar CSR kernels: the batched body of the hot paths.
 
-Every per-pair loop of the set-similarity joins — filter-verify
-candidate collection and verification — is done here for a *batch* of
-probes as a handful of ``numpy``/``scipy`` matrix operations instead of
-millions of interpreter steps (the vector branch's kernels, on the same
-CSR layout, are in :mod:`repro.index.ann`):
+Every per-pair loop of the set-similarity joins and of the live index's
+reads — filter-verify candidate collection and verification — is one
+routine here, :func:`filter_verify`, run over a batch of probe rows of
+any size, one row included, as a handful of ``numpy`` operations (the
+vector branch's kernels, on the same CSR layout, are in
+:mod:`repro.index.ann`):
 
-* encoded corpora become CSR token-incidence matrices (``indptr``/
-  ``indices`` postings, int64 counts as data), registered in
-  :class:`repro.index.IndexStore` as fingerprinted artifacts;
-* candidates for a whole probe batch are one sparse matmul
-  (``probe prefixes @ corpus prefixes.T``), and overlap counts are
-  computed **only at the candidate pairs that pass the size window,
-  the bitmap filter and the positional bound** — a sorted-row merge of
-  the two CSR rows per pair, never a product over every pair sharing
-  some (possibly hot) token — producing **exact ints**, so the scalar
-  score formulas reproduce bit-identical floats;
+* an :class:`ArrayIndex` is a corpus's CSR token incidence (a
+  fingerprinted :class:`repro.index.IndexStore` artifact) plus its
+  transposed prefix incidence, whose rows are the prefix postings;
+* candidates of a chunk of probe rows are their prefix postings, coded
+  ``probe_row * n_rows + row`` in int32 and sorted once: runs of equal
+  codes are the unique pairs and their shared prefix ids;
 * the bitmap filter (Sandes, Teodoro & Melo's) gives every row one
-  ``uint64`` word with bit ``id & 63`` set per id.  Each bit set in
-  just one of two words stands for an id of that row the other lacks,
-  so ``overlap <= (nnz_l + |r| - popcount(b_l ^ b_r)) // 2``: one XOR
-  and one popcount a pair, exact while ids stay under 64, loose once
-  rows are long enough to set most bits — so it runs in front of the
-  positional bound, not instead of it;
+  ``uint64`` word with bit ``id & 63`` set per id, and
+  ``overlap <= (nnz_l + |r| - popcount(b_l ^ b_r)) // 2``: exact while
+  ids stay under 64, loose once rows set most bits — so it runs in
+  front of the positional bound, not instead of it;
 * the positional bound (ppjoin's) needs both prefixes to be heads of
-  rows sorted by *one* id order, any order: shared ids up to the
-  smaller last prefix id are all in the product value, past it the
-  owner of that id has only its unsliced tail.  Candidates are counted
-  before it;
+  rows sorted by one id order: shared ids up to the smaller last prefix
+  id are all counted, past it the owner of that id has only its tail;
+* exact overlaps, at the pairs every filter kept, come from one ragged
+  gather of their rows and a ``searchsorted`` membership test — exact
+  ints, so the score formulas reproduce the scalar floats bit for bit;
 * size-window and prefix bounds are vectorized replicas of
-  :mod:`repro.simjoin.filters` — same operations, in the same order, on
-  the same values, so every bound decision matches the scalar formula
-  decision-for-decision.
+  :mod:`repro.simjoin.filters`, decision for decision, tabulated by size.
 
-**Byte-identity is the contract**, not an aspiration: for any corpus
-and any probe batch, :func:`batch_set_sim_probe` emits the same
-survivors with the same float scores in the same order as the
-brute-force ``naive_set_sim_join`` (property-tested in
-``tests/test_kernel_arrays.py``).  A deliberate consequence: survivors
-are ordered by (probe row, corpus position) before emission because
-scipy does not guarantee sorted indices on matmul results — only
-survivors: filtering and verification are order-free.
-
-The live index (:mod:`repro.index.delta`) probes the same
-:class:`ArrayIndex` with its own numpy filter-verify routine, which
-reads the prefix postings straight out of ``prefix_t`` and scores with
-:func:`scores_arrays`; nothing here chooses between paths.
+**Byte-identity is the contract**: for any corpus and any probe batch
+the survivors, float scores and (probe row, position) order equal the
+brute-force ``naive_set_sim_join``'s (``tests/test_kernel_arrays.py``).
 
 Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
@@ -58,7 +42,7 @@ counter bumped inside a forked worker would die with the fork.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -68,10 +52,8 @@ from repro.exceptions import ConfigurationError
 from repro.obs import get_registry
 from repro.perf.kernels import BOUND_EPS, ceil_bound
 
-#: Upper bound on candidate-product entries materialized per probe
-#: chunk (and so on the pairs verified at once, ~300 bytes each at the
-#: peak).  Cache-sized chunks are also the fastest: on the spine's dense
-#: join 1<<16 runs ~15 % quicker than 1<<18 at 50 MB less peak RSS.
+#: Upper bound on the prefix postings gathered per probe chunk (and so
+#: on the pairs filtered and verified at once): cache-sized chunks.
 CHUNK_TARGET_NNZ = 1 << 16
 
 def observe_kernel_batch(
@@ -149,7 +131,7 @@ def overlap_bounds_arrays(measure: str, threshold: float, left_sizes, right_size
         return _ceil_bound(coefficient * (left_sizes + right_sizes).astype(np.float64))
     if measure == "qgram_count":
         return np.maximum(left_sizes, right_sizes) + threshold
-    return np.full(len(left_sizes), ceil_bound(threshold), dtype=np.int64)
+    return np.full(len(right_sizes), ceil_bound(threshold), dtype=np.int64)
 
 
 def prefix_lengths_arrays(measure: str, threshold: float, sizes):
@@ -220,40 +202,48 @@ class ArrayRecords:
 
 
 class ArrayIndex:
-    """The corpus (right) side prepared for batched probing.
-
-    The row-major incidence ``matrix`` (``n_rows x dim``, sorted rows:
-    exact overlaps are merged out of it at candidate pairs only) and the
-    pre-transposed prefix incidence ``prefix_t`` (``dim x n_rows``, so a
-    probe batch hits scipy's ``csr @ csr`` fast path), plus the sizes,
-    prefix lengths and last prefix ids the filters read — all derived on
-    construction and on unpickling rather than persisted.
-    Keyed by (encoding, measure, threshold).
+    """The corpus (right) side prepared for probing: the row-major
+    incidence ``matrix`` (``n_rows x dim``, sorted rows, read at candidate
+    pairs only), the transposed prefix incidence ``prefix_t`` (row *t* is
+    token *t*'s prefix postings), and what the filters read — sizes,
+    prefix lengths, last prefix ids, row bitmaps — derived on construction
+    and on unpickling, never persisted.  Keyed by (encoding, measure,
+    threshold).
     """
 
     __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "bitmaps", "matrix",
-                 "prefix_t", "n_rows", "dim")
+                 "prefix_t", "n_rows", "dim", "indptr", "indices", "posting_sizes", "whole")
 
     def __init__(self, key: str, keys: list, matrix, prefix_t, dim: int):
-        self.key = key
-        self.keys = keys
-        self.sizes = np.diff(matrix.indptr).astype(np.int64)
+        self.key, self.keys, self.matrix, self.prefix_t, self.dim = key, keys, matrix, prefix_t, dim
+        self.n_rows, self.indices = len(keys), matrix.indices
+        self.indptr = matrix.indptr.astype(np.int64)  # scipy may keep int32
+        self.sizes = np.diff(self.indptr)
         self.prefix_sizes = np.bincount(prefix_t.indices, minlength=len(keys))
-        self.prefix_last = _head_last(matrix.indptr, matrix.indices, self.prefix_sizes)
-        self.bitmaps = row_bitmaps(matrix.indptr, matrix.indices)
-        self.matrix = matrix
-        self.prefix_t = prefix_t
-        self.n_rows = len(keys)
-        self.dim = dim
+        self.prefix_last = _head_last(self.indptr, matrix.indices, self.prefix_sizes)
+        self.bitmaps = row_bitmaps(self.indptr, matrix.indices)
+        # One zero past the last token: extension ids clip to it.
+        self.posting_sizes = np.append(np.diff(prefix_t.indptr), 0)
+        self.whole = prefix_t.nnz == matrix.nnz
 
     def __reduce__(self):
         return ArrayIndex, (self.key, self.keys, self.matrix, self.prefix_t, self.dim)
+
+    def posting_lengths(self, ids):
+        """The prefix posting length of each id (0 for an id past the
+        universe, which no row here holds)."""
+        return self.posting_sizes.take(ids, mode="clip")
+
+    def posting_rows(self, ids, lengths):
+        """The rows posted under ``ids`` (``lengths`` long), end to end."""
+        _, take = _ragged_take(self.prefix_t.indptr.take(ids, mode="clip"), lengths)
+        return self.prefix_t.indices[take]
 
 
 def _indptr(counts):
     """CSR row pointers for rows of ``counts`` entries (int64)."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    counts.cumsum(out=indptr[1:])
     return indptr
 
 
@@ -261,8 +251,7 @@ def _ragged_take(starts, counts):
     """The row pointers and flat source positions of rows that take
     ``counts[i]`` consecutive entries from ``starts[i]`` on."""
     indptr = _indptr(counts)
-    offsets = np.arange(int(indptr[-1]), dtype=np.int64)
-    return indptr, np.repeat(starts - indptr[:-1], counts) + offsets
+    return indptr, (starts - indptr[:-1]).repeat(counts) + np.arange(indptr[-1])
 
 
 def _array_records(key: str, keys: list, indptr, indices, dim: int) -> ArrayRecords:
@@ -285,7 +274,7 @@ def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRe
 
 def _head_last(indptr, indices, lengths):
     """The last id of each CSR row's ``lengths``-long head (arbitrary
-    for an empty head, which no product entry ever reads)."""
+    for an empty head, which no pair ever reads)."""
     ends = np.maximum(indptr[:-1] + lengths - 1, 0)
     return indices[ends] if len(indices) else ends
 
@@ -301,160 +290,232 @@ def row_bitmaps(indptr, indices):
     return words
 
 
-def csr_prefix_slice(matrix, lengths):
-    """Per-row head slice of a CSR matrix (row *i* keeps ``lengths[i]``).
-
-    Token ids are stored sorted, so the head of a row *is* its prefix
-    under the global frequency ordering.
-    """
+def build_array_index(key: str, arrays: ArrayRecords, measure: str, threshold: float) -> ArrayIndex:
+    """Prepare one side's :class:`ArrayRecords` as the probed corpus: the
+    head of each row (ids are sorted, so the head is the prefix), as
+    postings."""
+    matrix = arrays.matrix
     indptr = matrix.indptr.astype(np.int64)
-    counts = np.minimum(np.asarray(lengths, dtype=np.int64), np.diff(indptr))
-    new_indptr, take = _ragged_take(indptr[:-1], counts)
-    return _sparse.csr_matrix(
-        (np.ones(len(take), dtype=matrix.data.dtype), matrix.indices[take], new_indptr),
+    lengths = np.minimum(prefix_lengths_arrays(measure, threshold, arrays.sizes), np.diff(indptr))
+    prefix_indptr, take = _ragged_take(indptr[:-1], lengths)
+    prefix = _sparse.csr_matrix(
+        (np.ones(len(take), dtype=matrix.data.dtype), matrix.indices[take], prefix_indptr),
         shape=matrix.shape,
     )
+    return ArrayIndex(key, arrays.keys, matrix, prefix.T.tocsr(), arrays.dim)
 
 
-def build_array_index(key: str, arrays: ArrayRecords, measure: str, threshold: float) -> ArrayIndex:
-    """Prepare one side's :class:`ArrayRecords` as the probed corpus."""
-    lengths = prefix_lengths_arrays(measure, threshold, arrays.sizes)
-    prefix = csr_prefix_slice(arrays.matrix, lengths)
-    return ArrayIndex(key, arrays.keys, arrays.matrix, prefix.T.tocsr(), arrays.dim)
+def _flat_rows(rows):
+    """Row pointers and ids of sequences of ids laid end to end."""
+    indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
+    return indptr, np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
 
 
 def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
-    """A CSR matrix from sorted encoded rows, ``dim`` columns wide.
-
-    Token ids at or past ``dim`` are dropped; sorted ids put them at the
-    tail of each row, so the surviving head is a prefix of the row.
-    """
-    width = max(dim, 1)
-    kept = [ids[: bisect_left(ids, width)] for ids in rows]
-    counts = np.fromiter((len(ids) for ids in kept), dtype=np.int64, count=len(kept))
-    indptr = _indptr(counts)
-    total = int(indptr[-1])
-    indices = np.fromiter(
-        (token for ids in kept for token in ids), dtype=np.int64, count=total
-    )
+    """A CSR matrix of sorted encoded rows, ids below ``dim``."""
+    indptr, indices = _flat_rows(rows)
     return _sparse.csr_matrix(
-        (np.ones(total, dtype=np.int64), indices, indptr), shape=(len(kept), width)
+        (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(len(rows), max(dim, 1))
     )
 
 
 # ----------------------------------------------------------------------
-# The batched filter-verify probe
+# The filter-verify probe
 # ----------------------------------------------------------------------
-def _compress(mask, *columns):
-    """Each column at ``mask``: one ``flatnonzero`` and a take per column,
-    a few times quicker than a boolean index per column."""
-    at = np.flatnonzero(mask)
-    return tuple(column[at] for column in columns)
+_SIZE_TABLES: dict = {}
 
 
-def batch_set_sim_probe(
-    probe_matrix,
-    true_sizes,
-    index: ArrayIndex,
-    measure: str,
-    threshold: float,
-):
-    """Filter-verify a probe batch against an :class:`ArrayIndex`.
+def size_table(measure: str, threshold: float, max_size: int) -> tuple:
+    """``(lower, upper, prefix length, needed)`` by size up to at least
+    ``max_size``, computed once per ``(measure, threshold)`` and regrown
+    by doubling.  ``upper`` is floored: an int size is within the float
+    iff within its floor.  ``needed`` is jaccard's or dice's overlap bound
+    by ``l + r``, up to the last size plus its upper (else ``None``)."""
+    table = _SIZE_TABLES.get((measure, threshold))
+    if table is None or len(table[0]) <= max_size:
+        sizes = np.arange(max(64, 2 * max_size + 1))
+        lower, upper = size_bounds_arrays(measure, threshold, sizes)
+        upper = np.minimum(np.floor(upper), 2.0**62).astype(np.int64)
+        needed = None
+        if measure in ("jaccard", "dice"):
+            totals = np.arange(sizes[-1] + upper[-1] + 1)
+            needed = overlap_bounds_arrays(measure, threshold, 0, totals)
+        table = (lower, upper, prefix_lengths_arrays(measure, threshold, sizes), needed)
+        _SIZE_TABLES[measure, threshold] = table
+    return table
 
-    Per probe row the candidates are the corpus rows sharing a prefix
-    token inside the size window; survivors, scores and their
-    right-position order equal the brute-force join's exactly.
 
-    ``true_sizes`` are the probes' true distinct-token counts (which can
-    exceed row nnz when queries carry out-of-universe tokens).
+class ProbeBatch:
+    """Probe rows and the per-row values the filters read, derived once
+    for every segment :func:`filter_verify` probes.  Row *q* is the sorted
+    ids ``ids[indptr[q]:indptr[q + 1]]`` of a value of ``sizes[q]`` tokens
+    (ids of tokens no segment holds are dropped, but count); ``width``
+    exceeds every probe and segment id."""
 
-    Each product entry meets the size window, the bitmap filter, the
-    positional bound, then exact verification.  Returns
-    ``(result_indptr, positions, scores, candidate_counts, bitmap_kept,
-    verified)``: flat survivor arrays sorted by (probe row, corpus
-    position), sliced per probe row by ``result_indptr``; per-row
-    candidate counts taken after the size window, before the other
-    filters; the numbers of pairs kept by the bitmap filter and verified.
+    __slots__ = ("measure", "threshold", "width", "n", "indptr", "ids", "sizes", "nnz",
+                 "lower", "upper", "needed", "prefix_indptr", "prefix_ids", "bitmaps", "last",
+                 "rest", "whole")
+
+    def __init__(self, indptr, ids, sizes, measure: str, threshold: float, width: int):
+        self.measure, self.threshold, self.width, self.n = measure, threshold, width, len(sizes)
+        start = indptr[0]
+        self.indptr = indptr = indptr - start
+        self.ids = ids = ids[start : start + indptr[-1]]
+        self.sizes, self.nnz = sizes, indptr[1:] - indptr[:-1]
+        lower, upper, lengths, self.needed = size_table(measure, threshold, sizes.max(initial=0))
+        self.lower, self.upper = lower[sizes], upper[sizes]
+        prefix = np.minimum(lengths[sizes], self.nnz)
+        self.prefix_indptr, take = _ragged_take(indptr[:-1], prefix)
+        self.prefix_ids, self.bitmaps = ids[take], row_bitmaps(indptr, ids)
+        self.last, self.rest = _head_last(indptr, ids, prefix), self.nnz - prefix
+        self.whole = not self.rest.any()
+
+    @classmethod
+    def from_rows(cls, rows, sizes, measure: str, threshold: float, width: int) -> "ProbeBatch":
+        """A batch of sorted id tuples and their true sizes."""
+        if len(rows) != 1:
+            indptr, ids = _flat_rows(rows)
+            return cls(indptr, ids, np.array(sizes, dtype=np.int64), measure, threshold, width)
+        # One row: the same values as one-element tuples of numpy scalars,
+        # worked out in Python, which is cheaper here than a numpy call each.
+        (row,), (size,), batch = rows, sizes, cls.__new__(cls)
+        lower, upper, lengths, batch.needed = size_table(measure, threshold, size)
+        nnz, word = len(row), 0
+        prefix = min(int(lengths[size]), nnz)
+        for token in row:
+            word |= 1 << (token & 63)
+        batch.measure, batch.threshold, batch.width, batch.n = measure, threshold, width, 1
+        batch.ids = np.array(row, dtype=np.int64)
+        batch.indptr, batch.prefix_indptr = (0, nnz), (0, prefix)
+        batch.prefix_ids = batch.ids[:prefix]
+        batch.sizes, batch.nnz = (np.int64(size),), (np.int64(nnz),)
+        batch.lower, batch.upper, batch.bitmaps = (lower[size],), (upper[size],), (np.uint64(word),)
+        batch.last = (np.int64(row[prefix - 1] if prefix else 0),)
+        batch.rest, batch.whole = (np.int64(nnz - prefix),), prefix == nnz
+        return batch
+
+
+def _recount(at, per_query):
+    """``per_query`` (pairs per probe row of a chunk, ``None`` for a chunk
+    of one row) once the pairs are cut down to positions ``at``."""
+    if per_query is None:
+        return None
+    bounds = at.searchsorted(_indptr(per_query))
+    return bounds[1:] - bounds[:-1]
+
+
+def filter_verify(batch: ProbeBatch, segment, dead=None):
+    """Filter-verify a probe batch against one segment (an
+    :class:`ArrayIndex`, or the live delta, which has the same probe
+    attributes and posting methods); ``dead`` masks tombstoned rows.
+
+    A chunk of probe rows gathers the rows posted under its prefix ids,
+    codes each pair ``probe_row * n_rows + row`` and sorts the codes: runs
+    of equal codes are the unique pairs, their lengths the shared prefix
+    ids.  Then the size window, tombstones, bitmap filter and positional
+    bound, and exact overlaps of what is left; with nothing sliced off
+    either side, the shared prefix ids are the overlaps.  Returns
+    ``(hits, positions, scores, candidate_counts, bitmap_kept, verified)``:
+    survivors by (probe row, position), ``hits[q]`` of them probe row
+    *q*'s, and the funnel (per-row candidates are counted after the
+    window and tombstones).
     """
-    n_probe = probe_matrix.shape[0]
-    n_rows = index.n_rows
-    lower, upper = size_bounds_arrays(measure, threshold, true_sizes)
-    lengths = prefix_lengths_arrays(measure, threshold, true_sizes)
-    prefix_matrix = csr_prefix_slice(probe_matrix, lengths)
-    # With nothing sliced off either side the candidate product already
-    # holds exact overlaps; otherwise they are computed at kept pairs.
-    counts_from_candidates = (
-        prefix_matrix.nnz == probe_matrix.nnz and index.prefix_t.nnz == index.matrix.nnz
-    )
-    probe_nnz = np.diff(probe_matrix.indptr)
-    probe_bitmaps = row_bitmaps(probe_matrix.indptr, probe_matrix.indices)
-    probe_prefix = np.diff(prefix_matrix.indptr)
-    probe_last = _head_last(prefix_matrix.indptr, prefix_matrix.indices, probe_prefix)
-    probe_rest = probe_nnz - probe_prefix
-    # A probe row's product entries number at most the summed posting
-    # lengths of its prefix tokens; chunks are cut on that running bound,
-    # so the working set tracks candidates however hot a shared token is.
-    postings = np.diff(index.prefix_t.indptr)
-    bound = _indptr(postings[prefix_matrix.indices])[prefix_matrix.indptr]
-
-    out_rows = [np.zeros(0, dtype=np.int64)]
-    out_cols = [np.zeros(0, dtype=np.int64)]
-    out_scores = [np.zeros(0, dtype=np.float64)]
-    candidate_counts = np.zeros(n_probe, dtype=np.int64)
+    n, n_rows, measure, threshold = batch.n, segment.n_rows, batch.measure, batch.threshold
+    lengths = segment.posting_lengths(batch.prefix_ids)
+    cuts = [0, n]  # one row (or none) is one chunk
+    if n > 1:
+        # A row's candidates number at most its summed posting lengths:
+        # chunks are cut on that running bound, and capped so codes fit int32.
+        bound = _indptr(lengths)[batch.prefix_indptr]
+        most, cuts = max(1, np.iinfo(np.int32).max // max(n_rows, 1)), [0]
+        while cuts[-1] < n:
+            fits = int(bound.searchsorted(bound[cuts[-1]] + CHUNK_TARGET_NNZ, side="right"))
+            cuts.append(min(max(cuts[-1] + 1, fits - 1), cuts[-1] + most))
+    exact = batch.whole and segment.whole
+    counts, hits = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    out_rows, out_scores = [], []
     bitmap_kept = verified = 0
-    cuts = [0]
-    while cuts[-1] < n_probe:
-        fits = np.searchsorted(bound, bound[cuts[-1]] + CHUNK_TARGET_NNZ, side="right")
-        cuts.append(max(cuts[-1] + 1, int(fits) - 1))
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        cand = prefix_matrix[start:stop] @ index.prefix_t
-        # Product rows are grouped but their columns unsorted: filter the
-        # raw entries, and order only the survivors at the end.
-        rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(cand.indptr))
-        cols, shared = cand.indices, cand.data
-        right_sizes = index.sizes[cols]
-        keep = (right_sizes >= lower[rows]) & (right_sizes <= upper[rows])
-        candidate_counts[start:stop] = np.bincount(rows - start, keep, stop - start)
-        if not counts_from_candidates:
-            needed = overlap_bounds_arrays(measure, threshold, true_sizes[rows], right_sizes)
+    for start, stop in zip(cuts, cuts[1:]):
+        lo, hi = batch.prefix_indptr[start], batch.prefix_indptr[stop]
+        codes = segment.posting_rows(batch.prefix_ids[lo:hi], lengths[lo:hi])
+        if not len(codes):
+            continue
+        per_query = None  # pairs per probe row; a one-row chunk reads scalars
+        if stop - start > 1:
+            offsets = np.arange(stop - start, dtype=codes.dtype) * n_rows
+            codes += offsets.repeat(bound[start + 1 : stop + 1] - bound[start:stop])
+        codes.sort()
+        edges = np.empty(len(codes) + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+        runs = edges.nonzero()[0]
+        shared, rows = runs[1:] - runs[:-1], codes[runs[:-1]].astype(np.intp)
+        if stop - start > 1:
+            firsts = rows.searchsorted(offsets)
+            per_query = np.append(firsts[1:], len(rows)) - firsts
+            rows -= offsets.repeat(per_query)
+
+        def spread(values):  # a per-row value at each pair, as per_query is now
+            return values[start] if per_query is None else values[start:stop].repeat(per_query)
+
+        sizes = segment.sizes[rows]
+        keep = (sizes >= spread(batch.lower)) & (sizes <= spread(batch.upper))
+        if dead is not None:
+            keep[dead[rows]] = False
+        if per_query is None:
+            counts[start] = np.count_nonzero(keep)
+        else:
+            counts[start:stop] = _recount(keep.nonzero()[0], per_query)
+        if not exact:
+            left = spread(batch.sizes)
+            if batch.needed is None:
+                needed = overlap_bounds_arrays(measure, threshold, left, sizes)
+            else:  # clipped past the window, where the pair is out anyway
+                needed = batch.needed.take(left + sizes, mode="clip")
             # Bitmap filter, overlap <= (nnz_l + |r| - popcount(b_l ^ b_r)) // 2
             # (compared doubled): a bit set in one word only stands for an id
-            # of that row the other lacks.  Out-of-universe probe tokens are
-            # in no corpus row, so the probe side counts nnz, not true size.
-            # It runs on the raw entries beside the window: one compress for both.
-            differ = np.bitwise_count(probe_bitmaps[rows] ^ index.bitmaps[cols])
-            keep &= probe_nnz[rows] + right_sizes - differ >= 2 * needed
-            rows, cols, right_sizes, shared, needed = _compress(
-                keep, rows, cols, right_sizes, shared, needed
-            )
-            bitmap_kept += len(rows)
+            # of that row the other lacks.  Ids outside every segment are in
+            # no row, so the probe side counts nnz, not true size.
+            differ = np.bitwise_count(spread(batch.bitmaps) ^ segment.bitmaps[rows])
+            keep &= spread(batch.nnz) + sizes - differ >= needed + needed
+        at = keep.nonzero()[0]
+        per_query, rows, sizes, shared = _recount(at, per_query), rows[at], sizes[at], shared[at]
+        bitmap_kept += len(rows)
+        if not exact:
             # Positional bound: the owner of the smaller last prefix id has its tail left.
-            owner = probe_last[rows] <= index.prefix_last[cols]
-            rest = np.where(owner, probe_rest[rows], right_sizes - index.prefix_sizes[cols])
-            rows, cols, right_sizes = _compress(
-                shared + rest >= needed, rows, cols, right_sizes
-            )
-        else:
-            rows, cols, right_sizes, shared = _compress(keep, rows, cols, right_sizes, shared)
-            bitmap_kept += len(rows)
-        if len(rows) == 0:
+            tail = sizes - segment.prefix_sizes[rows]
+            owner = spread(batch.last) <= segment.prefix_last[rows]
+            np.copyto(tail, spread(batch.rest), where=owner)
+            at = (shared + tail >= needed[at]).nonzero()[0]
+            per_query, rows, sizes = _recount(at, per_query), rows[at], sizes[at]
+        if not len(rows):
             continue
         verified += len(rows)
-        if counts_from_candidates:
-            overlap = shared
-        else:
-            # Sampled product: one sorted-row merge per kept pair.
-            shared = probe_matrix[rows].multiply(index.matrix[cols])
-            overlap = np.asarray(shared.sum(axis=1)).ravel()
-        scores = scores_arrays(measure, overlap, true_sizes[rows], right_sizes)
-        survived = scores >= threshold
-        out_rows.append(rows[survived])
-        out_cols.append(cols[survived])
-        out_scores.append(scores[survived])
+        overlap = shared
+        if not exact:
+            overlap = _overlaps(batch, segment, start, stop, per_query, rows, sizes)
+        scores = scores_arrays(measure, overlap, spread(batch.sizes), sizes)
+        at = (scores >= threshold).nonzero()[0]
+        per_query, rows, scores = _recount(at, per_query), rows[at], scores[at]
+        hits[start:stop] = len(rows) if per_query is None else per_query
+        out_rows.append(rows)
+        out_scores.append(scores)
+    if len(out_rows) != 1:
+        out_rows = [np.concatenate(out_rows) if out_rows else np.zeros(0, dtype=np.intp)]
+        out_scores = [np.concatenate(out_scores) if out_scores else np.zeros(0)]
+    return hits, out_rows[0], out_scores[0], counts, bitmap_kept, verified
 
-    rows = np.concatenate(out_rows)
-    positions = np.concatenate(out_cols)  # int64: promoted by the seed array
-    order = np.argsort(rows * n_rows + positions)
-    result_indptr = _indptr(np.bincount(rows, minlength=n_probe))
-    scores = np.concatenate(out_scores)[order]
-    return result_indptr, positions[order], scores, candidate_counts, bitmap_kept, verified
+
+def _overlaps(batch: ProbeBatch, segment, start: int, stop: int, per_query, rows, sizes):
+    """Exact overlaps of a chunk's pairs: their rows gathered end to end,
+    each id looked up in its probe row's sorted ids, hits summed per row."""
+    offsets, take = _ragged_take(segment.indptr[rows], sizes)
+    tokens = segment.indices[take]
+    probe = batch.ids[batch.indptr[start] : batch.indptr[stop]]
+    if per_query is not None:
+        # Probe row q's ids become q * width + id: still one sorted array.
+        shift = np.arange(stop - start) * batch.width
+        probe = probe + shift.repeat(batch.nnz[start:stop])
+        tokens = tokens + shift.repeat(per_query).repeat(sizes)
+    found = probe.take(probe.searchsorted(tokens), mode="clip") == tokens
+    return np.add.reduceat(found, offsets[:-1])

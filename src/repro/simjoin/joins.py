@@ -7,22 +7,16 @@ the same result by brute force and exists as the benchmark baseline that
 motivates this package (py_stringsimjoin in the paper).
 
 Both filtered joins run on the integer kernels of :mod:`repro.perf`:
-every distinct string is tokenized once and encoded once, as a CSR row
-of dense token ids ranked by global frequency that each of its records
-shares.  They have one probe body, the batched CSR kernel of
-:mod:`repro.perf.arrays`: candidates for a whole span of probe rows are
-one sparse product of prefix incidences, the size window is a vector
-comparison, and exact overlaps are computed only at the surviving pairs.
-:func:`edit_distance_join` encodes each string's q-gram bag as a set of
-occurrence-tagged grams and runs the kernel's ``"qgram_count"`` bound
-(the q-gram count filter), then verifies with batched Levenshtein.
-:class:`repro.index.delta.LiveIndex` probes the same ``ArrayIndex``
-with its own numpy filter-verify routine, for batches of any size
-including one.  Both joins accept ``n_jobs`` and fan the probe
-rows out over a process pool in contiguous spans whose survivor arrays
-are concatenated in order, so parallel output is byte-identical to
-serial.  Every join hands its output over as columns: one
-``(_id, l_id, r_id, score)`` table built from key and score lists.
+every distinct string is tokenized and encoded once, as a CSR row of
+dense token ids ranked by global frequency.  Their probe body is
+:func:`repro.perf.arrays.filter_verify` — the routine the live index
+reads with too — once per contiguous span of probe rows; the spans fan
+out over ``n_jobs`` processes and are concatenated in order, so parallel
+output is byte-identical to serial.  :func:`edit_distance_join` encodes
+each string's q-gram bag as a set of occurrence-tagged grams, runs the
+``"qgram_count"`` bound (the q-gram count filter) and verifies with
+batched Levenshtein.  Every join returns one ``(_id, l_id, r_id,
+score)`` table built from key and score lists.
 
 All of the build-side intermediates — string records, token sets, the
 ``TokenUniverse`` encodings and the CSR corpus matrices — come from the
@@ -97,15 +91,13 @@ def _probe_span(left, index, measure: str, threshold: float, span: range):
     positions and scores in (row, position) order, the candidate,
     bitmap-kept and verified counts, and the kernel's seconds."""
     started = time.perf_counter()
-    indptr, positions, scores, counts, bitmap_kept, verified = arrays.batch_set_sim_probe(
-        left.matrix[span.start : span.stop],
-        left.sizes[span.start : span.stop],
-        index,
-        measure,
-        threshold,
+    batch = arrays.ProbeBatch(
+        left.matrix.indptr[span.start : span.stop + 1], left.matrix.indices,
+        left.sizes[span.start : span.stop], measure, threshold, index.dim,
     )
+    hits, positions, scores, counts, bitmap_kept, verified = arrays.filter_verify(batch, index)
     seconds = time.perf_counter() - started
-    rows = np.repeat(np.arange(span.start, span.stop), np.diff(indptr))
+    rows = np.repeat(np.arange(span.start, span.stop), hits)
     return rows, positions, scores, int(counts.sum()), bitmap_kept, verified, seconds
 
 

@@ -290,6 +290,47 @@ class TestPositionalBound:
         assert verified < kept
         assert verified < candidates
 
+    def test_live_bound_prunes_where_the_bitmap_saturates(self, monkeypatch):
+        # The same 70-100-token rows from 128 words, through the live
+        # index: a base with tombstones, delta rows with tombstones, and
+        # near-copies of live rows of both segments as queries.
+        rng = random.Random(37)
+        vocab = [f"w{i}" for i in range(128)]
+
+        def row() -> list[str]:
+            return rng.sample(vocab, rng.randint(70, 100))
+
+        def near_copy(words: list[str]) -> str:
+            words = words[:]
+            outside = [word for word in vocab if word not in words]
+            for k in rng.sample(range(len(words)), 6):
+                words[k] = outside.pop(rng.randrange(len(outside)))
+            return " ".join(words)
+
+        base = [row() for _ in range(120)]
+        fresh = [row() for _ in range(30)]
+        funnel = []
+        filter_verify = arrays_module.filter_verify
+
+        def counting(*args):
+            found = filter_verify(*args)
+            funnel.append(found[4:])
+            return found
+
+        monkeypatch.setattr(arrays_module, "filter_verify", counting)
+        with use_registry(), use_index_store():
+            live = LiveIndex.from_table(
+                _table("r", [" ".join(words) for words in base]), "id", "v", threshold=0.7
+            )
+            live.upsert_many((f"x{i}", " ".join(words)) for i, words in enumerate(fresh))
+            live.delete_many([f"r{i}" for i in range(0, 120, 5)] + ["x3", "x7"])
+            queries = [near_copy(words) for words in base[1::4] + fresh[::3]]
+            queries += [" ".join(row()) for _ in range(10)]
+            assert_live_probe_like_naive(live, queries)
+            assert sum(bool(matches) for matches, _ in live.search_batch(queries)) > 20
+        kept, verified = map(sum, zip(*funnel))
+        assert 0 < verified < kept
+
 
 def _bitmap_oracle(ids) -> int:
     word = 0
