@@ -28,7 +28,7 @@ from repro.datasets import DirtinessConfig, make_em_dataset
 from repro.datasets.entities import restaurant
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
 from repro.index import IndexStore, LiveIndex, use_index_store
-from repro.obs import use_registry
+from repro.obs import use_registry, use_tracer
 from repro.perf.kernels import BOUND_EPS
 from repro.simjoin import edit_distance_join, naive_set_sim_join, set_sim_join
 from repro.simjoin.filters import (
@@ -444,5 +444,42 @@ def test_live_join_table_smoke():
     report(
         "simjoin_live_join_smoke",
         "LiveIndex.join_table vs warm set_sim_join (spine regimes, 600 rows a side)",
+        format_table(rows),
+    )
+
+
+def test_disk_warm_join_smoke(tmp_path):
+    """Fast CI check: on both spine join regimes (about 600 rows a side)
+    a join from a new store on a populated cache directory equals the
+    cold join and reads only ``encoding`` and ``arrayindex`` from disk:
+    no ``tokens`` or ``records``.  The cold and warm seconds are
+    archived."""
+    tokenizer = WhitespaceTokenizer(return_set=True)
+    rows = []
+    for regime, pair in _spine_join_inputs(1, 600).items():
+        left = Table({"id": pair["l_id"], "v": pair["l_value"]})
+        right = Table({"id": pair["r_id"], "v": pair["r_value"]})
+        args = (left, right, "id", "id", "v", "v", tokenizer, "jaccard", 0.6)
+        cache_dir = tmp_path / regime
+        with use_index_store(IndexStore(cache_dir=cache_dir)):
+            cold, cold_s = _timed(set_sim_join, *args)
+        with use_registry(), use_tracer() as tracer:
+            with use_index_store(IndexStore(cache_dir=cache_dir)):
+                warm, warm_s = _timed(set_sim_join, *args)
+        assert warm == cold and cold.num_rows > 0
+        served = [(span.labels["kind"], span.labels["tier"])
+                  for span in tracer.spans if span.name == "index_get"]
+        assert served == [("encoding", "disk"), ("arrayindex", "disk")]
+        rows.append({
+            "regime": regime,
+            "rows out": cold.num_rows,
+            "cold s": f"{cold_s:.4f}",
+            "disk-warm s": f"{warm_s:.4f}",
+            "artifacts read": ", ".join(kind for kind, _ in served),
+        })
+        print(f"{regime}: cold {cold_s:.4f}s, disk-warm {warm_s:.4f}s")
+    report(
+        "simjoin_disk_warm_smoke",
+        "Cold vs disk-warm set_sim_join (spine regimes, 600 rows a side)",
         format_table(rows),
     )

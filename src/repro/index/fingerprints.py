@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
+from itertools import islice
 from typing import Any
 
 from repro.table.table import Table
@@ -29,13 +30,15 @@ from repro.text.tokenizers import Tokenizer
 # code must miss, not unpickle into the wrong shape.
 FORMAT_VERSION = 1
 
-_SEP = b"\x00"
+#: Values per ``update`` call: bounds the joined chunk's memory.
+_CHUNK = 4096
 
 
 def _stream(digest, parts: Iterable[Any]) -> None:
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(_SEP)
+    """``repr(part)`` + NUL per part, UTF-8, one ``update`` per chunk."""
+    parts = iter(parts)
+    while chunk := list(islice(parts, _CHUNK)):
+        digest.update(("\x00".join(map(repr, chunk)) + "\x00").encode("utf-8"))
 
 
 def combine(*parts: Any) -> str:

@@ -2,8 +2,8 @@
 
 Every ``set_sim_join``, ``OverlapBlocker`` run, blocking-rule execution,
 and Falcon/Smurf iteration needs the same expensive intermediates:
-string records, per-value token sets, a :class:`TokenUniverse` with
-token-id encodings, and the probe-ready CSR corpus.  Before this module
+string records, each distinct value's tokens, a :class:`TokenUniverse`
+with token-id encodings, and the probe-ready CSR corpus.  Before this module
 each call
 rebuilt them from scratch; the :class:`IndexStore` materializes each
 artifact once under a *content fingerprint* and serves every later call
@@ -16,12 +16,15 @@ Artifacts form a dependency chain mirroring the join pipeline, each
 keyed by the digests of what it was built from::
 
     records(table, key, column)                     "records"
-      -> tokenized column (token sets per value)    "tokens"
+      -> tokenized column (flat tokens per value)   "tokens"
           -> pair encoding (universe + CSR rows)    "encoding"
               -> probe-ready corpus + prefix^T      "arrayindex"
       -> hashed n-gram count vectors                "vectors"
           -> joint (IDF-weighted) vector space      "vecpair"
               -> banded-LSH approximate-NN index    "ann"
+
+A join asks for its encoding by the column and tokenizer fingerprints
+(:meth:`IndexStore.join_encoding`); only a miss reads ``tokens``.
 
 The edit-distance join rides the token chain with
 :class:`~repro.text.tokenizers.QgramBagTokenizer` (q-gram bags as
@@ -29,8 +32,8 @@ sets).  Pickles of retired kinds in a cache directory are listed and
 swept like any artifact, and never read: no accessor asks for them.
 
 The encoding is built in arrays: the universe is ranked with one stable
-sort over per-token record counts, each distinct value becomes one row
-of a CSR block, and each side's records gather their value's row into
+sort over per-token record counts, each side's distinct values become
+one block of CSR rows, and its records gather their value's row into
 a :class:`repro.perf.arrays.ArrayRecords` — what every batch join and
 ``arrayindex`` run on.  ``arrayindex`` is also the base segment of a
 :class:`~repro.index.delta.LiveIndex`, whose probe reads its prefix
@@ -119,19 +122,35 @@ CACHE_READ_ERRORS = (
 
 
 class TokenizedColumn:
-    """One column's records plus the token set of each distinct value."""
+    """One column's records plus each distinct value's tokens, flat:
+    record *i*'s value is ``values[value_rows[i]]``, and value *j*'s
+    distinct tokens (first-seen order, so no pickled byte follows the hash
+    seed) are the next ``lengths[j]`` of ``tokens``.  ``token_sets`` is
+    derived on first read."""
 
-    __slots__ = ("key", "records", "token_sets")
+    __slots__ = ("key", "records", "value_rows", "values", "tokens", "lengths", "_token_sets")
 
-    def __init__(
-        self,
-        key: str,
-        records: list[tuple[Any, str]],
-        token_sets: dict[str, set[str]],
-    ):
-        self.key = key
-        self.records = records
-        self.token_sets = token_sets
+    def __init__(self, key: str, records: list, value_rows, values, tokens, lengths):
+        self.key, self.records, self.value_rows = key, records, value_rows
+        self.values, self.tokens, self.lengths = values, tokens, lengths
+        self._token_sets = None
+
+    @property
+    def token_sets(self) -> dict[str, set[str]]:
+        if self._token_sets is None:
+            spans = zip(self.values, self.lengths.tolist(), np.cumsum(self.lengths).tolist())
+            self._token_sets = {value: set(self.tokens[e - n : e]) for value, n, e in spans}
+        return self._token_sets
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_token_sets"}
+
+    def __setstate__(self, state):
+        # A pickle of the dict-of-sets layout is a cache-read failure:
+        # counted and rebuilt, never served.
+        if not isinstance(state, dict) or "lengths" not in state:
+            raise ValueError("TokenizedColumn pickle of another layout")
+        self.__init__(**state)
 
 
 class PairEncoding:
@@ -216,7 +235,7 @@ class IndexStore:
     result from the memory tier — each digest builds exactly once (one
     ``index_builds_total`` increment; the loser counts a memory reuse),
     while builds of *unrelated* artifacts never serialize behind one
-    another.  A nested build (``tokenized_column`` -> ``_records``)
+    another.  A nested build (``join_encoding`` -> ``tokens`` -> ``_records``)
     takes a distinct digest lock and the dependency graph is acyclic, so
     the per-digest locks cannot deadlock.
     """
@@ -324,8 +343,7 @@ class IndexStore:
     # ------------------------------------------------------------------
     def string_records(self, table: Table, key: str, column: str) -> list[tuple]:
         """``(row_key, str value)`` per row with a non-missing value."""
-        table.require_columns([key, column])
-        return self._records(column_fingerprint(table, key, column), table, key, column)
+        return self._records(_fingerprint(table, key, column), table, key, column)
 
     def _records(self, col_fp: str, table: Table, key: str, column: str) -> list[tuple]:
         def build() -> list[tuple]:
@@ -340,25 +358,49 @@ class IndexStore:
     def tokenized_column(
         self, table: Table, key: str, column: str, tokenizer: Tokenizer
     ) -> TokenizedColumn:
-        """Records plus one token set per distinct value of the column."""
-        table.require_columns([key, column])
-        col_fp = column_fingerprint(table, key, column)
-        digest = combine("tokens", col_fp, tokenizer_fingerprint(tokenizer))
+        """Records plus the tokens of each distinct value of the column."""
+        fps = _fingerprint(table, key, column), tokenizer_fingerprint(tokenizer)
+        return self._tokenized(table, key, column, tokenizer, *fps)
+
+    def _tokenized(self, table, key, column, tokenizer, col_fp: str, tok_fp: str):
+        digest = _tokens_digest(col_fp, tok_fp)
 
         def build() -> TokenizedColumn:
             records = self._records(col_fp, table, key, column)
-            values = dict.fromkeys(value for _, value in records)
-            token_sets = {value: set(tokenizer.tokenize(value)) for value in values}
-            return TokenizedColumn(digest, records, token_sets)
+            values = list(dict.fromkeys(value for _, value in records))
+            ids = dict(zip(values, range(len(values))))
+            value_rows = np.fromiter((ids[v] for _, v in records), np.int32, len(records))
+            per_value = [dict.fromkeys(tokenizer.tokenize(value)) for value in values]
+            lengths = np.fromiter(map(len, per_value), np.int64, len(per_value))
+            # One object per distinct token: pickled once, then referenced.
+            canonical: dict[str, str] = {}
+            tokens = [canonical.setdefault(token, token) for token in chain.from_iterable(per_value)]
+            return TokenizedColumn(digest, records, value_rows, values, tokens, lengths)
 
         return self._get("tokens", digest, build)
 
     def pair_encoding(self, left: TokenizedColumn, right: TokenizedColumn) -> PairEncoding:
         """Shared :class:`TokenUniverse` and encoded records for a join pair."""
-        # "csr1" names the PairEncoding layout (universe + two ArrayRecords),
-        # as "rows2" does ArrayIndex's: another layout's pickle is never read.
-        digest = combine("encoding", "csr1", left.key, right.key)
+        digest = _encoding_digest(left.key, right.key)
         return self._get("encoding", digest, lambda: _encode_pair(digest, left, right))
+
+    def join_encoding(
+        self, ltable: Table, rtable: Table, l_key: str, r_key: str, l_column: str, r_column: str,
+        tokenizer: Tokenizer,
+    ) -> PairEncoding:
+        """``pair_encoding`` of both sides' ``tokenized_column``, by the digest
+        it would carry: only a miss fetches ``tokens`` and ``records``."""
+        tok_fp = tokenizer_fingerprint(tokenizer)
+        l_fp = _fingerprint(ltable, l_key, l_column)
+        r_fp = _fingerprint(rtable, r_key, r_column)
+        digest = _encoding_digest(_tokens_digest(l_fp, tok_fp), _tokens_digest(r_fp, tok_fp))
+
+        def build() -> PairEncoding:
+            left = self._tokenized(ltable, l_key, l_column, tokenizer, l_fp, tok_fp)
+            right = self._tokenized(rtable, r_key, r_column, tokenizer, r_fp, tok_fp)
+            return _encode_pair(digest, left, right)
+
+        return self._get("encoding", digest, build)
 
     def array_index(self, encoding: PairEncoding, measure: str, threshold: float):
         """The encoding's right side as the batched kernel's probe-ready
@@ -385,8 +427,7 @@ class IndexStore:
         vectorizer: HashedNgramVectorizer,
     ) -> HashedColumn:
         """Hashed n-gram count vectors per record of the column."""
-        table.require_columns([key, column])
-        col_fp = column_fingerprint(table, key, column)
+        col_fp = _fingerprint(table, key, column)
         digest = combine("vectors", col_fp, vectorizer_fingerprint(vectorizer))
 
         def build() -> HashedColumn:
@@ -481,26 +522,41 @@ class IndexStore:
         return f"<IndexStore {len(self._memory)} artifacts in memory{where}>"
 
 
+def _fingerprint(table: Table, key: str, column: str) -> str:
+    table.require_columns([key, column])
+    return column_fingerprint(table, key, column)
+
+
+# "flat1" names the TokenizedColumn layout and "csr1" the PairEncoding
+# one (universe + two ArrayRecords), as "rows2" does ArrayIndex's:
+# another layout's pickle is never looked up.
+def _tokens_digest(col_fp: str, tok_fp: str) -> str:
+    return combine("tokens", "flat1", col_fp, tok_fp)
+
+
+def _encoding_digest(left_key: str, right_key: str) -> str:
+    return combine("encoding", "csr1", left_key, right_key)
+
+
 def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> PairEncoding:
     """Rank the pair's universe and encode both sides, in arrays.
 
-    Each distinct value of either side (its token set is the same on
-    both) is one row of a CSR block, which its records gather.  Tokens
+    Each side's distinct values are its own block of CSR rows (a value
+    on both sides is two equal rows), which its records gather.  Tokens
     are numbered lexically by Python's ``sorted`` (a numpy string array
     would drop trailing NULs, merging ``"a\\x00"`` into ``"a"``), so a
     stable sort of their record counts is ``TokenUniverse``'s order.
     """
-    token_sets = {**right.token_sets, **left.token_sets}
-    value_ids = dict(zip(token_sets, range(len(token_sets))))
     sides = (left,) if left is right else (left, right)
-    rows = [np.array([value_ids[v] for _, v in side.records], dtype=np.int64) for side in sides]
-    flat = [token for tokens in token_sets.values() for token in tokens]
+    starts = np.cumsum([0, *(len(side.values) for side in sides)])
+    rows = [side.value_rows + start for side, start in zip(sides, starts.tolist())]
+    lengths = np.concatenate([side.lengths for side in sides])
+    flat = list(chain.from_iterable(side.tokens for side in sides))
     lexical = sorted(set(flat))
     token_ids = dict(zip(lexical, range(len(lexical))))
     tokens = np.fromiter(map(token_ids.__getitem__, flat), dtype=np.int64, count=len(flat))
-    lengths = np.fromiter(map(len, token_sets.values()), dtype=np.int64, count=len(token_sets))
-    value_of_token = np.repeat(np.arange(len(token_sets)), lengths)
-    records_per_value = np.bincount(np.concatenate(rows), minlength=len(token_sets))
+    value_of_token = np.repeat(np.arange(starts[-1]), lengths)
+    records_per_value = np.bincount(np.concatenate(rows), minlength=starts[-1])
     counts = np.bincount(tokens, records_per_value[value_of_token], minlength=len(lexical))
     order = np.argsort(counts, kind="stable")
     universe = TokenUniverse.from_ranked(map(lexical.__getitem__, order.tolist()))

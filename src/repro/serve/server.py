@@ -3,7 +3,7 @@
 A :class:`MatchServer` is the online half of the batch substrate.  At
 startup it builds a :class:`repro.index.LiveIndex` over one corpus
 column — its base segment runs the :class:`repro.index.IndexStore`
-chain (records → token sets → a corpus
+chain (records → tokens per value → a corpus
 :class:`~repro.perf.tokens.TokenUniverse` and CSR encoding → the
 probe-ready ``ArrayIndex``), shared by fingerprint with any batch
 self-join over the same content — then answers ``match(entity)`` point
@@ -237,7 +237,7 @@ class MatchServer:
         chain (the corpus self-paired through ``pair_encoding(tc, tc)``,
         which preserves the frequency-then-lexical ranking), so a batch
         self-join over the same corpus content shares its records,
-        token sets, encoding and ``arrayindex``: warm-up after one
+        tokens, encoding and ``arrayindex``: warm-up after one
         builds nothing.
         """
         self._live = LiveIndex.from_table(

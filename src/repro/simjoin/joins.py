@@ -18,7 +18,7 @@ each string's q-gram bag as a set of occurrence-tagged grams, runs the
 batched Levenshtein.  Every join returns one ``(_id, l_id, r_id,
 score)`` table built from key and score lists.
 
-All of the build-side intermediates — string records, token sets, the
+All of the build-side intermediates — string records, value tokens, the
 ``TokenUniverse`` encodings and the CSR corpus matrices — come from the
 process-default :class:`repro.index.IndexStore`, so a join over content
 the store has already seen (a repeated blocker run, another rule over
@@ -153,12 +153,10 @@ def set_sim_join(
 
     # Every build-side artifact — tokenization, universe encodings, the
     # CSR corpus — comes from the index store: built once per content
-    # fingerprint, served to every later call.
+    # fingerprint, served to every later call.  A served encoding
+    # fetches none of the token artifacts it was built from.
     store = get_index_store()
-    encoding = store.pair_encoding(
-        store.tokenized_column(ltable, l_key, l_column, tokenizer),
-        store.tokenized_column(rtable, r_key, r_column, tokenizer),
-    )
+    encoding = store.join_encoding(ltable, rtable, l_key, r_key, l_column, r_column, tokenizer)
     array_index = store.array_index(encoding, measure, threshold)
     left = encoding.left
     n_probe = len(left.keys)

@@ -1,17 +1,28 @@
 """Tests for the IndexStore: fingerprints, invalidation, reuse, persistence."""
 
+import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import repro
 
 from repro.blocking import OverlapBlocker, make_candset
 from repro.features import extract_feature_vecs, get_features_for_matching
+from repro.index import fingerprints
 from repro.index import (
     ARTIFACT_KINDS,
     IndexStore,
+    TokenizedColumn,
     column_fingerprint,
     combine,
     get_index_store,
@@ -58,6 +69,20 @@ def jaccard_join(ltable: Table, rtable: Table, n_jobs: int = 1) -> Table:
     )
 
 
+# Cells a fingerprint must stream: NUL, non-BMP code points, lone
+# surrogates, missing markers and numpy scalars.
+CELLS = st.one_of(
+    st.text(st.sampled_from(["a", " ", "\x00", "\U0001f600", "\ud800", "\udfff", "\u00e9"])),
+    st.text(max_size=4),
+    st.none(),
+    st.just(float("nan")),
+    st.integers(),
+    st.floats(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+)
+
+
 class TestFingerprints:
     def test_content_only_identity(self):
         # Same content under different column names -> same fingerprint:
@@ -99,6 +124,23 @@ class TestFingerprints:
     def test_combine_is_order_sensitive(self):
         assert combine("a", "b") != combine("b", "a")
         assert combine("a", "b") == combine("a", "b")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(CELLS, CELLS), max_size=12), st.integers(1, 5))
+    @example([], 4096)
+    def test_chunked_stream_equals_the_per_value_stream(self, rows, chunk):
+        """One ``update`` per chunk feeds the bytes a per-value stream
+        does, so every digest and cache name is the per-value one."""
+        reference = hashlib.sha256(b"column\x00")
+        keys, values = [key for key, _ in rows], [value for _, value in rows]
+        for column, marker in ((keys, b""), (values, b"\x00values\x00")):
+            reference.update(marker)
+            for part in column:
+                reference.update(repr(part).encode("utf-8"))
+                reference.update(b"\x00")
+        table = Table({"id": keys, "v": values})
+        with mock.patch.object(fingerprints, "_CHUNK", chunk):
+            assert column_fingerprint(table, "id", "v") == reference.hexdigest()[:32]
 
 
 class TestInvalidation:
@@ -195,7 +237,7 @@ class TestWarmColdEquivalence:
         with use_index_store(), use_registry() as registry:
             jaccard_join(ltable, rtable)
             OverlapBlocker("v", overlap_size=1).block_tables(ltable, rtable, "id", "id")
-            assert counter_total(registry, "index_reuses_total", kind="tokens") > 0
+            assert counter_total(registry, "index_reuses_total", kind="encoding") > 0
 
     def test_a_repeated_falcon_run_reuses_index_artifacts(self):
         from repro.datasets import DirtinessConfig, make_em_dataset
@@ -298,6 +340,55 @@ class TestPersistence:
                 raise AssertionError("RuntimeError should have propagated")
             assert counter_total(registry, "index_disk_errors_total") == 0
 
+    def test_old_layout_token_pickle_is_counted_and_rebuilt(self, tmp_path):
+        table = Table({"id": [1, 2, 3], "v": ["dave smith", "joe wilson", "dave smith"]})
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        built = IndexStore(cache_dir=tmp_path).tokenized_column(table, "id", "v", tokenizer)
+        [path] = tmp_path.glob("tokens-*.pkl")
+
+        class DictOfSets:
+            """Pickles as a TokenizedColumn in the dict-of-sets layout."""
+
+            def __reduce_ex__(self, protocol):
+                slots = {"key": built.key, "records": built.records,
+                         "token_sets": {"dave smith": {"stale"}, "joe wilson": {"stale"}}}
+                return object.__new__, (TokenizedColumn,), (None, slots)
+
+        path.write_bytes(pickle.dumps(DictOfSets(), protocol=pickle.HIGHEST_PROTOCOL))
+        with use_registry() as registry:
+            rebuilt = IndexStore(cache_dir=tmp_path).tokenized_column(table, "id", "v", tokenizer)
+            assert counter_total(registry, "index_disk_errors_total", kind="tokens") == 1
+            assert counter_total(registry, "index_builds_total", kind="tokens") == 1
+        assert rebuilt.token_sets == built.token_sets == {
+            "dave smith": {"dave", "smith"}, "joe wilson": {"joe", "wilson"},
+        }
+        with path.open("rb") as handle:
+            assert pickle.load(handle).token_sets == built.token_sets
+
+    def test_token_pickle_bytes_do_not_follow_the_hash_seed(self):
+        script = (
+            "import hashlib, pickle\n"
+            "from repro.index import IndexStore\n"
+            "from repro.table import Table\n"
+            "from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer\n"
+            "table = Table({'id': list(range(40)), 'v': [f'w{i % 7} v{i % 11} u{i} w{i % 7}'"
+            " for i in range(40)]})\n"
+            "for tokenizer in (WhitespaceTokenizer(return_set=True), QgramTokenizer(q=3)):\n"
+            "    column = IndexStore().tokenized_column(table, 'id', 'v', tokenizer)\n"
+            "    blob = pickle.dumps(column, protocol=pickle.HIGHEST_PROTOCOL)\n"
+            "    print(hashlib.sha256(blob).hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout.split()
+            for seed in ("0", "5")
+        ]
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
     def test_disk_artifacts_and_clear(self, tmp_path):
         table = Table({"id": [1, 2], "v": ["dave smith", "joe wilson"]})
         store = IndexStore(cache_dir=tmp_path)
@@ -347,6 +438,21 @@ class TestStoreSpans:
             }
             assert counter_total(registry, "index_builds_total") == 0
             assert counter_total(registry, "index_reuses_total", tier="memory") == 3
+
+    def test_a_disk_warm_join_fetches_only_what_it_probes(self, tmp_path):
+        from repro.obs import use_tracer
+
+        ltable, rtable = make_tables()
+        with use_index_store(IndexStore(cache_dir=tmp_path)):
+            cold = jaccard_join(ltable, rtable)
+        with use_registry(), use_tracer() as tracer:
+            with use_index_store(IndexStore(cache_dir=tmp_path)):
+                warm = jaccard_join(ltable, rtable)
+        assert [
+            (span.labels["kind"], span.labels["tier"])
+            for span in tracer.spans if span.name == "index_get"
+        ] == [("encoding", "disk"), ("arrayindex", "disk")]
+        assert warm == cold
 
     def test_a_disk_hit_is_labelled_disk(self, tmp_path):
         from repro.obs import use_tracer

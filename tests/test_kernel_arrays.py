@@ -653,6 +653,11 @@ class TestArrayEncodingMatchesTheScalarChain:
             else store.tokenized_column(_table("r", right), "id", "v", tokenizer)
         )
         encoding = store.pair_encoding(left_tc, right_tc)
+        # A join's encoding-first lookup lands on this very artifact.
+        assert store.join_encoding(
+            _table("l", left), _table("l", left) if self_pair else _table("r", right),
+            "id", "id", "v", "v", tokenizer,
+        ) is encoding
         universe, left_enc, right_enc, index = scalar_chain(
             left_tc, right_tc, measure, threshold
         )
