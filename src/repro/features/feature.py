@@ -264,13 +264,17 @@ _ARRAY_MEASURES = {
 def _token_overlaps(tokenizer: Tokenizer, texts: list[str], l_rows, r_rows):
     """``(overlap, left_sizes, right_sizes)`` of the token sets at each row
     pair; each text is tokenized once and the tokens dropped at return."""
+    from scipy import sparse
+
     ids: dict[str, int] = {}
     token_sets = [
         sorted({ids.setdefault(token, len(ids)) for token in tokenizer.tokenize(text)})
         for text in texts
     ]
-    matrix = arrays.build_probe_matrix(token_sets, len(ids))
-    sizes = np.diff(matrix.indptr).astype(np.int64)
+    indptr, indices = arrays._flat_rows(token_sets)
+    sizes = np.diff(indptr)
+    ones = np.ones(len(indices), dtype=np.int64)
+    matrix = sparse.csr_matrix((ones, indices, indptr), shape=(len(texts), max(len(ids), 1)))
     l_sizes, r_sizes = sizes[l_rows], sizes[r_rows]
     overlap = np.empty(len(l_rows), np.int64)
     step = max(1, arrays.CHUNK_TARGET_NNZ // int((l_sizes + r_sizes).max(initial=1)))

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from repro.exceptions import ConfigurationError
 from repro.perf.arrays import CHUNK_TARGET_NNZ, _ragged_take
@@ -150,9 +149,11 @@ class AnnIndex:
         """Each row's band codes, ``(rows, n_bands)`` int64: the sign bit
         of plane *p* (projection >= 0.0) is bit ``p % band_bits`` of band
         ``p // band_bits``."""
+        from scipy import sparse
+
         n_rows, width = matrix.shape
         used = np.flatnonzero(np.bincount(matrix.indices, minlength=width))
-        compact = _sparse.csr_matrix(
+        compact = sparse.csr_matrix(
             (matrix.data, np.searchsorted(used, matrix.indices), matrix.indptr),
             shape=(n_rows, len(used)),
         )

@@ -48,8 +48,8 @@ appending) it **folds**: the extension tokens join the universe at the
 ids they already hold, so every row and prefix stays valid as it is;
 one mask keeps the live rows of both segments, gathered into one CSR
 block in canonical order, and
-:func:`~repro.perf.arrays.build_array_index` derives the transposed
-prefix incidence over it.  Then it swaps and replays whatever raced.
+:func:`~repro.perf.arrays.build_array_index` derives the prefix
+postings over it.  Then it swaps and replays whatever raced.
 The frequency ranking drifts as rows fold in, which costs selectivity,
 never exactness; once the rows folded since the last full build exceed
 the rows that build covered, ``compact()`` takes the constructor's full
@@ -316,10 +316,12 @@ class LiveIndex:
         the ``ArrayIndex`` the probe reads."""
         store = self._store
         view = self._view(table, self.key, self.column)
-        tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
-        encoding = store.pair_encoding(tc, tc)
+        records = store.string_records(view, self.key, self.column)
+        encoding = store.join_encoding(
+            view, view, self.key, self.key, self.column, self.column, self.tokenizer
+        )
         index = store.array_index(encoding, self.measure, self.threshold)
-        base = _BaseSegment(tc.records, encoding.universe, index)
+        base = _BaseSegment(records, encoding.universe, index)
         if len(base.positions) < base.n_rows:
             seen: set = set()
             for row_key in base.keys:

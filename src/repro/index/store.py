@@ -18,7 +18,7 @@ keyed by the digests of what it was built from::
     records(table, key, column)                     "records"
       -> tokenized column (flat tokens per value)   "tokens"
           -> pair encoding (universe + CSR rows)    "encoding"
-              -> probe-ready corpus + prefix^T      "arrayindex"
+              -> CSR corpus + prefix postings       "arrayindex"
       -> hashed n-gram count vectors                "vectors"
           -> joint (IDF-weighted) vector space      "vecpair"
               -> banded-LSH approximate-NN index    "ann"
@@ -76,7 +76,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from repro.index.ann import AnnIndex
 from repro.index.fingerprints import (
@@ -197,11 +196,21 @@ class HashedColumn:
         self.records = records
 
 
+class VectorRecords:
+    """One side of a :class:`VectorPair`: ``matrix`` (a scipy CSR matrix,
+    sorted bucket columns) holds row *i*'s weights for record ``keys[i]``."""
+
+    __slots__ = ("key", "keys", "matrix")
+
+    def __init__(self, key: str, keys: list, matrix):
+        self.key, self.keys, self.matrix = key, keys, matrix
+
+
 class VectorPair:
     """A join pair's records in one shared, similarity-ready vector space.
 
-    ``left``/``right`` are :class:`~repro.perf.arrays.ArrayRecords` in
-    record order whose CSR rows hold each record's raw counts,
+    ``left``/``right`` are :class:`VectorRecords` in record order whose
+    CSR rows hold each record's raw counts,
     IDF-weighted over the *combined* corpus (when ``idf`` was requested)
     and L2-normalized — bit for bit ``l2_normalize(apply_idf(embed(value),
     idf))`` — under sorted bucket columns: what
@@ -392,7 +401,9 @@ class IndexStore:
         it would carry: only a miss fetches ``tokens`` and ``records``."""
         tok_fp = tokenizer_fingerprint(tokenizer)
         l_fp = _fingerprint(ltable, l_key, l_column)
-        r_fp = _fingerprint(rtable, r_key, r_column)
+        # A live index's base pairs one table with itself: one fingerprint.
+        same = rtable is ltable and (r_key, r_column) == (l_key, l_column)
+        r_fp = l_fp if same else _fingerprint(rtable, r_key, r_column)
         digest = _encoding_digest(_tokens_digest(l_fp, tok_fp), _tokens_digest(r_fp, tok_fp))
 
         def build() -> PairEncoding:
@@ -405,11 +416,11 @@ class IndexStore:
     def array_index(self, encoding: PairEncoding, measure: str, threshold: float):
         """The encoding's right side as the batched kernel's probe-ready
         CSR corpus, a :class:`repro.perf.arrays.ArrayIndex`."""
-        # "rows2" names the ArrayIndex layout (row-major corpus matrix +
-        # transposed prefix slice).  Change it whenever what the class
-        # pickles changes, so a cached pickle of another layout is never
-        # read back; fields derived on load (sizes, prefix heads) don't.
-        digest = combine("arrayindex", "rows2", encoding.key, measure, threshold)
+        # "rows3" names the ArrayIndex layout (plain CSR rows + token-major
+        # prefix postings).  Change it whenever what the class pickles
+        # changes, so a cached pickle of another layout is never read
+        # back; fields derived on load (sizes, prefix heads) don't.
+        digest = combine("arrayindex", "rows3", encoding.key, measure, threshold)
 
         def build():
             return arrays.build_array_index(digest, encoding.right, measure, threshold)
@@ -447,9 +458,9 @@ class IndexStore:
         self, left: HashedColumn, right: HashedColumn, idf: bool = True
     ) -> VectorPair:
         """Both sides projected into one (optionally IDF-weighted) space."""
-        # "csr1" names the VectorPair layout (two ArrayRecords of weights),
-        # so a pickle of the dict-vector layout is never read.
-        digest = combine("vecpair", "csr1", left.key, right.key, idf)
+        # "csr2" names the VectorPair layout (two VectorRecords), so a
+        # pickle of an earlier layout is never read.
+        digest = combine("vecpair", "csr2", left.key, right.key, idf)
         return self._get("vecpair", digest, lambda: _project_pair(digest, left, right, idf))
 
     def ann_index(
@@ -527,15 +538,15 @@ def _fingerprint(table: Table, key: str, column: str) -> str:
     return column_fingerprint(table, key, column)
 
 
-# "flat1" names the TokenizedColumn layout and "csr1" the PairEncoding
-# one (universe + two ArrayRecords), as "rows2" does ArrayIndex's:
-# another layout's pickle is never looked up.
+# "flat1" names the TokenizedColumn layout and "csr2" the PairEncoding
+# one (universe + two plain-array ArrayRecords), as "rows3" does
+# ArrayIndex's: another layout's pickle is never looked up.
 def _tokens_digest(col_fp: str, tok_fp: str) -> str:
     return combine("tokens", "flat1", col_fp, tok_fp)
 
 
 def _encoding_digest(left_key: str, right_key: str) -> str:
-    return combine("encoding", "csr1", left_key, right_key)
+    return combine("encoding", "csr2", left_key, right_key)
 
 
 def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> PairEncoding:
@@ -581,6 +592,8 @@ def _project_pair(digest: str, left: HashedColumn, right: HashedColumn, idf: boo
     dict functions (so every weight is theirs, bit for bit), then pack
     them as one CSR block that both sides' records gather their rows
     from."""
+    from scipy import sparse
+
     sides = (left, right)
     weights = idf_weights(vector for side in sides for _, vector in side.records) if idf else None
     # Records sharing a raw vector object share its row (id-keyed; the
@@ -603,16 +616,15 @@ def _project_pair(digest: str, left: HashedColumn, right: HashedColumn, idf: boo
     buckets = np.fromiter(chain.from_iterable(normalized), dtype=np.int64, count=total)
     values = chain.from_iterable(vector.values() for vector in normalized)
     width = int(buckets.max()) + 1 if total else 1
-    block = _sparse.csr_matrix(
+    block = sparse.csr_matrix(
         (np.fromiter(values, dtype=np.float64, count=total), buckets, arrays._indptr(lengths)),
         shape=(len(normalized), width),
     )
     block.sort_indices()
-    projected = []
-    for side, rows in zip(sides, side_rows):
-        matrix = block[rows]
-        keys = [row_key for row_key, _ in side.records]
-        projected.append(arrays.ArrayRecords(digest, keys, np.diff(matrix.indptr), matrix, width))
+    projected = [
+        VectorRecords(digest, [row_key for row_key, _ in side.records], block[rows])
+        for side, rows in zip(sides, side_rows)
+    ]
     return VectorPair(digest, *projected, weights)
 
 

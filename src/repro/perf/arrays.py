@@ -3,13 +3,13 @@
 Every per-pair loop of the set-similarity joins and of the live index's
 reads — filter-verify candidate collection and verification — is one
 routine here, :func:`filter_verify`, run over a batch of probe rows of
-any size, one row included, as a handful of ``numpy`` operations (the
-vector branch's kernels, on the same CSR layout, are in
+any size, one row included, as a handful of ``numpy`` operations on
+plain CSR arrays (the vector branch's kernels, on scipy matrices, are in
 :mod:`repro.index.ann`):
 
-* an :class:`ArrayIndex` is a corpus's CSR token incidence (a
-  fingerprinted :class:`repro.index.IndexStore` artifact) plus its
-  transposed prefix incidence, whose rows are the prefix postings;
+* an :class:`ArrayIndex` is a corpus's CSR token rows (a fingerprinted
+  :class:`repro.index.IndexStore` artifact) plus its prefix postings,
+  token-major in the same two-array layout;
 * candidates of a chunk of probe rows are their prefix postings, coded
   ``probe_row * n_rows + row`` in int32 and sorted once: runs of equal
   codes are the unique pairs and their shared prefix ids;
@@ -43,10 +43,8 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from repro.exceptions import ConfigurationError
 from repro.obs import get_registry
@@ -182,52 +180,50 @@ def scores_arrays(measure: str, overlap, left_sizes, right_sizes):
 # CSR corpus structures
 # ----------------------------------------------------------------------
 class ArrayRecords:
-    """One side's records as a CSR matrix with sorted indices per row.
+    """One side's token incidence as CSR arrays: row *i* is record *i*'s
+    sorted token ids ``indices[indptr[i]:indptr[i + 1]]`` (int64
+    ``indptr``, int32 ``indices``), each below ``dim``; ``sizes[i]`` is
+    its distinct-token count.  Each side of a
+    :class:`~repro.index.store.PairEncoding` is one."""
 
-    Each side of a :class:`~repro.index.store.PairEncoding` is a token
-    incidence: row *i* holds record *i*'s token ids with int64 ones as
-    data, and ``sizes[i]`` is its distinct-token count.  Each side of a
-    :class:`~repro.index.store.VectorPair` holds bucket weights instead
-    (float64 data; ``sizes[i]`` its bucket count).
-    """
+    __slots__ = ("key", "keys", "indptr", "indices", "dim")
 
-    __slots__ = ("key", "keys", "sizes", "matrix", "dim")
+    def __init__(self, key: str, keys: list, indptr, indices, dim: int):
+        self.key, self.keys, self.indptr, self.indices, self.dim = key, keys, indptr, indices, dim
 
-    def __init__(self, key: str, keys: list, sizes, matrix, dim: int):
-        self.key = key
-        self.keys = keys
-        self.sizes = sizes
-        self.matrix = matrix
-        self.dim = dim
+    @property
+    def sizes(self):
+        return np.diff(self.indptr)
 
 
 class ArrayIndex:
-    """The corpus (right) side prepared for probing: the row-major
-    incidence ``matrix`` (``n_rows x dim``, sorted rows, read at candidate
-    pairs only), the transposed prefix incidence ``prefix_t`` (row *t* is
-    token *t*'s prefix postings), and what the filters read — sizes,
-    prefix lengths, last prefix ids, row bitmaps — derived on construction
-    and on unpickling, never persisted.  Keyed by (encoding, measure,
-    threshold).
+    """The corpus (right) side prepared for probing: its CSR rows
+    (``indptr``/``indices``, sorted, read at candidate pairs only) and its
+    prefix postings, token-major (token *t*'s are the ascending rows
+    ``postings[posting_indptr[t]:posting_indptr[t + 1]]``), plus what the
+    filters read — sizes, prefix lengths, last prefix ids, row bitmaps —
+    derived on construction and on unpickling, never persisted.  Keyed by
+    (encoding, measure, threshold).
     """
 
-    __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "bitmaps", "matrix",
-                 "prefix_t", "n_rows", "dim", "indptr", "indices", "posting_sizes", "whole")
+    __slots__ = ("key", "keys", "sizes", "prefix_sizes", "prefix_last", "bitmaps", "indptr",
+                 "indices", "posting_indptr", "postings", "n_rows", "dim", "posting_sizes",
+                 "whole")
 
-    def __init__(self, key: str, keys: list, matrix, prefix_t, dim: int):
-        self.key, self.keys, self.matrix, self.prefix_t, self.dim = key, keys, matrix, prefix_t, dim
-        self.n_rows, self.indices = len(keys), matrix.indices
-        self.indptr = matrix.indptr.astype(np.int64)  # scipy may keep int32
-        self.sizes = np.diff(self.indptr)
-        self.prefix_sizes = np.bincount(prefix_t.indices, minlength=len(keys))
-        self.prefix_last = _head_last(self.indptr, matrix.indices, self.prefix_sizes)
-        self.bitmaps = row_bitmaps(self.indptr, matrix.indices)
+    def __init__(self, key: str, keys: list, indptr, indices, posting_indptr, postings, dim: int):
+        self.key, self.keys, self.indptr, self.indices, self.dim = key, keys, indptr, indices, dim
+        self.posting_indptr, self.postings = posting_indptr, postings
+        self.n_rows, self.sizes = len(keys), np.diff(indptr)
+        self.prefix_sizes = np.bincount(postings, minlength=len(keys))
+        self.prefix_last = _head_last(indptr, indices, self.prefix_sizes)
+        self.bitmaps = row_bitmaps(indptr, indices)
         # One zero past the last token: extension ids clip to it.
-        self.posting_sizes = np.append(np.diff(prefix_t.indptr), 0)
-        self.whole = prefix_t.nnz == matrix.nnz
+        self.posting_sizes = np.append(np.diff(posting_indptr), 0)
+        self.whole = len(postings) == indptr[-1]
 
     def __reduce__(self):
-        return ArrayIndex, (self.key, self.keys, self.matrix, self.prefix_t, self.dim)
+        return ArrayIndex, (self.key, self.keys, self.indptr, self.indices, self.posting_indptr,
+                            self.postings, self.dim)
 
     def posting_lengths(self, ids):
         """The prefix posting length of each id (0 for an id past the
@@ -236,8 +232,8 @@ class ArrayIndex:
 
     def posting_rows(self, ids, lengths):
         """The rows posted under ``ids`` (``lengths`` long), end to end."""
-        _, take = _ragged_take(self.prefix_t.indptr.take(ids, mode="clip"), lengths)
-        return self.prefix_t.indices[take]
+        _, take = _ragged_take(self.posting_indptr.take(ids, mode="clip"), lengths)
+        return self.postings[take]
 
 
 def _indptr(counts):
@@ -254,22 +250,13 @@ def _ragged_take(starts, counts):
     return indptr, (starts - indptr[:-1]).repeat(counts) + np.arange(indptr[-1])
 
 
-def _array_records(key: str, keys: list, indptr, indices, dim: int) -> ArrayRecords:
-    width = max(dim, 1)
-    matrix = _sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int64), indices, indptr),
-        shape=(len(keys), width),
-    )
-    return ArrayRecords(key, keys, np.diff(indptr), matrix, width)
-
-
 def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRecords:
     """Row ``rows[i]`` of a block of rows laid end to end in ``indices``
     (row *j* is ``lengths[j]`` long) as row *i* of an :class:`ArrayRecords`
     keyed by ``keys``."""
     starts = np.cumsum(lengths) - lengths
     new_indptr, take = _ragged_take(starts[rows], lengths[rows])
-    return _array_records(key, keys, new_indptr, indices[take], dim)
+    return ArrayRecords(key, keys, new_indptr, indices[take].astype(np.int32), max(dim, 1))
 
 
 def _head_last(indptr, indices, lengths):
@@ -290,33 +277,27 @@ def row_bitmaps(indptr, indices):
     return words
 
 
-def build_array_index(key: str, arrays: ArrayRecords, measure: str, threshold: float) -> ArrayIndex:
+def build_array_index(key: str, rows: ArrayRecords, measure: str, threshold: float) -> ArrayIndex:
     """Prepare one side's :class:`ArrayRecords` as the probed corpus: the
-    head of each row (ids are sorted, so the head is the prefix), as
-    postings."""
-    matrix = arrays.matrix
-    indptr = matrix.indptr.astype(np.int64)
-    lengths = np.minimum(prefix_lengths_arrays(measure, threshold, arrays.sizes), np.diff(indptr))
-    prefix_indptr, take = _ragged_take(indptr[:-1], lengths)
-    prefix = _sparse.csr_matrix(
-        (np.ones(len(take), dtype=matrix.data.dtype), matrix.indices[take], prefix_indptr),
-        shape=matrix.shape,
-    )
-    return ArrayIndex(key, arrays.keys, matrix, prefix.T.tocsr(), arrays.dim)
+    head of each row (ids are sorted, so the head is the prefix), posted
+    under its ids.  The codes ``id * n_rows + row`` are unique, so one
+    plain sort orders them by id and each posting list ascends (a stable
+    argsort of the ids took 8x as long)."""
+    sizes = rows.sizes
+    n_rows = len(sizes)
+    lengths = np.minimum(prefix_lengths_arrays(measure, threshold, sizes), sizes)
+    ids = rows.indices[_ragged_take(rows.indptr[:-1], lengths)[1]]
+    codes = ids * np.int64(n_rows) + np.arange(n_rows).repeat(lengths)
+    codes.sort()
+    postings = (codes % n_rows).astype(np.int32)
+    posting_indptr = _indptr(np.bincount(ids, minlength=rows.dim))
+    return ArrayIndex(key, rows.keys, rows.indptr, rows.indices, posting_indptr, postings, rows.dim)
 
 
 def _flat_rows(rows):
     """Row pointers and ids of sequences of ids laid end to end."""
     indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
     return indptr, np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
-
-
-def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
-    """A CSR matrix of sorted encoded rows, ids below ``dim``."""
-    indptr, indices = _flat_rows(rows)
-    return _sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(len(rows), max(dim, 1))
-    )
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ batched Levenshtein.  Every join returns one ``(_id, l_id, r_id,
 score)`` table built from key and score lists.
 
 All of the build-side intermediates — string records, value tokens, the
-``TokenUniverse`` encodings and the CSR corpus matrices — come from the
+``TokenUniverse`` encodings and the CSR corpus arrays — come from the
 process-default :class:`repro.index.IndexStore`, so a join over content
 the store has already seen (a repeated blocker run, another rule over
 the same attribute, a Smurf threshold-sweep iteration) skips straight to
@@ -92,7 +92,7 @@ def _probe_span(left, index, measure: str, threshold: float, span: range):
     bitmap-kept and verified counts, and the kernel's seconds."""
     started = time.perf_counter()
     batch = arrays.ProbeBatch(
-        left.matrix.indptr[span.start : span.stop + 1], left.matrix.indices,
+        left.indptr[span.start : span.stop + 1], left.indices,
         left.sizes[span.start : span.stop], measure, threshold, index.dim,
     )
     hits, positions, scores, counts, bitmap_kept, verified = arrays.filter_verify(batch, index)
@@ -246,12 +246,12 @@ def edit_distance_join(
     measure, bound = "qgram_count", -q * d
     store = get_index_store()
     tokenizer = QgramBagTokenizer(q)
-    left = store.tokenized_column(ltable, l_key, l_column, tokenizer)
-    right = store.tokenized_column(rtable, r_key, r_column, tokenizer)
-    encoding = store.pair_encoding(left, right)
+    left = store.string_records(ltable, l_key, l_column)
+    right = store.string_records(rtable, r_key, r_column)
+    encoding = store.join_encoding(ltable, rtable, l_key, r_key, l_column, r_column, tokenizer)
     index = store.array_index(encoding, measure, bound)
     strings, l_values, r_values = number_items(
-        [value for _, value in left.records], [value for _, value in right.records]
+        [value for _, value in left], [value for _, value in right]
     )
     n_strings = len(strings)
     lengths = np.fromiter(map(len, strings), np.int64, n_strings)
@@ -293,13 +293,13 @@ def edit_distance_join(
         return rows[match], cols[match], distances[match], n_candidates, n_kept, len(rows)
 
     rows, cols, distances, n_candidates, n_kept, n_verified = _over_spans(
-        len(left.records), n_jobs, join_span
+        len(left), n_jobs, join_span
     )
     _observe_join(
         "edit_distance",
         "levenshtein",
         time.perf_counter() - join_started,
-        probes=len(left.records),
+        probes=len(left),
         candidates=n_candidates,
         bitmap_kept=n_kept,
         survivors=len(rows),

@@ -207,14 +207,16 @@ class TestWarmColdEquivalence:
             warm_parallel = edit_distance_join(
                 ltable, rtable, "id", "id", "v", "v", threshold=2, n_jobs=2
             )
-            # The edit join rides the token chain; warm runs build nothing.
+            # The edit join rides the token chain; warm runs build nothing
+            # and, looking the encoding up first, never ask for tokens.
             assert built == {
                 "records": 2, "tokens": 2, "encoding": 1, "arrayindex": 1,
                 "vectors": 0, "vecpair": 0, "ann": 0,
             }
             assert counter_total(registry, "index_builds_total") == 6
-            for kind in ("tokens", "encoding", "arrayindex"):
+            for kind in ("records", "encoding", "arrayindex"):
                 assert counter_total(registry, "index_reuses_total", kind=kind) >= 2
+            assert counter_total(registry, "index_reuses_total", kind="tokens") == 0
         assert cold.num_rows > 0
         assert columns_of(warm) == columns_of(cold)
         assert columns_of(warm_parallel) == columns_of(cold)
@@ -409,7 +411,7 @@ class TestStoreSpans:
         table = Table({"id": [1, 2, 3], "v": ["dave smith", "joe wilson", "dave jones"]})
         store = IndexStore()
 
-        def gets(tracer, parent: str) -> dict[str, str]:
+        def gets(tracer, parent: str) -> list[tuple[str, str]]:
             [outer] = [span for span in tracer.spans if span.name == parent]
             requests = [span for span in tracer.spans if span.name == "index_get"]
             by_id = {span.span_id: span for span in requests}
@@ -418,24 +420,25 @@ class TestStoreSpans:
                 span.parent_id == outer.span_id or span.parent_id in by_id
                 for span in requests
             )
-            return {span.labels["kind"]: span.labels["tier"] for span in requests}
+            return [(span.labels["kind"], span.labels["tier"]) for span in requests]
 
         with use_registry() as registry, use_tracer() as tracer:
             with trace_span("cold"):
                 LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
-            # The store's chain through the arrayindex the live probe reads.
-            assert gets(tracer, "cold") == {
-                "records": "build", "tokens": "build", "encoding": "build",
-                "arrayindex": "build",
-            }
+            # The store's chain through the arrayindex the live probe reads
+            # (spans end inner first; the self-pair asks twice for its sides).
+            assert gets(tracer, "cold") == [
+                ("records", "build"), ("records", "memory"), ("tokens", "build"),
+                ("tokens", "memory"), ("encoding", "build"), ("arrayindex", "build"),
+            ]
             for kind in ("records", "tokens", "encoding", "arrayindex"):
                 assert counter_total(registry, "index_builds_total", kind=kind) == 1
         with use_registry() as registry, use_tracer() as tracer:
             with trace_span("warm"):
                 LiveIndex.from_table(table, "id", "v", threshold=0.4, store=store)
-            assert gets(tracer, "warm") == {
-                "tokens": "memory", "encoding": "memory", "arrayindex": "memory",
-            }
+            assert gets(tracer, "warm") == [
+                ("records", "memory"), ("encoding", "memory"), ("arrayindex", "memory"),
+            ]
             assert counter_total(registry, "index_builds_total") == 0
             assert counter_total(registry, "index_reuses_total", tier="memory") == 3
 
@@ -453,6 +456,30 @@ class TestStoreSpans:
             for span in tracer.spans if span.name == "index_get"
         ] == [("encoding", "disk"), ("arrayindex", "disk")]
         assert warm == cold
+
+    def test_disk_warm_edit_join_and_live_index_read_no_tokens(self, tmp_path):
+        """Both look their encoding up as a join does: a disk-warm run reads
+        ``records``, ``encoding`` and ``arrayindex``, never ``tokens``."""
+        from repro.index import LiveIndex
+
+        ltable, rtable = make_tables()
+        queries = ltable.column("v")[:12]
+
+        def run():
+            with use_index_store(IndexStore(cache_dir=tmp_path)) as store:
+                edit = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=2)
+                live = LiveIndex.from_table(rtable, "id", "v", threshold=0.4, store=store)
+                return edit, [matches for matches, _ in live.search_batch(queries)]
+
+        cold = run()
+        with use_registry() as registry:
+            warm = run()
+            assert counter_total(registry, "index_builds_total") == 0
+            assert counter_total(registry, "index_reuses_total", kind="tokens") == 0
+            for kind in ("records", "encoding", "arrayindex"):
+                assert counter_total(registry, "index_reuses_total", kind=kind, tier="disk") == 2
+        assert warm == cold
+        assert cold[0].num_rows and any(cold[1])
 
     def test_a_disk_hit_is_labelled_disk(self, tmp_path):
         from repro.obs import use_tracer

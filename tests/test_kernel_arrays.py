@@ -490,15 +490,114 @@ class TestArrayIndexLayoutVersion:
             old_path = tmp_path / f"arrayindex-{old_digest}.pkl"
             old_path.write_bytes(stale)
             index = store.array_index(encoding, "jaccard", 0.5)
-            assert index.matrix.shape[0] == index.n_rows == 3
+            assert len(index.indptr) - 1 == index.n_rows == 3
             assert registry.get("index_builds_total", kind="arrayindex").value == 1
             assert registry.get("index_disk_errors_total", kind="arrayindex") is None
             assert old_path.read_bytes() == stale
             # The rebuilt artifact is what a fresh store warm-loads.
             warm = IndexStore(cache_dir=tmp_path).array_index(encoding, "jaccard", 0.5)
             assert registry.get("index_builds_total", kind="arrayindex").value == 1
-            assert (warm.matrix != index.matrix).nnz == 0
+            assert csr_rows(warm) == csr_rows(index)
+            assert prefix_postings_of(warm) == prefix_postings_of(index)
             assert warm.sizes.tolist() == index.sizes.tolist() == [2, 2, 3]
+
+    def test_scipy_layout_cache_dir_is_rebuilt_without_scipy(self, tmp_path):
+        """A cache directory whose ``encoding`` and ``arrayindex`` pickles
+        hold scipy matrices (the "csr1"/"rows2" layouts) is never read: a
+        fresh interpreter joining over it builds each once, gives the cold
+        answer and imports no scipy."""
+        import copyreg
+        import pickle
+
+        from scipy import sparse
+
+        from repro.index.fingerprints import combine, tokenizer_fingerprint
+        from repro.index.store import IndexStore, PairEncoding, _fingerprint, _tokens_digest
+        from repro.perf.arrays import ArrayIndex, ArrayRecords
+        from tests.test_scipy_footprint import run_fresh
+
+        def matrix(indptr, indices, shape):
+            return sparse.csr_matrix((np.ones(len(indices), np.int64), indices, indptr), shape)
+
+        class ScipyRecords:
+            """Pickles as an ArrayRecords whose rows are a scipy matrix."""
+
+            def __init__(self, records):
+                self.records = records
+
+            def __reduce__(self):
+                rows = self.records
+                state = {"key": rows.key, "keys": rows.keys, "sizes": rows.sizes, "dim": rows.dim,
+                         "matrix": matrix(rows.indptr, rows.indices, (len(rows.keys), rows.dim))}
+                return copyreg._reconstructor, (ArrayRecords, object, None), (None, state)
+
+        class ScipyIndex:
+            """Pickles as the ArrayIndex(key, keys, matrix, prefix_t, dim) call."""
+
+            def __init__(self, index):
+                self.index = index
+
+            def __reduce__(self):
+                index = self.index
+                rows = matrix(index.indptr, index.indices, (index.n_rows, index.dim))
+                prefix_t = matrix(index.posting_indptr, index.postings, (index.dim, index.n_rows))
+                return ArrayIndex, (index.key, index.keys, rows, prefix_t, index.dim)
+
+        values = [f"w{i % 7} v{i % 11} u{i % 5}" for i in range(40)]
+        ltable, rtable = _table("l", values), _table("r", values[::-1])
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        args = (ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5)
+        with use_index_store():
+            cold = set_sim_join(*args)
+        store = IndexStore(cache_dir=tmp_path)  # writes the records and tokens
+        encoding = store.join_encoding(*args[:7])
+        index = store.array_index(encoding, "jaccard", 0.5)
+        tok_fp = tokenizer_fingerprint(tokenizer)
+        old_encoding = combine(
+            "encoding", "csr1",
+            *(_tokens_digest(_fingerprint(table, "id", "v"), tok_fp) for table in args[:2]),
+        )
+        old_index = combine("arrayindex", "rows2", old_encoding, "jaccard", 0.5)
+        stale = {
+            tmp_path / f"encoding-{old_encoding}.pkl": pickle.dumps(PairEncoding(
+                old_encoding, encoding.universe, ScipyRecords(encoding.left),
+                ScipyRecords(encoding.right),
+            )),
+            tmp_path / f"arrayindex-{old_index}.pkl": pickle.dumps(ScipyIndex(index)),
+        }
+        for path, blob in stale.items():
+            path.write_bytes(blob)
+        for path in tmp_path.glob("*.pkl"):
+            if path.name.startswith(("encoding-", "arrayindex-")) and path not in stale:
+                path.unlink()
+        script = """
+import json, sys
+from repro.index import IndexStore, use_index_store
+from repro.obs import use_registry
+from repro.simjoin import set_sim_join
+from repro.table import Table
+from repro.text.tokenizers import WhitespaceTokenizer
+values = [f"w{i % 7} v{i % 11} u{i % 5}" for i in range(40)]
+ltable = Table({"id": [f"l{i}" for i in range(40)], "v": values})
+rtable = Table({"id": [f"r{i}" for i in range(40)], "v": values[::-1]})
+with use_registry() as registry, use_index_store(IndexStore(cache_dir=sys.argv[1])):
+    out = set_sim_join(ltable, rtable, "id", "id", "v", "v",
+                       WhitespaceTokenizer(return_set=True), "jaccard", 0.5)
+counters = {f"{name}:{dict(labels).get('kind')}:{dict(labels).get('tier')}": value
+            for (name, labels), value in registry.counters().items() if name.startswith("index_")}
+print(json.dumps({"rows": [list(row.values()) for row in out.to_rows()],
+                  "counters": counters, "scipy": "scipy" in sys.modules}))
+"""
+        result = run_fresh(script, str(tmp_path))
+        assert result["rows"] == [list(row.values()) for row in cold.to_rows()]
+        assert result["rows"]
+        assert result["counters"] == {
+            "index_builds_total:encoding:None": 1,
+            "index_builds_total:arrayindex:None": 1,
+            "index_reuses_total:tokens:disk": 2,
+        }
+        assert result["scipy"] is False
+        assert all(path.read_bytes() == blob for path, blob in stale.items())
 
     def test_tuple_layout_encoding_in_cache_dir_is_rebuilt(self, tmp_path):
         import copyreg
@@ -600,10 +699,9 @@ def scalar_chain(left, right, measure, threshold):
 
 def csr_rows(records) -> list[tuple]:
     """``[(key, ids)]`` of an ``ArrayRecords``/``ArrayIndex``'s rows."""
-    matrix = records.matrix
-    bounds = matrix.indptr.tolist()
+    bounds = records.indptr.tolist()
     return [
-        (key, tuple(matrix.indices[start:stop].tolist()))
+        (key, tuple(records.indices[start:stop].tolist()))
         for key, start, stop in zip(records.keys, bounds, bounds[1:])
     ]
 
@@ -618,18 +716,17 @@ def oracle_records(enc: list[tuple], dim: int):
 
 
 def prefix_postings_of(index) -> dict[int, list[int]]:
-    """Token -> row positions of an ``ArrayIndex``'s prefix incidence."""
-    heads = index.prefix_t.indptr.tolist()
+    """Token -> row positions of an ``ArrayIndex``'s prefix postings."""
+    heads = index.posting_indptr.tolist()
     return {
-        token: index.prefix_t.indices[start:stop].tolist()
+        token: index.postings[start:stop].tolist()
         for token, (start, stop) in enumerate(zip(heads, heads[1:]))
         if stop > start
     }
 
 
-def assert_same_csr(got, expected):
-    assert got.shape == expected.shape
-    for field in ("indptr", "indices", "data"):
+def assert_same_arrays(got, expected, *fields):
+    for field in fields:
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), field
 
@@ -668,16 +765,21 @@ class TestArrayEncodingMatchesTheScalarChain:
         assert csr_rows(encoding.right) == right_enc
         for side, enc in ((encoding.left, left_enc), (encoding.right, right_enc)):
             expected = oracle_records(enc, n)
-            assert_same_csr(side.matrix, expected.matrix)
+            assert_same_arrays(side, expected, "indptr", "indices")
             assert side.keys == expected.keys and side.dim == expected.dim
             assert side.sizes.dtype == expected.sizes.dtype
             assert side.sizes.tolist() == expected.sizes.tolist()
         got = store.array_index(encoding, measure, threshold)
         assert prefix_postings_of(got) == index
         expected = build_array_index("oracle", oracle_records(right_enc, n), measure, threshold)
-        assert_same_csr(got.matrix, expected.matrix)
-        assert_same_csr(got.prefix_t, expected.prefix_t)
+        assert_same_arrays(got, expected, "indptr", "indices", "posting_indptr", "postings")
         assert got.keys == expected.keys and got.dim == expected.dim
+        # What the token artifacts pickle: int64 row pointers, int32 ids and rows.
+        for pointers, values in (
+            (encoding.left.indptr, encoding.left.indices), (got.indptr, got.indices),
+            (got.posting_indptr, got.postings),
+        ):
+            assert (pointers.dtype, values.dtype) == (np.int64, np.int32)
 
     @given(odd_side, encoder_case)
     @settings(max_examples=40, deadline=None)
