@@ -78,6 +78,7 @@ import json
 import pickle
 import threading
 import time
+from functools import cached_property
 from itertools import chain, compress, islice
 from operator import add
 from pathlib import Path
@@ -91,7 +92,7 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.index.store import IndexStore, get_index_store
-from repro.obs import get_registry, trace_span
+from repro.obs import MetricsRegistry, get_registry, per_registry, trace_span
 from repro.perf import arrays
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.simjoin.filters import validate_measure, validate_threshold
@@ -102,6 +103,42 @@ from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
 # Bump when the live-index persistence layout changes: stale files must
 # be rejected, never unpickled into the wrong shape.
 LIVE_FORMAT_VERSION = 1
+
+
+class _SearchInstruments:
+    """The read path's instruments for one registry, bound through
+    :func:`per_registry` so a probe updates them without interning
+    names; each is resolved on first use, as a per-update lookup was."""
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+
+    @cached_property
+    def seconds(self):
+        return self.registry.histogram("kernel_batch_seconds", op="live_search")
+
+    @cached_property
+    def delta_seconds(self):
+        return self.registry.histogram("index_delta_probe_seconds")
+
+    @cached_property
+    def calls(self):
+        return self.registry.counter("kernel_batch_calls_total", op="live_search")
+
+    @cached_property
+    def rows(self):
+        return self.registry.counter("kernel_batch_rows_total", op="live_search")
+
+    @cached_property
+    def candidates(self):
+        return self.registry.counter("kernel_batch_candidates_total", op="live_search")
+
+    @cached_property
+    def verified(self):
+        return self.registry.counter("kernel_batch_verified_total", op="live_search")
+
+
+_search_instruments = per_registry(_SearchInstruments)
 
 
 class _BaseSegment:
@@ -493,8 +530,8 @@ class LiveIndex:
 
     def _search_locked(self, token_sets: list) -> list[tuple[list[tuple[Any, float]], int]]:
         base, delta = self._base, self._delta
-        registry = get_registry()
-        with registry.timer("kernel_batch_seconds", op="live_search"):
+        metrics = _search_instruments()
+        with metrics.seconds.time():
             batch = arrays.ProbeBatch.from_rows(
                 [self._encode_query(token_set) if token_set else () for token_set in token_sets],
                 [len(token_set) if token_set else 0 for token_set in token_sets],
@@ -503,7 +540,7 @@ class LiveIndex:
             dead = base.dead if base.n_dead else None
             found = [(base.keys, arrays.filter_verify(batch, base.index, dead))]
             if delta.n_rows:
-                with registry.timer("index_delta_probe_seconds"):
+                with metrics.delta_seconds.time():
                     dead = delta.dead if delta.n_dead else None
                     found.append((delta.keys, arrays.filter_verify(batch, delta, dead)))
         matches: list[list] = [[] for _ in token_sets]
@@ -516,7 +553,12 @@ class LiveIndex:
                     answer += islice(keyed, n)
             counts = list(map(add, counts, candidates.tolist()))
             verified += n_verified
-        arrays.observe_kernel_batch("live_search", len(token_sets), sum(counts), verified=verified)
+        # What arrays.observe_kernel_batch records, on bound instruments.
+        metrics.calls.inc()
+        metrics.rows.inc(len(token_sets))
+        metrics.candidates.inc(sum(counts))
+        if verified:
+            metrics.verified.inc(verified)
         return list(zip(matches, counts))
 
     def join_table(self, table: Table, l_key: str, l_column: str) -> Table:

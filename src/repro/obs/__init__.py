@@ -8,9 +8,12 @@ be cross-checked against the other:
 
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms interned in a :class:`MetricsRegistry` (process default via
-  :func:`get_registry`, swappable with :func:`use_registry`);
+  :func:`get_registry`, swappable with :func:`use_registry`; hot paths
+  bind theirs once per registry with :func:`per_registry`);
 * :mod:`~repro.obs.tracing` — nested spans via the :func:`trace_span`
-  context manager and :func:`event_span_sink` (runtime events → spans);
+  context manager and :func:`event_span_sink` (runtime events → spans),
+  kept only by a tracer installed with :func:`use_tracer` /
+  :func:`set_tracer` (the process default keeps none);
 * :mod:`~repro.obs.sinks` — :func:`metrics_sink`, the EventStream sink
   :func:`repro.runtime.run_graph` subscribes automatically so every node
   timing lands in the registry;
@@ -38,6 +41,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
+    per_registry,
     set_registry,
     use_registry,
 )
@@ -64,6 +68,7 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "metrics_sink",
+    "per_registry",
     "parse_prometheus_text",
     "read_metrics_jsonl",
     "set_registry",

@@ -29,7 +29,10 @@ unsynchronized threads interleaving it silently drop increments.
 
 ``get_registry()`` returns the process default; ``use_registry`` swaps in
 a fresh (or given) registry for a ``with`` block, which is how tests and
-the CLI isolate a run's snapshot.
+the CLI isolate a run's snapshot.  A path that updates the same
+instruments on every call binds them with :func:`per_registry` instead
+of interning them per update: it resolves them once per default
+registry and again after a swap.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.exceptions import ConfigurationError
+
+T = TypeVar("T")
 
 # (sorted (key, value) pairs) — the canonical, hashable label identity.
 LabelSet = tuple[tuple[str, str], ...]
@@ -348,3 +353,30 @@ def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsReg
         yield registry
     finally:
         set_registry(previous)
+
+
+def per_registry(resolve: Callable[[MetricsRegistry], T]) -> Callable[[], T]:
+    """A getter for ``resolve(get_registry())`` that calls ``resolve`` once
+    per default registry.
+
+    Hot paths bind their instruments through it rather than interning
+    each one on every update (a lookup builds a label tuple and hashes
+    it).  After :func:`set_registry` / :func:`use_registry` swap the
+    default, the next call resolves against the new registry, so updates
+    follow the swap exactly as ``get_registry().counter(...)`` would.
+    The registry and what was resolved against it are stored as one
+    tuple, so a racing thread reads a matching pair; two threads that
+    both miss resolve the same interned instruments.
+    """
+    bound: tuple[Any, Any] = (None, None)
+
+    def instruments() -> T:
+        nonlocal bound
+        registry, resolved = bound
+        if registry is not _default_registry:
+            registry = _default_registry
+            resolved = resolve(registry)
+            bound = (registry, resolved)
+        return resolved
+
+    return instruments

@@ -12,9 +12,13 @@ offline.  Two ways to produce spans:
   event pair (and each ``cache_hit``) into a span, so every runtime-graph
   execution can be traced without touching operator code.
 
-Spans accumulate on a :class:`Tracer` (the process default via
-:func:`get_tracer`, swappable with :func:`use_tracer`) and export as
-JSONL next to the metrics snapshots.
+Spans accumulate on a :class:`Tracer` installed with :func:`use_tracer`
+(or :func:`set_tracer`) and export as JSONL next to the metrics
+snapshots.  The process default that :func:`get_tracer` returns until
+then keeps nothing: instrumented code runs untraced at the cost of a
+no-op context manager, and a long-lived process (a
+:class:`~repro.serve.MatchServer` opens a span per micro-batch) does
+not grow without bound.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -114,8 +118,13 @@ class Tracer:
         finally:
             span.seconds = time.perf_counter() - started
             stack.pop()
-            with self._lock:
-                self.spans.append(span)
+            self.keep(span)
+
+    def keep(self, span: Span) -> None:
+        """Retain one finished span: every span a tracer records, from
+        :meth:`span` or :func:`event_span_sink`, is kept here."""
+        with self._lock:
+            self.spans.append(span)
 
     def write_jsonl(self, path: str | Path) -> Path:
         """Export finished spans as one JSON object per line."""
@@ -133,12 +142,31 @@ class Tracer:
         return len(self.spans)
 
 
+class _KeepNothingTracer(Tracer):
+    """The process default: a tracer nobody installed, so nobody reads it.
+
+    :meth:`keep` drops every span, so ``spans`` stays empty however
+    long the process runs.  Because nothing it records survives,
+    :meth:`span` skips the bookkeeping too: it yields an untimed
+    :class:`Span` (callers may still label it) without allocating an id
+    or touching the nesting stack.
+    """
+
+    def keep(self, span: Span) -> None:
+        pass
+
+    def span(self, name: str, **labels: Any):
+        return nullcontext(Span(name=name, span_id=0, labels=labels))
+
+
 # -- the process-default tracer -----------------------------------------
-_default_tracer = Tracer()
+_default_tracer: Tracer = _KeepNothingTracer()
 
 
 def get_tracer() -> Tracer:
-    """The process-wide default tracer."""
+    """The process-wide default tracer: the one installed with
+    :func:`set_tracer` / :func:`use_tracer`, else one that keeps no
+    spans."""
     return _default_tracer
 
 
@@ -161,11 +189,11 @@ def use_tracer(tracer: Tracer | None = None) -> Iterator[Tracer]:
         set_tracer(previous)
 
 
-@contextmanager
-def trace_span(name: str, tracer: Tracer | None = None, **labels: Any) -> Iterator[Span]:
-    """Record a span on the default (or given) tracer around the block."""
-    with (tracer if tracer is not None else get_tracer()).span(name, **labels) as span:
-        yield span
+def trace_span(name: str, tracer: Tracer | None = None, **labels: Any):
+    """Record a span on the default (or given) tracer around the block
+    (a context manager yielding the :class:`Span`); the process default
+    keeps nothing until :func:`use_tracer` installs a tracer."""
+    return (tracer if tracer is not None else _default_tracer).span(name, **labels)
 
 
 def event_span_sink(tracer: Tracer | None = None) -> Callable[[RunEvent], None]:
@@ -206,8 +234,7 @@ def event_span_sink(tracer: Tracer | None = None) -> Callable[[RunEvent], None]:
             span.seconds = event.wall_seconds
             if event.error is not None:
                 span.error = event.error
-            with target._lock:
-                target.spans.append(span)
+            target.keep(span)
         elif event.event == ev.CACHE_HIT:
             span = Span(
                 name=f"{event.graph}/{event.node}",
@@ -217,7 +244,6 @@ def event_span_sink(tracer: Tracer | None = None) -> Callable[[RunEvent], None]:
                 start=event.at if event.at is not None else time.time(),
                 seconds=event.wall_seconds,
             )
-            with target._lock:
-                target.spans.append(span)
+            target.keep(span)
 
     return sink

@@ -37,7 +37,14 @@ time:
   and ``serve_batch_size`` histograms, the ``serve_queue_depth`` gauge,
   and per-tenant request/rejection counters, all on the process
   registry, with p50/p99 summaries via :meth:`Histogram.quantile` in
-  :meth:`MatchServer.stats`.
+  :meth:`MatchServer.stats`; a ``serve_batch`` span per micro-batch
+  when a tracer is installed (:func:`repro.obs.use_tracer`).
+
+A served request pays for its probe, not its bookkeeping: it completes
+on one lock the caller blocks on (acquired at admission, released by
+the worker), and the instruments it updates are resolved once per
+registry (:func:`repro.obs.per_registry`) instead of interned on every
+update.
 
 The server's shared state is only safe because of the thread-safety
 contracts underneath it: the IndexStore's locked memory tier, the
@@ -50,6 +57,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.exceptions import (
@@ -60,7 +68,7 @@ from repro.exceptions import (
 )
 from repro.index.delta import LiveIndex
 from repro.index.store import IndexStore, get_index_store
-from repro.obs import get_registry, trace_span
+from repro.obs import Counter, MetricsRegistry, get_registry, per_registry, trace_span
 from repro.simjoin.filters import validate_measure, validate_threshold
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
@@ -130,7 +138,59 @@ class MatchResult:
     batch_size: int = 1
 
 
+class _Instruments:
+    """Every instrument the request path updates, for one registry.
+
+    Bound through :func:`per_registry` (``_instruments()`` below), so a
+    request reads attributes instead of interning names.  Each
+    instrument is resolved on first use, as the per-update lookups
+    were, so a registry holds exactly the instruments they created.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self._requests: dict[str, Counter] = {}
+
+    @cached_property
+    def queue_depth(self):
+        return self.registry.gauge("serve_queue_depth")
+
+    @cached_property
+    def batch_size(self):
+        return self.registry.histogram(
+            "serve_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128)
+        )
+
+    @cached_property
+    def batches(self):
+        return self.registry.counter("serve_batches_total")
+
+    @cached_property
+    def request_seconds(self):
+        return self.registry.histogram("serve_request_seconds")
+
+    @cached_property
+    def candidates(self):
+        return self.registry.counter("serve_candidates_total")
+
+    def requests(self, tenant: str) -> Counter:
+        """``serve_requests_total{tenant}``."""
+        counter = self._requests.get(tenant)
+        if counter is None:
+            counter = self._requests[tenant] = self.registry.counter(
+                "serve_requests_total", tenant=tenant
+            )
+        return counter
+
+
+_instruments = per_registry(_Instruments)
+
+
 class _Request:
+    """One admitted query.  ``done`` is acquired at admission and
+    released once, by whoever completes the request (a worker, or
+    :meth:`MatchServer.stop` failing it)."""
+
     __slots__ = ("value", "tenant", "top_k", "enqueued", "done", "result", "error")
 
     def __init__(self, value: Any, tenant: str, top_k: int | None):
@@ -138,7 +198,8 @@ class _Request:
         self.tenant = tenant
         self.top_k = top_k
         self.enqueued = time.perf_counter()
-        self.done = threading.Event()
+        self.done = threading.Lock()
+        self.done.acquire()
         self.result: MatchResult | None = None
         self.error: BaseException | None = None
 
@@ -150,14 +211,28 @@ class PendingMatch:
         self._request = request
 
     def result(self, timeout: float | None = None) -> MatchResult:
-        """Block until the request is served; raises what the server raised."""
-        if not self._request.done.wait(timeout):
+        """Block until the request is served; raises what the server raised.
+
+        Every call after the first returns (or raises) the same outcome
+        at once; ``timeout`` is in seconds, ``None`` waits for good.
+        """
+        request = self._request
+        if timeout is None:
+            served = request.done.acquire()
+        elif timeout > 0:
+            served = request.done.acquire(timeout=timeout)
+        else:
+            served = request.done.acquire(blocking=False)
+        if not served:
             raise TimeoutError(
-                f"match request for {self._request.value!r} not served in {timeout}s"
+                f"match request for {request.value!r} not served in {timeout}s"
             )
-        if self._request.error is not None:
-            raise self._request.error
-        return self._request.result
+        # Released again straight away: the lock stays open for every
+        # later (or concurrent) caller.
+        request.done.release()
+        if request.error is not None:
+            raise request.error
+        return request.result
 
 
 class MatchServer:
@@ -270,7 +345,7 @@ class MatchServer:
             while self._queue:
                 request = self._queue.popleft()
                 request.error = ServiceError("MatchServer stopped before serving")
-                request.done.set()
+                request.done.release()
 
     def __enter__(self) -> "MatchServer":
         if not self._running:
@@ -294,13 +369,12 @@ class MatchServer:
         ``top_k`` raises :class:`ConfigurationError`.
         """
         _require_at_least("top_k", top_k, 0, optional=True)
-        registry = get_registry()
         request = _Request(value, tenant, top_k if top_k is not None else self.config.top_k)
         with self._lock:
             if not self._running or self._stopping:
                 raise ServiceError("MatchServer is not running")
             if len(self._queue) >= self.config.max_queue_depth:
-                registry.counter(
+                get_registry().counter(
                     "serve_rejections_total", reason="backpressure", tenant=tenant
                 ).inc()
                 raise BackpressureError(
@@ -309,7 +383,7 @@ class MatchServer:
             quota = self.config.quota(tenant)
             inflight = self._inflight.get(tenant, 0)
             if quota is not None and inflight >= quota:
-                registry.counter(
+                get_registry().counter(
                     "serve_rejections_total", reason="quota", tenant=tenant
                 ).inc()
                 raise QuotaExceededError(
@@ -317,7 +391,7 @@ class MatchServer:
                 )
             self._inflight[tenant] = inflight + 1
             self._queue.append(request)
-            registry.gauge("serve_queue_depth").set(len(self._queue))
+            _instruments().queue_depth.set(len(self._queue))
             self._not_empty.notify()
         return PendingMatch(request)
 
@@ -351,7 +425,7 @@ class MatchServer:
                 self._queue.popleft()
                 for _ in range(min(len(self._queue), self.config.max_batch))
             ]
-            get_registry().gauge("serve_queue_depth").set(len(self._queue))
+            _instruments().queue_depth.set(len(self._queue))
         return batch
 
     def process_pending(self) -> int:
@@ -363,7 +437,7 @@ class MatchServer:
         with self._lock:
             batch = list(self._queue)
             self._queue.clear()
-            get_registry().gauge("serve_queue_depth").set(0)
+            _instruments().queue_depth.set(0)
         served = 0
         while batch:
             self._process_batch(batch[: self.config.max_batch])
@@ -372,11 +446,9 @@ class MatchServer:
         return served
 
     def _process_batch(self, batch: list[_Request]) -> None:
-        registry = get_registry()
-        registry.histogram("serve_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128)).observe(
-            len(batch)
-        )
-        registry.counter("serve_batches_total").inc()
+        metrics = _instruments()
+        metrics.batch_size.observe(len(batch))
+        metrics.batches.inc()
         with trace_span("serve_batch", size=len(batch)):
             # One probe call for the whole micro-batch: this is the
             # payoff of the batching queue — each segment is probed
@@ -391,7 +463,7 @@ class MatchServer:
                         [request.value for request in batch]
                     )
                 except Exception as exc:
-                    registry.counter(
+                    get_registry().counter(
                         "serve_batch_fallbacks_total", error=type(exc).__name__
                     ).inc()
             for position, request in enumerate(batch):
@@ -416,13 +488,11 @@ class MatchServer:
                 except BaseException as exc:
                     request.error = exc
                 finally:
-                    registry.histogram("serve_request_seconds").observe(
-                        time.perf_counter() - request.enqueued
-                    )
-                    registry.counter("serve_requests_total", tenant=request.tenant).inc()
+                    metrics.request_seconds.observe(time.perf_counter() - request.enqueued)
+                    metrics.requests(request.tenant).inc()
                     with self._lock:
                         self._inflight[request.tenant] -= 1
-                    request.done.set()
+                    request.done.release()
 
     def _match_one(
         self, value: Any, top_k: int | None
@@ -437,7 +507,7 @@ class MatchServer:
         n_candidates: int,
         top_k: int | None,
     ) -> tuple[list[tuple[Any, float]], int]:
-        get_registry().counter("serve_candidates_total").inc(n_candidates)
+        _instruments().candidates.inc(n_candidates)
         # The live index emits survivors in canonical record order; a
         # stable sort on descending score keeps that order among ties,
         # so the ranking is fully deterministic.

@@ -22,6 +22,7 @@ from repro.obs import (
     get_registry,
     get_tracer,
     parse_prometheus_text,
+    per_registry,
     read_metrics_jsonl,
     to_prometheus_text,
     trace_span,
@@ -142,6 +143,24 @@ class TestRegistry:
             inner.counter("scoped").inc()
         assert get_registry() is outer
         assert outer.get("scoped") is None
+
+    def test_per_registry_resolves_once_per_default_registry(self):
+        resolved = []
+
+        def resolve(registry):
+            resolved.append(registry)
+            return registry.counter("bound_total")
+
+        bound = per_registry(resolve)
+        with use_registry() as first:
+            bound().inc()
+            bound().inc()
+            with use_registry() as second:
+                bound().inc()
+            bound().inc()
+        assert resolved == [first, second, first]
+        assert first.counter("bound_total").value == 3
+        assert second.counter("bound_total").value == 1
 
     def test_snapshot_and_counters(self):
         registry = MetricsRegistry()
@@ -332,6 +351,20 @@ class TestTracing:
             with trace_span("step", stage="blocking"):
                 assert get_tracer() is tracer
         assert [span.name for span in tracer.spans] == ["step"]
+
+    def test_default_tracer_keeps_nothing(self):
+        default = get_tracer()
+        with trace_span("step", stage="blocking") as span:
+            span.labels["tier"] = "memory"  # callers may still label it
+        events = EventStream()
+        events.subscribe(event_span_sink())
+        run_graph(instrumented_graph(), events=events)
+        assert len(default.spans) == 0
+        with use_tracer() as tracer:
+            with trace_span("step"):
+                pass
+        assert [span.name for span in tracer.spans] == ["step"]
+        assert len(get_tracer().spans) == 0
 
     def test_event_span_sink_mirrors_nodes(self):
         tracer = Tracer()

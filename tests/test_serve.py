@@ -7,7 +7,10 @@ same float scores, same order) to the corresponding rows of the batch
 ``set_sim_join`` over the same corpus.  The rest covers the scheduler
 (micro-batching, per-tenant quotas, queue-depth backpressure, metrics)
 and the live-index surface: upserts/deletes visible to the very next
-query, compaction that never blocks serving.
+query, compaction that never blocks serving.  The last three classes pin
+the request path's bookkeeping: no span kept without an installed
+tracer, every instrument's exact value (following a registry swap), and
+the completion contract of :class:`PendingMatch`.
 """
 
 import random
@@ -23,7 +26,7 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.index import IndexStore, LiveIndex, use_index_store
-from repro.obs import use_registry
+from repro.obs import event_span_sink, get_tracer, use_registry, use_tracer
 from repro.serve import MatchServer, ServeConfig
 from repro.simjoin import set_sim_join
 from repro.table import Table
@@ -534,3 +537,223 @@ class TestLiveMutation:
                 after = server.match("zelda zimmerman").candidates
                 assert [key for key, _ in after] == [key for key, _ in mid]
                 assert server.stats()["compactions"] == 1
+
+
+class TestSpanRetention:
+    N_REQUESTS = 2000
+
+    def _serve(self, server) -> None:
+        queries = make_queries(20)
+        for i in range(self.N_REQUESTS):
+            server.match(queries[i % len(queries)], tenant=("alice", "bob")[i % 2])
+
+    def test_default_tracer_keeps_no_span(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(threshold=0.4, default_tenant_quota=None)
+            with MatchServer(make_corpus(50), "id", "v", config=config) as server:
+                self._serve(server)
+        assert len(get_tracer().spans) == 0
+
+    def test_installed_tracer_records_one_span_per_batch(self):
+        with use_registry() as registry, use_index_store(), use_tracer() as tracer:
+            config = ServeConfig(threshold=0.4, default_tenant_quota=None)
+            with MatchServer(make_corpus(50), "id", "v", config=config) as server:
+                self._serve(server)
+            batches = [span for span in tracer.spans if span.name == "serve_batch"]
+            assert len(batches) == registry.counter("serve_batches_total").value
+            assert sum(int(span.labels["size"]) for span in batches) == self.N_REQUESTS
+            assert [span.name for span in tracer.spans].count("serve_warmup") == 1
+
+    def test_event_span_sink_still_records_on_installed_tracer(self):
+        from repro.runtime.events import CACHE_HIT, NODE_FINISH, NODE_START, RunEvent
+
+        events = [
+            RunEvent(NODE_START, "g", node="n"),
+            RunEvent(NODE_FINISH, "g", node="n", wall_seconds=0.5),
+            RunEvent(CACHE_HIT, "g", node="m"),
+        ]
+        with use_tracer() as tracer:
+            sink = event_span_sink()
+            for event in events:
+                sink(event)
+        assert [span.name for span in tracer.spans] == ["g/n", "g/m"]
+        sink = event_span_sink()  # the process default again
+        for event in events:
+            sink(event)
+        assert len(get_tracer().spans) == 0
+
+
+class TestMetricParity:
+    """Every instrument the request path updates, at its exact value.
+
+    The script: four W=1 matches alternating two tenants, an upsert (so
+    later probes cover a delta segment), one 8-request micro-batch and
+    one quota rejection.  The figures are what per-update interning
+    recorded for the same script.
+    """
+
+    CONFIG = ServeConfig(threshold=0.6, workers=0, tenant_quotas={"bob": 1})
+
+    def _script(self, server) -> None:
+        queries = make_queries(12)
+        for i, query in enumerate(queries[:4]):
+            handle = server.submit(query, tenant=("alice", "bob")[i % 2])
+            server.process_pending()
+            handle.result(0)
+        server.upsert("new1", "dave smith jones")
+        batch = [server.submit(query, tenant="alice") for query in queries[4:12]]
+        assert server.process_pending() == 8
+        assert {handle.result(0).batch_size for handle in batch} == {8}
+        server.submit(queries[0], tenant="bob")
+        with pytest.raises(QuotaExceededError):
+            server.submit(queries[1], tenant="bob")
+        server.process_pending()
+
+    @staticmethod
+    def _values(registry) -> dict:
+        values = {}
+        for row in registry.snapshot():
+            name, labels = row["name"], row["labels"]
+            if name.startswith("kernel_batch_") and labels.get("op") != "live_search":
+                continue
+            if not name.startswith(("serve_", "kernel_batch_", "index_delta_probe")):
+                continue
+            key = (name,) + tuple(sorted(labels.items()))
+            if row["kind"] != "histogram":
+                values[key] = row["value"]
+            elif name == "serve_batch_size":
+                values[key] = (row["count"], row["sum"], row["bucket_counts"])
+            else:
+                values[key] = row["count"]  # seconds: only the count is exact
+        return values
+
+    def test_every_instrument_exact(self):
+        live = ("op", "live_search")
+        with use_registry() as registry, use_index_store():
+            server = MatchServer(make_corpus(80), "id", "v", config=self.CONFIG).start()
+            self._script(server)
+            server.stop()
+        assert self._values(registry) == {
+            ("serve_warmup_seconds",): 1,
+            ("serve_queue_depth",): 0.0,
+            ("serve_batch_size",): (6, 13.0, [5, 0, 0, 1, 0, 0, 0, 0, 0]),
+            ("serve_batches_total",): 6.0,
+            ("serve_request_seconds",): 13,
+            ("serve_requests_total", ("tenant", "alice")): 10.0,
+            ("serve_requests_total", ("tenant", "bob")): 3.0,
+            ("serve_candidates_total",): 106.0,
+            ("serve_rejections_total", ("reason", "quota"), ("tenant", "bob")): 1.0,
+            ("serve_upserts_total", ("tenant", "default")): 1.0,
+            ("kernel_batch_seconds", live): 6,
+            ("kernel_batch_calls_total", live): 6.0,
+            ("kernel_batch_rows_total", live): 13.0,
+            ("kernel_batch_candidates_total", live): 106.0,
+            ("kernel_batch_verified_total", live): 29.0,
+            ("index_delta_probe_seconds",): 2,
+        }
+
+    def test_registry_swapped_after_start_gets_every_later_update(self):
+        with use_registry() as first, use_index_store():
+            server = MatchServer(make_corpus(80), "id", "v", config=self.CONFIG).start()
+            handle = server.submit("dave smith")  # binds the first registry's
+            server.process_pending()                # instruments
+            handle.result(0)
+            before = self._values(first)
+            with use_registry() as second:
+                self._script(server)
+            assert self._values(first) == before
+            after = self._values(second)
+            assert after[("serve_batches_total",)] == 6.0
+            assert after[("serve_requests_total", ("tenant", "alice"))] == 10.0
+            assert after[("kernel_batch_calls_total", ("op", "live_search"))] == 6.0
+            # Back on the first registry once the swap ends.
+            handle = server.submit("dave smith")
+            server.process_pending()
+            handle.result(0)
+            assert self._values(first)[("serve_batches_total",)] == (
+                before[("serve_batches_total",)] + 1
+            )
+            server.stop()
+
+
+    def test_no_update_lost_under_thread_contention(self):
+        """More workers and callers than cores, a short switch interval:
+        the bound instruments (and the per-tenant cache filled by
+        racing first requests) must count every request exactly once."""
+        import sys
+
+        tenants = [f"t{i}" for i in range(6)]
+        n_per_caller, callers = 50, 12
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_registry() as registry, use_index_store():
+                config = ServeConfig(
+                    threshold=0.4, workers=4, max_batch=4, default_tenant_quota=None
+                )
+                with MatchServer(make_corpus(50), "id", "v", config=config) as server:
+                    def ask(caller: int) -> int:
+                        for i in range(n_per_caller):
+                            server.match("dave smith", tenant=tenants[(caller + i) % 6], timeout=30)
+                        return n_per_caller
+
+                    with ThreadPoolExecutor(max_workers=callers) as pool:
+                        assert sum(pool.map(ask, range(callers))) == n_per_caller * callers
+                values = self._values(registry)
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_per_caller * callers
+        per_tenant = [values[("serve_requests_total", ("tenant", t))] for t in tenants]
+        assert per_tenant == [total / len(tenants)] * len(tenants)
+        assert values[("serve_request_seconds",)] == total
+        assert values[("serve_batch_size",)][1] == total
+        assert values[("kernel_batch_rows_total", ("op", "live_search"))] == total
+        calls = values[("kernel_batch_calls_total", ("op", "live_search"))]
+        assert values[("serve_batches_total",)] == calls
+
+
+class TestCompletionContract:
+    def test_second_result_returns_the_same_match(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(threshold=0.4)
+            with MatchServer(make_corpus(50), "id", "v", config=config) as server:
+                handle = server.submit("dave smith")
+                first = handle.result(5)
+                assert handle.result() is first
+                assert handle.result(0) is first
+
+    def test_timeout_while_the_worker_is_held(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(threshold=0.4, top_k=None)
+            with MatchServer(make_corpus(50), "id", "v", config=config) as server:
+                expected = server.match("dave smith").candidates
+                with server._live._lock:  # the worker blocks inside its probe
+                    handle = server.submit("dave smith")
+                    with pytest.raises(TimeoutError):
+                        handle.result(timeout=0.01)
+                    with pytest.raises(TimeoutError):
+                        handle.result(timeout=0)
+                assert handle.result().candidates == expected
+
+    def test_concurrent_waiters_all_get_the_result(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(threshold=0.4)
+            with MatchServer(make_corpus(50), "id", "v", config=config) as server:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    with server._live._lock:
+                        handle = server.submit("dave smith")
+                        waiting = [pool.submit(handle.result, 10) for _ in range(4)]
+                    results = [future.result() for future in waiting]
+                assert all(result is results[0] for result in results)
+
+    def test_request_still_queued_at_stop_raises(self):
+        with use_registry(), use_index_store():
+            config = ServeConfig(threshold=0.4, workers=0)
+            server = MatchServer(make_corpus(20), "id", "v", config=config).start()
+            handle = server.submit("dave smith")
+            # A drain that never ran: stop() must fail what it left queued.
+            server.process_pending = lambda: 0
+            server.stop()
+            for _ in range(2):
+                with pytest.raises(ServiceError, match="stopped before serving"):
+                    handle.result(1)
