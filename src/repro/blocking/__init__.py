@@ -7,6 +7,7 @@ from repro.blocking.base import (
     candset_pairs,
     fk_column_names,
     make_candset,
+    text_view,
 )
 from repro.blocking.black_box import BlackBoxBlocker
 from repro.blocking.canopy import CanopyBlocker
@@ -50,4 +51,5 @@ __all__ = [
     "make_candset",
     "parse_predicate",
     "parse_rule",
+    "text_view",
 ]

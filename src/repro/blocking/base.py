@@ -18,9 +18,29 @@ from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
 from repro.obs import get_registry
 from repro.perf.parallel import effective_n_jobs, run_sharded, split_evenly
+from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
 CANDSET_ID = "_id"
+TEXT = "_text"
+
+
+def text_view(table: Table, key: str, columns: Sequence[str]) -> Table:
+    """``key`` and one ``TEXT`` column: each row's non-missing ``columns``
+    values as ``str``, joined with a space and lowercased, or ``None``
+    when every value is missing.
+
+    The one text the token tools read: the overlap and rule blockers join
+    it over one column, the blocking debugger and the samplers tokenize
+    it over several.  Store fingerprints ignore column names, so a view
+    of one unchanged column hits the artifacts of any earlier view of it.
+    """
+    cells = [table.column(name) for name in columns]
+    texts = []
+    for row in range(table.num_rows):
+        present = [str(column[row]) for column in cells if not is_missing(column[row])]
+        texts.append(" ".join(present).lower() if present else None)
+    return Table({key: table.column(key), TEXT: texts})
 
 
 def observe_blocking(

@@ -17,10 +17,9 @@ from collections import defaultdict
 from collections.abc import Sequence
 from typing import Any
 
-from repro.blocking.base import Blocker, make_candset, observe_blocking
+from repro.blocking.base import TEXT, Blocker, make_candset, observe_blocking, text_view
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
-from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 from repro.text.tokenizers import WhitespaceTokenizer
 
@@ -59,24 +58,11 @@ class CanopyBlocker(Blocker):
         self.loose = loose
         self.tight = tight
         self.seed = seed
-        # One tokenizer for the whole blocker: `_tokens` runs once per
-        # row, and the tokenizer's memo only pays off when shared.
-        self._tokenizer = WhitespaceTokenizer(return_set=True)
 
     def block_tuples(self, l_row: Row, r_row: Row) -> bool:
         raise NotImplementedError(
             "canopy blocking is defined over whole tables, not single pairs"
         )
-
-    def _tokens(self, row: Row, attrs: list[str]) -> frozenset[str]:
-        tokens: set[str] = set()
-        for attr in attrs:
-            value = row.get(attr)
-            if not is_missing(value):
-                tokens.update(
-                    t.lower() for t in self._tokenizer.tokenize(str(value))
-                )
-        return frozenset(tokens)
 
     def block_tables(
         self,
@@ -112,9 +98,11 @@ class CanopyBlocker(Blocker):
 
         # Side-tagged records: ('l'|'r', key value, token set).
         records: list[tuple[str, Any, frozenset[str]]] = []
+        tokenize = WhitespaceTokenizer(return_set=True).tokenize
         for side, table, key in (("l", ltable, l_key), ("r", rtable, r_key)):
-            for row in table.rows():
-                records.append((side, row[key], self._tokens(row, attrs)))
+            view = text_view(table, key, attrs)
+            for key_value, text in zip(view.column(key), view.column(TEXT)):
+                records.append((side, key_value, frozenset(tokenize(text or ""))))
 
         # Inverted index for candidate retrieval during canopy growth.
         index: dict[str, list[int]] = defaultdict(list)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.blocking.base import Blocker, make_candset, observe_blocking
+from repro.blocking.base import TEXT, Blocker, make_candset, observe_blocking, text_view
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
@@ -82,33 +82,16 @@ class OverlapBlocker(Blocker):
     ) -> Table:
         ltable.require_columns([l_key, self.l_block_attr])
         rtable.require_columns([r_key, self.r_block_attr])
-        # Lowercase through a projected copy so the join tokens match the
-        # per-tuple semantics of block_tuples.
-        l_view = Table(
-            {
-                l_key: ltable.column(l_key),
-                "_blk": [
-                    None if is_missing(v) else str(v).lower()
-                    for v in ltable.column(self.l_block_attr)
-                ],
-            }
-        )
-        r_view = Table(
-            {
-                r_key: rtable.column(r_key),
-                "_blk": [
-                    None if is_missing(v) else str(v).lower()
-                    for v in rtable.column(self.r_block_attr)
-                ],
-            }
-        )
+        # Join lowercased views so the tokens match block_tuples' semantics.
+        l_view = text_view(ltable, l_key, [self.l_block_attr])
+        r_view = text_view(rtable, r_key, [self.r_block_attr])
         joined = set_sim_join(
             l_view,
             r_view,
             l_key,
             r_key,
-            "_blk",
-            "_blk",
+            TEXT,
+            TEXT,
             self._tokenizer(),
             measure="overlap",
             threshold=self.overlap_size,

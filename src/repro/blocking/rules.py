@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.blocking.base import TEXT, text_view
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features.feature import Feature, FeatureTable
 from repro.simjoin.joins import set_sim_join
-from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
 _OPS = {
@@ -153,28 +153,17 @@ def _execute_complement(
         raise WorkflowError(f"predicate {predicate} has no join-executable complement")
     feature = predicate.feature
 
-    def lowered(table: Table, attr: str, key: str) -> Table:
-        return Table(
-            {
-                key: table.column(key),
-                "_v": [
-                    None if is_missing(v) else str(v).lower()
-                    for v in table.column(attr)
-                ],
-            }
-        )
-
-    l_view = lowered(ltable, feature.l_attr, l_key)
-    r_view = lowered(rtable, feature.r_attr, r_key)
+    l_view = text_view(ltable, l_key, [feature.l_attr])
+    r_view = text_view(rtable, r_key, [feature.r_attr])
 
     if feature.sim_kind == "exact":
         # exact_match > t (t < 1) means equality.
         l_index: dict[Any, list[Any]] = {}
-        for key_value, value in zip(l_view.column(l_key), l_view.column("_v")):
+        for key_value, value in zip(l_view.column(l_key), l_view.column(TEXT)):
             if value is not None:
                 l_index.setdefault(value, []).append(key_value)
         pairs: set[tuple[Any, Any]] = set()
-        for key_value, value in zip(r_view.column(r_key), r_view.column("_v")):
+        for key_value, value in zip(r_view.column(r_key), r_view.column(TEXT)):
             if value is None:
                 continue
             for l_key_value in l_index.get(value, ()):
@@ -192,8 +181,8 @@ def _execute_complement(
         r_view,
         l_key,
         r_key,
-        "_v",
-        "_v",
+        TEXT,
+        TEXT,
         feature.tokenizer,
         measure=feature.measure_name,
         threshold=threshold,

@@ -236,8 +236,8 @@ def cmd_index_build(args) -> int:
     """Pre-build and persist the index artifacts for a table's columns."""
     import time
 
+    from repro.blocking.base import TEXT, text_view
     from repro.index import IndexStore
-    from repro.table.schema import is_missing
     from repro.text.tokenizers import QgramBagTokenizer, QgramTokenizer, WhitespaceTokenizer
     from repro.text.vectorize import HashedNgramVectorizer
 
@@ -262,18 +262,10 @@ def cmd_index_build(args) -> int:
         # The blockers and rule executors probe lowercased projections,
         # so artifacts are built for both the raw column and its
         # lowered view — either form of a later probe starts warm.
-        lowered = Table(
-            {
-                args.key: table.column(args.key),
-                column: [
-                    None if is_missing(v) else str(v).lower()
-                    for v in table.column(column)
-                ],
-            }
-        )
-        for view in (table, lowered):
+        lowered = text_view(table, args.key, [column])
+        for view, name in ((table, column), (lowered, TEXT)):
             for tokenizer in tokenizers:
-                store.tokenized_column(view, args.key, column, tokenizer)
+                store.tokenized_column(view, args.key, name, tokenizer)
         if vectorizer is not None:
             # The vector blocker embeds the raw column (its vectorizer
             # lowercases internally), so only the raw view needs vectors.

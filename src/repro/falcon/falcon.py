@@ -151,7 +151,7 @@ def _sample_pairs(
     """
     from collections import defaultdict
 
-    from repro.sampling.down_sample import _row_tokens, _string_columns
+    from repro.sampling.down_sample import _token_index, _token_lists
 
     rng = np.random.default_rng(seed)
     l_ids = dataset.ltable.column(dataset.l_key)
@@ -159,18 +159,11 @@ def _sample_pairs(
     pairs: set[Pair] = set()
 
     # Likely matches: probe an inverted index of left-table tokens.
-    l_columns = _string_columns(dataset.ltable, dataset.l_key)
-    r_columns = _string_columns(dataset.rtable, dataset.r_key)
-    index: dict[str, list[int]] = defaultdict(list)
-    l_tokens: list[set[str]] = []
-    for i in range(dataset.ltable.num_rows):
-        tokens = _row_tokens(dataset.ltable, l_columns, i)
-        l_tokens.append(tokens)
-        for token in tokens:
-            index[token].append(i)
+    index = _token_index(dataset.ltable, dataset.l_key)
+    r_tokens = _token_lists(dataset.rtable, dataset.r_key)
     probe_positions = rng.permutation(dataset.rtable.num_rows)[: size // 2]
     for j in probe_positions:
-        tokens = _row_tokens(dataset.rtable, r_columns, int(j))
+        tokens = r_tokens[j]
         counts: dict[int, int] = defaultdict(int)
         for token in tokens:
             # Skip stop-word-like tokens with huge posting lists.
@@ -180,8 +173,7 @@ def _sample_pairs(
                     counts[position] += 1
         if not counts:
             continue
-        # Ties go to the lower position: ``tokens`` is a set, so the order
-        # ``counts`` filled in moves with the string hash seed.
+        # Ties go to the lower position, not to the order ``counts`` filled in.
         best = sorted(counts, key=lambda p: (-counts[p], p))[:2]
         for position in best:
             pairs.add((l_ids[position], r_ids[int(j)]))

@@ -52,8 +52,9 @@ def column_fingerprint(table: Table, key: str, column: str) -> str:
     """Content digest of a keyed column: the (key, value) sequence.
 
     Deliberately independent of the *names* of the columns: blockers and
-    rule execution probe through projected views (``_blk``/``_v``), and a
-    view over unchanged values must hit the artifacts of the original.
+    rule execution probe through projected views
+    (:func:`repro.blocking.text_view`), and a view over unchanged values
+    must hit the artifacts of the original.
     """
     digest = hashlib.sha256()
     digest.update(b"column\x00")

@@ -9,7 +9,8 @@ useless for training a matcher.
 
 The down sampler here follows Magellan's ``down_sample`` design: sample B
 uniformly to B', then pick A' as the A-tuples that share rare tokens with
-B' (probed through an inverted index), topped up with random A-tuples.
+B' (probed through an inverted index over each A-tuple's lowercased text),
+topped up with random A-tuples.
 Matches between A' and B' are thereby preserved at a far higher rate, which
 ``benchmarks/bench_ablation_downsample.py`` quantifies against the naive
 sampler.
@@ -20,25 +21,33 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
+import numpy as np
+
+from repro.blocking.base import TEXT, text_view
 from repro.exceptions import ConfigurationError
-from repro.table.schema import is_missing
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 
 
-def _row_tokens(table: Table, columns: list[str], index: int) -> set[str]:
-    tokenizer = WhitespaceTokenizer(return_set=True)
-    tokens: set[str] = set()
-    row = table.row(index)
-    for column in columns:
-        value = row[column]
-        if not is_missing(value):
-            tokens.update(token.lower() for token in tokenizer.tokenize(str(value)))
-    return tokens
+def _texts(table: Table, key: str) -> list[str | None]:
+    """Each row's :func:`text_view` text over every non-key column."""
+    return text_view(table, key, [name for name in table.columns if name != key]).column(TEXT)
 
 
-def _string_columns(table: Table, key: str) -> list[str]:
-    return [name for name in table.columns if name != key]
+def _token_lists(table: Table, key: str) -> list[list[str]]:
+    """Each row's distinct whitespace tokens, in the order they first
+    appear in its text."""
+    tokenize = WhitespaceTokenizer(return_set=True).tokenize
+    return [[] if text is None else tokenize(text) for text in _texts(table, key)]
+
+
+def _token_index(table: Table, key: str) -> dict[str, list[int]]:
+    """Each token's row positions, ascending."""
+    index: dict[str, list[int]] = defaultdict(list)
+    for position, tokens in enumerate(_token_lists(table, key)):
+        for token in tokens:
+            index[token].append(position)
+    return index
 
 
 def down_sample(
@@ -56,7 +65,9 @@ def down_sample(
     ``y_param`` left tuples sharing its rarest tokens are pulled into the
     left sample, so pairs that actually match survive.  The left sample is
     topped up with uniformly random rows if probing found fewer than
-    ``size``.
+    ``size``.  Two tokens as rare as each other are probed in the order
+    they first appear in the right row's text, so the samples depend on
+    ``seed`` alone, not on the string hash seed.
 
     Returns ``(l_sample, r_sample)``.
     """
@@ -68,17 +79,9 @@ def down_sample(
 
     r_sample = rtable.sample(min(size, rtable.num_rows), seed=rng.randrange(2**31))
 
-    # Inverted index over the left table's tokens.
-    l_columns = _string_columns(ltable, l_key)
-    token_index: dict[str, list[int]] = defaultdict(list)
-    for i in range(ltable.num_rows):
-        for token in _row_tokens(ltable, l_columns, i):
-            token_index[token].append(i)
-
-    r_columns = _string_columns(rtable, r_key)
+    token_index = _token_index(ltable, l_key)
     selected: set[int] = set()
-    for j in range(r_sample.num_rows):
-        tokens = _row_tokens(r_sample, r_columns, j)
+    for tokens in _token_lists(r_sample, r_key):
         # Prefer rare tokens: they identify candidate matches most sharply.
         postings = sorted(
             (token_index[t] for t in tokens if t in token_index), key=len
@@ -136,42 +139,47 @@ def weighted_sample_candset(
     Candidate sets are heavily skewed toward non-matches, so a uniform
     sample of a few hundred pairs often contains almost no matches and
     cross-validation degenerates.  This sampler scores each pair by the
-    Jaccard similarity of the whitespace tokens of its base tuples
-    (concatenating all non-key attributes), draws ``top_fraction`` of the
-    sample from the highest-scoring pairs and the rest uniformly from the
-    remainder — the cheap, practical trick behind the guide's "take a
-    sample S from C" step working at all.
+    Jaccard similarity of the whitespace tokens of its base tuples'
+    :func:`text_view` over all non-key attributes (a whitespace-Jaccard
+    token feature's batch form), draws ``top_fraction`` of the sample from
+    the highest-scoring pairs and the rest uniformly from the remainder —
+    the cheap, practical trick behind the guide's "take a sample S from C"
+    step working at all.
 
     Requires the candidate set's catalog metadata (to reach the base
-    tuples).
+    tuples); ``n < 0`` or ``top_fraction`` outside ``[0, 1]`` raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     from repro.catalog.catalog import get_catalog
     from repro.catalog.checks import validate_candset
+    from repro.features.feature import ValueView, make_token_feature
+    from repro.text.sim.token_based import Jaccard
 
+    if n < 0:
+        raise ConfigurationError(f"n must be >= 0, got {n}")
+    if not 0.0 <= top_fraction <= 1.0:
+        raise ConfigurationError(f"top_fraction must be in [0, 1], got {top_fraction}")
     if candset.num_rows <= n:
         return candset.copy()
     cat = get_catalog()
     meta = validate_candset(candset, cat)
-    l_key = cat.get_key(meta.ltable)
-    r_key = cat.get_key(meta.rtable)
-    l_columns = _string_columns(meta.ltable, l_key)
-    r_columns = _string_columns(meta.rtable, r_key)
-    l_tokens = {
-        meta.ltable.row(i)[l_key]: _row_tokens(meta.ltable, l_columns, i)
-        for i in range(meta.ltable.num_rows)
-    }
-    r_tokens = {
-        meta.rtable.row(i)[r_key]: _row_tokens(meta.rtable, r_columns, i)
-        for i in range(meta.rtable.num_rows)
-    }
+    # One cell per base row, both sides in one list; each pair's two rows.
+    texts, rows = [], []
+    for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable)):
+        key = cat.get_key(table)
+        position = {value: i for i, value in enumerate(table.column(key))}
+        fks = candset.column(fk)
+        rows.append(len(texts) + np.fromiter(map(position.__getitem__, fks), np.int64, len(fks)))
+        texts += _texts(table, key)
+    jaccard = make_token_feature(
+        "jaccard_ws", TEXT, TEXT, WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard"
+    )
+    # Text cells are str or None, so none is unhashable ("loose").
+    view = ValueView(texts, np.zeros(len(texts), bool), *rows)
+    # A side with no text scores NaN: rank it with the disjoint pairs.
+    scores = np.nan_to_num(jaccard.batch.scores(view), nan=0.0)
 
-    scores = []
-    for l_id, r_id in zip(candset.column(meta.fk_ltable), candset.column(meta.fk_rtable)):
-        left, right = l_tokens[l_id], r_tokens[r_id]
-        union = len(left | right)
-        scores.append(len(left & right) / union if union else 0.0)
-
-    order = sorted(range(candset.num_rows), key=lambda i: -scores[i])
+    order = np.argsort(-scores, kind="stable").tolist()
     n_top = int(round(n * top_fraction))
     top = order[:n_top]
     rest = order[n_top:]

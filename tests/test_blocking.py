@@ -22,7 +22,7 @@ from repro.blocking import (
     make_candset,
 )
 from repro.catalog import get_catalog
-from repro.exceptions import SchemaError
+from repro.exceptions import ConfigurationError, SchemaError
 from repro.features import get_features_for_blocking
 from repro.index import use_index_store
 from repro.table import Table
@@ -329,6 +329,13 @@ class TestDebugger:
         suggested = set(zip(report.column("l_id"), report.column("r_id")))
         assert ("a1", "b1") not in suggested
         assert ("a3", "b2") not in suggested
+
+    @pytest.mark.parametrize("output_size", [0, -1])
+    def test_debug_blocker_rejects_output_size_below_one(self, figure1_tables, output_size):
+        table_a, table_b, _ = figure1_tables
+        candset = make_candset([("a2", "b1")], table_a, table_b, "id", "id")
+        with pytest.raises(ConfigurationError, match="output_size"):
+            debug_blocker(candset, output_size=output_size)
 
     def test_blocking_recall(self, figure1_tables):
         table_a, table_b, gold = figure1_tables

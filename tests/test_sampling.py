@@ -54,6 +54,43 @@ class TestDownSample:
         with pytest.raises(ConfigurationError):
             down_sample(ds.ltable, ds.rtable, 10, y_param=0)
 
+    def test_samples_do_not_move_with_the_hash_seed(self):
+        """The same seeded samples under three string-hash seeds.  Equally
+        rare tokens are probed in the order they first appear in the
+        right row's text; ordering them as a set's iteration did gave a
+        different left sample under each ``PYTHONHASHSEED``."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import hashlib\n"
+            "from repro.datasets import make_em_dataset\n"
+            "from repro.datasets.entities import person, product\n"
+            "from repro.sampling import down_sample\n"
+            "for entity in (person, product):\n"
+            "    ds = make_em_dataset(entity, 2000, 2000, seed=3)\n"
+            "    for y_param in (1, 3):\n"
+            "        l_sample, r_sample = down_sample(\n"
+            "            ds.ltable, ds.rtable, 300, y_param=y_param, seed=0)\n"
+            "        ids = repr((l_sample['id'], r_sample['id'])).encode()\n"
+            "        print(hashlib.sha256(ids).hexdigest())\n"
+        )
+        outputs = {}
+        for hash_seed in ("0", "1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[hash_seed] = done.stdout
+        assert len(set(outputs.values())) == 1, outputs
+
     def test_y_param_pulls_more_left_rows(self, small_person_dataset):
         ds = small_person_dataset
         few_l, _ = down_sample(ds.ltable, ds.rtable, 15, y_param=1, seed=2)
@@ -91,6 +128,25 @@ class TestCandsetSampling:
         candset = self._candset(small_person_dataset)
         sample = weighted_sample_candset(candset, candset.num_rows + 10, seed=0)
         assert sample.num_rows == candset.num_rows
+
+    @pytest.mark.parametrize("top_fraction", [1.5, -0.5, float("nan")])
+    def test_weighted_sample_rejects_top_fraction_outside_unit(
+        self, small_person_dataset, top_fraction
+    ):
+        candset = self._candset(small_person_dataset)
+        with pytest.raises(ConfigurationError, match="top_fraction"):
+            weighted_sample_candset(candset, 10, top_fraction=top_fraction)
+
+    def test_weighted_sample_rejects_negative_n(self, small_person_dataset):
+        candset = self._candset(small_person_dataset)
+        with pytest.raises(ConfigurationError, match="n must be"):
+            weighted_sample_candset(candset, -1)
+
+    @pytest.mark.parametrize("top_fraction", [0.0, 1.0])
+    def test_weighted_sample_size_at_the_unit_ends(self, small_person_dataset, top_fraction):
+        candset = self._candset(small_person_dataset)
+        sample = weighted_sample_candset(candset, 10, seed=0, top_fraction=top_fraction)
+        assert sample.num_rows == 10
 
     def test_weighted_sample_registered_in_catalog(self, small_person_dataset):
         from repro.catalog import get_catalog
