@@ -1,85 +1,38 @@
-"""Attribute-equivalence blocker: keep pairs that agree on an attribute.
+"""Hash and attribute-equivalence blockers: keep pairs that agree on a value.
 
 The classic EM blocker (e.g. "persons residing in different states are
-dropped", Figure 1 of the paper).  ``block_tables`` runs as a hash join on
-the blocking attribute, so it never materializes the cross product.
-Missing values never match anything (a pair with a missing blocking value
-is dropped), matching Magellan's semantics.
+dropped", Figure 1 of the paper).  ``block_tables`` runs as an equality
+join on the blocking value (:func:`~repro.blocking.base.equal_value_pairs`),
+so it never materializes the cross product.  Missing values never match
+anything (a pair with a missing blocking value is dropped), matching
+Magellan's semantics.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
+from functools import partial
 from typing import Any
 
-from repro.blocking.base import Blocker, make_candset, observe_blocking
+from repro.blocking.base import (
+    Blocker,
+    candset_from_positions,
+    equal_value_pairs,
+    observe_blocking,
+)
 from repro.catalog.catalog import Catalog
-from repro.perf.parallel import effective_n_jobs, run_sharded, split_evenly
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
 
-class AttrEquivalenceBlocker(Blocker):
-    """Keep pairs with equal values of ``l_block_attr``/``r_block_attr``."""
-
-    def __init__(self, l_block_attr: str, r_block_attr: str | None = None):
-        self.l_block_attr = l_block_attr
-        self.r_block_attr = r_block_attr if r_block_attr is not None else l_block_attr
-
-    def block_tuples(self, l_row: Row, r_row: Row) -> bool:
-        l_value = l_row[self.l_block_attr]
-        r_value = r_row[self.r_block_attr]
-        if is_missing(l_value) or is_missing(r_value):
-            return True
-        return l_value != r_value
-
-    def block_tables(
-        self,
-        ltable: Table,
-        rtable: Table,
-        l_key: str = "id",
-        r_key: str = "id",
-        l_output_attrs: Sequence[str] = (),
-        r_output_attrs: Sequence[str] = (),
-        catalog: Catalog | None = None,
-        n_jobs: int = 1,
-    ) -> Table:
-        ltable.require_columns([l_key, self.l_block_attr])
-        rtable.require_columns([r_key, self.r_block_attr])
-        buckets: dict[Any, list[Any]] = defaultdict(list)
-        for key_value, block_value in zip(
-            rtable.column(r_key), rtable.column(self.r_block_attr)
-        ):
-            if not is_missing(block_value):
-                buckets[block_value].append(key_value)
-
-        def probe_shard(shard: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
-            pairs = []
-            for key_value, block_value in shard:
-                if is_missing(block_value):
-                    continue
-                for r_key_value in buckets.get(block_value, ()):
-                    pairs.append((key_value, r_key_value))
-            return pairs
-
-        probes = list(zip(ltable.column(l_key), ltable.column(self.l_block_attr)))
-        shards = split_evenly(probes, effective_n_jobs(n_jobs))
-        pairs = [
-            pair for shard in run_sharded(shards, probe_shard, n_jobs) for pair in shard
-        ]
-        observe_blocking(self, len(pairs))
-        return make_candset(
-            pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
-        )
-
-
 class HashBlocker(Blocker):
-    """Attribute-equivalence generalized to a computed hash key.
+    """Keep pairs whose rows hash to the same bucket.
 
     ``l_hash``/``r_hash`` map a row to a bucket value (``None`` drops the
-    row); pairs hashing to the same bucket survive.  Covers schemes like
-    "first 3 letters of the lowercased name".
+    row).  Covers schemes like "first 3 letters of the lowercased name".
+    ``n_jobs`` is accepted for the :class:`Blocker` interface; the join is
+    a few array passes after one dict lookup per row, below the cost where
+    fork-sharding pays for itself.
     """
 
     def __init__(self, l_hash, r_hash=None):
@@ -92,6 +45,10 @@ class HashBlocker(Blocker):
         if l_value is None or r_value is None:
             return True
         return l_value != r_value
+
+    def _buckets(self, table: Table, side: int) -> list[Any]:
+        """Each row's bucket on ``side`` (0 left, 1 right)."""
+        return list(map((self.l_hash, self.r_hash)[side], table.rows()))
 
     def block_tables(
         self,
@@ -106,27 +63,28 @@ class HashBlocker(Blocker):
     ) -> Table:
         ltable.require_columns([l_key])
         rtable.require_columns([r_key])
-        buckets: dict[Any, list[Any]] = defaultdict(list)
-        for r_row in rtable.rows():
-            bucket = self.r_hash(r_row)
-            if bucket is not None:
-                buckets[bucket].append(r_row[r_key])
-
-        def probe_shard(shard: list[Row]) -> list[tuple[Any, Any]]:
-            pairs = []
-            for l_row in shard:
-                bucket = self.l_hash(l_row)
-                if bucket is None:
-                    continue
-                for r_key_value in buckets.get(bucket, ()):
-                    pairs.append((l_row[l_key], r_key_value))
-            return pairs
-
-        shards = split_evenly(list(ltable.rows()), effective_n_jobs(n_jobs))
-        pairs = [
-            pair for shard in run_sharded(shards, probe_shard, n_jobs) for pair in shard
-        ]
-        observe_blocking(self, len(pairs))
-        return make_candset(
-            pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        l_pos, r_pos = equal_value_pairs(self._buckets(ltable, 0), self._buckets(rtable, 1))
+        observe_blocking(self, len(l_pos))
+        return candset_from_positions(
+            l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )
+
+
+def _present(attr: str, row: Row) -> Any:
+    value = row[attr]
+    return None if is_missing(value) else value
+
+
+class AttrEquivalenceBlocker(HashBlocker):
+    """Keep pairs with equal values of ``l_block_attr``/``r_block_attr``:
+    a hash blocker whose bucket is the value itself."""
+
+    def __init__(self, l_block_attr: str, r_block_attr: str | None = None):
+        self.l_block_attr = l_block_attr
+        self.r_block_attr = r_block_attr if r_block_attr is not None else l_block_attr
+        super().__init__(partial(_present, self.l_block_attr), partial(_present, self.r_block_attr))
+
+    def _buckets(self, table: Table, side: int) -> list[Any]:
+        attr = (self.l_block_attr, self.r_block_attr)[side]
+        table.require_columns([attr])
+        return [None if is_missing(value) else value for value in table.column(attr)]

@@ -14,12 +14,18 @@ import time
 from collections.abc import Iterable, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
+from repro.exceptions import SchemaError
 from repro.obs import get_registry
+from repro.perf import arrays
 from repro.perf.parallel import effective_n_jobs, run_sharded, split_evenly
+from repro.simjoin.joins import set_sim_join_positions
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
+from repro.text.tokenizers import Tokenizer
 
 CANDSET_ID = "_id"
 TEXT = "_text"
@@ -66,6 +72,124 @@ def fk_column_names(l_key: str, r_key: str) -> tuple[str, str]:
     return f"ltable_{l_key}", f"rtable_{r_key}"
 
 
+def key_positions(table: Table, key: str, values: Sequence[Any]) -> np.ndarray:
+    """Row position in ``table`` of each ``key`` value in ``values``."""
+    table.validate_key(key)
+    position = dict(zip(table.column(key), range(table.num_rows)))
+    return np.fromiter(map(position.__getitem__, values), np.int64, len(values))
+
+
+def key_order(table: Table, key: str) -> np.ndarray:
+    """``table``'s row positions in ascending ``key`` order."""
+    keys = table.column(key)
+    try:
+        return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+    except TypeError as exc:
+        raise SchemaError(f"key column {key!r} holds values that do not sort: {exc}") from None
+
+
+class PairCodes:
+    """Pairs of rows of two tables as int64 codes ``l_rank * n_r + r_rank``,
+    where a row's rank is its place in ``l_order`` / ``r_order``.
+
+    Sorted codes are pairs in (left rank, right rank) order: ``by_key``
+    ranks rows by key, so its code order is ``sorted()`` of the key pairs.
+    """
+
+    def __init__(self, l_order: np.ndarray, r_order: np.ndarray):
+        self.l_order, self.r_order = l_order, r_order
+        self.l_rank, self.r_rank = np.argsort(l_order), np.argsort(r_order)
+        self.n_r = max(len(r_order), 1)
+
+    @classmethod
+    def by_key(cls, ltable: Table, rtable: Table, l_key: str, r_key: str) -> "PairCodes":
+        return cls(key_order(ltable, l_key), key_order(rtable, r_key))
+
+    def encode(self, l_pos: np.ndarray, r_pos: np.ndarray) -> np.ndarray:
+        return self.l_rank[l_pos] * self.n_r + self.r_rank[r_pos]
+
+    def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        l_rank, r_rank = np.divmod(codes, self.n_r)
+        return self.l_order[l_rank], self.r_order[r_rank]
+
+
+def equal_value_pairs(l_values: Sequence[Any], r_values: Sequence[Any]):
+    """Positions ``(i, j)`` of every pair with ``l_values[i] == r_values[j]``,
+    in (i, j) order; ``None`` equals nothing.
+
+    Values are numbered through one dict, so equality is the dict's
+    (``1 == 1.0 == True``), then the ids are sort-merged.
+    """
+    ids: dict[Any, int] = {}
+
+    def number(values: Sequence[Any]) -> np.ndarray:
+        numbered = (-1 if value is None else ids.setdefault(value, len(ids)) for value in values)
+        return np.fromiter(numbered, np.int64, len(values))
+
+    return arrays.equal_id_pairs(number(l_values), number(r_values))
+
+
+def text_join_positions(
+    ltable: Table, rtable: Table, l_key: str, r_key: str, l_attr: str, r_attr: str,
+    tokenizer: Tokenizer, measure: str, threshold: float, n_jobs: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row positions of the pairs whose :func:`text_view` texts of
+    ``l_attr`` / ``r_attr`` join under ``measure`` at ``threshold``, in
+    (left row, right row) order."""
+    views = text_view(ltable, l_key, [l_attr]), text_view(rtable, r_key, [r_attr])
+    _, _, rows, positions, _ = set_sim_join_positions(
+        *views, l_key, r_key, TEXT, TEXT, tokenizer, measure, threshold, n_jobs
+    )
+    # Join records skip missing texts: record i is the i-th row with one.
+    l_rows, r_rows = (
+        np.flatnonzero([text is not None for text in view.column(TEXT)]) for view in views
+    )
+    return l_rows[rows], r_rows[positions]
+
+
+def _candset(
+    fks: tuple[list, list], positions: tuple, ltable: Table, rtable: Table, l_key: str,
+    r_key: str, l_output_attrs: Sequence[str], r_output_attrs: Sequence[str], catalog,
+) -> Table:
+    """The one candidate-set builder: ``_id`` a range, the two FK columns,
+    each output attribute one take of its base column at ``positions``;
+    then the catalog registration.  An output attribute that repeats, or
+    that names the key (the FK column already carries it), is taken once
+    or not at all."""
+    cat = catalog if catalog is not None else get_catalog()
+    fk_l, fk_r = fk_column_names(l_key, r_key)
+    columns: dict[str, Sequence[Any]] = {CANDSET_ID: range(len(fks[0]))}
+    columns[fk_l], columns[fk_r] = fks
+    for side, table, key, attrs, pos in (
+        ("ltable", ltable, l_key, l_output_attrs, positions[0]),
+        ("rtable", rtable, r_key, r_output_attrs, positions[1]),
+    ):
+        for attr in dict.fromkeys(attrs):
+            if attr != key:
+                columns[f"{side}_{attr}"] = arrays.take_values(table.column(attr), pos)
+    candset = Table(columns)
+    cat.set_key(ltable, l_key)
+    cat.set_key(rtable, r_key)
+    cat.set_candset_metadata(candset, CANDSET_ID, fk_l, fk_r, ltable, rtable)
+    return candset
+
+
+def candset_from_positions(
+    l_pos: np.ndarray, r_pos: np.ndarray, ltable: Table, rtable: Table, l_key: str, r_key: str,
+    l_output_attrs: Sequence[str] = (), r_output_attrs: Sequence[str] = (),
+    catalog: Catalog | None = None,
+) -> Table:
+    """The candidate set of the pairs (``ltable`` row ``l_pos[i]``,
+    ``rtable`` row ``r_pos[i]``), in that order: how a blocker that knows
+    its pairs' row positions hands them over."""
+    fks = arrays.take_values(ltable.column(l_key), l_pos), arrays.take_values(
+        rtable.column(r_key), r_pos
+    )
+    return _candset(
+        fks, (l_pos, r_pos), ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+    )
+
+
 def make_candset(
     pairs: Iterable[tuple[Any, Any]],
     ltable: Table,
@@ -79,33 +203,18 @@ def make_candset(
     """Build a candidate-set table from (l_key_value, r_key_value) pairs.
 
     Registers the candidate set's metadata (key ``_id``, both FKs, the base
-    tables) in the catalog so downstream tools can validate it.
+    tables) in the catalog so downstream tools can validate it.  The key
+    values are not checked here: a dangling one fails
+    :func:`~repro.catalog.checks.validate_candset` later.
     """
-    cat = catalog if catalog is not None else get_catalog()
-    fk_l, fk_r = fk_column_names(l_key, r_key)
-    l_index = ltable.index_by(l_key) if l_output_attrs else None
-    r_index = rtable.index_by(r_key) if r_output_attrs else None
-
-    columns: dict[str, list[Any]] = {CANDSET_ID: [], fk_l: [], fk_r: []}
-    for attr in l_output_attrs:
-        columns[f"ltable_{attr}"] = []
-    for attr in r_output_attrs:
-        columns[f"rtable_{attr}"] = []
-
-    for i, (l_value, r_value) in enumerate(pairs):
-        columns[CANDSET_ID].append(i)
-        columns[fk_l].append(l_value)
-        columns[fk_r].append(r_value)
-        for attr in l_output_attrs:
-            columns[f"ltable_{attr}"].append(l_index[l_value][attr])
-        for attr in r_output_attrs:
-            columns[f"rtable_{attr}"].append(r_index[r_value][attr])
-
-    candset = Table(columns)
-    cat.set_key(ltable, l_key)
-    cat.set_key(rtable, r_key)
-    cat.set_candset_metadata(candset, CANDSET_ID, fk_l, fk_r, ltable, rtable)
-    return candset
+    fks = tuple(map(list, zip(*pairs))) or ([], [])
+    positions = (
+        key_positions(ltable, l_key, fks[0]) if l_output_attrs else None,
+        key_positions(rtable, r_key, fks[1]) if r_output_attrs else None,
+    )
+    return _candset(
+        fks, positions, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+    )
 
 
 def candset_pairs(candset: Table, catalog: Catalog | None = None) -> list[tuple[Any, Any]]:
@@ -189,18 +298,15 @@ class Blocker:
         """
         cat = catalog if catalog is not None else get_catalog()
         meta = validate_candset(candset, cat)
-        l_index = meta.ltable.index_by(cat.get_key(meta.ltable))
-        r_index = meta.rtable.index_by(cat.get_key(meta.rtable))
+        sides = (meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable)
+        l_rows, r_rows = (list(table.rows()) for table, _ in sides)
+        l_pos, r_pos = (
+            key_positions(table, cat.get_key(table), candset.column(fk)).tolist()
+            for table, fk in sides
+        )
 
         def scan_shard(shard: range) -> list[int]:
-            kept = []
-            for i in shard:
-                row = candset.row(i)
-                l_row = l_index[row[meta.fk_ltable]]
-                r_row = r_index[row[meta.fk_rtable]]
-                if not self.block_tuples(l_row, r_row):
-                    kept.append(i)
-            return kept
+            return [i for i in shard if not self.block_tuples(l_rows[l_pos[i]], r_rows[r_pos[i]])]
 
         shards = split_evenly(range(candset.num_rows), effective_n_jobs(n_jobs))
         keep = [i for shard in run_sharded(shards, scan_shard, n_jobs) for i in shard]

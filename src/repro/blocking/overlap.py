@@ -20,12 +20,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.blocking.base import TEXT, Blocker, make_candset, observe_blocking, text_view
+from repro.blocking.base import (
+    Blocker,
+    candset_from_positions,
+    make_candset,
+    observe_blocking,
+    text_join_positions,
+)
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import IndexStore
-from repro.simjoin.joins import set_sim_join
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 from repro.text.tokenizers import QgramTokenizer, Tokenizer, WhitespaceTokenizer
@@ -83,24 +88,13 @@ class OverlapBlocker(Blocker):
         ltable.require_columns([l_key, self.l_block_attr])
         rtable.require_columns([r_key, self.r_block_attr])
         # Join lowercased views so the tokens match block_tuples' semantics.
-        l_view = text_view(ltable, l_key, [self.l_block_attr])
-        r_view = text_view(rtable, r_key, [self.r_block_attr])
-        joined = set_sim_join(
-            l_view,
-            r_view,
-            l_key,
-            r_key,
-            TEXT,
-            TEXT,
-            self._tokenizer(),
-            measure="overlap",
-            threshold=self.overlap_size,
-            n_jobs=n_jobs,
+        l_pos, r_pos = text_join_positions(
+            ltable, rtable, l_key, r_key, self.l_block_attr, self.r_block_attr,
+            self._tokenizer(), "overlap", self.overlap_size, n_jobs,
         )
-        pairs = list(zip(joined.column("l_id"), joined.column("r_id")))
-        observe_blocking(self, len(pairs))
-        return make_candset(
-            pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        observe_blocking(self, len(l_pos))
+        return candset_from_positions(
+            l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )
 
     # ------------------------------------------------------------------

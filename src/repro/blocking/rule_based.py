@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.blocking.base import Blocker, make_candset, observe_blocking
-from repro.blocking.rules import BlockingRule, execute_rules, parse_rule
+from repro.blocking.base import Blocker, PairCodes, candset_from_positions, observe_blocking
+from repro.blocking.rules import BlockingRule, candidate_codes, parse_rule
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.features.feature import FeatureTable
@@ -68,10 +68,11 @@ class RuleBasedBlocker(Blocker):
                 catalog,
                 n_jobs=n_jobs,
             )
-        pairs = sorted(
-            execute_rules(self.rules, ltable, rtable, l_key, r_key, n_jobs=n_jobs)
+        codes = PairCodes.by_key(ltable, rtable, l_key, r_key)
+        l_pos, r_pos = codes.decode(
+            candidate_codes(self.rules, ltable, rtable, l_key, r_key, codes, n_jobs)
         )
-        observe_blocking(self, len(pairs))
-        return make_candset(
-            pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        observe_blocking(self, len(l_pos))
+        return candset_from_positions(
+            l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.blocking.base import TEXT, text_view
+import numpy as np
+
+from repro.blocking.base import TEXT, PairCodes, equal_value_pairs, text_join_positions, text_view
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features.feature import Feature, FeatureTable
-from repro.simjoin.joins import set_sim_join
+from repro.perf import arrays
 from repro.table.table import Row, Table
 
 _OPS = {
@@ -139,56 +141,56 @@ def parse_rule(
 # ----------------------------------------------------------------------
 # Scalable execution
 # ----------------------------------------------------------------------
-def _execute_complement(
-    predicate: Predicate,
-    ltable: Table,
-    rtable: Table,
-    l_key: str,
-    r_key: str,
-    n_jobs: int = 1,
-) -> set[tuple[Any, Any]]:
-    """Pairs satisfying the *complement* of a rule predicate, via a join."""
+def _complement_codes(predicate: Predicate, ltable, rtable, l_key, r_key, codes, n_jobs):
+    """Codes of the pairs satisfying the *complement* of a rule predicate,
+    via a join."""
     complement = predicate.complement()
     if not complement.is_join_executable:
         raise WorkflowError(f"predicate {predicate} has no join-executable complement")
     feature = predicate.feature
 
-    l_view = text_view(ltable, l_key, [feature.l_attr])
-    r_view = text_view(rtable, r_key, [feature.r_attr])
-
     if feature.sim_kind == "exact":
         # exact_match > t (t < 1) means equality.
-        l_index: dict[Any, list[Any]] = {}
-        for key_value, value in zip(l_view.column(l_key), l_view.column(TEXT)):
-            if value is not None:
-                l_index.setdefault(value, []).append(key_value)
-        pairs: set[tuple[Any, Any]] = set()
-        for key_value, value in zip(r_view.column(r_key), r_view.column(TEXT)):
-            if value is None:
-                continue
-            for l_key_value in l_index.get(value, ()):
-                pairs.add((l_key_value, key_value))
-        return pairs
+        l_pos, r_pos = equal_value_pairs(
+            text_view(ltable, l_key, [feature.l_attr]).column(TEXT),
+            text_view(rtable, r_key, [feature.r_attr]).column(TEXT),
+        )
+    else:
+        # token similarity: run the filtered sim join at the complement's
+        # threshold; a strict '>' is emulated by nudging the threshold.
+        threshold = complement.threshold
+        if complement.op == ">":
+            threshold = threshold + 1e-9
+        threshold = min(max(threshold, 1e-9), 1.0)
+        l_pos, r_pos = text_join_positions(
+            ltable, rtable, l_key, r_key, feature.l_attr, feature.r_attr,
+            feature.tokenizer, feature.measure_name, threshold, n_jobs,
+        )
+    return codes.encode(l_pos, r_pos)
 
-    # token similarity: run the filtered sim join at the complement's
-    # threshold; a strict '>' is emulated by nudging the threshold.
-    threshold = complement.threshold
-    if complement.op == ">":
-        threshold = threshold + 1e-9
-    threshold = min(max(threshold, 1e-9), 1.0)
-    joined = set_sim_join(
-        l_view,
-        r_view,
-        l_key,
-        r_key,
-        TEXT,
-        TEXT,
-        feature.tokenizer,
-        measure=feature.measure_name,
-        threshold=threshold,
-        n_jobs=n_jobs,
-    )
-    return set(zip(joined.column("l_id"), joined.column("r_id")))
+
+def candidate_codes(
+    rules: list[BlockingRule], ltable: Table, rtable: Table, l_key: str, r_key: str,
+    codes: PairCodes, n_jobs: int = 1,
+) -> np.ndarray:
+    """Sorted ``codes`` of the pairs surviving every rule: the intersection
+    over rules of the union of each rule's predicate complements."""
+    if not rules:
+        raise WorkflowError("no blocking rules to execute")
+    result = None
+    for rule in rules:
+        if not rule.is_executable:
+            raise WorkflowError(f"rule is not join-executable: {rule}")
+        survivors = arrays.unique_sorted(
+            np.concatenate([
+                _complement_codes(predicate, ltable, rtable, l_key, r_key, codes, n_jobs)
+                for predicate in rule.predicates
+            ])
+        )
+        result = survivors if result is None else arrays.intersect_sorted(result, survivors)
+        if not len(result):
+            break
+    return result
 
 
 def execute_rule_survivors(
@@ -200,14 +202,7 @@ def execute_rule_survivors(
     n_jobs: int = 1,
 ) -> set[tuple[Any, Any]]:
     """Pairs of A x B *not* dropped by the rule, computed via joins."""
-    if not rule.is_executable:
-        raise WorkflowError(f"rule is not join-executable: {rule}")
-    survivors: set[tuple[Any, Any]] = set()
-    for predicate in rule.predicates:
-        survivors |= _execute_complement(
-            predicate, ltable, rtable, l_key, r_key, n_jobs=n_jobs
-        )
-    return survivors
+    return execute_rules([rule], ltable, rtable, l_key, r_key, n_jobs)
 
 
 def execute_rules(
@@ -219,18 +214,11 @@ def execute_rules(
     n_jobs: int = 1,
 ) -> set[tuple[Any, Any]]:
     """Candidate pairs surviving *all* rules (intersection of survivors)."""
-    from repro.blocking.base import observe_blocking
-
-    if not rules:
-        raise WorkflowError("no blocking rules to execute")
-    result: set[tuple[Any, Any]] | None = None
-    for rule in rules:
-        survivors = execute_rule_survivors(
-            rule, ltable, rtable, l_key, r_key, n_jobs=n_jobs
+    codes = PairCodes(np.arange(ltable.num_rows), np.arange(rtable.num_rows))
+    l_pos, r_pos = codes.decode(candidate_codes(rules, ltable, rtable, l_key, r_key, codes, n_jobs))
+    return set(
+        zip(
+            arrays.take_values(ltable.column(l_key), l_pos),
+            arrays.take_values(rtable.column(r_key), r_pos),
         )
-        result = survivors if result is None else (result & survivors)
-        if not result:
-            break
-    result = result or set()
-    observe_blocking("BlockingRules", len(result))
-    return result
+    )

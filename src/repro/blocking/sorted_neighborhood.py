@@ -11,9 +11,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any, Callable
 
-from repro.blocking.base import Blocker, make_candset, observe_blocking
+import numpy as np
+
+from repro.blocking.base import Blocker, PairCodes, candset_from_positions, observe_blocking
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
+from repro.perf import arrays
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
@@ -66,42 +69,27 @@ class SortedNeighborhoodBlocker(Blocker):
     ) -> Table:
         ltable.require_columns([l_key, self.l_block_attr])
         rtable.require_columns([r_key, self.r_block_attr])
-        entries: list[tuple[Any, str, Any]] = []  # (sort value, side, key value)
-        for key_value, value in zip(ltable.column(l_key), ltable.column(self.l_block_attr)):
-            if not is_missing(value):
-                entries.append((self.sort_key(value), "l", key_value))
-        for key_value, value in zip(rtable.column(r_key), rtable.column(self.r_block_attr)):
-            if not is_missing(value):
-                entries.append((self.sort_key(value), "r", key_value))
+        sides = ("l", ltable, self.l_block_attr), ("r", rtable, self.r_block_attr)
+        entries = [  # (sort value, side, row position)
+            (self.sort_key(value), side, row)
+            for side, table, attr in sides
+            for row, value in enumerate(table.column(attr))
+            if not is_missing(value)
+        ]
         entries.sort(key=lambda entry: (entry[0], entry[1]))
-
-        pairs: set[tuple[Any, Any]] = set()
-        if not entries:
-            # All sort values missing on both sides: every row was
-            # dropped (see the class docstring), so nothing can pair.
-            observe_blocking(self, 0)
-            return make_candset(
-                [], ltable, rtable, l_key, r_key,
-                l_output_attrs, r_output_attrs, catalog,
-            )
-        if self.window >= len(entries):
-            # The window covers the whole merged table: explicitly the
-            # full cross product of the surviving (non-missing) rows,
-            # rather than trusting the slice below to clamp.
-            l_ids = [key for _, side, key in entries if side == "l"]
-            r_ids = [key for _, side, key in entries if side == "r"]
-            pairs = {(l_id, r_id) for l_id in l_ids for r_id in r_ids}
-        else:
-            for i, (_, side, key_value) in enumerate(entries):
-                for j in range(i + 1, min(i + self.window, len(entries))):
-                    _, other_side, other_key = entries[j]
-                    if side == other_side:
-                        continue
-                    if side == "l":
-                        pairs.add((key_value, other_key))
-                    else:
-                        pairs.add((other_key, key_value))
-        observe_blocking(self, len(pairs))
-        return make_candset(
-            sorted(pairs), ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        # Cross-side pairs within the window; a window past the merged
+        # length is the full cross product of the surviving rows.
+        l_pos, r_pos = [], []
+        for i, (_, side, row) in enumerate(entries):
+            for _, other_side, other in entries[i + 1 : i + self.window]:
+                if side != other_side:
+                    l_pos.append(row if side == "l" else other)
+                    r_pos.append(other if side == "l" else row)
+        codes = PairCodes.by_key(ltable, rtable, l_key, r_key)
+        l_pos, r_pos = codes.decode(
+            arrays.unique_sorted(codes.encode(np.array(l_pos, np.int64), np.array(r_pos, np.int64)))
+        )
+        observe_blocking(self, len(l_pos))
+        return candset_from_positions(
+            l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.blocking.base import candset_pairs, make_candset
 from repro.blocking.overlap import OverlapBlocker
-from repro.blocking.rules import BlockingRule, execute_rules
+from repro.blocking.rule_based import RuleBasedBlocker
+from repro.blocking.rules import BlockingRule
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.datasets.generator import EMDataset
 from repro.exceptions import ConfigurationError, ServiceError
@@ -346,9 +347,7 @@ def _select_rules(ctx: WorkflowContext) -> float:
 def _execute_blocking(ctx: WorkflowContext) -> float:
     rules, tables = ctx.get("rules"), _tables(ctx)
     if rules:
-        candset = make_candset(
-            sorted(execute_rules(rules, *tables)), *tables, catalog=ctx.catalog
-        )
+        candset = RuleBasedBlocker(rules).block_tables(*tables, catalog=ctx.catalog)
     else:
         # No precise executable rule: fall back to the conservative overlap
         # blocker on the designated (or first non-key) attribute.  Its

@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.blocking.base import CANDSET_ID
+from repro.blocking.base import CANDSET_ID, key_positions
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError
@@ -32,12 +32,6 @@ from repro.ml.impute import SimpleImputer
 from repro.obs import get_registry, trace_span, use_registry
 from repro.perf.parallel import effective_n_jobs, run_sharded
 from repro.table.table import Table
-
-def _base_positions(table: Table, key: str, fk_values: list[Any]) -> np.ndarray:
-    """Row position in ``table`` of each FK value."""
-    table.validate_key(key)
-    position = {value: i for i, value in enumerate(table.column(key))}
-    return np.fromiter((position[value] for value in fk_values), np.int64, len(fk_values))
 
 
 def _evaluate(features: list[Feature], view: ValueView) -> list[Any]:
@@ -82,8 +76,8 @@ def extract_feature_vecs(
     if label_column is not None:
         candset.require_columns([label_column])
     fk_l, fk_r = candset.column(meta.fk_ltable), candset.column(meta.fk_rtable)
-    l_rows = _base_positions(meta.ltable, cat.get_key(meta.ltable), fk_l)
-    r_rows = _base_positions(meta.rtable, cat.get_key(meta.rtable), fk_r)
+    l_rows = key_positions(meta.ltable, cat.get_key(meta.ltable), fk_l)
+    r_rows = key_positions(meta.rtable, cat.get_key(meta.rtable), fk_r)
 
     by_attrs: dict[tuple[str, str], list[Feature]] = {}
     for feature in feature_table:

@@ -250,6 +250,11 @@ def _ragged_take(starts, counts):
     return indptr, (starts - indptr[:-1]).repeat(counts) + np.arange(indptr[-1])
 
 
+def take_values(values: list, positions) -> list:
+    """``values`` at an int array of positions, as a list."""
+    return list(map(values.__getitem__, positions.tolist()))
+
+
 def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRecords:
     """Row ``rows[i]`` of a block of rows laid end to end in ``indices``
     (row *j* is ``lengths[j]`` long) as row *i* of an :class:`ArrayRecords`
@@ -304,6 +309,9 @@ def _flat_rows(rows):
 # The filter-verify probe
 # ----------------------------------------------------------------------
 _SIZE_TABLES: dict = {}
+#: Longest tabulated overlap bound; past it the filters compute the bound
+#: per pair (equal values).
+NEEDED_TABLE_MAX = 1 << 20
 
 
 def size_table(measure: str, threshold: float, max_size: int) -> tuple:
@@ -311,14 +319,15 @@ def size_table(measure: str, threshold: float, max_size: int) -> tuple:
     ``max_size``, computed once per ``(measure, threshold)`` and regrown
     by doubling.  ``upper`` is floored: an int size is within the float
     iff within its floor.  ``needed`` is jaccard's or dice's overlap bound
-    by ``l + r``, up to the last size plus its upper (else ``None``)."""
+    by ``l + r``, up to the last size plus its upper (else ``None``, also
+    when a threshold near 0 puts that past ``NEEDED_TABLE_MAX``)."""
     table = _SIZE_TABLES.get((measure, threshold))
     if table is None or len(table[0]) <= max_size:
         sizes = np.arange(max(64, 2 * max_size + 1))
         lower, upper = size_bounds_arrays(measure, threshold, sizes)
         upper = np.minimum(np.floor(upper), 2.0**62).astype(np.int64)
         needed = None
-        if measure in ("jaccard", "dice"):
+        if measure in ("jaccard", "dice") and sizes[-1] + upper[-1] < NEEDED_TABLE_MAX:
             totals = np.arange(sizes[-1] + upper[-1] + 1)
             needed = overlap_bounds_arrays(measure, threshold, 0, totals)
         table = (lower, upper, prefix_lengths_arrays(measure, threshold, sizes), needed)
@@ -500,3 +509,49 @@ def _overlaps(batch: ProbeBatch, segment, start: int, stop: int, per_query, rows
         tokens = tokens + shift.repeat(per_query).repeat(sizes)
     found = probe.take(probe.searchsorted(tokens), mode="clip") == tokens
     return np.add.reduceat(found, offsets[:-1])
+
+
+# ----------------------------------------------------------------------
+# Sorted int64 codes: candidate-set algebra and the equality join.  A set
+# of pairs is a sorted, repeat-free code array (``PairCodes`` in
+# repro.blocking.base); numpy's set routines (``union1d``, ``intersect1d``,
+# ``setdiff1d``, bare ``unique``) cost tens of times these on int64 codes.
+# ----------------------------------------------------------------------
+def unique_sorted(codes):
+    """``codes`` sorted, each value once: sort + adjacent difference."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def union_sorted(a, b):
+    return unique_sorted(np.concatenate([a, b]))
+
+
+def _members(a, b):
+    """Which codes of ``a`` occur in sorted ``b``."""
+    return b.take(b.searchsorted(a), mode="clip") == a if len(b) else np.zeros(len(a), bool)
+
+
+def intersect_sorted(a, b):
+    return a[_members(a, b)]
+
+
+def difference_sorted(a, b):
+    return a[~_members(a, b)]
+
+
+def equal_id_pairs(l_ids, r_ids):
+    """Positions ``(i, j)`` of every pair with ``l_ids[i] == r_ids[j]``, in
+    (i, j) order; a negative id pairs with nothing.  A sort-merge: the
+    right positions grouped by id (stable, so ascending within an id),
+    then one ragged take of each left id's group."""
+    r_rows = np.flatnonzero(r_ids >= 0)
+    by_id = r_rows[np.argsort(r_ids[r_rows], kind="stable")]
+    n_ids = max(int(l_ids.max(initial=-1)), int(r_ids.max(initial=-1))) + 1
+    indptr = _indptr(np.bincount(r_ids[r_rows], minlength=n_ids))
+    l_rows = np.flatnonzero(l_ids >= 0)
+    ids = l_ids[l_rows]
+    counts = indptr[ids + 1] - indptr[ids]
+    return l_rows.repeat(counts), by_id[_ragged_take(indptr[ids], counts)[1]]

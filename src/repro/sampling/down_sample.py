@@ -23,7 +23,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.blocking.base import TEXT, text_view
+from repro.blocking.base import TEXT, key_positions, text_view
 from repro.exceptions import ConfigurationError
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
@@ -167,9 +167,7 @@ def weighted_sample_candset(
     texts, rows = [], []
     for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable)):
         key = cat.get_key(table)
-        position = {value: i for i, value in enumerate(table.column(key))}
-        fks = candset.column(fk)
-        rows.append(len(texts) + np.fromiter(map(position.__getitem__, fks), np.int64, len(fks)))
+        rows.append(len(texts) + key_positions(table, key, candset.column(fk)))
         texts += _texts(table, key)
     jaccard = make_token_feature(
         "jaccard_ws", TEXT, TEXT, WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard"

@@ -81,11 +81,6 @@ def _result_table(l_ids: list, r_ids: list, scores: list) -> Table:
     return Table({"_id": range(len(scores)), "l_id": l_ids, "r_id": r_ids, "score": scores})
 
 
-def _take(keys: list, positions) -> list:
-    """``keys`` at an int array of positions, as a list."""
-    return list(map(keys.__getitem__, positions.tolist()))
-
-
 def _probe_span(left, index, measure: str, threshold: float, span: range):
     """The batched kernel over one span of ``left``'s rows: survivor rows,
     positions and scores in (row, position) order, the candidate,
@@ -144,11 +139,27 @@ def set_sim_join(
     because ``benchmarks/spine/join_batch.py`` passes it and that file may
     only change in a benchmark PR; remove it when that file stops.
     """
-    measure = validate_measure(measure)
-    validate_threshold(measure, threshold)
     if kernel != "auto":
         raise ConfigurationError(f"kernel= accepts only 'auto', got {kernel!r}")
+    l_keys, r_keys, rows, positions, scores = set_sim_join_positions(
+        ltable, rtable, l_key, r_key, l_column, r_column, tokenizer, measure, threshold, n_jobs
+    )
+    return _result_table(
+        arrays.take_values(l_keys, rows), arrays.take_values(r_keys, positions), scores.tolist()
+    )
 
+
+def set_sim_join_positions(
+    ltable: Table, rtable: Table, l_key: str, r_key: str, l_column: str, r_column: str,
+    tokenizer: Tokenizer, measure: str, threshold: float, n_jobs: int = 1,
+) -> tuple:
+    """:func:`set_sim_join`'s pairs as record positions: ``(l_keys, r_keys,
+    rows, positions, scores)``, where pair *i* joins left record
+    ``rows[i]`` (key ``l_keys[rows[i]]``) with right record
+    ``positions[i]``.  A side's records are its rows with a non-missing
+    ``column`` value, in row order."""
+    measure = validate_measure(measure)
+    validate_threshold(measure, threshold)
     join_started = time.perf_counter()
 
     # Every build-side artifact — tokenization, universe encodings, the
@@ -178,9 +189,7 @@ def set_sim_join(
         survivors=len(rows),
         verified=n_verified,
     )
-    return _result_table(
-        _take(left.keys, rows), _take(array_index.keys, positions), scores.tolist()
-    )
+    return left.keys, array_index.keys, rows, positions, scores
 
 
 def naive_set_sim_join(
@@ -287,7 +296,8 @@ def edit_distance_join(
             l_values[rows] * n_strings + r_values[cols], return_inverse=True
         )
         distances = levenshtein.batch_raw_score(
-            _take(strings, pairs // n_strings), _take(strings, pairs % n_strings)
+            arrays.take_values(strings, pairs // n_strings),
+            arrays.take_values(strings, pairs % n_strings),
         )[inverse]
         match = distances <= d
         return rows[match], cols[match], distances[match], n_candidates, n_kept, len(rows)
@@ -306,5 +316,7 @@ def edit_distance_join(
         verified=n_verified,
     )
     return _result_table(
-        _take(encoding.left.keys, rows), _take(encoding.right.keys, cols), distances.tolist()
+        arrays.take_values(encoding.left.keys, rows),
+        arrays.take_values(encoding.right.keys, cols),
+        distances.tolist(),
     )

@@ -1,8 +1,12 @@
 """Tests for blockers, candidate sets, set operations, and the debugger."""
 
 import itertools
+import math
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import (
     AttrEquivalenceBlocker,
@@ -19,13 +23,25 @@ from repro.blocking import (
     candset_pairs,
     candset_union,
     debug_blocker,
+    execute_rule_survivors,
+    execute_rules,
     make_candset,
+    text_view,
 )
+from repro.blocking.base import TEXT
+from repro.blocking.rules import BlockingRule, Predicate
 from repro.catalog import get_catalog
-from repro.exceptions import ConfigurationError, SchemaError
+from repro.catalog.checks import validate_candset
+from repro.exceptions import ConfigurationError, ForeignKeyConstraintError, SchemaError
 from repro.features import get_features_for_blocking
+from repro.features.feature import make_exact_feature, make_token_feature
 from repro.index import use_index_store
+from repro.obs import use_registry
+from repro.simjoin import naive_set_sim_join
 from repro.table import Table
+from repro.table.schema import is_missing
+from repro.text.sim.token_based import Jaccard
+from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
 
 
 def pairs_of(candset):
@@ -344,3 +360,366 @@ class TestDebugger:
         half = make_candset([("a1", "b1")], table_a, table_b, "id", "id")
         assert blocking_recall(half, gold) == 0.5
         assert blocking_recall(half, set()) == 1.0
+
+
+# ----------------------------------------------------------------------
+# Oracles: the per-pair candidate-set handover the position arrays and
+# sorted pair codes replaced — the per-pair make_candset loop, the
+# tuple-set algebra, the dict exact join and the two bucket joins.
+# ----------------------------------------------------------------------
+def oracle_make_candset(pairs, ltable, rtable, l_key, r_key, l_output_attrs=(), r_output_attrs=()):
+    fk_l, fk_r = f"ltable_{l_key}", f"rtable_{r_key}"
+    l_index = ltable.index_by(l_key) if l_output_attrs else None
+    r_index = rtable.index_by(r_key) if r_output_attrs else None
+    columns = {"_id": [], fk_l: [], fk_r: []}
+    for attr in l_output_attrs:
+        columns[f"ltable_{attr}"] = []
+    for attr in r_output_attrs:
+        columns[f"rtable_{attr}"] = []
+    for i, (l_value, r_value) in enumerate(pairs):
+        columns["_id"].append(i)
+        columns[fk_l].append(l_value)
+        columns[fk_r].append(r_value)
+        for attr in l_output_attrs:
+            columns[f"ltable_{attr}"].append(l_index[l_value][attr])
+        for attr in r_output_attrs:
+            columns[f"rtable_{attr}"].append(r_index[r_value][attr])
+    return Table(columns)
+
+
+def oracle_attr_equivalence(ltable, rtable, attr):
+    buckets = defaultdict(list)
+    for key_value, block_value in zip(rtable.column("id"), rtable.column(attr)):
+        if not is_missing(block_value):
+            buckets[block_value].append(key_value)
+    pairs = []
+    for key_value, block_value in zip(ltable.column("id"), ltable.column(attr)):
+        if is_missing(block_value):
+            continue
+        for r_key_value in buckets.get(block_value, ()):
+            pairs.append((key_value, r_key_value))
+    return pairs
+
+
+def oracle_hash_join(ltable, rtable, l_hash, r_hash):
+    buckets = defaultdict(list)
+    for r_row in rtable.rows():
+        bucket = r_hash(r_row)
+        if bucket is not None:
+            buckets[bucket].append(r_row["id"])
+    pairs = []
+    for l_row in ltable.rows():
+        bucket = l_hash(l_row)
+        if bucket is None:
+            continue
+        for r_key_value in buckets.get(bucket, ()):
+            pairs.append((l_row["id"], r_key_value))
+    return pairs
+
+
+def oracle_sorted_neighborhood(ltable, rtable, attr, window):
+    entries = []
+    for key_value, value in zip(ltable.column("id"), ltable.column(attr)):
+        if not is_missing(value):
+            entries.append((str(value).lower(), "l", key_value))
+    for key_value, value in zip(rtable.column("id"), rtable.column(attr)):
+        if not is_missing(value):
+            entries.append((str(value).lower(), "r", key_value))
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    if window >= len(entries):
+        l_ids = [key for _, side, key in entries if side == "l"]
+        r_ids = [key for _, side, key in entries if side == "r"]
+        return sorted({(l_id, r_id) for l_id in l_ids for r_id in r_ids})
+    pairs = set()
+    for i, (_, side, key_value) in enumerate(entries):
+        for j in range(i + 1, min(i + window, len(entries))):
+            _, other_side, other_key = entries[j]
+            if side == other_side:
+                continue
+            pairs.add((key_value, other_key) if side == "l" else (other_key, key_value))
+    return sorted(pairs)
+
+
+def oracle_complement(predicate, ltable, rtable):
+    complement = predicate.complement()
+    feature = predicate.feature
+    l_view = text_view(ltable, "id", [feature.l_attr])
+    r_view = text_view(rtable, "id", [feature.r_attr])
+    if feature.sim_kind == "exact":
+        l_index = {}
+        for key_value, value in zip(l_view.column("id"), l_view.column(TEXT)):
+            if value is not None:
+                l_index.setdefault(value, []).append(key_value)
+        pairs = set()
+        for key_value, value in zip(r_view.column("id"), r_view.column(TEXT)):
+            if value is None:
+                continue
+            for l_key_value in l_index.get(value, ()):
+                pairs.add((l_key_value, key_value))
+        return pairs
+    threshold = complement.threshold
+    if complement.op == ">":
+        threshold = threshold + 1e-9
+    threshold = min(max(threshold, 1e-9), 1.0)
+    joined = naive_set_sim_join(
+        l_view, r_view, "id", "id", TEXT, TEXT, feature.tokenizer,
+        measure=feature.measure_name, threshold=threshold,
+    )
+    return set(zip(joined.column("l_id"), joined.column("r_id")))
+
+
+def oracle_rule_survivors(rule, ltable, rtable):
+    survivors = set()
+    for predicate in rule.predicates:
+        survivors |= oracle_complement(predicate, ltable, rtable)
+    return survivors
+
+
+def oracle_execute_rules(rules, ltable, rtable):
+    result = None
+    for rule in rules:
+        survivors = oracle_rule_survivors(rule, ltable, rtable)
+        result = survivors if result is None else (result & survivors)
+        if not result:
+            break
+    return result or set()
+
+
+def oracle_candset_op(a, b, op):
+    cat = get_catalog()
+    metas = [validate_candset(candset, cat) for candset in (a, b)]
+    pairs_a, pairs_b = (
+        set(zip(candset.column(meta.fk_ltable), candset.column(meta.fk_rtable)))
+        for candset, meta in zip((a, b), metas)
+    )
+    return oracle_make_candset(
+        sorted(op(pairs_a, pairs_b)), metas[0].ltable, metas[0].rtable, "id", "id"
+    )
+
+
+def assert_same_table(got, expected):
+    assert got.columns == expected.columns
+    assert got == expected
+
+
+#: Block values: missing markers (None, NaN, blanks), 1 == 1.0 == True,
+#: case variants and repeats.
+VALUES = [None, math.nan, "", "  ", 1, 1.0, True, 2, "a", "A", "a b", "b c", "x"]
+TEXTS = [None, "", "a b", "b c", "A B", "a", "c d e", "a b c d", "x y"]
+TOKEN = make_token_feature(
+    "t_jaccard", "t", "t", WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard"
+)
+EXACT = make_exact_feature("t_exact", "t", "t")
+PREDICATES = [
+    Predicate(TOKEN, "<", 0.5),
+    Predicate(TOKEN, "<=", 0.5),
+    Predicate(TOKEN, "<", 0.2),
+    Predicate(TOKEN, "<=", 0.0),
+    Predicate(EXACT, "<=", 0.5),
+    Predicate(EXACT, "<", 1.0),
+]
+OUTPUT_ATTRS = [(), ("t",), ("v", "t")]
+
+
+@st.composite
+def table_pairs(draw):
+    """Two keyed tables of 0-9 rows: int or str keys in no particular
+    order, a ``v`` column of mixed block values and a ``t`` text column."""
+
+    def table():
+        n = draw(st.integers(0, 9))
+        keys = draw(st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True))
+        if draw(st.booleans()):
+            keys = [f"k{key}" for key in keys]
+        values = draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n))
+        texts = draw(st.lists(st.sampled_from(TEXTS), min_size=n, max_size=n))
+        result = Table({"id": keys, "v": values, "t": texts})
+        get_catalog().set_key(result, "id")
+        return result
+
+    return table(), table()
+
+
+class TestCandidateHandoverMatchesTheOracles:
+    """Every blocker's candset, every candset_* result and execute_rules'
+    set are == the per-pair oracles: same columns, values and order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tables=table_pairs(),
+        l_attrs=st.sampled_from(OUTPUT_ATTRS),
+        r_attrs=st.sampled_from(OUTPUT_ATTRS),
+        n_jobs=st.sampled_from([1, 2]),
+    )
+    def test_attr_equivalence_and_hash_blockers(self, tables, l_attrs, r_attrs, n_jobs):
+        ltable, rtable = tables
+        got = AttrEquivalenceBlocker("v").block_tables(
+            ltable, rtable, "id", "id", l_attrs, r_attrs, n_jobs=n_jobs
+        )
+        pairs = oracle_attr_equivalence(ltable, rtable, "v")
+        assert_same_table(
+            got, oracle_make_candset(pairs, ltable, rtable, "id", "id", l_attrs, r_attrs)
+        )
+
+        def bucket(row):
+            return None if row["t"] is None else row["t"][:1]
+
+        got = HashBlocker(bucket).block_tables(
+            ltable, rtable, "id", "id", l_attrs, r_attrs, n_jobs=n_jobs
+        )
+        pairs = oracle_hash_join(ltable, rtable, bucket, bucket)
+        assert_same_table(
+            got, oracle_make_candset(pairs, ltable, rtable, "id", "id", l_attrs, r_attrs)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tables=table_pairs(),
+        attr=st.sampled_from(["v", "t"]),
+        overlap_size=st.sampled_from([1, 2]),
+        word_level=st.booleans(),
+        l_attrs=st.sampled_from(OUTPUT_ATTRS),
+        n_jobs=st.sampled_from([1, 2]),
+    )
+    def test_overlap_blocker(self, tables, attr, overlap_size, word_level, l_attrs, n_jobs):
+        ltable, rtable = tables
+        blocker = OverlapBlocker(attr, overlap_size=overlap_size, word_level=word_level)
+        got = blocker.block_tables(ltable, rtable, "id", "id", l_attrs, n_jobs=n_jobs)
+        tokenizer = (
+            WhitespaceTokenizer(return_set=True) if word_level
+            else QgramTokenizer(q=3, return_set=True)
+        )
+        joined = naive_set_sim_join(
+            text_view(ltable, "id", [attr]), text_view(rtable, "id", [attr]),
+            "id", "id", TEXT, TEXT, tokenizer, "overlap", overlap_size,
+        )
+        pairs = list(zip(joined.column("l_id"), joined.column("r_id")))
+        assert_same_table(got, oracle_make_candset(pairs, ltable, rtable, "id", "id", l_attrs))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tables=table_pairs(),
+        attr=st.sampled_from(["v", "t"]),
+        window=st.integers(2, 20),
+        r_attrs=st.sampled_from(OUTPUT_ATTRS),
+    )
+    def test_sorted_neighborhood_blocker(self, tables, attr, window, r_attrs):
+        ltable, rtable = tables
+        got = SortedNeighborhoodBlocker(attr, window=window).block_tables(
+            ltable, rtable, "id", "id", r_output_attrs=r_attrs
+        )
+        pairs = oracle_sorted_neighborhood(ltable, rtable, attr, window)
+        assert_same_table(
+            got, oracle_make_candset(pairs, ltable, rtable, "id", "id", r_output_attrs=r_attrs)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tables=table_pairs(),
+        rules=st.lists(
+            st.lists(st.sampled_from(PREDICATES), min_size=1, max_size=2),
+            min_size=1, max_size=3,
+        ),
+        r_attrs=st.sampled_from(OUTPUT_ATTRS),
+        n_jobs=st.sampled_from([1, 2]),
+    )
+    def test_rule_execution(self, tables, rules, r_attrs, n_jobs):
+        ltable, rtable = tables
+        rules = [BlockingRule(tuple(predicates)) for predicates in rules]
+        expected = oracle_execute_rules(rules, ltable, rtable)
+        assert execute_rules(rules, ltable, rtable, n_jobs=n_jobs) == expected
+        assert execute_rule_survivors(rules[0], ltable, rtable) == oracle_rule_survivors(
+            rules[0], ltable, rtable
+        )
+        oracle = oracle_make_candset(
+            sorted(expected), ltable, rtable, "id", "id", r_output_attrs=r_attrs
+        )
+        got = RuleBasedBlocker(rules).block_tables(
+            ltable, rtable, "id", "id", r_output_attrs=r_attrs, n_jobs=n_jobs
+        )
+        assert_same_table(got, oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables=table_pairs(), data=st.data())
+    def test_candset_algebra_and_make_candset(self, tables, data):
+        ltable, rtable = tables
+        l_keys, r_keys = ltable.column("id"), rtable.column("id")
+        every = [(l, r) for l in l_keys for r in r_keys]
+        # Unsorted, repeating pair lists: two candsets over the same bases.
+        a_pairs, b_pairs = (
+            data.draw(st.lists(st.sampled_from(every), max_size=12)) if every else []
+            for _ in range(2)
+        )
+        attrs = data.draw(st.sampled_from(OUTPUT_ATTRS))
+        a = make_candset(a_pairs, ltable, rtable, "id", "id", attrs, attrs)
+        assert_same_table(
+            a, oracle_make_candset(a_pairs, ltable, rtable, "id", "id", attrs, attrs)
+        )
+        b = make_candset(b_pairs, ltable, rtable, "id", "id")
+        for ours, op in (
+            (candset_union, set.__or__),
+            (candset_intersection, set.__and__),
+            (candset_difference, set.__sub__),
+        ):
+            assert_same_table(ours(a, b), oracle_candset_op(a, b, op))
+            assert_same_table(ours(b, a), oracle_candset_op(b, a, op))
+
+
+class TestCandsetBuilder:
+    def test_output_attrs_naming_the_key_or_repeating_are_taken_once(self, figure1_tables):
+        table_a, table_b, _ = figure1_tables
+        candset = AttrEquivalenceBlocker("city").block_tables(
+            table_a, table_b, l_output_attrs=["id", "name"], r_output_attrs=["city", "city"]
+        )
+        assert candset.columns == ["_id", "ltable_id", "rtable_id", "ltable_name", "rtable_city"]
+        assert candset.column("ltable_id") == ["a1", "a3"]
+        assert candset.column("ltable_name") == ["Dave Smith", "Dan Smith"]
+        assert candset.column("rtable_city") == ["Madison", "Middleton"]
+        made = make_candset(
+            [("a1", "b1")], table_a, table_b, "id", "id", l_output_attrs=["id"]
+        )
+        assert made.columns == ["_id", "ltable_id", "rtable_id"]
+        assert made.column("ltable_id") == ["a1"]
+
+    def test_dangling_key_fails_at_validation_not_at_build(self, figure1_tables):
+        table_a, table_b, _ = figure1_tables
+        candset = make_candset([("a1", "zz")], table_a, table_b, "id", "id")
+        with pytest.raises(ForeignKeyConstraintError):
+            validate_candset(candset)
+
+    def test_rule_blocker_counts_each_call_once(self, name_rule_tables):
+        table_a, table_b, rule = name_rule_tables
+        with use_registry() as registry:
+            candset = RuleBasedBlocker([rule]).block_tables(table_a, table_b)
+        assert candset.num_rows == 2
+        counters = {
+            (name, dict(labels)["blocker"]): value
+            for (name, labels), value in registry.counters().items()
+            if name.startswith("blocking_")
+        }
+        assert counters == {
+            ("blocking_calls_total", "RuleBasedBlocker"): 1,
+            ("blocking_pairs_total", "RuleBasedBlocker"): 2,
+        }
+
+    def test_keys_that_do_not_sort_raise_schema_error(self, name_rule_tables):
+        _, table_b, rule = name_rule_tables
+        mixed = Table({"id": [1, "a"], "name": ["dave smith", "dan smith"]})
+        get_catalog().set_key(mixed, "id")
+        candset = make_candset([(1, "b1"), ("a", "b1")], mixed, table_b, "id", "id")
+        # Falcon executes its rules through RuleBasedBlocker too.
+        for call in (
+            lambda: candset_union(candset, candset),
+            lambda: RuleBasedBlocker([rule]).block_tables(mixed, table_b),
+        ):
+            with pytest.raises(SchemaError, match="key column 'id'"):
+                call()
+
+
+@pytest.fixture
+def name_rule_tables():
+    """Two name tables and a rule keeping the pairs with equal names."""
+    table_a = Table({"id": ["a1", "a2"], "name": ["dave smith", "joe wilson"]})
+    table_b = Table({"id": ["b1", "b2"], "name": ["dave smith", "dave smith"]})
+    exact = make_exact_feature("name_exact", "name", "name")
+    return table_a, table_b, BlockingRule((Predicate(exact, "<=", 0.5),))

@@ -120,6 +120,17 @@ class TestSetSimJoin:
         naive = naive_set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, "overlap", 1)
         assert without.num_rows and without == naive
 
+    @pytest.mark.parametrize("measure", ["jaccard", "dice"])
+    def test_threshold_near_zero_matches_naive(self, measure):
+        # A rule's complement "jaccard > 0" runs at 1e-9: the partner-size
+        # window is then unbounded, and the overlap bound is computed per
+        # pair instead of tabulated.
+        ltable, rtable = _random_tables(seed=3, n=20)
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        fast = set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, measure, 1e-9)
+        slow = naive_set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, measure, 1e-9)
+        assert fast.num_rows and fast == slow
+
     def test_scores_meet_threshold(self):
         ltable, rtable = _random_tables(seed=9)
         result = set_sim_join(
