@@ -12,14 +12,13 @@ workflow on synthetic ranch data:
    precision, and we print the same comparison);
 2. use the matches to unify a cattle-transaction graph across sources and
    trace which slaughterhouses are reachable from deforested ranches
-   (networkx), the end goal of the deployment.
+   (a depth-first walk over who-sells-to-whom), the end goal of the
+   deployment.
 
 Run:  python examples/land_use_ranches.py
 """
 
 import random
-
-import networkx as nx
 
 from repro.blocking import OverlapBlocker, candset_union
 from repro.catalog import get_catalog
@@ -97,12 +96,12 @@ def trace_supply_chains(dataset, matched_pairs):
     rng = random.Random(0)
     # Transactions among B-side ranches, ending at slaughterhouses.
     b_ids = dataset.rtable.column("id")
-    graph = nx.DiGraph()
+    sells_to: dict[str, list[str]] = {}
     slaughterhouses = [f"sh{i}" for i in range(5)]
     for b_id in b_ids:
         target = rng.choice(b_ids + slaughterhouses)
         if target != b_id:
-            graph.add_edge(b_id, target)
+            sells_to.setdefault(b_id, []).append(target)
     # Deforestation flags live on the A side.
     bad_a_ranches = set(rng.sample(dataset.ltable.column("id"), 60))
 
@@ -110,12 +109,13 @@ def trace_supply_chains(dataset, matched_pairs):
     a_to_b = dict(matched_pairs)
     bad_b_ranches = {a_to_b[a] for a in bad_a_ranches if a in a_to_b}
 
-    tainted = set()
-    for bad in bad_b_ranches:
-        if bad in graph:
-            for sink in nx.descendants(graph, bad) | {bad}:
-                if sink in slaughterhouses:
-                    tainted.add(sink)
+    reached, stack = set(bad_b_ranches), list(bad_b_ranches)
+    while stack:
+        for buyer in sells_to.get(stack.pop(), []):
+            if buyer not in reached:
+                reached.add(buyer)
+                stack.append(buyer)
+    tainted = reached.intersection(slaughterhouses)
     print(f"\nSupply-chain tracing: {len(bad_a_ranches)} flagged ranches in "
           f"source A, {len(bad_b_ranches)} linked into transaction data via EM")
     print(f"Slaughterhouses reachable from deforested ranches: "

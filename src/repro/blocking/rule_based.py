@@ -18,7 +18,10 @@ class RuleBasedBlocker(Blocker):
     When every rule is join-executable (see
     :class:`~repro.blocking.rules.BlockingRule`), ``block_tables`` runs
     the rules as similarity joins and never enumerates A x B; otherwise it
-    falls back to the base class's pairwise scan.
+    falls back to the base class's pairwise scan.  On data without
+    missing values both paths keep the same pairs.  A missing value
+    satisfies no predicate, so the scan keeps every pair it touches, while
+    a join cannot emit such a pair: the join path drops it.
     """
 
     def __init__(self, rules: list[BlockingRule] | None = None):

@@ -23,6 +23,7 @@ from repro.blocking.base import TEXT, PairCodes, equal_value_pairs, text_join_po
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features.feature import Feature, FeatureTable
 from repro.perf import arrays
+from repro.simjoin.filters import SET_MEASURES
 from repro.table.table import Row, Table
 
 _OPS = {
@@ -65,12 +66,19 @@ class Predicate:
 
     @property
     def is_join_executable(self) -> bool:
-        """Can this predicate itself be run as a similarity join?
+        """Are the pairs this predicate holds for exactly a join's output?
 
-        True for "similarity at least t" predicates over token or exact
-        features.
+        True for a token feature on a set-similarity measure, or an exact
+        feature, when the predicate implies a shared token (or equal
+        values): ``>= t`` with ``0 < t <= 1`` or ``> t`` with ``0 <= t < 1``.
         """
-        return self.op in (">=", ">") and self.feature.is_join_executable
+        t, kind = self.threshold, self.feature.sim_kind
+        if not ((self.op == ">=" and 0 < t <= 1) or (self.op == ">" and 0 <= t < 1)):
+            return False
+        measure = self.feature.measure_name.lower()
+        # ``overlap`` counts shared tokens: its thresholds are not in (0, 1].
+        return kind == "exact" or (kind == "token" and measure in SET_MEASURES
+                                   and measure != "overlap")
 
     def __str__(self) -> str:
         return f"{self.feature.name} {self.op} {self.threshold:.4f}"
@@ -160,8 +168,7 @@ def _complement_codes(predicate: Predicate, ltable, rtable, l_key, r_key, codes,
         # threshold; a strict '>' is emulated by nudging the threshold.
         threshold = complement.threshold
         if complement.op == ">":
-            threshold = threshold + 1e-9
-        threshold = min(max(threshold, 1e-9), 1.0)
+            threshold = min(threshold + 1e-9, 1.0)
         l_pos, r_pos = text_join_positions(
             ltable, rtable, l_key, r_key, feature.l_attr, feature.r_attr,
             feature.tokenizer, feature.measure_name, threshold, n_jobs,

@@ -4,32 +4,38 @@ CloudMatcher 1.0's key idea (Section 5.1): "break each submitted EM
 workflow into multiple DAG fragments, where each fragment performs only
 one kind of task, e.g., interaction with the user, batch processing of
 data, crowdsourcing ... then execute each fragment on an appropriate
-execution engine".  This module builds the workflow DAG (networkx) and
-computes the same-kind fragment decomposition plus the fragment-level DAG
-that the metamanager schedules.  The stock Falcon workflow is not listed
-here: :func:`build_falcon_workflow` adds the rows of
-:func:`repro.cloud.services.falcon_calls`, which derives them from
-:data:`repro.falcon.FALCON_STAGES`.
+execution engine".  A workflow is its calls in insertion order; as in
+:class:`repro.runtime.OperatorGraph`, a predecessor must already exist,
+so insertion order is a topological order and no cycle can be built.
+This module computes the same-kind fragment decomposition and each
+fragment's predecessor fragments, which the metamanager's
+:class:`repro.runtime.ReadySet` schedules.
+
+The stock Falcon workflow is not listed here: :func:`build_falcon_workflow`
+adds the rows of :func:`repro.cloud.services.falcon_calls`, derived from
+:data:`repro.falcon.FALCON_STAGES`.  Merging its same-kind components
+always makes a fragment-level cycle, so with or without crowd it runs as
+16 singleton fragments ``<name>/n_<node>``; only custom workflows merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
-
 from repro.cloud.services import Service, ServiceKind, ServiceRegistry, falcon_calls
 from repro.exceptions import WorkflowError
 from repro.falcon.falcon import WorkflowContext
-from repro.runtime import OperatorGraph
+from repro.postprocess.clustering import UnionFind
+from repro.runtime import OperatorGraph, ReadySet
 
 
 @dataclass(frozen=True)
 class ServiceCall:
-    """One node of an EM workflow: a named invocation of a service."""
+    """One node of an EM workflow: a named service invocation after ``after``."""
 
     node_id: str
     service: Service
+    after: tuple[str, ...] = ()
 
     @property
     def kind(self) -> ServiceKind:
@@ -37,11 +43,10 @@ class ServiceCall:
 
 
 class EMWorkflow:
-    """A DAG of service calls for one EM task."""
+    """A DAG of service calls for one EM task, kept in insertion order."""
 
     def __init__(self, name: str):
         self.name = name
-        self.graph: "nx.DiGraph" = nx.DiGraph()
         self._calls: dict[str, ServiceCall] = {}
 
     def add_call(
@@ -50,23 +55,19 @@ class EMWorkflow:
         """Add a service call, depending on the given predecessor nodes."""
         if node_id in self._calls:
             raise WorkflowError(f"duplicate workflow node {node_id!r}")
-        call = ServiceCall(node_id, service)
-        self._calls[node_id] = call
-        self.graph.add_node(node_id)
         for predecessor in after or []:
             if predecessor not in self._calls:
                 raise WorkflowError(f"unknown predecessor {predecessor!r}")
-            self.graph.add_edge(predecessor, node_id)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise WorkflowError("workflow graph must stay acyclic")
+        call = ServiceCall(node_id, service, tuple(dict.fromkeys(after or [])))
+        self._calls[node_id] = call
         return call
 
     def call(self, node_id: str) -> ServiceCall:
         return self._calls[node_id]
 
     def topological_calls(self) -> list[ServiceCall]:
-        """All calls in a valid execution order."""
-        return [self._calls[node] for node in nx.topological_sort(self.graph)]
+        """All calls in a valid execution order: insertion order."""
+        return list(self._calls.values())
 
     def to_runtime_graph(self, context: WorkflowContext) -> OperatorGraph:
         """Compile the whole workflow to a runtime operator graph.
@@ -77,11 +78,11 @@ class EMWorkflow:
         runtime records as ``sim_seconds`` on the node's events.
         """
         graph = OperatorGraph(self.name)
-        for call in self.topological_calls():
+        for call in self._calls.values():
             graph.add(
                 call.node_id,
                 lambda _store, call=call: call.service.run(context),
-                deps=tuple(sorted(self.graph.predecessors(call.node_id))),
+                deps=tuple(sorted(call.after)),
                 description=call.service.description,
                 checkpoint=False,  # services write undeclared context slots
             )
@@ -122,63 +123,57 @@ class Fragment:
         )
 
 
-def decompose_fragments(workflow: EMWorkflow) -> tuple[list[Fragment], "nx.DiGraph"]:
-    """Split a workflow into same-kind fragments plus the fragment DAG.
+def decompose_fragments(
+    workflow: EMWorkflow,
+) -> tuple[list[Fragment], dict[Fragment, list[Fragment]]]:
+    """Split a workflow into same-kind fragments plus a ``fragment ->
+    predecessor fragments`` mapping, both in order of each fragment's
+    first node.
 
-    Fragments are the connected components of the subgraph induced by
-    edges joining nodes of the same kind; the fragment DAG inherits every
-    cross-fragment edge.  Node order inside a fragment follows the
-    workflow's topological order, so a fragment is executable as a unit
-    once all its external predecessors have finished.
+    Fragments are the connected components of the edges joining nodes of
+    the same kind.  Node order inside a fragment is the workflow's, so a
+    fragment is executable as a unit once its external predecessors ran.
     """
-    graph = workflow.graph
-    same_kind = nx.Graph()
-    same_kind.add_nodes_from(graph.nodes)
-    for source, target in graph.edges:
-        if workflow.call(source).kind == workflow.call(target).kind:
-            same_kind.add_edge(source, target)
+    same_kind = UnionFind()
+    for call in workflow.topological_calls():
+        same_kind.add(call.node_id)
+        for predecessor in call.after:
+            if workflow.call(predecessor).kind == call.kind:
+                same_kind.union(predecessor, call.node_id)
+    deps = _fragment_deps(workflow, {
+        node: f"{workflow.name}/f{index}"
+        for index, component in enumerate(same_kind.groups())
+        for node in component
+    })
+    if len(ReadySet(deps).drain()) < len(deps):
+        # Merging same-kind components can create a cycle at the fragment
+        # level; fall back to singleton fragments.
+        deps = _fragment_deps(workflow, {
+            call.node_id: f"{workflow.name}/n_{call.node_id}"
+            for call in workflow.topological_calls()
+        })
+    return list(deps), deps
 
-    node_to_fragment: dict[str, str] = {}
+
+def _fragment_deps(
+    workflow: EMWorkflow, fragment_ids: dict[str, str]
+) -> dict[Fragment, list[Fragment]]:
+    """The fragments ``node -> fragment id`` names, each mapped to the
+    other fragments its nodes' predecessors lie in."""
     fragments: dict[str, Fragment] = {}
-    topo_order = {node: i for i, node in enumerate(nx.topological_sort(graph))}
-    for index, component in enumerate(nx.connected_components(same_kind)):
-        nodes = sorted(component, key=topo_order.__getitem__)
-        fragment_id = f"{workflow.name}/f{index}"
-        fragment = Fragment(
-            fragment_id,
-            workflow,
-            workflow.call(nodes[0]).kind,
-            [workflow.call(node) for node in nodes],
-        )
-        fragments[fragment_id] = fragment
-        for node in nodes:
-            node_to_fragment[node] = fragment_id
-
-    fragment_dag: "nx.DiGraph" = nx.DiGraph()
-    fragment_dag.add_nodes_from(fragments)
-    for source, target in graph.edges:
-        f_source = node_to_fragment[source]
-        f_target = node_to_fragment[target]
-        if f_source != f_target:
-            fragment_dag.add_edge(f_source, f_target)
-    if not nx.is_directed_acyclic_graph(fragment_dag):
-        # Merging same-kind components can in principle create cycles at
-        # the fragment level; fall back to singleton fragments.
-        fragments = {}
-        fragment_dag = nx.DiGraph()
-        for node in graph.nodes:
-            fragment_id = f"{workflow.name}/n_{node}"
-            fragments[fragment_id] = Fragment(
-                fragment_id, workflow, workflow.call(node).kind, [workflow.call(node)]
-            )
-            node_to_fragment[node] = fragment_id
-        fragment_dag.add_nodes_from(fragments)
-        for source, target in graph.edges:
-            fragment_dag.add_edge(node_to_fragment[source], node_to_fragment[target])
-    ordered = [
-        fragments[fragment_id] for fragment_id in nx.topological_sort(fragment_dag)
-    ]
-    return ordered, fragment_dag
+    deps: dict[Fragment, list[Fragment]] = {}
+    for call in workflow.topological_calls():
+        fragment_id = fragment_ids[call.node_id]
+        if fragment_id not in fragments:
+            fragments[fragment_id] = Fragment(fragment_id, workflow, call.kind)
+            deps[fragments[fragment_id]] = []
+        fragment = fragments[fragment_id]
+        fragment.calls.append(call)
+        for predecessor in call.after:
+            source = fragments[fragment_ids[predecessor]]
+            if source is not fragment and source not in deps[fragment]:
+                deps[fragment].append(source)
+    return deps
 
 
 def build_falcon_workflow(

@@ -117,12 +117,8 @@ class WorkflowRun:
     finish_time: float = 0.0
 
     def __post_init__(self) -> None:
-        fragments, fragment_dag = decompose_fragments(self.workflow)
-        by_id = {fragment.fragment_id: fragment for fragment in fragments}
-        self.ready = ReadySet({
-            fragment: [by_id[p] for p in fragment_dag.predecessors(fragment.fragment_id)]
-            for fragment in fragments  # already topologically ordered
-        })
+        _, deps = decompose_fragments(self.workflow)
+        self.ready = ReadySet(deps)
 
 
 class MetaManager:

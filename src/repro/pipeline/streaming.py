@@ -36,50 +36,9 @@ from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import IndexStore
 from repro.obs import get_registry
+from repro.postprocess.clustering import UnionFind, largest_first
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self):
-        self._parent: dict[Any, Any] = {}
-        self._size: dict[Any, int] = {}
-
-    def add(self, item: Any) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
-
-    def find(self, item: Any) -> Any:
-        root = item
-        parent = self._parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:  # path compression
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a: Any, b: Any) -> bool:
-        """Merge the sets holding ``a`` and ``b``; False if already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-    def groups(self) -> list[set[Any]]:
-        by_root: dict[Any, set[Any]] = {}
-        for item in self._parent:
-            by_root.setdefault(self.find(item), set()).add(item)
-        return list(by_root.values())
-
-    def __len__(self) -> int:
-        return len(self._parent)
 
 
 @dataclass
@@ -154,7 +113,6 @@ class StreamingDeduper:
             if match_key == row_key:
                 continue
             self._pairs.append((match_key, row_key, score))
-            self._uf.add(match_key)
             if self._uf.union(match_key, row_key):
                 merged += 1
         registry = get_registry()
@@ -169,9 +127,7 @@ class StreamingDeduper:
 
     def clusters(self, min_size: int = 1) -> list[set[Any]]:
         """Current entity clusters, largest first (ties by member repr)."""
-        groups = [g for g in self._uf.groups() if len(g) >= min_size]
-        groups.sort(key=lambda group: (-len(group), sorted(map(str, group))))
-        return groups
+        return largest_first([g for g in self._uf.groups() if len(g) >= min_size])
 
     def matched_pairs(self) -> list[tuple[Any, Any, float]]:
         """Every ``(earlier key, later key, score)`` match edge, in arrival order."""

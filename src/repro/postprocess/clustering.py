@@ -4,7 +4,7 @@ Section 3 notes that recent EM work considers "post-processing, e.g.,
 clustering and merging matches" part of the problem.  Given the matcher's
 pair-level output, this module:
 
-* clusters matches into entities via connected components (networkx);
+* clusters matches into entities via connected components (:class:`UnionFind`);
 * enforces a one-to-one mapping when each side is internally
   duplicate-free (greedy max-score matching);
 * merges the records of a cluster into a canonical record.
@@ -15,12 +15,61 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
-import networkx as nx
-
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
 Pair = tuple[Any, Any]
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by size; :meth:`groups`
+    come in order of their first-added member."""
+
+    def __init__(self):
+        self._parent: dict[Any, Any] = {}
+        self._size: dict[Any, int] = {}
+
+    def add(self, item: Any) -> None:
+        if item not in self._parent:
+            self._parent[item] = item
+            self._size[item] = 1
+
+    def find(self, item: Any) -> Any:
+        root = item
+        parent = self._parent
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:  # path compression
+            parent[item], item = root, parent[item]
+        return root
+
+    def union(self, a: Any, b: Any) -> bool:
+        """Merge the sets holding ``a`` and ``b``, adding new items; False if already one."""
+        self.add(a)
+        self.add(b)
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+        return True
+
+    def groups(self) -> list[set[Any]]:
+        by_root: dict[Any, set[Any]] = {}
+        for item in self._parent:
+            by_root.setdefault(self.find(item), set()).add(item)
+        return list(by_root.values())
+
+    def __len__(self) -> int:
+        return len(self._parent)
+
+
+def largest_first(groups: list[set[Any]]) -> list[set[Any]]:
+    """Groups by size, largest first, then by their members' ``str``; the
+    sort is stable, so groups that print alike keep their order."""
+    return sorted(groups, key=lambda group: (-len(group), sorted(map(str, group))))
 
 
 def cluster_matches(pairs: set[Pair] | list[Pair]) -> list[set[tuple[str, Any]]]:
@@ -30,12 +79,10 @@ def cluster_matches(pairs: set[Pair] | list[Pair]) -> list[set[tuple[str, Any]]]
     key value appearing in both tables stays two distinct nodes.  Returns
     clusters sorted by size (largest first), each a set of qualified ids.
     """
-    graph = nx.Graph()
+    components = UnionFind()
     for l_id, r_id in pairs:
-        graph.add_edge(("l", l_id), ("r", r_id))
-    clusters = [set(component) for component in nx.connected_components(graph)]
-    clusters.sort(key=lambda cluster: (-len(cluster), sorted(map(str, cluster))))
-    return clusters
+        components.union(("l", l_id), ("r", r_id))
+    return largest_first(components.groups())
 
 
 def enforce_one_to_one(

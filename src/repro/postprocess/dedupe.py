@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
-
 from repro.blocking.base import Blocker, candset_pairs, make_candset
 from repro.catalog.catalog import Catalog, get_catalog
-from repro.postprocess.clustering import merge_records
+from repro.postprocess.clustering import UnionFind, largest_first, merge_records
 from repro.table.table import Table
 
 Pair = tuple[Any, Any]
@@ -47,11 +45,10 @@ def self_block_table(
 
 def duplicate_groups(pairs: set[Pair] | list[Pair]) -> list[set[Any]]:
     """Connected components of the duplicate graph (plain ids: one table)."""
-    graph = nx.Graph()
-    graph.add_edges_from(pairs)
-    groups = [set(component) for component in nx.connected_components(graph)]
-    groups.sort(key=lambda group: (-len(group), sorted(map(str, group))))
-    return groups
+    components = UnionFind()
+    for a, b in pairs:
+        components.union(a, b)
+    return largest_first(components.groups())
 
 
 def dedupe_table(

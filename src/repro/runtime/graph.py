@@ -67,6 +67,15 @@ class ReadySet:
         if newly_ready:
             self.ready = sorted(self.ready + newly_ready, key=self._position.__getitem__)
 
+    def drain(self) -> list[Hashable]:
+        """Complete the first ready node until none is ready; returns that
+        order, which is shorter than ``deps`` when they hold a cycle."""
+        order = []
+        while self.ready:
+            order.append(self.ready[0])
+            self.complete(order[-1])
+        return order
+
 
 @dataclass(frozen=True)
 class Operator:
@@ -172,11 +181,7 @@ class OperatorGraph:
 
     def topological_order(self) -> list[str]:
         """Deterministic topological order (insertion order breaks ties)."""
-        ready = self.ready_set()
-        order: list[str] = []
-        while ready.ready:
-            order.append(ready.ready[0])
-            ready.complete(order[-1])
+        order = self.ready_set().drain()
         if len(order) != len(self.nodes):
             raise WorkflowError(f"graph {self.name!r} contains a cycle")
         return order

@@ -50,6 +50,10 @@ class SmurfConfig:
     matching_budget: int = 300
     random_state: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.thresholds:
+            raise ConfigurationError("SmurfConfig.thresholds needs at least one threshold")
+
 
 @dataclass
 class SmurfResult:
@@ -95,7 +99,7 @@ def _auto_join(
         config.candidate_budget_factor
         * max(dataset.ltable.num_rows, dataset.rtable.num_rows)
     )
-    best: tuple[list[Pair], float] | None = None
+    first = best = None
     for threshold in config.thresholds:
         joined = set_sim_join(
             dataset.ltable,
@@ -109,28 +113,14 @@ def _auto_join(
             threshold=threshold,
         )
         pairs = sorted(zip(joined.column("l_id"), joined.column("r_id")))
+        if first is None:
+            first = (pairs, threshold)
         if len(pairs) > budget:
             break
         best = (pairs, threshold)
-    if best is None or not best[0]:
-        # Even the tightest threshold overflowed (or everything was empty):
-        # fall back to the tightest threshold's output.
-        joined = set_sim_join(
-            dataset.ltable,
-            dataset.rtable,
-            dataset.l_key,
-            dataset.r_key,
-            column,
-            column,
-            tokenizer,
-            measure="jaccard",
-            threshold=config.thresholds[0],
-        )
-        best = (
-            sorted(zip(joined.column("l_id"), joined.column("r_id"))),
-            config.thresholds[0],
-        )
-    return best
+    # Even the first (tightest) threshold overflowed, or the last one that
+    # fits found nothing: fall back to the first threshold's output.
+    return best if best is not None and best[0] else first
 
 
 def build_smurf_graph(

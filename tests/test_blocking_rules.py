@@ -208,3 +208,100 @@ class TestRuleBasedBlocker:
     def test_no_rules_raises(self, name_tables):
         with pytest.raises(ConfigurationError):
             RuleBasedBlocker().block_tables(*name_tables, "id", "id")
+
+
+class TestJoinEqualsPerPairScan:
+    """A rule the blocker runs as joins keeps exactly the pairs its own
+    per-pair path keeps (``Blocker.block_tables`` over ``block_tuples``)
+    on data without missing values; any other rule takes that path."""
+
+    @staticmethod
+    def _tables():
+        table_a = Table({
+            "id": ["a1", "a2", "a3"],
+            "title": ["red apple pie", "green pear", "red apple"],
+            "city": ["madison", "Austin", "boston"],
+        })
+        table_b = Table({
+            "id": [10, 20],
+            "title": ["red apple pie", "blue plum"],
+            "city": ["Madison", "austin"],
+        })
+        return table_a, table_b
+
+    @staticmethod
+    def _features():
+        from repro.features import FeatureTable, make_exact_feature, make_token_feature
+        from repro.text.sim.token_based import Jaccard
+        from repro.text.tokenizers import WhitespaceTokenizer
+
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        return FeatureTable([
+            make_token_feature("t_jac", "title", "title", tokenizer, Jaccard(), "jaccard"),
+            make_exact_feature("c_ex", "city", "city"),
+        ])
+
+    @staticmethod
+    def _both_paths(blocker, table_a, table_b):
+        from repro.blocking.base import Blocker
+
+        pairs = lambda c: list(zip(c["ltable_id"], c["rtable_id"]))
+        joined = blocker.block_tables(table_a, table_b, "id", "id")
+        scanned = Blocker.block_tables(blocker, table_a, table_b, "id", "id")
+        return pairs(joined), pairs(scanned)
+
+    @pytest.mark.parametrize("feature", ["t_jac", "c_ex"])
+    @pytest.mark.parametrize("op", ["<=", "<", ">=", ">"])
+    @pytest.mark.parametrize("threshold", [-0.5, 0.0, 0.3, 1.0, 1.5])
+    def test_join_equals_scan(self, feature, op, threshold):
+        table_a, table_b = self._tables()
+        blocker = RuleBasedBlocker()
+        blocker.add_rule(f"{feature} {op} {threshold}", self._features())
+        joined, scanned = self._both_paths(blocker, table_a, table_b)
+        assert joined == scanned
+
+    @pytest.mark.parametrize("threshold", [-0.5, 0.0, 0.3, 1.0, 1.5])
+    def test_conjunction_join_equals_scan(self, threshold):
+        table_a, table_b = self._tables()
+        blocker = RuleBasedBlocker()
+        blocker.add_rule([f"t_jac < {threshold}", f"c_ex <= {threshold}"], self._features())
+        joined, scanned = self._both_paths(blocker, table_a, table_b)
+        assert joined == scanned
+
+    def test_join_executable_ranges(self):
+        features = self._features()
+        executable = {
+            (op, threshold)
+            for op in ("<=", "<", ">=", ">")
+            for threshold in (-0.5, 0.0, 0.3, 1.0, 1.5)
+            if parse_rule(f"t_jac {op} {threshold}", features).is_executable
+        }
+        # complements '> t' for 0 <= t < 1 and '>= t' for 0 < t <= 1
+        assert executable == {("<=", 0.0), ("<=", 0.3), ("<", 0.3), ("<", 1.0)}
+
+    def test_overlap_coefficient_takes_the_scan(self):
+        """``get_features_for_blocking`` emits overlap-coefficient features
+        on long strings; the join has no such measure."""
+        words = ["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "theta"]
+        desc = [" ".join(words[i:] + words[:i]) for i in range(4)]
+        table_a = Table({"id": ["a1", "a2"], "desc": desc[:2]})
+        table_b = Table({"id": ["b1", "b2"], "desc": desc[2:]})
+        features = get_features_for_blocking(table_a, table_b)
+        blocker = RuleBasedBlocker()
+        blocker.add_rule("desc_overlap_coeff_ws < 0.5", features)
+        assert not blocker.is_join_executable
+        joined, scanned = self._both_paths(blocker, table_a, table_b)
+        assert joined == scanned == [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")]
+
+    def test_missing_values_differ_as_documented(self):
+        """A missing value satisfies no predicate, so the per-pair path
+        keeps the pair; a join cannot emit it."""
+        table_a, table_b = self._tables()
+        table_a = Table({**{c: table_a.column(c) for c in table_a.columns},
+                         "title": ["red apple pie", None, "red apple"]})
+        blocker = RuleBasedBlocker()
+        blocker.add_rule("t_jac < 0.3", self._features())
+        assert blocker.is_join_executable
+        joined, scanned = self._both_paths(blocker, table_a, table_b)
+        assert set(scanned) - set(joined) == {("a2", 10), ("a2", 20)}
+        assert set(joined) <= set(scanned)

@@ -42,6 +42,19 @@ def make_context(dataset, budget=400):
     )
 
 
+def custom_workflow(registry):
+    """A user-assembled workflow that skips rule learning (CloudMatcher 2.0)."""
+    workflow = EMWorkflow("custom")
+    workflow.add_call("upload", registry.get("upload_tables"))
+    workflow.add_call("block", registry.get("execute_blocking_rules"), after=["upload"])
+    workflow.add_call("features", registry.get("generate_matching_features"), after=["upload"])
+    workflow.add_call("vectors", registry.get("extract_candidate_vectors"), after=["block", "features"])
+    workflow.add_call("learn", registry.get("active_learn_matching"), after=["vectors"])
+    workflow.add_call("train", registry.get("train_classifier"), after=["learn"])
+    workflow.add_call("apply", registry.get("apply_classifier"), after=["train"])
+    return workflow
+
+
 class TestRegistry:
     def test_table4_counts(self):
         """Appendix D: 18 basic services and 2 composite services."""
@@ -103,32 +116,65 @@ class TestWorkflowDag:
         workflow = EMWorkflow("w")
         with pytest.raises(WorkflowError):
             workflow.add_call("a", DEFAULT_REGISTRY.get("profile_dataset"), after=["zzz"])
-
-    def test_cycle_rejected(self):
-        workflow = EMWorkflow("w")
-        service = DEFAULT_REGISTRY.get("profile_dataset")
-        workflow.add_call("a", service)
-        workflow.add_call("b", service, after=["a"])
-        workflow.graph.add_edge("b", "a")
+        # A node cannot follow itself, and a rejected call leaves no trace.
         with pytest.raises(WorkflowError):
-            workflow.add_call("c", service, after=["b"])
+            workflow.add_call("a", DEFAULT_REGISTRY.get("profile_dataset"), after=["a"])
+        assert len(workflow) == 0
 
     def test_fragments_are_same_kind(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
-        fragments, fragment_dag = decompose_fragments(workflow)
+        fragments, _ = decompose_fragments(workflow)
         for fragment in fragments:
             kinds = {call.kind for call in fragment.calls}
             assert kinds == {fragment.kind}
         # every node lands in exactly one fragment
         all_nodes = [call.node_id for fragment in fragments for call in fragment.calls]
-        assert sorted(all_nodes) == sorted(workflow.graph.nodes)
+        assert sorted(all_nodes) == sorted(c.node_id for c in workflow.topological_calls())
 
     def test_fragment_dag_acyclic_topological(self):
-        import networkx as nx
+        """Every fragment's predecessors come before it, and each is the
+        fragment of one of its nodes' predecessors."""
+        for workflow in (
+            build_falcon_workflow("t", DEFAULT_REGISTRY),
+            custom_workflow(DEFAULT_REGISTRY),
+            TestFalconWrittenOnce._assembled(DEFAULT_REGISTRY),
+        ):
+            fragments, deps = decompose_fragments(workflow)
+            assert list(deps) == fragments
+            fragment_of = {c.node_id: f for f in fragments for c in f.calls}
+            position = {f: i for i, f in enumerate(fragments)}
+            for fragment, predecessors in deps.items():
+                assert all(position[p] < position[fragment] for p in predecessors)
+                assert set(predecessors) == {
+                    fragment_of[node] for call in fragment.calls for node in call.after
+                } - {fragment}
 
-        workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
-        _, fragment_dag = decompose_fragments(workflow)
-        assert nx.is_directed_acyclic_graph(fragment_dag)
+    def test_insertion_order_is_the_topological_order(self):
+        workflow = TestFalconWrittenOnce._assembled(DEFAULT_REGISTRY)
+        order = [call.node_id for call in workflow.topological_calls()]
+        assert order == [
+            "upload", "sample", "blk", "vec", "learn", "rules", "review", "block",
+            "mat", "cand", "learn2", "train", "apply",
+        ]
+        assert workflow.to_runtime_graph(None).topological_order() == order
+
+    def test_stock_workflow_runs_as_singletons(self):
+        """Merging the stock workflow's same-kind components makes a
+        fragment-level cycle, so with or without crowd it falls back to one
+        fragment per node; custom workflows do merge."""
+        for use_crowd in (False, True):
+            workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=use_crowd)
+            fragments, _ = decompose_fragments(workflow)
+            assert [f.fragment_id for f in fragments] == [
+                f"t/n_{call.node_id}" for call in workflow.topological_calls()
+            ]
+        custom, _ = decompose_fragments(custom_workflow(DEFAULT_REGISTRY))
+        assert [[c.node_id for c in f.calls] for f in custom] == [
+            ["upload"], ["block", "features", "vectors"], ["learn"], ["train", "apply"],
+        ]
+        assert [f.fragment_id for f in custom] == [f"custom/f{i}" for i in range(4)]
+        assembled, _ = decompose_fragments(TestFalconWrittenOnce._assembled(DEFAULT_REGISTRY))
+        assert len(assembled) == 8
 
     def test_crowd_variant_retags_learning(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=True)
@@ -253,16 +299,7 @@ class TestCloudMatcherFacade:
         # Pre-seed rules: empty -> the execute service falls back to an
         # overlap blocker; this is the 'user skips rule learning' path.
         context.put("rules", [])
-        workflow = EMWorkflow("custom")
-        registry = matcher.registry
-        workflow.add_call("upload", registry.get("upload_tables"))
-        workflow.add_call("block", registry.get("execute_blocking_rules"), after=["upload"])
-        workflow.add_call("features", registry.get("generate_matching_features"), after=["upload"])
-        workflow.add_call("vectors", registry.get("extract_candidate_vectors"), after=["block", "features"])
-        workflow.add_call("learn", registry.get("active_learn_matching"), after=["vectors"])
-        workflow.add_call("train", registry.get("train_classifier"), after=["learn"])
-        workflow.add_call("apply", registry.get("apply_classifier"), after=["train"])
-        matcher.submit_custom(workflow, context)
+        matcher.submit_custom(custom_workflow(matcher.registry), context)
         makespan, results = matcher.run()
         assert results[0].accuracy["precision"] > 0.7
         assert context.get("used_fallback") is True

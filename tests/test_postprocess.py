@@ -1,5 +1,8 @@
 """Tests for match post-processing: clustering, 1-1, merging, dedup."""
 
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import OverlapBlocker
 from repro.postprocess import (
@@ -11,7 +14,54 @@ from repro.postprocess import (
     merge_records,
     self_block_table,
 )
+from repro.postprocess.clustering import UnionFind
 from repro.table import Table
+
+#: Keys that collide as dict keys (1, 1.0, True) or only print alike (1, "1").
+KEYS = st.sampled_from([1, "1", 1.0, True, 0, False, "0", 2, "2", "a"])
+EDGES = st.lists(st.tuples(KEYS, KEYS), max_size=20)
+
+
+def networkx_components(edges):
+    """The reference: networkx's components after adding nodes in edge order."""
+    graph = nx.Graph()
+    graph.add_edges_from(edges)
+    return [set(component) for component in nx.connected_components(graph)]
+
+
+def by_size(groups):
+    return sorted(groups, key=lambda group: (-len(group), sorted(map(str, group))))
+
+
+def reprs(groups):
+    """Groups as the stored key objects print, so 1 and True differ."""
+    return [sorted(map(repr, group)) for group in groups]
+
+
+class TestComponentsOracle:
+    """The union-find's groups are networkx's connected components, in the
+    same order, so the size sort's ties come out alike."""
+
+    @given(EDGES)
+    @settings(max_examples=200, deadline=None)
+    def test_union_find_groups_equal_networkx(self, edges):
+        components = UnionFind()
+        for a, b in edges:
+            components.union(a, b)
+        assert components.groups() == networkx_components(edges)
+
+    @given(EDGES)
+    @settings(max_examples=200, deadline=None)
+    def test_clusters_and_duplicate_groups_equal_networkx(self, edges):
+        expected = by_size(networkx_components(edges))
+        assert duplicate_groups(edges) == expected
+        qualified = [(("l", a), ("r", b)) for a, b in edges]
+        assert cluster_matches(edges) == by_size(networkx_components(qualified))
+
+    def test_print_alike_groups_keep_first_seen_order(self):
+        edges = [("1", "2"), (1, 2)]
+        assert reprs(duplicate_groups(edges)) == [["'1'", "'2'"], ["1", "2"]]
+        assert reprs(duplicate_groups(edges[::-1])) == [["1", "2"], ["'1'", "'2'"]]
 
 
 class TestClustering:

@@ -113,3 +113,58 @@ class TestSmurf:
             return 2 * precision * recall / (precision + recall)
 
         assert f1_of(smurf.match_pairs) >= f1_of(falcon.match_pairs) - 0.15
+
+
+class TestAutoJoin:
+    """The threshold ladder joins once per rung it tries and no more."""
+
+    @staticmethod
+    def _count_joins(monkeypatch):
+        import repro.smurf.smurf as smurf
+
+        thresholds = []
+        join = smurf.set_sim_join
+
+        def counted(*args, **kwargs):
+            thresholds.append(kwargs["threshold"])
+            return join(*args, **kwargs)
+
+        monkeypatch.setattr(smurf, "set_sim_join", counted)
+        return thresholds
+
+    @staticmethod
+    def _pairs_at(ds, threshold):
+        from repro.simjoin import set_sim_join
+        from repro.text.tokenizers import QgramTokenizer
+
+        joined = set_sim_join(
+            ds.ltable, ds.rtable, ds.l_key, ds.r_key, "value", "value",
+            QgramTokenizer(q=3, return_set=True), measure="jaccard", threshold=threshold,
+        )
+        return sorted(zip(joined.column("l_id"), joined.column("r_id")))
+
+    def test_first_rung_overflow_joins_once(self, monkeypatch):
+        from repro.smurf.smurf import _auto_join
+
+        ds = string_dataset(seed=5)
+        joins = self._count_joins(monkeypatch)
+        pairs, threshold = _auto_join(ds, "value", SmurfConfig(candidate_budget_factor=0.01))
+        assert joins == [0.8] and threshold == 0.8
+        assert pairs == self._pairs_at(ds, 0.8) and len(pairs) > 0.01 * ds.ltable.num_rows
+
+    def test_loosens_to_the_last_rung_that_fits(self, monkeypatch):
+        from repro.smurf.smurf import _auto_join
+
+        ds = string_dataset(seed=5)
+        config = SmurfConfig()
+        joins = self._count_joins(monkeypatch)
+        pairs, threshold = _auto_join(ds, "value", config)
+        assert joins == list(config.thresholds[: len(joins)])  # one join per rung tried
+        assert threshold in joins
+        assert pairs == self._pairs_at(ds, threshold)
+
+    def test_empty_thresholds_rejected(self):
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            SmurfConfig(thresholds=())
