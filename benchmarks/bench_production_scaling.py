@@ -14,7 +14,6 @@ from _report import format_table, report
 from conftest import once
 
 from repro.blocking import OverlapBlocker
-from repro.catalog import get_catalog
 from repro.datasets import DirtinessConfig, make_em_dataset
 from repro.datasets.entities import person
 from repro.features import extract_feature_vecs, get_features_for_matching
@@ -28,12 +27,9 @@ FEATURES = get_features_for_matching(DATASET.ltable, DATASET.rtable)
 
 
 def extract_partition(candset_part):
-    """Module-level (picklable) per-partition workload."""
-    catalog = get_catalog()
-    catalog.set_candset_metadata(
-        candset_part, "_id", "ltable_id", "rtable_id", DATASET.ltable, DATASET.rtable
-    )
-    return extract_feature_vecs(candset_part, FEATURES, catalog)
+    """The per-partition workload: a partition keeps its candset's catalog
+    entry, so it goes straight into extraction."""
+    return extract_feature_vecs(candset_part, FEATURES)
 
 
 def sweep():

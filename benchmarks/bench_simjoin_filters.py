@@ -9,8 +9,9 @@ rounds, statistics).
 
 ``test_simjoin_kernel_speedup`` additionally pits the integer-kernel join
 (:mod:`repro.perf`) against a faithful copy of the original string-set
-implementation (``_seed_set_sim_join`` below), serial and with
-``n_jobs=4``, and archives the numbers as ``simjoin_kernels``.
+implementation (``_seed_set_sim_join`` below), serial and as a
+``WORKERS``-worker partition map over the left table, and archives the
+numbers as ``simjoin_kernels``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.datasets.entities import restaurant
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
 from repro.index import IndexStore, LiveIndex, use_index_store
 from repro.obs import use_registry, use_tracer
+from repro.perf import parallel_map_partitions
 from repro.perf.kernels import BOUND_EPS
 from repro.simjoin import edit_distance_join, naive_set_sim_join, set_sim_join
 from repro.simjoin.filters import (
@@ -44,7 +46,7 @@ from repro.text.sim import Levenshtein
 from repro.text.tokenizers import QgramTokenizer, Tokenizer, WhitespaceTokenizer
 
 TOKENIZER = QgramTokenizer(q=3, return_set=True)
-N_JOBS = 4
+WORKERS = 2
 
 
 def make_tables(n: int, seed: int = 0):
@@ -60,6 +62,20 @@ def make_tables(n: int, seed: int = 0):
 
 def _pairs(result: Table) -> set:
     return set(zip(result["l_id"], result["r_id"]))
+
+
+def _join_rows(result: Table) -> list:
+    """A join's ``(l_id, r_id, score)`` rows: a partition map restarts ``_id``."""
+    return list(zip(result["l_id"], result["r_id"], result["score"]))
+
+
+def _partition_join(ltable: Table, rtable: Table) -> Table:
+    """The q-gram Jaccard 0.6 join as a partition map over ``ltable``."""
+    return parallel_map_partitions(
+        ltable,
+        lambda part: set_sim_join(part, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.6),
+        n_workers=WORKERS,
+    )
 
 
 def _timed(fn, *args, **kwargs):
@@ -185,7 +201,8 @@ def test_simjoin_speedup_over_naive(benchmark):
 
 
 def test_simjoin_kernel_speedup(benchmark):
-    """Integer-kernel join vs the original string-set join, serial + n_jobs."""
+    """Integer-kernel join vs the original string-set join, serial and as a
+    partition map."""
     rows = []
 
     def run_sweep():
@@ -198,21 +215,16 @@ def test_simjoin_kernel_speedup(benchmark):
             kernel_result, kernel_seconds = _timed(
                 set_sim_join,
                 ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.6,
-                n_jobs=1,
             )
-            parallel_result, parallel_seconds = _timed(
-                set_sim_join,
-                ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.6,
-                n_jobs=N_JOBS,
-            )
+            parallel_result, parallel_seconds = _timed(_partition_join, ltable, rtable)
             assert _pairs(kernel_result) == _pairs(seed_result)
-            assert parallel_result == kernel_result  # byte-identical tables
+            assert _join_rows(parallel_result) == _join_rows(kernel_result)
             rows.append(
                 {
                     "n per side": n,
                     "string-set join": f"{seed_seconds * 1000:.0f}ms",
                     "int-kernel join": f"{kernel_seconds * 1000:.0f}ms",
-                    f"kernel n_jobs={N_JOBS}": f"{parallel_seconds * 1000:.0f}ms",
+                    f"partition map {WORKERS}w": f"{parallel_seconds * 1000:.0f}ms",
                     "kernel speedup": f"{seed_seconds / kernel_seconds:.1f}x",
                     "parallel speedup": f"{kernel_seconds / parallel_seconds:.1f}x",
                     "output pairs": kernel_result.num_rows,
@@ -230,7 +242,7 @@ def test_simjoin_kernel_speedup(benchmark):
         format_table(display)
         + f"\n\nRun on {os.cpu_count() or 1} CPU(s).  Expected shape: identical"
           "\noutputs; the int-kernel join holds >= 2x over the string-set join"
-          "\nat the largest size, and n_jobs adds on top given spare cores.",
+          "\nat the largest size, and a partition map adds on top given spare cores.",
     )
     assert rows[-1]["_kernel_speedup"] >= 2.0
     # Real parallel gains need spare cores; without them only require that
@@ -244,18 +256,15 @@ def test_simjoin_kernel_speedup(benchmark):
 
 
 def test_simjoin_kernels_smoke():
-    """Fast CI check: the join agrees with the seed join and its forked run."""
+    """Fast CI check: the join agrees with the seed join and with a forked
+    partition map over the left table."""
     ltable, rtable = make_tables(200)
     baseline = _seed_set_sim_join(ltable, rtable, TOKENIZER, "jaccard", 0.6)
     serial = set_sim_join(
         ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.6
     )
     assert _pairs(serial) == _pairs(baseline)
-    parallel = set_sim_join(
-        ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.6,
-        n_jobs=N_JOBS,
-    )
-    assert parallel == serial
+    assert _join_rows(_partition_join(ltable, rtable)) == _join_rows(serial)
 
 
 def make_dense_tables(n: int, seed: int = 0):

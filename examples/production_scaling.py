@@ -58,23 +58,12 @@ def develop_workflow() -> MagellanWorkflow:
 
 
 def predict_partition(candset_part):
-    """Module-level (picklable) prediction step for the process pool."""
-    fv = extract_feature_vecs_unchecked(candset_part)
+    """The prediction step per partition.  A partition keeps its candset's
+    catalog entry, so it goes straight into extraction."""
+    fv = extract_feature_vecs(candset_part, FEATURES)
     return MATCHER.predict(fv, append=False).project(
         ["ltable_id", "rtable_id", "predicted"]
     )
-
-
-def extract_feature_vecs_unchecked(candset_part):
-    # Partitions lose their catalog registration when crossing process
-    # boundaries; re-register against the module-level base tables.
-    from repro.catalog import get_catalog
-
-    catalog = get_catalog()
-    catalog.set_candset_metadata(
-        candset_part, "_id", "ltable_id", "rtable_id", DATASET.ltable, DATASET.rtable
-    )
-    return extract_feature_vecs(candset_part, FEATURES, catalog)
 
 
 def main() -> None:

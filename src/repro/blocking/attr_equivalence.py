@@ -30,9 +30,6 @@ class HashBlocker(Blocker):
 
     ``l_hash``/``r_hash`` map a row to a bucket value (``None`` drops the
     row).  Covers schemes like "first 3 letters of the lowercased name".
-    ``n_jobs`` is accepted for the :class:`Blocker` interface; the join is
-    a few array passes after one dict lookup per row, below the cost where
-    fork-sharding pays for itself.
     """
 
     def __init__(self, l_hash, r_hash=None):
@@ -59,7 +56,6 @@ class HashBlocker(Blocker):
         l_output_attrs: Sequence[str] = (),
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
         ltable.require_columns([l_key])
         rtable.require_columns([r_key])

@@ -21,7 +21,6 @@ from repro.catalog.checks import validate_candset
 from repro.exceptions import SchemaError
 from repro.obs import get_registry
 from repro.perf import arrays
-from repro.perf.parallel import effective_n_jobs, run_sharded, split_evenly
 from repro.simjoin.joins import set_sim_join_positions
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
@@ -131,14 +130,14 @@ def equal_value_pairs(l_values: Sequence[Any], r_values: Sequence[Any]):
 
 def text_join_positions(
     ltable: Table, rtable: Table, l_key: str, r_key: str, l_attr: str, r_attr: str,
-    tokenizer: Tokenizer, measure: str, threshold: float, n_jobs: int = 1,
+    tokenizer: Tokenizer, measure: str, threshold: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row positions of the pairs whose :func:`text_view` texts of
     ``l_attr`` / ``r_attr`` join under ``measure`` at ``threshold``, in
     (left row, right row) order."""
     views = text_view(ltable, l_key, [l_attr]), text_view(rtable, r_key, [r_attr])
     _, _, rows, positions, _ = set_sim_join_positions(
-        *views, l_key, r_key, TEXT, TEXT, tokenizer, measure, threshold, n_jobs
+        *views, l_key, r_key, TEXT, TEXT, tokenizer, measure, threshold
     )
     # Join records skip missing texts: record i is the i-th row with one.
     l_rows, r_rows = (
@@ -230,9 +229,6 @@ class Blocker:
     Subclasses implement :meth:`block_tuples` (does this pair survive?) and
     may override :meth:`block_tables` with an index-based implementation;
     the default here is the quadratic fallback, correct for any blocker.
-    ``n_jobs`` fans the scan over the left table out on a process pool;
-    shards are contiguous and merged in order, so parallel output is
-    byte-identical to serial.
     """
 
     def block_tuples(self, l_row: Row, r_row: Row) -> bool:
@@ -248,25 +244,17 @@ class Blocker:
         l_output_attrs: Sequence[str] = (),
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
         """Apply the blocker to A x B and return the candidate set."""
         started = time.perf_counter()
         ltable.require_columns([l_key])
         rtable.require_columns([r_key])
         r_rows = list(rtable.rows())
-
-        def scan_shard(shard: list[Row]) -> list[tuple[Any, Any]]:
-            return [
-                (l_row[l_key], r_row[r_key])
-                for l_row in shard
-                for r_row in r_rows
-                if not self.block_tuples(l_row, r_row)
-            ]
-
-        shards = split_evenly(list(ltable.rows()), effective_n_jobs(n_jobs))
         pairs = [
-            pair for shard in run_sharded(shards, scan_shard, n_jobs) for pair in shard
+            (l_row[l_key], r_row[r_key])
+            for l_row in ltable.rows()
+            for r_row in r_rows
+            if not self.block_tuples(l_row, r_row)
         ]
         observe_blocking(self, len(pairs), time.perf_counter() - started)
         return make_candset(
@@ -277,7 +265,6 @@ class Blocker:
         self,
         candset: Table,
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
         """Further filter an existing candidate set with this blocker.
 
@@ -304,12 +291,10 @@ class Blocker:
             key_positions(table, cat.get_key(table), candset.column(fk)).tolist()
             for table, fk in sides
         )
-
-        def scan_shard(shard: range) -> list[int]:
-            return [i for i in shard if not self.block_tuples(l_rows[l_pos[i]], r_rows[r_pos[i]])]
-
-        shards = split_evenly(range(candset.num_rows), effective_n_jobs(n_jobs))
-        keep = [i for shard in run_sharded(shards, scan_shard, n_jobs) for i in shard]
+        keep = [
+            i for i, (l, r) in enumerate(zip(l_pos, r_pos))
+            if not self.block_tuples(l_rows[l], r_rows[r])
+        ]
         observe_blocking(self, len(keep))
         result = candset.take(keep)
         result.add_column(CANDSET_ID, list(range(len(keep))))

@@ -83,14 +83,13 @@ class OverlapBlocker(Blocker):
         l_output_attrs: Sequence[str] = (),
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
         ltable.require_columns([l_key, self.l_block_attr])
         rtable.require_columns([r_key, self.r_block_attr])
         # Join lowercased views so the tokens match block_tuples' semantics.
         l_pos, r_pos = text_join_positions(
             ltable, rtable, l_key, r_key, self.l_block_attr, self.r_block_attr,
-            self._tokenizer(), "overlap", self.overlap_size, n_jobs,
+            self._tokenizer(), "overlap", self.overlap_size,
         )
         observe_blocking(self, len(l_pos))
         return candset_from_positions(

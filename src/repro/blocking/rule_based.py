@@ -56,25 +56,16 @@ class RuleBasedBlocker(Blocker):
         l_output_attrs: Sequence[str] = (),
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
         if not self.rules:
             raise ConfigurationError("RuleBasedBlocker has no rules")
         if not self.is_join_executable:
             return super().block_tables(
-                ltable,
-                rtable,
-                l_key,
-                r_key,
-                l_output_attrs,
-                r_output_attrs,
-                catalog,
-                n_jobs=n_jobs,
+                ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
             )
         codes = PairCodes.by_key(ltable, rtable, l_key, r_key)
-        l_pos, r_pos = codes.decode(
-            candidate_codes(self.rules, ltable, rtable, l_key, r_key, codes, n_jobs)
-        )
+        survivors = candidate_codes(self.rules, ltable, rtable, l_key, r_key, codes)
+        l_pos, r_pos = codes.decode(survivors)
         observe_blocking(self, len(l_pos))
         return candset_from_positions(
             l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog

@@ -149,7 +149,7 @@ def parse_rule(
 # ----------------------------------------------------------------------
 # Scalable execution
 # ----------------------------------------------------------------------
-def _complement_codes(predicate: Predicate, ltable, rtable, l_key, r_key, codes, n_jobs):
+def _complement_codes(predicate: Predicate, ltable, rtable, l_key, r_key, codes):
     """Codes of the pairs satisfying the *complement* of a rule predicate,
     via a join."""
     complement = predicate.complement()
@@ -171,14 +171,14 @@ def _complement_codes(predicate: Predicate, ltable, rtable, l_key, r_key, codes,
             threshold = min(threshold + 1e-9, 1.0)
         l_pos, r_pos = text_join_positions(
             ltable, rtable, l_key, r_key, feature.l_attr, feature.r_attr,
-            feature.tokenizer, feature.measure_name, threshold, n_jobs,
+            feature.tokenizer, feature.measure_name, threshold,
         )
     return codes.encode(l_pos, r_pos)
 
 
 def candidate_codes(
     rules: list[BlockingRule], ltable: Table, rtable: Table, l_key: str, r_key: str,
-    codes: PairCodes, n_jobs: int = 1,
+    codes: PairCodes,
 ) -> np.ndarray:
     """Sorted ``codes`` of the pairs surviving every rule: the intersection
     over rules of the union of each rule's predicate complements."""
@@ -190,7 +190,7 @@ def candidate_codes(
             raise WorkflowError(f"rule is not join-executable: {rule}")
         survivors = arrays.unique_sorted(
             np.concatenate([
-                _complement_codes(predicate, ltable, rtable, l_key, r_key, codes, n_jobs)
+                _complement_codes(predicate, ltable, rtable, l_key, r_key, codes)
                 for predicate in rule.predicates
             ])
         )
@@ -206,10 +206,9 @@ def execute_rule_survivors(
     rtable: Table,
     l_key: str = "id",
     r_key: str = "id",
-    n_jobs: int = 1,
 ) -> set[tuple[Any, Any]]:
     """Pairs of A x B *not* dropped by the rule, computed via joins."""
-    return execute_rules([rule], ltable, rtable, l_key, r_key, n_jobs)
+    return execute_rules([rule], ltable, rtable, l_key, r_key)
 
 
 def execute_rules(
@@ -218,11 +217,10 @@ def execute_rules(
     rtable: Table,
     l_key: str = "id",
     r_key: str = "id",
-    n_jobs: int = 1,
 ) -> set[tuple[Any, Any]]:
     """Candidate pairs surviving *all* rules (intersection of survivors)."""
     codes = PairCodes(np.arange(ltable.num_rows), np.arange(rtable.num_rows))
-    l_pos, r_pos = codes.decode(candidate_codes(rules, ltable, rtable, l_key, r_key, codes, n_jobs))
+    l_pos, r_pos = codes.decode(candidate_codes(rules, ltable, rtable, l_key, r_key, codes))
     return set(
         zip(
             arrays.take_values(ltable.column(l_key), l_pos),

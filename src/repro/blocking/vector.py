@@ -163,14 +163,8 @@ class VectorBlocker(Blocker):
         l_output_attrs: Sequence[str] = (),
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
-        """ANN retrieval: one search of the right index with every left record.
-
-        ``n_jobs`` is accepted for interface compatibility; the search is
-        a few array passes per chunk of probe rows, far below the cost
-        where fork-sharding pays for itself.
-        """
+        """ANN retrieval: one search of the right index with every left record."""
         registry = get_registry()
         with registry.timer("blocking_seconds", blocker=type(self).__name__):
             ltable.require_columns([l_key, self.l_block_attr])
@@ -201,7 +195,6 @@ class VectorBlocker(Blocker):
         self,
         candset: Table,
         catalog: Catalog | None = None,
-        n_jobs: int = 1,
     ) -> Table:
         """Filter an existing candidate set by exact corpus-space cosine.
 

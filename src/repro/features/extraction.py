@@ -17,8 +17,6 @@ function otherwise.
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
@@ -29,8 +27,7 @@ from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError
 from repro.features.feature import SCALAR_FALLBACK, Feature, FeatureTable, ValueView, number_values
 from repro.ml.impute import SimpleImputer
-from repro.obs import get_registry, trace_span, use_registry
-from repro.perf.parallel import effective_n_jobs, run_sharded
+from repro.obs import get_registry, trace_span
 from repro.table.table import Table
 
 
@@ -60,16 +57,13 @@ def extract_feature_vecs(
     feature_table: FeatureTable,
     catalog: Catalog | None = None,
     label_column: str | None = None,
-    n_jobs: int = 1,
 ) -> Table:
     """Compute feature vectors for each pair of a candidate set.
 
     Returns a table with ``_id``, both FK columns, one column per feature
     (NaN where an attribute value is missing), and — when ``label_column``
     is given — that column copied through from the candidate set.  Every
-    value equals per-pair ``feature(l_value, r_value)``.  ``n_jobs`` fans
-    the distinct value pairs out over one process pool; output is
-    byte-identical to serial.
+    value equals per-pair ``feature(l_value, r_value)``.
     """
     cat = catalog if catalog is not None else get_catalog()
     meta = validate_candset(candset, cat)
@@ -83,9 +77,7 @@ def extract_feature_vecs(
     for feature in feature_table:
         by_attrs.setdefault((feature.l_attr, feature.r_attr), []).append(feature)
     registry = get_registry()
-    # Per attribute pair: label, features, the value view over its distinct
-    # value pairs, each candset row's position among those pairs.
-    groups: list[tuple[str, list[Feature], ValueView, np.ndarray]] = []
+    by_name: dict[str, list[Any]] = {}
     misses = 0
     for (l_attr, r_attr), features in by_attrs.items():
         l_ids, l_values, l_loose = number_values(meta.ltable.column(l_attr), l_rows)
@@ -114,42 +106,18 @@ def extract_feature_vecs(
             )
             for column in {getattr(f.batch, "column", None) for f in features} - {None}:
                 getattr(view, column)
-        groups.append((label, features, view, inverse))
-    parent = os.getpid()
-
-    def evaluate(shard: range):
-        """Every ``shard.step``-th distinct pair of each group (a stride: an
-        even share of each group's cost); from a forked child also what it
-        counted, a kernel's ``long_string`` say, which would die with it."""
-        forked = os.getpid() != parent
-        columns = []
-        with use_registry() if forked else nullcontext() as counted:
-            for label, features, view, _ in groups:
-                view = view.take(slice(shard.start, None, shard.step))
-                n = len(view.left)
-                with trace_span("feature_group", group=label, distinct_pairs=n, features=len(features)):
-                    columns.append(_evaluate(features, view))
-        return columns, counted.counters() if forked else {}
-
-    # One pool per call; ranges, so ``run_sharded`` can size them (in evaluations).
-    jobs = effective_n_jobs(n_jobs)
-    shards = [range(j, misses, jobs) for j in range(jobs)]
-    parts = run_sharded(shards, evaluate, n_jobs)
-    by_name: dict[str, list[Any]] = {}
-    for g, (_, features, view, inverse) in enumerate(groups):
-        n = len(view.left)
-        for k, feature in enumerate(features):
-            values: Any = [None] * n if feature.batch is None else np.empty(n)
-            for shard, (columns, _) in zip(shards, parts):
-                values[shard.start :: shard.step] = columns[g][k]
+        with trace_span(
+            "feature_group", group=label, distinct_pairs=len(distinct), features=len(features)
+        ):
+            values_by_feature = _evaluate(features, view)
+        for feature, values in zip(features, values_by_feature):
             if feature.batch is None:
                 by_name[feature.name] = [values[row] for row in inverse.tolist()]
             else:  # one float object per bit pattern, shared by its rows: -0.0 stays -0.0
-                bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+                bits, codes = np.unique(
+                    np.asarray(values, np.float64).view(np.int64), return_inverse=True
+                )
                 by_name[feature.name] = bits.view(np.float64).astype(object)[codes[inverse]].tolist()
-    for _, counted in parts:
-        for (name, labels), amount in counted.items():
-            registry.counter(name, **dict(labels)).inc(amount)
 
     columns: dict[str, list[Any]] = {
         CANDSET_ID: list(candset.column(meta.key)),

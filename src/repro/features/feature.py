@@ -19,7 +19,6 @@ pair's distinct value pairs; the makers below attach one where they can.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -184,12 +183,6 @@ class ValueView:
     def __init__(self, values: list[Any], loose: np.ndarray, left, right):
         self.values, self.loose, self.left, self.right = values, loose, left, right
         self.shared: dict[Any, Any] = {}  # per-pair work batch forms share
-
-    def take(self, at) -> ValueView:
-        """The same cells and columns, scoring only the pairs at ``at``."""
-        view = copy.copy(self)
-        view.left, view.right, view.shared = self.left[at], self.right[at], {}
-        return view
 
     def cells(self) -> tuple[list[Any], list[Any]]:
         """The pairs' cells, as two parallel lists."""

@@ -232,7 +232,8 @@ class IndexStore:
     """Two-tier (memory LRU + optional disk) cache of index artifacts.
 
     All artifacts are read-only once built; callers — including forked
-    join shards, which inherit them by fork — must not mutate them.
+    partition-map workers, which inherit them by fork — must not mutate
+    them.
 
     Thread-safety contract: the memory tier (the LRU ``OrderedDict``) is
     guarded by an ``RLock``, so concurrent probes — the long-lived

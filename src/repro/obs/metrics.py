@@ -15,11 +15,10 @@ pair, so hot paths can call ``registry.counter("x", k="v").inc()``
 repeatedly and always hit the same object.  Instruments of one name must
 all be the same kind; labels are stringified and order-insensitive.
 
-Process model: the registry is process-local.  Code that fans work out
-through :mod:`repro.perf.parallel` must aggregate its statistics in the
-shard results and account them in the parent (the simjoin and
-feature-extraction instrumentation does exactly this) — increments made
-inside a forked worker die with the worker.
+Process model: the registry is process-local.  Increments made inside a
+forked worker — a partition-map function, an isolated runtime operator —
+die with the worker; a statistic that must survive travels back in the
+worker's result and is accounted in the parent.
 
 Thread model: interning and every update (``inc``/``set``/``observe``)
 are guarded by locks, so concurrent threads — the :mod:`repro.serve`

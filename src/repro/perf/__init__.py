@@ -9,8 +9,8 @@ mechanisms every hot path shares:
   sorted int arrays and the prefix filter becomes a slice;
 * :mod:`repro.perf.kernels` — the float-rounding guard every filter
   bound ceils with;
-* :mod:`repro.perf.parallel` — one process-pool executor shared by the
-  sim joins, the blockers, feature extraction, and the production stage;
+* :mod:`repro.perf.parallel` — the production stage's partition map and
+  the fork pool under it and the runtime's ``ParallelExecutor``;
 * :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: the one
   filter-verify routine under every batch join and live-index read, the
   probe-ready ``ArrayIndex`` and the vector bound and score formulas.
@@ -29,7 +29,6 @@ from repro.perf.parallel import (
     parallel_map_partitions,
     partition_table,
     run_sharded,
-    split_evenly,
 )
 from repro.perf.tokens import TokenUniverse
 
@@ -45,5 +44,4 @@ __all__ = [
     "parallel_map_partitions",
     "partition_table",
     "run_sharded",
-    "split_evenly",
 ]

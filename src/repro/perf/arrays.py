@@ -35,8 +35,6 @@ Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
 ``kernel_batch_rows_total{op}``, ``kernel_batch_candidates_total{op}``,
 ``kernel_batch_verified_total{op}``, ``kernel_batch_seconds{op}``).
-Forked join shards return their stats to the parent, which emits — a
-counter bumped inside a forked worker would die with the fork.
 """
 
 from __future__ import annotations

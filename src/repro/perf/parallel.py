@@ -1,35 +1,37 @@
-"""One multicore executor for every candidate-generation hot path.
+"""The production stage's one fan-out: a partition map on a fork pool.
 
 PyMatcher's production story (Section 4.1) is partition parallelism on a
-multi-core machine.  The sim joins, the blockers, feature extraction and
-the runtime's :class:`~repro.runtime.ParallelExecutor` (and so
-``CheckpointedRun``) all fan out through the same primitives:
+multi-core machine: the captured workflow runs unchanged over row blocks
+of its input.  That is the only place this package forks.  The joins,
+blockers and feature extraction run serially inside each partition;
+:func:`parallel_map_partitions`, ``CheckpointedRun`` and the runtime's
+:class:`~repro.runtime.ParallelExecutor` fan out through the same
+primitives:
 
-* :func:`split_evenly` / :func:`partition_table` — contiguous, ordered
-  partitioning of work lists and tables;
+* :func:`partition_table` — contiguous, ordered row blocks of a table,
+  each carrying the source table's catalog entry;
 * :func:`run_sharded` — map a worker over shards on a fork process pool.
   The worker and any state it closes over are inherited by the children
   through ``fork`` rather than pickled, so closures over indexes, feature
-  tables, and tokenizer caches all work;
+  tables, and tokenizer caches all work.  Inside a pool worker (a
+  daemonic process, which may not have children) it maps inline, so a
+  nested partition map runs instead of crashing;
 * :func:`concat_tables` — single-pass merge of partition outputs;
-* :func:`parallel_map_partitions` — the production-stage entry point,
-  kept with its original signature.
+* :func:`parallel_map_partitions` — the production-stage entry point.
 
-Because shards are contiguous and results are concatenated in shard
-order, every parallel entry point built on this module produces output
-byte-identical to its serial run.
+Because partitions are contiguous and results are concatenated in
+partition order, a partition map's output is the serial map's.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from collections.abc import Callable, Sequence
-from typing import Any, TypeVar
+from typing import Any
 
+from repro.catalog.catalog import get_catalog
 from repro.exceptions import ConfigurationError, SchemaError
 from repro.table.table import Table
-
-T = TypeVar("T")
 
 
 def effective_n_jobs(n_jobs: int | None) -> int:
@@ -48,33 +50,17 @@ def effective_n_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
-def split_evenly(items: Sequence[T], n_shards: int) -> list[Sequence[T]]:
-    """Split a sequence into at most ``n_shards`` contiguous, ordered runs."""
-    if n_shards < 1:
-        raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    n_items = len(items)
-    n_shards = min(n_shards, max(n_items, 1))
-    size, extra = divmod(n_items, n_shards)
-    shards = []
-    start = 0
-    for shard_index in range(n_shards):
-        stop = start + size + (1 if shard_index < extra else 0)
-        shards.append(items[start:stop])
-        start = stop
-    return shards
+# The worker and its shards, inherited by forked pool children.
+# ``run_sharded`` sets this immediately before forking and restores it
+# after, so the children see a consistent snapshot without pickling the
+# worker, its closure or the shards; only shard indices and results cross.
+_FORKED_WORK: tuple[Callable[[Any], Any], Sequence[Any]] | None = None
 
-
-# Worker state inherited by forked pool children.  ``run_sharded`` sets it
-# immediately before forking and restores it after, so the children see a
-# consistent snapshot without pickling the worker or its closure.
-_FORKED_WORKER: Callable[[Any], Any] | None = None
-
-#: Minimum total sized work (sum of shard lengths) worth forking for.
-#: Pool startup costs a few milliseconds per worker; below this many
-#: items the serial loop finishes before the pool would even spin up
-#: (measured break-even is in the hundreds of rows for the join probes;
-#: 64 is conservative in the fork direction).  Shards without ``len``
-#: are assumed large.
+#: Minimum total sized work (sum of shard lengths, so rows for a
+#: partition map) worth forking for.  Pool startup costs a few
+#: milliseconds per worker; a partition map over fewer rows finishes
+#: before the pool would even spin up.  Shards without ``len`` (the
+#: runtime's node names) are assumed large.
 MIN_FORK_ITEMS = 64
 
 # The fork context is a stdlib singleton, but resolve it once and keep a
@@ -110,8 +96,9 @@ def _total_items(shards: Sequence[Any]) -> int | None:
     return total
 
 
-def _call_forked_worker(shard: Any) -> Any:
-    return _FORKED_WORKER(shard)
+def _call_forked_worker(index: int) -> Any:
+    worker, shards = _FORKED_WORK
+    return worker(shards[index])
 
 
 def run_sharded(
@@ -123,44 +110,56 @@ def run_sharded(
 
     Results come back in shard order, so callers that concatenate them get
     exactly the serial output.  ``worker`` may be any callable, including
-    a closure over large read-only state: children receive it via fork,
-    not pickle.  Only the shards and the results cross process
-    boundaries.  Falls back to serial execution on platforms without the
+    a closure over large read-only state: children receive it and the
+    shards via fork, not pickle, so a shard table is the parent's object,
+    catalog entry and all.  Only the results cross process boundaries.
+    Falls back to serial execution on platforms without the
     ``fork`` start method — and skips the pool entirely when the total
     sized work is under :data:`MIN_FORK_ITEMS`, where pool startup would
-    dominate the work itself (two 3-row shards run inline, not forked).
+    dominate the work itself (two 3-row shards run inline, not forked),
+    and inside a pool worker, which as a daemonic process may not fork.
     """
-    n_jobs = effective_n_jobs(n_jobs)
-    if n_jobs <= 1 or len(shards) <= 1:
+    n_jobs, context, total = effective_n_jobs(n_jobs), _fork_context(), _total_items(shards)
+    if (
+        n_jobs <= 1
+        or len(shards) <= 1
+        or context is None
+        or multiprocessing.current_process().daemon
+        or (total is not None and total < MIN_FORK_ITEMS)
+    ):
         return [worker(shard) for shard in shards]
-    context = _fork_context()
-    if context is None:
-        return [worker(shard) for shard in shards]
-    total = _total_items(shards)
-    if total is not None and total < MIN_FORK_ITEMS:
-        return [worker(shard) for shard in shards]
-    global _FORKED_WORKER
-    previous = _FORKED_WORKER
-    _FORKED_WORKER = worker
+    global _FORKED_WORK
+    previous = _FORKED_WORK
+    _FORKED_WORK = worker, shards
     try:
         with context.Pool(processes=min(n_jobs, len(shards))) as pool:
-            return pool.map(_call_forked_worker, shards)
+            return pool.map(_call_forked_worker, range(len(shards)))
     finally:
-        _FORKED_WORKER = previous
+        _FORKED_WORK = previous
 
 
 def partition_table(table: Table, n_partitions: int) -> list[Table]:
-    """Split a table into ``n_partitions`` contiguous row blocks."""
+    """Split a table into ``n_partitions`` contiguous row blocks.
+
+    Each block carries a copy of ``table``'s entry in the process catalog,
+    when it has one, so a candidate-set partition goes straight into
+    ``extract_feature_vecs`` or a matcher's ``predict``.
+    """
     if n_partitions < 1:
         raise ConfigurationError(f"n_partitions must be >= 1, got {n_partitions}")
     if table.num_rows == 0:
-        return [table.copy()]
-    n_partitions = min(n_partitions, table.num_rows)
-    size = -(-table.num_rows // n_partitions)  # ceil division
-    return [
-        table.take(range(start, min(start + size, table.num_rows)))
-        for start in range(0, max(table.num_rows, 1), size)
-    ]
+        parts = [table.copy()]
+    else:
+        size = -(-table.num_rows // min(n_partitions, table.num_rows))  # ceil division
+        parts = [
+            table.take(range(start, min(start + size, table.num_rows)))
+            for start in range(0, table.num_rows, size)
+        ]
+    catalog = get_catalog()
+    if catalog.has_metadata(table):
+        for part in parts:
+            catalog.copy_metadata(table, part)
+    return parts
 
 
 def concat_tables(parts: Sequence[Table]) -> Table:
@@ -195,7 +194,10 @@ def parallel_map_partitions(
     """Apply ``fn`` to each partition on a process pool; concat results.
 
     With ``n_workers=1`` the map runs in-process (no pool).  ``fn`` does
-    not need to be picklable: workers inherit it through fork.
+    not need to be picklable: workers inherit it and the partitions (with
+    their catalog entries) through fork.  Map a join or a blocker over its
+    left table: the concatenation is the whole call's rows in order, with
+    ``_id`` restarting per partition.
     """
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")

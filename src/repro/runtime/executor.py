@@ -5,8 +5,9 @@ Two pluggable strategies over the same scheduling state:
 * :class:`SerialExecutor` — one ready node at a time, in deterministic
   topological (insertion-tie-broken) order;
 * :class:`ParallelExecutor` — waves of independent ready nodes fanned out
-  on the fork-sharded pool of :mod:`repro.perf.parallel`, the same
-  executor the similarity-join and feature-extraction kernels use.  Only
+  on the fork pool of :mod:`repro.perf.parallel`, the one the production
+  stage's partition map runs on (``CheckpointedRun`` is a graph of
+  isolated partition nodes driven by this executor).  Only
   operators marked ``isolated=True`` with declared ``outputs`` run in
   forked workers (their effects must be fully captured by those slots to
   survive the process boundary); everything else runs in-parent, so

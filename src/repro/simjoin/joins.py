@@ -10,12 +10,13 @@ Both filtered joins run on the integer kernels of :mod:`repro.perf`:
 every distinct string is tokenized and encoded once, as a CSR row of
 dense token ids ranked by global frequency.  Their probe body is
 :func:`repro.perf.arrays.filter_verify` — the routine the live index
-reads with too — once per contiguous span of probe rows; the spans fan
-out over ``n_jobs`` processes and are concatenated in order, so parallel
-output is byte-identical to serial.  :func:`edit_distance_join` encodes
-each string's q-gram bag as a set of occurrence-tagged grams, runs the
-``"qgram_count"`` bound (the q-gram count filter) and verifies with
-batched Levenshtein.  Every join returns one ``(_id, l_id, r_id,
+reads with too — once over every probe row.  The joins run serially: a
+multicore run partitions the probe table with
+:func:`repro.perf.parallel.parallel_map_partitions`, whose concatenated
+output holds the whole join's pairs in its order.
+:func:`edit_distance_join` encodes each string's q-gram bag as a set of
+occurrence-tagged grams, runs the ``"qgram_count"`` bound (the q-gram
+count filter) and verifies with batched Levenshtein.  Every join returns one ``(_id, l_id, r_id,
 score)`` table built from key and score lists.
 
 All of the build-side intermediates — string records, value tokens, the
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
-from repro.perf.parallel import effective_n_jobs, run_sharded
 from repro.simjoin.filters import similarity, validate_measure, validate_threshold
 from repro.table.table import Table
 from repro.text.sim.edit_based import Levenshtein, number_items
@@ -56,12 +55,7 @@ def _observe_join(
     survivors: int,
     verified: int,
 ) -> None:
-    """Record one join's filter-verify funnel in the metrics registry.
-
-    Shard workers run in forked processes, so per-shard counts travel
-    back with the shard results and are accounted here, in the parent —
-    a registry increment inside a worker would die with the fork.
-    """
+    """Record one join's filter-verify funnel in the metrics registry."""
     reg = get_registry()
     labels = {"join": join, "measure": measure}
     reg.counter("simjoin_calls_total", **labels).inc()
@@ -81,33 +75,16 @@ def _result_table(l_ids: list, r_ids: list, scores: list) -> Table:
     return Table({"_id": range(len(scores)), "l_id": l_ids, "r_id": r_ids, "score": scores})
 
 
-def _probe_span(left, index, measure: str, threshold: float, span: range):
-    """The batched kernel over one span of ``left``'s rows: survivor rows,
+def _probe(left, index, measure: str, threshold: float):
+    """The batched kernel over every row of ``left``: survivor rows,
     positions and scores in (row, position) order, the candidate,
     bitmap-kept and verified counts, and the kernel's seconds."""
     started = time.perf_counter()
-    batch = arrays.ProbeBatch(
-        left.indptr[span.start : span.stop + 1], left.indices,
-        left.sizes[span.start : span.stop], measure, threshold, index.dim,
-    )
+    batch = arrays.ProbeBatch(left.indptr, left.indices, left.sizes, measure, threshold, index.dim)
     hits, positions, scores, counts, bitmap_kept, verified = arrays.filter_verify(batch, index)
     seconds = time.perf_counter() - started
-    rows = np.repeat(np.arange(span.start, span.stop), hits)
+    rows = np.repeat(np.arange(len(left.keys)), hits)
     return rows, positions, scores, int(counts.sum()), bitmap_kept, verified, seconds
-
-
-def _over_spans(n_rows: int, n_jobs: int, shard) -> tuple:
-    """Run ``shard`` over contiguous ascending spans of ``range(n_rows)``,
-    forked over ``n_jobs``.  Each span returns ``(rows, positions, values,
-    *counts)``; the arrays are concatenated in span order, so forked output
-    is byte-identical to serial, and the counts are summed."""
-    n_shards = max(1, min(effective_n_jobs(n_jobs), n_rows))
-    cuts = [n_rows * i // n_shards for i in range(n_shards + 1)]
-    # Spans are ranges, not index lists: sized (so run_sharded's
-    # small-work gate sees the true row count) but cheap to pickle.
-    spans = [range(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
-    parts = list(zip(*run_sharded(spans, shard, n_jobs)))
-    return (*map(np.concatenate, parts[:3]), *map(sum, parts[3:]))
 
 
 def set_sim_join(
@@ -131,18 +108,22 @@ def set_sim_join(
     Parameters mirror py_stringsimjoin: the key columns identify rows, the
     join columns are tokenized with ``tokenizer``, and ``measure`` is one of
     ``jaccard``, ``cosine``, ``dice``, or ``overlap`` (absolute threshold).
-    ``n_jobs`` fans the probe side out over a process pool: the probe rows
-    are cut into contiguous ascending spans (CSR row slicing is view-cheap)
-    with one batched kernel call per span, so forked output is
-    byte-identical to serial.  ``kernel`` selects nothing: there is one
-    probe path, and the parameter accepts only ``"auto"``.  It survives
-    because ``benchmarks/spine/join_batch.py`` passes it and that file may
-    only change in a benchmark PR; remove it when that file stops.
+    ``n_jobs`` and ``kernel`` select nothing: the join runs serially on
+    one probe path, and they accept only ``1`` and ``"auto"``.  They
+    survive because ``benchmarks/spine/join_batch.py`` passes them and
+    that file may only change in a benchmark PR; remove them when that
+    file stops.  Partition the left table with
+    :func:`~repro.perf.parallel.parallel_map_partitions` to use more cores.
     """
+    if n_jobs != 1:
+        raise ConfigurationError(
+            f"n_jobs= accepts only 1, got {n_jobs!r}; partition the left table "
+            "with parallel_map_partitions to use more cores"
+        )
     if kernel != "auto":
         raise ConfigurationError(f"kernel= accepts only 'auto', got {kernel!r}")
     l_keys, r_keys, rows, positions, scores = set_sim_join_positions(
-        ltable, rtable, l_key, r_key, l_column, r_column, tokenizer, measure, threshold, n_jobs
+        ltable, rtable, l_key, r_key, l_column, r_column, tokenizer, measure, threshold
     )
     return _result_table(
         arrays.take_values(l_keys, rows), arrays.take_values(r_keys, positions), scores.tolist()
@@ -151,7 +132,7 @@ def set_sim_join(
 
 def set_sim_join_positions(
     ltable: Table, rtable: Table, l_key: str, r_key: str, l_column: str, r_column: str,
-    tokenizer: Tokenizer, measure: str, threshold: float, n_jobs: int = 1,
+    tokenizer: Tokenizer, measure: str, threshold: float,
 ) -> tuple:
     """:func:`set_sim_join`'s pairs as record positions: ``(l_keys, r_keys,
     rows, positions, scores)``, where pair *i* joins left record
@@ -171,10 +152,8 @@ def set_sim_join_positions(
     array_index = store.array_index(encoding, measure, threshold)
     left = encoding.left
     n_probe = len(left.keys)
-    rows, positions, scores, n_candidates, n_kept, n_verified, seconds = _over_spans(
-        n_probe,
-        n_jobs,
-        partial(_probe_span, left, array_index, measure, threshold),
+    rows, positions, scores, n_candidates, n_kept, n_verified, seconds = _probe(
+        left, array_index, measure, threshold
     )
     arrays.observe_kernel_batch(
         "set_sim_join", n_probe, n_candidates, seconds, verified=n_verified
@@ -228,7 +207,6 @@ def edit_distance_join(
     r_column: str,
     threshold: float = 2,
     q: int = 2,
-    n_jobs: int = 1,
 ) -> Table:
     """Join rows whose string values are within edit distance ``threshold``.
 
@@ -237,8 +215,8 @@ def edit_distance_join(
     as bags (the count filter).  Each value's bag is encoded as a *set*
     of occurrence-tagged grams
     (:class:`~repro.text.tokenizers.QgramBagTokenizer`), so the filter is
-    the batched set kernel's ``"qgram_count"`` bound, probed over the
-    same spans as :func:`set_sim_join`.  Two strings of at most
+    the batched set kernel's ``"qgram_count"`` bound, probed like
+    :func:`set_sim_join`.  Two strings of at most
     ``q - 1 + q * d`` characters need no shared gram; those pairs come
     from a cross product of length buckets instead.  Every pair then
     meets the length filter ``||x| - |y|| <= d``, and each distinct pair
@@ -271,40 +249,32 @@ def edit_distance_join(
     short_len = r_len[short_right]
     levenshtein = Levenshtein()
 
-    def join_span(span: range) -> tuple:
-        rows, cols, _, n_candidates, n_kept, _, _ = _probe_span(
-            encoding.left, index, measure, bound, span
-        )
-        # The kernel found some pairs of two short strings too.
-        both_short = (l_len[rows] <= vacuous) & (r_len[cols] <= vacuous)
-        rows, cols = rows[~both_short], cols[~both_short]
-        short = np.arange(span.start, span.stop)[l_len[span.start : span.stop] <= vacuous]
-        lo = np.searchsorted(short_len, l_len[short] - d)
-        hi = np.searchsorted(short_len, l_len[short] + d, side="right")
-        _, take = arrays._ragged_take(lo, hi - lo)
-        # Pairs of two short strings bypass the kernel's filters.
-        bypassed = len(take) - int(both_short.sum())
-        n_candidates += bypassed
-        n_kept += bypassed
-        rows = np.concatenate([rows, np.repeat(short, hi - lo)])
-        cols = np.concatenate([cols, short_right[take]])
-        close = np.abs(l_len[rows] - r_len[cols]) <= d
-        rows, cols = rows[close], cols[close]
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        pairs, inverse = np.unique(
-            l_values[rows] * n_strings + r_values[cols], return_inverse=True
-        )
-        distances = levenshtein.batch_raw_score(
-            arrays.take_values(strings, pairs // n_strings),
-            arrays.take_values(strings, pairs % n_strings),
-        )[inverse]
-        match = distances <= d
-        return rows[match], cols[match], distances[match], n_candidates, n_kept, len(rows)
-
-    rows, cols, distances, n_candidates, n_kept, n_verified = _over_spans(
-        len(left), n_jobs, join_span
-    )
+    rows, cols, _, n_candidates, n_kept, _, _ = _probe(encoding.left, index, measure, bound)
+    # The kernel found some pairs of two short strings too.
+    both_short = (l_len[rows] <= vacuous) & (r_len[cols] <= vacuous)
+    rows, cols = rows[~both_short], cols[~both_short]
+    short = np.flatnonzero(l_len <= vacuous)
+    lo = np.searchsorted(short_len, l_len[short] - d)
+    hi = np.searchsorted(short_len, l_len[short] + d, side="right")
+    _, take = arrays._ragged_take(lo, hi - lo)
+    # Pairs of two short strings bypass the kernel's filters.
+    bypassed = len(take) - int(both_short.sum())
+    n_candidates += bypassed
+    n_kept += bypassed
+    rows = np.concatenate([rows, np.repeat(short, hi - lo)])
+    cols = np.concatenate([cols, short_right[take]])
+    close = np.abs(l_len[rows] - r_len[cols]) <= d
+    rows, cols = rows[close], cols[close]
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    n_verified = len(rows)
+    pairs, inverse = np.unique(l_values[rows] * n_strings + r_values[cols], return_inverse=True)
+    distances = levenshtein.batch_raw_score(
+        arrays.take_values(strings, pairs // n_strings),
+        arrays.take_values(strings, pairs % n_strings),
+    )[inverse]
+    match = distances <= d
+    rows, cols, distances = rows[match], cols[match], distances[match]
     _observe_join(
         "edit_distance",
         "levenshtein",

@@ -1,5 +1,6 @@
 """Tests for blockers, candidate sets, set operations, and the debugger."""
 
+import inspect
 import itertools
 import math
 from collections import defaultdict
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.blocking
 from repro.blocking import (
     AttrEquivalenceBlocker,
     BlackBoxBlocker,
@@ -28,7 +30,7 @@ from repro.blocking import (
     make_candset,
     text_view,
 )
-from repro.blocking.base import TEXT
+from repro.blocking.base import TEXT, Blocker
 from repro.blocking.rules import BlockingRule, Predicate
 from repro.catalog import get_catalog
 from repro.catalog.checks import validate_candset
@@ -285,6 +287,29 @@ class TestCandsetFilterChains:
         for blocker in (SortedNeighborhoodBlocker("name"), CanopyBlocker(["name"])):
             with pytest.raises(NotImplementedError):
                 blocker.block_candset(base)
+
+
+class TestOneBlockerSignature:
+    """Every public blocker takes ``block_tables`` / ``block_candset``
+    arguments exactly as the base class does, so generic code can drive
+    any of them."""
+
+    @staticmethod
+    def _parameters(method) -> list[tuple]:
+        return [
+            (p.name, p.kind, p.default) for p in inspect.signature(method).parameters.values()
+        ]
+
+    def test_public_blockers_share_the_base_signature(self):
+        blockers = [
+            value for value in vars(repro.blocking).values()
+            if isinstance(value, type) and issubclass(value, Blocker) and value is not Blocker
+        ]
+        assert {CanopyBlocker, SortedNeighborhoodBlocker, VectorBlocker} <= set(blockers)
+        for method in ("block_tables", "block_candset"):
+            expected = self._parameters(getattr(Blocker, method))
+            for blocker in blockers:
+                assert self._parameters(getattr(blocker, method)) == expected, (blocker, method)
 
 
 class TestCandsetOps:
@@ -549,12 +574,11 @@ class TestCandidateHandoverMatchesTheOracles:
         tables=table_pairs(),
         l_attrs=st.sampled_from(OUTPUT_ATTRS),
         r_attrs=st.sampled_from(OUTPUT_ATTRS),
-        n_jobs=st.sampled_from([1, 2]),
     )
-    def test_attr_equivalence_and_hash_blockers(self, tables, l_attrs, r_attrs, n_jobs):
+    def test_attr_equivalence_and_hash_blockers(self, tables, l_attrs, r_attrs):
         ltable, rtable = tables
         got = AttrEquivalenceBlocker("v").block_tables(
-            ltable, rtable, "id", "id", l_attrs, r_attrs, n_jobs=n_jobs
+            ltable, rtable, "id", "id", l_attrs, r_attrs
         )
         pairs = oracle_attr_equivalence(ltable, rtable, "v")
         assert_same_table(
@@ -565,7 +589,7 @@ class TestCandidateHandoverMatchesTheOracles:
             return None if row["t"] is None else row["t"][:1]
 
         got = HashBlocker(bucket).block_tables(
-            ltable, rtable, "id", "id", l_attrs, r_attrs, n_jobs=n_jobs
+            ltable, rtable, "id", "id", l_attrs, r_attrs
         )
         pairs = oracle_hash_join(ltable, rtable, bucket, bucket)
         assert_same_table(
@@ -579,12 +603,11 @@ class TestCandidateHandoverMatchesTheOracles:
         overlap_size=st.sampled_from([1, 2]),
         word_level=st.booleans(),
         l_attrs=st.sampled_from(OUTPUT_ATTRS),
-        n_jobs=st.sampled_from([1, 2]),
     )
-    def test_overlap_blocker(self, tables, attr, overlap_size, word_level, l_attrs, n_jobs):
+    def test_overlap_blocker(self, tables, attr, overlap_size, word_level, l_attrs):
         ltable, rtable = tables
         blocker = OverlapBlocker(attr, overlap_size=overlap_size, word_level=word_level)
-        got = blocker.block_tables(ltable, rtable, "id", "id", l_attrs, n_jobs=n_jobs)
+        got = blocker.block_tables(ltable, rtable, "id", "id", l_attrs)
         tokenizer = (
             WhitespaceTokenizer(return_set=True) if word_level
             else QgramTokenizer(q=3, return_set=True)
@@ -621,13 +644,12 @@ class TestCandidateHandoverMatchesTheOracles:
             min_size=1, max_size=3,
         ),
         r_attrs=st.sampled_from(OUTPUT_ATTRS),
-        n_jobs=st.sampled_from([1, 2]),
     )
-    def test_rule_execution(self, tables, rules, r_attrs, n_jobs):
+    def test_rule_execution(self, tables, rules, r_attrs):
         ltable, rtable = tables
         rules = [BlockingRule(tuple(predicates)) for predicates in rules]
         expected = oracle_execute_rules(rules, ltable, rtable)
-        assert execute_rules(rules, ltable, rtable, n_jobs=n_jobs) == expected
+        assert execute_rules(rules, ltable, rtable) == expected
         assert execute_rule_survivors(rules[0], ltable, rtable) == oracle_rule_survivors(
             rules[0], ltable, rtable
         )
@@ -635,7 +657,7 @@ class TestCandidateHandoverMatchesTheOracles:
             sorted(expected), ltable, rtable, "id", "id", r_output_attrs=r_attrs
         )
         got = RuleBasedBlocker(rules).block_tables(
-            ltable, rtable, "id", "id", r_output_attrs=r_attrs, n_jobs=n_jobs
+            ltable, rtable, "id", "id", r_output_attrs=r_attrs
         )
         assert_same_table(got, oracle)
 

@@ -31,6 +31,7 @@ from repro.index import (
     use_index_store,
 )
 from repro.obs import use_registry
+from repro.perf import parallel_map_partitions
 from repro.simjoin import edit_distance_join, set_sim_join
 from repro.table import Table
 from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
@@ -62,11 +63,17 @@ def counter_total(registry, name: str, **labels) -> float:
     )
 
 
-def jaccard_join(ltable: Table, rtable: Table, n_jobs: int = 1) -> Table:
+def jaccard_join(ltable: Table, rtable: Table) -> Table:
     return set_sim_join(
         ltable, rtable, "id", "id", "v", "v",
-        WhitespaceTokenizer(return_set=True), "jaccard", 0.4, n_jobs=n_jobs,
+        WhitespaceTokenizer(return_set=True), "jaccard", 0.4,
     )
+
+
+def without_id(table: Table) -> list:
+    """A join or candset's columns but its ``_id``, which a partition
+    map restarts per partition."""
+    return columns_of(table.project([name for name in table.columns if name != "_id"]))
 
 
 # Cells a fingerprint must stream: NUL, non-BMP code points, lone
@@ -190,10 +197,12 @@ class TestWarmColdEquivalence:
         with use_index_store():
             cold = jaccard_join(ltable, rtable)
             warm = jaccard_join(ltable, rtable)
-            warm_parallel = jaccard_join(ltable, rtable, n_jobs=2)
+            warm_parallel = parallel_map_partitions(
+                ltable, lambda part: jaccard_join(part, rtable), n_workers=2
+            )
         assert cold.num_rows > 0
         assert columns_of(warm) == columns_of(cold)
-        assert columns_of(warm_parallel) == columns_of(cold)
+        assert without_id(warm_parallel) == without_id(cold)
 
     def test_edit_distance_join_warm_identical(self):
         ltable, rtable = make_tables(40)
@@ -204,9 +213,7 @@ class TestWarmColdEquivalence:
                 for kind in ARTIFACT_KINDS
             }
             warm = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=2)
-            warm_parallel = edit_distance_join(
-                ltable, rtable, "id", "id", "v", "v", threshold=2, n_jobs=2
-            )
+            warm_again = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=2)
             # The edit join rides the token chain; warm runs build nothing
             # and, looking the encoding up first, never ask for tokens.
             assert built == {
@@ -219,7 +226,7 @@ class TestWarmColdEquivalence:
             assert counter_total(registry, "index_reuses_total", kind="tokens") == 0
         assert cold.num_rows > 0
         assert columns_of(warm) == columns_of(cold)
-        assert columns_of(warm_parallel) == columns_of(cold)
+        assert columns_of(warm_again) == columns_of(cold)
 
     def test_overlap_blocker_warm_identical(self):
         ltable, rtable = make_tables()
@@ -227,10 +234,8 @@ class TestWarmColdEquivalence:
         with use_index_store():
             cold = blocker.block_tables(ltable, rtable, "id", "id")
             warm = blocker.block_tables(ltable, rtable, "id", "id")
-            warm_parallel = blocker.block_tables(ltable, rtable, "id", "id", n_jobs=2)
         assert cold.num_rows > 0
         assert columns_of(warm) == columns_of(cold)
-        assert columns_of(warm_parallel) == columns_of(cold)
 
     def test_join_and_blocker_share_record_artifacts(self):
         # The blocker's projected working view has different column names
@@ -629,38 +634,27 @@ class TestExtractionDedupProperty:
                 expected = feature(l_index[l_id][feature.l_attr], r_index[r_id][feature.r_attr])
                 assert repr(value) == repr(expected)
 
-    def test_n_jobs_two_equals_serial(self):
-        """Enough distinct pairs to fork: same table, same counters."""
-        from repro.catalog import Catalog
-
+    def test_two_worker_partition_map_equals_whole_table(self):
+        """A candset big enough to fork, mapped in partitions: each keeps
+        its catalog entry, and the concatenation is the whole call's table,
+        value for value."""
         rng = random.Random(7)
         ltable, rtable = pool_tables(
             [rng.randrange(len(VALUE_POOL)) for _ in range(40)],
             [rng.randrange(len(VALUE_POOL)) for _ in range(40)],
         )
         pairs = [(l_id, r_id) for l_id in ltable.column("id") for r_id in rtable.column("id")]
-        catalog = Catalog()
-        candset = make_candset(pairs, ltable, rtable, "id", "id", catalog=catalog)
+        candset = make_candset(pairs, ltable, rtable, "id", "id")
         features = every_generated_feature()
-        tables, counts = [], []
-        for n_jobs in (1, 2):
-            with use_registry() as registry:
-                tables.append(
-                    extract_feature_vecs(candset, features, catalog=catalog, n_jobs=n_jobs)
-                )
-                counts.append(
-                    {
-                        key: value
-                        for key, value in registry.counters().items()
-                        if key[0].startswith("feature_")
-                    }
-                )
-        assert_equals_per_pair(tables[0], features, ltable, rtable, pairs)
-        assert [[repr(v) for v in column] for column in columns_of(tables[0])] == [
-            [repr(v) for v in column] for column in columns_of(tables[1])
+        whole = extract_feature_vecs(candset, features)
+        mapped = parallel_map_partitions(
+            candset, lambda part: extract_feature_vecs(part, features), n_workers=2
+        )
+        assert_equals_per_pair(whole, features, ltable, rtable, pairs)
+        assert mapped.columns == whole.columns
+        assert [[repr(v) for v in column] for column in columns_of(mapped)] == [
+            [repr(v) for v in column] for column in columns_of(whole)
         ]
-        assert counts[0] == counts[1]
-        assert counter_total(registry, "feature_scalar_fallback_pairs_total") > 0
 
     def test_equal_values_of_different_types_are_not_merged(self):
         """``1``, ``1.0`` and ``True`` are equal and hash alike; ``str``

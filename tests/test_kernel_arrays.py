@@ -23,7 +23,7 @@ import repro.perf.arrays as arrays_module
 from repro.index.delta import LiveIndex
 from repro.index.store import use_index_store
 from repro.obs import use_registry
-from repro.perf.parallel import MIN_FORK_ITEMS, run_sharded
+from repro.perf.parallel import MIN_FORK_ITEMS, parallel_map_partitions, run_sharded
 from repro.perf.tokens import TokenUniverse
 from repro.simjoin import naive_set_sim_join, set_sim_join
 from repro.table.table import Table
@@ -88,6 +88,20 @@ def _join_rows(ltable, rtable, measure, threshold, **kwargs):
     )
 
 
+def _partition_join_rows(ltable, rtable, measure, threshold):
+    """The join as a 2-worker partition map over ``ltable``'s rows."""
+    return _rows(
+        parallel_map_partitions(
+            ltable,
+            lambda part: set_sim_join(
+                part, rtable, "id", "id", "v", "v", WhitespaceTokenizer(return_set=True),
+                measure=measure, threshold=threshold,
+            ),
+            n_workers=2,
+        )
+    )
+
+
 def _naive_rows(ltable, rtable, measure, threshold):
     return _rows(
         naive_set_sim_join(
@@ -128,7 +142,7 @@ class TestJoinEquivalence:
         ltable, rtable = _table("l", left), _table("r", right)
         expected = _naive_rows(ltable, rtable, measure, threshold)
         assert _join_rows(ltable, rtable, measure, threshold) == expected
-        assert _join_rows(ltable, rtable, measure, threshold, n_jobs=2) == expected
+        assert _partition_join_rows(ltable, rtable, measure, threshold) == expected
 
     @given(side_strategy, side_strategy, st.sampled_from(WHOLE_PREFIX_CASES))
     @settings(max_examples=25, deadline=None)
@@ -146,9 +160,9 @@ class TestJoinEquivalence:
         assert got == _live_join_rows(ltable, rtable, measure, threshold)
 
     def test_forked_equals_serial_equals_dict(self):
-        # Big enough to clear the MIN_FORK_ITEMS gate, so n_jobs=2
-        # genuinely forks the probe shards.  "dict" in the name is the
-        # live index's probe, reached through LiveIndex.join_table.
+        # Big enough to clear the MIN_FORK_ITEMS gate, so the partition
+        # map genuinely forks.  "dict" in the name is the live index's
+        # probe, reached through LiveIndex.join_table.
         left = [" ".join(WORDS[i % 3 : i % 3 + 3]) for i in range(120)]
         right = [" ".join(WORDS[i % 5 : i % 5 + 2]) for i in range(150)]
         ltable, rtable = _table("l", left), _table("r", right)
@@ -156,8 +170,8 @@ class TestJoinEquivalence:
             expected = _naive_rows(ltable, rtable, measure, threshold)
             assert expected
             assert _live_join_rows(ltable, rtable, measure, threshold) == expected
-            for n_jobs in (1, 2):
-                assert expected == _join_rows(ltable, rtable, measure, threshold, n_jobs=n_jobs)
+            assert expected == _join_rows(ltable, rtable, measure, threshold)
+            assert expected == _partition_join_rows(ltable, rtable, measure, threshold)
 
 
 class TestProbeBatchEquivalence:
@@ -426,7 +440,7 @@ class TestHotTokenRegime:
         assert got == _naive_rows(ltable, rtable, measure, threshold)
         # The live probe, chunked on the same rule, and the forked join.
         assert got == _live_join_rows(ltable, rtable, measure, threshold)
-        assert got == _join_rows(ltable, rtable, measure, threshold, n_jobs=2)
+        assert got == _partition_join_rows(ltable, rtable, measure, threshold)
         hot_pairs = sum("hot" in v for v in ltable.column("v")) * sum(
             "hot" in v for v in rtable.column("v")
         )

@@ -251,20 +251,18 @@ class TestIncrementalEqualsRebuilt:
                 assert live.search(value)[0] == rebuilt.search(value)[0]
 
             # Whole-table join equals the batch join over the rebuilt
-            # records, serial and sharded-parallel.
+            # records.
             probe = Table(
                 {"qid": [f"q{i}" for i in range(len(VALUES))], "txt": list(VALUES)}
             )
             joined = live.join_table(probe, "qid", "txt")
-            for n_jobs in (1, 2):
-                batch = set_sim_join(
-                    probe, reference_table(model), "qid", "id", "txt", "v",
-                    WhitespaceTokenizer(return_set=True), "jaccard", threshold,
-                    n_jobs=n_jobs,
-                )
-                assert [joined.column(c) for c in joined.columns] == [
-                    batch.column(c) for c in batch.columns
-                ]
+            batch = set_sim_join(
+                probe, reference_table(model), "qid", "id", "txt", "v",
+                WhitespaceTokenizer(return_set=True), "jaccard", threshold,
+            )
+            assert [joined.column(c) for c in joined.columns] == [
+                batch.column(c) for c in batch.columns
+            ]
 
     def test_concurrent_writers_converge_to_rebuild(self):
         """Parallel mutation: racing upserts/deletes never corrupt the

@@ -5,8 +5,8 @@ Two guarantees are enforced here:
 * the integer-kernel filtered join — the batched one and the live
   index's probe — equals the brute-force reference across every measure
   and threshold, for self-joins and two-table joins;
-* every ``n_jobs``-parallelized entry point produces output
-  byte-identical to its serial run (``Table.__eq__`` compares the full
+* every operator mapped over partitions of its input produces the
+  output of its whole-table call (``Table.__eq__`` compares the full
   column data, so equality means same columns, same values, same order).
 """
 
@@ -39,7 +39,6 @@ from repro.perf import (
     effective_n_jobs,
     parallel_map_partitions,
     partition_table,
-    split_evenly,
 )
 from repro.simjoin import (
     edit_distance_join,
@@ -53,7 +52,7 @@ from repro.table import Table
 from repro.text.sim import Levenshtein
 from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
 
-N_JOBS = 4
+N_PARTITIONS = 4
 
 
 def _random_tables(seed: int, n: int = 60):
@@ -162,19 +161,6 @@ class TestParallelPrimitives:
         with pytest.raises(ConfigurationError):
             effective_n_jobs(0)
 
-    def test_split_evenly_contiguous_and_complete(self):
-        items = list(range(23))
-        shards = split_evenly(items, 4)
-        assert [x for shard in shards for x in shard] == items
-        assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
-
-    def test_split_evenly_more_shards_than_items(self):
-        shards = split_evenly([1, 2], 10)
-        assert len(shards) == 2
-
-    def test_split_evenly_empty(self):
-        assert split_evenly([], 4) == [[]]
-
     def test_concat_tables_matches_pairwise(self):
         parts = [
             Table({"a": [1, 2], "b": ["x", "y"]}),
@@ -267,21 +253,39 @@ class TestSetSimJoinEquivalence:
             )
 
 
+def _mapped(table: Table, fn) -> Table:
+    """``fn`` over ``N_PARTITIONS`` partitions of ``table``, two workers."""
+    return parallel_map_partitions(table, fn, n_workers=2, n_partitions=N_PARTITIONS)
+
+
+def _without_id(table: Table) -> Table:
+    """All columns but ``_id``, which a partition map restarts per partition."""
+    return table.project([name for name in table.columns if name != "_id"])
+
+
 class TestParallelByteIdentity:
-    """n_jobs=1 and n_jobs=4 must produce byte-identical tables."""
+    """Each operator mapped over partitions of its input equals its
+    whole-table call, but for a restarted ``_id``."""
 
     def test_set_sim_join(self):
         ltable, rtable = _random_tables(seed=21)
         tokenizer = WhitespaceTokenizer(return_set=True)
         for measure, threshold in [("jaccard", 0.5), ("overlap", 2)]:
-            serial = set_sim_join(
-                ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
+
+            def join(left, measure=measure, threshold=threshold):
+                return set_sim_join(
+                    left, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
+                )
+
+            assert _without_id(join(ltable)) == _without_id(_mapped(ltable, join))
+
+    def test_set_sim_join_accepts_only_one_job(self):
+        ltable, rtable = _random_tables(seed=21, n=5)
+        with pytest.raises(ConfigurationError, match="parallel_map_partitions"):
+            set_sim_join(
+                ltable, rtable, "id", "id", "v", "v",
+                WhitespaceTokenizer(return_set=True), "jaccard", 0.5, n_jobs=2,
             )
-            parallel = set_sim_join(
-                ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold,
-                n_jobs=N_JOBS,
-            )
-            assert serial == parallel
 
     def test_edit_distance_join(self):
         rng = random.Random(3)
@@ -294,11 +298,12 @@ class TestParallelByteIdentity:
             "id": [f"b{i}" for i in range(40)],
             "v": [rng.choice(names) for _ in range(40)],
         })
-        serial = edit_distance_join(ltable, rtable, "id", "id", "v", "v", threshold=2)
-        parallel = edit_distance_join(
-            ltable, rtable, "id", "id", "v", "v", threshold=2, n_jobs=N_JOBS
-        )
-        assert serial == parallel
+
+        def join(left):
+            return edit_distance_join(left, rtable, "id", "id", "v", "v", threshold=2)
+
+        serial = join(ltable)
+        assert _without_id(serial) == _without_id(_mapped(ltable, join))
         # and the filter still agrees with brute force
         levenshtein = Levenshtein()
         expected = {
@@ -309,12 +314,14 @@ class TestParallelByteIdentity:
         }
         assert _pairs(serial) == expected
 
+    def _assert_blocks_by_partition(self, blocker, ltable, rtable):
+        serial = blocker.block_tables(ltable, rtable, "id", "id")
+        parallel = _mapped(ltable, lambda part: blocker.block_tables(part, rtable, "id", "id"))
+        assert _without_id(serial) == _without_id(parallel)
+
     def test_overlap_blocker(self, figure1_tables):
         table_a, table_b, _ = figure1_tables
-        blocker = OverlapBlocker("name", overlap_size=1)
-        serial = blocker.block_tables(table_a, table_b, "id", "id")
-        parallel = blocker.block_tables(table_a, table_b, "id", "id", n_jobs=N_JOBS)
-        assert serial == parallel
+        self._assert_blocks_by_partition(OverlapBlocker("name", overlap_size=1), table_a, table_b)
 
     def test_attr_equivalence_blocker(self):
         rng = random.Random(5)
@@ -327,18 +334,13 @@ class TestParallelByteIdentity:
             "id": list(range(30)),
             "state": [rng.choice(states) for _ in range(30)],
         })
-        blocker = AttrEquivalenceBlocker("state")
-        serial = blocker.block_tables(ltable, rtable, "id", "id")
-        parallel = blocker.block_tables(ltable, rtable, "id", "id", n_jobs=N_JOBS)
-        assert serial == parallel
+        self._assert_blocks_by_partition(AttrEquivalenceBlocker("state"), ltable, rtable)
 
     def test_hash_blocker_with_lambda(self):
         ltable = Table({"id": list(range(20)), "name": [f"n{i % 5}" for i in range(20)]})
         rtable = Table({"id": list(range(20)), "name": [f"n{i % 7}" for i in range(20)]})
         blocker = HashBlocker(lambda row: row["name"][:2])
-        serial = blocker.block_tables(ltable, rtable, "id", "id")
-        parallel = blocker.block_tables(ltable, rtable, "id", "id", n_jobs=N_JOBS)
-        assert serial == parallel
+        self._assert_blocks_by_partition(blocker, ltable, rtable)
 
     def test_quadratic_fallback_blocker(self, figure1_tables):
         table_a, table_b, _ = figure1_tables
@@ -347,10 +349,7 @@ class TestParallelByteIdentity:
             def block_tuples(self, l_row, r_row):
                 return l_row["name"][0] != r_row["name"][0]
 
-        blocker = SameInitialBlocker()
-        serial = blocker.block_tables(table_a, table_b, "id", "id")
-        parallel = blocker.block_tables(table_a, table_b, "id", "id", n_jobs=N_JOBS)
-        assert serial == parallel
+        self._assert_blocks_by_partition(SameInitialBlocker(), table_a, table_b)
 
     def test_rule_based_blocker_join_path(self, figure1_tables):
         table_a, table_b, _ = figure1_tables
@@ -359,9 +358,7 @@ class TestParallelByteIdentity:
         blocker = RuleBasedBlocker()
         blocker.add_rule([f"{name} < 0.2"], features)
         assert blocker.is_join_executable
-        serial = blocker.block_tables(table_a, table_b, "id", "id")
-        parallel = blocker.block_tables(table_a, table_b, "id", "id", n_jobs=N_JOBS)
-        assert serial == parallel
+        self._assert_blocks_by_partition(blocker, table_a, table_b)
 
     def test_block_candset(self, figure1_tables):
         table_a, table_b, _ = figure1_tables
@@ -369,8 +366,8 @@ class TestParallelByteIdentity:
         candset = make_candset(pairs, table_a, table_b, "id", "id")
         blocker = AttrEquivalenceBlocker("state")
         serial = blocker.block_candset(candset)
-        parallel = blocker.block_candset(candset, n_jobs=N_JOBS)
-        assert serial == parallel
+        parallel = _mapped(candset, blocker.block_candset)
+        assert _without_id(serial) == _without_id(parallel)
 
     def test_extract_feature_vecs(self, figure1_tables):
         table_a, table_b, _ = figure1_tables
@@ -378,7 +375,7 @@ class TestParallelByteIdentity:
         candset = make_candset(pairs, table_a, table_b, "id", "id")
         features = get_features_for_blocking(table_a, table_b)
         serial = extract_feature_vecs(candset, features)
-        parallel = extract_feature_vecs(candset, features, n_jobs=N_JOBS)
+        parallel = _mapped(candset, lambda part: extract_feature_vecs(part, features))
         assert serial == parallel
 
 

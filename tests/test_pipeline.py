@@ -3,10 +3,13 @@
 import json
 import logging
 import multiprocessing
+import os
 
 import pytest
 
+from repro.catalog import get_catalog
 from repro.exceptions import ConfigurationError, WorkflowError
+from repro.perf.parallel import MIN_FORK_ITEMS
 from repro.pipeline import (
     DEVELOPMENT_GUIDE,
     PRODUCTION_GUIDE,
@@ -83,10 +86,47 @@ class TestPartitioning:
         assert result.column("v") == [i * 4 for i in range(10)]
 
     def test_parallel_map_matches_serial(self):
-        table = numbers_table(50)
-        serial = parallel_map_partitions(table, double_v, n_workers=1)
-        parallel = parallel_map_partitions(table, double_v, n_workers=3)
-        assert serial == parallel
+        table = numbers_table(2 * MIN_FORK_ITEMS)  # past the gate: the map forks
+
+        def double_v_and_pid(part: Table) -> Table:
+            result = double_v(part)
+            result.add_column("pid", [os.getpid()] * part.num_rows)
+            return result
+
+        serial = parallel_map_partitions(table, double_v_and_pid, n_workers=1)
+        parallel = parallel_map_partitions(table, double_v_and_pid, n_workers=3)
+        assert serial.project(["id", "v"]) == parallel.project(["id", "v"])
+        assert set(serial.column("pid")) == {os.getpid()}
+        assert set(parallel.column("pid")) - {os.getpid()}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    @pytest.mark.parametrize("inner_map", ["parallel_map_partitions", "CheckpointedRun"])
+    def test_fan_out_nests_in_a_partition_map(self, inner_map, tmp_path):
+        """A fan-out inside a forked partition (a daemonic pool worker,
+        which may not fork) runs inline instead of crashing."""
+        inner = numbers_table(MIN_FORK_ITEMS)
+
+        def outer(part: Table) -> Table:
+            if inner_map == "parallel_map_partitions":
+                mapped = parallel_map_partitions(inner, double_v, n_workers=2)
+            else:
+                run = CheckpointedRun(f"inner_{part.column('id')[0]}", tmp_path)
+                mapped = run.execute(inner, double_v, n_partitions=4, n_jobs=2)
+            return Table({"id": part.column("id"), "pid": [os.getpid()] * part.num_rows,
+                          "inner": [sum(mapped.column("v"))] * part.num_rows})
+
+        result = parallel_map_partitions(numbers_table(2 * MIN_FORK_ITEMS), outer, n_workers=2)
+        assert set(result.column("pid")) - {os.getpid()}
+        assert set(result.column("inner")) == {sum(i * 4 for i in range(MIN_FORK_ITEMS))}
+
+    def test_partitions_keep_catalog_metadata(self):
+        table = numbers_table(10)
+        get_catalog().set_key(table, "id")
+        for part in partition_table(table, 3):
+            assert get_catalog().get_key(part) == "id"
+        assert not get_catalog().has_metadata(partition_table(numbers_table(10), 3)[0])
 
     def test_workers_validation(self):
         with pytest.raises(ConfigurationError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.index import IndexStore, use_index_store
 from repro.obs import use_registry
+from repro.perf import parallel_map_partitions
 from repro.simjoin import (
     TokenOrder,
     edit_distance_join,
@@ -293,7 +294,8 @@ def _edit_join_case(draw):
     values = st.lists(st.one_of(text, at_bound, st.sampled_from(_POOL)), max_size=9)
     left, right = draw(values), draw(values)
     if draw(st.booleans()):
-        # Enough probe rows for n_jobs=2 to fork, and duplicate values.
+        # Enough probe rows for a 2-worker partition map to fork, and
+        # duplicate values.
         left = (left * 64)[: max(64, len(left))] if left else left
     threshold = d + draw(st.sampled_from([0, 0.5]))
     return q, threshold, left, right
@@ -311,14 +313,16 @@ class TestEditDistanceJoinEqualsBruteForce:
         ltable, rtable = _values_table("a", left), _values_table("b", right)
         expected = brute_force_edit_join(ltable, rtable, threshold)
 
-        def join(**kwargs):
+        def join(left_part=ltable):
             return edit_distance_join(
-                ltable, rtable, "id", "id", "v", "v", threshold=threshold, q=q, **kwargs
+                left_part, rtable, "id", "id", "v", "v", threshold=threshold, q=q
             )
 
+        pairs = ["l_id", "r_id", "score"]  # a partition map restarts ``_id``
         with use_index_store():
             assert join() == expected
-            assert join(n_jobs=2) == expected
+            mapped = parallel_map_partitions(ltable, join, n_workers=2)
+            assert mapped.project(pairs) == expected.project(pairs)
         with tempfile.TemporaryDirectory() as cache:
             with use_index_store(IndexStore(cache_dir=cache)):
                 cold = join()
