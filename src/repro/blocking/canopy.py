@@ -5,6 +5,8 @@ into overlapping *canopies* using an inexpensive token-overlap measure
 with two thresholds — a loose one for canopy membership and a tight one
 for removing records from further consideration as canopy centers.  A
 pair survives blocking when the two records share at least one canopy.
+The tokens are the index store's encoding of both tables' text views,
+and a center's candidates come off its CSR transpose.
 
 Complements the other blockers when no single attribute is reliable: the
 canopy measure runs over the concatenation of all (or chosen) attributes.
@@ -13,13 +15,23 @@ canopy measure runs over the concatenation of all (or chosen) attributes.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from collections.abc import Sequence
 from typing import Any
 
-from repro.blocking.base import TEXT, Blocker, make_candset, observe_blocking, text_view
+import numpy as np
+
+from repro.blocking.base import (
+    TEXT,
+    Blocker,
+    make_candset,
+    observe_blocking,
+    record_numbers,
+    text_view,
+)
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
+from repro.index.store import get_index_store
+from repro.perf import arrays
 from repro.table.table import Row, Table
 from repro.text.tokenizers import WhitespaceTokenizer
 
@@ -96,63 +108,48 @@ class CanopyBlocker(Blocker):
                 else "canopy blocking needs at least one attribute, got attrs=[]"
             )
 
-        # Side-tagged records: ('l'|'r', key value, token set).
-        records: list[tuple[str, Any, frozenset[str]]] = []
-        tokenize = WhitespaceTokenizer(return_set=True).tokenize
-        for side, table, key in (("l", ltable, l_key), ("r", rtable, r_key)):
-            view = text_view(table, key, attrs)
-            for key_value, text in zip(view.column(key), view.column(TEXT)):
-                records.append((side, key_value, frozenset(tokenize(text or ""))))
-
-        # Inverted index for candidate retrieval during canopy growth.
-        index: dict[str, list[int]] = defaultdict(list)
-        for position, (_, _, tokens) in enumerate(records):
-            for token in tokens:
-                index[token].append(position)
+        # Every row of both tables is a record, left rows first; its tokens
+        # are its store row of the pair's encoding, none without a text.
+        views = [text_view(ltable, l_key, attrs), text_view(rtable, r_key, attrs)]
+        encoding = get_index_store().join_encoding(
+            *views, l_key, r_key, TEXT, TEXT, WhitespaceTokenizer(return_set=True)
+        )
+        left, right = encoding.left, encoding.right
+        l_numbers, r_numbers = map(record_numbers, views)
+        # Row -1 is the empty one past both sides' rows.
+        rows = np.concatenate([l_numbers, np.where(r_numbers < 0, -1, r_numbers + len(left.keys))])
+        lengths = np.concatenate([left.sizes, right.sizes, [0]])
+        indices = np.concatenate([left.indices, right.indices])
+        records = arrays.take_rows("", [], lengths, indices, rows, left.dim)
+        sizes, (indptr, postings) = records.sizes, arrays.posting_lists(records)
 
         rng = random.Random(self.seed)
-        order = list(range(len(records)))
+        order = list(range(len(rows)))
         rng.shuffle(order)
-        center_candidates = set(order)
-        canopy_of: dict[int, list[int]] = defaultdict(list)  # record -> canopies
-        canopy_id = 0
+        center = np.ones(len(rows), bool)
+        canopies = []
         for position in order:
-            if position not in center_candidates:
+            if not center[position]:
                 continue
-            center_candidates.discard(position)
-            _, _, center_tokens = records[position]
-            members = {position}
-            if center_tokens:
-                seen: set[int] = set()
-                for token in center_tokens:
-                    seen.update(index[token])
-                for other in seen:
-                    other_tokens = records[other][2]
-                    union = len(center_tokens | other_tokens)
-                    similarity = (
-                        len(center_tokens & other_tokens) / union if union else 0.0
-                    )
-                    if similarity >= self.loose:
-                        members.add(other)
-                        if similarity >= self.tight:
-                            center_candidates.discard(other)
-            for member in members:
-                canopy_of[member].append(canopy_id)
-            canopy_id += 1
+            center[position] = False
+            ids = records.indices[records.indptr[position] : records.indptr[position + 1]]
+            # The records sharing a token with the center, by Jaccard.
+            seen = arrays.unique_sorted(
+                postings[arrays._ragged_take(indptr[ids], indptr[ids + 1] - indptr[ids])[1]]
+            ) if len(ids) else np.array([position])
+            centers = np.full(len(seen), position)
+            overlap = arrays.pair_overlaps(records, records, centers, seen)
+            similarity = arrays.scores_arrays("jaccard", overlap, sizes[centers], sizes[seen])
+            canopies.append(seen[similarity >= self.loose])
+            center[seen[similarity >= self.tight]] = False
 
         # Pairs sharing a canopy, across sides only.
-        by_canopy: dict[int, tuple[list[Any], list[Any]]] = defaultdict(
-            lambda: ([], [])
-        )
-        for position, canopies in canopy_of.items():
-            side, key_value, _ = records[position]
-            for canopy in canopies:
-                by_canopy[canopy][0 if side == "l" else 1].append(key_value)
+        l_ids, r_ids, n_l = ltable.column(l_key), rtable.column(r_key), ltable.num_rows
         pairs: set[tuple[Any, Any]] = set()
-        for l_ids, r_ids in by_canopy.values():
-            for l_id in l_ids:
-                for r_id in r_ids:
-                    pairs.add((l_id, r_id))
+        for members in canopies:
+            lefts = members[members < n_l].tolist()
+            rights = (members[members >= n_l] - n_l).tolist()
+            pairs.update((l_ids[l], r_ids[r]) for l in lefts for r in rights)
         observe_blocking(self, len(pairs))
         return make_candset(
             sorted(pairs, key=lambda p: (str(p[0]), str(p[1]))),

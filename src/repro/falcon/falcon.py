@@ -28,12 +28,14 @@ the real system's behaviour, where blocking operates on indexed values.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.blocking.base import candset_pairs, make_candset
+from repro.blocking.base import TEXT, candset_pairs, make_candset, record_numbers
 from repro.blocking.overlap import OverlapBlocker
 from repro.blocking.rule_based import RuleBasedBlocker
 from repro.blocking.rules import BlockingRule
@@ -52,6 +54,7 @@ from repro.features.generation import (
     get_features_for_blocking,
     get_features_for_matching,
 )
+from repro.index.store import get_index_store
 from repro.labeling.session import LabelingSession
 from repro.obs import get_registry
 from repro.runtime import EventStream, OperatorGraph, run_graph
@@ -150,34 +153,30 @@ def _sample_pairs(
     the most token-overlapping left tuples form the likely-match half of
     the pool, and uniform random pairs form the likely-non-match half.
     """
-    from collections import defaultdict
-
-    from repro.sampling.down_sample import _token_index, _token_lists
+    from repro.sampling.down_sample import TOKENIZER, left_postings, row_text_view
 
     rng = np.random.default_rng(seed)
-    l_ids = dataset.ltable.column(dataset.l_key)
-    r_ids = dataset.rtable.column(dataset.r_key)
+    ltable, rtable, l_key, r_key = dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
+    l_ids, r_ids = ltable.column(l_key), rtable.column(r_key)
     pairs: set[Pair] = set()
 
-    # Likely matches: probe an inverted index of left-table tokens.
-    index = _token_index(dataset.ltable, dataset.l_key)
-    r_tokens = _token_lists(dataset.rtable, dataset.r_key)
-    probe_positions = rng.permutation(dataset.rtable.num_rows)[: size // 2]
-    for j in probe_positions:
-        tokens = r_tokens[j]
-        counts: dict[int, int] = defaultdict(int)
-        for token in tokens:
-            # Skip stop-word-like tokens with huge posting lists.
-            posting = index.get(token, ())
-            if len(posting) <= max(20, dataset.ltable.num_rows // 20):
-                for position in posting:
-                    counts[position] += 1
-        if not counts:
-            continue
+    # Likely matches: the left rows sharing the most tokens with sampled
+    # right rows, counted over the left postings of the store's encoding.
+    views = row_text_view(ltable, l_key), row_text_view(rtable, r_key)
+    encoding = get_index_store().join_encoding(*views, l_key, r_key, TEXT, TEXT, TOKENIZER)
+    starts, postings = (array.tolist() for array in left_postings(encoding, views[0]))
+    record, right = record_numbers(views[1]).tolist(), encoding.right
+    cap = max(20, ltable.num_rows // 20)
+    for j in rng.permutation(rtable.num_rows)[: size // 2].tolist():
+        at = record[j]
+        ids = right.indices[right.indptr[at] : right.indptr[at + 1]].tolist() if at >= 0 else ()
+        # Skip stop-word-like tokens with huge posting lists.
+        counts = Counter(chain.from_iterable(
+            postings[starts[t] : starts[t + 1]] for t in ids if starts[t + 1] - starts[t] <= cap
+        ))
         # Ties go to the lower position, not to the order ``counts`` filled in.
-        best = sorted(counts, key=lambda p: (-counts[p], p))[:2]
-        for position in best:
-            pairs.add((l_ids[position], r_ids[int(j)]))
+        for position in sorted(counts, key=lambda p: (-counts[p], p))[:2]:
+            pairs.add((l_ids[position], r_ids[j]))
 
     # Likely non-matches: uniform random pairs.
     need = size - len(pairs)

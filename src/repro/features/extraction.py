@@ -25,7 +25,7 @@ from repro.blocking.base import CANDSET_ID, key_positions
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError
-from repro.features.feature import SCALAR_FALLBACK, Feature, FeatureTable, ValueView, number_values
+from repro.features.feature import SCALAR_FALLBACK, Feature, FeatureTable, ValueView
 from repro.ml.impute import SimpleImputer
 from repro.obs import get_registry, trace_span
 from repro.table.table import Table
@@ -70,8 +70,9 @@ def extract_feature_vecs(
     if label_column is not None:
         candset.require_columns([label_column])
     fk_l, fk_r = candset.column(meta.fk_ltable), candset.column(meta.fk_rtable)
-    l_rows = key_positions(meta.ltable, cat.get_key(meta.ltable), fk_l)
-    r_rows = key_positions(meta.rtable, cat.get_key(meta.rtable), fk_r)
+    l_key, r_key = cat.get_key(meta.ltable), cat.get_key(meta.rtable)
+    l_rows = key_positions(meta.ltable, l_key, fk_l)
+    r_rows = key_positions(meta.rtable, r_key, fk_r)
 
     by_attrs: dict[tuple[str, str], list[Feature]] = {}
     for feature in feature_table:
@@ -80,34 +81,28 @@ def extract_feature_vecs(
     by_name: dict[str, list[Any]] = {}
     misses = 0
     for (l_attr, r_attr), features in by_attrs.items():
-        l_ids, l_values, l_loose = number_values(meta.ltable.column(l_attr), l_rows)
-        r_ids, r_values, r_loose = number_values(meta.rtable.column(r_attr), r_rows)
-        n_r = max(len(r_values), 1)
-        distinct, inverse = np.unique(l_ids * n_r + r_ids, return_inverse=True)
-        l_at, r_at = np.divmod(distinct, n_r)
-        misses += len(distinct) * len(features)
+        label = f"{l_attr}|{r_attr}"
+        with trace_span("feature_values", group=label) as span:
+            sides = (meta.ltable, l_key, l_attr), (meta.rtable, r_key, r_attr)
+            view, inverse = ValueView.at_rows(sides, l_rows, r_rows)
+            span.labels["left_values"], span.labels["right_values"] = map(str, map(len, view.rows))
+            for column in {getattr(f.batch, "column", None) for f in features} - {None}:
+                getattr(view, column)
+        distinct = len(view.left)
+        misses += distinct * len(features)
         # A scalar evaluation counts once: under ``unhashable`` when such a
         # cell is why the pair was not merged, else under ``no_batch_form``.
-        loose = int((l_loose[l_at] | r_loose[r_at]).sum())
+        loose = int((view.loose[view.left] | view.loose[view.right]).sum())
         for feature in features:
             if feature.batch is None:
                 registry.counter(SCALAR_FALLBACK, reason="unhashable").inc(loose)
-                registry.counter(SCALAR_FALLBACK, reason="no_batch_form").inc(len(distinct) - loose)
+                registry.counter(SCALAR_FALLBACK, reason="no_batch_form").inc(distinct - loose)
             else:
                 registry.counter("feature_batch_pairs_total", measure=feature.measure_name).inc(
-                    len(distinct)
+                    distinct
                 )
-        label = f"{l_attr}|{r_attr}"
         with trace_span(
-            "feature_values", group=label, left_values=len(l_values), right_values=len(r_values)
-        ):
-            view = ValueView(
-                l_values + r_values, np.concatenate([l_loose, r_loose]), l_at, r_at + len(l_values)
-            )
-            for column in {getattr(f.batch, "column", None) for f in features} - {None}:
-                getattr(view, column)
-        with trace_span(
-            "feature_group", group=label, distinct_pairs=len(distinct), features=len(features)
+            "feature_group", group=label, distinct_pairs=distinct, features=len(features)
         ):
             values_by_feature = _evaluate(features, view)
         for feature, values in zip(features, values_by_feature):

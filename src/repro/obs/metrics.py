@@ -15,10 +15,11 @@ pair, so hot paths can call ``registry.counter("x", k="v").inc()``
 repeatedly and always hit the same object.  Instruments of one name must
 all be the same kind; labels are stringified and order-insensitive.
 
-Process model: the registry is process-local.  Increments made inside a
-forked worker — a partition-map function, an isolated runtime operator —
-die with the worker; a statistic that must survive travels back in the
-worker's result and is accounted in the parent.
+Process model: the registry is process-local.  A forked worker of
+:func:`repro.perf.parallel.run_sharded` — a partition-map function, an
+isolated runtime operator — returns its counter increments with its
+result, and they are added to the parent's counters; its histogram
+observations and gauge settings die with the worker.
 
 Thread model: interning and every update (``inc``/``set``/``observe``)
 are guarded by locks, so concurrent threads — the :mod:`repro.serve`

@@ -283,18 +283,25 @@ def row_bitmaps(indptr, indices):
 def build_array_index(key: str, rows: ArrayRecords, measure: str, threshold: float) -> ArrayIndex:
     """Prepare one side's :class:`ArrayRecords` as the probed corpus: the
     head of each row (ids are sorted, so the head is the prefix), posted
-    under its ids.  The codes ``id * n_rows + row`` are unique, so one
-    plain sort orders them by id and each posting list ascends (a stable
-    argsort of the ids took 8x as long)."""
-    sizes = rows.sizes
-    n_rows = len(sizes)
-    lengths = np.minimum(prefix_lengths_arrays(measure, threshold, sizes), sizes)
+    under its ids by :func:`posting_lists`."""
+    lengths = np.minimum(prefix_lengths_arrays(measure, threshold, rows.sizes), rows.sizes)
+    posting_indptr, postings = posting_lists(rows, lengths)
+    return ArrayIndex(key, rows.keys, rows.indptr, rows.indices, posting_indptr, postings, rows.dim)
+
+
+def posting_lists(rows: ArrayRecords, lengths=None):
+    """The CSR transpose of each row's first ``lengths[i]`` ids (whole rows
+    by default): ``(indptr, rows)``, id *t*'s rows ascending at
+    ``rows[indptr[t]:indptr[t + 1]]``.  The codes ``id * n_rows + row`` are
+    unique, so one plain sort orders them by id and each list ascends (a
+    stable argsort of the ids took 8x as long)."""
+    n_rows = len(rows.indptr) - 1
+    if lengths is None:
+        lengths = rows.sizes
     ids = rows.indices[_ragged_take(rows.indptr[:-1], lengths)[1]]
     codes = ids * np.int64(n_rows) + np.arange(n_rows).repeat(lengths)
     codes.sort()
-    postings = (codes % n_rows).astype(np.int32)
-    posting_indptr = _indptr(np.bincount(ids, minlength=rows.dim))
-    return ArrayIndex(key, rows.keys, rows.indptr, rows.indices, posting_indptr, postings, rows.dim)
+    return _indptr(np.bincount(ids, minlength=rows.dim)), (codes % n_rows).astype(np.int32)
 
 
 def _flat_rows(rows):
@@ -481,7 +488,10 @@ def filter_verify(batch: ProbeBatch, segment, dead=None):
         verified += len(rows)
         overlap = shared
         if not exact:
-            overlap = _overlaps(batch, segment, start, stop, per_query, rows, sizes)
+            probe = batch.ids[batch.indptr[start] : batch.indptr[stop]]
+            overlap = sorted_overlaps(
+                probe, batch.nnz[start:stop], per_query, segment, rows, sizes, batch.width
+            )
         scores = scores_arrays(measure, overlap, spread(batch.sizes), sizes)
         at = (scores >= threshold).nonzero()[0]
         per_query, rows, scores = _recount(at, per_query), rows[at], scores[at]
@@ -494,19 +504,37 @@ def filter_verify(batch: ProbeBatch, segment, dead=None):
     return hits, out_rows[0], out_scores[0], counts, bitmap_kept, verified
 
 
-def _overlaps(batch: ProbeBatch, segment, start: int, stop: int, per_query, rows, sizes):
-    """Exact overlaps of a chunk's pairs: their rows gathered end to end,
-    each id looked up in its probe row's sorted ids, hits summed per row."""
-    offsets, take = _ragged_take(segment.indptr[rows], sizes)
-    tokens = segment.indices[take]
-    probe = batch.ids[batch.indptr[start] : batch.indptr[stop]]
+def sorted_overlaps(probe, probe_nnz, per_query, records, rows, sizes, width: int):
+    """Exact overlaps of pairs (probe row *q*, row ``rows[i]`` of CSR
+    ``records``, ``sizes[i] > 0`` ids), probe row *q*'s pairs the next
+    ``per_query[q]`` (``None``: one probe row): the rows gathered end to
+    end, each id looked up in its probe row's sorted ids (``probe``,
+    ``probe_nnz[q]`` each, all below ``width``), hits summed per pair."""
+    offsets, take = _ragged_take(records.indptr[rows], sizes)
+    tokens = records.indices[take]
     if per_query is not None:
         # Probe row q's ids become q * width + id: still one sorted array.
-        shift = np.arange(stop - start) * batch.width
-        probe = probe + shift.repeat(batch.nnz[start:stop])
+        shift = np.arange(len(per_query)) * width
+        probe = probe + shift.repeat(probe_nnz)
         tokens = tokens + shift.repeat(per_query).repeat(sizes)
     found = probe.take(probe.searchsorted(tokens), mode="clip") == tokens
     return np.add.reduceat(found, offsets[:-1])
+
+
+def pair_overlaps(left: ArrayRecords, right: ArrayRecords, l_rows, r_rows):
+    """The overlap of ``left`` row ``l_rows[i]`` and ``right`` row
+    ``r_rows[i]`` (two sides of one encoding), 0 for an empty one: each
+    pair one probe row of :func:`sorted_overlaps`, in cache-sized chunks."""
+    l_sizes, r_sizes = left.sizes[l_rows], right.sizes[r_rows]
+    overlap = np.zeros(len(l_rows), np.int64)
+    both = np.flatnonzero((l_sizes > 0) & (r_sizes > 0))
+    step = max(1, CHUNK_TARGET_NNZ // int((l_sizes + r_sizes).max(initial=1)))
+    for at in np.split(both, range(step, len(both), step)):
+        probe = left.indices[_ragged_take(left.indptr[l_rows[at]], l_sizes[at])[1]]
+        ones = np.ones(len(at), np.int64)
+        overlap[at] = sorted_overlaps(probe, l_sizes[at], ones, right, r_rows[at], r_sizes[at],
+                                      left.dim)
+    return overlap
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.catalog.catalog import get_catalog
 from repro.exceptions import ConfigurationError, SchemaError
+from repro.obs.metrics import get_registry
 from repro.table.table import Table
 
 
@@ -96,9 +97,14 @@ def _total_items(shards: Sequence[Any]) -> int | None:
     return total
 
 
-def _call_forked_worker(index: int) -> Any:
+def _call_forked_worker(index: int) -> tuple[Any, dict]:
+    """A shard's result and the counter increments its work made here."""
     worker, shards = _FORKED_WORK
-    return worker(shards[index])
+    before = get_registry().counters()
+    result = worker(shards[index])
+    after = get_registry().counters()
+    return result, {key: value - before.get(key, 0) for key, value in after.items()
+                    if value != before.get(key, 0)}
 
 
 def run_sharded(
@@ -112,7 +118,9 @@ def run_sharded(
     exactly the serial output.  ``worker`` may be any callable, including
     a closure over large read-only state: children receive it and the
     shards via fork, not pickle, so a shard table is the parent's object,
-    catalog entry and all.  Only the results cross process boundaries.
+    catalog entry and all.  Only the results cross process boundaries,
+    each with the counter increments its shard made, which are added to
+    the parent's registry.
     Falls back to serial execution on platforms without the
     ``fork`` start method — and skips the pool entirely when the total
     sized work is under :data:`MIN_FORK_ITEMS`, where pool startup would
@@ -133,9 +141,14 @@ def run_sharded(
     _FORKED_WORK = worker, shards
     try:
         with context.Pool(processes=min(n_jobs, len(shards))) as pool:
-            return pool.map(_call_forked_worker, range(len(shards)))
+            outcomes = pool.map(_call_forked_worker, range(len(shards)))
     finally:
         _FORKED_WORK = previous
+    registry = get_registry()
+    for _, increments in outcomes:
+        for (name, labels), amount in increments.items():
+            registry.counter(name, **dict(labels)).inc(amount)
+    return [result for result, _ in outcomes]
 
 
 def partition_table(table: Table, n_partitions: int) -> list[Table]:

@@ -9,45 +9,48 @@ useless for training a matcher.
 
 The down sampler here follows Magellan's ``down_sample`` design: sample B
 uniformly to B', then pick A' as the A-tuples that share rare tokens with
-B' (probed through an inverted index over each A-tuple's lowercased text),
-topped up with random A-tuples.
+B', topped up with random A-tuples.
 Matches between A' and B' are thereby preserved at a far higher rate, which
 ``benchmarks/bench_ablation_downsample.py`` quantifies against the naive
 sampler.
+
+The samplers keep no token index of their own: the tokens of each row's
+lowercased text are the index store's artifacts (``join_encoding`` over
+both tables' :func:`~repro.blocking.base.text_view`), the inverted index
+is the CSR transpose of the encoding's left side (:func:`left_postings`),
+and ``weighted_sample_candset`` scores pairs with a token feature's batch
+form over the same store.  Falcon's pair sampler reads them too.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 
 import numpy as np
 
-from repro.blocking.base import TEXT, key_positions, text_view
+from repro.blocking.base import TEXT, key_positions, record_numbers, text_view
 from repro.exceptions import ConfigurationError
+from repro.index.store import get_index_store
+from repro.perf import arrays
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 
-
-def _texts(table: Table, key: str) -> list[str | None]:
-    """Each row's :func:`text_view` text over every non-key column."""
-    return text_view(table, key, [name for name in table.columns if name != key]).column(TEXT)
+#: The samplers' tokens: each distinct whitespace token of a row's text once.
+TOKENIZER = WhitespaceTokenizer(return_set=True)
 
 
-def _token_lists(table: Table, key: str) -> list[list[str]]:
-    """Each row's distinct whitespace tokens, in the order they first
-    appear in its text."""
-    tokenize = WhitespaceTokenizer(return_set=True).tokenize
-    return [[] if text is None else tokenize(text) for text in _texts(table, key)]
+def row_text_view(table: Table, key: str) -> Table:
+    """:func:`text_view` over every non-key column: the text of a row the
+    samplers read."""
+    return text_view(table, key, [name for name in table.columns if name != key])
 
 
-def _token_index(table: Table, key: str) -> dict[str, list[int]]:
-    """Each token's row positions, ascending."""
-    index: dict[str, list[int]] = defaultdict(list)
-    for position, tokens in enumerate(_token_lists(table, key)):
-        for token in tokens:
-            index[token].append(position)
-    return index
+def left_postings(encoding, l_view: Table) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, rows)``: token id *t*'s left row positions, ascending, are
+    ``rows[indptr[t]:indptr[t + 1]]`` — the CSR transpose of the store's
+    ``encoding.left`` over ``l_view``, records mapped back to rows."""
+    indptr, records = arrays.posting_lists(encoding.left)
+    return indptr, np.flatnonzero(record_numbers(l_view) >= 0)[records]
 
 
 def down_sample(
@@ -78,34 +81,37 @@ def down_sample(
     rng = random.Random(seed)
 
     r_sample = rtable.sample(min(size, rtable.num_rows), seed=rng.randrange(2**31))
-
-    token_index = _token_index(ltable, l_key)
-    selected: set[int] = set()
-    for tokens in _token_lists(r_sample, r_key):
+    views = row_text_view(ltable, l_key), row_text_view(r_sample, r_key)
+    store = get_index_store()
+    encoding = store.join_encoding(*views, l_key, r_key, TEXT, TEXT, TOKENIZER)
+    indptr, l_rows = left_postings(encoding, views[0])
+    lengths = np.diff(indptr).tolist()
+    # Each distinct right text's tokens in the order they first appear in
+    # it (the store's tokens artifact), as ids, stably by posting length.
+    tokens = store.tokenized_column(views[1], r_key, TEXT, TOKENIZER)
+    ids = list(map(encoding.universe.token_id, tokens.tokens))
+    ends = np.cumsum(tokens.lengths).tolist()
+    probes = [
+        sorted((t for t in ids[end - n : end] if lengths[t]), key=lengths.__getitem__)
+        for n, end in zip(tokens.lengths.tolist(), ends)
+    ]
+    taken = np.zeros(ltable.num_rows, bool)
+    for value in tokens.value_rows.tolist():
+        wanted = y_param
         # Prefer rare tokens: they identify candidate matches most sharply.
-        postings = sorted(
-            (token_index[t] for t in tokens if t in token_index), key=len
-        )
-        picked = 0
-        for posting in postings:
-            for position in posting:
-                if position not in selected:
-                    selected.add(position)
-                    picked += 1
-                    if picked >= y_param:
-                        break
-            if picked >= y_param:
+        for token in probes[value]:
+            posting = l_rows[indptr[token] : indptr[token + 1]]
+            fresh = posting[~taken[posting]][:wanted]
+            taken[fresh] = True
+            wanted -= len(fresh)
+            if not wanted:
                 break
 
     # Top up with random left rows to reach the requested size.
-    remaining = [i for i in range(ltable.num_rows) if i not in selected]
+    remaining = np.flatnonzero(~taken).tolist()
     rng.shuffle(remaining)
-    for position in remaining:
-        if len(selected) >= min(size, ltable.num_rows):
-            break
-        selected.add(position)
-
-    l_sample = ltable.take(sorted(selected))
+    taken[remaining[: max(min(size, ltable.num_rows) - int(taken.sum()), 0)]] = True
+    l_sample = ltable.take(np.flatnonzero(taken).tolist())
     return l_sample, r_sample
 
 
@@ -163,19 +169,20 @@ def weighted_sample_candset(
         return candset.copy()
     cat = get_catalog()
     meta = validate_candset(candset, cat)
-    # One cell per base row, both sides in one list; each pair's two rows.
-    texts, rows = [], []
-    for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable)):
-        key = cat.get_key(table)
-        rows.append(len(texts) + key_positions(table, key, candset.column(fk)))
-        texts += _texts(table, key)
+    sides = [
+        (row_text_view(table, cat.get_key(table)), cat.get_key(table), TEXT)
+        for table in (meta.ltable, meta.rtable)
+    ]
+    l_rows, r_rows = (
+        key_positions(table, cat.get_key(table), candset.column(fk))
+        for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable))
+    )
+    view, inverse = ValueView.at_rows(sides, l_rows, r_rows)
     jaccard = make_token_feature(
         "jaccard_ws", TEXT, TEXT, WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard"
     )
-    # Text cells are str or None, so none is unhashable ("loose").
-    view = ValueView(texts, np.zeros(len(texts), bool), *rows)
     # A side with no text scores NaN: rank it with the disjoint pairs.
-    scores = np.nan_to_num(jaccard.batch.scores(view), nan=0.0)
+    scores = np.nan_to_num(jaccard.batch.scores(view)[inverse], nan=0.0)
 
     order = np.argsort(-scores, kind="stable").tolist()
     n_top = int(round(n * top_fraction))

@@ -198,6 +198,25 @@ class TestParallelPrimitives:
         assert serial == parallel
         assert parallel.column("v") == [value + 10 for value in range(20)]
 
+    def test_forked_workers_counter_increments_reach_the_parent(self):
+        """Each partition's join counts one ``simjoin_calls_total`` in its
+        forked worker; the increments come back with the results."""
+        from repro.obs import use_registry
+
+        ltable, rtable = _random_tables(seed=4, n=80)
+        tokenizer = WhitespaceTokenizer(return_set=True)
+
+        def join(left):
+            return set_sim_join(left, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5)
+
+        with use_registry() as registry:
+            parallel_map_partitions(ltable, join, n_workers=2, n_partitions=4)
+            calls = sum(
+                value for (name, _), value in registry.counters().items()
+                if name == "simjoin_calls_total"
+            )
+        assert calls == 4
+
 
 class TestSetSimJoinEquivalence:
     @pytest.mark.parametrize("measure,threshold", [

@@ -1,10 +1,10 @@
-"""The token chain runs on plain numpy arrays: joins, live indexes and
-served matches never import scipy.
+"""The token chain runs on plain numpy arrays: joins, live indexes,
+served matches, token features and the guide's samplers and debugger
+never import scipy.
 
 scipy is loaded only where a sparse product is the algorithm (the ANN
-band codes and cosines, the vector-pair projection, token features), so
-each check runs in a fresh interpreter and reads ``sys.modules`` after
-the work.
+band codes and cosines, the vector-pair projection), so each check runs
+in a fresh interpreter and reads ``sys.modules`` after the work.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from repro.index import use_index_store
 
@@ -78,6 +79,47 @@ checks["scipy loaded by vector blocking"] = "scipy" in sys.modules
 print(json.dumps({"checks": checks, "vector_pairs": vector_pairs}))
 """
 
+GUIDE_TOOLS = TABLES + """
+import json, sys
+from repro.blocking import OverlapBlocker, debug_blocker, make_candset
+from repro.catalog import get_catalog
+from repro.datasets.generator import EMDataset
+from repro.falcon.falcon import _sample_pairs
+from repro.features import extract_feature_vecs, get_features_for_matching
+from repro.sampling import down_sample, weighted_sample_candset
+
+get_catalog().set_key(ltable, "id")
+get_catalog().set_key(rtable, "id")
+candset = OverlapBlocker("v", overlap_size=1).block_tables(ltable, rtable, "id", "id")
+features = get_features_for_matching(ltable, rtable)
+checks = {
+    "token features": extract_feature_vecs(candset, features).num_rows == candset.num_rows,
+    "weighted sample": weighted_sample_candset(candset, 20, seed=0).num_rows == 20,
+    "down sample": down_sample(ltable, rtable, 20, seed=0)[1].num_rows == 20,
+    "debug blocker": debug_blocker(make_candset([], ltable, rtable, "id", "id"), 5).num_rows == 5,
+    "falcon sampler": _sample_pairs(
+        EMDataset("t", ltable, rtable, set()), 40, 0, get_catalog()
+    ).num_rows == 40,
+}
+checks["scipy not loaded"] = "scipy" not in sys.modules
+print(json.dumps({"checks": checks}))
+"""
+
+GUIDE_JOB = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import guide_batch
+from common import Tracer
+
+sz = guide_batch.sizes(0.15)
+inputs = guide_batch.generate(1, sz)
+tracer = Tracer(False, "scipy-footprint")
+state = guide_batch.setup(inputs[:1], sz, tracer)
+job = guide_batch._run_job(state["tables"][0], inputs[0], sz, tracer)
+checks = {"ran": job["f1"] > 0, "scipy not loaded": "scipy" not in sys.modules}
+print(json.dumps({"checks": checks}))
+"""
+
 
 def run_fresh(script: str, *argv: str) -> dict:
     """Run ``script`` in a new interpreter on this one's ``sys.path`` and
@@ -102,3 +144,17 @@ def test_token_chain_and_serving_never_import_scipy():
         exec(TABLES + VECTOR_PAIRS, scope)
     assert result["vector_pairs"] == scope["vector_pairs"]
     assert result["vector_pairs"]
+
+
+def test_guide_tools_never_import_scipy():
+    """Token-feature extraction, both samplers, the debugger and Falcon's
+    sampler read the store's encodings: no sparse product."""
+    checks = run_fresh(GUIDE_TOOLS)["checks"]
+    assert checks == dict.fromkeys(checks, True)
+    assert len(checks) == 6
+
+
+def test_a_guide_batch_job_never_imports_scipy():
+    spine = Path(__file__).resolve().parents[1] / "benchmarks" / "spine"
+    checks = run_fresh(GUIDE_JOB, str(spine))["checks"]
+    assert checks == {"ran": True, "scipy not loaded": True}
