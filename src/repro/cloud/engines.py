@@ -33,7 +33,7 @@ from repro.cloud.services import ServiceKind
 from repro.exceptions import WorkflowError
 from repro.falcon.falcon import WorkflowContext
 from repro.obs import get_registry
-from repro.runtime import EventStream, ReadySet, SerialExecutor, run_graph
+from repro.runtime import EventStream, ReadySet, run_graph
 
 
 @dataclass
@@ -77,13 +77,7 @@ class ExecutionEngine:
         start = max(now, self.busy_until)
         graph = fragment.to_runtime_graph(context)
         wall_start = time.perf_counter()
-        result = run_graph(
-            graph,
-            context.artifacts,
-            executor=SerialExecutor(),
-            events=self.events,
-            sim_at=start,
-        )
+        result = run_graph(graph, context.artifacts, events=self.events, sim_at=start)
         machine_seconds = time.perf_counter() - wall_start
         human_seconds = result.sim_seconds()
         end = start + machine_seconds + human_seconds

@@ -155,6 +155,9 @@ def _sample_pairs(
     """
     from repro.sampling.down_sample import TOKENIZER, left_postings, row_text_view
 
+    for side, table in (("left", dataset.ltable), ("right", dataset.rtable)):
+        if table.num_rows == 0:
+            raise ConfigurationError(f"cannot sample pairs: the {side} table is empty")
     rng = np.random.default_rng(seed)
     ltable, rtable, l_key, r_key = dataset.ltable, dataset.rtable, dataset.l_key, dataset.r_key
     l_ids, r_ids = ltable.column(l_key), rtable.column(r_key)
@@ -413,9 +416,9 @@ def run_falcon(
 
     The stages execute as a :class:`repro.runtime.OperatorGraph`; pass an
     ``events`` stream to observe per-stage structured events with wall
-    timings (or export them as JSONL afterwards).  Nodes are not
-    ``isolated`` — the labeling session and catalog mutate in-process
-    state that must stay in the parent.
+    timings (or export them as JSONL afterwards).  The stages run in the
+    calling process, where the labeling session and catalog keep their
+    state.
     """
     ctx = WorkflowContext(
         dataset,

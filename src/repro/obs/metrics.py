@@ -16,8 +16,8 @@ repeatedly and always hit the same object.  Instruments of one name must
 all be the same kind; labels are stringified and order-insensitive.
 
 Process model: the registry is process-local.  A forked worker of
-:func:`repro.perf.parallel.run_sharded` — a partition-map function, an
-isolated runtime operator — returns its counter increments with its
+:func:`repro.perf.parallel.run_sharded` — a partition of a partition
+map or of a ``CheckpointedRun`` — returns its counter increments with its
 result, and they are added to the parent's counters; its histogram
 observations and gauge settings die with the worker.
 

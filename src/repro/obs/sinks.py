@@ -1,7 +1,7 @@
 """EventStream sinks that feed the metrics registry.
 
-The runtime's executors emit every event in the parent process (even for
-operators forked to workers), so subscribing :func:`metrics_sink` to a
+:func:`repro.runtime.run_graph` runs every node in the calling process
+and emits its events there, so subscribing :func:`metrics_sink` to a
 run's stream is enough to account node timings, cache hits, retries, and
 failures — no operator code changes.  :func:`repro.runtime.run_graph`
 subscribes one automatically for the duration of each run.

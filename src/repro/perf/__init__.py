@@ -10,7 +10,7 @@ mechanisms every hot path shares:
 * :mod:`repro.perf.kernels` — the float-rounding guard every filter
   bound ceils with;
 * :mod:`repro.perf.parallel` — the production stage's partition map and
-  the fork pool under it and the runtime's ``ParallelExecutor``;
+  the fork pool under it, which ``CheckpointedRun`` also forks through;
 * :mod:`repro.perf.arrays` — the columnar (NumPy/CSR) kernels: the one
   filter-verify routine under every batch join and live-index read, the
   probe-ready ``ArrayIndex`` and the vector bound and score formulas.

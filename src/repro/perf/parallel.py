@@ -3,10 +3,10 @@
 PyMatcher's production story (Section 4.1) is partition parallelism on a
 multi-core machine: the captured workflow runs unchanged over row blocks
 of its input.  That is the only place this package forks.  The joins,
-blockers and feature extraction run serially inside each partition;
-:func:`parallel_map_partitions`, ``CheckpointedRun`` and the runtime's
-:class:`~repro.runtime.ParallelExecutor` fan out through the same
-primitives:
+blockers and feature extraction run serially inside each partition, and
+the runtime runs every operator graph in the calling process;
+:func:`parallel_map_partitions` and ``CheckpointedRun`` fan out through
+the same primitives:
 
 * :func:`partition_table` — contiguous, ordered row blocks of a table,
   each carrying the source table's catalog entry;
@@ -60,8 +60,8 @@ _FORKED_WORK: tuple[Callable[[Any], Any], Sequence[Any]] | None = None
 #: Minimum total sized work (sum of shard lengths, so rows for a
 #: partition map) worth forking for.  Pool startup costs a few
 #: milliseconds per worker; a partition map over fewer rows finishes
-#: before the pool would even spin up.  Shards without ``len`` (the
-#: runtime's node names) are assumed large.
+#: before the pool would even spin up.  Shards without ``len``
+#: (``CheckpointedRun``'s partition indices) are assumed large.
 MIN_FORK_ITEMS = 64
 
 # The fork context is a stdlib singleton, but resolve it once and keep a
@@ -80,16 +80,9 @@ def _fork_context() -> multiprocessing.context.BaseContext | None:
 
 
 def _total_items(shards: Sequence[Any]) -> int | None:
-    """Sum of shard lengths, or ``None`` when any shard is unsized.
-
-    A ``str``/``bytes`` shard counts as unsized: it names a unit of work
-    (the runtime ships node names), so its length says nothing about the
-    work behind it.
-    """
+    """Sum of shard lengths, or ``None`` when any shard is unsized."""
     total = 0
     for shard in shards:
-        if isinstance(shard, (str, bytes)):
-            return None
         try:
             total += len(shard)
         except TypeError:

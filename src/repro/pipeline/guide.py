@@ -255,8 +255,6 @@ PRODUCTION_GUIDE: tuple[GuideStep, ...] = (
             _cmd("OperatorGraph.add", "repro.runtime:OperatorGraph.add", "repro.runtime"),
             _cmd("chain_graph", "repro.runtime:chain_graph", "repro.runtime"),
             _cmd("run_graph", "repro.runtime:run_graph", "repro.runtime"),
-            _cmd("SerialExecutor", "repro.runtime:SerialExecutor", "repro.runtime"),
-            _cmd("ParallelExecutor", "repro.runtime:ParallelExecutor", "repro.runtime"),
             _cmd("EventStream", "repro.runtime:EventStream", "repro.runtime"),
             _cmd("EventStream.write_jsonl", "repro.runtime:EventStream.write_jsonl", "repro.runtime"),
             _cmd("NodeMemo", "repro.runtime:NodeMemo", "repro.runtime"),

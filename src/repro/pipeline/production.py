@@ -7,42 +7,39 @@ unavailable here; :func:`repro.perf.parallel.partition_table` and
 map, and :class:`CheckpointedRun` makes it resumable — the paper's
 "scaling, logging, crash recovery, monitoring" list.
 
-A :class:`CheckpointedRun` is a client of :mod:`repro.runtime`: every
-partition is one isolated operator, checkpointed by a
-:class:`~repro.runtime.GraphCheckpoint` and fanned out by the runtime's
-executors, and its node events are logged like a captured workflow's
-steps.  Workers inherit the mapped function through ``fork``, so it
-does not need to be picklable; its outputs are pickled into the
-checkpoint, so a resumed run returns exactly what an uninterrupted one
-does.
+A :class:`CheckpointedRun` is that partition map plus a
+:class:`~repro.runtime.GraphCheckpoint`: pending partitions are computed
+through :func:`~repro.perf.parallel.run_sharded`, the map's own fork
+primitive, and each result is saved by the parent process as node
+``part_<i>`` and logged on ``repro.pipeline``.  Workers inherit the
+mapped function through ``fork``, so it does not need to be picklable;
+its outputs are pickled into the checkpoint, so a resumed run returns
+exactly what an uninterrupted one does.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import time
 from pathlib import Path
 from typing import Callable
 
 from repro.exceptions import WorkflowError
-from repro.perf.parallel import concat_tables, partition_table
-from repro.pipeline.workflow import _log_sink
-from repro.runtime import (
-    EventStream,
-    GraphCheckpoint,
-    OperatorGraph,
-    ParallelExecutor,
-    SerialExecutor,
-    node_fingerprints,
-    run_graph,
-)
+from repro.perf.parallel import concat_tables, effective_n_jobs, partition_table, run_sharded
+from repro.runtime import GraphCheckpoint, fingerprint
 from repro.table.table import Table
+
+logger = logging.getLogger("repro.pipeline")
 
 
 class CheckpointedRun:
     """A resumable partitioned run with on-disk progress.
 
-    Partition ``i`` is the runtime node ``part_<i>``; its output table is
-    checkpointed under ``directory/<run_id>/`` as soon as it finishes, so
-    re-running after a crash computes only the partitions that never did.
+    Partition ``i`` is the checkpoint node ``part_<i>``; its output table
+    is checkpointed under ``directory/<run_id>/`` as soon as it finishes,
+    so re-running after a crash computes only the partitions that never
+    did.
     """
 
     def __init__(self, run_id: str, directory: str | Path):
@@ -67,22 +64,21 @@ class CheckpointedRun:
 
         Deterministic partitioning means a resumed run sees the same
         partitions; already-checkpointed partitions are restored, not
-        recomputed.  With ``n_jobs`` > 1 the pending partitions run on a
-        forked process pool; a partition that fails there does not stop
-        the others of its wave from being checkpointed.  Outputs are
-        concatenated in partition order either way.
+        recomputed.  With ``n_jobs=1`` a failing partition's exception
+        propagates and later partitions do not run.  Otherwise the
+        pending partitions run on a forked process pool: every one that
+        succeeds is checkpointed, then a failure raises ``WorkflowError``.
+        Outputs are concatenated in partition order either way.
         """
-        graph = OperatorGraph(self.run_id)
-        for index, partition in enumerate(partition_table(table, n_partitions)):
-            name = f"part_{index}"
-            graph.add(
-                name,
-                lambda _store, name=name, partition=partition: {name: fn(partition)},
-                outputs=(name,),
-                isolated=True,
-                key=f"n_partitions={n_partitions}",
-            )
-        fingerprints = node_fingerprints(graph)
+        serial = effective_n_jobs(n_jobs) == 1
+        parts = partition_table(table, n_partitions)
+        names = [f"part_{index}" for index in range(len(parts))]
+        # The fingerprints a graph of one node per partition gives these
+        # names, so run directories written by that layout resume.
+        fingerprints = {
+            name: fingerprint(self.run_id, name, f"n_partitions={n_partitions}", ())
+            for name in names
+        }
         if any(
             not self.checkpoint.has(name, fingerprints.get(name, ""))
             for name in self.checkpoint.completed_nodes()
@@ -91,10 +87,46 @@ class CheckpointedRun:
                 f"run {self.run_id!r} holds checkpoints that do not match "
                 f"{n_partitions} partitions; cannot resume with them"
             )
-        executor = SerialExecutor() if n_jobs == 1 else ParallelExecutor(n_jobs)
-        events = EventStream()
-        events.subscribe(_log_sink(self.run_id))
-        result = run_graph(
-            graph, executor=executor, events=events, checkpoint=self.checkpoint
-        )
-        return concat_tables([result.store[name] for name in graph.nodes])
+        outputs: dict[str, Table] = {}
+        for name in names:
+            if self.checkpoint.has(name, fingerprints[name]):
+                outputs[name] = self.checkpoint.restore(name)[name]
+                logger.info("run %s: partition %s restored", self.run_id, name)
+        pending = [index for index, name in enumerate(names) if name not in outputs]
+        parent = os.getpid()
+
+        def attempt(index: int) -> tuple[Table | None, Exception | None, float]:
+            started = time.perf_counter()
+            try:
+                return fn(parts[index]), None, time.perf_counter() - started
+            except Exception as exc:
+                if os.getpid() != parent:  # an exception may not pickle; its repr does
+                    exc = WorkflowError(
+                        f"partition {names[index]!r} failed in a forked worker: {exc!r}"
+                    )
+                return None, exc, time.perf_counter() - started
+
+        def record(index: int, result: Table | None, error: Exception | None,
+                   seconds: float) -> Exception | None:
+            name = names[index]
+            if error is not None:
+                logger.error("run %s: partition %s failed after %.3fs: %r",
+                             self.run_id, name, seconds, error)
+                return error
+            self.checkpoint.save(name, fingerprints[name], {name: result})
+            outputs[name] = result
+            logger.info("run %s: partition %s finished in %.3fs", self.run_id, name, seconds)
+            return None
+
+        if serial:
+            for index in pending:
+                if (error := record(index, *attempt(index))) is not None:
+                    raise error
+        else:
+            errors = [
+                record(index, *outcome)
+                for index, outcome in zip(pending, run_sharded(pending, attempt, n_jobs))
+            ]
+            if error := next((error for error in errors if error is not None), None):
+                raise error
+        return concat_tables([outputs[name] for name in names])

@@ -4,8 +4,8 @@ One substrate under all three workflow stacks (Section 4.1's
 interoperability principle applied to execution itself):
 
 * :mod:`~repro.runtime.graph` — the typed operator-DAG IR;
-* :mod:`~repro.runtime.executor` — serial and fork-parallel executors
-  built on :mod:`repro.perf.parallel`;
+* :mod:`~repro.runtime.executor` — :func:`run_graph`, which runs a graph
+  in the calling process in its ready-set order;
 * :mod:`~repro.runtime.events` — the structured run-event stream with
   JSONL export;
 * :mod:`~repro.runtime.checkpoint` — fingerprint memoization and
@@ -14,7 +14,9 @@ interoperability principle applied to execution itself):
 ``pipeline.MagellanWorkflow`` compiles to a chain graph, the cloud
 metamanager executes service fragments as runtime subgraphs, and
 Falcon/Smurf express their stages as runtime graphs — three thin
-front-ends, one execution core.  See ``docs/ARCHITECTURE.md``.
+front-ends, one execution core.  The runtime schedules and never forks:
+the production stage's partition map (:mod:`repro.perf.parallel`) is the
+one fan-out.  See ``docs/ARCHITECTURE.md``.
 """
 
 from repro.runtime.checkpoint import (
@@ -41,9 +43,7 @@ from repro.runtime.events import (
     read_jsonl,
 )
 from repro.runtime.executor import (
-    ParallelExecutor,
     RunResult,
-    SerialExecutor,
     count_rows,
     run_graph,
 )
@@ -72,13 +72,11 @@ __all__ = [
     "NodeRecord",
     "Operator",
     "OperatorGraph",
-    "ParallelExecutor",
     "RUN_FINISH",
     "RUN_START",
     "ReadySet",
     "RunEvent",
     "RunResult",
-    "SerialExecutor",
     "atomic_write_bytes",
     "atomic_write_text",
     "chain_graph",

@@ -4,8 +4,8 @@ Each checkpointable operator's declared outputs are persisted under a
 structural fingerprint, so a crashed run restarted against the same
 store resumes at the first non-checkpointed node, and an unchanged node
 re-run in-process is served from the in-memory memo without recomputing.
-:class:`repro.pipeline.CheckpointedRun` is this with one node per table
-partition.
+:class:`repro.pipeline.CheckpointedRun` keeps its partitions in a
+:class:`GraphCheckpoint`, one node per partition.
 
 Fingerprints are *structural*: a node's fingerprint hashes its graph name,
 node name, explicit ``key`` salt, and its dependencies' fingerprints —

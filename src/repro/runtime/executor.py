@@ -1,25 +1,16 @@
-"""Executors for runtime operator graphs.
+"""Running a runtime operator graph.
 
-Two pluggable strategies over the same scheduling state:
+:func:`run_graph` executes a graph one way: in the calling process, one
+ready node at a time, in the deterministic topological order of the
+graph's :class:`~repro.runtime.graph.ReadySet` (insertion order breaks
+ties; remaining-predecessor counts are decremented on completion, not
+rescanned — O(V + E) over a whole run).  Each node is served from the
+memo or the checkpoint when it can be, otherwise run with its retry
+budget, and every step is an event on the run's stream.
 
-* :class:`SerialExecutor` — one ready node at a time, in deterministic
-  topological (insertion-tie-broken) order;
-* :class:`ParallelExecutor` — waves of independent ready nodes fanned out
-  on the fork pool of :mod:`repro.perf.parallel`, the one the production
-  stage's partition map runs on (``CheckpointedRun`` is a graph of
-  isolated partition nodes driven by this executor).  Only
-  operators marked ``isolated=True`` with declared ``outputs`` run in
-  forked workers (their effects must be fully captured by those slots to
-  survive the process boundary); everything else runs in-parent, so
-  correctness never depends on an operator being fork-safe.
-
-Both execute nodes exactly once, emit the same per-node event multiset,
-and produce identical stores for deterministic operators — parallelism
-changes wall-clock time, never results.
-
-Both drive the graph's :class:`~repro.runtime.graph.ReadySet`
-(remaining-predecessor counts decremented on completion, not a rescan —
-O(V + E) over a whole run).
+Nothing here forks.  Multicore work is the production stage's partition
+map (:mod:`repro.perf.parallel`), which ``CheckpointedRun`` makes
+resumable with a :class:`~repro.runtime.checkpoint.GraphCheckpoint`.
 """
 
 from __future__ import annotations
@@ -29,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, WorkflowError
-from repro.perf.parallel import run_sharded
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import GraphCheckpoint, NodeMemo, node_fingerprints
 from repro.runtime.events import EventStream, RunEvent
@@ -77,7 +67,7 @@ class RunResult:
 
 
 class _RunState:
-    """Shared scheduling/caching state driven by an executor."""
+    """The scheduling and caching state of one :func:`run_graph` call."""
 
     def __init__(
         self,
@@ -101,10 +91,6 @@ class _RunState:
         self.fingerprints = node_fingerprints(graph)
         self.records: dict[str, NodeRecord] = {}
         self.ready = graph.ready_set()
-        # rows_in must be sized *before* a node runs: filter-style
-        # operators overwrite the very slot they read, so measuring after
-        # the fact would always see selectivity 1.0.
-        self._rows_in: dict[str, int] = {}
         self.first_error: BaseException | None = None
         self.halted = False
 
@@ -153,22 +139,21 @@ class _RunState:
         )
         self.ready.complete(name)
 
-    # -- execution (in-parent) -----------------------------------------
-    def execute_in_parent(self, name: str) -> None:
+    # -- execution -----------------------------------------------------
+    def execute(self, name: str) -> None:
         operator = self.graph.nodes[name]
         if self.before_node is not None:
             # Fault-injection/testing hook: an exception here simulates a
             # crash *between* nodes — nothing is recorded, it propagates.
             self.before_node(name)
-        self._rows_in[name] = self._slot_rows(self._dep_output_slots(operator))
+        # rows_in must be sized *before* a node runs: filter-style
+        # operators overwrite the very slot they read, so measuring after
+        # the fact would always see selectivity 1.0.
+        rows_in = self._slot_rows(self._dep_output_slots(operator))
         self.events.emit(RunEvent(ev.NODE_START, self.graph.name, name, sim_at=self.sim_at))
         outcome = _attempt(operator, self.store)
         for _ in range(outcome.attempts - 1):
             self.events.emit(RunEvent(ev.NODE_RETRY, self.graph.name, name, sim_at=self.sim_at))
-        self._finish(name, outcome)
-
-    def _finish(self, name: str, outcome: "_Outcome", raise_on_error: bool = True) -> None:
-        operator = self.graph.nodes[name]
         if outcome.error is None:
             if outcome.updates:
                 self.store.update(outcome.updates)
@@ -185,8 +170,7 @@ class _RunState:
                 RunEvent(
                     ev.NODE_FINISH, self.graph.name, name,
                     wall_seconds=outcome.seconds, sim_seconds=outcome.sim_seconds,
-                    sim_at=self.sim_at,
-                    rows_in=self._rows_in.pop(name, 0),
+                    sim_at=self.sim_at, rows_in=rows_in,
                     rows_out=self._slot_rows(operator.outputs),
                 )
             )
@@ -199,11 +183,11 @@ class _RunState:
                 RunEvent(
                     ev.NODE_FAIL, self.graph.name, name,
                     wall_seconds=outcome.seconds, sim_at=self.sim_at,
-                    error=outcome.error_repr,
+                    error=repr(outcome.error),
                 )
             )
             self.records[name] = NodeRecord(
-                name, outcome.seconds, False, error=outcome.error_repr,
+                name, outcome.seconds, False, error=repr(outcome.error),
                 attempts=outcome.attempts, outputs=operator.outputs,
             )
             if self.first_error is None:
@@ -215,7 +199,7 @@ class _RunState:
         if outcome.error is not None:
             if self.on_error == "halt":
                 self.halted = True
-            elif raise_on_error and self.on_error == "raise":
+            elif self.on_error == "raise":
                 raise outcome.error
 
     def _declared_outputs(self, operator: Operator) -> dict[str, Any]:
@@ -244,14 +228,13 @@ class _RunState:
 
 @dataclass
 class _Outcome:
-    """What one node attempt loop produced (picklable across fork)."""
+    """What one node attempt loop produced."""
 
     seconds: float = 0.0
     sim_seconds: float = 0.0
     attempts: int = 1
     updates: dict[str, Any] | None = None
     error: BaseException | None = None
-    error_repr: str | None = None
 
 
 def _attempt(operator: Operator, store: ArtifactStore) -> _Outcome:
@@ -266,8 +249,7 @@ def _attempt(operator: Operator, store: ArtifactStore) -> _Outcome:
             if attempts <= operator.retries:
                 continue
             return _Outcome(
-                seconds=time.perf_counter() - started, attempts=attempts,
-                error=exc, error_repr=repr(exc),
+                seconds=time.perf_counter() - started, attempts=attempts, error=exc
             )
         # bool is an int subclass: a predicate-style operator returning
         # True must not be recorded as 1.0 simulated seconds.
@@ -283,102 +265,10 @@ def _attempt(operator: Operator, store: ArtifactStore) -> _Outcome:
         )
 
 
-class SerialExecutor:
-    """Execute ready nodes one at a time, deterministically ordered."""
-
-    def drive(self, state: _RunState) -> None:
-        while state.ready.pending and not state.halted:
-            name = state.ready.ready[0]
-            if state.try_cache(name):
-                continue
-            state.execute_in_parent(name)
-
-
-class ParallelExecutor:
-    """Execute independent ready nodes concurrently on a forked pool.
-
-    Each scheduling wave takes every currently-ready node, serves cache
-    hits, runs non-isolated nodes in-parent (store mutations and all),
-    then fans the isolated ones out through
-    :func:`repro.perf.parallel.run_sharded`; their declared outputs are
-    shipped back and merged in deterministic node order.
-    """
-
-    def __init__(self, n_jobs: int = -1):
-        if n_jobs == 0:
-            raise ConfigurationError("n_jobs must be a non-zero int (got 0)")
-        self.n_jobs = n_jobs
-
-    def drive(self, state: _RunState) -> None:
-        while state.ready.pending and not state.halted:
-            wave = [n for n in list(state.ready.ready) if not state.try_cache(n)]
-            if not wave:
-                continue  # the whole wave was cache hits
-            forked = [
-                n for n in wave
-                if state.graph.nodes[n].isolated and state.graph.nodes[n].outputs
-            ]
-            for name in wave:
-                if name not in forked:
-                    state.execute_in_parent(name)
-                    if state.halted:
-                        return
-            if not forked:
-                continue
-            if state.before_node is not None:
-                for name in forked:
-                    state.before_node(name)
-            for name in forked:
-                state._rows_in[name] = state._slot_rows(
-                    state._dep_output_slots(state.graph.nodes[name])
-                )
-                state.events.emit(
-                    RunEvent(ev.NODE_START, state.graph.name, name, sim_at=state.sim_at)
-                )
-
-            def worker(name: str) -> _Outcome:
-                outcome = _attempt(state.graph.nodes[name], state.store)
-                if outcome.error is None:
-                    # Ship only the declared output slots across the
-                    # process boundary (plus any explicit dict updates,
-                    # which _attempt already captured).
-                    operator = state.graph.nodes[name]
-                    if outcome.updates:
-                        state.store.update(outcome.updates)
-                    outcome.updates = {
-                        slot: state.store[slot]
-                        for slot in operator.outputs
-                        if slot in state.store
-                    }
-                outcome.error = None  # exceptions may not pickle; repr travels
-                return outcome
-
-            outcomes = run_sharded(forked, worker, n_jobs=self.n_jobs)
-            for name, outcome in zip(forked, outcomes):
-                for _ in range(outcome.attempts - 1):
-                    state.events.emit(
-                        RunEvent(ev.NODE_RETRY, state.graph.name, name, sim_at=state.sim_at)
-                    )
-                if outcome.error_repr is not None:
-                    outcome.error = WorkflowError(
-                        f"operator {name!r} failed in a forked worker: "
-                        f"{outcome.error_repr}"
-                    )
-                # Record every result of the wave before raising, so the
-                # event stream reflects work that actually happened.
-                state._finish(name, outcome, raise_on_error=False)
-            if state.on_error == "raise" and state.first_error is not None:
-                raise state.first_error
-
-
-Executor = SerialExecutor | ParallelExecutor
-
-
 def run_graph(
     graph: OperatorGraph,
     store: ArtifactStore | None = None,
     *,
-    executor: Executor | None = None,
     events: EventStream | None = None,
     memo: NodeMemo | None = None,
     checkpoint: GraphCheckpoint | None = None,
@@ -425,7 +315,10 @@ def run_graph(
     sink = state.events.subscribe(metrics_sink())
     state.events.emit(RunEvent(ev.RUN_START, graph.name, sim_at=sim_at))
     try:
-        (executor or SerialExecutor()).drive(state)
+        while state.ready.pending and not state.halted:
+            name = state.ready.ready[0]
+            if not state.try_cache(name):
+                state.execute(name)
     finally:
         state.events.emit(
             RunEvent(

@@ -8,15 +8,14 @@ is that substrate's IR: an :class:`OperatorGraph` of named
 store, with explicit data/ordering dependencies.  The three front-ends —
 ``pipeline.MagellanWorkflow`` (a chain), ``cloud`` (service DAGs sliced
 into engine fragments), and ``falcon``/``smurf`` (fixed stage graphs) —
-all compile to this IR and execute through :mod:`repro.runtime.executor`.
+all compile to this IR and run through :func:`repro.runtime.run_graph`.
 
 Dependencies must name already-added operators, so a graph is acyclic by
 construction; topological order is deterministic (Kahn's algorithm with
-insertion-order tie-breaking), which keeps serial runs, parallel runs, and
-resumed runs byte-identical.  :class:`ReadySet` is that algorithm run
-incrementally, and the one ready-set tracker in the package: topological
-order, both executors and the cloud metamanager's fragment dispatch all
-drive it.
+insertion-order tie-breaking), which keeps fresh and resumed runs
+byte-identical.  :class:`ReadySet` is that algorithm run incrementally,
+and the one ready-set tracker in the package: topological order,
+``run_graph`` and the cloud metamanager's fragment dispatch all drive it.
 """
 
 from __future__ import annotations
@@ -90,11 +89,9 @@ class Operator:
       CloudMatcher service convention); recorded on the node's events.
 
     ``outputs`` declares the store slots the operator writes.  Declared
-    outputs are what DAG-level checkpointing persists and what a forked
-    parallel worker ships back to the parent process, so an operator is
-    checkpointable (``checkpoint=True`` and non-empty ``outputs``) or
-    fork-safe (``isolated=True`` and non-empty ``outputs``) only when its
-    effects are fully captured by those slots.
+    outputs are what DAG-level checkpointing persists and the memo serves,
+    so an operator is checkpointable (``checkpoint=True`` and non-empty
+    ``outputs``) only when its effects are fully captured by those slots.
     """
 
     name: str
@@ -104,7 +101,6 @@ class Operator:
     description: str = ""
     retries: int = 0
     checkpoint: bool = True
-    isolated: bool = False  # safe to execute in a forked worker process
     key: str = ""  # extra salt for the node fingerprint (versioning)
 
     def __post_init__(self) -> None:
@@ -131,7 +127,6 @@ class OperatorGraph:
         description: str = "",
         retries: int = 0,
         checkpoint: bool = True,
-        isolated: bool = False,
         key: str = "",
     ) -> Operator:
         """Add an operator; ``deps`` must name already-added operators.
@@ -141,7 +136,7 @@ class OperatorGraph:
         """
         return self.add_operator(Operator(
             name, fn, tuple(deps), tuple(outputs), description, retries,
-            checkpoint, isolated, key,
+            checkpoint, key,
         ))
 
     def add_operator(self, operator: Operator) -> Operator:

@@ -53,6 +53,8 @@ registry's atomic counters, and the tracer's atomic span ids.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import threading
 import time
 from collections import deque
@@ -72,6 +74,24 @@ from repro.obs import Counter, MetricsRegistry, get_registry, per_registry, trac
 from repro.simjoin.filters import validate_measure, validate_threshold
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
+
+
+#: glibc's ``mallopt`` option number for ``M_ARENA_MAX``.
+_M_ARENA_MAX = -8
+
+
+def _share_one_malloc_arena() -> None:
+    """Have threads that get a glibc malloc arena from now on share the main one.
+
+    With an arena per thread, the base a compaction drops is freed into
+    another heap than the one the next fold allocates from, so peak RSS
+    follows heap layout rather than live data ("Serving: one malloc
+    arena" in ``docs/PERFORMANCE.md``).  The setting lasts the process.
+    """
+    if sys.platform.startswith("linux"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
 
 
 def _require_at_least(name: str, value: Any, least: int, optional: bool = False) -> None:
@@ -291,6 +311,7 @@ class MatchServer:
         """Load the corpus index artifacts and start the worker threads."""
         if self._running:
             raise ServiceError("MatchServer is already running")
+        _share_one_malloc_arena()
         registry = get_registry()
         with trace_span("serve_warmup", column=self.column, measure=self._measure):
             with registry.timer("serve_warmup_seconds"):

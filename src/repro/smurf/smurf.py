@@ -133,8 +133,8 @@ def build_smurf_graph(
     """Smurf's stages as a runtime operator graph.
 
     A chain — auto-tuned join, candset construction, featurization,
-    active learning, prediction — over the shared artifact store.  Nodes
-    are not ``isolated``: the session and catalog mutate parent state.
+    active learning, prediction — over the shared artifact store, run in
+    the calling process: the session and catalog mutate its state.
     """
     graph = OperatorGraph(f"smurf/{dataset.name}")
 

@@ -1,11 +1,13 @@
 """Unit tests for individual CloudMatcher services and the Falcon sampler."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud import DEFAULT_REGISTRY, ServiceKind, WorkflowContext
 from repro.datasets import DirtinessConfig, make_em_dataset
 from repro.datasets.entities import restaurant
-from repro.exceptions import ServiceError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.falcon import FalconConfig
 from repro.falcon.falcon import _sample_pairs
 from repro.catalog import get_catalog
@@ -134,6 +136,13 @@ class TestSamplePairs:
         dataset = make_em_dataset(restaurant, 80, 80, seed=34)
         sample = _sample_pairs(dataset, 100, seed=0, catalog=get_catalog())
         assert get_catalog().get_candset_metadata(sample).ltable is dataset.ltable
+
+    @pytest.mark.parametrize("side, name", [("ltable", "left"), ("rtable", "right")])
+    def test_an_empty_side_is_named_before_sampling(self, side, name):
+        dataset = make_em_dataset(restaurant, 50, 50, seed=1)
+        dataset = replace(dataset, **{side: getattr(dataset, side).take([])})
+        with pytest.raises(ConfigurationError, match=f"the {name} table is empty"):
+            _sample_pairs(dataset, 40, seed=0, catalog=get_catalog())
 
 
 class TestServiceKinds:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.catalog import get_catalog
 from repro.exceptions import ConfigurationError, WorkflowError
+from repro.obs import get_registry, use_registry
 from repro.perf.parallel import MIN_FORK_ITEMS
 from repro.pipeline import (
     DEVELOPMENT_GUIDE,
@@ -21,6 +22,7 @@ from repro.pipeline import (
     partition_table,
     resolve_command,
 )
+from repro.runtime import GraphCheckpoint, OperatorGraph, node_fingerprints
 from repro.table import Table
 
 
@@ -220,6 +222,62 @@ class TestCheckpointing:
             run.execute(numbers_table(8), double_v, n_partitions=2)
         with pytest.raises(WorkflowError, match="not a graph checkpoint manifest"):
             run.completed_partitions()
+
+    def test_a_run_directory_of_partition_graph_nodes_resumes(self, tmp_path):
+        """A run directory written when each partition was a node of an
+        ``OperatorGraph(run_id)`` keyed by the partition count."""
+        table, n_partitions = numbers_table(12), 3
+        graph = OperatorGraph("job7")
+        for index in range(n_partitions):
+            name = f"part_{index}"
+            graph.add(name, lambda store: None, outputs=(name,),
+                      key=f"n_partitions={n_partitions}")
+        fingerprints = node_fingerprints(graph)
+        checkpoint = GraphCheckpoint("job7", tmp_path)
+        for index, part in enumerate(partition_table(table, n_partitions)):
+            name = f"part_{index}"
+            checkpoint.save(name, fingerprints[name], {name: double_v(part)})
+
+        def never(part: Table) -> Table:
+            raise AssertionError("a checkpointed partition was recomputed")
+
+        result = CheckpointedRun("job7", tmp_path).execute(
+            table, never, n_partitions=n_partitions
+        )
+        assert result.column("v") == [i * 4 for i in range(12)]
+
+    def test_zero_jobs_is_rejected_before_any_partition_runs(self, tmp_path):
+        run = CheckpointedRun("job8", tmp_path)
+        with pytest.raises(ConfigurationError):
+            run.execute(numbers_table(8), double_v, n_partitions=2, n_jobs=0)
+        assert run.completed_partitions() == set()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_partitions_count_and_return_what_serial_ones_do(self, tmp_path):
+        def fn(part: Table) -> Table:
+            get_registry().counter("partitions_total").inc()
+            get_registry().counter("rows_total").inc(part.num_rows)
+            result = double_v(part)
+            result.add_column("pid", [os.getpid()] * part.num_rows)
+            return result
+
+        def run(run_id: str, n_jobs: int):
+            with use_registry() as registry:
+                result = CheckpointedRun(run_id, tmp_path).execute(
+                    numbers_table(16), fn, n_partitions=4, n_jobs=n_jobs
+                )
+                return result, registry.counters()
+
+        serial, serial_counters = run("serial", 1)
+        forked, forked_counters = run("forked", 2)
+        assert serial.project(["id", "v"]) == forked.project(["id", "v"])
+        assert serial_counters == forked_counters
+        assert serial_counters[("partitions_total", ())] == 4
+        assert serial_counters[("rows_total", ())] == 16
+        assert set(serial.column("pid")) == {os.getpid()}
+        assert set(forked.column("pid")) - {os.getpid()}
 
 
 class TestGuide:

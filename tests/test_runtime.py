@@ -1,6 +1,6 @@
 """Tests for repro.runtime: the shared operator-DAG execution core.
 
-Covers the IR, both executors, the structured event stream, memoization,
+Covers the IR, ``run_graph``, the structured event stream, memoization,
 DAG-level checkpointing, and the two issue-mandated scenarios: crash-resume
 via fault injection at every node of a Figure-2-style workflow, and
 per-node event-multiset equivalence between serial and interleaved
@@ -8,8 +8,6 @@ metamanager schedules.
 """
 
 import json
-import multiprocessing
-import os
 
 import pytest
 
@@ -27,8 +25,6 @@ from repro.runtime import (
     NodeMemo,
     Operator,
     OperatorGraph,
-    ParallelExecutor,
-    SerialExecutor,
     chain_graph,
     fingerprint,
     node_fingerprints,
@@ -186,17 +182,6 @@ class TestRowCountEvents:
         assert finishes["shrink"].rows_in == 10
         assert finishes["shrink"].rows_out == 3
 
-    def test_rows_match_under_parallel_executor(self):
-        serial = self.finish_events(run_graph(self.graph()))
-        parallel = self.finish_events(
-            run_graph(self.graph(), executor=ParallelExecutor(n_jobs=2))
-        )
-        for node in serial:
-            assert (serial[node].rows_in, serial[node].rows_out) == (
-                parallel[node].rows_in,
-                parallel[node].rows_out,
-            )
-
     def test_unsized_artifacts_count_zero(self):
         graph = OperatorGraph("scalar")
         graph.add("a", lambda s: {"x": 42}, outputs=("x",))
@@ -218,26 +203,6 @@ class TestRunGraph:
         assert result.ok
         assert result.store["total"] == 23
         assert [r.name for r in result.records.values()] == ["a", "b", "c", "d"]
-
-    def test_parallel_matches_serial(self):
-        serial = run_graph(diamond_graph(), executor=SerialExecutor())
-        parallel = run_graph(diamond_graph(), executor=ParallelExecutor(n_jobs=2))
-        assert dict(serial.store) == dict(parallel.store)
-        assert serial.events.node_multiset() == parallel.events.node_multiset()
-
-    def test_isolated_nodes_run_in_workers(self):
-        graph = OperatorGraph("iso")
-        graph.add("src", lambda s: {"n": 5}, outputs=("n",))
-        for i in range(3):
-            graph.add(
-                f"sq{i}",
-                (lambda k: lambda s: {f"out{k}": s["n"] ** 2 + k})(i),
-                deps=("src",),
-                outputs=(f"out{i}",),
-                isolated=True,
-            )
-        result = run_graph(graph, executor=ParallelExecutor(n_jobs=3))
-        assert [result.store[f"out{i}"] for i in range(3)] == [25, 26, 27]
 
     def test_sim_seconds_recorded(self):
         graph = OperatorGraph("sim")
@@ -317,39 +282,6 @@ class TestRunGraph:
         graph.add("liar", lambda s: None, outputs=("never_written",))
         with pytest.raises(WorkflowError, match="did not write"):
             run_graph(graph)
-
-
-class TestParallelExecutorForks:
-    """Whether isolated nodes fork depends on the wave, not on their names."""
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-    )
-    def test_two_short_named_nodes_run_in_two_children_at_once(self):
-        barrier = multiprocessing.get_context("fork").Barrier(2)
-
-        def node(name):
-            def fn(store):
-                barrier.wait(timeout=10)  # passes only if both run at once
-                return {name: os.getpid()}
-            return fn
-
-        graph = OperatorGraph("pids")
-        for name in ("a", "b"):
-            graph.add(name, node(name), outputs=(name,), isolated=True)
-        result = run_graph(graph, executor=ParallelExecutor(n_jobs=2))
-        pids = {result.store["a"], result.store["b"]}
-        assert len(pids) == 2 and os.getpid() not in pids
-
-    def test_a_chain_never_forks(self):
-        """Each wave of a chain is one node, so nothing is fanned out."""
-        graph = OperatorGraph("chain")
-        graph.add("a", lambda s: {"a": os.getpid()}, outputs=("a",), isolated=True)
-        graph.add(
-            "b", lambda s: {"b": os.getpid()}, deps=("a",), outputs=("b",), isolated=True
-        )
-        result = run_graph(graph, executor=ParallelExecutor(n_jobs=2))
-        assert result.store["a"] == result.store["b"] == os.getpid()
 
 
 class TestEvents:

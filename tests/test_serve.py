@@ -7,13 +7,20 @@ same float scores, same order) to the corresponding rows of the batch
 ``set_sim_join`` over the same corpus.  The rest covers the scheduler
 (micro-batching, per-tenant quotas, queue-depth backpressure, metrics)
 and the live-index surface: upserts/deletes visible to the very next
-query, compaction that never blocks serving.  The last three classes pin
-the request path's bookkeeping: no span kept without an installed
-tracer, every instrument's exact value (following a registry swap), and
-the completion contract of :class:`PendingMatch`.
+query, compaction that never blocks serving.  Three classes pin the
+request path's bookkeeping: no span kept without an installed tracer,
+every instrument's exact value (following a registry swap), and the
+completion contract of :class:`PendingMatch`.  The last checks that
+threads started after a server share one malloc arena, so the base a
+compaction drops is reusable whichever thread frees it.
 """
 
+import os
+import platform
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -757,3 +764,55 @@ class TestCompletionContract:
             for _ in range(2):
                 with pytest.raises(ServiceError, match="stopped before serving"):
                     handle.result(1)
+
+
+class TestOneMallocArena:
+    """A started server's threads share glibc's main malloc arena.
+
+    By default a new thread gets an arena of its own, in an mmapped heap
+    above the program break; after :meth:`MatchServer.start` it
+    allocates from the main arena, below the break, so a block any
+    thread frees is reusable by all.  Each side runs in a fresh
+    interpreter, since the setting lasts the process.
+    """
+
+    SCRIPT = textwrap.dedent(
+        """
+        import ctypes, sys, threading
+
+        libc = ctypes.CDLL(None)
+        libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+        libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+        libc.sbrk.argtypes, libc.sbrk.restype = (ctypes.c_ssize_t,), ctypes.c_void_p
+        if sys.argv[1] == "start":
+            from repro.serve import MatchServer, ServeConfig
+            from repro.table import Table
+            corpus = Table({"id": ["a", "b"], "v": ["x y", "y z"]})
+            MatchServer(corpus, "id", "v", config=ServeConfig(workers=0)).start().stop()
+        below_break = []
+
+        def allocate():
+            block = libc.malloc(4096)
+            below_break.append(block < libc.sbrk(0))
+            libc.free(block)
+
+        thread = threading.Thread(target=allocate)
+        thread.start()
+        thread.join(60)
+        print(int(below_break[0]))
+        """
+    )
+
+    def _thread_allocates_in_main_arena(self, mode: str) -> bool:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in sys.path if path)}
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, mode],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip() == "1"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc arenas")
+    def test_a_thread_started_after_the_server_allocates_in_the_main_arena(self):
+        assert not self._thread_allocates_in_main_arena("none")
+        assert self._thread_allocates_in_main_arena("start")
