@@ -15,6 +15,7 @@ from conftest import once
 from repro.datasets import build_cloudmatcher_dataset, cloudmatcher_scenario
 from repro.falcon import FalconConfig, run_falcon
 from repro.labeling import LabelingSession, OracleLabeler
+from repro.obs import use_registry
 
 
 def run():
@@ -23,12 +24,13 @@ def run():
     config = FalconConfig(
         sample_size=1200, blocking_budget=200, matching_budget=300, random_state=0
     )
-    result = run_falcon(dataset, session, config)
-    return dataset, config, result
+    with use_registry() as registry:
+        result = run_falcon(dataset, session, config)
+    return dataset, config, result, registry.counters()
 
 
 def test_figure3_falcon_workflow(benchmark):
-    dataset, config, result = once(benchmark, run)
+    dataset, config, result, counters = once(benchmark, run)
     precision, recall, _ = prf(result.match_pairs, dataset.gold_pairs)
     cross_product = dataset.ltable.num_rows * dataset.rtable.num_rows
     steps = [
@@ -47,7 +49,10 @@ def test_figure3_falcon_workflow(benchmark):
         {
             "Step": "4 execute rules -> C",
             "Outcome": f"|C| = {result.candset.num_rows} "
-                       f"({result.candset.num_rows / cross_product:.2%} of A x B)",
+                       f"({result.candset.num_rows / cross_product:.2%} of A x B); "
+                       f"{counters.get(('blocking_rule_joins_total', ()), 0):.0f} joins run, "
+                       f"{counters.get(('blocking_rule_pairs_checked_total', ()), 0):.0f} "
+                       "pairs checked",
         },
         {
             "Step": "5 active-learn forest G",

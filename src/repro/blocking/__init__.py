@@ -18,7 +18,6 @@ from repro.blocking.rule_based import RuleBasedBlocker
 from repro.blocking.rules import (
     BlockingRule,
     Predicate,
-    execute_rule_survivors,
     execute_rules,
     parse_predicate,
     parse_rule,
@@ -45,7 +44,6 @@ __all__ = [
     "candset_pairs",
     "candset_union",
     "debug_blocker",
-    "execute_rule_survivors",
     "execute_rules",
     "fk_column_names",
     "make_candset",

@@ -42,9 +42,8 @@ def text_view(table: Table, key: str, columns: Sequence[str]) -> Table:
     """
     texts: list[str | None] = [None] * table.num_rows
     for name in columns:  # one pass per column, no list per row
-        strings = [None if is_missing(value) else str(value) for value in table.column(name)]
+        strings = [None if is_missing(v) else str(v).lower() for v in table.column(name)]
         texts = [s if t is None else t if s is None else f"{t} {s}" for t, s in zip(texts, strings)]
-    texts = [None if text is None else text.lower() for text in texts]
     return Table({key: table.column(key), TEXT: texts})
 
 
@@ -136,21 +135,20 @@ def equal_value_pairs(l_values: Sequence[Any], r_values: Sequence[Any]):
 
 
 def text_join_positions(
-    ltable: Table, rtable: Table, l_key: str, r_key: str, l_attr: str, r_attr: str,
-    tokenizer: Tokenizer, measure: str, threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row positions of the pairs whose :func:`text_view` texts of
-    ``l_attr`` / ``r_attr`` join under ``measure`` at ``threshold``, in
-    (left row, right row) order."""
-    views = text_view(ltable, l_key, [l_attr]), text_view(rtable, r_key, [r_attr])
-    _, _, rows, positions, _ = set_sim_join_positions(
+    views: tuple[Table, Table], l_key: str, r_key: str, tokenizer: Tokenizer, measure: str,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row positions and scores of the pairs whose texts in the
+    :func:`text_view` ``views`` join under ``measure`` at ``threshold``,
+    in (left row, right row) order."""
+    _, _, rows, positions, scores = set_sim_join_positions(
         *views, l_key, r_key, TEXT, TEXT, tokenizer, measure, threshold
     )
     # Join records skip missing texts: record i is the i-th row with one.
     l_rows, r_rows = (
         np.flatnonzero([text is not None for text in view.column(TEXT)]) for view in views
     )
-    return l_rows[rows], r_rows[positions]
+    return l_rows[rows], r_rows[positions], scores
 
 
 def _candset(

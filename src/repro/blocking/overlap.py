@@ -26,6 +26,7 @@ from repro.blocking.base import (
     make_candset,
     observe_blocking,
     text_join_positions,
+    text_view,
 )
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
@@ -87,9 +88,11 @@ class OverlapBlocker(Blocker):
         ltable.require_columns([l_key, self.l_block_attr])
         rtable.require_columns([r_key, self.r_block_attr])
         # Join lowercased views so the tokens match block_tuples' semantics.
-        l_pos, r_pos = text_join_positions(
-            ltable, rtable, l_key, r_key, self.l_block_attr, self.r_block_attr,
-            self._tokenizer(), "overlap", self.overlap_size,
+        views = text_view(ltable, l_key, [self.l_block_attr]), text_view(
+            rtable, r_key, [self.r_block_attr]
+        )
+        l_pos, r_pos, _ = text_join_positions(
+            views, l_key, r_key, self._tokenizer(), "overlap", self.overlap_size
         )
         observe_blocking(self, len(l_pos))
         return candset_from_positions(

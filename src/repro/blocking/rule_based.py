@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.blocking.base import Blocker, PairCodes, candset_from_positions, observe_blocking
-from repro.blocking.rules import BlockingRule, candidate_codes, parse_rule
+from repro.blocking.rules import BlockingRule, candidate_positions, parse_rule
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.features.feature import FeatureTable
@@ -15,13 +17,15 @@ from repro.table.table import Row, Table
 class RuleBasedBlocker(Blocker):
     """Blocks a pair when *any* of its rules drops it.
 
-    When every rule is join-executable (see
-    :class:`~repro.blocking.rules.BlockingRule`), ``block_tables`` runs
-    the rules as similarity joins and never enumerates A x B; otherwise it
-    falls back to the base class's pairwise scan.  On data without
-    missing values both paths keep the same pairs.  A missing value
-    satisfies no predicate, so the scan keeps every pair it touches, while
-    a join cannot emit such a pair: the join path drops it.
+    ``block_tables`` joins the cheapest join-executable rule and checks
+    the others on the pairs left
+    (:func:`~repro.blocking.rules.candidate_positions`); with no
+    executable rule it checks A x B in chunks.  A missing value satisfies
+    no predicate, and a join never emits its pair: an executable rule
+    drops the pair, any other rule keeps it, as :meth:`block_tuples`
+    does.  (A rule set mixing both kinds used to run every rule per pair,
+    keeping it.)  Pairs come in key order when every rule joins, else in
+    row order.
     """
 
     def __init__(self, rules: list[BlockingRule] | None = None):
@@ -59,13 +63,11 @@ class RuleBasedBlocker(Blocker):
     ) -> Table:
         if not self.rules:
             raise ConfigurationError("RuleBasedBlocker has no rules")
-        if not self.is_join_executable:
-            return super().block_tables(
-                ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
-            )
-        codes = PairCodes.by_key(ltable, rtable, l_key, r_key)
-        survivors = candidate_codes(self.rules, ltable, rtable, l_key, r_key, codes)
-        l_pos, r_pos = codes.decode(survivors)
+        if self.is_join_executable:
+            codes = PairCodes.by_key(ltable, rtable, l_key, r_key)
+        else:  # the per-pair scan's order
+            codes = PairCodes(np.arange(ltable.num_rows), np.arange(rtable.num_rows))
+        l_pos, r_pos = candidate_positions(self.rules, ltable, rtable, l_key, r_key, codes)
         observe_blocking(self, len(l_pos))
         return candset_from_positions(
             l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog

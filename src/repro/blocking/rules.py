@@ -1,20 +1,23 @@
-"""Blocking rules: predicates, conjunctions, and scalable execution.
+"""Blocking rules: predicates, conjunctions, and their one evaluator.
 
 A blocking rule is a conjunction of predicates over features; a pair is
 *dropped* when every predicate holds (Figure 4.b of the paper: ``ISBN
 match < 1 -> drop``, ``ISBN match >= 1 AND #pages match < 1 -> drop``).
 
-Rules can be evaluated per pair, but the point of Falcon is that the
-retained rules are executed *at scale*: the survivors of a rule
-``p1 AND p2 -> drop`` are the pairs satisfying ``NOT p1 OR NOT p2``, and
-when each complement is a "similarity above threshold" predicate over a
-token or exact feature, each complement term runs as a filtered sim join.
-The candidate set is the intersection of every rule's survivors.
+Falcon executes the retained rules on A x B.  The survivors of a rule
+``p1 AND p2 -> drop`` are the pairs satisfying ``NOT p1 OR NOT p2``: when
+each complement is a "similarity above threshold" predicate over a token
+or exact feature, the rule is *executable*, its survivors a union of
+joins.  :func:`candidate_positions` joins one executable rule and checks
+the others over feature columns (:meth:`BlockingRule.keeps`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -22,26 +25,25 @@ import numpy as np
 from repro.blocking.base import TEXT, PairCodes, equal_value_pairs, text_join_positions, text_view
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features.feature import Feature, FeatureTable
+from repro.index.store import get_index_store
+from repro.obs import get_registry, trace_span
 from repro.perf import arrays
-from repro.simjoin.filters import SET_MEASURES
+from repro.simjoin.filters import SET_MEASURES, validate_measure
 from repro.table.table import Row, Table
 
-_OPS = {
-    "<=": lambda value, threshold: value <= threshold,
-    "<": lambda value, threshold: value < threshold,
-    ">=": lambda value, threshold: value >= threshold,
-    ">": lambda value, threshold: value > threshold,
-}
+_OPS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
 _COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
+#: Pairs of A x B per chunk when no rule is executable.
+SCAN_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
 class Predicate:
     """``feature <op> threshold`` over a pair of rows.
 
-    A NaN feature value (missing data) satisfies no predicate, so a rule
-    containing it cannot fire and the pair survives — blocking must never
-    drop a pair just because data is missing.
+    A NaN feature value (missing data) satisfies no predicate, nor its
+    complement: a rule containing it does not fire, and a join of the
+    complement does not emit the pair (see :meth:`BlockingRule.keeps`).
     """
 
     feature: Feature
@@ -52,10 +54,12 @@ class Predicate:
         if self.op not in _OPS:
             raise ConfigurationError(f"op must be one of {sorted(_OPS)}, got {self.op!r}")
 
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Which values of a float64 column satisfy the predicate."""
+        return _OPS[self.op](values, self.threshold)
+
     def holds_value(self, value: float) -> bool:
-        if value != value:  # NaN
-            return False
-        return _OPS[self.op](value, self.threshold)
+        return bool(self.mask(value))
 
     def holds(self, l_row: Row, r_row: Row) -> bool:
         return self.holds_value(self.feature.apply_rows(l_row, r_row))
@@ -99,6 +103,16 @@ class BlockingRule:
     def drops(self, l_row: Row, r_row: Row) -> bool:
         """True when the pair should be dropped by this rule."""
         return all(predicate.holds(l_row, r_row) for predicate in self.predicates)
+
+    def keeps(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Mask of the pairs surviving the rule over float64 feature
+        columns by name: its joins' pairs if it is executable (a missing
+        value drops a pair), else :meth:`drops`' answer (a missing value
+        keeps it)."""
+        if not self.is_executable:
+            return ~all_hold(self.predicates, columns)
+        masks = [p.complement().mask(columns[p.feature.name]) for p in self.predicates]
+        return np.logical_or.reduce(masks)
 
     @property
     def is_executable(self) -> bool:
@@ -146,69 +160,88 @@ def parse_rule(
     )
 
 
-# ----------------------------------------------------------------------
-# Scalable execution
-# ----------------------------------------------------------------------
-def _complement_codes(predicate: Predicate, ltable, rtable, l_key, r_key, codes):
-    """Codes of the pairs satisfying the *complement* of a rule predicate,
-    via a join."""
-    complement = predicate.complement()
-    if not complement.is_join_executable:
-        raise WorkflowError(f"predicate {predicate} has no join-executable complement")
-    feature = predicate.feature
+def all_hold(predicates: Sequence[Predicate], columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Mask of the rows where every predicate holds on its feature's column."""
+    return np.logical_and.reduce([p.mask(columns[p.feature.name]) for p in predicates])
 
-    if feature.sim_kind == "exact":
-        # exact_match > t (t < 1) means equality.
-        l_pos, r_pos = equal_value_pairs(
-            text_view(ltable, l_key, [feature.l_attr]).column(TEXT),
-            text_view(rtable, r_key, [feature.r_attr]).column(TEXT),
+
+def _complement_join(predicate: Predicate, view, l_key: str, r_key: str):
+    """``(cost, join)`` of the predicate's complement over the text views
+    ``view(side, attr)``: ``join()`` gives the rows of the pairs it holds
+    for; ``cost``, known before it runs, is the equal pairs or the probe's
+    summed prefix posting lengths (off the array index it then reuses)."""
+    feature, complement = predicate.feature, predicate.complement()
+    views = view(0, feature.l_attr), view(1, feature.r_attr)
+    texts = [view.column(TEXT) for view in views]
+    if feature.sim_kind == "exact":  # exact_match > t (t < 1) means equality
+        counts = Counter(texts[0])
+        cost = sum(counts[text] for text in texts[1] if text is not None)
+        return cost, lambda: equal_value_pairs(*texts)
+    # A strict '>' drops the ties of a join at its threshold (or at 1e-9 for 0).
+    measure, threshold = validate_measure(feature.measure_name), complement.threshold
+    join_at, store, tokenizer = max(threshold, 1e-9), get_index_store(), feature.tokenizer
+    encoding = store.join_encoding(*views, l_key, r_key, TEXT, TEXT, tokenizer)
+    index, left = store.array_index(encoding, measure, join_at), encoding.left
+    probe = arrays.ProbeBatch(left.indptr, left.indices, left.sizes, measure, join_at, index.dim)
+
+    def join():
+        l_rows, r_rows, scores = text_join_positions(
+            views, l_key, r_key, tokenizer, measure, join_at
         )
-    else:
-        # token similarity: run the filtered sim join at the complement's
-        # threshold; a strict '>' is emulated by nudging the threshold.
-        threshold = complement.threshold
-        if complement.op == ">":
-            threshold = min(threshold + 1e-9, 1.0)
-        l_pos, r_pos = text_join_positions(
-            ltable, rtable, l_key, r_key, feature.l_attr, feature.r_attr,
-            feature.tokenizer, feature.measure_name, threshold,
-        )
-    return codes.encode(l_pos, r_pos)
+        keep = scores > threshold if complement.op == ">" else slice(None)
+        return l_rows[keep], r_rows[keep]
+
+    return int(index.posting_lengths(probe.prefix_ids).sum()), join
 
 
-def candidate_codes(
+def _check(rules, sides, l_pos: np.ndarray, r_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(l_pos[i], r_pos[i])`` left after each ``(position,
+    rule)`` in turn, over that rule's features of the pairs left."""
+    from repro.features.extraction import feature_columns  # extraction imports blocking
+
+    registry = get_registry()
+    for position, rule in rules:
+        if not len(l_pos):
+            break
+        registry.counter("blocking_rule_pairs_checked_total").inc(len(l_pos))
+        with trace_span("rule_check", rule=position, pairs=len(l_pos)):
+            features = list({p.feature.name: p.feature for p in rule.predicates}.values())
+            values = feature_columns(sides, l_pos, r_pos, features)
+            keep = rule.keeps({f.name: np.asarray(v, np.float64) for f, v in zip(features, values)})
+        l_pos, r_pos = l_pos[keep], r_pos[keep]
+        registry.counter("blocking_rule_survivors_total", rule=str(position)).inc(len(l_pos))
+    return l_pos, r_pos
+
+
+def candidate_positions(
     rules: list[BlockingRule], ltable: Table, rtable: Table, l_key: str, r_key: str,
     codes: PairCodes,
-) -> np.ndarray:
-    """Sorted ``codes`` of the pairs surviving every rule: the intersection
-    over rules of the union of each rule's predicate complements."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the pairs surviving every rule, in ``codes`` order: the
+    seeds (the joins of the executable rule of least cost, else A x B in
+    chunks), then the other rules checked on the pairs left, executable
+    ones cheapest first (a rule's cost bounds the pairs it keeps)."""
     if not rules:
         raise WorkflowError("no blocking rules to execute")
-    result = None
-    for rule in rules:
-        if not rule.is_executable:
-            raise WorkflowError(f"rule is not join-executable: {rule}")
-        survivors = arrays.unique_sorted(
-            np.concatenate([
-                _complement_codes(predicate, ltable, rtable, l_key, r_key, codes)
-                for predicate in rule.predicates
-            ])
-        )
-        result = survivors if result is None else arrays.intersect_sorted(result, survivors)
-        if not len(result):
-            break
-    return result
-
-
-def execute_rule_survivors(
-    rule: BlockingRule,
-    ltable: Table,
-    rtable: Table,
-    l_key: str = "id",
-    r_key: str = "id",
-) -> set[tuple[Any, Any]]:
-    """Pairs of A x B *not* dropped by the rule, computed via joins."""
-    return execute_rules([rule], ltable, rtable, l_key, r_key)
+    sides = (ltable, l_key), (rtable, r_key)
+    view = cache(lambda side, attr: text_view(*sides[side], [attr]))
+    joins = {at: [_complement_join(p, view, l_key, r_key) for p in rule.predicates]
+             for at, rule in enumerate(rules) if rule.is_executable}
+    costs = {at: sum(cost for cost, _ in plan) for at, plan in joins.items()}
+    order = sorted(range(len(rules)), key=lambda at: costs.get(at, np.inf))
+    if joins:
+        seed, registry = order.pop(0), get_registry()
+        registry.counter("blocking_rule_joins_total").inc(len(joins[seed]))
+        seeds = arrays.unique_sorted(np.concatenate([codes.encode(*j()) for _, j in joins[seed]]))
+        registry.counter("blocking_rule_survivors_total", rule=str(seed)).inc(len(seeds))
+        batches = [codes.decode(seeds)]
+    else:
+        total = len(codes.l_order) * len(codes.r_order)
+        batches = (codes.decode(np.arange(start, min(start + SCAN_CHUNK_PAIRS, total)))
+                   for start in range(0, total, SCAN_CHUNK_PAIRS))
+    kept = [(np.zeros(0, np.int64),) * 2]
+    kept += [_check([(at, rules[at]) for at in order], sides, *batch) for batch in batches]
+    return np.concatenate([l for l, _ in kept]), np.concatenate([r for _, r in kept])
 
 
 def execute_rules(
@@ -218,9 +251,12 @@ def execute_rules(
     l_key: str = "id",
     r_key: str = "id",
 ) -> set[tuple[Any, Any]]:
-    """Candidate pairs surviving *all* rules (intersection of survivors)."""
+    """Candidate pairs surviving *all* rules, each join-executable."""
+    for rule in rules:
+        if not rule.is_executable:
+            raise WorkflowError(f"rule is not join-executable: {rule}")
     codes = PairCodes(np.arange(ltable.num_rows), np.arange(rtable.num_rows))
-    l_pos, r_pos = codes.decode(candidate_codes(rules, ltable, rtable, l_key, r_key, codes))
+    l_pos, r_pos = candidate_positions(rules, ltable, rtable, l_key, r_key, codes)
     return set(
         zip(
             arrays.take_values(ltable.column(l_key), l_pos),

@@ -334,7 +334,7 @@ def build_default_registry() -> ServiceRegistry:
         ("active_learn_matching", U, "Active learning for matching (forest G)", None),
         ("extract_blocking_rules", B, "Extract candidate rules from forest F", None),
         ("evaluate_blocking_rules", U, "Review/retain precise rules", _svc_evaluate_blocking_rules),
-        ("execute_blocking_rules", B, "Execute rules as similarity joins", None),
+        ("execute_blocking_rules", B, "Join one rule, check the rest on its pairs", None),
         ("train_classifier", B, "Train the matcher on labeled pairs", _svc_train_classifier),
         ("apply_classifier", B, "Apply the matcher to the candidate set", None),
     ]

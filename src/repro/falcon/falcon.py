@@ -6,8 +6,8 @@ The lay user's only job is answering match/no-match questions.  Falcon:
 2. actively learns a random forest F on the sample,
 3. extracts candidate blocking rules from F's trees and keeps the precise
    executable ones,
-4. executes the rules on A x B (as similarity joins) to get the candidate
-   set C,
+4. executes the rules on A x B to get the candidate set C: it joins the
+   rule of least estimated cost and checks the others on its survivors,
 5. actively learns a second forest G on C, and
 6. applies G to C with the alpha-voting rule to predict matches.
 
@@ -19,10 +19,11 @@ seconds it consumed, and :data:`FALCON_STAGES` is the one table of
 (basic, composite and the stock workflow DAG), and Smurf calls the same
 :func:`learn_forest` / :func:`predict_matches` with its own seed and budget.
 
-Note on execution semantics: rule execution via joins drops pairs whose
-blocking attributes are missing (they cannot appear in a join output),
-whereas per-pair rule evaluation lets such pairs survive.  This mirrors
-the real system's behaviour, where blocking operates on indexed values.
+Note on execution semantics: every retained rule is join-executable, and
+such a rule drops a pair whose blocking attribute is missing (a join
+cannot emit it), whether it is joined or checked on the survivors; the
+per-pair ``drops`` would keep it.  This mirrors the real system's
+behaviour, where blocking operates on indexed values.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ FALCON_STAGES: tuple[tuple[str, Callable[[WorkflowContext], float], tuple[str, .
     ("evaluate_rules", _evaluate_rules, ("extract_rules",), ""),
     ("select_rules", _select_rules, ("evaluate_rules",), ""),
     ("execute_blocking", _execute_blocking, ("select_rules",),
-     "execute rules as similarity joins (or fallback blocker)"),
+     "join the cheapest rule, check the others on its pairs (or fallback blocker)"),
     ("matching_features", _matching_features, (), "generate matching features"),
     ("candidate_vectors", _candidate_vectors, ("execute_blocking", "matching_features"), ""),
     ("learn_matching", _learn_matching, ("candidate_vectors",),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blocking.rules import BlockingRule, Predicate
+from repro.blocking.rules import BlockingRule, Predicate, all_hold
 from repro.features.feature import FeatureTable
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier, TreeNode
@@ -71,21 +71,7 @@ def rule_fires(
     rule: BlockingRule, X: np.ndarray, feature_names: list[str]
 ) -> np.ndarray:
     """Boolean mask of the rows (feature vectors) the rule would drop."""
-    position = {name: i for i, name in enumerate(feature_names)}
-    mask = np.ones(X.shape[0], dtype=bool)
-    for predicate in rule.predicates:
-        values = X[:, position[predicate.feature.name]]
-        if predicate.op == "<=":
-            holds = values <= predicate.threshold
-        elif predicate.op == "<":
-            holds = values < predicate.threshold
-        elif predicate.op == ">=":
-            holds = values >= predicate.threshold
-        else:
-            holds = values > predicate.threshold
-        holds &= ~np.isnan(values)
-        mask &= holds
-    return mask
+    return all_hold(rule.predicates, dict(zip(feature_names, X.T)))
 
 
 @dataclass

@@ -6,8 +6,9 @@ feature.  It validates the candidate set's catalog metadata first
 (self-containment) and carries the FK columns through so predictions can
 be traced back to the original tuples.
 
-The pass is columnar: FK columns become base-row positions once; per
-``(l_attr, r_attr)`` group the referenced cells are numbered,
+The pass is columnar: FK columns become base-row positions once, and
+:func:`feature_columns` (which blocking rules check pairs with too) runs
+per ``(l_attr, r_attr)`` group: the referenced cells are numbered,
 ``np.unique(l_id * n_r + r_id)`` is both the dedup and the scatter index,
 one :class:`~repro.features.feature.ValueView` prepares each cell's text,
 float or exact key once, and each feature runs once over the distinct
@@ -17,6 +18,7 @@ function otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -52,6 +54,57 @@ def _evaluate(features: list[Feature], view: ValueView) -> list[Any]:
     return columns
 
 
+def feature_columns(
+    sides: tuple[tuple[Table, str], tuple[Table, str]], l_rows: np.ndarray, r_rows: np.ndarray,
+    features: Sequence[Feature],
+) -> list[Any]:
+    """Each feature at the pairs (row ``l_rows[i]``, row ``r_rows[i]``) of
+    ``sides``, ``((ltable, l_key), (rtable, r_key))``: a float64 column
+    from a batch form, else a list of the scalar function's results.
+    Every value equals per-pair ``feature(l_value, r_value)``."""
+    by_attrs: dict[tuple[str, str], list[Feature]] = {}
+    for feature in features:
+        by_attrs.setdefault((feature.l_attr, feature.r_attr), []).append(feature)
+    registry = get_registry()
+    by_name: dict[str, Any] = {}
+    misses = 0
+    for (l_attr, r_attr), group in by_attrs.items():
+        label = f"{l_attr}|{r_attr}"
+        with trace_span("feature_values", group=label) as span:
+            view_sides = (*sides[0], l_attr), (*sides[1], r_attr)
+            view, inverse = ValueView.at_rows(view_sides, l_rows, r_rows)
+            span.labels["left_values"], span.labels["right_values"] = map(str, map(len, view.rows))
+            for column in {getattr(f.batch, "column", None) for f in group} - {None}:
+                getattr(view, column)
+        distinct = len(view.left)
+        misses += distinct * len(group)
+        # A scalar evaluation counts once: under ``unhashable`` when such a
+        # cell is why the pair was not merged, else under ``no_batch_form``.
+        loose = int((view.loose[view.left] | view.loose[view.right]).sum())
+        for feature in group:
+            if feature.batch is None:
+                registry.counter(SCALAR_FALLBACK, reason="unhashable").inc(loose)
+                registry.counter(SCALAR_FALLBACK, reason="no_batch_form").inc(distinct - loose)
+            else:
+                registry.counter("feature_batch_pairs_total", measure=feature.measure_name).inc(
+                    distinct
+                )
+        with trace_span(
+            "feature_group", group=label, distinct_pairs=distinct, features=len(group)
+        ):
+            values_by_feature = _evaluate(group, view)
+        for feature, values in zip(group, values_by_feature):
+            if feature.batch is None:
+                by_name[feature.name] = [values[row] for row in inverse.tolist()]
+            else:
+                by_name[feature.name] = np.asarray(values, np.float64)[inverse]
+    # Misses = distinct evaluations actually performed; hits = repeated
+    # occurrences served by the dedup.
+    registry.counter("feature_cache_hits_total").inc(len(l_rows) * len(by_name) - misses)
+    registry.counter("feature_cache_misses_total").inc(misses)
+    return [by_name[feature.name] for feature in features]
+
+
 def extract_feature_vecs(
     candset: Table,
     feature_table: FeatureTable,
@@ -61,9 +114,9 @@ def extract_feature_vecs(
     """Compute feature vectors for each pair of a candidate set.
 
     Returns a table with ``_id``, both FK columns, one column per feature
-    (NaN where an attribute value is missing), and — when ``label_column``
-    is given — that column copied through from the candidate set.  Every
-    value equals per-pair ``feature(l_value, r_value)``.
+    (:func:`feature_columns` at the pairs' base rows), and — when
+    ``label_column`` is given — that column copied through from the
+    candidate set.
     """
     cat = catalog if catalog is not None else get_catalog()
     meta = validate_candset(candset, cat)
@@ -73,59 +126,21 @@ def extract_feature_vecs(
     l_key, r_key = cat.get_key(meta.ltable), cat.get_key(meta.rtable)
     l_rows = key_positions(meta.ltable, l_key, fk_l)
     r_rows = key_positions(meta.rtable, r_key, fk_r)
-
-    by_attrs: dict[tuple[str, str], list[Feature]] = {}
-    for feature in feature_table:
-        by_attrs.setdefault((feature.l_attr, feature.r_attr), []).append(feature)
-    registry = get_registry()
-    by_name: dict[str, list[Any]] = {}
-    misses = 0
-    for (l_attr, r_attr), features in by_attrs.items():
-        label = f"{l_attr}|{r_attr}"
-        with trace_span("feature_values", group=label) as span:
-            sides = (meta.ltable, l_key, l_attr), (meta.rtable, r_key, r_attr)
-            view, inverse = ValueView.at_rows(sides, l_rows, r_rows)
-            span.labels["left_values"], span.labels["right_values"] = map(str, map(len, view.rows))
-            for column in {getattr(f.batch, "column", None) for f in features} - {None}:
-                getattr(view, column)
-        distinct = len(view.left)
-        misses += distinct * len(features)
-        # A scalar evaluation counts once: under ``unhashable`` when such a
-        # cell is why the pair was not merged, else under ``no_batch_form``.
-        loose = int((view.loose[view.left] | view.loose[view.right]).sum())
-        for feature in features:
-            if feature.batch is None:
-                registry.counter(SCALAR_FALLBACK, reason="unhashable").inc(loose)
-                registry.counter(SCALAR_FALLBACK, reason="no_batch_form").inc(distinct - loose)
-            else:
-                registry.counter("feature_batch_pairs_total", measure=feature.measure_name).inc(
-                    distinct
-                )
-        with trace_span(
-            "feature_group", group=label, distinct_pairs=distinct, features=len(features)
-        ):
-            values_by_feature = _evaluate(features, view)
-        for feature, values in zip(features, values_by_feature):
-            if feature.batch is None:
-                by_name[feature.name] = [values[row] for row in inverse.tolist()]
-            else:  # one float object per bit pattern, shared by its rows: -0.0 stays -0.0
-                bits, codes = np.unique(
-                    np.asarray(values, np.float64).view(np.int64), return_inverse=True
-                )
-                by_name[feature.name] = bits.view(np.float64).astype(object)[codes[inverse]].tolist()
+    values = feature_columns(
+        ((meta.ltable, l_key), (meta.rtable, r_key)), l_rows, r_rows, feature_table.features()
+    )
 
     columns: dict[str, list[Any]] = {
         CANDSET_ID: list(candset.column(meta.key)),
         meta.fk_ltable: list(fk_l),
         meta.fk_rtable: list(fk_r),
     }
-    for feature in feature_table:
-        columns[feature.name] = by_name[feature.name]
-    # Misses = distinct evaluations actually performed; hits = repeated
-    # occurrences served by the global dedup.
-    registry.counter("feature_cache_hits_total").inc(len(fk_l) * len(by_name) - misses)
-    registry.counter("feature_cache_misses_total").inc(misses)
-    registry.counter("feature_vectors_total").inc(len(fk_l))
+    for feature, column in zip(feature_table, values):
+        if isinstance(column, np.ndarray):  # one float object per bit pattern: -0.0 stays -0.0
+            bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+            column = bits.view(np.float64).astype(object)[codes].tolist()
+        columns[feature.name] = column
+    get_registry().counter("feature_vectors_total").inc(len(fk_l))
     if label_column is not None:
         columns[label_column] = list(candset.column(label_column))
 

@@ -169,7 +169,9 @@ def number_values(column: list[Any], positions: np.ndarray):
     ``True``, ``0.0`` / ``-0.0``, ``Decimal("1.0")`` / ``Decimal("1.00")``.
     An unhashable cell is never merged: one id per base row.
     """
-    referenced, where = np.unique(positions, return_inverse=True)
+    seen = np.zeros(len(column), bool)
+    seen[positions] = True  # positions are rows: a mask, not a sort, numbers them
+    referenced, where = np.flatnonzero(seen), (np.cumsum(seen) - 1)[positions]
     values = [column[position] for position in referenced.tolist()]
     numbers = np.arange(len(values), dtype=np.int64)
     unhashable = np.zeros(len(values), bool)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocking.rules import Predicate, parse_predicate
+from repro.blocking.rules import Predicate, all_hold, parse_predicate
 from repro.exceptions import ConfigurationError
 from repro.features.feature import FeatureTable
 from repro.matchers.ml_matcher import MLMatcher
@@ -39,13 +39,13 @@ class MatchRule:
             specs = [specs]
         return cls([parse_predicate(s, feature_table) for s in specs], name=name)
 
-    def fires(self, fv_row: dict) -> bool:
-        """Evaluate on one feature-vector row (features already computed)."""
-        for predicate in self.predicates:
-            value = fv_row[predicate.feature.name]
-            if value is None or not predicate.holds_value(float(value)):
-                return False
-        return True
+    def fires(self, fv_table: Table) -> np.ndarray:
+        """Mask of the fv-table rows the rule fires on (``None`` and NaN
+        satisfy no predicate)."""
+        names = [predicate.feature.name for predicate in self.predicates]
+        fv_table.require_columns(names)
+        columns = {name: np.asarray(fv_table.column(name), np.float64) for name in names}
+        return all_hold(self.predicates, columns)
 
     def __str__(self) -> str:
         body = " AND ".join(str(p) for p in self.predicates)
@@ -73,12 +73,9 @@ class BooleanRuleMatcher:
         """Append 0/1 predictions: 1 when any rule fires."""
         if not self.rules:
             raise ConfigurationError("BooleanRuleMatcher has no rules")
-        predictions = [
-            1 if any(rule.fires(row) for rule in self.rules) else 0
-            for row in fv_table.rows()
-        ]
+        fires = np.logical_or.reduce([rule.fires(fv_table) for rule in self.rules])
         target = fv_table if append else fv_table.copy()
-        target.add_column(output_column, predictions)
+        target.add_column(output_column, fires.astype(int).tolist())
         return target
 
 
@@ -94,14 +91,9 @@ class ThresholdMatcher:
         self, fv_table: Table, output_column: str = "predicted", append: bool = True
     ) -> Table:
         fv_table.require_columns([self.feature_name])
-        predictions = []
-        for value in fv_table.column(self.feature_name):
-            fires = value is not None and float(value) == float(value) and float(
-                value
-            ) >= self.threshold
-            predictions.append(1 if fires else 0)
+        fires = np.asarray(fv_table.column(self.feature_name), np.float64) >= self.threshold
         target = fv_table if append else fv_table.copy()
-        target.add_column(output_column, predictions)
+        target.add_column(output_column, fires.astype(int).tolist())
         return target
 
 
@@ -133,13 +125,11 @@ class MLRuleMatcher:
         self, fv_table: Table, output_column: str = "predicted", append: bool = True
     ) -> Table:
         target = self.ml_matcher.predict(fv_table, output_column, append=append)
-        predictions = list(target.column(output_column))
-        for i, row in enumerate(target.rows()):
-            if any(rule.fires(row) for rule in self.positive_rules):
-                predictions[i] = 1
-            if any(rule.fires(row) for rule in self.negative_rules):
-                predictions[i] = 0
-        target.add_column(output_column, predictions)
+        predictions = np.asarray(target.column(output_column))
+        for rules, value in ((self.positive_rules, 1), (self.negative_rules, 0)):
+            for rule in rules:
+                predictions = np.where(rule.fires(target), value, predictions)
+        target.add_column(output_column, predictions.tolist())
         return target
 
 

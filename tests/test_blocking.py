@@ -25,9 +25,9 @@ from repro.blocking import (
     candset_pairs,
     candset_union,
     debug_blocker,
-    execute_rule_survivors,
     execute_rules,
     make_candset,
+    parse_rule,
     text_view,
 )
 from repro.blocking.base import TEXT, Blocker
@@ -35,14 +35,15 @@ from repro.blocking.rules import BlockingRule, Predicate
 from repro.catalog import get_catalog
 from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError, ForeignKeyConstraintError, SchemaError
-from repro.features import get_features_for_blocking
-from repro.features.feature import make_exact_feature, make_token_feature
+from repro.features import FeatureTable, get_features_for_blocking
+from repro.features.feature import make_exact_feature, make_string_feature, make_token_feature
 from repro.index import use_index_store
 from repro.obs import use_registry
 from repro.simjoin import naive_set_sim_join
 from repro.table import Table
 from repro.table.schema import is_missing
-from repro.text.sim.token_based import Jaccard
+from repro.text.sim.edit_based import Levenshtein
+from repro.text.sim.token_based import Jaccard, OverlapCoefficient
 from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
 
 
@@ -543,6 +544,17 @@ PREDICATES = [
     Predicate(EXACT, "<=", 0.5),
     Predicate(EXACT, "<", 1.0),
 ]
+#: Predicates no rule containing them can join: measures the join lacks,
+#: and a token predicate whose complement is not "similarity above t".
+SCAN_PREDICATES = [
+    Predicate(make_token_feature(
+        "t_ovc", "t", "t", WhitespaceTokenizer(return_set=True), OverlapCoefficient(),
+        "overlap_coeff",
+    ), "<", 0.6),
+    Predicate(make_string_feature("v_lev", "v", "v", Levenshtein(), "lev_sim"), "<=", 0.5),
+    Predicate(make_string_feature("t_lev", "t", "t", Levenshtein(), "lev_sim"), ">", 0.3),
+    Predicate(TOKEN, ">=", 0.5),
+]
 OUTPUT_ATTRS = [(), ("t",), ("v", "t")]
 
 
@@ -650,7 +662,7 @@ class TestCandidateHandoverMatchesTheOracles:
         rules = [BlockingRule(tuple(predicates)) for predicates in rules]
         expected = oracle_execute_rules(rules, ltable, rtable)
         assert execute_rules(rules, ltable, rtable) == expected
-        assert execute_rule_survivors(rules[0], ltable, rtable) == oracle_rule_survivors(
+        assert execute_rules([rules[0]], ltable, rtable) == oracle_rule_survivors(
             rules[0], ltable, rtable
         )
         oracle = oracle_make_candset(
@@ -660,6 +672,49 @@ class TestCandidateHandoverMatchesTheOracles:
             ltable, rtable, "id", "id", r_output_attrs=r_attrs
         )
         assert_same_table(got, oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tables=table_pairs(),
+        rules=st.lists(
+            st.lists(st.sampled_from(PREDICATES + SCAN_PREDICATES), min_size=1, max_size=2),
+            min_size=1, max_size=3,
+        ),
+        r_attrs=st.sampled_from(OUTPUT_ATTRS),
+    )
+    def test_mixed_rule_sets(self, tables, rules, r_attrs):
+        """Each rule keeps the same pairs wherever it sits: an executable
+        rule its joins' pairs, any other the pairs ``drops`` keeps; the
+        blocker intersects them, in key order when every rule joins and
+        in row order otherwise, whatever the rules' order."""
+        ltable, rtable = tables
+        rules = [BlockingRule(tuple(predicates)) for predicates in rules]
+        expected = None
+        for rule in rules:
+            survivors = oracle_rule_survivors(rule, ltable, rtable) if rule.is_executable else {
+                (l_row["id"], r_row["id"])
+                for l_row in ltable.rows()
+                for r_row in rtable.rows()
+                if not rule.drops(l_row, r_row)
+            }
+            expected = survivors if expected is None else expected & survivors
+        every_pair = [(l, r) for l in ltable.column("id") for r in rtable.column("id")]
+        if all(rule.is_executable for rule in rules):
+            order = sorted(expected)
+        else:
+            order = [pair for pair in every_pair if pair in expected]
+        oracle = oracle_make_candset(order, ltable, rtable, "id", "id", r_output_attrs=r_attrs)
+        for permutation in itertools.permutations(rules):
+            with use_registry() as registry:
+                got = RuleBasedBlocker(list(permutation)).block_tables(
+                    ltable, rtable, "id", "id", r_output_attrs=r_attrs
+                )
+            assert_same_table(got, oracle)
+            joins = registry.counters().get(("blocking_rule_joins_total", ()), 0)
+            if any(rule.is_executable for rule in rules):
+                assert joins in {len(rule.predicates) for rule in rules if rule.is_executable}
+            else:
+                assert joins == 0
 
     @settings(max_examples=80, deadline=None)
     @given(tables=table_pairs(), data=st.data())
@@ -685,6 +740,71 @@ class TestCandidateHandoverMatchesTheOracles:
         ):
             assert_same_table(ours(a, b), oracle_candset_op(a, b, op))
             assert_same_table(ours(b, a), oracle_candset_op(b, a, op))
+
+
+class TestRuleBlockerPlan:
+    """``RuleBasedBlocker.block_tables`` joins one rule and checks the rest."""
+
+    @staticmethod
+    def _rule(*specs):
+        features = FeatureTable([
+            make_token_feature(
+                "t_jac", "title", "title", WhitespaceTokenizer(return_set=True), Jaccard(),
+                "jaccard",
+            ),
+            make_exact_feature("c_ex", "city", "city"),
+        ])
+        return parse_rule(list(specs), features)
+
+    @staticmethod
+    def _tables():
+        table_a = Table({
+            "id": ["a1", "a2", "a3", "a4"],
+            "title": ["red apple pie", None, "red apple", "red apple"],
+            "city": ["madison", "Austin", "boston", None],
+        })
+        table_b = Table({
+            "id": [10, 20],
+            "title": ["red apple pie", "blue plum"],
+            "city": ["Madison", "austin"],
+        })
+        return table_a, table_b
+
+    def test_executable_rules_join_one_rule(self):
+        rules = [self._rule("t_jac <= 0.3", "c_ex <= 0.5"), self._rule("t_jac < 0.5")]
+        with use_registry() as registry:
+            candset = RuleBasedBlocker(rules).block_tables(*self._tables())
+        counters = registry.counters()
+        joins = counters[("blocking_rule_joins_total", ())]
+        # Joining every predicate would run 3 joins.
+        assert joins in (1, 2)
+        seed = 0 if joins == 2 else 1
+        seeds = counters[("blocking_rule_survivors_total", (("rule", str(seed)),))]
+        assert counters[("blocking_rule_pairs_checked_total", ())] == seeds
+        assert counters[("blocking_rule_survivors_total", (("rule", str(1 - seed)),))] == 3
+        assert list(zip(candset["ltable_id"], candset["rtable_id"])) == [
+            ("a1", 10), ("a3", 10), ("a4", 10)
+        ]
+
+    def test_mixed_rules_on_missing_data(self):
+        """``t_jac < 0.3`` joins, so a2 (no title) does not survive it;
+        ``c_ex > 0.5`` does not, so a4 (no city) survives it.  The
+        per-pair scan that mixed rule sets used to take kept ("a2", 10)."""
+        rules = [self._rule("t_jac < 0.3"), self._rule("c_ex > 0.5")]
+        for ordered in (rules, rules[::-1]):
+            candset = RuleBasedBlocker(ordered).block_tables(*self._tables())
+            assert list(zip(candset["ltable_id"], candset["rtable_id"])) == [
+                ("a3", 10), ("a4", 10)
+            ]
+
+    def test_rules_with_no_join_check_every_pair(self):
+        with use_registry() as registry:
+            candset = RuleBasedBlocker([self._rule("c_ex > 0.5")]).block_tables(*self._tables())
+        assert registry.counters()[("blocking_rule_pairs_checked_total", ())] == 8
+        assert ("blocking_rule_joins_total", ()) not in registry.counters()
+        assert list(zip(candset["ltable_id"], candset["rtable_id"])) == [
+            ("a1", 20), ("a2", 10), ("a3", 10), ("a3", 20), ("a4", 10), ("a4", 20)
+        ]
 
 
 class TestCandsetBuilder:
@@ -717,7 +837,7 @@ class TestCandsetBuilder:
         counters = {
             (name, dict(labels)["blocker"]): value
             for (name, labels), value in registry.counters().items()
-            if name.startswith("blocking_")
+            if name in ("blocking_calls_total", "blocking_pairs_total")
         }
         assert counters == {
             ("blocking_calls_total", "RuleBasedBlocker"): 1,

@@ -8,7 +8,6 @@ from repro.blocking import (
     BlockingRule,
     Predicate,
     RuleBasedBlocker,
-    execute_rule_survivors,
     execute_rules,
     parse_predicate,
     parse_rule,
@@ -127,7 +126,7 @@ class TestRuleExecution:
         table_a, table_b = name_tables
         features = get_features_for_blocking(table_a, table_b)
         rule = parse_rule("name_jaccard_ws <= 0.3", features)
-        survivors = execute_rule_survivors(rule, table_a, table_b, "id", "id")
+        survivors = execute_rules([rule], table_a, table_b, "id", "id")
         expected = {
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
@@ -142,7 +141,7 @@ class TestRuleExecution:
         rule = parse_rule(
             ["name_jaccard_ws <= 0.3", "name_exact <= 0.5"], features
         )
-        survivors = execute_rule_survivors(rule, table_a, table_b, "id", "id")
+        survivors = execute_rules([rule], table_a, table_b, "id", "id")
         expected = {
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
@@ -157,15 +156,15 @@ class TestRuleExecution:
         rule1 = parse_rule("name_jaccard_ws <= 0.3", features)
         rule2 = parse_rule("name_jaccard_qgm3 <= 0.2", features)
         combined = execute_rules([rule1, rule2], table_a, table_b, "id", "id")
-        s1 = execute_rule_survivors(rule1, table_a, table_b, "id", "id")
-        s2 = execute_rule_survivors(rule2, table_a, table_b, "id", "id")
+        s1 = execute_rules([rule1], table_a, table_b, "id", "id")
+        s2 = execute_rules([rule2], table_a, table_b, "id", "id")
         assert combined == s1 & s2
 
     def test_exact_predicate_execution(self, name_tables):
         table_a, table_b = name_tables
         features = get_features_for_blocking(table_a, table_b)
         rule = parse_rule("name_exact <= 0.5", features)
-        survivors = execute_rule_survivors(rule, table_a, table_b, "id", "id")
+        survivors = execute_rules([rule], table_a, table_b, "id", "id")
         assert survivors == {("a1", "b1")}  # only exactly-equal names survive
 
     def test_non_executable_rule_raises(self, name_tables):
@@ -173,7 +172,7 @@ class TestRuleExecution:
         features = get_features_for_blocking(table_a, table_b)
         rule = parse_rule("name_jaccard_ws > 0.4", features)
         with pytest.raises(WorkflowError):
-            execute_rule_survivors(rule, table_a, table_b, "id", "id")
+            execute_rules([rule], table_a, table_b, "id", "id")
 
     def test_no_rules_raises(self, name_tables):
         with pytest.raises(WorkflowError):

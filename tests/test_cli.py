@@ -100,8 +100,9 @@ class TestFalconCli:
             ])
         assert code == 0
         names = {row["name"] for row in read_metrics_jsonl(metrics_path)}
-        # Instrumentation from every layer lands in one snapshot.
-        assert "simjoin_calls_total" in names
+        # Instrumentation from every layer lands in one snapshot.  (The
+        # rules here join on exact matches only, so no set_sim_join runs.)
+        assert "blocking_rule_joins_total" in names
         assert "blocking_pairs_total" in names
         assert "falcon_questions_total" in names
         assert "feature_cache_hits_total" in names

@@ -1,11 +1,14 @@
 """Tests for ML matchers, rule matchers, selection, and debugging."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from repro.blocking import OverlapBlocker
+from repro.blocking import OverlapBlocker, Predicate
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.features import extract_feature_vecs, get_features_for_matching
+from repro.features import extract_feature_vecs, get_features_for_matching, make_blackbox_feature
 from repro.matchers import (
     BooleanRuleMatcher,
     DTMatcher,
@@ -222,6 +225,54 @@ class TestRuleMatchers:
             value = row["name_jaccard_ws"]
             if value is not None and value == value and value >= 0.999:
                 assert row["p"] == 1
+
+
+class _Constant:
+    """An ML matcher stand-in that predicts one label for every row."""
+
+    name = "constant"
+
+    def __init__(self, label):
+        self.label = label
+
+    def predict(self, fv_table, output_column="predicted", append=True):
+        target = fv_table if append else fv_table.copy()
+        target.add_column(output_column, [self.label] * fv_table.num_rows)
+        return target
+
+
+#: Feature values a fv-table may hold: missing (None, NaN), infinite, int.
+RULE_VALUES = [None, math.nan, math.inf, -math.inf, 0.5, 1, 0.0]
+
+
+class TestRuleMatchersOverColumns:
+    """Match rules evaluate over whole fv-table columns; each row's result
+    is the per-row one: ``None`` and NaN satisfy no predicate."""
+
+    @pytest.mark.parametrize("op", ["<=", "<", ">=", ">"])
+    @pytest.mark.parametrize("threshold", [-math.inf, 0.0, 0.5, math.inf])
+    def test_columns_equal_the_per_row_form(self, op, threshold):
+        f, g = (make_blackbox_feature(name, "a", "a", lambda a, b: 0.0) for name in "fg")
+        rule = MatchRule([Predicate(f, op, threshold), Predicate(g, ">=", 0.5)])
+        pairs = list(itertools.product(RULE_VALUES, RULE_VALUES))
+        fv = Table({
+            "_id": list(range(len(pairs))),
+            "f": [value for value, _ in pairs],
+            "g": [value for _, value in pairs],
+        })
+
+        def fires(row):
+            return all(
+                row[p.feature.name] is not None and p.holds_value(float(row[p.feature.name]))
+                for p in rule.predicates
+            )
+
+        expected = [int(fires(row)) for row in fv.rows()]
+        assert BooleanRuleMatcher([rule]).predict(fv, append=False)["predicted"] == expected
+        forced = MLRuleMatcher(_Constant(0), positive_rules=[rule]).predict(fv, append=False)
+        assert forced["predicted"] == expected
+        vetoed = MLRuleMatcher(_Constant(1), negative_rules=[rule]).predict(fv, append=False)
+        assert vetoed["predicted"] == [1 - label for label in expected]
 
 
 class TestEvalAndDebug:

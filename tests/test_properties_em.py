@@ -10,7 +10,7 @@ from repro.blocking import (
     candset_intersection,
     candset_pairs,
     candset_union,
-    execute_rule_survivors,
+    execute_rules,
 )
 from repro.catalog import reset_catalog
 from repro.features import make_token_feature
@@ -62,7 +62,7 @@ class TestBlockingEquivalence:
             Jaccard(), "jaccard",
         )
         rule = BlockingRule((Predicate(feature, "<=", threshold),))
-        survivors = execute_rule_survivors(rule, ltable, rtable, "id", "id")
+        survivors = execute_rules([rule], ltable, rtable, "id", "id")
         pairwise = {
             (l_row["id"], r_row["id"])
             for l_row in ltable.rows()
