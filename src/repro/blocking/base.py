@@ -47,11 +47,20 @@ def text_view(table: Table, key: str, columns: Sequence[str]) -> Table:
     return Table({key: table.column(key), TEXT: texts})
 
 
+def _has_record(view: Table) -> np.ndarray:
+    return np.fromiter((not is_missing(text) for text in view.column(TEXT)), bool, view.num_rows)
+
+
 def record_numbers(view: Table) -> np.ndarray:
     """Each row's record number in the store's artifacts of a
     :func:`text_view` (its place among the rows with a text), or -1."""
-    has = np.fromiter((not is_missing(text) for text in view.column(TEXT)), bool, view.num_rows)
+    has = _has_record(view)
     return np.where(has, np.cumsum(has) - 1, -1)
+
+
+def record_rows(view: Table) -> np.ndarray:
+    """The row of each record of a :func:`text_view`, in record order."""
+    return np.flatnonzero(_has_record(view))
 
 
 def observe_blocking(
@@ -144,10 +153,7 @@ def text_join_positions(
     _, _, rows, positions, scores = set_sim_join_positions(
         *views, l_key, r_key, TEXT, TEXT, tokenizer, measure, threshold
     )
-    # Join records skip missing texts: record i is the i-th row with one.
-    l_rows, r_rows = (
-        np.flatnonzero([text is not None for text in view.column(TEXT)]) for view in views
-    )
+    l_rows, r_rows = map(record_rows, views)
     return l_rows[rows], r_rows[positions], scores
 
 

@@ -22,13 +22,21 @@ from typing import Any
 
 import numpy as np
 
-from repro.blocking.base import TEXT, PairCodes, equal_value_pairs, text_join_positions, text_view
+from repro.blocking.base import (
+    TEXT,
+    PairCodes,
+    equal_value_pairs,
+    record_rows,
+    text_join_positions,
+    text_view,
+)
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features.feature import Feature, FeatureTable
 from repro.index.store import get_index_store
 from repro.obs import get_registry, trace_span
 from repro.perf import arrays
 from repro.simjoin.filters import SET_MEASURES, validate_measure
+from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
 _OPS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
@@ -165,33 +173,73 @@ def all_hold(predicates: Sequence[Predicate], columns: Mapping[str, np.ndarray])
     return np.logical_and.reduce([p.mask(columns[p.feature.name]) for p in predicates])
 
 
-def _complement_join(predicate: Predicate, view, l_key: str, r_key: str):
-    """``(cost, join)`` of the predicate's complement over the text views
+def _exact_keys(*columns: Sequence[Any]) -> list[list[Any]]:
+    """Per column, each value as the exact feature compares it, for a join
+    on ``==``: a ``str`` lower-cased, ``None`` (equal to nothing) when it
+    is missing or unequal to itself, and an unhashable value a stand-in
+    shared by the unhashable values of every column it equals."""
+    loose: list[tuple[Any, object]] = []
+
+    def key(value: Any) -> Any:
+        if is_missing(value):
+            return None
+        value = value.lower() if isinstance(value, str) else value
+        if value != value:
+            return None
+        try:
+            hash(value)
+            return value
+        except TypeError:
+            mark = next((mark for other, mark in loose if other == value), None)
+            if mark is None:
+                loose.append((value, mark := object()))
+            return mark
+
+    return [[key(value) for value in column] for column in columns]
+
+
+def _complement_join(predicate: Predicate, sides, view):
+    """``(cost, join)`` of the predicate's complement over ``sides``,
+    ``((ltable, l_key), (rtable, r_key))``, and their text views
     ``view(side, attr)``: ``join()`` gives the rows of the pairs it holds
-    for; ``cost``, known before it runs, is the equal pairs or the probe's
-    summed prefix posting lengths (off the array index it then reuses)."""
+    for, as the feature scores them; ``cost``, known before it runs, is
+    the equal pairs or the probe's summed prefix posting lengths (off the
+    array index it then reuses) plus the pairs of empty token sets."""
     feature, complement = predicate.feature, predicate.complement()
-    views = view(0, feature.l_attr), view(1, feature.r_attr)
-    texts = [view.column(TEXT) for view in views]
+    (ltable, l_key), (rtable, r_key) = sides
     if feature.sim_kind == "exact":  # exact_match > t (t < 1) means equality
-        counts = Counter(texts[0])
-        cost = sum(counts[text] for text in texts[1] if text is not None)
-        return cost, lambda: equal_value_pairs(*texts)
+        keys = _exact_keys(ltable.column(feature.l_attr), rtable.column(feature.r_attr))
+        counts = Counter(keys[0])
+        cost = sum(counts[key] for key in keys[1] if key is not None)
+        return cost, lambda: equal_value_pairs(*keys)
+    views = view(0, feature.l_attr), view(1, feature.r_attr)
     # A strict '>' drops the ties of a join at its threshold (or at 1e-9 for 0).
     measure, threshold = validate_measure(feature.measure_name), complement.threshold
     join_at, store, tokenizer = max(threshold, 1e-9), get_index_store(), feature.tokenizer
     encoding = store.join_encoding(*views, l_key, r_key, TEXT, TEXT, tokenizer)
     index, left = store.array_index(encoding, measure, join_at), encoding.left
     probe = arrays.ProbeBatch(left.indptr, left.indices, left.sizes, measure, join_at, index.dim)
+    # Two present values with no tokens score 1.0, which every joinable
+    # complement holds for, but share no token for the join to find: the
+    # records of no tokens, and the texts that print blank (no record).
+    l_empty, r_empty = (
+        np.union1d(rows[side.sizes == 0], [
+            row for row, text in enumerate(v.column(TEXT))
+            if text is not None and is_missing(text) and not tokenizer.tokenize(text)
+        ]).astype(np.int64)
+        for v, side, rows in zip(views, (left, encoding.right), map(record_rows, views))
+    )
 
     def join():
         l_rows, r_rows, scores = text_join_positions(
             views, l_key, r_key, tokenizer, measure, join_at
         )
         keep = scores > threshold if complement.op == ">" else slice(None)
-        return l_rows[keep], r_rows[keep]
+        return (np.concatenate([l_rows[keep], np.repeat(l_empty, len(r_empty))]),
+                np.concatenate([r_rows[keep], np.tile(r_empty, len(l_empty))]))
 
-    return int(index.posting_lengths(probe.prefix_ids).sum()), join
+    cost = int(index.posting_lengths(probe.prefix_ids).sum()) + len(l_empty) * len(r_empty)
+    return cost, join
 
 
 def _check(rules, sides, l_pos: np.ndarray, r_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +273,7 @@ def candidate_positions(
         raise WorkflowError("no blocking rules to execute")
     sides = (ltable, l_key), (rtable, r_key)
     view = cache(lambda side, attr: text_view(*sides[side], [attr]))
-    joins = {at: [_complement_join(p, view, l_key, r_key) for p in rule.predicates]
+    joins = {at: [_complement_join(p, sides, view) for p in rule.predicates]
              for at, rule in enumerate(rules) if rule.is_executable}
     costs = {at: sum(cost for cost, _ in plan) for at, plan in joins.items()}
     order = sorted(range(len(rules)), key=lambda at: costs.get(at, np.inf))

@@ -84,7 +84,6 @@ class EMWorkflow:
                 lambda _store, call=call: call.service.run(context),
                 deps=tuple(sorted(call.after)),
                 description=call.service.description,
-                checkpoint=False,  # services write undeclared context slots
             )
         return graph
 

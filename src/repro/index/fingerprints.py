@@ -1,14 +1,13 @@
 """Content fingerprints for index artifacts.
 
 The runtime's :func:`repro.runtime.fingerprint` is *structural* — it
-hashes node names and dependency digests, and callers salt in content
-identity by hand.  Index artifacts cannot rely on structure: the same
-logical column arrives as ever-fresh ``Table`` objects (blockers and
-rule execution build projected views per call), and a mutated table must
-never serve a stale index.  So artifact keys hash *content*: the key and
+hashes the parts it is given (``CheckpointedRun`` gives it the run id,
+the partition node and the partition count).  Index artifacts cannot
+rely on structure: the same logical column arrives as ever-fresh
+``Table`` objects (blockers and rule execution build projected views per
+call), and a mutated table must never serve a stale index.  So artifact keys hash *content*: the key and
 value columns are streamed value-by-value into the digest, and every
-derived artifact chains the digests of what it was built from, exactly
-as ``node_fingerprints`` chains dependency fingerprints.
+derived artifact chains the digests of what it was built from.
 
 Fingerprinting is O(n) per call, but n is a column scan — orders of
 magnitude cheaper than the tokenize/encode/index build it lets us skip,

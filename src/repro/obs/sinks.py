@@ -2,13 +2,9 @@
 
 :func:`repro.runtime.run_graph` runs every node in the calling process
 and emits its events there, so subscribing :func:`metrics_sink` to a
-run's stream is enough to account node timings, cache hits, retries, and
-failures — no operator code changes.  :func:`repro.runtime.run_graph`
-subscribes one automatically for the duration of each run.
-
-Cached restores are kept in separate series (``runtime_node_cached_*``)
-from real execution, mirroring ``EventStream.node_timings(cached=...)``:
-a memo/checkpoint hit must never inflate a node's apparent compute time.
+run's stream is enough to account runs, node timings and failures — no
+operator code changes.  :func:`repro.runtime.run_graph` subscribes one
+automatically for the duration of each run.
 """
 
 from __future__ import annotations
@@ -27,8 +23,7 @@ def metrics_sink(registry: MetricsRegistry | None = None) -> Callable[[RunEvent]
 
     * ``runtime_runs_total`` / ``runtime_run_seconds``
     * ``runtime_node_events_total`` (additionally labeled by ``event``)
-    * ``runtime_node_seconds`` — real execution wall time (finish + fail)
-    * ``runtime_node_cached_seconds`` — memo/checkpoint restore time
+    * ``runtime_node_seconds`` — execution wall time (finish + fail)
     * ``runtime_sim_seconds_total`` — simulated human/crowd seconds
     """
 
@@ -56,9 +51,5 @@ def metrics_sink(registry: MetricsRegistry | None = None) -> Callable[[RunEvent]
                 reg.counter("runtime_sim_seconds_total", graph=event.graph).inc(
                     event.sim_seconds
                 )
-        elif event.event == ev.CACHE_HIT:
-            reg.histogram("runtime_node_cached_seconds", graph=event.graph).observe(
-                event.wall_seconds
-            )
 
     return sink

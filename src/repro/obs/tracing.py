@@ -9,7 +9,7 @@ offline.  Two ways to produce spans:
   follows the runtime call stack.
 * :func:`event_span_sink` — an :class:`~repro.runtime.events.EventStream`
   sink that turns each node's ``node_start``/``node_finish``/``node_fail``
-  event pair (and each ``cache_hit``) into a span, so every runtime-graph
+  event pair into a span, so every runtime-graph
   execution can be traced without touching operator code.
 
 Spans accumulate on a :class:`Tracer` installed with :func:`use_tracer`
@@ -201,11 +201,9 @@ def event_span_sink(tracer: Tracer | None = None) -> Callable[[RunEvent], None]:
 
     ``node_start`` opens a span for ``(graph, node)``; the matching
     ``node_finish``/``node_fail`` closes it with the event's wall seconds
-    (failures carry the error repr).  ``cache_hit`` events become
-    standalone spans labeled ``cached=true`` — there is no start event
-    for a cache hit.  Spans parent onto whatever :func:`trace_span`
-    context is open when the node starts, so graph executions nest under
-    caller-opened spans.
+    (failures carry the error repr).  Spans parent onto whatever
+    :func:`trace_span` context is open when the node starts, so graph
+    executions nest under caller-opened spans.
     """
     target = tracer if tracer is not None else get_tracer()
     open_spans: dict[tuple[str, str], Span] = {}
@@ -234,16 +232,6 @@ def event_span_sink(tracer: Tracer | None = None) -> Callable[[RunEvent], None]:
             span.seconds = event.wall_seconds
             if event.error is not None:
                 span.error = event.error
-            target.keep(span)
-        elif event.event == ev.CACHE_HIT:
-            span = Span(
-                name=f"{event.graph}/{event.node}",
-                span_id=target.allocate_span_id(),
-                parent_id=target.current_parent_id(),
-                labels={"graph": event.graph, "node": event.node, "cached": "true"},
-                start=event.at if event.at is not None else time.time(),
-                seconds=event.wall_seconds,
-            )
             target.keep(span)
 
     return sink

@@ -257,8 +257,6 @@ PRODUCTION_GUIDE: tuple[GuideStep, ...] = (
             _cmd("run_graph", "repro.runtime:run_graph", "repro.runtime"),
             _cmd("EventStream", "repro.runtime:EventStream", "repro.runtime"),
             _cmd("EventStream.write_jsonl", "repro.runtime:EventStream.write_jsonl", "repro.runtime"),
-            _cmd("NodeMemo", "repro.runtime:NodeMemo", "repro.runtime"),
-            _cmd("GraphCheckpoint", "repro.runtime:GraphCheckpoint", "repro.runtime"),
         ),
     ),
     GuideStep(
@@ -268,6 +266,7 @@ PRODUCTION_GUIDE: tuple[GuideStep, ...] = (
             _cmd("CheckpointedRun", "repro.pipeline:CheckpointedRun", "repro.pipeline"),
             _cmd("CheckpointedRun.execute", "repro.pipeline:CheckpointedRun.execute", "repro.pipeline"),
             _cmd("CheckpointedRun.completed_partitions", "repro.pipeline:CheckpointedRun.completed_partitions", "repro.pipeline"),
+            _cmd("GraphCheckpoint", "repro.runtime:GraphCheckpoint", "repro.runtime"),
         ),
     ),
     GuideStep(

@@ -5,12 +5,13 @@ captured as a Python script (of a sequence of commands)".
 :class:`MagellanWorkflow` is that script as an object: an ordered list of
 named steps (each an arbitrary callable over a shared artifact store).
 
-Execution is no longer a private loop: the step list compiles to a
+Execution is not a private loop: the step list compiles to a
 chain-shaped :class:`repro.runtime.OperatorGraph` and runs on the shared
-runtime core, so captured workflows get the same structured event stream,
-memoization, and DAG checkpointing as the cloud metamanager and Falcon.
-The public API (``add_step`` / ``run`` / ``records`` / ``total_seconds``)
-is unchanged.
+runtime core, so captured workflows emit the same structured event
+stream as the cloud metamanager and Falcon, and their step records are
+read off it.  Crash recovery is the production stage's
+:class:`~repro.pipeline.CheckpointedRun`, which resumes a partitioned
+run of such a workflow.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import WorkflowError
-from repro.runtime import (
-    EventStream,
-    GraphCheckpoint,
-    NodeMemo,
-    OperatorGraph,
-    chain_graph,
-    run_graph,
-)
+from repro.runtime import EventStream, OperatorGraph, chain_graph, run_graph
 from repro.runtime.events import NODE_FAIL, NODE_FINISH, NODE_START, RunEvent
 
 logger = logging.getLogger("repro.pipeline")
@@ -101,47 +95,28 @@ class MagellanWorkflow:
             [(step.name, step.fn, step.description) for step in self.steps],
         )
 
-    def run(
-        self,
-        stop_on_error: bool = True,
-        events: EventStream | None = None,
-        memo: NodeMemo | None = None,
-        checkpoint: GraphCheckpoint | None = None,
-    ) -> dict[str, Any]:
+    def run(self, events: EventStream | None = None) -> dict[str, Any]:
         """Execute all steps in order; returns the artifact store.
 
         Each step is timed, logged, and emitted on the structured event
-        stream.  On failure, the error is recorded; with ``stop_on_error``
-        (default) execution halts and the exception propagates after
-        recording — production runs want the failure loud, not swallowed.
-
-        ``events``, ``memo``, and ``checkpoint`` are passed through to the
-        runtime core: pass a :class:`repro.runtime.GraphCheckpoint` to
-        make a crashed production run resume at the first non-checkpointed
-        step (steps must declare no out-of-store effects for that to be
-        sound), or an :class:`repro.runtime.EventStream` to share one
-        stream across many workflow runs.
+        stream (``events``, to share one stream across many runs; a new
+        one otherwise).  A failing step is recorded and its exception
+        propagates: production runs want the failure loud, not swallowed.
+        ``records`` holds the steps that ran, the failed one last.
         """
         self.events = events if events is not None else EventStream()
+        first = len(self.events)
         sink = self.events.subscribe(_log_sink(self.name))
-        self.records = []
         try:
-            result = run_graph(
-                self.to_runtime_graph(),
-                self.artifacts,
-                events=self.events,
-                memo=memo,
-                checkpoint=checkpoint,
-                on_error="halt" if stop_on_error else "continue",
-            )
+            run_graph(self.to_runtime_graph(), self.artifacts, events=self.events)
         finally:
             self.events.unsubscribe(sink)
-        self.records = [
-            StepRecord(record.name, record.seconds, record.ok, record.error)
-            for record in result.records.values()
-        ]
-        if stop_on_error and result.first_error is not None:
-            raise result.first_error
+            self.records = [
+                StepRecord(event.node, event.wall_seconds, event.event == NODE_FINISH,
+                           event.error)
+                for event in self.events.events[first:]
+                if event.event in (NODE_FINISH, NODE_FAIL) and event.graph == self.name
+            ]
         return self.artifacts
 
     def total_seconds(self) -> float:

@@ -1,19 +1,15 @@
-"""Fingerprint-keyed memoization and DAG-level checkpointing.
+"""The partition store of the production stage, and its atomic writes.
 
-Each checkpointable operator's declared outputs are persisted under a
-structural fingerprint, so a crashed run restarted against the same
-store resumes at the first non-checkpointed node, and an unchanged node
-re-run in-process is served from the in-memory memo without recomputing.
-:class:`repro.pipeline.CheckpointedRun` keeps its partitions in a
-:class:`GraphCheckpoint`, one node per partition.
+:class:`repro.pipeline.CheckpointedRun` keeps each finished partition
+in a :class:`GraphCheckpoint`, one node ``part_<i>`` per partition, so a
+crashed run restarted against the same directory computes only the
+partitions that never finished.
 
-Fingerprints are *structural*: a node's fingerprint hashes its graph name,
-node name, explicit ``key`` salt, and its dependencies' fingerprints —
-not artifact contents (artifacts can be multi-gigabyte tables; hashing
-them would cost more than many operators).  Callers that need
-content-sensitivity salt the node ``key`` (e.g. with a dataset name or
-config repr), as ``CheckpointedRun`` salts its partitions with their
-count.
+A node's entry is keyed by a :func:`fingerprint` of its structure, not
+of artifact contents (artifacts can be multi-gigabyte tables; hashing
+them would cost more than many partitions).  ``CheckpointedRun`` salts
+it with the run id and the partition count, so a directory written with
+another partitioning is refused rather than mixed in.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import WorkflowError
-from repro.runtime.graph import Operator, OperatorGraph
 
 
 def fingerprint(*parts: Any) -> str:
@@ -37,48 +32,6 @@ def fingerprint(*parts: Any) -> str:
         digest.update(repr(part).encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()[:32]
-
-
-def node_fingerprints(graph: OperatorGraph) -> dict[str, str]:
-    """Fingerprint every node: hash of (graph, name, key, dep fingerprints)."""
-    fingerprints: dict[str, str] = {}
-    for name in graph.topological_order():
-        operator = graph.nodes[name]
-        fingerprints[name] = fingerprint(
-            graph.name,
-            name,
-            operator.key,
-            tuple(fingerprints[dep] for dep in operator.deps),
-        )
-    return fingerprints
-
-
-class NodeMemo:
-    """In-memory fingerprint-keyed cache of node outputs.
-
-    Shared across runs in one process: re-running an unchanged graph (or a
-    graph sharing a prefix with an earlier one) serves the unchanged
-    nodes' declared outputs from memory and emits ``cache_hit`` events.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, dict[str, Any]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, fp: str) -> dict[str, Any] | None:
-        entry = self._entries.get(fp)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return dict(entry)
-
-    def put(self, fp: str, outputs: dict[str, Any]) -> None:
-        self._entries[fp] = dict(outputs)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -103,16 +56,11 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Atomically replace ``path`` with ``text`` (temp file + rename)."""
-    atomic_write_bytes(Path(path), text.encode("utf-8"))
-
-
 class GraphCheckpoint:
-    """On-disk DAG-level checkpoint store for one logical run.
+    """On-disk checkpoint store for one logical run.
 
-    Layout under ``directory/<run_id>/``: one pickle per checkpointed node
-    (its declared outputs) plus ``manifest.json`` mapping node name to its
+    Layout under ``directory/<run_id>/``: one pickle per saved node (the
+    outputs it was given) plus ``manifest.json`` mapping node name to its
     fingerprint and artifact file.  Manifest writes are atomic, so a crash
     at any point leaves a loadable manifest; artifact pickles are written
     before the manifest references them, so a referenced file always
@@ -138,16 +86,13 @@ class GraphCheckpoint:
         return manifest
 
     def _save_manifest(self, manifest: dict[str, Any]) -> None:
-        atomic_write_text(self._manifest_path, json.dumps(manifest, indent=2))
+        atomic_write_bytes(self._manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
 
     def completed_nodes(self) -> set[str]:
         """Names of nodes with a checkpoint from a previous (or this) run."""
         return set(self._manifest()["nodes"])
 
     # ------------------------------------------------------------------
-    def can_checkpoint(self, operator: Operator) -> bool:
-        return operator.checkpoint and bool(operator.outputs)
-
     def has(self, name: str, fp: str) -> bool:
         """Is a checkpoint with this exact fingerprint available?"""
         entry = self._manifest()["nodes"].get(name)
@@ -156,7 +101,7 @@ class GraphCheckpoint:
         return (self.directory / entry["file"]).exists()
 
     def save(self, name: str, fp: str, outputs: dict[str, Any]) -> None:
-        """Persist a node's declared outputs under its fingerprint."""
+        """Persist a node's outputs under its fingerprint."""
         file_name = f"node_{_slug(name)}.pkl"
         atomic_write_bytes(
             self.directory / file_name, pickle.dumps(outputs, protocol=pickle.HIGHEST_PROTOCOL)
@@ -174,17 +119,6 @@ class GraphCheckpoint:
             )
         with (self.directory / entry["file"]).open("rb") as handle:
             return pickle.load(handle)
-
-    def invalidate(self, name: str) -> None:
-        """Drop one node's checkpoint (e.g. after its inputs changed)."""
-        manifest = self._manifest()
-        entry = manifest["nodes"].pop(name, None)
-        if entry is not None:
-            self._save_manifest(manifest)
-            try:
-                (self.directory / entry["file"]).unlink()
-            except OSError:
-                pass
 
 
 def _slug(name: str) -> str:

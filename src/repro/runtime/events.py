@@ -1,8 +1,8 @@
 """Structured run-event stream for runtime-graph executions.
 
 One schema for everything the three workflow stacks used to log three
-different ways: every node start/finish/failure/retry, every cache hit and
-checkpoint save/restore, with both wall-clock and *simulated* time (the
+different ways: every run's start and finish and every node's start,
+finish or failure, with both wall-clock and *simulated* time (the
 cloud metamanager schedules in simulated seconds because a fragment's cost
 is dominated by human/crowd wait).  Events go to an in-memory list and to
 any subscribed sinks, and every run can be exported as JSONL for offline
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -24,22 +24,6 @@ RUN_FINISH = "run_finish"
 NODE_START = "node_start"
 NODE_FINISH = "node_finish"
 NODE_FAIL = "node_fail"
-NODE_RETRY = "node_retry"
-CACHE_HIT = "cache_hit"
-CHECKPOINT_SAVED = "checkpoint_saved"
-CHECKPOINT_RESTORED = "checkpoint_restored"
-
-EVENT_TYPES = (
-    RUN_START,
-    RUN_FINISH,
-    NODE_START,
-    NODE_FINISH,
-    NODE_FAIL,
-    NODE_RETRY,
-    CACHE_HIT,
-    CHECKPOINT_SAVED,
-    CHECKPOINT_RESTORED,
-)
 
 
 @dataclass
@@ -53,11 +37,7 @@ class RunEvent:
     wall_seconds: float = 0.0  # duration of the node's work, if any
     sim_seconds: float = 0.0  # simulated human/crowd seconds, if any
     sim_at: float = 0.0  # simulated-clock position (cloud scheduling)
-    cached: bool = False
-    rows_in: int = 0  # sized rows across the node's dep output slots
-    rows_out: int = 0  # sized rows across the node's declared output slots
     error: str | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -68,14 +48,9 @@ class RunEvent:
             "wall_seconds": self.wall_seconds,
             "sim_seconds": self.sim_seconds,
             "sim_at": self.sim_at,
-            "cached": self.cached,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
         }
         if self.error is not None:
             payload["error"] = self.error
-        if self.extra:
-            payload["extra"] = self.extra
         return payload
 
     def to_json(self) -> str:
@@ -124,7 +99,7 @@ class EventStream:
         ]
 
     def node_multiset(
-        self, event_types: Iterable[str] = (NODE_START, NODE_FINISH, NODE_FAIL, CACHE_HIT)
+        self, event_types: Iterable[str] = (NODE_START, NODE_FINISH, NODE_FAIL)
     ) -> Counter:
         """Multiset of ``(graph, node, event)`` triples for per-node events.
 
@@ -138,19 +113,11 @@ class EventStream:
             if e.node is not None and e.event in wanted
         )
 
-    def node_timings(self, cached: bool = False) -> dict[tuple[str, str], float]:
-        """Per-(graph, node) wall seconds, real and cached kept apart.
-
-        By default sums only *real* execution time (finish/fail events);
-        ``cached=True`` instead sums memo/checkpoint restore time
-        (cache-hit events).  Conflating the two in one bucket would make
-        a cached rerun look as expensive as the original execution, so
-        profile output built on this method never mixes them.
-        """
-        wanted = (CACHE_HIT,) if cached else (NODE_FINISH, NODE_FAIL)
+    def node_timings(self) -> dict[tuple[str, str], float]:
+        """Per-(graph, node) wall seconds summed over finish/fail events."""
         timings: dict[tuple[str, str], float] = {}
         for e in self.events:
-            if e.node is not None and e.event in wanted:
+            if e.node is not None and e.event in (NODE_FINISH, NODE_FAIL):
                 timings[(e.graph, e.node)] = timings.get((e.graph, e.node), 0.0) + e.wall_seconds
         return timings
 

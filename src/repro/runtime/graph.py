@@ -12,15 +12,15 @@ all compile to this IR and run through :func:`repro.runtime.run_graph`.
 
 Dependencies must name already-added operators, so a graph is acyclic by
 construction; topological order is deterministic (Kahn's algorithm with
-insertion-order tie-breaking), which keeps fresh and resumed runs
-byte-identical.  :class:`ReadySet` is that algorithm run incrementally,
+insertion-order tie-breaking), so every run of a graph visits its nodes
+in one order.  :class:`ReadySet` is that algorithm run incrementally,
 and the one ready-set tracker in the package: topological order,
 ``run_graph`` and the cloud metamanager's fragment dispatch all drive it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Iterable, Mapping, MutableMapping
 
 from repro.exceptions import WorkflowError
@@ -87,27 +87,16 @@ class Operator:
     * a ``dict`` — artifact updates, merged into the store by the runner;
     * a ``float``/``int`` — *simulated* human/crowd seconds consumed (the
       CloudMatcher service convention); recorded on the node's events.
-
-    ``outputs`` declares the store slots the operator writes.  Declared
-    outputs are what DAG-level checkpointing persists and the memo serves,
-    so an operator is checkpointable (``checkpoint=True`` and non-empty
-    ``outputs``) only when its effects are fully captured by those slots.
     """
 
     name: str
     fn: Callable[[ArtifactStore], Any]
     deps: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
     description: str = ""
-    retries: int = 0
-    checkpoint: bool = True
-    key: str = ""  # extra salt for the node fingerprint (versioning)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkflowError("operator name must be non-empty")
-        if self.retries < 0:
-            raise WorkflowError(f"operator {self.name!r}: retries must be >= 0")
 
 
 class OperatorGraph:
@@ -123,21 +112,14 @@ class OperatorGraph:
         name: str,
         fn: Callable[[ArtifactStore], Any],
         deps: tuple[str, ...] | list[str] = (),
-        outputs: tuple[str, ...] | list[str] = (),
         description: str = "",
-        retries: int = 0,
-        checkpoint: bool = True,
-        key: str = "",
     ) -> Operator:
         """Add an operator; ``deps`` must name already-added operators.
 
         Because every edge points backward to an existing node, the graph
         stays acyclic by construction.  Returns the new operator.
         """
-        return self.add_operator(Operator(
-            name, fn, tuple(deps), tuple(outputs), description, retries,
-            checkpoint, key,
-        ))
+        return self.add_operator(Operator(name, fn, tuple(deps), description))
 
     def add_operator(self, operator: Operator) -> Operator:
         """Add a prebuilt :class:`Operator` (same validation as :meth:`add`)."""
@@ -218,7 +200,6 @@ def chain_graph(
         tuple[str, Callable[[ArtifactStore], Any]]
         | tuple[str, Callable[[ArtifactStore], Any], str]
     ],
-    checkpoint: bool = True,
 ) -> OperatorGraph:
     """A linear graph: each step depends on the previous one.
 
@@ -228,25 +209,6 @@ def chain_graph(
     graph = OperatorGraph(name)
     previous: tuple[str, ...] = ()
     for step_name, fn, *rest in steps:
-        graph.add(
-            step_name, fn, deps=previous,
-            description=rest[0] if rest else "", checkpoint=checkpoint,
-        )
+        graph.add(step_name, fn, deps=previous, description=rest[0] if rest else "")
         previous = (step_name,)
     return graph
-
-
-@dataclass
-class NodeRecord:
-    """Execution record of one operator — the unified replacement for the
-    three ad-hoc per-stack record schemes (``StepRecord``,
-    ``FragmentExecution`` timings, logging lines)."""
-
-    name: str
-    seconds: float
-    ok: bool
-    error: str | None = None
-    cached: bool = False
-    sim_seconds: float = 0.0
-    attempts: int = 1
-    outputs: tuple[str, ...] = field(default_factory=tuple)

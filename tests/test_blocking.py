@@ -44,7 +44,7 @@ from repro.table import Table
 from repro.table.schema import is_missing
 from repro.text.sim.edit_based import Levenshtein
 from repro.text.sim.token_based import Jaccard, OverlapCoefficient
-from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
+from repro.text.tokenizers import DelimiterTokenizer, QgramTokenizer, WhitespaceTokenizer
 
 
 def pairs_of(candset):
@@ -471,18 +471,13 @@ def oracle_complement(predicate, ltable, rtable):
     feature = predicate.feature
     l_view = text_view(ltable, "id", [feature.l_attr])
     r_view = text_view(rtable, "id", [feature.r_attr])
-    if feature.sim_kind == "exact":
-        l_index = {}
-        for key_value, value in zip(l_view.column("id"), l_view.column(TEXT)):
-            if value is not None:
-                l_index.setdefault(value, []).append(key_value)
-        pairs = set()
-        for key_value, value in zip(r_view.column("id"), r_view.column(TEXT)):
-            if value is None:
-                continue
-            for l_key_value in l_index.get(value, ()):
-                pairs.add((l_key_value, key_value))
-        return pairs
+    if feature.sim_kind == "exact":  # the feature's scalar equality, pair by pair
+        return {
+            (l_row["id"], r_row["id"])
+            for l_row in ltable.rows()
+            for r_row in rtable.rows()
+            if complement.holds(l_row, r_row)
+        }
     threshold = complement.threshold
     if complement.op == ">":
         threshold = threshold + 1e-9
@@ -491,7 +486,13 @@ def oracle_complement(predicate, ltable, rtable):
         l_view, r_view, "id", "id", TEXT, TEXT, feature.tokenizer,
         measure=feature.measure_name, threshold=threshold,
     )
-    return set(zip(joined.column("l_id"), joined.column("r_id")))
+
+    def empty(view):  # present texts with no tokens: two of them score 1.0
+        return [key for key, text in zip(view.column("id"), view.column(TEXT))
+                if text is not None and not feature.tokenizer.tokenize(text)]
+
+    both_empty = {(l, r) for l in empty(l_view) for r in empty(r_view)}
+    return set(zip(joined.column("l_id"), joined.column("r_id"))) | both_empty
 
 
 def oracle_rule_survivors(rule, ltable, rtable):
@@ -530,19 +531,27 @@ def assert_same_table(got, expected):
 
 #: Block values: missing markers (None, NaN, blanks), 1 == 1.0 == True,
 #: case variants and repeats.
-VALUES = [None, math.nan, "", "  ", 1, 1.0, True, 2, "a", "A", "a b", "b c", "x"]
-TEXTS = [None, "", "a b", "b c", "A B", "a", "c d e", "a b c d", "x y"]
+VALUES = [None, math.nan, "", "  ", 1, 1.0, True, 2, 2.0, "1", "2", "a", "A", "a b", "b c", "x"]
+#: "," and ",," have no tokens under a "," delimiter.
+TEXTS = [None, "", "a b", "b c", "A B", "a", "c d e", "a b c d", "x y", ",", ",,", "a,b"]
 TOKEN = make_token_feature(
     "t_jaccard", "t", "t", WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard"
 )
+COMMA_TOKEN = make_token_feature(
+    "t_jaccard_comma", "t", "t", DelimiterTokenizer({","}, return_set=True), Jaccard(),
+    "jaccard",
+)
 EXACT = make_exact_feature("t_exact", "t", "t")
+VALUE_EXACT = make_exact_feature("v_exact", "v", "v")
 PREDICATES = [
     Predicate(TOKEN, "<", 0.5),
     Predicate(TOKEN, "<=", 0.5),
     Predicate(TOKEN, "<", 0.2),
     Predicate(TOKEN, "<=", 0.0),
+    Predicate(COMMA_TOKEN, "<=", 0.5),
     Predicate(EXACT, "<=", 0.5),
     Predicate(EXACT, "<", 1.0),
+    Predicate(VALUE_EXACT, "<=", 0.5),
 ]
 #: Predicates no rule containing them can join: measures the join lacks,
 #: and a token predicate whose complement is not "similarity above t".
@@ -742,6 +751,13 @@ class TestCandidateHandoverMatchesTheOracles:
             assert_same_table(ours(b, a), oracle_candset_op(b, a, op))
 
 
+class PrintsBlank:
+    """A present value whose text is blank."""
+
+    def __str__(self):
+        return "  "
+
+
 class TestRuleBlockerPlan:
     """``RuleBasedBlocker.block_tables`` joins one rule and checks the rest."""
 
@@ -796,6 +812,60 @@ class TestRuleBlockerPlan:
             assert list(zip(candset["ltable_id"], candset["rtable_id"])) == [
                 ("a3", 10), ("a4", 10)
             ]
+
+    @staticmethod
+    def _answers(rule, cheaper, ltable, rtable):
+        """The pairs ``rule`` keeps joined alone, checked after the seed
+        ``cheaper`` (as the pairs both keep), and by ``drops``."""
+        for table in (ltable, rtable):
+            get_catalog().set_key(table, "id")
+        alone = execute_rules([rule], ltable, rtable)
+        with use_registry() as registry:
+            after = execute_rules([cheaper, rule], ltable, rtable)
+        seeded = registry.counters()[("blocking_rule_survivors_total", (("rule", "0"),))]
+        checked = registry.counters()[("blocking_rule_pairs_checked_total", ())]
+        assert checked == seeded  # ``cheaper`` seeded, ``rule`` was checked
+        by_drops = {
+            (l_row["id"], r_row["id"])
+            for l_row in ltable.rows()
+            for r_row in rtable.rows()
+            if not rule.drops(l_row, r_row)
+        }
+        return alone, after, by_drops & execute_rules([cheaper], ltable, rtable), by_drops
+
+    @pytest.mark.parametrize("l_values, r_values", [
+        ([1, 5, 5, 5], [1.0, 5, 5, 5]),
+        ([[1], [5], [5], [5]], [[1.0], [5], [5], [5]]),  # unhashable cells
+    ])
+    def test_an_exact_rule_compares_values_as_its_feature_does(self, l_values, r_values):
+        """1 == 1.0, so ``v_ex <= 0.5`` keeps (a1, b1) wherever it runs."""
+        ids = ["1", "2", "3", "4"]
+        ltable = Table({"id": [f"a{i}" for i in ids], "v": l_values, "t": list("pqrs")})
+        rtable = Table({"id": [f"b{i}" for i in ids], "v": r_values, "t": list("pqrs")})
+        rule = BlockingRule((Predicate(make_exact_feature("v_ex", "v", "v"), "<=", 0.5),))
+        cheaper = BlockingRule((Predicate(make_token_feature(
+            "t_jac", "t", "t", WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard",
+        ), "<=", 0.5),))
+        alone, after, expected_after, by_drops = self._answers(rule, cheaper, ltable, rtable)
+        assert ("a1", "b1") in by_drops
+        assert alone == by_drops
+        assert after == expected_after == {(f"a{i}", f"b{i}") for i in ids}
+
+    @pytest.mark.parametrize("tokenizer, value", [
+        (DelimiterTokenizer({","}, return_set=True), ","),
+        (WhitespaceTokenizer(return_set=True), PrintsBlank()),  # present, no store record
+    ])
+    def test_two_empty_token_sets_are_kept_as_the_feature_scores_them(self, tokenizer, value):
+        """A value with no tokens: two of them score 1.0.  The second row
+        is a plain join pair, found at its own rows."""
+        ltable = Table({"id": ["a1", "a2"], "v": [value, "x y"], "k": ["z", "w"]})
+        rtable = Table({"id": ["b1", "b2"], "v": [value, "x y"], "k": ["z", "w"]})
+        rule = BlockingRule((Predicate(make_token_feature(
+            "v_jac", "v", "v", tokenizer, Jaccard(), "jaccard",
+        ), "<=", 0.5),))
+        cheaper = BlockingRule((Predicate(make_exact_feature("k_ex", "k", "k"), "<=", 0.5),))
+        alone, after, expected_after, by_drops = self._answers(rule, cheaper, ltable, rtable)
+        assert alone == after == expected_after == by_drops == {("a1", "b1"), ("a2", "b2")}
 
     def test_rules_with_no_join_check_every_pair(self):
         with use_registry() as registry:

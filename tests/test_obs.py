@@ -259,10 +259,10 @@ def instrumented_graph():
 
         return op
 
-    graph.add("a", work("a", {"rows": 2}), outputs=("a",))
-    graph.add("b", work("b", {"rows": 10}), deps=("a",), outputs=("b",))
-    graph.add("c", work("c", {"rows": 20}), deps=("a",), outputs=("c",))
-    graph.add("d", work("d", {"rows": 1}), deps=("b", "c"), outputs=("d",))
+    graph.add("a", work("a", {"rows": 2}))
+    graph.add("b", work("b", {"rows": 10}), deps=("a",))
+    graph.add("c", work("c", {"rows": 20}), deps=("a",))
+    graph.add("d", work("d", {"rows": 1}), deps=("b", "c"))
     return graph
 
 
@@ -346,13 +346,14 @@ class TestTracing:
     def test_event_span_sink_preserves_zero_timestamp(self):
         # A legitimate at == 0.0 (epoch) must not be replaced by
         # wall-clock now; only None means "unset".
-        from repro.runtime.events import CACHE_HIT, NODE_FINISH, NODE_START, RunEvent
+        from repro.runtime.events import NODE_FAIL, NODE_FINISH, NODE_START, RunEvent
 
         tracer = Tracer()
         sink = event_span_sink(tracer)
         sink(RunEvent(NODE_START, "g", node="n", at=0.0))
         sink(RunEvent(NODE_FINISH, "g", node="n", at=0.5, wall_seconds=0.5))
-        sink(RunEvent(CACHE_HIT, "g", node="m", at=0.0, wall_seconds=0.0))
+        sink(RunEvent(NODE_START, "g", node="m", at=0.0))
+        sink(RunEvent(NODE_FAIL, "g", node="m", at=0.0, error="boom"))
         assert [span.start for span in tracer.spans] == [0.0, 0.0]
 
     def test_event_span_sink_fills_missing_timestamp(self):

@@ -22,7 +22,7 @@ from repro.pipeline import (
     partition_table,
     resolve_command,
 )
-from repro.runtime import GraphCheckpoint, OperatorGraph, node_fingerprints
+from repro.runtime import NODE_FINISH, EventStream, GraphCheckpoint, fingerprint
 from repro.table import Table
 
 
@@ -60,12 +60,25 @@ class TestWorkflowCapture:
         assert workflow.records[-1].ok is False
         assert "ZeroDivisionError" in workflow.records[-1].error
 
-    def test_continue_on_error(self):
+    def test_a_failed_run_keeps_the_records_of_the_steps_that_ran(self):
         workflow = MagellanWorkflow("w")
+        workflow.add_step("one", lambda art: art.__setitem__("one", True))
         workflow.add_step("boom", lambda art: 1 / 0)
         workflow.add_step("after", lambda art: art.__setitem__("ran", True))
-        artifacts = workflow.run(stop_on_error=False)
-        assert artifacts["ran"] is True
+        with pytest.raises(ZeroDivisionError):
+            workflow.run()
+        assert [(r.name, r.ok) for r in workflow.records] == [("one", True), ("boom", False)]
+        assert "ran" not in workflow.artifacts
+
+    def test_records_come_from_this_run_on_a_shared_stream(self):
+        events = EventStream()
+        first = MagellanWorkflow("first").add_step("a", lambda art: None)
+        second = MagellanWorkflow("second").add_step("b", lambda art: None)
+        first.run(events=events)
+        second.run(events=events)
+        second.run(events=events)
+        assert [r.name for r in second.records] == ["b"]
+        assert [e.node for e in events.of(NODE_FINISH)] == ["a", "b", "b"]
 
 
 class TestPartitioning:
@@ -227,16 +240,13 @@ class TestCheckpointing:
         """A run directory written when each partition was a node of an
         ``OperatorGraph(run_id)`` keyed by the partition count."""
         table, n_partitions = numbers_table(12), 3
-        graph = OperatorGraph("job7")
-        for index in range(n_partitions):
-            name = f"part_{index}"
-            graph.add(name, lambda store: None, outputs=(name,),
-                      key=f"n_partitions={n_partitions}")
-        fingerprints = node_fingerprints(graph)
         checkpoint = GraphCheckpoint("job7", tmp_path)
         for index, part in enumerate(partition_table(table, n_partitions)):
             name = f"part_{index}"
-            checkpoint.save(name, fingerprints[name], {name: double_v(part)})
+            # The fingerprint of a dependency-free node ``name`` of that
+            # graph, salted with the partition count.
+            key = fingerprint("job7", name, f"n_partitions={n_partitions}", ())
+            checkpoint.save(name, key, {name: double_v(part)})
 
         def never(part: Table) -> Table:
             raise AssertionError("a checkpointed partition was recomputed")

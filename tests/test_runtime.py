@@ -1,50 +1,43 @@
 """Tests for repro.runtime: the shared operator-DAG execution core.
 
-Covers the IR, ``run_graph``, the structured event stream, memoization,
-DAG-level checkpointing, and the two issue-mandated scenarios: crash-resume
-via fault injection at every node of a Figure-2-style workflow, and
-per-node event-multiset equivalence between serial and interleaved
-metamanager schedules.
+Covers the IR, ``run_graph`` (each node once, the first failure raised),
+the structured event stream, the partition checkpoint store behind
+``CheckpointedRun`` (crash-resume of a Figure-2-style workflow run per
+partition), and per-node event-multiset equivalence between serial and
+interleaved metamanager schedules.
 """
 
 import json
 
 import pytest
 
-from repro.exceptions import ConfigurationError, WorkflowError
+from repro.exceptions import WorkflowError
+from repro.pipeline import CheckpointedRun, MagellanWorkflow
 from repro.runtime import (
-    CACHE_HIT,
-    CHECKPOINT_SAVED,
+    NODE_FAIL,
     NODE_FINISH,
-    NODE_RETRY,
     NODE_START,
     RUN_FINISH,
     RUN_START,
     EventStream,
     GraphCheckpoint,
-    NodeMemo,
     Operator,
     OperatorGraph,
     chain_graph,
     fingerprint,
-    node_fingerprints,
     read_jsonl,
     run_graph,
 )
+from repro.table import Table
 
 
 def diamond_graph():
     """a -> (b, c) -> d over simple integer artifacts."""
     graph = OperatorGraph("diamond")
-    graph.add("a", lambda s: s.__setitem__("x", 2), outputs=("x",))
-    graph.add("b", lambda s: {"left": s["x"] * 10}, deps=("a",), outputs=("left",))
-    graph.add("c", lambda s: {"right": s["x"] + 1}, deps=("a",), outputs=("right",))
-    graph.add(
-        "d",
-        lambda s: {"total": s["left"] + s["right"]},
-        deps=("b", "c"),
-        outputs=("total",),
-    )
+    graph.add("a", lambda s: s.__setitem__("x", 2))
+    graph.add("b", lambda s: {"left": s["x"] * 10}, deps=("a",))
+    graph.add("c", lambda s: {"right": s["x"] + 1}, deps=("a",))
+    graph.add("d", lambda s: {"total": s["left"] + s["right"]}, deps=("b", "c"))
     return graph
 
 
@@ -156,51 +149,9 @@ class TestOrderDeterminism:
             assert graph.subgraph(["a", "b", "d"]).topological_order() == first
 
 
-class TestRowCountEvents:
-    """NODE_FINISH events carry sized input/output rows for the planner."""
-
-    def graph(self):
-        graph = OperatorGraph("rows")
-        graph.add("make", lambda s: {"items": list(range(10))}, outputs=("items",))
-        graph.add(
-            "shrink",
-            lambda s: {"items": s["items"][:3]},
-            deps=("make",),
-            outputs=("items",),
-        )
-        return graph
-
-    def finish_events(self, result):
-        return {e.node: e for e in result.events.of(NODE_FINISH)}
-
-    def test_rows_measured_before_and_after(self):
-        finishes = self.finish_events(run_graph(self.graph()))
-        assert finishes["make"].rows_in == 0
-        assert finishes["make"].rows_out == 10
-        # "shrink" overwrites the slot it reads: rows_in must still be the
-        # pre-execution size, not the post-execution one.
-        assert finishes["shrink"].rows_in == 10
-        assert finishes["shrink"].rows_out == 3
-
-    def test_unsized_artifacts_count_zero(self):
-        graph = OperatorGraph("scalar")
-        graph.add("a", lambda s: {"x": 42}, outputs=("x",))
-        graph.add("b", lambda s: {"y": "a string"}, deps=("a",), outputs=("y",))
-        finishes = self.finish_events(run_graph(graph))
-        assert finishes["a"].rows_out == 0  # int has no rows
-        assert finishes["b"].rows_in == 0
-        assert finishes["b"].rows_out == 0  # strings deliberately uncounted
-
-    def test_rows_in_event_dict_roundtrip(self):
-        result = run_graph(self.graph())
-        payload = self.finish_events(result)["shrink"].to_dict()
-        assert payload["rows_in"] == 10 and payload["rows_out"] == 3
-
-
 class TestRunGraph:
     def test_serial_executes_all(self):
         result = run_graph(diamond_graph())
-        assert result.ok
         assert result.store["total"] == 23
         assert [r.name for r in result.records.values()] == ["a", "b", "c", "d"]
 
@@ -234,54 +185,37 @@ class TestRunGraph:
         assert result.store is store
         assert store["seed"] == 2
 
-    def test_retries(self):
-        calls = {"n": 0}
-
-        def flaky(store):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ValueError("transient")
-            store["done"] = True
-
-        graph = OperatorGraph("r")
-        graph.add("flaky", flaky, retries=2)
-        result = run_graph(graph)
-        assert result.ok and result.store["done"]
-        assert result.records["flaky"].attempts == 3
-        assert len(result.events.of(NODE_RETRY)) == 2
-
     def test_on_error_raise(self):
-        graph = chain_graph("f", [("boom", lambda s: 1 / 0), ("after", lambda s: None)])
+        """The first failure is recorded, scheduling stops, the run still
+        finishes its event stream, and the exception propagates."""
+        ran = []
+        graph = chain_graph("f", [
+            ("before", lambda s: ran.append("before")),
+            ("boom", lambda s: 1 / 0),
+            ("after", lambda s: ran.append("after")),
+        ])
+        events = EventStream()
         with pytest.raises(ZeroDivisionError):
-            run_graph(graph)
-
-    def test_on_error_continue_runs_dependents(self):
-        graph = chain_graph(
-            "f", [("boom", lambda s: 1 / 0), ("after", lambda s: {"ran": True})]
-        )
-        result = run_graph(graph, on_error="continue")
-        assert not result.ok
-        assert result.failed_nodes() == ["boom"]
-        assert result.store["ran"] is True
+            run_graph(graph, events=events)
+        assert ran == ["before"]
+        assert [(e.event, e.node) for e in events] == [
+            (RUN_START, None), (NODE_START, "before"), (NODE_FINISH, "before"),
+            (NODE_START, "boom"), (NODE_FAIL, "boom"), (RUN_FINISH, None),
+        ]
+        assert "ZeroDivisionError" in events.of(NODE_FAIL)[0].error
 
     def test_on_error_halt_returns_error(self):
+        """A failing node halts the run: its error reaches the caller, no
+        later node writes to the store, and the run finishes exactly once."""
         graph = chain_graph(
             "f", [("boom", lambda s: 1 / 0), ("after", lambda s: {"ran": True})]
         )
-        result = run_graph(graph, on_error="halt")
-        assert isinstance(result.first_error, ZeroDivisionError)
-        assert "ran" not in result.store  # scheduling stopped
-        assert len(result.events.of(RUN_FINISH)) == 1
-
-    def test_bad_on_error_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_graph(diamond_graph(), on_error="ignore")
-
-    def test_undeclared_output_rejected(self):
-        graph = OperatorGraph("g")
-        graph.add("liar", lambda s: None, outputs=("never_written",))
-        with pytest.raises(WorkflowError, match="did not write"):
-            run_graph(graph)
+        store, events = {}, EventStream()
+        with pytest.raises(ZeroDivisionError):
+            run_graph(graph, store, events=events)
+        assert "ran" not in store  # scheduling stopped
+        assert len(events.of(RUN_FINISH)) == 1
+        assert [e.node for e in events.of(NODE_FAIL)] == ["boom"]
 
 
 class TestEvents:
@@ -314,158 +248,147 @@ class TestEvents:
         assert all(json.dumps(row) for row in rows)
         finish = [r for r in rows if r["event"] == NODE_FINISH]
         assert {r["node"] for r in finish} == {"a", "b", "c", "d"}
-        assert all("wall_seconds" in r and "cached" in r for r in finish)
+        assert all({"wall_seconds", "sim_seconds", "sim_at"} <= set(r) for r in finish)
 
     def test_node_timings(self):
         result = run_graph(diamond_graph())
         timings = result.events.node_timings()
         assert set(timings) == {("diamond", n) for n in "abcd"}
 
-    def test_node_timings_separate_cached_from_real(self):
-        # A cache restore must not masquerade as execution time: real
-        # timings come from NODE_FINISH, cached ones from CACHE_HIT.
-        memo = NodeMemo()
-        events = EventStream()
-        run_graph(diamond_graph(), memo=memo)
-        run_graph(diamond_graph(), memo=memo, events=events)
-        assert events.node_timings() == {}
-        cached = events.node_timings(cached=True)
-        assert set(cached) == {("diamond", n) for n in "abcd"}
+ORDER = ["sample", "block", "label", "train", "apply"]
+
+
+def figure2_partition(crash_at=None, crash_id=None, log=None):
+    """A Figure-2-style guide workflow (sample, block, label, train, apply)
+    run over one partition of ``id``/``v`` rows, as ``CheckpointedRun``
+    runs a captured workflow in production.  The step ``crash_at`` raises
+    in the partition holding ``crash_id``; ``log`` collects the first id
+    of every partition the workflow ran on."""
+
+    def step(name, fn):
+        def op(store):
+            if name == crash_at and crash_id in store["part"].column("id"):
+                raise KeyboardInterrupt(f"simulated crash in {name}")
+            return fn(store)
+        return op
+
+    def fn(part: Table) -> Table:
+        if log is not None:
+            log.append(part.column("id")[0])
+        workflow = MagellanWorkflow("figure2")
+        for name, body in (
+            ("sample", lambda s: {"sample": list(zip(s["part"].column("id"), s["part"].column("v")))}),
+            ("block", lambda s: {"candset": [(i, v) for i, v in s["sample"] if v % 2 == 0]}),
+            ("label", lambda s: {"labels": [v > 8 for _, v in s["candset"]]}),
+            ("train", lambda s: {"threshold": 8}),
+            ("apply", lambda s: {"matches": [i for i, v in s["candset"] if v > s["threshold"]]}),
+        ):
+            workflow.add_step(name, step(name, body))
+        workflow.artifacts["part"] = part
+        matches = workflow.run()["matches"]
+        return Table({"id": matches, "match": [True] * len(matches)})
+
+    return fn
+
+
+def partition_rows(n=12):
+    return Table({"id": list(range(n)), "v": [i % 7 * 3 for i in range(n)]})
 
 
 class TestMemoAndCheckpoint:
-    def test_fingerprints_depend_on_structure(self):
-        g1, g2 = diamond_graph(), diamond_graph()
-        assert node_fingerprints(g1) == node_fingerprints(g2)
-        g3 = diamond_graph()
-        g3.add("e", lambda s: None, deps=("d",), key="v2")
-        fps = node_fingerprints(g3)
-        assert fps["d"] == node_fingerprints(g1)["d"]
+    """Partition checkpoints are keyed by structural fingerprints; there is
+    no in-process memo, so a rerun without a checkpoint recomputes."""
 
-    def test_key_salts_fingerprint(self):
-        g = OperatorGraph("g")
-        g.add("a", lambda s: None, key="v1")
-        h = OperatorGraph("g")
-        h.add("a", lambda s: None, key="v2")
-        assert node_fingerprints(g)["a"] != node_fingerprints(h)["a"]
+    def test_fingerprints_depend_on_structure(self, tmp_path):
+        """A partition's key hashes (run id, node, partition count): the
+        same run id resumes, another one in the directory starts empty."""
+        CheckpointedRun("job", tmp_path).execute(partition_rows(), figure2_partition(), 3)
+        store = GraphCheckpoint("job", tmp_path)
+        assert store.completed_nodes() == {"part_0", "part_1", "part_2"}
+        assert all(
+            store.has(f"part_{i}", fingerprint("job", f"part_{i}", "n_partitions=3", ()))
+            for i in range(3)
+        )
+        assert not store.has("part_0", fingerprint("other", "part_0", "n_partitions=3", ()))
+        assert CheckpointedRun("other", tmp_path).completed_partitions() == set()
+
+    def test_key_salts_fingerprint(self, tmp_path):
+        """The partition count salts every key: checkpoints written with 3
+        partitions are refused by a run asking for 4."""
+        run = CheckpointedRun("job", tmp_path)
+        run.execute(partition_rows(), figure2_partition(), n_partitions=3)
+        with pytest.raises(WorkflowError, match="do not match 4 partitions"):
+            run.execute(partition_rows(), figure2_partition(), n_partitions=4)
 
     def test_fingerprint_is_hex(self):
         assert len(fingerprint("x", 1)) == 32
         assert fingerprint("x") != fingerprint("y")
 
-    def test_memo_hits_on_rerun(self):
-        memo = NodeMemo()
-        counter = {"runs": 0}
-
-        def expensive(store):
-            counter["runs"] += 1
-            return {"value": 7}
-
-        def make():
-            graph = OperatorGraph("memo")
-            graph.add("expensive", expensive, outputs=("value",))
-            return graph
-
-        run_graph(make(), memo=memo)
-        second = run_graph(make(), memo=memo)
-        assert counter["runs"] == 1
-        assert second.store["value"] == 7
-        assert second.records["expensive"].cached
-        hits = second.events.of(CACHE_HIT)
-        assert len(hits) == 1 and hits[0].extra["source"] == "memo"
-
     def test_checkpoint_saves_and_restores(self, tmp_path):
-        checkpoint = GraphCheckpoint("run1", tmp_path)
-        first = run_graph(diamond_graph(), checkpoint=checkpoint)
-        assert len(first.events.of(CHECKPOINT_SAVED)) == 4
-        assert checkpoint.completed_nodes() == {"a", "b", "c", "d"}
-        # A fresh process (new GraphCheckpoint object) serves all nodes.
-        second = run_graph(
-            diamond_graph(), checkpoint=GraphCheckpoint("run1", tmp_path)
+        first = CheckpointedRun("run1", tmp_path).execute(
+            partition_rows(), figure2_partition(), n_partitions=4
         )
-        assert dict(second.store) == dict(first.store)
-        assert all(record.cached for record in second.records.values())
-
-    def test_invalidate_forces_recompute(self, tmp_path):
-        checkpoint = GraphCheckpoint("run1", tmp_path)
-        run_graph(diamond_graph(), checkpoint=checkpoint)
-        checkpoint.invalidate("d")
-        result = run_graph(diamond_graph(), checkpoint=checkpoint)
-        assert not result.records["d"].cached
-        assert result.records["a"].cached
-
-
-def figure2_graph(log=None):
-    """A Figure-2-style guide workflow: sample, block, label, train, apply.
-
-    Deterministic pure-store operators with declared outputs, so the graph
-    is fully checkpointable.  ``log`` collects executed node names.
-    """
-    def step(name, fn):
-        def op(store):
-            if log is not None:
-                log.append(name)
-            return fn(store)
-        return op
-
-    graph = OperatorGraph("figure2")
-    graph.add("sample", step("sample", lambda s: {"sample": list(range(10))}),
-              outputs=("sample",))
-    graph.add("block", step("block", lambda s: {"candset": [x for x in s["sample"] if x % 2 == 0]}),
-              deps=("sample",), outputs=("candset",))
-    graph.add("label", step("label", lambda s: {"labels": [x > 4 for x in s["candset"]]}),
-              deps=("block",), outputs=("labels",))
-    graph.add("train", step("train", lambda s: {"threshold": 4}),
-              deps=("label",), outputs=("threshold",))
-    graph.add("apply", step("apply", lambda s: {"matches": [x for x in s["candset"] if x > s["threshold"]]}),
-              deps=("train",), outputs=("matches",))
-    return graph
+        assert GraphCheckpoint("run1", tmp_path).completed_nodes() == {
+            f"part_{i}" for i in range(4)
+        }
+        # A fresh process (new handles) restores every partition.
+        log = []
+        second = CheckpointedRun("run1", tmp_path).execute(
+            partition_rows(), figure2_partition(log=log), n_partitions=4
+        )
+        assert log == []
+        assert second == first
 
 
 class TestCrashResume:
-    """Fault injection at every node: resume completes only the remainder."""
+    """A crash at every step of the partition workflow: resume completes
+    only the partitions that never finished."""
 
-    @pytest.mark.parametrize("crash_at", ["sample", "block", "label", "train", "apply"])
+    @pytest.mark.parametrize("crash_at", ORDER)
     def test_resume_from_checkpoint(self, tmp_path, crash_at):
-        baseline = run_graph(figure2_graph())
-
-        def crash(name):
-            if name == crash_at:
-                raise KeyboardInterrupt(f"simulated crash before {name}")
-
-        checkpoint = GraphCheckpoint("prod", tmp_path)
+        baseline = CheckpointedRun("fresh", tmp_path).execute(
+            partition_rows(), figure2_partition(), n_partitions=4
+        )
+        run = CheckpointedRun("prod", tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            run_graph(figure2_graph(), checkpoint=checkpoint, before_node=crash)
+            run.execute(partition_rows(), figure2_partition(crash_at, crash_id=6), 4)
+        assert run.completed_partitions() == {0, 1}
 
-        order = ["sample", "block", "label", "train", "apply"]
-        completed_before = set(order[: order.index(crash_at)])
-        assert checkpoint.completed_nodes() == completed_before
-
-        # Restart in a "new process": fresh checkpoint handle, fresh graph.
+        # Restart in a "new process": fresh handles, a healed workflow.
         executed = []
-        result = run_graph(
-            figure2_graph(log=executed),
-            checkpoint=GraphCheckpoint("prod", tmp_path),
+        result = CheckpointedRun("prod", tmp_path).execute(
+            partition_rows(), figure2_partition(log=executed), n_partitions=4
         )
-        # Only nodes after the last checkpoint re-execute ...
-        assert executed == order[order.index(crash_at):]
-        # ... and the final artifacts equal the uninterrupted run's.
-        assert dict(result.store) == dict(baseline.store)
+        # Only the crashed partition and the later ones run ...
+        assert executed == [6, 9]
+        # ... and the output equals the uninterrupted run's.
+        assert result == baseline
 
-    def test_crash_leaves_valid_manifest(self, tmp_path):
-        checkpoint = GraphCheckpoint("prod", tmp_path)
+    def test_crash_leaves_valid_manifest(self, tmp_path, monkeypatch):
+        """A crash between a partition's pickle and its manifest entry
+        leaves a manifest that loads and does not name that partition."""
+        baseline = CheckpointedRun("fresh", tmp_path).execute(
+            partition_rows(), figure2_partition(), n_partitions=4
+        )
+        save_manifest = GraphCheckpoint._save_manifest
+
+        def crash_on_part_2(self, manifest):
+            if "part_2" in manifest["nodes"]:
+                raise KeyboardInterrupt("simulated crash before the manifest write")
+            save_manifest(self, manifest)
+
+        monkeypatch.setattr(GraphCheckpoint, "_save_manifest", crash_on_part_2)
+        run = CheckpointedRun("prod", tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            run_graph(
-                figure2_graph(),
-                checkpoint=checkpoint,
-                before_node=lambda n: (_ for _ in ()).throw(KeyboardInterrupt())
-                if n == "train" else None,
-            )
-        manifest = json.loads(
-            (tmp_path / "prod" / "manifest.json").read_text(encoding="utf-8")
-        )
-        assert set(manifest["nodes"]) == {"sample", "block", "label"}
-
+            run.execute(partition_rows(), figure2_partition(), n_partitions=4)
+        monkeypatch.undo()
+        assert (tmp_path / "prod" / "node_part_2.pkl").exists()
+        manifest = json.loads((tmp_path / "prod" / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["nodes"]) == {"part_0", "part_1"}
+        executed = []
+        result = run.execute(partition_rows(), figure2_partition(log=executed), n_partitions=4)
+        assert executed == [6, 9]
+        assert result == baseline
 
 class TestMetaManagerEvents:
     """Serial and interleaved schedules emit the same per-node multiset."""

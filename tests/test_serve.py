@@ -572,12 +572,13 @@ class TestSpanRetention:
             assert [span.name for span in tracer.spans].count("serve_warmup") == 1
 
     def test_event_span_sink_still_records_on_installed_tracer(self):
-        from repro.runtime.events import CACHE_HIT, NODE_FINISH, NODE_START, RunEvent
+        from repro.runtime.events import NODE_FAIL, NODE_FINISH, NODE_START, RunEvent
 
         events = [
             RunEvent(NODE_START, "g", node="n"),
             RunEvent(NODE_FINISH, "g", node="n", wall_seconds=0.5),
-            RunEvent(CACHE_HIT, "g", node="m"),
+            RunEvent(NODE_START, "g", node="m"),
+            RunEvent(NODE_FAIL, "g", node="m", error="boom"),
         ]
         with use_tracer() as tracer:
             sink = event_span_sink()
