@@ -1,0 +1,161 @@
+"""Memory of a live index's cold base build, stage by stage.
+
+A resident matcher (``MatchServer``, CloudMatcher's services) keeps its
+corpus's artifacts for its whole life, and builds a new set at every
+start and every re-ranking compaction.  This bench builds the base of a
+50k-row ``LiveIndex`` over the ``serve_read`` spine workload's corpus
+(seed 1) and reports, per store artifact (``records`` -> ``tokens`` ->
+``encoding`` -> ``arrayindex``, the chain ``LiveIndex._build_base``
+runs):
+
+* the transient peak: how far traced memory rose above its level at the
+  stage's start while the stage ran (``tracemalloc``);
+* the live bytes the stage left behind, and their sum per corpus row;
+
+and, from a build with tracing off, how far the process's resident set
+rose.  It asserts that building ``tokens`` peaks under
+``TOKENS_PEAK_BOUND`` times the bytes the artifact keeps, and writes
+``benchmarks/results/build_memory.txt``.
+
+Run: ``PYTHONPATH=src python benchmarks/bench_build_memory.py`` (a fresh
+interpreter, so the RSS rise is this build's alone; ~4 s).
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import resource
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent
+sys.path.insert(0, str(BENCH_DIR))
+sys.path.insert(0, str(BENCH_DIR / "spine"))
+
+import gen  # noqa: E402
+from _report import format_table, report  # noqa: E402
+
+from repro.index import IndexStore, LiveIndex  # noqa: E402
+from repro.obs import use_registry  # noqa: E402
+from repro.table import Table  # noqa: E402
+from repro.text.tokenizers import WhitespaceTokenizer  # noqa: E402
+
+ROWS = 50_000
+SEED = 1
+MEASURE, THRESHOLD = "jaccard", 0.6
+#: Building ``tokens`` may peak at most this many times the bytes the
+#: artifact keeps (its records, which the ``records`` stage already
+#: holds, are not counted).
+TOKENS_PEAK_BOUND = 3.0
+MB = 1 << 20
+
+
+def corpus(rows: int = ROWS, seed: int = SEED) -> Table:
+    inputs = gen.serve_read_inputs(seed, rows, 1)
+    return Table({"id": inputs["id"], "value": inputs["value"]})
+
+
+def _rss_bytes() -> int:
+    """The resident set now (Linux), else 0."""
+    try:
+        with open("/proc/self/statm") as handle:
+            return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return 0
+
+
+def rss_rise(table: Table) -> dict:
+    """RSS before and after a ``LiveIndex.from_table`` on a fresh store,
+    tracing off: the held rise and the rise of the process's peak."""
+    gc.collect()
+    before = _rss_bytes()
+    started = time.perf_counter()
+    live = LiveIndex.from_table(
+        table, "id", "value", threshold=THRESHOLD, measure=MEASURE, store=IndexStore()
+    )
+    seconds = time.perf_counter() - started
+    held = _rss_bytes() - before
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before
+    del live
+    gc.collect()
+    return {"build_s": seconds, "held": held, "peak": peak}
+
+
+def stage_memory(table: Table) -> list[dict]:
+    """One row per artifact of the base chain, built in order on a fresh
+    store under ``tracemalloc``: transient peak and live bytes kept."""
+    store = IndexStore()
+    tokenizer = WhitespaceTokenizer(return_set=True)
+    built: dict = {}
+    stages = (
+        ("records", lambda: store.string_records(table, "id", "value")),
+        ("tokens", lambda: store.tokenized_column(table, "id", "value", tokenizer)),
+        ("encoding", lambda: store.pair_encoding(built["tokens"], built["tokens"])),
+        ("arrayindex", lambda: store.array_index(built["encoding"], MEASURE, THRESHOLD)),
+    )
+    rows = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for name, build in stages:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            built[name] = build()
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+            rows.append({"stage": name, "peak": peak - start, "live": current - start})
+    finally:
+        tracemalloc.stop()
+    with use_registry() as registry:
+        # The stages are the base chain: the live index builds nothing more.
+        LiveIndex.from_table(
+            table, "id", "value", threshold=THRESHOLD, measure=MEASURE, store=store
+        )
+    builds = sum(v for (name, _), v in registry.counters().items() if name == "index_builds_total")
+    assert builds == 0, f"LiveIndex built {builds} artifacts the stages did not"
+    return rows
+
+
+def main() -> dict:
+    table = corpus()
+    rss = rss_rise(table)
+    stages = stage_memory(table)
+    live_total = sum(row["live"] for row in stages)
+    rendered = [
+        {
+            "stage": row["stage"],
+            "transient peak (MB)": f"{row['peak'] / MB:.1f}",
+            "live kept (MB)": f"{row['live'] / MB:.1f}",
+            "peak / live": f"{row['peak'] / max(row['live'], 1):.2f}",
+        }
+        for row in stages
+    ]
+    body = "\n".join([
+        f"LiveIndex base over the serve_read corpus: {ROWS:,} rows (seed {SEED}), "
+        f"whitespace tokens, {MEASURE} >= {THRESHOLD}",
+        "",
+        format_table(rendered),
+        "",
+        f"live bytes per row (all four artifacts): {live_total / ROWS:.0f}",
+        f"RSS rise of a traced-off build: held {rss['held'] / MB:.1f} MB, "
+        f"peak {rss['peak'] / MB:.1f} MB ({rss['build_s']:.2f} s)",
+        f"bound: tokens peak <= {TOKENS_PEAK_BOUND} x tokens live",
+    ])
+    report("build_memory", "Memory of a 50k-row live-index base build, per stage", body)
+    tokens = next(row for row in stages if row["stage"] == "tokens")
+    assert tokens["peak"] <= TOKENS_PEAK_BOUND * tokens["live"], (
+        f"building tokens peaked at {tokens['peak'] / MB:.1f} MB over "
+        f"{tokens['live'] / MB:.1f} MB kept (bound {TOKENS_PEAK_BOUND}x)"
+    )
+    return {"stages": stages, "rss": rss, "live_bytes_per_row": live_total / ROWS}
+
+
+def test_build_memory():
+    main()
+
+
+if __name__ == "__main__":
+    main()

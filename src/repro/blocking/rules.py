@@ -204,7 +204,8 @@ def _complement_join(predicate: Predicate, sides, view):
     ``view(side, attr)``: ``join()`` gives the rows of the pairs it holds
     for, as the feature scores them; ``cost``, known before it runs, is
     the equal pairs or the probe's summed prefix posting lengths (off the
-    array index it then reuses) plus the pairs of empty token sets."""
+    array index it then reuses) plus the pairs of empty token sets and of
+    blank texts."""
     feature, complement = predicate.feature, predicate.complement()
     (ltable, l_key), (rtable, r_key) = sides
     if feature.sim_kind == "exact":  # exact_match > t (t < 1) means equality
@@ -219,27 +220,46 @@ def _complement_join(predicate: Predicate, sides, view):
     encoding = store.join_encoding(*views, l_key, r_key, TEXT, TEXT, tokenizer)
     index, left = store.array_index(encoding, measure, join_at), encoding.left
     probe = arrays.ProbeBatch(left.indptr, left.indices, left.sizes, measure, join_at, index.dim)
-    # Two present values with no tokens score 1.0, which every joinable
-    # complement holds for, but share no token for the join to find: the
-    # records of no tokens, and the texts that print blank (no record).
-    l_empty, r_empty = (
-        np.union1d(rows[side.sizes == 0], [
-            row for row, text in enumerate(v.column(TEXT))
-            if text is not None and is_missing(text) and not tokenizer.tokenize(text)
-        ]).astype(np.int64)
-        for v, side, rows in zip(views, (left, encoding.right), map(record_rows, views))
+    # Two records of no tokens score 1.0, which every joinable complement
+    # holds for, but share no token for the join to find.  A present value
+    # whose text prints blank has no record at all: its pairs are scored
+    # by the feature itself.
+    l_empty, r_empty = (rows[side.sizes == 0] for side, rows in
+                        zip((left, encoding.right), map(record_rows, views)))
+    l_blank, r_blank = (
+        np.array([row for row, text in enumerate(v.column(TEXT))
+                  if text is not None and is_missing(text)], np.int64)
+        for v in views
     )
+    n_left, n_right = ltable.num_rows, rtable.num_rows
+    n_blank = len(l_blank) * n_right + (n_left - len(l_blank)) * len(r_blank)
+
+    def blank_pairs():
+        """The pairs with a blank text on either side that the complement
+        holds for, as the feature scores them."""
+        if not n_blank:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        others = np.setdiff1d(np.arange(n_left), l_blank)
+        l_rows = np.concatenate([np.repeat(l_blank, n_right), np.repeat(others, len(r_blank))])
+        r_rows = np.concatenate([np.tile(np.arange(n_right), len(l_blank)),
+                                 np.tile(r_blank, len(others))])
+        from repro.features.extraction import feature_columns  # extraction imports blocking
+
+        (values,) = feature_columns(sides, l_rows, r_rows, [feature])
+        keep = complement.mask(np.asarray(values, np.float64))
+        return l_rows[keep], r_rows[keep]
 
     def join():
         l_rows, r_rows, scores = text_join_positions(
             views, l_key, r_key, tokenizer, measure, join_at
         )
         keep = scores > threshold if complement.op == ">" else slice(None)
-        return (np.concatenate([l_rows[keep], np.repeat(l_empty, len(r_empty))]),
-                np.concatenate([r_rows[keep], np.tile(r_empty, len(l_empty))]))
+        l_blanks, r_blanks = blank_pairs()
+        return (np.concatenate([l_rows[keep], np.repeat(l_empty, len(r_empty)), l_blanks]),
+                np.concatenate([r_rows[keep], np.tile(r_empty, len(l_empty)), r_blanks]))
 
     cost = int(index.posting_lengths(probe.prefix_ids).sum()) + len(l_empty) * len(r_empty)
-    return cost, join
+    return cost + n_blank, join
 
 
 def _check(rules, sides, l_pos: np.ndarray, r_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

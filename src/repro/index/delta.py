@@ -144,15 +144,20 @@ _search_instruments = per_registry(_SearchInstruments)
 class _BaseSegment:
     """The immutable index over one frozen snapshot of records: ``index``
     is the store's shared :class:`~repro.perf.arrays.ArrayIndex` for a
-    built base, a private one for a folded base.  Deletes set positions in
-    ``dead``, the segment's tombstone mask."""
+    built base, a private one for a folded base.  ``artifacts`` are the
+    store digests a built base was read from (none for a folded one).
+    Deletes set positions in ``dead``, the segment's tombstone mask."""
 
-    __slots__ = ("records", "universe", "index", "keys", "positions", "dead", "n_dead", "n_rows")
+    __slots__ = (
+        "records", "universe", "index", "artifacts", "keys", "positions", "dead", "n_dead",
+        "n_rows",
+    )
 
-    def __init__(self, records, universe, index: arrays.ArrayIndex):
+    def __init__(self, records, universe, index: arrays.ArrayIndex, artifacts=()):
         self.records = records      # [(key, value)] — the frozen snapshot
         self.universe = universe    # TokenUniverse over the snapshot
         self.index = index
+        self.artifacts = artifacts
         self.keys = index.keys
         self.positions = dict(zip(index.keys, range(index.n_rows)))
         self.dead = np.zeros(index.n_rows, dtype=bool)
@@ -351,14 +356,11 @@ class LiveIndex:
     def _build_base(self, table: Table) -> _BaseSegment:
         """Run the store's artifact chain over a snapshot table, through
         the ``ArrayIndex`` the probe reads."""
-        store = self._store
         view = self._view(table, self.key, self.column)
-        records = store.string_records(view, self.key, self.column)
-        encoding = store.join_encoding(
-            view, view, self.key, self.key, self.column, self.column, self.tokenizer
+        records, encoding, index, artifacts = self._store.live_base(
+            view, self.key, self.column, self.tokenizer, self.measure, self.threshold
         )
-        index = store.array_index(encoding, self.measure, self.threshold)
-        base = _BaseSegment(records, encoding.universe, index)
+        base = _BaseSegment(records, encoding.universe, index, artifacts)
         if len(base.positions) < base.n_rows:
             seen: set = set()
             for row_key in base.keys:
@@ -638,6 +640,9 @@ class LiveIndex:
         with self._lock:
             raced = self._ops[ops_mark:]
             self._base = new_base
+            # The store's memory tier would be all that keeps a replaced
+            # built base alive.
+            self._store.forget(set(base.artifacts) - set(new_base.artifacts))
             self._delta = _DeltaSegment()
             self._ops = list(raced)
             for op in raced:

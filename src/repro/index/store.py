@@ -17,7 +17,7 @@ Artifacts form a dependency chain mirroring the join pipeline, each
 keyed by the digests of what it was built from::
 
     records(table, key, column)                     "records"
-      -> tokenized column (flat tokens per value)   "tokens"
+      -> tokenized column (token codes per value)   "tokens"
           -> pair encoding (universe + CSR rows)    "encoding"
               -> CSR corpus + prefix postings       "arrayindex"
       -> hashed n-gram count vectors                "vectors"
@@ -25,7 +25,9 @@ keyed by the digests of what it was built from::
               -> banded-LSH approximate-NN index    "ann"
 
 A join asks for its encoding by the column and tokenizer fingerprints
-(:meth:`IndexStore.join_encoding`); only a miss reads ``tokens``.  The
+(:meth:`IndexStore.join_encoding`); only a miss reads ``tokens``, which
+keeps each distinct token once and every value's tokens as int32 codes
+into them, tokenized a bounded chunk of values at a time.  The
 encoding is the one place text becomes token ids: token features read
 it over whole text-view columns, and the samplers, Falcon's pair sampler
 and the canopy blocker take their inverted index as its CSR transpose
@@ -36,9 +38,10 @@ The edit-distance join rides the token chain with
 sets).  Pickles of retired kinds in a cache directory are listed and
 swept like any artifact, and never read: no accessor asks for them.
 
-The encoding is built in arrays: the universe is ranked with one stable
-sort over per-token record counts, each side's distinct values become
-one block of CSR rows, and its records gather their value's row into
+The encoding is built in arrays: the sides' distinct tokens are sorted
+once, the universe is ranked with one stable sort over per-token record
+counts, each side's distinct values become one block of CSR rows, and
+its records gather their value's row into
 a :class:`repro.perf.arrays.ArrayRecords` — what every batch join and
 ``arrayindex`` run on.  ``arrayindex`` is also the base segment of a
 :class:`~repro.index.delta.LiveIndex`, whose probe reads its prefix
@@ -57,8 +60,10 @@ Two tiers: an in-process LRU (shared by default across all callers via
 :func:`get_index_store`), and an optional on-disk cache (``cache_dir``,
 or the ``REPRO_INDEX_CACHE`` environment variable for the process
 default) written atomically so repeated workflow runs and
-``CheckpointedRun`` resumes start warm.  A corrupted or truncated cache
-file is treated as a miss and rebuilt, never trusted.
+``CheckpointedRun`` resumes start warm.  A live index whose base is
+replaced drops that base's entries from the memory tier
+(:meth:`IndexStore.forget`).  A corrupted or truncated cache file is
+treated as a miss and rebuilt, never trusted.
 
 Observability: ``index_builds_total``/``index_reuses_total`` counters
 (labelled by artifact ``kind``; reuses also carry ``tier="memory"`` or
@@ -82,6 +87,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.index import fingerprints
 from repro.index.ann import AnnIndex
 from repro.index.fingerprints import (
     column_fingerprint,
@@ -126,33 +132,40 @@ CACHE_READ_ERRORS = (
 
 
 class TokenizedColumn:
-    """One column's records plus each distinct value's tokens, flat:
+    """One column's records plus each distinct value's tokens, as codes:
     record *i*'s value is ``values[value_rows[i]]``, and value *j*'s
-    distinct tokens (first-seen order, so no pickled byte follows the hash
-    seed) are the next ``lengths[j]`` of ``tokens``.  ``token_sets`` is
-    derived on first read."""
+    distinct tokens are ``distinct[c]`` for the next ``lengths[j]`` codes
+    ``c`` of ``codes``.  ``distinct`` lists the column's tokens once each
+    in first-seen order, and each value's codes keep its tokens'
+    first-seen order, so no pickled byte follows the hash seed.
+    ``token_sets`` is derived on first read."""
 
-    __slots__ = ("key", "records", "value_rows", "values", "tokens", "lengths", "_token_sets")
+    __slots__ = (
+        "key", "records", "value_rows", "values", "distinct", "codes", "lengths", "_token_sets"
+    )
 
-    def __init__(self, key: str, records: list, value_rows, values, tokens, lengths):
+    def __init__(self, key: str, records: list, value_rows, values, distinct, codes, lengths):
         self.key, self.records, self.value_rows = key, records, value_rows
-        self.values, self.tokens, self.lengths = values, tokens, lengths
+        self.values, self.distinct, self.codes, self.lengths = values, distinct, codes, lengths
         self._token_sets = None
 
     @property
     def token_sets(self) -> dict[str, set[str]]:
         if self._token_sets is None:
+            distinct, codes = self.distinct, self.codes.tolist()
             spans = zip(self.values, self.lengths.tolist(), np.cumsum(self.lengths).tolist())
-            self._token_sets = {value: set(self.tokens[e - n : e]) for value, n, e in spans}
+            self._token_sets = {
+                value: set(map(distinct.__getitem__, codes[e - n : e])) for value, n, e in spans
+            }
         return self._token_sets
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__ if name != "_token_sets"}
 
     def __setstate__(self, state):
-        # A pickle of the dict-of-sets layout is a cache-read failure:
-        # counted and rebuilt, never served.
-        if not isinstance(state, dict) or "lengths" not in state:
+        # A pickle of an earlier layout (dict of sets, flat token list) is
+        # a cache-read failure: counted and rebuilt, never served.
+        if not isinstance(state, dict) or "codes" not in state:
             raise ValueError("TokenizedColumn pickle of another layout")
         self.__init__(**state)
 
@@ -382,17 +395,31 @@ class IndexStore:
 
         def build() -> TokenizedColumn:
             records = self._records(col_fp, table, key, column)
-            values = list(dict.fromkeys(value for _, value in records))
-            ids = dict(zip(values, range(len(values))))
-            value_rows = np.fromiter((ids[v] for _, v in records), np.int32, len(records))
-            per_value = list(map(tokenizer.tokenize, values))
-            if not tokenizer.return_set:  # a set tokenizer's tokens are distinct already
-                per_value = [list(dict.fromkeys(tokens)) for tokens in per_value]
-            lengths = np.fromiter(map(len, per_value), np.int64, len(per_value))
-            # One object per distinct token: pickled once, then referenced.
-            canonical: dict[str, str] = {}
-            tokens = [canonical.setdefault(token, token) for token in chain.from_iterable(per_value)]
-            return TokenizedColumn(digest, records, value_rows, values, tokens, lengths)
+            rows: dict[str, int] = {}
+            value_rows = np.fromiter(
+                (rows.setdefault(v, len(rows)) for _, v in records), np.int32, len(records)
+            )
+            values = list(rows)
+            del rows  # freed before the chunks below allocate
+            # Tokens are numbered on first sight, one chunk of values at a
+            # time: no list of every value's tokens is ever held.
+            numbers: dict[str, int] = {}
+            codes, lengths = [], []
+            chunk = fingerprints._CHUNK
+            for start in range(0, len(values), chunk):
+                per_value = list(map(tokenizer.tokenize, values[start : start + chunk]))
+                if not tokenizer.return_set:  # a set tokenizer's tokens are distinct already
+                    per_value = [list(dict.fromkeys(tokens)) for tokens in per_value]
+                lengths.append(np.fromiter(map(len, per_value), np.int64, len(per_value)))
+                codes.append(np.fromiter(
+                    (numbers.setdefault(t, len(numbers)) for t in chain.from_iterable(per_value)),
+                    np.int32, int(lengths[-1].sum()),
+                ))
+            return TokenizedColumn(  # the empty arrays lead for a column of no values
+                digest, records, value_rows, values, list(numbers),
+                np.concatenate([np.zeros(0, np.int32), *codes]),
+                np.concatenate([np.zeros(0, np.int64), *lengths]),
+            )
 
         return self._get("tokens", digest, build)
 
@@ -441,6 +468,27 @@ class IndexStore:
             return arrays.build_array_index(digest, encoding.right, measure, threshold)
 
         return self._get("arrayindex", digest, build)
+
+    def live_base(
+        self, table: Table, key: str, column: str, tokenizer: Tokenizer, measure: str,
+        threshold: float,
+    ) -> tuple[list[tuple], PairEncoding, Any, tuple[str, ...]]:
+        """A :class:`~repro.index.delta.LiveIndex` base's artifacts: the
+        column's records, its self-paired encoding and that encoding's
+        ``array_index``, plus the digests of the four memory entries they
+        hold (``records``, ``tokens``, ``encoding``, ``arrayindex``) for
+        :meth:`forget` once the base is replaced.  The column is
+        fingerprinted once."""
+        col_fp = _fingerprint(table, key, column)
+        side = (table, key, column, col_fp)
+        records = self._records(col_fp, table, key, column)
+        encoding = self.sides_encoding(side, side, tokenizer)
+        index = self.array_index(encoding, measure, threshold)
+        digests = (
+            combine("records", col_fp), _tokens_digest(col_fp, tokenizer_fingerprint(tokenizer)),
+            encoding.key, index.key,
+        )
+        return records, encoding, index, digests
 
     # ------------------------------------------------------------------
     # Vector-branch accessors (the ANN blocking building blocks)
@@ -519,6 +567,14 @@ class IndexStore:
                     except OSError:
                         pass
 
+    def forget(self, digests) -> None:
+        """Drop these artifacts from the memory tier; the disk tier keeps
+        them.  A replaced live-index base calls it, so the store is not
+        what keeps the old base's arrays alive."""
+        with self._lock:
+            for digest in digests:
+                self._memory.pop(digest, None)
+
     def disk_artifacts(self) -> list[dict[str, Any]]:
         """One row per persisted artifact: kind, digest, size in bytes.
 
@@ -553,11 +609,12 @@ def _fingerprint(table: Table, key: str, column: str) -> str:
     return column_fingerprint(table, key, column)
 
 
-# "flat1" names the TokenizedColumn layout and "csr2" the PairEncoding
-# one (universe + two plain-array ArrayRecords), as "rows3" does
-# ArrayIndex's: another layout's pickle is never looked up.
+# "flat2" names the TokenizedColumn layout (distinct tokens + int32
+# codes) and "csr2" the PairEncoding one (universe + two plain-array
+# ArrayRecords), as "rows3" does ArrayIndex's: another layout's pickle
+# is never looked up.
 def _tokens_digest(col_fp: str, tok_fp: str) -> str:
-    return combine("tokens", "flat1", col_fp, tok_fp)
+    return combine("tokens", "flat2", col_fp, tok_fp)
 
 
 def _encoding_digest(left_key: str, right_key: str) -> str:
@@ -568,19 +625,23 @@ def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> 
     """Rank the pair's universe and encode both sides, in arrays.
 
     Each side's distinct values are its own block of CSR rows (a value
-    on both sides is two equal rows), which its records gather.  Tokens
-    are numbered lexically by Python's ``sorted`` (a numpy string array
-    would drop trailing NULs, merging ``"a\\x00"`` into ``"a"``), so a
-    stable sort of their record counts is ``TokenUniverse``'s order.
+    on both sides is two equal rows), which its records gather.  The
+    union of the sides' ``distinct`` tokens is numbered lexically by one
+    Python ``sorted`` (a numpy string array would drop trailing NULs,
+    merging ``"a\\x00"`` into ``"a"``), so a stable sort of their record
+    counts is ``TokenUniverse``'s order.  Each side looks its distinct
+    tokens up once and gathers the ids by its ``codes``.
     """
     sides = (left,) if left is right else (left, right)
     starts = np.cumsum([0, *(len(side.values) for side in sides)])
     rows = [side.value_rows + start for side, start in zip(sides, starts.tolist())]
     lengths = np.concatenate([side.lengths for side in sides])
-    flat = list(chain.from_iterable(side.tokens for side in sides))
-    lexical = sorted(set(flat))
+    lexical = sorted(set(chain.from_iterable(side.distinct for side in sides)))
     token_ids = dict(zip(lexical, range(len(lexical))))
-    tokens = np.fromiter(map(token_ids.__getitem__, flat), dtype=np.int64, count=len(flat))
+    tokens = np.concatenate([
+        np.fromiter(map(token_ids.__getitem__, side.distinct), np.int64, len(side.distinct))
+        [side.codes] for side in sides
+    ])
     value_of_token = np.repeat(np.arange(starts[-1]), lengths)
     records_per_value = np.bincount(np.concatenate(rows), minlength=starts[-1])
     counts = np.bincount(tokens, records_per_value[value_of_token], minlength=len(lexical))

@@ -89,7 +89,8 @@ def down_sample(
     # Each distinct right text's tokens in the order they first appear in
     # it (the store's tokens artifact), as ids, stably by posting length.
     tokens = store.tokenized_column(views[1], r_key, TEXT, TOKENIZER)
-    ids = list(map(encoding.universe.token_id, tokens.tokens))
+    distinct = map(encoding.universe.token_id, tokens.distinct)
+    ids = np.fromiter(distinct, np.int64, len(tokens.distinct))[tokens.codes].tolist()
     ends = np.cumsum(tokens.lengths).tolist()
     probes = [
         sorted((t for t in ids[end - n : end] if lengths[t]), key=lengths.__getitem__)

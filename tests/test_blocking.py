@@ -854,6 +854,8 @@ class TestRuleBlockerPlan:
     @pytest.mark.parametrize("tokenizer, value", [
         (DelimiterTokenizer({","}, return_set=True), ","),
         (WhitespaceTokenizer(return_set=True), PrintsBlank()),  # present, no store record
+        # No store record, but padded q-grams: the feature scores it 1.0.
+        (QgramTokenizer(q=3, return_set=True), PrintsBlank()),
     ])
     def test_two_empty_token_sets_are_kept_as_the_feature_scores_them(self, tokenizer, value):
         """A value with no tokens: two of them score 1.0.  The second row

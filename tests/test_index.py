@@ -372,6 +372,31 @@ class TestPersistence:
         with path.open("rb") as handle:
             assert pickle.load(handle).token_sets == built.token_sets
 
+    def test_flat_token_list_pickle_is_counted_and_rebuilt(self, tmp_path):
+        """A pickle of the one-string-per-occurrence layout found under a
+        tokens name is a cache-read failure, not served."""
+        table = Table({"id": [1, 2], "v": ["dave smith", "joe wilson"]})
+        tokenizer = WhitespaceTokenizer(return_set=True)
+        built = IndexStore(cache_dir=tmp_path).tokenized_column(table, "id", "v", tokenizer)
+        [path] = tmp_path.glob("tokens-*.pkl")
+
+        class FlatTokens:
+            def __reduce_ex__(self, protocol):
+                slots = {"key": built.key, "records": built.records,
+                         "value_rows": built.value_rows, "values": built.values,
+                         "tokens": ["stale", "stale", "stale", "stale"],
+                         "lengths": built.lengths}
+                return object.__new__, (TokenizedColumn,), slots
+
+        path.write_bytes(pickle.dumps(FlatTokens(), protocol=pickle.HIGHEST_PROTOCOL))
+        with use_registry() as registry:
+            rebuilt = IndexStore(cache_dir=tmp_path).tokenized_column(table, "id", "v", tokenizer)
+            assert counter_total(registry, "index_disk_errors_total", kind="tokens") == 1
+            assert counter_total(registry, "index_builds_total", kind="tokens") == 1
+        assert rebuilt.token_sets == {
+            "dave smith": {"dave", "smith"}, "joe wilson": {"joe", "wilson"},
+        }
+
     def test_token_pickle_bytes_do_not_follow_the_hash_seed(self):
         script = (
             "import hashlib, pickle\n"

@@ -9,10 +9,12 @@ hypothesis property test below drives randomized interleavings, the
 mirror of the store's warm==cold test.
 """
 
+import gc
 import pickle
 import random
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -867,6 +869,26 @@ class TestBoundedMemory:
             for i in range(200):
                 deduper.add(f"s{i}", f"joe stream{i}")
             assert len(tokenizer.__dict__.get("_cache", ())) == memo
+
+
+    @pytest.mark.parametrize("rows, upserts, mode", [(20, 1, "fold"), (1, 2, "rebuild")])
+    def test_a_replaced_base_is_let_go(self, tmp_path, rows, upserts, mode):
+        """After ``compact()`` swaps in a new base, nothing keeps the
+        store-built base it replaced: the store drops that base's memory
+        entries (its disk files stay)."""
+        store = IndexStore(cache_dir=tmp_path)
+        with use_registry() as registry:
+            live = LiveIndex.from_table(make_table(rows), "id", "v", threshold=0.4, store=store)
+            files = store.disk_artifacts()
+            old = weakref.ref(live._base.index.indptr)
+            for i in range(upserts):
+                live.upsert(f"n{i}", f"dave smith{i}")
+            live.compact()
+            gc.collect()
+            assert compaction_modes(registry, "default")[mode] == 1
+        assert old() is None
+        assert all(row in store.disk_artifacts() for row in files)
+        assert live.search("dave smith0")[0]
 
 
 class TestPersistence:
