@@ -2,7 +2,7 @@
 
 The classic EM blocker (e.g. "persons residing in different states are
 dropped", Figure 1 of the paper).  ``block_tables`` runs as an equality
-join on the blocking value (:func:`~repro.blocking.base.equal_value_pairs`),
+join on the blocking value (:func:`~repro.blocking.base.value_ids`),
 so it never materializes the cross product.  Missing values never match
 anything (a pair with a missing blocking value is dropped), matching
 Magellan's semantics.
@@ -11,18 +11,21 @@ Magellan's semantics.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import partial
 from typing import Any
+
+import numpy as np
 
 from repro.blocking.base import (
     Blocker,
     candset_from_positions,
-    equal_value_pairs,
     observe_blocking,
+    picked_rows,
+    value_ids,
 )
 from repro.catalog.catalog import Catalog
+from repro.perf import arrays
 from repro.table.schema import is_missing
-from repro.table.table import Row, Table
+from repro.table.table import Table
 
 
 class HashBlocker(Blocker):
@@ -36,16 +39,16 @@ class HashBlocker(Blocker):
         self.l_hash = l_hash
         self.r_hash = r_hash if r_hash is not None else l_hash
 
-    def block_tuples(self, l_row: Row, r_row: Row) -> bool:
-        l_value = self.l_hash(l_row)
-        r_value = self.r_hash(r_row)
-        if l_value is None or r_value is None:
-            return True
-        return l_value != r_value
-
     def _buckets(self, table: Table, side: int) -> list[Any]:
         """Each row's bucket on ``side`` (0 left, 1 right)."""
         return list(map((self.l_hash, self.r_hash)[side], table.rows()))
+
+    def keep(self, ltable: Table, rtable: Table, l_pos, r_pos) -> np.ndarray:
+        """The pairs whose buckets, over :func:`picked_rows`, are equal."""
+        (ltable, l_pos), (rtable, r_pos) = picked_rows(ltable, l_pos), picked_rows(rtable, r_pos)
+        l_ids, r_ids = value_ids(self._buckets(ltable, 0), self._buckets(rtable, 1))
+        l_ids, r_ids = l_ids[l_pos], r_ids[r_pos]
+        return (l_ids >= 0) & (l_ids == r_ids)
 
     def block_tables(
         self,
@@ -59,26 +62,21 @@ class HashBlocker(Blocker):
     ) -> Table:
         ltable.require_columns([l_key])
         rtable.require_columns([r_key])
-        l_pos, r_pos = equal_value_pairs(self._buckets(ltable, 0), self._buckets(rtable, 1))
+        ids = value_ids(self._buckets(ltable, 0), self._buckets(rtable, 1))
+        l_pos, r_pos = arrays.equal_id_pairs(*ids)
         observe_blocking(self, len(l_pos))
         return candset_from_positions(
             l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )
 
 
-def _present(attr: str, row: Row) -> Any:
-    value = row[attr]
-    return None if is_missing(value) else value
-
-
 class AttrEquivalenceBlocker(HashBlocker):
     """Keep pairs with equal values of ``l_block_attr``/``r_block_attr``:
-    a hash blocker whose bucket is the value itself."""
+    a hash blocker whose bucket is the value itself (none when missing)."""
 
     def __init__(self, l_block_attr: str, r_block_attr: str | None = None):
         self.l_block_attr = l_block_attr
         self.r_block_attr = r_block_attr if r_block_attr is not None else l_block_attr
-        super().__init__(partial(_present, self.l_block_attr), partial(_present, self.r_block_attr))
 
     def _buckets(self, table: Table, side: int) -> list[Any]:
         attr = (self.l_block_attr, self.r_block_attr)[side]

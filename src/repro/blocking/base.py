@@ -19,6 +19,7 @@ import numpy as np
 from repro.catalog.catalog import Catalog, get_catalog
 from repro.catalog.checks import validate_candset
 from repro.exceptions import SchemaError
+from repro.index.store import use_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
 from repro.simjoin.joins import set_sim_join_positions
@@ -28,6 +29,8 @@ from repro.text.tokenizers import Tokenizer
 
 CANDSET_ID = "_id"
 TEXT = "_text"
+#: Pairs of A x B per ``keep`` call of :meth:`Blocker.block_tables`' scan.
+SCAN_CHUNK_PAIRS = 1 << 18
 
 
 def text_view(table: Table, key: str, columns: Sequence[str]) -> Table:
@@ -47,20 +50,41 @@ def text_view(table: Table, key: str, columns: Sequence[str]) -> Table:
     return Table({key: table.column(key), TEXT: texts})
 
 
-def _has_record(view: Table) -> np.ndarray:
-    return np.fromiter((not is_missing(text) for text in view.column(TEXT)), bool, view.num_rows)
+def present_numbers(values: Sequence[Any]) -> np.ndarray:
+    """Each value's place among the non-missing ``values``, or -1: a
+    row's record number in the store's artifacts of its column."""
+    present = np.fromiter((not is_missing(value) for value in values), bool, len(values))
+    return np.where(present, np.cumsum(present) - 1, -1)
 
 
 def record_numbers(view: Table) -> np.ndarray:
     """Each row's record number in the store's artifacts of a
     :func:`text_view` (its place among the rows with a text), or -1."""
-    has = _has_record(view)
-    return np.where(has, np.cumsum(has) - 1, -1)
+    return present_numbers(view.column(TEXT))
 
 
 def record_rows(view: Table) -> np.ndarray:
     """The row of each record of a :func:`text_view`, in record order."""
-    return np.flatnonzero(_has_record(view))
+    return np.flatnonzero(record_numbers(view) >= 0)
+
+
+def picked_rows(table: Table, pos: np.ndarray) -> tuple[Table, np.ndarray]:
+    """``(table, pos)`` as a ``keep`` reads them: positions on under a
+    quarter of the rows (the ``ValueView.text_views`` rule) as a table of
+    just those rows and each position's place in it, else as they are."""
+    seen = np.zeros(table.num_rows, bool)
+    seen[pos] = True
+    rows = np.flatnonzero(seen)
+    if 4 * len(rows) >= table.num_rows:
+        return table, pos
+    return table.take(rows.tolist()), (np.cumsum(seen) - 1)[pos]
+
+
+def artifact_key(table: Table) -> str:
+    """The column keying ``table``'s store artifacts when a blocker reads
+    it by row: its catalog key, so a filter reads what ``block_tables``
+    built, else its first column (rows are read by position)."""
+    return get_catalog().get_key(table, None) or table.columns[0]
 
 
 def observe_blocking(
@@ -127,20 +151,17 @@ class PairCodes:
         return self.l_order[l_rank], self.r_order[r_rank]
 
 
-def equal_value_pairs(l_values: Sequence[Any], r_values: Sequence[Any]):
-    """Positions ``(i, j)`` of every pair with ``l_values[i] == r_values[j]``,
-    in (i, j) order; ``None`` equals nothing.
-
-    Values are numbered through one dict, so equality is the dict's
-    (``1 == 1.0 == True``), then the ids are sort-merged.
-    """
+def value_ids(l_values: Sequence[Any], r_values: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's id, from one dict over both sides, so equal ids are
+    the dict's equality (``1 == 1.0 == True``); ``None`` is -1.  The
+    equality join is :func:`~repro.perf.arrays.equal_id_pairs` of them."""
     ids: dict[Any, int] = {}
 
     def number(values: Sequence[Any]) -> np.ndarray:
         numbered = (-1 if value is None else ids.setdefault(value, len(ids)) for value in values)
         return np.fromiter(numbered, np.int64, len(values))
 
-    return arrays.equal_id_pairs(number(l_values), number(r_values))
+    return number(l_values), number(r_values)
 
 
 def text_join_positions(
@@ -237,14 +258,32 @@ def candset_pairs(candset: Table, catalog: Catalog | None = None) -> list[tuple[
 class Blocker:
     """Base class for blockers.
 
-    Subclasses implement :meth:`block_tuples` (does this pair survive?) and
-    may override :meth:`block_tables` with an index-based implementation;
-    the default here is the quadratic fallback, correct for any blocker.
+    A blocker's one decision is :meth:`keep`, which pairs of rows survive:
+    :meth:`block_candset` is one ``keep`` over a candidate set,
+    :meth:`block_tuples` one over a pair, :meth:`block_tables` a scan of
+    A x B through it unless an index replaces it.  The default ``keep``
+    runs a subclass's :meth:`block_tuples` per pair.
     """
 
+    def keep(
+        self, ltable: Table, rtable: Table, l_pos: np.ndarray, r_pos: np.ndarray
+    ) -> np.ndarray:
+        """Mask of the pairs (``ltable`` row ``l_pos[i]``, ``rtable`` row
+        ``r_pos[i]``) that survive the blocker."""
+        if type(self).block_tuples is Blocker.block_tuples:
+            raise NotImplementedError(f"{type(self).__name__} defines no keep or block_tuples")
+        l_rows, r_rows = list(ltable.rows()), list(rtable.rows())
+        pairs = zip(l_pos.tolist(), r_pos.tolist())
+        return np.fromiter((not self.block_tuples(l_rows[l], r_rows[r]) for l, r in pairs), bool)
+
     def block_tuples(self, l_row: Row, r_row: Row) -> bool:
-        """Return ``True`` when the pair should be *dropped* (blocked)."""
-        raise NotImplementedError
+        """Return ``True`` when the pair should be *dropped* (blocked):
+        :meth:`keep` of the two rows as one-row tables, under a store of
+        its own so single pairs do not fill the shared one."""
+        tables = (Table({name: [value] for name, value in row.items()}) for row in (l_row, r_row))
+        first = np.zeros(1, np.int64)
+        with use_index_store():
+            return not self.keep(*tables, first, first)[0]
 
     def block_tables(
         self,
@@ -256,20 +295,20 @@ class Blocker:
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
     ) -> Table:
-        """Apply the blocker to A x B and return the candidate set."""
+        """Apply the blocker to A x B and return the candidate set: here
+        :meth:`keep` over A x B in chunks, in (left row, right row) order."""
         started = time.perf_counter()
         ltable.require_columns([l_key])
         rtable.require_columns([r_key])
-        r_rows = list(rtable.rows())
-        pairs = [
-            (l_row[l_key], r_row[r_key])
-            for l_row in ltable.rows()
-            for r_row in r_rows
-            if not self.block_tuples(l_row, r_row)
-        ]
-        observe_blocking(self, len(pairs), time.perf_counter() - started)
-        return make_candset(
-            pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        total, n_r = ltable.num_rows * rtable.num_rows, max(rtable.num_rows, 1)
+        kept = [np.zeros(0, np.int64)]
+        for start in range(0, total, SCAN_CHUNK_PAIRS):
+            codes = np.arange(start, min(start + SCAN_CHUNK_PAIRS, total))
+            kept.append(codes[self.keep(ltable, rtable, *np.divmod(codes, n_r))])
+        l_pos, r_pos = np.divmod(np.concatenate(kept), n_r)
+        observe_blocking(self, len(l_pos), time.perf_counter() - started)
+        return candset_from_positions(
+            l_pos, r_pos, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )
 
     def block_candset(
@@ -280,32 +319,24 @@ class Blocker:
         """Further filter an existing candidate set with this blocker.
 
         Validates the candidate set's metadata first (self-containment),
-        then keeps only the surviving pairs; the result is re-registered in
-        the catalog against the same base tables.
+        then keeps the pairs :meth:`keep` keeps, in their order, and
+        registers the result against the same base tables.
 
-        For most blockers this is a *pair-local* filter: each pair is kept
-        or dropped on its own two rows, whatever other pairs are present,
-        so a chain of such filters yields the same pairs in the same order
-        however it is arranged (only the cost differs: put the cheapest
-        per pair first).  Three are *not* pair-local:
-        ``SortedNeighborhoodBlocker`` and ``CanopyBlocker`` decide over
-        whole tables (their ``block_tuples`` raises, so this method does
-        too), and ``VectorBlocker(top_k=...)`` ranks each left record's
-        surviving partners against each other, so its position in a chain
-        changes the result.
+        For most blockers this is a *pair-local* filter, each pair kept
+        on its own two rows, so a chain of such filters yields the same
+        pairs in the same order however it is arranged (only the cost
+        differs).  ``SortedNeighborhoodBlocker`` and ``CanopyBlocker``
+        decide over whole tables (their ``keep`` raises), and
+        ``VectorBlocker(top_k=...)`` ranks each left record's partners
+        against each other, so its place in a chain matters.
         """
         cat = catalog if catalog is not None else get_catalog()
         meta = validate_candset(candset, cat)
-        sides = (meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable)
-        l_rows, r_rows = (list(table.rows()) for table, _ in sides)
         l_pos, r_pos = (
-            key_positions(table, cat.get_key(table), candset.column(fk)).tolist()
-            for table, fk in sides
+            key_positions(table, cat.get_key(table), candset.column(fk))
+            for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable))
         )
-        keep = [
-            i for i, (l, r) in enumerate(zip(l_pos, r_pos))
-            if not self.block_tuples(l_rows[l], r_rows[r])
-        ]
+        keep = np.flatnonzero(self.keep(meta.ltable, meta.rtable, l_pos, r_pos)).tolist()
         observe_blocking(self, len(keep))
         result = candset.take(keep)
         result.add_column(CANDSET_ID, list(range(len(keep))))

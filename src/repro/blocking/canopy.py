@@ -32,7 +32,7 @@ from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.perf import arrays
-from repro.table.table import Row, Table
+from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 
 
@@ -52,7 +52,8 @@ class CanopyBlocker(Blocker):
         Center-selection order (canopies are order-dependent).
 
     Note: like sorted-neighborhood, canopy blocking is defined over whole
-    tables; per-pair ``block_tuples`` raises.
+    tables; per-pair ``keep`` (so ``block_candset`` and ``block_tuples``)
+    raises.
     """
 
     def __init__(
@@ -71,7 +72,7 @@ class CanopyBlocker(Blocker):
         self.tight = tight
         self.seed = seed
 
-    def block_tuples(self, l_row: Row, r_row: Row) -> bool:
+    def keep(self, ltable: Table, rtable: Table, l_pos, r_pos) -> np.ndarray:
         raise NotImplementedError(
             "canopy blocking is defined over whole tables, not single pairs"
         )

@@ -20,20 +20,26 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.blocking.base import (
+    TEXT,
     Blocker,
+    artifact_key,
     candset_from_positions,
     make_candset,
     observe_blocking,
+    picked_rows,
+    record_numbers,
     text_join_positions,
     text_view,
 )
 from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
-from repro.index.store import IndexStore
-from repro.table.schema import is_missing
-from repro.table.table import Row, Table
+from repro.index.store import IndexStore, get_index_store
+from repro.perf import arrays
+from repro.table.table import Table
 from repro.text.tokenizers import QgramTokenizer, Tokenizer, WhitespaceTokenizer
 
 
@@ -65,15 +71,27 @@ class OverlapBlocker(Blocker):
             return WhitespaceTokenizer(return_set=True)
         return QgramTokenizer(q=self.q, return_set=True)
 
-    def _tokens(self, value) -> set[str]:
-        if is_missing(value):
-            return set()
-        return set(self._tokenizer().tokenize(str(value).lower()))
+    def _views(self, ltable: Table, rtable: Table, l_key: str, r_key: str) -> tuple[Table, Table]:
+        ltable.require_columns([l_key, self.l_block_attr])
+        rtable.require_columns([r_key, self.r_block_attr])
+        return text_view(ltable, l_key, [self.l_block_attr]), text_view(
+            rtable, r_key, [self.r_block_attr]
+        )
 
-    def block_tuples(self, l_row: Row, r_row: Row) -> bool:
-        l_tokens = self._tokens(l_row[self.l_block_attr])
-        r_tokens = self._tokens(r_row[self.r_block_attr])
-        return len(l_tokens & r_tokens) < self.overlap_size
+    def keep(self, ltable: Table, rtable: Table, l_pos, r_pos) -> np.ndarray:
+        """The pairs whose records in the encoding :meth:`block_tables`
+        joins (over :func:`picked_rows`) share ``overlap_size`` tokens; a
+        row without one shares none."""
+        keys = artifact_key(ltable), artifact_key(rtable)
+        (ltable, l_pos), (rtable, r_pos) = picked_rows(ltable, l_pos), picked_rows(rtable, r_pos)
+        views = self._views(ltable, rtable, *keys)
+        encoding = get_index_store().join_encoding(*views, *keys, TEXT, TEXT, self._tokenizer())
+        l_rec, r_rec = (record_numbers(view)[pos] for view, pos in zip(views, (l_pos, r_pos)))
+        both = np.flatnonzero((l_rec >= 0) & (r_rec >= 0))
+        overlap = np.zeros(len(l_pos), np.int64)
+        records = encoding.left, encoding.right
+        overlap[both] = arrays.pair_overlaps(*records, l_rec[both], r_rec[both])
+        return overlap >= self.overlap_size
 
     def block_tables(
         self,
@@ -85,12 +103,7 @@ class OverlapBlocker(Blocker):
         r_output_attrs: Sequence[str] = (),
         catalog: Catalog | None = None,
     ) -> Table:
-        ltable.require_columns([l_key, self.l_block_attr])
-        rtable.require_columns([r_key, self.r_block_attr])
-        # Join lowercased views so the tokens match block_tuples' semantics.
-        views = text_view(ltable, l_key, [self.l_block_attr]), text_view(
-            rtable, r_key, [self.r_block_attr]
-        )
+        views = self._views(ltable, rtable, l_key, r_key)
         l_pos, r_pos, _ = text_join_positions(
             views, l_key, r_key, self._tokenizer(), "overlap", self.overlap_size
         )
@@ -144,13 +157,7 @@ class OverlapBlocker(Blocker):
         to ``live.to_table()``) supplies the right rows for
         ``r_output_attrs`` projection.
         """
-        ltable.require_columns([l_key, self.l_block_attr])
-        l_view = Table(
-            {
-                l_key: ltable.column(l_key),
-                self.l_block_attr: ltable.column(self.l_block_attr),
-            }
-        )
+        l_view = ltable.project([l_key, self.l_block_attr])
         joined = live.join_table(l_view, l_key, self.l_block_attr)
         pairs = list(zip(joined.column("l_id"), joined.column("r_id")))
         observe_blocking(self, len(pairs))

@@ -9,7 +9,8 @@ Falcon executes the retained rules on A x B.  The survivors of a rule
 each complement is a "similarity above threshold" predicate over a token
 or exact feature, the rule is *executable*, its survivors a union of
 joins.  :func:`candidate_positions` joins one executable rule and checks
-the others over feature columns (:meth:`BlockingRule.keeps`).
+the others over feature columns (:func:`check_rules`), which is all a
+rule set with no executable rule runs.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 from repro.blocking.base import (
     TEXT,
     PairCodes,
-    equal_value_pairs,
     record_rows,
     text_join_positions,
     text_view,
+    value_ids,
 )
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features.feature import Feature, FeatureTable
@@ -37,12 +38,10 @@ from repro.obs import get_registry, trace_span
 from repro.perf import arrays
 from repro.simjoin.filters import SET_MEASURES, validate_measure
 from repro.table.schema import is_missing
-from repro.table.table import Row, Table
+from repro.table.table import Table
 
 _OPS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
 _COMPLEMENT = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
-#: Pairs of A x B per chunk when no rule is executable.
-SCAN_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,6 @@ class Predicate:
 
     def holds_value(self, value: float) -> bool:
         return bool(self.mask(value))
-
-    def holds(self, l_row: Row, r_row: Row) -> bool:
-        return self.holds_value(self.feature.apply_rows(l_row, r_row))
 
     def complement(self) -> "Predicate":
         """The negation, as a predicate with the flipped operator."""
@@ -108,15 +104,11 @@ class BlockingRule:
             raise ConfigurationError("a blocking rule needs at least one predicate")
         self.predicates = tuple(self.predicates)
 
-    def drops(self, l_row: Row, r_row: Row) -> bool:
-        """True when the pair should be dropped by this rule."""
-        return all(predicate.holds(l_row, r_row) for predicate in self.predicates)
-
     def keeps(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Mask of the pairs surviving the rule over float64 feature
         columns by name: its joins' pairs if it is executable (a missing
-        value drops a pair), else :meth:`drops`' answer (a missing value
-        keeps it)."""
+        value drops a pair), else the pairs where some predicate does not
+        hold (a missing value keeps it)."""
         if not self.is_executable:
             return ~all_hold(self.predicates, columns)
         masks = [p.complement().mask(columns[p.feature.name]) for p in self.predicates]
@@ -212,7 +204,7 @@ def _complement_join(predicate: Predicate, sides, view):
         keys = _exact_keys(ltable.column(feature.l_attr), rtable.column(feature.r_attr))
         counts = Counter(keys[0])
         cost = sum(counts[key] for key in keys[1] if key is not None)
-        return cost, lambda: equal_value_pairs(*keys)
+        return cost, lambda: arrays.equal_id_pairs(*value_ids(*keys))
     views = view(0, feature.l_attr), view(1, feature.r_attr)
     # A strict '>' drops the ties of a join at its threshold (or at 1e-9 for 0).
     measure, threshold = validate_measure(feature.measure_name), complement.threshold
@@ -262,33 +254,39 @@ def _complement_join(predicate: Predicate, sides, view):
     return cost + n_blank, join
 
 
-def _check(rules, sides, l_pos: np.ndarray, r_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``(l_pos[i], r_pos[i])`` left after each ``(position,
-    rule)`` in turn, over that rule's features of the pairs left."""
+def check_rules(rules, sides, l_pos: np.ndarray, r_pos: np.ndarray) -> np.ndarray:
+    """Mask of the pairs ``(l_pos[i], r_pos[i])`` of ``sides``,
+    ``((ltable, l_key), (rtable, r_key))``, that survive each ``(position,
+    rule)`` in turn, each rule checked over its features of the pairs
+    left (:meth:`BlockingRule.keeps`)."""
     from repro.features.extraction import feature_columns  # extraction imports blocking
 
     registry = get_registry()
+    left = np.arange(len(l_pos))
     for position, rule in rules:
-        if not len(l_pos):
+        if not len(left):
             break
-        registry.counter("blocking_rule_pairs_checked_total").inc(len(l_pos))
-        with trace_span("rule_check", rule=position, pairs=len(l_pos)):
+        registry.counter("blocking_rule_pairs_checked_total").inc(len(left))
+        with trace_span("rule_check", rule=position, pairs=len(left)):
             features = list({p.feature.name: p.feature for p in rule.predicates}.values())
-            values = feature_columns(sides, l_pos, r_pos, features)
+            values = feature_columns(sides, l_pos[left], r_pos[left], features)
             keep = rule.keeps({f.name: np.asarray(v, np.float64) for f, v in zip(features, values)})
-        l_pos, r_pos = l_pos[keep], r_pos[keep]
-        registry.counter("blocking_rule_survivors_total", rule=str(position)).inc(len(l_pos))
-    return l_pos, r_pos
+        left = left[keep]
+        registry.counter("blocking_rule_survivors_total", rule=str(position)).inc(len(left))
+    kept = np.zeros(len(l_pos), bool)
+    kept[left] = True
+    return kept
 
 
 def candidate_positions(
     rules: list[BlockingRule], ltable: Table, rtable: Table, l_key: str, r_key: str,
     codes: PairCodes,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the pairs surviving every rule, in ``codes`` order: the
-    seeds (the joins of the executable rule of least cost, else A x B in
-    chunks), then the other rules checked on the pairs left, executable
-    ones cheapest first (a rule's cost bounds the pairs it keeps)."""
+    """Rows of the pairs surviving every rule, at least one of them
+    executable, in ``codes`` order: the seeds (the joins of the executable
+    rule of least cost), then the other rules checked on the pairs left,
+    executable ones cheapest first (a rule's cost bounds the pairs it
+    keeps)."""
     if not rules:
         raise WorkflowError("no blocking rules to execute")
     sides = (ltable, l_key), (rtable, r_key)
@@ -297,19 +295,13 @@ def candidate_positions(
              for at, rule in enumerate(rules) if rule.is_executable}
     costs = {at: sum(cost for cost, _ in plan) for at, plan in joins.items()}
     order = sorted(range(len(rules)), key=lambda at: costs.get(at, np.inf))
-    if joins:
-        seed, registry = order.pop(0), get_registry()
-        registry.counter("blocking_rule_joins_total").inc(len(joins[seed]))
-        seeds = arrays.unique_sorted(np.concatenate([codes.encode(*j()) for _, j in joins[seed]]))
-        registry.counter("blocking_rule_survivors_total", rule=str(seed)).inc(len(seeds))
-        batches = [codes.decode(seeds)]
-    else:
-        total = len(codes.l_order) * len(codes.r_order)
-        batches = (codes.decode(np.arange(start, min(start + SCAN_CHUNK_PAIRS, total)))
-                   for start in range(0, total, SCAN_CHUNK_PAIRS))
-    kept = [(np.zeros(0, np.int64),) * 2]
-    kept += [_check([(at, rules[at]) for at in order], sides, *batch) for batch in batches]
-    return np.concatenate([l for l, _ in kept]), np.concatenate([r for _, r in kept])
+    seed, registry = order.pop(0), get_registry()
+    registry.counter("blocking_rule_joins_total").inc(len(joins[seed]))
+    seeds = arrays.unique_sorted(np.concatenate([codes.encode(*j()) for _, j in joins[seed]]))
+    registry.counter("blocking_rule_survivors_total", rule=str(seed)).inc(len(seeds))
+    l_pos, r_pos = codes.decode(seeds)
+    kept = check_rules([(at, rules[at]) for at in order], sides, l_pos, r_pos)
+    return l_pos[kept], r_pos[kept]
 
 
 def execute_rules(

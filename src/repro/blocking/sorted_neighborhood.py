@@ -18,7 +18,7 @@ from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.perf import arrays
 from repro.table.schema import is_missing
-from repro.table.table import Row, Table
+from repro.table.table import Table
 
 
 class SortedNeighborhoodBlocker(Blocker):
@@ -34,7 +34,8 @@ class SortedNeighborhoodBlocker(Blocker):
     therefore empty.  A ``window`` at least as large as the merged
     non-missing row count degrades to the full cross product of the
     surviving rows.  Note: this blocker is inherently table-level;
-    per-pair ``block_tuples`` is undefined and raises.
+    per-pair ``keep`` (so ``block_candset`` and ``block_tuples``) is
+    undefined and raises.
     """
 
     def __init__(
@@ -51,7 +52,7 @@ class SortedNeighborhoodBlocker(Blocker):
         self.window = window
         self.sort_key = sort_key or (lambda value: str(value).lower())
 
-    def block_tuples(self, l_row: Row, r_row: Row) -> bool:
+    def keep(self, ltable: Table, rtable: Table, l_pos, r_pos) -> np.ndarray:
         raise NotImplementedError(
             "sorted-neighborhood blocking is defined over whole tables, "
             "not single pairs"

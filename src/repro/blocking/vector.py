@@ -17,8 +17,8 @@ Everything expensive is an :class:`repro.index.IndexStore` artifact
 index are built once per content fingerprint, shared across calls, and
 warm-reloaded from the disk tier with byte-identical search results.
 Both entry points run on the pair's CSR sides: ``block_tables`` is one
-:meth:`~repro.index.ann.AnnIndex.search`, ``block_candset`` one
-:func:`~repro.index.ann.pair_cosines` over the candidate pairs.
+:meth:`~repro.index.ann.AnnIndex.search`, ``keep`` (so ``block_candset``)
+one :func:`~repro.index.ann.pair_cosines` over the candidate pairs.
 
 Approximation contract: retrieval is *approximate* — ``block_tables``
 returns a subset of the exact cosine-threshold join (LSH can miss
@@ -31,21 +31,24 @@ input pair is scored with the true cosine.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
-from repro.blocking.base import CANDSET_ID, Blocker, make_candset, observe_blocking
-from repro.catalog.catalog import Catalog, get_catalog
-from repro.catalog.checks import validate_candset
+from repro.blocking.base import (
+    Blocker,
+    artifact_key,
+    make_candset,
+    observe_blocking,
+    present_numbers,
+)
+from repro.catalog.catalog import Catalog
 from repro.exceptions import ConfigurationError
 from repro.index.ann import pair_cosines, rank_cut, validate_lsh
 from repro.index.store import IndexStore, get_index_store
 from repro.obs import get_registry
 from repro.perf.arrays import observe_kernel_batch
-from repro.table.schema import is_missing
 from repro.table.table import Row, Table
-from repro.text.vectorize import HashedNgramVectorizer, cosine
+from repro.text.vectorize import HashedNgramVectorizer
 
 
 class VectorBlocker(Blocker):
@@ -81,10 +84,9 @@ class VectorBlocker(Blocker):
     budget ranks each left record's surviving partners against each
     other, which is not pair-local — there its position matters.
 
-    Note: per-pair :meth:`block_tuples` embeds the pair in isolation and
-    therefore cannot apply corpus-level IDF weights; it raises under
-    ``idf=True`` (use :meth:`block_candset`, which scores exactly in the
-    corpus space).
+    Note: per-pair :meth:`block_tuples` sees the two rows alone, a corpus
+    too small for IDF weights; it raises under ``idf=True`` (use
+    :meth:`block_candset`, which scores exactly in the corpus space).
     """
 
     def __init__(
@@ -135,14 +137,32 @@ class VectorBlocker(Blocker):
         right = store.hashed_column(rtable, r_key, self.r_block_attr, self._vectorizer)
         return store.vector_pair(left, right, idf=self.idf)
 
-    def _embed_value(self, value: Any):
-        if is_missing(value):
-            return {}
-        return self._vectorizer.embed_normalized(str(value))
-
     # ------------------------------------------------------------------
     # Blocker API
     # ------------------------------------------------------------------
+    def keep(self, ltable: Table, rtable: Table, l_pos, r_pos) -> np.ndarray:
+        """The pairs whose exact cosine in the tables' joint space reaches
+        ``threshold``; with ``top_k``, each left record's ``top_k`` best of
+        these pairs (ties: the earlier pair)."""
+        pair = self._space(
+            ltable, rtable, artifact_key(ltable), artifact_key(rtable), get_index_store()
+        )
+        registry = get_registry()
+        with registry.timer("kernel_batch_seconds", op="vector_candset"):
+            l_at = present_numbers(ltable.column(self.l_block_attr))[l_pos]
+            r_at = present_numbers(rtable.column(self.r_block_attr))[r_pos]
+            # A row without a vector (missing value) scores 0: dropped.
+            rows = np.flatnonzero((l_at >= 0) & (r_at >= 0))
+            rows = rows[np.argsort(l_at[rows], kind="stable")]
+            right_t = pair.right.matrix.T.tocsr()
+            scores = pair_cosines(pair.left.matrix, right_t, l_at[rows], r_at[rows])
+            survived = scores >= self.threshold
+            rows, scores = rows[survived], scores[survived]
+            kept = np.zeros(len(l_pos), bool)
+            kept[rows[rank_cut(l_at[rows], scores, self.top_k)]] = True
+        observe_kernel_batch("vector_candset", len(np.unique(l_pos)), len(rows))
+        return kept
+
     def block_tuples(self, l_row: Row, r_row: Row) -> bool:
         if self.idf:
             raise NotImplementedError(
@@ -150,9 +170,7 @@ class VectorBlocker(Blocker):
                 "corpus; use block_candset (exact corpus-space scoring) or "
                 "construct the blocker with idf=False"
             )
-        l_vector = self._embed_value(l_row[self.l_block_attr])
-        r_vector = self._embed_value(r_row[self.r_block_attr])
-        return cosine(l_vector, r_vector) < self.threshold
+        return super().block_tuples(l_row, r_row)
 
     def block_tables(
         self,
@@ -190,52 +208,3 @@ class VectorBlocker(Blocker):
         return make_candset(
             pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
         )
-
-    def block_candset(
-        self,
-        candset: Table,
-        catalog: Catalog | None = None,
-    ) -> Table:
-        """Filter an existing candidate set by exact corpus-space cosine.
-
-        Unlike :meth:`block_tables` this is *not* approximate: every
-        input pair is scored with the true cosine in the joint
-        (IDF-weighted) space of the candidate set's base tables.  With
-        ``top_k`` set, each left record additionally keeps only its
-        ``top_k`` best surviving partners (ties: the earlier row).
-        """
-        cat = catalog if catalog is not None else get_catalog()
-        meta = validate_candset(candset, cat)
-        l_key = cat.get_key(meta.ltable)
-        r_key = cat.get_key(meta.rtable)
-        meta.ltable.require_columns([self.l_block_attr])
-        meta.rtable.require_columns([self.r_block_attr])
-        pair = self._space(meta.ltable, meta.rtable, l_key, r_key, get_index_store())
-        l_ids = candset.column(meta.fk_ltable)
-        registry = get_registry()
-        with registry.timer("kernel_batch_seconds", op="vector_candset"):
-            l_at = _positions(pair.left.keys, l_ids)
-            r_at = _positions(pair.right.keys, candset.column(meta.fk_rtable))
-            # A key without a vector (missing value) scores 0: dropped.
-            rows = np.flatnonzero((l_at >= 0) & (r_at >= 0))
-            rows = rows[np.argsort(l_at[rows], kind="stable")]
-            right_t = pair.right.matrix.T.tocsr()
-            scores = pair_cosines(pair.left.matrix, right_t, l_at[rows], r_at[rows])
-            survived = scores >= self.threshold
-            rows, scores = rows[survived], scores[survived]
-            keep = np.sort(rows[rank_cut(l_at[rows], scores, self.top_k)])
-        observe_kernel_batch("vector_candset", len(set(l_ids)), len(rows))
-        observe_blocking(self, len(keep))
-        result = candset.take(keep.tolist())
-        result.add_column(CANDSET_ID, list(range(len(keep))))
-        cat.set_candset_metadata(
-            result, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
-        )
-        return result
-
-
-def _positions(keys: list, ids: Sequence[Any]):
-    """Each id's record position among ``keys`` (the last on a repeat),
-    ``-1`` where it has none."""
-    position = dict(zip(keys, range(len(keys))))
-    return np.fromiter((position.get(i, -1) for i in ids), dtype=np.int64, count=len(ids))

@@ -81,6 +81,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
@@ -708,15 +709,22 @@ def _project_pair(digest: str, left: HashedColumn, right: HashedColumn, idf: boo
 # Process-default store
 # ----------------------------------------------------------------------
 _default_store: IndexStore | None = None
+#: The store :func:`use_index_store` scopes, per thread (and asyncio task).
+_scoped_store: ContextVar[IndexStore | None] = ContextVar("scoped_index_store", default=None)
 
 
 def get_index_store() -> IndexStore:
-    """The process-wide store every join and blocker consults.
+    """The store every join and blocker consults: the one
+    :func:`use_index_store` scopes in this thread, else the process-wide
+    default.
 
-    Created lazily; honours the ``REPRO_INDEX_CACHE`` environment
-    variable as its disk cache directory.
+    The default is created lazily; it honours the ``REPRO_INDEX_CACHE``
+    environment variable as its disk cache directory.
     """
     global _default_store
+    scoped = _scoped_store.get()
+    if scoped is not None:
+        return scoped
     if _default_store is None:
         _default_store = IndexStore(
             cache_dir=os.environ.get("REPRO_INDEX_CACHE") or None
@@ -725,8 +733,14 @@ def get_index_store() -> IndexStore:
 
 
 def set_index_store(store: IndexStore | None) -> IndexStore | None:
-    """Swap the process-default store; returns the previous one."""
+    """Swap the process-default store; returns the previous one.  Inside
+    a :func:`use_index_store` scope it swaps the scoped store instead,
+    which the scope's exit then undoes."""
     global _default_store
+    previous = _scoped_store.get()
+    if previous is not None:
+        _scoped_store.set(store)
+        return previous
     previous = _default_store
     _default_store = store
     return previous
@@ -734,10 +748,12 @@ def set_index_store(store: IndexStore | None) -> IndexStore | None:
 
 @contextmanager
 def use_index_store(store: IndexStore | None = None) -> Iterator[IndexStore]:
-    """Scope the process-default store (a fresh in-memory one if ``None``)."""
+    """Scope the store :func:`get_index_store` returns (a fresh in-memory
+    one if ``None``) to this thread or task: other threads keep theirs,
+    and a thread started inside the scope sees the process default."""
     scoped = store if store is not None else IndexStore()
-    previous = set_index_store(scoped)
+    token = _scoped_store.set(scoped)
     try:
         yield scoped
     finally:
-        set_index_store(previous)
+        _scoped_store.reset(token)

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import threading
 from collections import defaultdict
 
 import pytest
@@ -37,7 +38,7 @@ from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError, ForeignKeyConstraintError, SchemaError
 from repro.features import FeatureTable, get_features_for_blocking
 from repro.features.feature import make_exact_feature, make_string_feature, make_token_feature
-from repro.index import use_index_store
+from repro.index import get_index_store, use_index_store
 from repro.obs import use_registry
 from repro.simjoin import naive_set_sim_join
 from repro.table import Table
@@ -45,6 +46,7 @@ from repro.table.schema import is_missing
 from repro.text.sim.edit_based import Levenshtein
 from repro.text.sim.token_based import Jaccard, OverlapCoefficient
 from repro.text.tokenizers import DelimiterTokenizer, QgramTokenizer, WhitespaceTokenizer
+from tests.blocking_oracles import pairwise_drops, predicate_holds, rule_drops
 
 
 def pairs_of(candset):
@@ -68,7 +70,7 @@ class TestAttrEquivalence:
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
             for r_row in table_b.rows()
-            if not blocker.block_tuples(l_row, r_row)
+            if not pairwise_drops(blocker, l_row, r_row)
         }
         assert pairs_of(blocker.block_tables(table_a, table_b, "id", "id")) == expected
 
@@ -130,7 +132,7 @@ class TestOverlapBlocker:
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
             for r_row in table_b.rows()
-            if not blocker.block_tuples(l_row, r_row)
+            if not pairwise_drops(blocker, l_row, r_row)
         }
         assert pairs_of(blocker.block_tables(table_a, table_b, "id", "id")) == expected
 
@@ -291,9 +293,9 @@ class TestCandsetFilterChains:
 
 
 class TestOneBlockerSignature:
-    """Every public blocker takes ``block_tables`` / ``block_candset``
-    arguments exactly as the base class does, so generic code can drive
-    any of them."""
+    """Every public blocker takes ``keep`` / ``block_tables`` /
+    ``block_candset`` arguments exactly as the base class does, so
+    generic code can drive any of them."""
 
     @staticmethod
     def _parameters(method) -> list[tuple]:
@@ -307,7 +309,7 @@ class TestOneBlockerSignature:
             if isinstance(value, type) and issubclass(value, Blocker) and value is not Blocker
         ]
         assert {CanopyBlocker, SortedNeighborhoodBlocker, VectorBlocker} <= set(blockers)
-        for method in ("block_tables", "block_candset"):
+        for method in ("keep", "block_tables", "block_candset"):
             expected = self._parameters(getattr(Blocker, method))
             for blocker in blockers:
                 assert self._parameters(getattr(blocker, method)) == expected, (blocker, method)
@@ -476,7 +478,7 @@ def oracle_complement(predicate, ltable, rtable):
             (l_row["id"], r_row["id"])
             for l_row in ltable.rows()
             for r_row in rtable.rows()
-            if complement.holds(l_row, r_row)
+            if predicate_holds(complement, l_row, r_row)
         }
     threshold = complement.threshold
     if complement.op == ">":
@@ -704,7 +706,7 @@ class TestCandidateHandoverMatchesTheOracles:
                 (l_row["id"], r_row["id"])
                 for l_row in ltable.rows()
                 for r_row in rtable.rows()
-                if not rule.drops(l_row, r_row)
+                if not rule_drops(rule, l_row, r_row)
             }
             expected = survivors if expected is None else expected & survivors
         every_pair = [(l, r) for l in ltable.column("id") for r in rtable.column("id")]
@@ -829,7 +831,7 @@ class TestRuleBlockerPlan:
             (l_row["id"], r_row["id"])
             for l_row in ltable.rows()
             for r_row in rtable.rows()
-            if not rule.drops(l_row, r_row)
+            if not rule_drops(rule, l_row, r_row)
         }
         return alone, after, by_drops & execute_rules([cheaper], ltable, rtable), by_drops
 
@@ -937,3 +939,163 @@ def name_rule_tables():
     table_b = Table({"id": ["b1", "b2"], "name": ["dave smith", "dave smith"]})
     exact = make_exact_feature("name_exact", "name", "name")
     return table_a, table_b, BlockingRule((Predicate(exact, "<=", 0.5),))
+
+
+#: A present value that prints blank, shared so that equal cells are equal.
+BLANK = PrintsBlank()
+
+
+@st.composite
+def blocked_tables(draw):
+    """Two keyed tables of 0-8 rows: a ``v`` column of block values (also
+    one that prints blank) and a ``t`` text column, each with repeats."""
+
+    def table(prefix):
+        n = draw(st.integers(0, 8))
+        result = Table({
+            "id": [f"{prefix}{i}" for i in range(n)],
+            "v": draw(st.lists(st.sampled_from(VALUES + [BLANK]), min_size=n, max_size=n)),
+            "t": draw(st.lists(st.sampled_from(TEXTS + [BLANK]), min_size=n, max_size=n)),
+        })
+        get_catalog().set_key(result, "id")
+        return result
+
+    return table("a"), table("b")
+
+
+def _first_char(row):
+    return None if is_missing(row["t"]) else str(row["t"])[:1]
+
+
+#: Pair-local blockers: each keeps or drops a pair on its two rows alone.
+PAIR_LOCAL = [
+    lambda: OverlapBlocker("v", overlap_size=1),
+    lambda: OverlapBlocker("t", overlap_size=2),
+    lambda: OverlapBlocker("v", word_level=False, q=3, overlap_size=1),
+    lambda: OverlapBlocker("t", word_level=False, q=2, overlap_size=2),
+    lambda: HashBlocker(_first_char),
+    lambda: AttrEquivalenceBlocker("v"),
+    lambda: AttrEquivalenceBlocker("t"),
+    # 64 one-bit bands: every pair collides, so the ANN search scores all.
+    lambda: VectorBlocker("t", threshold=0.3, idf=False, n_bands=64, band_bits=1),
+    lambda: VectorBlocker("v", threshold=0.2, idf=False, n_bands=64, band_bits=1),
+    lambda: BlackBoxBlocker(lambda l, r: str(l["v"])[:1] != str(r["v"])[:1]),
+]
+#: Filters whose ``block_tuples`` is not their pair decision: IDF weights
+#: need the corpus and ``top_k`` ranks a record's partners together.
+CORPUS_LEVEL = [
+    lambda: VectorBlocker("t", threshold=0.3, n_bands=64, band_bits=1),
+    lambda: VectorBlocker("t", threshold=0.1, top_k=2, n_bands=64, band_bits=1),
+    lambda: VectorBlocker("v", threshold=0.1, idf=False, top_k=1, n_bands=64, band_bits=1),
+]
+
+
+class TestOneEvaluator:
+    """Every blocker decides pairs once, in ``keep``: ``block_candset`` of
+    every pair of A x B keeps ``block_tables``' pairs, in the candset's
+    order, and ``block_tuples`` drops exactly the other pairs."""
+
+    @staticmethod
+    def _check(blocker, ltable, rtable, pair_local=True):
+        every = BlackBoxBlocker(lambda l, r: False).block_tables(ltable, rtable)
+        with use_index_store():
+            expected = pairs_of(blocker.block_tables(ltable, rtable))
+            filtered = candset_pairs(blocker.block_candset(every))
+            assert filtered == [pair for pair in candset_pairs(every) if pair in expected]
+            if not pair_local:
+                return
+            backwards = make_candset(candset_pairs(every)[::-1], ltable, rtable, "id", "id")
+            assert candset_pairs(blocker.block_candset(backwards)) == filtered[::-1]
+            # One row against the other side: on under a quarter of a
+            # table's rows, ``keep`` reads a table of just the picked rows.
+            l_keys, r_keys = ltable.column("id"), rtable.column("id")
+            for few in (
+                [(l_keys[-1], r) for r in r_keys] if l_keys else [],
+                [(l, r_keys[-1]) for l in l_keys] if r_keys else [],
+            ):
+                candset = make_candset(few, ltable, rtable, "id", "id")
+                kept = candset_pairs(blocker.block_candset(candset))
+                assert kept == [pair for pair in few if pair in expected]
+        for l_row in ltable.rows():
+            for r_row in rtable.rows():
+                dropped = (l_row["id"], r_row["id"]) not in expected
+                assert blocker.block_tuples(l_row, r_row) == dropped
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables=blocked_tables(), at=st.integers(0, len(PAIR_LOCAL) - 1))
+    def test_pair_local_blockers(self, tables, at):
+        self._check(PAIR_LOCAL[at](), *tables)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables=blocked_tables(), at=st.integers(0, len(CORPUS_LEVEL) - 1))
+    def test_idf_and_top_k_vector_filters(self, tables, at):
+        self._check(CORPUS_LEVEL[at](), *tables, pair_local=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tables=blocked_tables(),
+        rules=st.lists(
+            st.lists(st.sampled_from(PREDICATES + SCAN_PREDICATES), min_size=1, max_size=2),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_rule_based_blockers(self, tables, rules):
+        """Executable, non-executable and mixed rule sets alike."""
+        rules = [BlockingRule(tuple(predicates)) for predicates in rules]
+        self._check(RuleBasedBlocker(rules), *tables)
+
+    def test_a_value_printing_blank_has_no_q_grams(self):
+        """It has no record for the join, so it overlaps nothing, though
+        its padded q-grams would overlap another's."""
+        ltable = Table({"id": ["a1", "a2"], "v": [BLANK, "abc"]})
+        rtable = Table({"id": ["b1", "b2"], "v": [BLANK, "abc"]})
+        blocker = OverlapBlocker("v", word_level=False, q=3, overlap_size=1)
+        every = BlackBoxBlocker(lambda l, r: False).block_tables(ltable, rtable)
+        assert pairs_of(blocker.block_tables(ltable, rtable)) == {("a2", "b2")}
+        assert candset_pairs(blocker.block_candset(every)) == [("a2", "b2")]
+        assert blocker.block_tuples(next(ltable.rows()), next(rtable.rows()))
+
+    def test_an_executable_rule_drops_a_missing_value(self):
+        """``name_jaccard_ws < 0.3`` runs as a join, which never emits a
+        pair with a missing name: filtering drops it too."""
+        ltable = Table({"id": ["a1", "a2"], "name": [None, "dave smith"]})
+        rtable = Table({"id": ["b1", "b2"], "name": ["dave smith", "dave smyth"]})
+        blocker = RuleBasedBlocker()
+        blocker.add_rule("name_jaccard_ws < 0.3", get_features_for_blocking(ltable, rtable))
+        assert blocker.is_join_executable
+        every = BlackBoxBlocker(lambda l, r: False).block_tables(ltable, rtable)
+        assert pairs_of(blocker.block_tables(ltable, rtable)) == {("a2", "b1"), ("a2", "b2")}
+        assert candset_pairs(blocker.block_candset(every)) == [("a2", "b1"), ("a2", "b2")]
+        assert blocker.block_tuples(next(ltable.rows()), next(rtable.rows()))
+
+    def test_block_tuples_leaves_the_shared_store_alone(self):
+        """Each ``block_tuples`` call scopes a store of its own to its
+        thread: calls racing in two threads change no thread's store and
+        build nothing in the shared one."""
+        shared = get_index_store()
+        before = len(shared._memory)
+        blocker = OverlapBlocker("v", overlap_size=1)
+        start = threading.Barrier(2)
+        dropped, stores = [], []
+
+        def run(value):
+            start.wait()
+            for _ in range(50):
+                dropped.append(blocker.block_tuples({"v": value}, {"v": "b c"}))
+            stores.append(get_index_store())
+
+        threads = [threading.Thread(target=run, args=(v,)) for v in ("a b", "x y")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert dropped.count(False) == dropped.count(True) == 50
+        assert stores == [shared, shared] and get_index_store() is shared
+        assert len(shared._memory) == before
+
+    def test_a_blocker_defining_neither_method_raises(self):
+        table = Table({"id": ["a1"], "v": ["x"]})
+        with pytest.raises(NotImplementedError):
+            Blocker().block_tables(table, table)
+        with pytest.raises(NotImplementedError):
+            Blocker().block_tuples({"v": "x"}, {"v": "x"})

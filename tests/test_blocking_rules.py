@@ -15,6 +15,7 @@ from repro.blocking import (
 from repro.exceptions import ConfigurationError, WorkflowError
 from repro.features import get_features_for_blocking, get_features_for_matching
 from repro.table import Table
+from tests.blocking_oracles import pairwise_drops, pairwise_pairs, rule_drops
 
 
 @pytest.fixture
@@ -110,8 +111,8 @@ class TestRuleSemantics:
         rule = parse_rule("name_jaccard_ws <= 0.3", features)
         a_rows = {row["id"]: row for row in table_a.rows()}
         b_rows = {row["id"]: row for row in table_b.rows()}
-        assert rule.drops(a_rows["a2"], b_rows["b1"])  # joe wilson vs dave smith
-        assert not rule.drops(a_rows["a1"], b_rows["b1"])  # identical names
+        assert rule_drops(rule, a_rows["a2"], b_rows["b1"])  # joe wilson vs dave smith
+        assert not rule_drops(rule, a_rows["a1"], b_rows["b1"])  # identical names
 
     def test_executable_flag(self, name_tables):
         features = get_features_for_blocking(*name_tables)
@@ -131,7 +132,7 @@ class TestRuleExecution:
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
             for r_row in table_b.rows()
-            if not rule.drops(l_row, r_row)
+            if not rule_drops(rule, l_row, r_row)
         }
         assert survivors == expected
 
@@ -146,7 +147,7 @@ class TestRuleExecution:
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
             for r_row in table_b.rows()
-            if not rule.drops(l_row, r_row)
+            if not rule_drops(rule, l_row, r_row)
         }
         assert survivors == expected
 
@@ -191,7 +192,7 @@ class TestRuleBasedBlocker:
             (l_row["id"], r_row["id"])
             for l_row in table_a.rows()
             for r_row in table_b.rows()
-            if not blocker.block_tuples(l_row, r_row)
+            if not pairwise_drops(blocker, l_row, r_row)
         }
         assert set(zip(candset["ltable_id"], candset["rtable_id"])) == expected
 
@@ -210,9 +211,9 @@ class TestRuleBasedBlocker:
 
 
 class TestJoinEqualsPerPairScan:
-    """A rule the blocker runs as joins keeps exactly the pairs its own
-    per-pair path keeps (``Blocker.block_tables`` over ``block_tuples``)
-    on data without missing values; any other rule takes that path."""
+    """A rule the blocker runs as joins keeps exactly the pairs the
+    per-pair oracle keeps (its scan of A x B) on data without missing
+    values; any other rule runs as that scan."""
 
     @staticmethod
     def _tables():
@@ -242,12 +243,9 @@ class TestJoinEqualsPerPairScan:
 
     @staticmethod
     def _both_paths(blocker, table_a, table_b):
-        from repro.blocking.base import Blocker
-
-        pairs = lambda c: list(zip(c["ltable_id"], c["rtable_id"]))
         joined = blocker.block_tables(table_a, table_b, "id", "id")
-        scanned = Blocker.block_tables(blocker, table_a, table_b, "id", "id")
-        return pairs(joined), pairs(scanned)
+        scanned = pairwise_pairs(blocker, table_a, table_b)
+        return list(zip(joined["ltable_id"], joined["rtable_id"])), scanned
 
     @pytest.mark.parametrize("feature", ["t_jac", "c_ex"])
     @pytest.mark.parametrize("op", ["<=", "<", ">=", ">"])
@@ -293,7 +291,7 @@ class TestJoinEqualsPerPairScan:
         assert joined == scanned == [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")]
 
     def test_missing_values_differ_as_documented(self):
-        """A missing value satisfies no predicate, so the per-pair path
+        """A missing value satisfies no predicate, so the per-pair oracle
         keeps the pair; a join cannot emit it."""
         table_a, table_b = self._tables()
         table_a = Table({**{c: table_a.column(c) for c in table_a.columns},

@@ -530,6 +530,42 @@ class TestDefaultStore:
             assert scoped is not outer
         assert get_index_store() is outer
 
+    def test_scopes_belong_to_their_threads(self):
+        """Two threads' scopes overlap (A enters, B enters, A leaves, B
+        leaves): each sees its own store, and the default is the same
+        object afterwards."""
+        import threading
+
+        outer = get_index_store()
+        steps = threading.Barrier(2)
+        seen = {}
+
+        def scope(name, first):
+            if not first:
+                steps.wait()
+            with use_index_store() as mine:
+                steps.wait()
+                steps.wait()
+                seen[name] = get_index_store() is mine and get_index_store() is not outer
+            if first:
+                steps.wait()
+
+        threads = [threading.Thread(target=scope, args=(n, n == "a")) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen == {"a": True, "b": True}
+        assert get_index_store() is outer
+
+    def test_set_index_store_inside_a_scope_is_undone_by_its_exit(self, tmp_path):
+        outer = get_index_store()
+        with use_index_store():
+            cached = IndexStore(cache_dir=tmp_path)
+            set_index_store(cached)
+            assert get_index_store() is cached
+        assert get_index_store() is outer
+
     def test_env_var_sets_disk_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_INDEX_CACHE", str(tmp_path))
         previous = set_index_store(None)

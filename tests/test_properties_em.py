@@ -18,6 +18,7 @@ from repro.postprocess import enforce_one_to_one, merge_records
 from repro.table import Table
 from repro.text.sim.token_based import Jaccard
 from repro.text.tokenizers import WhitespaceTokenizer
+from tests.blocking_oracles import pairwise_drops, rule_drops
 
 words = st.sampled_from(["alpha", "beta", "gamma", "delta", "omega"])
 values = st.lists(words, min_size=1, max_size=3).map(" ".join)
@@ -44,7 +45,7 @@ class TestBlockingEquivalence:
             (l_row["id"], r_row["id"])
             for l_row in ltable.rows()
             for r_row in rtable.rows()
-            if not blocker.block_tuples(l_row, r_row)
+            if not pairwise_drops(blocker, l_row, r_row)
         }
         assert joined == pairwise
 
@@ -67,7 +68,7 @@ class TestBlockingEquivalence:
             (l_row["id"], r_row["id"])
             for l_row in ltable.rows()
             for r_row in rtable.rows()
-            if not rule.drops(l_row, r_row)
+            if not rule_drops(rule, l_row, r_row)
         }
         assert survivors == pairwise
 

@@ -25,6 +25,7 @@ from repro.text.vectorize import (
     sparse_dot,
     stable_bucket,
 )
+from tests.blocking_oracles import vector_drops
 
 
 def pairs_of(candset):
@@ -227,7 +228,7 @@ class TestVectorBlockerBlocking:
             for l_row in ltable.rows()
             for r_row in rtable.rows()
             if not l_row["name"] is None and not r_row["name"] is None
-            and not blocker.block_tuples(l_row, r_row)
+            and not vector_drops(blocker, l_row, r_row)
         }
         assert pairs_of(candset) <= exact
 
