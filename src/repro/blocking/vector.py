@@ -37,7 +37,7 @@ import numpy as np
 from repro.blocking.base import (
     Blocker,
     artifact_key,
-    make_candset,
+    candset_from_positions,
     observe_blocking,
     present_numbers,
 )
@@ -201,10 +201,10 @@ class VectorBlocker(Blocker):
         registry.counter("index_ann_candidates_total").inc(len(rows))
         observe_kernel_batch("ann_search", n_probes, len(rows))
         observe_blocking(self, len(rows))
-        pairs = zip(
-            map(pair.left.keys.__getitem__, rows.tolist()),
-            map(ann.keys.__getitem__, positions.tolist()),
-        )
-        return make_candset(
-            pairs, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        # Record i of a side is its i-th row with a value.
+        l_rows = np.flatnonzero(present_numbers(ltable.column(self.l_block_attr)) >= 0)
+        r_rows = np.flatnonzero(present_numbers(rtable.column(self.r_block_attr)) >= 0)
+        return candset_from_positions(
+            l_rows[rows], r_rows[positions], ltable, rtable, l_key, r_key, l_output_attrs,
+            r_output_attrs, catalog,
         )

@@ -35,6 +35,7 @@ from repro.index.store import (
     HashedColumn,
     IndexStore,
     PairEncoding,
+    StringRecords,
     TokenizedColumn,
     VectorPair,
     get_index_store,
@@ -52,6 +53,7 @@ __all__ = [
     "LIVE_FORMAT_VERSION",
     "LiveIndex",
     "PairEncoding",
+    "StringRecords",
     "TokenizedColumn",
     "VectorPair",
     "column_fingerprint",

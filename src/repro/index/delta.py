@@ -13,7 +13,11 @@ classic two-layer design of long-running search systems:
   disk-persistable and shared with every batch self-join over the same
   content.  The constructor (and :meth:`LiveIndex.load`) builds it;
   compaction replaces it with a privately held ``ArrayIndex`` folded
-  from the old base and the delta;
+  from the old base and the delta.  It keeps its records as columns
+  (the index's key list and the ``records`` artifact's value list, no
+  tuple per row), and its key -> position map only once a delete, an
+  upsert's tombstone or ``in`` first asks for a base key: a read-only
+  index never builds one;
 * the **delta segment** is mutable and append-only: upserted records get
   token ids from the base universe plus an append-only extension for
   unseen tokens; each row is appended to growable CSR buffers with the
@@ -64,8 +68,9 @@ and ``index_folded_rows`` gauges, ``index_compactions_total{mode}``, the
 window and tombstones and pairs verified over both segments, seconds),
 and the ``live_compact`` span (``mode``, ``delta_rows``, ``tombstones``).
 
-Persistence: :meth:`LiveIndex.save` writes ``live-<name>.pkl`` (base
-records + the operation log since the last compaction) and a JSON
+Persistence: :meth:`LiveIndex.save` writes ``live-<name>.pkl`` (the base
+records as ``(key, value)`` tuples, zipped from its columns at save, +
+the operation log since the last compaction) and a JSON
 manifest ``live-<name>.json`` next to the store's fingerprinted
 artifacts; :meth:`LiveIndex.load` rebuilds the base through the store
 and replays the log — warm from the disk tier while the saved base is
@@ -142,27 +147,37 @@ _search_instruments = per_registry(_SearchInstruments)
 
 
 class _BaseSegment:
-    """The immutable index over one frozen snapshot of records: ``index``
-    is the store's shared :class:`~repro.perf.arrays.ArrayIndex` for a
-    built base, a private one for a folded base.  ``artifacts`` are the
-    store digests a built base was read from (none for a folded one).
-    Deletes set positions in ``dead``, the segment's tombstone mask."""
+    """The immutable index over one frozen snapshot of records, kept as
+    columns: record *p* is ``keys[p]`` (the index's keys) with value
+    ``values[p]``.  ``index`` is the store's shared
+    :class:`~repro.perf.arrays.ArrayIndex` for a built base, a private
+    one for a folded base.  ``artifacts`` are the store digests a built
+    base was read from (none for a folded one).  Deletes set positions in
+    ``dead``, the segment's tombstone mask.  The key -> position map is
+    built by the first call that needs a base key's position (a delete,
+    an upsert's tombstone, ``in``): a read-only index never holds one."""
 
     __slots__ = (
-        "records", "universe", "index", "artifacts", "keys", "positions", "dead", "n_dead",
+        "keys", "values", "universe", "index", "artifacts", "_positions", "dead", "n_dead",
         "n_rows",
     )
 
-    def __init__(self, records, universe, index: arrays.ArrayIndex, artifacts=()):
-        self.records = records      # [(key, value)] — the frozen snapshot
+    def __init__(self, values: list, universe, index: arrays.ArrayIndex, artifacts=()):
+        self.keys = index.keys
+        self.values = values
         self.universe = universe    # TokenUniverse over the snapshot
         self.index = index
         self.artifacts = artifacts
-        self.keys = index.keys
-        self.positions = dict(zip(index.keys, range(index.n_rows)))
+        self._positions = None
         self.dead = np.zeros(index.n_rows, dtype=bool)
         self.n_dead = 0
         self.n_rows = index.n_rows
+
+    @property
+    def positions(self) -> dict:
+        if self._positions is None:
+            self._positions = dict(zip(self.keys, range(self.n_rows)))
+        return self._positions
 
 
 def _grown(buffer, need: int):
@@ -310,7 +325,7 @@ class LiveIndex:
         # Rows the last full (frequency-ranked) build covered, and rows
         # folded into the base since: compact() re-ranks when the second
         # passes the first.
-        self._built_rows = len(self._base.records)
+        self._built_rows = self._base.n_rows
         self._folded_rows = 0
         self._delta = _DeltaSegment()
 
@@ -360,8 +375,8 @@ class LiveIndex:
         records, encoding, index, artifacts = self._store.live_base(
             view, self.key, self.column, self.tokenizer, self.measure, self.threshold
         )
-        base = _BaseSegment(records, encoding.universe, index, artifacts)
-        if len(base.positions) < base.n_rows:
+        base = _BaseSegment(records.values, encoding.universe, index, artifacts)
+        if len(set(base.keys)) < base.n_rows:
             seen: set = set()
             for row_key in base.keys:
                 if row_key in seen:
@@ -579,10 +594,10 @@ class LiveIndex:
         view = self._view(table, l_key, l_column)
         tc = self._store.tokenized_column(view, l_key, l_column, self.tokenizer)
         with self._lock:
-            found = dict(zip(tc.token_sets, self._search_locked(list(tc.token_sets.values()))))
+            found = self._search_locked(list(tc.token_sets.values()))
         l_ids, r_ids, scores = [], [], []
-        for row_key, value in tc.records:
-            matches, _ = found[value]
+        for row_key, row in zip(tc.keys, tc.value_rows.tolist()):
+            matches, _ = found[row]
             if matches:
                 l_ids += [row_key] * len(matches)
                 r_ids += [r_id for r_id, _ in matches]
@@ -629,7 +644,7 @@ class LiveIndex:
             ):
                 if rerank:
                     new_base = self._build_base(
-                        self._table(_live_records(base, base_dead, frozen))
+                        self._table(*_live_columns(base, base_dead, frozen))
                     )
                 else:
                     new_base = self._fold_base(base, base_dead, frozen, ext_tokens)
@@ -648,7 +663,7 @@ class LiveIndex:
             for op in raced:
                 self._apply_locked(op)
             if rerank:
-                self._built_rows, folded_rows = len(new_base.records), 0
+                self._built_rows, folded_rows = new_base.n_rows, 0
             self._folded_rows = folded_rows
             self._compacting = False
             self._compactions += 1
@@ -676,47 +691,41 @@ class LiveIndex:
         it for whole 5 ms switch intervals, and a fold shorter than one
         would hold every reader until it ends.
         """
-        keys, values, sizes, indices, dead = delta
+        _, _, sizes, indices, dead = delta
         universe = base.universe.extended(ext_tokens) if ext_tokens else base.universe
-        live = np.concatenate([~base_dead, ~dead])
-        records = list(compress(chain(base.records, zip(keys, values)), live.tolist()))
+        keys, values = _live_columns(base, base_dead, delta)
         time.sleep(0)
         name = f"live-{self.name}"
         rows = arrays.take_rows(
             name,
-            [row_key for row_key, _ in records],
+            keys,
             np.concatenate([base.index.sizes, sizes]),
             np.concatenate([base.index.indices, indices]),
-            np.flatnonzero(live),
+            np.flatnonzero(np.concatenate([~base_dead, ~dead])),
             len(universe),
         )
         time.sleep(0)
         index = arrays.build_array_index(name, rows, self.measure, self.threshold)
         time.sleep(0)
-        return _BaseSegment(records, universe, index)
+        return _BaseSegment(values, universe, index)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _records_locked(self) -> list[tuple[Any, str]]:
-        return _live_records(self._base, self._base.dead, self._delta.frozen())
+    def _columns(self) -> tuple[list, list[str]]:
+        with self._lock:
+            return _live_columns(self._base, self._base.dead, self._delta.frozen())
 
     def records(self) -> list[tuple[Any, str]]:
         """The live ``(key, value)`` records in canonical order."""
-        with self._lock:
-            return self._records_locked()
+        return list(zip(*self._columns()))
 
-    def _table(self, records: list[tuple[Any, str]]) -> Table:
-        return Table(
-            {
-                self.key: [row_key for row_key, _ in records],
-                self.column: [value for _, value in records],
-            }
-        )
+    def _table(self, keys: list, values: list[str]) -> Table:
+        return Table({self.key: keys, self.column: values})
 
     def to_table(self) -> Table:
         """The live records as a fresh table (the rebuild reference)."""
-        return self._table(self.records())
+        return self._table(*self._columns())
 
     def __contains__(self, row_key: Any) -> bool:
         with self._lock:
@@ -792,6 +801,7 @@ class LiveIndex:
         directory = self._directory(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
+            base = self._base
             state = {
                 "format": LIVE_FORMAT_VERSION,
                 "name": self.name,
@@ -801,12 +811,13 @@ class LiveIndex:
                 "normalize": self._normalize,
                 "measure": self.measure,
                 "threshold": self.threshold,
-                "base_records": self._base.records,  # immutable: no copy
                 "ops": list(self._ops),
                 "generation": self._generation,
                 "compactions": self._compactions,
             }
             manifest = self._stats_locked()
+        # The base's columns never change: zipping them needs no lock.
+        state["base_records"] = list(zip(base.keys, base.values))
         manifest = _sized(manifest, state["ops"])
         path = directory / f"live-{self.name}.pkl"
         atomic_write_bytes(path, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
@@ -869,13 +880,16 @@ class LiveIndex:
         return live
 
 
-def _live_records(base: _BaseSegment, base_dead, delta: tuple) -> list[tuple[Any, str]]:
-    """The ``(key, value)`` records in canonical order: base survivors,
-    then the delta's live rows (``delta`` is :meth:`_DeltaSegment.frozen`)."""
+def _live_columns(base: _BaseSegment, base_dead, delta: tuple) -> tuple[list, list[str]]:
+    """The live records' keys and values in canonical order: base
+    survivors, then the delta's live rows (``delta`` is
+    :meth:`_DeltaSegment.frozen`)."""
     keys, values, _, _, dead = delta
-    records = list(compress(base.records, (~base_dead).tolist()))
-    records += compress(zip(keys, values), (~dead).tolist())
-    return records
+    live = np.concatenate([~base_dead, ~dead]).tolist()
+    return (
+        list(compress(chain(base.keys, keys), live)),
+        list(compress(chain(base.values, values), live)),
+    )
 
 
 def _require_key(row_key: Any) -> None:

@@ -3,7 +3,8 @@
 Every ``set_sim_join``, ``OverlapBlocker`` and canopy run, blocking-rule
 execution, Falcon/Smurf iteration, token-feature extraction, the two
 samplers and the blocking debugger need the same expensive intermediates:
-string records, each distinct value's tokens, a :class:`TokenUniverse`
+string records (a key column and a value column, :class:`StringRecords`),
+each distinct value's tokens, a :class:`TokenUniverse`
 with token-id encodings, and the probe-ready CSR corpus.  Before this module
 each call
 rebuilt them from scratch; the :class:`IndexStore` materializes each
@@ -16,7 +17,7 @@ never be served a stale index.
 Artifacts form a dependency chain mirroring the join pipeline, each
 keyed by the digests of what it was built from::
 
-    records(table, key, column)                     "records"
+    records(table, key, column) as two columns      "records"
       -> tokenized column (token codes per value)   "tokens"
           -> pair encoding (universe + CSR rows)    "encoding"
               -> CSR corpus + prefix postings       "arrayindex"
@@ -27,7 +28,13 @@ keyed by the digests of what it was built from::
 A join asks for its encoding by the column and tokenizer fingerprints
 (:meth:`IndexStore.join_encoding`); only a miss reads ``tokens``, which
 keeps each distinct token once and every value's tokens as int32 codes
-into them, tokenized a bounded chunk of values at a time.  The
+into them, tokenized a bounded chunk of values at a time.  No
+token-chain artifact holds an object per row: ``records``, ``tokens`` and the encoding's
+sides share one list of row keys, and ``(key, value)`` tuples are made
+only when :meth:`IndexStore.string_records` is asked for them.  Each
+artifact class names its layout in its digest (``"cols1"``,
+``"flat3"``, ...), and a pickle of any other class or layout found under
+a kind's name is a counted cache-read failure, never served.  The
 encoding is the one place text becomes token ids: token features read
 it over whole text-view columns, and the samplers, Falcon's pair sampler
 and the canopy blocker take their inverted index as its CSR transpose
@@ -41,7 +48,7 @@ swept like any artifact, and never read: no accessor asks for them.
 The encoding is built in arrays: the sides' distinct tokens are sorted
 once, the universe is ranked with one stable sort over per-token record
 counts, each side's distinct values become one block of CSR rows, and
-its records gather their value's row into
+its records gather their value's row (a bounded chunk at a time) into
 a :class:`repro.perf.arrays.ArrayRecords` — what every batch join and
 ``arrayindex`` run on.  ``arrayindex`` is also the base segment of a
 :class:`~repro.index.delta.LiveIndex`, whose probe reads its prefix
@@ -132,21 +139,35 @@ CACHE_READ_ERRORS = (
 )
 
 
+class StringRecords:
+    """One column's records as two columns: for each row with a
+    non-missing value, in row order, its key ``keys[i]`` and the ``str``
+    of its value ``values[i]``.  No per-row object is made; the
+    ``(key, value)`` tuples of :meth:`IndexStore.string_records` are
+    zipped from the columns when asked."""
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: list, values: list[str]):
+        self.keys, self.values = keys, values
+
+
 class TokenizedColumn:
     """One column's records plus each distinct value's tokens, as codes:
-    record *i*'s value is ``values[value_rows[i]]``, and value *j*'s
-    distinct tokens are ``distinct[c]`` for the next ``lengths[j]`` codes
-    ``c`` of ``codes``.  ``distinct`` lists the column's tokens once each
-    in first-seen order, and each value's codes keep its tokens'
-    first-seen order, so no pickled byte follows the hash seed.
-    ``token_sets`` is derived on first read."""
+    record *i* has key ``keys[i]`` (the ``records`` artifact's own list)
+    and value ``values[value_rows[i]]``, and value *j*'s distinct tokens
+    are ``distinct[c]`` for the next ``lengths[j]`` codes ``c`` of
+    ``codes``.  ``distinct`` lists the column's tokens once each in
+    first-seen order, and each value's codes keep its tokens' first-seen
+    order, so no pickled byte follows the hash seed.  ``token_sets`` is
+    derived on first read."""
 
     __slots__ = (
-        "key", "records", "value_rows", "values", "distinct", "codes", "lengths", "_token_sets"
+        "key", "keys", "value_rows", "values", "distinct", "codes", "lengths", "_token_sets"
     )
 
-    def __init__(self, key: str, records: list, value_rows, values, distinct, codes, lengths):
-        self.key, self.records, self.value_rows = key, records, value_rows
+    def __init__(self, key: str, keys: list, value_rows, values, distinct, codes, lengths):
+        self.key, self.keys, self.value_rows = key, keys, value_rows
         self.values, self.distinct, self.codes, self.lengths = values, distinct, codes, lengths
         self._token_sets = None
 
@@ -164,9 +185,10 @@ class TokenizedColumn:
         return {name: getattr(self, name) for name in self.__slots__ if name != "_token_sets"}
 
     def __setstate__(self, state):
-        # A pickle of an earlier layout (dict of sets, flat token list) is
-        # a cache-read failure: counted and rebuilt, never served.
-        if not isinstance(state, dict) or "codes" not in state:
+        # A pickle of an earlier layout (dict of sets, flat token list,
+        # records as tuples) is a cache-read failure: counted and rebuilt,
+        # never served.
+        if not isinstance(state, dict) or state.keys() != set(self.__slots__) - {"_token_sets"}:
             raise ValueError("TokenizedColumn pickle of another layout")
         self.__init__(**state)
 
@@ -245,6 +267,15 @@ class VectorPair:
         self.left = left
         self.right = right
         self.idf = idf
+
+
+#: The class each kind's artifact is: a pickle of anything else found
+#: under the kind's name (an earlier layout's plain list, say) is a
+#: cache-read failure.
+_ARTIFACT_CLASSES = dict(zip(ARTIFACT_KINDS, (
+    StringRecords, TokenizedColumn, PairEncoding, arrays.ArrayIndex, HashedColumn, VectorPair,
+    AnnIndex,
+)))
 
 
 class IndexStore:
@@ -332,6 +363,8 @@ class IndexStore:
                         try:
                             with path.open("rb") as handle:
                                 artifact = pickle.load(handle)
+                            if not isinstance(artifact, _ARTIFACT_CLASSES[kind]):
+                                raise ValueError(f"{kind} pickle of another layout")
                         except CACHE_READ_ERRORS:
                             # Truncated/corrupt cache files fall back to a
                             # rebuild (and the rebuilt artifact is persisted
@@ -371,18 +404,26 @@ class IndexStore:
     # Artifact accessors (the join/blocker building blocks)
     # ------------------------------------------------------------------
     def string_records(self, table: Table, key: str, column: str) -> list[tuple]:
-        """``(row_key, str value)`` per row with a non-missing value."""
+        """``(row_key, str value)`` per row with a non-missing value, zipped
+        from :meth:`record_columns` on each call."""
+        records = self.record_columns(table, key, column)
+        return list(zip(records.keys, records.values))
+
+    def record_columns(self, table: Table, key: str, column: str) -> StringRecords:
+        """The column's ``records`` artifact: keys and ``str`` values of the
+        rows with a non-missing value."""
         return self._records(_fingerprint(table, key, column), table, key, column)
 
-    def _records(self, col_fp: str, table: Table, key: str, column: str) -> list[tuple]:
-        def build() -> list[tuple]:
-            return [
-                (row_key, str(value))
-                for row_key, value in zip(table.column(key), table.column(column))
-                if not is_missing(value)
-            ]
+    def _records(self, col_fp: str, table: Table, key: str, column: str) -> StringRecords:
+        def build() -> StringRecords:
+            keys, values = [], []
+            for row_key, value in zip(table.column(key), table.column(column)):
+                if not is_missing(value):
+                    keys.append(row_key)
+                    values.append(str(value))
+            return StringRecords(keys, values)
 
-        return self._get("records", combine("records", col_fp), build)
+        return self._get("records", _records_digest(col_fp), build)
 
     def tokenized_column(
         self, table: Table, key: str, column: str, tokenizer: Tokenizer
@@ -398,7 +439,8 @@ class IndexStore:
             records = self._records(col_fp, table, key, column)
             rows: dict[str, int] = {}
             value_rows = np.fromiter(
-                (rows.setdefault(v, len(rows)) for _, v in records), np.int32, len(records)
+                (rows.setdefault(v, len(rows)) for v in records.values), np.int32,
+                len(records.values),
             )
             values = list(rows)
             del rows  # freed before the chunks below allocate
@@ -417,7 +459,7 @@ class IndexStore:
                     np.int32, int(lengths[-1].sum()),
                 ))
             return TokenizedColumn(  # the empty arrays lead for a column of no values
-                digest, records, value_rows, values, list(numbers),
+                digest, records.keys, value_rows, values, list(numbers),
                 np.concatenate([np.zeros(0, np.int32), *codes]),
                 np.concatenate([np.zeros(0, np.int64), *lengths]),
             )
@@ -473,7 +515,7 @@ class IndexStore:
     def live_base(
         self, table: Table, key: str, column: str, tokenizer: Tokenizer, measure: str,
         threshold: float,
-    ) -> tuple[list[tuple], PairEncoding, Any, tuple[str, ...]]:
+    ) -> tuple[StringRecords, PairEncoding, Any, tuple[str, ...]]:
         """A :class:`~repro.index.delta.LiveIndex` base's artifacts: the
         column's records, its self-paired encoding and that encoding's
         ``array_index``, plus the digests of the four memory entries they
@@ -486,7 +528,7 @@ class IndexStore:
         encoding = self.sides_encoding(side, side, tokenizer)
         index = self.array_index(encoding, measure, threshold)
         digests = (
-            combine("records", col_fp), _tokens_digest(col_fp, tokenizer_fingerprint(tokenizer)),
+            _records_digest(col_fp), _tokens_digest(col_fp, tokenizer_fingerprint(tokenizer)),
             encoding.key, index.key,
         )
         return records, encoding, index, digests
@@ -509,7 +551,7 @@ class IndexStore:
             records = self._records(col_fp, table, key, column)
             by_value: dict[str, SparseVector] = {}
             embedded: list[tuple[Any, SparseVector]] = []
-            for row_key, value in records:
+            for row_key, value in zip(records.keys, records.values):
                 vector = by_value.get(value)
                 if vector is None:
                     vector = by_value[value] = vectorizer.embed(value)
@@ -610,16 +652,25 @@ def _fingerprint(table: Table, key: str, column: str) -> str:
     return column_fingerprint(table, key, column)
 
 
-# "flat2" names the TokenizedColumn layout (distinct tokens + int32
-# codes) and "csr2" the PairEncoding one (universe + two plain-array
-# ArrayRecords), as "rows3" does ArrayIndex's: another layout's pickle
-# is never looked up.
+# "cols1" names the StringRecords layout (a key and a value column),
+# "flat3" the TokenizedColumn one (the records' keys, distinct tokens +
+# int32 codes) and "csr2" the PairEncoding one (universe + two
+# plain-array ArrayRecords), as "rows3" does ArrayIndex's: another
+# layout's pickle is never looked up.
+def _records_digest(col_fp: str) -> str:
+    return combine("records", "cols1", col_fp)
+
+
 def _tokens_digest(col_fp: str, tok_fp: str) -> str:
-    return combine("tokens", "flat2", col_fp, tok_fp)
+    return combine("tokens", "flat3", col_fp, tok_fp)
 
 
 def _encoding_digest(left_key: str, right_key: str) -> str:
     return combine("encoding", "csr2", left_key, right_key)
+
+
+#: The largest value-major sort key ``_encode_pair`` keeps in int32.
+_INT32_KEYS = np.iinfo(np.int32).max
 
 
 def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> PairEncoding:
@@ -632,36 +683,63 @@ def _encode_pair(digest: str, left: TokenizedColumn, right: TokenizedColumn) -> 
     merging ``"a\\x00"`` into ``"a"``), so a stable sort of their record
     counts is ``TokenUniverse``'s order.  Each side looks its distinct
     tokens up once and gathers the ids by its ``codes``.
+
+    Only the universe and the sides are kept, so the build holds little
+    else: the lexical set and dict go before the ranking, and the
+    per-token-occurrence arrays are int32 where the value-major sort keys
+    fit (int64 past that), one of them at a time beside the ids, which
+    are keyed, sorted and unkeyed in place.
     """
     sides = (left,) if left is right else (left, right)
-    starts = np.cumsum([0, *(len(side.values) for side in sides)])
-    rows = [side.value_rows + start for side, start in zip(sides, starts.tolist())]
-    lengths = np.concatenate([side.lengths for side in sides])
+    starts = np.cumsum([0, *(len(side.values) for side in sides)]).tolist()
+    n_values = starts[-1]
     lexical = sorted(set(chain.from_iterable(side.distinct for side in sides)))
-    token_ids = dict(zip(lexical, range(len(lexical))))
-    tokens = np.concatenate([
+    n_tokens = len(lexical)
+    token_ids = dict(zip(lexical, range(n_tokens)))
+    numbers = [
         np.fromiter(map(token_ids.__getitem__, side.distinct), np.int64, len(side.distinct))
-        [side.codes] for side in sides
-    ])
-    value_of_token = np.repeat(np.arange(starts[-1]), lengths)
-    records_per_value = np.bincount(np.concatenate(rows), minlength=starts[-1])
-    counts = np.bincount(tokens, records_per_value[value_of_token], minlength=len(lexical))
-    order = np.argsort(counts, kind="stable")
-    universe = TokenUniverse.from_ranked(map(lexical.__getitem__, order.tolist()))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+        for side in sides
+    ]
+    del token_ids
+    order = np.argsort(_record_counts(sides, numbers, n_tokens), kind="stable")
+    universe = TokenUniverse.from_ranked(map(lexical.__getitem__, order))
+    dtype = np.int32 if n_values * max(n_tokens, 1) <= _INT32_KEYS else np.int64
+    rank = np.empty(n_tokens, dtype)
+    rank[order] = np.arange(n_tokens, dtype=dtype)
+    ranked = [rank[side_numbers] for side_numbers in numbers]  # per side's distinct token
+    del lexical, numbers, order, rank
+    # A self-pair reads its one side's arrays, not copies.
+    lengths = left.lengths if len(sides) == 1 else np.concatenate([left.lengths, right.lengths])
     # Sorts each value's ids: value-major keys keep every row in place.
-    offsets = value_of_token * len(lexical)
-    ids = rank[tokens] + offsets
+    ids = np.empty(int(lengths.sum()), dtype)
+    at = 0
+    for side, side_ranked in zip(sides, ranked):
+        np.take(side_ranked, side.codes, out=ids[at : at + len(side.codes)], mode="clip")
+        at += len(side.codes)
+    ids += (np.arange(n_values, dtype=dtype) * n_tokens).repeat(lengths)
     ids.sort()
-    ids -= offsets
+    ids %= max(n_tokens, 1)
     encoded = [
         arrays.take_rows(
-            digest, [key for key, _ in side.records], lengths, ids, side_rows, len(universe)
+            digest, side.keys, lengths, ids, side.value_rows + start if start else side.value_rows,
+            len(universe),
         )
-        for side, side_rows in zip(sides, rows)
+        for side, start in zip(sides, starts)
     ]
     return PairEncoding(digest, universe, encoded[0], encoded[-1])
+
+
+def _record_counts(sides: tuple, numbers: list, n_tokens: int):
+    """Each lexically numbered token's record count over the sides: a
+    side's value counts as many records as gather it."""
+    counts = np.zeros(n_tokens)
+    for side, side_numbers in zip(sides, numbers):
+        weights = np.bincount(side.value_rows, minlength=len(side.values)).astype(np.float64)
+        per_distinct = np.bincount(
+            side.codes, weights.repeat(side.lengths), minlength=len(side.distinct)
+        )
+        counts += np.bincount(side_numbers, per_distinct, minlength=n_tokens)
+    return counts
 
 
 def _project_pair(digest: str, left: HashedColumn, right: HashedColumn, idf: bool) -> VectorPair:

@@ -256,10 +256,20 @@ def take_values(values: list, positions) -> list:
 def take_rows(key: str, keys: list, lengths, indices, rows, dim: int) -> ArrayRecords:
     """Row ``rows[i]`` of a block of rows laid end to end in ``indices``
     (row *j* is ``lengths[j]`` long) as row *i* of an :class:`ArrayRecords`
-    keyed by ``keys``."""
-    starts = np.cumsum(lengths) - lengths
-    new_indptr, take = _ragged_take(starts[rows], lengths[rows])
-    return ArrayRecords(key, keys, new_indptr, indices[take].astype(np.int32), max(dim, 1))
+    keyed by ``keys``.  Rows are gathered a chunk of about
+    ``CHUNK_TARGET_NNZ`` ids at a time, so no position array as long as
+    the output is ever held beside it."""
+    starts = np.cumsum(lengths)
+    starts -= lengths
+    counts = lengths[rows]
+    indptr = _indptr(counts)
+    gathered = np.empty(indptr[-1], np.int32)
+    step = max(1, CHUNK_TARGET_NNZ // int(counts.max(initial=1)))
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        _, take = _ragged_take(starts[rows[lo:hi]], counts[lo:hi])
+        gathered[indptr[lo] : indptr[hi]] = indices[take]
+    return ArrayRecords(key, keys, indptr, gathered, max(dim, 1))
 
 
 def _head_last(indptr, indices, lengths):

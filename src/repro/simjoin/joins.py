@@ -187,10 +187,14 @@ def naive_set_sim_join(
     store = get_index_store()
     left = store.tokenized_column(ltable, l_key, l_column, tokenizer)
     right = store.tokenized_column(rtable, r_key, r_column, tokenizer)
+    l_sets, r_sets = (
+        arrays.take_values(list(side.token_sets.values()), side.value_rows)
+        for side in (left, right)
+    )
     l_ids, r_ids, scores = [], [], []
-    for l_id, l_value in left.records:
-        for r_id, r_value in right.records:
-            score = similarity(measure, left.token_sets[l_value], right.token_sets[r_value])
+    for l_id, l_set in zip(left.keys, l_sets):
+        for r_id, r_set in zip(right.keys, r_sets):
+            score = similarity(measure, l_set, r_set)
             if score >= threshold:
                 l_ids.append(l_id)
                 r_ids.append(r_id)
@@ -233,13 +237,11 @@ def edit_distance_join(
     measure, bound = "qgram_count", -q * d
     store = get_index_store()
     tokenizer = QgramBagTokenizer(q)
-    left = store.string_records(ltable, l_key, l_column)
-    right = store.string_records(rtable, r_key, r_column)
+    left = store.record_columns(ltable, l_key, l_column)
+    right = store.record_columns(rtable, r_key, r_column)
     encoding = store.join_encoding(ltable, rtable, l_key, r_key, l_column, r_column, tokenizer)
     index = store.array_index(encoding, measure, bound)
-    strings, l_values, r_values = number_items(
-        [value for _, value in left], [value for _, value in right]
-    )
+    strings, l_values, r_values = number_items(left.values, right.values)
     n_strings = len(strings)
     lengths = np.fromiter(map(len, strings), np.int64, n_strings)
     l_len, r_len = lengths[l_values], lengths[r_values]
@@ -279,7 +281,7 @@ def edit_distance_join(
         "edit_distance",
         "levenshtein",
         time.perf_counter() - join_started,
-        probes=len(left),
+        probes=len(left.values),
         candidates=n_candidates,
         bitmap_kept=n_kept,
         survivors=len(rows),

@@ -22,6 +22,7 @@ from repro.index import fingerprints
 from repro.index import (
     ARTIFACT_KINDS,
     IndexStore,
+    StringRecords,
     TokenizedColumn,
     column_fingerprint,
     combine,
@@ -320,9 +321,33 @@ class TestPersistence:
             rebuilt = fresh.string_records(table, "id", "v")
             assert counter_total(registry, "index_disk_errors_total", kind="records") == 1
         assert rebuilt == records
-        # The rebuild repaired the cache file in place.
+        # The rebuild repaired the cache file in place, in the column layout.
         with path.open("rb") as handle:
-            assert pickle.load(handle) == records
+            repaired = pickle.load(handle)
+        assert isinstance(repaired, StringRecords)
+        assert list(zip(repaired.keys, repaired.values)) == records
+
+    def test_tuple_list_records_pickle_is_counted_and_rebuilt(self, tmp_path):
+        """``records`` is two columns now.  The tuple-list layout found
+        under a records name is a cache-read failure; a file an older
+        tree left under its own name is never looked up."""
+        table = Table({"id": [1, 2, 3], "v": ["dave smith", None, "joe wilson"]})
+        tuples = [(1, "dave smith"), (3, "joe wilson")]
+        IndexStore(cache_dir=tmp_path).record_columns(table, "id", "v")
+        [path] = tmp_path.glob("records-*.pkl")
+        stale = pickle.dumps([(1, "stale"), (3, "stale")], protocol=pickle.HIGHEST_PROTOCOL)
+        path.write_bytes(stale)
+        old_digest = combine("records", column_fingerprint(table, "id", "v"))
+        old_name = tmp_path / f"records-{old_digest}.pkl"
+        old_name.write_bytes(stale)
+        with use_registry() as registry:
+            rebuilt = IndexStore(cache_dir=tmp_path).record_columns(table, "id", "v")
+            assert counter_total(registry, "index_disk_errors_total", kind="records") == 1
+            assert counter_total(registry, "index_builds_total", kind="records") == 1
+            assert counter_total(registry, "index_reuses_total", kind="records") == 0
+        assert (rebuilt.keys, rebuilt.values) == ([1, 3], ["dave smith", "joe wilson"])
+        assert IndexStore(cache_dir=tmp_path).string_records(table, "id", "v") == tuples
+        assert old_name.read_bytes() == stale
 
     def test_unexpected_cache_read_error_propagates(self, tmp_path, monkeypatch):
         """Only CACHE_READ_ERRORS are swallowed as cache misses; a logic
@@ -351,13 +376,14 @@ class TestPersistence:
         table = Table({"id": [1, 2, 3], "v": ["dave smith", "joe wilson", "dave smith"]})
         tokenizer = WhitespaceTokenizer(return_set=True)
         built = IndexStore(cache_dir=tmp_path).tokenized_column(table, "id", "v", tokenizer)
+        records = IndexStore().string_records(table, "id", "v")
         [path] = tmp_path.glob("tokens-*.pkl")
 
         class DictOfSets:
             """Pickles as a TokenizedColumn in the dict-of-sets layout."""
 
             def __reduce_ex__(self, protocol):
-                slots = {"key": built.key, "records": built.records,
+                slots = {"key": built.key, "records": records,
                          "token_sets": {"dave smith": {"stale"}, "joe wilson": {"stale"}}}
                 return object.__new__, (TokenizedColumn,), (None, slots)
 
@@ -378,11 +404,12 @@ class TestPersistence:
         table = Table({"id": [1, 2], "v": ["dave smith", "joe wilson"]})
         tokenizer = WhitespaceTokenizer(return_set=True)
         built = IndexStore(cache_dir=tmp_path).tokenized_column(table, "id", "v", tokenizer)
+        records = IndexStore().string_records(table, "id", "v")
         [path] = tmp_path.glob("tokens-*.pkl")
 
         class FlatTokens:
             def __reduce_ex__(self, protocol):
-                slots = {"key": built.key, "records": built.records,
+                slots = {"key": built.key, "records": records,
                          "value_rows": built.value_rows, "values": built.values,
                          "tokens": ["stale", "stale", "stale", "stale"],
                          "lengths": built.lengths}

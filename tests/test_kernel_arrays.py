@@ -688,12 +688,17 @@ def scalar_chain(left, right, measure, threshold):
     """
     from repro.simjoin.filters import prefix_length
 
+    records = [
+        list(zip(side.keys, arrays_module.take_values(side.values, side.value_rows)))
+        for side in (left, right)
+    ]
     universe = TokenUniverse(
-        side.token_sets[value] for side in (left, right) for _, value in side.records
+        side.token_sets[value] for side, side_records in zip((left, right), records)
+        for _, value in side_records
     )
     encoded = [
-        [(row_key, universe.encode(side.token_sets[value])) for row_key, value in side.records]
-        for side in (left, right)
+        [(row_key, universe.encode(side.token_sets[value])) for row_key, value in side_records]
+        for side, side_records in zip((left, right), records)
     ]
     postings: dict[int, list[tuple[int, int]]] = {}
     for position, (_, ids) in enumerate(encoded[1]):

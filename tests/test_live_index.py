@@ -654,7 +654,7 @@ class TestFold:
                 live.compact()
                 folded = live._base
                 assert folded.index.dim == len(folded.universe)
-                assert folded.index.n_rows == len(folded.records)
+                assert folded.index.n_rows == len(folded.keys) == len(folded.values)
                 assert_answers_like_rebuild(live, probes)
                 assert live._base is folded
 
@@ -839,7 +839,7 @@ class TestFold:
             monkeypatch.setattr(delta_module, "pickle", UnlockedPickle)
             assert live.stats()["delta_bytes"] > 0
             live.save(tmp_path)  # the manifest's delta_bytes + the state
-            monkeypatch.setattr(live, "_records_locked", no_scan)
+            monkeypatch.setattr(live, "_columns", no_scan)
             assert live.compact()["delta_bytes"] == len(pickle.dumps([], protocol=-1))
             assert held == [False] * 4
 
@@ -891,6 +891,62 @@ class TestBoundedMemory:
         assert live.search("dave smith0")[0]
 
 
+class TestKeyMapOnFirstUse:
+    """The base's key -> position map is built by the first call that
+    needs a base key's position (``in``, a delete, an upsert's
+    tombstone); a read-only index never holds one."""
+
+    @pytest.mark.parametrize("first", ["contains", "delete", "upsert"])
+    @pytest.mark.parametrize("rows, upserts, mode", [
+        (20, 0, None), (20, 1, "fold"), (1, 2, "rebuild"),
+    ])
+    def test_the_first_call_on_a_base_key(self, first, rows, upserts, mode):
+        with use_registry() as registry, use_index_store():
+            table = make_table(rows)
+            live = LiveIndex.from_table(table, "id", "v", threshold=0.4)
+            model = dict(zip(table.column("id"), table.column("v")))
+            for i in range(upserts):
+                apply_op(live, model, ("upsert", f"n{i}", FRESH[i]))
+            if mode:
+                live.compact()
+                assert compaction_modes(registry, "default")[mode] == 1
+            base_keys = ["b0"] + [f"n{i}" for i in range(upserts)]
+            assert all(key in live._base.keys for key in base_keys)
+            live.search_batch(PROBES)
+            assert live._base._positions is None
+            for key in base_keys:
+                if first == "contains":
+                    assert key in live
+                elif first == "delete":
+                    assert live.delete(key)
+                    model.pop(key)
+                else:
+                    apply_op(live, model, ("upsert", key, "zelda quentin"))
+                assert live._base._positions is not None
+            assert ("absent" in live) is False
+            assert not live.delete("absent")
+            assert live.records() == list(model.items())
+            assert all((key in live) == (key in model) for key in base_keys)
+            assert_answers_like_rebuild(live, PROBES)
+
+    def test_duplicate_keys_are_rejected_at_build(self):
+        table = Table({"id": ["a", "b", "a"], "v": ["dave smith", "joe wilson", "ann chen"]})
+        with use_registry(), use_index_store():
+            with pytest.raises(KeyConstraintError, match="'a' appears twice"):
+                LiveIndex.from_table(table, "id", "v", threshold=0.4)
+
+    def test_a_read_only_index_holds_no_key_map(self, tmp_path):
+        with use_registry(), use_index_store(IndexStore(cache_dir=tmp_path)):
+            live = LiveIndex.from_table(make_table(40), "id", "v", threshold=0.4, name="ro")
+            for i in range(1000):
+                live.search(PROBES[i % len(PROBES)])
+            live.search_batch(PROBES)
+            live.join_table(Table({"q": ["q0", "q1"], "t": PROBES[:2]}), "q", "t")
+            assert len(live) == 40 and live.stats()["live_rows"] == 40
+            live.records(), live.to_table(), live.save()
+            assert live._base._positions is None
+
+
 class TestPersistence:
     def test_round_trip_with_ops(self, tmp_path):
         with use_registry():
@@ -934,6 +990,38 @@ class TestPersistence:
             assert loaded.generation == 2
             assert "n1" in loaded and "b1" not in loaded
             assert_answers_like_rebuild(loaded)
+
+    def test_base_records_are_saved_and_loaded_as_tuples(self, tmp_path):
+        """``live-*.pkl`` keeps format 1: the base's records as ``(key,
+        value)`` tuples, which the base itself no longer holds.  A file
+        in that format, written key by key as ``save`` always has, loads
+        and answers as the index that wrote it."""
+        base = make_table(20)
+        records = list(zip(base.column("id"), base.column("v")))
+        with use_registry():
+            live = LiveIndex.from_table(
+                base, "id", "v", threshold=0.4, store=IndexStore(cache_dir=tmp_path), name="t"
+            )
+            live.upsert("n1", "dave smith")
+            live.delete("b1")
+            saved = pickle.loads(live.save().read_bytes())
+            assert saved["format"] == delta_module.LIVE_FORMAT_VERSION == 1
+            assert saved["base_records"] == records
+            assert all(type(record) is tuple for record in saved["base_records"])
+            state = {
+                "format": 1, "name": "written", "key": "id", "column": "v",
+                "tokenizer": WhitespaceTokenizer(return_set=True), "normalize": None,
+                "measure": "jaccard", "threshold": 0.4, "base_records": records,
+                "ops": [("u", "n1", "dave smith"), ("d", "b1")], "generation": 2,
+                "compactions": 0,
+            }
+            (tmp_path / "live-written.pkl").write_bytes(
+                pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+            loaded = LiveIndex.load("written", store=IndexStore(cache_dir=tmp_path))
+            assert loaded.records() == live.records()
+            assert loaded.search_batch(PROBES) == live.search_batch(PROBES)
+            assert_answers_like_rebuild(loaded, PROBES)
 
     def test_round_trip_of_compacted_base(self, tmp_path):
         # A folded base is private to its LiveIndex (no fingerprinted

@@ -164,6 +164,15 @@ class TestCodesEqualTheFlatLayout:
         with mock.patch.object(fingerprints, "_CHUNK", chunk):
             assert_like_oracle(*tables, tokenizer, self_pair)
 
+    @settings(max_examples=40, deadline=None)
+    @given(table_pairs(), st.sampled_from(TOKENIZERS), st.booleans())
+    def test_int64_sort_keys(self, tables, tokenizer, self_pair):
+        """Past int32, the encoding's value-major sort keys are int64."""
+        from repro.index import store as store_module
+
+        with mock.patch.object(store_module, "_INT32_KEYS", 0):
+            assert_like_oracle(*tables, tokenizer, self_pair)
+
     @pytest.mark.parametrize("tokenizer", [TOKENIZERS[0], TOKENIZERS[2], TOKENIZERS[6]])
     def test_columns_past_one_chunk(self, tokenizer):
         """Over 4,096 distinct values per side, some shared, at the real
@@ -196,7 +205,7 @@ def test_building_tokens_peaks_within_a_multiple_of_the_artifact():
               for _ in range(20_000)]
     table = Table({"id": list(range(len(values))), "v": values})
     store = IndexStore()
-    store.string_records(table, "id", "v")  # the records are the records stage's
+    store.record_columns(table, "id", "v")  # the records are the records stage's
     gc.collect()
     tracemalloc.start()
     try:
