@@ -18,7 +18,7 @@ from repro.cloud import CloudMatcher10, CloudMatcher20, WorkflowContext
 from repro.datasets import build_cloudmatcher_dataset, cloudmatcher_scenario
 from repro.falcon import FalconConfig
 from repro.labeling import LabelingSession, OracleLabeler
-from repro.runtime import NODE_FINISH
+from repro.obs import use_tracer
 
 TASKS = ("restaurants", "books", "papers")
 
@@ -39,7 +39,8 @@ def build(interleave: bool) -> CloudMatcher10:
 def concurrency_demo() -> None:
     serial_makespan, _ = build(interleave=False).run()
     interleaved = build(interleave=True)
-    interleaved_makespan, results = interleaved.run()
+    with use_tracer() as tracer:
+        interleaved_makespan, results = interleaved.run()
     print(f"{len(TASKS)} concurrent EM tasks")
     print(f"  serial (CloudMatcher 0.1 style): {serial_makespan / 60:.1f} simulated minutes")
     print(f"  interleaved (metamanager):       {interleaved_makespan / 60:.1f} simulated minutes")
@@ -49,20 +50,17 @@ def concurrency_demo() -> None:
               f"recall={result.accuracy['recall']:.3f} "
               f"questions={result.cost.questions}")
 
-    # Every service invocation of every tenant landed on the metamanager's
-    # structured event stream; export it for a monitoring stack.
+    # Every service invocation of every tenant is a node span on the
+    # installed tracer; export the trace for a monitoring stack.
     with tempfile.TemporaryDirectory() as tmp:
-        log_path = interleaved.metamanager.write_event_log(
-            Path(tmp) / "cloud_events.jsonl"
-        )
-        events = interleaved.metamanager.events
-        finishes = events.of(NODE_FINISH)
-        slowest = max(finishes, key=lambda e: e.wall_seconds)
-        print(f"\nEvent log: {len(events)} events exported to {log_path.name}")
-        print(f"  per-node finishes: {len(finishes)} "
-              f"across {len({e.graph for e in finishes})} workflows")
-        print(f"  slowest service: {slowest.node} ({slowest.graph}) "
-              f"at {slowest.wall_seconds * 1000:.0f}ms machine time")
+        log_path = tracer.write_jsonl(Path(tmp) / "cloud_spans.jsonl")
+        nodes = [span for span in tracer.spans if "node" in span.labels]
+        slowest = max(nodes, key=lambda span: span.seconds)
+        print(f"\nTrace: {len(tracer)} spans exported to {log_path.name}")
+        print(f"  service spans: {len(nodes)} "
+              f"across {len({span.labels['graph'] for span in nodes})} workflows")
+        print(f"  slowest service: {slowest.labels['node']} ({slowest.labels['graph']}) "
+              f"at {slowest.seconds * 1000:.0f}ms machine time")
 
 
 def single_service_demo() -> None:

@@ -19,6 +19,7 @@ from repro.datasets.entities import product
 from repro.features import extract_feature_vecs, get_features_for_matching
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.matchers import RFMatcher
+from repro.obs import use_tracer
 from repro.pipeline import (
     CheckpointedRun,
     MagellanWorkflow,
@@ -68,15 +69,18 @@ def predict_partition(candset_part):
 
 def main() -> None:
     workflow = develop_workflow()
-    artifacts = workflow.run()
+    with use_tracer() as tracer:
+        artifacts = workflow.run()
     candset = artifacts["candset"]
     print(f"\nCandidate set: {candset.num_rows} pairs; per-step timing:")
     for record in workflow.records:
         print(f"   {record.name}: {record.seconds:.2f}s")
-    # The captured script ran as a runtime chain graph: its structured
-    # event stream is available for export to a monitoring stack.
-    print(f"   run events recorded: {len(workflow.events)} "
-          f"(workflow.events.write_jsonl(path) exports them)")
+    # The captured script ran as a runtime chain graph: each step is a
+    # node span, nesting the spans of the work it did, on the installed
+    # tracer, ready for export to a monitoring stack.
+    steps = [span for span in tracer.spans if "node" in span.labels]
+    print(f"   spans recorded: {len(tracer)}, {len(steps)} of them workflow steps "
+          f"(tracer.write_jsonl(path) exports them)")
 
     # ---- multicore scaling ------------------------------------------
     for workers in (1, 2, 4):

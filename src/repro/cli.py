@@ -7,8 +7,9 @@ Subcommands
 ``repro match A.csv B.csv --key id [--gold gold.csv] [--budget N]``
     The PyMatcher guide workflow: block, label (interactively, or against
     a gold pair file), train, predict; writes ``matches.csv``.
-``repro falcon A.csv B.csv --key id [--gold gold.csv] [--budget N]``
-    Self-service EM: the end-to-end Falcon workflow.
+``repro falcon A.csv B.csv --key id [--gold gold.csv] [--budget N] [--events PATH]``
+    Self-service EM: the end-to-end Falcon workflow; ``--events`` writes
+    the run's spans (``Tracer.write_jsonl``) to PATH, even when it fails.
 ``repro dedupe A.csv --column name [--gold gold.csv]``
     Single-table deduplication; writes the deduplicated table.
 ``repro schema-match A.csv B.csv``
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from repro.blocking import OverlapBlocker
 from repro.catalog import get_catalog
@@ -143,32 +145,31 @@ def cmd_match(args) -> int:
 def cmd_falcon(args) -> int:
     """Self-service Falcon EM over two CSV tables."""
     from repro.falcon import FalconConfig, run_falcon
-    from repro.runtime import EventStream
+    from repro.obs import use_tracer
 
     ltable = read_csv(args.ltable)
     rtable = read_csv(args.rtable)
     gold = _load_gold(args.gold) or set()
     dataset = EMDataset("cli", ltable, rtable, gold, args.key, args.key).register()
     session = LabelingSession(_labeler(args, ltable, rtable), budget=args.budget)
-    events = EventStream()
-    try:
-        result = run_falcon(
-            dataset,
-            session,
-            FalconConfig(
-                sample_size=min(4 * max(ltable.num_rows, rtable.num_rows), 3000),
-                blocking_budget=args.budget // 3,
-                matching_budget=args.budget,
-                random_state=0,
-            ),
-            events=events,
-        )
-    finally:
-        # Written even when the run dies mid-way: the partial event log
-        # of a failed run is exactly what is needed to diagnose it.
-        if args.events:
-            events.write_jsonl(args.events)
-            print(f"{len(events)} run events written to {args.events}")
+    with (use_tracer() if args.events else nullcontext()) as tracer:
+        try:
+            result = run_falcon(
+                dataset,
+                session,
+                FalconConfig(
+                    sample_size=min(4 * max(ltable.num_rows, rtable.num_rows), 3000),
+                    blocking_budget=args.budget // 3,
+                    matching_budget=args.budget,
+                    random_state=0,
+                ),
+            )
+        finally:
+            # Written even when the run dies mid-way: the partial trace
+            # of a failed run is exactly what is needed to diagnose it.
+            if tracer is not None:
+                tracer.write_jsonl(args.events)
+                print(f"{len(tracer)} spans written to {args.events}")
     print(f"blocking rules retained: {len(result.rules)}")
     for rule in result.rules:
         print(f"   {rule}")
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "falcon":
             p.add_argument(
                 "--events", default=None, metavar="PATH",
-                help="write the structured run-event log (JSONL) here",
+                help="write the run's spans (JSONL) here",
             )
         p.set_defaults(fn=fn)
 

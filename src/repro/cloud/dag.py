@@ -75,7 +75,7 @@ class EMWorkflow:
         Each service call becomes one operator over the context's artifact
         dict (the runtime store *is* ``context.artifacts``); the operator
         returns the service's simulated human/crowd seconds, which the
-        runtime records as ``sim_seconds`` on the node's events.
+        runtime records as the ``sim_seconds`` label of the node's span.
         """
         graph = OperatorGraph(self.name)
         for call in self._calls.values():

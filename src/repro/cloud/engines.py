@@ -12,9 +12,10 @@ throughput win benchmarked for Figure 5.
 
 Fragments are no longer bespoke call lists: each fragment compiles to a
 :class:`repro.runtime.OperatorGraph` subgraph and runs on the shared
-runtime core, so every service invocation lands on the metamanager's
-structured :class:`repro.runtime.EventStream` (exportable as JSONL via
-:meth:`MetaManager.write_event_log`) with wall and simulated time.
+runtime core, so every service invocation is a node span (labelled
+with the fragment's simulated start and the service's simulated
+seconds) on the installed tracer, and lands in the ``runtime_*``
+metrics.
 
 Readiness is the runtime's own :class:`repro.runtime.ReadySet` over each
 run's fragment DAG; what this module adds is the dispatch policy — the
@@ -26,14 +27,13 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.cloud.dag import EMWorkflow, Fragment, decompose_fragments
 from repro.cloud.services import ServiceKind
 from repro.exceptions import WorkflowError
 from repro.falcon.falcon import WorkflowContext
 from repro.obs import get_registry
-from repro.runtime import EventStream, ReadySet, run_graph
+from repro.runtime import ReadySet, run_graph
 
 
 @dataclass
@@ -48,17 +48,12 @@ class FragmentExecution:
 
 
 class ExecutionEngine:
-    """Runs fragments of one kind; tracks simulated busy time.
+    """Runs fragments of one kind; tracks simulated busy time."""
 
-    When the owning metamanager hands the engine an event stream, every
-    node of every fragment it executes is emitted there.
-    """
-
-    def __init__(self, kind: ServiceKind, events: EventStream | None = None):
+    def __init__(self, kind: ServiceKind):
         self.kind = kind
         self.busy_until = 0.0
         self.executions: list[FragmentExecution] = []
-        self.events = events
 
     def execute(
         self, fragment: Fragment, context: WorkflowContext, now: float
@@ -77,7 +72,7 @@ class ExecutionEngine:
         start = max(now, self.busy_until)
         graph = fragment.to_runtime_graph(context)
         wall_start = time.perf_counter()
-        result = run_graph(graph, context.artifacts, events=self.events, sim_at=start)
+        result = run_graph(graph, context.artifacts, sim_at=start)
         machine_seconds = time.perf_counter() - wall_start
         human_seconds = result.sim_seconds()
         end = start + machine_seconds + human_seconds
@@ -124,20 +119,19 @@ class MetaManager:
     ``interleave=False`` it degrades to CloudMatcher 0.1 behaviour — one
     workflow runs to completion before the next starts.
 
-    All engines share one :class:`~repro.runtime.EventStream`; per-node
-    events of every workflow land there in dispatch order.
+    Every node of every workflow is a span on the installed tracer, in
+    dispatch order.
     """
 
-    def __init__(self, interleave: bool = True, events: EventStream | None = None):
+    def __init__(self, interleave: bool = True):
         self.interleave = interleave
-        self.events = events if events is not None else EventStream()
         # The batch cluster and the crowd are shared infrastructure; user
         # interaction is not — each submitted task has its own owner
         # answering its questions, so every run gets a private
         # user-interaction engine.
         self.engines = {
-            ServiceKind.BATCH: ExecutionEngine(ServiceKind.BATCH, self.events),
-            ServiceKind.CROWD: ExecutionEngine(ServiceKind.CROWD, self.events),
+            ServiceKind.BATCH: ExecutionEngine(ServiceKind.BATCH),
+            ServiceKind.CROWD: ExecutionEngine(ServiceKind.CROWD),
         }
         self._user_engines: dict[int, ExecutionEngine] = {}
         self.runs: list[WorkflowRun] = []
@@ -147,7 +141,7 @@ class MetaManager:
         if kind is ServiceKind.USER_INTERACTION:
             engine = self._user_engines.get(id(run))
             if engine is None:
-                engine = self._user_engines[id(run)] = ExecutionEngine(kind, self.events)
+                engine = self._user_engines[id(run)] = ExecutionEngine(kind)
             return engine
         return self.engines[kind]
 
@@ -160,10 +154,6 @@ class MetaManager:
         run = WorkflowRun(workflow, context)
         self.runs.append(run)
         return run
-
-    def write_event_log(self, path: str | Path) -> Path:
-        """Export every node event of every executed workflow as JSONL."""
-        return self.events.write_jsonl(path)
 
     # ------------------------------------------------------------------
     def run_all(self) -> float:

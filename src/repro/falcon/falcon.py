@@ -58,7 +58,7 @@ from repro.features.generation import (
 from repro.index.store import get_index_store
 from repro.labeling.session import LabelingSession
 from repro.obs import get_registry
-from repro.runtime import EventStream, OperatorGraph, run_graph
+from repro.runtime import OperatorGraph, run_graph
 from repro.table.table import Table
 
 Pair = tuple[Any, Any]
@@ -411,13 +411,13 @@ def run_falcon(
     session: LabelingSession,
     config: FalconConfig | None = None,
     catalog: Catalog | None = None,
-    events: EventStream | None = None,
 ) -> FalconResult:
     """Run the end-to-end Falcon workflow on an EM dataset.
 
-    The stages execute as a :class:`repro.runtime.OperatorGraph`; pass an
-    ``events`` stream to observe per-stage structured events with wall
-    timings (or export them as JSONL afterwards).  The stages run in the
+    The stages execute as a :class:`repro.runtime.OperatorGraph`, one
+    node span per stage on the installed tracer (install one with
+    :func:`repro.obs.use_tracer` to keep them, or export them with
+    :meth:`~repro.obs.Tracer.write_jsonl`).  The stages run in the
     calling process, where the labeling session and catalog keep their
     state.
     """
@@ -436,7 +436,7 @@ def run_falcon(
         graph.add(
             stage, lambda _store, body=body: body(ctx), deps=deps, description=description
         )
-    run_graph(graph, ctx.artifacts, events=events)
+    run_graph(graph, ctx.artifacts)
 
     return FalconResult(
         candset=ctx.get("candset"),

@@ -40,9 +40,6 @@ class BaseLabeler:
     def label(self, pair: Pair) -> int:
         raise NotImplementedError
 
-    def reset_counters(self) -> None:
-        self.questions_asked = 0
-
 
 class OracleLabeler(BaseLabeler):
     """Labels against a gold pair set, optionally with uniform noise.

@@ -86,12 +86,6 @@ class MLMatcher:
         target.add_column(output_column, predictions.astype(np.int64).tolist())
         return target
 
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Predict over a raw matrix."""
-        self._check_fitted()
-        with ml_span("ml_predict", self.estimator, X):
-            return self.estimator.predict(X)
-
     def predict_proba(self, fv_table: Table) -> np.ndarray:
         """Match probabilities (column for class 1) for each pair."""
         self._check_fitted()

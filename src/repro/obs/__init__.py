@@ -2,21 +2,18 @@
 
 The paper's production section names "logging ... monitoring" as a
 first-class concern for EM workflows serving many users; this package is
-that layer.  It pairs the structured event stream of
-:mod:`repro.runtime` with *aggregated* observability, so bugs in one can
-be cross-checked against the other:
+that layer, and the one record every subsystem writes to — a runtime
+graph run included (:func:`repro.runtime.run_graph` opens its run and
+node spans and writes its ``runtime_*`` series here):
 
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms interned in a :class:`MetricsRegistry` (process default via
   :func:`get_registry`, swappable with :func:`use_registry`; hot paths
   bind theirs once per registry with :func:`per_registry`);
 * :mod:`~repro.obs.tracing` — nested spans via the :func:`trace_span`
-  context manager and :func:`event_span_sink` (runtime events → spans),
-  kept only by a tracer installed with :func:`use_tracer` /
-  :func:`set_tracer` (the process default keeps none);
-* :mod:`~repro.obs.sinks` — :func:`metrics_sink`, the EventStream sink
-  :func:`repro.runtime.run_graph` subscribes automatically so every node
-  timing lands in the registry;
+  context manager, kept only by a tracer installed with
+  :func:`use_tracer` / :func:`set_tracer` (the process default keeps
+  none) and exported with :meth:`Tracer.write_jsonl`;
 * :mod:`~repro.obs.exporters` — JSONL snapshots and the Prometheus text
   exposition format (with a parser for round-trip verification).
 
@@ -45,11 +42,9 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.sinks import metrics_sink
 from repro.obs.tracing import (
     Span,
     Tracer,
-    event_span_sink,
     get_tracer,
     set_tracer,
     trace_span,
@@ -64,10 +59,8 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "event_span_sink",
     "get_registry",
     "get_tracer",
-    "metrics_sink",
     "per_registry",
     "parse_prometheus_text",
     "read_metrics_jsonl",

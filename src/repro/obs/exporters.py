@@ -3,7 +3,7 @@
 Two offline formats for one registry:
 
 * **JSONL** — one JSON object per instrument (the ``to_dict`` form),
-  written atomically next to event logs and benchmark results; read back
+  written atomically next to span logs and benchmark results; read back
   with :func:`read_metrics_jsonl`.
 * **Prometheus text exposition** — ``# TYPE`` headers, label-formatted
   sample lines, cumulative ``_bucket{le=...}`` series plus ``_sum`` and

@@ -2,15 +2,13 @@
 
 A :class:`Span` is one named, labeled interval; spans nest, and the
 nesting is recorded as parent/child ids so a trace can be reassembled
-offline.  Two ways to produce spans:
-
-* :func:`trace_span` — a context manager for instrumenting arbitrary
-  code (``with trace_span("verify", measure="jaccard"): ...``); nesting
-  follows the runtime call stack.
-* :func:`event_span_sink` — an :class:`~repro.runtime.events.EventStream`
-  sink that turns each node's ``node_start``/``node_finish``/``node_fail``
-  event pair into a span, so every runtime-graph
-  execution can be traced without touching operator code.
+offline.  :func:`trace_span` (or :meth:`Tracer.span`) is the one way to
+produce them: a context manager around arbitrary code (``with
+trace_span("verify", measure="jaccard"): ...``) whose nesting follows
+the call stack.  :func:`repro.runtime.run_graph` opens one around its
+run and one around each node, so every graph execution is traced
+without touching operator code, and a span a node opens is that node's
+child.
 
 Spans accumulate on a :class:`Tracer` installed with :func:`use_tracer`
 (or :func:`set_tracer`) and export as JSONL next to the metrics
@@ -29,10 +27,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
-
-from repro.runtime import events as ev
-from repro.runtime.events import RunEvent
+from typing import Any, Iterator
 
 
 @dataclass
@@ -86,29 +81,20 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def allocate_span_id(self) -> int:
-        """Hand out the next span id; safe to call from any thread."""
+    @contextmanager
+    def span(self, name: str, **labels: Any) -> Iterator[Span]:
+        stack = self._stack()
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        return span_id
-
-    def current_parent_id(self) -> int | None:
-        """The innermost open span of the calling thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    @contextmanager
-    def span(self, name: str, **labels: Any) -> Iterator[Span]:
         span = Span(
             name=name,
-            span_id=self.allocate_span_id(),
-            parent_id=self.current_parent_id(),
+            span_id=span_id,
+            parent_id=stack[-1] if stack else None,
             labels={str(k): str(v) for k, v in labels.items()},
             start=time.time(),
         )
-        stack = self._stack()
-        stack.append(span.span_id)
+        stack.append(span_id)
         started = time.perf_counter()
         try:
             yield span
@@ -118,13 +104,8 @@ class Tracer:
         finally:
             span.seconds = time.perf_counter() - started
             stack.pop()
-            self.keep(span)
-
-    def keep(self, span: Span) -> None:
-        """Retain one finished span: every span a tracer records, from
-        :meth:`span` or :func:`event_span_sink`, is kept here."""
-        with self._lock:
-            self.spans.append(span)
+            with self._lock:
+                self.spans.append(span)
 
     def write_jsonl(self, path: str | Path) -> Path:
         """Export finished spans as one JSON object per line."""
@@ -145,15 +126,11 @@ class Tracer:
 class _KeepNothingTracer(Tracer):
     """The process default: a tracer nobody installed, so nobody reads it.
 
-    :meth:`keep` drops every span, so ``spans`` stays empty however
-    long the process runs.  Because nothing it records survives,
-    :meth:`span` skips the bookkeeping too: it yields an untimed
-    :class:`Span` (callers may still label it) without allocating an id
-    or touching the nesting stack.
+    :meth:`span` keeps nothing, so ``spans`` stays empty however long
+    the process runs: it yields an untimed :class:`Span` (callers may
+    still label it) without allocating an id or touching the nesting
+    stack.
     """
-
-    def keep(self, span: Span) -> None:
-        pass
 
     def span(self, name: str, **labels: Any):
         return nullcontext(Span(name=name, span_id=0, labels=labels))
@@ -194,44 +171,3 @@ def trace_span(name: str, tracer: Tracer | None = None, **labels: Any):
     (a context manager yielding the :class:`Span`); the process default
     keeps nothing until :func:`use_tracer` installs a tracer."""
     return (tracer if tracer is not None else _default_tracer).span(name, **labels)
-
-
-def event_span_sink(tracer: Tracer | None = None) -> Callable[[RunEvent], None]:
-    """An EventStream sink converting per-node run events into spans.
-
-    ``node_start`` opens a span for ``(graph, node)``; the matching
-    ``node_finish``/``node_fail`` closes it with the event's wall seconds
-    (failures carry the error repr).  Spans parent onto whatever
-    :func:`trace_span` context is open when the node starts, so graph
-    executions nest under caller-opened spans.
-    """
-    target = tracer if tracer is not None else get_tracer()
-    open_spans: dict[tuple[str, str], Span] = {}
-
-    def sink(event: RunEvent) -> None:
-        if event.node is None:
-            return
-        key = (event.graph, event.node)
-        # `event.at or time.time()` would silently replace a legitimate
-        # 0.0 (epoch) timestamp with wall-clock now; only None means
-        # "unset".  Span ids come from the tracer's atomic allocator so
-        # sink calls from serving threads never collide with trace_span.
-        if event.event == ev.NODE_START:
-            span = Span(
-                name=f"{event.graph}/{event.node}",
-                span_id=target.allocate_span_id(),
-                parent_id=target.current_parent_id(),
-                labels={"graph": event.graph, "node": event.node},
-                start=event.at if event.at is not None else time.time(),
-            )
-            open_spans[key] = span
-        elif event.event in (ev.NODE_FINISH, ev.NODE_FAIL):
-            span = open_spans.pop(key, None)
-            if span is None:
-                return
-            span.seconds = event.wall_seconds
-            if event.error is not None:
-                span.error = event.error
-            target.keep(span)
-
-    return sink

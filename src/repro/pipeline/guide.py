@@ -255,8 +255,8 @@ PRODUCTION_GUIDE: tuple[GuideStep, ...] = (
             _cmd("OperatorGraph.add", "repro.runtime:OperatorGraph.add", "repro.runtime"),
             _cmd("chain_graph", "repro.runtime:chain_graph", "repro.runtime"),
             _cmd("run_graph", "repro.runtime:run_graph", "repro.runtime"),
-            _cmd("EventStream", "repro.runtime:EventStream", "repro.runtime"),
-            _cmd("EventStream.write_jsonl", "repro.runtime:EventStream.write_jsonl", "repro.runtime"),
+            _cmd("use_tracer", "repro.obs:use_tracer", "repro.obs"),
+            _cmd("Tracer.write_jsonl", "repro.obs:Tracer.write_jsonl", "repro.obs"),
         ),
     ),
     GuideStep(

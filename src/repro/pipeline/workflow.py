@@ -7,9 +7,10 @@ named steps (each an arbitrary callable over a shared artifact store).
 
 Execution is not a private loop: the step list compiles to a
 chain-shaped :class:`repro.runtime.OperatorGraph` and runs on the shared
-runtime core, so captured workflows emit the same structured event
-stream as the cloud metamanager and Falcon, and their step records are
-read off it.  Crash recovery is the production stage's
+runtime core, so captured workflows record the same node spans and
+``runtime_*`` metrics as the cloud metamanager and Falcon.  The workflow
+times and logs each step itself, into ``records`` and the
+``repro.pipeline`` logger.  Crash recovery is the production stage's
 :class:`~repro.pipeline.CheckpointedRun`, which resumes a partitioned
 run of such a workflow.
 """
@@ -17,12 +18,12 @@ run of such a workflow.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import WorkflowError
-from repro.runtime import EventStream, OperatorGraph, chain_graph, run_graph
-from repro.runtime.events import NODE_FAIL, NODE_FINISH, NODE_START, RunEvent
+from repro.runtime import OperatorGraph, chain_graph, run_graph
 
 logger = logging.getLogger("repro.pipeline")
 
@@ -46,26 +47,6 @@ class WorkflowStep:
     description: str = ""
 
 
-def _log_sink(workflow_name: str) -> Callable[[RunEvent], None]:
-    """An event sink reproducing the historical per-step log lines."""
-
-    def sink(event: RunEvent) -> None:
-        if event.event == NODE_START:
-            logger.info("workflow %s: step %s starting", workflow_name, event.node)
-        elif event.event == NODE_FINISH:
-            logger.info(
-                "workflow %s: step %s finished in %.3fs",
-                workflow_name, event.node, event.wall_seconds,
-            )
-        elif event.event == NODE_FAIL:
-            logger.error(
-                "workflow %s: step %s failed after %.3fs: %s",
-                workflow_name, event.node, event.wall_seconds, event.error,
-            )
-
-    return sink
-
-
 class MagellanWorkflow:
     """An ordered, re-runnable sequence of EM steps."""
 
@@ -74,7 +55,6 @@ class MagellanWorkflow:
         self.steps: list[WorkflowStep] = []
         self.artifacts: dict[str, Any] = {}
         self.records: list[StepRecord] = []
-        self.events: EventStream | None = None  # stream of the last run
 
     def add_step(
         self,
@@ -89,35 +69,52 @@ class MagellanWorkflow:
         return self
 
     def to_runtime_graph(self) -> OperatorGraph:
-        """Compile the step list to a chain-shaped runtime graph."""
+        """Compile the step list to a chain-shaped runtime graph whose
+        nodes log their step and append its record."""
         return chain_graph(
             self.name,
-            [(step.name, step.fn, step.description) for step in self.steps],
+            [(step.name, self._recorded(step), step.description) for step in self.steps],
         )
 
-    def run(self, events: EventStream | None = None) -> dict[str, Any]:
+    def run(self) -> dict[str, Any]:
         """Execute all steps in order; returns the artifact store.
 
-        Each step is timed, logged, and emitted on the structured event
-        stream (``events``, to share one stream across many runs; a new
-        one otherwise).  A failing step is recorded and its exception
-        propagates: production runs want the failure loud, not swallowed.
-        ``records`` holds the steps that ran, the failed one last.
+        Each step is timed and logged.  A failing step is recorded and
+        its exception propagates: production runs want the failure loud,
+        not swallowed.  ``records`` holds the steps that ran, the failed
+        one last.
         """
-        self.events = events if events is not None else EventStream()
-        first = len(self.events)
-        sink = self.events.subscribe(_log_sink(self.name))
-        try:
-            run_graph(self.to_runtime_graph(), self.artifacts, events=self.events)
-        finally:
-            self.events.unsubscribe(sink)
-            self.records = [
-                StepRecord(event.node, event.wall_seconds, event.event == NODE_FINISH,
-                           event.error)
-                for event in self.events.events[first:]
-                if event.event in (NODE_FINISH, NODE_FAIL) and event.graph == self.name
-            ]
+        self.records = []
+        run_graph(self.to_runtime_graph(), self.artifacts)
         return self.artifacts
+
+    def _recorded(self, step: WorkflowStep) -> Callable[[dict[str, Any]], Any]:
+        """``step.fn``, logging its start and end and appending its record."""
+
+        def fn(artifacts: dict[str, Any]) -> Any:
+            logger.info("workflow %s: step %s starting", self.name, step.name)
+            started = time.perf_counter()
+            try:
+                result = step.fn(artifacts)
+            except Exception as exc:
+                self._finished(step.name, started, repr(exc))
+                raise
+            self._finished(step.name, started)
+            return result
+
+        return fn
+
+    def _finished(self, name: str, started: float, error: str | None = None) -> None:
+        """Log a step's end and append its record."""
+        record = StepRecord(name, time.perf_counter() - started, error is None, error)
+        if error is None:
+            logger.info("workflow %s: step %s finished in %.3fs", self.name, name, record.seconds)
+        else:
+            logger.error(
+                "workflow %s: step %s failed after %.3fs: %s",
+                self.name, name, record.seconds, error,
+            )
+        self.records.append(record)
 
     def total_seconds(self) -> float:
         """Wall time of the last run."""

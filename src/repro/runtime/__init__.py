@@ -7,9 +7,8 @@ interoperability principle applied to execution itself):
   ready-set tracker;
 * :mod:`~repro.runtime.executor` — :func:`run_graph`, which runs each
   node once, in the calling process, in the ready-set order, and raises
-  the first failure;
-* :mod:`~repro.runtime.events` — the structured run-event stream with
-  JSONL export;
+  the first failure; it records the run as one span per run and per
+  node on the installed tracer, plus the ``runtime_*`` metrics;
 * :mod:`~repro.runtime.checkpoint` — the fingerprint-keyed on-disk store
   that ``CheckpointedRun`` keeps its partitions in.
 
@@ -23,33 +22,15 @@ the one crash recovery.  See ``docs/ARCHITECTURE.md``.
 """
 
 from repro.runtime.checkpoint import GraphCheckpoint, fingerprint
-from repro.runtime.events import (
-    NODE_FAIL,
-    NODE_FINISH,
-    NODE_START,
-    RUN_FINISH,
-    RUN_START,
-    EventStream,
-    RunEvent,
-    read_jsonl,
-)
 from repro.runtime.executor import run_graph
 from repro.runtime.graph import Operator, OperatorGraph, ReadySet, chain_graph
 
 __all__ = [
-    "EventStream",
     "GraphCheckpoint",
-    "NODE_FAIL",
-    "NODE_FINISH",
-    "NODE_START",
     "Operator",
     "OperatorGraph",
-    "RUN_FINISH",
-    "RUN_START",
     "ReadySet",
-    "RunEvent",
     "chain_graph",
     "fingerprint",
-    "read_jsonl",
     "run_graph",
 ]

@@ -86,7 +86,8 @@ class Operator:
     * ``None`` — the operator communicated purely through store mutation;
     * a ``dict`` — artifact updates, merged into the store by the runner;
     * a ``float``/``int`` — *simulated* human/crowd seconds consumed (the
-      CloudMatcher service convention); recorded on the node's events.
+      CloudMatcher service convention); recorded as the node span's
+      ``sim_seconds`` label and in ``runtime_sim_seconds_total``.
     """
 
     name: str

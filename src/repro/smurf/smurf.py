@@ -26,7 +26,7 @@ from repro.falcon.falcon import learn_forest, predict_matches
 from repro.features.extraction import extract_feature_vecs, feature_matrix
 from repro.features.feature import FeatureTable, make_string_feature, make_token_feature
 from repro.labeling.session import LabelingSession
-from repro.runtime import EventStream, OperatorGraph, run_graph
+from repro.runtime import OperatorGraph, run_graph
 from repro.simjoin.joins import set_sim_join
 from repro.table.table import Table
 from repro.text.sim.edit_based import JaroWinkler, Levenshtein
@@ -189,12 +189,11 @@ def run_smurf(
     column: str = "value",
     config: SmurfConfig | None = None,
     catalog: Catalog | None = None,
-    events: EventStream | None = None,
 ) -> SmurfResult:
     """Run Smurf on a string-matching dataset (one string column per side).
 
-    The stages execute as a :class:`repro.runtime.OperatorGraph`; pass an
-    ``events`` stream to observe per-stage structured events.
+    The stages execute as a :class:`repro.runtime.OperatorGraph`, one
+    node span per stage on the installed tracer.
     """
     config = config or SmurfConfig()
     cat = catalog if catalog is not None else get_catalog()
@@ -204,7 +203,7 @@ def run_smurf(
     started = time.perf_counter()
 
     graph = build_smurf_graph(dataset, session, column, config, cat)
-    store = run_graph(graph, events=events).store
+    store = run_graph(graph).store
 
     return SmurfResult(
         candset=store["candset"],

@@ -22,6 +22,7 @@ from repro.datasets.entities import restaurant
 from repro.exceptions import ServiceError, WorkflowError
 from repro.falcon import FalconConfig
 from repro.labeling import LabelingSession, OracleLabeler
+from repro.obs import use_tracer
 
 
 def small_dataset(seed=0, n=150):
@@ -221,8 +222,6 @@ class TestEngines:
     def test_serial_dispatch_order_is_pinned(self):
         """``interleave=False`` runs one workflow's fragments to the end,
         wave by wave in fragment-DAG order, before the next workflow's."""
-        from repro.runtime import NODE_START
-
         manager = MetaManager(interleave=False)
         names = []
         for seed in (1, 2):
@@ -232,16 +231,18 @@ class TestEngines:
                 build_falcon_workflow(dataset.name, DEFAULT_REGISTRY),
                 make_context(dataset),
             )
-        manager.run_all()
+        with use_tracer() as tracer:
+            manager.run_all()
         order = [
             "upload", "metadata", "profile", "sample", "blk_features",
             "match_features", "sample_vectors", "learn_blocking", "extract_rules",
             "evaluate_rules", "execute_rules", "candidate_vectors",
             "learn_matching", "train", "apply", "export",
         ]
-        assert [(e.graph, e.node) for e in manager.events.of(NODE_START)] == [
-            (name, node) for name in names for node in order
-        ]
+        assert [
+            (span.labels["graph"], span.labels["node"])
+            for span in tracer.spans if "node" in span.labels
+        ] == [(name, node) for name in names for node in order]
 
     def test_empty_manager(self):
         assert MetaManager().run_all() == 0.0
@@ -424,7 +425,6 @@ class TestFalconWrittenOnce:
         every entry point stops in ``candidate_vectors`` with one message."""
         from repro.exceptions import ConfigurationError
         from repro.falcon import run_falcon
-        from repro.runtime import NODE_FAIL, EventStream
 
         def disjoint():
             dataset = small_dataset(seed=11, n=80)
@@ -436,17 +436,19 @@ class TestFalconWrittenOnce:
             return dataset, session, config
 
         message = "blocking produced an empty candidate set"
-        events = EventStream()
-        with pytest.raises(ConfigurationError, match=message):
-            run_falcon(*disjoint(), events=events)
-        assert [e.node for e in events.of(NODE_FAIL)] == ["candidate_vectors"]
+        def failed_nodes(tracer):
+            return [span.labels["node"] for span in tracer.spans
+                    if "node" in span.labels and span.error is not None]
+
+        with use_tracer() as tracer, pytest.raises(ConfigurationError, match=message):
+            run_falcon(*disjoint())
+        assert failed_nodes(tracer) == ["candidate_vectors"]
 
         with pytest.raises(ConfigurationError, match=message):
             CloudMatcher01().match(*disjoint())
 
         matcher = CloudMatcher10()
         matcher.submit(*disjoint())
-        with pytest.raises(ConfigurationError, match=message):
+        with use_tracer() as tracer, pytest.raises(ConfigurationError, match=message):
             matcher.run()
-        failed = matcher.metamanager.events.of(NODE_FAIL)
-        assert [e.node for e in failed] == ["candidate_vectors"]
+        assert failed_nodes(tracer) == ["candidate_vectors"]

@@ -1,4 +1,5 @@
-"""Tests for repro.obs: metrics registry, exporters, tracing, and sinks.
+"""Tests for repro.obs: metrics registry, exporters, tracing, and the
+``runtime_*`` series and spans a graph run writes.
 
 Includes the property test that Prometheus text output round-trips
 counter and histogram values through the parser.  Counters that forked
@@ -18,7 +19,6 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     Tracer,
-    event_span_sink,
     get_registry,
     get_tracer,
     parse_prometheus_text,
@@ -31,7 +31,7 @@ from repro.obs import (
     write_metrics_jsonl,
     write_prometheus_text,
 )
-from repro.runtime import EventStream, OperatorGraph, run_graph
+from repro.runtime import OperatorGraph, run_graph
 
 
 class TestRegistry:
@@ -276,16 +276,37 @@ class TestRuntimeSink:
             assert histogram.count == 4
 
     def test_shared_stream_not_double_counted(self):
-        # The metamanager reuses one EventStream across fragments; the
-        # per-run sink must subscribe and unsubscribe around its own run.
-        events = EventStream()
-        with use_registry() as registry:
-            run_graph(instrumented_graph(), events=events)
-            run_graph(instrumented_graph(), events=events)
+        # The metamanager runs many graphs under one tracer and registry;
+        # each run counts once.
+        with use_registry() as registry, use_tracer():
+            run_graph(instrumented_graph())
+            run_graph(instrumented_graph())
             key = ("runtime_runs_total", (("graph", "obs-diamond"),))
             assert registry.counters()[key] == 2.0
             assert registry.get("runtime_node_seconds", graph="obs-diamond").count == 8
 
+
+    def test_every_runtime_series_of_a_failed_run(self):
+        """Names, labels and counts of the five ``runtime_*`` series for a
+        run whose second node reports simulated seconds and third fails."""
+        graph = OperatorGraph("obs-fail")
+        graph.add("a", lambda s: None)
+        graph.add("human", lambda s: 12.5, deps=("a",))
+        graph.add("boom", lambda s: 1 / 0, deps=("human",))
+        graph.add("after", lambda s: None, deps=("boom",))
+        with use_registry() as registry:
+            with pytest.raises(ZeroDivisionError):
+                run_graph(graph)
+        g = (("graph", "obs-fail"),)
+        assert registry.counters() == {
+            ("runtime_runs_total", g): 1.0,
+            ("runtime_node_events_total", (("event", "node_start"),) + g): 3.0,
+            ("runtime_node_events_total", (("event", "node_finish"),) + g): 2.0,
+            ("runtime_node_events_total", (("event", "node_fail"),) + g): 1.0,
+            ("runtime_sim_seconds_total", g): 12.5,
+        }
+        assert registry.get("runtime_node_seconds", graph="obs-fail").count == 3
+        assert registry.get("runtime_run_seconds", graph="obs-fail").count == 1
 
 class TestTracing:
     def test_nested_spans_record_parentage(self):
@@ -316,9 +337,7 @@ class TestTracing:
         default = get_tracer()
         with trace_span("step", stage="blocking") as span:
             span.labels["tier"] = "memory"  # callers may still label it
-        events = EventStream()
-        events.subscribe(event_span_sink())
-        run_graph(instrumented_graph(), events=events)
+        run_graph(instrumented_graph())
         assert len(default.spans) == 0
         with use_tracer() as tracer:
             with trace_span("step"):
@@ -326,14 +345,13 @@ class TestTracing:
         assert [span.name for span in tracer.spans] == ["step"]
         assert len(get_tracer().spans) == 0
 
-    def test_event_span_sink_mirrors_nodes(self):
-        tracer = Tracer()
-        events = EventStream()
-        events.subscribe(event_span_sink(tracer))
-        run_graph(instrumented_graph(), events=events)
-        names = {span.name for span in tracer.spans}
-        assert names == {f"obs-diamond/{n}" for n in "abcd"}
-        assert all(span.labels["node"] in "abcd" for span in tracer.spans)
+    def test_run_graph_spans_mirror_nodes(self):
+        with use_tracer() as tracer:
+            run_graph(instrumented_graph())
+        nodes = [span for span in tracer.spans if "node" in span.labels]
+        assert {span.name for span in nodes} == {f"obs-diamond/{n}" for n in "abcd"}
+        assert all(span.labels["node"] in "abcd" for span in nodes)
+        assert [span.name for span in tracer.spans if span not in nodes] == ["obs-diamond"]
 
     def test_jsonl_export(self, tmp_path):
         tracer = Tracer()
@@ -342,30 +360,6 @@ class TestTracing:
         path = tracer.write_jsonl(tmp_path / "spans.jsonl")
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0]["name"] == "only"
-
-    def test_event_span_sink_preserves_zero_timestamp(self):
-        # A legitimate at == 0.0 (epoch) must not be replaced by
-        # wall-clock now; only None means "unset".
-        from repro.runtime.events import NODE_FAIL, NODE_FINISH, NODE_START, RunEvent
-
-        tracer = Tracer()
-        sink = event_span_sink(tracer)
-        sink(RunEvent(NODE_START, "g", node="n", at=0.0))
-        sink(RunEvent(NODE_FINISH, "g", node="n", at=0.5, wall_seconds=0.5))
-        sink(RunEvent(NODE_START, "g", node="m", at=0.0))
-        sink(RunEvent(NODE_FAIL, "g", node="m", at=0.0, error="boom"))
-        assert [span.start for span in tracer.spans] == [0.0, 0.0]
-
-    def test_event_span_sink_fills_missing_timestamp(self):
-        from repro.runtime.events import NODE_FINISH, NODE_START, RunEvent
-
-        tracer = Tracer()
-        sink = event_span_sink(tracer)
-        event = RunEvent(NODE_START, "g", node="n")
-        event.at = None
-        sink(event)
-        sink(RunEvent(NODE_FINISH, "g", node="n", at=1.0))
-        assert tracer.spans[0].start > 0.0
 
 
 class TestThreadSafety:

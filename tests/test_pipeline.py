@@ -9,7 +9,7 @@ import pytest
 
 from repro.catalog import get_catalog
 from repro.exceptions import ConfigurationError, WorkflowError
-from repro.obs import get_registry, use_registry
+from repro.obs import get_registry, use_registry, use_tracer
 from repro.perf.parallel import MIN_FORK_ITEMS
 from repro.pipeline import (
     DEVELOPMENT_GUIDE,
@@ -22,7 +22,7 @@ from repro.pipeline import (
     partition_table,
     resolve_command,
 )
-from repro.runtime import NODE_FINISH, EventStream, GraphCheckpoint, fingerprint
+from repro.runtime import GraphCheckpoint, fingerprint
 from repro.table import Table
 
 
@@ -71,14 +71,14 @@ class TestWorkflowCapture:
         assert "ran" not in workflow.artifacts
 
     def test_records_come_from_this_run_on_a_shared_stream(self):
-        events = EventStream()
         first = MagellanWorkflow("first").add_step("a", lambda art: None)
         second = MagellanWorkflow("second").add_step("b", lambda art: None)
-        first.run(events=events)
-        second.run(events=events)
-        second.run(events=events)
+        with use_tracer() as tracer:
+            first.run()
+            second.run()
+            second.run()
         assert [r.name for r in second.records] == ["b"]
-        assert [e.node for e in events.of(NODE_FINISH)] == ["a", "b", "b"]
+        assert [s.labels["node"] for s in tracer.spans if "node" in s.labels] == ["a", "b", "b"]
 
 
 class TestPartitioning:

@@ -1,34 +1,34 @@
 """Tests for repro.runtime: the shared operator-DAG execution core.
 
 Covers the IR, ``run_graph`` (each node once, the first failure raised),
-the structured event stream, the partition checkpoint store behind
-``CheckpointedRun`` (crash-resume of a Figure-2-style workflow run per
-partition), and per-node event-multiset equivalence between serial and
-interleaved metamanager schedules.
+the spans a run records (one per run, one per node, nested), the
+partition checkpoint store behind ``CheckpointedRun`` (crash-resume of a
+Figure-2-style workflow run per partition), and the equality of the
+node-span multisets of serial and interleaved metamanager schedules.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.exceptions import WorkflowError
+from repro.obs import Tracer, trace_span, use_tracer
 from repro.pipeline import CheckpointedRun, MagellanWorkflow
 from repro.runtime import (
-    NODE_FAIL,
-    NODE_FINISH,
-    NODE_START,
-    RUN_FINISH,
-    RUN_START,
-    EventStream,
     GraphCheckpoint,
     Operator,
     OperatorGraph,
     chain_graph,
     fingerprint,
-    read_jsonl,
     run_graph,
 )
 from repro.table import Table
+
+
+def node_spans(tracer: Tracer) -> list:
+    """The node spans a tracer kept, in completion order."""
+    return [span for span in tracer.spans if "node" in span.labels]
 
 
 def diamond_graph():
@@ -158,9 +158,12 @@ class TestRunGraph:
     def test_sim_seconds_recorded(self):
         graph = OperatorGraph("sim")
         graph.add("human", lambda s: 42.5)
-        result = run_graph(graph)
+        graph.add("check", lambda s: True, deps=("human",))
+        with use_tracer() as tracer:
+            result = run_graph(graph)
         assert result.sim_seconds() == pytest.approx(42.5)
         assert result.records["human"].sim_seconds == pytest.approx(42.5)
+        assert [span.labels["sim_seconds"] for span in node_spans(tracer)] == ["42.5", "0.0"]
 
     def test_bool_return_is_not_sim_seconds(self):
         # bool is an int subclass: a predicate-style operator returning
@@ -186,74 +189,122 @@ class TestRunGraph:
         assert store["seed"] == 2
 
     def test_on_error_raise(self):
-        """The first failure is recorded, scheduling stops, the run still
-        finishes its event stream, and the exception propagates."""
+        """The first failure is recorded on its node's span, scheduling
+        stops, the run span still closes, and the exception propagates."""
         ran = []
         graph = chain_graph("f", [
             ("before", lambda s: ran.append("before")),
             ("boom", lambda s: 1 / 0),
             ("after", lambda s: ran.append("after")),
         ])
-        events = EventStream()
-        with pytest.raises(ZeroDivisionError):
-            run_graph(graph, events=events)
+        with use_tracer() as tracer:
+            with pytest.raises(ZeroDivisionError):
+                run_graph(graph)
         assert ran == ["before"]
-        assert [(e.event, e.node) for e in events] == [
-            (RUN_START, None), (NODE_START, "before"), (NODE_FINISH, "before"),
-            (NODE_START, "boom"), (NODE_FAIL, "boom"), (RUN_FINISH, None),
+        assert [(span.name, span.error is None) for span in tracer.spans] == [
+            ("f/before", True), ("f/boom", False), ("f", False),
         ]
-        assert "ZeroDivisionError" in events.of(NODE_FAIL)[0].error
+        assert "ZeroDivisionError" in tracer.spans[1].error
 
     def test_on_error_halt_returns_error(self):
         """A failing node halts the run: its error reaches the caller, no
-        later node writes to the store, and the run finishes exactly once."""
+        later node writes to the store or opens a span, and the run span
+        closes exactly once."""
         graph = chain_graph(
             "f", [("boom", lambda s: 1 / 0), ("after", lambda s: {"ran": True})]
         )
-        store, events = {}, EventStream()
-        with pytest.raises(ZeroDivisionError):
-            run_graph(graph, store, events=events)
+        store = {}
+        with use_tracer() as tracer:
+            with pytest.raises(ZeroDivisionError):
+                run_graph(graph, store)
         assert "ran" not in store  # scheduling stopped
-        assert len(events.of(RUN_FINISH)) == 1
-        assert [e.node for e in events.of(NODE_FAIL)] == ["boom"]
+        assert [span.name for span in tracer.spans if "node" not in span.labels] == ["f"]
+        assert [span.labels["node"] for span in node_spans(tracer)] == ["boom"]
 
 
 class TestEvents:
+    """A run records itself as spans: one for the run, one per node."""
+
     def test_event_sequence(self):
-        result = run_graph(diamond_graph())
-        kinds = [e.event for e in result.events]
-        assert kinds[0] == RUN_START and kinds[-1] == RUN_FINISH
-        assert kinds.count(NODE_START) == kinds.count(NODE_FINISH) == 4
+        with use_tracer() as tracer:
+            run_graph(diamond_graph())
+        # Completion order: the four nodes in ready-set order, then the run.
+        assert [span.name for span in tracer.spans] == [
+            "diamond/a", "diamond/b", "diamond/c", "diamond/d", "diamond",
+        ]
+        run = tracer.spans[-1]
+        assert run.labels == {"graph": "diamond", "sim_at": "0.0"}
+        assert all(span.parent_id == run.span_id for span in node_spans(tracer))
+        assert all(span.error is None for span in tracer.spans)
 
     def test_subscriber_sees_events(self):
-        seen = []
-        events = EventStream()
-        events.subscribe(seen.append)
-        run_graph(diamond_graph(), events=events)
-        assert len(seen) == len(events.events)
+        """The installed tracer is a run's one subscriber: it sees every
+        run, however many share it."""
+        with use_tracer() as tracer:
+            run_graph(diamond_graph())
+            run_graph(diamond_graph())
+        assert len(tracer) == 2 * (1 + 4)
+        runs = [span for span in tracer.spans if "node" not in span.labels]
+        assert len({span.span_id for span in runs}) == 2
 
     def test_unsubscribe(self):
-        seen = []
-        events = EventStream()
-        sink = events.subscribe(seen.append)
-        events.unsubscribe(sink)
-        run_graph(diamond_graph(), events=events)
-        assert seen == []
+        """Once the ``use_tracer`` block ends, later runs leave its tracer
+        alone."""
+        with use_tracer() as tracer:
+            run_graph(diamond_graph())
+        run_graph(diamond_graph())
+        assert len(tracer) == 5
 
     def test_jsonl_roundtrip(self, tmp_path):
-        result = run_graph(diamond_graph())
-        path = result.events.write_jsonl(tmp_path / "events.jsonl")
-        rows = read_jsonl(path)
-        assert len(rows) == len(result.events.events)
-        assert all(json.dumps(row) for row in rows)
-        finish = [r for r in rows if r["event"] == NODE_FINISH]
-        assert {r["node"] for r in finish} == {"a", "b", "c", "d"}
-        assert all({"wall_seconds", "sim_seconds", "sim_at"} <= set(r) for r in finish)
+        with use_tracer() as tracer:
+            run_graph(diamond_graph(), sim_at=7.5)
+        path = tracer.write_jsonl(tmp_path / "spans.jsonl")
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == len(tracer)
+        nodes = [row for row in rows if "node" in row["labels"]]
+        assert {row["labels"]["node"] for row in nodes} == {"a", "b", "c", "d"}
+        assert all(
+            {"graph", "node", "sim_at", "sim_seconds"} == set(row["labels"]) for row in nodes
+        )
+        assert {row["labels"]["sim_at"] for row in rows} == {"7.5"}
 
     def test_node_timings(self):
-        result = run_graph(diamond_graph())
-        timings = result.events.node_timings()
+        with use_tracer() as tracer:
+            result = run_graph(diamond_graph())
+        timings = {
+            (span.labels["graph"], span.labels["node"]): span.seconds
+            for span in node_spans(tracer)
+        }
         assert set(timings) == {("diamond", n) for n in "abcd"}
+        # A node's span encloses the node's own timed work.
+        for name, record in result.records.items():
+            assert timings[("diamond", name)] >= record.seconds
+
+    def _nested_run(self):
+        """Graph ``g`` whose node ``a`` opens span ``inner``, run under
+        span ``outer``; returns the kept spans by name."""
+        graph = OperatorGraph("g")
+
+        def node_a(store):
+            with trace_span("inner"):
+                pass
+
+        graph.add("a", node_a)
+        with use_tracer() as tracer:
+            with trace_span("outer"):
+                run_graph(graph)
+        return {span.name: span for span in tracer.spans}
+
+    def test_span_opened_in_a_node_is_that_nodes_child(self):
+        spans = self._nested_run()
+        assert spans["inner"].parent_id == spans["g/a"].span_id
+
+    def test_node_span_nests_under_the_run_span_under_the_callers(self):
+        spans = self._nested_run()
+        assert spans["g/a"].parent_id == spans["g"].span_id
+        assert spans["g"].parent_id == spans["outer"].span_id
+        assert spans["outer"].parent_id is None
+
 
 ORDER = ["sample", "block", "label", "train", "apply"]
 
@@ -391,7 +442,7 @@ class TestCrashResume:
         assert result == baseline
 
 class TestMetaManagerEvents:
-    """Serial and interleaved schedules emit the same per-node multiset."""
+    """Serial and interleaved schedules record the same node spans."""
 
     def _run(self, interleave):
         from repro.cloud import (
@@ -408,23 +459,45 @@ class TestMetaManagerEvents:
                 build_falcon_workflow(dataset.name, DEFAULT_REGISTRY),
                 make_context(dataset),
             )
-        manager.run_all()
-        return manager
+        with use_tracer() as tracer:
+            manager.run_all()
+        return manager, tracer
 
     def test_event_multiset_schedule_invariant(self):
-        serial = self._run(False)
-        interleaved = self._run(True)
-        multiset = serial.events.node_multiset()
-        assert multiset == interleaved.events.node_multiset()
-        # 2 workflows x 16 services, each started and finished exactly once.
-        assert sum(multiset.values()) == 2 * 16 * 2
-        assert all(count == 1 for count in multiset.values())
+        multisets = [
+            Counter(
+                (span.labels["graph"], span.labels["node"], span.error is not None)
+                for span in node_spans(tracer)
+            )
+            for _, tracer in (self._run(False), self._run(True))
+        ]
+        assert multisets[0] == multisets[1]
+        # 2 workflows x 16 services, each run exactly once, none failed.
+        assert sum(multisets[0].values()) == 2 * 16
+        assert all(count == 1 for count in multisets[0].values())
+        assert not any(failed for _, _, failed in multisets[0])
 
     def test_event_log_export(self, tmp_path):
-        manager = self._run(True)
-        path = manager.write_event_log(tmp_path / "cloud.jsonl")
-        rows = read_jsonl(path)
-        assert {r["event"] for r in rows} >= {RUN_START, NODE_START, NODE_FINISH}
-        finish = [r for r in rows if r["event"] == NODE_FINISH]
+        _, tracer = self._run(True)
+        path = tracer.write_jsonl(tmp_path / "cloud.jsonl")
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        nodes = [row for row in rows if "node" in row.get("labels", {})]
+        assert len(nodes) == 2 * 16
         # Simulated timestamps propagate from the metamanager's clock.
-        assert any(r["sim_at"] > 0 for r in finish)
+        assert any(float(row["labels"]["sim_at"]) > 0 for row in nodes)
+
+    def test_sim_seconds_labels_sum_to_each_engines_human_seconds(self):
+        manager, tracer = self._run(True)
+        sim = {
+            (span.labels["graph"], span.labels["node"]): float(span.labels["sim_seconds"])
+            for span in node_spans(tracer)
+        }
+        assert any(sim.values())
+        for engine in manager.all_engines():
+            nodes = [
+                (execution.fragment.workflow.name, call.node_id)
+                for execution in engine.executions
+                for call in execution.fragment.calls
+            ]
+            human = sum(execution.human_seconds for execution in engine.executions)
+            assert sum(sim[node] for node in nodes) == pytest.approx(human)

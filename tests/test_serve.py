@@ -33,7 +33,8 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.index import IndexStore, LiveIndex, use_index_store
-from repro.obs import event_span_sink, get_tracer, use_registry, use_tracer
+from repro.obs import get_tracer, use_registry, use_tracer
+from repro.runtime import chain_graph, run_graph
 from repro.serve import MatchServer, ServeConfig
 from repro.simjoin import set_sim_join
 from repro.table import Table
@@ -571,23 +572,15 @@ class TestSpanRetention:
             assert sum(int(span.labels["size"]) for span in batches) == self.N_REQUESTS
             assert [span.name for span in tracer.spans].count("serve_warmup") == 1
 
-    def test_event_span_sink_still_records_on_installed_tracer(self):
-        from repro.runtime.events import NODE_FAIL, NODE_FINISH, NODE_START, RunEvent
-
-        events = [
-            RunEvent(NODE_START, "g", node="n"),
-            RunEvent(NODE_FINISH, "g", node="n", wall_seconds=0.5),
-            RunEvent(NODE_START, "g", node="m"),
-            RunEvent(NODE_FAIL, "g", node="m", error="boom"),
-        ]
+    def test_graph_run_spans_record_on_installed_tracer_only(self):
+        graph = chain_graph("g", [("n", lambda s: None), ("m", lambda s: 1 / 0)])
         with use_tracer() as tracer:
-            sink = event_span_sink()
-            for event in events:
-                sink(event)
-        assert [span.name for span in tracer.spans] == ["g/n", "g/m"]
-        sink = event_span_sink()  # the process default again
-        for event in events:
-            sink(event)
+            with pytest.raises(ZeroDivisionError):
+                run_graph(graph)
+        assert [span.name for span in tracer.spans] == ["g/n", "g/m", "g"]
+        assert "ZeroDivisionError" in tracer.spans[1].error
+        with pytest.raises(ZeroDivisionError):
+            run_graph(graph)  # the process default again
         assert len(get_tracer().spans) == 0
 
 
