@@ -45,7 +45,7 @@ def run():
     fv = extract_feature_vecs(sample, features, label_column="label")
 
     matchers = [
-        DTMatcher(),
+        DTMatcher(random_state=0),
         RFMatcher(n_estimators=10, random_state=0),
         XGMatcher(n_estimators=40, random_state=0),
         LogRegMatcher(),

@@ -80,8 +80,8 @@ def test_figure4_tree_and_rules(benchmark):
     )
     # The figure's structure: ISBN at the root, one or two no-rules, the
     # first being the pure low-ISBN-similarity rule.
-    assert tree.root_.feature is not None
-    assert tree.feature_names_[tree.root_.feature] == "isbn_exact"
+    assert tree.feature_[0] >= 0
+    assert tree.feature_names_[tree.feature_[0]] == "isbn_exact"
     assert 1 <= len(rules) <= 2
     first = rules[0]
     assert any(

@@ -2,7 +2,8 @@
 
 Falcon's two learning stages (Steps 2 and 5 in Figure 3) are the same
 loop: maintain a labeled set, fit a random forest, ask the user to label
-the pairs the forest is most uncertain about (highest vote entropy), and
+the pairs the forest is most uncertain about (those whose mean match
+probability ``p`` over the trees scores highest on ``1 - |2p - 1|``), and
 repeat.  The lay user only ever answers match/no-match questions.
 """
 
@@ -49,7 +50,8 @@ def _seed_indices(
     order = np.argsort(-means)
     n_top = seed_size // 2
     picked = list(order[:n_top])
-    remaining = [i for i in range(n) if i not in set(picked)]
+    taken = set(picked)
+    remaining = [i for i in range(n) if i not in taken]
     rng.shuffle(remaining)
     picked.extend(remaining[: seed_size - n_top])
     return picked

@@ -17,7 +17,7 @@ import numpy as np
 from repro.blocking.rules import BlockingRule, Predicate, all_hold
 from repro.features.feature import FeatureTable
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier, TreeNode
+from repro.ml.tree import DecisionTreeClassifier
 
 
 def extract_rules_from_tree(
@@ -26,24 +26,30 @@ def extract_rules_from_tree(
     negative_label: int = 0,
     max_depth: int | None = None,
 ) -> list[BlockingRule]:
-    """Candidate blocking rules: one per root-to-negative-leaf path."""
+    """Candidate blocking rules: one per root-to-negative-leaf path.
+
+    Walks the tree's pre-order arrays: node ``at`` has its left child at
+    ``at + 1`` and its right child at ``right_[at]``.  Rules come out in
+    pre-order, the ``<=`` branch before the ``>`` one.
+    """
     tree.check_fitted()
     names = tree.feature_names_
+    feature, threshold, right = (a.tolist() for a in (tree.feature_, tree.threshold_, tree.right_))
     rules: list[BlockingRule] = []
 
-    def walk(node: TreeNode, predicates: list[Predicate]) -> None:
-        if node.is_leaf:
-            label = int(tree.classes_[node.prediction])
+    def walk(at: int, predicates: list[Predicate]) -> None:
+        if feature[at] < 0:
+            label = int(tree.classes_[np.argmax(tree.counts_[at])])
             if label == negative_label and predicates:
                 rules.append(BlockingRule(tuple(predicates)))
             return
         if max_depth is not None and len(predicates) >= max_depth:
             return
-        feature = feature_table.get(names[node.feature])
-        walk(node.left, predicates + [Predicate(feature, "<=", node.threshold)])
-        walk(node.right, predicates + [Predicate(feature, ">", node.threshold)])
+        column = feature_table.get(names[feature[at]])
+        walk(at + 1, predicates + [Predicate(column, "<=", threshold[at])])
+        walk(right[at], predicates + [Predicate(column, ">", threshold[at])])
 
-    walk(tree.root_, [])
+    walk(0, [])
     return rules
 
 

@@ -22,15 +22,19 @@ from repro.catalog.checks import validate_candset
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.table.schema import is_missing
 from repro.table.table import Table
+from repro.text.vectorize import stable_bucket
 
 
 def _trigram_embed(text: str, dim: int) -> np.ndarray:
-    """Hash character trigrams of the text into a bag vector of size dim."""
+    """Hash character trigrams of the text into a bag vector of size dim.
+
+    Buckets come from :func:`~repro.text.vectorize.stable_bucket`, so an
+    embedding is the same in every process whatever its hash seed.
+    """
     vector = np.zeros(dim)
     text = f"  {text.lower()} "
     for i in range(len(text) - 2):
-        bucket = hash(text[i : i + 3]) % dim
-        vector[bucket] += 1.0
+        vector[stable_bucket(text[i : i + 3], dim)] += 1.0
     norm = np.linalg.norm(vector)
     return vector / norm if norm else vector
 
@@ -60,32 +64,32 @@ class DeepMatcher:
         self._weights: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    def _pair_vector(self, l_row: dict, r_row: dict) -> np.ndarray:
-        pieces = []
-        for attr in self.attributes:
-            l_value = "" if is_missing(l_row.get(attr)) else str(l_row[attr])
-            r_value = "" if is_missing(r_row.get(attr)) else str(r_row[attr])
-            left = _trigram_embed(l_value, self.embedding_dim)
-            right = _trigram_embed(r_value, self.embedding_dim)
-            pieces.append(left * right)
-            pieces.append(np.abs(left - right))
-        return np.concatenate(pieces)
-
     def _vectors_for_candset(
         self, candset: Table, catalog: Catalog | None
     ) -> np.ndarray:
+        """One row per pair: (product, absolute difference) of the two
+        embeddings of each attribute, attributes in order.  Each distinct
+        value is embedded once per call."""
         cat = catalog if catalog is not None else get_catalog()
         meta = validate_candset(candset, cat)
         l_index = meta.ltable.index_by(cat.get_key(meta.ltable))
         r_index = meta.rtable.index_by(cat.get_key(meta.rtable))
-        return np.vstack(
-            [
-                self._pair_vector(l_index[l_id], r_index[r_id])
-                for l_id, r_id in zip(
-                    candset.column(meta.fk_ltable), candset.column(meta.fk_rtable)
-                )
-            ]
-        )
+        l_rows = [l_index[l_id] for l_id in candset.column(meta.fk_ltable)]
+        r_rows = [r_index[r_id] for r_id in candset.column(meta.fk_rtable)]
+        embeddings: dict[str, np.ndarray] = {}
+
+        def embed(rows: list[dict], attr: str) -> np.ndarray:
+            texts = ["" if is_missing(row.get(attr)) else str(row[attr]) for row in rows]
+            for text in texts:
+                if text not in embeddings:
+                    embeddings[text] = _trigram_embed(text, self.embedding_dim)
+            return np.array([embeddings[text] for text in texts])
+
+        pieces = []
+        for attr in self.attributes:
+            left, right = embed(l_rows, attr), embed(r_rows, attr)
+            pieces += [left * right, np.abs(left - right)]
+        return np.hstack(pieces)
 
     # ------------------------------------------------------------------
     def fit(

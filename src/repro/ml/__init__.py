@@ -24,7 +24,7 @@ from repro.ml.model_selection import (
 from repro.ml.naive_bayes import BernoulliNB, GaussianNB
 from repro.ml.neighbors import KNeighborsClassifier
 from repro.ml.regression_tree import DecisionTreeRegressor
-from repro.ml.tree import DecisionTreeClassifier, TreeNode
+from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
     "BernoulliNB",
@@ -41,7 +41,6 @@ __all__ = [
     "RandomForestClassifier",
     "SimpleImputer",
     "StratifiedKFold",
-    "TreeNode",
     "accuracy_score",
     "confusion_counts",
     "cross_validate",

@@ -120,16 +120,3 @@ class RandomForestClassifier(Estimator, ClassifierMixin):
             else positive
         )
         return np.where(fraction >= alpha, positive, negative)
-
-    def vote_entropy(self, X, positive: int = 1) -> np.ndarray:
-        """Disagreement of the trees, used for active-learning selection.
-
-        Binary vote entropy in bits: 0 when the forest is unanimous, 1 when
-        it is split evenly.
-        """
-        fraction = self.vote_fraction(X, positive=positive)
-        entropy = np.zeros_like(fraction)
-        mask = (fraction > 0.0) & (fraction < 1.0)
-        p = fraction[mask]
-        entropy[mask] = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
-        return entropy

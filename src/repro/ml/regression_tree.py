@@ -15,9 +15,10 @@ class DecisionTreeRegressor(Estimator):
 
     Splits minimize the children's total squared error, computed with
     cumulative sums over each feature's sort order.  The fitted tree is
-    four flat pre-order arrays (the layout of :func:`repro.ml.tree.descend`);
-    a node's value is the mean target of the training rows that reached
-    it.  ``apply`` returns per-row leaf ids so a boosting layer can
+    ``feature_``, ``threshold_`` and ``right_`` (the layout of
+    :func:`repro.ml.tree.descend`, shared with the classifier) plus
+    ``value_``, the mean target of the training rows that reached each
+    node.  ``apply`` returns per-row leaf ids so a boosting layer can
     re-estimate leaf values (Newton steps) without retraining.
     """
 
@@ -49,10 +50,12 @@ class DecisionTreeRegressor(Estimator):
         nodes: list[list] = []  # [feature, threshold, right, value], in pre-order
         self._build(X, y, 0, nodes)
         feature, threshold, right, value = zip(*nodes)
-        self._flat = (np.array(feature), np.array(threshold), np.array(right))
-        self._value = np.array(value)
+        self.feature_ = np.array(feature)
+        self.threshold_ = np.array(threshold)
+        self.right_ = np.array(right)
+        self.value_ = np.array(value)
         # Leaf ids are dense in [0, n_leaves), in pre-order.
-        self._leaves = np.nonzero(self._flat[0] < 0)[0]
+        self._leaves = np.nonzero(self.feature_ < 0)[0]
         self.n_leaves_ = len(self._leaves)
         get_registry().counter("ml_trees_fit_total").inc()
         self._mark_fitted()
@@ -121,16 +124,16 @@ class DecisionTreeRegressor(Estimator):
     def predict(self, X) -> np.ndarray:
         """Leaf value of each row."""
         self.check_fitted()
-        return self._value.take(descend(*self._flat, as_float_array(X)))
+        return self.value_.take(descend(self, as_float_array(X)))
 
     def apply(self, X) -> np.ndarray:
         """Leaf id of each row (ids dense in [0, n_leaves_))."""
         self.check_fitted()
-        return np.searchsorted(self._leaves, descend(*self._flat, as_float_array(X)))
+        return np.searchsorted(self._leaves, descend(self, as_float_array(X)))
 
     def set_leaf_values(self, values: dict[int, float]) -> None:
         """Overwrite leaf predictions (the boosting Newton step)."""
         self.check_fitted()
         for leaf, value in values.items():
             if 0 <= leaf < self.n_leaves_:
-                self._value[self._leaves[leaf]] = value
+                self.value_[self._leaves[leaf]] = value

@@ -1,7 +1,8 @@
 """CART decision-tree classifier, with an inspectable tree structure.
 
-The tree structure is deliberately a first-class, walkable object
-(:class:`TreeNode`): Falcon (Section 5.1, Figures 3-4 of the paper)
+A fitted tree is its flat pre-order arrays and nothing else: prediction
+(:func:`descend`), ``export_text`` and Falcon's rule extraction all walk
+them.  Falcon (Section 5.1, Figures 3-4 of the paper)
 extracts *blocking rules* from the root-to-"No"-leaf branches of the trees
 in a random forest, so the EM layer needs direct access to split features
 and thresholds — one reason this reproduction implements trees from
@@ -14,8 +15,6 @@ impurity (or entropy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -27,40 +26,6 @@ from repro.ml.base import (
     check_consistent,
 )
 from repro.obs import get_registry
-
-
-@dataclass
-class TreeNode:
-    """A node of a fitted decision tree.
-
-    Internal nodes carry ``feature``/``threshold`` and two children; leaves
-    carry a class distribution.  ``n_samples`` is the number of training
-    rows that reached the node.
-    """
-
-    n_samples: int
-    class_counts: np.ndarray
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    depth: int = 0
-    impurity: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    @property
-    def prediction(self) -> int:
-        """Index (into classes_) of the majority class at this node."""
-        return int(np.argmax(self.class_counts))
-
-    def proba(self) -> np.ndarray:
-        total = self.class_counts.sum()
-        if total == 0:
-            return np.full_like(self.class_counts, 1.0 / len(self.class_counts))
-        return self.class_counts / total
 
 
 _CRITERIA = ("gini", "entropy")
@@ -77,17 +42,16 @@ def _impurity(criterion: str, counts: np.ndarray, totals: np.ndarray) -> np.ndar
     return np.where(totals > 0, scores, 0.0)
 
 
-def descend(
-    feature: np.ndarray, threshold: np.ndarray, right: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Position of the leaf each row of ``X`` reaches in a flat tree.
+def descend(tree, X: np.ndarray) -> np.ndarray:
+    """Position of the leaf each row of ``X`` reaches in a fitted tree.
 
-    The tree is in pre-order: node ``i`` tests ``X[:, feature[i]] <=
-    threshold[i]`` and continues at ``i + 1`` (left) or ``right[i]``;
-    ``feature[i] < 0`` marks a leaf.  All rows still at an internal node
-    take one step together, so the cost is one vector step per depth.  A
-    NaN cell fails ``<=`` and goes right.
+    Both trees are laid out in pre-order: node ``i`` tests ``X[:,
+    feature_[i]] <= threshold_[i]`` and continues at ``i + 1`` (left) or
+    ``right_[i]``; ``feature_[i] < 0`` marks a leaf.  All rows still at an
+    internal node take one step together, so the cost is one vector step
+    per depth.  A NaN cell fails ``<=`` and goes right.
     """
+    feature, threshold, right = tree.feature_, tree.threshold_, tree.right_
     node = np.zeros(X.shape[0], dtype=np.int64)
     active = np.nonzero(feature[node] >= 0)[0]
     while active.size:
@@ -117,6 +81,10 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         ``"sqrt"`` — the forest sets this for decorrelated trees.
     random_state:
         Seed for feature subsampling.
+
+    The fitted tree is ``feature_``, ``threshold_`` and ``right_`` (the
+    layout of :func:`descend`) plus ``counts_``, the training class counts
+    at each node (one column per entry of ``classes_``).
     """
 
     def __init__(
@@ -142,7 +110,6 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.root_: TreeNode | None = None
         self.classes_: np.ndarray = np.array([], dtype=np.int64)
         self.n_features_: int = 0
 
@@ -165,8 +132,14 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
                 f"{self.n_features_} features"
             )
         rng = np.random.default_rng(self.random_state)
-        self.root_ = self._build(X, y_indices, depth=0, rng=rng)
-        self._flatten()
+        nodes: list[list] = []  # [feature, threshold, right, counts, depth], in pre-order
+        self._build(X, y_indices, 0, rng, nodes)
+        feature, threshold, right, counts, depth = zip(*nodes)
+        self.feature_ = np.array(feature)
+        self.threshold_ = np.array(threshold)
+        self.right_ = np.array(right)
+        self.counts_ = np.vstack(counts)
+        self._depth = np.array(depth)
         get_registry().counter("ml_trees_fit_total").inc()
         self._mark_fitted()
         return self
@@ -181,31 +154,30 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         raise ConfigurationError(f"invalid max_features: {self.max_features!r}")
 
     def _build(
-        self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> TreeNode:
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        depth: int,
+        rng: np.random.Generator,
+        nodes: list[list],
+    ) -> None:
         counts = np.bincount(y, minlength=len(self.classes_)).astype(np.float64)
-        impurity = _impurity(self.criterion, counts[None, :], np.array([len(y)]))
-        node = TreeNode(
-            n_samples=len(y),
-            class_counts=counts,
-            depth=depth,
-            impurity=float(impurity[0]),
-        )
+        node = [-1, np.nan, -1, counts, depth]
+        nodes.append(node)
         if (
-            node.impurity == 0.0
+            _impurity(self.criterion, counts[None, :], np.array([len(y)]))[0] == 0.0
             or len(y) < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
-            return node
+            return
         split = self._best_split(X, y, counts, rng)
         if split is None:
-            return node
+            return
         feature, threshold, left_mask = split
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[left_mask], y[left_mask], depth + 1, rng)
-        node.right = self._build(X[~left_mask], y[~left_mask], depth + 1, rng)
-        return node
+        node[:2] = feature, threshold
+        self._build(X[left_mask], y[left_mask], depth + 1, rng, nodes)
+        node[2] = len(nodes)
+        self._build(X[~left_mask], y[~left_mask], depth + 1, rng, nodes)
 
     def _best_split(
         self,
@@ -265,25 +237,6 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         return feature, threshold, X[:, feature] <= threshold
 
     # ------------------------------------------------------------------
-    def _flatten(self) -> None:
-        """Store the fitted tree as flat pre-order arrays for :func:`descend`."""
-        feature, threshold, right, value = [], [], [], []
-
-        def walk(node: TreeNode) -> None:
-            at = len(feature)
-            feature.append(-1 if node.is_leaf else node.feature)
-            threshold.append(np.nan if node.is_leaf else node.threshold)
-            right.append(-1)
-            value.append(node.proba())
-            if not node.is_leaf:
-                walk(node.left)
-                right[at] = len(feature)
-                walk(node.right)
-
-        walk(self.root_)
-        self._flat = (np.array(feature), np.array(threshold), np.array(right))
-        self._value = np.vstack(value)
-
     def predict_proba(self, X) -> np.ndarray:
         """Class-distribution predictions, one row per sample."""
         self.check_fitted()
@@ -292,7 +245,11 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fit on {self.n_features_}"
             )
-        return self._value.take(descend(*self._flat, X), axis=0)
+        totals = self.counts_.sum(axis=1, keepdims=True)
+        proba = np.where(
+            totals > 0, self.counts_ / np.maximum(totals, 1), 1.0 / len(self.classes_)
+        )
+        return proba.take(descend(self, X), axis=0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -300,40 +257,31 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
     def depth(self) -> int:
         """Depth of the fitted tree (0 for a single leaf)."""
         self.check_fitted()
-
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return node.depth
-            return max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        return int(self._depth.max())
 
     def n_leaves(self) -> int:
         """Number of leaves in the fitted tree."""
         self.check_fitted()
-
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+        return int(np.count_nonzero(self.feature_ < 0))
 
     def export_text(self) -> str:
         """Human-readable rendering of the tree (used by Figure 4)."""
         self.check_fitted()
+        feature, threshold, right = (
+            a.tolist() for a in (self.feature_, self.threshold_, self.right_)
+        )
         lines: list[str] = []
 
-        def walk(node: TreeNode, indent: str) -> None:
-            if node.is_leaf:
-                label = self.classes_[node.prediction]
-                lines.append(f"{indent}predict: {label} (n={node.n_samples})")
+        def walk(at: int, indent: str) -> None:
+            if feature[at] < 0:
+                label = self.classes_[int(np.argmax(self.counts_[at]))]
+                lines.append(f"{indent}predict: {label} (n={int(self.counts_[at].sum())})")
                 return
-            name = self.feature_names_[node.feature]
-            lines.append(f"{indent}if {name} <= {node.threshold:.4f}:")
-            walk(node.left, indent + "  ")
-            lines.append(f"{indent}else:  # {name} > {node.threshold:.4f}")
-            walk(node.right, indent + "  ")
+            name = self.feature_names_[feature[at]]
+            lines.append(f"{indent}if {name} <= {threshold[at]:.4f}:")
+            walk(at + 1, indent + "  ")
+            lines.append(f"{indent}else:  # {name} > {threshold[at]:.4f}")
+            walk(right[at], indent + "  ")
 
-        walk(self.root_, "")
+        walk(0, "")
         return "\n".join(lines)

@@ -1,7 +1,11 @@
 """Tests for Falcon: active learning, rule extraction, end-to-end runs."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import (
     DirtinessConfig,
@@ -24,6 +28,14 @@ from repro.falcon import (
 from repro.features import get_features_for_blocking
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
+
+
+@cache
+def _book_features():
+    """Blocking features over book pairs, and the names of the first three."""
+    ds = make_em_dataset(book, 10, 10, seed=0)
+    features = get_features_for_blocking(ds.ltable, ds.rtable)
+    return features, features.names()[:3]
 
 
 def _pool(n=300, seed=0):
@@ -102,18 +114,37 @@ class TestRuleExtraction:
         tree = DecisionTreeClassifier(max_depth=3).fit(X, y, feature_names=names)
         return tree, features, names, X, y
 
-    def test_tree_rules_end_in_negative_leaves(self):
-        tree, features, names, X, y = self._fitted_tree()
-        rules = extract_rules_from_tree(tree, features)
-        assert rules
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        params=st.fixed_dictionaries(
+            {
+                "criterion": st.sampled_from(["gini", "entropy"]),
+                "max_depth": st.sampled_from([None, 1, 2, 4]),
+                "max_features": st.sampled_from([None, "sqrt", 1, 2]),
+                "min_samples_leaf": st.integers(1, 6),
+            }
+        ),
+        truncate=st.integers(1, 3),
+    )
+    def test_tree_rules_end_in_negative_leaves(self, seed, params, truncate):
+        features, names = _book_features()
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.random((120, len(names))), 2)
+        y = (X[:, 0] + rng.normal(scale=0.3, size=len(X)) > 0.5).astype(int)
+        tree = DecisionTreeClassifier(random_state=seed, **params).fit(X, y, feature_names=names)
+        assume(tree.n_leaves() > 1)
+        negative = tree.predict(X) == 0
         fired_any = np.zeros(len(y), dtype=bool)
-        for rule in rules:
-            mask = rule_fires(rule, X, names)
-            # every pair a rule fires on is predicted negative by the tree
-            assert np.all(tree.predict(X[mask]) == 0)
-            fired_any |= mask
+        for rule in extract_rules_from_tree(tree, features):
+            fired_any |= rule_fires(rule, X, names)
         # rules cover exactly the tree's negative predictions
-        assert np.array_equal(fired_any, tree.predict(X) == 0)
+        assert np.array_equal(fired_any, negative)
+        # a truncated walk keeps only rules that end in a negative leaf
+        # within ``max_depth`` predicates
+        for rule in extract_rules_from_tree(tree, features, max_depth=truncate):
+            assert len(rule.predicates) <= truncate
+            assert np.all(negative[rule_fires(rule, X, names)])
 
     def test_forest_rules_deduplicated(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,10 @@
 """Outputs that must not follow the string hash seed.
 
-Three small jobs run in fresh interpreters under three ``PYTHONHASHSEED``
+Four small jobs run in fresh interpreters under three ``PYTHONHASHSEED``
 values and print one digest each: the guide workflow (overlap blocking,
-weighted sample, labeling, extraction, matcher selection, prediction), a
-dedupe (self-blocking, labeling, duplicate groups merged) and Smurf.  A
+weighted sample, labeling, extraction, matcher selection, prediction),
+DeepMatcher's scores (trigram embeddings of raw text), a dedupe
+(self-blocking, labeling, duplicate groups merged) and Smurf.  A
 ``for`` over a set, or a dict filled in set order, whose order reaches
 an output makes the digests differ.  (``down_sample`` and Falcon have
 their own three-seed tests in ``test_sampling`` and ``test_falcon``.)
@@ -23,7 +24,7 @@ from repro.datasets import DirtinessConfig, make_em_dataset, make_string_dataset
 from repro.datasets.entities import person, product
 from repro.features import extract_feature_vecs, get_features_for_matching
 from repro.labeling import LabelingSession, OracleLabeler
-from repro.matchers import DTMatcher, LogRegMatcher, RFMatcher, select_matcher
+from repro.matchers import DeepMatcher, DTMatcher, LogRegMatcher, RFMatcher, select_matcher
 from repro.postprocess import dedupe_table, self_block_table
 from repro.sampling import weighted_sample_candset
 from repro.smurf import SmurfConfig, run_smurf
@@ -49,6 +50,10 @@ fv_all = extract_feature_vecs(candset, features)
 selection.best_matcher.predict(fv_all)
 digest(sample["ltable_id"], sample["rtable_id"], [fv[name] for name in features.names()],
        selection.best_matcher.name, fv_all["predicted"])
+
+# DeepMatcher trained on the same labeled sample, scoring the candset.
+deep = DeepMatcher(attributes=["title"], epochs=20, random_state=0).fit(sample)
+digest(deep.predict_proba(candset).tolist())
 
 # A dedupe: one table blocked against itself, duplicates merged.
 ds = make_em_dataset(person, 120, 120, seed=6)
@@ -92,5 +97,5 @@ def test_guide_dedupe_and_smurf_digests_do_not_move_with_the_hash_seed():
         )
         assert done.returncode == 0, done.stderr
         outputs[hash_seed] = done.stdout
-    assert len(outputs["0"].split()) == 3
+    assert len(outputs["0"].split()) == 4
     assert len(set(outputs.values())) == 1, outputs

@@ -29,6 +29,7 @@ from repro.ml import (
     recall_score,
     train_test_split,
 )
+from repro.ml.tree import _impurity
 
 ALL_CLASSIFIERS = [
     lambda: DecisionTreeClassifier(max_depth=6),
@@ -97,15 +98,7 @@ class TestDecisionTree:
     def test_min_samples_leaf(self):
         X, y = linearly_separable(n=50)
         tree = DecisionTreeClassifier(min_samples_leaf=10).fit(X, y)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.n_samples >= 10
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree.root_)
+        assert tree.counts_[tree.feature_ < 0].sum(axis=1).min() >= 10
 
     def test_single_class(self):
         X = np.ones((5, 2))
@@ -184,14 +177,6 @@ class TestRandomForest:
         with pytest.raises(ConfigurationError):
             forest.predict_with_alpha(X, alpha=0.0)
 
-    def test_vote_entropy_zero_when_unanimous(self):
-        X = np.vstack([np.zeros((20, 2)), np.ones((20, 2))])
-        y = np.array([0] * 20 + [1] * 20)
-        forest = RandomForestClassifier(n_estimators=5, random_state=1).fit(X, y)
-        entropy = forest.vote_entropy(X)
-        assert np.all(entropy >= 0)
-        assert float(entropy.min()) == 0.0
-
     def test_trees_accessible(self):
         X, y = linearly_separable(n=50)
         forest = RandomForestClassifier(n_estimators=4, random_state=0).fit(X, y)
@@ -262,39 +247,32 @@ class OracleTree(DecisionTreeClassifier):
         _, feature, threshold = best
         return feature, threshold, X[:, feature] <= threshold
 
-    def _leaf_for(self, row):
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
-
     def predict_proba(self, X):
-        return np.vstack([self._leaf_for(row).proba() for row in np.asarray(X, dtype=float)])
+        rows = []
+        for row in np.asarray(X, dtype=float):
+            counts = self.counts_[_leaf_for(self, row)]
+            total = counts.sum()
+            rows.append(counts / total if total else np.full_like(counts, 1.0 / len(counts)))
+        return np.vstack(rows)
 
 
 class OracleRegressor(DecisionTreeRegressor):
     """Per-row walk of the regressor's flat arrays."""
 
-    def _leaf_for(self, row):
-        feature, threshold, right = self._flat
-        at = 0
-        while feature[at] >= 0:
-            at = at + 1 if row[feature[at]] <= threshold[at] else int(right[at])
-        return at
-
     def predict(self, X):
-        return np.array([self._value[self._leaf_for(row)] for row in X])
+        return np.array([self.value_[_leaf_for(self, row)] for row in X])
 
     def apply(self, X):
         leaves = self._leaves.tolist()
-        return np.array([leaves.index(self._leaf_for(row)) for row in X], dtype=np.int64)
+        return np.array([leaves.index(_leaf_for(self, row)) for row in X], dtype=np.int64)
 
 
-def _nodes(node):
-    yield node
-    if not node.is_leaf:
-        yield from _nodes(node.left)
-        yield from _nodes(node.right)
+def _leaf_for(tree, row):
+    """The leaf one row reaches, by a Python walk of either tree's arrays."""
+    at = 0
+    while tree.feature_[at] >= 0:
+        at = at + 1 if row[tree.feature_[at]] <= tree.threshold_[at] else int(tree.right_[at])
+    return at
 
 
 @st.composite
@@ -344,9 +322,12 @@ class TestArrayNativeTreesMatchTheOracle:
         new = DecisionTreeClassifier(**params).fit(X, y)
         old = OracleTree(**params).fit(X, y)
         assert new.export_text() == old.export_text()
-        for a, b in zip(_nodes(new.root_), _nodes(old.root_), strict=True):
-            assert a.threshold == b.threshold
-            assert a.impurity == _SCALAR_IMPURITY[params["criterion"]](a.class_counts)
+        for name in ("feature_", "threshold_", "right_", "counts_"):
+            assert np.array_equal(getattr(new, name), getattr(old, name), equal_nan=True)
+        scalar = _SCALAR_IMPURITY[params["criterion"]]
+        for counts in new.counts_:  # the stop rule's vector form == the scalar one
+            total = np.array([counts.sum()])
+            assert _impurity(params["criterion"], counts[None, :], total)[0] == scalar(counts)
         assert np.array_equal(new.predict_proba(P), old.predict_proba(P))
         assert (new.depth(), new.n_leaves()) == (old.depth(), old.n_leaves())
 
@@ -364,7 +345,6 @@ class TestArrayNativeTreesMatchTheOracle:
         assert np.array_equal(new.predict_proba(P), old.predict_proba(P))
         positive = int(y.max())
         assert np.array_equal(new.vote_fraction(P, positive), old.vote_fraction(P, positive))
-        assert np.array_equal(new.vote_entropy(P, positive), old.vote_entropy(P, positive))
         assert np.array_equal(
             new.predict_with_alpha(P, 0.6, positive), old.predict_with_alpha(P, 0.6, positive)
         )
@@ -404,7 +384,7 @@ class TestArrayNativeTreesMatchTheOracle:
             scores.append((n_left * _gini(left) + (9 - n_left) * _gini(right)) / 9)
         assert 0 < scores[0] - scores[1] < 1e-12
         for cls in (DecisionTreeClassifier, OracleTree):
-            assert cls(max_depth=1).fit(X, y).root_.threshold == 0.5
+            assert cls(max_depth=1).fit(X, y).threshold_[0] == 0.5
 
     def test_single_leaf_and_nan_cells(self):
         X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
