@@ -78,7 +78,7 @@ def guide_workflow_demo() -> None:
     features = get_features_for_matching(dataset.ltable, dataset.rtable)
     fv = extract_feature_vecs(sample, features, label_column="label")
     selection = select_matcher(
-        [DTMatcher(), RFMatcher(n_estimators=10, random_state=0)],
+        [DTMatcher(random_state=0), RFMatcher(n_estimators=10, random_state=0)],
         fv, features.names(), n_splits=5,
     )
     print(f"Matcher selection (CV): best = {selection.best_matcher.name}, "

@@ -9,6 +9,10 @@ Levenshtein, Jaro and Jaro-Winkler also have ``batch_*`` twins that score
 many pairs per numpy step and return, element for element, the scalar
 method's value (``tests/test_sim_batch.py`` compares with ``==``): each is
 :func:`number_items` and then ``sim_score_ids``, the body over pre-numbered ids.
+Both kernels run one ``uint64`` lane per pair and read a pattern table: one
+word per (distinct pattern string, alphabet character) with a bit set at
+each position holding that character, so a text character costs one
+gather, not a comparison per pattern character.
 """
 
 from __future__ import annotations
@@ -19,9 +23,21 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-#: Padded cells (rows x widest row) a batched kernel holds per chunk, so
-#: its temporaries stay a few MB however many pairs it is handed.
-CHUNK_CELLS = 1 << 16
+#: A lane is one ``uint64`` word: a pair whose pattern side is longer
+#: than this many characters runs the scalar form.
+LANE_BITS = 64
+#: Bytes one kernel step may hold: its pattern table (8 per distinct
+#: pattern and alphabet character) plus :data:`LANE_BYTES` per lane, so a
+#: step stays a few MB however many pairs it is handed.  A step holds at
+#: least one lane.
+STEP_BYTES = 1 << 22
+#: A lane's state and its share of a column step's temporaries.
+LANE_BYTES = 128
+
+_ONE = np.uint64(1)
+#: ``_BELOW[n]`` has the low ``n`` bits set (``n`` in 0..64); numpy leaves
+#: a shift by 64 undefined.
+_BELOW = np.array([(1 << n) - 1 for n in range(LANE_BITS + 1)], np.uint64)
 
 
 def number_items(lefts: Iterable, rights: Iterable):
@@ -36,54 +52,90 @@ def number_items(lefts: Iterable, rights: Iterable):
 
 
 def encode(strings: list[str]):
-    """Code points of ``strings`` back to back, plus row starts and lengths."""
+    """Each string's characters as ids into the call's dense alphabet (its
+    distinct code points, ascending), back to back, plus row starts, row
+    lengths and the alphabet's size."""
     lengths = np.fromiter(map(len, strings), np.int64, len(strings))
-    codes = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), np.uint32)
-    return codes, np.cumsum(lengths) - lengths, lengths
+    points = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), np.uint32)
+    alphabet, codes = np.unique(points, return_inverse=True)
+    return codes, np.cumsum(lengths) - lengths, lengths, len(alphabet)
 
 
-def _padded(vocabulary, ids):
-    """Zero-padded code matrix, one row per id (at least one column), and
-    the row lengths."""
-    codes, starts, lengths = vocabulary
-    sizes = lengths[ids]
-    cols = np.arange(max(1, int(sizes.max(initial=0))))
-    inside = cols < sizes[:, None]
-    matrix = np.zeros(inside.shape, np.uint32)
-    matrix[inside] = codes[(starts[ids][:, None] + cols)[inside]]
-    return matrix, sizes
+def _pattern_table(vocabulary, ids) -> np.ndarray:
+    """Flat ``(len(ids), alphabet)`` table of ``uint64`` words: the word of
+    pattern *p* and character *c* has bit *i* set where ``ids[p]``'s *i*-th
+    character is *c*.  Every pattern fits a lane."""
+    codes, starts, lengths, width = vocabulary
+    table = np.zeros(len(ids) * width, np.uint64)
+    rows, start, sizes = np.arange(len(ids)) * width, starts[ids], lengths[ids]
+    for i in range(int(sizes.max(initial=0))):
+        # One word per pattern at each position: no index repeats.
+        has = sizes > i
+        table[rows[has] + codes[start[has] + i]] |= _ONE << np.uint64(i)
+    return table
 
 
-def chunks(widths) -> Iterator[slice]:
-    """Consecutive slices of ``widths``, each at most
-    :data:`CHUNK_CELLS` padded cells (rows x widest row) and at least
-    one row."""
-    start = 0
-    while start < len(widths):
-        # No more rows than this fit even if none is wider than the first.
-        reach = CHUNK_CELLS // max(int(widths[start]), 1) + 1
-        widest = np.maximum.accumulate(np.maximum(widths[start : start + reach], 1))
-        cells = np.arange(1, len(widest) + 1) * widest
-        stop = start + max(1, int(np.searchsorted(cells, CHUNK_CELLS, side="right")))
-        yield slice(start, stop)
-        start = stop
+def _steps(vocabulary, pattern_ids, text_lengths) -> Iterator[tuple]:
+    """Cut id pairs into steps of at most :data:`STEP_BYTES`, a step's
+    pattern table counted as its run of distinct patterns.  Yields the
+    step's pair indices, longest text first (so the lanes a column step
+    reads are a prefix), those patterns and each lane's row offset into
+    their table."""
+    width = vocabulary[3]
+    if not len(pattern_ids):
+        return
+    present = np.zeros(len(vocabulary[2]), bool)
+    present[pattern_ids] = True
+    patterns = np.flatnonzero(present)
+    rank = (np.cumsum(present) - 1)[pattern_ids]
+    order, bounds = np.arange(len(rank)), [0, len(rank)]
+    if len(patterns) * 8 * width + len(rank) * LANE_BYTES > STEP_BYTES:
+        # Each step holds a run of pattern ranks.  What a step from pair 0
+        # through pair k holds, less a row and a lane, grows with k.
+        order = np.argsort(rank, kind="stable")
+        cost = rank[order] * (8 * width) + np.arange(len(order)) * LANE_BYTES
+        bounds = [0]
+        while bounds[-1] < len(order):
+            reach = cost[bounds[-1]] + STEP_BYTES - 8 * width - LANE_BYTES
+            bounds.append(max(bounds[-1] + 1, int(np.searchsorted(cost, reach, side="right"))))
+    for begin, stop in zip(bounds, bounds[1:]):
+        at = order[begin:stop]
+        first, last = rank[at].min(), rank[at].max()
+        # Longest text first; a key of 16 bits or fewer sorts by radix.
+        shorter = text_lengths[at].max() - text_lengths[at]
+        at = at[np.argsort(shorter.astype(np.min_scalar_type(shorter.max())), kind="stable")]
+        yield at, patterns[first : last + 1], (rank[at] - first) * width
 
 
-def _score_chunks(kernel, vocabulary, left_ids, right_ids, widths, dtype) -> np.ndarray:
-    """``kernel`` over padded chunks of the id pairs, gathered in order."""
-    out = np.empty(len(left_ids), dtype)
-    for at in chunks(widths):
-        out[at] = kernel(*_padded(vocabulary, left_ids[at]), *_padded(vocabulary, right_ids[at]))
-    return out
+def _columns(vocabulary, patterns, rows, text_ids, text_lengths) -> Iterator[tuple]:
+    """Per text column *j* of a step's lanes (sorted longest text first):
+    *j*, the number *k* of lanes whose text reaches it and the pattern word
+    each of those lanes' *j*-th text character reads.  The step's table
+    lives as long as this generator, so no two steps' tables coexist."""
+    codes, starts = vocabulary[:2]
+    table = _pattern_table(vocabulary, patterns)
+    cursor = starts[text_ids]
+    live = np.searchsorted(-text_lengths, -np.arange(int(text_lengths.max(initial=0))))
+    for j, k in enumerate(live.tolist()):
+        yield j, k, table[rows[:k] + codes[cursor[:k] + j]]
+
+
+def _scalar_fallback(score, strings, left_ids, right_ids, wide, out) -> None:
+    """``out[i] = score(...)`` at each pair ``wide`` marks, counted."""
+    indices = np.flatnonzero(wide).tolist()
+    if indices:
+        from repro.obs import get_registry  # lazily: obs imports half the package
+
+        name = "feature_scalar_fallback_pairs_total"  # features.feature.SCALAR_FALLBACK
+        get_registry().counter(name, reason="long_string").inc(len(indices))
+    for i in indices:
+        out[i] = score(strings[left_ids[i]], strings[right_ids[i]])
 
 
 class Levenshtein:
     """Classic edit distance with unit insert/delete/substitute costs: the
     Myers/Hyyro bit-vector recurrence over the shorter string's match
     masks, on a Python int (scalar) or one ``uint64`` lane per pair."""
-
-    #: Pairs whose shorter side outgrows a lane run the scalar form.
-    LANE_BITS = 64
 
     def get_raw_score(self, left: str, right: str) -> int:
         """Return the edit distance between two strings."""
@@ -131,18 +183,9 @@ class Levenshtein:
         short_ids = np.where(swap, right_ids, left_ids)
         long_ids = np.where(swap, left_ids, right_ids)
         out = np.empty(len(left_ids), np.int64)
-        wide = lengths[short_ids] > self.LANE_BITS
-        if wide.any():
-            from repro.obs import get_registry  # lazily: obs imports half the package
-
-            name = "feature_scalar_fallback_pairs_total"  # features.feature.SCALAR_FALLBACK
-            get_registry().counter(name, reason="long_string").inc(int(wide.sum()))
-        for i in np.flatnonzero(wide).tolist():
-            out[i] = self.get_raw_score(strings[left_ids[i]], strings[right_ids[i]])
-        short_ids, long_ids = short_ids[~wide], long_ids[~wide]
-        out[~wide] = _score_chunks(
-            _myers_lanes, vocabulary, short_ids, long_ids, lengths[long_ids], np.int64
-        )
+        wide = lengths[short_ids] > LANE_BITS
+        _scalar_fallback(self.get_raw_score, strings, left_ids, right_ids, wide, out)
+        out[~wide] = _myers_steps(vocabulary, short_ids[~wide], long_ids[~wide])
         return out, np.maximum(lengths[left_ids], lengths[right_ids])
 
     def batch_raw_score(self, lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
@@ -159,31 +202,32 @@ class Levenshtein:
         return np.where(longest == 0, 1.0, 1.0 - distance / np.maximum(longest, 1))
 
 
-def _myers_lanes(pattern, m, text, n):
-    """One chunk, lane *p* tracking ``pattern[p]`` against ``text[p]``.  Bits
-    past a pattern's length only receive carries and never feed bit
-    ``m - 1``, where the score is read, so every lane runs 64 wide."""
-    one = np.uint64(1)
-    text_t = np.ascontiguousarray(text.T)
-    eq_at = np.zeros(text_t.shape, np.uint64)
-    for i in range(pattern.shape[1]):
-        eq_at |= (text_t == pattern[:, i]).astype(np.uint64) << np.uint64(i)
-    top = one << np.maximum(m - 1, 0).astype(np.uint64)
-    pv = np.full(len(m), ~np.uint64(0))
-    mv = np.zeros(len(m), np.uint64)
-    score = m.copy()
-    for j, eq in enumerate(eq_at):
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        live = j < n
-        score += ((ph & top) != 0) & live
-        score -= ((mh & top) != 0) & live
-        ph = (ph << one) | one
-        pv = (mh << one) | ~(xv | ph)
-        mv = ph & xv
-    return np.where(m == 0, n, score)
+def _myers_steps(vocabulary, short_ids, long_ids) -> np.ndarray:
+    """Edit distances, lane *p* running the shorter side's pattern words
+    against the longer side's characters.  Bits past a pattern's length
+    only receive carries and never feed bit ``m - 1``, where the score is
+    read, so every lane runs 64 wide."""
+    lengths = vocabulary[2]
+    out = np.empty(len(short_ids), np.int64)
+    for at, patterns, rows in _steps(vocabulary, short_ids, lengths[long_ids]):
+        m, n = lengths[short_ids[at]], lengths[long_ids[at]]
+        top = _ONE << np.maximum(m - 1, 0).astype(np.uint64)
+        pv = np.full(len(at), ~np.uint64(0))
+        mv = np.zeros(len(at), np.uint64)
+        score = m.copy()
+        for _, k, eq in _columns(vocabulary, patterns, rows, long_ids[at], n):
+            p, v = pv[:k], mv[:k]
+            xv = eq | v
+            xh = (((eq & p) + p) ^ p) | eq
+            ph = v | ~(xh | p)
+            mh = p & xh
+            score[:k] += (ph & top[:k]) != 0
+            score[:k] -= (mh & top[:k]) != 0
+            ph = (ph << _ONE) | _ONE
+            pv[:k] = (mh << _ONE) | ~(xv | ph)
+            mv[:k] = ph & xv
+        out[at] = np.where(m == 0, n, score)
+    return out
 
 
 class Hamming:
@@ -204,7 +248,8 @@ class Hamming:
 
 
 class _PairKernel:
-    """Batched scoring for a measure that defines ``_score_chunk``."""
+    """Batched scoring for the Jaro family: one lane per pair over the
+    right side's pattern words, the scalar form past a lane."""
 
     def batch_raw_score(self, lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
         """``get_raw_score`` over ``zip(lefts, rights)``, as float64."""
@@ -214,12 +259,62 @@ class _PairKernel:
 
     def sim_score_ids(self, strings: Sequence[str], left_ids, right_ids) -> np.ndarray:
         """Scores at id pairs into ``strings``."""
-        return self.score_encoded(encode(strings), left_ids, right_ids)
+        return self.score_encoded(strings, encode(strings), left_ids, right_ids)
 
-    def score_encoded(self, vocabulary, left_ids, right_ids) -> np.ndarray:
-        """Scores at id pairs into an :func:`encode`-d vocabulary."""
-        widths = vocabulary[2][left_ids] + vocabulary[2][right_ids]
-        return _score_chunks(self._score_chunk, vocabulary, left_ids, right_ids, widths, np.float64)
+    def score_encoded(self, strings: Sequence[str], vocabulary, left_ids, right_ids) -> np.ndarray:
+        """Scores at id pairs into ``strings``, whose :func:`encode` is
+        ``vocabulary``."""
+        out = np.empty(len(left_ids))
+        wide = vocabulary[2][right_ids] > LANE_BITS
+        _scalar_fallback(self.get_raw_score, strings, left_ids, right_ids, wide, out)
+        out[~wide] = self._from_lanes(*_jaro_steps(vocabulary, left_ids[~wide], right_ids[~wide]))
+        return out
+
+
+def _jaro_steps(vocabulary, left_ids, right_ids):
+    """Jaro similarity and common prefix (up to 4 characters) of id pairs,
+    :meth:`Jaro.get_raw_score`'s greedy matching on bit words: left
+    character *j* takes the lowest free right position in its window that
+    holds it, ``table[right, left[j]] & ~flagged & window``.  Transpositions
+    pair the matched left characters, in order, with the flagged right
+    positions, lowest first."""
+    lengths = vocabulary[2]
+    l_len, r_len = lengths[left_ids], lengths[right_ids]
+    window = np.maximum(np.maximum(l_len, r_len) // 2 - 1, 0)
+    # Past column r_len + window no right position is in any window.
+    reach = np.minimum(l_len, r_len + window)
+    jaro = np.empty(len(left_ids))
+    prefix = np.zeros(len(left_ids), np.int64)
+    for at, patterns, rows in _steps(vocabulary, right_ids, reach):
+        w, r = window[at], r_len[at]
+        flagged = np.zeros(len(at), np.uint64)
+        common = np.ones(len(at), bool)
+        taken = []
+        for j, k, eq in _columns(vocabulary, patterns, rows, left_ids[at], reach[at]):
+            lo = np.maximum(j - w[:k], 0)
+            hi = np.minimum(j + 1 + w[:k], r[:k])
+            free = eq & ~flagged[:k] & _BELOW[hi] & ~_BELOW[lo]
+            flagged[:k] |= free & (~free + _ONE)
+            lanes = np.flatnonzero(free)
+            taken.append((lanes, eq[lanes]))
+            if j < 4:
+                common[:k] &= ((eq >> np.uint64(j)) & _ONE) != 0
+                prefix[at[:k]] += common[:k]
+        unpaired = flagged.copy()
+        crossed = np.zeros(len(at), np.int64)
+        for lanes, eq in taken:
+            free = unpaired[lanes]
+            lowest = free & (~free + _ONE)
+            crossed[lanes] += (eq & lowest) == 0
+            unpaired[lanes] = free ^ lowest
+        matches, transpositions = np.bitwise_count(flagged).astype(np.int64), crossed // 2
+        n = l_len[at]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = (matches / n + matches / r + (matches - transpositions) / matches) / 3.0
+        score[matches == 0] = 0.0
+        score[(n == 0) & (r == 0)] = 1.0
+        jaro[at] = score
+    return jaro, prefix
 
 
 class Jaro(_PairKernel):
@@ -264,33 +359,8 @@ class Jaro(_PairKernel):
 
     get_sim_score = get_raw_score
 
-    def _score_chunk(self, left, l_len, right, r_len):
-        """:meth:`get_raw_score` step for step, one lane per matrix row."""
-        lanes = np.arange(len(left))
-        cols = np.arange(right.shape[1])
-        window = np.maximum(np.maximum(l_len, r_len) // 2 - 1, 0)
-        left_matched = np.zeros(left.shape, bool)
-        right_matched = np.zeros(right.shape, bool)
-        for i in range(left.shape[1]):
-            stop = np.where(i < l_len, np.minimum(i + window + 1, r_len), 0)
-            free = (right == left[:, i, None]) & ~right_matched
-            free &= (cols >= (i - window)[:, None]) & (cols < stop[:, None])
-            first = free.argmax(axis=1)
-            hit = free[lanes, first]
-            left_matched[:, i] = hit
-            right_matched[lanes[hit], first[hit]] = True
-        matches = left_matched.sum(axis=1)
-        # Boolean indexing walks each row in order and both sides hold
-        # ``matches`` entries per row, so the k-th matched characters align.
-        crossed = left[left_matched] != right[right_matched]
-        transpositions = (
-            np.bincount(np.repeat(lanes, matches), crossed, len(lanes)).astype(np.int64) // 2
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = (matches / l_len + matches / r_len + (matches - transpositions) / matches) / 3.0
-        score[matches == 0] = 0.0
-        score[(l_len == 0) & (r_len == 0)] = 1.0
-        return score
+    def _from_lanes(self, jaro, prefix):
+        return jaro
 
 
 class JaroWinkler(_PairKernel):
@@ -315,13 +385,7 @@ class JaroWinkler(_PairKernel):
 
     get_sim_score = get_raw_score
 
-    def _score_chunk(self, left, l_len, right, r_len):
-        jaro = self._jaro._score_chunk(left, l_len, right, r_len)
-        width = min(4, left.shape[1], right.shape[1])
-        same = (left[:, :width] == right[:, :width]) & (
-            np.arange(width) < np.minimum(l_len, r_len)[:, None]
-        )
-        prefix = np.cumprod(same, axis=1).sum(axis=1)
+    def _from_lanes(self, jaro, prefix):
         return jaro + prefix * self.prefix_weight * (1.0 - jaro)
 
 

@@ -7,13 +7,32 @@ reordering and per-word typos — the sweet spot for names and addresses.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.text.sim.edit_based import JaroWinkler, chunks, encode, number_items
+from repro.text.sim.edit_based import JaroWinkler, encode, number_items
+
+#: Token pairs (the cross product of a chunk's bags) Monge-Elkan holds
+#: per chunk, so its temporaries stay a few MB however many pairs it is
+#: handed.
+CHUNK_CELLS = 1 << 16
+
+
+def chunks(widths) -> Iterator[slice]:
+    """Consecutive slices of ``widths``, each at most :data:`CHUNK_CELLS`
+    cells (rows x widest row) and at least one row."""
+    start = 0
+    while start < len(widths):
+        # No more rows than this fit even if none is wider than the first.
+        reach = CHUNK_CELLS // max(int(widths[start]), 1) + 1
+        widest = np.maximum.accumulate(np.maximum(widths[start : start + reach], 1))
+        cells = np.arange(1, len(widest) + 1) * widest
+        stop = start + max(1, int(np.searchsorted(cells, CHUNK_CELLS, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 class MongeElkan:
@@ -43,7 +62,9 @@ class MongeElkan:
         return self.raw_score_ids(*number_items(map(tuple, lefts), map(tuple, rights)))
 
     def raw_score_ids(self, lists: Sequence[Sequence[str]], l_list, r_list) -> np.ndarray:
-        """:meth:`get_raw_score` at id pairs into the token ``lists``."""
+        """:meth:`get_raw_score` at id pairs into the token ``lists``.  A left
+        token with an equal token in the right bag scores 1.0 unscored:
+        ``JW(t, t) == 1.0`` and no Jaro-Winkler score exceeds it."""
         if self.sim_func != self._secondary.get_raw_score:
             raise ConfigurationError("a custom sim_func has no batched twin")
         tokens, flat, _ = number_items(chain.from_iterable(lists), ())
@@ -56,18 +77,26 @@ class MongeElkan:
         for at in chunks((l_counts * r_counts)[both]):
             pairs = both[at]
             n_left, n_right = l_counts[pairs], r_counts[pairs]
-            # The chunk's token cross product, left token major.
+            # The chunk's token cross product, left token major: one
+            # segment of n_right entries per left token.
             sizes = n_left * n_right
             pair_of = np.repeat(np.arange(len(pairs)), sizes)
             offset = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             l_at, r_at = np.divmod(offset, n_right[pair_of])
-            keys = (
-                flat[starts[l_list[pairs]][pair_of] + l_at] * len(tokens)
-                + flat[starts[r_list[pairs]][pair_of] + r_at]
+            l_token = flat[starts[l_list[pairs]][pair_of] + l_at]
+            r_token = flat[starts[r_list[pairs]][pair_of] + r_at]
+            segments = np.flatnonzero(r_at == 0)
+            exact = np.logical_or.reduceat(l_token == r_token, segments)
+            scored = ~np.repeat(exact, n_right[pair_of[segments]])
+            distinct, inverse = np.unique(
+                l_token[scored] * len(tokens) + r_token[scored], return_inverse=True
             )
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            scores = self._secondary.score_encoded(vocabulary, *np.divmod(distinct, len(tokens)))
-            best = np.maximum.reduceat(scores[inverse], np.flatnonzero(r_at == 0))
+            scores = np.zeros(len(l_token))
+            scores[scored] = self._secondary.score_encoded(
+                tokens, vocabulary, *np.divmod(distinct, len(tokens))
+            )[inverse]
+            best = np.maximum.reduceat(scores, segments)
+            best[exact] = 1.0
             # Left-to-right like the scalar loop: np.sum's pairwise order
             # rounds differently.
             first = np.cumsum(n_left) - n_left

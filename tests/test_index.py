@@ -837,9 +837,11 @@ class TestExtractionDedupProperty:
         fallbacks = "feature_scalar_fallback_pairs_total"
         with use_registry() as registry:
             extract_feature_vecs(candset, features, catalog=catalog)
-            # Only (a1, b1) has a shorter side past 64 characters.
-            assert counter_total(registry, fallbacks, reason="long_string") == 1
-            assert counter_total(registry, fallbacks) == 1
+            # Levenshtein's pattern is the shorter side: only (a1, b1) has
+            # one past 64 characters.  Jaro-Winkler's is the right side:
+            # (a1, b1) and (a2, b1).
+            assert counter_total(registry, fallbacks, reason="long_string") == 3
+            assert counter_total(registry, fallbacks) == 3
             assert counter_total(registry, "feature_batch_pairs_total") == 8
 
     def test_exact_and_numeric_features_score_in_batch_over_a_traced_value_view(self):

@@ -1,7 +1,7 @@
 """Tests for match post-processing: clustering, 1-1, merging, dedup."""
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import OverlapBlocker
@@ -23,10 +23,20 @@ EDGES = st.lists(st.tuples(KEYS, KEYS), max_size=20)
 
 
 def networkx_components(edges):
-    """The reference: networkx's components after adding nodes in edge order."""
+    """The reference: networkx's components after adding nodes in edge order,
+    each member mapped to the first-seen key equal to it.  networkx's
+    breadth-first walk reads neighbours from adjacency dicts, whose keys can
+    be a later equal object (``False`` for a node first added as ``0``)."""
     graph = nx.Graph()
     graph.add_edges_from(edges)
-    return [set(component) for component in nx.connected_components(graph)]
+    first_seen: dict = {}
+    for edge in edges:
+        for node in edge:
+            first_seen.setdefault(node, node)
+    return [
+        {first_seen[member] for member in component}
+        for component in nx.connected_components(graph)
+    ]
 
 
 def by_size(groups):
@@ -51,6 +61,7 @@ class TestComponentsOracle:
         assert components.groups() == networkx_components(edges)
 
     @given(EDGES)
+    @example(edges=[(1, "0"), (1, "a"), ("1", 2), (0, 0), ("1", False)])
     @settings(max_examples=200, deadline=None)
     def test_clusters_and_duplicate_groups_equal_networkx(self, edges):
         expected = by_size(networkx_components(edges))

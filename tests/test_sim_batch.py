@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.text.sim.edit_based as edit_based
+import repro.text.sim.hybrid as hybrid
 from repro.exceptions import ConfigurationError
 from repro.features import make_exact_feature, make_numeric_feature, make_token_feature
 from repro.features.generation import _MongeElkanOnWords
@@ -78,11 +79,15 @@ EDGE_STRINGS = [
 EDGE_PAIRS = [(left, right) for left in EDGE_STRINGS for right in EDGE_STRINGS]
 
 
-@pytest.fixture(params=[1 << 16, 7])
-def chunk_budget(request, monkeypatch):
-    """The shipped chunk budget, and one so small every batch spans many
-    chunks (and single wide rows overflow it)."""
-    monkeypatch.setattr(edit_based, "CHUNK_CELLS", request.param)
+@pytest.fixture(params=[hybrid.CHUNK_CELLS, 7])
+def budgets(request, monkeypatch):
+    """The shipped budgets (named by Monge-Elkan's ``CHUNK_CELLS``), and
+    tiny ones: 7 cells cut every batch of token bags into many chunks (and
+    single wide rows overflow them), and 7 step bytes give an edit kernel
+    one lane per step, each with its own pattern table."""
+    if request.param != hybrid.CHUNK_CELLS:
+        monkeypatch.setattr(hybrid, "CHUNK_CELLS", request.param)
+        monkeypatch.setattr(edit_based, "STEP_BYTES", request.param)
     return request.param
 
 
@@ -92,7 +97,7 @@ def assert_same(batched: np.ndarray, scalar: list) -> None:
 
 
 class TestLevenshtein:
-    def test_edge_pairs(self, chunk_budget):
+    def test_edge_pairs(self, budgets):
         lefts, rights = zip(*EDGE_PAIRS)
         measure = Levenshtein()
         scalar = [measure.get_raw_score(l, r) for l, r in EDGE_PAIRS]
@@ -134,7 +139,7 @@ class TestLevenshtein:
 
 @pytest.mark.parametrize("measure", [Jaro(), JaroWinkler(), JaroWinkler(prefix_weight=0.25)])
 class TestJaroFamily:
-    def test_edge_pairs(self, measure, chunk_budget):
+    def test_edge_pairs(self, measure, budgets):
         lefts, rights = zip(*EDGE_PAIRS)
         assert_same(
             measure.batch_raw_score(lefts, rights),
@@ -153,13 +158,34 @@ class TestJaroFamily:
     def test_empty_batch(self, measure):
         assert measure.batch_raw_score([], []).tolist() == []
 
+    def test_right_side_at_and_past_a_lane(self, measure):
+        """A right side of 64 characters fills one lane, whatever the left
+        side's length; one of 65 takes the scalar form, counted per pair."""
+        pairs = [
+            ("ab" * 40, "ba" * 32),
+            ("b" + "a" * 70, "a" * 64),
+            ("a" * 64, "a" * 65),
+            ("abc", "c" + "ab" * 32),
+            ("", "a" * 65),
+        ]
+        with use_registry() as registry:
+            scores = measure.batch_raw_score([l for l, _ in pairs], [r for _, r in pairs])
+            counted = registry.counters()
+        assert_same(scores, [measure.get_raw_score(l, r) for l, r in pairs])
+        assert counted == {
+            ("feature_scalar_fallback_pairs_total", (("reason", "long_string"),)): 3
+        }
+
 
 tokens = st.lists(st.text(alphabet="ab\u0301" + "\u0130".lower(), max_size=5), max_size=5)
 
 
 class TestMongeElkan:
-    def test_edge_token_lists(self, chunk_budget):
-        sides = [[], [""], ["a"], ["a", "a"], ["ab", "ba", "abab"], ["a" * 70, "b"], ["x"] * 9]
+    def test_edge_token_lists(self, budgets):
+        sides = [
+            [], [""], ["a"], ["a", "a"], ["ab", "ba", "abab"], ["a" * 70, "b"], ["x"] * 9,
+            ["ab", "x", "ab"], ["", "ab", ""],
+        ]
         pairs = [(left, right) for left in sides for right in sides]
         measure = MongeElkan()
         assert_same(
@@ -179,7 +205,7 @@ class TestMongeElkan:
     def test_many_chunks(self, monkeypatch):
         """A batch wide enough to cut the token cross product many times,
         with the left-to-right sum exposed: thirds do not add exactly."""
-        monkeypatch.setattr(edit_based, "CHUNK_CELLS", 64)
+        monkeypatch.setattr(hybrid, "CHUNK_CELLS", 64)
         words = ["brand", "brnad", "type", "typo", "blue", "bleu", "x", "grande", "garden"]
         rng = np.random.default_rng(0)
         sides = [
@@ -191,6 +217,28 @@ class TestMongeElkan:
             measure.batch_raw_score(lefts, rights),
             [measure.get_raw_score(l, r) for l, r in zip(lefts, rights)],
         )
+
+    def test_exact_partners_are_not_scored(self, monkeypatch):
+        """A left token with an equal token in the right bag scores 1.0
+        without a kernel call (repeats included): only the others' token
+        pairs reach the Jaro-Winkler lanes."""
+        scored = []
+        lanes = edit_based._jaro_steps
+
+        def counting(vocabulary, left_ids, right_ids):
+            scored.extend(zip(left_ids.tolist(), right_ids.tolist()))
+            return lanes(vocabulary, left_ids, right_ids)
+
+        monkeypatch.setattr(edit_based, "_jaro_steps", counting)
+        lefts = [["ab", "cd", "ab"], ["x", "y"], ["ab"], []]
+        rights = [["cd", "ab"], ["y", "x", "x"], ["ba", "cd"], ["ab"]]
+        measure = MongeElkan()
+        assert_same(
+            measure.batch_raw_score(lefts, rights),
+            [measure.get_raw_score(l, r) for l, r in zip(lefts, rights)],
+        )
+        # Tokens number ab, cd, x, y, ba: only ("ab", "ba") and ("ab", "cd").
+        assert sorted(scored) == [(0, 1), (0, 4)]
 
     def test_custom_secondary_has_no_batched_twin(self):
         measure = MongeElkan(sim_func=lambda a, b: float(a == b))
@@ -377,7 +425,7 @@ class TestPreNumberedEntryPoints:
     numbered; each returns ``==`` the ``batch_*`` twin and the scalar form."""
 
     @pytest.mark.parametrize("measure", [Levenshtein(), Jaro(), JaroWinkler()])
-    def test_edge_pairs(self, measure, chunk_budget):
+    def test_edge_pairs(self, measure, budgets):
         strings, left, right = prenumbered(EDGE_PAIRS, extra=["zz", "a" * 80])
         scalar = [measure.get_sim_score(l, r) for l, r in EDGE_PAIRS]
         assert_same(measure.sim_score_ids(strings, left, right), scalar)
@@ -407,8 +455,39 @@ class TestPreNumberedEntryPoints:
             if name == "feature_scalar_fallback_pairs_total" and ("reason", "long_string") in labels
         ) == 2
 
-    def test_monge_elkan(self, chunk_budget):
-        sides = [(), ("",), ("a",), ("a", "a"), ("ab", "ba", "abab"), ("a" * 70, "b"), ("x",) * 9]
+    @pytest.mark.parametrize("measure", [Levenshtein(), JaroWinkler()])
+    def test_wide_alphabet_table_stays_in_its_budget(self, measure):
+        """2,200 distinct code points (700 outside the BMP) make each
+        pattern's table row 17.6 KB: one table over all 1,000 patterns
+        would take 17.6 MB, over four times ``STEP_BYTES``.  Steps cut by
+        that product keep one call's traced peak under the budget plus
+        the peak of encoding the call's 60k characters."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        alphabet = [chr(c) for c in range(0x4E00, 0x4E00 + 1500)]
+        alphabet += [chr(c) for c in range(0x1F300, 0x1F300 + 700)]
+        strings = ["".join(rng.choice(alphabet, 30)) for _ in range(2000)]
+        left, right = np.arange(0, 2000, 2), np.arange(1, 2000, 2)
+        assert len(set("".join(strings))) == 2200
+        tracemalloc.start()
+        try:
+            edit_based.encode(strings)
+            encoding = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            scores = measure.sim_score_ids(strings, left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < edit_based.STEP_BYTES + encoding
+        assert_same(scores, [measure.get_sim_score(strings[l], strings[r])
+                             for l, r in zip(left, right)])
+
+    def test_monge_elkan(self, budgets):
+        sides = [
+            (), ("",), ("a",), ("a", "a"), ("ab", "ba", "abab"), ("a" * 70, "b"), ("x",) * 9,
+            ("ab", "x", "ab"), ("", "ab", ""),
+        ]
         pairs = [(left, right) for left in sides for right in sides]
         lists, left, right = prenumbered(pairs, extra=[("unused",)])
         measure = MongeElkan()
