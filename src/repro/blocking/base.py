@@ -23,7 +23,7 @@ from repro.index.store import use_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
 from repro.simjoin.joins import set_sim_join_positions
-from repro.table.schema import is_missing
+from repro.table.schema import present_mask
 from repro.table.table import Row, Table
 from repro.text.tokenizers import Tokenizer
 
@@ -43,17 +43,29 @@ def text_view(table: Table, key: str, columns: Sequence[str]) -> Table:
     it over several.  Store fingerprints ignore column names, so a view
     of one unchanged column hits the artifacts of any earlier view of it.
     """
-    texts: list[str | None] = [None] * table.num_rows
-    for name in columns:  # one pass per column, no list per row
-        strings = [None if is_missing(v) else str(v).lower() for v in table.column(name)]
-        texts = [s if t is None else t if s is None else f"{t} {s}" for t, s in zip(texts, strings)]
+    parts, present = [], []
+    for name in columns:  # C-level passes per column
+        values = table.column(name)
+        parts.append(list(map(str.lower, map(str, values))))
+        present.append(present_mask(values))
+    # Rows with every cell present join in one pass; a row missing one
+    # takes a Python step, and a row missing all has no text.
+    if len(parts) == 1:
+        texts = parts[0]
+    else:
+        texts = list(map(" ".join, zip(*parts))) if parts else [None] * table.num_rows
+    gaps = np.flatnonzero(~np.logical_and.reduce(present, axis=0, initial=True))
+    oks = [mask.tolist() for mask in present] if len(gaps) else []
+    for row in gaps.tolist():
+        kept = [part[row] for part, ok in zip(parts, oks) if ok[row]]
+        texts[row] = " ".join(kept) if kept else None
     return Table({key: table.column(key), TEXT: texts})
 
 
 def present_numbers(values: Sequence[Any]) -> np.ndarray:
     """Each value's place among the non-missing ``values``, or -1: a
     row's record number in the store's artifacts of its column."""
-    present = np.fromiter((not is_missing(value) for value in values), bool, len(values))
+    present = present_mask(values)
     return np.where(present, np.cumsum(present) - 1, -1)
 
 

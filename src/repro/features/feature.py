@@ -38,7 +38,7 @@ from repro.index.fingerprints import column_fingerprint
 from repro.index.store import get_index_store
 from repro.obs import get_registry
 from repro.perf import arrays
-from repro.table.schema import is_missing
+from repro.table.schema import is_missing, present_mask
 from repro.table.table import Row, Table
 from repro.text.sim.edit_based import number_items
 from repro.text.sim.generic import abs_norm, abs_norm_arrays, exact_match, rel_diff
@@ -226,13 +226,13 @@ class ValueView:
     @cached_property
     def missing(self) -> np.ndarray:
         """:func:`is_missing` per cell."""
-        return np.fromiter(map(is_missing, self.values), bool, len(self.values))
+        return ~present_mask(self.values)
 
     @cached_property
     def text(self) -> tuple[list[str], np.ndarray]:
         """The distinct lower-cased texts, numbered across both sides, and
         each cell's id among them."""
-        texts, ids, _ = number_items((str(value).lower() for value in self.values), ())
+        texts, ids, _ = number_items(map(str.lower, map(str, self.values)), ())
         return texts, ids
 
     @cached_property

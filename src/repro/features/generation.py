@@ -119,8 +119,7 @@ class _MongeElkanOnWords:
         return self._measure.get_raw_score(self._tokenize(left), self._tokenize(right))
 
     def sim_score_ids(self, strings: list[str], left_ids, right_ids):
-        lists = [tuple(self._tokenize(text)) for text in strings]
-        return self._measure.raw_score_ids(lists, left_ids, right_ids)
+        return self._measure.raw_score_ids(list(map(str.split, strings)), left_ids, right_ids)
 
 
 def get_features_for_matching(

@@ -29,9 +29,8 @@ from repro.text.tokenizers import Tokenizer
 # code must miss, not unpickle into the wrong shape.
 FORMAT_VERSION = 1
 
-#: Values per step of a streamed pass over a column (one ``update`` call
-#: here, one tokenized batch of a ``tokens`` build): bounds the memory
-#: the pass holds for the chunk.
+#: Values per step of a streamed pass over a column (one ``update``
+#: call): bounds the memory the pass holds for the chunk.
 _CHUNK = 4096
 
 

@@ -89,13 +89,12 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
 
-from repro.index import fingerprints
 from repro.index.ann import AnnIndex
 from repro.index.fingerprints import (
     column_fingerprint,
@@ -107,9 +106,9 @@ from repro.obs import get_registry, trace_span
 from repro.perf import arrays
 from repro.perf.tokens import TokenUniverse
 from repro.runtime.checkpoint import atomic_write_bytes
-from repro.table.schema import is_missing
+from repro.table.schema import present_mask
 from repro.table.table import Table
-from repro.text.tokenizers import Tokenizer
+from repro.text.tokenizers import Tokenizer, number_into
 from repro.text.vectorize import (
     HashedNgramVectorizer,
     SparseVector,
@@ -415,15 +414,9 @@ class IndexStore:
         return self._records(_fingerprint(table, key, column), table, key, column)
 
     def _records(self, col_fp: str, table: Table, key: str, column: str) -> StringRecords:
-        def build() -> StringRecords:
-            keys, values = [], []
-            for row_key, value in zip(table.column(key), table.column(column)):
-                if not is_missing(value):
-                    keys.append(row_key)
-                    values.append(str(value))
-            return StringRecords(keys, values)
-
-        return self._get("records", _records_digest(col_fp), build)
+        return self._get(
+            "records", _records_digest(col_fp), lambda: _build_records(table, key, column)
+        )
 
     def tokenized_column(
         self, table: Table, key: str, column: str, tokenizer: Tokenizer
@@ -438,30 +431,14 @@ class IndexStore:
         def build() -> TokenizedColumn:
             records = self._records(col_fp, table, key, column)
             rows: dict[str, int] = {}
-            value_rows = np.fromiter(
-                (rows.setdefault(v, len(rows)) for v in records.values), np.int32,
-                len(records.values),
-            )
+            value_rows = number_into(records.values, rows)
             values = list(rows)
-            del rows  # freed before the chunks below allocate
-            # Tokens are numbered on first sight, one chunk of values at a
-            # time: no list of every value's tokens is ever held.
-            numbers: dict[str, int] = {}
-            codes, lengths = [], []
-            chunk = fingerprints._CHUNK
-            for start in range(0, len(values), chunk):
-                per_value = list(map(tokenizer.tokenize, values[start : start + chunk]))
-                if not tokenizer.return_set:  # a set tokenizer's tokens are distinct already
-                    per_value = [list(dict.fromkeys(tokens)) for tokens in per_value]
-                lengths.append(np.fromiter(map(len, per_value), np.int64, len(per_value)))
-                codes.append(np.fromiter(
-                    (numbers.setdefault(t, len(numbers)) for t in chain.from_iterable(per_value)),
-                    np.int32, int(lengths[-1].sum()),
-                ))
-            return TokenizedColumn(  # the empty arrays lead for a column of no values
-                digest, records.keys, value_rows, values, list(numbers),
-                np.concatenate([np.zeros(0, np.int32), *codes]),
-                np.concatenate([np.zeros(0, np.int64), *lengths]),
+            del rows  # freed before the steps below allocate
+            # Tokens are numbered on first sight, a bounded step of values
+            # at a time: no list of every value's tokens is ever held.
+            distinct, codes, lengths = tokenizer.token_codes(values)
+            return TokenizedColumn(
+                digest, records.keys, value_rows, values, distinct, codes, lengths
             )
 
         return self._get("tokens", digest, build)
@@ -527,6 +504,8 @@ class IndexStore:
         records = self._records(col_fp, table, key, column)
         encoding = self.sides_encoding(side, side, tokenizer)
         index = self.array_index(encoding, measure, threshold)
+        if index.keys is not records.keys:  # read from disk, each with its own lists
+            _share_lists(records, _build_records(table, key, column), encoding, index)
         digests = (
             _records_digest(col_fp), _tokens_digest(col_fp, tokenizer_fingerprint(tokenizer)),
             encoding.key, index.key,
@@ -645,6 +624,26 @@ class IndexStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f", cache_dir={str(self.cache_dir)!r}" if self.cache_dir else ""
         return f"<IndexStore {len(self._memory)} artifacts in memory{where}>"
+
+
+def _build_records(table: Table, key: str, column: str) -> StringRecords:
+    """The ``records`` artifact of a column, in C-level passes: the
+    table's own key and value objects at the present rows."""
+    values = table.column(column)
+    present = present_mask(values).tolist()
+    keys = list(compress(table.column(key), present))
+    return StringRecords(keys, list(map(str, compress(values, present))))
+
+
+def _share_lists(records: StringRecords, own: StringRecords, encoding, index) -> None:
+    """Give a live base read from disk the memory of a built one: records
+    equal to the table's own (``own``) take its lists, and the encoding's
+    and index's key lists become the records' one list."""
+    if own.keys == records.keys and own.values == records.values:
+        records.keys, records.values = own.keys, own.values
+    for rows in (encoding.left, encoding.right, index):
+        if rows.keys is not records.keys and rows.keys == records.keys:
+            rows.keys = records.keys
 
 
 def _fingerprint(table: Table, key: str, column: str) -> str:

@@ -9,10 +9,17 @@ inference over :class:`repro.table.Table` columns.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
-from typing import Any
+from itertools import compress, repeat
+from numbers import Real
+from operator import eq, is_not
+from typing import TYPE_CHECKING, Any
 
 from repro.table.table import Table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ColumnType(Enum):
@@ -33,14 +40,48 @@ _SHORT_STRING_WORDS = 1.0
 
 
 def is_missing(value: Any) -> bool:
-    """True for the ecosystem's missing-value markers (None, NaN, '')."""
+    """True for the ecosystem's missing-value markers (None, NaN, '').
+
+    NaN is any real number unequal to itself: a ``float``, or a numpy
+    floating scalar (``np.float32`` and ``np.float16`` do not subclass
+    ``float``; numpy registers them as ``numbers.Real``).  A blank is a
+    ``str`` of only whitespace."""
     if value is None:
         return True
-    if isinstance(value, float) and value != value:  # NaN
-        return True
-    if isinstance(value, str) and not value.strip():
-        return True
-    return False
+    if isinstance(value, str):
+        return not value.strip()
+    return isinstance(value, (float, Real)) and value != value
+
+
+#: Cell types a number's missing test (NaN) reads in one C-level pass.
+_NUMBERS = {int, float, bool}
+
+
+def present_mask(values: Sequence[Any]) -> np.ndarray:
+    """``not is_missing(value)`` per value, as a bool array.  A column of
+    ``str`` or of ``int`` / ``float`` / ``bool`` cells (either with
+    ``None``) is decided in C-level passes: ``None`` by identity, a
+    string by ``str.strip``, a number by ``value == value`` (false for
+    NaN only); any other column per cell."""
+    import numpy  # lazily: ``import repro`` does not load numpy
+
+    n = len(values)
+    kinds = set(map(type, values))
+    nones = type(None) in kinds
+    kinds.discard(type(None))
+    if kinds <= _NUMBERS:
+        present = numpy.fromiter(map(eq, values, values), bool, n)
+        if nones:
+            present &= numpy.fromiter(map(is_not, values, repeat(None)), bool, n)
+        return present
+    if kinds != {str}:
+        return numpy.fromiter((not is_missing(value) for value in values), bool, n)
+    if not nones:
+        return numpy.fromiter(map(bool, map(str.strip, values)), bool, n)
+    present = numpy.fromiter(map(is_not, values, repeat(None)), bool, n)
+    strings = compress(values, present.tolist())
+    present[present] = numpy.fromiter(map(bool, map(str.strip, strings)), bool, int(present.sum()))
+    return present
 
 
 def infer_value_type(value: Any) -> ColumnType:

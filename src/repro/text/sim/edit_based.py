@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.text.tokenizers import number_into
 
 #: A lane is one ``uint64`` word: a pair whose pattern side is longer
 #: than this many characters runs the scalar form.
@@ -44,10 +45,7 @@ def number_items(lefts: Iterable, rights: Iterable):
     """The distinct items of both sides, in first-seen order (so nothing
     moves with the hash seed), and each side as int64 ids into them."""
     ids: dict = {}
-    sides = [
-        np.fromiter((ids.setdefault(item, len(ids)) for item in side), np.int64)
-        for side in (lefts, rights)
-    ]
+    sides = [number_into(list(side), ids, np.int64) for side in (lefts, rights)]
     return list(ids), *sides
 
 

@@ -8,7 +8,7 @@ reordering and per-word typos — the sweet spot for names and addresses.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -59,7 +59,16 @@ class MongeElkan:
         """:meth:`get_raw_score` over ``zip(lefts, rights)``, same floats,
         for the default ``sim_func``: each chunk scores its *distinct* token
         pairs once with batched Jaro-Winkler."""
-        return self.raw_score_ids(*number_items(map(tuple, lefts), map(tuple, rights)))
+        # The bags are numbered in one hashing pass: a tuple's hash is not
+        # cached, so number_items' two passes (fromkeys, then lookups) cost
+        # more here than a setdefault per bag and a sort of first sights.
+        bags: dict[tuple, int] = {}
+        firsts = np.fromiter(
+            map(bags.setdefault, map(tuple, chain(lefts, rights)), count()), np.int64,
+            len(lefts) + len(rights),
+        )
+        ids = np.unique(firsts, return_inverse=True)[1]
+        return self.raw_score_ids(list(bags), ids[: len(lefts)], ids[len(lefts) :])
 
     def raw_score_ids(self, lists: Sequence[Sequence[str]], l_list, r_list) -> np.ndarray:
         """:meth:`get_raw_score` at id pairs into the token ``lists``.  A left

@@ -3,18 +3,65 @@
 Every tokenizer exposes ``tokenize(text) -> list[str]``.  Constructing a
 tokenizer with ``return_set=True`` makes it emit each distinct token once,
 which is what set-based similarity measures and sim joins expect.
+
+``token_codes(values)`` is the bulk form the index store's ``tokens``
+build reads: the values' distinct tokens in first-seen order, and each
+value's distinct tokens (``tokenize``'s set, in first-seen order) as
+int32 codes into them.  It runs a few C-level or numpy passes per step
+of values, not a Python frame per token: whitespace splits by
+``map(str.split)``, q-grams with ``q <= 3`` are packed code points in
+numpy, and every other tokenizer maps ``tokenize``; the string tokens
+are numbered by :func:`number_into`, one first-seen map per call.
+``tokenize`` stays the per-value path and the bulk form's oracle.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
+from itertools import chain, count, filterfalse
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+#: Code points (padding included) one bulk step tokenizes: bounds the
+#: step's transient arrays and token lists however long the values are.
+#: A step holds at least one value.
+STEP_POINTS = 1 << 16
+#: Code points a value counts for beyond its own, for its per-value lists
+#: and counts: a step of short values holds at most 4,096 of them.
+VALUE_POINTS = STEP_POINTS >> 12
+#: Bits one code point takes in a packed q-gram: 3 of them fit a uint64.
+_POINT_BITS = 21
+
+
+def number_into(items: Sequence, numbers: dict, dtype=np.int32) -> np.ndarray:
+    """Each item's number in ``numbers``, a first-seen numbering that the
+    items it lacks join in order of first sight: what ``setdefault(item,
+    len(numbers))`` per item gives, in three C-level passes."""
+    fresh = filterfalse(numbers.__contains__, dict.fromkeys(items))
+    numbers.update(zip(fresh, count(len(numbers))))
+    return np.fromiter(map(numbers.__getitem__, items), dtype, len(items))
+
+
+def number_runs(runs: list, numbers: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of items laid end to end as :func:`number_into` codes, and
+    each run's length."""
+    lengths = np.fromiter(map(len, runs), np.int64, len(runs))
+    return number_into(list(chain.from_iterable(runs)), numbers), lengths
 
 
 def _dedupe(tokens: list[str]) -> list[str]:
     """Drop duplicate tokens, keeping first-seen order."""
     return list(dict.fromkeys(tokens))
+
+
+def _splits_as(tokenizer: "Tokenizer", kind: type) -> bool:
+    """True when ``tokenizer``'s class overrides neither ``tokenize`` nor
+    ``kind``'s ``_split``, so ``kind``'s bulk form gives its tokens."""
+    cls = type(tokenizer)
+    return cls.tokenize is Tokenizer.tokenize and cls._split is kind._split
 
 
 class Tokenizer:
@@ -50,6 +97,43 @@ class Tokenizer:
         if tokens is None:
             tokens = cache[text] = self.tokenize(text)
         return tokens
+
+    def token_codes(self, values: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The bulk form of ``tokenize``'s token sets: the values' distinct
+        tokens in first-seen order, each value's distinct tokens (in
+        first-seen order) as int32 codes into them, laid end to end, and
+        each value's count of them.  Runs a step of values at a time
+        (:data:`STEP_POINTS`), numbering every step's tokens in one map."""
+        numbers: dict[str, int] = {}
+        codes, lengths = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)]
+        for step in self._steps(values):
+            step_codes, step_lengths = self._step_codes(values[step], numbers)
+            codes.append(step_codes)
+            lengths.append(step_lengths)
+        return list(numbers), np.concatenate(codes), np.concatenate(lengths)
+
+    def _steps(self, values: Sequence[str]) -> Iterator[slice]:
+        """Consecutive slices of ``values``, each at most
+        :data:`STEP_POINTS` code points (padding and :data:`VALUE_POINTS`
+        per value included) and at least one value."""
+        sizes = np.fromiter(map(len, values), np.int64, len(values))
+        ends = np.cumsum(sizes + self._padding_points() + VALUE_POINTS)
+        start = 0
+        while start < len(values):
+            reach = (int(ends[start - 1]) if start else 0) + STEP_POINTS
+            stop = max(start + 1, int(np.searchsorted(ends, reach, side="right")))
+            yield slice(start, stop)
+            start = stop
+
+    def _padding_points(self) -> int:
+        """Code points the tokenizer adds to each value."""
+        return 0
+
+    def _step_codes(self, values: Sequence[str], numbers: dict):
+        per_value = map(self.tokenize, values)
+        if not self.return_set:
+            per_value = map(dict.fromkeys, per_value)
+        return number_runs(list(per_value), numbers)
 
     def clear_cache(self) -> None:
         """Drop the :meth:`tokenize_cached` memo (e.g. between datasets)."""
@@ -93,6 +177,11 @@ class WhitespaceTokenizer(Tokenizer):
 
     def _split(self, text: str) -> list[str]:
         return text.split()
+
+    def _step_codes(self, values: Sequence[str], numbers: dict):
+        if not _splits_as(self, WhitespaceTokenizer):
+            return super()._step_codes(values, numbers)
+        return number_runs(list(map(dict.fromkeys, map(str.split, values))), numbers)
 
 
 class DelimiterTokenizer(Tokenizer):
@@ -155,6 +244,91 @@ class QgramTokenizer(Tokenizer):
         if len(text) < self.q:
             return []
         return [text[i : i + self.q] for i in range(len(text) - self.q + 1)]
+
+    def _padding_points(self) -> int:
+        return 2 * (self.q - 1) if self.padding else 0
+
+    def token_codes(self, values: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Up to ``q = 3``, in numpy, per step: the padded values joined
+        as UTF-32 code points, each gram packed into one uint64, and one
+        stable argsort of the grams (:func:`_first_sights`).  A gram is
+        made a string once, when first seen; later steps find its code
+        among the sorted packed grams numbered so far."""
+        if self.q * _POINT_BITS > 64 or not _splits_as(self, QgramTokenizer):
+            return super().token_codes(values)
+        tokens: list[str] = []
+        # The grams numbered so far, sorted, ending in a sentinel no gram
+        # packs to (q grams use at most 63 bits), so every lookup lands.
+        known = np.array([np.iinfo(np.uint64).max], np.uint64)
+        known_codes = np.array([-1])
+        codes, lengths = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)]
+        for step in self._steps(values):
+            chunk = values[step]
+            text, sizes, starts, grams, owner = self._packed_grams(chunk)
+            occurrence, kept, first = _first_sights(grams, owner)
+            heads = grams[first]
+            at = np.searchsorted(known, heads)
+            ids = known_codes[at]
+            fresh = np.flatnonzero(known[at] != heads)
+            ids[fresh] = len(tokens) + np.arange(len(fresh))
+            tokens += self._strings(text, chunk, sizes, starts[first[fresh]], owner[first[fresh]])
+            known = np.concatenate([known, heads[fresh]])
+            known_codes = np.concatenate([known_codes, ids[fresh]])
+            order = np.argsort(known, kind="stable")
+            known, known_codes = known[order], known_codes[order]
+            codes.append(ids[occurrence[kept]].astype(np.int32))
+            lengths.append(np.bincount(owner[kept], minlength=len(chunk)).astype(np.int64))
+        return tokens, np.concatenate(codes), np.concatenate(lengths)
+
+    def _packed_grams(self, values: Sequence[str]):
+        """The padded values joined, each one's padded size, and per gram
+        that does not cross a value's end: its start in the text, its q
+        code points packed into a uint64, and its value."""
+        q, pad = self.q, self._padding_points() // 2
+        prefix, suffix = self.prefix_pad * pad, self.suffix_pad * pad
+        text = prefix + (suffix + prefix).join(values) + suffix
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        sizes = np.fromiter(map(len, values), np.int64, len(values)) + 2 * pad
+        n_starts = max(len(points) - q + 1, 0)
+        packed = points[:n_starts].astype(np.uint64)
+        for j in range(1, q):
+            packed <<= np.uint64(_POINT_BITS)
+            packed |= points[j : j + n_starts]
+        ends, valid = np.cumsum(sizes), np.ones(len(points), bool)
+        for k in range(1, q):  # the last q - 1 starts of a value cross its end
+            valid[ends[ends >= k] - k] = False
+        starts = np.flatnonzero(valid[:n_starts])
+        owner = np.repeat(np.arange(len(values)), np.maximum(sizes - q + 1, 0))
+        return text, sizes, starts, packed[starts], owner
+
+    def _strings(self, text: str, values: Sequence[str], sizes, starts, owner) -> list[str]:
+        """The grams at ``starts`` of ``text`` as strings.  Unpadded, a
+        value of exactly q characters is its own gram, as slicing it is."""
+        q = self.q
+        strings = list(map(text.__getitem__, map(slice, starts.tolist(), (starts + q).tolist())))
+        if not self._padding_points():
+            for i in np.flatnonzero(sizes[owner] == q).tolist():
+                strings[i] = values[owner[i]]
+        return strings
+
+
+def _first_sights(grams: np.ndarray, owner: np.ndarray):
+    """One stable argsort of ``grams``: each occurrence's local number (its
+    gram's rank by first sight), which occurrences are their value's first
+    of that gram, and each local number's first occurrence."""
+    order = np.argsort(grams, kind="stable")
+    ordered = grams[order]
+    same = ordered[1:] == ordered[:-1]
+    kept = np.ones(len(grams), bool)
+    kept[order[1:]] = ~(same & (owner[order[1:]] == owner[order[:-1]]))
+    heads = np.concatenate([[True], ~same])[: len(grams)]
+    first = order[heads]  # per distinct gram, in gram order
+    seen = np.argsort(first)
+    local = np.empty(len(first), np.int64)
+    local[seen] = np.arange(len(first))
+    occurrence = np.empty(len(grams), np.int64)
+    occurrence[order] = local[np.cumsum(heads) - 1]
+    return occurrence, kept, first[seen]
 
 
 class QgramBagTokenizer(QgramTokenizer):

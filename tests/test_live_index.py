@@ -14,6 +14,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 
@@ -889,6 +890,34 @@ class TestBoundedMemory:
         assert old() is None
         assert all(row in store.disk_artifacts() for row in files)
         assert live.search("dave smith0")[0]
+
+    def test_a_disk_warm_base_keeps_what_a_cold_one_keeps(self, tmp_path):
+        """Read from disk, ``records``, ``encoding`` and ``arrayindex`` are
+        three pickles; the base must still hold one key list and the
+        table's own strings, not a copy per artifact."""
+        rng = random.Random(5)
+        words = [f"w{i}" for i in range(3000)]
+        values = [" ".join(rng.choices(words, k=rng.randint(2, 6))) for _ in range(20_000)]
+        table = Table({"id": [f"k{i}" for i in range(len(values))], "v": values})
+
+        def kept(store):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                live = LiveIndex.from_table(table, "id", "v", threshold=0.6, store=store)
+                gc.collect()
+                return live, tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+
+        with use_registry():
+            cold, cold_bytes = kept(IndexStore(cache_dir=tmp_path))
+            warm, warm_bytes = kept(IndexStore(cache_dir=tmp_path))
+        assert warm_bytes <= 1.2 * cold_bytes
+        assert warm._base.keys is warm._store.record_columns(table, "id", "v").keys
+        probes = values[:200] + PROBES
+        assert [warm.search(value) for value in probes] == [cold.search(value) for value in probes]
 
 
 class TestKeyMapOnFirstUse:

@@ -1,6 +1,9 @@
 """Tests for type inference and CSV I/O with metadata."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import get_catalog
 from repro.exceptions import CatalogError
@@ -26,6 +29,58 @@ class TestMissing:
     @pytest.mark.parametrize("value", [0, 0.0, False, "x", -1])
     def test_present_values(self, value):
         assert not is_missing(value)
+
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.longdouble])
+    def test_numpy_float_nan_is_missing(self, kind):
+        """``np.float32`` and ``np.float16`` do not subclass ``float``."""
+        assert is_missing(kind("nan"))
+        assert not is_missing(kind(1.5))
+
+    def test_a_numpy_nan_cell_has_no_text(self):
+        from repro.blocking import text_view
+        from repro.blocking.base import TEXT
+        from repro.index import IndexStore
+
+        table = Table({"id": [1, 2, 3], "v": [np.float32("nan"), np.float16(2.5), "x"]})
+        assert text_view(table, "id", ["v"])[TEXT] == [None, "2.5", "x"]
+        records = IndexStore().record_columns(table, "id", "v")
+        assert (records.keys, records.values) == ([2, 3], ["2.5", "x"])
+
+
+#: Cells of mixed columns: missing markers of every kind, blanks a
+#: ``str.strip`` must see (a tab, an ideographic space), and present
+#: values that look empty (NUL, ``0``, ``False``).
+CELLS = st.one_of(
+    st.sampled_from([
+        None, "", " ", " \t", "\u3000", "\x00", "a", " a ", 0, 1, True, False, 0.0, 1.5,
+        float("nan"), np.float16("nan"), np.float32("nan"), np.float64("nan"),
+        np.float32(2.0), np.int64(3),
+    ]),
+    st.text(max_size=3),
+    st.floats(allow_nan=True),
+    st.integers(),
+)
+
+
+class TestPresentMask:
+    """The bulk missing decision is ``is_missing`` per cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CELLS, max_size=12))
+    def test_equals_is_missing_per_cell(self, values):
+        from repro.table.schema import present_mask
+
+        mask = present_mask(values)
+        assert mask.dtype == bool
+        assert mask.tolist() == [not is_missing(value) for value in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.text(max_size=3)), max_size=12))
+    def test_string_columns_equal_is_missing_per_cell(self, values):
+        """The C-level ``str`` (and ``None``) branch."""
+        from repro.table.schema import present_mask
+
+        assert present_mask(values).tolist() == [not is_missing(value) for value in values]
 
 
 class TestTypeInference:

@@ -28,7 +28,13 @@ from repro.perf import arrays
 from repro.perf.tokens import TokenUniverse
 from repro.table import Table
 from repro.table.schema import is_missing
-from repro.text.tokenizers import DelimiterTokenizer, QgramTokenizer, WhitespaceTokenizer
+from repro.text import tokenizers
+from repro.text.tokenizers import (
+    DelimiterTokenizer,
+    QgramBagTokenizer,
+    QgramTokenizer,
+    WhitespaceTokenizer,
+)
 
 TOKENIZERS = [
     WhitespaceTokenizer(return_set=True),
@@ -38,6 +44,15 @@ TOKENIZERS = [
     QgramTokenizer(q=3),
     QgramTokenizer(q=3, padding=False, return_set=True),
     DelimiterTokenizer({",", ";"}, return_set=True),
+    # q = 1..3 padded and unpadded (the numpy path), q = 4 and tagged
+    # grams (the per-value path)
+    QgramTokenizer(q=1),
+    QgramTokenizer(q=1, padding=False, return_set=True),
+    QgramTokenizer(q=2),
+    QgramTokenizer(q=3, return_set=True),
+    QgramTokenizer(q=2, padding=True, prefix_pad="a", suffix_pad="\U0001F600"),
+    QgramTokenizer(q=4),
+    QgramBagTokenizer(q=2),
 ]
 
 
@@ -134,9 +149,13 @@ def assert_like_oracle(ltable: Table, rtable: Table, tokenizer, self_pair: bool)
 
 
 # Pieces that stress the token strings: NUL (``"a\x00"`` is not ``"a"``),
-# non-BMP code points, delimiters, and blanks (a value of only blanks is
-# missing: no record).
-PIECES = ["a", "b", "ab", "\x00", "a\x00", " ", ",", ";", "é", "\U0001F600", "x\U00010348"]
+# non-BMP code points and lone surrogates, delimiters, the pad characters
+# inside values, and blanks (a value of only blanks is missing: no
+# record).  Short draws give empty strings and strings shorter than q.
+PIECES = [
+    "a", "b", "ab", "\x00", "a\x00", " ", ",", ";", "é", "\U0001F600", "x\U00010348",
+    "\ud800", "\udfff", "#", "$", "#$", "aaa",
+]
 VALUES = st.lists(st.sampled_from(PIECES), max_size=6).map("".join)
 
 
@@ -191,6 +210,50 @@ class TestCodesEqualTheFlatLayout:
         assert_like_oracle(*tables, tokenizer, self_pair=False)
 
 
+class TestBulkTokenCodes:
+    """``Tokenizer.token_codes`` against its oracle, ``tokenize`` per value."""
+
+    @staticmethod
+    def oracle(tokenizer, values: list[str]):
+        numbers: dict[str, int] = {}
+        codes, lengths = [], []
+        for value in values:
+            tokens = list(dict.fromkeys(tokenizer.tokenize(value)))
+            lengths.append(len(tokens))
+            codes += [numbers.setdefault(token, len(numbers)) for token in tokens]
+        return list(numbers), codes, lengths
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(VALUES, max_size=12), st.sampled_from(TOKENIZERS), st.integers(1, 30),
+           st.integers(0, 2))
+    def test_like_tokenize_per_value(self, values, tokenizer, budget, per_value):
+        """A budget of 1..30 code points cuts steps mid-column, so grams
+        and words first seen in one step recur in later ones."""
+        with mock.patch.object(tokenizers, "STEP_POINTS", budget), \
+                mock.patch.object(tokenizers, "VALUE_POINTS", per_value):
+            distinct, codes, lengths = tokenizer.token_codes(values)
+        assert codes.dtype == np.int32 and lengths.dtype == np.int64
+        assert (distinct, codes.tolist(), lengths.tolist()) == self.oracle(tokenizer, values)
+
+    def test_a_subclass_that_tokenizes_its_own_way_is_read_per_value(self):
+        class Upper(QgramTokenizer):
+            def tokenize(self, text):
+                return super().tokenize(text.upper())
+
+        distinct, _, _ = Upper(q=2).token_codes(["ab"])
+        assert distinct == ["#A", "AB", "B$"]
+
+
+class TestStepBudget:
+    @settings(max_examples=60, deadline=None)
+    @given(table_pairs(), st.sampled_from(TOKENIZERS), st.booleans(), st.integers(1, 12))
+    def test_a_tiny_budget_splits_a_column(self, tables, tokenizer, self_pair, budget):
+        """Steps of a few code points end inside every column."""
+        with mock.patch.object(tokenizers, "STEP_POINTS", budget), \
+                mock.patch.object(tokenizers, "VALUE_POINTS", 1):
+            assert_like_oracle(*tables, tokenizer, self_pair)
+
+
 #: Building ``tokens`` for a 20k-value column may peak at most this many
 #: times the bytes the artifact keeps.  The flat layout peaked at ~5.2x
 #: here: every value's token list was held at once.
@@ -217,3 +280,27 @@ def test_building_tokens_peaks_within_a_multiple_of_the_artifact():
         tracemalloc.stop()
     assert len(column.values) > 19_000
     assert peak - start <= TOKENS_PEAK_BOUND * (kept - start)
+
+
+def test_building_qgram_tokens_peaks_within_a_multiple_of_the_artifact():
+    """Values of 500+ characters: a step is bounded by code points, not
+    by a count of values, so the build's transient stays a fraction of
+    what it keeps."""
+    rng = random.Random(0)
+    letters = "abcdefghijklmnopqrstuvwxyz "
+    values = ["".join(rng.choices(letters, k=rng.randint(500, 700))) for _ in range(3_000)]
+    table = Table({"id": list(range(len(values))), "v": values})
+    for tokenizer in (QgramTokenizer(q=3), QgramTokenizer(q=2, return_set=True)):
+        store = IndexStore()
+        store.record_columns(table, "id", "v")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            column = store.tokenized_column(table, "id", "v", tokenizer)
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(column.values) == len(values)
+        assert peak - start <= TOKENS_PEAK_BOUND * (kept - start)
