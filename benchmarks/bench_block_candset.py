@@ -11,13 +11,18 @@ a ``VectorBlocker`` on ``name``):
 
 * ``block_candset`` of that candidate set, median of ``REPEATS`` runs,
   each on a fresh index store;
+* where that time goes: the median seconds of its three steps run apart
+  (resolving the candidate set's keys and FKs to rows, ``keep``, and the
+  take plus registration of the kept pairs), checked to give
+  ``block_candset``'s result;
 * the same blocker's ``block_tables`` over all of A x B;
 * the pairs each keeps, and a digest of the filtered candidate set's
   foreign keys in order, so two trees compare by their output files.
 
 A sparse case follows: 1,000 pairs of restaurant 100,000 x 100,000 drawn
 at random, filtered by the overlap, equality and rule filters on a fresh
-store, with no ``block_tables`` run before, so nothing is encoded yet.
+store, with no ``block_tables`` run before, so nothing is encoded yet;
+its three steps are timed apart too.
 A filter reads only the rows the pairs reference there (under a quarter
 of each table), so its cost follows the candidate set, not the tables.
 
@@ -30,7 +35,7 @@ chains" in ``docs/PERFORMANCE.md`` in both orders (three
 overlap_size=1)``), checks that both orders give ``==`` candidate sets,
 asserts the time bars and writes ``benchmarks/results/block_candset.txt``.
 
-Run: ``PYTHONPATH=src python benchmarks/bench_block_candset.py`` (~30 s
+Run: ``PYTHONPATH=src python benchmarks/bench_block_candset.py`` (~45 s
 on 2 cores).  ``--smoke`` runs restaurant 300 x 300, 100 pairs of
 3,000 x 3,000 and one 300-row job without the time bars, into the
 untracked ``block_candset_smoke.txt``.
@@ -50,6 +55,7 @@ sys.path.insert(0, str(BENCH_DIR))
 sys.path.insert(0, str(BENCH_DIR / "spine"))
 
 import gen  # noqa: E402
+import numpy as np  # noqa: E402
 from _report import format_table, report  # noqa: E402
 
 from repro.blocking import (  # noqa: E402
@@ -60,7 +66,9 @@ from repro.blocking import (  # noqa: E402
     candset_pairs,
     make_candset,
 )
+from repro.blocking.base import CANDSET_ID  # noqa: E402
 from repro.catalog import get_catalog  # noqa: E402
+from repro.catalog.checks import resolve_candset  # noqa: E402
 from repro.datasets import DirtinessConfig, make_em_dataset  # noqa: E402
 from repro.datasets.entities import restaurant  # noqa: E402
 from repro.features import get_features_for_blocking  # noqa: E402
@@ -99,6 +107,28 @@ def spread(seconds: list[float]) -> str:
     return f"{statistics.median(seconds):.3f} [{min(seconds):.3f}-{max(seconds):.3f}]"
 
 
+def steps(blocker, candset: Table) -> tuple[Table, str]:
+    """``blocker.block_candset(candset)`` as its three steps, each timed:
+    the result and ``"resolve / keep / take"``, the median seconds of each
+    step over ``REPEATS`` runs, each run on a fresh index store."""
+    cat = get_catalog()
+    runs = []
+    for _ in range(REPEATS):
+        with use_index_store():
+            started = time.perf_counter()
+            meta, l_pos, r_pos = resolve_candset(candset, cat)
+            resolved = time.perf_counter()
+            keep = np.flatnonzero(blocker.keep(meta.ltable, meta.rtable, l_pos, r_pos)).tolist()
+            kept = time.perf_counter()
+            result = candset.take(keep)
+            result.add_column(CANDSET_ID, list(range(len(keep))))
+            cat.set_candset_metadata(
+                result, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
+            )
+            runs.append((resolved - started, kept - resolved, time.perf_counter() - kept))
+    return result, " / ".join(f"{statistics.median(step):.3f}" for step in zip(*runs))
+
+
 def filters(ltable: Table, rtable: Table) -> list[tuple[str, object, bool]]:
     """``(label, blocker, exact)``: ``exact`` when ``block_tables`` is
     the filter's own decision over A x B."""
@@ -124,6 +154,8 @@ def filter_rows(size: dict) -> tuple[int, list[dict], dict]:
     rows, medians = [], {}
     for label, blocker, exact in filters(ltable, rtable):
         kept, filter_s = timed(lambda: blocker.block_candset(base))
+        stepped, step_s = steps(blocker, base)
+        assert digest(stepped) == digest(kept), label
         blocked, tables_s = timed(lambda: blocker.block_tables(ltable, rtable), repeats=1)
         if exact:
             survivors = set(candset_pairs(blocked))
@@ -135,6 +167,7 @@ def filter_rows(size: dict) -> tuple[int, list[dict], dict]:
             "filter": label,
             "pairs kept": f"{kept.num_rows:,}",
             "block_candset s": spread(filter_s),
+            "resolve / keep / take s": step_s,
             "block_tables s (A x B)": f"{tables_s[0]:.3f}",
             "block_tables pairs": f"{blocked.num_rows:,}",
             "digest": digest(kept),
@@ -153,10 +186,13 @@ def sparse_rows(size: dict) -> list[dict]:
     rows = []
     for label, blocker, _ in filters(ltable, rtable)[:3]:
         kept, seconds = timed(lambda: blocker.block_candset(candset))
+        stepped, step_s = steps(blocker, candset)
+        assert digest(stepped) == digest(kept), label
         rows.append({
             "filter": label,
             "pairs in -> kept": f"{candset.num_rows:,} -> {kept.num_rows:,}",
             "block_candset s": spread(seconds),
+            "resolve / keep / take s": step_s,
             "digest": digest(kept),
         })
     return rows
@@ -209,7 +245,8 @@ def main(smoke: bool = False) -> dict:
     body = "\n".join([
         f"restaurant {n} x {n} (light, seed {SEED}); base OverlapBlocker(\"name\", "
         f"overlap_size=1): {n_base:,} pairs.  block_candset: median [min-max] of "
-        f"{REPEATS} runs, each on a fresh index store; block_tables: one run over A x B.",
+        f"{REPEATS} runs, each on a fresh index store; resolve / keep / take: the medians of "
+        f"its three steps run apart; block_tables: one run over A x B.",
         "",
         format_table(rows),
         "",

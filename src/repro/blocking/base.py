@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.catalog.catalog import Catalog, get_catalog
-from repro.catalog.checks import validate_candset
+from repro.catalog.checks import check_fk_constraint, resolve_candset
 from repro.exceptions import SchemaError
 from repro.index.store import use_index_store
 from repro.obs import get_registry
@@ -122,13 +122,6 @@ def fk_column_names(l_key: str, r_key: str) -> tuple[str, str]:
     return f"ltable_{l_key}", f"rtable_{r_key}"
 
 
-def key_positions(table: Table, key: str, values: Sequence[Any]) -> np.ndarray:
-    """Row position in ``table`` of each ``key`` value in ``values``."""
-    table.validate_key(key)
-    position = dict(zip(table.column(key), range(table.num_rows)))
-    return np.fromiter(map(position.__getitem__, values), np.int64, len(values))
-
-
 def key_order(table: Table, key: str) -> np.ndarray:
     """``table``'s row positions in ascending ``key`` order."""
     keys = table.column(key)
@@ -195,22 +188,22 @@ def _candset(
     r_key: str, l_output_attrs: Sequence[str], r_output_attrs: Sequence[str], catalog,
 ) -> Table:
     """The one candidate-set builder: ``_id`` a range, the two FK columns,
-    each output attribute one take of its base column at ``positions``;
-    then the catalog registration.  An output attribute that repeats, or
-    that names the key (the FK column already carries it), is taken once
-    or not at all."""
+    each output attribute one take of its base column at ``positions`` (a
+    side's ``None``: its checked FKs' rows); then the catalog registration.
+    An output attribute that repeats, or that names the key (the FK column
+    already carries it), is taken once or not at all."""
     cat = catalog if catalog is not None else get_catalog()
     fk_l, fk_r = fk_column_names(l_key, r_key)
-    columns: dict[str, Sequence[Any]] = {CANDSET_ID: range(len(fks[0]))}
-    columns[fk_l], columns[fk_r] = fks
-    for side, table, key, attrs, pos in (
-        ("ltable", ltable, l_key, l_output_attrs, positions[0]),
-        ("rtable", rtable, r_key, r_output_attrs, positions[1]),
+    candset = Table({CANDSET_ID: range(len(fks[0])), fk_l: fks[0], fk_r: fks[1]})
+    for side, fk, table, key, attrs, pos in (
+        ("ltable", fk_l, ltable, l_key, l_output_attrs, positions[0]),
+        ("rtable", fk_r, rtable, r_key, r_output_attrs, positions[1]),
     ):
+        if attrs and pos is None:
+            pos = check_fk_constraint(candset, fk, table, key)
         for attr in dict.fromkeys(attrs):
             if attr != key:
-                columns[f"{side}_{attr}"] = arrays.take_values(table.column(attr), pos)
-    candset = Table(columns)
+                candset.add_column(f"{side}_{attr}", arrays.take_values(table.column(attr), pos))
     cat.set_key(ltable, l_key)
     cat.set_key(rtable, r_key)
     cat.set_candset_metadata(candset, CANDSET_ID, fk_l, fk_r, ltable, rtable)
@@ -246,17 +239,13 @@ def make_candset(
     """Build a candidate-set table from (l_key_value, r_key_value) pairs.
 
     Registers the candidate set's metadata (key ``_id``, both FKs, the base
-    tables) in the catalog so downstream tools can validate it.  The key
-    values are not checked here: a dangling one fails
-    :func:`~repro.catalog.checks.validate_candset` later.
+    tables) in the catalog so downstream tools can validate it.  A side's
+    keys are checked here only when it takes output attributes; otherwise
+    a dangling one fails :func:`~repro.catalog.checks.validate_candset` later.
     """
     fks = tuple(map(list, zip(*pairs))) or ([], [])
-    positions = (
-        key_positions(ltable, l_key, fks[0]) if l_output_attrs else None,
-        key_positions(rtable, r_key, fks[1]) if r_output_attrs else None,
-    )
     return _candset(
-        fks, positions, ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
+        fks, (None, None), ltable, rtable, l_key, r_key, l_output_attrs, r_output_attrs, catalog
     )
 
 
@@ -330,8 +319,8 @@ class Blocker:
     ) -> Table:
         """Further filter an existing candidate set with this blocker.
 
-        Validates the candidate set's metadata first (self-containment),
-        then keeps the pairs :meth:`keep` keeps, in their order, and
+        Resolves the candidate set first (self-containment), then keeps
+        the pairs :meth:`keep` keeps, in their order, and
         registers the result against the same base tables.
 
         For most blockers this is a *pair-local* filter, each pair kept
@@ -343,11 +332,7 @@ class Blocker:
         against each other, so its place in a chain matters.
         """
         cat = catalog if catalog is not None else get_catalog()
-        meta = validate_candset(candset, cat)
-        l_pos, r_pos = (
-            key_positions(table, cat.get_key(table), candset.column(fk))
-            for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable))
-        )
+        meta, l_pos, r_pos = resolve_candset(candset, cat)
         keep = np.flatnonzero(self.keep(meta.ltable, meta.rtable, l_pos, r_pos)).tolist()
         observe_blocking(self, len(keep))
         result = candset.take(keep)

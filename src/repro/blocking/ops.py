@@ -12,9 +12,9 @@ order.
 
 from __future__ import annotations
 
-from repro.blocking.base import PairCodes, candset_from_positions, key_positions
+from repro.blocking.base import PairCodes, candset_from_positions
 from repro.catalog.catalog import Catalog, get_catalog
-from repro.catalog.checks import validate_candset
+from repro.catalog.checks import resolve_candset
 from repro.exceptions import SchemaError
 from repro.perf import arrays
 from repro.table.table import Table
@@ -22,24 +22,16 @@ from repro.table.table import Table
 
 def _combine(a: Table, b: Table, catalog: Catalog | None, operation) -> Table:
     cat = catalog if catalog is not None else get_catalog()
-    metas = validate_candset(a, cat), validate_candset(b, cat)
-    if metas[0].ltable is not metas[1].ltable or metas[0].rtable is not metas[1].rtable:
+    (meta_a, *pos_a), (meta_b, *pos_b) = resolve_candset(a, cat), resolve_candset(b, cat)
+    if meta_a.ltable is not meta_b.ltable or meta_a.rtable is not meta_b.rtable:
         raise SchemaError(
             "candidate sets were built over different base tables; "
             "set operations require the same A and B"
         )
-    ltable, rtable = metas[0].ltable, metas[0].rtable
+    ltable, rtable = meta_a.ltable, meta_a.rtable
     l_key, r_key = cat.get_key(ltable), cat.get_key(rtable)
     codes = PairCodes.by_key(ltable, rtable, l_key, r_key)
-    operands = [
-        arrays.unique_sorted(
-            codes.encode(
-                key_positions(ltable, l_key, candset.column(meta.fk_ltable)),
-                key_positions(rtable, r_key, candset.column(meta.fk_rtable)),
-            )
-        )
-        for candset, meta in zip((a, b), metas)
-    ]
+    operands = [arrays.unique_sorted(codes.encode(*pos)) for pos in (pos_a, pos_b)]
     l_pos, r_pos = codes.decode(operation(*operands))
     return candset_from_positions(l_pos, r_pos, ltable, rtable, l_key, r_key, catalog=cat)
 

@@ -135,8 +135,9 @@ class Catalog:
             )
         return entry
 
-    def copy_metadata(self, source: Table, target: Table) -> None:
-        """Copy the source table's metadata record onto the target table."""
+    def copy_metadata(self, source: Table, target: Table) -> Table:
+        """Copy the source table's metadata record onto the target table,
+        and return the target."""
         entry = self._entries.get(source)
         if entry is None:
             raise CatalogError("source table has no metadata to copy")
@@ -148,6 +149,7 @@ class Catalog:
             rtable=entry.rtable,
             properties=dict(entry.properties),
         )
+        return target
 
     # ------------------------------------------------------------------
     # Free-form properties

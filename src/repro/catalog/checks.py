@@ -11,10 +11,15 @@ functions implement those checks for all downstream commands.
 from __future__ import annotations
 
 import warnings
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 from repro.catalog.catalog import Catalog, TableMetadata, get_catalog
 from repro.exceptions import ForeignKeyConstraintError, KeyConstraintError
 from repro.table.table import Table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StaleMetadataWarning(UserWarning):
@@ -23,20 +28,47 @@ class StaleMetadataWarning(UserWarning):
 
 def check_fk_constraint(
     child: Table, fk_column: str, parent: Table, parent_key: str
-) -> None:
+) -> np.ndarray:
     """Verify every FK value in ``child`` exists as a key in ``parent``.
 
     Raises :class:`ForeignKeyConstraintError` on dangling references and
     :class:`KeyConstraintError` if the parent key itself is invalid.
+    Returns each FK value's row in ``parent``, read off the ``{key: row}``
+    dict that is also the key check: each key and FK value is hashed once.
     """
-    parent.validate_key(parent_key)
-    parent_keys = set(parent.column(parent_key))
-    dangling = [v for v in child.column(fk_column) if v not in parent_keys]
-    if dangling:
+    import numpy  # lazily: ``import repro.catalog`` does not load numpy
+
+    keys = parent.column(parent_key)
+    try:
+        position = dict(zip(keys, range(len(keys))))
+    except TypeError:  # an unhashable key: validate_key raises, a missing key first
+        position = {}
+    if None in position or len(position) < len(keys):
+        parent.validate_key(parent_key)
+    fks = child.column(fk_column)
+    rows = numpy.fromiter(map(position.get, fks, repeat(-1)), numpy.int64, len(fks))
+    dangling = numpy.flatnonzero(rows < 0)
+    if len(dangling):
         raise ForeignKeyConstraintError(
             f"{len(dangling)} value(s) in {fk_column!r} have no matching "
-            f"{parent_key!r} in the parent table (e.g. {dangling[:3]})"
+            f"{parent_key!r} in the parent table (e.g. {[fks[i] for i in dangling[:3]]})"
         )
+    return rows
+
+
+def resolve_candset(
+    candset: Table, catalog: Catalog | None = None
+) -> tuple[TableMetadata, np.ndarray, np.ndarray]:
+    """Check a candidate set's key, then both FK constraints into its base
+    tables, and return its :class:`TableMetadata` and each pair's left and
+    right base row.  Nothing is cached: a base table may change between
+    the commands that read a candidate set."""
+    cat = catalog if catalog is not None else get_catalog()
+    meta = cat.get_candset_metadata(candset)
+    candset.validate_key(meta.key)
+    l_pos = check_fk_constraint(candset, meta.fk_ltable, meta.ltable, cat.get_key(meta.ltable))
+    r_pos = check_fk_constraint(candset, meta.fk_rtable, meta.rtable, cat.get_key(meta.rtable))
+    return meta, l_pos, r_pos
 
 
 def validate_candset(
@@ -55,15 +87,12 @@ def validate_candset(
     Returns the validated :class:`TableMetadata` record.
     """
     cat = catalog if catalog is not None else get_catalog()
-    meta = cat.get_candset_metadata(candset)
     try:
-        candset.validate_key(meta.key)
-        check_fk_constraint(candset, meta.fk_ltable, meta.ltable, cat.get_key(meta.ltable))
-        check_fk_constraint(candset, meta.fk_rtable, meta.rtable, cat.get_key(meta.rtable))
+        return resolve_candset(candset, cat)[0]
     except (ForeignKeyConstraintError, KeyConstraintError) as exc:
         if strict:
             raise
         warnings.warn(
             f"candidate-set metadata is stale: {exc}", StaleMetadataWarning, stacklevel=2
         )
-    return meta
+    return cat.get_candset_metadata(candset)

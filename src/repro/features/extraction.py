@@ -23,9 +23,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.blocking.base import CANDSET_ID, key_positions
+from repro.blocking.base import CANDSET_ID
 from repro.catalog.catalog import Catalog, get_catalog
-from repro.catalog.checks import validate_candset
+from repro.catalog.checks import resolve_candset
 from repro.exceptions import ConfigurationError
 from repro.features.feature import SCALAR_FALLBACK, Feature, FeatureTable, ValueView
 from repro.ml.impute import SimpleImputer
@@ -119,13 +119,11 @@ def extract_feature_vecs(
     candidate set.
     """
     cat = catalog if catalog is not None else get_catalog()
-    meta = validate_candset(candset, cat)
+    meta, l_rows, r_rows = resolve_candset(candset, cat)
     if label_column is not None:
         candset.require_columns([label_column])
     fk_l, fk_r = candset.column(meta.fk_ltable), candset.column(meta.fk_rtable)
     l_key, r_key = cat.get_key(meta.ltable), cat.get_key(meta.rtable)
-    l_rows = key_positions(meta.ltable, l_key, fk_l)
-    r_rows = key_positions(meta.rtable, r_key, fk_r)
     values = feature_columns(
         ((meta.ltable, l_key), (meta.rtable, r_key)), l_rows, r_rows, feature_table.features()
     )

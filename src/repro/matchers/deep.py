@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.catalog.catalog import Catalog, get_catalog
-from repro.catalog.checks import validate_candset
+from repro.catalog.catalog import Catalog
+from repro.catalog.checks import resolve_candset
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.table.schema import is_missing
 from repro.table.table import Table
@@ -69,17 +69,13 @@ class DeepMatcher:
     ) -> np.ndarray:
         """One row per pair: (product, absolute difference) of the two
         embeddings of each attribute, attributes in order.  Each distinct
-        value is embedded once per call."""
-        cat = catalog if catalog is not None else get_catalog()
-        meta = validate_candset(candset, cat)
-        l_index = meta.ltable.index_by(cat.get_key(meta.ltable))
-        r_index = meta.rtable.index_by(cat.get_key(meta.rtable))
-        l_rows = [l_index[l_id] for l_id in candset.column(meta.fk_ltable)]
-        r_rows = [r_index[r_id] for r_id in candset.column(meta.fk_rtable)]
+        value is embedded once per call, a missing attribute as ''."""
+        meta, l_pos, r_pos = resolve_candset(candset, catalog)
         embeddings: dict[str, np.ndarray] = {}
 
-        def embed(rows: list[dict], attr: str) -> np.ndarray:
-            texts = ["" if is_missing(row.get(attr)) else str(row[attr]) for row in rows]
+        def embed(table: Table, pos: np.ndarray, attr: str) -> np.ndarray:
+            column = table.column(attr) if attr in table else [None] * table.num_rows
+            texts = ["" if is_missing(v) else str(v) for v in map(column.__getitem__, pos.tolist())]
             for text in texts:
                 if text not in embeddings:
                     embeddings[text] = _trigram_embed(text, self.embedding_dim)
@@ -87,7 +83,7 @@ class DeepMatcher:
 
         pieces = []
         for attr in self.attributes:
-            left, right = embed(l_rows, attr), embed(r_rows, attr)
+            left, right = embed(meta.ltable, l_pos, attr), embed(meta.rtable, r_pos, attr)
             pieces += [left * right, np.abs(left - right)]
         return np.hstack(pieces)
 

@@ -28,7 +28,9 @@ import random
 
 import numpy as np
 
-from repro.blocking.base import TEXT, key_positions, record_numbers, text_view
+from repro.blocking.base import TEXT, record_numbers, text_view
+from repro.catalog.catalog import get_catalog
+from repro.catalog.checks import resolve_candset, validate_candset
 from repro.exceptions import ConfigurationError
 from repro.index.store import get_index_store
 from repro.perf import arrays
@@ -131,8 +133,10 @@ def naive_down_sample(
 
 
 def sample_candset(candset: Table, n: int, seed: int | None = None) -> Table:
-    """Uniformly sample ``n`` rows of a candidate set (guide step 'Sampling')."""
-    return candset.sample(n, seed=seed)
+    """A uniform sample of ``n`` rows of a candidate set, as one (guide step 'Sampling')."""
+    cat = get_catalog()
+    validate_candset(candset, cat)
+    return cat.copy_metadata(candset, candset.sample(n, seed=seed))
 
 
 def weighted_sample_candset(
@@ -154,11 +158,9 @@ def weighted_sample_candset(
     step working at all.
 
     Requires the candidate set's catalog metadata (to reach the base
-    tuples); ``n < 0`` or ``top_fraction`` outside ``[0, 1]`` raises
-    :class:`~repro.exceptions.ConfigurationError`.
+    tuples), which the sample shares; ``n < 0`` or ``top_fraction``
+    outside ``[0, 1]`` raises :class:`~repro.exceptions.ConfigurationError`.
     """
-    from repro.catalog.catalog import get_catalog
-    from repro.catalog.checks import validate_candset
     from repro.features.feature import ValueView, make_token_feature
     from repro.text.sim.token_based import Jaccard
 
@@ -166,18 +168,14 @@ def weighted_sample_candset(
         raise ConfigurationError(f"n must be >= 0, got {n}")
     if not 0.0 <= top_fraction <= 1.0:
         raise ConfigurationError(f"top_fraction must be in [0, 1], got {top_fraction}")
-    if candset.num_rows <= n:
-        return candset.copy()
     cat = get_catalog()
-    meta = validate_candset(candset, cat)
+    meta, l_rows, r_rows = resolve_candset(candset, cat)
+    if candset.num_rows <= n:
+        return cat.copy_metadata(candset, candset.copy())
     sides = [
         (row_text_view(table, cat.get_key(table)), cat.get_key(table), TEXT)
         for table in (meta.ltable, meta.rtable)
     ]
-    l_rows, r_rows = (
-        key_positions(table, cat.get_key(table), candset.column(fk))
-        for table, fk in ((meta.ltable, meta.fk_ltable), (meta.rtable, meta.fk_rtable))
-    )
     view, inverse = ValueView.at_rows(sides, l_rows, r_rows)
     jaccard = make_token_feature(
         "jaccard_ws", TEXT, TEXT, WhitespaceTokenizer(return_set=True), Jaccard(), "jaccard"
@@ -192,8 +190,4 @@ def weighted_sample_candset(
     rng = random.Random(seed)
     rng.shuffle(rest)
     picked = sorted(top + rest[: n - len(top)])
-    sample = candset.take(picked)
-    cat.set_candset_metadata(
-        sample, meta.key, meta.fk_ltable, meta.fk_rtable, meta.ltable, meta.rtable
-    )
-    return sample
+    return cat.copy_metadata(candset, candset.take(picked))

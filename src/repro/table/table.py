@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from operator import is_
 from typing import Any
 
 from repro.exceptions import KeyConstraintError, SchemaError
@@ -251,7 +253,7 @@ class Table:
         A valid key column has no ``None`` values and no duplicates.
         """
         values = self.column(name)
-        if any(v is None for v in values):
+        if any(map(is_, values, repeat(None))):
             raise KeyConstraintError(f"key column {name!r} contains missing values")
         if len(set(values)) != len(values):
             raise KeyConstraintError(f"key column {name!r} contains duplicates")

@@ -903,6 +903,17 @@ class TestCandsetBuilder:
         with pytest.raises(ForeignKeyConstraintError):
             validate_candset(candset)
 
+    def test_output_attrs_of_a_dangling_key_raise_the_fk_error(self):
+        table_a = Table({"id": [1, 2, 3], "name": ["x", "y", "z"]})
+        table_b = Table({"id": [10, 20], "name": ["u", "v"]})
+        pairs = [(1, 10), (4, 20)]
+        with pytest.raises(
+            ForeignKeyConstraintError, match=r"1 value\(s\) in 'ltable_id' .*\(e\.g\. \[4\]\)"
+        ):
+            make_candset(pairs, table_a, table_b, "id", "id", l_output_attrs=["name"])
+        # Without output attributes a key is checked later, not at build.
+        assert make_candset(pairs, table_a, table_b, "id", "id").num_rows == 2
+
     def test_rule_blocker_counts_each_call_once(self, name_rule_tables):
         table_a, table_b, rule = name_rule_tables
         with use_registry() as registry:

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.blocking import OverlapBlocker
+from repro.blocking import OverlapBlocker, candset_pairs, make_candset
+from repro.catalog import get_catalog
 from repro.exceptions import ConfigurationError
+from repro.features import extract_feature_vecs, get_features_for_matching
+from repro.labeling import LabelingSession, OracleLabeler
 from repro.sampling import (
     down_sample,
     naive_down_sample,
@@ -155,3 +158,29 @@ class TestCandsetSampling:
         sample = weighted_sample_candset(candset, 10, seed=0)
         meta = get_catalog().get_candset_metadata(sample)
         assert meta.ltable is small_person_dataset.ltable
+
+
+class TestSamplesAreCandsets:
+    """Either sampler's output is a candidate set over the same base
+    tables, so the guide's Label and feature steps can read it."""
+
+    @pytest.mark.parametrize("sampler", [sample_candset, weighted_sample_candset])
+    @pytest.mark.parametrize("extra", [-25, 0, 5])
+    def test_label_then_extract_a_sample(self, small_person_dataset, sampler, extra):
+        ds = small_person_dataset
+        blocked = OverlapBlocker("name", overlap_size=1).block_tables(
+            ds.ltable, ds.rtable, "id", "id"
+        )
+        candset = make_candset(candset_pairs(blocked)[:40], ds.ltable, ds.rtable, "id", "id")
+        n = candset.num_rows + extra
+        sample = sampler(candset, n, seed=0)
+        assert sample.num_rows == min(n, candset.num_rows)
+        if extra >= 0:  # all of the candidate set, in its order
+            assert sample == candset
+        meta = get_catalog().get_candset_metadata(sample)
+        assert meta.ltable is ds.ltable and meta.rtable is ds.rtable
+        LabelingSession(OracleLabeler(ds.gold_pairs)).label_candset(sample)
+        features = get_features_for_matching(ds.ltable, ds.rtable, "id", "id")
+        fv = extract_feature_vecs(sample, features, label_column="label")
+        assert fv.column("ltable_id") == sample.column("ltable_id")
+        assert fv.column("label") == sample.column("label")
