@@ -6,7 +6,9 @@ as interoperable (micro)services composed on demand (CloudMatcher 2.0).
 This bench demonstrates the claim operationally: the composite ``falcon``
 service and a user-assembled workflow of basic services produce the same
 matches on the same task, and the on-prem ``run_falcon`` call agrees too.
-It also prints the ecosystem inventory: on-prem packages vs services.
+Both cloud paths run through ``repro.runtime.run_graph``, so under a
+tracer they record the same workflow nodes, one span each.  It also
+prints the ecosystem inventory: on-prem packages vs services.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.cloud import (
 from repro.datasets import build_cloudmatcher_dataset, cloudmatcher_scenario
 from repro.falcon import FalconConfig, run_falcon
 from repro.labeling import LabelingSession, OracleLabeler
+from repro.obs import use_tracer
 from repro.pipeline import package_inventory
 
 
@@ -42,13 +45,19 @@ def match_pairs_of(matches):
     return set(candset_pairs(matches))
 
 
+def node_names(tracer):
+    """The workflow nodes a traced run recorded, one name per node span."""
+    return sorted(span.labels["node"] for span in tracer.spans if "node" in span.labels)
+
+
 def run():
     scenario = cloudmatcher_scenario("restaurants")
 
     # (a) composite cloud service
     dataset_a = build_cloudmatcher_dataset(scenario)
     context_a = _context(dataset_a)
-    DEFAULT_REGISTRY.get("falcon").run(context_a)
+    with use_tracer() as composite_tracer:
+        DEFAULT_REGISTRY.get("falcon").run(context_a)
     composite_matches = match_pairs_of(context_a.get("matches"))
 
     # (b) user-assembled workflow of basic services through the 2.0 facade
@@ -58,7 +67,8 @@ def run():
     workflow = build_falcon_workflow("assembled", matcher.registry)
     assert isinstance(workflow, EMWorkflow)
     matcher.submit_custom(workflow, context_b)
-    matcher.run(score_against_gold=False)
+    with use_tracer() as assembled_tracer:
+        matcher.run(score_against_gold=False)
     assembled_matches = match_pairs_of(context_b.get("matches"))
 
     # (c) the on-prem Python package path
@@ -69,11 +79,12 @@ def run():
         FalconConfig(sample_size=600, blocking_budget=100, matching_budget=200,
                      random_state=0),
     )
-    return composite_matches, assembled_matches, on_prem.match_pairs
+    nodes = (node_names(composite_tracer), node_names(assembled_tracer))
+    return composite_matches, assembled_matches, on_prem.match_pairs, nodes
 
 
 def test_figure6_ecosystem_interoperability(benchmark):
-    composite, assembled, on_prem = once(benchmark, run)
+    composite, assembled, on_prem, (composite_nodes, assembled_nodes) = once(benchmark, run)
     inventory = package_inventory()
     rows = [
         {"Layer": "on-premise Python packages", "Count": len(inventory),
@@ -90,7 +101,10 @@ def test_figure6_ecosystem_interoperability(benchmark):
         + f"\n\ncomposite-service matches : {len(composite)}"
         + f"\nassembled-workflow matches: {len(assembled)}"
         + f"\non-prem package matches   : {len(on_prem)}"
+        + f"\ncomposite / assembled node spans: {len(composite_nodes)} / {len(assembled_nodes)}"
         + "\n(identical outputs across all three paths: the ecosystem's"
           "\n tools interoperate rather than duplicate)",
     )
     assert composite == assembled == on_prem
+    # A front-end that bypasses run_graph records no node spans.
+    assert composite_nodes and composite_nodes == assembled_nodes

@@ -80,14 +80,21 @@ def record_rows(view: Table) -> np.ndarray:
     return np.flatnonzero(record_numbers(view) >= 0)
 
 
+def few_rows(count: int, table: Table) -> bool:
+    """Whether ``count`` distinct rows are under a quarter of ``table``'s:
+    then a blocker's ``keep`` and a feature's text view read just those
+    rows, else the whole column, whose artifacts other commands share."""
+    return 4 * count < table.num_rows
+
+
 def picked_rows(table: Table, pos: np.ndarray) -> tuple[Table, np.ndarray]:
-    """``(table, pos)`` as a ``keep`` reads them: positions on under a
-    quarter of the rows (the ``ValueView.text_views`` rule) as a table of
-    just those rows and each position's place in it, else as they are."""
+    """``(table, pos)`` as a ``keep`` reads them: positions on
+    :func:`few_rows` as a table of just those rows and each position's
+    place in it, else as they are."""
     seen = np.zeros(table.num_rows, bool)
     seen[pos] = True
     rows = np.flatnonzero(seen)
-    if 4 * len(rows) >= table.num_rows:
+    if not few_rows(len(rows), table):
         return table, pos
     return table.take(rows.tolist()), (np.cumsum(seen) - 1)[pos]
 

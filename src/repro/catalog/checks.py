@@ -31,8 +31,8 @@ def check_fk_constraint(
 ) -> np.ndarray:
     """Verify every FK value in ``child`` exists as a key in ``parent``.
 
-    Raises :class:`ForeignKeyConstraintError` on dangling references and
-    :class:`KeyConstraintError` if the parent key itself is invalid.
+    Raises :class:`ForeignKeyConstraintError` on dangling (or unhashable)
+    references and :class:`KeyConstraintError` if the parent key is invalid.
     Returns each FK value's row in ``parent``, read off the ``{key: row}``
     dict that is also the key check: each key and FK value is hashed once.
     """
@@ -46,7 +46,13 @@ def check_fk_constraint(
     if None in position or len(position) < len(keys):
         parent.validate_key(parent_key)
     fks = child.column(fk_column)
-    rows = numpy.fromiter(map(position.get, fks, repeat(-1)), numpy.int64, len(fks))
+    try:
+        rows = numpy.fromiter(map(position.get, fks, repeat(-1)), numpy.int64, len(fks))
+    except TypeError:
+        raise ForeignKeyConstraintError(
+            f"{fk_column!r} contains unhashable values, which match no {parent_key!r} "
+            "in the parent table"
+        ) from None
     dangling = numpy.flatnonzero(rows < 0)
     if len(dangling):
         raise ForeignKeyConstraintError(

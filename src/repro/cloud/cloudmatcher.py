@@ -10,12 +10,11 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cloud.cost import CostModel, TaskCostReport
-from repro.cloud.dag import EMWorkflow, build_falcon_workflow
+from repro.cloud.dag import EMWorkflow, build_falcon_workflow, run_stock_workflow
 from repro.cloud.engines import MetaManager
 from repro.cloud.services import DEFAULT_REGISTRY, Service, ServiceRegistry
 from repro.datasets.generator import EMDataset
@@ -81,16 +80,14 @@ class CloudMatcher01:
         config: FalconConfig | None = None,
         score_against_gold: bool = True,
     ) -> TaskResult:
-        """Run the end-to-end Falcon service for one task."""
+        """Run the end-to-end Falcon service (the stock workflow) for one task."""
         context = WorkflowContext(
             dataset=dataset,
             session=session,
             config=config or FalconConfig(),
             task_name=dataset.name,
         )
-        started = time.perf_counter()
-        self.registry.get("falcon").run(context)
-        machine_seconds = time.perf_counter() - started
+        machine_seconds = run_stock_workflow(context, self.registry).seconds()
         return TaskResult(
             task_name=dataset.name,
             context=context,

@@ -16,6 +16,7 @@ adds the rows of :func:`repro.cloud.services.falcon_calls`, derived from
 :data:`repro.falcon.FALCON_STAGES`.  Merging its same-kind components
 always makes a fragment-level cycle, so with or without crowd it runs as
 16 singleton fragments ``<name>/n_<node>``; only custom workflows merge.
+CloudMatcher 0.1 and the composites run it whole (:func:`run_stock_workflow`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.cloud.services import Service, ServiceKind, ServiceRegistry, falcon_c
 from repro.exceptions import WorkflowError
 from repro.falcon.falcon import WorkflowContext
 from repro.postprocess.clustering import UnionFind
-from repro.runtime import OperatorGraph, ReadySet
+from repro.runtime import OperatorGraph, ReadySet, RunResult, run_graph
 
 
 @dataclass(frozen=True)
@@ -192,3 +193,15 @@ def build_falcon_workflow(
             service = replace(service, kind=ServiceKind.CROWD)
         workflow.add_call(node_id, service, after=after)
     return workflow
+
+
+def run_stock_workflow(
+    context: WorkflowContext, registry: ServiceRegistry, through: str | None = None
+) -> RunResult:
+    """Run the stock Falcon workflow's graph, named after the task, up to
+    and including node ``through`` (to the end when ``None``)."""
+    graph = build_falcon_workflow(context.task_name, registry).to_runtime_graph(context)
+    if through is not None:
+        names = list(graph.nodes)
+        graph = graph.subgraph(names[: names.index(through) + 1], name=graph.name)
+    return run_graph(graph, context.artifacts)

@@ -4,9 +4,9 @@ Three engines — user interaction, crowd, batch — each execute fragments
 of their kind, one fragment at a time.  The :class:`MetaManager`
 "interleave[s] the execution of DAG fragments coming from different EM
 workflows and coordinate[s] all of the activities": it is a discrete-event
-scheduler over *simulated* time, where a fragment's duration is its
-measured machine time plus the simulated human/crowd seconds its services
-report.  Interleaving lets a batch fragment of one workflow run while
+scheduler over *simulated* time, where a fragment's duration is the
+machine seconds and the simulated human/crowd seconds its run's node
+records hold.  Interleaving lets a batch fragment of one workflow run while
 another workflow waits on its user — the source of the multi-tenant
 throughput win benchmarked for Figure 5.
 
@@ -25,7 +25,6 @@ simulated-time heap and the serial-vs-interleaved choice of Figure 5.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 from repro.cloud.dag import EMWorkflow, Fragment, decompose_fragments
@@ -61,20 +60,16 @@ class ExecutionEngine:
         """Execute a fragment as a runtime subgraph; returns the record.
 
         The fragment's services run for real (mutating the context, which
-        backs the runtime store); their machine time is measured and their
-        human/crowd time is whatever the nodes report as simulated
-        seconds.  Simulated start is max(now, engine free).
+        backs the runtime store); its machine and human/crowd seconds are
+        its run's node records'.  Simulated start is max(now, engine free).
         """
         if fragment.kind != self.kind:
             raise WorkflowError(
                 f"{self.kind.value} engine cannot run a {fragment.kind.value} fragment"
             )
         start = max(now, self.busy_until)
-        graph = fragment.to_runtime_graph(context)
-        wall_start = time.perf_counter()
-        result = run_graph(graph, context.artifacts, sim_at=start)
-        machine_seconds = time.perf_counter() - wall_start
-        human_seconds = result.sim_seconds()
+        result = run_graph(fragment.to_runtime_graph(context), context.artifacts, sim_at=start)
+        machine_seconds, human_seconds = result.seconds(), result.sim_seconds()
         end = start + machine_seconds + human_seconds
         record = FragmentExecution(fragment, start, end, machine_seconds, human_seconds)
         self.busy_until = end

@@ -10,13 +10,14 @@ execution-engine kind that runs it: user interaction, crowd, or batch.
 The Falcon services are wrappers: their bodies are the rows of
 :data:`repro.falcon.FALCON_STAGES`, and this module only puts Table 4's
 name, kind, description and human seconds on them
-(:data:`FALCON_SERVICES`).  The stock workflow (:func:`falcon_calls`) and
-the two composites are derived from the same table.  What is written here
+(:data:`FALCON_SERVICES`).  The stock workflow (:func:`falcon_calls`) is
+derived from the same table, and the two composites run its graph
+(:func:`repro.cloud.dag.run_stock_workflow`).  What is written here
 is what is not Falcon: upload, profile, metadata, down-sampling, labeling,
 undo, crowd cost, report, monitor, accuracy and export.
 
 A service's ``run(ctx)`` returns the simulated human/crowd seconds it
-consumed; machine seconds are measured by the engine around the call.
+consumed; its machine seconds are its runtime node record's.
 """
 
 from __future__ import annotations
@@ -300,16 +301,13 @@ def falcon_calls() -> list[tuple[str, str, list[str]]]:
     return calls
 
 
-def _composite(registry: ServiceRegistry, last_node: str) -> Callable[[WorkflowContext], float]:
-    """The stock workflow's services, run in order up to ``last_node``."""
+def _composite(registry: ServiceRegistry, through: str | None) -> Callable[[WorkflowContext], float]:
+    """The stock workflow's graph, run up to node ``through``."""
 
     def run(ctx: WorkflowContext) -> float:
-        human = 0.0
-        for node, service, _after in falcon_calls():
-            human += registry.get(service).run(ctx)
-            if node == last_node:
-                break
-        return human
+        from repro.cloud.dag import run_stock_workflow  # dag builds on this module
+
+        return run_stock_workflow(ctx, registry, through).sim_seconds()
 
     return run
 
@@ -354,7 +352,7 @@ def build_default_registry() -> ServiceRegistry:
             "falcon",
             U,
             "Composite: the end-to-end Falcon workflow",
-            _composite(registry, "export"),
+            _composite(registry, None),
             composite=True,
         )
     )

@@ -28,7 +28,6 @@ behaviour, where blocking operates on indexed values.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -429,14 +428,13 @@ def run_falcon(
         catalog=catalog if catalog is not None else get_catalog(),
     )
     dataset.register(ctx.catalog)
-    started = time.perf_counter()
 
     graph = OperatorGraph(f"falcon/{dataset.name}")
     for stage, body, deps, description in FALCON_STAGES:
         graph.add(
             stage, lambda _store, body=body: body(ctx), deps=deps, description=description
         )
-    run_graph(graph, ctx.artifacts)
+    run = run_graph(graph, ctx.artifacts)
 
     return FalconResult(
         candset=ctx.get("candset"),
@@ -447,7 +445,7 @@ def run_falcon(
         blocking_stage=ctx.get("blocking_stage"),
         matching_stage=ctx.get("matching_stage"),
         questions=session.questions_asked,
-        machine_seconds=time.perf_counter() - started,
+        machine_seconds=run.seconds(),
         used_fallback_blocker=ctx.get("used_fallback"),
         catalog=ctx.catalog,
     )

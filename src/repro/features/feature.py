@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.blocking.base import TEXT, record_numbers, text_view
+from repro.blocking.base import TEXT, few_rows, record_numbers, text_view
 from repro.exceptions import ConfigurationError
 from repro.index.fingerprints import column_fingerprint
 from repro.index.store import get_index_store
@@ -240,14 +240,14 @@ class ValueView:
         """Per side, a :func:`~repro.blocking.base.text_view` of its attribute
         as a store side ``(view, key, TEXT, column fingerprint)``, and each
         value's record number in it (-1 without a text).  A side's values
-        on under a quarter of its rows view just those rows, so a small
-        candset over a large table costs what its cells cost; otherwise the
+        on :func:`~repro.blocking.base.few_rows` view just those rows, so a
+        small candset over a large table costs what its cells cost; otherwise the
         view is the whole column, whose artifacts blockers, rule joins and
         every extraction over that column and tokenizer spec share.  A
         ``TEXT`` attribute is a text view already and is read as it is."""
         sides = []
         for (table, key, attr), rows in zip(self.sides, self.rows):
-            whole = 4 * len(rows) >= table.num_rows
+            whole = not few_rows(len(rows), table)
             if not whole:
                 picked = rows.tolist()
                 table = Table({name: [table.column(name)[r] for r in picked] for name in (key, attr)})

@@ -13,7 +13,7 @@ from repro.pipeline.guide import (
 from repro.pipeline.incremental import BatchResult, IncrementalMatcher
 from repro.pipeline.production import CheckpointedRun
 from repro.pipeline.streaming import StreamingDeduper, StreamMatch, UnionFind
-from repro.pipeline.workflow import MagellanWorkflow, StepRecord, WorkflowStep
+from repro.pipeline.workflow import MagellanWorkflow
 
 __all__ = [
     "BatchResult",
@@ -27,8 +27,6 @@ __all__ = [
     "GuideStep",
     "MagellanWorkflow",
     "PRODUCTION_GUIDE",
-    "StepRecord",
-    "WorkflowStep",
     "command_counts",
     "package_inventory",
     "parallel_map_partitions",

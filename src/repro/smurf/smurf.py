@@ -13,7 +13,6 @@ claim against Falcon on the same tasks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,13 +34,15 @@ from repro.text.tokenizers import QgramTokenizer, WhitespaceTokenizer
 
 Pair = tuple[Any, Any]
 
+#: The q-gram Jaccard thresholds the auto-tuned join tries, tightest first.
+JOIN_THRESHOLDS = (0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
+
 
 @dataclass
 class SmurfConfig:
     """Knobs of the Smurf workflow."""
 
     candidate_budget_factor: float = 5.0  # max |C| as a multiple of max(|A|,|B|)
-    thresholds: tuple[float, ...] = (0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
     n_trees: int = 10
     alpha: float = 0.5
     seed_size: int = 20
@@ -49,10 +50,6 @@ class SmurfConfig:
     max_iterations: int = 15
     matching_budget: int = 300
     random_state: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.thresholds:
-            raise ConfigurationError("SmurfConfig.thresholds needs at least one threshold")
 
 
 @dataclass
@@ -100,7 +97,7 @@ def _auto_join(
         * max(dataset.ltable.num_rows, dataset.rtable.num_rows)
     )
     first = best = None
-    for threshold in config.thresholds:
+    for threshold in JOIN_THRESHOLDS:
         joined = set_sim_join(
             dataset.ltable,
             dataset.rtable,
@@ -200,10 +197,9 @@ def run_smurf(
     dataset.register(cat)
     dataset.ltable.require_columns([column])
     dataset.rtable.require_columns([column])
-    started = time.perf_counter()
 
-    graph = build_smurf_graph(dataset, session, column, config, cat)
-    store = run_graph(graph).store
+    run = run_graph(build_smurf_graph(dataset, session, column, config, cat))
+    store = run.store
 
     return SmurfResult(
         candset=store["candset"],
@@ -212,6 +208,6 @@ def run_smurf(
         join_threshold=store["join_threshold"],
         matching_stage=store["matching_stage"],
         questions=store["matching_stage"].questions,
-        machine_seconds=time.perf_counter() - started,
+        machine_seconds=run.seconds(),
         catalog=cat,
     )

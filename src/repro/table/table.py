@@ -250,12 +250,17 @@ class Table:
     def validate_key(self, name: str) -> None:
         """Raise :class:`KeyConstraintError` unless ``name`` is a valid key.
 
-        A valid key column has no ``None`` values and no duplicates.
+        A valid key column has no ``None`` values, no unhashable values
+        and no duplicates.
         """
         values = self.column(name)
         if any(map(is_, values, repeat(None))):
             raise KeyConstraintError(f"key column {name!r} contains missing values")
-        if len(set(values)) != len(values):
+        try:
+            distinct = len(set(values))
+        except TypeError:
+            raise KeyConstraintError(f"key column {name!r} contains unhashable values") from None
+        if distinct != len(values):
             raise KeyConstraintError(f"key column {name!r} contains duplicates")
 
     def index_by(self, name: str) -> dict[Any, Row]:

@@ -167,6 +167,31 @@ class TestSelfContainment:
             validate_candset(candset, strict=False)
         assert any(issubclass(w.category, StaleMetadataWarning) for w in caught)
 
+    @pytest.mark.parametrize(
+        "column, value, error",
+        [("base key", ["a1"], KeyConstraintError), ("fk", ["a1"], ForeignKeyConstraintError)],
+    )
+    def test_unhashable_values_are_typed_faults(self, column, value, error):
+        """An unhashable base key or FK value is a broken constraint like
+        any other: ``strict=False`` warns and continues."""
+        catalog = get_catalog()
+        ltable, rtable, candset = make_tables()
+        catalog.set_key(ltable, "id")
+        catalog.set_key(rtable, "id")
+        catalog.set_candset_metadata(candset, "_id", "ltable_id", "rtable_id", ltable, rtable)
+        if column == "base key":
+            ltable.add_column("id", [value, "a2"])
+        else:
+            candset.add_column("ltable_id", [value, "a2"])
+        with pytest.raises(error, match="unhashable"):
+            validate_candset(candset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            meta = validate_candset(candset, strict=False)
+        assert meta.ltable is ltable
+        assert [w.category for w in caught] == [StaleMetadataWarning]
+        assert "unhashable" in str(caught[0].message)
+
 
 # ---------------------------------------------------------------------------
 # resolve_candset against the two-step resolution it replaced
@@ -175,7 +200,11 @@ def _two_step_validate_key(table, name):
     values = table.column(name)
     if any(v is None for v in values):
         raise KeyConstraintError(f"key column {name!r} contains missing values")
-    if len(set(values)) != len(values):
+    try:
+        distinct = set(values)
+    except TypeError:
+        raise KeyConstraintError(f"key column {name!r} contains unhashable values") from None
+    if len(distinct) != len(values):
         raise KeyConstraintError(f"key column {name!r} contains duplicates")
 
 
@@ -188,7 +217,13 @@ def _two_step_check(candset, cat):
         key = cat.get_key(parent)
         _two_step_validate_key(parent, key)
         parent_keys = set(parent.column(key))
-        dangling = [v for v in candset.column(fk) if v not in parent_keys]
+        try:
+            dangling = [v for v in candset.column(fk) if v not in parent_keys]
+        except TypeError:
+            raise ForeignKeyConstraintError(
+                f"{fk!r} contains unhashable values, which match no {key!r} "
+                "in the parent table"
+            ) from None
         if dangling:
             raise ForeignKeyConstraintError(
                 f"{len(dangling)} value(s) in {fk!r} have no matching "
@@ -260,7 +295,7 @@ def _outcome(call):
     message."""
     try:
         result = call()
-    except (KeyConstraintError, ForeignKeyConstraintError, TypeError) as exc:
+    except (KeyConstraintError, ForeignKeyConstraintError) as exc:
         return type(exc), str(exc)
     if isinstance(result, tuple):
         meta, l_pos, r_pos = result
@@ -271,10 +306,7 @@ def _outcome(call):
 def _lenient_outcome(call):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            result = call()
-        except TypeError as exc:
-            result = type(exc), str(exc)
+        result = call()
     return result, [(w.category, str(w.message)) for w in caught]
 
 

@@ -444,11 +444,107 @@ class TestFalconWrittenOnce:
             run_falcon(*disjoint())
         assert failed_nodes(tracer) == ["candidate_vectors"]
 
-        with pytest.raises(ConfigurationError, match=message):
+        with use_tracer() as tracer, pytest.raises(ConfigurationError, match=message):
             CloudMatcher01().match(*disjoint())
+        assert failed_nodes(tracer) == ["candidate_vectors"]
 
         matcher = CloudMatcher10()
         matcher.submit(*disjoint())
         with use_tracer() as tracer, pytest.raises(ConfigurationError, match=message):
             matcher.run()
         assert failed_nodes(tracer) == ["candidate_vectors"]
+
+
+class TestOneSpanTree:
+    """Every front-end runs its nodes through ``run_graph``: one
+    ``<graph>/<node>`` span per node it ran, under its run's span, and
+    the work a node does (index reads, learners, feature extraction)
+    beneath that node's span, never at the root."""
+
+    WORK = {"index_get", "ml_fit", "ml_predict", "feature_values"}
+
+    @staticmethod
+    def _nodes_and_work(tracer):
+        """The node names in completion order and the names of the spans
+        beneath nodes, checking that every span is a run, a node, or
+        work under a node."""
+        by_id = {span.span_id: span for span in tracer.spans}
+        nodes, work = [], set()
+        for span in tracer.spans:
+            parent = by_id.get(span.parent_id)
+            if "node" in span.labels:
+                assert span.name == f"{span.labels['graph']}/{span.labels['node']}"
+                assert parent is not None and parent.name == span.labels["graph"]
+                nodes.append(span.labels["node"])
+            elif "graph" in span.labels:
+                assert parent is None or "node" in parent.labels, span.name
+            else:
+                while parent is not None and "node" not in parent.labels:
+                    parent = by_id.get(parent.parent_id)
+                assert parent is not None, f"{span.name} lies under no node span"
+                work.add(span.name)
+        return nodes, work
+
+    def _check(self, run, expected_nodes):
+        """Run ``run(context)`` over a fresh task under a tracer; its node
+        spans must be ``expected_nodes``, once each; returns their order."""
+        context = make_context(small_dataset(seed=2))
+        with use_tracer() as tracer:
+            run(context)
+        nodes, work = self._nodes_and_work(tracer)
+        assert sorted(nodes) == sorted(expected_nodes)
+        assert len(nodes) == len(set(nodes))
+        assert self.WORK <= work
+        return nodes
+
+    def test_cloudmatcher01(self):
+        from repro.cloud.services import falcon_calls
+
+        stock = [node for node, _service, _after in falcon_calls()]
+
+        def run(context):
+            CloudMatcher01().match(context.dataset, context.session, context.config)
+
+        assert self._check(run, stock) == stock
+
+    @pytest.mark.parametrize(
+        "composite, last", [("falcon", "export"), ("get_blocking_rules", "evaluate_rules")]
+    )
+    def test_composites(self, composite, last):
+        from repro.cloud.services import falcon_calls
+
+        stock = [node for node, _service, _after in falcon_calls()]
+        expected = stock[: stock.index(last) + 1]
+        sim = []
+        nodes = self._check(
+            lambda context: sim.append(DEFAULT_REGISTRY.get(composite).run(context)), expected
+        )
+        assert nodes == expected
+        assert sim[0] > 0  # the composite still reports its services' human seconds
+
+    def test_metamanager(self):
+        from repro.cloud.services import falcon_calls
+
+        def run(context):
+            matcher = CloudMatcher10()
+            matcher.submit(context.dataset, context.session, context.config)
+            matcher.run(score_against_gold=False)
+
+        self._check(run, [node for node, _service, _after in falcon_calls()])
+
+    def test_run_falcon(self):
+        from repro.falcon import FALCON_STAGES, run_falcon
+
+        stages = [stage for stage, _body, _deps, _description in FALCON_STAGES]
+        self._check(
+            lambda context: run_falcon(context.dataset, context.session, context.config), stages
+        )
+
+    def test_machine_seconds_are_the_node_records(self):
+        """CloudMatcher 0.1 bills the seconds its run's node spans took."""
+        dataset = small_dataset(seed=2)
+        context = make_context(dataset)
+        with use_tracer() as tracer:
+            result = CloudMatcher01().match(dataset, context.session, context.config)
+        node_seconds = sum(span.seconds for span in tracer.spans if "node" in span.labels)
+        assert 0 < result.cost.machine_seconds <= node_seconds

@@ -22,7 +22,7 @@ from repro.pipeline import (
     partition_table,
     resolve_command,
 )
-from repro.runtime import GraphCheckpoint, fingerprint
+from repro.runtime import GraphCheckpoint, NodeRecord, fingerprint
 from repro.table import Table
 
 
@@ -42,7 +42,8 @@ class TestWorkflowCapture:
         workflow.add_step("two", lambda art: art["trace"].append(2), "append 2")
         artifacts = workflow.run()
         assert artifacts["trace"] == [1, 2]
-        assert workflow.to_runtime_graph().nodes["two"].description == "append 2"
+        assert workflow.graph.nodes["two"].description == "append 2"
+        assert workflow.graph.nodes["two"].deps == ("one",)
         assert all(record.ok for record in workflow.records)
         assert workflow.total_seconds() >= 0
 
@@ -54,11 +55,24 @@ class TestWorkflowCapture:
     def test_failure_recorded_and_raised(self, caplog):
         workflow = MagellanWorkflow("w")
         workflow.add_step("boom", lambda art: 1 / 0)
-        with caplog.at_level(logging.ERROR, logger="repro.pipeline"):
+        with caplog.at_level(logging.ERROR, logger="repro.runtime"):
             with pytest.raises(ZeroDivisionError):
                 workflow.run()
         assert workflow.records[-1].ok is False
         assert "ZeroDivisionError" in workflow.records[-1].error
+        assert [r.getMessage().split(" after ")[0] for r in caplog.records] == [
+            "graph w: node boom failed"
+        ]
+
+    def test_records_are_the_runtime_node_records(self):
+        workflow = MagellanWorkflow("w").add_step("a", lambda art: 2.5)
+        with use_tracer() as tracer:
+            workflow.run()
+        (record,) = workflow.records
+        assert isinstance(record, NodeRecord)
+        assert (record.name, record.sim_seconds, record.error) == ("a", 2.5, None)
+        (span,) = [span for span in tracer.spans if "node" in span.labels]
+        assert span.name == "w/a" and span.seconds >= record.seconds
 
     def test_a_failed_run_keeps_the_records_of_the_steps_that_ran(self):
         workflow = MagellanWorkflow("w")
@@ -68,6 +82,7 @@ class TestWorkflowCapture:
         with pytest.raises(ZeroDivisionError):
             workflow.run()
         assert [(r.name, r.ok) for r in workflow.records] == [("one", True), ("boom", False)]
+        assert all(isinstance(r, NodeRecord) for r in workflow.records)
         assert "ran" not in workflow.artifacts
 
     def test_records_come_from_this_run_on_a_shared_stream(self):

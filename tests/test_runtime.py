@@ -8,6 +8,7 @@ node-span multisets of serial and interleaved metamanager schedules.
 """
 
 import json
+import logging
 from collections import Counter
 
 import pytest
@@ -220,6 +221,37 @@ class TestRunGraph:
         assert "ran" not in store  # scheduling stopped
         assert [span.name for span in tracer.spans if "node" not in span.labels] == ["f"]
         assert [span.labels["node"] for span in node_spans(tracer)] == ["boom"]
+
+    def test_caller_owned_records_keep_a_failed_run(self):
+        """The records mapping is filled as the store is: after a failure
+        the caller holds the nodes that ran, the failed one last."""
+        graph = chain_graph("f", [
+            ("before", lambda s: 1.5), ("boom", lambda s: 1 / 0), ("after", lambda s: None),
+        ])
+        records = {}
+        with pytest.raises(ZeroDivisionError):
+            run_graph(graph, records=records)
+        assert [(r.name, r.ok, r.sim_seconds) for r in records.values()] == [
+            ("before", True, 1.5), ("boom", False, 0.0),
+        ]
+        assert "ZeroDivisionError" in records["boom"].error
+        result = run_graph(chain_graph("g", [("a", lambda s: None)]), records={})
+        assert result.records["a"].ok and result.seconds() == result.records["a"].seconds
+
+    def test_nodes_log_on_the_runtime_logger(self, caplog):
+        graph = chain_graph("f", [("ok", lambda s: None), ("boom", lambda s: 1 / 0)])
+        with caplog.at_level(logging.INFO, logger="repro.runtime"):
+            with pytest.raises(ZeroDivisionError):
+                run_graph(graph)
+        assert [
+            (r.levelname, r.getMessage().split(" in ")[0].split(" after ")[0])
+            for r in caplog.records
+        ] == [
+            ("INFO", "graph f: node ok starting"),
+            ("INFO", "graph f: node ok finished"),
+            ("INFO", "graph f: node boom starting"),
+            ("ERROR", "graph f: node boom failed"),
+        ]
 
 
 class TestEvents:

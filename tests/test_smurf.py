@@ -8,6 +8,7 @@ from repro.datasets import DirtinessConfig, make_string_dataset
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.smurf import SmurfConfig, run_smurf
+from repro.smurf.smurf import JOIN_THRESHOLDS
 
 
 def string_dataset(seed=0, n=400):
@@ -47,7 +48,7 @@ class TestSmurf:
         config = SmurfConfig(random_state=0)
         session = LabelingSession(OracleLabeler(ds.gold_pairs))
         result = run_smurf(ds, session, config=config)
-        assert result.join_threshold in config.thresholds
+        assert result.join_threshold in JOIN_THRESHOLDS
 
     def test_candidate_budget_respected(self):
         ds = string_dataset(seed=4)
@@ -59,7 +60,7 @@ class TestSmurf:
         # the tightest threshold overflowed, flagged by the top threshold).
         assert (
             result.candset.num_rows <= budget
-            or result.join_threshold == config.thresholds[0]
+            or result.join_threshold == JOIN_THRESHOLDS[0]
         )
 
     def test_private_catalog_result_still_answers_match_pairs(self):
@@ -159,12 +160,6 @@ class TestAutoJoin:
         config = SmurfConfig()
         joins = self._count_joins(monkeypatch)
         pairs, threshold = _auto_join(ds, "value", config)
-        assert joins == list(config.thresholds[: len(joins)])  # one join per rung tried
+        assert joins == list(JOIN_THRESHOLDS[: len(joins)])  # one join per rung tried
         assert threshold in joins
         assert pairs == self._pairs_at(ds, threshold)
-
-    def test_empty_thresholds_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SmurfConfig(thresholds=())
