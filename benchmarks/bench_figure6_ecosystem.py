@@ -20,7 +20,6 @@ from repro.blocking import candset_pairs
 from repro.cloud import (
     DEFAULT_REGISTRY,
     CloudMatcher20,
-    EMWorkflow,
     WorkflowContext,
     build_falcon_workflow,
 )
@@ -29,6 +28,7 @@ from repro.falcon import FalconConfig, run_falcon
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.obs import use_tracer
 from repro.pipeline import package_inventory
+from repro.runtime import OperatorGraph
 
 
 def _context(dataset):
@@ -65,7 +65,7 @@ def run():
     context_b = _context(dataset_b)
     matcher = CloudMatcher20()
     workflow = build_falcon_workflow("assembled", matcher.registry)
-    assert isinstance(workflow, EMWorkflow)
+    assert isinstance(workflow, OperatorGraph)
     matcher.submit_custom(workflow, context_b)
     with use_tracer() as assembled_tracer:
         matcher.run(score_against_gold=False)

@@ -1,4 +1,4 @@
-"""CloudMatcher: services, workflow DAGs, engines, metamanager, facade."""
+"""CloudMatcher: services, workflow graphs of services, engines, metamanager, facade."""
 
 from repro.cloud.cloudmatcher import (
     CloudMatcher01,
@@ -7,13 +7,7 @@ from repro.cloud.cloudmatcher import (
     TaskResult,
 )
 from repro.cloud.cost import CostModel, TaskCostReport
-from repro.cloud.dag import (
-    EMWorkflow,
-    Fragment,
-    ServiceCall,
-    build_falcon_workflow,
-    decompose_fragments,
-)
+from repro.cloud.dag import Fragment, build_falcon_workflow, decompose_fragments
 from repro.cloud.engines import ExecutionEngine, FragmentExecution, MetaManager
 from repro.cloud.services import (
     DEFAULT_REGISTRY,
@@ -30,13 +24,11 @@ __all__ = [
     "CloudMatcher20",
     "CostModel",
     "DEFAULT_REGISTRY",
-    "EMWorkflow",
     "ExecutionEngine",
     "Fragment",
     "FragmentExecution",
     "MetaManager",
     "Service",
-    "ServiceCall",
     "ServiceKind",
     "ServiceRegistry",
     "TaskCostReport",

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cloud.cost import CostModel, TaskCostReport
-from repro.cloud.dag import EMWorkflow, build_falcon_workflow, run_stock_workflow
-from repro.cloud.engines import MetaManager
+from repro.cloud.dag import build_falcon_workflow, run_stock_workflow, service_of
+from repro.cloud.engines import MetaManager, WorkflowRun
 from repro.cloud.services import DEFAULT_REGISTRY, Service, ServiceRegistry
 from repro.datasets.generator import EMDataset
 from repro.exceptions import ServiceError
 from repro.falcon.falcon import FalconConfig, WorkflowContext
 from repro.labeling.session import LabelingSession
+from repro.runtime import OperatorGraph, run_graph
 
 
 @dataclass
@@ -50,13 +51,21 @@ def _cost_report(
     )
 
 
+def _run_service(service: Service, context: WorkflowContext) -> float:
+    """Run one service as a one-node graph named after the task; returns
+    its simulated human/crowd seconds."""
+    graph = OperatorGraph(context.task_name)
+    graph.add(service.name, service, description=service.description)
+    return run_graph(graph, context).sim_seconds()
+
+
 def _gold_accuracy(
     registry: ServiceRegistry, context: WorkflowContext, score_against_gold: bool
 ) -> dict[str, float] | None:
     """Run the ``compute_accuracy`` service when asked and gold exists."""
     if not (score_against_gold and context.dataset.gold_pairs):
         return None
-    registry.get("compute_accuracy").run(context)
+    _run_service(registry.get("compute_accuracy"), context)
     return context.get("accuracy")
 
 
@@ -110,7 +119,6 @@ class CloudMatcher10:
         self.cost_model = cost_model or CostModel()
         self.on_cloud = on_cloud
         self.metamanager = MetaManager(interleave=interleave)
-        self._submissions: list[tuple[EMWorkflow, WorkflowContext]] = []
 
     def submit(
         self,
@@ -126,22 +134,19 @@ class CloudMatcher10:
             config=config or FalconConfig(),
             task_name=dataset.name,
         )
-        workflow = build_falcon_workflow(dataset.name, self.registry, use_crowd=use_crowd)
-        self.metamanager.submit(workflow, context)
-        self._submissions.append((workflow, context))
+        self.metamanager.submit(
+            build_falcon_workflow(dataset.name, self.registry, use_crowd=use_crowd), context
+        )
         return context
 
     def run(self, score_against_gold: bool = True) -> tuple[float, list[TaskResult]]:
-        """Execute all queued tasks; returns (simulated makespan, results)."""
+        """Execute all queued tasks; returns (simulated makespan, results),
+        one per admitted run, billed the machine seconds of its node records."""
         makespan = self.metamanager.run_all()
         results = []
-        for run, (workflow, context) in zip(self.metamanager.runs, self._submissions):
-            machine = sum(
-                record.machine_seconds
-                for engine in self.metamanager.all_engines()
-                for record in engine.executions
-                if record.fragment.workflow is workflow
-            )
+        for run in self.metamanager.runs:
+            context = run.context
+            machine = sum(record.seconds for record in run.records.values())
             results.append(
                 TaskResult(
                     task_name=context.task_name,
@@ -158,20 +163,19 @@ class CloudMatcher20(CloudMatcher10):
     """Version 2.0: everything in 1.0, plus user-composed workflows."""
 
     def invoke_service(self, name: str, context: WorkflowContext) -> float:
-        """Directly invoke one basic service (the 2.0 flexibility story)."""
-        service = self.registry.get(name)
-        return service.run(context)
+        """Directly invoke one basic service (the 2.0 flexibility story), as
+        a one-node graph; returns its simulated human/crowd seconds."""
+        return _run_service(self.registry.get(name), context)
 
-    def submit_custom(self, workflow: EMWorkflow, context: WorkflowContext) -> None:
-        """Queue a user-assembled workflow DAG."""
-        for call in workflow.topological_calls():
-            if call.service.name not in self.registry:
+    def submit_custom(self, graph: OperatorGraph, context: WorkflowContext) -> WorkflowRun:
+        """Queue a user-assembled workflow graph of registered services."""
+        for node in graph.nodes:
+            service = service_of(graph, node)
+            if service.name not in self.registry:
                 raise ServiceError(
-                    f"workflow {workflow.name!r} uses unregistered service "
-                    f"{call.service.name!r}"
+                    f"workflow {graph.name!r} uses unregistered service {service.name!r}"
                 )
-        self.metamanager.submit(workflow, context)
-        self._submissions.append((workflow, context))
+        return self.metamanager.submit(graph, context)
 
     def available_services(self) -> list[Service]:
         """Table 4: the services a user can compose."""

@@ -1,15 +1,17 @@
-"""EM workflows as DAGs, and their decomposition into engine fragments.
+"""EM workflows as operator graphs of services, and their engine fragments.
 
 CloudMatcher 1.0's key idea (Section 5.1): "break each submitted EM
 workflow into multiple DAG fragments, where each fragment performs only
 one kind of task, e.g., interaction with the user, batch processing of
 data, crowdsourcing ... then execute each fragment on an appropriate
-execution engine".  A workflow is its calls in insertion order; as in
-:class:`repro.runtime.OperatorGraph`, a predecessor must already exist,
-so insertion order is a topological order and no cycle can be built.
-This module computes the same-kind fragment decomposition and each
-fragment's predecessor fragments, which the metamanager's
-:class:`repro.runtime.ReadySet` schedules.
+execution engine".  A workflow is a :class:`repro.runtime.OperatorGraph`
+whose operators are registry services
+(:class:`~repro.cloud.services.Service`): a node's engine kind is ``graph.nodes[node].fn.kind``, and the store
+:func:`repro.runtime.run_graph` hands each service is the task's
+:class:`WorkflowContext`.  This module computes the same-kind fragment
+decomposition of one such graph and each fragment's predecessor
+fragments, which the metamanager's :class:`repro.runtime.ReadySet`
+schedules.
 
 The stock Falcon workflow is not listed here: :func:`build_falcon_workflow`
 adds the rows of :func:`repro.cloud.services.falcon_calls`, derived from
@@ -21,7 +23,8 @@ CloudMatcher 0.1 and the composites run it whole (:func:`run_stock_workflow`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from repro.cloud.services import Service, ServiceKind, ServiceRegistry, falcon_calls
 from repro.exceptions import WorkflowError
@@ -30,169 +33,100 @@ from repro.postprocess.clustering import UnionFind
 from repro.runtime import OperatorGraph, ReadySet, RunResult, run_graph
 
 
-@dataclass(frozen=True)
-class ServiceCall:
-    """One node of an EM workflow: a named service invocation after ``after``."""
-
-    node_id: str
-    service: Service
-    after: tuple[str, ...] = ()
-
-    @property
-    def kind(self) -> ServiceKind:
-        return self.service.kind
-
-
-class EMWorkflow:
-    """A DAG of service calls for one EM task, kept in insertion order."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._calls: dict[str, ServiceCall] = {}
-
-    def add_call(
-        self, node_id: str, service: Service, after: list[str] | None = None
-    ) -> ServiceCall:
-        """Add a service call, depending on the given predecessor nodes."""
-        if node_id in self._calls:
-            raise WorkflowError(f"duplicate workflow node {node_id!r}")
-        for predecessor in after or []:
-            if predecessor not in self._calls:
-                raise WorkflowError(f"unknown predecessor {predecessor!r}")
-        call = ServiceCall(node_id, service, tuple(dict.fromkeys(after or [])))
-        self._calls[node_id] = call
-        return call
-
-    def call(self, node_id: str) -> ServiceCall:
-        return self._calls[node_id]
-
-    def topological_calls(self) -> list[ServiceCall]:
-        """All calls in a valid execution order: insertion order."""
-        return list(self._calls.values())
-
-    def to_runtime_graph(self, context: WorkflowContext) -> OperatorGraph:
-        """Compile the whole workflow to a runtime operator graph.
-
-        Each service call becomes one operator over the context's artifact
-        dict (the runtime store *is* ``context.artifacts``); the operator
-        returns the service's simulated human/crowd seconds, which the
-        runtime records as the ``sim_seconds`` label of the node's span.
-        """
-        graph = OperatorGraph(self.name)
-        for call in self._calls.values():
-            graph.add(
-                call.node_id,
-                lambda _store, call=call: call.service.run(context),
-                deps=tuple(sorted(call.after)),
-                description=call.service.description,
-            )
-        return graph
-
-    def __len__(self) -> int:
-        return len(self._calls)
-
-
-@dataclass(eq=False)
-class Fragment:
-    """A maximal same-kind group of workflow nodes, scheduled as a unit.
-
-    Compared and hashed by identity: a fragment is one schedulable unit
-    of one admitted run, so two workflows with equal names never alias.
-    """
+class Fragment(NamedTuple):
+    """A maximal same-kind group of one workflow graph's nodes, in the
+    graph's order, scheduled as a unit."""
 
     fragment_id: str
-    workflow: EMWorkflow
     kind: ServiceKind
-    calls: list[ServiceCall] = field(default_factory=list)
+    nodes: tuple[str, ...]
 
-    def to_runtime_graph(self, context: WorkflowContext) -> OperatorGraph:
-        """This fragment as a runtime subgraph of its workflow's graph.
 
-        Dependencies are restricted to intra-fragment edges — by the
-        fragment contract, every external predecessor has already run
-        when the metamanager dispatches the fragment.
-        """
-        return self.workflow.to_runtime_graph(context).subgraph(
-            [call.node_id for call in self.calls], name=self.workflow.name
+def service_of(graph: OperatorGraph, node: str) -> Service:
+    """The service a workflow node runs; a node that runs anything else
+    is a :class:`WorkflowError` naming it."""
+    fn = graph.node(node).fn
+    if not isinstance(fn, Service):
+        raise WorkflowError(
+            f"node {node!r} of workflow {graph.name!r} runs {fn!r}, not a Service"
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"Fragment({self.fragment_id}, {self.kind.value}, "
-            f"{[c.node_id for c in self.calls]})"
-        )
+    return fn
 
 
 def decompose_fragments(
-    workflow: EMWorkflow,
+    graph: OperatorGraph,
 ) -> tuple[list[Fragment], dict[Fragment, list[Fragment]]]:
-    """Split a workflow into same-kind fragments plus a ``fragment ->
+    """Split a workflow graph into same-kind fragments plus a ``fragment ->
     predecessor fragments`` mapping, both in order of each fragment's
     first node.
 
     Fragments are the connected components of the edges joining nodes of
-    the same kind.  Node order inside a fragment is the workflow's, so a
+    the same kind.  Node order inside a fragment is the graph's, so a
     fragment is executable as a unit once its external predecessors ran.
     """
+    kinds = {node: service_of(graph, node).kind for node in graph.nodes}
     same_kind = UnionFind()
-    for call in workflow.topological_calls():
-        same_kind.add(call.node_id)
-        for predecessor in call.after:
-            if workflow.call(predecessor).kind == call.kind:
-                same_kind.union(predecessor, call.node_id)
-    deps = _fragment_deps(workflow, {
-        node: f"{workflow.name}/f{index}"
+    for node, operator in graph.nodes.items():
+        same_kind.add(node)
+        for predecessor in operator.deps:
+            if kinds[predecessor] == kinds[node]:
+                same_kind.union(predecessor, node)
+    deps = _fragment_deps(graph, kinds, {
+        node: f"{graph.name}/f{index}"
         for index, component in enumerate(same_kind.groups())
         for node in component
     })
     if len(ReadySet(deps).drain()) < len(deps):
         # Merging same-kind components can create a cycle at the fragment
         # level; fall back to singleton fragments.
-        deps = _fragment_deps(workflow, {
-            call.node_id: f"{workflow.name}/n_{call.node_id}"
-            for call in workflow.topological_calls()
-        })
+        deps = _fragment_deps(
+            graph, kinds, {node: f"{graph.name}/n_{node}" for node in graph.nodes}
+        )
     return list(deps), deps
 
 
 def _fragment_deps(
-    workflow: EMWorkflow, fragment_ids: dict[str, str]
+    graph: OperatorGraph, kinds: dict[str, ServiceKind], fragment_ids: dict[str, str]
 ) -> dict[Fragment, list[Fragment]]:
     """The fragments ``node -> fragment id`` names, each mapped to the
     other fragments its nodes' predecessors lie in."""
-    fragments: dict[str, Fragment] = {}
-    deps: dict[Fragment, list[Fragment]] = {}
-    for call in workflow.topological_calls():
-        fragment_id = fragment_ids[call.node_id]
-        if fragment_id not in fragments:
-            fragments[fragment_id] = Fragment(fragment_id, workflow, call.kind)
-            deps[fragments[fragment_id]] = []
-        fragment = fragments[fragment_id]
-        fragment.calls.append(call)
-        for predecessor in call.after:
-            source = fragments[fragment_ids[predecessor]]
-            if source is not fragment and source not in deps[fragment]:
-                deps[fragment].append(source)
-    return deps
+    members: dict[str, list[str]] = {}
+    sources: dict[str, list[str]] = {}
+    for node, operator in graph.nodes.items():
+        fragment_id = fragment_ids[node]
+        members.setdefault(fragment_id, []).append(node)
+        before = sources.setdefault(fragment_id, [])
+        for predecessor in operator.deps:
+            source = fragment_ids[predecessor]
+            if source != fragment_id and source not in before:
+                before.append(source)
+    fragments = {
+        fragment_id: Fragment(fragment_id, kinds[nodes[0]], tuple(nodes))
+        for fragment_id, nodes in members.items()
+    }
+    return {
+        fragment: [fragments[source] for source in sources[fragment_id]]
+        for fragment_id, fragment in fragments.items()
+    }
 
 
 def build_falcon_workflow(
     name: str,
     registry: ServiceRegistry,
     use_crowd: bool = False,
-) -> EMWorkflow:
-    """The stock Falcon workflow as a service DAG (Figure 3 as a graph).
+) -> OperatorGraph:
+    """The stock Falcon workflow as a service graph (Figure 3 as a DAG).
 
     With ``use_crowd`` the two labeling-heavy services are re-tagged to the
     crowd engine (labels then come from the session's CrowdLabeler).
     """
-    workflow = EMWorkflow(name)
-    for node_id, service_name, after in falcon_calls():
+    graph = OperatorGraph(name)
+    for node, service_name, after in falcon_calls():
         service = registry.get(service_name)
         if use_crowd and service_name in ("active_learn_blocking", "active_learn_matching"):
             service = replace(service, kind=ServiceKind.CROWD)
-        workflow.add_call(node_id, service, after=after)
-    return workflow
+        graph.add(node, service, deps=after, description=service.description)
+    return graph
 
 
 def run_stock_workflow(
@@ -200,8 +134,8 @@ def run_stock_workflow(
 ) -> RunResult:
     """Run the stock Falcon workflow's graph, named after the task, up to
     and including node ``through`` (to the end when ``None``)."""
-    graph = build_falcon_workflow(context.task_name, registry).to_runtime_graph(context)
+    graph = build_falcon_workflow(context.task_name, registry)
     if through is not None:
         names = list(graph.nodes)
         graph = graph.subgraph(names[: names.index(through) + 1], name=graph.name)
-    return run_graph(graph, context.artifacts)
+    return run_graph(graph, context)

@@ -10,12 +10,12 @@ records hold.  Interleaving lets a batch fragment of one workflow run while
 another workflow waits on its user — the source of the multi-tenant
 throughput win benchmarked for Figure 5.
 
-Fragments are no longer bespoke call lists: each fragment compiles to a
-:class:`repro.runtime.OperatorGraph` subgraph and runs on the shared
-runtime core, so every service invocation is a node span (labelled
-with the fragment's simulated start and the service's simulated
-seconds) on the installed tracer, and lands in the ``runtime_*``
-metrics.
+A fragment runs as the subgraph of its run's workflow graph on its
+nodes, through the shared runtime core, into the run's one
+:class:`~repro.runtime.NodeRecord` dict: every service invocation is a
+node span (labelled with the fragment's simulated start and the
+service's simulated seconds) on the installed tracer, and lands in the
+``runtime_*`` metrics.
 
 Readiness is the runtime's own :class:`repro.runtime.ReadySet` over each
 run's fragment DAG; what this module adds is the dispatch policy — the
@@ -27,12 +27,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.cloud.dag import EMWorkflow, Fragment, decompose_fragments
+from repro.cloud.dag import Fragment, decompose_fragments
 from repro.cloud.services import ServiceKind
 from repro.exceptions import WorkflowError
 from repro.falcon.falcon import WorkflowContext
 from repro.obs import get_registry
-from repro.runtime import ReadySet, run_graph
+from repro.runtime import NodeRecord, OperatorGraph, ReadySet, run_graph
 
 
 @dataclass
@@ -55,21 +55,29 @@ class ExecutionEngine:
         self.executions: list[FragmentExecution] = []
 
     def execute(
-        self, fragment: Fragment, context: WorkflowContext, now: float
+        self, fragment: Fragment, run: "WorkflowRun", now: float
     ) -> FragmentExecution:
-        """Execute a fragment as a runtime subgraph; returns the record.
+        """Execute a fragment of a run as a runtime subgraph; returns the record.
 
-        The fragment's services run for real (mutating the context, which
-        backs the runtime store); its machine and human/crowd seconds are
-        its run's node records'.  Simulated start is max(now, engine free).
+        The fragment's services run for real on the run's context (the
+        runtime store), recording into the run's node records; its machine
+        and human/crowd seconds are the sums over its own nodes' records.
+        Simulated start is max(now, engine free).
         """
         if fragment.kind != self.kind:
             raise WorkflowError(
                 f"{self.kind.value} engine cannot run a {fragment.kind.value} fragment"
             )
         start = max(now, self.busy_until)
-        result = run_graph(fragment.to_runtime_graph(context), context.artifacts, sim_at=start)
-        machine_seconds, human_seconds = result.seconds(), result.sim_seconds()
+        run_graph(
+            run.graph.subgraph(fragment.nodes, name=run.graph.name),
+            run.context,
+            sim_at=start,
+            records=run.records,
+        )
+        records = [run.records[node] for node in fragment.nodes]
+        machine_seconds = sum(record.seconds for record in records)
+        human_seconds = sum(record.sim_seconds for record in records)
         end = start + machine_seconds + human_seconds
         record = FragmentExecution(fragment, start, end, machine_seconds, human_seconds)
         self.busy_until = end
@@ -88,20 +96,22 @@ class ExecutionEngine:
 
 @dataclass
 class WorkflowRun:
-    """One workflow admitted to the metamanager.
+    """One workflow graph admitted to the metamanager, with its context.
 
     Its fragments are computed at admission; ``ready`` is the runtime's
     :class:`~repro.runtime.ReadySet` over the fragment DAG, keyed by the
-    fragments themselves.
+    fragments themselves, and ``records`` the one node-record dict every
+    fragment's ``run_graph`` fills.
     """
 
-    workflow: EMWorkflow
+    graph: OperatorGraph
     context: WorkflowContext
     ready: ReadySet = field(init=False, repr=False)
+    records: dict[str, NodeRecord] = field(init=False, repr=False, default_factory=dict)
     finish_time: float = 0.0
 
     def __post_init__(self) -> None:
-        _, deps = decompose_fragments(self.workflow)
+        _, deps = decompose_fragments(self.graph)
         self.ready = ReadySet(deps)
 
 
@@ -144,9 +154,11 @@ class MetaManager:
         """Every engine, shared and per-user."""
         return list(self.engines.values()) + list(self._user_engines.values())
 
-    def submit(self, workflow: EMWorkflow, context: WorkflowContext) -> WorkflowRun:
-        """Admit a workflow; fragments are computed at admission."""
-        run = WorkflowRun(workflow, context)
+    def submit(self, graph: OperatorGraph, context: WorkflowContext) -> WorkflowRun:
+        """Admit a workflow graph; fragments are computed at admission, so
+        a node that is not a :class:`~repro.cloud.services.Service` is a
+        :class:`WorkflowError` before any node runs."""
+        run = WorkflowRun(graph, context)
         self.runs.append(run)
         return run
 
@@ -167,7 +179,7 @@ class MetaManager:
         while run.ready.pending:
             for fragment in list(run.ready.ready):
                 engine = self.engine_for(run, fragment.kind)
-                record = engine.execute(fragment, run.context, clock)
+                record = engine.execute(fragment, run, clock)
                 clock = max(clock, record.end)
                 run.ready.complete(fragment)
         return clock
@@ -185,7 +197,7 @@ class MetaManager:
 
         def push_ready(run: "WorkflowRun", order: int, now: float) -> None:
             nonlocal sequence
-            dispatched = {entry[4] for entry in heap}
+            dispatched = {entry[4] for entry in heap if entry[3] is run}
             for fragment in run.ready.ready:
                 if fragment in dispatched:
                     continue
@@ -210,7 +222,7 @@ class MetaManager:
             for kind_value, depth in waiting.items():
                 registry.gauge("cloud_queue_depth", engine=kind_value).set(depth)
             engine = self.engine_for(run, fragment.kind)
-            record = engine.execute(fragment, run.context, at)
+            record = engine.execute(fragment, run, at)
             registry.histogram(
                 "cloud_queue_wait_seconds", engine=fragment.kind.value
             ).observe(record.start - ready_at)

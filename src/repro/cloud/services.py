@@ -17,7 +17,9 @@ is what is not Falcon: upload, profile, metadata, down-sampling, labeling,
 undo, crowd cost, report, monitor, accuracy and export.
 
 A service's ``run(ctx)`` returns the simulated human/crowd seconds it
-consumed; its machine seconds are its runtime node record's.
+consumed.  A service is also callable on the context, so it is itself the
+operator of a workflow graph node (:mod:`repro.cloud.dag`), and its
+machine seconds are that node's runtime record's.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class Service:
     run: Callable[[WorkflowContext], float]
     composite: bool = False
     core: bool = True  # False for utilities beyond the paper's Table 4
+
+    def __call__(self, ctx: WorkflowContext) -> float:
+        """Run the service: a workflow graph's operator over its context."""
+        return self.run(ctx)
 
 
 class ServiceRegistry:

@@ -14,7 +14,8 @@ The lay user's only job is answering match/no-match questions.  Falcon:
 This module is the one place those stages are written.  Each stage is a
 function over a :class:`WorkflowContext` that returns the simulated human
 seconds it consumed, and :data:`FALCON_STAGES` is the one table of
-``(stage, body, deps)``: :func:`run_falcon` runs it as a runtime graph,
+``(stage, body, deps)``: :func:`run_falcon` runs it as a runtime graph
+whose operators are the bodies and whose store is the context,
 ``repro.cloud`` serves the same rows as CloudMatcher's Table 4 services
 (basic, composite and the stock workflow DAG), and Smurf calls the same
 :func:`learn_forest` / :func:`predict_matches` with its own seed and budget.
@@ -413,8 +414,9 @@ def run_falcon(
 ) -> FalconResult:
     """Run the end-to-end Falcon workflow on an EM dataset.
 
-    The stages execute as a :class:`repro.runtime.OperatorGraph`, one
-    node span per stage on the installed tracer (install one with
+    The stages execute as a :class:`repro.runtime.OperatorGraph` whose
+    store is the run's :class:`WorkflowContext`, one node span per stage
+    on the installed tracer (install one with
     :func:`repro.obs.use_tracer` to keep them, or export them with
     :meth:`~repro.obs.Tracer.write_jsonl`).  The stages run in the
     calling process, where the labeling session and catalog keep their
@@ -431,10 +433,8 @@ def run_falcon(
 
     graph = OperatorGraph(f"falcon/{dataset.name}")
     for stage, body, deps, description in FALCON_STAGES:
-        graph.add(
-            stage, lambda _store, body=body: body(ctx), deps=deps, description=description
-        )
-    run = run_graph(graph, ctx.artifacts)
+        graph.add(stage, body, deps=deps, description=description)
+    run = run_graph(graph, ctx)
 
     return FalconResult(
         candset=ctx.get("candset"),

@@ -114,9 +114,11 @@ def run_graph(
 ) -> RunResult:
     """Execute a runtime graph; returns the run result.
 
-    ``store`` is the shared artifact dict and ``records`` the name →
-    :class:`NodeRecord` dict of the nodes that ran, in run order (each
-    created empty when omitted and filled in place otherwise).  ``sim_at``
+    ``store`` is what the operators share — an artifact dict (created
+    empty when omitted), or the ``WorkflowContext`` of a Falcon or
+    CloudMatcher run — and ``records`` the name → :class:`NodeRecord`
+    dict of the nodes that ran, in run order (created empty when omitted
+    and filled in place otherwise).  ``sim_at``
     is the caller's simulated clock (the cloud metamanager's fragment
     start), put on the run's and every node's span as a label.  A node
     that raises carries the error on its span and record and its

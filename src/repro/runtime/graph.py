@@ -4,8 +4,11 @@ The paper's Section 4.1 design principles call for one interoperable
 execution substrate, and CloudMatcher's core idea (Section 5.1) is that
 *every* EM workflow is a DAG of work units over shared state.  This module
 is that substrate's IR: an :class:`OperatorGraph` of named
-:class:`Operator` nodes, each an arbitrary callable over a shared artifact
-store, with explicit data/ordering dependencies.  The three front-ends —
+:class:`Operator` nodes, each an arbitrary callable over a shared store,
+with explicit data/ordering dependencies.  The store is whatever the
+caller hands :func:`repro.runtime.run_graph`: the pipeline's artifact
+dict, or the Falcon / CloudMatcher ``WorkflowContext`` whose stage
+bodies and services are themselves the operators.  The three front-ends —
 ``pipeline.MagellanWorkflow`` (a chain), ``cloud`` (service DAGs sliced
 into engine fragments), and ``falcon``/``smurf`` (fixed stage graphs) —
 all compile to this IR and run through :func:`repro.runtime.run_graph`.
@@ -21,11 +24,13 @@ and the one ready-set tracker in the package: topological order,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Iterable, Mapping, MutableMapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.exceptions import WorkflowError
 
-ArtifactStore = MutableMapping[str, Any]
+#: What a graph's operators share: an artifact dict, or any object its
+#: operators agree on (Falcon and CloudMatcher pass a ``WorkflowContext``).
+ArtifactStore = Any
 
 
 class ReadySet:
@@ -80,13 +85,15 @@ class ReadySet:
 class Operator:
     """One node of a runtime graph.
 
-    ``fn(store)`` reads and writes the shared artifact store.  Its return
-    value may be:
+    ``fn(store)`` reads and writes the shared store.  Its return value
+    may be:
 
     * ``None`` — the operator communicated purely through store mutation;
-    * a ``dict`` — artifact updates, merged into the store by the runner;
+    * a ``dict`` — artifact updates, merged into the store by the runner
+      (so only over a dict store);
     * a ``float``/``int`` — *simulated* human/crowd seconds consumed (the
-      CloudMatcher service convention); recorded as the node span's
+      Falcon stage and CloudMatcher service convention, over a
+      ``WorkflowContext`` store); recorded as the node span's
       ``sim_seconds`` label and in ``runtime_sim_seconds_total``.
     """
 
@@ -101,7 +108,7 @@ class Operator:
 
 
 class OperatorGraph:
-    """A named DAG of operators over a shared artifact store."""
+    """A named DAG of operators over a shared store."""
 
     def __init__(self, name: str):
         self.name = name

@@ -8,7 +8,6 @@ from repro.cloud import (
     CloudMatcher10,
     CloudMatcher20,
     CostModel,
-    EMWorkflow,
     MetaManager,
     ServiceKind,
     ServiceRegistry,
@@ -23,6 +22,7 @@ from repro.exceptions import ServiceError, WorkflowError
 from repro.falcon import FalconConfig
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.obs import use_tracer
+from repro.runtime import OperatorGraph
 
 
 def small_dataset(seed=0, n=150):
@@ -45,14 +45,14 @@ def make_context(dataset, budget=400):
 
 def custom_workflow(registry):
     """A user-assembled workflow that skips rule learning (CloudMatcher 2.0)."""
-    workflow = EMWorkflow("custom")
-    workflow.add_call("upload", registry.get("upload_tables"))
-    workflow.add_call("block", registry.get("execute_blocking_rules"), after=["upload"])
-    workflow.add_call("features", registry.get("generate_matching_features"), after=["upload"])
-    workflow.add_call("vectors", registry.get("extract_candidate_vectors"), after=["block", "features"])
-    workflow.add_call("learn", registry.get("active_learn_matching"), after=["vectors"])
-    workflow.add_call("train", registry.get("train_classifier"), after=["learn"])
-    workflow.add_call("apply", registry.get("apply_classifier"), after=["train"])
+    workflow = OperatorGraph("custom")
+    workflow.add("upload", registry.get("upload_tables"))
+    workflow.add("block", registry.get("execute_blocking_rules"), deps=["upload"])
+    workflow.add("features", registry.get("generate_matching_features"), deps=["upload"])
+    workflow.add("vectors", registry.get("extract_candidate_vectors"), deps=["block", "features"])
+    workflow.add("learn", registry.get("active_learn_matching"), deps=["vectors"])
+    workflow.add("train", registry.get("train_classifier"), deps=["learn"])
+    workflow.add("apply", registry.get("apply_classifier"), deps=["train"])
     return workflow
 
 
@@ -102,35 +102,35 @@ class TestWorkflowDag:
     def test_falcon_workflow_builds(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
         assert len(workflow) == 16
-        order = [call.node_id for call in workflow.topological_calls()]
+        order = workflow.topological_order()
         assert order.index("upload") < order.index("sample")
         assert order.index("learn_blocking") < order.index("execute_rules")
 
     def test_duplicate_node_rejected(self):
-        workflow = EMWorkflow("w")
+        workflow = OperatorGraph("w")
         service = DEFAULT_REGISTRY.get("profile_dataset")
-        workflow.add_call("a", service)
+        workflow.add("a", service)
         with pytest.raises(WorkflowError):
-            workflow.add_call("a", service)
+            workflow.add("a", service)
 
     def test_unknown_predecessor(self):
-        workflow = EMWorkflow("w")
+        workflow = OperatorGraph("w")
         with pytest.raises(WorkflowError):
-            workflow.add_call("a", DEFAULT_REGISTRY.get("profile_dataset"), after=["zzz"])
+            workflow.add("a", DEFAULT_REGISTRY.get("profile_dataset"), deps=["zzz"])
         # A node cannot follow itself, and a rejected call leaves no trace.
         with pytest.raises(WorkflowError):
-            workflow.add_call("a", DEFAULT_REGISTRY.get("profile_dataset"), after=["a"])
+            workflow.add("a", DEFAULT_REGISTRY.get("profile_dataset"), deps=["a"])
         assert len(workflow) == 0
 
     def test_fragments_are_same_kind(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
         fragments, _ = decompose_fragments(workflow)
         for fragment in fragments:
-            kinds = {call.kind for call in fragment.calls}
+            kinds = {workflow.nodes[node].fn.kind for node in fragment.nodes}
             assert kinds == {fragment.kind}
         # every node lands in exactly one fragment
-        all_nodes = [call.node_id for fragment in fragments for call in fragment.calls]
-        assert sorted(all_nodes) == sorted(c.node_id for c in workflow.topological_calls())
+        all_nodes = [node for fragment in fragments for node in fragment.nodes]
+        assert sorted(all_nodes) == sorted(workflow.topological_order())
 
     def test_fragment_dag_acyclic_topological(self):
         """Every fragment's predecessors come before it, and each is the
@@ -142,22 +142,23 @@ class TestWorkflowDag:
         ):
             fragments, deps = decompose_fragments(workflow)
             assert list(deps) == fragments
-            fragment_of = {c.node_id: f for f in fragments for c in f.calls}
+            fragment_of = {node: f for f in fragments for node in f.nodes}
             position = {f: i for i, f in enumerate(fragments)}
             for fragment, predecessors in deps.items():
                 assert all(position[p] < position[fragment] for p in predecessors)
                 assert set(predecessors) == {
-                    fragment_of[node] for call in fragment.calls for node in call.after
+                    fragment_of[before]
+                    for node in fragment.nodes for before in workflow.predecessors(node)
                 } - {fragment}
 
     def test_insertion_order_is_the_topological_order(self):
         workflow = TestFalconWrittenOnce._assembled(DEFAULT_REGISTRY)
-        order = [call.node_id for call in workflow.topological_calls()]
+        order = list(workflow.nodes)
         assert order == [
             "upload", "sample", "blk", "vec", "learn", "rules", "review", "block",
             "mat", "cand", "learn2", "train", "apply",
         ]
-        assert workflow.to_runtime_graph(None).topological_order() == order
+        assert workflow.topological_order() == order
 
     def test_stock_workflow_runs_as_singletons(self):
         """Merging the stock workflow's same-kind components makes a
@@ -167,10 +168,10 @@ class TestWorkflowDag:
             workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=use_crowd)
             fragments, _ = decompose_fragments(workflow)
             assert [f.fragment_id for f in fragments] == [
-                f"t/n_{call.node_id}" for call in workflow.topological_calls()
+                f"t/n_{node}" for node in workflow.topological_order()
             ]
         custom, _ = decompose_fragments(custom_workflow(DEFAULT_REGISTRY))
-        assert [[c.node_id for c in f.calls] for f in custom] == [
+        assert [list(f.nodes) for f in custom] == [
             ["upload"], ["block", "features", "vectors"], ["learn"], ["train", "apply"],
         ]
         assert [f.fragment_id for f in custom] == [f"custom/f{i}" for i in range(4)]
@@ -179,21 +180,22 @@ class TestWorkflowDag:
 
     def test_crowd_variant_retags_learning(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=True)
-        assert workflow.call("learn_blocking").kind == ServiceKind.CROWD
-        assert workflow.call("learn_matching").kind == ServiceKind.CROWD
-        assert workflow.call("upload").kind == ServiceKind.USER_INTERACTION
+        assert workflow.node("learn_blocking").fn.kind == ServiceKind.CROWD
+        assert workflow.node("learn_matching").fn.kind == ServiceKind.CROWD
+        assert workflow.node("upload").fn.kind == ServiceKind.USER_INTERACTION
 
 
 class TestEngines:
     def test_engine_rejects_wrong_kind(self, small_person_dataset):
-        from repro.cloud.engines import ExecutionEngine
+        from repro.cloud.engines import ExecutionEngine, WorkflowRun
 
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
         fragments, _ = decompose_fragments(workflow)
         batch_fragment = next(f for f in fragments if f.kind == ServiceKind.BATCH)
         engine = ExecutionEngine(ServiceKind.CROWD)
+        run = WorkflowRun(workflow, make_context(small_person_dataset))
         with pytest.raises(WorkflowError):
-            engine.execute(batch_fragment, make_context(small_person_dataset), 0.0)
+            engine.execute(batch_fragment, run, 0.0)
 
     def test_metamanager_single_workflow(self):
         dataset = small_dataset(seed=1)
@@ -350,7 +352,7 @@ class TestFalconWrittenOnce:
     @staticmethod
     def _assembled(registry):
         """The stock Falcon DAG, wired by hand from basic services."""
-        workflow = EMWorkflow("assembled")
+        workflow = OperatorGraph("assembled")
         for node, service, after in [
             ("upload", "upload_tables", []),
             ("sample", "sample_pairs", ["upload"]),
@@ -366,7 +368,7 @@ class TestFalconWrittenOnce:
             ("train", "train_classifier", ["learn2"]),
             ("apply", "apply_classifier", ["train"]),
         ]:
-            workflow.add_call(node, registry.get(service), after=after)
+            workflow.add(node, registry.get(service), deps=after)
         return workflow
 
     def _run(self, entry, **config):
@@ -503,9 +505,57 @@ class TestOneSpanTree:
         stock = [node for node, _service, _after in falcon_calls()]
 
         def run(context):
-            CloudMatcher01().match(context.dataset, context.session, context.config)
+            CloudMatcher01().match(
+                context.dataset, context.session, context.config, score_against_gold=False
+            )
 
         assert self._check(run, stock) == stock
+
+    def test_gold_scoring_is_a_one_node_run(self):
+        """Scoring against gold runs ``compute_accuracy`` as a one-node
+        graph of its own, after the 0.1 run's one root and 16 nodes."""
+        from repro.cloud.services import falcon_calls
+
+        dataset = small_dataset(seed=2)
+        context = make_context(dataset)
+        with use_tracer() as tracer:
+            result = CloudMatcher01().match(dataset, context.session, context.config)
+        roots = [span for span in tracer.spans if span.parent_id is None]
+        nodes = [span for span in tracer.spans if "node" in span.labels]
+        assert [span.name for span in roots] == [dataset.name, dataset.name]
+        assert [span.labels["node"] for span in nodes] == [
+            node for node, _service, _after in falcon_calls()
+        ] + ["compute_accuracy"]
+        assert nodes[-1].parent_id == roots[-1].span_id
+        assert result.accuracy["precision"] > 0.8
+
+    def test_invoked_services_are_one_node_runs(self):
+        """CloudMatcher 2.0's direct invocation runs the service through
+        ``run_graph``: one root run span and one ``<task>/<service>`` node
+        span per call, the service's index reads beneath it, and the
+        service's simulated seconds returned."""
+        dataset = make_em_dataset(
+            restaurant, 300, 300, dirtiness=DirtinessConfig.light(), seed=3
+        )
+        context = WorkflowContext(
+            dataset, LabelingSession(OracleLabeler(dataset.gold_pairs)),
+            FalconConfig(sample_size=20), task_name=dataset.name,
+        )
+        matcher = CloudMatcher20()
+        seconds, index_gets = {}, []
+        for name in ("upload_tables", "edit_metadata", "down_sample", "sample_pairs"):
+            with use_tracer() as tracer:
+                seconds[name] = matcher.invoke_service(name, context)
+            roots = [span for span in tracer.spans if span.parent_id is None]
+            nodes = [span for span in tracer.spans if "node" in span.labels]
+            assert [span.name for span in roots] == [dataset.name]
+            assert [span.name for span in nodes] == [f"{dataset.name}/{name}"]
+            assert nodes[0].parent_id == roots[0].span_id
+            index_gets += [span for span in tracer.spans if span.name == "index_get"]
+        assert index_gets and all(span.parent_id is not None for span in index_gets)
+        assert seconds == {
+            "upload_tables": 60.0, "edit_metadata": 20.0, "down_sample": 0.0, "sample_pairs": 0.0,
+        }
 
     @pytest.mark.parametrize(
         "composite, last", [("falcon", "export"), ("get_blocking_rules", "evaluate_rules")]

@@ -46,10 +46,11 @@ def test_crowd_workflow_end_to_end(crowd_task):
     assert result.accuracy["recall"] > 0.6
     # The labeling fragments ran on the crowd engine.
     crowd_engine = matcher.metamanager.engines[ServiceKind.CROWD]
+    graph = matcher.metamanager.runs[0].graph
     executed_services = {
-        call.service.name
+        graph.nodes[node].fn.name
         for record in crowd_engine.executions
-        for call in record.fragment.calls
+        for node in record.fragment.nodes
     }
     assert "active_learn_blocking" in executed_services
     assert "active_learn_matching" in executed_services

@@ -9,8 +9,14 @@ precise, and recoverable.
 import pytest
 
 from repro.blocking import OverlapBlocker
-from repro.cloud import DEFAULT_REGISTRY, CloudMatcher10, ServiceKind, WorkflowContext
-from repro.cloud.dag import EMWorkflow
+from repro.cloud import (
+    DEFAULT_REGISTRY,
+    CloudMatcher10,
+    CloudMatcher20,
+    ServiceKind,
+    WorkflowContext,
+    build_default_registry,
+)
 from repro.cloud.services import Service
 from repro.datasets import DirtinessConfig, make_em_dataset
 from repro.datasets.entities import person
@@ -18,10 +24,13 @@ from repro.exceptions import (
     BudgetExhaustedError,
     ForeignKeyConstraintError,
     ReproError,
+    ServiceError,
+    WorkflowError,
 )
 from repro.falcon import FalconConfig, run_falcon
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.labeling.oracle import BaseLabeler
+from repro.runtime import OperatorGraph
 from repro.table import Table
 
 
@@ -104,9 +113,9 @@ class TestServiceFailures:
             raise RuntimeError("service crashed")
 
         registry_service = Service("boom", ServiceKind.BATCH, "always fails", boom)
-        workflow = EMWorkflow("doomed")
-        workflow.add_call("upload", DEFAULT_REGISTRY.get("upload_tables"))
-        workflow.add_call("boom", registry_service, after=["upload"])
+        workflow = OperatorGraph("doomed")
+        workflow.add("upload", DEFAULT_REGISTRY.get("upload_tables"))
+        workflow.add("boom", registry_service, deps=["upload"])
         matcher = CloudMatcher10()
         matcher.metamanager.submit(workflow, self._context(ds))
         with pytest.raises(RuntimeError, match="service crashed"):
@@ -118,8 +127,8 @@ class TestServiceFailures:
         def boom(ctx):
             raise RuntimeError("down")
 
-        workflow = EMWorkflow("doomed")
-        workflow.add_call("boom", Service("boom", ServiceKind.BATCH, "fails", boom))
+        workflow = OperatorGraph("doomed")
+        workflow.add("boom", Service("boom", ServiceKind.BATCH, "fails", boom))
         matcher = CloudMatcher10()
         doomed = matcher.metamanager.submit(workflow, self._context(ds))
         with pytest.raises(RuntimeError):
@@ -127,7 +136,6 @@ class TestServiceFailures:
         # Operator removes the doomed run; the same engines then serve a
         # healthy workflow.
         matcher.metamanager.runs.remove(doomed)
-        matcher._submissions.clear()
         ds2 = dataset_fixture(seed=92)
         matcher.submit(
             ds2, LabelingSession(OracleLabeler(ds2.gold_pairs), budget=300),
@@ -136,6 +144,57 @@ class TestServiceFailures:
         )
         makespan, results = matcher.run(score_against_gold=False)
         assert results[-1].context.has("matches")
+
+    def test_removing_a_failed_task_keeps_the_next_result_its_own(self):
+        """Each result comes from its own run: once a failed task's run is
+        removed, the healthy task's result carries its name and context."""
+        def boom(ctx):
+            raise RuntimeError("down")
+
+        registry = build_default_registry()
+        registry.register(Service("boom", ServiceKind.BATCH, "fails", boom))
+        workflow = OperatorGraph("doomed")
+        workflow.add("boom", registry.get("boom"))
+        matcher = CloudMatcher20(registry=registry)
+        doomed = matcher.submit_custom(workflow, self._context(dataset_fixture()))
+        with pytest.raises(RuntimeError, match="down"):
+            matcher.run()
+        matcher.metamanager.runs.remove(doomed)
+        healthy = dataset_fixture(seed=92)
+        context = matcher.submit(
+            healthy, LabelingSession(OracleLabeler(healthy.gold_pairs), budget=300),
+            FalconConfig(sample_size=200, blocking_budget=60, matching_budget=100,
+                         random_state=0),
+        )
+        _, results = matcher.run(score_against_gold=False)
+        assert [result.task_name for result in results] == [healthy.name]
+        assert results[0].context is context
+        assert context.has("matches")
+
+    def test_non_service_node_is_rejected_at_submission(self):
+        """A workflow node must run a registry Service: admission names the
+        node and nothing runs."""
+        ran = []
+        workflow = OperatorGraph("odd")
+        workflow.add("upload", DEFAULT_REGISTRY.get("upload_tables"))
+        workflow.add("plain", lambda ctx: ran.append(ctx), deps=["upload"])
+        context = self._context(dataset_fixture())
+        matcher = CloudMatcher20()
+        with pytest.raises(WorkflowError, match="'plain'"):
+            matcher.metamanager.submit(workflow, context)
+        with pytest.raises(WorkflowError, match="'plain'"):
+            matcher.submit_custom(workflow, context)
+        assert matcher.metamanager.runs == [] and ran == []
+        assert not context.has("ltable")
+
+    def test_unregistered_service_is_rejected_by_submit_custom(self):
+        stray = Service("stray", ServiceKind.BATCH, "not in the registry", lambda ctx: 0.0)
+        workflow = OperatorGraph("stray-workflow")
+        workflow.add("stray", stray)
+        matcher = CloudMatcher20()
+        with pytest.raises(ServiceError, match="unregistered service 'stray'"):
+            matcher.submit_custom(workflow, self._context(dataset_fixture()))
+        assert matcher.metamanager.runs == []
 
 
 class TestInputFailures:

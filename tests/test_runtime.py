@@ -527,9 +527,9 @@ class TestMetaManagerEvents:
         assert any(sim.values())
         for engine in manager.all_engines():
             nodes = [
-                (execution.fragment.workflow.name, call.node_id)
+                (execution.fragment.fragment_id.rpartition("/")[0], node)
                 for execution in engine.executions
-                for call in execution.fragment.calls
+                for node in execution.fragment.nodes
             ]
             human = sum(execution.human_seconds for execution in engine.executions)
             assert sum(sim[node] for node in nodes) == pytest.approx(human)
